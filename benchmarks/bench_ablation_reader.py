@@ -22,7 +22,7 @@ NQUERIES = 60
 
 def _dataset(fmt):
     cluster = SimCluster(
-        nranks=NRANKS, fmt=fmt, value_bytes=56, records_hint=NRANKS * RECORDS, seed=17
+        nranks=NRANKS, fmt=fmt, value_bytes=56, seed=17
     )
     batches = [
         random_kv_batch(RECORDS, 56, np.random.default_rng(80 + r)) for r in range(NRANKS)

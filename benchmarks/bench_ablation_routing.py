@@ -22,7 +22,6 @@ def _run(routing, nranks=32, ppn=4, records=2000):
         value_bytes=56,
         routing=routing,
         ppn=ppn,
-        records_hint=nranks * records,
         seed=12,
     )
     return cluster.run_epoch(records)

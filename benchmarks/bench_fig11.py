@@ -42,7 +42,6 @@ def datasets():
             nranks=NRANKS,
             fmt=fmt,
             value_bytes=56,
-            records_hint=NRANKS * RECORDS_PER_RANK,
             device_profile=DEVICE,
             block_size=1 << 18,
             seed=23,

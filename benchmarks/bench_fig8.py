@@ -41,7 +41,7 @@ def test_fig8_accounting_validated_by_execution(report, benchmark):
     rows = []
     for fmt in FORMATS:
         cluster = SimCluster(
-            nranks=16, fmt=fmt, value_bytes=KV_BYTES - 8, records_hint=16 * 8000, seed=5
+            nranks=16, fmt=fmt, value_bytes=KV_BYTES - 8, seed=5
         )
         st = cluster.run_epoch(8000)
         spec_net = fmt.shuffle_bytes_per_record(KV_BYTES - 8, 16) * 15 / 16

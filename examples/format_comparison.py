@@ -27,7 +27,6 @@ def main() -> None:
             nranks=NRANKS,
             fmt=fmt,
             value_bytes=VALUE_BYTES,
-            records_hint=NRANKS * RECORDS,
             seed=1,
         )
         st = cluster.run_epoch(RECORDS)

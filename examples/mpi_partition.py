@@ -27,7 +27,7 @@ def build_rank(rank: int, nranks: int, transport):
     device = StorageDevice()
     partitioner = HashPartitioner(nranks)
     receiver = ReceiverState(
-        rank, nranks, FMT_FILTERKV, device, VALUE_BYTES, capacity_hint=RECORDS_PER_RANK * 2
+        rank, nranks, FMT_FILTERKV, device, VALUE_BYTES
     )
     writer = WriterState(
         rank, FMT_FILTERKV, partitioner, device, VALUE_BYTES, send=transport.send

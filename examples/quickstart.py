@@ -26,7 +26,6 @@ def main() -> None:
         nranks=NRANKS,
         fmt=FMT_FILTERKV,
         value_bytes=VALUE_BYTES,
-        records_hint=NRANKS * RECORDS_PER_RANK,
         seed=42,
     )
     # Each rank generates its own burst of random 64-byte KV pairs.

@@ -36,7 +36,6 @@ def main() -> None:
             nranks=NRANKS,
             fmt=FMT_FILTERKV,
             value_bytes=56,
-            records_hint=sim.nparticles,
             epoch=epoch,
             seed=epoch,
         )

@@ -372,7 +372,6 @@ def _instrumented_run(fmt, ranks, records, value_bytes, seed, queries, aux_polic
             nranks=ranks,
             fmt=fmt,
             value_bytes=value_bytes,
-            records_hint=ranks * records,
             seed=seed,
             aux_policy=aux_policy,
             metrics=registry,
@@ -456,7 +455,6 @@ def _cmd_compare(args) -> str:
                 nranks=args.ranks,
                 fmt=fmt,
                 value_bytes=args.value_bytes,
-                records_hint=args.ranks * args.records,
                 seed=args.seed,
                 aux_policy=policy,
             )

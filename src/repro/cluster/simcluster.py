@@ -69,7 +69,6 @@ class SimCluster:
         batch_bytes: int = 16384,
         device_profile: DeviceProfile | None = None,
         device: StorageDevice | None = None,
-        records_hint: int | None = None,
         block_size: int = 1 << 20,
         epoch: int = 0,
         seed: int = 0,
@@ -77,7 +76,6 @@ class SimCluster:
         ppn: int = 1,
         spill_budget_bytes: int | None = None,
         bulk: bool = True,
-        defer_aux: bool = False,
         aux_policy: AuxBackendPolicy | None = None,
         faults: FaultPlan | None = None,
         metrics: MetricsRegistry | None = None,
@@ -109,7 +107,6 @@ class SimCluster:
         self.epoch = epoch
         self.seed = seed
         self.bulk = bulk
-        self.defer_aux = defer_aux
         self.aux_policy = aux_policy
         self.metrics = active(metrics)
         if device is not None:
@@ -126,9 +123,6 @@ class SimCluster:
         self._ppn = ppn
         self._block_size = block_size
         self._spill_budget_bytes = spill_budget_bytes
-        self._hint_per_rank = (
-            max(64, int(records_hint // nranks * 1.2)) if records_hint else None
-        )
         self._build_states()
 
     def _build_states(self) -> None:
@@ -164,10 +158,8 @@ class SimCluster:
                 self.value_bytes,
                 epoch=self.epoch,
                 block_size=self._block_size,
-                capacity_hint=self._hint_per_rank,
                 aux_seed=self.seed,
                 bulk=self.bulk,
-                defer_aux=self.defer_aux,
                 aux_policy=self.aux_policy,
                 metrics=self.metrics,
             )

@@ -1251,18 +1251,19 @@ def build_sealed_aux(
     ranks: np.ndarray | int,
     nparts: int,
     backends: list[str] | tuple[str, ...],
-    capacity_hint: int | None = None,
     seed: int = 0,
     metrics: MetricsRegistry | None = None,
     metric_labels: dict | None = None,
 ) -> AuxTable:
     """Build and finalize an aux table, walking ``backends`` best-first.
 
-    A backend that cannot represent this key set — the CSF's
-    one-rank-per-key invariant violated, or (vanishingly rare) peeling
-    exhaustion — is skipped and the next candidate tried.  The winner is
-    recorded in the ``aux.backend.selected`` counter so telemetry shows
-    which backend each sealed epoch actually carries.
+    The one aux build: ingest (`ReceiverState.finish`), the flush-time
+    policy and compaction all seal through it, every backend sized from
+    the exact key count.  A backend that cannot represent this key set —
+    the CSF's one-rank-per-key invariant violated, or (vanishingly rare)
+    peeling exhaustion — is skipped and the next candidate tried.  The
+    winner is recorded in the ``aux.backend.selected`` counter so telemetry
+    shows which backend each sealed epoch actually carries.
     """
     keys = np.asarray(keys, dtype=np.uint64).ravel()
     registry = active(metrics)
@@ -1271,7 +1272,7 @@ def build_sealed_aux(
         aux = make_aux_table(
             backend,
             nparts,
-            capacity_hint=capacity_hint if capacity_hint is not None else max(1, keys.size),
+            capacity_hint=max(1, keys.size),
             seed=seed,
             metrics=metrics,
             metric_labels=metric_labels,

@@ -241,20 +241,15 @@ def _merge_filterkv(spec: MergeSpec, device, metrics) -> tuple[int, set[str]]:
 
     aux_backends_used: set[str] = set()
     owners = HashPartitioner(spec.nranks).partition_of(wkeys)
+    # No policy is a one-candidate tournament: the format's backend.
+    policy = spec.aux_policy or AuxBackendPolicy((FORMATS[spec.fmt].aux_backend or "cuckoo",))
     for part in range(spec.nranks):
         sel = np.flatnonzero(owners == part)
-        if spec.aux_policy is not None:
-            backends = spec.aux_policy.rank_backends(
-                int(sel.size), spec.nranks, epoch=merged
-            )
-        else:
-            backends = [FORMATS[spec.fmt].aux_backend or "cuckoo"]
         aux = build_sealed_aux(
             wkeys[sel],
             wranks[sel].astype(np.uint64),
             nparts=spec.nranks,
-            backends=backends,
-            capacity_hint=max(1, int(sel.size)),
+            backends=policy.rank_backends(int(sel.size), spec.nranks, epoch=merged),
             seed=spec.seed + merged + part,
             metrics=metrics,
             metric_labels={"rank": str(part)},

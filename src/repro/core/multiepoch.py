@@ -226,7 +226,6 @@ class MultiEpochStore:
             value_bytes=self.value_bytes,
             batch_bytes=self.batch_bytes,
             device=self.device,
-            records_hint=max(1, records),
             block_size=self.block_size,
             epoch=epoch,
             seed=self.seed + epoch,

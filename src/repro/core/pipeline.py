@@ -27,7 +27,7 @@ from ..storage.envelope import seal
 from ..storage.log import DataPointer, ValueLog
 from ..storage.memtable import MemTable, RunWriter, flatten_runs
 from ..storage.sstable import SSTableWriter, TableStats
-from .auxtable import AuxBackendPolicy, AuxTable, aux_to_blob, build_sealed_aux, make_aux_table
+from .auxtable import AuxBackendPolicy, AuxTable, aux_to_blob, build_sealed_aux
 from .formats import FormatSpec
 from .kv import KEY_BYTES, KVBatch
 from .partitioning import HashPartitioner
@@ -257,10 +257,8 @@ class ReceiverState:
         value_bytes: int,
         epoch: int = 0,
         block_size: int = 1 << 20,
-        capacity_hint: int | None = None,
         aux_seed: int = 0,
         bulk: bool = True,
-        defer_aux: bool = False,
         aux_policy: AuxBackendPolicy | None = None,
         metrics: MetricsRegistry | None = None,
     ):
@@ -271,10 +269,8 @@ class ReceiverState:
         self.value_bytes = value_bytes
         self.epoch = epoch
         self.bulk = bulk
-        self.defer_aux = defer_aux
         self.aux_policy = aux_policy
         self._aux_seed = aux_seed
-        self._capacity_hint = capacity_hint
         self.records_received = 0
         self.metrics = active(metrics)
         self._m_records = self.metrics.counter(
@@ -283,35 +279,21 @@ class ReceiverState:
         self._m_batches = self.metrics.counter(
             "pipeline.batches_received", format=fmt.name, rank=rank
         )
+        # An epoch's mappings are immutable once it seals, so the burst only
+        # buffers them — the wire payload *is* the key column (8 B/key), the
+        # source column is one (sender, count) run per envelope — and
+        # `finish` builds the aux table once, from the exact key count, via
+        # the `build_sealed_aux` call compaction makes.  None until then.
         self.aux: AuxTable | None = None
         self._table: SSTableWriter | None = None
-        # ``defer_aux`` buffers key→source-rank mappings during the burst
-        # and builds the aux table in one insert at finish.  The mappings
-        # are immutable once the epoch ends (static-filter regime), and the
-        # chained cuckoo sizes overflow tables from the pending batch, so
-        # one table-sized insert chains fewer, larger tables than streaming
-        # envelope-sized inserts — faster to build and to probe, but a
-        # different (equal-content) layout than the paper's online,
-        # arrival-order build.  Off by default: the streaming build is the
-        # faithful one, and it keeps bulk and scalar byte-identical.
-        self._aux_pending: list[tuple[np.ndarray, int]] = []
+        self._aux_keys = bytearray()
+        self._aux_srcs: list[int] = []
+        self._aux_counts: list[int] = []
         if fmt.name in ("base", "dataptr"):
             self._table = SSTableWriter(
                 device, main_table_name(epoch, rank), block_size=block_size,
                 vectorized=bulk,
             )
-        elif aux_policy is None:
-            self.aux = make_aux_table(
-                fmt.aux_backend or "cuckoo",
-                nparts=nranks,
-                capacity_hint=capacity_hint,
-                seed=aux_seed + rank,
-                metrics=self.metrics,
-                metric_labels={"rank": str(rank)},
-            )
-        # With an `aux_policy` the backend is chosen at flush time from the
-        # sealed mapping set (the tournament), so the burst only buffers —
-        # `self.aux` materializes in `finish`.
 
     def deliver(self, env: Envelope) -> None:
         """Decode one batch into the partition's tables.
@@ -322,10 +304,9 @@ class ReceiverState:
         """
         if env.dest != self.rank:
             raise ValueError(f"envelope for rank {env.dest} delivered to {self.rank}")
-        raw = np.frombuffer(env.payload, dtype=np.uint8)
         if self.fmt.name == "base":
             rec = KEY_BYTES + self.value_bytes
-            rows = raw.reshape(env.nrecords, rec)
+            rows = np.frombuffer(env.payload, dtype=np.uint8).reshape(env.nrecords, rec)
             keys = rows[:, :KEY_BYTES].copy().view("<u8").ravel()
             if self.bulk:
                 self._table.add_many(keys, rows[:, KEY_BYTES:])
@@ -333,7 +314,9 @@ class ReceiverState:
                 for i in range(env.nrecords):
                     self._table.add(int(keys[i]), rows[i, KEY_BYTES:].tobytes())
         elif self.fmt.name == "dataptr":
-            rows = raw.reshape(env.nrecords, KEY_BYTES + 8)
+            rows = np.frombuffer(env.payload, dtype=np.uint8).reshape(
+                env.nrecords, KEY_BYTES + 8
+            )
             keys = rows[:, :KEY_BYTES].copy().view("<u8").ravel()
             if self.bulk:
                 # Stored value is the packed 12-byte DataPointer: the
@@ -350,62 +333,34 @@ class ReceiverState:
                     ptr = DataPointer(env.src, int(offsets[i]))
                     self._table.add(int(keys[i]), ptr.pack())
         else:
-            keys = raw.reshape(env.nrecords, KEY_BYTES).copy().view("<u8").ravel()
-            if self.defer_aux or self.aux_policy is not None:
-                self._aux_pending.append((keys.astype(np.uint64), env.src))
-            else:
-                # Per-envelope streaming insert — identical in bulk and
-                # scalar modes, matching the paper's online filter build.
-                self.aux.insert_many(keys.astype(np.uint64), env.src)
+            if len(env.payload) != env.nrecords * KEY_BYTES:
+                raise ValueError(
+                    f"{len(env.payload)} payload bytes for {env.nrecords} filterkv records"
+                )
+            self._aux_keys += env.payload
+            self._aux_srcs.append(env.src)
+            self._aux_counts.append(env.nrecords)
         self.records_received += env.nrecords
         self._m_records.inc(env.nrecords)
         self._m_batches.inc()
 
-    def _build_aux(self) -> None:
-        """One-shot insert of every buffered key→rank mapping (arrival order)."""
-        if not self._aux_pending:
-            return
-        keys = np.concatenate([k for k, _ in self._aux_pending])
-        srcs = np.concatenate(
-            [np.full(k.size, s, dtype=np.uint64) for k, s in self._aux_pending]
-        )
-        self._aux_pending.clear()
-        self.aux.insert_many(keys, srcs)
-
-    def _build_aux_by_policy(self) -> None:
-        """Flush-time tournament: rank backends on the sealed mapping set
-        and build the cheapest one that fits (`build_sealed_aux` falls back
-        when a static construction refuses)."""
-        if self._aux_pending:
-            keys = np.concatenate([k for k, _ in self._aux_pending])
-            srcs = np.concatenate(
-                [np.full(k.size, s, dtype=np.uint64) for k, s in self._aux_pending]
-            )
-            self._aux_pending.clear()
-        else:
-            keys = np.zeros(0, dtype=np.uint64)
-            srcs = np.zeros(0, dtype=np.uint64)
-        backends = self.aux_policy.rank_backends(keys.size, self.nranks, epoch=self.epoch)
+    def finish(self) -> TableStats | None:
+        """Persist the partition's table (or build and seal its aux blob)."""
+        if self._table is not None:
+            return self._table.finish()
+        keys = np.frombuffer(self._aux_keys, dtype="<u8")
+        srcs = np.repeat(np.asarray(self._aux_srcs, dtype=np.uint64), self._aux_counts)
+        # No policy is a one-candidate tournament: the format's backend.
+        policy = self.aux_policy or AuxBackendPolicy((self.fmt.aux_backend or "cuckoo",))
         self.aux = build_sealed_aux(
             keys,
             srcs,
             nparts=self.nranks,
-            backends=backends,
-            capacity_hint=self._capacity_hint,
+            backends=policy.rank_backends(keys.size, self.nranks, epoch=self.epoch),
             seed=self._aux_seed + self.rank,
             metrics=self.metrics,
             metric_labels={"rank": str(self.rank)},
         )
-
-    def finish(self) -> TableStats | None:
-        """Persist the partition's table (or aux blob) to storage."""
-        if self._table is not None:
-            return self._table.finish()
-        if self.aux_policy is not None:
-            self._build_aux_by_policy()
-        else:
-            self._build_aux()
-        self.aux.finalize()
         self.aux.record_structure_metrics()
         # Sealed self-describing blob: a crash mid-append leaves a torn seal
         # that recovery detects, and a complete one reloads the table exactly.

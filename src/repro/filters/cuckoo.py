@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -45,6 +47,7 @@ __all__ = [
 
 _EMPTY = np.uint32(0)  # fingerprint 0 marks an empty slot
 _PER_TABLE_HEADER_BYTES = 32  # footer/metadata charged per physical table
+_MIN_UTILIZATION = 0.90  # what a planned chain reaches whenever table sizes allow
 
 
 class CuckooTableFull(Exception):
@@ -124,7 +127,7 @@ class PartialKeyCuckooTable:
         self._nkeys = 0
         self.kicks = 0  # entries displaced by successful eviction walks
         self.failed_inserts = 0  # walks that burned max_kicks and gave up
-        self._rng = np.random.default_rng(seed ^ 0xC0C0)
+        self._rng: np.random.Generator | None = None  # eviction randomness, made on first use
         # Alternate-bucket displacement per fingerprint value, precomputed so
         # the eviction walk runs on plain Python ints (fingerprints are only
         # fp_bits wide, so the table is small).
@@ -174,13 +177,13 @@ class PartialKeyCuckooTable:
         b1 = int(self._primary_buckets(keys)[0])
         self._insert_fp(fp, int(value), b1)
 
-    def _insert_fp(self, fp: int, value: int, b1: int) -> None:
+    def _insert_fp(self, fp: int, value: int, b1: int, picks: Iterator[int] | None = None) -> None:
         b2 = self._alt_bucket_scalar(b1, fp)
         for b in (b1, b2):
             if self._occ[b] < self.slots_per_bucket:
                 self._place(b, fp, value)
                 return
-        self._insert_with_eviction(fp, value, b1, b2)
+        self._insert_with_eviction(fp, value, b1, b2, picks or self._slot_picks())
 
     def _place(self, bucket: int, fp: int, value: int) -> None:
         slot = int(self._occ[bucket])
@@ -189,7 +192,20 @@ class PartialKeyCuckooTable:
         self._occ[bucket] += 1
         self._nkeys += 1
 
-    def _insert_with_eviction(self, fp: int, value: int, b1: int, b2: int) -> None:
+    def _slot_picks(self) -> Iterator[int]:
+        """Endless stream of uniform slot indices for eviction walks, drawn a
+        block at a time: one stream serves a whole batch, so a walk pays for
+        the picks it uses, not for an RNG call."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.seed ^ 0xC0C0)
+        while True:
+            yield from self._rng.integers(
+                self.slots_per_bucket, size=1024, dtype=np.uint8
+            ).tobytes()
+
+    def _insert_with_eviction(
+        self, fp: int, value: int, b1: int, b2: int, picks: Iterator[int]
+    ) -> None:
         """Random-walk eviction, simulated first and applied only on success.
 
         The walk records its displacements in an overlay dict instead of
@@ -199,37 +215,36 @@ class PartialKeyCuckooTable:
         rather than stale ones.
         """
         # Tight scalar loop: everything is a Python int — table cells are
-        # read with ndarray.item (no 0-d array round trip) and the alternate
-        # bucket comes from a list LUT — this walk is the only per-record
-        # work left at high load.  The RNG is consumed exactly as one coin
-        # draw plus one max_kicks-wide slot draw per walk, so walk outcomes
-        # (and hence table layout) are a pure function of the seed and
-        # insert order, stable across revisions.
+        # read with ndarray.item on a flat slot index (no 0-d array round
+        # trip), the alternate bucket comes from a list LUT and the slot
+        # picks from the batch's stream — this walk is the only per-record
+        # work left at high load.
         slots_per_bucket = self.slots_per_bucket
         fps_item = self._fps.item
         vals_item = self._vals.item
         occ_item = self._occ.item
         lut = self._alt_lut_list
-        start = b1 if self._rng.integers(2) == 0 else b2
-        choices = self._rng.integers(slots_per_bucket, size=self.max_kicks).tolist()
-        writes: dict[tuple[int, int], tuple[int, int]] = {}
+        # Start bucket: parity of one pick (fair for even associativity; a
+        # bias would only shift where walks begin).
+        bucket = b2 if next(picks) & 1 else b1
+        writes: dict[int, tuple[int, int]] = {}
         cur_fp, cur_val = int(fp), int(value)
-        bucket = start
-        for slot in choices:
-            key = (bucket, slot)
-            victim = writes.get(key)
+        for slot in islice(picks, self.max_kicks):
+            cell = bucket * slots_per_bucket + slot
+            victim = writes.get(cell)
             if victim is None:
-                victim = (fps_item(bucket, slot), vals_item(bucket, slot))
-            writes[key] = (cur_fp, cur_val)
+                victim = (fps_item(cell), vals_item(cell))
+            writes[cell] = (cur_fp, cur_val)
             cur_fp, cur_val = victim
             if lut is not None:
                 bucket ^= lut[cur_fp]
             else:
                 bucket = self._alt_bucket_scalar(bucket, cur_fp)
             if occ_item(bucket) < slots_per_bucket:
-                for (wb, ws), (wfp, wval) in writes.items():
-                    self._fps[wb, ws] = wfp
-                    self._vals[wb, ws] = wval
+                flat_fps, flat_vals = self._fps.reshape(-1), self._vals.reshape(-1)
+                for cell, (wfp, wval) in writes.items():
+                    flat_fps[cell] = wfp
+                    flat_vals[cell] = wval
                 self._place(bucket, cur_fp, cur_val)
                 self.kicks += len(writes)
                 return
@@ -239,13 +254,17 @@ class PartialKeyCuckooTable:
             f"(load {self._nkeys}/{self.capacity_slots})"
         )
 
-    def insert_many(self, keys: np.ndarray, values: np.ndarray | int = 0) -> np.ndarray:
+    def insert_many(
+        self, keys: np.ndarray, values: np.ndarray | int = 0, fill_to: int | None = None
+    ) -> np.ndarray:
         """Bulk insert; returns a boolean mask of keys that fit.
 
         Keys whose buckets have free slots are placed with vectorized
         scatter (resolving intra-batch collisions by bucket-sorting); the
-        remainder falls back to the scalar eviction path.  The table is
-        left valid regardless of how many keys fit.
+        remainder falls back to the scalar eviction path, which stops once
+        the table holds ``fill_to`` keys (direct placement is free and may
+        go past it).  The table is left valid regardless of how many keys
+        fit.
         """
         keys = np.asarray(keys, dtype=np.uint64).ravel()
         n = keys.size
@@ -257,11 +276,20 @@ class PartialKeyCuckooTable:
         b2 = self._alt_buckets(b1, fps)
         inserted = np.zeros(n, dtype=bool)
 
+        # Two direct rounds (a key that misses both has two full buckets,
+        # and slots never free, so a retry could not place it), then one
+        # vectorized displacement round per side: most stranded keys sit one
+        # move away from a free slot.
         pending = np.arange(n)
-        for attempt_buckets in (b1, b2, b1):  # two direct rounds + one retry
+        for step, side in (
+            (self._bulk_place, b1),
+            (self._bulk_place, b2),
+            (self._bulk_displace, b1),
+            (self._bulk_displace, b2),
+        ):
             if pending.size == 0:
                 break
-            placed = self._bulk_place(attempt_buckets[pending], fps[pending], vals[pending])
+            placed = step(side[pending], fps[pending], vals[pending])
             inserted[pending[placed]] = True
             pending = pending[~placed]
 
@@ -269,9 +297,12 @@ class PartialKeyCuckooTable:
         # evidence the table is saturated; later items would almost all burn
         # max_kicks too, so we stop and leave them for the caller (the
         # chained scheme opens an overflow table for exactly this case).
+        picks = self._slot_picks()
         for i in pending:
+            if fill_to is not None and self._nkeys >= fill_to:
+                break
             try:
-                self._insert_fp(int(fps[i]), int(vals[i]), int(b1[i]))
+                self._insert_fp(int(fps[i]), int(vals[i]), int(b1[i]), picks)
                 inserted[i] = True
             except CuckooTableFull:
                 break
@@ -299,6 +330,32 @@ class PartialKeyCuckooTable:
         self._nkeys += int(ok.sum())
         placed = np.zeros(n, dtype=bool)
         placed[order[ok]] = True
+        return placed
+
+    def _bulk_displace(self, buckets: np.ndarray, fps: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Vectorized depth-one eviction into full ``buckets``: where a
+        resident's alternate bucket has room, move it there and give its
+        cell to the incoming entry.  Every move is a complete insert, so
+        the table is valid whichever subset succeeds."""
+        n = buckets.size
+        spb = self.slots_per_bucket
+        res_fps = self._fps[buckets]
+        alts = self._alt_buckets(np.repeat(buckets, spb), res_fps.ravel()).reshape(n, spb)
+        room = self._occ[alts] < spb
+        slot = room.argmax(axis=1)
+        movers = np.flatnonzero(room[np.arange(n), slot])
+        placed = np.zeros(n, dtype=bool)
+        if movers.size == 0:
+            return placed
+        # One incoming entry per resident cell.
+        _, first = np.unique(buckets[movers] * spb + slot[movers], return_index=True)
+        movers = movers[first]
+        b, j = buckets[movers], slot[movers]
+        moved = self._bulk_place(alts[movers, j], res_fps[movers, j], self._vals[b, j])
+        movers, b, j = movers[moved], b[moved], j[moved]
+        self._fps[b, j] = fps[movers]
+        self._vals[b, j] = vals[movers]
+        placed[movers] = True
         return placed
 
     # -- lookup -----------------------------------------------------------
@@ -407,18 +464,16 @@ class ChainedCuckooTable:
     fp_bits, value_bits, slots_per_bucket, max_kicks, seed:
         Forwarded to every physical table.
     capacity_hint:
-        Expected number of keys.  When given, the first table is sized to
-        the largest power-of-two slot count not exceeding the hint; each
-        overflow table is then sized from the keys that actually remain —
-        the 1 M + 128 K construction from §IV-B (1.1 M keys → a 2^20-slot
-        table plus a 2^17-slot overflow), reaching ~95 % combined
-        utilization.  Without a hint, the first table starts at
-        ``min_buckets`` and each overflow table is sized from the keys
-        inserted so far (doubling-flavored growth, lower utilization).
+        Expected number of keys; sizes the first table.  Every table is
+        sized from the keys it is expected to take (`_plan_slots`), which
+        reproduces the 1 M + 128 K construction from §IV-B (1.1 M keys → a
+        2^20-slot table plus a 2^17-slot overflow).  Without a hint, the
+        first table starts at ``min_buckets`` and scalar inserts size each
+        overflow from the keys held so far (doubling-flavored growth).
     load_target:
-        Assumed achievable per-table load factor when sizing overflow
-        tables (random-walk insertion fills 4-way buckets to ~0.98, so 0.95
-        is conservative and reproduces the paper's sizing example exactly).
+        The load factor bulk insertion walks a table up to before moving on
+        (random walks fill 4-way buckets to ~0.98, so 0.95 keeps them short
+        and reproduces the paper's sizing example exactly).
     """
 
     def __init__(
@@ -441,43 +496,47 @@ class ChainedCuckooTable:
         self.slots_per_bucket = slots_per_bucket
         self.max_kicks = max_kicks
         self.seed = seed
-        self.capacity_hint = capacity_hint
         self.load_target = load_target
         self.min_buckets = min_buckets
-        self.tables: list[PartialKeyCuckooTable] = [self._make_table(first=True)]
+        self.tables: list[PartialKeyCuckooTable] = []
+        self.tables.append(self._make_table(capacity_hint or 1))
 
-    def _make_table(self, first: bool, expected: int | None = None) -> PartialKeyCuckooTable:
+    def _plan_slots(self, expected: int) -> int:
+        """Slot count of the chain's next table, given ``expected`` more keys.
+
+        Candidate continuations take the power of two below the need zero
+        or more times, then the one that holds the rest.  The shortest that
+        leaves the chain ≥ 90 % utilized wins (every table is probed on
+        every lookup); where power-of-two granularity puts that out of
+        reach — small key counts — the one with the fewest bytes does."""
         min_slots = self.min_buckets * self.slots_per_bucket
-        if first:
-            if self.capacity_hint is not None:
-                slots = 1 << math.floor(math.log2(max(min_slots, self.capacity_hint)))
-            else:
-                slots = min_slots
-        else:
-            if expected is None:
-                if self.capacity_hint is not None:
-                    expected = max(1, int(self.capacity_hint * 1.05) - len(self))
-                else:
-                    expected = max(1, len(self))
-            # Balanced power-of-two sizing: take the next power of two when
-            # the overflow table would end up reasonably full, otherwise
-            # take the one below and let the chain continue (utilization
-            # stays ~95 % regardless of where the key count falls between
-            # powers of two — the paper's 1 M + 128 K example generalized).
-            need = max(min_slots, expected / self.load_target)
-            ceil_p = _round_pow2(math.ceil(need))
-            if expected / ceil_p >= 0.8 * self.load_target or ceil_p <= min_slots:
-                slots = ceil_p
-            else:
-                slots = max(min_slots, ceil_p // 2)
-        nbuckets = max(self.min_buckets, slots // self.slots_per_bucket)
+        slot_bytes = (self.fp_bits + self.value_bits) / 8
+        nkeys = len(self) + expected
+        chain_slots = sum(t.capacity_slots for t in self.tables)
+        candidates = []  # (chain bytes, first table's slots), fewest tables first
+        first = None
+        while True:
+            slots = max(min_slots, _round_pow2(math.ceil(expected / self.load_target)))
+            nbytes = (chain_slots + slots) * slot_bytes
+            nbytes += (len(candidates) + 1) * _PER_TABLE_HEADER_BYTES
+            candidates.append((nbytes, first or slots))
+            if nkeys >= _MIN_UTILIZATION * (chain_slots + slots):
+                return first or slots
+            if slots == min_slots:
+                return min(candidates, key=lambda c: c[0])[1]
+            slots //= 2
+            first = first or slots
+            chain_slots += slots
+            expected -= int(slots * self.load_target)
+
+    def _make_table(self, expected: int) -> PartialKeyCuckooTable:
         return PartialKeyCuckooTable(
-            nbuckets,
+            self._plan_slots(expected) // self.slots_per_bucket,
             fp_bits=self.fp_bits,
             value_bits=self.value_bits,
             slots_per_bucket=self.slots_per_bucket,
             max_kicks=self.max_kicks,
-            seed=self.seed + len(getattr(self, "tables", [])),
+            seed=self.seed + len(self.tables),
         )
 
     # -- mutation ---------------------------------------------------------
@@ -489,19 +548,24 @@ class ChainedCuckooTable:
                 self.tables[-1].insert(key, value)
                 return
             except CuckooTableFull:
-                self.tables.append(self._make_table(first=False))
+                self.tables.append(self._make_table(max(1, len(self))))
 
     def insert_many(self, keys: np.ndarray, values: np.ndarray | int = 0) -> None:
-        """Bulk insert, chaining overflow tables as needed."""
+        """Bulk insert along a planned chain: the active table is offered
+        every pending key (the more compete for its free slots, the fuller
+        direct placement leaves it) but walks only up to ``load_target``;
+        the remainder goes straight to a table sized for it, instead of
+        finding each table full through a walk that burns ``max_kicks``.
+        A walk that still fails (rare; small tables) leaves its key in the
+        remainder."""
         keys = np.asarray(keys, dtype=np.uint64).ravel()
-        vals = np.broadcast_to(np.asarray(values, dtype=np.uint32), keys.shape).copy()
-        pending_keys, pending_vals = keys, vals
-        while pending_keys.size:
-            ok = self.tables[-1].insert_many(pending_keys, pending_vals)
-            pending_keys = pending_keys[~ok]
-            pending_vals = pending_vals[~ok]
-            if pending_keys.size:
-                self.tables.append(self._make_table(first=False, expected=pending_keys.size))
+        vals = np.broadcast_to(np.asarray(values, dtype=np.uint32), keys.shape)
+        while keys.size:
+            t = self.tables[-1]
+            ok = t.insert_many(keys, vals, fill_to=int(t.capacity_slots * self.load_target))
+            keys, vals = keys[~ok], vals[~ok]
+            if keys.size:
+                self.tables.append(self._make_table(keys.size))
 
     # -- lookup -----------------------------------------------------------
 

@@ -162,10 +162,8 @@ def _receiver_task(p: dict) -> dict:
             cfg["value_bytes"],
             epoch=cfg["epoch"],
             block_size=cfg["block_size"],
-            capacity_hint=cfg["capacity_hint"],
             aux_seed=cfg["aux_seed"],
             bulk=cfg["bulk"],
-            defer_aux=cfg["defer_aux"],
             aux_policy=cfg["aux_policy"],
             metrics=metrics,
         )
@@ -206,9 +204,7 @@ def run_parallel_epoch(cluster) -> None:
         "metrics_on": metrics_on,
         "dev_metrics_on": cluster.device.metrics is not NULL_REGISTRY,
         "shared_metrics": cluster.metrics is cluster.device.metrics,
-        "capacity_hint": cluster._hint_per_rank,
         "aux_seed": cluster.seed,
-        "defer_aux": cluster.defer_aux,
         "aux_policy": cluster.aux_policy,
     }
 

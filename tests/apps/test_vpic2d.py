@@ -58,7 +58,7 @@ def test_determinism():
 def test_feeds_simcluster():
     sim = VPICSimulation2D(px=2, py=2, particles_per_rank=500, seed=6)
     sim.step(2)
-    cluster = SimCluster(nranks=4, fmt=FMT_FILTERKV, value_bytes=56, records_hint=2000)
+    cluster = SimCluster(nranks=4, fmt=FMT_FILTERKV, value_bytes=56)
     for rank, batch in enumerate(sim.dump()):
         cluster.put(rank, batch)
     cluster.finish_epoch()

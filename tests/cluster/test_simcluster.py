@@ -13,7 +13,6 @@ def run(fmt, nranks=8, records=1500, value_bytes=56, **kw):
         nranks=nranks,
         fmt=fmt,
         value_bytes=value_bytes,
-        records_hint=nranks * records,
         seed=11,
         **kw,
     )

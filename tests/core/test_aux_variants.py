@@ -67,7 +67,7 @@ class TestXorAuxTable:
 def test_filterkv_variant_roundtrips_in_cluster(backend):
     """FilterKV with alternative aux backends: full write+query path."""
     fmt = dataclasses.replace(FMT_FILTERKV, aux_backend=backend)
-    cluster = SimCluster(nranks=6, fmt=fmt, value_bytes=24, records_hint=6 * 1200, seed=13)
+    cluster = SimCluster(nranks=6, fmt=fmt, value_bytes=24, seed=13)
     batches = [random_kv_batch(1200, 24, np.random.default_rng(40 + r)) for r in range(6)]
     for rank, b in enumerate(batches):
         cluster.put(rank, b)

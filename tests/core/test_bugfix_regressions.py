@@ -47,7 +47,6 @@ def _filterkv_dataset(nranks=8, records=3000):
         nranks=nranks,
         fmt=FMT_FILTERKV,
         value_bytes=8,
-        records_hint=nranks * records,
         seed=47,
     )
     batches = [

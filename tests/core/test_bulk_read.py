@@ -33,7 +33,6 @@ def dataset(request):
         nranks=NRANKS,
         fmt=fmt,
         value_bytes=24,
-        records_hint=NRANKS * RECORDS,
         block_size=1 << 12,
         seed=11,
     )

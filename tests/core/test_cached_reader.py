@@ -11,7 +11,7 @@ from repro.core.reader import CachedQueryEngine
 
 def _dataset(fmt, nranks=6, records=1500):
     cluster = SimCluster(
-        nranks=nranks, fmt=fmt, value_bytes=24, records_hint=nranks * records, seed=9
+        nranks=nranks, fmt=fmt, value_bytes=24, seed=9
     )
     batches = [random_kv_batch(records, 24, np.random.default_rng(50 + r)) for r in range(nranks)]
     for rank, b in enumerate(batches):

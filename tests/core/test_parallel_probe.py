@@ -13,7 +13,6 @@ def _dataset(nranks=8, records=4000):
         nranks=nranks,
         fmt=FMT_FILTERKV,
         value_bytes=8,
-        records_hint=nranks * records,
         seed=31,
     )
     batches = [random_kv_batch(records, 8, np.random.default_rng(60 + r)) for r in range(nranks)]

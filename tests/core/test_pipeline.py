@@ -94,7 +94,7 @@ def test_writer_rejects_wrong_value_width():
 
 def test_receiver_routes_by_format():
     dev = StorageDevice()
-    recv = ReceiverState(1, 4, FMT_FILTERKV, dev, value_bytes=16, capacity_hint=100)
+    recv = ReceiverState(1, 4, FMT_FILTERKV, dev, value_bytes=16)
     keys = np.arange(10, dtype="<u8")
     recv.deliver(Envelope(src=3, dest=1, payload=keys.tobytes(), nrecords=10))
     assert recv.records_received == 10

@@ -21,7 +21,7 @@ ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
 
 def _dataset(fmt, nranks=4, records=600):
     cluster = SimCluster(
-        nranks=nranks, fmt=fmt, value_bytes=24, records_hint=nranks * records, seed=13
+        nranks=nranks, fmt=fmt, value_bytes=24, seed=13
     )
     batches = [
         random_kv_batch(records, 24, np.random.default_rng(90 + r)) for r in range(nranks)

@@ -78,7 +78,6 @@ class TestClusterRouting:
             value_bytes=56,
             routing=routing,
             ppn=4,
-            records_hint=16 * records,
             seed=6,
         )
         return cluster, cluster.run_epoch(records)

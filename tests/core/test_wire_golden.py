@@ -118,5 +118,6 @@ def test_filterkv_golden_bytes_decode_into_aux_table():
     recv = _receiver(FMT_FILTERKV)
     _, env = _encode_with_writer(FMT_FILTERKV)
     recv.deliver(env)
+    recv.finish()  # the aux table is built at seal, not per envelope
     for key in KEYS:
         assert 0 in recv.aux.candidate_ranks(key)

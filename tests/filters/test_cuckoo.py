@@ -122,14 +122,13 @@ class TestChainedCuckooTable:
         assert t.stats.utilization > 0.9  # paper: "about 95 % in practice"
 
     def test_hinted_first_table_size_matches_paper_example(self):
-        # 1.1 M keys → 1 M-slot first table plus small overflow tables
-        # (§IV-B: "combines a 1-million-slot table with an 128K-slot
-        # table"; our balanced policy picks the power of two that keeps the
-        # overflow table itself well utilized).
+        # 1.1 M keys → 1 M-slot first table filled to the load target, the
+        # remainder in a 128K-slot overflow (§IV-B: "combines a
+        # 1-million-slot table with an 128K-slot table").
         t = ChainedCuckooTable(capacity_hint=1_100_000, slots_per_bucket=4)
-        assert t.tables[0].capacity_slots == 1 << 20
-        overflow = t._make_table(first=False, expected=1_100_000 - (1 << 20) + 30_000)
-        assert overflow.capacity_slots in (1 << 16, 1 << 17)
+        t.insert_many(_rand_keys(1_100_000, seed=14), 0)
+        assert [pt.capacity_slots for pt in t.tables] == [1 << 20, 1 << 17]
+        assert t.stats.failed_inserts == 0
 
     def test_utilization_away_from_pow2_boundaries(self):
         # 200 K keys sit awkwardly between 2^17 and 2^18 slots; the

@@ -25,7 +25,7 @@ def _run_with_batches(fmt, batches, **kw):
 def test_every_written_key_is_readable(fmt):
     """Exhaustive read-your-writes over a full (small) dataset."""
     batches = [random_kv_batch(400, 24, np.random.default_rng(100 + r)) for r in range(6)]
-    cluster = _run_with_batches(fmt, batches, records_hint=2400)
+    cluster = _run_with_batches(fmt, batches)
     engine = cluster.query_engine()
     for rank, batch in enumerate(batches):
         for i in range(0, len(batch), 37):
@@ -37,7 +37,7 @@ def test_every_written_key_is_readable(fmt):
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
 def test_absent_keys_are_never_fabricated(fmt):
     batches = [random_kv_batch(300, 24, np.random.default_rng(200 + r)) for r in range(4)]
-    cluster = _run_with_batches(fmt, batches, records_hint=1200)
+    cluster = _run_with_batches(fmt, batches)
     engine = cluster.query_engine()
     rng = np.random.default_rng(5)
     written = set(int(k) for b in batches for k in b.keys)
@@ -60,7 +60,7 @@ def test_vpic_multi_epoch_trajectory():
     for epoch in range(3):
         sim.step(2)
         cluster = SimCluster(
-            nranks=6, fmt=FMT_FILTERKV, value_bytes=56, records_hint=sim.nparticles, epoch=epoch
+            nranks=6, fmt=FMT_FILTERKV, value_bytes=56, epoch=epoch
         )
         for rank, batch in enumerate(sim.dump()):
             cluster.put(rank, batch)
@@ -82,7 +82,7 @@ def test_skewed_keys_still_roundtrip():
     batches = [
         KVBatch(batch.keys[i::per_rank], batch.values[i::per_rank]) for i in range(per_rank)
     ]
-    cluster = _run_with_batches(FMT_FILTERKV, batches, records_hint=3000)
+    cluster = _run_with_batches(FMT_FILTERKV, batches)
     engine = cluster.query_engine()
     key = int(batches[0].keys[0])
     value, qs = engine.get(key)
@@ -94,7 +94,7 @@ def test_conservation_across_formats():
     batches = [random_kv_batch(1000, 56, np.random.default_rng(300 + r)) for r in range(5)]
     owners = {}
     for fmt in FORMATS:
-        cluster = _run_with_batches(fmt, batches, records_hint=5000)
+        cluster = _run_with_batches(fmt, batches)
         received = tuple(r.records_received for r in cluster.receivers)
         owners[fmt.name] = received
         assert sum(received) == 5000
@@ -104,7 +104,7 @@ def test_conservation_across_formats():
 def test_filterkv_amplification_visible_in_queries():
     """Statistically, some FilterKV queries probe more than one partition."""
     batches = [random_kv_batch(4000, 8, np.random.default_rng(400 + r)) for r in range(8)]
-    cluster = _run_with_batches(FMT_FILTERKV, batches, records_hint=32_000)
+    cluster = _run_with_batches(FMT_FILTERKV, batches)
     engine = cluster.query_engine()
     probes = []
     for i in range(80):

@@ -121,7 +121,7 @@ def test_scan_detects_corruption():
 def test_cluster_partition_corruption_surfaces_in_queries(fmt):
     """End to end: flip bytes in a persisted partition; queries that touch
     the damaged block raise rather than returning wrong values."""
-    cluster = SimCluster(nranks=4, fmt=fmt, value_bytes=24, records_hint=4000, seed=8)
+    cluster = SimCluster(nranks=4, fmt=fmt, value_bytes=24, seed=8)
     batches = [random_kv_batch(1000, 24, np.random.default_rng(700 + r)) for r in range(4)]
     for rank, b in enumerate(batches):
         cluster.put(rank, b)

@@ -24,7 +24,6 @@ def _run(fmt, value_bytes=24, queries=0):
         nranks=RANKS,
         fmt=fmt,
         value_bytes=value_bytes,
-        records_hint=RANKS * RECORDS,
         seed=7,
         metrics=reg,
     )
@@ -119,7 +118,7 @@ def test_instrumentation_does_not_change_results(fmt):
     """Counters observe the run; they must not perturb it."""
     reg, cluster = _run(fmt)
     plain = SimCluster(
-        nranks=RANKS, fmt=fmt, value_bytes=24, records_hint=RANKS * RECORDS, seed=7
+        nranks=RANKS, fmt=fmt, value_bytes=24, seed=7
     )
     batches = [random_kv_batch(RECORDS, 24, np.random.default_rng(50 + r)) for r in range(RANKS)]
     for rank, batch in enumerate(batches):

@@ -69,7 +69,7 @@ def test_loopback_full_shuffle_roundtrip():
     for rank in range(nranks):
         dev = StorageDevice()
         receivers.append(
-            ReceiverState(rank, nranks, FMT_FILTERKV, dev, 8, capacity_hint=records * 2)
+            ReceiverState(rank, nranks, FMT_FILTERKV, dev, 8)
         )
         w = WriterState(rank, FMT_FILTERKV, HashPartitioner(nranks), dev, 8, send=t.send)
         w.put_batch(random_kv_batch(records, 8, rng=rank))
