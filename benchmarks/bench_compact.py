@@ -239,152 +239,3 @@ def test_bench_compact(report, benchmark):
     ]
     merged_keys = np.concatenate(chunks)
     benchmark(lambda: first_occurrence(merged_keys))
-
-
-# -- background compaction: the merge off the event loop --------------------
-
-BG_EPOCHS = 6
-BG_RECORDS = 500 if SMOKE else 4_000  # per rank per epoch: merge must outlast probes
-BG_WINDOW = 240 if SMOKE else 600  # baseline latency samples
-BG_MIN_DURING = 40 if SMOKE else 100  # samples required while the merge is out
-BG_CONCURRENCY = 16
-BG_P99_GATE = 1.5  # asserted only with a core to spare for the worker
-
-
-async def _timed_window(svc, rng, universe, n, stop=None):
-    """Serve ``n`` probes (or until ``stop`` is set) in small concurrent
-    waves, timing each request individually.  Returns per-request ms."""
-    lat = []
-
-    async def one(k):
-        t0 = time.perf_counter()
-        r = await svc.get(int(k), epoch=ANY_EPOCH)
-        lat.append((time.perf_counter() - t0) * 1e3)
-        assert r.status in (OK, NOT_FOUND)
-
-    while len(lat) < n and (stop is None or not stop.done()):
-        wave = rng.choice(universe, size=BG_CONCURRENCY, replace=True)
-        await asyncio.gather(*(one(k) for k in wave))
-    return lat
-
-
-async def _serve_during_merge(pool):
-    """One filterkv store: measure served latency with no merge running,
-    then again while `compact_in_background` crunches in a worker."""
-    from repro.parallel import compact_in_background
-
-    store = MultiEpochStore(
-        nranks=NRANKS, fmt=FMT_FILTERKV, value_bytes=VALUE_BYTES, seed=SEED + 2
-    )
-    rng = np.random.default_rng(SEED + 2)
-    truth: dict[int, bytes] = {}
-    prev = None
-    for _ in range(BG_EPOCHS):
-        keys = np.unique(
-            rng.integers(0, 2**63, size=BG_RECORDS * NRANKS, dtype=np.uint64)
-        )
-        if prev is not None:
-            k = int(keys.size * OVERLAP)
-            keys[:k] = rng.choice(prev, size=k, replace=False)
-            keys = np.unique(keys)
-        rng.shuffle(keys)
-        values = rng.integers(0, 256, size=(keys.size, VALUE_BYTES), dtype=np.uint8)
-        batches = [
-            KVBatch(keys[s], values[s]) for s in np.array_split(np.arange(keys.size), NRANKS)
-        ]
-        for b in batches:
-            for i, k in enumerate(b.keys):
-                truth[int(k)] = b.value_of(i)
-        store.write_epoch(batches)
-        prev = np.fromiter(truth, dtype=np.uint64)
-    universe = np.fromiter(truth, dtype=np.uint64)
-
-    async with QueryService(
-        store, max_inflight=4096, queue_high_watermark=4096, result_cache_entries=8
-    ) as svc:
-        await _timed_window(svc, rng, universe, BG_WINDOW // 2)  # warm readers
-        base = await _timed_window(svc, rng, universe, BG_WINDOW)
-
-        merge = asyncio.create_task(compact_in_background(store, pool))
-        during = await _timed_window(svc, rng, universe, 10**9, stop=merge)
-        report = await merge
-
-        assert report is not None and report.source_epochs == list(range(BG_EPOCHS))
-        assert store.epochs == [report.merged_epoch]
-        # Post-swap correctness through the *same* warm service.
-        sample = rng.choice(universe, size=SERVE_PROBES, replace=False)
-        for k in sample:
-            r = await svc.get(int(k), epoch=ANY_EPOCH)
-            assert r.status == OK and r.value == truth[int(k)]
-
-    store.close()
-    return base, during, report
-
-
-def test_bench_compact_background(report):
-    """Serving latency must survive a live background merge.
-
-    The merge runs in a pool worker over shared-memory source tables; the
-    event loop only pays for prepare (pack) and publish (swap).  Gate:
-    served p99 during the merge within 1.5x the no-merge baseline —
-    asserted where a second core can host the worker, reported everywhere.
-    """
-    from repro.obs import MetricsRegistry as _Reg
-    from repro.parallel import WorkerPool
-
-    ncores = os.cpu_count() or 1
-    with WorkerPool(workers=1, metrics=_Reg()) as pool:
-        pool.warm()
-        base, during, rep = asyncio.run(_serve_during_merge(pool))
-        assert pool.stats()["worker_failures"] == 0
-
-    assert len(during) >= BG_MIN_DURING, (
-        f"merge finished after only {len(during)} served samples — "
-        "grow BG_RECORDS so the gate measures a live merge"
-    )
-    p99_base = float(np.percentile(base, 99))
-    p99_during = float(np.percentile(during, 99))
-    ratio = p99_during / p99_base
-    rows = [
-        ["no merge", len(base), round(float(np.percentile(base, 50)), 3), round(p99_base, 3), ""],
-        [
-            "during merge",
-            len(during),
-            round(float(np.percentile(during, 50)), 3),
-            round(p99_during, 3),
-            round(ratio, 2),
-        ],
-    ]
-    text, data = table_artifact(
-        ["window", "samples", "p50 ms", "p99 ms", "p99 vs baseline"],
-        rows,
-        title=(
-            f"Served latency under background compaction — filterkv, "
-            f"{NRANKS} ranks x {BG_EPOCHS} epochs x {BG_RECORDS} records/rank, "
-            f"{ncores} core(s){' [smoke]' if SMOKE else ''}"
-        ),
-    )
-    data["rows_detailed"] = [
-        {
-            "window": "no_merge",
-            "samples": len(base),
-            "p50_ms": round(float(np.percentile(base, 50)), 4),
-            "p99_ms": round(p99_base, 4),
-        },
-        {
-            "window": "during_merge",
-            "samples": len(during),
-            "p50_ms": round(float(np.percentile(during, 50)), 4),
-            "p99_ms": round(p99_during, 4),
-            "p99_vs_baseline": round(ratio, 3),
-        },
-    ]
-    data["cores"] = ncores
-    data["merged_records"] = rep.records_out
-    report(text, name="compact_background", data=data)
-
-    if ncores >= 2:
-        assert ratio <= BG_P99_GATE, (
-            f"served p99 {ratio:.2f}x baseline during background merge "
-            f"(gate {BG_P99_GATE}x on {ncores} cores)"
-        )

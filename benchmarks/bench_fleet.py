@@ -5,8 +5,8 @@ paper's aux tables one tier up (the router routes on rebuilt sealed aux
 blobs; shards hold the data):
 
 * **Shard scaling** — fleet QPS must scale **>= 2.5x** from 1 to 4
-  shards on identical data.  This box is single-core, so the scaling
-  mechanism is the honest single-core one: *aggregate cache capacity*.
+  shards on identical data.  Every shard runs on the one event-loop
+  thread, so the scaling mechanism is *aggregate cache capacity*.
   Every node runs the same bounded per-node caches (a result cache sized
   to ~30 % of the key universe, a one-entry reader cache), so a single
   node thrashes on a uniform workload while each of four shards serves a

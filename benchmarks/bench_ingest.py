@@ -239,139 +239,3 @@ def test_bench_ingest(report, benchmark):
     keys = np.arange(16_000, dtype=np.uint64)
     values = np.zeros((16_000, VALUE_BYTES), dtype=np.uint8)
     benchmark(lambda: MemTable(1 << 30).add_many(keys, values))
-
-
-# -- multi-core ingest: process-pool rank pipelines ------------------------
-
-PARALLEL_NRANKS = 8
-PARALLEL_RECORDS = 1_500 if SMOKE else 8_000
-PARALLEL_WORKERS = (1, 2) if SMOKE else (1, 2, 4, 8)
-PARALLEL_GATE = 3.0  # asserted only where the hardware can express it
-
-
-def _run_epoch(parallel, pool, records_per_rank):
-    """One full epoch (put × ranks → finish) through either execution path."""
-    reg = MetricsRegistry()
-    cluster = SimCluster(
-        nranks=PARALLEL_NRANKS,
-        fmt=FMT_FILTERKV,
-        value_bytes=VALUE_BYTES,
-        seed=SEED,
-        metrics=reg,
-        parallel=parallel,
-        pool=pool,
-    )
-    rng = np.random.default_rng(cluster.seed)
-    batches = []
-    for rank in range(PARALLEL_NRANKS):
-        remaining = records_per_rank
-        while remaining:
-            n = min(4096, remaining)
-            batches.append((rank, random_kv_batch(n, VALUE_BYTES, rng)))
-            remaining -= n
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        for rank, batch in batches:
-            cluster.put(rank, batch)
-        cluster.finish_epoch()
-        elapsed = time.perf_counter() - t0
-    finally:
-        gc.enable()
-    return elapsed, cluster, reg
-
-
-def _registry_counters(reg):
-    return {
-        (name, labels): inst.value
-        for name, labels, inst in reg.series()
-        if inst.kind == "counter" and inst.value != 0
-    }
-
-
-def test_bench_ingest_parallel(report):
-    """Process-pool ingest: byte-identical to in-process, scaling reported.
-
-    Every parallel run is checked against the serial oracle — extent
-    bytes, ClusterStats, device counters, and the merged metric registry
-    must all be *equal*, not just close — before any timing is reported.
-    The ≥3x wall-clock gate applies at 8 workers on hardware with 8+
-    cores; on smaller machines the scaling rows are reported unguarded
-    (process parallelism cannot beat the core count).
-    """
-    from repro.parallel import WorkerPool
-
-    ncores = os.cpu_count() or 1
-    serial_t, serial_cluster, serial_reg = _run_epoch("off", None, PARALLEL_RECORDS)
-    ser_extents = _extents(serial_cluster)
-    ser_counters = _registry_counters(serial_reg)
-
-    rows, data_rows = [], []
-    rows.append(["serial", "-", round(serial_t, 3), f"{serial_cluster.stats.records / serial_t:,.0f}", ""])
-    data_rows.append(
-        {
-            "mode": "serial",
-            "workers": 0,
-            "seconds": round(serial_t, 4),
-            "records_per_sec": round(serial_cluster.stats.records / serial_t, 1),
-            "parallel_x": None,
-        }
-    )
-    speedup_by_workers = {}
-    for nworkers in PARALLEL_WORKERS:
-        with WorkerPool(workers=nworkers, metrics=MetricsRegistry()) as pool:
-            pool.warm()  # spawn cost amortizes across epochs; keep it untimed
-            par_t, par_cluster, par_reg = _run_epoch("process", pool, PARALLEL_RECORDS)
-            assert pool.stats()["worker_failures"] == 0
-        par_extents = _extents(par_cluster)
-        assert par_extents.keys() == ser_extents.keys()
-        mismatched = [n for n in par_extents if par_extents[n] != ser_extents[n]]
-        assert not mismatched, f"parallel ingest diverged: {mismatched}"
-        assert par_cluster.stats == serial_cluster.stats
-        assert _registry_counters(par_reg) == ser_counters
-        assert par_cluster.device.counters.writes == serial_cluster.device.counters.writes
-        assert (
-            par_cluster.device.counters.bytes_written
-            == serial_cluster.device.counters.bytes_written
-        )
-        speedup_by_workers[nworkers] = serial_t / par_t
-        rows.append(
-            [
-                "process",
-                nworkers,
-                round(par_t, 3),
-                f"{par_cluster.stats.records / par_t:,.0f}",
-                round(serial_t / par_t, 2),
-            ]
-        )
-        data_rows.append(
-            {
-                "mode": "process",
-                "workers": nworkers,
-                "seconds": round(par_t, 4),
-                "records_per_sec": round(par_cluster.stats.records / par_t, 1),
-                "parallel_x": round(serial_t / par_t, 3),
-            }
-        )
-
-    text, data = table_artifact(
-        ["mode", "workers", "seconds", "records/s", "vs serial"],
-        rows,
-        title=(
-            f"Parallel ingest scaling — filterkv, {PARALLEL_NRANKS} ranks x "
-            f"{PARALLEL_RECORDS} records, {ncores} core(s)"
-            f"{' [smoke]' if SMOKE else ''}"
-        ),
-    )
-    data["rows_detailed"] = data_rows
-    data["cores"] = ncores
-    data["equivalent"] = True  # asserted above, byte-for-byte
-    report(text, name="ingest_parallel", data=data)
-
-    # The acceptance gate needs 8 cores to be physically expressible.
-    if ncores >= 8 and 8 in speedup_by_workers:
-        assert speedup_by_workers[8] >= PARALLEL_GATE, (
-            f"8-worker ingest only {speedup_by_workers[8]:.2f}x serial "
-            f"(need {PARALLEL_GATE}x on {ncores} cores)"
-        )

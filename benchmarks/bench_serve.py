@@ -33,7 +33,9 @@ format.  Two supporting gates ride along:
 """
 
 import asyncio
+import gc
 import os
+import statistics
 import time
 
 import numpy as np
@@ -59,6 +61,7 @@ OVERLOAD_REQUESTS = 400 if SMOKE else 1_500
 # work on the hot path (the unguarded span plumbing this gate exists to
 # keep out cost 7-15 %).
 TRACE_OVERHEAD_GATE = 0.90 if SMOKE else 0.95
+TRACE_REPEATS = 9  # odd: the gate reads the median pair
 SEED = 17
 THETA = 1.0
 
@@ -176,16 +179,23 @@ def _traced(store, expected, keys, sample_rate):
             await run_load(
                 client, warm_sampler, SERVED_REQUESTS // 2, mode="closed", concurrency=64
             )
-            cpu0 = time.process_time()
-            load = await run_load(
-                client,
-                sampler,
-                SERVED_REQUESTS,
-                mode="closed",
-                concurrency=64,
-                expected=expected,
-            )
-            return load, time.process_time() - cpu0
+            # A gen-2 collection over the store's heap is ~20 % of this
+            # short measured section; keep it out of both arms alike.
+            gc.collect()
+            gc.disable()
+            try:
+                cpu0 = time.process_time()
+                load = await run_load(
+                    client,
+                    sampler,
+                    SERVED_REQUESTS,
+                    mode="closed",
+                    concurrency=64,
+                    expected=expected,
+                )
+                return load, time.process_time() - cpu0
+            finally:
+                gc.enable()
 
     return asyncio.run(main())
 
@@ -327,27 +337,30 @@ def test_bench_serve(report, benchmark):
     # Gate 4: tracing disabled costs nothing measurable.  The gate
     # compares requests per *CPU second* — tracer overhead is added work,
     # and CPU throughput sees it without the ±20 % wall-clock scheduler
-    # noise that makes a tight qps gate unenforceable.  Untraced
-    # reference runs interleave with traced@0 runs (best-of-2 each) so
-    # thermal/frequency drift cancels too.  1 %/100 % sampling are one
-    # run each; their wall qps and CPU ratio are reported for
-    # EXPERIMENTS.md.
+    # noise that makes a tight qps gate unenforceable.  The two arms are
+    # the same code (an A/A comparison), yet a single pair of runs differs
+    # by up to 10 % on a shared box whose load comes and goes in phases
+    # longer than one run.  So the gate reads the median of TRACE_REPEATS
+    # back-to-back untraced/traced@0 pair ratios: a phase moves both
+    # halves of a pair together, the median drops the pairs it splits.
+    # 1 %/100 % sampling are one run each against the median untraced
+    # run; their wall qps and CPU ratio are reported for EXPERIMENTS.md.
     store, expected = _build(FMT_FILTERKV)
     keys = np.fromiter(expected, dtype=np.int64)
-    ref_cps, traced0, traced0_cps = 0.0, None, 0.0
-    for _ in range(2):
+    ref_runs, pairs = [], []
+    for _ in range(TRACE_REPEATS):
         rload, rcpu = _traced(store, expected, keys, None)
-        ref_cps = max(ref_cps, rload.requests / rcpu)
+        ref_runs.append(rload.requests / rcpu)
         tload, tcpu = _traced(store, expected, keys, 0.0)
-        if tload.requests / tcpu > traced0_cps:
-            traced0, traced0_cps = tload, tload.requests / tcpu
-    trace_arms = [(0.0, "traced@0%", traced0, traced0_cps)]
+        pairs.append(((tload.requests / tcpu) / ref_runs[-1], tload))
+    ref_cps = statistics.median(ref_runs)
+    overhead_ok, traced0 = sorted(pairs, key=lambda p: p[0])[TRACE_REPEATS // 2]
+    trace_arms = [(0.0, "traced@0%", traced0, overhead_ok)]
     for rate, label in ((0.01, "traced@1%"), (1.0, "traced@100%")):
         tload, tcpu = _traced(store, expected, keys, rate)
-        trace_arms.append((rate, label, tload, tload.requests / tcpu))
-    for rate, label, tload, cps in trace_arms:
+        trace_arms.append((rate, label, tload, tload.requests / tcpu / ref_cps))
+    for rate, label, tload, rel in trace_arms:
         assert tload.incorrect == 0
-        rel = cps / ref_cps
         rows.append(
             [
                 "filterkv",
@@ -371,7 +384,6 @@ def test_bench_serve(report, benchmark):
                 "sample_rate": rate,
             }
         )
-    overhead_ok = traced0_cps / ref_cps
     assert overhead_ok >= TRACE_OVERHEAD_GATE, (
         f"tracing-disabled serving at {overhead_ok:.3f}x the untraced arm's CPU "
         f"throughput (must be >= {TRACE_OVERHEAD_GATE} — the disabled path is "
@@ -407,108 +419,3 @@ def test_bench_serve(report, benchmark):
         loop.run_until_complete(svc.close())
     finally:
         loop.close()
-
-
-# -- multi-core serving: dispatch windows on the worker pool ----------------
-
-PARALLEL_REQUESTS = 2_000 if SMOKE else 8_000
-PARALLEL_GATE = 3.0  # asserted only where the hardware can express it
-
-
-def _served_uniform(store, expected, keys, pool=None):
-    """Closed-loop *uniform* load with a tiny result cache: nearly every
-    request reaches a real probe, so dispatch windows stay full and the
-    pooled path (when a pool is attached) carries the traffic."""
-    sampler = KeySampler(keys, "uniform", seed=SEED)
-
-    async def main():
-        kwargs = dict(
-            max_batch=256,
-            max_inflight=4096,
-            queue_high_watermark=4096,
-            result_cache_entries=8,  # force probes; this arm measures them
-        )
-        if pool is not None:
-            kwargs.update(pool=pool, pool_min_keys=32)
-        async with QueryService(store, **kwargs) as svc:
-            client = InprocClient(svc)
-            await run_load(client, sampler, PARALLEL_REQUESTS // 4, mode="closed", concurrency=256)
-            load = await run_load(
-                client,
-                sampler,
-                PARALLEL_REQUESTS,
-                mode="closed",
-                concurrency=256,
-                expected=expected,
-            )
-            pooled_windows = int(svc.metrics.total("serve.pooled_windows"))
-            return load, pooled_windows
-
-    return asyncio.run(main())
-
-
-def test_bench_serve_parallel(report):
-    """Pooled serving vs the in-process dispatcher, same answers required.
-
-    Both arms run the identical uniform closed-loop workload with
-    correctness checked per response; the pooled arm must actually route
-    windows through the workers.  The ≥3x QPS gate applies on 8+ cores.
-    """
-    from repro.obs import MetricsRegistry as _Reg
-    from repro.parallel import WorkerPool
-
-    ncores = os.cpu_count() or 1
-    nworkers = min(8, ncores) if ncores > 1 else 2
-    store_a, expected = _build(FMT_FILTERKV)
-    store_b, expected_b = _build(FMT_FILTERKV)
-    assert expected == expected_b
-    keys = np.fromiter(expected, dtype=np.int64)
-
-    inproc, _ = _served_uniform(store_a, expected, keys)
-    with WorkerPool(workers=nworkers, metrics=_Reg()) as pool:
-        pool.warm()
-        pooled, pooled_windows = _served_uniform(store_b, expected, keys, pool=pool)
-        assert pool.stats()["worker_failures"] == 0
-    assert inproc.incorrect == 0 and pooled.incorrect == 0
-    assert inproc.checked == pooled.checked == PARALLEL_REQUESTS
-    assert pooled_windows > 0, "pooled serving never left the event-loop thread"
-
-    ratio = pooled.qps / inproc.qps
-    rows = [
-        ["in-process", "-", f"{inproc.qps:,.0f}", inproc.latency_ms["p99"], ""],
-        ["pooled", nworkers, f"{pooled.qps:,.0f}", pooled.latency_ms["p99"], round(ratio, 2)],
-    ]
-    text, data = table_artifact(
-        ["arm", "workers", "qps", "p99 ms", "vs in-process"],
-        rows,
-        title=(
-            f"Pooled serving — filterkv, {NRANKS} ranks, uniform load, "
-            f"{ncores} core(s){' [smoke]' if SMOKE else ''}"
-        ),
-    )
-    data["rows_detailed"] = [
-        {
-            "arm": "in-process",
-            "workers": 0,
-            "serve_qps_measured": round(inproc.qps, 1),
-            "latency_ms": inproc.latency_ms,
-            "parallel_x": None,
-        },
-        {
-            "arm": "pooled",
-            "workers": nworkers,
-            "serve_qps_measured": round(pooled.qps, 1),
-            "latency_ms": pooled.latency_ms,
-            "parallel_x": round(ratio, 3),
-            "pooled_windows": pooled_windows,
-        },
-    ]
-    data["cores"] = ncores
-    data["equivalent"] = True  # zero incorrect on both arms, same workload
-    report(text, name="serve_parallel", data=data)
-
-    if ncores >= 8:
-        assert ratio >= PARALLEL_GATE, (
-            f"pooled serving only {ratio:.2f}x in-process "
-            f"(need {PARALLEL_GATE}x on {ncores} cores)"
-        )

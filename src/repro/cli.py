@@ -183,19 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--stats-window", type=float, default=10.0, help="stats_live trailing window (s)"
     )
-    s.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="attach a process pool of N workers (0 = serve in-process); "
-        "big dispatch windows route through pooled bulk reads",
-    )
-    s.add_argument(
-        "--pool-min-keys",
-        type=int,
-        default=64,
-        help="smallest dispatch window worth shipping to the pool",
-    )
 
     lg = sub.add_parser("loadgen", help="drive a serving tier and report latency/QPS")
     lg.add_argument(
@@ -689,14 +676,6 @@ def _cmd_serve(args) -> int:
     store, keys, _ = _build_served_store(args)
     print(store.describe())
 
-    pool = None
-    if args.workers > 0:
-        from .obs import MetricsRegistry
-        from .parallel import WorkerPool
-
-        pool = WorkerPool(workers=args.workers, metrics=MetricsRegistry("pool"))
-        pool.warm()
-
     async def run() -> None:
         service = QueryService(
             store,
@@ -705,16 +684,13 @@ def _cmd_serve(args) -> int:
             queue_high_watermark=args.queue_high_watermark,
             tracer=TraceCollector(sample_rate=args.trace_sample),
             stats_window_s=args.stats_window,
-            pool=pool,
-            pool_min_keys=args.pool_min_keys,
         )
         async with ServeServer(service, host=args.host, port=args.port) as server:
             # flush so clients scripting around a piped server see the
             # bound port before the first query
-            workers = f", {args.workers} pool workers" if pool is not None else ""
             print(
-                f"serving {keys.size:,} keys on {server.host}:{server.port}"
-                f"{workers} (Ctrl-C to stop)",
+                f"serving {keys.size:,} keys on {server.host}:{server.port} "
+                "(Ctrl-C to stop)",
                 flush=True,
             )
             await server.serve_forever()
@@ -723,9 +699,6 @@ def _cmd_serve(args) -> int:
         asyncio.run(run())
     except KeyboardInterrupt:
         print("\nstopped")
-    finally:
-        if pool is not None:
-            pool.close()
     return 0
 
 
@@ -1076,16 +1049,6 @@ def _render_top_frame(live: dict, stats: dict, traces: list[list[dict]], where: 
         f"  caches   result {rc.get('hits', 0)}/{rc.get('hits', 0) + rc.get('misses', 0)} hit  "
         f"negative {neg.get('skipped_probes', 0)} probes skipped",
     ]
-    w = live.get("workers")
-    if w:
-        rate = w.get("batches_per_s")
-        lines.append(
-            f"  workers  {w.get('busy_workers', 0)}/{w.get('pool_size', 0)} busy  "
-            f"batches {w.get('batches', 0)}"
-            + (f" ({rate:,.1f}/s)" if rate is not None else "")
-            + f"  failures {w.get('worker_failures', 0)}  "
-            f"shm {w.get('shm_bytes', 0):,} B"
-        )
     if traces:
         lines.append(f"  traces   {live.get('traces_retained', 0)} retained; most recent:")
         for tree in traces:
@@ -1103,18 +1066,9 @@ def _cmd_top(args) -> int:
         where = f"{args.host}:{args.port}"
         async with TCPClient(args.host, args.port) as client:
             i = 0
-            prev_batches = None
             while True:
                 live = await client.stats_live(window_s=args.window)
                 stats = await client.stats()
-                w = live.get("workers")
-                if w is not None:
-                    # batches/s needs two frames: rate over the refresh gap.
-                    if prev_batches is not None and args.interval > 0:
-                        w["batches_per_s"] = max(
-                            0.0, (w.get("batches", 0) - prev_batches) / args.interval
-                        )
-                    prev_batches = w.get("batches", 0)
                 if args.fleet or live.get("format") == "fleet":
                     print(_render_fleet_top_frame(live, stats, where))
                 else:

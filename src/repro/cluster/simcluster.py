@@ -79,8 +79,6 @@ class SimCluster:
         aux_policy: AuxBackendPolicy | None = None,
         faults: FaultPlan | None = None,
         metrics: MetricsRegistry | None = None,
-        parallel: str = "off",
-        pool=None,
     ):
         if nranks < 2:
             raise ValueError("need at least 2 ranks to partition data")
@@ -88,18 +86,6 @@ class SimCluster:
             raise ValueError(f"routing must be 'direct' or '3hop', got {routing!r}")
         if faults is not None and device is not None:
             raise ValueError("pass faults= or a prebuilt device=, not both")
-        if parallel not in ("off", "process"):
-            raise ValueError(f"parallel must be 'off' or 'process', got {parallel!r}")
-        if parallel == "process":
-            if pool is None:
-                raise ValueError("parallel='process' needs a WorkerPool (pool=)")
-            if routing != "direct":
-                raise ValueError("parallel='process' supports routing='direct' only")
-            if faults is not None:
-                raise ValueError(
-                    "parallel='process' cannot inject device faults (workers "
-                    "run on mirror devices); use PoolFaultPlan for worker crashes"
-                )
         self.nranks = nranks
         self.fmt = fmt
         self.value_bytes = value_bytes
@@ -116,9 +102,6 @@ class SimCluster:
         else:
             self.device = StorageDevice(device_profile, metrics=self.metrics)
         self.partitioner = HashPartitioner(nranks)
-        self.parallel = parallel
-        self.pool = pool
-        self._parallel_streams: list[list[Envelope]] | None = None
         self._routing = routing
         self._ppn = ppn
         self._block_size = block_size
@@ -138,17 +121,6 @@ class SimCluster:
             )
         else:
             self.router = DirectRouter(self._deliver, ppn=self._ppn)
-        if self.parallel == "process":
-            # Pipelines run inside pool workers; `put` buffers batches and
-            # `finish_epoch` fans them out.  Building the real states here
-            # would also create their extents, colliding with the extents
-            # the workers ship back.
-            self._pending: list[list[KVBatch]] = [[] for _ in range(self.nranks)]
-            self._put_order: list[int] = []
-            self.receivers = []
-            self.writers = []
-            self._finished = False
-            return
         self.receivers = [
             ReceiverState(
                 r,
@@ -190,11 +162,6 @@ class SimCluster:
         self.router.send(env)
 
     def _deliver(self, env: Envelope) -> None:
-        if self._parallel_streams is not None:
-            # Replay mode: the router charged the wire; the envelope joins
-            # its destination's stream for the receiver-phase fan-out.
-            self._parallel_streams[env.dest].append(env)
-            return
         self.receivers[env.dest].deliver(env)
 
     @property
@@ -210,24 +177,12 @@ class SimCluster:
 
     def put(self, rank: int, batch: KVBatch) -> None:
         """Feed one generated batch into a rank's writer."""
-        if self.parallel == "process":
-            # Buffered, not executed: the pool replays every put in this
-            # exact global order so the output is byte-identical to serial.
-            self._pending[rank].append(batch)
-            self._put_order.append(rank)
-            return
         self.writers[rank].put_batch(batch)
 
     def finish_epoch(self) -> None:
         """Flush all writers, then persist every partition."""
         if self._finished:
             raise ValueError("epoch already finished")
-        if self.parallel == "process":
-            from ..parallel.ingest import run_parallel_epoch  # avoid cycle
-
-            run_parallel_epoch(self)
-            self._finished = True
-            return
         for w in self.writers:
             w.finish()
         self.router.flush()  # ship any aggregates the 3-hop path buffered

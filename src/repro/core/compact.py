@@ -124,14 +124,9 @@ class CompactionReport:
 
 @dataclass(frozen=True)
 class MergeSpec:
-    """Everything the pure merge step needs, picklable.
-
-    The k-way merge is a deterministic function of the source partition
-    tables plus these parameters, so it can run in-process (foreground
-    `Compactor.run`) or inside a pool worker over a shared-memory mirror
-    of the source tables (`repro.parallel.compactbg`) and produce
-    byte-identical merged extents either way.
-    """
+    """Everything the pure merge step needs: the k-way merge is a
+    deterministic function of the source partition tables plus these
+    parameters."""
 
     fmt: str
     nranks: int
@@ -141,14 +136,6 @@ class MergeSpec:
     newest_first: tuple[int, ...]
     aux_policy: AuxBackendPolicy | None = None
 
-    def source_tables(self) -> list[str]:
-        """Extent names the merge reads (per-rank source partition tables)."""
-        return [
-            main_table_name(epoch, rank)
-            for epoch in self.newest_first
-            for rank in range(self.nranks)
-        ]
-
 
 def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     """Run the merge described by ``spec`` against ``device``.
@@ -157,7 +144,7 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     writes the merged epoch's ``part.*`` (and, for filterkv, ``aux.*``)
     extents, and returns ``{"records_out", "aux_backends"}``.  Publishing
     the result — manifest swap, sweep, compaction counters — stays with
-    `Compactor.publish` on the caller's side.
+    `Compactor.publish`.
     """
     metrics = active(metrics)
     if spec.fmt == "filterkv":
@@ -286,10 +273,7 @@ class Compactor:
     in-memory state is untouched until `run` returns, so a crash (or
     exception) mid-merge leaves the caller exactly where it started.
 
-    `run` is the foreground path: validate → produce (in-process) →
-    publish.  A background caller uses the same pieces but ships the
-    produce step to a pool worker: `validate` + `prepare` first, then
-    `publish` once the worker's merged extents are adopted.
+    `run` is validate → prepare → produce → publish.
     """
 
     def __init__(self, store: "MultiEpochStore"):
@@ -363,8 +347,7 @@ class Compactor:
         """Commit a produced merge: manifest swap, source sweep, counters.
 
         ``working``/``spec`` come from `prepare`; ``produced`` from
-        `produce_merged_epoch` (run here or in a worker whose extents the
-        caller has already adopted onto the device).
+        `produce_merged_epoch`.
         """
         store = self.store
         merged = spec.merged

@@ -71,13 +71,7 @@ class MultiEpochStore:
         compaction: CompactionPolicy | None = None,
         tiering: TieredStorage | TierConfig | None = None,
         aux_policy: AuxBackendPolicy | None = None,
-        parallel: str = "off",
-        pool=None,
     ):
-        if parallel not in ("off", "process"):
-            raise ValueError(f"parallel must be 'off' or 'process', got {parallel!r}")
-        if parallel == "process" and pool is None:
-            raise ValueError("parallel='process' needs a WorkerPool (pool=)")
         self.nranks = nranks
         self.fmt = fmt
         self.value_bytes = value_bytes
@@ -98,12 +92,6 @@ class MultiEpochStore:
         # epoch's sealed key→rank set picks its own backend; the winner is
         # recorded in the manifest's EpochInfo.aux_backend.
         self.aux_policy = aux_policy
-        # Process-parallel execution (repro.parallel): `parallel`/`pool`
-        # route every write_epoch's rank pipelines through the worker pool;
-        # `attach_pool` additionally shards large get_many calls across it.
-        self.parallel = parallel
-        self.pool = pool
-        self._pooled_reads = None
         self.compactions = 0
         self.last_compaction: CompactionReport | None = None
         # Optional burst-buffer/PFS model: dumps land on the burst buffer;
@@ -230,8 +218,6 @@ class MultiEpochStore:
             epoch=epoch,
             seed=self.seed + epoch,
             aux_policy=self.aux_policy,
-            parallel=self.parallel,
-            pool=self.pool,
         )
         before = self.device.total_bytes_stored()
         for rank, batch in enumerate(batches):
@@ -293,7 +279,6 @@ class MultiEpochStore:
         epoch: int,
         metrics: MetricsRegistry | None = None,
         table_cache_entries: int | None = None,
-        parallel_probe: bool = False,
     ) -> "CachedQueryEngine":
         """A warm-cache engine over one committed epoch.
 
@@ -314,7 +299,6 @@ class MultiEpochStore:
             partitioner=base.partitioner,
             aux_tables=base.aux_tables,
             epoch=base.epoch,
-            parallel_probe=parallel_probe,
             metrics=metrics,
             **kwargs,
         )
@@ -337,36 +321,8 @@ class MultiEpochStore:
         """Point query at one timestep (the paper's Fig. 11 query)."""
         return self.engine(epoch).get(key)
 
-    def attach_pool(self, pool, min_keys: int = 256, metrics=None):
-        """Route large `get_many` calls through a `WorkerPool`.
-
-        Returns the `PooledReads` instance (exposing the async path and the
-        serial oracle).  Calls below ``min_keys`` keys — where shipping
-        costs beat the parallelism — keep using the in-process engine.
-        """
-        from ..parallel.reads import PooledReads  # local: avoid cycle
-
-        self._pooled_reads = PooledReads(self, pool, min_keys=min_keys, metrics=metrics)
-        return self._pooled_reads
-
-    def get_many(
-        self, keys, epoch: int, parallel: str | None = None
-    ) -> tuple[list[bytes | None], list[QueryStats]]:
-        """Bulk point queries at one timestep (block-coalesced read path).
-
-        ``parallel`` picks the execution path: ``"process"`` forces the
-        pooled path (requires `attach_pool`), ``"off"`` forces in-process,
-        and None (default) auto-routes — pooled when a pool is attached
-        and the call is at least ``min_keys`` keys.
-        """
-        pooled = self._pooled_reads
-        if parallel == "process" and pooled is None:
-            raise ValueError("parallel='process' requires attach_pool() first")
-        n = np.asarray(keys).size
-        if pooled is not None and parallel != "off" and (
-            parallel == "process" or n >= pooled.min_keys
-        ):
-            return pooled.get_many(keys, epoch)
+    def get_many(self, keys, epoch: int) -> tuple[list[bytes | None], list[QueryStats]]:
+        """Bulk point queries at one timestep (block-coalesced read path)."""
         return self.engine(epoch).get_many(keys)
 
     def trajectory(self, key: int) -> list[tuple[int, bytes | None, QueryStats]]:
@@ -449,10 +405,9 @@ class MultiEpochStore:
     def _apply_compaction(self, manifest: Manifest, report: CompactionReport) -> None:
         """Flip the in-memory view to a swapped-in merged manifest.
 
-        The on-device swap already landed (foreground `compact` or a
-        background merge publishing through `repro.parallel.compactbg`).
-        Engines over retired epochs hold handles on extents the sweep
-        deleted — close them before anything probes through them.
+        The on-device swap already landed.  Engines over retired epochs
+        hold handles on extents the sweep deleted — close them before
+        anything probes through them.
         """
         self.manifest = manifest
         for epoch in report.source_epochs:
@@ -483,8 +438,6 @@ class MultiEpochStore:
         for engine in self._cached.values():
             engine.close()
         self._cached.clear()
-        if self._pooled_reads is not None:
-            self._pooled_reads.release()
 
     def __enter__(self) -> "MultiEpochStore":
         return self

@@ -66,7 +66,6 @@ class QueryEngine:
         partitioner: HashPartitioner,
         aux_tables: list[AuxTable | None] | None = None,
         epoch: int = 0,
-        parallel_probe: bool = False,
         metrics: MetricsRegistry | None = None,
     ):
         self.device = device
@@ -75,7 +74,6 @@ class QueryEngine:
         self.partitioner = partitioner
         self.aux_tables = aux_tables or [None] * nranks
         self.epoch = epoch
-        self.parallel_probe = parallel_probe
         self.metrics = active(metrics)
         fmtl = {"format": fmt.name}
         self._m_queries = self.metrics.counter("reader.queries", **fmtl)
@@ -250,8 +248,6 @@ class QueryEngine:
         self._charge_aux(owner, stats)
         candidates = aux.candidate_ranks(key)
         self._m_candidates.inc(len(candidates))
-        if self.parallel_probe:
-            return self._probe_parallel(key, candidates, stats)
         value = None
         for rank in candidates:
             stats.partitions_searched += 1
@@ -263,35 +259,6 @@ class QueryEngine:
                 self._release_table(reader)
             if value is not None:
                 break
-        stats.found = value is not None
-        return value, stats
-
-    def _probe_parallel(
-        self, key: int, candidates, stats: QueryStats
-    ) -> tuple[bytes | None, QueryStats]:
-        """Probe every candidate partition concurrently (paper §III-C:
-        readers search candidate locations "potentially concurrently").
-
-        All probes issue: reads and bytes accumulate for each, but latency
-        is the *maximum* single-probe latency rather than the sum — the
-        overlap a parallel reader buys.
-        """
-        probe_latencies = []
-        value = None
-        for rank in candidates:
-            before = stats.latency
-            stats.partitions_searched += 1
-            reader = self._open_table(int(rank), stats)
-            try:
-                with self._charged(stats, "data"):
-                    hit = reader.get(key)
-            finally:
-                self._release_table(reader)
-            probe_latencies.append(stats.latency - before)
-            if hit is not None and value is None:
-                value = hit
-        if probe_latencies:
-            stats.latency -= sum(probe_latencies) - max(probe_latencies)
         stats.found = value is not None
         return value, stats
 
@@ -313,7 +280,9 @@ class QueryEngine:
         for s, e in zip(starts, ends):
             yield int(sk[s]), order[s:e]
 
-    def get_many(self, keys) -> tuple[list[bytes | None], list[QueryStats]]:
+    def get_many(
+        self, keys, negative=None
+    ) -> tuple[list[bytes | None], list[QueryStats]]:
         """Bulk point lookups: value-equivalent to ``[self.get(k) for k in keys]``.
 
         The batch walks the same probe schedule as the scalar loop —
@@ -326,10 +295,13 @@ class QueryEngine:
         offset order.  Shared I/O is charged to the *first* key of the group
         that needed it, so per-key breakdowns are an attribution (aggregate
         reads/bytes remain exact, and are <= the scalar loop's — that
-        reduction is the point).  Under ``parallel_probe`` every candidate
-        is probed (no early stop) and the lowest-rank hit wins, matching
-        the scalar parallel walk's value and probe counts; the scalar
-        max-latency overlap adjustment is not replicated.
+        reduction is the point).
+
+        ``negative`` is the serving tier's `NegativeCache` (filterkv only):
+        candidates it already refuted for this epoch are dropped before
+        any table is touched, and every probe that misses is recorded in
+        it — the cache only ever removes probes known to miss, so answers
+        are unchanged.
         """
         arr = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
         n = int(arr.size)
@@ -338,7 +310,7 @@ class QueryEngine:
         if n == 0:
             return values, stats
         if current_span() is None:  # untraced: skip span-argument setup
-            self._get_many_dispatch(arr, values, stats, n)
+            self._get_many_dispatch(arr, values, stats, n, negative)
             return values, stats
         with child_span(
             "engine.get_many",
@@ -347,7 +319,7 @@ class QueryEngine:
             format=self.fmt.name,
             keys=n,
         ) as span:
-            blocks, probes = self._get_many_dispatch(arr, values, stats, n)
+            blocks, probes = self._get_many_dispatch(arr, values, stats, n, negative)
             if span is not None:
                 span.annotate(blocks=blocks, probes=probes)
         return values, stats
@@ -358,13 +330,14 @@ class QueryEngine:
         values: list[bytes | None],
         stats: list["QueryStats"],
         n: int,
+        negative,
     ) -> tuple[int, int]:
         if self.fmt.name == "base":
             blocks, probes = self._get_many_direct(arr, values, stats, deref=False)
         elif self.fmt.name == "dataptr":
             blocks, probes = self._get_many_direct(arr, values, stats, deref=True)
         else:
-            blocks, probes = self._get_many_filterkv(arr, values, stats)
+            blocks, probes = self._get_many_filterkv(arr, values, stats, negative)
         for s in stats:
             self._observe(s)
         self._m_batch_keys.inc(n)
@@ -423,6 +396,7 @@ class QueryEngine:
         keys: np.ndarray,
         values: list[bytes | None],
         stats: list[QueryStats],
+        negative,
     ) -> tuple[int, int]:
         """Bulk filterkv flow: aux once per owner, probes grouped by rank.
 
@@ -446,13 +420,23 @@ class QueryEngine:
         flat_rank = (
             np.concatenate(cand_rank) if cand_rank else np.zeros(0, dtype=np.int64)
         )
+        if negative is not None:  # drop candidates already refuted
+            klist = keys.tolist()
+            keep = np.fromiter(
+                (
+                    not negative.refuted(self.epoch, klist[p], r)
+                    for p, r in zip(flat_pos.tolist(), flat_rank.tolist())
+                ),
+                dtype=bool,
+                count=flat_rank.size,
+            )
+            flat_pos, flat_rank = flat_pos[keep], flat_rank[keep]
         found = np.zeros(len(values), dtype=bool)
         blocks_touched = 0
         probes = 0
         for rank, gi in self._groups(flat_rank):
             pos = flat_pos[gi]
-            if not self.parallel_probe:
-                pos = pos[~found[pos]]
+            pos = pos[~found[pos]]
             if pos.size == 0:
                 continue
             lead = stats[int(pos[0])]
@@ -466,9 +450,11 @@ class QueryEngine:
             probes += len(pos)
             for p, v in zip(pos.tolist(), vals):
                 stats[p].partitions_searched += 1
-                if v is not None and values[p] is None:
+                if v is not None:
                     values[p] = v
                     found[p] = True
+                elif negative is not None:
+                    negative.add(self.epoch, klist[p], rank)
         for p, v in enumerate(values):
             stats[p].found = v is not None
         return blocks_touched, probes

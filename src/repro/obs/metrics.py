@@ -256,47 +256,6 @@ class MetricsRegistry:
 
     # -- combination -------------------------------------------------------
 
-    def checkpoint(self) -> dict:
-        """Opaque position marker for `delta`.
-
-        Captures where every live series currently stands (counter values,
-        histogram observation counts, gauge levels) without copying any
-        observations.  A long-lived registry — a pool worker's, charged by
-        cached engines across many tasks — takes a checkpoint before each
-        task and ships only ``delta(mark)`` back, so the parent merge sums
-        exactly what *this* task did.
-        """
-        marks: dict[tuple[str, LabelSet], float | int] = {}
-        for key, inst in self._series.items():
-            marks[key] = inst.count if inst.kind == "histogram" else inst.value
-        return marks
-
-    def delta(self, marks: dict) -> "MetricsRegistry":
-        """New registry holding only what happened since ``marks``.
-
-        Counters carry the increment (zero-increment series are dropped),
-        histograms the observations appended since the checkpoint, gauges
-        their current level (a merge of the delta applies them last-wins,
-        same as merging the full registry would).
-        """
-        out = MetricsRegistry(self.name)
-        for key, inst in self._series.items():
-            mark = marks.get(key, 0)
-            if inst.kind == "counter":
-                d = inst.value - mark
-                if d:
-                    out._series[key] = c = Counter()
-                    c.value = d
-            elif inst.kind == "gauge":
-                out._series[key] = g = Gauge()
-                g.value = inst.value
-            else:
-                tail = inst._values[int(mark):]
-                if tail:
-                    out._series[key] = h = Histogram()
-                    h._values = list(tail)
-        return out
-
     def merge(self, other: "MetricsRegistry", **extra_labels) -> "MetricsRegistry":
         """Fold another registry into this one, in place.
 
@@ -377,12 +336,6 @@ class NullRegistry(MetricsRegistry):
     @contextmanager
     def timed(self, name: str, clock=time.perf_counter, **labels):
         yield
-
-    def checkpoint(self) -> dict:
-        return {}
-
-    def delta(self, marks: dict) -> "MetricsRegistry":
-        return MetricsRegistry("null-delta")  # empty: nothing accumulates
 
     def merge(self, other, **extra_labels):
         return self

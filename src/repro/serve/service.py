@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.reader import QueryStats
 from ..obs import (
     ActiveSpan,
     MetricsRegistry,
@@ -137,19 +136,6 @@ class _Pending:
         self.traced: list[tuple[ActiveSpan, float]] = []
 
 
-class _FilterWork:
-    """Per-request probe state while a FilterKV batch executes."""
-
-    __slots__ = ("key", "stats", "ranks", "value", "found")
-
-    def __init__(self, key: int, stats: QueryStats, ranks: list[int]):
-        self.key = key
-        self.stats = stats
-        self.ranks = ranks
-        self.value: bytes | None = None
-        self.found = False
-
-
 @dataclass
 class _Shedder:
     """Queue-depth watermarks with hysteresis.
@@ -231,9 +217,6 @@ class QueryService:
         queue_low_watermark: int | None = None,
         default_deadline_s: float | None = None,
         table_cache_entries: int = 64,
-        parallel_probe: bool = False,
-        pool=None,
-        pool_min_keys: int = 64,
         metrics: MetricsRegistry | None = None,
         tracer: TraceCollector | None = None,
         stats_window_s: float = 10.0,
@@ -248,13 +231,6 @@ class QueryService:
         self.max_inflight = max_inflight
         self.default_deadline_s = default_deadline_s
         self.table_cache_entries = table_cache_entries
-        self.parallel_probe = parallel_probe
-        # Optional WorkerPool: dispatch windows big enough to beat the
-        # shipping cost probe across processes instead of on this thread.
-        self._pool = pool
-        self.pool_min_keys = pool_min_keys
-        self._pooled = None  # lazy PooledReads over (store, pool)
-        self._pool_tasks: set[asyncio.Task] = set()
         self.metrics = metrics if metrics is not None else MetricsRegistry("serve")
         # A real collector even when tracing "off": sample_rate 0 means
         # the service originates no traces, but a request that arrives
@@ -295,7 +271,6 @@ class QueryService:
         self._m_occupancy = m.histogram("serve.batch_occupancy")
         self._m_deadline_dropped = m.counter("serve.deadline_dropped")
         self._m_inflight_gauge = m.gauge("serve.inflight")
-        self._m_pooled_windows = m.counter("serve.pooled_windows")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -312,11 +287,6 @@ class QueryService:
             self._queue.put_nowait(None)  # sentinel: FIFO, so admitted work drains first
             await self._dispatcher
             self._dispatcher = None
-        if self._pool_tasks:  # pooled windows still out on the workers
-            await asyncio.gather(*list(self._pool_tasks), return_exceptions=True)
-        if self._pooled is not None:
-            self._pooled.release()
-            self._pooled = None
         for engine in self._engines.values():
             engine.close()
         self._engines.clear()
@@ -353,7 +323,6 @@ class QueryService:
                 epoch,
                 metrics=self.metrics,
                 table_cache_entries=self.table_cache_entries,
-                parallel_probe=self.parallel_probe,
             )
             self._engines[epoch] = engine
         return engine
@@ -648,26 +617,6 @@ class QueryService:
         for pending in live:
             by_epoch.setdefault(pending.epoch, []).append(pending)
         for token, items in by_epoch.items():
-            if (
-                self._pool is not None
-                and isinstance(token, int)
-                and len(items) >= self.pool_min_keys
-                and not any(p.traced for p in items)
-            ):
-                # Big untraced single-epoch window: probe it on the worker
-                # pool without blocking this dispatch loop.  Answers are
-                # identical to the in-process path (the workers run the
-                # same engine over a snapshot); the negative cache is
-                # bypassed — it only ever removes probes known to miss —
-                # and traced windows stay in-process so span attribution
-                # keeps its lead-member convention.
-                self._m_pooled_windows.inc()
-                task = asyncio.get_running_loop().create_task(
-                    self._run_group_pooled(token, items)
-                )
-                self._pool_tasks.add(task)
-                task.add_done_callback(self._pool_tasks.discard)
-                continue
             try:
                 if isinstance(token, tuple):
                     runner = lambda items=items: self._probe_any(items)  # noqa: E731
@@ -696,40 +645,10 @@ class QueryService:
                             ),
                         )
 
-    def _pooled_reads(self):
-        if self._pooled is None:
-            from ..parallel.reads import PooledReads  # local: avoid cycle
-
-            self._pooled = PooledReads(
-                self.store,
-                self._pool,
-                min_keys=self.pool_min_keys,
-                metrics=self.metrics,
-            )
-        return self._pooled
-
-    async def _run_group_pooled(self, epoch: int, items: list[_Pending]) -> None:
-        """One dispatch window probed across the worker pool."""
-        try:
-            keys = np.fromiter((p.key for p in items), dtype=np.uint64, count=len(items))
-            values, _ = await self._pooled_reads().get_many_async(keys, epoch)
-            for pending, value in zip(items, values):
-                status = OK if value is not None else NOT_FOUND
-                self._finish(
-                    pending, ServeResponse(status, pending.key, epoch, value=value)
-                )
-        except Exception as e:  # fail this window loudly, keep serving
-            for pending in items:
-                if not pending.future.done():
-                    self._finish(
-                        pending,
-                        ServeResponse(ERROR, pending.key, epoch, detail=repr(e)),
-                    )
-
     def _probe_group(self, engine, epoch: int, items: list[_Pending]) -> None:
         """One live epoch's window: bulk-probe and finish every pending."""
         keys = np.fromiter((p.key for p in items), dtype=np.uint64, count=len(items))
-        values = self._bulk_values(engine, epoch, keys)
+        values = self._bulk_values(engine, keys)
         for pending, value in zip(items, values):
             status = OK if value is not None else NOT_FOUND
             self._finish(pending, ServeResponse(status, pending.key, epoch, value=value))
@@ -752,7 +671,7 @@ class QueryService:
             keys = np.fromiter(
                 (items[i].key for i in remaining), dtype=np.uint64, count=len(remaining)
             )
-            vals = self._bulk_values(engine, epoch, keys)
+            vals = self._bulk_values(engine, keys)
             still: list[int] = []
             for i, value in zip(remaining, vals):
                 if value is not None:
@@ -826,74 +745,14 @@ class QueryService:
 
     # -- probe strategies --------------------------------------------------
 
-    def _bulk_values(self, engine, epoch: int, keys: np.ndarray) -> list[bytes | None]:
+    def _bulk_values(self, engine, keys: np.ndarray) -> list[bytes | None]:
         """One epoch's bulk probe for a window's keys; values align with
-        ``keys`` (None = not in this epoch).
-
-        base / dataptr ride the engine's block-coalesced ``get_many``.
-        filterkv resolves aux candidates minus refuted ranks in one
-        vectorized pass per owner partition; ranks then ascend, each
-        rank's survivors probed with one block-coalesced ``get_many``,
-        and a key stops probing at its first hit — so the answers are
-        identical to the sequential engine's candidate walk.  The
-        grouping only changes *when* each table is touched, and the
-        negative cache only removes probes that are known to miss.
-        Physical I/O shared by a group is charged to the group's first
-        request (aggregates stay exact).
-        """
-        if self.store.fmt.name != "filterkv":
-            values, _ = engine.get_many(keys)
-            return values
-
-        owners = engine.partitioner.partition_of(keys)
-        work = [_FilterWork(int(k), QueryStats(), []) for k in keys]
-        for owner, pos in engine._groups(owners):
-            aux = engine.aux_tables[owner]
-            if aux is None:
-                raise ValueError(f"no auxiliary table for partition {owner}")
-            engine._charge_aux(owner, work[int(pos[0])].stats)
-            counts, flat = aux.candidates_many(keys[pos])
-            engine._m_candidates.inc(int(counts.sum()))
-            splits = np.cumsum(counts)[:-1]
-            for p, cand in zip(pos.tolist(), np.split(flat, splits)):
-                w = work[p]
-                w.ranks = [
-                    int(r)
-                    for r in cand
-                    if not self._negcache.refuted(epoch, w.key, int(r))
-                ]
-
-        by_rank: dict[int, list[_FilterWork]] = {}
-        for w in work:
-            for rank in w.ranks:
-                by_rank.setdefault(rank, []).append(w)
-        for rank in sorted(by_rank):
-            group = [w for w in by_rank[rank] if not w.found]
-            if not group:
-                continue
-            lead = group[0].stats
-            reader = engine._open_table(rank, lead)
-            try:
-                with engine._charged(lead, "data"):
-                    vals, _ = reader.get_many(
-                        np.fromiter(
-                            (w.key for w in group), dtype=np.uint64, count=len(group)
-                        )
-                    )
-            finally:
-                engine._release_table(reader)
-            for w, hit in zip(group, vals):
-                w.stats.partitions_searched += 1
-                if hit is None:
-                    self._negcache.add(epoch, w.key, rank)
-                else:
-                    w.value = hit
-                    w.found = True
-
-        for w in work:
-            w.stats.found = w.found
-            engine._observe(w.stats)
-        return [w.value for w in work]
+        ``keys`` (None = not in this epoch).  The engine's block-coalesced
+        ``get_many`` is the probe for every format; its filterkv candidate
+        walk skips ranks the negative cache already refuted and records
+        fresh misses into it (base/dataptr have no candidates to refute)."""
+        values, _ = engine.get_many(keys, negative=self._negcache)
+        return values
 
     # -- introspection -----------------------------------------------------
 
@@ -970,8 +829,6 @@ class QueryService:
         out["queue_depth"] = self._queue.qsize()
         out["shedding"] = self._shedder.shedding
         out["traces_retained"] = len(self.tracer)
-        if self._pool is not None:
-            out["workers"] = self._pool.stats()
         return out
 
     def recent_traces(self, n: int = 8) -> list[list[dict]]:

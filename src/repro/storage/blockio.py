@@ -139,43 +139,6 @@ class StorageDevice:
     def total_bytes_stored(self) -> int:
         return sum(len(b.getbuffer()) for b in self._files.values())
 
-    # -- transport-side import (uncharged) --------------------------------
-
-    def adopt_extent(self, name: str, data, append: bool = False) -> None:
-        """Import bytes produced on another device (a pool worker's mirror,
-        a replica transfer) without charging any I/O.
-
-        The charged path is `_append`: it models the workload performing a
-        write.  Adoption models bytes that were *already written* elsewhere
-        and are being landed here verbatim — the worker's own charged
-        counters travel separately (see `absorb_counters`), so charging the
-        import too would double-count.  ``append=True`` extends an existing
-        extent (a value-log tail continuing past the parent's end);
-        otherwise the name must be new.
-        """
-        if not append and name in self._files:
-            raise FileExistsError(f"extent {name!r} already exists (pass append=True)")
-        buf = self._files.setdefault(name, io.BytesIO())
-        buf.seek(0, io.SEEK_END)
-        buf.write(bytes(data))
-
-    def absorb_counters(self, delta: "IOCounters") -> None:
-        """Fold another device's I/O accounting into this one.
-
-        Pairs with `adopt_extent`: a worker mirror charged its reads and
-        writes locally; absorbing the delta keeps this device's `counters`
-        equal to what a single-process run would have charged.  Metric
-        counters are *not* touched — worker registries merge through
-        `repro.obs` and would double-count here.
-        """
-        c = self.counters
-        c.reads += delta.reads
-        c.writes += delta.writes
-        c.bytes_read += delta.bytes_read
-        c.bytes_written += delta.bytes_written
-        c.read_time += delta.read_time
-        c.write_time += delta.write_time
-
     # -- fault surface (public; tests and fault injectors use these) ------
 
     def corrupt(self, name: str, offset: int, delta: int | None = None,

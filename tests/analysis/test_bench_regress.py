@@ -135,19 +135,7 @@ def test_committed_smoke_baselines_load(tmp_path):
     baseline_dir = SCRIPT.parent.parent / "benchmarks" / "results" / "baseline_smoke"
     loaded = cbr.load_dir(baseline_dir)
     assert {"serve", "query", "ingest", "compact"} <= set(loaded)
-    # The parallel-scaling baselines deliberately expose nothing the
-    # checker matches: worker speedups (`parallel_x`) and merge-latency
-    # ratios depend on the runner's core count, so gating them would gate
-    # on hardware.  Every other baseline must carry real metrics.
-    machine_bound = {
-        "ingest_parallel",
-        "query_parallel",
-        "serve_parallel",
-        "compact_background",
-    }
     for bench, metrics in loaded.items():
-        if bench in machine_bound:
-            continue
         assert metrics, f"{bench} baseline has no throughput metrics"
     # Relative metrics exist for --relative-only mode to gate on.
     assert any("speedup" in k for k in loaded["serve"])

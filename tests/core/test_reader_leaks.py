@@ -43,26 +43,11 @@ def test_uncached_engine_leaks_no_handles(fmt):
         assert value is not None
     engine.get(5)  # misses must release handles too
     assert engine.device.open_handles == baseline, "read path leaked extent handles"
-
-
-def test_parallel_probe_leaks_no_handles():
-    cluster, batches = _dataset(FMT_FILTERKV)
-    cold = cluster.query_engine()
-    from repro.core.reader import QueryEngine
-
-    engine = QueryEngine(
-        device=cold.device,
-        fmt=cold.fmt,
-        nranks=cold.nranks,
-        partitioner=cold.partitioner,
-        aux_tables=cold.aux_tables,
-        epoch=cold.epoch,
-        parallel_probe=True,
-    )
-    baseline = engine.device.open_handles
-    for i in range(50):
-        engine.get(int(batches[0].keys[i]))
-    assert engine.device.open_handles == baseline
+    # the bulk path opens each table / value log once per batch: same audit
+    absent = np.array([5], dtype=np.uint64)
+    values, _ = engine.get_many(np.concatenate([b.keys[:40] for b in batches] + [absent]))
+    assert sum(v is not None for v in values) == 40 * len(batches)
+    assert engine.device.open_handles == baseline, "bulk read path leaked extent handles"
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
@@ -187,39 +172,6 @@ def test_multiepoch_store_queries_leak_nothing():
         for i in range(0, 400, 37):
             value, _ = attached.get(int(b.keys[i]), 0)
             assert value == b.value_of(i)
+        values, _ = attached.get_many(b.keys[::37], 0)
+        assert values == [b.value_of(i) for i in range(0, 400, 37)]
     assert attached.device.open_handles == baseline
-
-
-@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
-def test_pooled_reads_leak_no_parent_handles(fmt):
-    """Reader and value-log handles never cross the spawn boundary.
-
-    Pool workers open their own readers against a shared-memory mirror;
-    the parent's device must see zero handle traffic from a pooled
-    `get_many` beyond the snapshot pack, and the serial oracle (fresh
-    uncached engines per chunk) must stay balanced too.  `release()`
-    returns the store to its pre-attach handle count.
-    """
-    from repro.obs import MetricsRegistry
-    from repro.parallel import WorkerPool
-
-    store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=24, seed=3)
-    rng = np.random.default_rng(3)
-    batches = [random_kv_batch(300, 24, rng) for _ in range(4)]
-    store.write_epoch(batches)
-    keys = np.concatenate(
-        [batches[0].keys[:40], rng.integers(0, 2**63, 100, dtype=np.uint64)]
-    )
-
-    with WorkerPool(workers=2, metrics=MetricsRegistry("pool")) as pool:
-        pooled = store.attach_pool(pool, min_keys=1)
-        baseline = store.device.open_handles
-        values, _ = pooled.get_many(keys, 0)
-        assert sum(1 for v in values if v is not None) >= 40
-        assert store.device.open_handles == baseline, "pooled path leaked handles"
-        sv, _ = pooled.serial_get_many(keys, 0)
-        assert sv == values
-        assert store.device.open_handles == baseline, "serial oracle leaked handles"
-        pooled.release()
-        assert store.device.open_handles == baseline
-    store.close()
