@@ -21,7 +21,7 @@ from .kv import KEY_BYTES, KVBatch, random_kv_batch
 from .partitioning import HashPartitioner
 from .pipeline import Envelope, ReceiverState, WriterState, aux_table_name, main_table_name
 from .imd import IndexedDirectory
-from .reader import CachedQueryEngine, QueryEngine, QueryStats
+from .reader import CachedQueryEngine, MetaCache, QueryEngine, QueryStats
 from .routing import DirectRouter, ThreeHopRouter
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "main_table_name",
     "QueryEngine",
     "CachedQueryEngine",
+    "MetaCache",
     "IndexedDirectory",
     "DirectRouter",
     "ThreeHopRouter",

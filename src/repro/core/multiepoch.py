@@ -37,7 +37,7 @@ from .formats import FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KVBatch
 from .partitioning import HashPartitioner
 from .pipeline import aux_table_name, main_table_name
-from .reader import QueryEngine, QueryStats
+from .reader import MetaCache, QueryEngine, QueryStats
 
 __all__ = ["MultiEpochStore"]
 
@@ -80,7 +80,17 @@ class MultiEpochStore:
         self.seed = seed
         self.device = device if device is not None else StorageDevice(device_profile)
         self.manifest = Manifest(fmt=fmt.name, nranks=nranks, value_bytes=value_bytes)
+        # The paper's cold readers, one per live epoch (`engine`,
+        # ``lookup(cached=False)``): they share nothing and re-open
+        # everything per query.
         self._engines: dict[int, QueryEngine] = {}
+        # Sealed tables are immutable: their verified footer/index/filter
+        # stay resident here, shared by every engine below and by
+        # `cached_engine`.  Filled lazily; retired epochs are dropped.
+        self.meta_cache = MetaCache()
+        # Engines behind `get` / `get_many`: handle opened and closed per
+        # call (no data block outlives it), metadata from the cache.
+        self._resident: dict[int, QueryEngine] = {}
         # Warm per-epoch engines for the store's own repeated read paths
         # (trajectory/lookup); built lazily, closed deterministically.
         self._cached: dict[int, CachedQueryEngine] = {}
@@ -274,6 +284,23 @@ class MultiEpochStore:
             raise KeyError(f"no such epoch {epoch} (have {self.epochs})")
         return self._engines[epoch]
 
+    def _mount(self, epoch: int, cls=QueryEngine, **kwargs):
+        """A ``cls`` engine over one committed epoch that shares the cold
+        engine's aux tables (and, unless told otherwise, its metrics) and
+        the store's metadata cache."""
+        base = self.engine(epoch)
+        kwargs.setdefault("metrics", base.metrics)
+        return cls(
+            device=self.device,
+            fmt=self.fmt,
+            nranks=self.nranks,
+            partitioner=base.partitioner,
+            aux_tables=base.aux_tables,
+            epoch=base.epoch,
+            meta_cache=self.meta_cache,
+            **kwargs,
+        )
+
     def cached_engine(
         self,
         epoch: int,
@@ -285,23 +312,16 @@ class MultiEpochStore:
         This is what a long-running serving tier (`repro.serve`) mounts:
         same device/format/aux tables as `engine`, but with the bounded
         reader cache and cache telemetry of `CachedQueryEngine`.
+        ``table_cache_entries`` bounds the open handles it keeps (and the
+        data blocks their block LRUs pin), not metadata: that lives in
+        the store's `meta_cache`.
         """
         from .reader import CachedQueryEngine  # local: keep import surface small
 
-        base = self.engine(epoch)
         kwargs = {}
         if table_cache_entries is not None:
             kwargs["table_cache_entries"] = table_cache_entries
-        return CachedQueryEngine(
-            device=self.device,
-            fmt=self.fmt,
-            nranks=self.nranks,
-            partitioner=base.partitioner,
-            aux_tables=base.aux_tables,
-            epoch=base.epoch,
-            metrics=metrics,
-            **kwargs,
-        )
+        return self._mount(epoch, CachedQueryEngine, metrics=metrics, **kwargs)
 
     def _pooled_engine(self, epoch: int) -> "CachedQueryEngine":
         """The store's own warm engine for one live epoch.
@@ -317,13 +337,22 @@ class MultiEpochStore:
             self._cached[resolved] = engine
         return engine
 
+    def _resident_engine(self, epoch: int) -> QueryEngine:
+        resolved = self.resolve_epoch(epoch)
+        engine = self._resident.get(resolved)
+        if engine is None:
+            engine = self._mount(resolved)
+            self._resident[resolved] = engine
+        return engine
+
     def get(self, key: int, epoch: int) -> tuple[bytes | None, QueryStats]:
-        """Point query at one timestep (the paper's Fig. 11 query)."""
-        return self.engine(epoch).get(key)
+        """Point query at one timestep (the paper's Fig. 11 query, with
+        table metadata resident after each table's first open)."""
+        return self._resident_engine(epoch).get(key)
 
     def get_many(self, keys, epoch: int) -> tuple[list[bytes | None], list[QueryStats]]:
         """Bulk point queries at one timestep (block-coalesced read path)."""
-        return self.engine(epoch).get_many(keys)
+        return self._resident_engine(epoch).get_many(keys)
 
     def trajectory(self, key: int) -> list[tuple[int, bytes | None, QueryStats]]:
         """The key's value at every epoch — a particle's trajectory.
@@ -412,6 +441,8 @@ class MultiEpochStore:
         self.manifest = manifest
         for epoch in report.source_epochs:
             self._engines.pop(epoch, None)
+            self._resident.pop(epoch, None)
+            self.meta_cache.drop_epoch(epoch)
             stale = self._cached.pop(epoch, None)
             if stale is not None:
                 stale.close()
@@ -434,10 +465,13 @@ class MultiEpochStore:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Release every pooled reader handle (idempotent)."""
+        """Release every pooled reader handle and the resident table
+        metadata (idempotent; later reads refill lazily)."""
         for engine in self._cached.values():
             engine.close()
         self._cached.clear()
+        self._resident.clear()
+        self.meta_cache.clear()
 
     def __enter__(self) -> "MultiEpochStore":
         return self

@@ -27,13 +27,18 @@ import numpy as np
 from ..obs import MetricsRegistry, active, child_span, current_span
 from ..storage.blockio import StorageDevice
 from ..storage.log import DataPointer, ValueLog
-from ..storage.sstable import FOOTER_BYTES, SSTableReader
+from ..storage.sstable import FOOTER_BYTES, SSTableReader, TableMeta
 from .auxtable import AuxTable
 from .formats import FormatSpec
 from .partitioning import HashPartitioner
 from .pipeline import aux_table_name, main_table_name
 
-__all__ = ["QueryEngine", "CachedQueryEngine", "QueryStats"]
+__all__ = ["QueryEngine", "CachedQueryEngine", "MetaCache", "QueryStats"]
+
+# Resident table-metadata budget of one `MetaCache` (one per store).  A
+# table's meta is its index arrays plus ~10 Bloom bits per key, so this
+# holds the metadata of roughly 50 M keys.
+META_CACHE_BYTES = 64 << 20
 
 
 @dataclass
@@ -55,8 +60,86 @@ class QueryStats:
         self.breakdown_bytes[category] = self.breakdown_bytes.get(category, 0) + nbytes
 
 
+class _Charged:
+    """Context manager charging a device's I/O deltas to one category."""
+
+    __slots__ = ("counters", "stats", "category", "before")
+
+    def __init__(self, counters, stats: QueryStats, category: str):
+        self.counters = counters
+        self.stats = stats
+        self.category = category
+
+    def __enter__(self) -> "_Charged":
+        self.before = self.counters.snapshot()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        d = self.counters.delta(self.before)
+        self.stats._charge(self.category, d.reads, d.bytes_read)
+        self.stats.latency += d.read_time
+
+
+class MetaCache:
+    """Byte-accounted LRU of verified table metadata, keyed ``(epoch, rank)``.
+
+    Sealed epochs are immutable and epoch ids are never reused, so a
+    `TableMeta` stays valid until its epoch is retired (`drop_epoch`).
+    Every engine that shares one cache opens a table as "handle + cached
+    meta": footer, index and filter are read and verified by the first
+    open only.  ``aux_fetched`` remembers which ``(epoch, owner)`` aux
+    tables have been charged, so the accounting-only re-read of an
+    already-decoded aux table happens once, not once per query.
+
+    It holds metadata only — no extent handle and no data block — and is
+    filled lazily; ``budget_bytes`` bounds it, least recently used first.
+    """
+
+    def __init__(self):
+        self.budget_bytes = META_CACHE_BYTES
+        self.nbytes = 0
+        self._metas: OrderedDict[tuple[int, int], TableMeta] = OrderedDict()
+        self.aux_fetched: set[tuple[int, int]] = set()
+
+    def __len__(self) -> int:
+        return len(self._metas)
+
+    def get(self, epoch: int, rank: int) -> TableMeta | None:
+        meta = self._metas.get((epoch, rank))
+        if meta is not None:
+            self._metas.move_to_end((epoch, rank))
+        return meta
+
+    def put(self, epoch: int, rank: int, meta: TableMeta) -> None:
+        """Insert after a `get` miss, evicting least recently used metas
+        (this one included, if it alone exceeds the budget)."""
+        self._metas[(epoch, rank)] = meta
+        self.nbytes += meta.nbytes
+        while self.nbytes > self.budget_bytes:
+            _, evicted = self._metas.popitem(last=False)
+            self.nbytes -= evicted.nbytes
+
+    def drop_epoch(self, epoch: int) -> None:
+        """Forget a retired epoch: its extents are gone from the device."""
+        for key in [k for k in self._metas if k[0] == epoch]:
+            self.nbytes -= self._metas.pop(key).nbytes
+        self.aux_fetched = {k for k in self.aux_fetched if k[0] != epoch}
+
+    def clear(self) -> None:
+        self._metas.clear()
+        self.aux_fetched.clear()
+        self.nbytes = 0
+
+
 class QueryEngine:
-    """Point-query executor over one epoch's persisted output."""
+    """Point-query executor over one epoch's persisted output.
+
+    With ``meta_cache=None`` this is the paper's cold reader: every query
+    opens its partitions afresh (footer + index reads) and re-fetches the
+    owner's aux table.  Given a `MetaCache` (a store shares one among all
+    its engines) the first open of a table fills the cache and later
+    opens, by any engine, cost no device read; see `MetaCache`.
+    """
 
     def __init__(
         self,
@@ -67,6 +150,7 @@ class QueryEngine:
         aux_tables: list[AuxTable | None] | None = None,
         epoch: int = 0,
         metrics: MetricsRegistry | None = None,
+        meta_cache: MetaCache | None = None,
     ):
         self.device = device
         self.fmt = fmt
@@ -75,6 +159,7 @@ class QueryEngine:
         self.aux_tables = aux_tables or [None] * nranks
         self.epoch = epoch
         self.metrics = active(metrics)
+        self.meta_cache = meta_cache
         fmtl = {"format": fmt.name}
         self._m_queries = self.metrics.counter("reader.queries", **fmtl)
         self._m_hits = self.metrics.counter("reader.hits", **fmtl)
@@ -89,30 +174,30 @@ class QueryEngine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _charged(self, stats: QueryStats, category: str):
+    def _charged(self, stats: QueryStats, category: str) -> _Charged:
         """Context manager charging device I/O deltas to one category."""
-
-        class _Span:
-            def __enter__(inner):
-                inner.before = self.device.counters.snapshot()
-                return inner
-
-            def __exit__(inner, *exc):
-                d = self.device.counters.delta(inner.before)
-                stats._charge(category, d.reads, d.bytes_read)
-                stats.latency += d.read_time
-
-        return _Span()
+        return _Charged(self.device.counters, stats, category)
 
     def _open_table(self, rank: int, stats: QueryStats) -> SSTableReader:
-        """Open a partition table, splitting footer vs index charges."""
+        """Open a partition table, splitting footer vs index charges.
+
+        A meta served by the cache costs no device read and charges
+        nothing; a cold open charges exactly what it read and leaves its
+        verified meta in the cache (a failed open caches nothing).
+        """
         name = main_table_name(self.epoch, rank)
+        cache = self.meta_cache
+        meta = cache.get(self.epoch, rank) if cache is not None else None
+        if meta is not None:
+            return SSTableReader(self.device, name, meta=meta)
         before = self.device.counters.snapshot()
         reader = SSTableReader(self.device, name)
         d = self.device.counters.delta(before)
         stats._charge("footer", 1, FOOTER_BYTES)
         stats._charge("index", d.reads - 1, d.bytes_read - FOOTER_BYTES)
         stats.latency += d.read_time
+        if cache is not None:
+            cache.put(self.epoch, rank, reader.meta)
         return reader
 
     def _release_table(self, reader: SSTableReader) -> None:
@@ -136,12 +221,19 @@ class QueryEngine:
 
         The reader fetches the partition's entire aux table (the paper
         reads ~18 MB per query), then resolves candidates in memory.
+        The tables are already decoded, so the read is accounting only:
+        engines sharing a `MetaCache` pay it once per ``(epoch, owner)``.
         """
+        cache = self.meta_cache
+        if cache is not None and (self.epoch, owner) in cache.aux_fetched:
+            return
         if current_span() is None:  # untraced: skip span-argument setup
             self._fetch_aux(stats, owner)
-            return
-        with child_span("aux.fetch", partition=owner):
-            self._fetch_aux(stats, owner)
+        else:
+            with child_span("aux.fetch", partition=owner):
+                self._fetch_aux(stats, owner)
+        if cache is not None:
+            cache.aux_fetched.add((self.epoch, owner))
 
     def _fetch_aux(self, stats: QueryStats, owner: int) -> None:
         aux_file = self.device.open(aux_table_name(self.epoch, owner))
@@ -467,30 +559,39 @@ class CachedQueryEngine(QueryEngine):
     loads every time); a long-running analysis session would keep tables
     open and aux tables resident instead.  This engine caches table
     readers (bounded LRU — a multi-epoch session can't end up holding
-    every rank of every epoch open), value-log attachments, and the
-    once-per-partition aux fetch, so only the *first* query against a
-    partition pays the open cost — the reader-caching ablation quantifies
-    the difference.  Hits and misses per cache are reported as
-    ``reader.cache.hits`` / ``reader.cache.misses`` with a ``cache``
-    label (``table`` | ``aux`` | ``vlog``).
+    every rank of every epoch open) and value-log attachments, so only the
+    *first* query against a partition pays the open cost — the
+    reader-caching ablation quantifies the difference.  ``table_cache_entries``
+    bounds open handles and, with them, the data blocks their readers'
+    block LRUs pin; table metadata and the once-per-partition aux fetch
+    live in the `MetaCache` (a private one unless the store passes its
+    own).  Hits and misses per cache are reported as ``reader.cache.hits``
+    / ``reader.cache.misses`` with a ``cache`` label (``table`` | ``vlog``).
     """
 
-    def __init__(self, *args, table_cache_entries: int = 64, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self,
+        *args,
+        table_cache_entries: int = 64,
+        meta_cache: MetaCache | None = None,
+        **kwargs,
+    ):
+        if meta_cache is None:
+            meta_cache = MetaCache()
+        super().__init__(*args, meta_cache=meta_cache, **kwargs)
         if table_cache_entries < 1:
             raise ValueError(f"table_cache_entries must be >= 1, got {table_cache_entries}")
         self.table_cache_entries = table_cache_entries
         self._table_cache: OrderedDict[int, SSTableReader] = OrderedDict()
         self._vlog_cache: dict[int, ValueLog] = {}
-        self._aux_read: set[int] = set()
         fmtl = {"format": self.fmt.name}
         self._m_cache_hits = {
             c: self.metrics.counter("reader.cache.hits", cache=c, **fmtl)
-            for c in ("table", "aux", "vlog")
+            for c in ("table", "vlog")
         }
         self._m_cache_misses = {
             c: self.metrics.counter("reader.cache.misses", cache=c, **fmtl)
-            for c in ("table", "aux", "vlog")
+            for c in ("table", "vlog")
         }
         self._m_cache_evictions = self.metrics.counter(
             "reader.cache.evictions", cache="table", **fmtl
@@ -527,20 +628,12 @@ class CachedQueryEngine(QueryEngine):
     def _release_vlog(self, log: ValueLog) -> None:
         pass  # cached per rank for the engine's lifetime
 
-    def _charge_aux(self, owner: int, stats: QueryStats) -> None:
-        if owner in self._aux_read:  # one aux fetch per partition
-            self._m_cache_hits["aux"].inc()
-            return
-        self._m_cache_misses["aux"].inc()
-        super()._charge_aux(owner, stats)
-        self._aux_read.add(owner)
-
     def close(self) -> None:
-        """Close every cached reader/log and forget the warm state."""
+        """Close every cached reader/log (metadata stays in the `MetaCache`,
+        which holds no handle)."""
         for reader in self._table_cache.values():
             reader.close()
         for log in self._vlog_cache.values():
             log.close()
         self._table_cache.clear()
         self._vlog_cache.clear()
-        self._aux_read.clear()

@@ -49,7 +49,9 @@ from .checksum import CHECKSUM_BYTES, fastsum64
 __all__ = [
     "SSTableWriter",
     "SSTableReader",
+    "TableMeta",
     "TableStats",
+    "load_table_meta",
     "FOOTER_BYTES",
     "CorruptBlockError",
 ]
@@ -321,15 +323,104 @@ class SSTableWriter:
         self._file.close()
 
 
+@dataclass(frozen=True)
+class TableMeta:
+    """Everything a reader parses out of a table's footer, index and filter.
+
+    Immutable and handle-free: a sealed table never changes, so one
+    verified `TableMeta` can back any number of `SSTableReader`s (pass it
+    as ``meta=``) without touching the device again.
+    """
+
+    nentries: int
+    block_size: int
+    first: np.ndarray  # per data block: first key, last key, offset, length
+    last: np.ndarray
+    off: np.ndarray
+    length: np.ndarray
+    bloom: BloomFilter | None
+    nbytes: int  # resident size: the index arrays plus the Bloom filter's bits
+
+
+def _checked(blob: bytes, what: str, name: str, verify: bool) -> bytes:
+    """Verify and strip a section's trailing checksum."""
+    if len(blob) < CHECKSUM_BYTES + 4:
+        raise CorruptBlockError(f"{what} truncated to {len(blob)} bytes in {name!r}")
+    body, stored = blob[:-CHECKSUM_BYTES], blob[-CHECKSUM_BYTES:]
+    if verify and fastsum64(body) != int.from_bytes(stored, "little"):
+        raise CorruptBlockError(f"{what} checksum mismatch in table {name!r}")
+    return body
+
+
+def load_table_meta(file: StorageFile, name: str, verify_checksums: bool = True) -> TableMeta:
+    """Read and verify a table's footer, index and filter (2 device reads).
+
+    Raises `ValueError` for a table too small or with a bad magic, and
+    `CorruptBlockError` for a checksum mismatch or a truncated section.
+    """
+    size = file.size
+    if size < FOOTER_BYTES:
+        raise ValueError(f"table {name!r} too small to hold a footer")
+    footer = file.read(size - FOOTER_BYTES, FOOTER_BYTES)
+    body, stored = footer[: _FOOTER_BODY.size], footer[_FOOTER_BODY.size :]
+    (
+        magic,
+        index_off,
+        index_len,
+        filter_off,
+        filter_len,
+        nentries,
+        block_size,
+        bloom_nhashes,
+    ) = _FOOTER_BODY.unpack(body)
+    if magic != _MAGIC:
+        raise ValueError(f"bad magic in table {name!r}")
+    if verify_checksums and fastsum64(body) != int.from_bytes(stored, "little"):
+        raise CorruptBlockError(f"footer checksum mismatch in table {name!r}")
+    # Filter and index blobs are adjacent on storage; fetch them with a
+    # single read, like the paper's "load the partition's indexes"
+    # step (one ~12 MB read in their runs).
+    if filter_len:
+        span = file.read(filter_off, (index_off + index_len) - filter_off)
+        filter_blob = span[:filter_len]
+        index_blob = span[index_off - filter_off :]
+    else:
+        filter_blob = b""
+        index_blob = file.read(index_off, index_len)
+    index_blob = _checked(index_blob, "index block", name, verify_checksums)
+    if filter_blob:
+        filter_blob = _checked(filter_blob, "filter block", name, verify_checksums)
+    (nblocks,) = _U32.unpack(index_blob[:4])
+    raw = np.frombuffer(
+        index_blob, dtype=np.uint8, count=nblocks * _INDEX_ENTRY.size, offset=4
+    )
+    if nblocks:
+        entries = raw.reshape(nblocks, _INDEX_ENTRY.size)
+        first = entries[:, 0:8].copy().view("<u8").ravel()
+        last = entries[:, 8:16].copy().view("<u8").ravel()
+        off = entries[:, 16:24].copy().view("<u8").ravel()
+        length = entries[:, 24:28].copy().view("<u4").ravel()
+    else:
+        first = last = off = np.zeros(0, dtype=np.uint64)
+        length = np.zeros(0, dtype=np.uint32)
+    bloom = BloomFilter.from_bytes(filter_blob, bloom_nhashes) if filter_len else None
+    nbytes = first.nbytes + last.nbytes + off.nbytes + length.nbytes
+    if bloom is not None:
+        nbytes += bloom.size_bytes
+    return TableMeta(nentries, block_size, first, last, off, length, bloom, nbytes)
+
+
 class SSTableReader:
     """Reads point queries out of a finished SSTable.
 
     The constructor performs the footer + index (+ filter) reads, mirroring
     a reader program opening a partition; `get` then costs one data-block
-    read per candidate block.  Pass ``preloaded=True`` to model a reader
-    that has already cached footer/index/filter (Fig. 11 amortizes these
-    across the 100 queries only partially — each query opens its partition
-    afresh in the paper, which is the default here).
+    read per candidate block.  Pass ``meta=`` (a `TableMeta` an earlier
+    open of the same sealed table produced) to model a reader that keeps
+    footer/index/filter resident: the open then costs no device read.
+    Fig. 11 amortizes these across the 100 queries only partially — each
+    query opens its partition afresh in the paper, which is the default
+    here.
     """
 
     def __init__(
@@ -338,70 +429,33 @@ class SSTableReader:
         name: str,
         verify_checksums: bool = True,
         block_cache_blocks: int = 2,
+        meta: TableMeta | None = None,
     ):
         self._file = device.open(name)
         self.name = name
         self._metrics = device.metrics
         self.verify_checksums = verify_checksums
-        # Small LRU over decoded data blocks: consecutive gets that land in
-        # the same block (sorted scans, hot blocks under a warm reader)
-        # skip the re-read *and* the re-checksum.  Parsed entry arrays ride
-        # along so the batch path decodes each cached block once.
+        # Small LRU over decoded data blocks: consecutive lookups that land
+        # in the same block (sorted scans, hot blocks under a warm reader)
+        # skip the re-read, the re-checksum *and* the re-decode.
         self.block_cache_blocks = max(0, int(block_cache_blocks))
-        self._block_cache: OrderedDict[int, bytes] = OrderedDict()
-        self._parsed_cache: OrderedDict[
+        self._block_cache: OrderedDict[
             int, tuple[np.ndarray, np.ndarray, np.ndarray, bytes]
         ] = OrderedDict()
         self._m_bc_hits = device.metrics.counter("sstable.block_cache.hits")
         self._m_bc_misses = device.metrics.counter("sstable.block_cache.misses")
-        size = self._file.size
-        if size < FOOTER_BYTES:
-            raise ValueError(f"table {name!r} too small to hold a footer")
-        footer = self._file.read(size - FOOTER_BYTES, FOOTER_BYTES)
-        body, stored = footer[: _FOOTER_BODY.size], footer[_FOOTER_BODY.size :]
-        (
-            magic,
-            index_off,
-            index_len,
-            filter_off,
-            filter_len,
-            self.nentries,
-            self.block_size,
-            bloom_nhashes,
-        ) = _FOOTER_BODY.unpack(body)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic in table {name!r}")
-        if self.verify_checksums and fastsum64(body) != int.from_bytes(stored, "little"):
-            raise CorruptBlockError(f"footer checksum mismatch in table {name!r}")
-        # Filter and index blobs are adjacent on storage; fetch them with a
-        # single read, like the paper's "load the partition's indexes"
-        # step (one ~12 MB read in their runs).
-        if filter_len:
-            span = self._file.read(filter_off, (index_off + index_len) - filter_off)
-            filter_blob = span[:filter_len]
-            index_blob = span[index_off - filter_off :]
-        else:
-            filter_blob = b""
-            index_blob = self._file.read(index_off, index_len)
-        index_blob = self._checked(index_blob, "index block", name)
-        if filter_blob:
-            filter_blob = self._checked(filter_blob, "filter block", name)
-        (nblocks,) = _U32.unpack(index_blob[:4])
-        raw = np.frombuffer(
-            index_blob, dtype=np.uint8, count=nblocks * _INDEX_ENTRY.size, offset=4
-        )
-        entries = raw.reshape(nblocks, _INDEX_ENTRY.size) if nblocks else raw.reshape(0, 1)
-        if nblocks:
-            self._first = entries[:, 0:8].copy().view("<u8").ravel()
-            self._last = entries[:, 8:16].copy().view("<u8").ravel()
-            self._off = entries[:, 16:24].copy().view("<u8").ravel()
-            self._len = entries[:, 24:28].copy().view("<u4").ravel()
-        else:
-            self._first = self._last = self._off = np.zeros(0, dtype=np.uint64)
-            self._len = np.zeros(0, dtype=np.uint32)
-        self._bloom: BloomFilter | None = None
-        if filter_len:
-            self._bloom = BloomFilter.from_bytes(filter_blob, bloom_nhashes)
+        if meta is None:
+            try:
+                meta = load_table_meta(self._file, name, verify_checksums)
+            except Exception:
+                self._file.close()  # a failed open must not leak its handle
+                raise
+        self.meta = meta
+        self.nentries = meta.nentries
+        self.block_size = meta.block_size
+        self._first, self._last = meta.first, meta.last
+        self._off, self._len = meta.off, meta.length
+        self._bloom = meta.bloom
 
     def close(self) -> None:
         """Release the underlying extent handle (idempotent).
@@ -418,15 +472,6 @@ class SSTableReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _checked(self, blob: bytes, what: str, name: str) -> bytes:
-        """Verify and strip a section's trailing checksum."""
-        if len(blob) < CHECKSUM_BYTES + 4:
-            raise CorruptBlockError(f"{what} truncated to {len(blob)} bytes in {name!r}")
-        body, stored = blob[:-CHECKSUM_BYTES], blob[-CHECKSUM_BYTES:]
-        if self.verify_checksums and fastsum64(body) != int.from_bytes(stored, "little"):
-            raise CorruptBlockError(f"{what} checksum mismatch in table {name!r}")
-        return body
 
     def may_contain(self, key: int) -> bool:
         """Bloom-filter gate: False means the key is definitely absent."""
@@ -447,54 +492,47 @@ class SSTableReader:
     def _get(self, key: int) -> bytes | None:
         if not self.may_contain(key):
             return None
-        lo = int(np.searchsorted(self._last, np.uint64(key), side="left"))
-        while lo < self._first.size and self._first[lo] <= key:
-            payload = self._read_block(lo)
-            hit = self._search_block(payload, key)
-            if hit is not None:
-                return hit
+        k = np.uint64(key)
+        lo = int(np.searchsorted(self._last, k, side="left"))
+        while lo < self._first.size and self._first[lo] <= k:
+            bkeys, voffs, vlens, body = self._parsed_block(lo)
+            j = int(np.searchsorted(bkeys, k, side="left"))
+            if j < bkeys.size and bkeys[j] == k:
+                o = int(voffs[j])
+                return body[o : o + int(vlens[j])]
             lo += 1
         return None
 
     def _read_block(self, i: int) -> bytes:
-        """Fetch block ``i``, verifying its trailing checksum.
-
-        Served from the reader's small block cache when the block was
-        fetched recently — a cache hit costs no device read and no
-        re-checksum (``sstable.block_cache.{hits,misses}`` count both).
-        """
-        cached = self._block_cache.get(i)
-        if cached is not None:
-            self._block_cache.move_to_end(i)
-            self._m_bc_hits.inc()
-            return cached
-        self._m_bc_misses.inc()
+        """Fetch block ``i`` from the device, verifying its trailing
+        checksum — on every read, whatever supplied the table's meta."""
         payload = self._file.read(int(self._off[i]), int(self._len[i]))
         if len(payload) < CHECKSUM_BYTES + 4:
             raise CorruptBlockError(f"block {i} truncated to {len(payload)} bytes")
         body, stored = payload[:-CHECKSUM_BYTES], payload[-CHECKSUM_BYTES:]
         if self.verify_checksums and fastsum64(body) != int.from_bytes(stored, "little"):
             raise CorruptBlockError(f"checksum mismatch in block {i}")
-        if self.block_cache_blocks:
-            self._block_cache[i] = body
-            if len(self._block_cache) > self.block_cache_blocks:
-                self._block_cache.popitem(last=False)
         return body
 
     def _parsed_block(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
         """Block ``i`` decoded to entry arrays: (keys, value offsets into
-        ``body``, value lengths, body).  Cached alongside the raw block so a
-        batch touching the block repeatedly decodes it exactly once."""
-        parsed = self._parsed_cache.get(i)
+        ``body``, value lengths, body).
+
+        Served from the reader's small block cache when the block was
+        fetched recently — a hit costs no device read, no re-checksum and
+        no re-decode (``sstable.block_cache.{hits,misses}`` count both).
+        """
+        parsed = self._block_cache.get(i)
         if parsed is not None:
-            self._parsed_cache.move_to_end(i)
+            self._block_cache.move_to_end(i)
+            self._m_bc_hits.inc()
             return parsed
-        body = self._read_block(i)
-        parsed = self._parse_block(body)
+        self._m_bc_misses.inc()
+        parsed = self._parse_block(self._read_block(i))
         if self.block_cache_blocks:
-            self._parsed_cache[i] = parsed
-            if len(self._parsed_cache) > self.block_cache_blocks:
-                self._parsed_cache.popitem(last=False)
+            self._block_cache[i] = parsed
+            if len(self._block_cache) > self.block_cache_blocks:
+                self._block_cache.popitem(last=False)
         return parsed
 
     @staticmethod
@@ -526,6 +564,10 @@ class SSTableReader:
         vlens = np.empty(n, dtype=np.int64)
         pos = 4
         for j in range(n):
+            if pos + _ENTRY_HDR.size > len(body):
+                # Damaged lengths walked off the block: only reachable with
+                # verify_checksums=False, which serves what still decodes.
+                return bkeys[:j], voffs[:j], vlens[:j], body
             k, vlen = _ENTRY_HDR.unpack(body[pos : pos + _ENTRY_HDR.size])
             pos += _ENTRY_HDR.size
             bkeys[j], voffs[j], vlens[j] = k, pos, vlen
@@ -608,20 +650,6 @@ class SSTableReader:
             cur = np.concatenate(next_cur)
         return values, blocks_touched
 
-    @staticmethod
-    def _search_block(payload: bytes, key: int) -> bytes | None:
-        (n,) = _U32.unpack(payload[:4])
-        pos = 4
-        for _ in range(n):
-            k, vlen = _ENTRY_HDR.unpack(payload[pos : pos + _ENTRY_HDR.size])
-            pos += _ENTRY_HDR.size
-            if k == key:
-                return payload[pos : pos + vlen]
-            if k > key:
-                return None
-            pos += vlen
-        return None
-
     def scan_arrays(self) -> tuple[np.ndarray, np.ndarray | list[bytes]]:
         """Full table contents as columnar arrays, in stored key order.
 
@@ -664,7 +692,8 @@ class SSTableReader:
         return keys, flat
 
     def scan(self) -> list[tuple[int, bytes]]:
-        """Full scan in key order (test/verification helper)."""
+        """Full scan in key order (test/verification helper: its own
+        entry-by-entry walk, independent of `_parse_block`)."""
         out: list[tuple[int, bytes]] = []
         for i in range(self._off.size):
             payload = self._read_block(i)

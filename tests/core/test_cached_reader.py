@@ -75,3 +75,28 @@ def test_warm_total_cost_below_cold():
     cold_reads = sum(cold.get(k)[1].reads for k in keys)
     warm_reads = sum(warm.get(k)[1].reads for k in keys)
     assert warm_reads < 0.6 * cold_reads
+
+
+def test_store_engines_share_one_aux_charge():
+    """The once-per-partition aux charge lives in the store's `MetaCache`:
+    `get`, `get_many` and a served `cached_engine` pay it once between
+    them, while the explicit cold reader still pays it on every query."""
+    from repro.core.multiepoch import MultiEpochStore
+
+    store = MultiEpochStore(nranks=6, fmt=FMT_FILTERKV, value_bytes=24, seed=9)
+    batches = [random_kv_batch(300, 24, np.random.default_rng(50 + r)) for r in range(6)]
+    store.write_epoch(batches)
+    owner = store.engine(0).partitioner.partition_of(batches[0].keys)
+    same = batches[0].keys[owner == owner[0]][:4]
+
+    _, first = store.get(int(same[0]), 0)
+    _, second = store.get(int(same[1]), 0)
+    _, bulk = store.get_many(same, 0)
+    with store.cached_engine(0) as served:
+        _, third = served.get(int(same[2]))
+    assert first.breakdown_reads.get("aux") == 1
+    assert all(s.breakdown_reads.get("aux", 0) == 0 for s in [second, third, *bulk])
+
+    cold = [store.engine(0).get(int(k))[1] for k in same]
+    assert all(s.breakdown_reads.get("aux") == 1 for s in cold)
+    assert all(s.breakdown_reads.get("footer") == s.partitions_searched for s in cold)

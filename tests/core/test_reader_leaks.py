@@ -175,3 +175,34 @@ def test_multiepoch_store_queries_leak_nothing():
         values, _ = attached.get_many(b.keys[::37], 0)
         assert values == [b.value_of(i) for i in range(0, 400, 37)]
     assert attached.device.open_handles == baseline
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+def test_meta_cache_holds_no_handle_and_forgets_retired_epochs(fmt):
+    """`get` / `get_many` leave table metadata resident, never a handle;
+    compaction drops the retired epochs' share of it."""
+    store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=24, seed=21)
+    rng = np.random.default_rng(21)
+    epoch_batches = [[random_kv_batch(150, 24, rng) for _ in range(4)] for _ in range(3)]
+    for batches in epoch_batches:
+        store.write_epoch(batches)
+    baseline = store.device.open_handles
+
+    def read_everything():
+        for epoch in store.epochs:
+            for b in (b for batches in epoch_batches for b in batches):
+                store.get(int(b.keys[0]), epoch)
+                store.get_many(b.keys[:20], epoch)
+        assert store.device.open_handles == baseline
+
+    read_everything()
+    cache = store.meta_cache
+    assert len(cache) == 3 * 4
+    per_epoch = cache.nbytes // 3
+
+    store.compact([0, 1])
+    assert len(cache) == 4 and cache.nbytes <= per_epoch  # epoch 2's tables only
+    read_everything()
+    assert {epoch for epoch, _ in cache._metas} == set(store.epochs)
+    store.close()
+    assert cache.nbytes == 0 and store.device.open_handles == baseline

@@ -1,0 +1,158 @@
+"""Store reads over resident table metadata: same answers, fewer reads.
+
+`MultiEpochStore.get` / `get_many` open each sealed table as "handle +
+cached `TableMeta`"; the cache-less `QueryEngine` (`store.engine`) is the
+paper's cold reader and the oracle here.  The cache may change *what is
+read from the device*, never what a query answers, how many partitions it
+searched, or which typed error a damaged table raises.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
+from repro.core.kv import random_kv_batch
+from repro.core.multiepoch import MultiEpochStore
+from repro.core.pipeline import main_table_name
+from repro.storage.sstable import FOOTER_BYTES, CorruptBlockError, SSTableReader
+
+ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
+NRANKS = 8
+VB = 24
+META = ("footer", "index", "aux")
+ABSENT_BASE = 1 << 63  # stored keys are random 63-bit values
+
+
+def _write(store, rng, records=60):
+    batches = [random_kv_batch(records, VB, rng) for _ in range(NRANKS)]
+    store.write_epoch(batches)
+    return np.concatenate([b.keys for b in batches])
+
+
+def _meta_reads(stats) -> int:
+    return sum(st.breakdown_reads.get(c, 0) for st in stats for c in META)
+
+
+def _assert_matches_cold(store, keys, epochs):
+    """Scalar and bulk store reads against the cache-less engine, per key."""
+    stats = []
+    for epoch in epochs:
+        cold = store.engine(epoch)
+        want = [cold.get(int(k)) for k in keys]
+        bulk_values, bulk_stats = store.get_many(keys, epoch)
+        for k, (value, cst), bv, bst in zip(keys.tolist(), want, bulk_values, bulk_stats):
+            got, st_ = store.get(k, epoch)
+            assert got == bv == value
+            assert st_.found == bst.found == cst.found
+            assert st_.partitions_searched == bst.partitions_searched == cst.partitions_searched
+            stats.append(st_)
+        stats.extend(bulk_stats)
+    return stats
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    fmt=st.sampled_from(ALL_FORMATS),
+    seed=st.integers(0, 3),
+    picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=24),
+    absent=st.lists(st.integers(0, 1 << 20), max_size=4),
+    one_table_budget=st.booleans(),
+)
+def test_store_reads_equal_cold_reader_across_compaction(
+    fmt, seed, picks, absent, one_table_budget
+):
+    rng = np.random.default_rng(seed)
+    store = MultiEpochStore(nranks=NRANKS, fmt=fmt, value_bytes=VB, seed=seed)
+    present = np.concatenate([_write(store, rng) for _ in range(3)])
+    keys = np.asarray(
+        [int(present[i % present.size]) for i in picks] + [ABSENT_BASE + a for a in absent],
+        dtype=np.uint64,
+    )
+    cache = store.meta_cache
+    assert len(cache) == 0 and cache.nbytes == 0  # nothing eager at write/seal
+    if one_table_budget:
+        store.get(int(present[0]), 0)
+        cache.budget_bytes = cache.nbytes  # one table's worth, set on the object
+    _assert_matches_cold(store, keys, [0, 1, 2])
+
+    store.compact([0, 1])  # retires 0 and 1 into a merged epoch, mid-stream
+    merged = store.resolve_epoch(0)
+    assert all(epoch in store.epochs for epoch, _ in cache._metas)  # retire means forget
+    assert cache.nbytes == sum(m.nbytes for m in cache._metas.values())
+    present = np.concatenate([present, _write(store, rng)])
+    _assert_matches_cold(store, keys, [0, 1, 2, merged, store.epochs[-1]])
+
+    # Second pass, store only: every live table was opened once already.
+    baseline = store.device.open_handles
+    before = store.device.counters.snapshot()
+    again = [store.get(int(k), e)[1] for e in store.epochs for k in keys]
+    for epoch in store.epochs:
+        again.extend(store.get_many(keys, epoch)[1])
+    assert store.device.open_handles == baseline
+    if one_table_budget:
+        assert cache.nbytes <= cache.budget_bytes and len(cache) <= 1
+    else:
+        assert _meta_reads(again) == 0  # only data (and vlog) reads remain...
+        assert store.device.counters.delta(before).reads == sum(s.reads for s in again)
+    store.close()
+    assert len(cache) == 0 and cache.nbytes == 0
+
+
+def _one_epoch_store():
+    """(store, keys written by rank 0): filterkv keeps a key's value in its
+    writer's table, so every one of ``keys`` is served by ``part.000.0``."""
+    rng = np.random.default_rng(5)
+    store = MultiEpochStore(nranks=4, fmt=FMT_FILTERKV, value_bytes=VB, seed=5)
+    batches = [random_kv_batch(200, VB, rng) for _ in range(4)]
+    store.write_epoch(batches)
+    return store, batches[0].keys
+
+
+@pytest.mark.parametrize("section", ["footer", "index", "filter"])
+def test_corrupt_metadata_fails_typed_and_caches_nothing(section):
+    """The first open through the cache runs every check the constructor
+    runs, raises the same typed error, and leaves the cache empty."""
+    store, keys = _one_epoch_store()
+    name = main_table_name(0, 0)
+    size = store.device.file_size(name)
+    with store.device.open(name) as f:
+        footer = f.read(size - FOOTER_BYTES, FOOTER_BYTES)
+    index_off, index_len, filter_off, filter_len = (
+        int.from_bytes(footer[8 * i : 8 * i + 8], "little") for i in range(1, 5)
+    )
+    offset = {
+        "footer": size - FOOTER_BYTES + 20,
+        "index": index_off + index_len // 2,
+        "filter": filter_off + filter_len // 2,
+    }[section]
+    store.device.corrupt(name, offset, xor=0x10)
+    with pytest.raises(CorruptBlockError, match=section) as direct:
+        SSTableReader(store.device, name)
+    baseline = store.device.open_handles
+    for _ in range(2):  # the failure is not cached either: it repeats
+        with pytest.raises(CorruptBlockError) as scalar:
+            store.get(int(keys[0]), 0)
+        with pytest.raises(CorruptBlockError) as bulk:
+            store.get_many(keys[:8], 0)
+        assert str(scalar.value) == str(bulk.value) == str(direct.value)
+    assert store.meta_cache.get(0, 0) is None
+    assert store.device.open_handles == baseline
+
+
+def test_corrupt_data_block_detected_under_cached_meta():
+    """Block checksums are verified on every device read, cached meta or
+    not: damage that lands after the table's meta went resident is caught
+    by the next scalar and the next bulk read."""
+    store, keys = _one_epoch_store()
+    key = int(keys[0])
+    value, _ = store.get(key, 0)
+    assert value is not None and store.meta_cache.get(0, 0) is not None
+    store.device.corrupt(main_table_name(0, 0), 40, xor=0x01)  # inside its one block
+    before = store.device.counters.reads
+    with pytest.raises(CorruptBlockError, match="block 0"):
+        store.get(key, 0)
+    assert store.device.counters.reads - before == 1  # the block; no footer/index re-read
+    with pytest.raises(CorruptBlockError, match="block 0"):
+        store.get_many(keys[:8], 0)

@@ -177,6 +177,27 @@ class TestGetMany:
         r = SSTableReader(dev, "t")
         self._probe(r, list(range(0, 320, 3)))
 
+    def test_variable_width_scalar_bulk_and_scan_agree(self):
+        """`_parse_block`'s sequential fallback is the scalar path's only
+        decoder: scalar get, get_many and the independent `scan()` walk
+        must tell one story, absent keys and block edges included."""
+        dev = StorageDevice()
+        rng = np.random.default_rng(31)
+        keys = np.unique(rng.integers(0, 5000, size=400, dtype=np.uint64))
+        items = [(int(k), bytes(rng.integers(0, 256, int(k) % 41, dtype=np.uint8)))
+                 for k in keys]
+        build(dev, "t", items, block_size=200, vectorized=False)
+        r = SSTableReader(dev, "t")
+        truth = dict(r.scan())
+        assert truth == dict(items)
+        probe = np.concatenate([keys, keys + np.uint64(5000), np.asarray([0, 4999], np.uint64)])
+        vals, _ = r.get_many(probe)
+        for k, v in zip(probe.tolist(), vals):
+            assert v == truth.get(k)
+            assert r.get(k) == truth.get(k)
+        akeys, avals = r.scan_arrays()
+        assert dict(zip(akeys.tolist(), avals)) == truth
+
     def test_duplicate_keys_return_first_inserted(self):
         dev = StorageDevice()
         w = SSTableWriter(dev, "t", block_size=64)
@@ -240,5 +261,29 @@ class TestBlockCache:
         r = SSTableReader(dev, "t", block_cache_blocks=2)
         for k in range(0, 200, 5):
             r.get(k)
-        assert len(r._block_cache) <= 2
-        assert len(r._parsed_cache) <= 2
+        assert len(r._block_cache) <= 2  # the one LRU: decoded blocks
+
+
+def test_reader_over_cached_meta_reads_only_data():
+    """``meta=`` from an earlier open: no footer/index read, same answers."""
+    dev = StorageDevice()
+    build(dev, "t", [(k, b"v%03d" % k) for k in range(300)], block_size=256)
+    baseline = dev.open_handles
+    with SSTableReader(dev, "t") as first:
+        meta = first.meta
+    assert meta.nentries == 300 and meta.nbytes > 0
+    before = dev.counters.snapshot()
+    with SSTableReader(dev, "t", meta=meta) as r:
+        assert dev.counters.delta(before).reads == 0
+        assert r.get(17) == b"v017" and r.get(999) is None
+        assert dev.counters.delta(before).reads == 1
+    assert dev.open_handles == baseline
+
+
+def test_failed_open_releases_its_handle():
+    dev = StorageDevice()
+    dev.open("junk", create=True).append(b"\x00" * FOOTER_BYTES)
+    baseline = dev.open_handles
+    with pytest.raises(ValueError):
+        SSTableReader(dev, "junk")
+    assert dev.open_handles == baseline
