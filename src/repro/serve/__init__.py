@@ -2,7 +2,7 @@
 
 Mounts a committed `MultiEpochStore` behind an asyncio `QueryService`
 (batching, coalescing, result/negative caches, admission control), a
-sealed-frame TCP front end (`ServeServer` / `TCPClient`), an in-process
+CRC-framed TCP front end (`ServeServer` / `TCPClient`), an in-process
 client for tests, and a load generator (`run_load`).  See the module
 docstrings — `service` for the serving semantics, `proto` for the wire
 format, `cache` for the invalidation-by-versioning story.

@@ -155,3 +155,36 @@ def test_tcp_fleet_matches_truth():
             assert rolled.total("fleet.requests") >= len(keys)
 
     run(go())
+
+
+def test_reset_shard_connection_fails_over_tcp():
+    """A shard whose TCP link was reset is a transport fault, not a hang:
+    every call on the dead client raises at once, the breaker opens, and
+    the replica answers every key."""
+    fleet, dumps, truth = build_fleet(
+        nshards=2,
+        rf=2,
+        epochs=1,
+        records=150,
+        seed=29,
+        tcp=True,
+        router_kwargs=dict(FAILOVER_ROUTER),
+    )
+    victim = 0
+    keys = sorted(truth)[::4]
+
+    async def go():
+        async with fleet:
+            router, client = fleet.router, fleet.clients[victim]
+            client._writer.transport.abort()
+            await asyncio.wait_for(asyncio.shield(client._pump), 5)
+            for k in keys:
+                # No deadline on purpose: a wedged call would hang the walk.
+                r = await asyncio.wait_for(router.get(k, epoch=ANY_EPOCH), 5)
+                assert r.status == OK and r.value == truth[k], (k, r)
+            st = router.stats()
+            assert st["breakers"][str(victim)] == "open"
+            assert st["failovers"] > 0 and st["requests"]["error"] == 0
+            assert client._waiting == {}
+
+    run(go())

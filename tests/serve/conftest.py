@@ -22,6 +22,18 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def fed_reader(data: bytes, eof: bool = True):
+    """A `FrameReader` over a stream that already holds ``data`` (and, by
+    default, has ended)."""
+    from repro.serve.proto import FrameReader
+
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    if eof:
+        reader.feed_eof()
+    return FrameReader(reader)
+
+
 def build_store(fmt, nranks=8, records=200, epochs=1, value_bytes=24, seed=7):
     """A committed store plus per-epoch ground truth.
 

@@ -1,4 +1,4 @@
-"""Wire protocol: sealed frames, TCP server/clients, in-proc adapter."""
+"""Wire protocol: CRC-checked v3 frames, TCP server/clients, in-proc adapter."""
 
 import asyncio
 
@@ -10,29 +10,34 @@ from repro.serve.proto import (
     ERR_UNSUPPORTED_VERSION,
     MAX_FRAME_BYTES,
     PROTO_VERSION,
+    FrameReader,
     ProtocolError,
     encode_frame,
     read_frame,
 )
 
+from .conftest import fed_reader as _fed_reader
 from .conftest import run, shared_store
 
 
-def _fed_reader(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return reader
-
-
 def test_frame_round_trip():
-    message = {"id": 3, "op": "get", "key": 17, "epoch": None}
+    get = {"id": 3, "v": PROTO_VERSION, "op": "get", "key": 17, "epoch": None, "deadline_s": None}
+    reply = {
+        "id": 3, "v": PROTO_VERSION, "status": OK, "key": 17, "epoch": 2,
+        "value": b"\x00\xffraw", "cached": True, "st": (1, 2),
+    }
+    control = {"id": 4, "v": PROTO_VERSION, "op": "stats_live", "window_s": 2.5}
 
     async def main():
-        frame = encode_frame(message)
-        reader = _fed_reader(frame + encode_frame({"id": 4}))
-        assert await read_frame(reader) == message
-        assert await read_frame(reader) == {"id": 4}
+        frames = [encode_frame(m) for m in (get, reply, control)]
+        # The two per-request messages are fixed binary structs; the value
+        # rides raw, not hex-in-JSON.
+        assert len(frames[0]) == 38 and len(frames[1]) == 52 + len(reply["value"])
+        assert reply["value"] in frames[1] and b"stats_live" in frames[2]
+        reader = _fed_reader(b"".join(frames))
+        assert await read_frame(reader) == get
+        assert await read_frame(reader) == reply
+        assert await read_frame(reader) == control
         assert await read_frame(reader) is None  # clean EOF
 
     run(main())
@@ -156,6 +161,8 @@ def test_unsupported_version_yields_error_frame():
         service = QueryService(store)
         async with ServeServer(service) as server:
             async with TCPClient(server.host, server.port) as client:
+                # The version is the frame's first byte; the refusal still
+                # finds its caller because the id sits at a fixed offset.
                 reply = await client._call(
                     {"op": "get", "key": key, "v": PROTO_VERSION + 1}
                 )
@@ -195,5 +202,113 @@ def test_inproc_client_matches_tcp_surface():
             assert r.status == OK and r.value == truth[0][key]
             assert (await client.stats())["requests"][OK] == 1
         await service.close()
+
+    run(main())
+
+
+# -- connection lifetime: lost links, torn prefixes, server shutdown ----------
+
+
+async def _within(awaitable, seconds=5.0):
+    """Bound every wait: these tests exist because something used to hang."""
+    return await asyncio.wait_for(awaitable, seconds)
+
+
+def test_call_on_lost_connection_raises_and_leaks_no_waiter():
+    async def main():
+        server_side = []
+
+        async def accept(reader, writer):
+            server_side.append(writer)
+            await reader.read()  # hold the connection, answer nothing
+
+        server = await asyncio.start_server(accept, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        client = await TCPClient("127.0.0.1", port).connect()
+        inflight = asyncio.ensure_future(client.get(1))
+        while not server_side:
+            await asyncio.sleep(0)
+        server_side[0].transport.abort()
+        # The call that was waiting on the link fails with it ...
+        with pytest.raises(ConnectionError):
+            await _within(inflight)
+        await _within(asyncio.shield(client._pump))
+        # ... and so does every later one, promptly, leaving nothing behind.
+        for _ in range(2):
+            with pytest.raises(ConnectionError):
+                await _within(client.get(2))
+            with pytest.raises(ConnectionError):
+                await _within(client.ping())
+        assert client._waiting == {}
+        await client.close()
+        with pytest.raises(ConnectionError):  # closed by its owner: same answer
+            await _within(client.get(3))
+        server.close()
+        await server.wait_closed()
+
+    run(main())
+
+
+def test_torn_length_prefix_is_not_clean_eof():
+    async def main():
+        assert await read_frame(_fed_reader(b"")) is None  # ended between frames
+        for torn in (b"\x10", b"\x10\x00", b"\x10\x00\x00"):
+            with pytest.raises(ProtocolError):
+                await read_frame(_fed_reader(torn))
+        whole = encode_frame({"id": 1, "op": "ping"})
+        reader = _fed_reader(whole + whole[:2])
+        assert (await read_frame(reader))["op"] == "ping"
+        with pytest.raises(ProtocolError):
+            await read_frame(reader)
+
+    run(main())
+
+
+def test_bad_frame_is_counted_and_closes_only_its_stream():
+    store, truth = shared_store(FMT_FILTERKV)
+    key = next(iter(truth[0]))
+
+    async def main():
+        service = QueryService(store)
+        async with ServeServer(service) as server:
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            good = encode_frame({"id": 7, "op": "ping"})
+            bad = bytearray(good)
+            bad[6] ^= 0x01
+            writer.write(good + bytes(bad) + good)
+            replies = FrameReader(reader)
+            # The frame before the damage is answered, then the stream ends.
+            assert (await _within(read_frame(replies)))["pong"] is True
+            assert await _within(read_frame(replies)) is None
+            writer.close()
+            assert service.metrics.total("serve.proto.bad_frames") == 1
+            async with TCPClient(server.host, server.port) as client:
+                r = await _within(client.get(key))
+                assert r.status == OK and r.value == truth[0][key]
+            assert service.metrics.total("serve.proto.bad_frames") == 1
+
+    run(main())
+
+
+def test_server_close_flushes_then_closes_live_connections():
+    store, truth = shared_store(FMT_FILTERKV)
+    keys = list(truth[0])[:6]
+
+    async def main():
+        # A 50 ms window: the requests are admitted but unanswered when
+        # close() is called, so their replies are the ones to flush.
+        service = QueryService(store, batch_window_s=0.05)
+        server = await ServeServer(service).start()
+        client = await TCPClient(server.host, server.port).connect()
+        inflight = [asyncio.ensure_future(client.get(k)) for k in keys]
+        await asyncio.sleep(0.01)
+        await _within(server.close())
+        for key, r in zip(keys, await _within(asyncio.gather(*inflight))):
+            assert r.status == OK and r.value == truth[0][key]
+        # The connection did not outlive the server.
+        with pytest.raises(ConnectionError):
+            await _within(client.get(keys[0]))
+        assert client._waiting == {} and not server._connections
+        await client.close()
 
     run(main())

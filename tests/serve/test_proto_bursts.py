@@ -1,0 +1,274 @@
+"""The wire changes nothing but the transport: same answers through
+`TCPClient`, `InprocClient` and `QueryService.get`, and the burst rule
+(one reply write per read burst) pinned where it could be felt — deadlines,
+damage mid-burst, a peer that stops reading.
+"""
+
+import asyncio
+import socket
+from dataclasses import replace
+
+from repro.core.formats import FMT_FILTERKV
+from repro.obs import TraceContext
+from repro.serve import (
+    ANY_EPOCH,
+    DEADLINE_EXCEEDED,
+    ERROR,
+    NOT_FOUND,
+    OK,
+    OVERLOADED,
+    InprocClient,
+    QueryService,
+    ServeServer,
+    TCPClient,
+)
+from repro.serve.proto import ERR_CLOSED, ERR_UNKNOWN_EPOCH, FrameReader, encode_frame, read_frame
+
+from .conftest import run, shared_store
+
+CONTEXT = TraceContext("ab" * 8, "cd" * 4, True)
+
+
+class _Direct:
+    """`QueryService.get` behind the client surface, so one script drives
+    all three."""
+
+    def __init__(self, service):
+        self.get = service.get
+
+
+async def _surface(kind: str, store, script, **service_kwargs):
+    """Run ``script(client, service)`` against a fresh service reached
+    through one surface."""
+    service = QueryService(store, **service_kwargs)
+    if kind == "tcp":
+        server = await ServeServer(service).start()
+        try:
+            async with TCPClient(server.host, server.port) as client:
+                return await script(client, service)
+        finally:
+            await server.close()
+    try:
+        client = _Direct(service) if kind == "service" else InprocClient(service)
+        await service.start()
+        return await script(client, service)
+    finally:
+        await service.close()
+
+
+def _comparable(response):
+    """A response minus what legitimately differs between two runs: span
+    ids and clocks inside a trace (the span *names* must agree)."""
+    names = None if response.trace is None else sorted(s["name"] for s in response.trace)
+    return replace(response, trace=names)
+
+
+def _same_answers(store, script, **service_kwargs):
+    """The script's responses agree field for field across the surfaces;
+    the two clients also agree on the piggybacked state token, which a
+    bare `QueryService.get` does not carry."""
+
+    async def main():
+        got = {
+            kind: [_comparable(r) for r in await _surface(kind, store, script, **service_kwargs)]
+            for kind in ("service", "inproc", "tcp")
+        }
+        assert got["tcp"] == got["inproc"]
+        assert [replace(r, shard_state=None) for r in got["tcp"]] == got["service"]
+        assert all(r.shard_state is not None for r in got["tcp"])
+        return got["tcp"]
+
+    return run(main())
+
+
+def test_same_answers_on_every_surface(fmt):
+    store, truth = shared_store(fmt, epochs=2)
+    old, new = list(truth[0])[:3], list(truth[1])[:3]
+
+    async def script(client, service):
+        out = []
+        for key in new + new[:1]:  # the repeat is a result-cache hit
+            out.append(await client.get(key))
+        for key in old:
+            out.append(await client.get(key, epoch=0))
+            out.append(await client.get(key, epoch=ANY_EPOCH))
+        out.append(await client.get(old[0]))  # newest epoch does not hold it
+        out.append(await client.get(1, epoch=ANY_EPOCH))
+        out.append(await client.get(new[0], epoch=99))
+        out.append(await client.get(new[1], epoch=1, trace=CONTEXT))  # one sampled request
+        return out
+
+    answers = _same_answers(store, script)
+    assert [r.status for r in answers[:4]] == [OK] * 4
+    assert [r.cached for r in answers[:4]] == [False, False, False, True]
+    assert all(r.value == truth[0][k] for k, r in zip(old, answers[4:10:2]))
+    assert [r.status for r in answers[-4:]] == [NOT_FOUND, NOT_FOUND, ERROR, OK]
+    assert answers[-2].code == ERR_UNKNOWN_EPOCH and "99" in answers[-2].detail
+    assert "serve.get" in answers[-1].trace and answers[-1].value == truth[1][new[1]]
+
+
+def test_refusals_are_the_same_on_every_surface(fmt):
+    store, truth = shared_store(fmt)
+    a, b, c = list(truth[0])[:3]
+
+    async def overloaded(client, service):
+        # One admission slot, three concurrent misses: two are shed.
+        return await asyncio.gather(client.get(a), client.get(b), client.get(c))
+
+    statuses = [r.status for r in _same_answers(store, overloaded, max_inflight=1)]
+    assert statuses == [OK, OVERLOADED, OVERLOADED]
+
+    async def deadline(client, service):
+        # A 300 ms window against a 10 ms deadline.
+        return [await client.get(a, deadline_s=0.01)]
+
+    (r,) = _same_answers(store, deadline, batch_window_s=0.3)
+    assert r.status == DEADLINE_EXCEEDED and r.value is None
+
+    async def closed(client, service):
+        await service.close()
+        return [await client.get(a), await client.get(b, epoch=ANY_EPOCH)]
+
+    for r in _same_answers(store, closed):
+        assert r.status == ERROR and r.code == ERR_CLOSED and r.detail == "service closed"
+
+
+TOTALS = [
+    ("serve.coalesced", {}),
+    ("serve.result_cache.hits", {}),
+    ("serve.result_cache.misses", {}),
+    ("serve.batches", {}),
+    *(("serve.requests", {"status": s}) for s in (OK, NOT_FOUND, OVERLOADED, DEADLINE_EXCEEDED, ERROR)),
+]
+
+
+def test_pipelined_gets_count_like_inproc_gets(fmt):
+    """n frames pipelined on one connection are n concurrent gets: same
+    answers, same coalescing, same cache traffic, same request totals."""
+    store, truth = shared_store(fmt)
+    present = list(truth[0])[:20]
+    keys = present + present[:10] + [1, 2, 3] + present[5:8]  # duplicates coalesce
+
+    async def script(client, service):
+        first = await asyncio.gather(*(client.get(k) for k in keys))
+        second = await asyncio.gather(*(client.get(k, epoch=ANY_EPOCH) for k in keys[:12]))
+        third = await asyncio.gather(*(client.get(k) for k in keys))  # now all hits
+        totals = [service.metrics.total(name, **labels) for name, labels in TOTALS]
+        return first + second + third, totals
+
+    async def main():
+        tcp, tcp_totals = await _surface("tcp", store, script)
+        inproc, inproc_totals = await _surface("inproc", store, script)
+        assert tcp == inproc
+        assert dict(zip(map(str, TOTALS), tcp_totals)) == dict(zip(map(str, TOTALS), inproc_totals))
+        assert tcp_totals[0] == 13 and tcp_totals[1] >= len(keys)  # it did coalesce and hit
+        for key, r in zip(keys, tcp):
+            assert r.value == truth[0].get(key)
+
+    run(main())
+
+
+def test_deadline_in_a_burst_is_not_held_by_a_stalled_peer():
+    """Three frames in one write against a dispatcher that will not fire
+    for 600 ms: the member carrying a 10 ms deadline is answered at its
+    deadline, not when its untimed burst-mates are."""
+    store, truth = shared_store(FMT_FILTERKV)
+    a, b, c = list(truth[0])[:3]
+
+    async def main():
+        service = QueryService(store, batch_window_s=0.6)
+        async with ServeServer(service) as server:
+            async with TCPClient(server.host, server.port) as client:
+                loop = asyncio.get_running_loop()
+                t0 = loop.time()
+                patient = [asyncio.ensure_future(client.get(k)) for k in (a, c)]
+                hurried = asyncio.ensure_future(client.get(b, deadline_s=0.01))
+                r = await asyncio.wait_for(hurried, 5)
+                elapsed = loop.time() - t0
+                assert r.status == DEADLINE_EXCEEDED
+                assert elapsed < 0.3, f"held {elapsed:.3f}s past a 10 ms deadline"
+                assert not any(t.done() for t in patient)
+                for key, r in zip((a, c), await asyncio.wait_for(asyncio.gather(*patient), 5)):
+                    assert r.status == OK and r.value == truth[0][key]
+                assert loop.time() - t0 >= 0.5
+
+    run(main())
+
+
+def test_damage_mid_burst_answers_what_came_before_it():
+    store, truth = shared_store(FMT_FILTERKV)
+    a, b, c = list(truth[0])[:3]
+
+    def get(rid, key):
+        return encode_frame({"id": rid, "op": "get", "key": key, "epoch": None, "deadline_s": None})
+
+    async def main():
+        service = QueryService(store)
+        async with ServeServer(service) as server:
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            damaged = bytearray(get(3, c))
+            damaged[-1] ^= 0x10
+            writer.write(get(1, a) + get(2, b) + bytes(damaged) + get(4, c))  # one burst
+            replies = FrameReader(reader)
+            first = await asyncio.wait_for(read_frame(replies), 5)
+            second = await asyncio.wait_for(read_frame(replies), 5)
+            assert {first["id"]: first["value"], second["id"]: second["value"]} == {
+                1: truth[0][a], 2: truth[0][b],
+            }
+            # Nothing behind the damage is served: the stream just ends.
+            assert await asyncio.wait_for(read_frame(replies), 5) is None
+            writer.close()
+            assert service.metrics.total("serve.requests", status=OK) == 2
+            assert service.metrics.total("serve.proto.bad_frames") == 1
+
+    run(main())
+
+
+def test_client_waits_on_flow_control_when_the_server_stops_reading():
+    """Callers of a client whose peer is not reading wait; they do not
+    pile frames up in memory.  When the peer reads again, they proceed."""
+    calls, pad = 120, "x" * 16_000
+
+    async def main():
+        accepted = asyncio.get_running_loop().create_future()
+        done = asyncio.Event()
+
+        async def accept(reader, writer):
+            accepted.set_result(reader)
+            await done.wait()  # reads only when the test does
+            writer.close()
+            await writer.wait_closed()
+
+        server = await asyncio.start_server(accept, "127.0.0.1", 0, limit=1 << 12)
+        for sock in server.sockets:  # inherited by the accepted socket
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 12)
+        client = await TCPClient("127.0.0.1", server.sockets[0].getsockname()[1]).connect()
+        transport = client._writer.transport
+        transport.get_extra_info("socket").setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 12)
+        high = transport.get_write_buffer_limits()[1]
+        callers = [
+            asyncio.ensure_future(client._call({"op": "ping", "pad": pad})) for _ in range(calls)
+        ]
+        frame_bytes = len(encode_frame({"id": 1, "op": "ping", "pad": pad}))
+        await asyncio.sleep(0.3)
+        # What is queued is one high-water mark and a frame, not all of it.
+        queued = transport.get_write_buffer_size() + len(client._outbox)
+        assert queued <= high + frame_bytes < calls * frame_bytes // 4
+        registered = len(client._waiting)
+        assert registered < calls // 2 and not any(t.done() for t in callers)
+
+        # The peer starts reading: every waiting caller gets its frame out.
+        peer = FrameReader(await accepted)
+        for _ in range(calls):
+            assert (await asyncio.wait_for(read_frame(peer), 5))["pad"] == pad
+        assert len(client._waiting) == calls and not any(t.done() for t in callers)
+        for t in callers:
+            t.cancel()
+        await asyncio.gather(*callers, return_exceptions=True)
+        assert client._waiting == {}
+        await client.close()
+        done.set()
+        server.close()
+        await server.wait_closed()
+
+    run(main())

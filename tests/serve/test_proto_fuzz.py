@@ -1,0 +1,363 @@
+"""Hostile bytes against the v3 frame decoder, and the round-trip property.
+
+Whatever arrives on a connection, `read_frame` has three outcomes: a
+message, clean EOF, or `ProtocolError` — never another exception, a hang,
+or memory sized by a length nobody verified.  The deterministic sweeps
+(every truncation, every flipped byte, every bad length) always run; each
+hypothesis property has a fast entry for tier-1 and a ``_full`` twin under
+``-m slow`` for the CI ``serve`` job.
+"""
+
+import asyncio
+import struct
+import zlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.formats import FMT_FILTERKV
+from repro.obs import TraceContext
+from repro.serve import ANY_EPOCH, ERROR, OK, QueryService, ServeResponse, ServeServer, TCPClient
+from repro.serve.proto import (
+    ERR_BAD_REQUEST,
+    ERR_CLOSED,
+    ERR_INTERNAL,
+    ERR_UNKNOWN_EPOCH,
+    ERR_UNSUPPORTED_VERSION,
+    MAX_FRAME_BYTES,
+    PROTO_VERSION,
+    FrameReader,
+    ProtocolError,
+    _response_fields,
+    _response_from_fields,
+    encode_frame,
+    error_frame,
+    read_frame,
+)
+from repro.serve.service import STATUSES
+
+from .conftest import fed_reader as feed
+from .conftest import run, shared_store
+
+U64 = 2**64 - 1
+HEAD = struct.Struct("<BBI")  # version, kind, id
+REPLY = struct.Struct("<BBIQqBBqqI")
+
+
+def frame(body: bytes) -> bytes:
+    """A frame with a *valid* length and checksum around any body, so the
+    decoder is exercised past its first two gates."""
+    return struct.pack("<I", len(body) + 4) + body + struct.pack("<I", zlib.crc32(body))
+
+
+def both_profiles(check, *strategies, quick: int, full: int):
+    """One property, two pytest entries: the fast profile for tier-1 and
+    its ``slow``-marked twin for the CI ``serve`` job."""
+    fast = settings(max_examples=quick, deadline=None)(given(*strategies)(check))
+    slow = settings(max_examples=full, deadline=None)(given(*strategies)(check))
+    return fast, pytest.mark.slow(slow)
+
+
+def drain(data: bytes) -> tuple[list[dict], bool]:
+    """Every message `data` decodes to, and whether the stream ended in a
+    `ProtocolError`.  Anything else — another exception, a read that does
+    not return — fails the test."""
+
+    async def main():
+        frames, messages = feed(data), []
+        try:
+            while (message := await asyncio.wait_for(read_frame(frames), 5)) is not None:
+                assert isinstance(message, dict) and isinstance(message["id"], int)
+                messages.append(message)
+        except ProtocolError:
+            return messages, True
+        return messages, False
+
+    return run(main())
+
+
+SPANS = [{"name": "serve.get", "start": 0.25, "end": 0.5, "attrs": {"key": 7}, "parent_id": None}]
+CONTEXT = TraceContext("t" * 16, "s" * 8, True)
+
+# One valid message of every shape the wire carries.
+MESSAGES = {
+    "get": {"id": 1, "op": "get", "key": 17, "epoch": None, "deadline_s": None},
+    "get-timed-any-epoch": {"id": 2, "op": "get", "key": U64, "epoch": ANY_EPOCH, "deadline_s": 0.25},
+    "get-traced": {"id": 3, "op": "get", "key": 0, "epoch": 4, "deadline_s": None,
+                   "trace": CONTEXT.to_wire()},
+    "get-unfit-key": {"id": 4, "op": "get", "key": -5, "epoch": None, "deadline_s": None},
+    "reply-ok": {"id": 5, "status": OK, "key": 17, "epoch": 2, "value": b"\x00\xffvalue" * 6,
+                 "cached": True, "st": (3, 9)},
+    "reply-empty-value": {"id": 6, "status": OK, "key": 0, "epoch": 0, "value": b"",
+                          "cached": False, "st": (0, 0)},
+    "reply-not-found": {"id": 7, "status": "not_found", "key": U64, "epoch": ANY_EPOCH,
+                        "value": None, "cached": False, "st": None},
+    "reply-traced-error": {"id": 8, "status": ERROR, "key": 9, "epoch": None, "value": None,
+                           "cached": False, "st": (1, 1), "detail": "no such epoch 9 — ünïcode",
+                           "error": {"code": ERR_UNKNOWN_EPOCH, "retryable": False},
+                           "trace": SPANS},
+    "error-without-key": error_frame(9, ERR_BAD_REQUEST, "bad get request"),
+    "control": {"id": 10, "op": "stats_live", "window_s": 2.5},
+    "control-reply": {"id": 11, "aux": {"format": "filterkv", "epochs": {"0": ["00ff"]}}},
+    "other-version": {"id": 12, "v": PROTO_VERSION + 1, "op": "get", "key": 1},
+}
+
+
+def test_every_message_shape_decodes_to_itself():
+    for name, message in MESSAGES.items():
+        (decoded,), broken = drain(encode_frame(message))
+        assert not broken, name
+        if name == "other-version":
+            # Only the head of another version's frame is interpreted.
+            assert decoded == {"id": 12, "v": PROTO_VERSION + 1}
+            continue
+        want = {"v": PROTO_VERSION, **message}
+        assert {k: decoded[k] for k in want} == want, name
+        # Nothing appears that was not sent, bar absent optional fields.
+        assert all(decoded[k] is None for k in decoded.keys() - want.keys()), name
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGES))
+def test_every_truncation_and_every_flipped_byte_is_refused(name):
+    whole = encode_frame(MESSAGES[name])
+    for cut in range(len(whole)):
+        messages, broken = drain(whole[:cut])
+        assert messages == [] and broken == (cut > 0), (name, cut)
+    for at in range(len(whole)):
+        for mask in (0x01, 0x80, 0xFF):
+            damaged = bytearray(whole)
+            damaged[at] ^= mask
+            messages, broken = drain(bytes(damaged))
+            assert messages == [] and broken, (name, at, mask)
+    # A damaged frame behind a good one: the good one is still delivered.
+    messages, broken = drain(whole + whole[:-1] + b"\x00")
+    assert len(messages) == 1 and broken
+
+
+@pytest.mark.parametrize("length", [0, 1, HEAD.size + 4 - 1, MAX_FRAME_BYTES + 1, 2**32 - 1])
+def test_length_out_of_bounds_is_refused_before_any_wait(length):
+    async def main():
+        # No EOF and no further bytes: a decoder that waited for `length`
+        # bytes, or made room for them, would hang or balloon here.
+        frames = feed(struct.pack("<I", length) + b"\x03\x03", eof=False)
+        with pytest.raises(ProtocolError):
+            await asyncio.wait_for(read_frame(frames), 1)
+        assert len(frames.buffer) <= 6
+
+    run(main())
+
+
+def test_largest_frame_passes_and_one_byte_more_does_not():
+    fixed = len(encode_frame({**MESSAGES["reply-ok"], "value": b""}))
+    fits = {**MESSAGES["reply-ok"], "value": bytes(MAX_FRAME_BYTES + 4 - fixed)}
+    (decoded,), broken = drain(encode_frame(fits))
+    assert not broken and decoded["value"] == fits["value"]
+    with pytest.raises(ProtocolError):  # the sender holds the bound too
+        encode_frame({**fits, "value": fits["value"] + b"\x00"})
+
+    async def main():
+        # A length inside the bound with the bytes never arriving: refused
+        # at EOF, having buffered only what was sent.
+        frames = feed(struct.pack("<I", MAX_FRAME_BYTES) + b"\x03" * 10)
+        with pytest.raises(ProtocolError):
+            await asyncio.wait_for(read_frame(frames), 1)
+        assert len(frames.buffer) == 14
+
+    run(main())
+
+
+def _reply_body(nvalue: int, flags: int, payload: bytes, status: int = 0) -> bytes:
+    return REPLY.pack(PROTO_VERSION, 2, 1, 17, 0, status, flags, 0, 0, nvalue) + payload
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        HEAD.pack(PROTO_VERSION, 0, 1),  # unknown kinds
+        HEAD.pack(PROTO_VERSION, 4, 1) + b"{}",
+        HEAD.pack(PROTO_VERSION, 255, 1),
+        HEAD.pack(PROTO_VERSION, 1, 1),  # GET shorter than its struct
+        HEAD.pack(PROTO_VERSION, 1, 1) + bytes(23),
+        HEAD.pack(PROTO_VERSION, 2, 1) + bytes(37),  # REPLY shorter than its struct
+        _reply_body(9, 2, b"12345678"),  # value runs past the frame
+        _reply_body(2**32 - 1, 2, b"x"),
+        _reply_body(3, 0, b"abc"),  # value bytes but no has-value flag
+        _reply_body(3, 2, b"abcdef"),  # leftover that is no JSON tail
+        _reply_body(0, 2, b"", status=len(STATUSES)),  # no such status
+        _reply_body(0, 2, b'["detail"]'),  # tails must be objects
+        HEAD.pack(PROTO_VERSION, 1, 1) + bytes(24) + b"\xff\xfe",  # GET tail, bad UTF-8
+        HEAD.pack(PROTO_VERSION, 3, 1),  # JSON kind without a payload
+        HEAD.pack(PROTO_VERSION, 3, 1) + b"\xff\xfe{}",
+        HEAD.pack(PROTO_VERSION, 3, 1) + b'{"op": "ping"',
+        HEAD.pack(PROTO_VERSION, 3, 1) + b"[1, 2]",
+        HEAD.pack(PROTO_VERSION, 3, 1) + b"3",
+        HEAD.pack(PROTO_VERSION, 3, 1) + b"null",
+        HEAD.pack(PROTO_VERSION, 3, 1) + b"[" * 100_000,  # would blow the parser's stack
+    ],
+)
+def test_checksummed_but_malformed_bodies_are_refused(body):
+    assert drain(frame(body)) == ([], True)
+
+
+def test_other_versions_are_answered_not_parsed():
+    for version in (0, 1, 2, PROTO_VERSION + 1, 255):
+        (decoded,), broken = drain(frame(HEAD.pack(version, 77, 41) + b"\xffwhatever"))
+        assert not broken and decoded == {"id": 41, "v": version}
+
+
+def test_fixed_fields_win_over_a_tail_that_repeats_them():
+    body = HEAD.pack(PROTO_VERSION, 1, 5) + struct.pack("<Qqd", 17, 0, 0.5)
+    (decoded,), _ = drain(frame(body + b'{"key": 99, "id": 1, "op": "stats", "x": 1}'))
+    assert (decoded["id"], decoded["op"], decoded["key"], decoded["x"]) == (5, "get", 17, 1)
+
+
+# -- properties ----------------------------------------------------------------
+
+
+def check_arbitrary_stream(data):
+    messages, broken = drain(data)
+    assert broken or not data or messages
+
+
+def check_arbitrary_checksummed_bodies(bodies):
+    messages, broken = drain(b"".join(frame(b) for b in bodies))
+    assert len(messages) <= len(bodies) and (broken or len(messages) == len(bodies))
+
+
+streams = st.binary(max_size=300)
+bodies = st.lists(
+    st.one_of(
+        st.binary(max_size=120),
+        # Mostly-plausible bodies: this version, a real kind, random rest.
+        st.builds(
+            lambda kind, rid, rest: HEAD.pack(PROTO_VERSION, kind, rid) + rest,
+            st.integers(0, 4), st.integers(0, 2**32 - 1), st.binary(max_size=120),
+        ),
+    ),
+    min_size=1, max_size=4,
+)
+
+test_arbitrary_stream, test_arbitrary_stream_full = both_profiles(
+    check_arbitrary_stream, streams, quick=200, full=5000
+)
+test_arbitrary_checksummed_bodies, test_arbitrary_checksummed_bodies_full = both_profiles(
+    check_arbitrary_checksummed_bodies, bodies, quick=200, full=5000
+)
+
+epochs = st.one_of(st.none(), st.just(ANY_EPOCH), st.integers(-(2**63) + 1, 2**63 - 1))
+keys = st.one_of(st.just(0), st.just(U64), st.integers(0, U64))
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(-(2**53), 2**53), st.text(max_size=12))
+span_trees = st.lists(
+    st.dictionaries(st.text(max_size=8), st.one_of(json_leaves, st.lists(json_leaves, max_size=3)),
+                    max_size=4),
+    max_size=3,
+)
+responses = st.builds(
+    ServeResponse,
+    status=st.sampled_from(STATUSES),
+    key=keys,
+    epoch=epochs,
+    value=st.one_of(st.none(), st.just(b""), st.binary(max_size=256)),
+    cached=st.booleans(),
+    detail=st.text(max_size=40),
+    trace=st.one_of(st.none(), span_trees),
+    code=st.sampled_from(["", ERR_CLOSED, ERR_INTERNAL, ERR_UNKNOWN_EPOCH, ERR_UNSUPPORTED_VERSION]),
+    shard_state=st.one_of(
+        st.none(), st.tuples(st.integers(0, 2**63 - 1), st.integers(-1, 2**63 - 1))
+    ),
+)
+requests = st.fixed_dictionaries(
+    {
+        "id": st.integers(0, 2**32 - 1),
+        "op": st.just("get"),
+        "key": keys,
+        "epoch": epochs,
+        "deadline_s": st.one_of(st.none(), st.floats(0, 1e6), st.just(float("inf"))),
+    },
+    optional={
+        "trace": st.builds(
+            lambda t, s, sampled: TraceContext(t, s, sampled).to_wire(),
+            st.text(min_size=1, max_size=16), st.text(min_size=1, max_size=16), st.booleans(),
+        )
+    },
+)
+
+
+def check_response_round_trip(response, rid):
+    (decoded,), broken = drain(encode_frame({"id": rid, **_response_fields(response)}))
+    assert not broken and decoded["id"] == rid and decoded["v"] == PROTO_VERSION
+    assert _response_from_fields(decoded) == response
+
+
+def check_request_round_trip(request):
+    (decoded,), broken = drain(encode_frame(request))
+    assert not broken and decoded == {"v": PROTO_VERSION, **request}
+    if "trace" in request:
+        assert TraceContext.from_wire(decoded["trace"]) == TraceContext.from_wire(request["trace"])
+
+
+test_response_round_trip, test_response_round_trip_full = both_profiles(
+    check_response_round_trip, responses, st.integers(0, 2**32 - 1), quick=150, full=3000
+)
+test_request_round_trip, test_request_round_trip_full = both_profiles(
+    check_request_round_trip, requests, quick=150, full=3000
+)
+
+
+def test_epoch_that_collides_with_the_none_sentinel_still_round_trips():
+    request = {**MESSAGES["get"], "epoch": -(2**63)}
+    (decoded,), _ = drain(encode_frame(request))
+    assert decoded["epoch"] == -(2**63)
+
+
+# -- a live server under the same streams --------------------------------------
+
+
+def check_server_survives(streams_):
+    """Each hostile stream on its own connection; afterwards, and in
+    between, a well-behaved client is still answered."""
+    store, truth = shared_store(FMT_FILTERKV)
+    key = next(iter(truth[0]))
+
+    async def main():
+        server = await ServeServer(QueryService(store)).start()
+        try:
+            for data in streams_:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(data)
+                writer.write_eof()
+                replies = FrameReader(reader)
+                try:
+                    # Whatever comes back is itself well-formed, and the
+                    # server ends the stream instead of hanging on it.
+                    while await asyncio.wait_for(read_frame(replies), 5) is not None:
+                        pass
+                finally:
+                    writer.close()
+                async with TCPClient(server.host, server.port) as client:
+                    r = await asyncio.wait_for(client.get(key), 5)
+                    assert r.status == OK and r.value == truth[0][key]
+        finally:
+            await asyncio.wait_for(server.close(), 5)
+        assert not server._connections
+
+    run(main())
+
+
+hostile = st.lists(
+    st.one_of(
+        streams,
+        bodies.map(lambda bs: b"".join(frame(b) for b in bs)),
+        # Valid traffic with damage spliced in behind it.
+        st.builds(
+            lambda names, junk: b"".join(encode_frame(MESSAGES[n]) for n in names) + junk,
+            st.lists(st.sampled_from(sorted(MESSAGES)), max_size=4), streams,
+        ),
+    ),
+    min_size=1, max_size=3,
+)
+
+test_server_survives_hostile_streams, test_server_survives_hostile_streams_full = both_profiles(
+    check_server_survives, hostile, quick=25, full=400
+)
