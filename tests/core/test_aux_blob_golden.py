@@ -33,6 +33,28 @@ RANKS = np.asarray([0, 3, 1, 2, 3], dtype=np.uint64)
 
 # fmt: off
 GOLDEN = {
+    "bloom": bytes.fromhex(
+        "700000007b226261636b656e64223a2022626c6f6f6d222c2022626974735f70"
+        "65725f6b6579223a20362e302c20226e62697473223a2036342c20226e686173"
+        "686573223a20342c20226e6b657973223a20352c20226e7061727473223a2034"
+        "2c202273656564223a20392c202276223a20327d04181222c013468c"
+    ),
+    "cuckoo": bytes.fromhex(
+        "9b0000007b226261636b656e64223a20226375636b6f6f222c202266705f6269"
+        "7473223a20342c20226d61785f6b69636b73223a203530302c20226e6275636b"
+        "657473223a205b31365d2c20226e6b657973223a20352c20226e706172747322"
+        "3a20342c202273656564223a20392c2022736c6f74735f7065725f6275636b65"
+        "74223a20342c202276223a20322c202276616c75655f62697473223a20327d00"
+        "0000000000000000000000000000140000000000600000000000d00000c80000"
+        "000000a80000000000000000000000"
+    ),
+    "exact": bytes.fromhex(
+        "350000007b226261636b656e64223a20226578616374222c20226e6b65797322"
+        "3a20352c20226e7061727473223a20342c202276223a20327d01000000000000"
+        "000df0fecaefbeaddeffffffffffffffff341200000000000077000000000000"
+        "0000000000000000000000000003000000010000000000000001000000020000"
+        "0000000000020000000300000000000000030000000400000000000000"
+    ),
     "csf": bytes.fromhex(
         "790000007b226261636b656e64223a2022637366222c2022666e6b657973223a"
         "20352c202266705f62697473223a20322c20226e6b657973223a20352c20226e"
