@@ -4,7 +4,7 @@ A full reproduction of Zheng et al., *Compact Filters for Fast Online
 Data Partitioning* (IEEE CLUSTER 2019), as an installable Python library:
 
 * ``repro.filters`` — Bloom filters, partial-key cuckoo hash tables with
-  chained growth, cuckoo filters, quotient filters;
+  chained growth, the compressed static function (maplet);
 * ``repro.storage`` — value logs, flattened-LSM SSTables, Snappy-format
   compression, charged storage devices;
 * ``repro.net`` — discrete-event RPC model, CPU/transport profiles

@@ -45,6 +45,12 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+_AUX_BACKEND_HELP = (
+    "filterkv aux backend: exact, bloom, cuckoo or csf, or 'auto' = csf falling "
+    "back to cuckoo (default: the format's own, cuckoo)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -78,9 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--aux-backend",
         default=None,
-        help="filterkv aux backend: a registered backend name (exact, bloom, "
-        "cuckoo, quotient, xor, csf, rankxor) or 'auto' for the flush-time "
-        "backend tournament (default: the format's static choice, cuckoo)",
+        help=_AUX_BACKEND_HELP,
     )
 
     m = sub.add_parser("metrics", help="run an instrumented simulation, emit telemetry")
@@ -282,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument(
         "--aux-backend",
         default=None,
-        help="filterkv aux backend name, or 'auto' for the flush-time tournament",
+        help=_AUX_BACKEND_HELP,
     )
     f.add_argument("--json-out", metavar="FILE", default=None, help="also write reports as JSON")
     f.add_argument(
@@ -340,7 +344,7 @@ def _cmd_table1() -> str:
     return render_table(["rank", "machine", "cores", "b2 B/key", "b10 B/key"], rows)
 
 
-def _instrumented_run(fmt, ranks, records, value_bytes, seed, queries, aux_policy=None):
+def _instrumented_run(fmt, ranks, records, value_bytes, seed, queries, aux_backends=None):
     """One epoch (plus a query sample) with telemetry on.
 
     Returns ``(registry, cluster_stats, cluster)``.  The registry holds
@@ -360,7 +364,7 @@ def _instrumented_run(fmt, ranks, records, value_bytes, seed, queries, aux_polic
             fmt=fmt,
             value_bytes=value_bytes,
             seed=seed,
-            aux_policy=aux_policy,
+            aux_backends=aux_backends,
             metrics=registry,
         )
         # Same generation loop as SimCluster.run_epoch (one seeded stream,
@@ -394,11 +398,8 @@ def _instrumented_run(fmt, ranks, records, value_bytes, seed, queries, aux_polic
 
 
 def _cmd_compare(args) -> str:
-    import dataclasses
-
     from .analysis.reporting import render_table
     from .cluster.simcluster import SimCluster
-    from .core.auxtable import AUX_BACKENDS, AuxBackendPolicy
     from .core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 
     metrics_out = getattr(args, "metrics_out", None)
@@ -408,24 +409,11 @@ def _cmd_compare(args) -> str:
 
         merged = MetricsRegistry("compare")
 
-    # Filterkv aux-backend selection: a fixed registered backend, or
-    # 'auto' = the flush-time tournament (AuxBackendPolicy) picking per
-    # epoch from the sealed key set.
-    choice = getattr(args, "aux_backend", None)
-    fmt_filterkv, aux_policy = FMT_FILTERKV, None
-    if choice == "auto":
-        aux_policy = AuxBackendPolicy()
-    elif choice is not None:
-        if choice not in AUX_BACKENDS:
-            raise SystemExit(
-                f"unknown aux backend {choice!r}; pick one of "
-                f"{sorted(AUX_BACKENDS)} or 'auto'"
-            )
-        fmt_filterkv = dataclasses.replace(FMT_FILTERKV, aux_backend=choice)
+    filterkv_backends = _aux_backends_arg(getattr(args, "aux_backend", None))
 
     rows = []
-    for fmt in (FMT_BASE, FMT_DATAPTR, fmt_filterkv):
-        policy = aux_policy if fmt.name == "filterkv" else None
+    for fmt in (FMT_BASE, FMT_DATAPTR, FMT_FILTERKV):
+        aux_backends = filterkv_backends if fmt is FMT_FILTERKV else None
         if merged is not None:
             registry, st, cluster = _instrumented_run(
                 fmt,
@@ -434,7 +422,7 @@ def _cmd_compare(args) -> str:
                 args.value_bytes,
                 args.seed,
                 args.queries,
-                aux_policy=policy,
+                aux_backends=aux_backends,
             )
             merged.merge(registry, format=fmt.name)
         else:
@@ -443,7 +431,7 @@ def _cmd_compare(args) -> str:
                 fmt=fmt,
                 value_bytes=args.value_bytes,
                 seed=args.seed,
-                aux_policy=policy,
+                aux_backends=aux_backends,
             )
             st = cluster.run_epoch(args.records)
         rows.append(
@@ -819,21 +807,21 @@ def _export_loadgen_traces(args, reports: list[dict]) -> str:
     return "\n" + ", ".join(notes)
 
 
-def _fleet_aux_policy(choice: str | None):
-    """``--aux-backend`` for the fleet commands: None (format default),
-    'auto' (flush-time tournament), or one pinned registered backend."""
+def _aux_backends_arg(choice: str | None) -> tuple[str, ...] | None:
+    """``--aux-backend`` as an ``aux_backends=`` tuple: None (the format's
+    own backend), 'auto' (`AUTO_BACKENDS`), or one registered backend."""
     if choice is None:
         return None
-    from .core.auxtable import AUX_BACKENDS, AuxBackendPolicy
+    from .core.auxtable import AUTO_BACKENDS, AUX_BACKENDS
 
     if choice == "auto":
-        return AuxBackendPolicy()
+        return AUTO_BACKENDS
     if choice not in AUX_BACKENDS:
         raise SystemExit(
             f"unknown aux backend {choice!r}; pick one of "
             f"{sorted(AUX_BACKENDS)} or 'auto'"
         )
-    return AuxBackendPolicy(candidates=(choice,))
+    return (choice,)
 
 
 def _build_fleet(args):
@@ -851,7 +839,7 @@ def _build_fleet(args):
         seed=args.seed,
         vnodes=args.vnodes,
         tcp=args.tcp,
-        aux_policy=_fleet_aux_policy(args.aux_backend),
+        aux_backends=_aux_backends_arg(args.aux_backend),
         # Pin the shard caches small: epochs are immutable, so a crashed
         # shard's warm caches keep answering hot keys *correctly* — which
         # makes the failure drill invisible.  Cold reads must touch the

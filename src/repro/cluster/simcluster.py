@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.auxtable import AuxBackendPolicy
 from ..core.formats import FMT_FILTERKV, FormatSpec
 from ..core.kv import KVBatch, random_kv_batch
 from ..core.partitioning import HashPartitioner
@@ -76,7 +75,7 @@ class SimCluster:
         ppn: int = 1,
         spill_budget_bytes: int | None = None,
         bulk: bool = True,
-        aux_policy: AuxBackendPolicy | None = None,
+        aux_backends: tuple[str, ...] | None = None,
         faults: FaultPlan | None = None,
         metrics: MetricsRegistry | None = None,
     ):
@@ -93,7 +92,7 @@ class SimCluster:
         self.epoch = epoch
         self.seed = seed
         self.bulk = bulk
-        self.aux_policy = aux_policy
+        self._aux_backends = aux_backends
         self.metrics = active(metrics)
         if device is not None:
             self.device = device
@@ -132,7 +131,7 @@ class SimCluster:
                 block_size=self._block_size,
                 aux_seed=self.seed,
                 bulk=self.bulk,
-                aux_policy=self.aux_policy,
+                aux_backends=self._aux_backends,
                 metrics=self.metrics,
             )
             for r in range(self.nranks)
@@ -256,8 +255,8 @@ class SimCluster:
 
     def aux_backends(self) -> str | None:
         """The aux backend(s) this epoch's partitions sealed with — one name
-        when uniform (the common case), comma-joined when the flush-time
-        policy picked differently per rank.  None for formats without aux."""
+        when uniform (the common case), comma-joined when ranks fell back
+        differently along ``aux_backends=``.  None for formats without aux."""
         names = sorted({r.aux.backend for r in self.receivers if r.aux is not None})
         return ",".join(names) if names else None
 

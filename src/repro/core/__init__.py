@@ -5,9 +5,8 @@ from .auxtable import (
     AuxTable,
     BloomAuxTable,
     CuckooAuxTable,
+    CsfAuxTable,
     ExactAuxTable,
-    QuotientAuxTable,
-    XorAuxTable,
     bloom_bits_per_key,
     make_aux_table,
     rank_bits,
@@ -20,7 +19,6 @@ from .formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KEY_BYTES, KVBatch, random_kv_batch
 from .partitioning import HashPartitioner
 from .pipeline import Envelope, ReceiverState, WriterState, aux_table_name, main_table_name
-from .imd import IndexedDirectory
 from .reader import CachedQueryEngine, MetaCache, QueryEngine, QueryStats
 from .routing import DirectRouter, ThreeHopRouter
 
@@ -28,9 +26,8 @@ __all__ = [
     "AuxTable",
     "BloomAuxTable",
     "CuckooAuxTable",
+    "CsfAuxTable",
     "ExactAuxTable",
-    "QuotientAuxTable",
-    "XorAuxTable",
     "bloom_bits_per_key",
     "make_aux_table",
     "rank_bits",
@@ -60,7 +57,6 @@ __all__ = [
     "QueryEngine",
     "CachedQueryEngine",
     "MetaCache",
-    "IndexedDirectory",
     "DirectRouter",
     "ThreeHopRouter",
     "QueryStats",

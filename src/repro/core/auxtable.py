@@ -2,8 +2,8 @@
 
 An auxiliary table lives at each data partition and records, for every key
 the partition owns, *which process wrote the key's data*.  FilterKV makes
-this mapping lossy to make it small.  The interchangeable backends
-(`AUX_BACKENDS` is the registry):
+this mapping lossy to make it small.  The four interchangeable backends
+(`AUX_BACKENDS` is the registry, name → class):
 
 `ExactAuxTable`
     The state of the art (Fmt-DataPtr): exact 12-byte pointers
@@ -15,23 +15,19 @@ this mapping lossy to make it small.  The interchangeable backends
     §IV-B: the filter–index hybrid on partial-key cuckoo hash tables;
     one lookup returns all candidate ranks, amplification bounded by the
     fingerprint width.
-`QuotientAuxTable`
-    Related-work alternative (§VI): quotient filter probed per rank like
-    the Bloom design.  Scalar; used by the backend ablation.
-`XorAuxTable`
-    Static xor filter over ``key‖rank`` digests, probed per rank.
 `CsfAuxTable`
     The maplet view: a compressed static function stores each key's rank
     *directly* (guarded by a fused fingerprint), so present keys resolve
     to exactly one partition — amplification 1.0 at ~1.23·(fp+rank) bits.
-`RankXorAuxTable`
-    Rank-partitioned compact maplet: one xor-filter bank per rank; a key
-    is a member of its owner's bank only.
+    A *sealed* backend: mappings buffer during the shuffle and the
+    structure builds at `finalize()` (or first query), matching the
+    immutable key set an epoch commits.
 
-The last three are *sealed* backends: mappings buffer during the shuffle
-and the structure builds at `finalize()` (or first query), matching the
-immutable key set an epoch commits.  `AuxBackendPolicy` +
-`build_sealed_aux` pick the cheapest backend that builds at flush time.
+Every backend takes the same leading constructor arguments (``nparts,
+capacity_hint, seed``) and owns its half of the one blob codec (`state()` /
+`from_state()` under `aux_to_blob` / `aux_from_blob`).  `build_sealed_aux`
+seals the first of an ordered tuple of backend names that builds;
+`AUTO_BACKENDS` is the tuple the CLI's ``auto`` means.
 
 All byte accounting counts only the *index* data (the paper's Fig. 7b
 "per-key space overhead"), not the keys or values themselves.
@@ -50,8 +46,6 @@ from ..filters.bloom import BloomFilter
 from ..filters.csf import CsfConstructionError, XorMaplet
 from ..filters.cuckoo import ChainedCuckooTable, PartialKeyCuckooTable
 from ..filters.hashing import hash_pair
-from ..filters.quotient import QuotientFilter
-from ..filters.xorfilter import XorConstructionError, XorFilter
 from ..obs import MetricsRegistry, active
 
 __all__ = [
@@ -59,14 +53,10 @@ __all__ = [
     "ExactAuxTable",
     "BloomAuxTable",
     "CuckooAuxTable",
-    "QuotientAuxTable",
-    "XorAuxTable",
     "CsfAuxTable",
-    "RankXorAuxTable",
     "AUX_BACKENDS",
-    "AuxBackendPolicy",
+    "AUTO_BACKENDS",
     "build_sealed_aux",
-    "estimate_backend",
     "make_aux_table",
     "aux_to_blob",
     "aux_from_blob",
@@ -115,14 +105,38 @@ def _unpack_bits(data: bytes, count: int, bits: int) -> np.ndarray:
     return (bitmat << np.arange(bits, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
 
 
+def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
+    """The chunks as one array (an empty list as an empty ``dtype`` array)."""
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=dtype)
+
+
+def _packed_bytes(count: int, bits: int) -> int:
+    """Length of `_pack_bits` output for ``count`` values of ``bits`` bits."""
+    return -(-count * bits // 8)
+
+
+def _int_field(header: dict, name: str, lo: int = 0, hi: int = 1 << 62) -> int:
+    """Required integer blob-header field in ``[lo, hi]``.  The header is
+    bytes another process wrote, so a missing, retyped or out-of-range
+    field is a `ValueError` here rather than whatever the first array
+    operation on it would raise (the default ``hi`` leaves room for the
+    small offsets hashing adds to a seed before its uint64 cast)."""
+    value = header.get(name)
+    if type(value) is not int or not lo <= value <= hi:
+        raise ValueError(
+            f"aux blob header field {name!r} must be an integer in [{lo}, {hi}], got {value!r}"
+        )
+    return value
+
+
 class AuxTable(ABC):
     """Common interface over the four backends.
 
     Probe accounting lives here: the public `candidate_ranks` /
-    `candidate_counts` wrap backend-specific ``_candidate_*`` hooks and
-    report probes, candidates returned, and false candidates (everything
-    beyond the one true rank) into the optional metrics registry, so
-    every backend is measured identically.
+    `candidates_many` / `candidate_counts` wrap backend-specific
+    ``_candidate_*`` hooks and report probes, candidates returned, and
+    false candidates (everything beyond the one true rank) into the
+    optional metrics registry, so every backend is measured identically.
     """
 
     backend = "abstract"
@@ -154,6 +168,14 @@ class AuxTable(ABC):
         """Backend lookup for `candidate_ranks` (uninstrumented)."""
 
     @abstractmethod
+    def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Backend lookup for `candidates_many` (uninstrumented)."""
+
+    @abstractmethod
+    def _candidate_counts(self, keys: np.ndarray) -> np.ndarray:
+        """Backend lookup for `candidate_counts` (uninstrumented)."""
+
+    @abstractmethod
     def to_bytes(self) -> bytes:
         """Serialized index payload (what lands on storage)."""
 
@@ -162,20 +184,31 @@ class AuxTable(ABC):
     def size_bytes(self) -> int:
         """On-storage index size in bytes."""
 
+    @abstractmethod
+    def state(self) -> tuple[dict, bytes]:
+        """This backend's half of `aux_to_blob`: the header fields that
+        rebuild the probing structure, and the payload bytes.  The payload
+        is `to_bytes` for every backend except exact, which prefixes its
+        keys; space accounting always uses `size_bytes`, never the blob
+        length."""
+
+    @classmethod
+    @abstractmethod
+    def from_state(
+        cls, nparts: int, nkeys: int, header: dict, payload: bytes, **obs_kwargs
+    ) -> "AuxTable":
+        """Inverse of `state`, for `aux_from_blob` (which has checked the two
+        counts): validate this backend's header fields and the payload
+        length they imply *before* allocating anything sized from them,
+        then rebuild the table.  Every rejection is a `ValueError`."""
+
     def finalize(self) -> None:
         """Freeze the table for sealing.  Dynamic backends are built
-        incrementally and need nothing here; static backends (xor, csf,
-        rankxor) construct their structure from the buffered mappings and
-        reject further inserts.  Construction failures (peeling, conflicting
+        incrementally and need nothing here; the static backend (csf)
+        constructs its structure from the buffered mappings and rejects
+        further inserts.  Construction failures (peeling, conflicting
         duplicates) surface here, *before* the blob is sealed — which is what
         lets `build_sealed_aux` fall back to another backend."""
-
-    def _blob_payload(self) -> bytes:
-        """Payload bytes for `aux_to_blob`.  Defaults to the on-storage
-        index (`to_bytes`); backends whose probing structure needs more than
-        the index to rebuild (exact: the keys) override this.  Space
-        accounting always uses `size_bytes`, never the blob length."""
-        return self.to_bytes()
 
     def candidate_ranks(self, key: int) -> np.ndarray:
         """Sorted distinct ranks that *may* hold the key (must include the
@@ -217,20 +250,6 @@ class AuxTable(ABC):
             self._m_false.inc(extra)
         return counts, flat
 
-    def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Backend hook for `candidates_many`; the default walks per key."""
-        parts = [self._candidate_ranks(int(k)) for k in keys]
-        counts = np.asarray([len(p) for p in parts], dtype=np.int64)
-        flat = (
-            np.concatenate(parts).astype(np.int64)
-            if parts
-            else np.zeros(0, dtype=np.int64)
-        )
-        return counts, flat
-
-    def _candidate_counts(self, keys: np.ndarray) -> np.ndarray:
-        return np.asarray([len(self._candidate_ranks(int(k))) for k in keys], dtype=np.int64)
-
     def record_structure_metrics(self) -> None:
         """Snapshot structural gauges (called once, when the table is
         persisted).  Subclasses add backend-specific gauges."""
@@ -262,9 +281,14 @@ class ExactAuxTable(AuxTable):
     """
 
     POINTER_BYTES = 12
+    _POINTER = np.dtype([("rank", "<u4"), ("offset", "<u8")])  # packed: 12 B
     backend = "exact"
 
-    def __init__(self, nparts: int, **obs_kwargs):
+    def __init__(
+        self, nparts: int, capacity_hint: int | None = None, seed: int = 0, **obs_kwargs
+    ):
+        # Exact pointers are neither sized nor hashed: the hint and the seed
+        # are accepted for the registry's uniform signature and unused.
         super().__init__(nparts, **obs_kwargs)
         self._key_chunks: list[np.ndarray] = []
         self._rank_chunks: list[np.ndarray] = []
@@ -292,16 +316,8 @@ class ExactAuxTable(AuxTable):
 
     def _ensure_sorted(self) -> tuple[np.ndarray, np.ndarray]:
         if self._sorted is None:
-            keys = (
-                np.concatenate(self._key_chunks)
-                if self._key_chunks
-                else np.zeros(0, dtype=np.uint64)
-            )
-            ranks = (
-                np.concatenate(self._rank_chunks)
-                if self._rank_chunks
-                else np.zeros(0, dtype=np.uint32)
-            )
+            keys = _concat(self._key_chunks, np.uint64)
+            ranks = _concat(self._rank_chunks, np.uint32)
             order = np.argsort(keys, kind="stable")
             self._sorted = (keys[order], ranks[order])
         return self._sorted
@@ -328,34 +344,34 @@ class ExactAuxTable(AuxTable):
         if (span <= 1).all():  # no duplicated keys: one rank slice suffices
             return span, ranks[lo[span == 1]].astype(np.int64)
         parts = [np.unique(ranks[l:h]).astype(np.int64) for l, h in zip(lo, hi)]
-        counts = np.asarray([len(p) for p in parts], dtype=np.int64)
-        flat = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        return counts, flat
+        return np.asarray([len(p) for p in parts], dtype=np.int64), _concat(parts, np.int64)
 
     def to_bytes(self) -> bytes:
-        ranks = (
-            np.concatenate(self._rank_chunks) if self._rank_chunks else np.zeros(0, np.uint32)
-        )
-        offsets = (
-            np.concatenate(self._offset_chunks)
-            if self._offset_chunks
-            else np.zeros(0, np.uint64)
-        )
-        out = np.zeros(ranks.size * self.POINTER_BYTES, dtype=np.uint8)
-        view = out.reshape(-1, self.POINTER_BYTES)
-        view[:, :4] = ranks.astype("<u4").view(np.uint8).reshape(-1, 4)
-        view[:, 4:] = offsets.astype("<u8").view(np.uint8).reshape(-1, 8)
-        return out.tobytes()
+        ranks = _concat(self._rank_chunks, np.uint32)
+        offsets = _concat(self._offset_chunks, np.uint64)
+        ptrs = np.empty(ranks.size, dtype=self._POINTER)
+        ptrs["rank"], ptrs["offset"] = ranks, offsets
+        return ptrs.tobytes()
 
-    def _blob_payload(self) -> bytes:
+    def state(self) -> tuple[dict, bytes]:
         # The 12-byte pointers alone can't answer candidate_ranks after a
         # reload (probing needs the keys), so the blob carries the keys in
         # insertion order ahead of the index.  size_bytes still counts only
         # the pointers — the keys live in the data extents regardless.
-        keys = (
-            np.concatenate(self._key_chunks) if self._key_chunks else np.zeros(0, np.uint64)
-        )
-        return keys.astype("<u8").tobytes() + self.to_bytes()
+        keys = _concat(self._key_chunks, np.uint64)
+        return {}, keys.astype("<u8").tobytes() + self.to_bytes()
+
+    @classmethod
+    def from_state(cls, nparts, nkeys, header, payload, **obs_kwargs) -> "ExactAuxTable":
+        want = nkeys * (8 + cls.POINTER_BYTES)
+        if len(payload) != want:
+            raise ValueError(f"exact payload is {len(payload)} B, expected {want}")
+        aux = cls(nparts, **obs_kwargs)
+        keys = np.frombuffer(payload[: nkeys * 8], dtype="<u8").astype(np.uint64)
+        ptrs = np.frombuffer(payload[nkeys * 8 :], dtype=cls._POINTER)
+        if nkeys:  # insert_many rejects a rank >= nparts
+            aux.insert_many(keys, ptrs["rank"].astype(np.uint64), offsets=ptrs["offset"])
+        return aux
 
     @property
     def size_bytes(self) -> int:
@@ -370,12 +386,14 @@ class BloomAuxTable(AuxTable):
     def __init__(
         self,
         nparts: int,
-        capacity_hint: int,
+        capacity_hint: int | None = None,
         bits_per_key: float | None = None,
         seed: int = 0,
         **obs_kwargs,
     ):
         super().__init__(nparts, **obs_kwargs)
+        if capacity_hint is None:
+            capacity_hint = 1024
         if capacity_hint <= 0:
             raise ValueError("capacity_hint must be positive")
         self.bits_per_key = bloom_bits_per_key(nparts) if bits_per_key is None else bits_per_key
@@ -386,16 +404,15 @@ class BloomAuxTable(AuxTable):
         self._filter.add_many(hash_pair(keys, ranks))
         self._nkeys += keys.size
 
-    def _hits_matrix(self, keys: np.ndarray, rank_lo: int, rank_hi: int) -> np.ndarray:
-        """Membership of every ``key‖rank`` digest for ranks in
-        ``[rank_lo, rank_hi)`` — one vectorized pass, shape
-        ``(len(keys), rank_hi - rank_lo)``."""
-        ranks = np.arange(rank_lo, rank_hi, dtype=np.uint64)
+    def _hits_matrix(self, keys: np.ndarray) -> np.ndarray:
+        """Membership of every ``key‖rank`` digest — one vectorized pass,
+        shape ``(len(keys), nparts)``."""
+        ranks = np.arange(self.nparts, dtype=np.uint64)
         digests = hash_pair(np.repeat(keys, ranks.size), np.tile(ranks, keys.size))
         return self._filter.contains_many(digests).reshape(keys.size, ranks.size)
 
     def _candidate_ranks(self, key: int) -> np.ndarray:
-        hits = self._hits_matrix(np.asarray([key], dtype=np.uint64), 0, self.nparts)
+        hits = self._hits_matrix(np.asarray([key], dtype=np.uint64))
         return np.nonzero(hits[0])[0].astype(np.int64)
 
     def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,12 +423,11 @@ class BloomAuxTable(AuxTable):
         chunk = max(1, (1 << 22) // max(1, self.nparts))
         for start in range(0, keys.size, chunk):
             sub = keys[start : start + chunk]
-            hits = self._hits_matrix(sub, 0, self.nparts)
+            hits = self._hits_matrix(sub)
             rows, ranks = np.nonzero(hits)  # row-major: ranks ascend per key
             counts[start : start + sub.size] = np.bincount(rows, minlength=sub.size)
             flats.append(ranks.astype(np.int64))
-        flat = np.concatenate(flats) if flats else np.zeros(0, dtype=np.int64)
-        return counts, flat
+        return counts, _concat(flats, np.int64)
 
     def _candidate_counts(
         self, keys: np.ndarray, exhaustive_limit: int = 1 << 16, sample_ranks: int = 4096
@@ -425,14 +441,7 @@ class BloomAuxTable(AuxTable):
         unbiased, and documented in EXPERIMENTS.md.
         """
         if self.nparts <= exhaustive_limit:
-            counts = np.zeros(keys.size, dtype=np.int64)
-            chunk = max(1, (1 << 22) // max(1, self.nparts))
-            for start in range(0, keys.size, chunk):
-                sub = keys[start : start + chunk]
-                counts[start : start + sub.size] = self._hits_matrix(
-                    sub, 0, self.nparts
-                ).sum(axis=1)
-            return counts
+            return self._candidates_many(keys)[0]
         rng = np.random.default_rng(0xA137)
         sample = rng.integers(0, self.nparts, size=sample_ranks, dtype=np.uint64)
         digests = hash_pair(np.repeat(keys, sample.size), np.tile(sample, keys.size))
@@ -445,6 +454,31 @@ class BloomAuxTable(AuxTable):
     def to_bytes(self) -> bytes:
         return self._filter.to_bytes()
 
+    def state(self) -> tuple[dict, bytes]:
+        f = self._filter
+        fields = dict(
+            nbits=f.nbits, nhashes=f.nhashes, seed=f.seed, bits_per_key=self.bits_per_key
+        )
+        return fields, self.to_bytes()
+
+    @classmethod
+    def from_state(cls, nparts, nkeys, header, payload, **obs_kwargs) -> "BloomAuxTable":
+        seed = _int_field(header, "seed")
+        nbits = _int_field(header, "nbits", 64)
+        # More probes than bits is no filter `from_bits_per_key` builds, and
+        # a probe allocates keys x nhashes positions.
+        nhashes = _int_field(header, "nhashes", 1, nbits)
+        bits_per_key = header.get("bits_per_key")
+        if type(bits_per_key) not in (int, float) or not 0 < bits_per_key < math.inf:
+            raise ValueError(f"bloom bits_per_key must be positive, got {bits_per_key!r}")
+        if nbits % 64 or len(payload) != nbits // 8:
+            raise ValueError(f"bloom payload is {len(payload)} B, header says {nbits} bits")
+        bits_per_key = float(bits_per_key)
+        aux = cls(nparts, capacity_hint=1, bits_per_key=bits_per_key, seed=seed, **obs_kwargs)
+        aux._filter = BloomFilter.from_bytes(payload, nhashes, seed=seed, count=nkeys)
+        aux._nkeys = nkeys
+        return aux
+
     @property
     def size_bytes(self) -> int:
         return self._filter.size_bytes
@@ -454,6 +488,7 @@ class CuckooAuxTable(AuxTable):
     """Filter–index hybrid on partial-key cuckoo hash tables (§IV-B)."""
 
     backend = "cuckoo"
+    MAX_CHAIN = 64  # tables `from_state` accepts; a planned chain halves, so no build nears it
 
     def __init__(
         self,
@@ -509,122 +544,71 @@ class CuckooAuxTable(AuxTable):
             parts.append(_pack_bits(slots.ravel(), width))
         return b"".join(parts)
 
+    def state(self) -> tuple[dict, bytes]:
+        t = self._table
+        fields = dict(
+            fp_bits=t.fp_bits,
+            value_bits=t.value_bits,
+            slots_per_bucket=t.slots_per_bucket,
+            max_kicks=t.max_kicks,
+            seed=t.seed,
+            nbuckets=[pt.nbuckets for pt in t.tables],
+        )
+        return fields, self.to_bytes()
+
+    @classmethod
+    def from_state(cls, nparts, nkeys, header, payload, **obs_kwargs) -> "CuckooAuxTable":
+        fp_bits = _int_field(header, "fp_bits", 1, 32)
+        value_bits = _int_field(header, "value_bits", rank_bits(nparts), rank_bits(nparts))
+        spb = _int_field(header, "slots_per_bucket", 1, 256)
+        max_kicks = _int_field(header, "max_kicks")
+        seed = _int_field(header, "seed")
+        nbuckets = header.get("nbuckets")
+        if (
+            type(nbuckets) is not list
+            or not 1 <= len(nbuckets) <= cls.MAX_CHAIN
+            or any(type(nb) is not int or nb < 1 or nb & (nb - 1) for nb in nbuckets)
+        ):
+            raise ValueError(
+                f"cuckoo nbuckets must list 1..{cls.MAX_CHAIN} positive powers of two, "
+                f"got {nbuckets!r}"
+            )
+        # Every table's packed length, in Python ints: a header naming 2^36
+        # buckets is refused here, against the bytes actually present.
+        width = fp_bits + value_bits
+        sizes = [_packed_bytes(nb * spb, width) for nb in nbuckets]
+        if sum(sizes) != len(payload):
+            raise ValueError(
+                f"cuckoo payload is {len(payload)} B, header geometry implies {sum(sizes)}"
+            )
+        aux = cls(nparts, fp_bits=fp_bits, seed=seed, slots_per_bucket=spb, **obs_kwargs)
+        chained = aux._table
+        chained.max_kicks = max_kicks
+        chained.tables = []
+        off = 0
+        for i, (nb, nbytes) in enumerate(zip(nbuckets, sizes)):
+            slots = _unpack_bits(payload[off : off + nbytes], nb * spb, width)
+            off += nbytes
+            fps = slots >> np.uint64(value_bits)
+            vals = slots & np.uint64((1 << value_bits) - 1)
+            if (vals[fps != 0] >= np.uint64(nparts)).any():
+                raise ValueError(f"cuckoo table {i} stores a rank >= {nparts} partitions")
+            chained.tables.append(
+                PartialKeyCuckooTable.from_arrays(
+                    fps.astype(np.uint32).reshape(nb, spb),
+                    vals.astype(np.uint32).reshape(nb, spb),
+                    fp_bits=fp_bits,
+                    value_bits=value_bits,
+                    max_kicks=max_kicks,
+                    seed=seed + i,
+                )
+            )
+        aux._nkeys = nkeys
+        return aux
+
     @property
     def size_bytes(self) -> int:
         return self._table.size_bytes
-
-    @property
-    def utilization(self) -> float:
-        return self._table.stats.utilization
-
-
-class QuotientAuxTable(AuxTable):
-    """Quotient-filter aux table probed per rank (related work, §VI)."""
-
-    backend = "quotient"
-
-    def __init__(
-        self,
-        nparts: int,
-        capacity_hint: int,
-        rbits: int | None = None,
-        seed: int = 0,
-        **obs_kwargs,
-    ):
-        super().__init__(nparts, **obs_kwargs)
-        if capacity_hint <= 0:
-            raise ValueError("capacity_hint must be positive")
-        qbits = max(4, math.ceil(math.log2(capacity_hint / 0.75)))
-        self.rbits = rbits if rbits is not None else max(4, rank_bits(nparts))
-        self._filter = QuotientFilter(qbits=qbits, rbits=self.rbits, seed=seed)
-
-    def insert_many(self, keys: np.ndarray, src_ranks: np.ndarray | int) -> None:
-        keys, ranks = self._check_insert(keys, src_ranks)
-        digests = hash_pair(keys, ranks)
-        for d in digests:
-            self._filter.add(int(d))
-        self._nkeys += keys.size
-
-    def _candidate_ranks(self, key: int) -> np.ndarray:
-        ranks = np.arange(self.nparts, dtype=np.uint64)
-        digests = hash_pair(np.full(self.nparts, key, dtype=np.uint64), ranks)
-        hits = self._filter.contains_many(digests)
-        return np.nonzero(hits)[0].astype(np.int64)
-
-    def to_bytes(self) -> bytes:
-        meta = (
-            self._filter._occ.astype(np.uint64)
-            | (self._filter._cont.astype(np.uint64) << np.uint64(1))
-            | (self._filter._shift.astype(np.uint64) << np.uint64(2))
-        )
-        slots = (self._filter._rem.astype(np.uint64) << np.uint64(3)) | meta
-        return _pack_bits(slots, self.rbits + 3)
-
-    @property
-    def size_bytes(self) -> int:
-        return self._filter.size_bytes
-
-
-class XorAuxTable(AuxTable):
-    """Static xor-filter aux table (extension beyond the paper).
-
-    An in-situ epoch's key→rank mappings are immutable once the burst
-    ends, which is exactly the regime xor filters excel at: ~1.23·fp_bits
-    bits per mapping with fpr ``2^-fp_bits``.  Mappings are buffered during
-    the shuffle and the filter is built lazily at the first query (or an
-    explicit `finalize()`); like the Bloom design, a query exhaustively
-    probes every candidate rank.
-    """
-
-    backend = "xor"
-
-    def __init__(self, nparts: int, fp_bits: int = 8, seed: int = 0, **obs_kwargs):
-        super().__init__(nparts, **obs_kwargs)
-        self.fp_bits = fp_bits
-        self.seed = seed
-        self._pending: list[np.ndarray] = []
-        self._filter: XorFilter | None = None
-        self._finalized = False
-
-    def insert_many(self, keys: np.ndarray, src_ranks: np.ndarray | int) -> None:
-        if self._finalized:
-            raise ValueError("xor aux table already finalized (static filter)")
-        keys, ranks = self._check_insert(keys, src_ranks)
-        self._pending.append(hash_pair(keys, ranks))
-        self._nkeys += keys.size
-
-    def finalize(self) -> None:
-        """Build the static filter from every buffered mapping.  An empty
-        table (compaction seals aux blobs for keyless partitions) stays
-        filterless and answers no candidates."""
-        if self._finalized:
-            return
-        if self._pending:
-            digests = np.concatenate(self._pending)
-            self._filter = XorFilter(digests, fp_bits=self.fp_bits, seed=self.seed)
-            self._pending.clear()
-        self._finalized = True
-
-    def _candidate_ranks(self, key: int) -> np.ndarray:
-        self.finalize()
-        if self._filter is None:
-            return np.zeros(0, dtype=np.int64)
-        ranks = np.arange(self.nparts, dtype=np.uint64)
-        digests = hash_pair(np.full(self.nparts, key, dtype=np.uint64), ranks)
-        return np.nonzero(self._filter.contains_many(digests))[0].astype(np.int64)
-
-    def to_bytes(self) -> bytes:
-        self.finalize()
-        if self._filter is None:
-            return b""
-        # Dense fp_bits-wide packing: exactly size_bytes, and decodable —
-        # `aux_from_blob` reloads the slot array from this.
-        return _pack_bits(self._filter._slots, self.fp_bits)
-
-    @property
-    def size_bytes(self) -> int:
-        self.finalize()
-        return self._filter.size_bytes if self._filter is not None else 0
 
 
 class CsfAuxTable(AuxTable):
@@ -651,10 +635,13 @@ class CsfAuxTable(AuxTable):
     def __init__(
         self,
         nparts: int,
+        capacity_hint: int | None = None,
         fp_bits: int | None = None,
         seed: int = 0,
         **obs_kwargs,
     ):
+        # Built from the sealed key set at `finalize()`: the hint is accepted
+        # for the registry's uniform signature and unused.
         super().__init__(nparts, **obs_kwargs)
         self.fp_bits = csf_fp_bits(nparts) if fp_bits is None else int(fp_bits)
         self.value_bits = rank_bits(nparts)
@@ -734,108 +721,73 @@ class CsfAuxTable(AuxTable):
             return b""
         return _pack_bits(self._maplet._slots, self._maplet.slot_bits)
 
+    def state(self) -> tuple[dict, bytes]:
+        self.finalize()
+        m = self._maplet
+        # seed is the *final* seed construction settled on, so the reload
+        # recomputes the same slot positions without re-peeling.
+        fields = dict(
+            fp_bits=self.fp_bits,
+            value_bits=self.value_bits,
+            seed=m.seed if m is not None else self.seed,
+            segment=m.nslots // 3 if m is not None else 0,
+            fnkeys=m.nkeys if m is not None else 0,
+        )
+        return fields, self.to_bytes()
+
+    @classmethod
+    def from_state(cls, nparts, nkeys, header, payload, **obs_kwargs) -> "CsfAuxTable":
+        fp_bits = _int_field(header, "fp_bits", 1, 32)
+        value_bits = _int_field(header, "value_bits", rank_bits(nparts), rank_bits(nparts))
+        seed = _int_field(header, "seed")
+        segment = _int_field(header, "segment")
+        fnkeys = _int_field(header, "fnkeys")
+        width = fp_bits + value_bits
+        want = _packed_bytes(3 * segment, width)  # 0 for the keyless table
+        if len(payload) != want:
+            raise ValueError(f"csf payload is {len(payload)} B, expected {want}")
+        aux = cls(nparts, fp_bits=fp_bits, seed=seed, **obs_kwargs)
+        if segment:
+            slots = _unpack_bits(payload, 3 * segment, width)
+            aux._maplet = XorMaplet.from_state(slots, fnkeys, value_bits, fp_bits, seed)
+        aux._finalized = True
+        aux._nkeys = nkeys
+        return aux
+
     @property
     def size_bytes(self) -> int:
         self.finalize()
         return self._maplet.size_bytes if self._maplet is not None else 0
 
 
-class RankXorAuxTable(AuxTable):
-    """Rank-partitioned compact maplet: one xor-filter bank per rank.
 
-    Instead of one structure over ``key‖rank`` digests, each rank gets its
-    own static xor filter holding exactly the keys it owns; a query tests
-    the key against every bank.  Same exhaustive-probe shape as the Bloom
-    design, but at ~1.23·fp_bits bits per key (each key occupies one bank)
-    with per-bank fpr ``2^-fp_bits``.  Unlike the CSF this is a *multi*
-    maplet — a key written by several ranks is simply a member of several
-    banks — so it is the static fallback when CSF's one-rank-per-key
-    invariant doesn't hold.
-    """
 
-    backend = "rankxor"
+# Backend registry: name → class.  Registering a class here is the one line
+# that opts it into the factory, the blob codec, the CLI choices AND the
+# cross-backend parity and fuzz tests.
+AUX_BACKENDS: dict[str, type[AuxTable]] = {
+    cls.backend: cls for cls in (ExactAuxTable, BloomAuxTable, CuckooAuxTable, CsfAuxTable)
+}
 
-    def __init__(self, nparts: int, fp_bits: int = 8, seed: int = 0, **obs_kwargs):
-        super().__init__(nparts, **obs_kwargs)
-        self.fp_bits = int(fp_bits)
-        self.seed = seed
-        self._pending_keys: list[np.ndarray] = []
-        self._pending_ranks: list[np.ndarray] = []
-        self._banks: list[XorFilter | None] | None = None
+# What ``--aux-backend auto`` means: the tournament's winner
+# (`benchmarks/results/aux_tournament.txt`), then the paper's table, which
+# builds for any key set — the CSF refuses one mapping a key to two ranks.
+AUTO_BACKENDS = ("csf", "cuckoo")
 
-    def insert_many(self, keys: np.ndarray, src_ranks: np.ndarray | int) -> None:
-        if self._banks is not None:
-            raise ValueError("rankxor aux table already finalized (static banks)")
-        keys, ranks = self._check_insert(keys, src_ranks)
-        self._pending_keys.append(keys.copy())
-        self._pending_ranks.append(ranks.astype(np.uint64))
-        self._nkeys += keys.size
 
-    def finalize(self) -> None:
-        if self._banks is not None:
-            return
-        banks: list[XorFilter | None] = [None] * self.nparts
-        if self._pending_keys:
-            keys = np.concatenate(self._pending_keys)
-            ranks = np.concatenate(self._pending_ranks)
-            for r in np.unique(ranks):
-                owned = keys[ranks == r]
-                # Per-bank seed: banks must hash independently or one
-                # unlucky key set would collide identically everywhere.
-                banks[int(r)] = XorFilter(
-                    owned, fp_bits=self.fp_bits, seed=self.seed + int(r)
-                )
-            self._pending_keys.clear()
-            self._pending_ranks.clear()
-        self._banks = banks
-
-    def _hits_matrix(self, keys: np.ndarray) -> np.ndarray:
-        self.finalize()
-        hits = np.zeros((keys.size, self.nparts), dtype=bool)
-        for r, bank in enumerate(self._banks):
-            if bank is not None:
-                hits[:, r] = bank.contains_many(keys)
-        return hits
-
-    def _candidate_ranks(self, key: int) -> np.ndarray:
-        hits = self._hits_matrix(np.asarray([key], dtype=np.uint64))
-        return np.nonzero(hits[0])[0].astype(np.int64)
-
-    def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hits = self._hits_matrix(keys)
-        rows, ranks = np.nonzero(hits)  # row-major: ranks ascend per key
-        counts = np.bincount(rows, minlength=keys.size).astype(np.int64)
-        return counts, ranks.astype(np.int64)
-
-    def _candidate_counts(self, keys: np.ndarray) -> np.ndarray:
-        return self._hits_matrix(keys).sum(axis=1).astype(np.int64)
-
-    def record_structure_metrics(self) -> None:
-        super().record_structure_metrics()
-        self.finalize()
-        labels = dict(backend=self.backend, **self._labels)
-        nbanks = sum(1 for b in self._banks if b is not None)
-        self.metrics.gauge("aux.rankxor.banks", **labels).set(nbanks)
-
-    def to_bytes(self) -> bytes:
-        self.finalize()
-        return b"".join(
-            _pack_bits(b._slots, self.fp_bits) for b in self._banks if b is not None
-        )
-
-    @property
-    def size_bytes(self) -> int:
-        self.finalize()
-        return sum(b.size_bytes for b in self._banks if b is not None)
+def make_aux_table(
+    backend: str, nparts: int, capacity_hint: int | None = None, seed: int = 0, **kwargs
+) -> AuxTable:
+    """Factory over `AUX_BACKENDS`: exact | bloom | cuckoo | csf.  ``kwargs``
+    are ``metrics`` / ``metric_labels`` and the backend's own parameters."""
+    cls = AUX_BACKENDS.get(backend)
+    if cls is None:
+        raise ValueError(f"unknown aux-table backend {backend!r}")
+    return cls(nparts, capacity_hint=capacity_hint, seed=seed, **kwargs)
 
 
 _BLOB_HDR = struct.Struct("<I")  # length of the JSON header that follows
-
-
-# Blob format versions.  v1 (no "v" key): cuckoo and bloom only.  v2 adds
-# the explicit tag plus reload geometry for exact/quotient/xor/csf/rankxor.
-# Readers accept any version ≤ _BLOB_VERSION; v1 blobs load unchanged.
-_BLOB_VERSION = 2
+_BLOB_VERSION = 2  # the header's mandatory "v" tag; the only version read
 
 
 def aux_to_blob(aux: AuxTable) -> bytes:
@@ -843,67 +795,15 @@ def aux_to_blob(aux: AuxTable) -> bytes:
 
     This is what lands in an ``aux.<epoch>.<rank>`` extent (sealed by the
     pipeline), and what `aux_from_blob` reloads after a restart.  The
-    payload bytes are `AuxTable._blob_payload` — `to_bytes` for every
-    backend except exact, which prefixes its keys — and the header adds
-    the construction parameters needed to rebuild the probing structure.
-    Serialization finalizes static backends as a side effect.
+    framing is here; the backend-specific header fields and the payload
+    are the table's own `AuxTable.state`.  Serialization finalizes static
+    backends as a side effect.
     """
     aux.finalize()
-    header: dict = {
-        "v": _BLOB_VERSION,
-        "backend": aux.backend,
-        "nparts": aux.nparts,
-        "nkeys": len(aux),
-    }
-    if isinstance(aux, CuckooAuxTable):
-        t = aux._table
-        header.update(
-            fp_bits=t.fp_bits,
-            value_bits=t.value_bits,
-            slots_per_bucket=t.slots_per_bucket,
-            max_kicks=t.max_kicks,
-            seed=t.seed,
-            nbuckets=[pt.nbuckets for pt in t.tables],
-        )
-    elif isinstance(aux, BloomAuxTable):
-        f = aux._filter
-        header.update(
-            nbits=f.nbits, nhashes=f.nhashes, seed=f.seed, bits_per_key=aux.bits_per_key
-        )
-    elif isinstance(aux, QuotientAuxTable):
-        f = aux._filter
-        header.update(qbits=f.qbits, rbits=f.rbits, seed=f.seed, count=f._count)
-    elif isinstance(aux, XorAuxTable):
-        f = aux._filter
-        # seed is the *final* seed construction settled on, so the reload
-        # recomputes the same slot positions without re-peeling.
-        header.update(
-            fp_bits=aux.fp_bits,
-            seed=f.seed if f is not None else aux.seed,
-            segment=f._segment if f is not None else 0,
-            fnkeys=f.nkeys if f is not None else 0,
-        )
-    elif isinstance(aux, CsfAuxTable):
-        m = aux._maplet
-        header.update(
-            fp_bits=aux.fp_bits,
-            value_bits=aux.value_bits,
-            seed=m.seed if m is not None else aux.seed,
-            segment=m._segment if m is not None else 0,
-            fnkeys=m.nkeys if m is not None else 0,
-        )
-    elif isinstance(aux, RankXorAuxTable):
-        header.update(
-            fp_bits=aux.fp_bits,
-            base_seed=aux.seed,
-            banks=[
-                [r, b.seed, b._segment, b.nkeys]
-                for r, b in enumerate(aux._banks)
-                if b is not None
-            ],
-        )
+    fields, payload = aux.state()
+    header = dict(fields, v=_BLOB_VERSION, backend=aux.backend, nparts=aux.nparts, nkeys=len(aux))
     hdr = json.dumps(header, sort_keys=True).encode()
-    return _BLOB_HDR.pack(len(hdr)) + hdr + aux._blob_payload()
+    return _BLOB_HDR.pack(len(hdr)) + hdr + payload
 
 
 def aux_from_blob(
@@ -916,8 +816,10 @@ def aux_from_blob(
     Every registered backend reloads exactly: the reloaded table answers
     the same candidate sets for every key, and re-serializing it
     reproduces the blob bit-for-bit (the parity harness asserts both).
-    Blobs from a future format version are rejected up front rather than
-    misread.
+    The blob may come from another process (the fleet router loads what a
+    shard sent): torn framing, a header that is no object, another or no
+    version tag, an unknown backend and whatever the backend's
+    `AuxTable.from_state` refuses are all a `ValueError`.
     """
     if len(blob) < _BLOB_HDR.size:
         raise ValueError(f"aux blob too short ({len(blob)} B)")
@@ -926,345 +828,50 @@ def aux_from_blob(
         raise ValueError("aux blob truncated inside header")
     try:
         header = json.loads(blob[_BLOB_HDR.size : _BLOB_HDR.size + hdr_len])
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8, bad JSON, nesting bomb
         raise ValueError(f"malformed aux blob header: {e}") from e
-    version = int(header.get("v", 1))
-    if version > _BLOB_VERSION:
+    if not isinstance(header, dict):
+        raise ValueError(f"aux blob header is a JSON {type(header).__name__}, not an object")
+    if header.get("v") != _BLOB_VERSION or type(header["v"]) is not int:
         raise ValueError(
-            f"aux blob format v{version} is newer than supported v{_BLOB_VERSION}"
+            f"aux blob version tag is {header.get('v')!r}; this reader supports only "
+            f"v{_BLOB_VERSION} (no tag: a blob older than the tag)"
         )
-    payload = blob[_BLOB_HDR.size + hdr_len :]
     backend = header.get("backend")
-    obs_kwargs = dict(metrics=metrics, metric_labels=metric_labels)
-    loader = _BLOB_LOADERS.get(backend)
-    if loader is None:
-        raise NotImplementedError(f"aux backend {backend!r} is not reloadable")
-    return loader(header, payload, obs_kwargs)
-
-
-def _cuckoo_from_blob(header: dict, payload: bytes, obs_kwargs: dict) -> "CuckooAuxTable":
-    fp_bits = int(header["fp_bits"])
-    value_bits = int(header["value_bits"])
-    spb = int(header["slots_per_bucket"])
-    seed = int(header["seed"])
-    aux = CuckooAuxTable(
-        int(header["nparts"]),
-        fp_bits=fp_bits,
-        seed=seed,
-        slots_per_bucket=spb,
-        **obs_kwargs,
+    cls = AUX_BACKENDS.get(backend) if isinstance(backend, str) else None
+    if cls is None:
+        raise ValueError(f"aux blob names unknown backend {backend!r}")
+    nparts = _int_field(header, "nparts", 1, 1 << 32)  # ranks are 32-bit everywhere
+    nkeys = _int_field(header, "nkeys")
+    payload = blob[_BLOB_HDR.size + hdr_len :]
+    return cls.from_state(
+        nparts, nkeys, header, payload, metrics=metrics, metric_labels=metric_labels
     )
-    chained = aux._table
-    chained.max_kicks = int(header["max_kicks"])
-    chained.tables = []
-    width = fp_bits + value_bits
-    vmask = np.uint64((1 << value_bits) - 1)
-    off = 0
-    for i, nb in enumerate(header["nbuckets"]):
-        pt = PartialKeyCuckooTable(
-            int(nb),
-            fp_bits=fp_bits,
-            value_bits=value_bits,
-            slots_per_bucket=spb,
-            max_kicks=chained.max_kicks,
-            seed=seed + i,
-        )
-        nslots = pt.capacity_slots
-        nbytes = math.ceil(nslots * width / 8)
-        if off + nbytes > len(payload):
-            raise ValueError(f"aux blob payload truncated at table {i}")
-        slots = _unpack_bits(payload[off : off + nbytes], nslots, width)
-        off += nbytes
-        fps = (slots >> np.uint64(value_bits)).astype(np.uint32).reshape(pt.nbuckets, spb)
-        vals = (slots & vmask).astype(np.uint32).reshape(pt.nbuckets, spb)
-        pt._fps = fps
-        pt._vals = vals
-        # Occupied slots are packed from slot 0 in every bucket, so the
-        # occupancy vector is recomputable from the stored fingerprints.
-        pt._occ = (fps != 0).sum(axis=1).astype(np.int64)
-        pt._nkeys = int(pt._occ.sum())
-        chained.tables.append(pt)
-    if off != len(payload):
-        raise ValueError(
-            f"aux blob has {len(payload) - off} trailing payload byte(s)"
-        )
-    aux._nkeys = int(header["nkeys"])
-    return aux
-
-
-def _bloom_from_blob(header: dict, payload: bytes, obs_kwargs: dict) -> "BloomAuxTable":
-    nkeys = int(header["nkeys"])
-    aux = BloomAuxTable(
-        int(header["nparts"]),
-        capacity_hint=max(1, nkeys),
-        bits_per_key=float(header["bits_per_key"]),
-        seed=int(header["seed"]),
-        **obs_kwargs,
-    )
-    if len(payload) != int(header["nbits"]) // 8:
-        raise ValueError(
-            f"bloom payload is {len(payload)} B, expected {int(header['nbits']) // 8}"
-        )
-    f = BloomFilter.from_bytes(payload, int(header["nhashes"]), seed=int(header["seed"]))
-    f._count = nkeys
-    aux._filter = f
-    aux._nkeys = nkeys
-    return aux
-
-
-def _exact_from_blob(header: dict, payload: bytes, obs_kwargs: dict) -> "ExactAuxTable":
-    nkeys = int(header["nkeys"])
-    want = nkeys * (8 + ExactAuxTable.POINTER_BYTES)
-    if len(payload) != want:
-        raise ValueError(f"exact payload is {len(payload)} B, expected {want}")
-    aux = ExactAuxTable(int(header["nparts"]), **obs_kwargs)
-    keys = np.frombuffer(payload[: nkeys * 8], dtype="<u8").astype(np.uint64)
-    ptrs = np.frombuffer(payload[nkeys * 8 :], dtype=np.uint8).reshape(
-        nkeys, ExactAuxTable.POINTER_BYTES
-    )
-    ranks = ptrs[:, :4].copy().view("<u4").ravel().astype(np.uint64)
-    offsets = ptrs[:, 4:].copy().view("<u8").ravel().astype(np.uint64)
-    if nkeys:
-        aux.insert_many(keys, ranks, offsets=offsets)
-    return aux
-
-
-def _quotient_from_blob(header: dict, payload: bytes, obs_kwargs: dict) -> "QuotientAuxTable":
-    qbits, rbits = int(header["qbits"]), int(header["rbits"])
-    aux = QuotientAuxTable(
-        int(header["nparts"]), capacity_hint=1, rbits=rbits, seed=int(header["seed"]), **obs_kwargs
-    )
-    f = QuotientFilter(qbits=qbits, rbits=rbits, seed=int(header["seed"]))
-    nbytes = -(-f.nslots * (rbits + 3) // 8)
-    if len(payload) != nbytes:
-        raise ValueError(f"quotient payload is {len(payload)} B, expected {nbytes}")
-    slots = _unpack_bits(payload, f.nslots, rbits + 3)
-    f._occ = (slots & np.uint64(1)).astype(bool)
-    f._cont = ((slots >> np.uint64(1)) & np.uint64(1)).astype(bool)
-    f._shift = ((slots >> np.uint64(2)) & np.uint64(1)).astype(bool)
-    f._rem = (slots >> np.uint64(3)).astype(np.uint32)
-    f._count = int(header["count"])
-    aux._filter = f
-    aux._nkeys = int(header["nkeys"])
-    return aux
-
-
-def _xor_from_blob(header: dict, payload: bytes, obs_kwargs: dict) -> "XorAuxTable":
-    fp_bits = int(header["fp_bits"])
-    aux = XorAuxTable(
-        int(header["nparts"]), fp_bits=fp_bits, seed=int(header["seed"]), **obs_kwargs
-    )
-    segment = int(header["segment"])
-    if segment:
-        nslots = 3 * segment
-        nbytes = -(-nslots * fp_bits // 8)
-        if len(payload) != nbytes:
-            raise ValueError(f"xor payload is {len(payload)} B, expected {nbytes}")
-        slots = _unpack_bits(payload, nslots, fp_bits).astype(np.uint32)
-        aux._filter = XorFilter.from_state(
-            slots, int(header["fnkeys"]), fp_bits, int(header["seed"])
-        )
-    elif payload:
-        raise ValueError(f"empty xor table has {len(payload)} trailing payload byte(s)")
-    aux._finalized = True
-    aux._nkeys = int(header["nkeys"])
-    return aux
-
-
-def _csf_from_blob(header: dict, payload: bytes, obs_kwargs: dict) -> "CsfAuxTable":
-    fp_bits = int(header["fp_bits"])
-    value_bits = int(header["value_bits"])
-    aux = CsfAuxTable(
-        int(header["nparts"]), fp_bits=fp_bits, seed=int(header["seed"]), **obs_kwargs
-    )
-    if aux.value_bits != value_bits:
-        raise ValueError(
-            f"csf blob stores {value_bits}-bit ranks but {header['nparts']} "
-            f"partitions need {aux.value_bits}"
-        )
-    segment = int(header["segment"])
-    if segment:
-        nslots = 3 * segment
-        width = fp_bits + value_bits
-        nbytes = -(-nslots * width // 8)
-        if len(payload) != nbytes:
-            raise ValueError(f"csf payload is {len(payload)} B, expected {nbytes}")
-        slots = _unpack_bits(payload, nslots, width)
-        aux._maplet = XorMaplet.from_state(
-            slots, int(header["fnkeys"]), value_bits, fp_bits, int(header["seed"])
-        )
-    elif payload:
-        raise ValueError(f"empty csf table has {len(payload)} trailing payload byte(s)")
-    aux._finalized = True
-    aux._nkeys = int(header["nkeys"])
-    return aux
-
-
-def _rankxor_from_blob(header: dict, payload: bytes, obs_kwargs: dict) -> "RankXorAuxTable":
-    fp_bits = int(header["fp_bits"])
-    aux = RankXorAuxTable(
-        int(header["nparts"]), fp_bits=fp_bits, seed=int(header["base_seed"]), **obs_kwargs
-    )
-    banks: list[XorFilter | None] = [None] * aux.nparts
-    off = 0
-    for r, seed, segment, fnkeys in header["banks"]:
-        nslots = 3 * int(segment)
-        nbytes = -(-nslots * fp_bits // 8)
-        if off + nbytes > len(payload):
-            raise ValueError(f"rankxor blob payload truncated at bank {r}")
-        slots = _unpack_bits(payload[off : off + nbytes], nslots, fp_bits).astype(np.uint32)
-        banks[int(r)] = XorFilter.from_state(slots, int(fnkeys), fp_bits, int(seed))
-        off += nbytes
-    if off != len(payload):
-        raise ValueError(f"rankxor blob has {len(payload) - off} trailing payload byte(s)")
-    aux._banks = banks
-    aux._nkeys = int(header["nkeys"])
-    return aux
-
-
-_BLOB_LOADERS = {
-    "exact": _exact_from_blob,
-    "bloom": _bloom_from_blob,
-    "cuckoo": _cuckoo_from_blob,
-    "quotient": _quotient_from_blob,
-    "xor": _xor_from_blob,
-    "csf": _csf_from_blob,
-    "rankxor": _rankxor_from_blob,
-}
-
-
-# Backend registry: name → constructor taking (nparts, capacity_hint, seed,
-# obs_kwargs, **kwargs).  The differential parity harness parametrizes over
-# this dict, so registering a backend here is the one line that opts it into
-# the factory, the CLI choices, AND the cross-backend oracle tests.
-AUX_BACKENDS = {
-    "exact": lambda nparts, cap, seed, obs, **kw: ExactAuxTable(nparts, **obs),
-    "bloom": lambda nparts, cap, seed, obs, **kw: BloomAuxTable(
-        nparts, cap or 1024, seed=seed, **obs, **kw
-    ),
-    "cuckoo": lambda nparts, cap, seed, obs, **kw: CuckooAuxTable(
-        nparts, cap, seed=seed, **obs, **kw
-    ),
-    "quotient": lambda nparts, cap, seed, obs, **kw: QuotientAuxTable(
-        nparts, cap or 1024, seed=seed, **obs, **kw
-    ),
-    "xor": lambda nparts, cap, seed, obs, **kw: XorAuxTable(nparts, seed=seed, **obs, **kw),
-    "csf": lambda nparts, cap, seed, obs, **kw: CsfAuxTable(nparts, seed=seed, **obs, **kw),
-    "rankxor": lambda nparts, cap, seed, obs, **kw: RankXorAuxTable(
-        nparts, seed=seed, **obs, **kw
-    ),
-}
-
-
-def make_aux_table(
-    backend: str,
-    nparts: int,
-    capacity_hint: int | None = None,
-    seed: int = 0,
-    metrics: MetricsRegistry | None = None,
-    metric_labels: dict | None = None,
-    **kwargs,
-) -> AuxTable:
-    """Factory over `AUX_BACKENDS`: exact | bloom | cuckoo | quotient |
-    xor | csf | rankxor."""
-    ctor = AUX_BACKENDS.get(backend)
-    if ctor is None:
-        raise ValueError(f"unknown aux-table backend {backend!r}")
-    obs_kwargs = dict(metrics=metrics, metric_labels=metric_labels)
-    return ctor(nparts, capacity_hint, seed, obs_kwargs, **kwargs)
-
-
-def estimate_backend(backend: str, nkeys: int, nparts: int) -> tuple[float, float]:
-    """Analytic ``(bits_per_key, amplification)`` estimate for one backend.
-
-    These are closed-form predictions — what the tournament bench measures
-    empirically — used by `AuxBackendPolicy` to rank backends without
-    building anything.  Amplification is candidates per present-key query.
-    """
-    rb = rank_bits(nparts)
-    if backend == "exact":
-        return 8.0 * ExactAuxTable.POINTER_BYTES, 1.0
-    if backend == "bloom":
-        bpk = bloom_bits_per_key(nparts)
-        fpr = 0.6185**bpk  # optimal-k Bloom fpr at this budget
-        return bpk, 1.0 + (nparts - 1) * fpr
-    if backend == "cuckoo":
-        # 4-bit fingerprints, ~0.95 utilization; a query scans two buckets
-        # of four slots against a 4-bit fingerprint.
-        return (4 + rb) / 0.95, 1.0 + 8 * 2.0**-4
-    if backend == "quotient":
-        rbits = max(4, rb)
-        return (rbits + 3) / 0.75, 1.0 + (nparts - 1) * 0.75 * 2.0**-rbits
-    if backend == "xor":
-        return 1.23 * 8, 1.0 + (nparts - 1) * 2.0**-8
-    if backend == "rankxor":
-        return 1.23 * 8, 1.0 + (nparts - 1) * 2.0**-8
-    if backend == "csf":
-        # Present keys decode to exactly their stored rank: amp is 1.0 by
-        # construction, and space rides the fused-slot width.
-        return 1.23 * (csf_fp_bits(nparts) + rb), 1.0
-    raise ValueError(f"unknown aux-table backend {backend!r}")
-
-
-class AuxBackendPolicy:
-    """Flush-time backend selection: the tournament, applied per epoch.
-
-    Ranks candidate backends by predicted cost (`estimate_backend`) and
-    `build_sealed_aux` walks the ranking, falling back when a static
-    construction legitimately refuses (conflicting duplicates for the CSF,
-    peeling failure).  The default candidate list ends in backends that
-    always build, so selection never fails.
-
-    ``amp_weight`` prices one extra partition probed per query in bits of
-    per-key space — it trades the router tier's memory (ROADMAP item 1)
-    against wasted partition reads.
-    """
-
-    DEFAULT_CANDIDATES = ("csf", "rankxor", "cuckoo", "bloom")
-
-    def __init__(
-        self,
-        candidates: tuple[str, ...] = DEFAULT_CANDIDATES,
-        amp_weight: float = 2.0,
-    ):
-        unknown = [c for c in candidates if c not in AUX_BACKENDS]
-        if unknown:
-            raise ValueError(f"unknown aux backends in policy: {unknown}")
-        if not candidates:
-            raise ValueError("policy needs at least one candidate backend")
-        self.candidates = tuple(candidates)
-        self.amp_weight = float(amp_weight)
-
-    def score(self, backend: str, nkeys: int, nparts: int) -> float:
-        bits, amp = estimate_backend(backend, nkeys, nparts)
-        return bits + self.amp_weight * (amp - 1.0)
-
-    def rank_backends(self, nkeys: int, nparts: int, epoch: int = 0) -> list[str]:
-        """Candidates ordered best-first for this epoch's key set.  Dynamic
-        backends (safe fallbacks — they always build) keep their relative
-        order after every static backend of equal score."""
-        return sorted(self.candidates, key=lambda b: self.score(b, nkeys, nparts))
 
 
 def build_sealed_aux(
     keys: np.ndarray,
     ranks: np.ndarray | int,
     nparts: int,
-    backends: list[str] | tuple[str, ...],
+    backends: tuple[str, ...],
     seed: int = 0,
     metrics: MetricsRegistry | None = None,
     metric_labels: dict | None = None,
 ) -> AuxTable:
-    """Build and finalize an aux table, walking ``backends`` best-first.
+    """Build and finalize an aux table, walking ``backends`` in order.
 
-    The one aux build: ingest (`ReceiverState.finish`), the flush-time
-    policy and compaction all seal through it, every backend sized from
-    the exact key count.  A backend that cannot represent this key set —
-    the CSF's one-rank-per-key invariant violated, or (vanishingly rare)
-    peeling exhaustion — is skipped and the next candidate tried.  The
-    winner is recorded in the ``aux.backend.selected`` counter so telemetry
-    shows which backend each sealed epoch actually carries.
+    The one aux build: ingest (`ReceiverState.finish`) and compaction both
+    seal through it, every backend sized from the exact key count.  A
+    backend that cannot represent this key set — the CSF's one-rank-per-key
+    invariant violated, or (vanishingly rare) peeling exhaustion — is
+    skipped and the next name tried, so a tuple ending in a backend that
+    always builds (`AUTO_BACKENDS` does) never fails.  The winner is
+    recorded in the ``aux.backend.selected`` counter so telemetry shows
+    which backend each sealed epoch actually carries.
     """
+    unknown = [b for b in backends if b not in AUX_BACKENDS]
+    if unknown or not backends:
+        raise ValueError(f"aux backends must name some of {sorted(AUX_BACKENDS)}, got {backends!r}")
     keys = np.asarray(keys, dtype=np.uint64).ravel()
     registry = active(metrics)
     last_err: Exception | None = None
@@ -1281,7 +888,7 @@ def build_sealed_aux(
             if keys.size:
                 aux.insert_many(keys, ranks)
             aux.finalize()
-        except (ValueError, CsfConstructionError, XorConstructionError) as e:
+        except (ValueError, CsfConstructionError) as e:
             last_err = e
             continue
         registry.counter(

@@ -47,7 +47,7 @@ from ..storage.compact import (
 )
 from ..storage.envelope import seal
 from ..storage.manifest import EpochInfo, Manifest
-from .auxtable import AuxBackendPolicy, aux_to_blob, build_sealed_aux
+from .auxtable import aux_to_blob, build_sealed_aux
 from .pipeline import aux_table_name, main_table_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -134,7 +134,7 @@ class MergeSpec:
     seed: int
     merged: int
     newest_first: tuple[int, ...]
-    aux_policy: AuxBackendPolicy | None = None
+    aux_backends: tuple[str, ...] | None = None
 
 
 def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
@@ -220,23 +220,22 @@ def _merge_filterkv(spec: MergeSpec, device, metrics) -> tuple[int, set[str]]:
     # Fresh aux tables on the hash owners, seeded exactly as an
     # ingest-time epoch would be (store seed + epoch + rank), then
     # sealed — torn blobs are detected at recovery like any other.
-    # With a flush-time aux policy the merged epoch re-runs the backend
-    # tournament on its (merged, deduplicated) key set; mixed-backend
-    # source epochs thus converge on one winner after compaction.
+    # The merged epoch walks the store's backend tuple again on its
+    # (merged, deduplicated) key set; mixed-backend source epochs thus
+    # converge on one backend after compaction.
     from .formats import FORMATS
     from .partitioning import HashPartitioner
 
     aux_backends_used: set[str] = set()
     owners = HashPartitioner(spec.nranks).partition_of(wkeys)
-    # No policy is a one-candidate tournament: the format's backend.
-    policy = spec.aux_policy or AuxBackendPolicy((FORMATS[spec.fmt].aux_backend or "cuckoo",))
+    backends = spec.aux_backends or (FORMATS[spec.fmt].aux_backend or "cuckoo",)
     for part in range(spec.nranks):
         sel = np.flatnonzero(owners == part)
         aux = build_sealed_aux(
             wkeys[sel],
             wranks[sel].astype(np.uint64),
             nparts=spec.nranks,
-            backends=policy.rank_backends(int(sel.size), spec.nranks, epoch=merged),
+            backends=backends,
             seed=spec.seed + merged + part,
             metrics=metrics,
             metric_labels={"rank": str(part)},
@@ -318,7 +317,7 @@ class Compactor:
             newest_first=tuple(
                 sorted(epochs, key=lambda e: order_of[e], reverse=True)
             ),
-            aux_policy=getattr(store, "aux_policy", None),
+            aux_backends=getattr(store, "aux_backends", None),
         )
         return working, spec
 

@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
 
     from .reader import CachedQueryEngine
 from ..storage.manifest import EpochInfo, Manifest, RecoveryReport
-from .auxtable import AuxBackendPolicy, AuxTable, aux_from_blob
+from .auxtable import AuxTable, aux_from_blob
 from .compact import CompactionPolicy, CompactionReport, Compactor
 from .formats import FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KVBatch
@@ -70,7 +70,7 @@ class MultiEpochStore:
         device: StorageDevice | None = None,
         compaction: CompactionPolicy | None = None,
         tiering: TieredStorage | TierConfig | None = None,
-        aux_policy: AuxBackendPolicy | None = None,
+        aux_backends: tuple[str, ...] | None = None,
     ):
         self.nranks = nranks
         self.fmt = fmt
@@ -98,10 +98,10 @@ class MultiEpochStore:
         # commit, and a generation counter serving tiers watch to learn
         # that the epoch set changed under them.
         self.compaction_policy = compaction
-        # Flush-time aux backend selection (the tournament): when set, each
-        # epoch's sealed key→rank set picks its own backend; the winner is
-        # recorded in the manifest's EpochInfo.aux_backend.
-        self.aux_policy = aux_policy
+        # Aux backends to try, in order, for each sealed key→rank set
+        # (None: the format's own); the one that built is recorded in the
+        # manifest's EpochInfo.aux_backend.
+        self.aux_backends = aux_backends
         self.compactions = 0
         self.last_compaction: CompactionReport | None = None
         # Optional burst-buffer/PFS model: dumps land on the burst buffer;
@@ -227,7 +227,7 @@ class MultiEpochStore:
             block_size=self.block_size,
             epoch=epoch,
             seed=self.seed + epoch,
-            aux_policy=self.aux_policy,
+            aux_backends=self.aux_backends,
         )
         before = self.device.total_bytes_stored()
         for rank, batch in enumerate(batches):

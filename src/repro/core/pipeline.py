@@ -27,7 +27,7 @@ from ..storage.envelope import seal
 from ..storage.log import DataPointer, ValueLog
 from ..storage.memtable import MemTable, RunWriter, flatten_runs
 from ..storage.sstable import SSTableWriter, TableStats
-from .auxtable import AuxBackendPolicy, AuxTable, aux_to_blob, build_sealed_aux
+from .auxtable import AuxTable, aux_to_blob, build_sealed_aux
 from .formats import FormatSpec
 from .kv import KEY_BYTES, KVBatch
 from .partitioning import HashPartitioner
@@ -259,7 +259,7 @@ class ReceiverState:
         block_size: int = 1 << 20,
         aux_seed: int = 0,
         bulk: bool = True,
-        aux_policy: AuxBackendPolicy | None = None,
+        aux_backends: tuple[str, ...] | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         self.rank = rank
@@ -269,7 +269,7 @@ class ReceiverState:
         self.value_bytes = value_bytes
         self.epoch = epoch
         self.bulk = bulk
-        self.aux_policy = aux_policy
+        self.aux_backends = aux_backends
         self._aux_seed = aux_seed
         self.records_received = 0
         self.metrics = active(metrics)
@@ -350,13 +350,11 @@ class ReceiverState:
             return self._table.finish()
         keys = np.frombuffer(self._aux_keys, dtype="<u8")
         srcs = np.repeat(np.asarray(self._aux_srcs, dtype=np.uint64), self._aux_counts)
-        # No policy is a one-candidate tournament: the format's backend.
-        policy = self.aux_policy or AuxBackendPolicy((self.fmt.aux_backend or "cuckoo",))
         self.aux = build_sealed_aux(
             keys,
             srcs,
             nparts=self.nranks,
-            backends=policy.rank_backends(keys.size, self.nranks, epoch=self.epoch),
+            backends=self.aux_backends or (self.fmt.aux_backend or "cuckoo",),
             seed=self._aux_seed + self.rank,
             metrics=self.metrics,
             metric_labels={"rank": str(self.rank)},

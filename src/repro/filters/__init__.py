@@ -5,26 +5,17 @@ Exports:
 * `BloomFilter` — vectorized Bloom filter (paper §IV-A).
 * `PartialKeyCuckooTable` / `ChainedCuckooTable` — partial-key cuckoo hash
   tables with the paper's chained-growth scheme (§IV-B).
-* `CuckooFilter` — standard membership cuckoo filter (related work, §VI).
-* `QuotientFilter` — quotient filter (related work, §VI).
-* `XorFilter` — static xor filter for sealed key sets.
 * `XorMaplet` — compressed static function (key → value maplet) with a
   fused fingerprint guard, for sealed aux tables.
 * hashing helpers (`splitmix64`, `hash64`, `hash_pair`, `fingerprint`).
 """
 
-from .blockedbloom import BlockedBloomFilter
 from .bloom import BloomFilter, false_positive_rate, optimal_nhashes
 from .cuckoo import ChainedCuckooTable, CuckooStats, CuckooTableFull, PartialKeyCuckooTable
-from .countingbloom import CountingBloomFilter
 from .csf import CsfConstructionError, XorMaplet
-from .cuckoofilter import CuckooFilter
 from .hashing import double_hash_probes, fingerprint, hash64, hash_pair, splitmix64
-from .quotient import QuotientFilter, QuotientFilterFull
-from .xorfilter import XorConstructionError, XorFilter
 
 __all__ = [
-    "BlockedBloomFilter",
     "BloomFilter",
     "false_positive_rate",
     "optimal_nhashes",
@@ -32,12 +23,6 @@ __all__ = [
     "CuckooStats",
     "CuckooTableFull",
     "PartialKeyCuckooTable",
-    "CountingBloomFilter",
-    "CuckooFilter",
-    "QuotientFilter",
-    "QuotientFilterFull",
-    "XorConstructionError",
-    "XorFilter",
     "CsfConstructionError",
     "XorMaplet",
     "splitmix64",

@@ -15,10 +15,10 @@ for an out-of-set key the reconstructed fingerprint matches only with
 probability ``2^-fp_bits``, so the guard converts "garbage value" into "no
 answer" almost always.
 
-Construction peels a random 3-uniform hypergraph exactly like the xor
-filter (`repro.filters.xorfilter`): keys map to one slot per segment,
-slots referenced by a single key peel repeatedly, and assignment walks the
-peel order backwards setting each key's free slot.  Peeling fails for
+Construction peels a random 3-uniform hypergraph, the xor-filter
+construction: keys map to one slot per segment, slots referenced by a
+single key peel repeatedly, and assignment walks the peel order backwards
+setting each key's free slot.  Peeling fails for
 unlucky seeds with vanishing probability at 1.23× occupancy and is retried
 with a fresh seed.  Unlike a filter, a static *function* requires one
 value per key — duplicate keys are a caller error and rejected up front.
@@ -34,7 +34,7 @@ from .hashing import fingerprint, hash64
 
 __all__ = ["XorMaplet", "CsfConstructionError"]
 
-_SEED_STRIDE = 0x9E37  # per-retry seed step, matching XorFilter
+_SEED_STRIDE = 0x9E37  # per-retry seed step (persisted blobs carry the settled seed)
 
 
 class CsfConstructionError(RuntimeError):

@@ -130,8 +130,10 @@ class PartialKeyCuckooTable:
         self._rng: np.random.Generator | None = None  # eviction randomness, made on first use
         # Alternate-bucket displacement per fingerprint value, precomputed so
         # the eviction walk runs on plain Python ints (fingerprints are only
-        # fp_bits wide, so the table is small).
-        if self.fp_bits <= 20:
+        # fp_bits wide, so the table is small) — unless it would outgrow the
+        # table it serves: a reloaded chain of tiny wide-fingerprint tables
+        # must not cost 2^fp_bits entries apiece.
+        if self.fp_bits <= 20 and (1 << self.fp_bits) <= max(256, self.capacity_slots):
             fp_values = np.arange(1 << self.fp_bits, dtype=np.uint64)
             self._alt_lut = (hash64(fp_values, self.seed + 0xA17) & self._mask).astype(np.int64)
             self._alt_lut_list = self._alt_lut.tolist()
@@ -454,6 +456,39 @@ class PartialKeyCuckooTable:
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (fps, vals) views for serialization layers."""
         return self._fps, self._vals
+
+    @classmethod
+    def from_arrays(
+        cls,
+        fps: np.ndarray,
+        vals: np.ndarray,
+        fp_bits: int,
+        value_bits: int,
+        max_kicks: int = 500,
+        seed: int = 0,
+    ) -> "PartialKeyCuckooTable":
+        """Rebuild a table from `to_arrays` output — two
+        ``(nbuckets, slots_per_bucket)`` arrays.  Occupied slots are packed
+        from slot 0 in every bucket, so the occupancy vector is recomputed
+        from the fingerprints; arrays no table could have produced raise
+        `ValueError`."""
+        fps = np.ascontiguousarray(fps, dtype=np.uint32)
+        vals = np.ascontiguousarray(vals, dtype=np.uint32)
+        if fps.ndim != 2 or fps.shape != vals.shape:
+            raise ValueError(f"need two equal 2-d arrays, got {fps.shape} and {vals.shape}")
+        nbuckets, slots_per_bucket = fps.shape
+        if nbuckets != _round_pow2(nbuckets):
+            raise ValueError(f"nbuckets must be a power of two, got {nbuckets}")
+        t = cls(nbuckets, fp_bits, value_bits, slots_per_bucket, max_kicks, seed)
+        occupied = fps != _EMPTY
+        if (occupied[:, 1:] & ~occupied[:, :-1]).any():
+            raise ValueError("a bucket has an empty slot below an occupied one")
+        if fps.size and int(fps.max()) >> t.fp_bits:
+            raise ValueError(f"a fingerprint does not fit in {t.fp_bits} bits")
+        t._fps, t._vals = fps, vals
+        t._occ = occupied.sum(axis=1).astype(np.int64)
+        t._nkeys = int(t._occ.sum())
+        return t
 
 
 class ChainedCuckooTable:

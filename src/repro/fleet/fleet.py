@@ -49,7 +49,7 @@ class FleetSpec:
     seed: int = 0
     vnodes: int = 64
     tcp: bool = False
-    aux_policy: object | None = None
+    aux_backends: tuple[str, ...] | None = None
     service_kwargs: dict = field(default_factory=dict)
     router_kwargs: dict = field(default_factory=dict)
 
@@ -76,7 +76,7 @@ class Fleet:
                 value_bytes=spec.value_bytes,
                 # Offset per shard so sibling stores ingest independently.
                 seed=spec.seed + 1000 * (sid + 1),
-                aux_policy=spec.aux_policy,
+                aux_backends=spec.aux_backends,
                 service_kwargs=spec.service_kwargs,
             )
             for sid in range(spec.nshards)

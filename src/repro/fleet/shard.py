@@ -53,7 +53,7 @@ class ShardNode:
         fmt: FormatSpec = FMT_FILTERKV,
         value_bytes: int = 24,
         seed: int = 0,
-        aux_policy=None,
+        aux_backends: tuple[str, ...] | None = None,
         fault_plan: FaultPlan | None = None,
         service_kwargs: dict | None = None,
     ):
@@ -62,7 +62,7 @@ class ShardNode:
         self.fmt = fmt
         self.value_bytes = int(value_bytes)
         self.seed = int(seed)
-        self.aux_policy = aux_policy
+        self.aux_backends = aux_backends
         self.service_kwargs = dict(service_kwargs or {})
         self.device = FaultyStorageDevice(plan=fault_plan or FaultPlan(seed=seed))
         self.store = MultiEpochStore(
@@ -71,7 +71,7 @@ class ShardNode:
             value_bytes=self.value_bytes,
             device=self.device,
             seed=self.seed,
-            aux_policy=aux_policy,
+            aux_backends=aux_backends,
         )
         self.service: QueryService | None = None
         self.server: ServeServer | None = None
@@ -145,7 +145,7 @@ class ShardNode:
         was_tcp = self.server is not None if tcp is None else tcp
         await self.stop()
         store, report = MultiEpochStore.recover(
-            self.device, aux_policy=self.aux_policy
+            self.device, aux_backends=self.aux_backends
         )
         if store is None:
             raise RuntimeError(

@@ -1,7 +1,6 @@
 """Network substrate: DES engine, CPU/transport profiles, topologies,
 RPC latency model, and the analytic all-to-all flow model."""
 
-from .collectives import AllToAllResult, alltoallv
 from .cpu import CPUS, TRANSPORTS, CpuProfile, TransportProfile, rpc_cpu_time
 from .des import Event, Process, Resource, SimulationError, Simulator
 from .flowmodel import AllToAllModel, pernode_alltoall_bandwidth, transfer_time
@@ -11,8 +10,6 @@ from .mpi_backend import HAVE_MPI, LoopbackTransport, make_transport
 from .topology import ARIES_DRAGONFLY, NARWHAL_FATTREE, DragonflyTopology, FatTreeTopology
 
 __all__ = [
-    "AllToAllResult",
-    "alltoallv",
     "CPUS",
     "TRANSPORTS",
     "CpuProfile",

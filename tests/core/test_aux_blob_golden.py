@@ -1,4 +1,4 @@
-"""Golden blob-format regression tests for the sealed aux backends.
+"""Golden blob-format regression tests for every aux backend.
 
 The aux blob (`aux_to_blob`) is a persistence contract: epochs sealed by
 older code must reload after an upgrade, and compaction carries blobs
@@ -6,9 +6,8 @@ forward verbatim.  Each test pins the exact serialized bytes of a tiny
 deterministic table — if an edit changes the format, these fail loudly
 instead of silently orphaning persisted epochs.
 
-Format v2 added the ``"v"`` header tag alongside the csf/rankxor
-backends and the lossless xor payload.  v1 blobs carry no tag; the
-loader must keep reading them, and must refuse anything newer than it
+The header's ``"v"`` tag is mandatory: the loader reads v2 and nothing
+else — not the tag-less blobs that predate it, not anything newer than it
 understands.
 """
 
@@ -20,6 +19,7 @@ import pytest
 
 from repro.core.auxtable import (
     _BLOB_VERSION,
+    AUX_BACKENDS,
     aux_from_blob,
     aux_to_blob,
     make_aux_table,
@@ -62,26 +62,12 @@ GOLDEN = {
         "2031312c202276223a20322c202276616c75655f62697473223a20327d000000"
         "000000005000000000000605fa00"
     ),
-    "rankxor": bytes.fromhex(
-        "9b0000007b226261636b656e64223a202272616e6b786f72222c202262616e6b"
-        "73223a205b5b302c20392c20392c20315d2c205b312c2031302c20392c20315d"
-        "2c205b322c2031312c20392c20315d2c205b332c2031322c20392c20325d5d2c"
-        "2022626173655f73656564223a20392c202266705f62697473223a20382c2022"
-        "6e6b657973223a20352c20226e7061727473223a20342c202276223a20327d00"
-        "0000000000000000000000000000000000000000000000000069000000000000"
-        "00000000000000000000000000000000005a0000000000000000000000000000"
-        "0000000000000000000097000000000000000000000000000000000000000000"
-        "0000000000009400002600"
-    ),
-    "xor": bytes.fromhex(
-        "680000007b226261636b656e64223a2022786f72222c2022666e6b657973223a"
-        "20352c202266705f62697473223a20382c20226e6b657973223a20352c20226e"
-        "7061727473223a20342c202273656564223a20392c20227365676d656e74223a"
-        "2031312c202276223a20327dea0000000000000000000000000000f000000000"
-        "000000001f0000000048c30000"
-    ),
 }
 # fmt: on
+
+
+def test_every_registered_backend_is_pinned():
+    assert sorted(GOLDEN) == sorted(AUX_BACKENDS)
 
 
 def _build(backend):
@@ -128,21 +114,18 @@ def _retag(blob, version):
     return struct.pack("<I", len(hdr)) + hdr + payload
 
 
-@pytest.mark.parametrize("backend", ["cuckoo", "bloom", "exact", "quotient"])
-def test_legacy_v1_blob_still_loads(backend):
-    # v1 blobs (pre-version-tag) exist in every epoch sealed before the
-    # format bump; dropping the tag reproduces one exactly.
-    blob_v1 = _retag(aux_to_blob(_build(backend)), None)
-    t = aux_from_blob(blob_v1)
-    assert t.backend == backend
-    for k, r in zip(KEYS, RANKS):
-        assert int(r) in t.candidate_ranks(int(k))
+@pytest.mark.parametrize("backend", sorted(GOLDEN))
+def test_blob_without_version_tag_rejected(backend):
+    # No tag is a blob older than the tag: every store here lives in an
+    # in-process device, so none outlives the code that wrote it.
+    with pytest.raises(ValueError, match="supports only v2"):
+        aux_from_blob(_retag(GOLDEN[backend], None))
 
 
 def test_future_version_rejected():
-    blob_v3 = _retag(aux_to_blob(_build("cuckoo")), _BLOB_VERSION + 1)
-    with pytest.raises(ValueError, match="newer than supported"):
-        aux_from_blob(blob_v3)
+    for version in (_BLOB_VERSION + 1, 1, "2", 2.0):
+        with pytest.raises(ValueError, match="supports only v2"):
+            aux_from_blob(_retag(GOLDEN["cuckoo"], version))
 
 
 def test_truncated_blob_rejected():

@@ -7,7 +7,6 @@ from repro.core.auxtable import (
     BloomAuxTable,
     CuckooAuxTable,
     ExactAuxTable,
-    QuotientAuxTable,
     bloom_bits_per_key,
     make_aux_table,
     rank_bits,
@@ -21,13 +20,13 @@ def _workload(n=3000, nparts=32, seed=1):
     return keys, ranks
 
 
-BACKENDS = ["exact", "bloom", "cuckoo", "quotient"]
+BACKENDS = ["exact", "bloom", "cuckoo", "csf"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_no_false_negatives(backend):
     """Every backend must always return the true source rank."""
-    n = 600 if backend == "quotient" else 3000
+    n = 3000
     keys, ranks = _workload(n=n)
     t = make_aux_table(backend, nparts=32, capacity_hint=n)
     t.insert_many(keys, ranks)
@@ -38,7 +37,7 @@ def test_no_false_negatives(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_candidate_counts_consistent(backend):
-    n = 400 if backend == "quotient" else 2000
+    n = 2000
     keys, ranks = _workload(n=n, nparts=16, seed=2)
     t = make_aux_table(backend, nparts=16, capacity_hint=n)
     t.insert_many(keys, ranks)
@@ -127,15 +126,6 @@ def test_rank_bits():
     assert rank_bits(16_000_000) == 24
 
 
-def test_quotient_backend_basics():
-    keys, ranks = _workload(n=300, nparts=8, seed=7)
-    t = QuotientAuxTable(8, capacity_hint=300)
-    t.insert_many(keys, ranks)
-    assert len(t) == 300
-    assert t.size_bytes > 0
-    assert len(t.to_bytes()) > 0
-
-
 def test_insert_validates_rank_range():
     t = ExactAuxTable(nparts=4)
     with pytest.raises(ValueError):
@@ -160,7 +150,7 @@ def test_bytes_per_key_empty_table():
 def test_candidates_many_matches_scalar(backend):
     """Every backend exposes the same bulk surface, and it agrees with the
     per-key walk — including on keys the table never saw."""
-    n = 400 if backend == "quotient" else 2000
+    n = 2000
     keys, ranks = _workload(n=n, nparts=16, seed=4)
     t = make_aux_table(backend, nparts=16, capacity_hint=n)
     t.insert_many(keys, ranks)

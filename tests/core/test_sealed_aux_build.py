@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.simcluster import SimCluster
-from repro.core.auxtable import aux_from_blob, aux_to_blob, build_sealed_aux
+from repro.core.auxtable import AUTO_BACKENDS, aux_from_blob, aux_to_blob, build_sealed_aux
 from repro.core.formats import FMT_FILTERKV
 from repro.core.kv import KVBatch
 from repro.core.pipeline import Envelope, ReceiverState, aux_table_name
+from repro.obs import MetricsRegistry
 from repro.storage.blockio import StorageDevice
 from repro.storage.envelope import unseal
 
@@ -87,7 +88,7 @@ def test_sealed_build_properties(n, seed, nsources, cuts):
 
 @pytest.mark.parametrize("n", BOUNDARY_COUNTS)
 def test_planned_chain_layout(n):
-    aux = build_sealed_aux(_keys(n, n), 3, nparts=NRANKS, backends=["cuckoo"], seed=n)
+    aux = build_sealed_aux(_keys(n, n), 3, nparts=NRANKS, backends=("cuckoo",), seed=n)
     st_ = aux._table.stats
     assert st_.nkeys == n
     if n >= 1024:
@@ -101,7 +102,7 @@ def test_failed_walks_are_the_exception():
     burned max_kicks; the planned chain stops at the load target instead.
     Small tables can still (rarely) strand a key below it."""
     failed = [
-        build_sealed_aux(_keys(n, 7 * n), 1, nparts=NRANKS, backends=["cuckoo"], seed=n)
+        build_sealed_aux(_keys(n, 7 * n), 1, nparts=NRANKS, backends=("cuckoo",), seed=n)
         ._table.stats.failed_inserts
         for n in BOUNDARY_COUNTS
     ]
@@ -115,7 +116,7 @@ def test_e2e_sizes_no_failed_walk_and_no_more_tables_than_before(n, parent_table
     4 096, measured at the parent commit)."""
     for seed in range(5):
         aux = build_sealed_aux(
-            _keys(n, seed), 0, nparts=NRANKS, backends=["cuckoo"], seed=seed
+            _keys(n, seed), 0, nparts=NRANKS, backends=("cuckoo",), seed=seed
         )
         st_ = aux._table.stats
         assert st_.failed_inserts == 0
@@ -140,6 +141,33 @@ def test_chain_sized_from_sealed_count_not_from_the_mean():
     assert len(cluster.receivers[0].aux) == 3 * mean
     for r in cluster.receivers:
         n = len(r.aux)
-        hinted = build_sealed_aux(_keys(n, n), 0, nparts=nranks, backends=["cuckoo"])
+        hinted = build_sealed_aux(_keys(n, n), 0, nparts=nranks, backends=("cuckoo",))
         assert r.aux._table.stats.ntables == hinted._table.stats.ntables
         assert r.aux._table.stats.failed_inserts == 0
+
+
+def test_auto_seals_csf_and_falls_back_to_cuckoo_when_it_refuses():
+    """The tuple is walked in order: the CSF takes any key set that maps
+    each key to one rank; a key two ranks wrote makes it refuse, and the
+    paper's table — which builds for any key set — seals instead."""
+    metrics = MetricsRegistry()
+    keys = _keys(300, 1)
+    clean = build_sealed_aux(keys, 2, nparts=NRANKS, backends=AUTO_BACKENDS, metrics=metrics)
+    assert clean.backend == "csf"
+    twice = build_sealed_aux(
+        np.append(keys, keys[0]),
+        np.append(np.full(keys.size, 2), 5).astype(np.uint64),
+        nparts=NRANKS,
+        backends=AUTO_BACKENDS,
+        metrics=metrics,
+    )
+    assert twice.backend == "cuckoo"
+    assert {2, 5} <= set(twice.candidate_ranks(int(keys[0])))
+    for backend in AUTO_BACKENDS:
+        assert metrics.counter("aux.backend.selected", backend=backend).value == 1
+
+
+@pytest.mark.parametrize("backends", [(), ("csf", "btree")])
+def test_backend_names_are_checked_before_anything_builds(backends):
+    with pytest.raises(ValueError, match="aux backends must name"):
+        build_sealed_aux(_keys(10, 1), 0, nparts=NRANKS, backends=backends)

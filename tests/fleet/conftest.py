@@ -63,10 +63,10 @@ def build_fleet(
     return fleet, dumps, truth
 
 
-def merged_store(dumps, seed=7, fmt=FMT_FILTERKV, aux_policy=None):
+def merged_store(dumps, seed=7, fmt=FMT_FILTERKV, aux_backends=None):
     """The oracle: one unsharded store ingesting the same dumps."""
     store = MultiEpochStore(
-        nranks=NRANKS, fmt=fmt, value_bytes=VB, seed=seed, aux_policy=aux_policy
+        nranks=NRANKS, fmt=fmt, value_bytes=VB, seed=seed, aux_backends=aux_backends
     )
     for d in dumps:
         writer = np.arange(len(d)) % NRANKS

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.auxtable import AUX_BACKENDS, AuxBackendPolicy
+from repro.core.auxtable import AUX_BACKENDS
 from repro.core.kv import random_kv_batch
 from repro.fleet import CircuitBreaker
 from repro.serve import ANY_EPOCH, NOT_FOUND, OK
@@ -39,9 +39,8 @@ async def _assert_matches_oracle(fleet, oracle, truth, keys):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fleet_matches_merged_store(backend):
-    policy = AuxBackendPolicy(candidates=(backend,))
-    fleet, dumps, truth = build_fleet(seed=11, aux_policy=policy)
-    oracle = merged_store(dumps, seed=11, aux_policy=policy)
+    fleet, dumps, truth = build_fleet(seed=11, aux_backends=(backend,))
+    oracle = merged_store(dumps, seed=11, aux_backends=(backend,))
     keys = sorted(truth)[::7] + absent_keys(truth)
     stats = run(_assert_matches_oracle(fleet, oracle, truth, keys))
     # FilterKV persists aux tables, so every plan was aux-shaped.
@@ -51,10 +50,10 @@ def test_fleet_matches_merged_store(backend):
 
 
 def test_mixed_backend_epochs_match_merged_store():
-    """One epoch per backend family (dynamic / static-filter /
-    static-function): the router rebuilds each epoch's tables from its
+    """One epoch per backend family (filter–index hybrid / probed filter /
+    static function): the router rebuilds each epoch's tables from its
     blob header alone, so a mixed-backend fleet routes like any other."""
-    per_epoch = ["cuckoo", "xor", "csf"]
+    per_epoch = ["cuckoo", "bloom", "csf"]
     fleet, dumps, truth = build_fleet(seed=31, epochs=len(per_epoch), ingest=False)
     oracle = merged_store(dumps[:0], seed=31)
     for backend, dump in zip(per_epoch, dumps):

@@ -1,14 +1,14 @@
 """Serving over epochs whose aux tables use *different* backends.
 
-The flush-time tournament (`AuxBackendPolicy`) means a store's epochs
-can legitimately disagree on aux backend — an early epoch sealed with a
-cuckoo table, a later one with a CSF.  These tests pin the contract that
+A store's ``aux_backends=`` tuple is walked per sealed key set, so its
+epochs can legitimately disagree on aux backend — an early epoch sealed
+with a cuckoo table, a later one with a CSF.  These tests pin the contract that
 the backend is a per-epoch implementation detail:
 
 * the manifest records which backend(s) each epoch sealed;
 * a cold `attach` reloads every epoch's aux from its blob header alone
   (no format-level default involved) and answers byte-identically;
-* compaction over mixed epochs re-runs the tournament and serves
+* compaction over mixed epochs walks the tuple again and serves
   byte-identical answers before and after the swap;
 * a crash during the aux seal of a new epoch loses nothing already
   committed, whatever mix of backends the committed epochs hold.
@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.auxtable import AuxBackendPolicy
+from repro.core.auxtable import AUTO_BACKENDS
 from repro.core.formats import FMT_FILTERKV
 from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
@@ -30,8 +30,8 @@ from .conftest import run  # noqa: F401
 
 VB = 20
 NRANKS = 4
-# One epoch per backend: dynamic, static-filter, static-function.
-EPOCH_BACKENDS = ["cuckoo", "xor", "csf"]
+# One epoch per backend: filter–index hybrid, probed filter, static function.
+EPOCH_BACKENDS = ["cuckoo", "bloom", "csf"]
 
 
 def _grow(store, rng, n=100):
@@ -42,7 +42,7 @@ def _grow(store, rng, n=100):
 
 def _mixed_store(seed=41, device=None, backends=EPOCH_BACKENDS):
     """One epoch per named backend, forced via the format's default (no
-    policy), so the mix is deterministic."""
+    ``aux_backends=``), so the mix is deterministic."""
     store = MultiEpochStore(
         nranks=NRANKS,
         fmt=dataclasses.replace(FMT_FILTERKV, aux_backend=backends[0]),
@@ -71,11 +71,11 @@ def test_policy_backend_lands_in_manifest():
         fmt=FMT_FILTERKV,
         value_bytes=VB,
         seed=43,
-        aux_policy=AuxBackendPolicy(),
+        aux_backends=AUTO_BACKENDS,
     )
     _grow(store, np.random.default_rng(43))
     (info,) = store.manifest.epochs
-    assert info.aux_backend == "csf"  # the tournament winner at this shape
+    assert info.aux_backend == "csf"  # first of the tuple; nothing made it refuse
     store.close()
 
 
@@ -95,9 +95,9 @@ def test_cold_attach_serves_mixed_epochs_byte_identically():
 
 def test_serving_through_mixed_epoch_compaction():
     store, truth, _ = _mixed_store()
-    # Give the post-compaction rebuild a tournament to run, so the merged
-    # epoch's backend is the policy winner, not the last format default.
-    store.aux_policy = AuxBackendPolicy()
+    # Give the post-compaction rebuild a tuple to walk, so the merged
+    # epoch's backend comes from it, not from the last format default.
+    store.aux_backends = AUTO_BACKENDS
 
     async def main():
         async with QueryService(store, max_inflight=4096) as svc:
@@ -106,7 +106,7 @@ def test_serving_through_mixed_epoch_compaction():
             report = store.compact()
             merged = next(e for e in store.manifest.epochs if e.epoch == report.merged_epoch)
             assert merged.aux_backend is not None
-            assert set(merged.aux_backend.split(",")) <= set(AuxBackendPolicy().candidates)
+            assert set(merged.aux_backend.split(",")) <= set(AUTO_BACKENDS)
             for k in keys:
                 r = await svc.get(k, epoch=ANY_EPOCH)
                 assert r.status == before[k].status
