@@ -344,7 +344,8 @@ class ExactAuxTable(AuxTable):
         if (span <= 1).all():  # no duplicated keys: one rank slice suffices
             return span, ranks[lo[span == 1]].astype(np.int64)
         parts = [np.unique(ranks[l:h]).astype(np.int64) for l, h in zip(lo, hi)]
-        return np.asarray([len(p) for p in parts], dtype=np.int64), _concat(parts, np.int64)
+        counts = np.asarray([len(p) for p in parts], dtype=np.int64)
+        return counts, _concat(parts, np.int64)
 
     def to_bytes(self) -> bytes:
         ranks = _concat(self._rank_chunks, np.uint32)
@@ -441,7 +442,12 @@ class BloomAuxTable(AuxTable):
         unbiased, and documented in EXPERIMENTS.md.
         """
         if self.nparts <= exhaustive_limit:
-            return self._candidates_many(keys)[0]
+            counts = np.zeros(keys.size, dtype=np.int64)
+            chunk = max(1, (1 << 22) // max(1, self.nparts))
+            for start in range(0, keys.size, chunk):
+                sub = keys[start : start + chunk]
+                counts[start : start + sub.size] = self._hits_matrix(sub).sum(axis=1)
+            return counts
         rng = np.random.default_rng(0xA137)
         sample = rng.integers(0, self.nparts, size=sample_ranks, dtype=np.uint64)
         digests = hash_pair(np.repeat(keys, sample.size), np.tile(sample, keys.size))
@@ -468,11 +474,14 @@ class BloomAuxTable(AuxTable):
         # More probes than bits is no filter `from_bits_per_key` builds, and
         # a probe allocates keys x nhashes positions.
         nhashes = _int_field(header, "nhashes", 1, nbits)
-        bits_per_key = header.get("bits_per_key")
-        if type(bits_per_key) not in (int, float) or not 0 < bits_per_key < math.inf:
-            raise ValueError(f"bloom bits_per_key must be positive, got {bits_per_key!r}")
         if nbits % 64 or len(payload) != nbits // 8:
             raise ValueError(f"bloom payload is {len(payload)} B, header says {nbits} bits")
+        # A filter built for >= 1 key has nbits >= bits_per_key; the bound also
+        # caps the placeholder filter the constructor sizes from this field
+        # at the payload's own length.
+        bits_per_key = header.get("bits_per_key")
+        if type(bits_per_key) not in (int, float) or not 0 < bits_per_key <= nbits:
+            raise ValueError(f"bloom bits_per_key must be in (0, {nbits}], got {bits_per_key!r}")
         bits_per_key = float(bits_per_key)
         aux = cls(nparts, capacity_hint=1, bits_per_key=bits_per_key, seed=seed, **obs_kwargs)
         aux._filter = BloomFilter.from_bytes(payload, nhashes, seed=seed, count=nkeys)
@@ -708,13 +717,6 @@ class CsfAuxTable(AuxTable):
         valid, _ = self._lookup(keys)
         return valid.astype(np.int64)
 
-    def record_structure_metrics(self) -> None:
-        super().record_structure_metrics()
-        if self._maplet is not None:
-            labels = dict(backend=self.backend, **self._labels)
-            self.metrics.gauge("aux.csf.tries", **labels).set(self._maplet.tries)
-            self.metrics.gauge("aux.csf.slot_bits", **labels).set(self._maplet.slot_bits)
-
     def to_bytes(self) -> bytes:
         self.finalize()
         if self._maplet is None:
@@ -758,8 +760,6 @@ class CsfAuxTable(AuxTable):
     def size_bytes(self) -> int:
         self.finalize()
         return self._maplet.size_bytes if self._maplet is not None else 0
-
-
 
 
 # Backend registry: name → class.  Registering a class here is the one line

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
@@ -128,18 +129,6 @@ class PartialKeyCuckooTable:
         self.kicks = 0  # entries displaced by successful eviction walks
         self.failed_inserts = 0  # walks that burned max_kicks and gave up
         self._rng: np.random.Generator | None = None  # eviction randomness, made on first use
-        # Alternate-bucket displacement per fingerprint value, precomputed so
-        # the eviction walk runs on plain Python ints (fingerprints are only
-        # fp_bits wide, so the table is small) — unless it would outgrow the
-        # table it serves: a reloaded chain of tiny wide-fingerprint tables
-        # must not cost 2^fp_bits entries apiece.
-        if self.fp_bits <= 20 and (1 << self.fp_bits) <= max(256, self.capacity_slots):
-            fp_values = np.arange(1 << self.fp_bits, dtype=np.uint64)
-            self._alt_lut = (hash64(fp_values, self.seed + 0xA17) & self._mask).astype(np.int64)
-            self._alt_lut_list = self._alt_lut.tolist()
-        else:
-            self._alt_lut = None
-            self._alt_lut_list = None
         # Scalar probe constants (plain Python ints): the serving tier and
         # the fleet router probe one key per request, where per-call array
         # overhead dwarfs the hashing itself.
@@ -150,6 +139,20 @@ class PartialKeyCuckooTable:
         self._alt_seed_mix = splitmix64_int((self.seed + 0xA17) & MASK64)
 
     # -- addressing -------------------------------------------------------
+
+    @cached_property
+    def _alt_lut(self) -> np.ndarray | None:
+        """Alternate-bucket displacement per fingerprint value, computed on
+        first use so the eviction walk runs on plain Python ints
+        (fingerprints are only fp_bits wide, so the table is small)."""
+        if self.fp_bits > 20:
+            return None
+        fp_values = np.arange(1 << self.fp_bits, dtype=np.uint64)
+        return (hash64(fp_values, self.seed + 0xA17) & self._mask).astype(np.int64)
+
+    @cached_property
+    def _alt_lut_list(self) -> list[int] | None:
+        return None if self._alt_lut is None else self._alt_lut.tolist()
 
     def _fingerprints(self, keys: np.ndarray) -> np.ndarray:
         return fingerprint(keys, self.fp_bits, seed=self.seed + 0x5BD1).astype(np.uint32)
@@ -485,6 +488,10 @@ class PartialKeyCuckooTable:
             raise ValueError("a bucket has an empty slot below an occupied one")
         if fps.size and int(fps.max()) >> t.fp_bits:
             raise ValueError(f"a fingerprint does not fit in {t.fp_bits} bits")
+        if (1 << t.fp_bits) > max(256, t.capacity_slots):
+            # A reloaded table is probed, not grown: hash rather than let a
+            # lookup table outgrow the (possibly hostile) table it serves.
+            t._alt_lut = t._alt_lut_list = None
         t._fps, t._vals = fps, vals
         t._occ = occupied.sum(axis=1).astype(np.int64)
         t._nkeys = int(t._occ.sum())

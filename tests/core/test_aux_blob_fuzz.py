@@ -121,6 +121,18 @@ def test_huge_bucket_count_is_refused_before_allocating():
     assert decode(blob) is None  # 1 TiB at the parent commit; metered here
 
 
+@pytest.mark.parametrize(
+    "bits_per_key",
+    [2**36, 1e13, 2**62 + 1, 10**400, float("inf")],
+    ids=["2^36", "1e13", "2^62+1", "10^400", "inf"],
+)
+def test_huge_bloom_budget_is_refused_before_allocating(bits_per_key):
+    """The constructor sizes a placeholder filter from this field (8 GiB for
+    2^36, `MemoryError` beyond) before the real bit vector is swapped in."""
+    header, payload = split(BLOBS["bloom"][1])
+    assert decode(join({**header, "bits_per_key": bits_per_key}, payload)) is None
+
+
 def test_csf_fingerprint_wider_than_a_slot_is_refused_at_load():
     header, payload = split(BLOBS["csf"][1])
     with pytest.raises(ValueError, match="fp_bits"):

@@ -101,6 +101,23 @@ class TestPartialKeyCuckooTable:
     def test_nbuckets_rounded_to_pow2(self):
         assert PartialKeyCuckooTable(100).nbuckets == 128
 
+    @pytest.mark.parametrize("fp_bits", [4, 12])
+    def test_from_arrays_reloads_the_same_answers(self, fp_bits):
+        """A reload never builds a lookup table bigger than the table it
+        serves (12-bit fingerprints over 64 slots hash instead), and both
+        alternate-bucket paths answer bit for bit."""
+        keys = _rand_keys(50, seed=4)
+        t = PartialKeyCuckooTable(16, fp_bits=fp_bits, value_bits=5, seed=3)
+        assert t.insert_many(keys, np.arange(keys.size, dtype=np.uint32) % 32).all()
+        r = PartialKeyCuckooTable.from_arrays(*t.to_arrays(), fp_bits, 5, seed=3)
+        assert (r._alt_lut is None) == (fp_bits == 12) and t._alt_lut is not None
+        probe = np.concatenate([keys, _rand_keys(200, seed=5)])
+        for a, b in zip(t.lookup_many(probe), r.lookup_many(probe)):
+            assert np.array_equal(a, b)
+        for k in probe[::7]:
+            assert t.candidate_values_scalar(int(k)) == r.candidate_values_scalar(int(k))
+        assert len(r) == len(t) == keys.size
+
     def test_empty_bulk_insert(self):
         t = PartialKeyCuckooTable(16)
         assert t.insert_many(np.zeros(0, dtype=np.uint64)).shape == (0,)
