@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
@@ -129,6 +128,12 @@ class PartialKeyCuckooTable:
         self.kicks = 0  # entries displaced by successful eviction walks
         self.failed_inserts = 0  # walks that burned max_kicks and gave up
         self._rng: np.random.Generator | None = None  # eviction randomness, made on first use
+        # Alternate-bucket displacement per fingerprint value, precomputed so
+        # the eviction walk runs on plain Python ints (fingerprints are only
+        # fp_bits wide, so the table is small).  The first insert builds it;
+        # `from_arrays` decides for the table it reloads.
+        self._alt_lut: np.ndarray | None = None
+        self._alt_lut_list: list[int] | None = None
         # Scalar probe constants (plain Python ints): the serving tier and
         # the fleet router probe one key per request, where per-call array
         # overhead dwarfs the hashing itself.
@@ -140,19 +145,13 @@ class PartialKeyCuckooTable:
 
     # -- addressing -------------------------------------------------------
 
-    @cached_property
-    def _alt_lut(self) -> np.ndarray | None:
-        """Alternate-bucket displacement per fingerprint value, computed on
-        first use so the eviction walk runs on plain Python ints
-        (fingerprints are only fp_bits wide, so the table is small)."""
-        if self.fp_bits > 20:
-            return None
-        fp_values = np.arange(1 << self.fp_bits, dtype=np.uint64)
-        return (hash64(fp_values, self.seed + 0xA17) & self._mask).astype(np.int64)
-
-    @cached_property
-    def _alt_lut_list(self) -> list[int] | None:
-        return None if self._alt_lut is None else self._alt_lut.tolist()
+    def _ensure_alt_lut(self) -> None:
+        """Build the alternate-bucket lookup table unless it exists or the
+        fingerprints are too wide for one (the hash is computed instead)."""
+        if self._alt_lut is None and self.fp_bits <= 20:
+            fp_values = np.arange(1 << self.fp_bits, dtype=np.uint64)
+            self._alt_lut = (hash64(fp_values, self.seed + 0xA17) & self._mask).astype(np.int64)
+            self._alt_lut_list = self._alt_lut.tolist()
 
     def _fingerprints(self, keys: np.ndarray) -> np.ndarray:
         return fingerprint(keys, self.fp_bits, seed=self.seed + 0x5BD1).astype(np.uint32)
@@ -177,6 +176,7 @@ class PartialKeyCuckooTable:
 
     def insert(self, key: int, value: int = 0) -> None:
         """Insert one key→value mapping; raises `CuckooTableFull` on failure."""
+        self._ensure_alt_lut()
         keys = np.asarray([key], dtype=np.uint64)
         fp = int(self._fingerprints(keys)[0])
         b1 = int(self._primary_buckets(keys)[0])
@@ -276,6 +276,7 @@ class PartialKeyCuckooTable:
         vals = np.broadcast_to(np.asarray(values, dtype=np.uint32), (n,)).copy()
         if n == 0:
             return np.zeros(0, dtype=bool)
+        self._ensure_alt_lut()
         fps = self._fingerprints(keys)
         b1 = self._primary_buckets(keys)
         b2 = self._alt_buckets(b1, fps)
@@ -488,10 +489,10 @@ class PartialKeyCuckooTable:
             raise ValueError("a bucket has an empty slot below an occupied one")
         if fps.size and int(fps.max()) >> t.fp_bits:
             raise ValueError(f"a fingerprint does not fit in {t.fp_bits} bits")
-        if (1 << t.fp_bits) > max(256, t.capacity_slots):
-            # A reloaded table is probed, not grown: hash rather than let a
-            # lookup table outgrow the (possibly hostile) table it serves.
-            t._alt_lut = t._alt_lut_list = None
+        if (1 << t.fp_bits) <= max(256, t.capacity_slots):
+            # A reloaded table is probed, not grown: it hashes rather than
+            # hold a lookup table bigger than the (possibly hostile) arrays.
+            t._ensure_alt_lut()
         t._fps, t._vals = fps, vals
         t._occ = occupied.sum(axis=1).astype(np.int64)
         t._nkeys = int(t._occ.sum())
