@@ -1,0 +1,365 @@
+"""Golden read-side counters: one seeded script, every number pinned.
+
+A refactor of *who holds* the per-epoch engines (the store's cold,
+handle-free and warm readers; the service's mounted ones) must not change
+*what they read*.  This script writes five filterkv epochs across a
+policy compaction, drives every read surface of the store and of two
+`QueryService`s (default and ``table_cache_entries=1``) before and after
+a further commit + compaction, and compares the counters after each phase
+with totals captured at commit bc78542 (the parent of the reader-session
+refactor).  Engines built by another factory, with other arguments, or
+dropped at another moment, move at least one of them.
+
+Regenerate (only when a change is *meant* to move device traffic) with
+``PYTHONPATH=src python tests/integration/test_read_counters_golden.py``.
+"""
+
+import asyncio
+import zlib
+
+import numpy as np
+
+from repro.core.compact import CompactionPolicy
+from repro.core.formats import FMT_FILTERKV
+from repro.core.kv import KVBatch
+from repro.core.multiepoch import MultiEpochStore
+from repro.obs import MetricsRegistry
+from repro.serve import ANY_EPOCH, QueryService
+from repro.storage.blockio import StorageDevice
+
+NRANKS = 4
+VALUE_BYTES = 24
+UNIVERSE = 400
+PER_EPOCH = 240  # keys each dump overwrites, spread evenly over the ranks
+
+
+def _dump(rng, universe, epoch_tag):
+    keys = rng.choice(universe, size=PER_EPOCH, replace=False)
+    vals = np.full((PER_EPOCH, VALUE_BYTES), epoch_tag, dtype=np.uint8)
+    per = PER_EPOCH // NRANKS
+    return [
+        KVBatch(keys[r * per : (r + 1) * per], vals[r * per : (r + 1) * per])
+        for r in range(NRANKS)
+    ]
+
+
+def _store_counters(store):
+    dev, reg = store.device, store.device.metrics
+    return {
+        "device.reads": dev.counters.reads,
+        "device.bytes_read": dev.counters.bytes_read,
+        "device.open_handles": dev.open_handles,
+        "sstable.block_cache.hits": int(reg.total("sstable.block_cache.hits")),
+        "sstable.block_cache.misses": int(reg.total("sstable.block_cache.misses")),
+    }
+
+
+def _service_counters(svc):
+    m = svc.metrics
+    out = {
+        "reader.queries": int(m.total("reader.queries")),
+        "reader.partitions_probed": int(m.total("reader.partitions_probed")),
+        "reader.cache.hits": int(m.total("reader.cache.hits")),
+        "reader.cache.misses": int(m.total("reader.cache.misses")),
+        "reader.cache.evictions": int(m.total("reader.cache.evictions")),
+        "serve.negative_cache.inserts": int(m.total("serve.negative_cache.inserts")),
+        "serve.negative_cache.skipped_probes": int(
+            m.total("serve.negative_cache.skipped_probes")
+        ),
+    }
+    for cat in ("data", "footer", "index", "aux"):
+        out[f"reader.storage_reads.{cat}"] = int(m.total("reader.storage_reads", category=cat))
+    return out
+
+
+def _stats_totals(stats):
+    """What the callers of the store's own reads are handed back."""
+    out = {"stats.reads": 0, "stats.bytes_read": 0, "stats.partitions_searched": 0}
+    for s in stats:
+        out["stats.reads"] += s.reads
+        out["stats.bytes_read"] += s.bytes_read
+        out["stats.partitions_searched"] += s.partitions_searched
+    return out
+
+
+def _digest(values):
+    return zlib.crc32(b"|".join(b"-" if v is None else bytes(v) for v in values))
+
+
+def _new_store():
+    return MultiEpochStore(
+        nranks=NRANKS,
+        fmt=FMT_FILTERKV,
+        value_bytes=VALUE_BYTES,
+        block_size=1024,
+        seed=23,
+        device=StorageDevice(metrics=MetricsRegistry("golden")),
+        compaction=CompactionPolicy(max_live_epochs=4, merge_factor=4),
+    )
+
+
+def _writer_handles(dumps):
+    """Handles the write path alone leaves open (sealed extents stay open
+    until swept): the script's writes and compactions with no read at all."""
+    store = _new_store()
+    for dump in dumps[:6]:
+        store.write_epoch(dump)
+    store.compact([4, 5])
+    return store.device.open_handles
+
+
+def run_script():
+    """Run the seeded script; returns ``[(phase, counters), ...]``."""
+    rng = np.random.default_rng(2311)
+    universe = rng.integers(0, 2**63, size=UNIVERSE, dtype=np.uint64)
+    absent = rng.integers(2**63, 2**64 - 1, size=8, dtype=np.uint64)
+    dumps = [_dump(rng, universe, tag) for tag in range(1, 7)]
+    store = _new_store()
+    for dump in dumps[:5]:  # the 4th commit triggers the policy's merge
+        store.write_epoch(dump)
+    assert store.compactions == 1 and store.epochs == [4, 5]
+    phases = [("written", _store_counters(store))]
+
+    def store_phase(name, values, stats):
+        phases.append(
+            (name, {**_store_counters(store), **_stats_totals(stats), "answers": _digest(values)})
+        )
+
+    probe = np.concatenate([universe[::5], absent])  # 88 keys
+    # -- the store's own read surfaces ------------------------------------
+    values, stats = [], []
+    for epoch in (5, 4, 2):  # 2 was retired into 4
+        for k in probe[:30]:
+            v, s = store.get(int(k), epoch)
+            values.append(v)
+            stats.append(s)
+    store_phase("store.get", values, stats)
+
+    values, stats = [], []
+    for epoch in (5, 4, 0):
+        for _ in range(2):  # the repeat finds table metadata resident
+            v, s = store.get_many(probe, epoch)
+            values += v
+            stats += s
+    store_phase("store.get_many", values, stats)
+
+    values, stats = [], []
+    for cached in (True, False):
+        for k in probe[20:50]:
+            v, _, s = store.lookup(int(k), cached=cached)
+            values.append(v)
+            stats.append(s)
+    store_phase("store.lookup", values, stats)
+
+    values, stats = [], []
+    for keys in (probe, probe[::2]):
+        v, _, s = store.lookup_many(keys)
+        values += v
+        stats += s
+    store_phase("store.lookup_many", values, stats)
+
+    values, stats = [], []
+    for k in probe[40:60]:
+        for _, v, s in store.trajectory(int(k)):
+            values.append(v)
+            stats.append(s)
+    store_phase("store.trajectory", values, stats)
+
+    # -- two services over the same store ----------------------------------
+    async def serve():
+        default = QueryService(store, metrics=MetricsRegistry("default"))
+        narrow = QueryService(
+            store, table_cache_entries=1, metrics=MetricsRegistry("narrow")
+        )
+
+        async def reads(tag, explicit, retired):
+            for name, svc in (("default", default), ("narrow", narrow)):
+                replies = []
+                for epoch in (explicit, retired, ANY_EPOCH, None):
+                    for k in probe[:12]:  # one-key windows
+                        replies.append(await svc.get(int(k), epoch=epoch))
+                    replies += await asyncio.gather(  # one 48-key window
+                        *(svc.get(int(k), epoch=epoch) for k in probe[40:])
+                    )
+                assert all(r.status in ("ok", "not_found") for r in replies)
+                phases.append(
+                    (
+                        f"{name}.{tag}",
+                        {
+                            **_store_counters(store),
+                            **_service_counters(svc),
+                            "answers": _digest([r.value for r in replies]),
+                        },
+                    )
+                )
+
+        async with default, narrow:
+            await reads("before", explicit=5, retired=1)
+            store.write_epoch(dumps[5])  # live: 4, 5, 6
+            store.compact([4, 5])  # 6 survives the swap
+            assert store.compactions == 2 and sorted(store.epochs) == [6, 7]
+            await reads("after", explicit=6, retired=5)
+        phases.append(("services closed", _store_counters(store)))
+
+    asyncio.run(serve())
+    store.close()
+    closed = _store_counters(store)
+    assert closed["device.open_handles"] == _writer_handles(dumps), "a reader leaked handles"
+    phases.append(("store closed", closed))
+    return phases
+
+
+# Captured at bc78542 (parent of the reader-session refactor).
+GOLDEN = [('written',
+  {'device.reads': 84,
+   'device.bytes_read': 40422,
+   'device.open_handles': 40,
+   'sstable.block_cache.hits': 0,
+   'sstable.block_cache.misses': 48}),
+ ('store.get',
+  {'device.reads': 188,
+   'device.bytes_read': 124864,
+   'device.open_handles': 40,
+   'sstable.block_cache.hits': 0,
+   'sstable.block_cache.misses': 128,
+   'stats.reads': 104,
+   'stats.bytes_read': 84442,
+   'stats.partitions_searched': 89,
+   'answers': 3713930082}),
+ ('store.get_many',
+  {'device.reads': 272,
+   'device.bytes_read': 199600,
+   'device.open_handles': 40,
+   'sstable.block_cache.hits': 0,
+   'sstable.block_cache.misses': 212,
+   'stats.reads': 84,
+   'stats.bytes_read': 74736,
+   'stats.partitions_searched': 516,
+   'answers': 1757043775}),
+ ('store.lookup',
+  {'device.reads': 430,
+   'device.bytes_read': 266439,
+   'device.open_handles': 48,
+   'sstable.block_cache.hits': 15,
+   'sstable.block_cache.misses': 257,
+   'stats.reads': 158,
+   'stats.bytes_read': 66839,
+   'stats.partitions_searched': 72,
+   'answers': 1911588890}),
+ ('store.lookup_many',
+  {'device.reads': 456,
+   'device.bytes_read': 289647,
+   'device.open_handles': 48,
+   'sstable.block_cache.hits': 31,
+   'sstable.block_cache.misses': 283,
+   'stats.reads': 26,
+   'stats.bytes_read': 23208,
+   'stats.partitions_searched': 171,
+   'answers': 4062918877}),
+ ('store.trajectory',
+  {'device.reads': 467,
+   'device.bytes_read': 299895,
+   'device.open_handles': 48,
+   'sstable.block_cache.hits': 52,
+   'sstable.block_cache.misses': 294,
+   'stats.reads': 11,
+   'stats.bytes_read': 10248,
+   'stats.partitions_searched': 38,
+   'answers': 1949709263}),
+ ('default.before',
+  {'device.reads': 512,
+   'device.bytes_read': 342627,
+   'device.open_handles': 56,
+   'sstable.block_cache.hits': 79,
+   'sstable.block_cache.misses': 339,
+   'reader.queries': 212,
+   'reader.partitions_probed': 162,
+   'reader.cache.hits': 41,
+   'reader.cache.misses': 8,
+   'reader.cache.evictions': 0,
+   'serve.negative_cache.inserts': 30,
+   'serve.negative_cache.skipped_probes': 27,
+   'reader.storage_reads.data': 45,
+   'reader.storage_reads.footer': 0,
+   'reader.storage_reads.index': 0,
+   'reader.storage_reads.aux': 0,
+   'answers': 686095842}),
+ ('narrow.before',
+  {'device.reads': 584,
+   'device.bytes_read': 413871,
+   'device.open_handles': 58,
+   'sstable.block_cache.hits': 79,
+   'sstable.block_cache.misses': 411,
+   'reader.queries': 212,
+   'reader.partitions_probed': 162,
+   'reader.cache.hits': 4,
+   'reader.cache.misses': 45,
+   'reader.cache.evictions': 43,
+   'serve.negative_cache.inserts': 30,
+   'serve.negative_cache.skipped_probes': 27,
+   'reader.storage_reads.data': 72,
+   'reader.storage_reads.footer': 0,
+   'reader.storage_reads.index': 0,
+   'reader.storage_reads.aux': 0,
+   'answers': 686095842}),
+ ('default.after',
+  {'device.reads': 699,
+   'device.bytes_read': 486451,
+   'device.open_handles': 58,
+   'sstable.block_cache.hits': 106,
+   'sstable.block_cache.misses': 482,
+   'reader.queries': 423,
+   'reader.partitions_probed': 311,
+   'reader.cache.hits': 83,
+   'reader.cache.misses': 16,
+   'reader.cache.evictions': 0,
+   'serve.negative_cache.inserts': 46,
+   'serve.negative_cache.skipped_probes': 40,
+   'reader.storage_reads.data': 88,
+   'reader.storage_reads.footer': 8,
+   'reader.storage_reads.index': 8,
+   'reader.storage_reads.aux': 8,
+   'answers': 3859104156}),
+ ('narrow.after',
+  {'device.reads': 766,
+   'device.bytes_read': 553135,
+   'device.open_handles': 58,
+   'sstable.block_cache.hits': 109,
+   'sstable.block_cache.misses': 549,
+   'reader.queries': 423,
+   'reader.partitions_probed': 311,
+   'reader.cache.hits': 12,
+   'reader.cache.misses': 87,
+   'reader.cache.evictions': 83,
+   'serve.negative_cache.inserts': 46,
+   'serve.negative_cache.skipped_probes': 40,
+   'reader.storage_reads.data': 139,
+   'reader.storage_reads.footer': 0,
+   'reader.storage_reads.index': 0,
+   'reader.storage_reads.aux': 0,
+   'answers': 3859104156}),
+ ('services closed',
+  {'device.reads': 766,
+   'device.bytes_read': 553135,
+   'device.open_handles': 48,
+   'sstable.block_cache.hits': 109,
+   'sstable.block_cache.misses': 549}),
+ ('store closed',
+  {'device.reads': 766,
+   'device.bytes_read': 553135,
+   'device.open_handles': 48,
+   'sstable.block_cache.hits': 109,
+   'sstable.block_cache.misses': 549})]
+
+
+def test_read_counters_match_the_parent_commit():
+    got = run_script()
+    assert [name for name, _ in got] == [name for name, _ in GOLDEN]
+    for (name, counters), (_, want) in zip(got, GOLDEN):
+        assert counters == want, f"phase {name!r} moved"
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint(run_script(), width=100, sort_dicts=False)
