@@ -14,7 +14,7 @@ from .auxtable import (
 from .advisor import Advice, recommend_format
 from .compact import CompactionPolicy, CompactionReport, Compactor
 from .costmodel import WritePhaseResult, WriteRunConfig, model_write_phase
-from .multiepoch import MultiEpochStore
+from .multiepoch import EpochMount, MultiEpochStore
 from .formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KEY_BYTES, KVBatch, random_kv_batch
 from .partitioning import HashPartitioner
@@ -36,6 +36,7 @@ __all__ = [
     "CompactionPolicy",
     "CompactionReport",
     "Compactor",
+    "EpochMount",
     "MultiEpochStore",
     "WritePhaseResult",
     "WriteRunConfig",

@@ -317,7 +317,7 @@ class Compactor:
             newest_first=tuple(
                 sorted(epochs, key=lambda e: order_of[e], reverse=True)
             ),
-            aux_backends=getattr(store, "aux_backends", None),
+            aux_backends=store.aux_backends,
         )
         return working, spec
 

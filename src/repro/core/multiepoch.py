@@ -28,8 +28,6 @@ from ..storage.tiering import TierConfig, TieredStorage
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from ..cluster.simcluster import ClusterStats
-
-    from .reader import CachedQueryEngine
 from ..storage.manifest import EpochInfo, Manifest, RecoveryReport
 from .auxtable import AuxTable, aux_from_blob
 from .compact import CompactionPolicy, CompactionReport, Compactor
@@ -37,9 +35,15 @@ from .formats import FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KVBatch
 from .partitioning import HashPartitioner
 from .pipeline import aux_table_name, main_table_name
-from .reader import MetaCache, QueryEngine, QueryStats
+from .reader import (
+    TABLE_CACHE_ENTRIES,
+    CachedQueryEngine,
+    MetaCache,
+    QueryEngine,
+    QueryStats,
+)
 
-__all__ = ["MultiEpochStore"]
+__all__ = ["MultiEpochStore", "EpochMount"]
 
 
 def _merge_stats(dst: QueryStats, src: QueryStats) -> None:
@@ -55,8 +59,102 @@ def _merge_stats(dst: QueryStats, src: QueryStats) -> None:
         dst.breakdown_bytes[k] = dst.breakdown_bytes.get(k, 0) + v
 
 
+class EpochMount:
+    """One reader session over a store's live epochs.
+
+    A sealed epoch is a static object, so a session needs no coherence
+    protocol, only "did the set of sealed epochs change".  The mount owns
+    the ``live epoch -> engine`` memo, the one rule that empties it (the
+    store's compaction generation moved: close and drop every engine,
+    since some hold handles on swept extents) and the two bulk reads.
+    Engines are `MultiEpochStore.cached_engine`'s: ``table_cache_entries``
+    0 holds no handle between calls, >= 1 keeps that many readers warm.
+    """
+
+    def __init__(
+        self,
+        store: "MultiEpochStore",
+        metrics: MetricsRegistry | None = None,
+        table_cache_entries: int = 0,
+    ):
+        self.store = store
+        self.metrics = metrics
+        self.table_cache_entries = table_cache_entries
+        self._engines: dict[int, QueryEngine] = {}
+        self._generation = store.compactions
+
+    @property
+    def stale(self) -> bool:
+        """A compaction swapped the epoch set since the engines were built."""
+        return self._generation != self.store.compactions
+
+    def engine(self, epoch: int) -> QueryEngine:
+        """The session's engine for the live epoch serving ``epoch``
+        (a retired id forwards to the merged epoch that absorbed it)."""
+        if self.stale:
+            self.close()
+        engine = self._engines.get(epoch)  # keys are live ids, never reused
+        if engine is None:
+            epoch = self.store.resolve_epoch(epoch)
+            engine = self._engines.get(epoch)
+            if engine is None:
+                engine = self._engines[epoch] = self.store.cached_engine(
+                    epoch, self.metrics, self.table_cache_entries
+                )
+        return engine
+
+    def get_many(
+        self, keys, epoch: int, negative=None
+    ) -> tuple[list[bytes | None], list[QueryStats]]:
+        """Bulk point queries at one timestep (block-coalesced read path);
+        ``negative`` as in `QueryEngine.get_many`."""
+        return self.engine(epoch).get_many(keys, negative)
+
+    def lookup_many(
+        self, keys, negative=None
+    ) -> tuple[list[bytes | None], list[int | None], list[tuple[list[int], list[QueryStats]]]]:
+        """Newest value of each key across all live epochs: each epoch is
+        probed once with the still-missing keys (block-coalesced), newest
+        first, until none is left.  Returns ``(values, epochs_found,
+        steps)``, one ``(key positions probed, their QueryStats)`` step per
+        epoch walked, for callers that account costs per key.
+        """
+        arr = np.asarray(keys, dtype=np.uint64).ravel()
+        values: list[bytes | None] = [None] * arr.size
+        found: list[int | None] = [None] * arr.size
+        steps = []
+        remaining = list(range(arr.size))
+        for epoch in reversed(self.store.epochs):
+            if not remaining:
+                break
+            vals, stats = self.engine(epoch).get_many(arr[remaining], negative)
+            steps.append((remaining, stats))
+            still: list[int] = []
+            for i, value in zip(remaining, vals):
+                if value is not None:
+                    values[i] = value
+                    found[i] = epoch
+                else:
+                    still.append(i)
+            remaining = still
+        return values, found, steps
+
+    def close(self) -> None:
+        """Release every held reader handle (idempotent; engines rebuild
+        lazily against the store's current epoch set)."""
+        for engine in self._engines.values():
+            engine.close()
+        self._engines.clear()
+        self._generation = self.store.compactions
+
+
 class MultiEpochStore:
-    """A persisted dataset spanning many dump epochs."""
+    """A persisted dataset spanning many dump epochs.
+
+    Reads go through cold per-epoch engines (`engine`, the paper's
+    reader) or through an `EpochMount`: the store's own two, or the one
+    `mount` hands a serving tier.  DESIGN.md §6 has the three policies.
+    """
 
     def __init__(
         self,
@@ -82,20 +180,14 @@ class MultiEpochStore:
         self.manifest = Manifest(fmt=fmt.name, nranks=nranks, value_bytes=value_bytes)
         # The paper's cold readers, one per live epoch (`engine`,
         # ``lookup(cached=False)``): they share nothing and re-open
-        # everything per query.
+        # everything per query, and own each epoch's decoded aux tables.
         self._engines: dict[int, QueryEngine] = {}
         # Sealed tables are immutable: their verified footer/index/filter
-        # stay resident here, shared by every engine below and by
-        # `cached_engine`.  Filled lazily; retired epochs are dropped.
+        # stay resident here, shared by every engine `cached_engine`
+        # builds.  Filled lazily; retired epochs are dropped.
         self.meta_cache = MetaCache()
-        # Engines behind `get` / `get_many`: handle opened and closed per
-        # call (no data block outlives it), metadata from the cache.
-        self._resident: dict[int, QueryEngine] = {}
-        # Warm per-epoch engines for the store's own repeated read paths
-        # (trajectory/lookup); built lazily, closed deterministically.
-        self._cached: dict[int, CachedQueryEngine] = {}
         # Compaction: optional size-tiered policy checked after every
-        # commit, and a generation counter serving tiers watch to learn
+        # commit, and a generation counter reader sessions watch to learn
         # that the epoch set changed under them.
         self.compaction_policy = compaction
         # Aux backends to try, in order, for each sealed key→rank set
@@ -104,6 +196,12 @@ class MultiEpochStore:
         self.aux_backends = aux_backends
         self.compactions = 0
         self.last_compaction: CompactionReport | None = None
+        # The store's own sessions.  `get` / `get_many`: handle opened and
+        # closed per call, so no data block outlives it (read-cold's RSS
+        # bound).  `trajectory` / `lookup*`: repeated cross-epoch reads
+        # keep their readers open.
+        self._reads = self.mount()
+        self._warm = self.mount(table_cache_entries=TABLE_CACHE_ENTRIES)
         # Optional burst-buffer/PFS model: dumps land on the burst buffer;
         # compaction output is drained, PFS-resident data.
         if isinstance(tiering, TierConfig):
@@ -284,84 +382,57 @@ class MultiEpochStore:
             raise KeyError(f"no such epoch {epoch} (have {self.epochs})")
         return self._engines[epoch]
 
-    def _mount(self, epoch: int, cls=QueryEngine, **kwargs):
-        """A ``cls`` engine over one committed epoch that shares the cold
-        engine's aux tables (and, unless told otherwise, its metrics) and
-        the store's metadata cache."""
+    def cached_engine(
+        self,
+        epoch: int,
+        metrics: MetricsRegistry | None = None,
+        table_cache_entries: int = TABLE_CACHE_ENTRIES,
+    ) -> QueryEngine:
+        """The engine every `EpochMount` is built from: same device/format/
+        aux tables as `engine`, table metadata in the store's `meta_cache`.
+
+        ``table_cache_entries`` bounds the open handles it keeps (and the
+        data blocks their block LRUs pin), not metadata: >= 1 is a
+        `CachedQueryEngine` with its bounded reader cache and telemetry
+        (what a serving tier mounts), 0 a plain `QueryEngine` that opens
+        and closes its handles per query.
+        """
         base = self.engine(epoch)
-        kwargs.setdefault("metrics", base.metrics)
-        return cls(
+        shared = dict(
             device=self.device,
             fmt=self.fmt,
             nranks=self.nranks,
             partitioner=base.partitioner,
             aux_tables=base.aux_tables,
             epoch=base.epoch,
+            metrics=metrics,
             meta_cache=self.meta_cache,
-            **kwargs,
         )
+        if table_cache_entries == 0:
+            return QueryEngine(**shared)
+        return CachedQueryEngine(table_cache_entries=table_cache_entries, **shared)
 
-    def cached_engine(
-        self,
-        epoch: int,
-        metrics: MetricsRegistry | None = None,
-        table_cache_entries: int | None = None,
-    ) -> "CachedQueryEngine":
-        """A warm-cache engine over one committed epoch.
-
-        This is what a long-running serving tier (`repro.serve`) mounts:
-        same device/format/aux tables as `engine`, but with the bounded
-        reader cache and cache telemetry of `CachedQueryEngine`.
-        ``table_cache_entries`` bounds the open handles it keeps (and the
-        data blocks their block LRUs pin), not metadata: that lives in
-        the store's `meta_cache`.
-        """
-        from .reader import CachedQueryEngine  # local: keep import surface small
-
-        kwargs = {}
-        if table_cache_entries is not None:
-            kwargs["table_cache_entries"] = table_cache_entries
-        return self._mount(epoch, CachedQueryEngine, metrics=metrics, **kwargs)
-
-    def _pooled_engine(self, epoch: int) -> "CachedQueryEngine":
-        """The store's own warm engine for one live epoch.
-
-        Built on first use and reused by every subsequent `trajectory` /
-        `lookup` call, so repeated cross-epoch reads don't churn reader
-        handles; `close` (or compaction retiring the epoch) releases them.
-        """
-        resolved = self.resolve_epoch(epoch)
-        engine = self._cached.get(resolved)
-        if engine is None:
-            engine = self.cached_engine(resolved)
-            self._cached[resolved] = engine
-        return engine
-
-    def _resident_engine(self, epoch: int) -> QueryEngine:
-        resolved = self.resolve_epoch(epoch)
-        engine = self._resident.get(resolved)
-        if engine is None:
-            engine = self._mount(resolved)
-            self._resident[resolved] = engine
-        return engine
+    def mount(self, metrics=None, table_cache_entries: int = 0) -> EpochMount:
+        """A reader session of the caller's own, for the caller to close."""
+        return EpochMount(self, metrics, table_cache_entries)
 
     def get(self, key: int, epoch: int) -> tuple[bytes | None, QueryStats]:
         """Point query at one timestep (the paper's Fig. 11 query, with
         table metadata resident after each table's first open)."""
-        return self._resident_engine(epoch).get(key)
+        return self._reads.engine(epoch).get(key)
 
     def get_many(self, keys, epoch: int) -> tuple[list[bytes | None], list[QueryStats]]:
         """Bulk point queries at one timestep (block-coalesced read path)."""
-        return self._resident_engine(epoch).get_many(keys)
+        return self._reads.get_many(keys, epoch)
 
     def trajectory(self, key: int) -> list[tuple[int, bytes | None, QueryStats]]:
         """The key's value at every epoch — a particle's trajectory.
 
-        Served from the store's pooled warm engines: repeated trajectory
-        calls reuse open readers and loaded aux tables instead of opening
-        and closing every partition's handles on each call.
+        Served from the store's warm session: repeated trajectory calls
+        reuse open readers and loaded aux tables instead of opening and
+        closing every partition's handles on each call.
         """
-        return [(e, *self._pooled_engine(e).get(key)) for e in self.epochs]
+        return [(e, *self._warm.engine(e).get(key)) for e in self.epochs]
 
     def lookup(
         self, key: int, cached: bool = True
@@ -377,7 +448,7 @@ class MultiEpochStore:
         """
         agg = QueryStats()
         for epoch in reversed(self.epochs):
-            probe = self._pooled_engine(epoch) if cached else self._engines[epoch]
+            probe = self._warm.engine(epoch) if cached else self._engines[epoch]
             value, stats = probe.get(key)
             _merge_stats(agg, stats)
             if value is not None:
@@ -385,29 +456,15 @@ class MultiEpochStore:
         return None, None, agg
 
     def lookup_many(
-        self, keys, cached: bool = True
+        self, keys
     ) -> tuple[list[bytes | None], list[int | None], list[QueryStats]]:
-        """Bulk `lookup`: each epoch is probed once with the still-missing
-        keys (block-coalesced), newest first."""
-        arr = np.asarray(keys, dtype=np.uint64).ravel()
-        values: list[bytes | None] = [None] * arr.size
-        found: list[int | None] = [None] * arr.size
-        agg = [QueryStats() for _ in range(arr.size)]
-        remaining = list(range(arr.size))
-        for epoch in reversed(self.epochs):
-            if not remaining:
-                break
-            probe = self._pooled_engine(epoch) if cached else self._engines[epoch]
-            vals, stats = probe.get_many(arr[remaining])
-            still: list[int] = []
-            for i, value, st in zip(remaining, vals, stats):
+        """Bulk `lookup` through the warm session (`EpochMount.lookup_many`),
+        with each key's costs aggregated over the epochs it walked."""
+        values, found, steps = self._warm.lookup_many(keys)
+        agg = [QueryStats() for _ in values]
+        for positions, stats in steps:
+            for i, st in zip(positions, stats):
                 _merge_stats(agg[i], st)
-                if value is not None:
-                    values[i] = value
-                    found[i] = epoch
-                else:
-                    still.append(i)
-            remaining = still
         return values, found, agg
 
     # -- compaction ---------------------------------------------------------
@@ -435,19 +492,18 @@ class MultiEpochStore:
         """Flip the in-memory view to a swapped-in merged manifest.
 
         The on-device swap already landed.  Engines over retired epochs
-        hold handles on extents the sweep deleted — close them before
-        anything probes through them.
+        hold handles on extents the sweep deleted: the store's own
+        sessions release theirs now, anyone else's `EpochMount` on its
+        next use (the generation moved).
         """
         self.manifest = manifest
         for epoch in report.source_epochs:
             self._engines.pop(epoch, None)
-            self._resident.pop(epoch, None)
             self.meta_cache.drop_epoch(epoch)
-            stale = self._cached.pop(epoch, None)
-            if stale is not None:
-                stale.close()
         self._engines[report.merged_epoch] = self._attach_engine(report.merged_epoch)
         self.compactions += 1
+        self._reads.close()
+        self._warm.close()
         self.last_compaction = report
         if self.tiering is not None:
             # Merged output is drained, PFS-resident data: let the model
@@ -465,12 +521,10 @@ class MultiEpochStore:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Release every pooled reader handle and the resident table
+        """Release the store's own reader handles and the resident table
         metadata (idempotent; later reads refill lazily)."""
-        for engine in self._cached.values():
-            engine.close()
-        self._cached.clear()
-        self._resident.clear()
+        self._reads.close()
+        self._warm.close()
         self.meta_cache.clear()
 
     def __enter__(self) -> "MultiEpochStore":

@@ -40,6 +40,10 @@ __all__ = ["QueryEngine", "CachedQueryEngine", "MetaCache", "QueryStats"]
 # holds the metadata of roughly 50 M keys.
 META_CACHE_BYTES = 64 << 20
 
+# Open table readers a warm engine keeps unless its owner says otherwise
+# (`CachedQueryEngine`, `MultiEpochStore.cached_engine`, `QueryService`).
+TABLE_CACHE_ENTRIES = 64
+
 
 @dataclass
 class QueryStats:
@@ -572,7 +576,7 @@ class CachedQueryEngine(QueryEngine):
     def __init__(
         self,
         *args,
-        table_cache_entries: int = 64,
+        table_cache_entries: int = TABLE_CACHE_ENTRIES,
         meta_cache: MetaCache | None = None,
         **kwargs,
     ):

@@ -27,8 +27,12 @@ to (newest wins) rather than mutating cached state — the stale entry can
 only ever be served for an explicit historical epoch, where it is the
 correct answer.  `invalidate` exists for belt-and-braces cache drops.
 
+The service reads through one `EpochMount` (``store.mount``): the mount
+owns the per-epoch engines and the two bulk reads a window can ask for,
+the service owns admission, coalescing and the caches.
+
 Everything is single-event-loop: the batch executor runs synchronously
-inside the dispatcher task, so no locks guard the caches or engines.
+inside the dispatcher task, so no locks guard the caches or the mount.
 """
 
 from __future__ import annotations
@@ -36,10 +40,12 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.reader import TABLE_CACHE_ENTRIES
 from ..obs import (
     ActiveSpan,
     MetricsRegistry,
@@ -53,7 +59,6 @@ from .cache import LRUCache, NegativeCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.multiepoch import MultiEpochStore
-    from ..core.reader import CachedQueryEngine
 
 __all__ = [
     "QueryService",
@@ -71,6 +76,9 @@ __all__ = [
 # compaction preserves.  Cache entries for it are versioned by the newest
 # epoch id, so both new commits and compactions shift the cache key.
 ANY_EPOCH = -1
+
+# Bound of the negative cache (refuted ``(epoch, key, rank)`` candidates).
+NEGATIVE_CACHE_ENTRIES = 65536
 
 OK = "ok"
 NOT_FOUND = "not_found"
@@ -177,8 +185,8 @@ class QueryService:
         request arrives.  0 (default) means "drain whatever is queued":
         coalescing still happens under concurrency without adding idle
         latency.
-    result_cache_entries / negative_cache_entries:
-        Bounds for the two read caches.
+    result_cache_entries:
+        Bound of the finished-response cache.
     max_inflight:
         Budget of admitted-but-unanswered requests (coalesced waiters
         each count); beyond it new arrivals are shed.
@@ -187,7 +195,8 @@ class QueryService:
     default_deadline_s:
         Applied to requests that do not carry their own deadline.
     table_cache_entries:
-        Per-epoch engine reader-cache bound (see `CachedQueryEngine`).
+        Per-epoch engine reader-cache bound (see `CachedQueryEngine`);
+        at least 1.
     metrics:
         Registry for the ``serve.*`` (and the engines' ``reader.*``)
         series; a private real registry is created when omitted, because
@@ -211,12 +220,11 @@ class QueryService:
         max_batch: int = 64,
         batch_window_s: float = 0.0,
         result_cache_entries: int = 4096,
-        negative_cache_entries: int = 65536,
         max_inflight: int = 1024,
         queue_high_watermark: int = 512,
         queue_low_watermark: int | None = None,
         default_deadline_s: float | None = None,
-        table_cache_entries: int = 64,
+        table_cache_entries: int = TABLE_CACHE_ENTRIES,
         metrics: MetricsRegistry | None = None,
         tracer: TraceCollector | None = None,
         stats_window_s: float = 10.0,
@@ -225,12 +233,13 @@ class QueryService:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        if table_cache_entries < 1:
+            raise ValueError(f"table_cache_entries must be >= 1, got {table_cache_entries}")
         self.store = store
         self.max_batch = max_batch
         self.batch_window_s = batch_window_s
         self.max_inflight = max_inflight
         self.default_deadline_s = default_deadline_s
-        self.table_cache_entries = table_cache_entries
         self.metrics = metrics if metrics is not None else MetricsRegistry("serve")
         # A real collector even when tracing "off": sample_rate 0 means
         # the service originates no traces, but a request that arrives
@@ -250,13 +259,12 @@ class QueryService:
         )
         self._shedder = _Shedder(high=queue_high_watermark, low=low)
         self._rcache = LRUCache(result_cache_entries, self.metrics, name="serve.result_cache")
-        self._negcache = NegativeCache(negative_cache_entries, self.metrics)
-        self._engines: dict[int, "CachedQueryEngine"] = {}
-        # Compaction generation last observed on the store.  When it moves,
-        # mounted engines hold handles on extents the sweep deleted and
+        self._negcache = NegativeCache(NEGATIVE_CACHE_ENTRIES, self.metrics)
+        # The reader session.  When the store's compaction generation
+        # moves, its engines hold handles on extents the sweep deleted and
         # epoch-keyed cache entries may describe retired epochs — both are
-        # dropped before the next probe runs.
-        self._store_gen = getattr(store, "compactions", 0)
+        # dropped (`invalidate`) before the next probe runs.
+        self._mount = store.mount(self.metrics, table_cache_entries)
         self._queue: asyncio.Queue = asyncio.Queue()
         self._index: dict[tuple, _Pending] = {}
         self._inflight = 0
@@ -287,9 +295,7 @@ class QueryService:
             self._queue.put_nowait(None)  # sentinel: FIFO, so admitted work drains first
             await self._dispatcher
             self._dispatcher = None
-        for engine in self._engines.values():
-            engine.close()
-        self._engines.clear()
+        self._mount.close()
 
     async def __aenter__(self) -> "QueryService":
         return await self.start()
@@ -312,27 +318,12 @@ class QueryService:
         """
         self._rcache.clear()
         self._negcache.clear()
-        for engine in self._engines.values():
-            engine.close()
-        self._engines.clear()
-
-    def _engine(self, epoch: int) -> "CachedQueryEngine":
-        engine = self._engines.get(epoch)
-        if engine is None:
-            engine = self.store.cached_engine(
-                epoch,
-                metrics=self.metrics,
-                table_cache_entries=self.table_cache_entries,
-            )
-            self._engines[epoch] = engine
-        return engine
+        self._mount.close()
 
     def _check_generation(self) -> None:
         """Pick up a compaction swap: drop engines and epoch-keyed caches."""
-        gen = getattr(self.store, "compactions", 0)
-        if gen != self._store_gen:
+        if self._mount.stale:
             self.invalidate()
-            self._store_gen = gen
 
     def _resolve_epoch(self, epoch: int | None):
         """Which committed epoch a request addresses (newest when
@@ -354,13 +345,10 @@ class QueryService:
             return ("any", epochs[-1])
         if epoch in epochs:
             return epoch
-        resolve = getattr(self.store, "resolve_epoch", None)
-        if resolve is not None:
-            try:
-                return resolve(epoch)
-            except KeyError:
-                pass
-        raise LookupError(f"no such epoch {epoch} (have {epochs})")
+        try:
+            return self.store.resolve_epoch(epoch)
+        except KeyError:
+            raise LookupError(f"no such epoch {epoch} (have {epochs})") from None
 
     # -- the request path --------------------------------------------------
 
@@ -617,21 +605,12 @@ class QueryService:
         for pending in live:
             by_epoch.setdefault(pending.epoch, []).append(pending)
         for token, items in by_epoch.items():
+            roots = [root for p in items for root, _ in p.traced]
             try:
-                if isinstance(token, tuple):
-                    runner = lambda items=items: self._probe_any(items)  # noqa: E731
-                    epoch_attr = "any"
-                else:
-                    engine = self._engine(token)
-                    runner = lambda e=engine, t=token, i=items: self._probe_group(  # noqa: E731
-                        e, t, i
-                    )
-                    epoch_attr = token
-                roots = [root for p in items for root, _ in p.traced]
                 if roots:
-                    self._probe_traced(runner, items, roots, epoch_attr)
+                    self._answer_traced(token, items, roots)
                 else:
-                    runner()
+                    self._answer(token, items)
             except Exception as e:  # fail this group loudly, keep serving
                 for pending in items:
                     if not pending.future.done():
@@ -645,53 +624,27 @@ class QueryService:
                             ),
                         )
 
-    def _probe_group(self, engine, epoch: int, items: list[_Pending]) -> None:
-        """One live epoch's window: bulk-probe and finish every pending."""
+    def _answer(self, token, items: list[_Pending]) -> None:
+        """One token's share of a window: one bulk read through the mount
+        (a live epoch's block-coalesced probe, or for an `ANY_EPOCH` token
+        the newest-first walk over live epochs), both handed the negative
+        cache, then every pending finished."""
         keys = np.fromiter((p.key for p in items), dtype=np.uint64, count=len(items))
-        values = self._bulk_values(engine, keys)
-        for pending, value in zip(items, values):
-            status = OK if value is not None else NOT_FOUND
-            self._finish(pending, ServeResponse(status, pending.key, epoch, value=value))
-
-    def _probe_any(self, items: list[_Pending]) -> None:
-        """Cross-epoch window: walk live epochs newest-first, carrying only
-        still-unanswered keys forward — the serving-tier twin of
-        `MultiEpochStore.lookup_many`, sharing the per-epoch bulk probe
-        (and, for FilterKV, the negative cache) with single-epoch windows.
-        """
-        live = list(self.store.epochs)
-        n = len(items)
-        values: list[bytes | None] = [None] * n
-        where: list[int | None] = [None] * n
-        remaining = list(range(n))
-        for epoch in reversed(live):
-            if not remaining:
-                break
-            engine = self._engine(epoch)
-            keys = np.fromiter(
-                (items[i].key for i in remaining), dtype=np.uint64, count=len(remaining)
-            )
-            vals = self._bulk_values(engine, keys)
-            still: list[int] = []
-            for i, value in zip(remaining, vals):
-                if value is not None:
-                    values[i] = value
-                    where[i] = epoch
-                else:
-                    still.append(i)
-            remaining = still
-        newest = live[-1] if live else None
-        for i, pending in enumerate(items):
-            if values[i] is not None:
-                response = ServeResponse(OK, pending.key, where[i], value=values[i])
+        if isinstance(token, tuple):
+            values, where, _ = self._mount.lookup_many(keys, self._negcache)
+            missing = self.store.epochs[-1]
+        else:
+            values, _ = self._mount.get_many(keys, token, self._negcache)
+            where, missing = repeat(token), token
+        for pending, value, epoch in zip(items, values, where):
+            if value is not None:
+                response = ServeResponse(OK, pending.key, epoch, value=value)
             else:
-                response = ServeResponse(NOT_FOUND, pending.key, newest)
+                response = ServeResponse(NOT_FOUND, pending.key, missing)
             self._finish(pending, response)
 
-    def _probe_traced(
-        self, runner, items: list[_Pending], roots: list[ActiveSpan], epoch_attr
-    ) -> None:
-        """Probe with the window's shared work attributed to spans.
+    def _answer_traced(self, token, items: list[_Pending], roots: list[ActiveSpan]) -> None:
+        """`_answer` with the window's shared work attributed to spans.
 
         The *lead* traced member owns the real ``serve.batch`` subtree —
         its counter deltas are the window's shared cost, charged once
@@ -700,17 +653,16 @@ class QueryService:
         subtree (fresh span ids, no counters, ``shared=True``) so its
         tree still shows *where* time went without double-counting.
         """
-        lead = roots[0]
         with self.tracer.span(
             "serve.batch",
-            parent=lead,
+            parent=roots[0],
             counters=self.metrics,
             prefixes=_TRACE_PREFIXES,
             batch=len(items),
-            epoch=epoch_attr,
+            epoch="any" if isinstance(token, tuple) else token,
             traced=len(roots),
         ) as bspan:
-            runner()
+            self._answer(token, items)
         if len(roots) > 1:
             subtree = self.tracer.subtree(bspan.span_id)
             for other in roots[1:]:
@@ -743,17 +695,6 @@ class QueryService:
         if not pending.future.done():
             pending.future.set_result(response)
 
-    # -- probe strategies --------------------------------------------------
-
-    def _bulk_values(self, engine, keys: np.ndarray) -> list[bytes | None]:
-        """One epoch's bulk probe for a window's keys; values align with
-        ``keys`` (None = not in this epoch).  The engine's block-coalesced
-        ``get_many`` is the probe for every format; its filterkv candidate
-        walk skips ranks the negative cache already refuted and records
-        fresh misses into it (base/dataptr have no candidates to refute)."""
-        values, _ = engine.get_many(keys, negative=self._negcache)
-        return values
-
     # -- introspection -----------------------------------------------------
 
     def state_token(self) -> list:
@@ -763,7 +704,7 @@ class QueryService:
         different token as proof the view is stale (epoch committed or
         compaction swapped since the last refresh)."""
         epochs = self.store.epochs
-        return [getattr(self.store, "compactions", 0), epochs[-1] if epochs else -1]
+        return [self.store.compactions, epochs[-1] if epochs else -1]
 
     def aux_state(self) -> dict:
         """The sealed aux blobs a router needs to hold this shard's
@@ -774,9 +715,8 @@ class QueryService:
         `state_token`, so the caller can detect a commit racing the
         export."""
         blobs = {}
-        export = getattr(self.store, "aux_blobs", None)
         for epoch in self.store.epochs:
-            per_rank = export(epoch) if export is not None else None
+            per_rank = self.store.aux_blobs(epoch)
             blobs[str(epoch)] = (
                 None if per_rank is None else [b.hex() for b in per_rank]
             )
@@ -811,7 +751,7 @@ class QueryService:
                 "inserts": int(m.total("serve.negative_cache.inserts")),
                 "entries": len(self._negcache),
             },
-            "compactions": getattr(self.store, "compactions", 0),
+            "compactions": self.store.compactions,
             "sheds": int(m.total("serve.sheds")),
             "coalesced": int(m.total("serve.coalesced")),
             "batches": int(m.total("serve.batches")),

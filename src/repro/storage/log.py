@@ -20,6 +20,7 @@ from .blockio import ExtentLostError, StorageDevice, StorageFile
 __all__ = ["DataPointer", "ValueLog", "POINTER_BYTES"]
 
 POINTER_BYTES = 12  # 4-byte file/rank id + 8-byte offset (paper §III-C)
+READ_AHEAD = 4096  # value bytes `ValueLog.read` fetches with the length prefix
 _PTR_STRUCT = struct.Struct("<Iq")
 
 
@@ -113,18 +114,18 @@ class ValueLog:
         self._nvalues += len(offsets)
         return offsets
 
-    def read(self, pointer: DataPointer, size_hint: int = 4096) -> bytes:
+    def read(self, pointer: DataPointer) -> bytes:
         """Read the value a pointer refers to.
 
-        A single device read covers the length prefix plus ``size_hint``
+        A single device read covers the length prefix plus `READ_AHEAD`
         bytes — one storage seek for typical values (the paper's indirection
-        costs exactly one extra read op per query); only values larger than
-        the hint need a second read.
+        costs exactly one extra read op per query); only larger values
+        need a second read.
         """
         if pointer.rank != self.rank:
             raise ValueError(f"pointer targets rank {pointer.rank}, log is rank {self.rank}")
         try:
-            first = self._file.read(pointer.offset, self._LEN.size + size_hint)
+            first = self._file.read(pointer.offset, self._LEN.size + READ_AHEAD)
         except ExtentLostError as e:
             raise ValueError(f"bad pointer offset {pointer.offset}: {e}") from e
         if len(first) < self._LEN.size:
@@ -135,24 +136,24 @@ class ValueLog:
             body += self._file.read(pointer.offset + len(first), length - len(body))
         return body
 
-    def read_many(self, pointers: list[DataPointer], size_hint: int = 4096) -> list[bytes]:
+    def read_many(self, pointers: list[DataPointer]) -> list[bytes]:
         """Read a batch of pointers, issuing reads in ascending offset order.
 
         Returns values aligned with ``pointers``.  Each value still costs
-        one read (two for values larger than ``size_hint``), but a batch
+        one read (two for values larger than `READ_AHEAD`), but a batch
         sweeps the log monotonically instead of seeking back and forth —
         the access pattern a real device rewards.
         """
         if current_span() is None:  # untraced: skip span-argument setup
-            return self._read_many(pointers, size_hint)
+            return self._read_many(pointers)
         with child_span("vlog.read_many", rank=self.rank, n=len(pointers)):
-            return self._read_many(pointers, size_hint)
+            return self._read_many(pointers)
 
-    def _read_many(self, pointers: list[DataPointer], size_hint: int) -> list[bytes]:
+    def _read_many(self, pointers: list[DataPointer]) -> list[bytes]:
         order = sorted(range(len(pointers)), key=lambda i: pointers[i].offset)
         out: list[bytes] = [b""] * len(pointers)
         for i in order:
-            out[i] = self.read(pointers[i], size_hint)
+            out[i] = self.read(pointers[i])
         return out
 
     def close(self) -> None:

@@ -342,17 +342,17 @@ class TableMeta:
     nbytes: int  # resident size: the index arrays plus the Bloom filter's bits
 
 
-def _checked(blob: bytes, what: str, name: str, verify: bool) -> bytes:
+def _checked(blob: bytes, what: str, name: str) -> bytes:
     """Verify and strip a section's trailing checksum."""
     if len(blob) < CHECKSUM_BYTES + 4:
         raise CorruptBlockError(f"{what} truncated to {len(blob)} bytes in {name!r}")
     body, stored = blob[:-CHECKSUM_BYTES], blob[-CHECKSUM_BYTES:]
-    if verify and fastsum64(body) != int.from_bytes(stored, "little"):
+    if fastsum64(body) != int.from_bytes(stored, "little"):
         raise CorruptBlockError(f"{what} checksum mismatch in table {name!r}")
     return body
 
 
-def load_table_meta(file: StorageFile, name: str, verify_checksums: bool = True) -> TableMeta:
+def load_table_meta(file: StorageFile, name: str) -> TableMeta:
     """Read and verify a table's footer, index and filter (2 device reads).
 
     Raises `ValueError` for a table too small or with a bad magic, and
@@ -375,7 +375,7 @@ def load_table_meta(file: StorageFile, name: str, verify_checksums: bool = True)
     ) = _FOOTER_BODY.unpack(body)
     if magic != _MAGIC:
         raise ValueError(f"bad magic in table {name!r}")
-    if verify_checksums and fastsum64(body) != int.from_bytes(stored, "little"):
+    if fastsum64(body) != int.from_bytes(stored, "little"):
         raise CorruptBlockError(f"footer checksum mismatch in table {name!r}")
     # Filter and index blobs are adjacent on storage; fetch them with a
     # single read, like the paper's "load the partition's indexes"
@@ -387,9 +387,9 @@ def load_table_meta(file: StorageFile, name: str, verify_checksums: bool = True)
     else:
         filter_blob = b""
         index_blob = file.read(index_off, index_len)
-    index_blob = _checked(index_blob, "index block", name, verify_checksums)
+    index_blob = _checked(index_blob, "index block", name)
     if filter_blob:
-        filter_blob = _checked(filter_blob, "filter block", name, verify_checksums)
+        filter_blob = _checked(filter_blob, "filter block", name)
     (nblocks,) = _U32.unpack(index_blob[:4])
     raw = np.frombuffer(
         index_blob, dtype=np.uint8, count=nblocks * _INDEX_ENTRY.size, offset=4
@@ -427,14 +427,12 @@ class SSTableReader:
         self,
         device: StorageDevice,
         name: str,
-        verify_checksums: bool = True,
         block_cache_blocks: int = 2,
         meta: TableMeta | None = None,
     ):
         self._file = device.open(name)
         self.name = name
         self._metrics = device.metrics
-        self.verify_checksums = verify_checksums
         # Small LRU over decoded data blocks: consecutive lookups that land
         # in the same block (sorted scans, hot blocks under a warm reader)
         # skip the re-read, the re-checksum *and* the re-decode.
@@ -446,7 +444,7 @@ class SSTableReader:
         self._m_bc_misses = device.metrics.counter("sstable.block_cache.misses")
         if meta is None:
             try:
-                meta = load_table_meta(self._file, name, verify_checksums)
+                meta = load_table_meta(self._file, name)
             except Exception:
                 self._file.close()  # a failed open must not leak its handle
                 raise
@@ -510,7 +508,7 @@ class SSTableReader:
         if len(payload) < CHECKSUM_BYTES + 4:
             raise CorruptBlockError(f"block {i} truncated to {len(payload)} bytes")
         body, stored = payload[:-CHECKSUM_BYTES], payload[-CHECKSUM_BYTES:]
-        if self.verify_checksums and fastsum64(body) != int.from_bytes(stored, "little"):
+        if fastsum64(body) != int.from_bytes(stored, "little"):
             raise CorruptBlockError(f"checksum mismatch in block {i}")
         return body
 
@@ -565,8 +563,8 @@ class SSTableReader:
         pos = 4
         for j in range(n):
             if pos + _ENTRY_HDR.size > len(body):
-                # Damaged lengths walked off the block: only reachable with
-                # verify_checksums=False, which serves what still decodes.
+                # Lengths that walk off the block (a writer bug: the
+                # checksum matched): serve what still decodes.
                 return bkeys[:j], voffs[:j], vlens[:j], body
             k, vlen = _ENTRY_HDR.unpack(body[pos : pos + _ENTRY_HDR.size])
             pos += _ENTRY_HDR.size

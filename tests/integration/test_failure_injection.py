@@ -42,16 +42,6 @@ def test_data_block_corruption_detected():
     assert hit_corruption
 
 
-def test_corruption_ignored_when_verification_disabled():
-    dev = StorageDevice()
-    stats = _build_table(dev)
-    dev.corrupt("t", stats.data_bytes // 2)
-    r = SSTableReader(dev, "t", verify_checksums=False)
-    # No exception — the reader knowingly serves unverified bytes.
-    for k in range(0, 500, 13):
-        r.get(k)
-
-
 def test_filter_block_corruption_detected():
     dev = StorageDevice()
     stats = _build_table(dev)

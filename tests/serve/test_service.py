@@ -266,5 +266,9 @@ def test_constructor_validation():
         QueryService(store, max_batch=0)
     with pytest.raises(ValueError):
         QueryService(store, max_inflight=0)
+    # Used to construct, then fail every request with an empty error code,
+    # which a fleet router counts as a shard fault.
+    with pytest.raises(ValueError, match="table_cache_entries"):
+        QueryService(store, table_cache_entries=0)
     with pytest.raises(ValueError):
         QueryService(store, queue_high_watermark=4, queue_low_watermark=4)
