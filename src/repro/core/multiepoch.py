@@ -17,6 +17,7 @@ Example::
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -199,9 +200,13 @@ class MultiEpochStore:
         # The store's own sessions.  `get` / `get_many`: handle opened and
         # closed per call, so no data block outlives it (read-cold's RSS
         # bound).  `trajectory` / `lookup*`: repeated cross-epoch reads
-        # keep their readers open.
-        self._reads = self.mount()
-        self._warm = self.mount(table_cache_entries=TABLE_CACHE_ENTRIES)
+        # keep their readers open.  They live exactly as long as the store,
+        # so they see it through a proxy: store <-> mount must not be a
+        # reference cycle, or a dropped store (and its device's bytes)
+        # would wait for the cycle collector instead of its last reference.
+        me = weakref.proxy(self)
+        self._reads = EpochMount(me)
+        self._warm = EpochMount(me, table_cache_entries=TABLE_CACHE_ENTRIES)
         # Optional burst-buffer/PFS model: dumps land on the burst buffer;
         # compaction output is drained, PFS-resident data.
         if isinstance(tiering, TierConfig):
