@@ -200,10 +200,9 @@ class MultiEpochStore:
         # The store's own sessions.  `get` / `get_many`: handle opened and
         # closed per call, so no data block outlives it (read-cold's RSS
         # bound).  `trajectory` / `lookup*`: repeated cross-epoch reads
-        # keep their readers open.  They live exactly as long as the store,
-        # so they see it through a proxy: store <-> mount must not be a
-        # reference cycle, or a dropped store (and its device's bytes)
-        # would wait for the cycle collector instead of its last reference.
+        # keep their readers open.  Both see the store through a proxy: a
+        # store <-> mount cycle would leave a dropped store to the cycle
+        # collector instead of freeing it with its last reference.
         me = weakref.proxy(self)
         self._reads = EpochMount(me)
         self._warm = EpochMount(me, table_cache_entries=TABLE_CACHE_ENTRIES)
@@ -382,10 +381,7 @@ class MultiEpochStore:
         return self.manifest.resolve_epoch(int(epoch))
 
     def engine(self, epoch: int) -> QueryEngine:
-        epoch = self.resolve_epoch(epoch)
-        if epoch not in self._engines:
-            raise KeyError(f"no such epoch {epoch} (have {self.epochs})")
-        return self._engines[epoch]
+        return self._engines[self.resolve_epoch(epoch)]  # one per live epoch
 
     def cached_engine(
         self,
