@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .hashing import double_hash_probes
+from .hashing import double_hash_probes, double_hash_probes_int
 
 __all__ = ["BloomFilter", "optimal_nhashes", "false_positive_rate"]
 
@@ -112,7 +112,13 @@ class BloomFilter:
         self.add_many(np.asarray([digest], dtype=np.uint64))
 
     def __contains__(self, digest: int) -> bool:
-        return bool(self.contains_many(np.asarray([digest], dtype=np.uint64))[0])
+        """`contains_many` for one digest, on plain ints: a point lookup's
+        gate costs its few probes, not a dozen array round trips."""
+        words = self._words
+        for pos in double_hash_probes_int(int(digest), self.nhashes, self.nbits, self.seed):
+            if not (int(words[pos >> 6]) >> (pos & 63)) & 1:
+                return False
+        return True
 
     # -- accounting -------------------------------------------------------
 

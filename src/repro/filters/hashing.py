@@ -24,6 +24,7 @@ __all__ = [
     "hash_pair",
     "fingerprint",
     "double_hash_probes",
+    "double_hash_probes_int",
     "MASK64",
 ]
 
@@ -36,6 +37,7 @@ _SHIFT30 = np.uint64(30)
 _SHIFT27 = np.uint64(27)
 _SHIFT31 = np.uint64(31)
 _SHIFT32 = np.uint64(32)
+_STEP_SEED = 0x7F4A7C15  # offsets the seed of the double-hashing step hash
 
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray:
@@ -124,7 +126,15 @@ def double_hash_probes(keys: np.ndarray, nprobes: int, nbits: int, seed: int = 0
     """
     k = np.asarray(keys, dtype=np.uint64)
     h1 = hash64(k, seed)
-    h2 = hash64(k, seed + 0x7F4A7C15) | np.uint64(1)  # odd => full-period step
+    h2 = hash64(k, seed + _STEP_SEED) | np.uint64(1)  # odd => full-period step
     i = np.arange(nprobes, dtype=np.uint64)
     probes = h1[:, None] + i[None, :] * h2[:, None]
     return (probes % np.uint64(nbits)).astype(np.int64)
+
+
+def double_hash_probes_int(key: int, nprobes: int, nbits: int, seed: int = 0) -> list[int]:
+    """Scalar twin of `double_hash_probes` for one plain Python int: the
+    same ``nprobes`` bit positions, without the array round trip."""
+    h1 = hash64_int(key & MASK64, seed)
+    h2 = hash64_int(key & MASK64, seed + _STEP_SEED) | 1
+    return [((h1 + i * h2) & MASK64) % nbits for i in range(nprobes)]

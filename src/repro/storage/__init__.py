@@ -9,7 +9,7 @@ Exports:
 """
 
 from .blockio import DeviceProfile, ExtentLostError, IOCounters, StorageDevice, StorageFile
-from .checksum import CHECKSUM_BYTES, fastsum64
+from .checksum import CHECKSUM_BYTES, fastsum64, fastsum64_rows
 from .envelope import SEAL_OVERHEAD_BYTES, SealError, seal, try_unseal, unseal
 from .manifest import MANIFEST_NAME, MANIFEST_PREFIX, EpochInfo, Manifest, RecoveryReport
 from .compression import SnappyError, compress, compression_ratio, decompress
@@ -54,6 +54,7 @@ __all__ = [
     "CorruptBlockError",
     "CHECKSUM_BYTES",
     "fastsum64",
+    "fastsum64_rows",
     "MANIFEST_NAME",
     "EpochInfo",
     "Manifest",

@@ -260,8 +260,8 @@ class Manifest:
         """(generation, manifest, invalid-extent-names) for the device."""
         invalid: list[str] = []
         for seq, name in cls._scan_generations(device):
-            f = device.open(name)
-            payload = try_unseal(f.read(0, f.size))
+            with device.open(name) as f:
+                payload = try_unseal(f.read(0, f.size))
             if payload is not None:
                 try:
                     return seq, cls.from_bytes(payload), invalid
@@ -269,9 +269,10 @@ class Manifest:
                     pass
             invalid.append(name)
         if device.exists(MANIFEST_NAME):
-            f = device.open(MANIFEST_NAME)
+            with device.open(MANIFEST_NAME) as f:
+                blob = f.read(0, f.size)
             try:
-                return 0, cls.from_bytes(f.read(0, f.size)), invalid
+                return 0, cls.from_bytes(blob), invalid
             except ValueError:
                 invalid.append(MANIFEST_NAME)
         return None, None, invalid
@@ -353,12 +354,12 @@ def _validate_epoch(device: StorageDevice, info: EpochInfo, deep: bool) -> str |
             return f"missing extent {name!r}"
         try:
             if name.startswith("part."):
-                reader = SSTableReader(device, name)
-                if deep:
-                    reader.scan()
+                with SSTableReader(device, name) as reader:
+                    if deep:
+                        reader.scan()
             elif name.startswith("aux."):
-                f = device.open(name)
-                payload = try_unseal(f.read(0, f.size))
+                with device.open(name) as f:
+                    payload = try_unseal(f.read(0, f.size))
                 if payload is None:
                     return f"aux extent {name!r} torn or corrupt"
         except ValueError as e:  # bad magic, checksum mismatch, truncation

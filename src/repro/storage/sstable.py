@@ -14,19 +14,32 @@ Layout (all little-endian, 8-byte keys as in the paper's workloads)::
 
     [data block]*  [filter block]  [index block]  [footer (64 B)]
 
-    data block  := u32 nentries, then nentries × (u64 key, u32 vlen, value),
-                   then u64 fastsum64 of everything before it
+    data block  := nentries × (u64 key, u32 vlen, value) and nothing else,
+                   cut into *key groups* of ~`GROUP_BYTES` whole records
     filter block:= bloom bytes ‖ u64 fastsum64          (absent when empty)
-    index block := u32 nblocks, then nblocks × (u64 first, u64 last,
-                   u64 off, u32 len, u32 n), then u64 fastsum64
+    index block := u32 nblocks, u32 ngroups, u32 record_bytes (0 = values
+                   of several widths), then two tables stored one column
+                   after another.  Per block: u64 first key, u64 last key,
+                   u64 file offset; u32 length, u32 entries, u32 key groups.
+                   Per key group, all blocks' end to end: u64 first key,
+                   u64 fastsum64 of the group's bytes; u32 offset inside
+                   its block.  Then u64 fastsum64 of everything before it.
     footer      := magic u64, index_off u64, index_len u64,
                    filter_off u64, filter_len u64, nentries u64,
                    block_size u32, bloom_nhashes u32,
                    u64 fastsum64 of the first 56 footer bytes
 
-    Every section carries its own checksum, so corruption anywhere in the
-    table — data, filter, index, or footer — is detected at read time
-    rather than silently changing answers.
+    A block plays two roles and the layout keeps them apart.  It is the
+    *I/O unit*: one device read fetches it and the reader caches it whole.
+    The key group is the *verify/decode unit*: every byte of a block
+    belongs to exactly one group, each group has its own checksum in the
+    (checksummed) index block, and a lookup checks and decodes only the
+    groups its keys land in — chosen from the group first keys, so a key
+    that is absent is still a verified "absent".  Filter, index and footer
+    carry their own checksums, so corruption anywhere in the table is
+    detected at read time rather than silently changing answers.  Tables
+    of the earlier layout (a count and one checksum per block, no groups)
+    have another magic and are refused.
 
 Writers buffer entries, sort by key, and emit blocks of ``block_size``
 bytes.  Readers are handed a `StorageFile`, so every access is charged to
@@ -44,7 +57,7 @@ import numpy as np
 from ..filters.bloom import BloomFilter
 from ..obs.trace import child_span, current_span
 from .blockio import StorageDevice, StorageFile
-from .checksum import CHECKSUM_BYTES, fastsum64
+from .checksum import CHECKSUM_BYTES, fastsum64, fastsum64_rows
 
 __all__ = [
     "SSTableWriter",
@@ -58,14 +71,38 @@ __all__ = [
 
 
 class CorruptBlockError(ValueError):
-    """A data block's stored checksum does not match its contents."""
+    """Stored bytes disagree with their checksum, or a section that passed
+    its checksum describes something the file cannot hold."""
 
-_MAGIC = 0xF117E5CB_DE17AF5
+
+_MAGIC = 0xF117E5CB_6209BF5  # the key-group layout
+_MAGIC_BLOCKSUM = 0xF117E5CB_DE17AF5  # its predecessor: one checksum per block
 FOOTER_BYTES = 64
 _FOOTER_BODY = struct.Struct("<QQQQQQII")  # + trailing fastsum64 = 64 B
 _ENTRY_HDR = struct.Struct("<QI")
 _U32 = struct.Struct("<I")
-_INDEX_ENTRY = struct.Struct("<QQQII")
+_INDEX_HDR = struct.Struct("<III")
+_BLOCK_ENTRY_BYTES = 3 * 8 + 3 * 4  # first, last, off; len, n, groups: stored as columns
+_GROUP_ENTRY_BYTES = 8 + 8 + 4  # first key, checksum, offset: stored as columns
+
+# The verify/decode unit: a key group closes at the first whole record that
+# takes it to this many bytes.  Measured between 4 KB and 8 KB (CHANGES.md,
+# PR 24); readers take group bounds from the table, never from this constant.
+GROUP_BYTES = 4096
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` (along the first axis) that hands a lone part back
+    as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _group_bytes(rec: int) -> int:
+    """Size of a full key group in a table of ``rec``-byte records: the
+    fewest records reaching `GROUP_BYTES`, rounded up to a multiple of eight
+    of them — whole 8-byte words whatever ``rec`` is, so `fastsum64_rows`
+    reads the groups of a block in place."""
+    return -(-GROUP_BYTES // (8 * rec)) * 8 * rec
 
 
 @dataclass(frozen=True)
@@ -180,11 +217,7 @@ class SSTableWriter:
         self._seal_pending()
         if not self._chunks:
             return np.zeros(0, dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8)
-        keys = (
-            self._chunks[0][0]
-            if len(self._chunks) == 1
-            else np.concatenate([c[0] for c in self._chunks])
-        )
+        keys = _concat([c[0] for c in self._chunks])
         widths = set()
         for _, vals in self._chunks:
             if isinstance(vals, np.ndarray):
@@ -201,8 +234,7 @@ class SSTableWriter:
                 else np.frombuffer(b"".join(vals), dtype=np.uint8).reshape(len(vals), w)
                 for _, vals in self._chunks
             ]
-            values = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=0)
-            return keys, values
+            return keys, _concat(mats)
         flat: list[bytes] = []
         for _, vals in self._chunks:
             if isinstance(vals, np.ndarray):
@@ -219,67 +251,75 @@ class SSTableWriter:
         self._finished = True
         keys, values = self._collect()
         order = np.argsort(keys, kind="stable")
-        index_entries: list[tuple[int, int, int, int, int]] = []
         nentries = keys.size
+        fixed = isinstance(values, np.ndarray) and nentries > 0
+        record_bytes = _ENTRY_HDR.size + values.shape[1] if fixed else 0
+        # A group closes once it holds this many bytes (whole records).
+        group_cut = _group_bytes(record_bytes) if fixed else GROUP_BYTES
+        index_entries: list[tuple[int, int, int, int, int, int]] = []
+        group_first: list[np.ndarray] = []  # the group table, column by column
+        group_sum: list[np.ndarray] = []
+        group_off: list[np.ndarray] = []
         data_bytes = 0
 
-        if self.vectorized and isinstance(values, np.ndarray) and nentries:
+        def emit_block(payload: bytes, n: int, last: int, gfirst, goff) -> None:
+            nonlocal data_bytes
+            off = self._file.append(payload)
+            index_entries.append((int(gfirst[0]), last, off, len(payload), n, len(goff)))
+            group_first.append(np.asarray(gfirst, dtype="<u8"))
+            group_off.append(np.asarray(goff, dtype="<u4"))
+            if fixed:  # equal-size groups: one pass over the block
+                group_sum.append(fastsum64_rows(payload, group_cut))
+            else:
+                view = memoryview(payload)
+                sums = [fastsum64(view[a:b]) for a, b in zip(goff, [*goff[1:], len(payload)])]
+                group_sum.append(np.asarray(sums, dtype=np.uint64))
+            data_bytes += len(payload)
+
+        if self.vectorized and fixed:
             # Fixed-width fast path: every record is KEY+len+value bytes, so
-            # block boundaries fall at a uniform record count and the whole
-            # data section is built with array ops (byte-identical to the
-            # scalar path's incremental block building).
-            width = values.shape[1]
-            rec = _ENTRY_HDR.size + width
+            # block and group boundaries fall at uniform record counts and
+            # the whole data section is built with array ops (byte-identical
+            # to the scalar path's incremental building).
+            rec = record_bytes
             skeys = keys[order]
             recs = np.empty((nentries, rec), dtype=np.uint8)
             recs[:, :8] = skeys.astype("<u8").view(np.uint8).reshape(-1, 8)
-            recs[:, 8:12] = np.frombuffer(_U32.pack(width), dtype=np.uint8)
+            recs[:, 8:12] = np.frombuffer(_U32.pack(rec - _ENTRY_HDR.size), dtype=np.uint8)
             recs[:, 12:] = values[order]
             per_block = max(1, -(-self.block_size // rec))  # ceil
+            per_group = group_cut // rec
             for start in range(0, nentries, per_block):
-                rows = recs[start : start + per_block]
-                payload = _U32.pack(rows.shape[0]) + rows.tobytes()
-                payload += fastsum64(payload).to_bytes(CHECKSUM_BYTES, "little")
-                off = self._file.append(payload)
-                index_entries.append(
-                    (
-                        int(skeys[start]),
-                        int(skeys[min(start + per_block, nentries) - 1]),
-                        off,
-                        len(payload),
-                        rows.shape[0],
-                    )
+                stop = min(start + per_block, nentries)
+                emit_block(
+                    recs[start:stop].tobytes(),
+                    stop - start,
+                    int(skeys[stop - 1]),
+                    skeys[start:stop:per_group],
+                    np.arange(0, (stop - start) * rec, group_cut, dtype="<u4"),
                 )
-                data_bytes += len(payload)
         elif nentries:
             block = bytearray()
-            block_keys: list[int] = []
-
-            def flush_block() -> None:
-                nonlocal block, block_keys, data_bytes
-                if not block_keys:
-                    return
-                payload = _U32.pack(len(block_keys)) + bytes(block)
-                payload += fastsum64(payload).to_bytes(CHECKSUM_BYTES, "little")
-                off = self._file.append(payload)
-                index_entries.append(
-                    (block_keys[0], block_keys[-1], off, len(payload), len(block_keys))
-                )
-                data_bytes += len(payload)
-                block = bytearray()
-                block_keys = []
-
+            nblock = 0
+            gfirst: list[int] = []
+            goff: list[int] = []
             arr = isinstance(values, np.ndarray)
+            k = 0
             for i in order:
                 k = int(keys[i])
                 v = values[i].tobytes() if arr else values[i]
+                if not goff or len(block) - goff[-1] >= group_cut:
+                    gfirst.append(k)
+                    goff.append(len(block))
                 block += _ENTRY_HDR.pack(k, len(v)) + v
-                block_keys.append(k)
+                nblock += 1
                 if len(block) >= self.block_size:
-                    flush_block()
-            flush_block()
+                    emit_block(bytes(block), nblock, k, gfirst, goff)
+                    block, nblock, gfirst, goff = bytearray(), 0, [], []
+            if nblock:
+                emit_block(bytes(block), nblock, k, gfirst, goff)
 
-        # Filter block (checksummed like data blocks).
+        # Filter block (checksummed like every section).
         filter_blob = b""
         bloom_nhashes = 0
         if self.bloom_bits_per_key > 0 and nentries > 0:
@@ -290,10 +330,13 @@ class SSTableWriter:
             bloom_nhashes = bf.nhashes
         filter_off = self._file.append(filter_blob) if filter_blob else self._file.size
 
-        # Index block (checksummed like data blocks).
-        index_blob = _U32.pack(len(index_entries)) + b"".join(
-            _INDEX_ENTRY.pack(*e) for e in index_entries
-        )
+        # Index block: the block table, then the group table, both by column.
+        nblocks = len(index_entries)
+        index_blob = _INDEX_HDR.pack(nblocks, sum(g.size for g in group_off), record_bytes)
+        if nblocks:
+            index_blob += struct.pack(
+                f"<{3 * nblocks}Q{3 * nblocks}I", *(v for col in zip(*index_entries) for v in col)
+            ) + b"".join(_concat(col).tobytes() for col in (group_first, group_sum, group_off))
         index_blob += fastsum64(index_blob).to_bytes(CHECKSUM_BYTES, "little")
         index_off = self._file.append(index_blob)
 
@@ -340,6 +383,13 @@ class TableMeta:
     length: np.ndarray
     bloom: BloomFilter | None
     nbytes: int  # resident size: the index arrays plus the Bloom filter's bits
+    record_bytes: int  # bytes per record when all are one width, else 0
+    group_bytes: int  # bytes per full key group of a fixed-width table, else 0
+    # Key groups, all blocks' end to end; block i owns gstart[i]:gstart[i+1].
+    gstart: np.ndarray
+    gfirst: np.ndarray  # per group: first key, offset inside its block, checksum
+    goff: np.ndarray
+    gsum: np.ndarray
 
 
 def _checked(blob: bytes, what: str, name: str) -> bytes:
@@ -355,8 +405,11 @@ def _checked(blob: bytes, what: str, name: str) -> bytes:
 def load_table_meta(file: StorageFile, name: str) -> TableMeta:
     """Read and verify a table's footer, index and filter (2 device reads).
 
-    Raises `ValueError` for a table too small or with a bad magic, and
-    `CorruptBlockError` for a checksum mismatch or a truncated section.
+    Raises `ValueError` for a table too small, with a bad magic or written
+    in the earlier one-checksum-per-block layout, and `CorruptBlockError`
+    for a checksum mismatch, a truncated section, or a section that passed
+    its checksum but does not fit the file — every count and offset is
+    checked against the bytes present before anything is sized from it.
     """
     size = file.size
     if size < FOOTER_BYTES:
@@ -373,10 +426,23 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
         block_size,
         bloom_nhashes,
     ) = _FOOTER_BODY.unpack(body)
+    if magic == _MAGIC_BLOCKSUM:
+        raise ValueError(
+            f"table {name!r} is in the block-checksum layout (magic {magic:#x}); this "
+            f"reader supports only the key-group layout (magic {_MAGIC:#x})"
+        )
     if magic != _MAGIC:
         raise ValueError(f"bad magic in table {name!r}")
     if fastsum64(body) != int.from_bytes(stored, "little"):
         raise CorruptBlockError(f"footer checksum mismatch in table {name!r}")
+
+    def inconsistent(what: str) -> CorruptBlockError:
+        return CorruptBlockError(f"{what} in table {name!r} (its checksum matched)")
+
+    if filter_off + filter_len > index_off or index_off + index_len > size - FOOTER_BYTES:
+        raise inconsistent("footer sections overlap or leave the file")
+    if filter_len and (not 1 <= bloom_nhashes <= 64 or (filter_len - CHECKSUM_BYTES) % 8):
+        raise inconsistent("filter block is no Bloom filter this writer emits")
     # Filter and index blobs are adjacent on storage; fetch them with a
     # single read, like the paper's "load the partition's indexes"
     # step (one ~12 MB read in their runs).
@@ -390,24 +456,98 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
     index_blob = _checked(index_blob, "index block", name)
     if filter_blob:
         filter_blob = _checked(filter_blob, "filter block", name)
-    (nblocks,) = _U32.unpack(index_blob[:4])
-    raw = np.frombuffer(
-        index_blob, dtype=np.uint8, count=nblocks * _INDEX_ENTRY.size, offset=4
+
+    if len(index_blob) < _INDEX_HDR.size:
+        raise inconsistent("index block shorter than its header")
+    nblocks, ngroups, record_bytes = _INDEX_HDR.unpack_from(index_blob)
+    groups_at = _INDEX_HDR.size + nblocks * _BLOCK_ENTRY_BYTES
+    if len(index_blob) != groups_at + ngroups * _GROUP_ENTRY_BYTES:
+        raise inconsistent(f"index block is not {nblocks} blocks + {ngroups} groups long")
+    first, last, off = np.frombuffer(index_blob, "<u8", 3 * nblocks, _INDEX_HDR.size).reshape(
+        3, nblocks
     )
-    if nblocks:
-        entries = raw.reshape(nblocks, _INDEX_ENTRY.size)
-        first = entries[:, 0:8].copy().view("<u8").ravel()
-        last = entries[:, 8:16].copy().view("<u8").ravel()
-        off = entries[:, 16:24].copy().view("<u8").ravel()
-        length = entries[:, 24:28].copy().view("<u4").ravel()
-    else:
-        first = last = off = np.zeros(0, dtype=np.uint64)
-        length = np.zeros(0, dtype=np.uint32)
+    length, count, groups = (
+        np.frombuffer(index_blob, "<u4", 3 * nblocks, groups_at - 12 * nblocks)
+        .astype(np.int64)
+        .reshape(3, nblocks)
+    )
+    gfirst, gsum = np.frombuffer(index_blob, "<u8", 2 * ngroups, groups_at).reshape(2, ngroups)
+    goff = np.frombuffer(index_blob, "<u4", ngroups, groups_at + 16 * ngroups).astype(np.int64)
+
+    # Geometry, before anything is sized from it: blocks lie inside the data
+    # region and their group counts add up to the group table.
+    gstart = np.zeros(nblocks + 1, dtype=np.int64)
+    np.cumsum(groups, out=gstart[1:])
+    if (
+        (groups < 1).any()
+        or gstart[-1] != ngroups
+        or int(count.sum()) != nentries
+        # as floats: a damaged u64 offset must compare, not wrap
+        or (off.astype(np.float64) + length > filter_off).any()
+    ):
+        raise inconsistent("block index does not fit the data region or the group table")
+    within = np.arange(ngroups) - np.repeat(gstart[:-1], groups)  # a group's place in its block
+    group_bytes = 0
+    if record_bytes:
+        # A fixed-width table's groups are equal-size rows of their block
+        # (its last group the short row): one pass verifies or decodes many.
+        if nblocks:
+            group_bytes = int(goff[1] if groups[0] > 1 else length[0])
+        if (
+            record_bytes < _ENTRY_HDR.size
+            or group_bytes == 0
+            or group_bytes % record_bytes
+            or (length != count * record_bytes).any()
+            or (goff != within * group_bytes).any()
+            or (groups != -(-length // group_bytes)).any()
+        ):
+            raise inconsistent(f"blocks or groups are not rows of {record_bytes}-byte records")
+    elif (
+        # Any other table: every block's groups start at 0 and ascend inside it.
+        (goff[gstart[:-1]] != 0).any()
+        or (np.diff(goff)[within[1:] > 0] <= 0).any()
+        or (goff >= np.repeat(length, groups)).any()
+    ):
+        raise inconsistent("group offsets leave their block or do not ascend")
+
     bloom = BloomFilter.from_bytes(filter_blob, bloom_nhashes) if filter_len else None
-    nbytes = first.nbytes + last.nbytes + off.nbytes + length.nbytes
+    nbytes = 8 * (7 * nblocks + 1 + 3 * ngroups)  # the arrays below, as held
     if bloom is not None:
         nbytes += bloom.size_bytes
-    return TableMeta(nentries, block_size, first, last, off, length, bloom, nbytes)
+    return TableMeta(
+        nentries, block_size, first, last, off, length, bloom, nbytes,
+        record_bytes, group_bytes, gstart, gfirst, goff, gsum,
+    )
+
+
+class _Block:
+    """One fetched data block: the I/O unit, cached whole.
+
+    Holds the raw bytes, where its key groups start, and what the lookups
+    so far have verified and decoded — a group is checksummed and decoded
+    the first time a lookup lands in it, never before:
+
+    * ``keys`` (fixed-width tables) is the block's key column.  A verified
+      group's slots hold its keys; the slots of a group not yet verified
+      hold that group's first key from the checksummed index, which keeps
+      the column sorted so one `searchsorted` serves any mix of groups.
+    * ``walked`` (variable-width tables, decoded by a sequential walk)
+      keeps each verified group's ``(keys, value offsets, value lengths)``.
+    """
+
+    __slots__ = ("raw", "goff", "verified", "keys", "walked")
+
+    def __init__(self, raw: bytes, goff: np.ndarray, keys: np.ndarray | None):
+        self.raw = raw
+        self.goff = goff
+        self.verified = np.zeros(goff.size, dtype=bool)
+        self.keys = keys
+        self.walked: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def span(self, g: int) -> tuple[int, int]:
+        """Byte range of key group ``g`` inside ``raw``."""
+        end = self.goff[g + 1] if g + 1 < self.goff.size else len(self.raw)
+        return int(self.goff[g]), int(end)
 
 
 class SSTableReader:
@@ -433,13 +573,11 @@ class SSTableReader:
         self._file = device.open(name)
         self.name = name
         self._metrics = device.metrics
-        # Small LRU over decoded data blocks: consecutive lookups that land
+        # Small LRU over fetched data blocks: consecutive lookups that land
         # in the same block (sorted scans, hot blocks under a warm reader)
-        # skip the re-read, the re-checksum *and* the re-decode.
+        # skip the re-read, and the re-checksum of groups already verified.
         self.block_cache_blocks = max(0, int(block_cache_blocks))
-        self._block_cache: OrderedDict[
-            int, tuple[np.ndarray, np.ndarray, np.ndarray, bytes]
-        ] = OrderedDict()
+        self._block_cache: OrderedDict[int, _Block] = OrderedDict()
         self._m_bc_hits = device.metrics.counter("sstable.block_cache.hits")
         self._m_bc_misses = device.metrics.counter("sstable.block_cache.misses")
         if meta is None:
@@ -490,87 +628,153 @@ class SSTableReader:
     def _get(self, key: int) -> bytes | None:
         if not self.may_contain(key):
             return None
-        k = np.uint64(key)
-        lo = int(np.searchsorted(self._last, k, side="left"))
-        while lo < self._first.size and self._first[lo] <= k:
-            bkeys, voffs, vlens, body = self._parsed_block(lo)
-            j = int(np.searchsorted(bkeys, k, side="left"))
-            if j < bkeys.size and bkeys[j] == k:
-                o = int(voffs[j])
-                return body[o : o + int(vlens[j])]
+        k = np.asarray([key], dtype=np.uint64)
+        lo = int(np.searchsorted(self._last, k[0], side="left"))
+        while lo < self._first.size and self._first[lo] <= k[0]:
+            blk = self._block(lo)
+            hit, starts, stops = self._find(blk, lo, k)
+            if hit[0]:
+                return blk.raw[int(starts[0]) : int(stops[0])]
             lo += 1
         return None
 
-    def _read_block(self, i: int) -> bytes:
-        """Fetch block ``i`` from the device, verifying its trailing
-        checksum — on every read, whatever supplied the table's meta."""
-        payload = self._file.read(int(self._off[i]), int(self._len[i]))
-        if len(payload) < CHECKSUM_BYTES + 4:
-            raise CorruptBlockError(f"block {i} truncated to {len(payload)} bytes")
-        body, stored = payload[:-CHECKSUM_BYTES], payload[-CHECKSUM_BYTES:]
-        if fastsum64(body) != int.from_bytes(stored, "little"):
-            raise CorruptBlockError(f"checksum mismatch in block {i}")
-        return body
+    # -- blocks (the I/O unit) and key groups (the verify/decode unit) ------
 
-    def _parsed_block(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
-        """Block ``i`` decoded to entry arrays: (keys, value offsets into
-        ``body``, value lengths, body).
+    def _read_block(self, i: int) -> _Block:
+        """Fetch block ``i`` from the device: one read, nothing verified."""
+        raw = self._file.read(int(self._off[i]), int(self._len[i]))
+        if len(raw) != self._len[i]:
+            raise CorruptBlockError(f"block {i} truncated to {len(raw)} bytes")
+        meta = self.meta
+        groups = slice(meta.gstart[i], meta.gstart[i + 1])
+        keys = None
+        if meta.record_bytes:  # until a group is verified, its first key stands in
+            per = meta.group_bytes // meta.record_bytes
+            keys = np.repeat(meta.gfirst[groups], per)[: len(raw) // meta.record_bytes]
+        return _Block(raw, meta.goff[groups], keys)
 
-        Served from the reader's small block cache when the block was
-        fetched recently — a hit costs no device read, no re-checksum and
-        no re-decode (``sstable.block_cache.{hits,misses}`` count both).
+    def _block(self, i: int) -> _Block:
+        """Block ``i`` through the reader's small block cache.
+
+        A hit costs no device read and keeps what earlier lookups verified
+        (``sstable.block_cache.{hits,misses}`` count both outcomes).
         """
-        parsed = self._block_cache.get(i)
-        if parsed is not None:
+        blk = self._block_cache.get(i)
+        if blk is not None:
             self._block_cache.move_to_end(i)
             self._m_bc_hits.inc()
-            return parsed
+            return blk
         self._m_bc_misses.inc()
-        parsed = self._parse_block(self._read_block(i))
+        blk = self._read_block(i)
         if self.block_cache_blocks:
-            self._block_cache[i] = parsed
+            self._block_cache[i] = blk
             if len(self._block_cache) > self.block_cache_blocks:
                 self._block_cache.popitem(last=False)
-        return parsed
+        return blk
 
-    @staticmethod
-    def _parse_block(body: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
-        """Decode one block body into (keys, value_offsets, value_lengths).
+    def _verify(self, blk: _Block, i: int, groups: np.ndarray) -> None:
+        """Checksum ``groups`` of block ``i`` — the equal-size groups of a
+        fixed-width table in one `fastsum64_rows` pass, any other group one
+        by one — and raise on the first that disagrees with the index."""
+        meta = self.meta
+        if meta.group_bytes and groups.size > 1:
+            every = groups.size == blk.verified.size  # a scan: no gather
+            sums = fastsum64_rows(blk.raw, meta.group_bytes, None if every else groups)
+        else:
+            view = memoryview(blk.raw)
+            sums = np.asarray(
+                [fastsum64(view[slice(*blk.span(g))]) for g in groups.tolist()], dtype=np.uint64
+            )
+        bad = groups[meta.gsum[meta.gstart[i] + groups] != sums]
+        if bad.size:
+            raise CorruptBlockError(
+                f"checksum mismatch in block {i}, key group {int(bad[0])} of {self.name!r}"
+            )
 
-        Fixed-width fast path: if striding at the first entry's width makes
-        every stored ``vlen`` field read back that same width, the layout
-        *is* uniform (each aligned vlen proves the next record's position by
-        induction), and the whole block decodes with array ops.  Otherwise
-        falls back to the sequential scalar walk.
-        """
-        (n,) = _U32.unpack(body[:4])
-        if n == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return np.zeros(0, dtype=np.uint64), z, z, body
-        buf = np.frombuffer(body, dtype=np.uint8)
-        (w0,) = _U32.unpack(body[12:16])
-        rec = _ENTRY_HDR.size + w0
-        if 4 + n * rec == len(body):
-            mat = buf[4 : 4 + n * rec].reshape(n, rec)
-            vlens = mat[:, 8:12].copy().view("<u4").ravel()
-            if (vlens == w0).all():
-                bkeys = mat[:, :8].copy().view("<u8").ravel().astype(np.uint64)
-                voffs = 4 + _ENTRY_HDR.size + np.arange(n, dtype=np.int64) * rec
-                return bkeys, voffs, vlens.astype(np.int64), body
-        bkeys = np.empty(n, dtype=np.uint64)
-        voffs = np.empty(n, dtype=np.int64)
-        vlens = np.empty(n, dtype=np.int64)
-        pos = 4
-        for j in range(n):
-            if pos + _ENTRY_HDR.size > len(body):
-                # Lengths that walk off the block (a writer bug: the
-                # checksum matched): serve what still decodes.
-                return bkeys[:j], voffs[:j], vlens[:j], body
-            k, vlen = _ENTRY_HDR.unpack(body[pos : pos + _ENTRY_HDR.size])
+    def _touch(self, blk: _Block, i: int, groups: np.ndarray) -> None:
+        """Verify and decode those of ``groups`` in block ``i`` that no
+        lookup has touched yet; nothing is decoded, let alone returned,
+        from a group whose checksum fails."""
+        need = groups[~blk.verified[groups]]
+        if need.size == 0:
+            return
+        self._verify(blk, i, need)
+        meta = self.meta
+        rec = meta.record_bytes
+        if rec:  # a group is `per` records, a record a stride of ``raw``
+            per, n = meta.group_bytes // rec, blk.keys.size
+            if need.size == blk.verified.size:  # the whole block (a scan): no gather
+                at = slice(None)
+            else:
+                at = (need[:, None] * per + np.arange(per)).ravel()
+                if at[-1] >= n:  # the block's last group is its short one
+                    at = at[at < n]
+            vlens = np.ndarray((n,), "<u4", blk.raw, _ENTRY_HDR.size - 4, (rec,))[at]
+            if (vlens != rec - _ENTRY_HDR.size).any():
+                raise CorruptBlockError(
+                    f"block {i} of {self.name!r} holds records that are not {rec} bytes"
+                )
+            blk.keys[at] = np.ndarray((n,), "<u8", blk.raw, 0, (rec,))[at]
+        else:
+            for g in need.tolist():
+                blk.walked[g] = self._walk(blk, i, g)
+        blk.verified[need] = True
+
+    def _walk(self, blk: _Block, i: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sequential decode of one variable-width group: (keys, value
+        offsets into ``blk.raw``, value lengths)."""
+        raw, (pos, end) = blk.raw, blk.span(g)
+        keys, voffs, vlens = [], [], []
+        while pos + _ENTRY_HDR.size <= end:
+            k, vlen = _ENTRY_HDR.unpack_from(raw, pos)
             pos += _ENTRY_HDR.size
-            bkeys[j], voffs[j], vlens[j] = k, pos, vlen
+            keys.append(k)
+            voffs.append(pos)
+            vlens.append(vlen)
             pos += vlen
-        return bkeys, voffs, vlens, body
+        if pos != end:  # lengths that walk off the group: a writer bug
+            raise CorruptBlockError(
+                f"records of block {i}, key group {g} of {self.name!r} overrun the group"
+            )
+        return (
+            np.asarray(keys, dtype=np.uint64),
+            np.asarray(voffs, dtype=np.int64),
+            np.asarray(vlens, dtype=np.int64),
+        )
+
+    def _find(
+        self, blk: _Block, i: int, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Resolve ``keys`` against block ``i``: ``(hit, starts, stops)``,
+        one row per key — a hit's value is ``blk.raw[start:stop]`` (rows of
+        misses are arbitrary).
+
+        The group first keys choose, per key, the one group that must hold
+        its first occurrence — the last group starting below the key — plus
+        the next group when the key *is* that group's first key (duplicates
+        may begin in the tail of the one before).  Only those groups are
+        touched, all in one pass, and a hit counts only in a verified group.
+        """
+        meta = self.meta
+        gfirst = meta.gfirst[meta.gstart[i] : meta.gstart[i + 1]]
+        below = np.searchsorted(gfirst, keys, side="left")  # groups starting below the key
+        upto = np.searchsorted(gfirst, keys, side="right")  # ... at or below it
+        touched = np.zeros(gfirst.size, dtype=bool)
+        touched[np.maximum(below - 1, 0)] = True
+        touched[below[upto > below]] = True
+        groups = np.flatnonzero(touched)
+        self._touch(blk, i, groups)
+        rec = meta.record_bytes
+        if rec:
+            bkeys = blk.keys
+            loc = np.minimum(np.searchsorted(bkeys, keys, side="left"), bkeys.size - 1)
+            hit = (bkeys[loc] == keys) & blk.verified[loc // (meta.group_bytes // rec)]
+            starts = loc * rec + _ENTRY_HDR.size
+            return hit, starts, starts + (rec - _ENTRY_HDR.size)
+        parts = [blk.walked[g] for g in groups.tolist()]
+        bkeys, voffs, vlens = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        loc = np.minimum(np.searchsorted(bkeys, keys, side="left"), bkeys.size - 1)
+        return bkeys[loc] == keys, voffs[loc], voffs[loc] + vlens[loc]
 
     def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized Bloom gate; False means definitely absent."""
@@ -583,11 +787,12 @@ class SSTableReader:
         """Batched point lookups; returns ``(values, blocks_touched)``.
 
         ``values[i]`` is byte-identical to ``self.get(keys[i])``; keys are
-        coalesced per data block so each needed block is read, checksummed,
-        and decoded once for the whole batch (the filter and index are
-        consulted once per batch with array ops).  ``blocks_touched`` is the
-        number of per-block resolution passes the batch needed — the
-        denominator of the block-coalescing ratio.
+        coalesced per data block so each needed block is read once for the
+        whole batch and the key groups the batch lands in are verified and
+        decoded in one pass (the filter and index are consulted once per
+        batch with array ops).  ``blocks_touched`` is the number of
+        per-block resolution passes the batch needed — the denominator of
+        the block-coalescing ratio.
         """
         keys = np.asarray(keys, dtype=np.uint64).ravel()
         if current_span() is None:  # untraced: skip span-argument setup
@@ -624,20 +829,20 @@ class SSTableReader:
                 break
             order = np.argsort(cur, kind="stable")
             pos, cur = pos[order], cur[order]
-            starts = np.flatnonzero(np.r_[True, cur[1:] != cur[:-1]])
-            ends = np.r_[starts[1:], cur.size]
+            cuts = [0, *(np.flatnonzero(cur[1:] != cur[:-1]) + 1).tolist(), cur.size]
             next_pos: list[np.ndarray] = []
             next_cur: list[np.ndarray] = []
-            for s, e in zip(starts, ends):
-                bkeys, voffs, vlens, body = self._parsed_block(int(cur[s]))
+            for s, e in zip(cuts, cuts[1:]):
+                i = int(cur[s])
+                blk = self._block(i)
                 blocks_touched += 1
-                gk = keys[pos[s:e]]
-                loc = np.searchsorted(bkeys, gk, side="left")
-                hit = loc < bkeys.size
-                hit[hit] = bkeys[loc[hit]] == gk[hit]
-                for j in np.nonzero(hit)[0]:
-                    o = int(voffs[loc[j]])
-                    values[int(pos[s + j])] = body[o : o + int(vlens[loc[j]])]
+                hit, starts, stops = self._find(blk, i, keys[pos[s:e]])
+                raw = blk.raw
+                at = np.nonzero(hit)[0]
+                for p, a, b in zip(
+                    pos[s:e][at].tolist(), starts[at].tolist(), stops[at].tolist()
+                ):
+                    values[p] = raw[a:b]
                 miss = np.nonzero(~hit)[0]
                 if miss.size:
                     next_pos.append(pos[s:e][miss])
@@ -653,53 +858,51 @@ class SSTableReader:
 
         Returns ``(keys, values)`` where values is a ``(n, width)`` uint8
         matrix when every entry has the same width (the compaction merge
-        fast path), else a list[bytes].  Blocks stream through the block
-        cache one at a time, so peak memory is the decoded output plus one
-        block.
+        fast path), else a list[bytes].  Every group of a block is verified
+        in one pass before any of it is decoded; blocks stream through the
+        block cache one at a time, so peak memory is the decoded output
+        plus one block.
         """
         key_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray | list[bytes]] = []
-        widths: set[int] = set()
+        rec = self.meta.record_bytes
         for i in range(self._off.size):
-            bkeys, voffs, vlens, body = self._parsed_block(i)
-            if bkeys.size == 0:
-                continue
-            key_parts.append(bkeys)
-            buf = np.frombuffer(body, dtype=np.uint8)
-            if (vlens == vlens[0]).all():
-                w = int(vlens[0])
-                widths.add(w)
-                val_parts.append(buf[voffs[:, None] + np.arange(w, dtype=np.int64)])
-            else:
-                widths.add(-1)
+            blk = self._block(i)
+            self._touch(blk, i, np.arange(blk.verified.size))
+            if rec:
+                key_parts.append(blk.keys)
+                shape = (blk.keys.size, rec - _ENTRY_HDR.size)
                 val_parts.append(
-                    [body[int(o) : int(o) + int(n)] for o, n in zip(voffs, vlens)]
+                    np.ndarray(shape, np.uint8, blk.raw, _ENTRY_HDR.size, (rec, 1)).copy()
                 )
+            else:
+                raw = blk.raw
+                for g in range(blk.verified.size):
+                    bkeys, voffs, vlens = blk.walked[g]
+                    key_parts.append(bkeys)
+                    val_parts.append(
+                        [raw[o : o + n] for o, n in zip(voffs.tolist(), vlens.tolist())]
+                    )
         if not key_parts:
             return np.zeros(0, dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8)
-        keys = key_parts[0] if len(key_parts) == 1 else np.concatenate(key_parts)
-        if len(widths) == 1 and -1 not in widths:
-            mats = [np.asarray(p, dtype=np.uint8) for p in val_parts]
-            return keys, mats[0] if len(mats) == 1 else np.concatenate(mats, axis=0)
-        flat: list[bytes] = []
-        for part in val_parts:
-            if isinstance(part, np.ndarray):
-                flat.extend(bytes(row) for row in part)
-            else:
-                flat.extend(part)
-        return keys, flat
+        if rec:
+            return _concat(key_parts), _concat(val_parts)
+        return _concat(key_parts), [v for part in val_parts for v in part]
 
     def scan(self) -> list[tuple[int, bytes]]:
         """Full scan in key order (test/verification helper: its own
-        entry-by-entry walk, independent of `_parse_block`)."""
+        entry-by-entry walk over each verified block, independent of the
+        group decoders)."""
         out: list[tuple[int, bytes]] = []
         for i in range(self._off.size):
-            payload = self._read_block(i)
-            (n,) = _U32.unpack(payload[:4])
-            pos = 4
-            for _ in range(n):
-                k, vlen = _ENTRY_HDR.unpack(payload[pos : pos + _ENTRY_HDR.size])
+            blk = self._read_block(i)
+            self._verify(blk, i, np.arange(blk.verified.size))
+            raw, pos = blk.raw, 0
+            while pos + _ENTRY_HDR.size <= len(raw):
+                k, vlen = _ENTRY_HDR.unpack_from(raw, pos)
                 pos += _ENTRY_HDR.size
-                out.append((k, payload[pos : pos + vlen]))
+                out.append((k, raw[pos : pos + vlen]))
                 pos += vlen
+            if pos != len(raw):
+                raise CorruptBlockError(f"records of block {i} of {self.name!r} overrun the block")
         return out

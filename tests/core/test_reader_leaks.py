@@ -206,3 +206,19 @@ def test_meta_cache_holds_no_handle_and_forgets_retired_epochs(fmt):
     assert {epoch for epoch, _ in cache._metas} == set(store.epochs)
     store.close()
     assert cache.nbytes == 0 and store.device.open_handles == baseline
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_recovery_validation_returns_every_handle(deep):
+    """`Manifest.recover` opens every table and aux extent of every epoch to
+    validate it (``deep`` also scans them); it used to keep all of them."""
+    rng = np.random.default_rng(6)
+    store = MultiEpochStore(nranks=4, fmt=FMT_FILTERKV, value_bytes=24, seed=6)
+    for _ in range(2):
+        store.write_epoch([random_kv_batch(100, 24, rng) for _ in range(4)])
+    store.close()
+    baseline = store.device.open_handles
+    recovered, report = MultiEpochStore.recover(store.device, deep=deep)
+    assert report.committed_epochs == [0, 1]
+    recovered.close()
+    assert store.device.open_handles == baseline

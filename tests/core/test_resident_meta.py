@@ -146,13 +146,39 @@ def test_corrupt_data_block_detected_under_cached_meta():
     not: damage that lands after the table's meta went resident is caught
     by the next scalar and the next bulk read."""
     store, keys = _one_epoch_store()
+    keys = np.sort(keys)  # the lowest keys live in the block's first key group
     key = int(keys[0])
     value, _ = store.get(key, 0)
     assert value is not None and store.meta_cache.get(0, 0) is not None
-    store.device.corrupt(main_table_name(0, 0), 40, xor=0x01)  # inside its one block
+    store.device.corrupt(main_table_name(0, 0), 40, xor=0x01)  # inside that group
     before = store.device.counters.reads
     with pytest.raises(CorruptBlockError, match="block 0"):
         store.get(key, 0)
     assert store.device.counters.reads - before == 1  # the block; no footer/index re-read
     with pytest.raises(CorruptBlockError, match="block 0"):
         store.get_many(keys[:8], 0)
+
+
+def test_attached_store_refuses_a_previous_layout_table_and_leaks_no_handle():
+    """A dataset written before the key-group layout: the manifest and aux
+    extents still load, the first read of a partition names the layout it
+    found, caches nothing and gives the handle back — every time."""
+    from ..storage.test_sstable import _block_checksum_layout_table
+
+    store, keys = _one_epoch_store()
+    device, name = store.device, main_table_name(0, 0)
+    store.close()
+    device.delete(name)
+    device.open(name, create=True).append(
+        _block_checksum_layout_table([(int(k), bytes(VB)) for k in keys])
+    )
+    reopened = MultiEpochStore.attach(device)
+    baseline = device.open_handles
+    for _ in range(2):
+        with pytest.raises(ValueError, match="block-checksum layout"):
+            reopened.get(int(keys[0]), 0)
+        with pytest.raises(ValueError, match="block-checksum layout"):
+            reopened.get_many(keys[:8], 0)
+        assert device.open_handles == baseline
+    assert reopened.meta_cache.get(0, 0) is None
+    reopened.close()

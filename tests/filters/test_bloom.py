@@ -113,3 +113,14 @@ def test_key_rank_mapping_usage():
         cands += f.contains_many(hash_pair(sample, np.uint64(r)))
     expected = 1 + (nranks - 1) * false_positive_rate(12)
     assert cands.mean() == pytest.approx(expected, rel=0.5)
+
+
+def test_scalar_membership_equals_the_batch_test():
+    """`key in bf` probes on plain ints; `contains_many` on arrays."""
+    rng = np.random.default_rng(12)
+    for seed, bits in ((0, 10.0), (7, 3.0), (99, 16.0)):
+        bf = BloomFilter.from_bits_per_key(500, bits, seed=seed)
+        present = rng.integers(0, 2**64, size=500, dtype=np.uint64)
+        bf.add_many(present)
+        probe = np.concatenate([present, rng.integers(0, 2**64, size=1500, dtype=np.uint64)])
+        assert [int(k) in bf for k in probe] == bf.contains_many(probe).tolist()

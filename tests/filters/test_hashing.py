@@ -5,6 +5,7 @@ import pytest
 
 from repro.filters.hashing import (
     double_hash_probes,
+    double_hash_probes_int,
     fingerprint,
     hash64,
     hash_pair,
@@ -102,3 +103,15 @@ def test_double_hash_probes_cover_bit_space():
     keys = np.arange(20_000, dtype=np.uint64)
     probes = double_hash_probes(keys, 8, 256)
     assert len(np.unique(probes)) == 256
+
+
+def test_double_hash_probes_int_is_the_array_version_on_one_key():
+    rng = np.random.default_rng(11)
+    keys = np.concatenate(
+        [rng.integers(0, 2**64, size=200, dtype=np.uint64),
+         np.asarray([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)]
+    )
+    for nprobes, nbits, seed in ((7, 40_960, 0), (1, 64, 9), (13, 2**33 + 192, 12345)):
+        vector = double_hash_probes(keys, nprobes, nbits, seed)
+        for key, row in zip(keys.tolist(), vector.tolist()):
+            assert double_hash_probes_int(key, nprobes, nbits, seed) == row

@@ -132,3 +132,119 @@ def test_cluster_partition_corruption_surfaces_in_queries(fmt):
             except CorruptBlockError:
                 outcomes["detected"] += 1
     assert outcomes["detected"] > 0
+
+
+# -- key groups: the unit that is verified is the unit that fails ----------------
+
+
+def _grouped_table(width):
+    """One block of several key groups, no Bloom gate in front of them:
+    ``(device, stats, items, meta)``."""
+    dev = StorageDevice()
+    w = SSTableWriter(dev, "t", block_size=1 << 20, bloom_bits_per_key=0)
+    items = [(3 * k + 1, bytes([k % 251]) * (40 if width == "fixed" else 20 + k % 40))
+             for k in range(600)]
+    for k, v in items:
+        w.add(k, v)
+    stats = w.finish()
+    w.close()
+    with SSTableReader(dev, "t") as r:
+        meta = r.meta
+    assert meta.first.size == 1 and meta.gfirst.size >= 4
+    assert bool(meta.record_bytes) == (width == "fixed")
+    return dev, stats, items, meta
+
+
+def _group_of(meta, key):
+    """The one group ``key`` resolves in (keys here are unique and none is
+    a group's first key unless it starts that group)."""
+    return int(np.searchsorted(meta.gfirst, np.uint64(key), side="right")) - 1
+
+
+@pytest.mark.parametrize("width", ["fixed", "variable"])
+def test_damage_inside_one_key_group_fails_exactly_that_group(width):
+    dev, _, items, meta = _grouped_table(width)
+    g = 2
+    lo, hi = int(meta.goff[g]), int(meta.goff[g + 1])
+    dev.corrupt("t", (lo + hi) // 2, xor=0x04)
+    first_keys = set(meta.gfirst.tolist())
+    inside = [(k, v) for k, v in items if _group_of(meta, k) == g]
+    # A group's first key also looks into the tail of the group before it.
+    outside = [(k, v) for k, v in items if _group_of(meta, k) != g
+               and not (_group_of(meta, k) == g + 1 and k in first_keys)]
+    assert len(inside) > 10 and len(outside) > 400
+    with SSTableReader(dev, "t") as r:
+        for k, _ in inside:
+            with pytest.raises(CorruptBlockError, match=f"key group {g}"):
+                r.get(k)
+    with SSTableReader(dev, "t") as r:  # a fresh block: nothing verified yet
+        for k, v in outside:
+            assert r.get(k) == v
+        vals, _ = r.get_many(np.asarray([k for k, _ in outside], dtype=np.uint64))
+        assert vals == [v for _, v in outside]
+        # absent keys that fall in healthy groups are a verified "absent"
+        assert r.get(outside[0][0] + 1) is None
+        for k, _ in inside[:3]:
+            with pytest.raises(CorruptBlockError):
+                r.get_many(np.asarray([outside[0][0], k], dtype=np.uint64))
+        with pytest.raises(CorruptBlockError):
+            r.get(inside[0][0] + 1)  # absent, but its group cannot vouch for that
+    for read in ("scan", "scan_arrays"):
+        with SSTableReader(dev, "t") as r, pytest.raises(CorruptBlockError):
+            getattr(r, read)()
+
+
+@pytest.mark.parametrize("where", ["group checksum", "group first key", "group offset"])
+def test_damage_in_the_group_table_is_typed_at_open(where):
+    """The group table lives in the checksummed index block: any edit is an
+    index checksum mismatch before a single group is trusted."""
+    dev, stats, _, meta = _grouped_table("fixed")
+    ngroups = meta.gfirst.size
+    table_at = stats.data_bytes + stats.filter_bytes + stats.index_bytes - 8 - 20 * ngroups
+    column = {"group first key": 0, "group checksum": 8 * ngroups, "group offset": 16 * ngroups}
+    baseline = dev.open_handles
+    dev.corrupt("t", table_at + column[where] + 9, xor=0x20)
+    with pytest.raises(CorruptBlockError, match="index block checksum"):
+        SSTableReader(dev, "t")
+    assert dev.open_handles == baseline
+
+
+def test_group_checksum_that_survives_the_index_check_fails_at_first_touch():
+    """A reader holding the table's meta from before the damage (or an index
+    re-sealed around a wrong group checksum) still refuses the group."""
+    import dataclasses
+
+    dev, _, items, meta = _grouped_table("fixed")
+    gsum = meta.gsum.copy()
+    gsum[1] ^= np.uint64(1)
+    stale = dataclasses.replace(meta, gsum=gsum)
+    with SSTableReader(dev, "t", meta=stale) as r:
+        hit = [k for k, _ in items if _group_of(meta, k) == 1][3]
+        with pytest.raises(CorruptBlockError, match="key group 1"):
+            r.get(hit)
+        ok = [kv for kv in items if _group_of(meta, kv[0]) == 3][3]
+        assert r.get(ok[0]) == ok[1]
+
+
+def test_compaction_never_copies_an_unverified_group_forward():
+    """A merge reads whole tables: one flipped byte in one group of one
+    source fails the run and publishes nothing."""
+    from repro.core.multiepoch import MultiEpochStore
+
+    store = MultiEpochStore(nranks=2, fmt=FMT_BASE, value_bytes=40, seed=3)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        store.write_epoch([random_kv_batch(400, 40, rng) for _ in range(2)])
+    name = main_table_name(1, 0)
+    with SSTableReader(store.device, name) as r:
+        assert r.meta.gfirst.size >= 3  # the damage is in one group of several
+        at = int(r.meta.off[0]) + int(r.meta.goff[1]) + 30
+    store.device.corrupt(name, at, xor=0x01)
+    live, files = list(store.epochs), set(store.device.list_files())
+    with pytest.raises(CorruptBlockError, match="key group 1"):
+        store.compact([0, 1, 2])
+    assert store.epochs == live and store.compactions == 0
+    assert {f for f in store.device.list_files() if f.startswith("part.")} == {
+        f for f in files if f.startswith("part.")
+    }
+    store.close()

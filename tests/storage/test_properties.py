@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.storage.blockio import StorageDevice
 from repro.storage.compression import SnappyError, compress, decompress
 from repro.storage.log import ValueLog
+from repro.storage import sstable as sstable_mod
 from repro.storage.sstable import SSTableReader, SSTableWriter
 
 
@@ -68,6 +69,54 @@ def test_sstable_roundtrip_property(items, block_size):
         assert r.get(k) == v
     scanned = r.scan()
     assert [k for k, _ in scanned] == sorted(k for k, _ in items)
+
+
+@given(
+    keys=st.lists(st.integers(min_value=0, max_value=60), min_size=0, max_size=150),
+    width=st.sampled_from([0, 5, 12, None]),  # None: each value its own width
+    group_bytes=st.sampled_from([64, 100, 256]),
+    block_size=st.sampled_from([64, 300, 1 << 20]),
+    cache=st.sampled_from([0, 2]),
+)
+@settings(max_examples=120, deadline=None)
+def test_sstable_reads_agree_across_group_and_block_seams(
+    keys, width, group_bytes, block_size, cache
+):
+    """A small key universe makes duplicates straddle every kind of seam;
+    `get`, `get_many`, `scan` and `scan_arrays` tell one story, first
+    inserted wins, and every absent key in 0..61 is absent."""
+    items = [
+        (k, bytes([i % 251]) * (width if width is not None else i % 23))
+        for i, k in enumerate(keys)
+    ]
+    dev = StorageDevice()
+    original = sstable_mod.GROUP_BYTES
+    sstable_mod.GROUP_BYTES = group_bytes  # readers take group bounds from the table
+    try:
+        w = SSTableWriter(dev, "t", block_size=block_size, bloom_bits_per_key=0)
+        for k, v in items:
+            w.add(k, v)
+        w.finish()
+    finally:
+        sstable_mod.GROUP_BYTES = original
+    first = {}
+    for k, v in items:
+        first.setdefault(k, v)
+    probe = np.arange(62, dtype=np.uint64)
+    want = [first.get(k) for k in probe.tolist()]
+    with SSTableReader(dev, "t", block_cache_blocks=cache) as r:
+        assert bool(r.meta.record_bytes) == (len({len(v) for _, v in items}) == 1)
+        assert [r.get(k) for k in probe.tolist()] == want
+        assert r.get_many(probe)[0] == want
+        assert r.get_many(probe[::-1])[0] == want[::-1]
+        scanned = r.scan()
+        assert [k for k, _ in scanned] == sorted(keys)
+        scan_first = {}
+        for k, v in scanned:
+            scan_first.setdefault(k, v)
+        assert scan_first == first
+        akeys, avals = r.scan_arrays()
+        assert [(k, bytes(v)) for k, v in zip(akeys.tolist(), avals)] == scanned
 
 
 @given(values=st.lists(st.binary(min_size=0, max_size=100), min_size=1, max_size=50))

@@ -178,7 +178,7 @@ class TestGetMany:
         self._probe(r, list(range(0, 320, 3)))
 
     def test_variable_width_scalar_bulk_and_scan_agree(self):
-        """`_parse_block`'s sequential fallback is the scalar path's only
+        """The sequential group walk is a variable-width table's only
         decoder: scalar get, get_many and the independent `scan()` walk
         must tell one story, absent keys and block edges included."""
         dev = StorageDevice()
@@ -261,7 +261,7 @@ class TestBlockCache:
         r = SSTableReader(dev, "t", block_cache_blocks=2)
         for k in range(0, 200, 5):
             r.get(k)
-        assert len(r._block_cache) <= 2  # the one LRU: decoded blocks
+        assert len(r._block_cache) <= 2  # the one LRU: fetched blocks
 
 
 def test_reader_over_cached_meta_reads_only_data():
@@ -286,4 +286,183 @@ def test_failed_open_releases_its_handle():
     baseline = dev.open_handles
     with pytest.raises(ValueError):
         SSTableReader(dev, "junk")
+    assert dev.open_handles == baseline
+
+
+class TestKeyGroups:
+    """Blocks are the I/O unit, key groups the verify/decode unit."""
+
+    @staticmethod
+    def _small_groups(monkeypatch, nbytes=128):
+        # Readers take group bounds from the table, never from the constant,
+        # so a test may write many-group tables out of a few records.
+        from repro.storage import sstable
+
+        monkeypatch.setattr(sstable, "GROUP_BYTES", nbytes)
+
+    @staticmethod
+    def _value(i, width):
+        return bytes([i % 251]) * (8 if width == "fixed" else 1 + i % 19)
+
+    @pytest.mark.parametrize("width", ["fixed", "variable"])
+    @pytest.mark.parametrize("cache", [0, 2])
+    def test_duplicates_across_group_and_block_seams(self, monkeypatch, width, cache):
+        self._small_groups(monkeypatch)
+        keys = [2 * (i // 9) for i in range(400)]  # every key nine times over
+        items = [(k, self._value(i, width)) for i, k in enumerate(keys)]
+        dev = StorageDevice()
+        build(dev, "t", items, block_size=512, bloom_bits_per_key=0)
+        r = SSTableReader(dev, "t", block_cache_blocks=cache)
+        meta = r.meta
+        assert meta.first.size >= 4 and (np.diff(meta.gstart) >= 2).all()
+        # the seams the test is about exist: a key starts a group, and a block
+        assert set(meta.gfirst[1:].tolist()) & set(keys)
+        first = {}
+        for k, v in items:
+            first.setdefault(k, v)
+        probe = np.arange(0, max(keys) + 4, dtype=np.uint64)
+        want = [first.get(k) for k in probe.tolist()]  # odd keys fall between records
+        assert [r.get(k) for k in probe.tolist()] == want
+        vals, blocks = r.get_many(probe)
+        assert vals == want and blocks >= meta.first.size
+        assert r.get(2**64 - 1) is None  # above the table
+        scanned = r.scan()
+        assert [k for k, _ in scanned] == keys
+        seen = {}
+        for k, v in scanned:
+            seen.setdefault(k, v)
+        assert seen == first
+
+    def test_absent_keys_below_between_and_above(self, monkeypatch):
+        self._small_groups(monkeypatch)
+        dev = StorageDevice()
+        keys = list(range(100, 2100, 20))
+        build(dev, "t", [(k, b"v" * 8) for k in keys], bloom_bits_per_key=0)
+        r = SSTableReader(dev, "t")
+        gfirst = r.meta.gfirst.tolist()
+        assert len(gfirst) >= 8
+        absent = [0, 99, 2081, 2**63]
+        absent += [g - 1 for g in gfirst[1:]]  # between two groups
+        absent += [g + 1 for g in gfirst]  # just inside each
+        vals, _ = r.get_many(np.asarray(absent + keys, dtype=np.uint64))
+        assert vals == [None] * len(absent) + [b"v" * 8] * len(keys)
+        assert [r.get(k) for k in absent] == [None] * len(absent)
+
+    @pytest.mark.parametrize("width", ["fixed", "variable"])
+    def test_table_smaller_than_one_group(self, width):
+        dev = StorageDevice()
+        items = [(k, self._value(k, width)) for k in (9, 3, 6)]
+        build(dev, "t", items)
+        r = SSTableReader(dev, "t")
+        assert r.meta.gfirst.tolist() == [3] and r.meta.gstart.tolist() == [0, 1]
+        assert [r.get(k) for k in (3, 6, 9, 1, 5, 12)] == [
+            self._value(3, width), self._value(6, width), self._value(9, width), None, None, None,
+        ]
+        assert r.get_many(np.asarray([9, 4, 3], dtype=np.uint64))[0] == [
+            self._value(9, width), None, self._value(3, width),
+        ]
+
+    def test_empty_table_has_no_groups(self):
+        dev = StorageDevice()
+        build(dev, "t", [])
+        r = SSTableReader(dev, "t")
+        assert r.meta.gfirst.size == 0 and r.meta.gstart.tolist() == [0]
+        assert r.get(1) is None and r.scan() == []
+        keys, values = r.scan_arrays()
+        assert keys.size == 0 and len(values) == 0
+
+    @pytest.mark.parametrize("width", ["fixed", "variable"])
+    def test_groups_tile_every_block(self, width):
+        """Every byte of a block belongs to exactly one group, groups hold
+        whole records, and a fixed-width group is whole 8-byte words."""
+        from repro.storage.sstable import GROUP_BYTES
+
+        dev = StorageDevice()
+        items = [(k, self._value(k, width) * 3) for k in range(3000)]
+        build(dev, "t", items, block_size=3 * GROUP_BYTES + 100)
+        r = SSTableReader(dev, "t")
+        m = r.meta
+        assert m.first.size >= 2
+        scanned = dict(r.scan())
+        for b in range(m.first.size):
+            goff = m.goff[m.gstart[b] : m.gstart[b + 1]]
+            assert goff[0] == 0 and (np.diff(goff) >= GROUP_BYTES).all()
+            assert goff[-1] < m.length[b]
+            if width == "fixed":
+                assert (np.diff(goff) == m.group_bytes).all() and m.group_bytes % 8 == 0
+            blk = r._read_block(b)
+            for g, off in enumerate(goff.tolist()):  # a group starts at a record
+                key = int.from_bytes(blk.raw[off : off + 8], "little")
+                assert key == m.gfirst[m.gstart[b] + g] and key in scanned
+
+    def test_a_lookup_verifies_only_the_groups_it_lands_in(self):
+        dev = StorageDevice()
+        build(dev, "t", [(k, bytes(56)) for k in range(4096)], block_size=1 << 20)
+        r = SSTableReader(dev, "t")
+        ngroups = r.meta.gfirst.size
+        assert ngroups > 40
+        assert r.get(1000) == bytes(56)
+        (blk,) = r._block_cache.values()
+        assert blk.verified.sum() == 1
+        r.get_many(np.asarray([5, 6, 4000], dtype=np.uint64))
+        assert blk.verified.sum() == 3
+        r.get(int(r.meta.gfirst[7]))  # a group's first key: that group and the one before
+        assert blk.verified[6] and blk.verified[7] and blk.verified.sum() == 5
+        r.scan_arrays()
+        assert blk.verified.all()
+
+    def test_vectorized_and_scalar_writers_cut_the_same_groups(self):
+        rng = np.random.default_rng(9)
+        keys = rng.integers(0, 1 << 40, size=900, dtype=np.uint64)
+        values = rng.integers(0, 256, size=(900, 21), dtype=np.uint8)
+        images = []
+        for vectorized in (True, False):
+            dev = StorageDevice()
+            w = SSTableWriter(dev, "t", block_size=10_000, vectorized=vectorized)
+            w.add_many(keys, values)
+            w.finish()
+            f = dev.open("t")
+            images.append(f.read(0, f.size))
+        assert images[0] == images[1]
+
+
+def _block_checksum_layout_table(items) -> bytes:
+    """A table in the previous on-storage layout, built from its documented
+    format: data block := u32 n ‖ n × (u64 key, u32 vlen, value) ‖ u64
+    fastsum64; index := u32 nblocks ‖ nblocks × (u64 first, u64 last,
+    u64 off, u32 len, u32 n) ‖ u64 fastsum64; the same 64-byte footer
+    under magic 0xF117E5CBDE17AF5.  (One block, no filter.)"""
+    import struct
+
+    from repro.storage.checksum import fastsum64
+
+    def seal(body):
+        return body + fastsum64(body).to_bytes(8, "little")
+
+    items = sorted(items)
+    block = seal(
+        struct.pack("<I", len(items))
+        + b"".join(struct.pack("<QI", k, len(v)) + v for k, v in items)
+    )
+    index = seal(
+        struct.pack("<I", 1)
+        + struct.pack("<QQQII", items[0][0], items[-1][0], 0, len(block), len(items))
+    )
+    footer = seal(
+        struct.pack(
+            "<QQQQQQII", 0xF117E5CB_DE17AF5, len(block), len(index), len(block), 0,
+            len(items), 1 << 20, 0,
+        )
+    )
+    return block + index + footer
+
+
+def test_previous_layout_is_refused_by_name_and_releases_its_handle():
+    dev = StorageDevice()
+    dev.open("old", create=True).append(
+        _block_checksum_layout_table([(k, b"v%03d" % k) for k in range(40)])
+    )
+    baseline = dev.open_handles
+    with pytest.raises(ValueError, match="block-checksum layout.*key-group layout"):
+        SSTableReader(dev, "old")
     assert dev.open_handles == baseline
