@@ -1,33 +1,27 @@
-"""Ingestion throughput: bulk (vectorized) pipeline vs the scalar reference.
+"""Ingestion throughput of the columnar write pipeline.
 
 The write path (Fig. 3) ships batches, decodes them, and persists sorted
-tables.  PR 2 vectorized that hot path end to end — ``add_many`` /
-``append_many`` bulk APIs on the memtable, value log, and SSTable writer,
-NumPy-native encode/decode in the writer/receiver states — with the old
-per-record loops kept behind ``bulk=False`` as the scalar reference.
+tables, all with array operations (``add_many`` / ``append_many`` on the
+memtable, value log and SSTable writer, NumPy encode/decode in the
+writer/receiver states).
 
 This bench measures end-to-end epoch ingest (generate → partition →
 shuffle → persist) for **filterkv at 64 ranks** in two writer regimes:
 
 * ``spilling`` — writer memory is bounded (§V-A), so the timed path
-  includes memtable spills and the flattening merge.  This is where the
-  bulk path's speedup shows.
-* ``in-memory`` — a small epoch with unbounded writer memory: fixed
-  per-epoch costs both modes share (64 table finishes, 64 aux seals)
-  bound the achievable ratio.  Reported for honesty.
+  includes memtable spills and the flattening merge;
+* ``in-memory`` — a small epoch with unbounded writer memory, where fixed
+  per-epoch costs (64 table finishes, 64 aux seals) weigh most.
 
-Both arms build their aux tables the same way — once, at seal, from the
-buffered mapping set (`build_sealed_aux`) — so the aux seal is a cost the
-two modes share and the ratio measures the pipeline alone.  A third
-block reports that seal on its own: aux build µs/key at 256 / 4 096 /
-65 536 keys per partition.  The paper's *online* insertion cost is what
-``bench_fig8`` / ``bench_ablation_cuckoo`` measure on
+A third block reports the aux seal on its own: aux build µs/key at 256 /
+4 096 / 65 536 keys per partition.  The paper's *online* insertion cost is
+what ``bench_fig8`` / ``bench_ablation_cuckoo`` measure on
 ``AuxTable.insert_many`` directly.
 
-Correctness gates, asserted on the *same* runs that produce the timings:
-every persisted extent — SSTables, value logs, run extents and sealed
-aux blobs — byte-identical between bulk and scalar, and the wire-format
-invariants (filterkv ships 8 B/record, dataptr 16 B/record).
+Correctness gates, asserted on the runs that produce the timings: the
+wire-format invariants (filterkv ships 8 B/record, dataptr 16 B/record).
+Byte equality with a per-record writer is a tier-1 test
+(``tests/integration/test_ingest_reference.py``), not a bench arm.
 
 ``REPRO_INGEST_SMOKE=1`` shrinks the dataset for CI.
 """
@@ -54,21 +48,15 @@ SEED = 11
 SMOKE = os.environ.get("REPRO_INGEST_SMOKE", "0") == "1"
 SPILLING_RECORDS = 6_000 if SMOKE else 32_000
 IN_MEMORY_RECORDS = 1_500 if SMOKE else 4_000
-# Re-anchored on the measured ratios (2.6-3.1x and 1.7-1.9x) now that both
-# arms pay the same aux seal; the old 5x compared a deferred, 2x-provisioned
-# bulk aux build against per-envelope streaming inserts in the scalar arm.
-SPILLING_GATE = 2.0
-IN_MEMORY_GATE = 1.3
 AUX_BUILD_SIZES = (256, 4_096, 65_536)
 
 
-def _run(fmt, records_per_rank, bulk, spill=None):
+def _run(fmt, records_per_rank, spill=None):
     cluster = SimCluster(
         nranks=NRANKS,
         fmt=fmt,
         value_bytes=VALUE_BYTES,
         seed=SEED,
-        bulk=bulk,
         spill_budget_bytes=spill,
         metrics=MetricsRegistry(),
     )
@@ -98,29 +86,6 @@ def _run(fmt, records_per_rank, bulk, spill=None):
     return elapsed, cluster.stats, cluster
 
 
-def _extents(cluster):
-    dev = cluster.device
-    out = {}
-    for name in sorted(dev._files):
-        f = dev.open(name)
-        out[name] = f.read(0, f.size)
-    return out
-
-
-def _assert_equivalent(bulk_run, scalar_run, fmt):
-    """Bulk and scalar paths must persist byte-identical state."""
-    _, sb, cb = bulk_run
-    _, ss, cs = scalar_run
-    assert sb.records == ss.records
-    assert sb.rpc_messages == ss.rpc_messages
-    assert sb.shuffle_bytes == ss.shuffle_bytes
-    assert sb.local_storage_bytes == ss.local_storage_bytes
-    eb, es = _extents(cb), _extents(cs)
-    assert eb.keys() == es.keys()
-    mismatched = [n for n in eb if eb[n] != es[n]]
-    assert not mismatched, f"extents differ between bulk and scalar: {mismatched}"
-
-
 def _aux_build_us_per_key(nkeys):
     """Median µs/key of one partition's seal: build + serialize the blob."""
     rng = np.random.default_rng(SEED + nkeys)
@@ -138,7 +103,6 @@ def _aux_build_us_per_key(nkeys):
 def test_bench_ingest(report, benchmark):
     rows = []
     data_rows = []
-    speedups = {}
 
     # filterkv at 64 ranks: the acceptance configuration.  The spilling
     # regime bounds writer memory (the paper's §V-A buffering), so the
@@ -147,67 +111,49 @@ def test_bench_ingest(report, benchmark):
         ("spilling", SPILLING_RECORDS, 262_144),
         ("in-memory", IN_MEMORY_RECORDS, None),
     ):
-        _run(FMT_FILTERKV, 1_000, bulk=True)  # warmup
-        bulk_run = min(
-            (_run(FMT_FILTERKV, recs, bulk=True, spill=spill) for _ in range(2)),
-            key=lambda r: r[0],
+        _run(FMT_FILTERKV, 1_000)  # warmup
+        t, stats, cluster = min(
+            (_run(FMT_FILTERKV, recs, spill=spill) for _ in range(2)), key=lambda r: r[0]
         )
-        scalar_run = _run(FMT_FILTERKV, recs, bulk=False, spill=spill)
-        tb, sb, _ = bulk_run
-        ts, _, _ = scalar_run
-        _assert_equivalent(bulk_run, scalar_run, FMT_FILTERKV)
         # filterkv ships keys only: 8 B per record crosses the transport
         # (self-destined envelopes included; `shuffle_bytes` counts only
         # the wire subset).
-        wire = bulk_run[2].metrics.total("pipeline.wire_bytes")
-        assert wire == sb.records * 8
-        speedups[regime] = ts / tb
-        for mode, t in (("bulk", tb), ("scalar", ts)):
-            rows.append(
-                [
-                    f"filterkv/{regime}",
-                    mode,
-                    sb.records,
-                    round(t, 3),
-                    f"{sb.records / t:,.0f}",
-                    round(ts / tb, 2) if mode == "bulk" else "",
-                ]
-            )
-            data_rows.append(
-                {
-                    "config": f"filterkv/{regime}",
-                    "mode": mode,
-                    "records": sb.records,
-                    "seconds": round(t, 4),
-                    "records_per_sec": round(sb.records / t, 1),
-                    "speedup": round(ts / tb, 3),
-                    "wire_bytes_per_record": wire / sb.records,
-                }
-            )
+        wire = cluster.metrics.total("pipeline.wire_bytes")
+        assert wire == stats.records * 8
+        rows.append(
+            [f"filterkv/{regime}", "columnar", stats.records, round(t, 3),
+             f"{stats.records / t:,.0f}"]
+        )
+        data_rows.append(
+            {
+                "config": f"filterkv/{regime}",
+                "mode": "columnar",
+                "records": stats.records,
+                "seconds": round(t, 4),
+                "records_per_sec": round(stats.records / t, 1),
+                "wire_bytes_per_record": wire / stats.records,
+            }
+        )
 
-    # dataptr wire invariant + full byte-identity (no aux table involved).
-    bulk_run = _run(FMT_DATAPTR, 2_000, bulk=True)
-    scalar_run = _run(FMT_DATAPTR, 2_000, bulk=False)
-    _assert_equivalent(bulk_run, scalar_run, FMT_DATAPTR)
-    sb = bulk_run[1]
-    wire = bulk_run[2].metrics.total("pipeline.wire_bytes")
-    assert wire == sb.records * 16  # key u64 + vlog offset u64
+    # dataptr wire invariant (no aux table involved).
+    _, stats, cluster = _run(FMT_DATAPTR, 2_000)
+    wire = cluster.metrics.total("pipeline.wire_bytes")
+    assert wire == stats.records * 16  # key u64 + vlog offset u64
     data_rows.append(
         {
-            "config": "dataptr/equivalence",
-            "mode": "both",
-            "records": sb.records,
+            "config": "dataptr/wire",
+            "mode": "columnar",
+            "records": stats.records,
             "seconds": None,
             "records_per_sec": None,
-            "speedup": None,
-            "wire_bytes_per_record": wire / sb.records,
+            "wire_bytes_per_record": wire / stats.records,
         }
     )
 
-    # The seal both arms share, on its own: one partition's aux build.
+    # The seal on its own: one partition's aux build.
     for nkeys in AUX_BUILD_SIZES:
         us = _aux_build_us_per_key(nkeys)
-        rows.append([f"aux-build/{nkeys}", "seal", nkeys, "", f"{1e6 / us:,.0f}", ""])
+        rows.append([f"aux-build/{nkeys}", "seal", nkeys, "", f"{1e6 / us:,.0f}"])
         data_rows.append(
             {
                 "config": f"aux-build/{nkeys}",
@@ -218,9 +164,9 @@ def test_bench_ingest(report, benchmark):
         )
 
     text, data = table_artifact(
-        ["config", "mode", "records", "seconds", "records/s", "speedup"],
+        ["config", "mode", "records", "seconds", "records/s"],
         rows,
-        title=f"Ingest throughput — bulk vs scalar pipeline, {NRANKS} ranks"
+        title=f"Ingest throughput — columnar pipeline, {NRANKS} ranks"
         f"{' [smoke]' if SMOKE else ''}",
     )
     text += "\naux build us/key: " + "  ".join(
@@ -229,13 +175,7 @@ def test_bench_ingest(report, benchmark):
     data["rows_detailed"] = data_rows
     report(text, name="ingest", data=data)
 
-    # The vectorized pipeline must beat the per-record reference by a wide
-    # margin where per-record work dominates, and must never lose where
-    # fixed per-epoch costs do.
-    assert speedups["spilling"] >= SPILLING_GATE, speedups
-    assert speedups["in-memory"] >= IN_MEMORY_GATE, speedups
-
-    # Representative kernel: one bulk memtable fill at envelope scale.
+    # Representative kernel: one memtable fill at envelope scale.
     keys = np.arange(16_000, dtype=np.uint64)
     values = np.zeros((16_000, VALUE_BYTES), dtype=np.uint8)
     benchmark(lambda: MemTable(1 << 30).add_many(keys, values))

@@ -74,7 +74,6 @@ class SimCluster:
         routing: str = "direct",
         ppn: int = 1,
         spill_budget_bytes: int | None = None,
-        bulk: bool = True,
         aux_backends: tuple[str, ...] | None = None,
         faults: FaultPlan | None = None,
         metrics: MetricsRegistry | None = None,
@@ -91,7 +90,6 @@ class SimCluster:
         self.batch_bytes = batch_bytes
         self.epoch = epoch
         self.seed = seed
-        self.bulk = bulk
         self._aux_backends = aux_backends
         self.metrics = active(metrics)
         if device is not None:
@@ -130,7 +128,6 @@ class SimCluster:
                 epoch=self.epoch,
                 block_size=self._block_size,
                 aux_seed=self.seed,
-                bulk=self.bulk,
                 aux_backends=self._aux_backends,
                 metrics=self.metrics,
             )
@@ -148,7 +145,6 @@ class SimCluster:
                 epoch=self.epoch,
                 block_size=self._block_size,
                 spill_budget_bytes=self._spill_budget_bytes,
-                bulk=self.bulk,
                 metrics=self.metrics,
             )
             for r in range(self.nranks)

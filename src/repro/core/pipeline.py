@@ -24,7 +24,7 @@ import numpy as np
 from ..obs import MetricsRegistry, active
 from ..storage.blockio import StorageDevice
 from ..storage.envelope import seal
-from ..storage.log import DataPointer, ValueLog
+from ..storage.log import ValueLog
 from ..storage.memtable import MemTable, RunWriter, flatten_runs
 from ..storage.sstable import SSTableWriter, TableStats
 from .auxtable import AuxTable, aux_to_blob, build_sealed_aux
@@ -71,7 +71,6 @@ class WriterState:
         epoch: int = 0,
         block_size: int = 1 << 20,
         spill_budget_bytes: int | None = None,
-        bulk: bool = True,
         metrics: MetricsRegistry | None = None,
     ):
         self.rank = rank
@@ -82,7 +81,6 @@ class WriterState:
         self.send = send
         self.batch_bytes = batch_bytes
         self.epoch = epoch
-        self.bulk = bulk
         self._buffers: dict[int, bytearray] = {}
         self._buffer_counts: dict[int, int] = {}
         self.records_written = 0
@@ -104,8 +102,7 @@ class WriterState:
             self._vlog = ValueLog(device, rank)
         elif fmt.name == "filterkv":
             self._main = SSTableWriter(
-                device, main_table_name(epoch, rank), block_size=block_size,
-                vectorized=bulk,
+                device, main_table_name(epoch, rank), block_size=block_size
             )
             if spill_budget_bytes is not None:
                 # The paper's driver buffers at most 16 MB before writing
@@ -121,11 +118,9 @@ class WriterState:
     def put_batch(self, batch: KVBatch) -> None:
         """Process one batch of generated KV pairs.
 
-        The default path is columnar: local writes (value log, main table,
-        memtable spills) and payload encoding all happen as array
-        operations with no per-record Python work.  ``bulk=False`` keeps
-        the scalar per-record loops (same bytes, used as the equivalence
-        reference and by variable-width callers).
+        Local writes (value log, main table, memtable spills) and payload
+        encoding all happen as array operations with no per-record Python
+        work.
         """
         if batch.value_bytes != self.value_bytes:
             raise ValueError(
@@ -133,7 +128,7 @@ class WriterState:
             )
         offsets = None
         if self.fmt.name == "dataptr":
-            offsets = self._write_vlog(batch)
+            offsets = self._vlog.append_many(batch.values)
         elif self.fmt.name == "filterkv":
             self._write_local(batch)
         for dest, idx in enumerate(self.partitioner.split(batch.keys)):
@@ -144,38 +139,17 @@ class WriterState:
         self.records_written += len(batch)
         self._m_records.inc(len(batch))
 
-    def _write_vlog(self, batch: KVBatch) -> np.ndarray:
-        """Append every value to the local log; returns their offsets."""
-        if self.bulk:
-            return self._vlog.append_many(batch.values)
-        offsets = np.empty(len(batch), dtype=np.uint64)
-        for i in range(len(batch)):
-            offsets[i] = self._vlog.append(batch.value_of(i)).offset
-        return offsets
-
     def _write_local(self, batch: KVBatch) -> None:
         """FilterKV local KV write: main table, or bounded memtable."""
         if self._memtable is None:
-            if self.bulk:
-                self._main.add_many(batch.keys, batch.values)
-            else:
-                for i in range(len(batch)):
-                    self._main.add(int(batch.keys[i]), batch.value_of(i))
+            self._main.add_many(batch.keys, batch.values)
             return
-        if self.bulk:
-            taken = 0
-            n = len(batch)
-            while taken < n:
-                took = self._memtable.add_many(
-                    batch.keys[taken:], batch.values[taken:]
-                )
-                taken += took
-                if self._memtable.full or took == 0:
-                    self._runs.spill(self._memtable)
-        else:
-            for i in range(len(batch)):
-                if not self._memtable.add(int(batch.keys[i]), batch.value_of(i)):
-                    self._runs.spill(self._memtable, vectorized=False)
+        taken = 0
+        while taken < len(batch):
+            took = self._memtable.add_many(batch.keys[taken:], batch.values[taken:])
+            taken += took
+            if self._memtable.full or took == 0:
+                self._runs.spill(self._memtable)
 
     def _encode(self, batch: KVBatch, idx: np.ndarray, offsets: np.ndarray | None) -> bytes:
         keys_le = batch.keys[idx].astype("<u8")
@@ -224,8 +198,8 @@ class WriterState:
         """Flush and finalize local structures; returns main-table stats."""
         self.flush()
         if self._memtable is not None:
-            self._runs.spill(self._memtable, vectorized=self.bulk)
-            return flatten_runs(self._runs, self._main, bulk=self.bulk)
+            self._runs.spill(self._memtable)
+            return flatten_runs(self._runs, self._main)
         if self._main is not None:
             return self._main.finish()
         return None
@@ -258,7 +232,6 @@ class ReceiverState:
         epoch: int = 0,
         block_size: int = 1 << 20,
         aux_seed: int = 0,
-        bulk: bool = True,
         aux_backends: tuple[str, ...] | None = None,
         metrics: MetricsRegistry | None = None,
     ):
@@ -268,7 +241,6 @@ class ReceiverState:
         self.device = device
         self.value_bytes = value_bytes
         self.epoch = epoch
-        self.bulk = bulk
         self.aux_backends = aux_backends
         self._aux_seed = aux_seed
         self.records_received = 0
@@ -291,8 +263,7 @@ class ReceiverState:
         self._aux_counts: list[int] = []
         if fmt.name in ("base", "dataptr"):
             self._table = SSTableWriter(
-                device, main_table_name(epoch, rank), block_size=block_size,
-                vectorized=bulk,
+                device, main_table_name(epoch, rank), block_size=block_size
             )
 
     def deliver(self, env: Envelope) -> None:
@@ -300,7 +271,7 @@ class ReceiverState:
 
         Decoding is columnar: wire payloads reshape into record matrices
         and land in the tables via ``add_many`` with no per-record Python
-        work (``bulk=False`` keeps the scalar reference loops).
+        work.
         """
         if env.dest != self.rank:
             raise ValueError(f"envelope for rank {env.dest} delivered to {self.rank}")
@@ -308,30 +279,20 @@ class ReceiverState:
             rec = KEY_BYTES + self.value_bytes
             rows = np.frombuffer(env.payload, dtype=np.uint8).reshape(env.nrecords, rec)
             keys = rows[:, :KEY_BYTES].copy().view("<u8").ravel()
-            if self.bulk:
-                self._table.add_many(keys, rows[:, KEY_BYTES:])
-            else:
-                for i in range(env.nrecords):
-                    self._table.add(int(keys[i]), rows[i, KEY_BYTES:].tobytes())
+            self._table.add_many(keys, rows[:, KEY_BYTES:])
         elif self.fmt.name == "dataptr":
             rows = np.frombuffer(env.payload, dtype=np.uint8).reshape(
                 env.nrecords, KEY_BYTES + 8
             )
             keys = rows[:, :KEY_BYTES].copy().view("<u8").ravel()
-            if self.bulk:
-                # Stored value is the packed 12-byte DataPointer: the
-                # sender's rank (u32, from the envelope) + wire offset.
-                ptrs = np.empty((env.nrecords, 12), dtype=np.uint8)
-                ptrs[:, :4] = np.frombuffer(
-                    np.uint32(env.src).astype("<u4").tobytes(), dtype=np.uint8
-                )
-                ptrs[:, 4:] = rows[:, KEY_BYTES:]
-                self._table.add_many(keys, ptrs)
-            else:
-                offsets = rows[:, KEY_BYTES:].copy().view("<u8").ravel()
-                for i in range(env.nrecords):
-                    ptr = DataPointer(env.src, int(offsets[i]))
-                    self._table.add(int(keys[i]), ptr.pack())
+            # Stored value is the packed 12-byte DataPointer: the sender's
+            # rank (u32, from the envelope) + wire offset.
+            ptrs = np.empty((env.nrecords, 12), dtype=np.uint8)
+            ptrs[:, :4] = np.frombuffer(
+                np.uint32(env.src).astype("<u4").tobytes(), dtype=np.uint8
+            )
+            ptrs[:, 4:] = rows[:, KEY_BYTES:]
+            self._table.add_many(keys, ptrs)
         else:
             if len(env.payload) != env.nrecords * KEY_BYTES:
                 raise ValueError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blockio import StorageDevice
-from .sstable import SSTableWriter, TableStats
+from .sstable import SSTableWriter, TableStats, concat_values
 
 __all__ = [
     "read_table_arrays",
@@ -38,33 +38,6 @@ def read_table_arrays(
 
     with SSTableReader(device, name) as reader:
         return reader.scan_arrays()
-
-
-def concat_values(
-    chunks: list[np.ndarray | list[bytes]],
-) -> np.ndarray | list[bytes]:
-    """Concatenate per-table value columns, preserving chunk order.
-
-    Stays a 2-D uint8 matrix when every chunk is fixed-width at the same
-    width (the vectorized merge path); degrades to list[bytes] otherwise.
-    """
-    if not chunks:
-        return np.zeros((0, 0), dtype=np.uint8)
-    mats = [c for c in chunks if isinstance(c, np.ndarray)]
-    if len(mats) == len(chunks):
-        nonempty = [m for m in mats if m.shape[0]]
-        widths = {m.shape[1] for m in nonempty}
-        if len(widths) <= 1:
-            if not nonempty:
-                return mats[0]
-            return nonempty[0] if len(nonempty) == 1 else np.concatenate(nonempty, axis=0)
-    flat: list[bytes] = []
-    for c in chunks:
-        if isinstance(c, np.ndarray):
-            flat.extend(bytes(row) for row in c)
-        else:
-            flat.extend(c)
-    return flat
 
 
 def take_values(

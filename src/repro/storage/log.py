@@ -71,19 +71,12 @@ class ValueLog:
         log._nvalues = -1  # unknown for a reader-side attach
         return log
 
-    def append(self, value: bytes) -> DataPointer:
-        """Append one value; returns the pointer that recovers it."""
-        offset = self._file.append(self._LEN.pack(len(value)) + bytes(value))
-        self._nvalues += 1
-        return DataPointer(self.rank, offset)
-
     def append_many(self, values: np.ndarray | list[bytes]) -> np.ndarray:
         """Append a batch of values with one storage write.
 
-        ``values`` is a ``(n, width)`` uint8 matrix (vectorized fixed-width
-        path) or a list of bytes.  Returns the ``uint64`` record-start
-        offsets, identical to ``n`` scalar `append` calls; the log bytes are
-        byte-for-byte the same, landed in a single device write.
+        ``values`` is a ``(n, width)`` uint8 matrix or a list of bytes.
+        Returns the ``uint64`` record-start offsets: ``DataPointer(rank,
+        offset)`` recovers each value.
         """
         base = self._file.size
         if isinstance(values, np.ndarray):

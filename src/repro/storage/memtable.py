@@ -10,15 +10,13 @@ memtables as sorted runs into a log extent; `flatten_runs` merge-sorts the
 runs into a final `SSTableWriter` — giving the write path real memory
 bounds instead of unbounded Python lists.
 
-The hot path is columnar: `MemTable.add_many` buffers whole key/value
-arrays, `RunWriter.spill` serializes a run with array ops, and
-`flatten_runs` merges runs as one stable array sort instead of a per-record
-heap.  Scalar `add`/`sorted_items` remain for variable-width values.
+The path is columnar: `MemTable.add_many` buffers whole key/value arrays,
+`RunWriter.spill` serializes a run with array ops, and `flatten_runs`
+merges runs as one stable array sort.
 """
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 
@@ -26,7 +24,8 @@ import numpy as np
 
 from ..obs import MetricsRegistry, active
 from .blockio import StorageDevice
-from .sstable import SSTableWriter, TableStats
+from .checksum import fastsum64
+from .sstable import CorruptBlockError, SSTableWriter, TableStats
 
 __all__ = ["MemTable", "RunWriter", "flatten_runs"]
 
@@ -34,13 +33,11 @@ _ENTRY = struct.Struct("<QI")
 
 
 class MemTable:
-    """Bounded in-memory KV buffer.
+    """Bounded in-memory KV buffer of fixed-width values.
 
-    ``add`` returns ``True`` while the entry fit under the byte budget;
-    once it returns ``False`` the caller must drain (`sorted_items` /
-    `sorted_arrays`) and `reset`.  ``add_many`` buffers as many records of
-    a batch as the budget admits (matching a scalar add-until-False loop)
-    and returns how many it took.  Sizing counts key + value bytes, like
+    ``add_many`` buffers as many records of a batch as the budget admits
+    and returns how many it took; once `full`, the caller drains
+    (`sorted_arrays`) and `reset`s.  Sizing counts key + value bytes, like
     the paper's 16 MB figure.
     """
 
@@ -48,56 +45,31 @@ class MemTable:
         if budget_bytes < 64:
             raise ValueError(f"budget too small: {budget_bytes}")
         self.budget_bytes = budget_bytes
-        # Columnar chunks in arrival order; scalar adds pool in a pending
-        # tail sealed lazily so interleaving keeps insertion order.
-        self._chunks: list[tuple[np.ndarray, np.ndarray | list[bytes]]] = []
-        self._pending_keys: list[int] = []
-        self._pending_values: list[bytes] = []
+        self._chunks: list[tuple[np.ndarray, np.ndarray]] = []  # arrival order
         self._len = 0
         self._bytes = 0
-
-    def add(self, key: int, value: bytes) -> bool:
-        """Buffer one entry; False if the budget is now exhausted."""
-        self._pending_keys.append(int(key))
-        self._pending_values.append(bytes(value))
-        self._len += 1
-        self._bytes += 8 + len(value)
-        return self._bytes < self.budget_bytes
 
     def add_many(self, keys: np.ndarray, values: np.ndarray) -> int:
         """Buffer a prefix of ``(keys, values)``; returns how many fit.
 
-        ``values`` is a ``(len(keys), width)`` uint8 matrix.  Records are
-        taken until the running byte size reaches the budget — including
-        the record that crosses it, exactly like the scalar `add` loop —
-        so callers spill-and-retry with the remainder.
+        ``values`` is a ``(len(keys), width)`` uint8 matrix, one width for
+        everything buffered.  Records are taken until the running byte size
+        reaches the budget — including the record that crosses it — so
+        callers spill-and-retry with the remainder.
         """
         keys = np.asarray(keys, dtype=np.uint64).ravel()
         values = np.asarray(values, dtype=np.uint8)
         if values.ndim != 2 or values.shape[0] != keys.size:
             raise ValueError(f"values must be ({keys.size}, width); got {values.shape}")
-        if keys.size == 0:
-            return 0
-        if self.full:
+        if keys.size == 0 or self.full:
             return 0
         rec = 8 + values.shape[1]
-        room = self.budget_bytes - self._bytes
-        # Smallest count whose bytes reach the budget (scalar semantics
-        # include the crossing record), capped at the batch size.
-        take = min(keys.size, -(-room // rec))
-        self._seal_pending()
+        # Smallest count whose bytes reach the budget, capped at the batch.
+        take = min(keys.size, -(-(self.budget_bytes - self._bytes) // rec))
         self._chunks.append((keys[:take], values[:take]))
         self._len += take
         self._bytes += take * rec
         return take
-
-    def _seal_pending(self) -> None:
-        if self._pending_keys:
-            self._chunks.append(
-                (np.asarray(self._pending_keys, dtype=np.uint64), self._pending_values)
-            )
-            self._pending_keys = []
-            self._pending_values = []
 
     @property
     def size_bytes(self) -> int:
@@ -110,68 +82,16 @@ class MemTable:
     def full(self) -> bool:
         return self._bytes >= self.budget_bytes
 
-    def _collect(self) -> tuple[np.ndarray, np.ndarray | list[bytes]]:
-        """Buffered entries in insertion order (values as a matrix when
-        every entry shares one width, else a list[bytes])."""
-        self._seal_pending()
+    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entries in key order as arrays (stable: first write first)."""
         if not self._chunks:
             return np.zeros(0, dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8)
-        keys = (
-            self._chunks[0][0]
-            if len(self._chunks) == 1
-            else np.concatenate([c[0] for c in self._chunks])
-        )
-        widths = set()
-        for _, vals in self._chunks:
-            if isinstance(vals, np.ndarray):
-                widths.add(vals.shape[1])
-            else:
-                widths.update(len(v) for v in vals)
-            if len(widths) > 1:
-                break
-        if len(widths) == 1:
-            w = widths.pop()
-            mats = [
-                vals
-                if isinstance(vals, np.ndarray)
-                else np.frombuffer(b"".join(vals), dtype=np.uint8).reshape(len(vals), w)
-                for _, vals in self._chunks
-            ]
-            return keys, mats[0] if len(mats) == 1 else np.concatenate(mats, axis=0)
-        flat: list[bytes] = []
-        for _, vals in self._chunks:
-            if isinstance(vals, np.ndarray):
-                flat.extend(
-                    vals.tobytes()[i : i + vals.shape[1]]
-                    for i in range(0, vals.size, vals.shape[1])
-                )
-            else:
-                flat.extend(vals)
-        return keys, flat
-
-    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray | list[bytes]]:
-        """Entries in key order as arrays (stable: first write first)."""
-        keys, values = self._collect()
+        keys = np.concatenate([k for k, _ in self._chunks])
         order = np.argsort(keys, kind="stable")
-        if isinstance(values, np.ndarray):
-            return keys[order], values[order]
-        return keys[order], [values[i] for i in order]
-
-    def sorted_items(self) -> list[tuple[int, bytes]]:
-        """Entries in key order (stable: first write of a key first)."""
-        keys, values = self.sorted_arrays()
-        if isinstance(values, np.ndarray):
-            w = values.shape[1]
-            blob = values.tobytes()
-            return [
-                (int(k), blob[i * w : (i + 1) * w]) for i, k in enumerate(keys)
-            ]
-        return [(int(k), bytes(v)) for k, v in zip(keys, values)]
+        return keys[order], np.concatenate([v for _, v in self._chunks])[order]
 
     def reset(self) -> None:
         self._chunks.clear()
-        self._pending_keys.clear()
-        self._pending_values.clear()
         self._len = 0
         self._bytes = 0
 
@@ -181,7 +101,10 @@ class _Run:
     offset: int
     length: int
     nentries: int
-    value_bytes: int | None = None  # fixed width of every value, if uniform
+    value_bytes: int
+    # fastsum64 of the run's bytes, held in memory only: a run lives for
+    # one burst, and nothing is merged from it unless it still matches.
+    checksum: int
 
 
 class RunWriter:
@@ -196,75 +119,38 @@ class RunWriter:
         self._m_flushes = m.counter("storage.memtable_flushes")
         self._m_spill_bytes = m.counter("storage.memtable_spill_bytes")
 
-    def spill(self, memtable: MemTable, vectorized: bool = True) -> None:
+    def spill(self, memtable: MemTable) -> None:
         """Write the memtable's sorted contents as one run and reset it.
 
-        ``vectorized=False`` serializes with the per-record reference loop
-        (same bytes, scalar speed) — the equivalence baseline.
+        A run is ``n × (u64 key, u32 vlen, value)`` in key order.
         """
         if len(memtable) == 0:
             return
-        if not vectorized:
-            parts = bytearray()
-            n = 0
-            for key, value in memtable.sorted_items():
-                parts += _ENTRY.pack(key, len(value)) + value
-                n += 1
-            offset = self._file.append(bytes(parts))
-            self.runs.append(_Run(offset, len(parts), n))
-            self._m_flushes.inc()
-            self._m_spill_bytes.inc(len(parts))
-            memtable.reset()
-            return
         keys, values = memtable.sorted_arrays()
-        if isinstance(values, np.ndarray):
-            n, w = values.shape
-            recs = np.empty((n, _ENTRY.size + w), dtype=np.uint8)
-            recs[:, :8] = keys.astype("<u8").view(np.uint8).reshape(-1, 8)
-            recs[:, 8:12] = np.frombuffer(_ENTRY.pack(0, w)[8:], dtype=np.uint8)
-            recs[:, 12:] = values
-            blob = recs.tobytes()
-            width: int | None = w
-        else:
-            parts = bytearray()
-            for k, v in zip(keys, values):
-                parts += _ENTRY.pack(int(k), len(v)) + v
-            blob = bytes(parts)
-            width = None
+        n, w = values.shape
+        recs = np.empty((n, _ENTRY.size + w), dtype=np.uint8)
+        recs[:, :8] = keys.astype("<u8").view(np.uint8).reshape(-1, 8)
+        recs[:, 8:12] = np.frombuffer(_ENTRY.pack(0, w)[8:], dtype=np.uint8)
+        recs[:, 12:] = values
+        blob = recs.tobytes()
         offset = self._file.append(blob)
-        self.runs.append(_Run(offset, len(blob), len(keys), width))
+        self.runs.append(_Run(offset, len(blob), n, w, fastsum64(blob)))
         self._m_flushes.inc()
         self._m_spill_bytes.inc(len(blob))
         memtable.reset()
 
-    def read_run_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray | list[bytes]]:
-        """Load one spilled run back as arrays (already key-sorted)."""
+    def read_run_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Load one spilled run back as arrays (already key-sorted).
+
+        Raises `CorruptBlockError` when the bytes read back are not the
+        bytes spilled.
+        """
         run = self.runs[i]
         blob = self._file.read(run.offset, run.length)
-        if run.value_bytes is not None:
-            rec = _ENTRY.size + run.value_bytes
-            rows = np.frombuffer(blob, dtype=np.uint8).reshape(run.nentries, rec)
-            keys = rows[:, :8].copy().view("<u8").ravel()
-            return keys, rows[:, 12:]
-        keys = np.empty(run.nentries, dtype=np.uint64)
-        values: list[bytes] = []
-        pos = 0
-        for j in range(run.nentries):
-            key, vlen = _ENTRY.unpack(blob[pos : pos + _ENTRY.size])
-            pos += _ENTRY.size
-            keys[j] = key
-            values.append(blob[pos : pos + vlen])
-            pos += vlen
-        return keys, values
-
-    def read_run(self, i: int) -> list[tuple[int, bytes]]:
-        """Load one spilled run back (already key-sorted)."""
-        keys, values = self.read_run_arrays(i)
-        if isinstance(values, np.ndarray):
-            w = values.shape[1]
-            blob = values.tobytes()
-            return [(int(k), blob[j * w : (j + 1) * w]) for j, k in enumerate(keys)]
-        return [(int(k), bytes(v)) for k, v in zip(keys, values)]
+        if len(blob) != run.length or fastsum64(blob) != run.checksum:
+            raise CorruptBlockError(f"run {i} of {self._file.name!r} changed since its spill")
+        rows = np.frombuffer(blob, np.uint8).reshape(run.nentries, _ENTRY.size + run.value_bytes)
+        return rows[:, :8].copy().view("<u8").ravel(), rows[:, _ENTRY.size :]
 
     @property
     def total_entries(self) -> int:
@@ -276,9 +162,7 @@ class RunWriter:
         return self._file.size
 
 
-def flatten_runs(
-    run_writer: RunWriter, table: SSTableWriter, bulk: bool = True
-) -> TableStats:
+def flatten_runs(run_writer: RunWriter, table: SSTableWriter) -> TableStats:
     """Merge all spilled runs into one final SSTable.
 
     This is the "flattened LSM-tree" step: a single merge at burst end
@@ -287,32 +171,7 @@ def flatten_runs(
     equal keys in (run, within-run) order — exactly the earliest-write-
     first semantics `SSTableReader`'s first-wins lookup expects, and the
     same order a per-record k-way heap merge produces.
-
-    ``bulk=False`` runs that heap merge literally (per-record reference,
-    identical output bytes).
     """
-    if not bulk:
-        streams = [iter(run_writer.read_run(i)) for i in range(len(run_writer.runs))]
-        heap: list[tuple[int, int, int, bytes]] = []
-        counters = [0] * len(streams)
-
-        def push(si: int) -> None:
-            item = next(streams[si], None)
-            if item is not None:
-                key, value = item
-                # Tiebreak (run index, within-run position): runs spill in
-                # write order, so equal keys keep first-wins order.
-                heapq.heappush(heap, (key, si, counters[si], value))
-                counters[si] += 1
-
-        for si in range(len(streams)):
-            push(si)
-        while heap:
-            key, _si, _pos, value = heapq.heappop(heap)
-            table.add(key, value)
-            push(_si)
-        return table.finish()
     for i in range(len(run_writer.runs)):
-        keys, values = run_writer.read_run_arrays(i)
-        table.add_many(keys, values)
+        table.add_many(*run_writer.read_run_arrays(i))
     return table.finish()

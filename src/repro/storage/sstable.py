@@ -65,6 +65,7 @@ __all__ = [
     "TableMeta",
     "TableStats",
     "load_table_meta",
+    "concat_values",
     "FOOTER_BYTES",
     "CorruptBlockError",
 ]
@@ -95,6 +96,77 @@ def _concat(parts: list[np.ndarray]) -> np.ndarray:
     """``np.concatenate`` (along the first axis) that hands a lone part back
     as it is."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def concat_values(chunks: list[np.ndarray | list[bytes]]) -> np.ndarray | list[bytes]:
+    """Concatenate value chunks in order, each a ``(n, width)`` uint8 matrix
+    or a list[bytes]: one matrix when every value has the same width, else
+    one list[bytes]."""
+    widths: set[int] = set()
+    for vals in chunks:
+        if isinstance(vals, np.ndarray):
+            widths.update(vals.shape[1:2] if len(vals) else ())
+        else:
+            widths.update(map(len, vals))
+        if len(widths) > 1:
+            flat: list[bytes] = []
+            for v in chunks:
+                flat.extend([row.tobytes() for row in v] if isinstance(v, np.ndarray) else v)
+            return flat
+    if not widths:
+        return np.zeros((0, 0), dtype=np.uint8)
+    (w,) = widths
+    return _concat([
+        vals if isinstance(vals, np.ndarray)
+        else np.frombuffer(b"".join(vals), dtype=np.uint8).reshape(len(vals), w)
+        for vals in chunks if len(vals)
+    ])
+
+
+def _cut_rows(skeys, svalues, block_size: int, group_cut: int):
+    """Cut key-sorted fixed-width records into blocks with array ops.
+
+    Every record is key ‖ length ‖ value bytes, so block and group
+    boundaries fall at uniform record counts.  Yields, per block, ``(bytes,
+    records, last key, group first keys, group offsets)`` — exactly what
+    `_cut_records` yields for the same rows.
+    """
+    n, w = svalues.shape
+    rec = _ENTRY_HDR.size + w
+    recs = np.empty((n, rec), dtype=np.uint8)
+    recs[:, :8] = skeys.astype("<u8").view(np.uint8).reshape(-1, 8)
+    recs[:, 8:12] = np.frombuffer(_U32.pack(w), dtype=np.uint8)
+    recs[:, 12:] = svalues
+    per_block = max(1, -(-block_size // rec))  # ceil
+    per_group = group_cut // rec
+    for start in range(0, n, per_block):
+        stop = min(start + per_block, n)
+        yield (
+            recs[start:stop].tobytes(),
+            stop - start,
+            int(skeys[stop - 1]),
+            skeys[start:stop:per_group],
+            np.arange(0, (stop - start) * rec, group_cut, dtype="<u4"),
+        )
+
+
+def _cut_records(skeys, svalues, block_size: int, group_cut: int):
+    """Cut key-sorted records of any widths into blocks, one record at a
+    time: a group opens at the first record once the open one holds
+    ``group_cut`` bytes, a block closes at the record that takes it to
+    ``block_size``.  Yields what `_cut_rows` yields."""
+    block, n, gfirst, goff, k = bytearray(), 0, [], [], 0
+    for k, v in zip(skeys.tolist(), svalues):
+        if not goff or len(block) - goff[-1] >= group_cut:
+            gfirst.append(k)
+            goff.append(len(block))
+        block += _ENTRY_HDR.pack(k, len(v)) + v
+        n += 1
+        if len(block) >= block_size:
+            yield bytes(block), n, k, gfirst, goff
+            block, n, gfirst, goff = bytearray(), 0, [], []
+    if n:
+        yield bytes(block), n, k, gfirst, goff
 
 
 def _group_bytes(rec: int) -> int:
@@ -131,11 +203,6 @@ class SSTableWriter:
         4 MiB units, benchmarks use smaller blocks at reduced scale.
     bloom_bits_per_key:
         Per-table Bloom filter budget; 0 disables the filter block.
-    vectorized:
-        When True (default) fixed-width tables are sorted, blocked, and
-        serialized with array operations; False forces the per-record
-        reference path (same bytes — kept as the scalar-equivalence
-        baseline and exercised automatically for variable-width values).
     """
 
     def __init__(
@@ -144,41 +211,28 @@ class SSTableWriter:
         name: str,
         block_size: int = 4 << 20,
         bloom_bits_per_key: float = 10.0,
-        vectorized: bool = True,
     ):
         if block_size < 64:
             raise ValueError(f"block_size too small: {block_size}")
         self.block_size = block_size
         self.bloom_bits_per_key = bloom_bits_per_key
-        self.vectorized = vectorized
         self._file: StorageFile = device.open(name, create=True)
         # Entries are buffered as columnar chunks in arrival order: each
         # chunk is (keys u64, values) where values is a 2-D uint8 matrix
-        # (fixed-width fast path) or a list[bytes] (variable-width).
-        # Scalar `add`s accumulate in a pending tail that is sealed into a
-        # chunk lazily, so interleaved add/add_many keeps insertion order.
+        # or a list[bytes] (variable-width).
         self._chunks: list[tuple[np.ndarray, np.ndarray | list[bytes]]] = []
-        self._pending_keys: list[int] = []
-        self._pending_values: list[bytes] = []
         self._nentries = 0
         self._finished = False
 
     def __len__(self) -> int:
         return self._nentries
 
-    def add(self, key: int, value: bytes) -> None:
-        """Buffer one entry (duplicate keys are kept; reader returns first)."""
-        if self._finished:
-            raise ValueError("writer already finished")
-        self._pending_keys.append(int(key))
-        self._pending_values.append(bytes(value))
-        self._nentries += 1
-
     def add_many(self, keys: np.ndarray, values: np.ndarray | list[bytes]) -> None:
-        """Buffer a batch of entries without per-record Python work.
+        """Buffer a batch of entries (duplicate keys are kept; the reader
+        returns the first written).
 
-        ``values`` is either a ``(len(keys), width)`` uint8 matrix — the
-        vectorized fixed-width path — or a list of bytes of any widths.
+        ``values`` is either a ``(len(keys), width)`` uint8 matrix or a list
+        of bytes of any widths.
         """
         if self._finished:
             raise ValueError("writer already finished")
@@ -193,63 +247,17 @@ class SSTableWriter:
             raise ValueError("keys and values length mismatch")
         if keys.size == 0:
             return
-        self._seal_pending()
         self._chunks.append((keys, values))
         self._nentries += keys.size
-
-    def _seal_pending(self) -> None:
-        if self._pending_keys:
-            self._chunks.append(
-                (
-                    np.asarray(self._pending_keys, dtype=np.uint64),
-                    self._pending_values,
-                )
-            )
-            self._pending_keys = []
-            self._pending_values = []
-
-    def _collect(self) -> tuple[np.ndarray, np.ndarray | list[bytes]]:
-        """All buffered entries in insertion order.
-
-        Returns ``(keys, values)`` with values as one 2-D uint8 matrix when
-        every entry has the same width, else as a flat list[bytes].
-        """
-        self._seal_pending()
-        if not self._chunks:
-            return np.zeros(0, dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8)
-        keys = _concat([c[0] for c in self._chunks])
-        widths = set()
-        for _, vals in self._chunks:
-            if isinstance(vals, np.ndarray):
-                widths.add(vals.shape[1])
-            else:
-                widths.update(len(v) for v in vals)
-            if len(widths) > 1:
-                break
-        if len(widths) == 1:
-            w = widths.pop()
-            mats = [
-                vals
-                if isinstance(vals, np.ndarray)
-                else np.frombuffer(b"".join(vals), dtype=np.uint8).reshape(len(vals), w)
-                for _, vals in self._chunks
-            ]
-            return keys, _concat(mats)
-        flat: list[bytes] = []
-        for _, vals in self._chunks:
-            if isinstance(vals, np.ndarray):
-                flat.extend(vals.tobytes()[i : i + vals.shape[1]] for i in
-                            range(0, vals.size, vals.shape[1]))
-            else:
-                flat.extend(vals)
-        return keys, flat
 
     def finish(self) -> TableStats:
         """Sort, write blocks + filter + index + footer; returns sizes."""
         if self._finished:
             raise ValueError("writer already finished")
         self._finished = True
-        keys, values = self._collect()
+        chunks = self._chunks
+        keys = _concat([k for k, _ in chunks]) if chunks else np.zeros(0, dtype=np.uint64)
+        values = concat_values([v for _, v in chunks])
         order = np.argsort(keys, kind="stable")
         nentries = keys.size
         fixed = isinstance(values, np.ndarray) and nentries > 0
@@ -276,48 +284,13 @@ class SSTableWriter:
                 group_sum.append(np.asarray(sums, dtype=np.uint64))
             data_bytes += len(payload)
 
-        if self.vectorized and fixed:
-            # Fixed-width fast path: every record is KEY+len+value bytes, so
-            # block and group boundaries fall at uniform record counts and
-            # the whole data section is built with array ops (byte-identical
-            # to the scalar path's incremental building).
-            rec = record_bytes
-            skeys = keys[order]
-            recs = np.empty((nentries, rec), dtype=np.uint8)
-            recs[:, :8] = skeys.astype("<u8").view(np.uint8).reshape(-1, 8)
-            recs[:, 8:12] = np.frombuffer(_U32.pack(rec - _ENTRY_HDR.size), dtype=np.uint8)
-            recs[:, 12:] = values[order]
-            per_block = max(1, -(-self.block_size // rec))  # ceil
-            per_group = group_cut // rec
-            for start in range(0, nentries, per_block):
-                stop = min(start + per_block, nentries)
-                emit_block(
-                    recs[start:stop].tobytes(),
-                    stop - start,
-                    int(skeys[stop - 1]),
-                    skeys[start:stop:per_group],
-                    np.arange(0, (stop - start) * rec, group_cut, dtype="<u4"),
-                )
-        elif nentries:
-            block = bytearray()
-            nblock = 0
-            gfirst: list[int] = []
-            goff: list[int] = []
-            arr = isinstance(values, np.ndarray)
-            k = 0
-            for i in order:
-                k = int(keys[i])
-                v = values[i].tobytes() if arr else values[i]
-                if not goff or len(block) - goff[-1] >= group_cut:
-                    gfirst.append(k)
-                    goff.append(len(block))
-                block += _ENTRY_HDR.pack(k, len(v)) + v
-                nblock += 1
-                if len(block) >= self.block_size:
-                    emit_block(bytes(block), nblock, k, gfirst, goff)
-                    block, nblock, gfirst, goff = bytearray(), 0, [], []
-            if nblock:
-                emit_block(bytes(block), nblock, k, gfirst, goff)
+        if fixed:
+            blocks = _cut_rows(keys[order], values[order], self.block_size, group_cut)
+        else:
+            svalues = [values[i] for i in order.tolist()]
+            blocks = _cut_records(keys[order], svalues, self.block_size, group_cut)
+        for block in blocks:
+            emit_block(*block)
 
         # Filter block (checksummed like every section).
         filter_blob = b""

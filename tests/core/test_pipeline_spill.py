@@ -1,4 +1,10 @@
-"""Tests for the bounded-memory (spilling) FilterKV writer path."""
+"""Tests for the bounded-memory (spilling) FilterKV writer path.
+
+Tests parametrized on ``bulk`` hold the columnar pipeline (True) and the
+per-record reference of `tests/reference/ingest.py` (False) to the same
+behaviour; `tests/integration/test_ingest_reference.py` holds them to the
+same bytes.
+"""
 
 import numpy as np
 import pytest
@@ -6,13 +12,15 @@ import pytest
 from repro.core.formats import FMT_FILTERKV
 from repro.core.kv import random_kv_batch
 from repro.core.partitioning import HashPartitioner
-from repro.core.pipeline import WriterState, main_table_name
+from repro.core.pipeline import ReceiverState, WriterState, main_table_name
 from repro.storage.blockio import StorageDevice
-from repro.storage.sstable import SSTableReader
+from repro.storage.sstable import CorruptBlockError, SSTableReader
+
+from ..reference import ingest as ref
 
 
 def _writer(device, spill=None, rank=0, nranks=2, bulk=True, **kw):
-    return WriterState(
+    return (WriterState if bulk else ref.Writer)(
         rank=rank,
         fmt=FMT_FILTERKV,
         partitioner=HashPartitioner(nranks),
@@ -20,9 +28,12 @@ def _writer(device, spill=None, rank=0, nranks=2, bulk=True, **kw):
         value_bytes=16,
         send=lambda env: None,
         spill_budget_bytes=spill,
-        bulk=bulk,
         **kw,
     )
+
+
+def _nruns(w):
+    return len(w._runs.runs if isinstance(w, WriterState) else w.runs)
 
 
 def test_spilling_writer_same_table_contents():
@@ -61,7 +72,7 @@ def test_memtable_stays_bounded_during_burst():
 @pytest.mark.parametrize("bulk", [True, False])
 def test_duplicate_keys_first_wins_through_spills(bulk):
     """First-write-wins must survive spilling and the flattening merge on
-    both the vectorized path and the scalar reference."""
+    both the columnar path and the per-record reference."""
     dev = StorageDevice()
     w = _writer(dev, spill=256, bulk=bulk)
     from repro.core.kv import KVBatch
@@ -69,7 +80,7 @@ def test_duplicate_keys_first_wins_through_spills(bulk):
     keys = np.full(100, 7, dtype=np.uint64)
     vals = np.arange(1600, dtype=np.uint8).reshape(100, 16)
     w.put_batch(KVBatch(keys, vals))
-    assert len(w._runs.runs) > 1  # the duplicates really crossed runs
+    assert _nruns(w) > 1  # the duplicates really crossed runs
     w.finish()
     r = SSTableReader(dev, main_table_name(0, 0))
     assert r.get(7) == vals[0].tobytes()
@@ -87,6 +98,7 @@ def test_interleaved_duplicates_first_wins_across_runs(bulk):
     keys = rng.integers(0, 50, size=400).astype(np.uint64)  # heavy duplication
     vals = rng.integers(0, 256, size=(400, 16)).astype(np.uint8)
     w.put_batch(KVBatch(keys, vals))
+    assert _nruns(w) > 1
     w.finish()
     r = SSTableReader(dev, main_table_name(0, 0))
     first = {}
@@ -118,11 +130,10 @@ def test_wire_roundtrip_odd_batch_sizes(bulk):
     """Odd put sizes against a batch budget that is not a record multiple:
     every record must arrive intact, whole-record framing preserved."""
     from repro.core.kv import KVBatch
-    from repro.core.pipeline import ReceiverState
 
     dev_w, dev_r = StorageDevice(), StorageDevice()
-    recv = ReceiverState(
-        rank=0, nranks=1, fmt=FMT_FILTERKV, device=dev_r, value_bytes=16, bulk=bulk
+    recv = (ReceiverState if bulk else ref.Receiver)(
+        rank=0, nranks=1, fmt=FMT_FILTERKV, device=dev_r, value_bytes=16
     )
     seen = []
 
@@ -131,7 +142,7 @@ def test_wire_roundtrip_odd_batch_sizes(bulk):
         seen.append(env.nrecords)
         recv.deliver(env)
 
-    w = WriterState(
+    w = (WriterState if bulk else ref.Writer)(
         rank=0,
         fmt=FMT_FILTERKV,
         partitioner=HashPartitioner(1),
@@ -139,7 +150,6 @@ def test_wire_roundtrip_odd_batch_sizes(bulk):
         value_bytes=16,
         send=deliver,
         batch_bytes=100,  # not a multiple of the 8-byte wire record
-        bulk=bulk,
     )
     rng = np.random.default_rng(23)
     total = 0
@@ -152,3 +162,18 @@ def test_wire_roundtrip_odd_batch_sizes(bulk):
     recv.finish()
     assert sum(seen) == total
     assert recv.records_received == total
+
+
+@pytest.mark.parametrize("offset", [311, 325], ids=["key byte", "value byte"])
+def test_a_damaged_spilled_run_fails_the_flatten(offset):
+    """Runs are 28-byte records (u64 key, u32 length, 16-byte value); one
+    byte of run 0 changed after its spill must stop `finish` before any
+    table is written, not merge into a table that reads back clean."""
+    dev = StorageDevice()
+    w = _writer(dev, spill=2048)
+    w.put_batch(random_kv_batch(2000, 16, rng=4))
+    assert _nruns(w) > 1 and w._runs.runs[0].length > offset
+    dev.corrupt("runs.000.000000", offset)
+    with pytest.raises(CorruptBlockError, match="run 0"):
+        w.finish()
+    assert dev.file_size(main_table_name(0, 0)) == 0  # nothing published

@@ -20,8 +20,7 @@ from repro.storage.sstable import CorruptBlockError, SSTableReader, SSTableWrite
 
 def _build_table(dev, n=500):
     w = SSTableWriter(dev, "t", block_size=512)
-    for k in range(n):
-        w.add(k, b"payload-%03d" % (k % 1000))
+    w.add_many(np.arange(n, dtype=np.uint64), [b"payload-%03d" % (k % 1000) for k in range(n)])
     return w.finish()
 
 
@@ -144,8 +143,7 @@ def _grouped_table(width):
     w = SSTableWriter(dev, "t", block_size=1 << 20, bloom_bits_per_key=0)
     items = [(3 * k + 1, bytes([k % 251]) * (40 if width == "fixed" else 20 + k % 40))
              for k in range(600)]
-    for k, v in items:
-        w.add(k, v)
+    w.add_many(np.asarray([k for k, _ in items], dtype=np.uint64), [v for _, v in items])
     stats = w.finish()
     w.close()
     with SSTableReader(dev, "t") as r:

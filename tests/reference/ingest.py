@@ -1,0 +1,381 @@
+"""The ingest path written one record at a time: the write-side test oracle.
+
+`SimCluster` writes an epoch with array operations.  This module writes the
+same epoch record by record, from the documented formats alone:
+
+* value log — ``u32 length ‖ value``, one append per value;
+* wire — each record encoded on its own into a per-destination buffer that
+  ships whole-record envelopes once it holds ``batch_bytes``;
+* SSTable — ``u64 key ‖ u32 vlen ‖ value`` records in stable key order,
+  key groups and blocks cut record by record, the Bloom filter block, the
+  column-wise index with its group table, and the 64-byte footer;
+* memtable — records added until their key + value bytes reach the
+  budget (the crossing record included); a run is the memtable's sorted
+  records, ``struct``-packed;
+* flatten — a ``heapq`` merge over the runs read back from the device,
+  equal keys ordered by (run, position) so the earliest write stays first.
+
+It shares with the code under test only what is not the write path:
+`HashPartitioner` (routing), `BloomFilter` (the filter's bits), `fastsum64`
+(checksums), `build_sealed_aux` (the aux seal), the `Envelope` and
+`ClusterStats` records and `random_kv_batch`.
+"""
+
+from __future__ import annotations
+
+import heapq
+import struct
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.cluster.simcluster import ClusterStats
+from repro.core.auxtable import aux_to_blob, build_sealed_aux
+from repro.core.kv import random_kv_batch
+from repro.core.partitioning import HashPartitioner
+from repro.core.pipeline import Envelope
+from repro.filters.bloom import BloomFilter
+from repro.storage import sstable
+from repro.storage.blockio import StorageDevice
+from repro.storage.checksum import fastsum64
+from repro.storage.envelope import seal
+
+ENTRY = struct.Struct("<QI")  # key, value length: runs and table records
+LEN = struct.Struct("<I")  # value-log length prefix
+MAGIC = 0xF117E5CB_6209BF5  # SSTable footer magic of the key-group layout
+
+
+def _sealed(body: bytes) -> bytes:
+    return body + fastsum64(body).to_bytes(8, "little")
+
+
+# -- value log -----------------------------------------------------------------
+
+
+def vlog_append(file, value: bytes) -> int:
+    """Append one length-prefixed value; returns the offset it landed at."""
+    return file.append(LEN.pack(len(value)) + value)
+
+
+# -- SSTable -------------------------------------------------------------------
+
+
+def table_image(items: list[tuple[int, bytes]], block_size: int,
+                bloom_bits_per_key: float = 10.0) -> bytes:
+    """The bytes of an SSTable holding ``items`` (in write order)."""
+    records = sorted(items, key=lambda kv: kv[0])  # stable: first write first
+    widths = {len(v) for _, v in records}
+    rec = ENTRY.size + widths.pop() if len(widths) == 1 else 0
+    # A fixed-width group is the fewest records reaching GROUP_BYTES,
+    # rounded up to a multiple of eight records.
+    group_cut = -(-sstable.GROUP_BYTES // (8 * rec)) * 8 * rec if rec else sstable.GROUP_BYTES
+
+    data = bytearray()
+    blocks: list[tuple[int, ...]] = []  # first, last, offset; length, records, groups
+    groups: list[tuple[int, ...]] = []  # first key, checksum; offset in block
+    block, n, opens = bytearray(), 0, []  # opens: (first key, offset) per group
+
+    def close_block(last: int) -> None:
+        ends = [off for _, off in opens[1:]] + [len(block)]
+        for (first, off), end in zip(opens, ends):
+            groups.append((first, fastsum64(bytes(block[off:end])), off))
+        blocks.append((opens[0][0], last, len(data), len(block), n, len(opens)))
+        data.extend(block)
+
+    for key, value in records:
+        if not opens or len(block) - opens[-1][1] >= group_cut:
+            opens.append((key, len(block)))
+        block += ENTRY.pack(key, len(value)) + value
+        n += 1
+        if len(block) >= block_size:
+            close_block(key)
+            block, n, opens = bytearray(), 0, []
+    if n:
+        close_block(records[-1][0])
+
+    filt, nhashes = b"", 0
+    if bloom_bits_per_key > 0 and records:
+        bloom = BloomFilter.from_bits_per_key(len(records), bloom_bits_per_key)
+        bloom.add_many(np.asarray([k for k, _ in items], dtype=np.uint64))
+        filt, nhashes = _sealed(bloom.to_bytes()), bloom.nhashes
+
+    index = struct.pack("<III", len(blocks), len(groups), rec)
+    for c, column in enumerate(zip(*blocks)):
+        index += b"".join(struct.pack("<Q" if c < 3 else "<I", v) for v in column)
+    for c, column in enumerate(zip(*groups)):
+        index += b"".join(struct.pack("<Q" if c < 2 else "<I", v) for v in column)
+    index = _sealed(index)
+    footer = _sealed(struct.pack(
+        "<QQQQQQII", MAGIC, len(data) + len(filt), len(index), len(data), len(filt),
+        len(records), block_size, nhashes,
+    ))
+    return bytes(data) + filt + index + footer
+
+
+class Table:
+    """Per-record SSTable writer: `add`, then `finish` appends the image."""
+
+    def __init__(self, device: StorageDevice, name: str, block_size: int = 4 << 20,
+                 bloom_bits_per_key: float = 10.0):
+        self.file = device.open(name, create=True)
+        self.block_size = block_size
+        self.bloom_bits_per_key = bloom_bits_per_key
+        self.items: list[tuple[int, bytes]] = []
+
+    def add(self, key: int, value: bytes) -> None:
+        self.items.append((int(key), bytes(value)))
+
+    def finish(self) -> None:
+        self.file.append(table_image(self.items, self.block_size, self.bloom_bits_per_key))
+
+
+# -- memtable, runs, flatten ---------------------------------------------------
+
+
+class MemTable:
+    """Add until the buffered key + value bytes reach the budget."""
+
+    def __init__(self, budget_bytes: int):
+        self.budget_bytes = budget_bytes
+        self.items: list[tuple[int, bytes]] = []
+        self.size_bytes = 0
+
+    def add(self, key: int, value: bytes) -> bool:
+        """Buffer one record; False once the budget is reached."""
+        self.items.append((int(key), bytes(value)))
+        self.size_bytes += 8 + len(value)
+        return self.size_bytes < self.budget_bytes
+
+    def sorted_items(self) -> list[tuple[int, bytes]]:
+        return sorted(self.items, key=lambda kv: kv[0])  # stable
+
+
+def run_bytes(items: list[tuple[int, bytes]]) -> bytes:
+    """One spilled run: its (sorted) records, packed one by one."""
+    return b"".join(ENTRY.pack(k, len(v)) + v for k, v in items)
+
+
+def parse_run(blob: bytes) -> list[tuple[int, bytes]]:
+    items, pos = [], 0
+    while pos < len(blob):
+        key, vlen = ENTRY.unpack_from(blob, pos)
+        pos += ENTRY.size
+        items.append((key, blob[pos : pos + vlen]))
+        pos += vlen
+    return items
+
+
+def heap_merge(runs: list[list[tuple[int, bytes]]]):
+    """k-way merge of sorted runs; equal keys by (run, position)."""
+    heap = [(items[0][0], r, 0) for r, items in enumerate(runs) if items]
+    heapq.heapify(heap)
+    while heap:
+        key, r, i = heapq.heappop(heap)
+        yield key, runs[r][i][1]
+        if i + 1 < len(runs[r]):
+            heapq.heappush(heap, (runs[r][i + 1][0], r, i + 1))
+
+
+# -- one rank's writer and receiver ----------------------------------------------
+
+
+def _wire_record_bytes(fmt, value_bytes: int) -> int:
+    return {"base": 8 + value_bytes, "dataptr": 16, "filterkv": 8}[fmt.name]
+
+
+class Writer:
+    """One rank's producer side, record by record (`WriterState`'s role
+    and constructor)."""
+
+    def __init__(self, rank, fmt, partitioner, device, value_bytes, send,
+                 batch_bytes=16384, epoch=0, block_size=1 << 20, spill_budget_bytes=None):
+        self.rank, self.fmt, self.partitioner = rank, fmt, partitioner
+        self.value_bytes, self.send, self.batch_bytes = value_bytes, send, batch_bytes
+        self.rec = _wire_record_bytes(fmt, value_bytes)
+        self.buffers: dict[int, bytearray] = {}
+        self.records_written = 0
+        self.wire_bytes = 0
+        self.vlog = self.main = self.memtable = self.runs_file = None
+        self.runs: list[tuple[int, int]] = []  # (offset, length) per spilled run
+        if fmt.name == "dataptr":
+            self.vlog = device.open(f"vlog.{rank:06d}", create=True)
+        elif fmt.name == "filterkv":
+            self.main = Table(device, f"part.{epoch:03d}.{rank:06d}", block_size)
+            if spill_budget_bytes is not None:
+                self.memtable = MemTable(spill_budget_bytes)
+                self.runs_file = device.open(f"runs.{epoch:03d}.{rank:06d}", create=True)
+
+    def put_batch(self, batch) -> None:
+        for key, value in zip(batch.keys.tolist(), batch.values):
+            self.put(key, value.tobytes())
+
+    def put(self, key: int, value: bytes) -> None:
+        if len(value) != self.value_bytes:
+            raise ValueError(f"value width {len(value)} != {self.value_bytes}")
+        if self.fmt.name == "dataptr":
+            payload = struct.pack("<QQ", key, vlog_append(self.vlog, value))
+        elif self.fmt.name == "filterkv":
+            if self.memtable is None:
+                self.main.add(key, value)
+            elif not self.memtable.add(key, value):
+                self.spill()
+            payload = struct.pack("<Q", key)
+        else:
+            payload = struct.pack("<Q", key) + value
+        dest = self.partitioner.partition_of_one(key)
+        buf = self.buffers.setdefault(dest, bytearray())
+        buf += payload
+        cut = max(self.rec, self.batch_bytes // self.rec * self.rec)  # whole records
+        while len(buf) >= self.batch_bytes:
+            self.ship(dest, buf[:cut])
+            del buf[:cut]
+        self.records_written += 1
+
+    def ship(self, dest: int, payload) -> None:
+        self.wire_bytes += len(payload)
+        self.send(Envelope(self.rank, dest, bytes(payload), len(payload) // self.rec))
+
+    def flush(self) -> None:
+        for dest, buf in self.buffers.items():
+            if buf:
+                self.ship(dest, buf)
+        self.buffers.clear()
+
+    def spill(self) -> None:
+        blob = run_bytes(self.memtable.sorted_items())
+        self.runs.append((self.runs_file.append(blob), len(blob)))
+        self.memtable = MemTable(self.memtable.budget_bytes)
+
+    def finish(self) -> None:
+        self.flush()
+        if self.memtable is not None:
+            if self.memtable.items:
+                self.spill()
+            runs = [parse_run(self.runs_file.read(off, n)) for off, n in self.runs]
+            for key, value in heap_merge(runs):
+                self.main.add(key, value)
+        if self.main is not None:
+            self.main.finish()
+
+    @property
+    def local_storage_bytes(self) -> int:
+        files = [f for f in (self.vlog, self.main and self.main.file, self.runs_file) if f]
+        return sum(f.size for f in files)
+
+
+class Receiver:
+    """One rank's partition-owner side, record by record (`ReceiverState`'s
+    role and constructor)."""
+
+    def __init__(self, rank, nranks, fmt, device, value_bytes, epoch=0,
+                 block_size=1 << 20, aux_seed=0):
+        self.rank, self.nranks, self.fmt = rank, nranks, fmt
+        self.device, self.epoch, self.aux_seed = device, epoch, aux_seed
+        self.rec = _wire_record_bytes(fmt, value_bytes)
+        self.records_received = 0
+        self.table = None
+        self.aux = None
+        self.aux_keys: list[int] = []
+        self.aux_srcs: list[int] = []
+        if fmt.name in ("base", "dataptr"):
+            self.table = Table(device, f"part.{epoch:03d}.{rank:06d}", block_size)
+
+    def deliver(self, env: Envelope) -> None:
+        if env.dest != self.rank:
+            raise ValueError(f"envelope for rank {env.dest} delivered to {self.rank}")
+        for pos in range(0, len(env.payload), self.rec):
+            record = env.payload[pos : pos + self.rec]
+            (key,) = struct.unpack_from("<Q", record)
+            if self.fmt.name == "base":
+                self.table.add(key, record[8:])
+            elif self.fmt.name == "dataptr":  # the 12-byte pointer: u32 rank, u64 offset
+                (offset,) = struct.unpack_from("<Q", record, 8)
+                self.table.add(key, struct.pack("<IQ", env.src, offset))
+            else:
+                self.aux_keys.append(key)
+                self.aux_srcs.append(env.src)
+        self.records_received += env.nrecords
+
+    def finish(self) -> None:
+        if self.table is not None:
+            self.table.finish()
+            return
+        self.aux = build_sealed_aux(
+            np.asarray(self.aux_keys, dtype=np.uint64),
+            np.asarray(self.aux_srcs, dtype=np.uint64),
+            nparts=self.nranks,
+            backends=(self.fmt.aux_backend or "cuckoo",),
+            seed=self.aux_seed + self.rank,
+        )
+        name = f"aux.{self.epoch:03d}.{self.rank:06d}"
+        self.device.open(name, create=True).append(seal(aux_to_blob(self.aux)))
+
+
+# -- a whole epoch -------------------------------------------------------------
+
+
+@dataclass
+class Replay:
+    device: StorageDevice
+    stats: ClusterStats
+    wire_bytes: int  # every envelope payload shipped, self-addressed ones included
+
+
+def replay_epoch(nranks, fmt, value_bytes, seed, records_per_rank, batch_records=4096,
+                 batch_bytes=16384, block_size=1 << 20, spill_budget_bytes=None) -> Replay:
+    """What ``SimCluster(nranks, fmt, value_bytes, batch_bytes, block_size=,
+    seed=, spill_budget_bytes=).run_epoch(records_per_rank, batch_records)``
+    persists and counts, direct routing with one rank per node."""
+    device = StorageDevice()
+    partitioner = HashPartitioner(nranks)
+    receivers = [
+        Receiver(r, nranks, fmt, device, value_bytes, block_size=block_size, aux_seed=seed)
+        for r in range(nranks)
+    ]
+    shipped: list[Envelope] = []
+
+    def send(env: Envelope) -> None:
+        shipped.append(env)
+        receivers[env.dest].deliver(env)
+
+    writers = [
+        Writer(r, fmt, partitioner, device, value_bytes, send, batch_bytes=batch_bytes,
+               block_size=block_size, spill_budget_bytes=spill_budget_bytes)
+        for r in range(nranks)
+    ]
+    rng = np.random.default_rng(seed)  # the batches `run_epoch` generates
+    for w in writers:
+        remaining = records_per_rank
+        while remaining > 0:
+            n = min(batch_records, remaining)
+            w.put_batch(random_kv_batch(n, value_bytes, rng))
+            remaining -= n
+    for w in writers:
+        w.finish()
+    for r in receivers:
+        r.finish()
+
+    remote = [env for env in shipped if env.src != env.dest]
+    total = device.total_bytes_stored()
+    local = sum(w.local_storage_bytes for w in writers)
+    stats = ClusterStats(
+        nranks=nranks,
+        records=sum(w.records_written for w in writers),
+        rpc_messages=len(remote),
+        shuffle_bytes=sum(len(env.payload) for env in remote),
+        storage_bytes=total,
+        local_storage_bytes=local,
+        remote_storage_bytes=total - local,
+        aux_bytes=sum(r.aux.size_bytes for r in receivers if r.aux is not None),
+        local_messages=0,
+    )
+    return Replay(device, stats, sum(w.wire_bytes for w in writers))
+
+
+def extents(device: StorageDevice) -> dict[str, bytes]:
+    """Every extent on ``device``, name -> bytes."""
+    out = {}
+    for name in device.list_files():
+        with device.open(name) as f:
+            out[name] = f.read(0, f.size)
+    return out

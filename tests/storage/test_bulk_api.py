@@ -1,13 +1,17 @@
-"""Bulk (vectorized) storage APIs must match their scalar references byte
-for byte — `add_many` / `append_many` are speedups, not new semantics."""
+"""The columnar storage APIs against the per-record reference of
+`tests/reference/ingest.py`, byte for byte — `add_many` / `append_many` /
+`spill` / `flatten_runs` write exactly what one-record-at-a-time writing
+of the documented formats writes."""
 
 import numpy as np
 import pytest
 
 from repro.storage.blockio import StorageDevice
-from repro.storage.log import ValueLog
+from repro.storage.log import DataPointer, ValueLog
 from repro.storage.memtable import MemTable, RunWriter, flatten_runs
 from repro.storage.sstable import SSTableReader, SSTableWriter
+
+from ..reference import ingest as ref
 
 
 def _kv(n, width, seed=0):
@@ -17,6 +21,10 @@ def _kv(n, width, seed=0):
     return keys, values
 
 
+def _items(keys, values):
+    return [(int(k), v.tobytes()) for k, v in zip(keys, values)]
+
+
 def _extent(device, name):
     f = device.open(name)
     return f.read(0, f.size)
@@ -24,16 +32,14 @@ def _extent(device, name):
 
 def test_sstable_add_many_bytes_identical_to_scalar():
     keys, values = _kv(5000, 24, seed=1)
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
     dev_v, dev_s = StorageDevice(), StorageDevice()
-    wv = SSTableWriter(dev_v, "t", block_size=4096, vectorized=True)
-    ws = SSTableWriter(dev_s, "t", block_size=4096, vectorized=False)
+    wv = SSTableWriter(dev_v, "t", block_size=4096)
     wv.add_many(keys, values)
-    for k, v in zip(keys.tolist(), values):
-        ws.add(k, v.tobytes())
-    sv, ss = wv.finish(), ws.finish()
-    assert sv == ss
+    wv.finish()
+    ws = ref.Table(dev_s, "t", block_size=4096)
+    for k, v in _items(keys, values):
+        ws.add(k, v)
+    ws.finish()
     assert _extent(dev_v, "t") == _extent(dev_s, "t")
 
 
@@ -54,10 +60,10 @@ def test_vlog_append_many_offsets_match_scalar():
     _, values = _kv(1000, 40, seed=3)
     dev_v, dev_s = StorageDevice(), StorageDevice()
     bulk_offsets = ValueLog(dev_v, rank=0).append_many(values)
-    log_s = ValueLog(dev_s, rank=0)
-    scalar_offsets = [log_s.append(v.tobytes()).offset for v in values]
-    assert bulk_offsets.tolist() == scalar_offsets
     name = ValueLog.filename(0)
+    log_s = dev_s.open(name, create=True)
+    scalar_offsets = [ref.vlog_append(log_s, v.tobytes()) for v in values]
+    assert bulk_offsets.tolist() == scalar_offsets
     assert _extent(dev_v, name) == _extent(dev_s, name)
 
 
@@ -66,52 +72,49 @@ def test_vlog_append_many_roundtrip_pointers():
     dev = StorageDevice()
     log = ValueLog(dev, rank=3)
     offsets = log.append_many(values)
-    from repro.storage.log import DataPointer
-
     for off, v in zip(offsets.tolist(), values):
         assert log.read(DataPointer(3, int(off))) == v.tobytes()
 
 
 def test_memtable_add_many_matches_scalar_budget_semantics():
     keys, values = _kv(200, 16, seed=5)
-    # Scalar: add until False (the crossing record is kept).
-    scalar = MemTable(budget_bytes=1000)
-    taken_scalar = 0
-    for k, v in zip(keys.tolist(), values):
-        taken_scalar += 1
-        if not scalar.add(k, v.tobytes()):
+    # Reference: add until False (the crossing record is kept).
+    scalar = ref.MemTable(budget_bytes=1000)
+    for k, v in _items(keys, values):
+        if not scalar.add(k, v):
             break
     bulk = MemTable(budget_bytes=1000)
-    taken_bulk = bulk.add_many(keys, values)
-    assert taken_bulk == taken_scalar
+    assert bulk.add_many(keys, values) == len(scalar.items)
     assert bulk.size_bytes == scalar.size_bytes
-    assert bulk.sorted_items() == scalar.sorted_items()
+    assert _items(*bulk.sorted_arrays()) == scalar.sorted_items()
     assert bulk.add_many(keys, values) == 0  # full: nothing more fits
 
 
 def test_memtable_mixed_scalar_and_bulk_keeps_insertion_order():
+    """One-record and many-record batches interleave in arrival order."""
     mt = MemTable(1 << 20)
-    mt.add(9, b"scalar-first----")
-    keys = np.asarray([9, 1], dtype=np.uint64)
-    vals = np.frombuffer(b"bulk-second-----bulk-key-one----", dtype=np.uint8).reshape(2, 16)
-    mt.add_many(keys, vals)
-    mt.add(1, b"scalar-last-----")
-    items = mt.sorted_items()
-    assert items[0] == (1, b"bulk-key-one----")  # first write of key 1
-    assert items[2] == (9, b"scalar-first----")  # first write of key 9
+    mt.add_many(np.asarray([9], np.uint64), np.frombuffer(b"one-first-------", np.uint8)[None])
+    vals = np.frombuffer(b"many-second-----many-key-one----", dtype=np.uint8).reshape(2, 16)
+    mt.add_many(np.asarray([9, 1], dtype=np.uint64), vals)
+    mt.add_many(np.asarray([1], np.uint64), np.frombuffer(b"one-last--------", np.uint8)[None])
+    items = _items(*mt.sorted_arrays())
+    assert items[0] == (1, b"many-key-one----")  # first write of key 1
+    assert items[2] == (9, b"one-first-------")  # first write of key 9
 
 
 @pytest.mark.parametrize("width", [16, 0])
 def test_spill_vectorized_and_scalar_bytes_identical(width):
     keys, values = _kv(500, width, seed=6)
-    dev_v, dev_s = StorageDevice(), StorageDevice()
-    rw_v, rw_s = RunWriter(dev_v, "runs"), RunWriter(dev_s, "runs")
-    for rw, vectorized in ((rw_v, True), (rw_s, False)):
-        mt = MemTable(1 << 20)
-        mt.add_many(keys, values)
-        rw.spill(mt, vectorized=vectorized)
-    assert _extent(dev_v, "runs") == _extent(dev_s, "runs")
-    assert rw_v.read_run(0) == rw_s.read_run(0)
+    dev = StorageDevice()
+    rw = RunWriter(dev, "runs")
+    mt = MemTable(1 << 20)
+    mt.add_many(keys, values)
+    rw.spill(mt)
+    scalar = ref.MemTable(1 << 20)
+    for k, v in _items(keys, values):
+        scalar.add(k, v)
+    assert _extent(dev, "runs") == ref.run_bytes(scalar.sorted_items())
+    assert _items(*rw.read_run_arrays(0)) == scalar.sorted_items()
 
 
 def test_read_run_arrays_roundtrip():
@@ -128,43 +131,30 @@ def test_read_run_arrays_roundtrip():
     assert got_values.tobytes() == values[order].tobytes()
 
 
-def test_read_run_arrays_variable_width():
-    dev = StorageDevice()
-    rw = RunWriter(dev, "runs")
-    mt = MemTable(1 << 20)
-    entries = [(5, b"short"), (2, b"a-much-longer-value"), (9, b"")]
-    for k, v in entries:
-        mt.add(k, v)
-    rw.spill(mt)
-    got_keys, got_values = rw.read_run_arrays(0)
-    assert got_keys.tolist() == [2, 5, 9]
-    assert got_values == [b"a-much-longer-value", b"short", b""]
-
-
 @pytest.mark.parametrize("dup_seed", [8, 9])
 def test_flatten_heap_and_bulk_bytes_identical(dup_seed):
     """The array-based flatten must emit exactly the bytes of the reference
     k-way heap merge — including first-write-wins order for duplicates."""
-    rng = np.random.default_rng(dup_seed)
-    devs = StorageDevice(), StorageDevice()
-    writers = []
-    for dev in devs:
-        rw = RunWriter(dev, "runs")
-        gen = np.random.default_rng(dup_seed)  # same spills on both devices
-        for _ in range(4):
-            keys = gen.integers(0, 200, size=150).astype(np.uint64)  # many dups
-            values = gen.integers(0, 256, size=(150, 16)).astype(np.uint8)
-            mt = MemTable(1 << 20)
-            mt.add_many(keys, values)
-            rw.spill(mt)
-        writers.append(rw)
-    tables = [
-        SSTableWriter(dev, "final", block_size=4096, vectorized=bulk)
-        for dev, bulk in zip(devs, (True, False))
-    ]
-    stats_bulk = flatten_runs(writers[0], tables[0], bulk=True)
-    stats_heap = flatten_runs(writers[1], tables[1], bulk=False)
-    assert stats_bulk == stats_heap
-    assert _extent(devs[0], "final") == _extent(devs[1], "final")
-    reader = SSTableReader(devs[0], "final")
-    assert len(reader.scan()) == stats_bulk.nentries
+    gen = np.random.default_rng(dup_seed)
+    spills = []
+    for _ in range(4):
+        keys = gen.integers(0, 200, size=150).astype(np.uint64)  # many dups
+        spills.append((keys, gen.integers(0, 256, size=(150, 16)).astype(np.uint8)))
+
+    dev = StorageDevice()
+    rw = RunWriter(dev, "runs")
+    for keys, values in spills:
+        mt = MemTable(1 << 20)
+        mt.add_many(keys, values)
+        rw.spill(mt)
+    stats = flatten_runs(rw, SSTableWriter(dev, "final", block_size=4096))
+
+    ref_dev = StorageDevice()
+    table = ref.Table(ref_dev, "final", block_size=4096)
+    runs = [sorted(_items(keys, values), key=lambda kv: kv[0]) for keys, values in spills]
+    for k, v in ref.heap_merge(runs):
+        table.add(k, v)
+    table.finish()
+    assert _extent(dev, "final") == _extent(ref_dev, "final")
+    reader = SSTableReader(dev, "final")
+    assert len(reader.scan()) == stats.nentries == 600

@@ -7,6 +7,11 @@ from repro.storage.blockio import StorageDevice
 from repro.storage.log import POINTER_BYTES, DataPointer, ValueLog
 
 
+def _append(log, *values):
+    """Append ``values`` with one `append_many`; their pointers."""
+    return [DataPointer(log.rank, int(off)) for off in log.append_many(list(values))]
+
+
 def test_pointer_pack_unpack():
     p = DataPointer(rank=7, offset=123456789)
     blob = p.pack()
@@ -22,8 +27,7 @@ def test_pointer_unpack_rejects_wrong_size():
 def test_append_read_roundtrip():
     dev = StorageDevice()
     log = ValueLog(dev, rank=3)
-    p1 = log.append(b"value-one")
-    p2 = log.append(b"value-two-longer")
+    p1, p2 = _append(log, b"value-one", b"value-two-longer")
     assert log.read(p1) == b"value-one"
     assert log.read(p2) == b"value-two-longer"
     assert len(log) == 2
@@ -34,7 +38,7 @@ def test_read_value_larger_than_hint():
     dev = StorageDevice()
     log = ValueLog(dev, rank=0)
     big = bytes(range(256)) * 40  # 10 KB > default 4 KB hint
-    p = log.append(big)
+    (p,) = _append(log, big)
     assert log.read(p) == big
     assert dev.counters.reads == 2  # hint read + tail read
 
@@ -42,7 +46,7 @@ def test_read_value_larger_than_hint():
 def test_single_seek_for_small_values():
     dev = StorageDevice()
     log = ValueLog(dev, rank=0)
-    p = log.append(b"x" * 64)
+    (p,) = _append(log, b"x" * 64)
     before = dev.counters.snapshot()
     log.read(p)
     assert dev.counters.delta(before).reads == 1
@@ -51,7 +55,7 @@ def test_single_seek_for_small_values():
 def test_wrong_rank_pointer_rejected():
     dev = StorageDevice()
     log = ValueLog(dev, rank=1)
-    p = log.append(b"data")
+    (p,) = _append(log, b"data")
     with pytest.raises(ValueError):
         log.read(DataPointer(rank=2, offset=p.offset))
 
@@ -59,7 +63,7 @@ def test_wrong_rank_pointer_rejected():
 def test_bad_offset_rejected():
     dev = StorageDevice()
     log = ValueLog(dev, rank=0)
-    log.append(b"data")
+    _append(log, b"data")
     with pytest.raises(ValueError):
         log.read(DataPointer(rank=0, offset=10_000))
 
@@ -72,7 +76,7 @@ def test_negative_rank_rejected():
 def test_size_accounting():
     dev = StorageDevice()
     log = ValueLog(dev, rank=0)
-    log.append(b"abcd")
+    _append(log, b"abcd")
     assert log.size_bytes == 4 + 4  # u32 length prefix + body
 
 
@@ -86,7 +90,7 @@ def test_filename_is_per_rank():
 def test_read_many_matches_scalar_any_order():
     dev = StorageDevice()
     log = ValueLog(dev, rank=0)
-    ptrs = [log.append(f"value-{i}".encode() * (1 + i % 5)) for i in range(50)]
+    ptrs = _append(log, *(f"value-{i}".encode() * (1 + i % 5) for i in range(50)))
     shuffled = [ptrs[i] for i in np.random.default_rng(8).permutation(50)]
     out = log.read_many(shuffled)
     assert out == [log.read(p) for p in shuffled]
@@ -95,7 +99,7 @@ def test_read_many_matches_scalar_any_order():
 def test_read_many_sweeps_offsets_monotonically():
     dev = StorageDevice()
     log = ValueLog(dev, rank=0)
-    ptrs = [log.append(bytes(16)) for _ in range(20)]
+    ptrs = _append(log, *[bytes(16)] * 20)
     before = dev.counters.snapshot()
     log.read_many(list(reversed(ptrs)))
     # Same read count as scalar; the batch only reorders the sweep.

@@ -8,28 +8,36 @@ from repro.storage.memtable import MemTable, RunWriter, flatten_runs
 from repro.storage.sstable import SSTableReader, SSTableWriter
 
 
+def _kv(keys, *values):
+    """``(keys, values)`` arrays from keys and equal-width byte strings."""
+    return np.asarray(keys, dtype=np.uint64), np.frombuffer(
+        b"".join(values), dtype=np.uint8
+    ).reshape(len(values), -1)
+
+
 def test_memtable_budget():
     mt = MemTable(budget_bytes=100)
-    assert mt.add(1, b"x" * 40)  # 48 bytes
-    assert not mt.add(2, b"y" * 50)  # 106 ≥ 100
+    keys, values = _kv(range(5), *[b"x" * 40] * 5)  # 48-byte records
+    assert mt.add_many(keys[:1], values[:1]) == 1 and not mt.full
+    assert mt.add_many(keys[1:], values[1:]) == 2  # 96 < 100 ≤ 144: the crossing one too
     assert mt.full
-    assert len(mt) == 2
-    assert mt.size_bytes == 106
+    assert len(mt) == 3
+    assert mt.size_bytes == 144
+    assert mt.add_many(keys[3:], values[3:]) == 0
 
 
 def test_memtable_sorted_items_stable():
     mt = MemTable()
-    mt.add(5, b"first")
-    mt.add(1, b"a")
-    mt.add(5, b"second")
-    items = mt.sorted_items()
-    assert [k for k, _ in items] == [1, 5, 5]
-    assert items[1][1] == b"first" and items[2][1] == b"second"
+    mt.add_many(*_kv([5, 1], b"first-", b"a-----"))
+    mt.add_many(*_kv([5], b"second"))
+    keys, values = mt.sorted_arrays()
+    assert keys.tolist() == [1, 5, 5]
+    assert values[1].tobytes() == b"first-" and values[2].tobytes() == b"second"
 
 
 def test_memtable_reset():
     mt = MemTable(budget_bytes=64)
-    mt.add(1, b"v")
+    mt.add_many(*_kv([1], b"v"))
     mt.reset()
     assert len(mt) == 0 and mt.size_bytes == 0 and not mt.full
 
@@ -43,12 +51,13 @@ def test_spill_and_read_run():
     dev = StorageDevice()
     rw = RunWriter(dev, "runs.0")
     mt = MemTable()
-    for k in (9, 3, 7):
-        mt.add(k, b"v%d" % k)
+    mt.add_many(*_kv([9, 3, 7], b"v9", b"v3", b"v7"))
     rw.spill(mt)
     assert len(mt) == 0  # spill resets
     assert rw.total_entries == 3
-    assert rw.read_run(0) == [(3, b"v3"), (7, b"v7"), (9, b"v9")]
+    keys, values = rw.read_run_arrays(0)
+    assert keys.tolist() == [3, 7, 9]
+    assert [v.tobytes() for v in values] == [b"v3", b"v7", b"v9"]
 
 
 def test_spill_empty_is_noop():
@@ -62,31 +71,27 @@ def test_flatten_merges_runs_in_key_order():
     dev = StorageDevice()
     rw = RunWriter(dev, "runs.0")
     rng = np.random.default_rng(1)
-    all_items = []
+    all_keys = []
     for _ in range(4):
+        keys = rng.integers(0, 10_000, size=200).astype(np.uint64)
         mt = MemTable()
-        for _ in range(200):
-            k = int(rng.integers(0, 10_000))
-            v = bytes([k % 251])
-            mt.add(k, v)
-            all_items.append((k, v))
+        mt.add_many(keys, (keys % 251).astype(np.uint8).reshape(-1, 1))
         rw.spill(mt)
+        all_keys += keys.tolist()
     stats = flatten_runs(rw, SSTableWriter(dev, "final", block_size=512))
     assert stats.nentries == 800
     reader = SSTableReader(dev, "final")
     scanned = reader.scan()
-    assert [k for k, _ in scanned] == sorted(k for k, _ in all_items)
+    assert [k for k, _ in scanned] == sorted(all_keys)
 
 
 def test_flatten_first_write_wins_across_runs():
     dev = StorageDevice()
     rw = RunWriter(dev, "runs.0")
-    m1 = MemTable()
-    m1.add(42, b"early")
-    rw.spill(m1)
-    m2 = MemTable()
-    m2.add(42, b"late")
-    rw.spill(m2)
+    for value in (b"early", b"late"):  # runs of two widths
+        mt = MemTable()
+        mt.add_many(*_kv([42], value))
+        rw.spill(mt)
     flatten_runs(rw, SSTableWriter(dev, "final", block_size=512))
     assert SSTableReader(dev, "final").get(42) == b"early"
 
@@ -98,8 +103,11 @@ def test_end_to_end_bounded_memory_write():
     mt = MemTable(budget_bytes=4096)
     rng = np.random.default_rng(2)
     keys = rng.integers(0, 2**32, size=2000, dtype=np.uint64)
-    for k in keys:
-        if not mt.add(int(k), b"p" * 24):
+    values = np.full((keys.size, 24), ord("p"), dtype=np.uint8)
+    taken = 0
+    while taken < keys.size:
+        taken += mt.add_many(keys[taken:], values[taken:])
+        if mt.full:
             rw.spill(mt)
     rw.spill(mt)
     assert len(rw.runs) > 5  # budget forced many spills

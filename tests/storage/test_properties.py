@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.storage.blockio import StorageDevice
 from repro.storage.compression import SnappyError, compress, decompress
-from repro.storage.log import ValueLog
+from repro.storage.log import DataPointer, ValueLog
 from repro.storage import sstable as sstable_mod
 from repro.storage.sstable import SSTableReader, SSTableWriter
 
@@ -56,8 +56,7 @@ def test_snappy_decoder_never_crashes_on_junk(junk):
 def test_sstable_roundtrip_property(items, block_size):
     dev = StorageDevice()
     w = SSTableWriter(dev, "t", block_size=block_size)
-    for k, v in items:
-        w.add(k, v)
+    w.add_many(np.asarray([k for k, _ in items], dtype=np.uint64), [v for _, v in items])
     stats = w.finish()
     assert stats.nentries == len(items)
     r = SSTableReader(dev, "t")
@@ -94,8 +93,7 @@ def test_sstable_reads_agree_across_group_and_block_seams(
     sstable_mod.GROUP_BYTES = group_bytes  # readers take group bounds from the table
     try:
         w = SSTableWriter(dev, "t", block_size=block_size, bloom_bits_per_key=0)
-        for k, v in items:
-            w.add(k, v)
+        w.add_many(np.asarray(keys, dtype=np.uint64), [v for _, v in items])
         w.finish()
     finally:
         sstable_mod.GROUP_BYTES = original
@@ -124,7 +122,7 @@ def test_sstable_reads_agree_across_group_and_block_seams(
 def test_valuelog_roundtrip_property(values):
     dev = StorageDevice()
     log = ValueLog(dev, rank=0)
-    ptrs = [log.append(v) for v in values]
+    ptrs = [DataPointer(0, int(off)) for off in log.append_many(values)]
     # Read back in a shuffled order: pointers are position-independent.
     order = np.random.default_rng(0).permutation(len(values))
     for i in order:

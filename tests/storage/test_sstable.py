@@ -9,8 +9,7 @@ from repro.storage.sstable import FOOTER_BYTES, SSTableReader, SSTableWriter
 
 def build(dev, name, items, **kw):
     w = SSTableWriter(dev, name, **kw)
-    for k, v in items:
-        w.add(k, v)
+    w.add_many(np.asarray([k for k, _ in items], dtype=np.uint64), [v for _, v in items])
     return w.finish()
 
 
@@ -75,19 +74,13 @@ def test_no_bloom_mode():
 
 def test_duplicate_keys_first_wins():
     dev = StorageDevice()
-    w = SSTableWriter(dev, "t", block_size=64)
-    w.add(7, b"first")
-    w.add(7, b"second")
-    w.finish()
+    build(dev, "t", [(7, b"first"), (7, b"second")], block_size=64)
     assert SSTableReader(dev, "t").get(7) == b"first"
 
 
 def test_duplicate_keys_across_block_boundary():
     dev = StorageDevice()
-    w = SSTableWriter(dev, "t", block_size=64)
-    for i in range(20):
-        w.add(7, b"dup%02d" % i)
-    w.finish()
+    build(dev, "t", [(7, b"dup%02d" % i) for i in range(20)], block_size=64)
     assert SSTableReader(dev, "t").get(7) == b"dup00"
 
 
@@ -120,7 +113,7 @@ def test_writer_finish_twice_rejected():
     with pytest.raises(ValueError):
         w.finish()
     with pytest.raises(ValueError):
-        w.add(1, b"late")
+        w.add_many(np.asarray([1], dtype=np.uint64), [b"late"])
 
 
 def test_add_many_validates_lengths():
@@ -173,7 +166,7 @@ class TestGetMany:
     def test_variable_width_matches_scalar(self):
         dev = StorageDevice()
         items = [(k, b"x" * (1 + k % 37)) for k in range(300)]
-        build(dev, "t", items, block_size=256, vectorized=False)
+        build(dev, "t", items, block_size=256)
         r = SSTableReader(dev, "t")
         self._probe(r, list(range(0, 320, 3)))
 
@@ -186,7 +179,7 @@ class TestGetMany:
         keys = np.unique(rng.integers(0, 5000, size=400, dtype=np.uint64))
         items = [(int(k), bytes(rng.integers(0, 256, int(k) % 41, dtype=np.uint8)))
                  for k in keys]
-        build(dev, "t", items, block_size=200, vectorized=False)
+        build(dev, "t", items, block_size=200)
         r = SSTableReader(dev, "t")
         truth = dict(r.scan())
         assert truth == dict(items)
@@ -200,11 +193,9 @@ class TestGetMany:
 
     def test_duplicate_keys_return_first_inserted(self):
         dev = StorageDevice()
-        w = SSTableWriter(dev, "t", block_size=64)
-        for i in range(40):
-            w.add(7, f"a{i}".encode())  # duplicates straddle block boundaries
-        w.add(9, b"nine")
-        w.finish()
+        # duplicates straddle block boundaries
+        build(dev, "t", [(7, f"a{i}".encode()) for i in range(40)] + [(9, b"nine")],
+              block_size=64)
         r = SSTableReader(dev, "t")
         vals, _ = r.get_many(np.asarray([7, 9, 8], dtype=np.uint64))
         assert vals == [b"a0", b"nine", None]
@@ -411,18 +402,27 @@ class TestKeyGroups:
         r.scan_arrays()
         assert blk.verified.all()
 
-    def test_vectorized_and_scalar_writers_cut_the_same_groups(self):
+    def test_vectorized_and_scalar_writers_cut_the_same_groups(self, monkeypatch):
+        """The array cutter of fixed-width tables and the per-record cutter
+        of variable-width ones, fed the same fixed-width rows, write the
+        same table."""
+        from repro.storage import sstable
+
         rng = np.random.default_rng(9)
         keys = rng.integers(0, 1 << 40, size=900, dtype=np.uint64)
         values = rng.integers(0, 256, size=(900, 21), dtype=np.uint8)
         images = []
-        for vectorized in (True, False):
+        for cutter in (sstable._cut_rows, lambda k, v, *cut: sstable._cut_records(
+            k, [row.tobytes() for row in v], *cut
+        )):
+            monkeypatch.setattr(sstable, "_cut_rows", cutter)
             dev = StorageDevice()
-            w = SSTableWriter(dev, "t", block_size=10_000, vectorized=vectorized)
+            w = SSTableWriter(dev, "t", block_size=10_000)
             w.add_many(keys, values)
             w.finish()
             f = dev.open("t")
             images.append(f.read(0, f.size))
+        assert SSTableReader(dev, "t").meta.gfirst.size > 4  # several blocks and groups
         assert images[0] == images[1]
 
 

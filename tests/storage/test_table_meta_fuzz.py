@@ -54,8 +54,7 @@ def seal(body: bytes) -> bytes:
 def _table_bytes(items, **kw) -> bytes:
     dev = StorageDevice()
     w = SSTableWriter(dev, "t", **kw)
-    for k, v in items:
-        w.add(k, v)
+    w.add_many(np.asarray([k for k, _ in items], dtype=np.uint64), [v for _, v in items])
     w.finish()
     w.close()
     with dev.open("t") as f:
