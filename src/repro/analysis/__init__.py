@@ -1,6 +1,5 @@
 """Closed-form models (Table I math) and report rendering."""
 
-from .calibration import CalibrationCheck, audit
 from .models import (
     TABLE1_MACHINES,
     Table1Machine,
@@ -9,7 +8,6 @@ from .models import (
     cuckoo_amplification,
 )
 from .figures import ascii_bars, ascii_series
-from .tradeoffs import kv_size_crossover, storage_bandwidth_crossover
 from .reporting import (
     BENCH_SCHEMA,
     banner,
@@ -23,8 +21,6 @@ from .reporting import (
 )
 
 __all__ = [
-    "CalibrationCheck",
-    "audit",
     "TABLE1_MACHINES",
     "Table1Machine",
     "bloom_amplification",
@@ -33,8 +29,6 @@ __all__ = [
     "banner",
     "ascii_bars",
     "ascii_series",
-    "kv_size_crossover",
-    "storage_bandwidth_crossover",
     "format_value",
     "mb",
     "percent",

@@ -1,15 +1,10 @@
-"""Application workloads: reduced VPIC and synthetic KV generators."""
+"""Applications: the reduced VPIC particle simulations."""
 
 from .vpic import PARTICLE_BYTES, PARTICLE_VALUE_BYTES, VPICSimulation, VPICSimulation2D
-from .workloads import microbench_stream, sequential_batches, uniform_batches, zipf_batches
 
 __all__ = [
     "PARTICLE_BYTES",
     "PARTICLE_VALUE_BYTES",
     "VPICSimulation",
     "VPICSimulation2D",
-    "microbench_stream",
-    "sequential_batches",
-    "uniform_batches",
-    "zipf_batches",
 ]

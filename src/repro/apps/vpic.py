@@ -132,7 +132,7 @@ class VPICSimulation2D:
     ``rank = iy * px + ix``.
 
     The dump format and record size are identical to `VPICSimulation`, so
-    the two are drop-in interchangeable as SimCluster workloads.
+    the two are drop-in interchangeable as SimCluster inputs.
     """
 
     def __init__(

@@ -333,7 +333,7 @@ class ExactAuxTable(AuxTable):
         lo = np.searchsorted(skeys, keys, side="left")
         hi = np.searchsorted(skeys, keys, side="right")
         # Exact pointers: every stored occurrence is a distinct precise hit;
-        # duplicated keys are rare in the paper's workloads, so hi-lo ≈ 1.
+        # duplicated keys are rare in the paper's experiments, so hi-lo ≈ 1.
         return np.maximum(hi - lo, 0).astype(np.int64)
 
     def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -42,7 +42,6 @@ from ..storage.compact import (
     concat_values,
     first_occurrence,
     read_table_arrays,
-    take_values,
     write_merged_table,
 )
 from ..storage.envelope import seal
@@ -169,7 +168,7 @@ def _merge_direct(spec: MergeSpec, device) -> int:
 
 def _merge_one_rank(spec: MergeSpec, device, rank: int) -> int:
     key_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray | list[bytes]] = []
+    val_chunks: list[np.ndarray] = []
     for epoch in spec.newest_first:
         keys, values = read_table_arrays(device, main_table_name(epoch, rank))
         key_chunks.append(keys)
@@ -180,7 +179,7 @@ def _merge_one_rank(spec: MergeSpec, device, rank: int) -> int:
         device,
         main_table_name(spec.merged, rank),
         keys[winners],
-        take_values(concat_values(val_chunks), winners),
+        concat_values(val_chunks)[winners],
         spec.block_size,
     )
     return int(winners.size)
@@ -194,7 +193,7 @@ def _merge_filterkv(spec: MergeSpec, device, metrics) -> tuple[int, set[str]]:
     tables on the hash owners."""
     merged = spec.merged
     key_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray | list[bytes]] = []
+    val_chunks: list[np.ndarray] = []
     rank_chunks: list[np.ndarray] = []
     for epoch in spec.newest_first:
         for rank in range(spec.nranks):
@@ -207,7 +206,7 @@ def _merge_filterkv(spec: MergeSpec, device, metrics) -> tuple[int, set[str]]:
     winners = first_occurrence(keys)
     wkeys = keys[winners]
     wranks = ranks[winners]
-    wvalues = take_values(concat_values(val_chunks), winners)
+    wvalues = concat_values(val_chunks)[winners]
 
     for rank in range(spec.nranks):
         sel = np.flatnonzero(wranks == rank)
@@ -253,14 +252,14 @@ def _write_filterkv_rank(
     device,
     rank: int,
     wkeys: np.ndarray,
-    wvalues: np.ndarray | list[bytes],
+    wvalues: np.ndarray,
     sel: np.ndarray,
 ) -> None:
     write_merged_table(
         device,
         main_table_name(spec.merged, rank),
         wkeys[sel],
-        take_values(wvalues, sel),
+        wvalues[sel],
         spec.block_size,
     )
 

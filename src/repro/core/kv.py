@@ -1,6 +1,6 @@
 """Key-value model shared by every partitioning scheme.
 
-The paper's workloads use fixed 8-byte integer keys (random in the
+The paper's experiments use fixed 8-byte integer keys (random in the
 microbenchmarks, particle IDs in VPIC) and values from a few bytes up to a
 couple hundred.  Batches are represented as a `KVBatch` — a keys array plus
 equal-width value payload — because fixed-width vectors keep the write
@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..storage.sstable import value_matrix
 
 __all__ = ["KEY_BYTES", "KVBatch", "random_kv_batch"]
 
@@ -35,11 +37,7 @@ class KVBatch:
 
     def __post_init__(self):
         keys = np.asarray(self.keys, dtype=np.uint64)
-        values = np.asarray(self.values, dtype=np.uint8)
-        if values.ndim != 2 or values.shape[0] != keys.shape[0]:
-            raise ValueError(
-                f"values must be (nkeys, value_bytes); got {values.shape} for {keys.shape[0]} keys"
-            )
+        values = value_matrix(self.values, keys.shape[0])
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
 

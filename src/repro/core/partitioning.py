@@ -1,7 +1,7 @@
 """The data-partitioning function: key → owning rank.
 
 Every process owns one data partition, i.e. a disjoint subset of the key
-space (paper §III-A).  The paper's workloads exhibit extreme key entropy
+space (paper §III-A).  The paper's datasets exhibit extreme key entropy
 and make no assumption about generation order, so a hash partitioner is
 the canonical choice — it also load-balances the partitions, one of the
 stated uses of online partitioning.

@@ -14,6 +14,8 @@ double-hash probe sequences — is derived from it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -74,9 +76,23 @@ def splitmix64_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
+@lru_cache(maxsize=4096)
+def _mixed_seed(seed: int) -> np.uint64:
+    """``splitmix64(seed)``, computed once per seed: a filter hashes every
+    probe under the same few seeds, and the array mixer's fixed cost
+    (errstate, five ufunc dispatches) would otherwise come with each call."""
+    return splitmix64(np.uint64(seed))[()]
+
+
+@lru_cache(maxsize=4096)
+def _mixed_seed_int(seed: int) -> int:
+    """`_mixed_seed` as a plain int, for the scalar twins."""
+    return splitmix64_int(seed & MASK64)
+
+
 def hash64_int(key: int, seed: int = 0) -> int:
     """Scalar twin of `hash64`, same value for any 64-bit input."""
-    return splitmix64_int((key ^ splitmix64_int(seed & MASK64)) & MASK64)
+    return splitmix64_int((key ^ _mixed_seed_int(seed)) & MASK64)
 
 
 def hash64(keys: np.ndarray | int, seed: int = 0) -> np.ndarray:
@@ -86,7 +102,7 @@ def hash64(keys: np.ndarray | int, seed: int = 0) -> np.ndarray:
     Bloom filter derives its two base hashes.
     """
     k = np.asarray(keys, dtype=np.uint64)
-    return splitmix64(k ^ splitmix64(np.uint64(seed)))
+    return splitmix64(k ^ _mixed_seed(seed))
 
 
 def hash_pair(keys: np.ndarray | int, ranks: np.ndarray | int, seed: int = 0) -> np.ndarray:

@@ -5,7 +5,6 @@ from .cpu import CPUS, TRANSPORTS, CpuProfile, TransportProfile, rpc_cpu_time
 from .des import Event, Process, Resource, SimulationError, Simulator
 from .flowmodel import AllToAllModel, pernode_alltoall_bandwidth, transfer_time
 from .rpc import RpcEndpoint, RpcLatencyResult, measure_rpc_latency, rpc_roundtrip
-from .tracing import Span, Tracer
 from .mpi_backend import HAVE_MPI, LoopbackTransport, make_transport
 from .topology import ARIES_DRAGONFLY, NARWHAL_FATTREE, DragonflyTopology, FatTreeTopology
 
@@ -31,8 +30,6 @@ __all__ = [
     "NARWHAL_FATTREE",
     "DragonflyTopology",
     "FatTreeTopology",
-    "Span",
-    "Tracer",
     "HAVE_MPI",
     "LoopbackTransport",
     "make_transport",

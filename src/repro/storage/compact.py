@@ -20,15 +20,12 @@ from .sstable import SSTableWriter, TableStats, concat_values
 __all__ = [
     "read_table_arrays",
     "concat_values",
-    "take_values",
     "first_occurrence",
     "write_merged_table",
 ]
 
 
-def read_table_arrays(
-    device: StorageDevice, name: str
-) -> tuple[np.ndarray, np.ndarray | list[bytes]]:
+def read_table_arrays(device: StorageDevice, name: str) -> tuple[np.ndarray, np.ndarray]:
     """One source table's full contents as ``(keys, values)`` arrays.
 
     Opens, streams, and closes the reader — compaction must not leak
@@ -38,15 +35,6 @@ def read_table_arrays(
 
     with SSTableReader(device, name) as reader:
         return reader.scan_arrays()
-
-
-def take_values(
-    values: np.ndarray | list[bytes], idx: np.ndarray
-) -> np.ndarray | list[bytes]:
-    """Row-gather that works on both value representations."""
-    if isinstance(values, np.ndarray):
-        return values[idx]
-    return [values[int(i)] for i in idx]
 
 
 def first_occurrence(keys: np.ndarray) -> np.ndarray:
@@ -70,7 +58,7 @@ def write_merged_table(
     device: StorageDevice,
     name: str,
     keys: np.ndarray,
-    values: np.ndarray | list[bytes],
+    values: np.ndarray,
     block_size: int,
 ) -> TableStats:
     """Write one merged partition table with the streaming bulk writer.

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..obs.trace import child_span, current_span
 from .blockio import ExtentLostError, StorageDevice, StorageFile
+from .sstable import value_matrix
 
 __all__ = ["DataPointer", "ValueLog", "POINTER_BYTES"]
 
@@ -71,41 +72,24 @@ class ValueLog:
         log._nvalues = -1  # unknown for a reader-side attach
         return log
 
-    def append_many(self, values: np.ndarray | list[bytes]) -> np.ndarray:
-        """Append a batch of values with one storage write.
+    def append_many(self, values: np.ndarray) -> np.ndarray:
+        """Append a ``(n, width)`` uint8 matrix of values with one storage
+        write.
 
-        ``values`` is a ``(n, width)`` uint8 matrix or a list of bytes.
         Returns the ``uint64`` record-start offsets: ``DataPointer(rank,
         offset)`` recovers each value.
         """
+        values = value_matrix(values)
+        n, width = values.shape
+        if n == 0:
+            return np.zeros(0, dtype=np.uint64)
+        recs = np.empty((n, self._LEN.size + width), dtype=np.uint8)
+        recs[:, : self._LEN.size] = np.frombuffer(self._LEN.pack(width), dtype=np.uint8)
+        recs[:, self._LEN.size :] = values
         base = self._file.size
-        if isinstance(values, np.ndarray):
-            values = np.asarray(values, dtype=np.uint8)
-            if values.ndim != 2:
-                raise ValueError(f"values matrix must be 2-D, got shape {values.shape}")
-            n, width = values.shape
-            if n == 0:
-                return np.zeros(0, dtype=np.uint64)
-            recs = np.empty((n, self._LEN.size + width), dtype=np.uint8)
-            recs[:, : self._LEN.size] = np.frombuffer(
-                self._LEN.pack(width), dtype=np.uint8
-            )
-            recs[:, self._LEN.size :] = values
-            self._file.append(recs.tobytes())
-            offsets = base + np.arange(n, dtype=np.uint64) * np.uint64(
-                self._LEN.size + width
-            )
-        else:
-            if not values:
-                return np.zeros(0, dtype=np.uint64)
-            offsets = np.empty(len(values), dtype=np.uint64)
-            blob = bytearray()
-            for i, v in enumerate(values):
-                offsets[i] = base + len(blob)
-                blob += self._LEN.pack(len(v)) + bytes(v)
-            self._file.append(bytes(blob))
-        self._nvalues += len(offsets)
-        return offsets
+        self._file.append(recs.tobytes())
+        self._nvalues += n
+        return base + np.arange(n, dtype=np.uint64) * np.uint64(self._LEN.size + width)
 
     def read(self, pointer: DataPointer) -> bytes:
         """Read the value a pointer refers to.

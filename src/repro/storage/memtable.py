@@ -25,7 +25,7 @@ import numpy as np
 from ..obs import MetricsRegistry, active
 from .blockio import StorageDevice
 from .checksum import fastsum64
-from .sstable import CorruptBlockError, SSTableWriter, TableStats
+from .sstable import CorruptBlockError, SSTableWriter, TableStats, value_matrix
 
 __all__ = ["MemTable", "RunWriter", "flatten_runs"]
 
@@ -58,9 +58,7 @@ class MemTable:
         callers spill-and-retry with the remainder.
         """
         keys = np.asarray(keys, dtype=np.uint64).ravel()
-        values = np.asarray(values, dtype=np.uint8)
-        if values.ndim != 2 or values.shape[0] != keys.size:
-            raise ValueError(f"values must be ({keys.size}, width); got {values.shape}")
+        values = value_matrix(values, keys.size)
         if keys.size == 0 or self.full:
             return 0
         rec = 8 + values.shape[1]

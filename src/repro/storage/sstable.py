@@ -10,15 +10,15 @@ read path matches Fig. 11's cost structure:
    optional per-table **Bloom filter block**;
 3. binary-search the index and read the candidate **data block(s)**.
 
-Layout (all little-endian, 8-byte keys as in the paper's workloads)::
+Layout (all little-endian, 8-byte keys as in the paper's experiments)::
 
     [data block]*  [filter block]  [index block]  [footer (64 B)]
 
     data block  := nentries × (u64 key, u32 vlen, value) and nothing else,
                    cut into *key groups* of ~`GROUP_BYTES` whole records
     filter block:= bloom bytes ‖ u64 fastsum64          (absent when empty)
-    index block := u32 nblocks, u32 ngroups, u32 record_bytes (0 = values
-                   of several widths), then two tables stored one column
+    index block := u32 nblocks, u32 ngroups, u32 record_bytes (0 = empty
+                   table), then two tables stored one column
                    after another.  Per block: u64 first key, u64 last key,
                    u64 file offset; u32 length, u32 entries, u32 key groups.
                    Per key group, all blocks' end to end: u64 first key,
@@ -39,11 +39,14 @@ Layout (all little-endian, 8-byte keys as in the paper's workloads)::
     carry their own checksums, so corruption anywhere in the table is
     detected at read time rather than silently changing answers.  Tables
     of the earlier layout (a count and one checksum per block, no groups)
-    have another magic and are refused.
+    have another magic and are refused, as are tables whose values were of
+    several widths (record_bytes 0 with blocks).
 
-Writers buffer entries, sort by key, and emit blocks of ``block_size``
-bytes.  Readers are handed a `StorageFile`, so every access is charged to
-the owning `StorageDevice` — seeks and bytes line up with Fig. 11b/c.
+Values are one ``(n, width)`` uint8 matrix per table: every record has
+the same size, so blocks and groups are rows of whole records.  Writers
+buffer entries, sort by key, and emit blocks of ``block_size`` bytes.
+Readers are handed a `StorageFile`, so every access is charged to the
+owning `StorageDevice` — seeks and bytes line up with Fig. 11b/c.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ __all__ = [
     "TableStats",
     "load_table_meta",
     "concat_values",
+    "value_matrix",
     "FOOTER_BYTES",
     "CorruptBlockError",
 ]
@@ -98,38 +102,32 @@ def _concat(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def concat_values(chunks: list[np.ndarray | list[bytes]]) -> np.ndarray | list[bytes]:
-    """Concatenate value chunks in order, each a ``(n, width)`` uint8 matrix
-    or a list[bytes]: one matrix when every value has the same width, else
-    one list[bytes]."""
-    widths: set[int] = set()
-    for vals in chunks:
-        if isinstance(vals, np.ndarray):
-            widths.update(vals.shape[1:2] if len(vals) else ())
-        else:
-            widths.update(map(len, vals))
-        if len(widths) > 1:
-            flat: list[bytes] = []
-            for v in chunks:
-                flat.extend([row.tobytes() for row in v] if isinstance(v, np.ndarray) else v)
-            return flat
-    if not widths:
-        return np.zeros((0, 0), dtype=np.uint8)
-    (w,) = widths
-    return _concat([
-        vals if isinstance(vals, np.ndarray)
-        else np.frombuffer(b"".join(vals), dtype=np.uint8).reshape(len(vals), w)
-        for vals in chunks if len(vals)
-    ])
+def value_matrix(values: np.ndarray, n: int | None = None) -> np.ndarray:
+    """``values`` as the one value representation, an ``(n, width)`` uint8
+    matrix.  Anything else raises `ValueError`: a wider dtype is refused,
+    never cast (a cast would keep only each value's low byte)."""
+    values = np.asarray(values)
+    if values.dtype != np.uint8:
+        raise ValueError(f"values must be a uint8 matrix, got dtype {values.dtype}")
+    if values.ndim != 2 or (n is not None and values.shape[0] != n):
+        raise ValueError(f"values must be ({'n' if n is None else n}, width); got {values.shape}")
+    return values
+
+
+def concat_values(chunks: list[np.ndarray]) -> np.ndarray:
+    """Concatenate ``(n, width)`` value matrices of one width, in order."""
+    parts = [vals for vals in chunks if len(vals)]
+    return _concat(parts) if parts else np.zeros((0, 0), dtype=np.uint8)
 
 
 def _cut_rows(skeys, svalues, block_size: int, group_cut: int):
-    """Cut key-sorted fixed-width records into blocks with array ops.
+    """Cut key-sorted records into blocks with array ops.
 
     Every record is key ‖ length ‖ value bytes, so block and group
-    boundaries fall at uniform record counts.  Yields, per block, ``(bytes,
-    records, last key, group first keys, group offsets)`` — exactly what
-    `_cut_records` yields for the same rows.
+    boundaries fall at uniform record counts: a block closes at the record
+    that takes it to ``block_size``, a group every ``group_cut`` bytes.
+    Yields, per block, ``(bytes, records, last key, group first keys, group
+    offsets)``.
     """
     n, w = svalues.shape
     rec = _ENTRY_HDR.size + w
@@ -148,25 +146,6 @@ def _cut_rows(skeys, svalues, block_size: int, group_cut: int):
             skeys[start:stop:per_group],
             np.arange(0, (stop - start) * rec, group_cut, dtype="<u4"),
         )
-
-
-def _cut_records(skeys, svalues, block_size: int, group_cut: int):
-    """Cut key-sorted records of any widths into blocks, one record at a
-    time: a group opens at the first record once the open one holds
-    ``group_cut`` bytes, a block closes at the record that takes it to
-    ``block_size``.  Yields what `_cut_rows` yields."""
-    block, n, gfirst, goff, k = bytearray(), 0, [], [], 0
-    for k, v in zip(skeys.tolist(), svalues):
-        if not goff or len(block) - goff[-1] >= group_cut:
-            gfirst.append(k)
-            goff.append(len(block))
-        block += _ENTRY_HDR.pack(k, len(v)) + v
-        n += 1
-        if len(block) >= block_size:
-            yield bytes(block), n, k, gfirst, goff
-            block, n, gfirst, goff = bytearray(), 0, [], []
-    if n:
-        yield bytes(block), n, k, gfirst, goff
 
 
 def _group_bytes(rec: int) -> int:
@@ -218,35 +197,32 @@ class SSTableWriter:
         self.bloom_bits_per_key = bloom_bits_per_key
         self._file: StorageFile = device.open(name, create=True)
         # Entries are buffered as columnar chunks in arrival order: each
-        # chunk is (keys u64, values) where values is a 2-D uint8 matrix
-        # or a list[bytes] (variable-width).
-        self._chunks: list[tuple[np.ndarray, np.ndarray | list[bytes]]] = []
+        # chunk is (keys u64, values as a (n, width) uint8 matrix).
+        self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
         self._nentries = 0
         self._finished = False
 
     def __len__(self) -> int:
         return self._nentries
 
-    def add_many(self, keys: np.ndarray, values: np.ndarray | list[bytes]) -> None:
+    def add_many(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Buffer a batch of entries (duplicate keys are kept; the reader
         returns the first written).
 
-        ``values`` is either a ``(len(keys), width)`` uint8 matrix or a list
-        of bytes of any widths.
+        ``values`` is a ``(len(keys), width)`` uint8 matrix, one width for
+        every entry of the table.
         """
         if self._finished:
             raise ValueError("writer already finished")
         keys = np.ascontiguousarray(keys, dtype=np.uint64).ravel()
-        if isinstance(values, np.ndarray):
-            values = np.asarray(values, dtype=np.uint8)
-            if values.ndim != 2 or values.shape[0] != keys.size:
-                raise ValueError(
-                    f"values must be ({keys.size}, width); got {values.shape}"
-                )
-        elif len(values) != keys.size:
-            raise ValueError("keys and values length mismatch")
+        values = value_matrix(values, keys.size)
         if keys.size == 0:
             return
+        if self._chunks and values.shape[1] != self._chunks[0][1].shape[1]:
+            raise ValueError(
+                f"values of width {values.shape[1]} added to a table of "
+                f"{self._chunks[0][1].shape[1]}-byte values"
+            )
         self._chunks.append((keys, values))
         self._nentries += keys.size
 
@@ -260,37 +236,23 @@ class SSTableWriter:
         values = concat_values([v for _, v in chunks])
         order = np.argsort(keys, kind="stable")
         nentries = keys.size
-        fixed = isinstance(values, np.ndarray) and nentries > 0
-        record_bytes = _ENTRY_HDR.size + values.shape[1] if fixed else 0
+        record_bytes = _ENTRY_HDR.size + values.shape[1]
         # A group closes once it holds this many bytes (whole records).
-        group_cut = _group_bytes(record_bytes) if fixed else GROUP_BYTES
+        group_cut = _group_bytes(record_bytes)
         index_entries: list[tuple[int, int, int, int, int, int]] = []
         group_first: list[np.ndarray] = []  # the group table, column by column
         group_sum: list[np.ndarray] = []
         group_off: list[np.ndarray] = []
         data_bytes = 0
-
-        def emit_block(payload: bytes, n: int, last: int, gfirst, goff) -> None:
-            nonlocal data_bytes
+        for payload, n, last, gfirst, goff in _cut_rows(
+            keys[order], values[order], self.block_size, group_cut
+        ):
             off = self._file.append(payload)
             index_entries.append((int(gfirst[0]), last, off, len(payload), n, len(goff)))
             group_first.append(np.asarray(gfirst, dtype="<u8"))
             group_off.append(np.asarray(goff, dtype="<u4"))
-            if fixed:  # equal-size groups: one pass over the block
-                group_sum.append(fastsum64_rows(payload, group_cut))
-            else:
-                view = memoryview(payload)
-                sums = [fastsum64(view[a:b]) for a, b in zip(goff, [*goff[1:], len(payload)])]
-                group_sum.append(np.asarray(sums, dtype=np.uint64))
+            group_sum.append(fastsum64_rows(payload, group_cut))  # equal-size groups: one pass
             data_bytes += len(payload)
-
-        if fixed:
-            blocks = _cut_rows(keys[order], values[order], self.block_size, group_cut)
-        else:
-            svalues = [values[i] for i in order.tolist()]
-            blocks = _cut_records(keys[order], svalues, self.block_size, group_cut)
-        for block in blocks:
-            emit_block(*block)
 
         # Filter block (checksummed like every section).
         filter_blob = b""
@@ -305,7 +267,9 @@ class SSTableWriter:
 
         # Index block: the block table, then the group table, both by column.
         nblocks = len(index_entries)
-        index_blob = _INDEX_HDR.pack(nblocks, sum(g.size for g in group_off), record_bytes)
+        index_blob = _INDEX_HDR.pack(
+            nblocks, sum(g.size for g in group_off), record_bytes if nblocks else 0
+        )
         if nblocks:
             index_blob += struct.pack(
                 f"<{3 * nblocks}Q{3 * nblocks}I", *(v for col in zip(*index_entries) for v in col)
@@ -356,8 +320,8 @@ class TableMeta:
     length: np.ndarray
     bloom: BloomFilter | None
     nbytes: int  # resident size: the index arrays plus the Bloom filter's bits
-    record_bytes: int  # bytes per record when all are one width, else 0
-    group_bytes: int  # bytes per full key group of a fixed-width table, else 0
+    record_bytes: int  # bytes per record (0 in an empty table)
+    group_bytes: int  # bytes per full key group (0 in an empty table)
     # Key groups, all blocks' end to end; block i owns gstart[i]:gstart[i+1].
     gstart: np.ndarray
     gfirst: np.ndarray  # per group: first key, offset inside its block, checksum
@@ -379,10 +343,11 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
     """Read and verify a table's footer, index and filter (2 device reads).
 
     Raises `ValueError` for a table too small, with a bad magic or written
-    in the earlier one-checksum-per-block layout, and `CorruptBlockError`
-    for a checksum mismatch, a truncated section, or a section that passed
-    its checksum but does not fit the file — every count and offset is
-    checked against the bytes present before anything is sized from it.
+    in the earlier one-checksum-per-block or variable-width layouts, and
+    `CorruptBlockError` for a checksum mismatch, a truncated section, or a
+    section that passed its checksum but does not fit the file — every
+    count and offset is checked against the bytes present before anything
+    is sized from it.
     """
     size = file.size
     if size < FOOTER_BYTES:
@@ -433,6 +398,11 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
     if len(index_blob) < _INDEX_HDR.size:
         raise inconsistent("index block shorter than its header")
     nblocks, ngroups, record_bytes = _INDEX_HDR.unpack_from(index_blob)
+    if nblocks and not record_bytes:
+        raise ValueError(
+            f"table {name!r} is in the variable-width layout (record_bytes 0); this "
+            f"reader supports only fixed-width records"
+        )
     groups_at = _INDEX_HDR.size + nblocks * _BLOCK_ENTRY_BYTES
     if len(index_blob) != groups_at + ngroups * _GROUP_ENTRY_BYTES:
         raise inconsistent(f"index block is not {nblocks} blocks + {ngroups} groups long")
@@ -459,13 +429,13 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
         or (off.astype(np.float64) + length > filter_off).any()
     ):
         raise inconsistent("block index does not fit the data region or the group table")
-    within = np.arange(ngroups) - np.repeat(gstart[:-1], groups)  # a group's place in its block
     group_bytes = 0
     if record_bytes:
-        # A fixed-width table's groups are equal-size rows of their block
-        # (its last group the short row): one pass verifies or decodes many.
+        # Groups are equal-size rows of their block (its last group the
+        # short row): one pass verifies or decodes many.
         if nblocks:
             group_bytes = int(goff[1] if groups[0] > 1 else length[0])
+        within = np.arange(ngroups) - np.repeat(gstart[:-1], groups)  # place in its block
         if (
             record_bytes < _ENTRY_HDR.size
             or group_bytes == 0
@@ -475,13 +445,6 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
             or (groups != -(-length // group_bytes)).any()
         ):
             raise inconsistent(f"blocks or groups are not rows of {record_bytes}-byte records")
-    elif (
-        # Any other table: every block's groups start at 0 and ascend inside it.
-        (goff[gstart[:-1]] != 0).any()
-        or (np.diff(goff)[within[1:] > 0] <= 0).any()
-        or (goff >= np.repeat(length, groups)).any()
-    ):
-        raise inconsistent("group offsets leave their block or do not ascend")
 
     bloom = BloomFilter.from_bytes(filter_blob, bloom_nhashes) if filter_len else None
     nbytes = 8 * (7 * nblocks + 1 + 3 * ngroups)  # the arrays below, as held
@@ -498,24 +461,20 @@ class _Block:
 
     Holds the raw bytes, where its key groups start, and what the lookups
     so far have verified and decoded — a group is checksummed and decoded
-    the first time a lookup lands in it, never before:
-
-    * ``keys`` (fixed-width tables) is the block's key column.  A verified
-      group's slots hold its keys; the slots of a group not yet verified
-      hold that group's first key from the checksummed index, which keeps
-      the column sorted so one `searchsorted` serves any mix of groups.
-    * ``walked`` (variable-width tables, decoded by a sequential walk)
-      keeps each verified group's ``(keys, value offsets, value lengths)``.
+    the first time a lookup lands in it, never before.  ``keys`` is the
+    block's key column: a verified group's slots hold its keys; the slots
+    of a group not yet verified hold that group's first key from the
+    checksummed index, which keeps the column sorted so one `searchsorted`
+    serves any mix of groups.
     """
 
-    __slots__ = ("raw", "goff", "verified", "keys", "walked")
+    __slots__ = ("raw", "goff", "verified", "keys")
 
-    def __init__(self, raw: bytes, goff: np.ndarray, keys: np.ndarray | None):
+    def __init__(self, raw: bytes, goff: np.ndarray, keys: np.ndarray):
         self.raw = raw
         self.goff = goff
         self.verified = np.zeros(goff.size, dtype=bool)
         self.keys = keys
-        self.walked: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def span(self, g: int) -> tuple[int, int]:
         """Byte range of key group ``g`` inside ``raw``."""
@@ -620,10 +579,9 @@ class SSTableReader:
             raise CorruptBlockError(f"block {i} truncated to {len(raw)} bytes")
         meta = self.meta
         groups = slice(meta.gstart[i], meta.gstart[i + 1])
-        keys = None
-        if meta.record_bytes:  # until a group is verified, its first key stands in
-            per = meta.group_bytes // meta.record_bytes
-            keys = np.repeat(meta.gfirst[groups], per)[: len(raw) // meta.record_bytes]
+        # Until a group is verified, its first key stands in for its keys.
+        per = meta.group_bytes // meta.record_bytes
+        keys = np.repeat(meta.gfirst[groups], per)[: len(raw) // meta.record_bytes]
         return _Block(raw, meta.goff[groups], keys)
 
     def _block(self, i: int) -> _Block:
@@ -646,11 +604,11 @@ class SSTableReader:
         return blk
 
     def _verify(self, blk: _Block, i: int, groups: np.ndarray) -> None:
-        """Checksum ``groups`` of block ``i`` — the equal-size groups of a
-        fixed-width table in one `fastsum64_rows` pass, any other group one
-        by one — and raise on the first that disagrees with the index."""
+        """Checksum ``groups`` of block ``i`` — several equal-size groups in
+        one `fastsum64_rows` pass, a lone group on its own — and raise on the
+        first that disagrees with the index."""
         meta = self.meta
-        if meta.group_bytes and groups.size > 1:
+        if groups.size > 1:
             every = groups.size == blk.verified.size  # a scan: no gather
             sums = fastsum64_rows(blk.raw, meta.group_bytes, None if every else groups)
         else:
@@ -673,47 +631,22 @@ class SSTableReader:
             return
         self._verify(blk, i, need)
         meta = self.meta
+        # A group is `per` records, a record a stride of ``raw``.
         rec = meta.record_bytes
-        if rec:  # a group is `per` records, a record a stride of ``raw``
-            per, n = meta.group_bytes // rec, blk.keys.size
-            if need.size == blk.verified.size:  # the whole block (a scan): no gather
-                at = slice(None)
-            else:
-                at = (need[:, None] * per + np.arange(per)).ravel()
-                if at[-1] >= n:  # the block's last group is its short one
-                    at = at[at < n]
-            vlens = np.ndarray((n,), "<u4", blk.raw, _ENTRY_HDR.size - 4, (rec,))[at]
-            if (vlens != rec - _ENTRY_HDR.size).any():
-                raise CorruptBlockError(
-                    f"block {i} of {self.name!r} holds records that are not {rec} bytes"
-                )
-            blk.keys[at] = np.ndarray((n,), "<u8", blk.raw, 0, (rec,))[at]
+        per, n = meta.group_bytes // rec, blk.keys.size
+        if need.size == blk.verified.size:  # the whole block (a scan): no gather
+            at = slice(None)
         else:
-            for g in need.tolist():
-                blk.walked[g] = self._walk(blk, i, g)
-        blk.verified[need] = True
-
-    def _walk(self, blk: _Block, i: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sequential decode of one variable-width group: (keys, value
-        offsets into ``blk.raw``, value lengths)."""
-        raw, (pos, end) = blk.raw, blk.span(g)
-        keys, voffs, vlens = [], [], []
-        while pos + _ENTRY_HDR.size <= end:
-            k, vlen = _ENTRY_HDR.unpack_from(raw, pos)
-            pos += _ENTRY_HDR.size
-            keys.append(k)
-            voffs.append(pos)
-            vlens.append(vlen)
-            pos += vlen
-        if pos != end:  # lengths that walk off the group: a writer bug
+            at = (need[:, None] * per + np.arange(per)).ravel()
+            if at[-1] >= n:  # the block's last group is its short one
+                at = at[at < n]
+        vlens = np.ndarray((n,), "<u4", blk.raw, _ENTRY_HDR.size - 4, (rec,))[at]
+        if (vlens != rec - _ENTRY_HDR.size).any():
             raise CorruptBlockError(
-                f"records of block {i}, key group {g} of {self.name!r} overrun the group"
+                f"block {i} of {self.name!r} holds records that are not {rec} bytes"
             )
-        return (
-            np.asarray(keys, dtype=np.uint64),
-            np.asarray(voffs, dtype=np.int64),
-            np.asarray(vlens, dtype=np.int64),
-        )
+        blk.keys[at] = np.ndarray((n,), "<u8", blk.raw, 0, (rec,))[at]
+        blk.verified[need] = True
 
     def _find(
         self, blk: _Block, i: int, keys: np.ndarray
@@ -737,17 +670,11 @@ class SSTableReader:
         touched[below[upto > below]] = True
         groups = np.flatnonzero(touched)
         self._touch(blk, i, groups)
-        rec = meta.record_bytes
-        if rec:
-            bkeys = blk.keys
-            loc = np.minimum(np.searchsorted(bkeys, keys, side="left"), bkeys.size - 1)
-            hit = (bkeys[loc] == keys) & blk.verified[loc // (meta.group_bytes // rec)]
-            starts = loc * rec + _ENTRY_HDR.size
-            return hit, starts, starts + (rec - _ENTRY_HDR.size)
-        parts = [blk.walked[g] for g in groups.tolist()]
-        bkeys, voffs, vlens = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        rec, bkeys = meta.record_bytes, blk.keys
         loc = np.minimum(np.searchsorted(bkeys, keys, side="left"), bkeys.size - 1)
-        return bkeys[loc] == keys, voffs[loc], voffs[loc] + vlens[loc]
+        hit = (bkeys[loc] == keys) & blk.verified[loc // (meta.group_bytes // rec)]
+        starts = loc * rec + _ENTRY_HDR.size
+        return hit, starts, starts + (rec - _ENTRY_HDR.size)
 
     def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized Bloom gate; False means definitely absent."""
@@ -826,41 +753,26 @@ class SSTableReader:
             cur = np.concatenate(next_cur)
         return values, blocks_touched
 
-    def scan_arrays(self) -> tuple[np.ndarray, np.ndarray | list[bytes]]:
+    def scan_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Full table contents as columnar arrays, in stored key order.
 
-        Returns ``(keys, values)`` where values is a ``(n, width)`` uint8
-        matrix when every entry has the same width (the compaction merge
-        fast path), else a list[bytes].  Every group of a block is verified
-        in one pass before any of it is decoded; blocks stream through the
-        block cache one at a time, so peak memory is the decoded output
-        plus one block.
+        Returns ``(keys, values)``, values a ``(n, width)`` uint8 matrix.
+        Every group of a block is verified in one pass before any of it is
+        decoded; blocks stream through the block cache one at a time, so
+        peak memory is the decoded output plus one block.
         """
         key_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray | list[bytes]] = []
+        val_parts: list[np.ndarray] = []
         rec = self.meta.record_bytes
         for i in range(self._off.size):
             blk = self._block(i)
             self._touch(blk, i, np.arange(blk.verified.size))
-            if rec:
-                key_parts.append(blk.keys)
-                shape = (blk.keys.size, rec - _ENTRY_HDR.size)
-                val_parts.append(
-                    np.ndarray(shape, np.uint8, blk.raw, _ENTRY_HDR.size, (rec, 1)).copy()
-                )
-            else:
-                raw = blk.raw
-                for g in range(blk.verified.size):
-                    bkeys, voffs, vlens = blk.walked[g]
-                    key_parts.append(bkeys)
-                    val_parts.append(
-                        [raw[o : o + n] for o, n in zip(voffs.tolist(), vlens.tolist())]
-                    )
+            key_parts.append(blk.keys)
+            shape = (blk.keys.size, rec - _ENTRY_HDR.size)
+            val_parts.append(np.ndarray(shape, np.uint8, blk.raw, _ENTRY_HDR.size, (rec, 1)).copy())
         if not key_parts:
             return np.zeros(0, dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8)
-        if rec:
-            return _concat(key_parts), _concat(val_parts)
-        return _concat(key_parts), [v for part in val_parts for v in part]
+        return _concat(key_parts), _concat(val_parts)
 
     def scan(self) -> list[tuple[int, bytes]]:
         """Full scan in key order (test/verification helper: its own

@@ -8,6 +8,7 @@ from repro.filters.hashing import (
     double_hash_probes_int,
     fingerprint,
     hash64,
+    hash64_int,
     hash_pair,
     splitmix64,
 )
@@ -115,3 +116,22 @@ def test_double_hash_probes_int_is_the_array_version_on_one_key():
         vector = double_hash_probes(keys, nprobes, nbits, seed)
         for key, row in zip(keys.tolist(), vector.tolist()):
             assert double_hash_probes_int(key, nprobes, nbits, seed) == row
+
+
+def test_memoised_seed_mix_is_bit_identical_to_the_formula():
+    """`hash64` / `hash64_int` mix each seed once; the output is still
+    ``splitmix64(key ^ splitmix64(seed))`` for every seed, array and scalar,
+    on first use and from the memo."""
+    rng = np.random.default_rng(12)
+    keys = np.concatenate([
+        rng.integers(0, 2**64, size=64, dtype=np.uint64),
+        np.asarray([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+    ])
+    seeds = [0, 1, 2, 0x5BD1, 0x7F4A7C15, 12345 + 0x7F4A7C15, 2**32, 2**63, 2**64 - 1]
+    seeds += rng.integers(0, 2**64, size=24, dtype=np.uint64).tolist()
+    for _ in range(2):  # the second pass is served by the memo
+        for seed in seeds:
+            want = splitmix64(keys ^ splitmix64(np.uint64(seed)))
+            assert np.array_equal(hash64(keys, seed), want)
+            assert hash64(int(keys[5]), seed) == want[5]
+            assert [hash64_int(k, seed) for k in keys.tolist()] == want.tolist()

@@ -7,7 +7,8 @@ same epoch record by record, from the documented formats alone:
 * wire — each record encoded on its own into a per-destination buffer that
   ships whole-record envelopes once it holds ``batch_bytes``;
 * SSTable — ``u64 key ‖ u32 vlen ‖ value`` records in stable key order,
-  key groups and blocks cut record by record, the Bloom filter block, the
+  key groups and blocks cut record by record (`cut_records`, also the
+  oracle of the writer's array cutter), the Bloom filter block, the
   column-wise index with its group table, and the 64-byte footer;
 * memtable — records added until their key + value bytes reach the
   budget (the crossing record included); a run is the memtable's sorted
@@ -60,38 +61,47 @@ def vlog_append(file, value: bytes) -> int:
 # -- SSTable -------------------------------------------------------------------
 
 
+def cut_records(keys, values, block_size: int, group_cut: int):
+    """Cut key-sorted records into blocks one record at a time: a group
+    opens at the first record once the open one holds ``group_cut`` bytes,
+    a block closes at the record that takes it to ``block_size``.  Yields,
+    per block, ``(bytes, records, last key, group first keys, group
+    offsets)`` — what the writer's array cutter ``sstable._cut_rows``
+    yields for the same rows."""
+    block, n, gfirst, goff, k = bytearray(), 0, [], [], 0
+    for k, v in zip(keys, values):
+        if not goff or len(block) - goff[-1] >= group_cut:
+            gfirst.append(k)
+            goff.append(len(block))
+        block += ENTRY.pack(k, len(v)) + v
+        n += 1
+        if len(block) >= block_size:
+            yield bytes(block), n, k, gfirst, goff
+            block, n, gfirst, goff = bytearray(), 0, [], []
+    if n:
+        yield bytes(block), n, k, gfirst, goff
+
+
 def table_image(items: list[tuple[int, bytes]], block_size: int,
                 bloom_bits_per_key: float = 10.0) -> bytes:
-    """The bytes of an SSTable holding ``items`` (in write order)."""
+    """The bytes of an SSTable holding ``items`` (in write order), values of
+    one width."""
     records = sorted(items, key=lambda kv: kv[0])  # stable: first write first
-    widths = {len(v) for _, v in records}
-    rec = ENTRY.size + widths.pop() if len(widths) == 1 else 0
-    # A fixed-width group is the fewest records reaching GROUP_BYTES,
-    # rounded up to a multiple of eight records.
-    group_cut = -(-sstable.GROUP_BYTES // (8 * rec)) * 8 * rec if rec else sstable.GROUP_BYTES
+    rec = ENTRY.size + len(records[0][1]) if records else 0
+    # A group is the fewest records reaching GROUP_BYTES, rounded up to a
+    # multiple of eight records.
+    group_cut = -(-sstable.GROUP_BYTES // (8 * rec)) * 8 * rec if rec else 0
 
     data = bytearray()
     blocks: list[tuple[int, ...]] = []  # first, last, offset; length, records, groups
     groups: list[tuple[int, ...]] = []  # first key, checksum; offset in block
-    block, n, opens = bytearray(), 0, []  # opens: (first key, offset) per group
-
-    def close_block(last: int) -> None:
-        ends = [off for _, off in opens[1:]] + [len(block)]
-        for (first, off), end in zip(opens, ends):
-            groups.append((first, fastsum64(bytes(block[off:end])), off))
-        blocks.append((opens[0][0], last, len(data), len(block), n, len(opens)))
-        data.extend(block)
-
-    for key, value in records:
-        if not opens or len(block) - opens[-1][1] >= group_cut:
-            opens.append((key, len(block)))
-        block += ENTRY.pack(key, len(value)) + value
-        n += 1
-        if len(block) >= block_size:
-            close_block(key)
-            block, n, opens = bytearray(), 0, []
-    if n:
-        close_block(records[-1][0])
+    for block, n, last, gfirst, goff in cut_records(
+        [k for k, _ in records], [v for _, v in records], block_size, group_cut
+    ):
+        for first, off, end in zip(gfirst, goff, [*goff[1:], len(block)]):
+            groups.append((first, fastsum64(block[off:end]), off))
+        blocks.append((gfirst[0], last, len(data), len(block), n, len(goff)))
+        data += block
 
     filt, nhashes = b"", 0
     if bloom_bits_per_key > 0 and records:

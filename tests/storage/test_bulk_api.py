@@ -3,9 +3,12 @@
 `spill` / `flatten_runs` write exactly what one-record-at-a-time writing
 of the documented formats writes."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.core.kv import KVBatch
 from repro.storage.blockio import StorageDevice
 from repro.storage.log import DataPointer, ValueLog
 from repro.storage.memtable import MemTable, RunWriter, flatten_runs
@@ -43,17 +46,26 @@ def test_sstable_add_many_bytes_identical_to_scalar():
     assert _extent(dev_v, "t") == _extent(dev_s, "t")
 
 
-def test_sstable_add_many_list_values_matches_matrix():
-    keys, values = _kv(300, 16, seed=2)
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    dev_a, dev_b = StorageDevice(), StorageDevice()
-    wa = SSTableWriter(dev_a, "t", block_size=2048)
-    wb = SSTableWriter(dev_b, "t", block_size=2048)
-    wa.add_many(keys, values)
-    wb.add_many(keys, [v.tobytes() for v in values])
-    wa.finish(), wb.finish()
-    assert _extent(dev_a, "t") == _extent(dev_b, "t")
+_WRITERS = {
+    "SSTableWriter.add_many": lambda v: SSTableWriter(StorageDevice(), "t").add_many(
+        np.arange(2, dtype=np.uint64), v
+    ),
+    "ValueLog.append_many": lambda v: ValueLog(StorageDevice(), rank=0).append_many(v),
+    "MemTable.add_many": lambda v: MemTable().add_many(np.arange(2, dtype=np.uint64), v),
+    "KVBatch": lambda v: KVBatch(np.arange(2, dtype=np.uint64), v),
+}
+
+
+@pytest.mark.parametrize("values", [
+    np.array([[300, 1], [2, 513]]),  # int64: a uint8 cast kept b",\x01" and b"\x02\x01"
+    np.array([[44], [-1]], dtype=np.int8),
+    [b"ab", b"cd"],  # the retired list[bytes] representation
+], ids=["int64", "int8", "list-of-bytes"])
+@pytest.mark.parametrize("write", list(_WRITERS.values()), ids=list(_WRITERS))
+def test_values_of_another_dtype_are_refused_not_truncated(write, values):
+    """Values are a uint8 matrix or an error naming the dtype, never a cast."""
+    with pytest.raises(ValueError, match=re.escape(f"dtype {np.asarray(values).dtype}")):
+        write(values)
 
 
 def test_vlog_append_many_offsets_match_scalar():

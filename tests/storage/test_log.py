@@ -8,8 +8,10 @@ from repro.storage.log import POINTER_BYTES, DataPointer, ValueLog
 
 
 def _append(log, *values):
-    """Append ``values`` with one `append_many`; their pointers."""
-    return [DataPointer(log.rank, int(off)) for off in log.append_many(list(values))]
+    """Append ``values``, all of one width, as one `append_many` matrix;
+    their pointers."""
+    rows = np.frombuffer(b"".join(values), dtype=np.uint8).reshape(len(values), -1)
+    return [DataPointer(log.rank, int(off)) for off in log.append_many(rows)]
 
 
 def test_pointer_pack_unpack():
@@ -27,8 +29,8 @@ def test_pointer_unpack_rejects_wrong_size():
 def test_append_read_roundtrip():
     dev = StorageDevice()
     log = ValueLog(dev, rank=3)
-    p1, p2 = _append(log, b"value-one", b"value-two-longer")
-    assert log.read(p1) == b"value-one"
+    p1, p2 = _append(log, b"value-one-longer", b"value-two-longer")
+    assert log.read(p1) == b"value-one-longer"
     assert log.read(p2) == b"value-two-longer"
     assert len(log) == 2
     assert p1.rank == p2.rank == 3
@@ -90,7 +92,8 @@ def test_filename_is_per_rank():
 def test_read_many_matches_scalar_any_order():
     dev = StorageDevice()
     log = ValueLog(dev, rank=0)
-    ptrs = _append(log, *(f"value-{i}".encode() * (1 + i % 5) for i in range(50)))
+    # one append per value: records of several widths share the log
+    ptrs = [p for i in range(50) for p in _append(log, f"value-{i}".encode() * (1 + i % 5))]
     shuffled = [ptrs[i] for i in np.random.default_rng(8).permutation(50)]
     out = log.read_many(shuffled)
     assert out == [log.read(p) for p in shuffled]

@@ -88,7 +88,7 @@ def test_flatten_merges_runs_in_key_order():
 def test_flatten_first_write_wins_across_runs():
     dev = StorageDevice()
     rw = RunWriter(dev, "runs.0")
-    for value in (b"early", b"late"):  # runs of two widths
+    for value in (b"early", b"later"):
         mt = MemTable()
         mt.add_many(*_kv([42], value))
         rw.spill(mt)

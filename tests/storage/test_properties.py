@@ -10,6 +10,16 @@ from repro.storage.log import DataPointer, ValueLog
 from repro.storage import sstable as sstable_mod
 from repro.storage.sstable import SSTableReader, SSTableWriter
 
+from .test_sstable import rows
+
+
+@st.composite
+def rows_of_one_width(draw, key, max_size):
+    """``(key, value)`` pairs whose values share one drawn width."""
+    width = draw(st.integers(0, 40))
+    value = st.binary(min_size=width, max_size=width)
+    return draw(st.lists(st.tuples(key, value), max_size=max_size))
+
 
 @given(data=st.binary(min_size=0, max_size=5000))
 @settings(max_examples=120, deadline=None)
@@ -43,20 +53,14 @@ def test_snappy_decoder_never_crashes_on_junk(junk):
 
 
 @given(
-    items=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=2**63 - 1), st.binary(min_size=0, max_size=40)
-        ),
-        min_size=0,
-        max_size=120,
-    ),
+    items=rows_of_one_width(st.integers(min_value=0, max_value=2**63 - 1), max_size=120),
     block_size=st.sampled_from([64, 256, 4096]),
 )
 @settings(max_examples=60, deadline=None)
 def test_sstable_roundtrip_property(items, block_size):
     dev = StorageDevice()
     w = SSTableWriter(dev, "t", block_size=block_size)
-    w.add_many(np.asarray([k for k, _ in items], dtype=np.uint64), [v for _, v in items])
+    w.add_many(*rows(items))
     stats = w.finish()
     assert stats.nentries == len(items)
     r = SSTableReader(dev, "t")
@@ -72,7 +76,7 @@ def test_sstable_roundtrip_property(items, block_size):
 
 @given(
     keys=st.lists(st.integers(min_value=0, max_value=60), min_size=0, max_size=150),
-    width=st.sampled_from([0, 5, 12, None]),  # None: each value its own width
+    width=st.sampled_from([0, 5, 12, 21]),
     group_bytes=st.sampled_from([64, 100, 256]),
     block_size=st.sampled_from([64, 300, 1 << 20]),
     cache=st.sampled_from([0, 2]),
@@ -84,16 +88,13 @@ def test_sstable_reads_agree_across_group_and_block_seams(
     """A small key universe makes duplicates straddle every kind of seam;
     `get`, `get_many`, `scan` and `scan_arrays` tell one story, first
     inserted wins, and every absent key in 0..61 is absent."""
-    items = [
-        (k, bytes([i % 251]) * (width if width is not None else i % 23))
-        for i, k in enumerate(keys)
-    ]
+    items = [(k, bytes([i % 251]) * width) for i, k in enumerate(keys)]
     dev = StorageDevice()
     original = sstable_mod.GROUP_BYTES
     sstable_mod.GROUP_BYTES = group_bytes  # readers take group bounds from the table
     try:
         w = SSTableWriter(dev, "t", block_size=block_size, bloom_bits_per_key=0)
-        w.add_many(np.asarray(keys, dtype=np.uint64), [v for _, v in items])
+        w.add_many(*rows(items))
         w.finish()
     finally:
         sstable_mod.GROUP_BYTES = original
@@ -103,7 +104,7 @@ def test_sstable_reads_agree_across_group_and_block_seams(
     probe = np.arange(62, dtype=np.uint64)
     want = [first.get(k) for k in probe.tolist()]
     with SSTableReader(dev, "t", block_cache_blocks=cache) as r:
-        assert bool(r.meta.record_bytes) == (len({len(v) for _, v in items}) == 1)
+        assert r.meta.record_bytes == (12 + width if keys else 0)
         assert [r.get(k) for k in probe.tolist()] == want
         assert r.get_many(probe)[0] == want
         assert r.get_many(probe[::-1])[0] == want[::-1]
@@ -117,12 +118,13 @@ def test_sstable_reads_agree_across_group_and_block_seams(
         assert [(k, bytes(v)) for k, v in zip(akeys.tolist(), avals)] == scanned
 
 
-@given(values=st.lists(st.binary(min_size=0, max_size=100), min_size=1, max_size=50))
+@given(items=rows_of_one_width(st.just(0), max_size=50).filter(len))
 @settings(max_examples=60, deadline=None)
-def test_valuelog_roundtrip_property(values):
+def test_valuelog_roundtrip_property(items):
+    values = [v for _, v in items]
     dev = StorageDevice()
     log = ValueLog(dev, rank=0)
-    ptrs = [DataPointer(0, int(off)) for off in log.append_many(values)]
+    ptrs = [DataPointer(0, int(off)) for off in log.append_many(rows(items)[1])]
     # Read back in a shuffled order: pointers are position-independent.
     order = np.random.default_rng(0).permutation(len(values))
     for i in order:

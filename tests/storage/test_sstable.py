@@ -6,10 +6,20 @@ import pytest
 from repro.storage.blockio import StorageDevice
 from repro.storage.sstable import FOOTER_BYTES, SSTableReader, SSTableWriter
 
+from ..reference import ingest as ref
+
+
+def rows(items):
+    """``(key, value)`` pairs, values of one width, as ``(keys, values)``
+    arrays: the values a ``(len(items), width)`` uint8 matrix."""
+    width = len(items[0][1]) if items else 0
+    values = np.frombuffer(b"".join(v for _, v in items), dtype=np.uint8)
+    return np.asarray([k for k, _ in items], dtype=np.uint64), values.reshape(len(items), width)
+
 
 def build(dev, name, items, **kw):
     w = SSTableWriter(dev, name, **kw)
-    w.add_many(np.asarray([k for k, _ in items], dtype=np.uint64), [v for _, v in items])
+    w.add_many(*rows(items))
     return w.finish()
 
 
@@ -47,7 +57,7 @@ def test_multi_block_boundaries():
 
 def test_stats_accounting():
     dev = StorageDevice()
-    stats = build(dev, "t", [(1, b"abc"), (2, b"defg")], block_size=1024)
+    stats = build(dev, "t", [(1, b"abcd"), (2, b"defg")], block_size=1024)
     assert stats.nentries == 2
     assert stats.total_bytes == dev.file_size("t")
     assert stats.data_bytes > 0 and stats.index_bytes > 0 and stats.filter_bytes > 0
@@ -74,8 +84,8 @@ def test_no_bloom_mode():
 
 def test_duplicate_keys_first_wins():
     dev = StorageDevice()
-    build(dev, "t", [(7, b"first"), (7, b"second")], block_size=64)
-    assert SSTableReader(dev, "t").get(7) == b"first"
+    build(dev, "t", [(7, b"first-"), (7, b"second")], block_size=64)
+    assert SSTableReader(dev, "t").get(7) == b"first-"
 
 
 def test_duplicate_keys_across_block_boundary():
@@ -113,14 +123,17 @@ def test_writer_finish_twice_rejected():
     with pytest.raises(ValueError):
         w.finish()
     with pytest.raises(ValueError):
-        w.add_many(np.asarray([1], dtype=np.uint64), [b"late"])
+        w.add_many(*rows([(1, b"late")]))
 
 
 def test_add_many_validates_lengths():
     dev = StorageDevice()
     w = SSTableWriter(dev, "t")
     with pytest.raises(ValueError):
-        w.add_many(np.asarray([1, 2], dtype=np.uint64), [b"only-one"])
+        w.add_many(np.asarray([1, 2], dtype=np.uint64), rows([(1, b"only-one")])[1])
+    w.add_many(*rows([(1, b"four")]))
+    with pytest.raises(ValueError, match="width 5 added to a table of 4-byte values"):
+        w.add_many(*rows([(2, b"five!")]))  # a table holds one value width
 
 
 def test_tiny_block_size_rejected():
@@ -163,22 +176,13 @@ class TestGetMany:
         probe = np.concatenate([keys[:200], np.asarray([1, 4, 10_000], dtype=np.uint64)])
         self._probe(r, probe)
 
-    def test_variable_width_matches_scalar(self):
-        dev = StorageDevice()
-        items = [(k, b"x" * (1 + k % 37)) for k in range(300)]
-        build(dev, "t", items, block_size=256)
-        r = SSTableReader(dev, "t")
-        self._probe(r, list(range(0, 320, 3)))
-
-    def test_variable_width_scalar_bulk_and_scan_agree(self):
-        """The sequential group walk is a variable-width table's only
-        decoder: scalar get, get_many and the independent `scan()` walk
-        must tell one story, absent keys and block edges included."""
+    def test_scalar_bulk_and_scan_agree(self):
+        """Scalar get, get_many, `scan_arrays` and the independent `scan()`
+        walk tell one story, absent keys and block edges included."""
         dev = StorageDevice()
         rng = np.random.default_rng(31)
         keys = np.unique(rng.integers(0, 5000, size=400, dtype=np.uint64))
-        items = [(int(k), bytes(rng.integers(0, 256, int(k) % 41, dtype=np.uint8)))
-                 for k in keys]
+        items = [(int(k), bytes(rng.integers(0, 256, 41, dtype=np.uint8))) for k in keys]
         build(dev, "t", items, block_size=200)
         r = SSTableReader(dev, "t")
         truth = dict(r.scan())
@@ -189,17 +193,17 @@ class TestGetMany:
             assert v == truth.get(k)
             assert r.get(k) == truth.get(k)
         akeys, avals = r.scan_arrays()
-        assert dict(zip(akeys.tolist(), avals)) == truth
+        assert dict(zip(akeys.tolist(), map(bytes, avals))) == truth
 
     def test_duplicate_keys_return_first_inserted(self):
         dev = StorageDevice()
         # duplicates straddle block boundaries
-        build(dev, "t", [(7, f"a{i}".encode()) for i in range(40)] + [(9, b"nine")],
+        build(dev, "t", [(7, b"a%02d" % i) for i in range(40)] + [(9, b"nin")],
               block_size=64)
         r = SSTableReader(dev, "t")
         vals, _ = r.get_many(np.asarray([7, 9, 8], dtype=np.uint64))
-        assert vals == [b"a0", b"nine", None]
-        assert r.get(7) == b"a0"
+        assert vals == [b"a00", b"nin", None]
+        assert r.get(7) == b"a00"
 
     def test_block_coalescing_single_read_per_block(self):
         dev = StorageDevice()
@@ -293,9 +297,10 @@ class TestKeyGroups:
 
     @staticmethod
     def _value(i, width):
-        return bytes([i % 251]) * (8 if width == "fixed" else 1 + i % 19)
+        # "odd": 23-byte records, so groups round up to whole 8-byte words
+        return bytes([i % 251]) * (8 if width == "fixed" else 11)
 
-    @pytest.mark.parametrize("width", ["fixed", "variable"])
+    @pytest.mark.parametrize("width", ["fixed", "odd"])
     @pytest.mark.parametrize("cache", [0, 2])
     def test_duplicates_across_group_and_block_seams(self, monkeypatch, width, cache):
         self._small_groups(monkeypatch)
@@ -339,7 +344,7 @@ class TestKeyGroups:
         assert vals == [None] * len(absent) + [b"v" * 8] * len(keys)
         assert [r.get(k) for k in absent] == [None] * len(absent)
 
-    @pytest.mark.parametrize("width", ["fixed", "variable"])
+    @pytest.mark.parametrize("width", ["fixed", "odd"])
     def test_table_smaller_than_one_group(self, width):
         dev = StorageDevice()
         items = [(k, self._value(k, width)) for k in (9, 3, 6)]
@@ -362,7 +367,7 @@ class TestKeyGroups:
         keys, values = r.scan_arrays()
         assert keys.size == 0 and len(values) == 0
 
-    @pytest.mark.parametrize("width", ["fixed", "variable"])
+    @pytest.mark.parametrize("width", ["fixed", "odd"])
     def test_groups_tile_every_block(self, width):
         """Every byte of a block belongs to exactly one group, groups hold
         whole records, and a fixed-width group is whole 8-byte words."""
@@ -379,8 +384,7 @@ class TestKeyGroups:
             goff = m.goff[m.gstart[b] : m.gstart[b + 1]]
             assert goff[0] == 0 and (np.diff(goff) >= GROUP_BYTES).all()
             assert goff[-1] < m.length[b]
-            if width == "fixed":
-                assert (np.diff(goff) == m.group_bytes).all() and m.group_bytes % 8 == 0
+            assert (np.diff(goff) == m.group_bytes).all() and m.group_bytes % 8 == 0
             blk = r._read_block(b)
             for g, off in enumerate(goff.tolist()):  # a group starts at a record
                 key = int.from_bytes(blk.raw[off : off + 8], "little")
@@ -403,17 +407,16 @@ class TestKeyGroups:
         assert blk.verified.all()
 
     def test_vectorized_and_scalar_writers_cut_the_same_groups(self, monkeypatch):
-        """The array cutter of fixed-width tables and the per-record cutter
-        of variable-width ones, fed the same fixed-width rows, write the
-        same table."""
+        """The writer's array cutter and the per-record reference cutter,
+        fed the same rows, write the same table."""
         from repro.storage import sstable
 
         rng = np.random.default_rng(9)
         keys = rng.integers(0, 1 << 40, size=900, dtype=np.uint64)
         values = rng.integers(0, 256, size=(900, 21), dtype=np.uint8)
         images = []
-        for cutter in (sstable._cut_rows, lambda k, v, *cut: sstable._cut_records(
-            k, [row.tobytes() for row in v], *cut
+        for cutter in (sstable._cut_rows, lambda k, v, *cut: ref.cut_records(
+            k.tolist(), [row.tobytes() for row in v], *cut
         )):
             monkeypatch.setattr(sstable, "_cut_rows", cutter)
             dev = StorageDevice()
