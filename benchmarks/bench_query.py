@@ -1,12 +1,11 @@
-"""Bulk read path vs the scalar query loop: the `get_many` gate.
+"""Batched reads vs one key per call: the `get_many` gate.
 
-The scalar read path answers one key at a time: partition hash, aux
-probe, candidate walk, per-block parse — all per-key Python work.  The
-bulk path (`QueryEngine.get_many`) answers a whole batch through the
-same probe schedule with vectorized candidate resolution and
-block-coalesced table reads, so the per-key interpreter cost amortizes
-across the batch and each data block is read, checksummed, and decoded
-once.
+The scalar arm calls `QueryEngine.get` once per key — `get_many` of one
+key, so every key pays the flow's fixed costs on its own: partition hash,
+aux probe, candidate walk, block lookup.  The bulk arm answers 512-key
+batches through the same flow, so the per-key interpreter cost amortizes
+across the batch (vectorized candidate resolution, block-coalesced table
+reads) and each data block is read, checksummed, and decoded once.
 
 Both arms run a fresh `CachedQueryEngine` over the same persisted
 epoch — same table/aux caching, no result cache anywhere — so the

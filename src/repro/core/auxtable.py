@@ -171,9 +171,10 @@ class AuxTable(ABC):
     def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backend lookup for `candidates_many` (uninstrumented)."""
 
-    @abstractmethod
     def _candidate_counts(self, keys: np.ndarray) -> np.ndarray:
-        """Backend lookup for `candidate_counts` (uninstrumented)."""
+        """Backend lookup for `candidate_counts` (uninstrumented): the sizes
+        of the `candidates_many` sets, so the three surfaces agree."""
+        return self._candidates_many(keys)[0]
 
     @abstractmethod
     def to_bytes(self) -> bytes:
@@ -226,8 +227,9 @@ class AuxTable(ABC):
         keys = np.asarray(keys, dtype=np.uint64).ravel()
         counts = self._candidate_counts(keys, **kwargs)
         self._m_probes.inc(keys.size)
-        self._m_candidates.inc(int(counts.sum()))
-        extra = int(np.maximum(counts - 1, 0).sum())
+        total = int(counts.sum())
+        self._m_candidates.inc(total)
+        extra = total - int(np.count_nonzero(counts))
         if extra:
             self._m_false.inc(extra)
         return counts
@@ -244,8 +246,8 @@ class AuxTable(ABC):
         keys = np.asarray(keys, dtype=np.uint64).ravel()
         counts, flat = self._candidates_many(keys)
         self._m_probes.inc(keys.size)
-        self._m_candidates.inc(int(counts.sum()))
-        extra = int(np.maximum(counts - 1, 0).sum())
+        self._m_candidates.inc(flat.size)
+        extra = flat.size - int(np.count_nonzero(counts))  # all but one per key with any
         if extra:
             self._m_false.inc(extra)
         return counts, flat
@@ -327,14 +329,6 @@ class ExactAuxTable(AuxTable):
         lo = np.searchsorted(keys, np.uint64(key), side="left")
         hi = np.searchsorted(keys, np.uint64(key), side="right")
         return np.unique(ranks[lo:hi]).astype(np.int64)
-
-    def _candidate_counts(self, keys: np.ndarray) -> np.ndarray:
-        skeys, _ = self._ensure_sorted()
-        lo = np.searchsorted(skeys, keys, side="left")
-        hi = np.searchsorted(skeys, keys, side="right")
-        # Exact pointers: every stored occurrence is a distinct precise hit;
-        # duplicated keys are rare in the paper's experiments, so hi-lo ≈ 1.
-        return np.maximum(hi - lo, 0).astype(np.int64)
 
     def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         skeys, ranks = self._ensure_sorted()
@@ -442,12 +436,7 @@ class BloomAuxTable(AuxTable):
         unbiased, and documented in EXPERIMENTS.md.
         """
         if self.nparts <= exhaustive_limit:
-            counts = np.zeros(keys.size, dtype=np.int64)
-            chunk = max(1, (1 << 22) // max(1, self.nparts))
-            for start in range(0, keys.size, chunk):
-                sub = keys[start : start + chunk]
-                counts[start : start + sub.size] = self._hits_matrix(sub).sum(axis=1)
-            return counts
+            return super()._candidate_counts(keys)
         rng = np.random.default_rng(0xA137)
         sample = rng.integers(0, self.nparts, size=sample_ranks, dtype=np.uint64)
         digests = hash_pair(np.repeat(keys, sample.size), np.tile(sample, keys.size))
@@ -525,9 +514,6 @@ class CuckooAuxTable(AuxTable):
 
     def _candidate_ranks(self, key: int) -> np.ndarray:
         return self._table.candidate_values(int(key)).astype(np.int64)
-
-    def _candidate_counts(self, keys: np.ndarray) -> np.ndarray:
-        return self._table.candidate_counts(keys)
 
     def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fingerprints and buckets for the whole key array resolve with one
@@ -712,10 +698,6 @@ class CsfAuxTable(AuxTable):
     def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         valid, values = self._lookup(keys)
         return valid.astype(np.int64), values[valid].astype(np.int64)
-
-    def _candidate_counts(self, keys: np.ndarray) -> np.ndarray:
-        valid, _ = self._lookup(keys)
-        return valid.astype(np.int64)
 
     def to_bytes(self) -> bytes:
         self.finalize()

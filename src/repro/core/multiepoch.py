@@ -60,6 +60,35 @@ def _merge_stats(dst: QueryStats, src: QueryStats) -> None:
         dst.breakdown_bytes[k] = dst.breakdown_bytes.get(k, 0) + v
 
 
+def _newest_first(
+    epochs: list[int], engine, keys, negative=None
+) -> tuple[list[bytes | None], list[int | None], list[QueryStats]]:
+    """Newest value of each key across ``epochs`` (oldest first), read
+    through ``engine(epoch)``: each epoch is probed once with the
+    still-missing keys (block-coalesced), newest first, until none is left.
+    Returns ``(values, epochs_found, stats)``, each key's costs aggregated
+    over the epochs it walked."""
+    arr = np.asarray(keys, dtype=np.uint64).ravel()
+    values: list[bytes | None] = [None] * arr.size
+    found: list[int | None] = [None] * arr.size
+    agg = [QueryStats() for _ in range(arr.size)]
+    remaining = list(range(arr.size))
+    for epoch in reversed(epochs):
+        if not remaining:
+            break
+        vals, stats = engine(epoch).get_many(arr[remaining], negative)
+        still: list[int] = []
+        for i, value, st in zip(remaining, vals, stats):
+            _merge_stats(agg[i], st)
+            if value is not None:
+                values[i] = value
+                found[i] = epoch
+            else:
+                still.append(i)
+        remaining = still
+    return values, found, agg
+
+
 class EpochMount:
     """One reader session over a store's live epochs.
 
@@ -113,32 +142,10 @@ class EpochMount:
 
     def lookup_many(
         self, keys, negative=None
-    ) -> tuple[list[bytes | None], list[int | None], list[tuple[list[int], list[QueryStats]]]]:
-        """Newest value of each key across all live epochs: each epoch is
-        probed once with the still-missing keys (block-coalesced), newest
-        first, until none is left.  Returns ``(values, epochs_found,
-        steps)``, one ``(key positions probed, their QueryStats)`` step per
-        epoch walked, for callers that account costs per key.
-        """
-        arr = np.asarray(keys, dtype=np.uint64).ravel()
-        values: list[bytes | None] = [None] * arr.size
-        found: list[int | None] = [None] * arr.size
-        steps = []
-        remaining = list(range(arr.size))
-        for epoch in reversed(self.store.epochs):
-            if not remaining:
-                break
-            vals, stats = self.engine(epoch).get_many(arr[remaining], negative)
-            steps.append((remaining, stats))
-            still: list[int] = []
-            for i, value in zip(remaining, vals):
-                if value is not None:
-                    values[i] = value
-                    found[i] = epoch
-                else:
-                    still.append(i)
-            remaining = still
-        return values, found, steps
+    ) -> tuple[list[bytes | None], list[int | None], list[QueryStats]]:
+        """Newest value of each key across all live epochs (`_newest_first`
+        over the session's engines)."""
+        return _newest_first(self.store.epochs, self.engine, keys, negative)
 
     def close(self) -> None:
         """Release every held reader handle (idempotent; engines rebuild
@@ -438,35 +445,26 @@ class MultiEpochStore:
     def lookup(
         self, key: int, cached: bool = True
     ) -> tuple[bytes | None, int | None, QueryStats]:
-        """Newest value of ``key`` across all live epochs.
+        """Newest value of ``key`` across all live epochs: `lookup_many` of
+        one key, returning ``(value, epoch_found, aggregate_stats)``.
 
         Walks epochs newest-first with early stop — the read whose cost
         grows linearly with live epoch count, and exactly the view
-        compaction preserves (first-write-wins, newest epoch first).
-        Returns ``(value, epoch_found, aggregate_stats)``.  With
-        ``cached=False`` every probe opens partitions afresh (the paper's
-        cold reader), which is what `benchmarks/bench_compact.py` measures.
+        compaction preserves (first-write-wins, newest epoch first).  With
+        ``cached=False`` the walk goes through the cold engines, so every
+        probe opens partitions afresh (the paper's cold reader), which is
+        what `benchmarks/bench_compact.py` measures.
         """
-        agg = QueryStats()
-        for epoch in reversed(self.epochs):
-            probe = self._warm.engine(epoch) if cached else self._engines[epoch]
-            value, stats = probe.get(key)
-            _merge_stats(agg, stats)
-            if value is not None:
-                return value, epoch, agg
-        return None, None, agg
+        engine = self._warm.engine if cached else self.engine
+        values, found, stats = _newest_first(self.epochs, engine, [key])
+        return values[0], found[0], stats[0]
 
     def lookup_many(
         self, keys
     ) -> tuple[list[bytes | None], list[int | None], list[QueryStats]]:
         """Bulk `lookup` through the warm session (`EpochMount.lookup_many`),
         with each key's costs aggregated over the epochs it walked."""
-        values, found, steps = self._warm.lookup_many(keys)
-        agg = [QueryStats() for _ in values]
-        for positions, stats in steps:
-            for i, st in zip(positions, stats):
-                _merge_stats(agg[i], st)
-        return values, found, agg
+        return self._warm.lookup_many(keys)
 
     # -- compaction ---------------------------------------------------------
 

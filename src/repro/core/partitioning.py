@@ -26,8 +26,12 @@ class HashPartitioner:
         self.seed = int(seed)
 
     def partition_of(self, keys: np.ndarray | int) -> np.ndarray:
-        """Owning rank for each key (vectorized)."""
-        h = hash64(np.asarray(keys, dtype=np.uint64), self.seed)
+        """Owning rank for each key (vectorized; a one-key array takes the
+        scalar twin, whose arithmetic costs less than one array dispatch)."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.ndim == 1 and keys.size == 1:
+            return np.asarray([self.partition_of_one(keys[0])], dtype=np.int64)
+        h = hash64(keys, self.seed)
         return (h % np.uint64(self.nparts)).astype(np.int64)
 
     def partition_of_one(self, key: int) -> int:

@@ -1,16 +1,19 @@
 """The read path: point queries over a persisted, partitioned dataset.
 
-Implements the three query flows whose costs Fig. 11 compares:
+Fig. 11 compares the cost of three query flows.  Here they are one flow,
+`QueryEngine.get_many` (`get` is it for one key), which differs by format
+only in where a key's candidate partitions come from and what a hit holds:
 
-* **base** — hash the key to its partition, open that partition's table
-  (footer + index + filter reads), read the candidate data block(s).
+* **base** — the key's owner partition is its one candidate: open that
+  partition's table (footer + index + filter reads), read the candidate
+  data block(s).
 * **dataptr** — same, but the stored value is a 12-byte pointer, so one
   extra read recovers the value from the writer's log (the paper's
   "one extra read operation per query").
-* **filterkv** — read the partition's *auxiliary table* first, then probe
-  the candidate source partitions' main tables until the key is found;
-  false positives cost extra partition probes (1.88 partitions/query in
-  the paper's runs).
+* **filterkv** — read the owner's *auxiliary table* first; its candidate
+  source partitions' main tables are probed in ascending order until the
+  key is found.  False positives cost extra partition probes (1.88
+  partitions/query in the paper's runs).
 
 Every read is charged to the `StorageDevice`, and `QueryStats` breaks the
 cost down by the same categories as Fig. 11b/c: footer, index, aux table,
@@ -257,32 +260,13 @@ class QueryEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- query flows ---------------------------------------------------------
+    # -- the read flow -------------------------------------------------------
 
     def get(self, key: int) -> tuple[bytes | None, QueryStats]:
-        """Point lookup; returns (value-or-None, cost accounting)."""
-        if current_span() is None:  # untraced: skip span-argument setup
-            value, stats = self._get_dispatch(key)
-            self._observe(stats)
-            return value, stats
-        with child_span(
-            "engine.get",
-            counters=self.metrics,
-            prefixes=("reader.",),
-            format=self.fmt.name,
-        ) as span:
-            value, stats = self._get_dispatch(key)
-            self._observe(stats)
-            if span is not None:
-                span.annotate(found=stats.found, partitions=stats.partitions_searched)
-        return value, stats
-
-    def _get_dispatch(self, key: int) -> tuple[bytes | None, QueryStats]:
-        if self.fmt.name == "base":
-            return self._get_base(key)
-        if self.fmt.name == "dataptr":
-            return self._get_dataptr(key)
-        return self._get_filterkv(key)
+        """Point lookup, `get_many` of one key; returns (value-or-None,
+        cost accounting)."""
+        values, stats = self.get_many(np.asarray([key], dtype=np.uint64))
+        return values[0], stats[0]
 
     def _observe(self, stats: QueryStats) -> None:
         """Mirror one query's cost accounting into the registry."""
@@ -300,104 +284,43 @@ class QueryEngine:
                 "reader.bytes_read", format=self.fmt.name, category=cat
             ).inc(nbytes)
 
-    def _get_base(self, key: int) -> tuple[bytes | None, QueryStats]:
-        stats = QueryStats()
-        owner = self.partitioner.partition_of_one(key)
-        reader = self._open_table(owner, stats)
-        try:
-            with self._charged(stats, "data"):
-                value = reader.get(key)
-        finally:
-            self._release_table(reader)
-        stats.partitions_searched = 1
-        stats.found = value is not None
-        return value, stats
-
-    def _get_dataptr(self, key: int) -> tuple[bytes | None, QueryStats]:
-        stats = QueryStats()
-        owner = self.partitioner.partition_of_one(key)
-        reader = self._open_table(owner, stats)
-        try:
-            with self._charged(stats, "data"):
-                ptr_blob = reader.get(key)
-        finally:
-            self._release_table(reader)
-        stats.partitions_searched = 1
-        if ptr_blob is None:
-            return None, stats
-        ptr = DataPointer.unpack(ptr_blob)
-        log = self._open_vlog(ptr.rank)
-        try:
-            with self._charged(stats, "vlog"):
-                value = log.read(ptr)
-        finally:
-            self._release_vlog(log)
-        stats.found = True
-        return value, stats
-
-    def _get_filterkv(self, key: int) -> tuple[bytes | None, QueryStats]:
-        stats = QueryStats()
-        owner = self.partitioner.partition_of_one(key)
-        aux = self.aux_tables[owner]
-        if aux is None:
-            raise ValueError(f"no auxiliary table for partition {owner}")
-        self._charge_aux(owner, stats)
-        candidates = aux.candidate_ranks(key)
-        self._m_candidates.inc(len(candidates))
-        value = None
-        for rank in candidates:
-            stats.partitions_searched += 1
-            reader = self._open_table(int(rank), stats)
-            try:
-                with self._charged(stats, "data"):
-                    value = reader.get(key)
-            finally:
-                self._release_table(reader)
-            if value is not None:
-                break
-        stats.found = value is not None
-        return value, stats
-
-    # -- bulk query flow -----------------------------------------------------
-
     @staticmethod
-    def _groups(sortkeys: np.ndarray):
-        """Yield ``(value, positions)`` groups of equal sort keys, ascending.
+    def _groups(values) -> list[tuple[int, list[int]]]:
+        """``(value, positions)`` for each distinct value, ascending.
 
-        ``positions`` preserves the original relative order within each
-        group (stable sort), so "first key of a group" is deterministic.
+        ``positions`` keeps the original relative order within each group,
+        so "first key of a group" is deterministic.  Plain lists: the
+        bookkeeping is per key anyway, and a one-key read pays no array
+        round trip for it.
         """
-        if sortkeys.size == 0:
-            return
-        order = np.argsort(sortkeys, kind="stable")
-        sk = sortkeys[order]
-        starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-        ends = np.r_[starts[1:], sk.size]
-        for s, e in zip(starts, ends):
-            yield int(sk[s]), order[s:e]
+        groups: dict[int, list[int]] = {}
+        for p, v in enumerate(values):
+            groups.setdefault(v, []).append(p)
+        return sorted(groups.items())
 
     def get_many(
         self, keys, negative=None
     ) -> tuple[list[bytes | None], list[QueryStats]]:
-        """Bulk point lookups: value-equivalent to ``[self.get(k) for k in keys]``.
+        """Point lookups, the one read flow (`get` is this of one key).
 
-        The batch walks the same probe schedule as the scalar loop —
-        candidate ranks ascending per key, stopping at the first hit — so
-        ``found``, per-key ``partitions_searched``, and the aux-table
-        probe/candidate counters all match the scalar walk exactly.  What
-        changes is the physical plan: each partition table (and value log)
-        is opened once per batch, keys destined for the same data block are
+        Every key walks its candidate ranks in ascending order, stopping at
+        the first hit: the owner alone for base and dataptr, the owner's
+        aux-table candidates for filterkv.  So ``found``, per-key
+        ``partitions_searched`` and the aux-table probe/candidate counters
+        are those of answering each key on its own.  What a batch shares
+        is the physical plan: each partition table (and value log) is
+        opened once per batch, keys destined for the same data block are
         resolved with a single block read, and vlog reads sweep each log in
-        offset order.  Shared I/O is charged to the *first* key of the group
-        that needed it, so per-key breakdowns are an attribution (aggregate
-        reads/bytes remain exact, and are <= the scalar loop's — that
-        reduction is the point).
+        offset order.  Shared I/O is charged to the *first* key of the
+        group that needed it, so per-key breakdowns are an attribution
+        (aggregate reads/bytes remain exact, and are <= answering the keys
+        one call each — that reduction is the point).
 
-        ``negative`` is the serving tier's `NegativeCache` (filterkv only):
-        candidates it already refuted for this epoch are dropped before
-        any table is touched, and every probe that misses is recorded in
-        it — the cache only ever removes probes known to miss, so answers
-        are unchanged.
+        ``negative`` is the serving tier's `NegativeCache` (filterkv only;
+        the other formats ignore it): candidates it already refuted for
+        this epoch are dropped before any table is touched, and every probe
+        that misses is recorded in it — the cache only ever removes probes
+        known to miss, so answers are unchanged.
         """
         arr = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
         n = int(arr.size)
@@ -406,7 +329,7 @@ class QueryEngine:
         if n == 0:
             return values, stats
         if current_span() is None:  # untraced: skip span-argument setup
-            self._get_many_dispatch(arr, values, stats, n, negative)
+            self._read(arr, values, stats, negative)
             return values, stats
         with child_span(
             "engine.get_many",
@@ -415,47 +338,40 @@ class QueryEngine:
             format=self.fmt.name,
             keys=n,
         ) as span:
-            blocks, probes = self._get_many_dispatch(arr, values, stats, n, negative)
+            blocks, probes = self._read(arr, values, stats, negative)
             if span is not None:
                 span.annotate(blocks=blocks, probes=probes)
         return values, stats
 
-    def _get_many_dispatch(
-        self,
-        arr: np.ndarray,
-        values: list[bytes | None],
-        stats: list["QueryStats"],
-        n: int,
-        negative,
-    ) -> tuple[int, int]:
-        if self.fmt.name == "base":
-            blocks, probes = self._get_many_direct(arr, values, stats, deref=False)
-        elif self.fmt.name == "dataptr":
-            blocks, probes = self._get_many_direct(arr, values, stats, deref=True)
-        else:
-            blocks, probes = self._get_many_filterkv(arr, values, stats, negative)
-        for s in stats:
-            self._observe(s)
-        self._m_batch_keys.inc(n)
-        self._m_batch_blocks.observe(blocks)
-        if blocks:
-            self._m_batch_coalesce.observe(probes / blocks)
-        return blocks, probes
-
-    def _get_many_direct(
+    def _read(
         self,
         keys: np.ndarray,
         values: list[bytes | None],
         stats: list[QueryStats],
-        deref: bool,
+        negative,
     ) -> tuple[int, int]:
-        """Bulk base/dataptr flow: one table open per owner partition."""
-        owners = self.partitioner.partition_of(keys)
+        """Probe candidate tables rank by rank, dereference dataptr's
+        pointers, account; returns ``(blocks touched, probes)``.
+
+        Processing candidate ranks in ascending order with a per-key
+        "found" mask is probe-equivalent to each key walking its own
+        candidate list (which is ascending) and stopping at the first hit.
+        """
+        owners = self.partitioner.partition_of(keys).tolist()
+        if self.fmt.name == "filterkv":
+            plan = self._candidates(keys, owners, stats, negative)
+        else:  # the owner is the one candidate: no aux table, nothing to refute
+            plan, negative = self._groups(owners), None
+        deref = self.fmt.name == "dataptr"
+        found = [False] * len(values)
+        ptrs: list[tuple[int, DataPointer]] = []
         blocks_touched = 0
         probes = 0
-        ptrs: list[tuple[int, DataPointer]] = []
-        for rank, pos in self._groups(owners):
-            lead = stats[int(pos[0])]
+        for rank, pos in plan:
+            pos = [p for p in pos if not found[p]]
+            if not pos:
+                continue
+            lead = stats[pos[0]]
             reader = self._open_table(rank, lead)
             try:
                 with self._charged(lead, "data"):
@@ -464,17 +380,20 @@ class QueryEngine:
                 self._release_table(reader)
             blocks_touched += nblocks
             probes += len(pos)
-            for p, v in zip(pos.tolist(), vals):
-                stats[p].partitions_searched = 1
-                if not deref:
-                    values[p] = v
-                    stats[p].found = v is not None
-                elif v is not None:
+            for p, v in zip(pos, vals):
+                stats[p].partitions_searched += 1
+                if v is None:
+                    if negative is not None:
+                        negative.add(self.epoch, int(keys[p]), rank)
+                    continue
+                found[p] = True
+                if deref:
                     ptrs.append((p, DataPointer.unpack(v)))
-        if deref and ptrs:
-            vranks = np.asarray([pt.rank for _, pt in ptrs], dtype=np.int64)
-            for rank, gi in self._groups(vranks):
-                group = [ptrs[int(i)] for i in gi]
+                else:
+                    values[p] = v
+        if ptrs:  # dataptr: one more read per value, from the writer's log
+            for rank, at in self._groups(pt.rank for _, pt in ptrs):
+                group = [ptrs[i] for i in at]
                 lead = stats[group[0][0]]
                 log = self._open_vlog(rank)
                 try:
@@ -484,76 +403,38 @@ class QueryEngine:
                     self._release_vlog(log)
                 for (p, _), v in zip(group, vals):
                     values[p] = v
-                    stats[p].found = True
+        for st, hit in zip(stats, found):
+            st.found = hit
+            self._observe(st)
+        self._m_batch_keys.inc(len(values))
+        self._m_batch_blocks.observe(blocks_touched)
+        if blocks_touched:
+            self._m_batch_coalesce.observe(probes / blocks_touched)
         return blocks_touched, probes
 
-    def _get_many_filterkv(
-        self,
-        keys: np.ndarray,
-        values: list[bytes | None],
-        stats: list[QueryStats],
-        negative,
-    ) -> tuple[int, int]:
-        """Bulk filterkv flow: aux once per owner, probes grouped by rank.
-
-        Processing candidate ranks in ascending order with a per-key
-        "found" mask is probe-equivalent to each key walking its own
-        candidate list (which is ascending) and stopping at the first hit.
-        """
-        owners = self.partitioner.partition_of(keys)
-        cand_pos: list[np.ndarray] = []
-        cand_rank: list[np.ndarray] = []
+    def _candidates(
+        self, keys: np.ndarray, owners: list[int], stats: list[QueryStats], negative
+    ) -> list[tuple[int, list[int]]]:
+        """Filterkv's probe plan: each owner's aux table fetched and probed
+        once per batch, then ``(rank, key positions)`` for every candidate
+        rank, ascending, less the candidates the negative cache refuted."""
+        klist = keys.tolist()
+        by_rank: dict[int, list[int]] = {}
         for owner, pos in self._groups(owners):
             aux = self.aux_tables[owner]
             if aux is None:
                 raise ValueError(f"no auxiliary table for partition {owner}")
-            self._charge_aux(owner, stats[int(pos[0])])
+            self._charge_aux(owner, stats[pos[0]])
             counts, flat = aux.candidates_many(keys[pos])
-            self._m_candidates.inc(int(counts.sum()))
-            cand_pos.append(np.repeat(pos, counts))
-            cand_rank.append(flat)
-        flat_pos = np.concatenate(cand_pos) if cand_pos else np.zeros(0, dtype=np.int64)
-        flat_rank = (
-            np.concatenate(cand_rank) if cand_rank else np.zeros(0, dtype=np.int64)
-        )
-        if negative is not None:  # drop candidates already refuted
-            klist = keys.tolist()
-            keep = np.fromiter(
-                (
-                    not negative.refuted(self.epoch, klist[p], r)
-                    for p, r in zip(flat_pos.tolist(), flat_rank.tolist())
-                ),
-                dtype=bool,
-                count=flat_rank.size,
-            )
-            flat_pos, flat_rank = flat_pos[keep], flat_rank[keep]
-        found = np.zeros(len(values), dtype=bool)
-        blocks_touched = 0
-        probes = 0
-        for rank, gi in self._groups(flat_rank):
-            pos = flat_pos[gi]
-            pos = pos[~found[pos]]
-            if pos.size == 0:
-                continue
-            lead = stats[int(pos[0])]
-            reader = self._open_table(int(rank), lead)
-            try:
-                with self._charged(lead, "data"):
-                    vals, nblocks = reader.get_many(keys[pos])
-            finally:
-                self._release_table(reader)
-            blocks_touched += nblocks
-            probes += len(pos)
-            for p, v in zip(pos.tolist(), vals):
-                stats[p].partitions_searched += 1
-                if v is not None:
-                    values[p] = v
-                    found[p] = True
-                elif negative is not None:
-                    negative.add(self.epoch, klist[p], rank)
-        for p, v in enumerate(values):
-            stats[p].found = v is not None
-        return blocks_touched, probes
+            self._m_candidates.inc(flat.size)
+            flat = flat.tolist()
+            at = 0
+            for p, c in zip(pos, counts.tolist()):
+                for r in flat[at : at + c]:
+                    if negative is None or not negative.refuted(self.epoch, klist[p], r):
+                        by_rank.setdefault(r, []).append(p)
+                at += c
+        return sorted(by_rank.items())
 
 
 class CachedQueryEngine(QueryEngine):

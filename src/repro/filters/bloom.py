@@ -98,10 +98,11 @@ class BloomFilter:
         self._count += digests.size
 
     def contains_many(self, digests: np.ndarray) -> np.ndarray:
-        """Vectorized membership test; returns a boolean array."""
+        """Vectorized membership test; returns a boolean array (one digest
+        takes the scalar `__contains__`)."""
         digests = np.asarray(digests, dtype=np.uint64)
-        if digests.size == 0:
-            return np.zeros(0, dtype=bool)
+        if digests.size <= 1:
+            return np.asarray([int(d) in self for d in digests.ravel()], dtype=bool)
         pos = double_hash_probes(digests.ravel(), self.nhashes, self.nbits, self.seed)
         words, offsets = np.divmod(pos, 64)
         bits = (self._words[words] >> offsets.astype(np.uint64)) & np.uint64(1)

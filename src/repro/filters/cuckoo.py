@@ -626,11 +626,15 @@ class ChainedCuckooTable:
         distinct candidate values and ``counts[i]`` says how many belong to
         key *i* — the flattened form the bulk read path schedules from.
         One `lookup_many` per chained table resolves fingerprints and
-        buckets for every key at once; no per-key Python work.
+        buckets for every key at once; no per-key Python work.  A lone key
+        takes `candidate_values`, which hashes it without array dispatch.
         """
         keys = np.asarray(keys, dtype=np.uint64).ravel()
         if keys.size == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        if keys.size == 1:
+            flat = self.candidate_values(keys[0]).astype(np.int64)
+            return np.asarray([flat.size], dtype=np.int64), flat
         all_vals = []
         all_match = []
         for t in self.tables:

@@ -58,11 +58,20 @@ def splitmix64(x: np.ndarray | int) -> np.ndarray:
     ``uint64`` array of the same shape.
     """
     z = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # wraparound is the point
-        z = z + _GAMMA
-        z = (z ^ (z >> _SHIFT30)) * _MIX1
-        z = (z ^ (z >> _SHIFT27)) * _MIX2
-    return z ^ (z >> _SHIFT31)
+    if z.ndim == 0:  # NumPy scalars warn on the wraparound that is the point
+        return splitmix64(z.reshape(1))[0]
+    # In place on one fresh array (arrays wrap silently): a third of the
+    # temporaries, and no `np.errstate` entry, per call.
+    z = z + _GAMMA
+    t = z >> _SHIFT30
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, _SHIFT27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _SHIFT31, out=t)
+    z ^= t
+    return z
 
 
 def splitmix64_int(x: int) -> int:

@@ -153,6 +153,6 @@ def load_jsonl(text: str, name: str = "") -> MetricsRegistry:
         if not line:
             continue
         entry = json.loads(line)
-        inst = registry._get(entry["kind"], entry["name"], entry.get("labels", {}))
+        inst = registry._instrument(entry["kind"], entry["name"], entry.get("labels", {}))
         inst._load(entry)
     return registry

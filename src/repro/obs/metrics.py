@@ -198,7 +198,7 @@ class MetricsRegistry:
 
     # -- instrument access -------------------------------------------------
 
-    def _get(self, kind: str, name: str, labels: dict):
+    def _instrument(self, kind: str, name: str, labels: dict):
         key = (name, _labelset(labels))
         inst = self._series.get(key)
         if inst is None:
@@ -209,13 +209,13 @@ class MetricsRegistry:
         return inst
 
     def counter(self, name: str, **labels) -> Counter:
-        return self._get("counter", name, labels)
+        return self._instrument("counter", name, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get("gauge", name, labels)
+        return self._instrument("gauge", name, labels)
 
     def histogram(self, name: str, **labels) -> Histogram:
-        return self._get("histogram", name, labels)
+        return self._instrument("histogram", name, labels)
 
     @contextmanager
     def timed(self, name: str, clock=time.perf_counter, **labels):
@@ -267,7 +267,7 @@ class MetricsRegistry:
         for (name, labels), inst in other._series.items():
             merged = dict(labels)
             merged.update({k: str(v) for k, v in extra_labels.items()})
-            self._get(inst.kind, name, merged)._merge(inst)
+            self._instrument(inst.kind, name, merged)._merge(inst)
         return self
 
     def rollup(self, *drop_labels: str) -> "MetricsRegistry":
@@ -279,7 +279,7 @@ class MetricsRegistry:
         out = MetricsRegistry(self.name)
         for (name, labels), inst in self._series.items():
             kept = {k: v for k, v in labels if k not in drop_labels}
-            out._get(inst.kind, name, kept)._merge(inst)
+            out._instrument(inst.kind, name, kept)._merge(inst)
         return out
 
 

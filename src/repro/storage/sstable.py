@@ -459,8 +459,8 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
 class _Block:
     """One fetched data block: the I/O unit, cached whole.
 
-    Holds the raw bytes, where its key groups start, and what the lookups
-    so far have verified and decoded — a group is checksummed and decoded
+    Holds the raw bytes, where its key groups start and their first keys,
+    and what the lookups so far have verified and decoded — a group is checksummed and decoded
     the first time a lookup lands in it, never before.  ``keys`` is the
     block's key column: a verified group's slots hold its keys; the slots
     of a group not yet verified hold that group's first key from the
@@ -468,10 +468,11 @@ class _Block:
     serves any mix of groups.
     """
 
-    __slots__ = ("raw", "goff", "verified", "keys")
+    __slots__ = ("raw", "gfirst", "goff", "verified", "keys")
 
-    def __init__(self, raw: bytes, goff: np.ndarray, keys: np.ndarray):
+    def __init__(self, raw: bytes, gfirst: np.ndarray, goff: np.ndarray, keys: np.ndarray):
         self.raw = raw
+        self.gfirst = gfirst
         self.goff = goff
         self.verified = np.zeros(goff.size, dtype=bool)
         self.keys = keys
@@ -541,34 +542,10 @@ class SSTableReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def may_contain(self, key: int) -> bool:
-        """Bloom-filter gate: False means the key is definitely absent."""
-        if self._bloom is None:
-            return True
-        return int(key) in self._bloom
-
     def get(self, key: int) -> bytes | None:
-        """Point lookup; returns the (first) value or None."""
-        key = int(key)
-        if current_span() is None:  # untraced: skip span-argument setup
-            return self._get(key)
-        with child_span(
-            "sstable.get", counters=self._metrics, prefixes=("sstable.",), table=self.name
-        ):
-            return self._get(key)
-
-    def _get(self, key: int) -> bytes | None:
-        if not self.may_contain(key):
-            return None
-        k = np.asarray([key], dtype=np.uint64)
-        lo = int(np.searchsorted(self._last, k[0], side="left"))
-        while lo < self._first.size and self._first[lo] <= k[0]:
-            blk = self._block(lo)
-            hit, starts, stops = self._find(blk, lo, k)
-            if hit[0]:
-                return blk.raw[int(starts[0]) : int(stops[0])]
-            lo += 1
-        return None
+        """Point lookup, `get_many` of one key; returns the (first) value or
+        None."""
+        return self.get_many(np.asarray([key], dtype=np.uint64))[0][0]
 
     # -- blocks (the I/O unit) and key groups (the verify/decode unit) ------
 
@@ -579,10 +556,11 @@ class SSTableReader:
             raise CorruptBlockError(f"block {i} truncated to {len(raw)} bytes")
         meta = self.meta
         groups = slice(meta.gstart[i], meta.gstart[i + 1])
+        gfirst = meta.gfirst[groups]
         # Until a group is verified, its first key stands in for its keys.
         per = meta.group_bytes // meta.record_bytes
-        keys = np.repeat(meta.gfirst[groups], per)[: len(raw) // meta.record_bytes]
-        return _Block(raw, meta.goff[groups], keys)
+        keys = gfirst.repeat(per)[: len(raw) // meta.record_bytes]
+        return _Block(raw, gfirst, meta.goff[groups], keys)
 
     def _block(self, i: int) -> _Block:
         """Block ``i`` through the reader's small block cache.
@@ -636,6 +614,8 @@ class SSTableReader:
         per, n = meta.group_bytes // rec, blk.keys.size
         if need.size == blk.verified.size:  # the whole block (a scan): no gather
             at = slice(None)
+        elif need.size == 1:  # one group (a point lookup): its rows, no gather
+            at = slice(int(need[0]) * per, (int(need[0]) + 1) * per)
         else:
             at = (need[:, None] * per + np.arange(per)).ravel()
             if at[-1] >= n:  # the block's last group is its short one
@@ -662,16 +642,14 @@ class SSTableReader:
         touched, all in one pass, and a hit counts only in a verified group.
         """
         meta = self.meta
-        gfirst = meta.gfirst[meta.gstart[i] : meta.gstart[i + 1]]
-        below = np.searchsorted(gfirst, keys, side="left")  # groups starting below the key
-        upto = np.searchsorted(gfirst, keys, side="right")  # ... at or below it
-        touched = np.zeros(gfirst.size, dtype=bool)
+        below = blk.gfirst.searchsorted(keys)  # groups starting below the key
+        upto = blk.gfirst.searchsorted(keys, "right")  # ... at or below it
+        touched = np.zeros(blk.gfirst.size, dtype=bool)
         touched[np.maximum(below - 1, 0)] = True
         touched[below[upto > below]] = True
-        groups = np.flatnonzero(touched)
-        self._touch(blk, i, groups)
+        self._touch(blk, i, touched.nonzero()[0])
         rec, bkeys = meta.record_bytes, blk.keys
-        loc = np.minimum(np.searchsorted(bkeys, keys, side="left"), bkeys.size - 1)
+        loc = np.minimum(bkeys.searchsorted(keys), bkeys.size - 1)
         hit = (bkeys[loc] == keys) & blk.verified[loc // (meta.group_bytes // rec)]
         starts = loc * rec + _ENTRY_HDR.size
         return hit, starts, starts + (rec - _ENTRY_HDR.size)
@@ -684,15 +662,16 @@ class SSTableReader:
         return self._bloom.contains_many(keys)
 
     def get_many(self, keys: np.ndarray) -> tuple[list[bytes | None], int]:
-        """Batched point lookups; returns ``(values, blocks_touched)``.
+        """Point lookups, the table's one read (`get` is this of one key);
+        returns ``(values, blocks_touched)``.
 
-        ``values[i]`` is byte-identical to ``self.get(keys[i])``; keys are
-        coalesced per data block so each needed block is read once for the
-        whole batch and the key groups the batch lands in are verified and
-        decoded in one pass (the filter and index are consulted once per
-        batch with array ops).  ``blocks_touched`` is the number of
-        per-block resolution passes the batch needed — the denominator of
-        the block-coalescing ratio.
+        ``values[i]`` is the first value written for ``keys[i]``, or None.
+        Keys are coalesced per data block, so each needed block is read
+        once for the whole batch and the key groups the batch lands in are
+        verified and decoded in one pass (the filter and index are
+        consulted once per batch).  ``blocks_touched`` is the number of
+        data blocks the batch needed — the denominator of the
+        block-coalescing ratio.
         """
         keys = np.asarray(keys, dtype=np.uint64).ravel()
         if current_span() is None:  # untraced: skip span-argument setup
@@ -711,47 +690,27 @@ class SSTableReader:
 
     def _get_many(self, keys: np.ndarray) -> tuple[list[bytes | None], int]:
         values: list[bytes | None] = [None] * keys.size
-        if keys.size == 0 or self._first.size == 0:
+        first = self._first
+        if first.size == 0:
             return values, 0
-        alive = np.nonzero(self.may_contain_many(keys))[0]
-        if alive.size == 0:
-            return values, 0
-        pos = alive
-        cur = np.searchsorted(self._last, keys[alive], side="left").astype(np.int64)
-        blocks_touched = 0
-        while pos.size:
-            # A key is still in play while its candidate block exists and
-            # starts at-or-before it (the scalar walk's loop condition).
-            ok = cur < self._first.size
-            ok[ok] = self._first[cur[ok]] <= keys[pos[ok]]
-            pos, cur = pos[ok], cur[ok]
-            if pos.size == 0:
-                break
-            order = np.argsort(cur, kind="stable")
-            pos, cur = pos[order], cur[order]
-            cuts = [0, *(np.flatnonzero(cur[1:] != cur[:-1]) + 1).tolist(), cur.size]
-            next_pos: list[np.ndarray] = []
-            next_cur: list[np.ndarray] = []
-            for s, e in zip(cuts, cuts[1:]):
-                i = int(cur[s])
-                blk = self._block(i)
-                blocks_touched += 1
-                hit, starts, stops = self._find(blk, i, keys[pos[s:e]])
-                raw = blk.raw
-                at = np.nonzero(hit)[0]
-                for p, a, b in zip(
-                    pos[s:e][at].tolist(), starts[at].tolist(), stops[at].tolist()
-                ):
+        # Keys ascend across blocks, so a key the Bloom filter passes can be
+        # only in the first block whose last key is not below it, and only
+        # if that block starts at-or-before it.
+        pos = self.may_contain_many(keys).nonzero()[0]
+        k = keys[pos]
+        blocks: dict[int, list[int]] = {}
+        for p, key, i in zip(pos.tolist(), k.tolist(), self._last.searchsorted(k).tolist()):
+            if i < first.size and first[i] <= key:
+                blocks.setdefault(i, []).append(p)
+        for i in sorted(blocks):
+            at = blocks[i]
+            blk = self._block(i)
+            hit, starts, stops = self._find(blk, i, keys[at])
+            raw = blk.raw
+            for p, h, a, b in zip(at, hit.tolist(), starts.tolist(), stops.tolist()):
+                if h:
                     values[p] = raw[a:b]
-                miss = np.nonzero(~hit)[0]
-                if miss.size:
-                    next_pos.append(pos[s:e][miss])
-                    next_cur.append(cur[s:e][miss] + 1)
-            if not next_pos:
-                break
-            pos = np.concatenate(next_pos)
-            cur = np.concatenate(next_cur)
-        return values, blocks_touched
+        return values, len(blocks)
 
     def scan_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Full table contents as columnar arrays, in stored key order.

@@ -24,6 +24,7 @@ from repro.core.auxtable import (
     aux_to_blob,
     make_aux_table,
 )
+from repro.obs import MetricsRegistry
 
 NPARTS = 16
 NKEYS = 1500
@@ -86,6 +87,26 @@ def test_three_surface_equivalence(built):
         scalar = np.asarray(t.candidate_ranks(int(k)), dtype=np.int64)
         bulk = np.asarray(flat[starts[i] : starts[i + 1]], dtype=np.int64)
         np.testing.assert_array_equal(np.sort(scalar), np.sort(bulk), err_msg=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_key_stored_twice_by_one_rank_counts_once(backend):
+    """A key one rank wrote twice is one candidate on every surface, and
+    `candidate_counts` books no false candidate for it (exact counted each
+    stored copy)."""
+    reg = MetricsRegistry()
+    t = make_aux_table(backend, NPARTS, capacity_hint=4, seed=3, metrics=reg)
+    t.insert_many(np.asarray([5, 5, 9, 11], dtype=np.uint64), np.asarray([1, 1, 2, 3]))
+    t.finalize()
+    probe = np.asarray([5, 9], dtype=np.uint64)
+    falses = []
+    for surface in (t.candidates_many, t.candidate_counts):
+        before = reg.total("aux.false_candidates")
+        out = surface(probe)
+        counts = out[0] if isinstance(out, tuple) else out
+        falses.append(reg.total("aux.false_candidates") - before)
+        assert counts.tolist() == [len(t.candidate_ranks(int(k))) for k in probe], backend
+    assert falses[0] == falses[1], backend
 
 
 def test_candidates_sorted_distinct(built):

@@ -20,6 +20,9 @@ def test_scalar_matches_vector():
     keys = np.arange(100, dtype=np.uint64)
     vec = p.partition_of(keys)
     assert all(p.partition_of_one(int(k)) == vec[i] for i, k in enumerate(keys))
+    for i in range(0, keys.size, 7):  # a one-key array takes the scalar twin
+        one = p.partition_of(keys[i : i + 1])
+        assert one.dtype == vec.dtype and one.tolist() == vec[i : i + 1].tolist()
 
 
 def test_load_balance():

@@ -123,4 +123,7 @@ def test_scalar_membership_equals_the_batch_test():
         present = rng.integers(0, 2**64, size=500, dtype=np.uint64)
         bf.add_many(present)
         probe = np.concatenate([present, rng.integers(0, 2**64, size=1500, dtype=np.uint64)])
-        assert [int(k) in bf for k in probe] == bf.contains_many(probe).tolist()
+        batch = bf.contains_many(probe)
+        assert [int(k) in bf for k in probe] == batch.tolist()
+        for i in range(0, probe.size, 97):  # one digest takes `__contains__`
+            assert bf.contains_many(probe[i : i + 1]).tolist() == batch[i : i + 1].tolist()

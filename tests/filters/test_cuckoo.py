@@ -221,6 +221,9 @@ class TestCandidatesMany:
             want = t.candidate_values(int(k))
             assert np.array_equal(got, want), f"key {k}"
             assert np.all(np.diff(got) > 0)  # sorted distinct per key
+            one_counts, one_flat = t.candidates_many(probe[i : i + 1])  # the scalar twin
+            assert one_counts.tolist() == [counts[i]] and one_flat.tolist() == got.tolist()
+            assert one_flat.dtype == flat.dtype and one_counts.dtype == counts.dtype
 
     def test_spans_growth_boundary(self):
         """Keys inserted before and after chain growth resolve identically

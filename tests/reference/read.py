@@ -1,0 +1,133 @@
+"""The read path answered one key at a time: the read-side test oracle.
+
+`QueryEngine.get_many` resolves a batch with shared table opens,
+block-coalesced lookups and grouped value-log sweeps.  This module answers
+each key on its own, the way the paper's reader does (Fig. 11):
+
+* the key's owner partition, `HashPartitioner.partition_of_one`;
+* its candidate partitions: the owner alone for base and dataptr, the
+  owner's aux-table `candidate_ranks` for filterkv, walked in ascending
+  order until the first that holds the key;
+* a table is read with `SSTableReader.scan`, its own entry-by-entry walk
+  over every block (every key group verified), and the first entry of a
+  key — the first written — is its value;
+* for dataptr that value is a 12-byte pointer, ``u32 rank ‖ u64 offset``,
+  to a ``u32 length ‖ value`` record of that writer's value log.
+
+It shares with the code under test only what is not the read flow: the
+partitioner, the aux tables and `SSTableReader.scan`.
+"""
+
+from __future__ import annotations
+
+import struct
+from dataclasses import dataclass
+
+from repro.core.pipeline import main_table_name
+from repro.storage.sstable import SSTableReader
+
+POINTER = struct.Struct("<IQ")  # dataptr's stored value: writer rank, log offset
+LEN = struct.Struct("<I")  # value-log length prefix
+
+# Counters that depend only on the probe schedule, never on the I/O plan.
+READER_COUNTERS = ("reader.queries", "reader.hits", "reader.partitions_probed", "reader.candidates")
+AUX_COUNTERS = ("aux.probes", "aux.candidates", "aux.false_candidates")
+
+
+@dataclass(frozen=True)
+class Answer:
+    value: bytes | None
+    partitions_searched: int
+    candidates: int  # aux-table candidates (filterkv); 0 for the other formats
+
+    @property
+    def found(self) -> bool:
+        return self.value is not None
+
+
+class ReadOracle:
+    """Per-key answers over one epoch an engine reads (same device, format,
+    partitioner, aux tables and epoch)."""
+
+    def __init__(self, engine):
+        self.device = engine.device
+        self.fmt = engine.fmt
+        self.partitioner = engine.partitioner
+        self.aux_tables = engine.aux_tables
+        self.epoch = engine.epoch
+        self._tables: dict[int, dict[int, bytes]] = {}
+
+    def table(self, rank: int) -> dict[int, bytes]:
+        """Partition ``rank``'s table as key -> first value written."""
+        table = self._tables.get(rank)
+        if table is None:
+            table = {}
+            with SSTableReader(self.device, main_table_name(self.epoch, rank)) as reader:
+                for key, value in reader.scan():
+                    table.setdefault(key, value)
+            self._tables[rank] = table
+        return table
+
+    def answer(self, key: int) -> Answer:
+        key = int(key)
+        owner = self.partitioner.partition_of_one(key)
+        if self.fmt.name == "filterkv":
+            ranks = [int(r) for r in self.aux_tables[owner].candidate_ranks(key)]
+        else:
+            ranks = [owner]
+        value, searched = None, 0
+        for rank in sorted(ranks):
+            searched += 1
+            value = self.table(rank).get(key)
+            if value is not None:
+                break
+        if value is not None and self.fmt.name == "dataptr":
+            value = self._log_value(value)
+        return Answer(value, searched, len(ranks) if self.fmt.name == "filterkv" else 0)
+
+    def _log_value(self, pointer: bytes) -> bytes:
+        rank, offset = POINTER.unpack(pointer)
+        with self.device.open(f"vlog.{rank:06d}") as log:
+            (length,) = LEN.unpack(log.read(offset, LEN.size))
+            return log.read(offset + LEN.size, length)
+
+
+def reader_counters(answers: list[Answer]) -> dict[str, int]:
+    """The `READER_COUNTERS` totals a reader answering ``answers`` records."""
+    return {
+        "reader.queries": len(answers),
+        "reader.hits": sum(a.found for a in answers),
+        "reader.partitions_probed": sum(a.partitions_searched for a in answers),
+        "reader.candidates": sum(a.candidates for a in answers),
+    }
+
+
+def totals(registry, names) -> dict[str, int]:
+    return {name: int(registry.total(name)) for name in names}
+
+
+def check_against_oracle(engine, keys, aux_registry):
+    """``engine.get_many(keys)`` answers every key as `ReadOracle` does:
+    same values, ``found`` and ``partitions_searched`` per key, same reader
+    counters, and the same aux probe counters in ``aux_registry`` (the
+    registry the engine's aux tables count into).  Returns the call's
+    per-key stats and its device I/O delta."""
+    reader_before = totals(engine.metrics, READER_COUNTERS)
+    before = totals(aux_registry, AUX_COUNTERS)
+    io_before = engine.device.counters.snapshot()
+    values, stats = engine.get_many(keys)
+    io = engine.device.counters.delta(io_before)
+    mid = totals(aux_registry, AUX_COUNTERS)
+    oracle = ReadOracle(engine)
+    answers = [oracle.answer(k) for k in keys]
+    after = totals(aux_registry, AUX_COUNTERS)
+
+    assert values == [a.value for a in answers]
+    assert [s.found for s in stats] == [a.found for a in answers]
+    assert [s.partitions_searched for s in stats] == [a.partitions_searched for a in answers]
+    reader = totals(engine.metrics, READER_COUNTERS)
+    assert {n: reader[n] - reader_before[n] for n in READER_COUNTERS} == reader_counters(answers)
+    assert {n: mid[n] - before[n] for n in AUX_COUNTERS} == {
+        n: after[n] - mid[n] for n in AUX_COUNTERS
+    }
+    return stats, io
