@@ -30,7 +30,7 @@ import numpy as np
 from ..obs import MetricsRegistry, active, child_span, current_span
 from ..storage.blockio import StorageDevice
 from ..storage.log import DataPointer, ValueLog
-from ..storage.sstable import FOOTER_BYTES, SSTableReader, TableMeta
+from ..storage.sstable import BLOCK_CACHE_BLOCKS, FOOTER_BYTES, SSTableReader, TableMeta
 from .auxtable import AuxTable
 from .formats import FormatSpec
 from .partitioning import HashPartitioner
@@ -167,6 +167,12 @@ class QueryEngine:
         self.epoch = epoch
         self.metrics = active(metrics)
         self.meta_cache = meta_cache
+        # Data blocks each table reader it opens keeps.  Over a `MetaCache`
+        # this engine's readers live for one call (the store's handle-free
+        # mount), so they keep none and fetch only the key groups the call
+        # decodes.  The paper's cold reader fetches whole blocks, as Fig.
+        # 11b/c counts them; so do `CachedQueryEngine`'s kept readers.
+        self._reader_blocks = 0 if meta_cache is not None else BLOCK_CACHE_BLOCKS
         fmtl = {"format": fmt.name}
         self._m_queries = self.metrics.counter("reader.queries", **fmtl)
         self._m_hits = self.metrics.counter("reader.hits", **fmtl)
@@ -196,9 +202,9 @@ class QueryEngine:
         cache = self.meta_cache
         meta = cache.get(self.epoch, rank) if cache is not None else None
         if meta is not None:
-            return SSTableReader(self.device, name, meta=meta)
+            return SSTableReader(self.device, name, self._reader_blocks, meta=meta)
         before = self.device.counters.snapshot()
-        reader = SSTableReader(self.device, name)
+        reader = SSTableReader(self.device, name, self._reader_blocks)
         d = self.device.counters.delta(before)
         stats._charge("footer", 1, FOOTER_BYTES)
         stats._charge("index", d.reads - 1, d.bytes_read - FOOTER_BYTES)
@@ -464,6 +470,7 @@ class CachedQueryEngine(QueryEngine):
         if meta_cache is None:
             meta_cache = MetaCache()
         super().__init__(*args, meta_cache=meta_cache, **kwargs)
+        self._reader_blocks = BLOCK_CACHE_BLOCKS  # kept readers keep whole blocks
         if table_cache_entries < 1:
             raise ValueError(f"table_cache_entries must be >= 1, got {table_cache_entries}")
         self.table_cache_entries = table_cache_entries

@@ -30,12 +30,16 @@ Layout (all little-endian, 8-byte keys as in the paper's experiments)::
                    u64 fastsum64 of the first 56 footer bytes
 
     A block plays two roles and the layout keeps them apart.  It is the
-    *I/O unit*: one device read fetches it and the reader caches it whole.
+    *I/O unit*: a lookup reads each block it needs with one device read.
     The key group is the *verify/decode unit*: every byte of a block
     belongs to exactly one group, each group has its own checksum in the
     (checksummed) index block, and a lookup checks and decodes only the
     groups its keys land in — chosen from the group first keys, so a key
-    that is absent is still a verified "absent".  Filter, index and footer
+    that is absent is still a verified "absent".  What that one read
+    fetches depends on the reader: one with a block cache fetches and
+    keeps the whole block; one that keeps no blocks fetches only the span
+    from the first to the last group the lookup touches, planned from the
+    resident group table before the read.  Filter, index and footer
     carry their own checksums, so corruption anywhere in the table is
     detected at read time rather than silently changing answers.  Tables
     of the earlier layout (a count and one checksum per block, no groups)
@@ -94,6 +98,10 @@ _GROUP_ENTRY_BYTES = 8 + 8 + 4  # first key, checksum, offset: stored as columns
 # takes it to this many bytes.  Measured between 4 KB and 8 KB (CHANGES.md,
 # PR 24); readers take group bounds from the table, never from this constant.
 GROUP_BYTES = 4096
+
+# Data blocks a reader keeps by default (its LRU); such a reader fetches
+# whole blocks.  A reader that keeps none fetches only the groups it touches.
+BLOCK_CACHE_BLOCKS = 2
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
@@ -457,30 +465,30 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
 
 
 class _Block:
-    """One fetched data block: the I/O unit, cached whole.
+    """One fetch from a data block: a run of its consecutive key groups.
 
-    Holds the raw bytes, where its key groups start and their first keys,
-    and what the lookups so far have verified and decoded — a group is checksummed and decoded
-    the first time a lookup lands in it, never before.  ``keys`` is the
-    block's key column: a verified group's slots hold its keys; the slots
-    of a group not yet verified hold that group's first key from the
+    A caching reader fetches (and keeps) the whole block, every group; a
+    reader that keeps no blocks fetches the span from the first to the last
+    group a call touches.  ``lo`` is the run's first group within its block
+    and ``g0`` that group's index in the table's group table; group ``g`` of
+    the run is bytes ``g * group_bytes`` onwards of ``raw`` (the block's
+    last group the short one).  ``verified`` records what lookups so far
+    have verified and decoded — a group is checksummed and decoded the
+    first time a lookup lands in it, never before.  ``keys`` is the run's
+    key column: a verified group's slots hold its keys; the slots of a
+    group not yet verified hold that group's first key from the
     checksummed index, which keeps the column sorted so one `searchsorted`
     serves any mix of groups.
     """
 
-    __slots__ = ("raw", "gfirst", "goff", "verified", "keys")
+    __slots__ = ("raw", "lo", "g0", "verified", "keys")
 
-    def __init__(self, raw: bytes, gfirst: np.ndarray, goff: np.ndarray, keys: np.ndarray):
+    def __init__(self, raw: bytes, lo: int, g0: int, ngroups: int, keys: np.ndarray):
         self.raw = raw
-        self.gfirst = gfirst
-        self.goff = goff
-        self.verified = np.zeros(goff.size, dtype=bool)
+        self.lo = lo
+        self.g0 = g0
+        self.verified = np.zeros(ngroups, dtype=bool)
         self.keys = keys
-
-    def span(self, g: int) -> tuple[int, int]:
-        """Byte range of key group ``g`` inside ``raw``."""
-        end = self.goff[g + 1] if g + 1 < self.goff.size else len(self.raw)
-        return int(self.goff[g]), int(end)
 
 
 class SSTableReader:
@@ -494,13 +502,22 @@ class SSTableReader:
     Fig. 11 amortizes these across the 100 queries only partially — each
     query opens its partition afresh in the paper, which is the default
     here.
+
+    What one data-block read fetches follows from ``block_cache_blocks``.
+    A reader with a block cache fetches whole blocks and keeps the last
+    few.  A reader that keeps none (``block_cache_blocks=0``) fetches, per
+    block a call needs, only the span from the first to the last key group
+    that call's keys land in — still one read per block, and the bytes it
+    fetches are those it decodes plus any untouched groups between them.
+    Either way the groups are chosen from the resident group table before
+    any I/O.
     """
 
     def __init__(
         self,
         device: StorageDevice,
         name: str,
-        block_cache_blocks: int = 2,
+        block_cache_blocks: int = BLOCK_CACHE_BLOCKS,
         meta: TableMeta | None = None,
     ):
         self._file = device.open(name)
@@ -509,6 +526,7 @@ class SSTableReader:
         # Small LRU over fetched data blocks: consecutive lookups that land
         # in the same block (sorted scans, hot blocks under a warm reader)
         # skip the re-read, and the re-checksum of groups already verified.
+        # With none, a lookup fetches only the span of groups it touches.
         self.block_cache_blocks = max(0, int(block_cache_blocks))
         self._block_cache: OrderedDict[int, _Block] = OrderedDict()
         self._m_bc_hits = device.metrics.counter("sstable.block_cache.hits")
@@ -549,24 +567,36 @@ class SSTableReader:
 
     # -- blocks (the I/O unit) and key groups (the verify/decode unit) ------
 
-    def _read_block(self, i: int) -> _Block:
-        """Fetch block ``i`` from the device: one read, nothing verified."""
-        raw = self._file.read(int(self._off[i]), int(self._len[i]))
-        if len(raw) != self._len[i]:
-            raise CorruptBlockError(f"block {i} truncated to {len(raw)} bytes")
+    def _fetch(self, i: int, lo: int = 0, hi: int | None = None) -> _Block:
+        """Key groups ``lo:hi`` of block ``i`` (block-relative; by default
+        all of them, the whole block) in one device read, nothing verified.
+        A short read raises `CorruptBlockError` naming table and block."""
         meta = self.meta
-        groups = slice(meta.gstart[i], meta.gstart[i + 1])
-        gfirst = meta.gfirst[groups]
+        first = int(meta.gstart[i])
+        if hi is None:
+            hi = int(meta.gstart[i + 1]) - first
+        g0 = first + lo
+        gb, rec = meta.group_bytes, meta.record_bytes
+        start = lo * gb
+        size = min(hi * gb, int(self._len[i])) - start
+        raw = self._file.read(int(self._off[i]) + start, size)
+        if len(raw) != size:
+            raise CorruptBlockError(
+                f"block {i} of {self.name!r} truncated: {len(raw)} of the {size} bytes "
+                f"of its key groups {lo} to {hi - 1}"
+            )
         # Until a group is verified, its first key stands in for its keys.
-        per = meta.group_bytes // meta.record_bytes
-        keys = gfirst.repeat(per)[: len(raw) // meta.record_bytes]
-        return _Block(raw, gfirst, meta.goff[groups], keys)
+        keys = meta.gfirst[g0 : g0 + hi - lo].repeat(gb // rec)[: size // rec]
+        return _Block(raw, lo, g0, hi - lo, keys)
 
-    def _block(self, i: int) -> _Block:
-        """Block ``i`` through the reader's small block cache.
+    def _block(self, i: int, groups: np.ndarray | None = None) -> _Block:
+        """Block ``i`` for a lookup landing in ``groups`` (block-relative,
+        ascending; None: every group).
 
-        A hit costs no device read and keeps what earlier lookups verified
-        (``sstable.block_cache.{hits,misses}`` count both outcomes).
+        A reader with a block cache fetches the whole block and keeps it: a
+        hit costs no device read and keeps what earlier lookups verified
+        (``sstable.block_cache.{hits,misses}`` count both outcomes).  A
+        reader without one fetches the span ``groups[0]`` to ``groups[-1]``.
         """
         blk = self._block_cache.get(i)
         if blk is not None:
@@ -574,36 +604,39 @@ class SSTableReader:
             self._m_bc_hits.inc()
             return blk
         self._m_bc_misses.inc()
-        blk = self._read_block(i)
-        if self.block_cache_blocks:
-            self._block_cache[i] = blk
-            if len(self._block_cache) > self.block_cache_blocks:
-                self._block_cache.popitem(last=False)
+        if not self.block_cache_blocks:
+            if groups is None:
+                return self._fetch(i)
+            return self._fetch(i, int(groups[0]), int(groups[-1]) + 1)
+        blk = self._block_cache[i] = self._fetch(i)
+        if len(self._block_cache) > self.block_cache_blocks:
+            self._block_cache.popitem(last=False)
         return blk
 
     def _verify(self, blk: _Block, i: int, groups: np.ndarray) -> None:
-        """Checksum ``groups`` of block ``i`` — several equal-size groups in
-        one `fastsum64_rows` pass, a lone group on its own — and raise on the
-        first that disagrees with the index."""
+        """Checksum ``groups`` of ``blk`` (indices into the fetched run) —
+        several equal-size groups in one `fastsum64_rows` pass, a lone group
+        on its own — and raise on the first that disagrees with the index,
+        naming it by its place in block ``i``."""
         meta = self.meta
+        gb = meta.group_bytes
         if groups.size > 1:
             every = groups.size == blk.verified.size  # a scan: no gather
-            sums = fastsum64_rows(blk.raw, meta.group_bytes, None if every else groups)
+            sums = fastsum64_rows(blk.raw, gb, None if every else groups)
         else:
-            view = memoryview(blk.raw)
-            sums = np.asarray(
-                [fastsum64(view[slice(*blk.span(g))]) for g in groups.tolist()], dtype=np.uint64
-            )
-        bad = groups[meta.gsum[meta.gstart[i] + groups] != sums]
+            g = int(groups[0])
+            sums = np.uint64(fastsum64(memoryview(blk.raw)[g * gb : (g + 1) * gb]))
+        bad = groups[meta.gsum[blk.g0 + groups] != sums]
         if bad.size:
             raise CorruptBlockError(
-                f"checksum mismatch in block {i}, key group {int(bad[0])} of {self.name!r}"
+                f"checksum mismatch in block {i}, key group {blk.lo + int(bad[0])} "
+                f"of {self.name!r}"
             )
 
     def _touch(self, blk: _Block, i: int, groups: np.ndarray) -> None:
-        """Verify and decode those of ``groups`` in block ``i`` that no
-        lookup has touched yet; nothing is decoded, let alone returned,
-        from a group whose checksum fails."""
+        """Verify and decode those of ``groups`` (indices into the fetched
+        run) that no lookup has touched yet; nothing is decoded, let alone
+        returned, from a group whose checksum fails."""
         need = groups[~blk.verified[groups]]
         if need.size == 0:
             return
@@ -612,7 +645,7 @@ class SSTableReader:
         # A group is `per` records, a record a stride of ``raw``.
         rec = meta.record_bytes
         per, n = meta.group_bytes // rec, blk.keys.size
-        if need.size == blk.verified.size:  # the whole block (a scan): no gather
+        if need.size == blk.verified.size:  # the whole run (a scan): no gather
             at = slice(None)
         elif need.size == 1:  # one group (a point lookup): its rows, no gather
             at = slice(int(need[0]) * per, (int(need[0]) + 1) * per)
@@ -628,26 +661,36 @@ class SSTableReader:
         blk.keys[at] = np.ndarray((n,), "<u8", blk.raw, 0, (rec,))[at]
         blk.verified[need] = True
 
-    def _find(
-        self, blk: _Block, i: int, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Resolve ``keys`` against block ``i``: ``(hit, starts, stops)``,
-        one row per key — a hit's value is ``blk.raw[start:stop]`` (rows of
-        misses are arbitrary).
+    def _plan(self, i: int, keys: np.ndarray) -> np.ndarray:
+        """The key groups of block ``i`` that ``keys`` land in (block-relative,
+        ascending), chosen from the resident group table before any I/O.
 
-        The group first keys choose, per key, the one group that must hold
-        its first occurrence — the last group starting below the key — plus
-        the next group when the key *is* that group's first key (duplicates
-        may begin in the tail of the one before).  Only those groups are
-        touched, all in one pass, and a hit counts only in a verified group.
+        Per key: the one group that must hold its first occurrence — the
+        last group starting below the key — plus the next group when the
+        key *is* that group's first key (duplicates may begin in the tail of
+        the one before).
         """
         meta = self.meta
-        below = blk.gfirst.searchsorted(keys)  # groups starting below the key
-        upto = blk.gfirst.searchsorted(keys, "right")  # ... at or below it
-        touched = np.zeros(blk.gfirst.size, dtype=bool)
+        gfirst = meta.gfirst[meta.gstart[i] : meta.gstart[i + 1]]
+        below = gfirst.searchsorted(keys)  # groups starting below the key
+        upto = gfirst.searchsorted(keys, "right")  # ... at or below it
+        touched = np.zeros(gfirst.size, dtype=bool)
         touched[np.maximum(below - 1, 0)] = True
         touched[below[upto > below]] = True
-        self._touch(blk, i, touched.nonzero()[0])
+        return touched.nonzero()[0]
+
+    def _find(
+        self, blk: _Block, i: int, keys: np.ndarray, groups: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Resolve ``keys`` against block ``i``, whose `_plan` is ``groups``:
+        ``(hit, starts, stops)``, one row per key — a hit's value is
+        ``blk.raw[start:stop]`` (rows of misses are arbitrary).
+
+        Only the planned groups are touched, all in one pass, and a hit
+        counts only in a verified group.
+        """
+        meta = self.meta
+        self._touch(blk, i, groups - blk.lo)
         rec, bkeys = meta.record_bytes, blk.keys
         loc = np.minimum(bkeys.searchsorted(keys), bkeys.size - 1)
         hit = (bkeys[loc] == keys) & blk.verified[loc // (meta.group_bytes // rec)]
@@ -704,8 +747,10 @@ class SSTableReader:
                 blocks.setdefault(i, []).append(p)
         for i in sorted(blocks):
             at = blocks[i]
-            blk = self._block(i)
-            hit, starts, stops = self._find(blk, i, keys[at])
+            bkeys = keys[at]
+            groups = self._plan(i, bkeys)
+            blk = self._block(i, groups)
+            hit, starts, stops = self._find(blk, i, bkeys, groups)
             raw = blk.raw
             for p, h, a, b in zip(at, hit.tolist(), starts.tolist(), stops.tolist()):
                 if h:
@@ -716,9 +761,10 @@ class SSTableReader:
         """Full table contents as columnar arrays, in stored key order.
 
         Returns ``(keys, values)``, values a ``(n, width)`` uint8 matrix.
-        Every group of a block is verified in one pass before any of it is
-        decoded; blocks stream through the block cache one at a time, so
-        peak memory is the decoded output plus one block.
+        Every block is fetched whole, and every group of it verified in one
+        pass before any of it is decoded; blocks stream through the block
+        cache one at a time, so peak memory is the decoded output plus one
+        block.
         """
         key_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
@@ -739,7 +785,7 @@ class SSTableReader:
         group decoders)."""
         out: list[tuple[int, bytes]] = []
         for i in range(self._off.size):
-            blk = self._read_block(i)
+            blk = self._fetch(i)
             self._verify(blk, i, np.arange(blk.verified.size))
             raw, pos = blk.raw, 0
             while pos + _ENTRY_HDR.size <= len(raw):

@@ -1,10 +1,18 @@
 """Unit tests for the flattened-LSM SSTable format."""
 
+import bisect
+
 import numpy as np
 import pytest
 
 from repro.storage.blockio import StorageDevice
-from repro.storage.sstable import FOOTER_BYTES, SSTableReader, SSTableWriter
+from repro.storage.sstable import (
+    FOOTER_BYTES,
+    GROUP_BYTES,
+    CorruptBlockError,
+    SSTableReader,
+    SSTableWriter,
+)
 
 from ..reference import ingest as ref
 
@@ -15,6 +23,36 @@ def rows(items):
     width = len(items[0][1]) if items else 0
     values = np.frombuffer(b"".join(v for _, v in items), dtype=np.uint8)
     return np.asarray([k for k, _ in items], dtype=np.uint64), values.reshape(len(items), width)
+
+
+def touched_span(meta, key):
+    """``(block, start, stop)``: the file bytes a ranged read of ``key``
+    fetches, worked out from the table's index alone — the key group that
+    must hold the key's first occurrence (the last one starting below it)
+    through the next group when the key *is* that group's first key.  None
+    when no block can hold the key (the Bloom gate is the caller's)."""
+    b = int(np.searchsorted(meta.last, np.uint64(key)))
+    if b == meta.first.size or int(meta.first[b]) > key:
+        return None
+    gfirst = meta.gfirst[meta.gstart[b] : meta.gstart[b + 1]].tolist()
+    below = bisect.bisect_left(gfirst, key)
+    lo = max(below - 1, 0)
+    hi = below if below < len(gfirst) and gfirst[below] == key else lo
+    off, gb = int(meta.off[b]), meta.group_bytes
+    return b, off + lo * gb, off + min((hi + 1) * gb, int(meta.length[b]))
+
+
+def ranged_bytes(meta, keys) -> int:
+    """Bytes one ranged `get_many` of ``keys`` (those past the Bloom gate)
+    fetches: per block, its first through its last touched byte."""
+    spans: dict[int, tuple[int, int]] = {}
+    for key in keys:
+        span = touched_span(meta, int(key))
+        if span is not None:
+            b, start, stop = span
+            lo, hi = spans.get(b, (start, stop))
+            spans[b] = (min(lo, start), max(hi, stop))
+    return sum(stop - start for start, stop in spans.values())
 
 
 def build(dev, name, items, **kw):
@@ -385,7 +423,7 @@ class TestKeyGroups:
             assert goff[0] == 0 and (np.diff(goff) >= GROUP_BYTES).all()
             assert goff[-1] < m.length[b]
             assert (np.diff(goff) == m.group_bytes).all() and m.group_bytes % 8 == 0
-            blk = r._read_block(b)
+            blk = r._fetch(b)  # the whole block
             for g, off in enumerate(goff.tolist()):  # a group starts at a record
                 key = int.from_bytes(blk.raw[off : off + 8], "little")
                 assert key == m.gfirst[m.gstart[b] + g] and key in scanned
@@ -427,6 +465,114 @@ class TestKeyGroups:
             images.append(f.read(0, f.size))
         assert SSTableReader(dev, "t").meta.gfirst.size > 4  # several blocks and groups
         assert images[0] == images[1]
+
+
+class TestRangedReads:
+    """A reader that keeps no blocks (``block_cache_blocks=0``) fetches, per
+    block, only the span of key groups a call touches: the same answers and
+    device reads as a whole-block reader, and exactly the span's bytes."""
+
+    @staticmethod
+    def _table(monkeypatch, width):
+        TestKeyGroups._small_groups(monkeypatch)
+        # every key five times over, so runs of duplicates straddle group seams
+        keys = [3 * (i // 5) for i in range(1500)]
+        items = [(k, (i.to_bytes(4, "little") * 5)[:width]) for i, k in enumerate(keys)]
+        dev = StorageDevice()
+        build(dev, "t", items, block_size=2010, bloom_bits_per_key=4)
+        with SSTableReader(dev, "t") as r:
+            return dev, r.meta, r.scan()
+
+    @staticmethod
+    def _seams(meta, scanned):
+        """Keys that start a group (not a block) while their duplicates start
+        in the group before, and the keys of every block's short last group."""
+        rec, gb = meta.record_bytes, meta.group_bytes
+        per = gb // rec
+        seam, short = set(), set()
+        at = 0  # first record of the block
+        for b in range(meta.first.size):
+            n = int(meta.length[b]) // rec
+            for g in range(1, int(meta.gstart[b + 1] - meta.gstart[b])):
+                if scanned[at + g * per][0] == scanned[at + g * per - 1][0]:
+                    seam.add(scanned[at + g * per][0])
+            if meta.length[b] % gb:
+                short.update(k for k, _ in scanned[at + n - n % per : at + n])
+            at += n
+        return seam, short
+
+    @pytest.mark.parametrize("width", [20, 13])  # 32-byte records, and 25: not whole words
+    def test_ranged_reads_match_whole_blocks_and_scan(self, monkeypatch, width):
+        dev, meta, scanned = self._table(monkeypatch, width)
+        assert meta.first.size >= 4 and (np.diff(meta.gstart) >= 2).all()
+        truth: dict[int, bytes] = {}
+        for k, v in scanned:
+            truth.setdefault(k, v)
+        seam, short = self._seams(meta, scanned)
+        assert seam and short  # the cases the test is about exist
+        present = sorted(truth)
+        absent = [k + 1 for k in present] + [2**64 - 1]
+        with SSTableReader(dev, "t", meta=meta) as r:
+            gate = r.may_contain_many(np.asarray(absent, dtype=np.uint64))
+        assert gate.any() and not gate.all()  # absent keys the Bloom filter passes, and not
+        passes = set(present) | {k for k, g in zip(absent, gate.tolist()) if g}
+
+        def read(blocks, call):
+            """One fresh reader over resident metadata (a handle-free read):
+            what it returns, and the device reads and bytes it cost."""
+            before = dev.counters.snapshot()
+            with SSTableReader(dev, "t", blocks, meta=meta) as r:
+                out = call(r)
+            d = dev.counters.delta(before)
+            return out, d.reads, d.bytes_read
+
+        for k in present + absent:
+            ranged, reads, nbytes = read(0, lambda r: r.get(k))
+            whole, whole_reads, whole_bytes = read(2, lambda r: r.get(k))
+            assert ranged == whole == truth.get(k), k
+            assert reads == whole_reads, k
+            assert nbytes == (ranged_bytes(meta, [k]) if k in passes else 0), k
+            assert nbytes <= whole_bytes
+
+        probe = np.asarray(present[::3] + absent[::2] + present[::7], dtype=np.uint64)
+        probe = np.random.default_rng(5).permutation(probe)
+        (ranged, blocks), reads, nbytes = read(0, lambda r: r.get_many(probe))
+        (whole, whole_blocks), whole_reads, whole_bytes = read(2, lambda r: r.get_many(probe))
+        assert ranged == whole == [truth.get(k) for k in probe.tolist()]
+        assert reads == whole_reads == blocks == whole_blocks
+        assert nbytes == ranged_bytes(meta, [k for k in probe.tolist() if k in passes])
+        assert nbytes <= whole_bytes
+
+    def test_a_span_skips_the_groups_around_it(self, monkeypatch):
+        dev, meta, _ = self._table(monkeypatch, 20)
+        b = 1
+        g = int(meta.gstart[b]) + 2  # the block's third group: groups on both sides
+        key = int(meta.gfirst[g]) + 3  # no group starts with it: one group only
+        assert int(meta.gfirst[g + 1]) > key
+        with SSTableReader(dev, "t", 0, meta=meta) as r:
+            before = dev.counters.snapshot()
+            r.get_many(np.asarray([key], dtype=np.uint64))
+            d = dev.counters.delta(before)
+        assert (d.reads, d.bytes_read) == (1, meta.group_bytes)
+        assert touched_span(meta, key) == (
+            b, int(meta.off[b]) + 2 * meta.group_bytes, int(meta.off[b]) + 3 * meta.group_bytes
+        )
+
+
+@pytest.mark.parametrize("cache", [0, 2])
+def test_a_short_block_read_names_table_and_block(cache):
+    """A block cut short underneath a reader with resident metadata: the
+    error names the extent and the block, whole-block fetch or span."""
+    dev, name = StorageDevice(), "part.003.000007"
+    build(dev, name, [(k, bytes(40)) for k in range(2000)], block_size=4 * GROUP_BYTES)
+    with SSTableReader(dev, name) as r:
+        meta = r.meta
+    assert meta.first.size >= 3
+    dev.truncate(name, int(meta.off[1]) + 100)  # inside block 1's first group
+    with SSTableReader(dev, name, cache, meta=meta) as r:
+        with pytest.raises(CorruptBlockError) as err:
+            r.get(int(meta.first[1]) + 1)
+    assert "block 1 " in str(err.value) and repr(name) in str(err.value)
 
 
 def _block_checksum_layout_table(items) -> bytes:

@@ -5,11 +5,13 @@ A section checksum proves the bytes are the ones somebody wrote, not that
 they describe a table.  These tests take valid tables, edit the footer, the
 block index, the group table or the records themselves *and re-seal every
 checksum the edit breaks*, so each gate after the checksums is what stops
-the damage.  Whatever the bytes, opening and reading has two outcomes: a
-value, or `CorruptBlockError` / the documented `ValueError` — never
-`struct.error`, `IndexError`, `OSError`, a hang, or memory sized by a count
-nobody checked against the bytes present; and a failed open gives its
-handle back.  The deterministic sweeps always run; the hypothesis property
+the damage.  Whatever the bytes, opening and reading — through a
+whole-block reader and through a ranged one, which fetches only the span
+of key groups a call touches — has two outcomes: a value, or
+`CorruptBlockError` / the documented `ValueError` — never `struct.error`,
+`IndexError`, `OSError`, a hang, or memory sized by a count nobody
+checked against the bytes present; and a failed open gives its handle
+back.  The deterministic sweeps always run; the hypothesis property
 has a fast entry for tier-1 and a ``_full`` twin under ``-m slow`` for the
 CI ``aux-tournament`` job.
 """
@@ -21,9 +23,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro.storage.blockio import StorageDevice
+from repro.storage.blockio import ExtentLostError, StorageDevice
 from repro.storage.checksum import fastsum64
 from repro.storage.sstable import (
+    BLOCK_CACHE_BLOCKS,
     FOOTER_BYTES,
     GROUP_BYTES,
     CorruptBlockError,
@@ -33,7 +36,7 @@ from repro.storage.sstable import (
 )
 
 from ..serve.test_proto_fuzz import both_profiles
-from .test_sstable import rows
+from .test_sstable import rows, touched_span
 
 U64 = 2**64 - 1
 FOOTER = struct.Struct("<QQQQQQII")
@@ -150,29 +153,32 @@ class Parts:
 
 
 def check(blob: bytes, keys=(0, 1, 12345, U64)) -> bool:
-    """The whole contract for one table image; True when it opened."""
+    """The whole contract for one table image, read through a whole-block
+    reader and a ranged one (``block_cache_blocks=0``: it fetches only the
+    span of key groups a call touches); True when it opened."""
     dev = StorageDevice()
     dev.open("t", create=True).append(blob)
     baseline = dev.open_handles
     tracemalloc.start()
     try:
-        try:
-            reader = SSTableReader(dev, "t")
-        except ValueError:  # CorruptBlockError is one
-            assert dev.open_handles == baseline, "a failed open kept its handle"
-            return False
-        probe = np.asarray(keys, dtype=np.uint64)
-        with reader:
-            first = reader.meta.gfirst[:4].tolist()
-            probe = np.concatenate([probe, np.asarray(first, dtype=np.uint64)])
-            reads = [lambda k=k: reader.get(int(k)) for k in probe]
-            reads += [lambda: reader.get_many(probe), reader.scan, reader.scan_arrays]
-            for read in reads:
-                try:
-                    read()
-                except ValueError:
-                    pass
-        assert dev.open_handles == baseline
+        for blocks in (BLOCK_CACHE_BLOCKS, 0):
+            try:
+                reader = SSTableReader(dev, "t", block_cache_blocks=blocks)
+            except ValueError:  # CorruptBlockError is one
+                assert dev.open_handles == baseline, "a failed open kept its handle"
+                return False
+            probe = np.asarray(keys, dtype=np.uint64)
+            with reader:
+                first = reader.meta.gfirst[:4].tolist()
+                probe = np.concatenate([probe, np.asarray(first, dtype=np.uint64)])
+                reads = [lambda k=k: reader.get(int(k)) for k in probe]
+                reads += [lambda: reader.get_many(probe), reader.scan, reader.scan_arrays]
+                for read in reads:
+                    try:
+                        read()
+                    except ValueError:
+                        pass
+            assert dev.open_handles == baseline
         return True
     except MemoryError:  # pragma: no cover - the bug this file exists for
         pytest.fail("reader tried an allocation sized by an unchecked count")
@@ -340,6 +346,95 @@ def test_every_index_byte_edited_and_resealed(name):
         body = blob[lo:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1 : hi]
         opened += check(blob[:lo] + seal(body) + blob[hi + 8 :])
     assert opened  # first keys and checksums are free to say anything
+
+
+# -- the ranged reader's span -----------------------------------------------------
+
+
+def _ranged(blob: bytes, meta=None):
+    """A ranged reader over ``blob`` (resident ``meta`` if given), and the
+    ``(offset, size)`` of every device read it makes."""
+    dev = StorageDevice()
+    dev.open("t", create=True).append(blob)
+    fetched = []
+    read = dev._read
+
+    def logged(name, offset, size):
+        fetched.append((offset, size))
+        return read(name, offset, size)
+
+    dev._read = logged
+    return SSTableReader(dev, "t", block_cache_blocks=0, meta=meta), fetched
+
+
+FIXED = BASES["fixed"]  # 2+ blocks of 2+ key groups, 52-byte records
+
+
+def _meta(blob: bytes):
+    reader, _ = _ranged(blob)
+    with reader:
+        return reader.meta
+
+
+def _inner_key(meta, g: int) -> int:
+    """The second key of group ``g`` of `FIXED`: no group starts with it,
+    so a read of it touches that one group."""
+    b = int(np.searchsorted(meta.gstart, g, "right")) - 1
+    (key,) = struct.unpack_from("<Q", FIXED, int(meta.off[b] + meta.goff[g]) + meta.record_bytes)
+    return key
+
+
+def test_a_flipped_byte_inside_the_span_is_caught():
+    meta = _meta(FIXED)
+    key = _inner_key(meta, 1)
+    _, start, stop = touched_span(meta, key)
+    assert start == meta.goff[1] and stop - start <= meta.group_bytes  # that group alone
+    p = Parts(FIXED)
+    p.data[start + 5 * 52 + 20] ^= 0x01  # a value byte of that group, not re-sealed
+    reader, fetched = _ranged(p.build(), meta)
+    with reader, pytest.raises(CorruptBlockError, match="block 0, key group 1 of 't'"):
+        reader.get(key)
+    assert fetched == [(start, stop - start)]
+
+
+def test_a_flipped_byte_outside_the_span_is_never_fetched():
+    meta = _meta(FIXED)
+    key = _inner_key(meta, 1)
+    with _ranged(FIXED, meta)[0] as intact:
+        want = intact.get(key)
+    assert want is not None
+    p = Parts(FIXED)
+    at = int(meta.goff[0]) + 100  # group 0 of the same block
+    p.data[at] ^= 0x01
+    reader, fetched = _ranged(p.build(), meta)
+    with reader:
+        assert reader.get(key) == want
+    assert fetched and all(not off <= at < off + size for off, size in fetched)
+
+
+def test_a_truncation_that_cuts_the_span_is_typed():
+    """Cuts all over the data region under a reader whose metadata is
+    resident: a key whose span survives answers, one whose span is cut
+    raises `CorruptBlockError` (short read) or `ExtentLostError` (the read
+    starts past the end) — never `IndexError` or `struct.error`."""
+    meta = _meta(FIXED)
+    keys = [int(k) for k in meta.gfirst]  # a group's first key: two groups each
+    keys += [_inner_key(meta, g) for g in range(meta.gfirst.size)]
+    with _ranged(FIXED, meta)[0] as intact:
+        truth = {k: intact.get(k) for k in keys}
+    assert all(v is not None for v in truth.values())
+    spans = {k: touched_span(meta, k) for k in keys}
+    cuts = set(range(0, Parts(FIXED).footer["filter_off"], 97))
+    cuts |= {edge + d for _, *edges in spans.values() for edge in edges for d in (-1, 0, 1)}
+    for n in sorted(cuts - {-1}):
+        reader, _ = _ranged(FIXED[:n], meta)
+        with reader:
+            for k in keys:
+                if spans[k][2] <= n:
+                    assert reader.get(k) == truth[k], (n, k)
+                else:
+                    with pytest.raises((CorruptBlockError, ExtentLostError)):
+                        reader.get(k)
 
 
 # -- the property -----------------------------------------------------------------
