@@ -25,8 +25,10 @@ format.  Two supporting gates ride along:
   every *answered* response is still byte-correct — zero incorrect;
 * the negative cache measurably cuts FilterKV false-candidate probes: a
   dedicated cold-vs-warm run (result cache pinned to one entry so every
-  query re-probes) shows warm probe amplification dropping to exactly
-  1.0 — every repeat false-candidate probe eliminated, asserted via the
+  query re-probes) over a store sealed with the paper's cuckoo tables
+  (the default csf seal gives a present key no false candidate) shows
+  warm probe amplification dropping to exactly 1.0 — every repeat
+  false-candidate probe eliminated, asserted via the
   ``serve.negative_cache.*`` and ``reader.partitions_probed`` counters.
 
 ``REPRO_SERVE_SMOKE=1`` shrinks the dataset and request counts for CI.
@@ -66,8 +68,10 @@ SEED = 17
 THETA = 1.0
 
 
-def _build(fmt):
-    store = MultiEpochStore(nranks=NRANKS, fmt=fmt, value_bytes=VALUE_BYTES, seed=SEED)
+def _build(fmt, aux_backends=None):
+    store = MultiEpochStore(
+        nranks=NRANKS, fmt=fmt, value_bytes=VALUE_BYTES, seed=SEED, aux_backends=aux_backends
+    )
     rng = np.random.default_rng(SEED)
     batches = [random_kv_batch(RECORDS_PER_RANK, VALUE_BYTES, rng) for _ in range(NRANKS)]
     store.write_epoch(batches)
@@ -278,7 +282,9 @@ def test_bench_serve(report, benchmark):
         assert ratio >= 3.0, f"served/{name} only {ratio:.1f}x naive (need 3x)"
 
     # Gate 2: the negative cache measurably cuts false-candidate probes.
-    store, expected = _build(FMT_FILTERKV)
+    # A present key draws false candidates from the paper's cuckoo table,
+    # never from the stores' default csf seal, so this arm seals cuckoo.
+    store, expected = _build(FMT_FILTERKV, aux_backends=("cuckoo",))
     keys = np.fromiter(expected, dtype=np.int64)
     probed_cold, probed_warm, nkeys, neg_stats = _negcache_effect(store, keys)
     skipped = neg_stats["negative_cache"]["skipped_probes"]

@@ -47,7 +47,8 @@ __all__ = ["main", "build_parser"]
 
 _AUX_BACKEND_HELP = (
     "filterkv aux backend: exact, bloom, cuckoo or csf, or 'auto' = csf falling "
-    "back to cuckoo (default: the format's own, cuckoo)"
+    "back to cuckoo (default: 'auto' wherever a store seals epochs, as in fleet; "
+    "the paper's cuckoo for compare's one-epoch cluster)"
 )
 
 
@@ -808,8 +809,8 @@ def _export_loadgen_traces(args, reports: list[dict]) -> str:
 
 
 def _aux_backends_arg(choice: str | None) -> tuple[str, ...] | None:
-    """``--aux-backend`` as an ``aux_backends=`` tuple: None (the format's
-    own backend), 'auto' (`AUTO_BACKENDS`), or one registered backend."""
+    """``--aux-backend`` as an ``aux_backends=`` tuple: None (the callee's
+    default), 'auto' (`AUTO_BACKENDS`), or one registered backend."""
     if choice is None:
         return None
     from .core.auxtable import AUTO_BACKENDS, AUX_BACKENDS

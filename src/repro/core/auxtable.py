@@ -27,7 +27,8 @@ Every backend takes the same leading constructor arguments (``nparts,
 capacity_hint, seed``) and owns its half of the one blob codec (`state()` /
 `from_state()` under `aux_to_blob` / `aux_from_blob`).  `build_sealed_aux`
 seals the first of an ordered tuple of backend names that builds;
-`AUTO_BACKENDS` is the tuple the CLI's ``auto`` means.
+`AUTO_BACKENDS` is the tuple a `MultiEpochStore` seals with by default and
+the CLI's ``auto`` means.
 
 All byte accounting counts only the *index* data (the paper's Fig. 7b
 "per-key space overhead"), not the keys or values themselves.
@@ -43,7 +44,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..filters.bloom import BloomFilter
-from ..filters.csf import CsfConstructionError, XorMaplet
+from ..filters.csf import CsfConstructionError, XorMaplet, csf_segment
 from ..filters.cuckoo import ChainedCuckooTable, PartialKeyCuckooTable
 from ..filters.hashing import hash_pair
 from ..obs import MetricsRegistry, active
@@ -660,17 +661,21 @@ class CsfAuxTable(AuxTable):
         if self._pending_keys:
             keys = np.concatenate(self._pending_keys)
             ranks = np.concatenate(self._pending_ranks)
-            order = np.argsort(keys, kind="stable")
-            skeys, sranks = keys[order], ranks[order]
-            ukeys, first, counts = np.unique(skeys, return_index=True, return_counts=True)
-            uranks = sranks[first]
-            if (np.repeat(uranks, counts) != sranks).any():
-                raise ValueError(
-                    "conflicting duplicate mappings: a static function stores one rank per key"
-                )
+            # Only a repeated key needs the keys ordered: the maplet is a
+            # function of the key set, not of the order keys arrive in.
+            skeys = np.sort(keys)
+            if (skeys[1:] == skeys[:-1]).any():
+                order = np.argsort(keys)
+                keys, ranks = keys[order], ranks[order]
+                first = np.concatenate(([True], keys[1:] != keys[:-1]))
+                if (ranks[1:] != ranks[:-1])[~first[1:]].any():
+                    raise ValueError(
+                        "conflicting duplicate mappings: a static function stores one rank per key"
+                    )
+                keys, ranks = keys[first], ranks[first]
             self._maplet = XorMaplet(
-                ukeys,
-                uranks,
+                keys,
+                ranks,
                 value_bits=self.value_bits,
                 fp_bits=self.fp_bits,
                 seed=self.seed,
@@ -679,24 +684,26 @@ class CsfAuxTable(AuxTable):
             self._pending_ranks.clear()
         self._finalized = True
 
-    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(valid, values): guard hit AND decoded rank is a real partition
-        (rank_bits can name ranks ≥ nparts; those are guard escapes)."""
-        self.finalize()
-        if self._maplet is None:
-            z = np.zeros(keys.size, dtype=bool)
-            return z, np.zeros(keys.size, dtype=np.uint64)
-        hits, values = self._maplet.lookup_many(keys)
-        return hits & (values < np.uint64(self.nparts)), values
-
     def _candidate_ranks(self, key: int) -> np.ndarray:
-        valid, values = self._lookup(np.asarray([key], dtype=np.uint64))
-        if valid[0]:
-            return values[:1].astype(np.int64)
-        return np.zeros(0, dtype=np.int64)
+        """`XorMaplet.get`: the one-key probe in plain ints."""
+        if not self._finalized:  # sealed tables skip even the call
+            self.finalize()
+        rank = self._maplet.get(key) if self._maplet is not None else None
+        # rank_bits can name ranks >= nparts: those are guard escapes.
+        if rank is None or rank >= self.nparts:
+            return np.zeros(0, dtype=np.int64)
+        return np.asarray([rank], dtype=np.int64)
 
     def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        valid, values = self._lookup(keys)
+        if keys.size == 1:  # a lone key skips the array hashing, as the cuckoo's does
+            ranks = self._candidate_ranks(int(keys[0]))
+            return np.asarray([ranks.size], dtype=np.int64), ranks
+        if not self._finalized:
+            self.finalize()
+        if self._maplet is None:
+            return np.zeros(keys.size, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        hits, values = self._maplet.lookup_many(keys)
+        valid = hits & (values < np.uint64(self.nparts))
         return valid.astype(np.int64), values[valid].astype(np.int64)
 
     def to_bytes(self) -> bytes:
@@ -725,7 +732,9 @@ class CsfAuxTable(AuxTable):
         value_bits = _int_field(header, "value_bits", rank_bits(nparts), rank_bits(nparts))
         seed = _int_field(header, "seed")
         segment = _int_field(header, "segment")
-        fnkeys = _int_field(header, "fnkeys")
+        fnkeys = _int_field(header, "fnkeys", 0, nkeys)  # distinct keys of the nkeys sealed
+        if segment != (csf_segment(fnkeys) if fnkeys else 0):
+            raise ValueError(f"csf segment {segment} is not the one {fnkeys} keys build")
         width = fp_bits + value_bits
         want = _packed_bytes(3 * segment, width)  # 0 for the keyless table
         if len(payload) != want:
@@ -751,9 +760,13 @@ AUX_BACKENDS: dict[str, type[AuxTable]] = {
     cls.backend: cls for cls in (ExactAuxTable, BloomAuxTable, CuckooAuxTable, CsfAuxTable)
 }
 
-# What ``--aux-backend auto`` means: the tournament's winner
-# (`benchmarks/results/aux_tournament.txt`), then the paper's table, which
-# builds for any key set — the CSF refuses one mapping a key to two ranks.
+# What a `MultiEpochStore` seals with unless told otherwise (and what
+# ``--aux-backend auto`` means): the tournament's winner
+# (`benchmarks/results/aux_tournament.txt`: fewest bits, one candidate per
+# present key, and a build within 2.5x the cuckoo's), then the paper's
+# table, which builds for any key set — the CSF refuses one mapping a key
+# to two ranks.  `SimCluster` keeps the format's own (cuckoo) for the
+# paper's figures.
 AUTO_BACKENDS = ("csf", "cuckoo")
 
 

@@ -30,7 +30,7 @@ from ..storage.tiering import TierConfig, TieredStorage
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from ..cluster.simcluster import ClusterStats
 from ..storage.manifest import EpochInfo, Manifest, RecoveryReport
-from .auxtable import AuxTable, aux_from_blob
+from .auxtable import AUTO_BACKENDS, AuxTable, aux_from_blob
 from .compact import CompactionPolicy, CompactionReport, Compactor
 from .formats import FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KVBatch
@@ -198,10 +198,11 @@ class MultiEpochStore:
         # commit, and a generation counter reader sessions watch to learn
         # that the epoch set changed under them.
         self.compaction_policy = compaction
-        # Aux backends to try, in order, for each sealed key→rank set
-        # (None: the format's own); the one that built is recorded in the
-        # manifest's EpochInfo.aux_backend.
-        self.aux_backends = aux_backends
+        # Aux backends to try, in order, for each sealed key→rank set (None:
+        # `AUTO_BACKENDS`, so every store epoch, compaction output, shard and
+        # attached store seals csf-first); the one that built is recorded in
+        # the manifest's EpochInfo.aux_backend.
+        self.aux_backends = AUTO_BACKENDS if aux_backends is None else aux_backends
         self.compactions = 0
         self.last_compaction: CompactionReport | None = None
         # The store's own sessions.  `get` / `get_many`: handle opened and

@@ -15,13 +15,24 @@ for an out-of-set key the reconstructed fingerprint matches only with
 probability ``2^-fp_bits``, so the guard converts "garbage value" into "no
 answer" almost always.
 
-Construction peels a random 3-uniform hypergraph, the xor-filter
-construction: keys map to one slot per segment, slots referenced by a
-single key peel repeatedly, and assignment walks the peel order backwards
-setting each key's free slot.  Peeling fails for
+Construction peels a random 3-uniform hypergraph (keys map to one slot per
+segment of `csf_segment` slots), the xor-filter construction, in
+synchronous rounds the way the xor and binary-fuse filter builds do: each
+round peels, with a handful of array operations, every key that owns a
+slot of degree one at the round's start (a key freed by two slots keeps
+one), and the next round starts from the slots those keys touched whose
+degree fell to one.  Assignment runs the rounds backwards, one vectorised
+step each: a key's free slot is still zero when its round runs, and no two
+keys of a round touch each other's free slot (it had degree one), so a
+round's slots are independent.  Whether a key set peels does not depend on
+the order keys are taken, so the rounds settle on the same seed as a
+one-key-at-a-time peel; only the slot contents differ.  Peeling fails for
 unlucky seeds with vanishing probability at 1.23× occupancy and is retried
 with a fresh seed.  Unlike a filter, a static *function* requires one
 value per key — duplicate keys are a caller error and rejected up front.
+
+`XorMaplet.get` is the one-key twin of `lookup_many`: the same three slot
+reads and fingerprint in plain Python ints, with no array round trip.
 """
 
 from __future__ import annotations
@@ -30,11 +41,25 @@ import math
 
 import numpy as np
 
-from .hashing import fingerprint, hash64
+from .hashing import MASK64, splitmix64, splitmix64_int
 
-__all__ = ["XorMaplet", "CsfConstructionError"]
+__all__ = ["XorMaplet", "CsfConstructionError", "csf_segment"]
 
 _SEED_STRIDE = 0x9E37  # per-retry seed step (persisted blobs carry the settled seed)
+_FP_SEED = 0xF1  # the fingerprint hashes under seed + this
+
+
+def csf_segment(nkeys: int) -> int:
+    """Slots per segment for ``nkeys`` (≥ 1) keys: ~1.23× occupancy over the
+    three segments, plus a small-table margin.  The build sizes from it and
+    a persisted header is checked against it."""
+    return max(2, math.ceil(1.23 * nkeys / 3) + 8)
+
+
+def _has_duplicates(keys: np.ndarray) -> bool:
+    """Whether any key repeats (a plain sort: `np.unique` costs ~25x that)."""
+    s = np.sort(keys)
+    return bool((s[1:] == s[:-1]).any())
 
 
 class CsfConstructionError(RuntimeError):
@@ -77,21 +102,22 @@ class XorMaplet:
             raise ValueError("maplet needs at least one key")
         if keys.shape != values.shape:
             raise ValueError("need exactly one value per key")
-        if np.unique(keys).size != keys.size:
+        if _has_duplicates(keys):
             raise ValueError("duplicate keys: a static function maps each key once")
         if values.size and int(values.max()) >> value_bits:
             raise ValueError(f"value {int(values.max())} does not fit in {value_bits} bits")
         self.fp_bits = int(fp_bits)
         self.value_bits = int(value_bits)
         self.nkeys = int(keys.size)
-        self._segment = max(2, math.ceil(1.23 * keys.size / 3) + 8)
+        self._segment = csf_segment(keys.size)
         self.tries = 0
         for attempt in range(max_tries):
-            self.seed = seed + attempt * _SEED_STRIDE
+            self._set_seed(seed + attempt * _SEED_STRIDE)
             self.tries = attempt + 1
-            order = self._peel(keys)
-            if order is not None:
-                self._slots = self._assign(keys, values, order)
+            pos, fps = self._hash(keys)
+            rounds = self._peel(pos)
+            if rounds is not None:
+                self._slots = self._assign((fps << np.uint64(self.value_bits)) | values, pos, rounds)
                 return
         raise CsfConstructionError(f"peeling failed after {max_tries} seeds")
 
@@ -110,76 +136,81 @@ class XorMaplet:
         instance reports), not the seed the build started from.
         """
         slots = np.asarray(slots, dtype=np.uint64).ravel()
-        if slots.size % 3:
-            raise ValueError(f"slot array length {slots.size} is not 3 segments")
+        if slots.size == 0 or slots.size % 3:
+            raise ValueError(f"slot array length {slots.size} is not 3 non-empty segments")
         m = object.__new__(cls)
         m.fp_bits = int(fp_bits)
         m.value_bits = int(value_bits)
         m.nkeys = int(nkeys)
         m._segment = slots.size // 3
-        m.seed = int(seed)
+        m._set_seed(int(seed))
         m.tries = 0
         m._slots = slots
         return m
 
     # -- hashing ------------------------------------------------------------
 
-    def _positions(self, keys: np.ndarray) -> np.ndarray:
-        """(n, 3) slot indices, one per segment."""
-        seg = np.uint64(self._segment)
-        cols = [
-            (hash64(keys, self.seed + i) % seg).astype(np.int64) + i * self._segment
-            for i in range(3)
-        ]
-        return np.stack(cols, axis=1)
+    def _set_seed(self, seed: int) -> None:
+        """Use ``seed``: the three slot hashes are ``hash64`` under ``seed``,
+        ``seed + 1`` and ``seed + 2``, the fingerprint under ``seed + 0xF1``;
+        their mixed seeds are kept as one array and as plain ints (`get`)."""
+        self.seed = seed
+        mixes = [splitmix64_int((seed + i) & MASK64) for i in (0, 1, 2, _FP_SEED)]
+        *self._mix, self._fp_mix = mixes
+        self._mix_arr = np.asarray(mixes, dtype=np.uint64)
 
-    def _fingerprints(self, keys: np.ndarray) -> np.ndarray:
-        return fingerprint(keys, self.fp_bits, seed=self.seed + 0xF1).astype(np.uint64)
+    def _hash(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(pos, fps)``: the (3, n) slot indices of ``n`` keys, row ``i``
+        in segment ``i``, and their nonzero fingerprints — `hash64` /
+        `fingerprint` under the four seeds, mixed in one pass over a (4, n)
+        array (rows, not columns: every later step reads a row whole)."""
+        h = splitmix64(self._mix_arr[:, None] ^ keys)
+        seg = self._segment
+        pos = (h[:3] % np.uint64(seg)).astype(np.int64) + np.arange(0, 3 * seg, seg)[:, None]
+        return pos, h[3] % np.uint64((1 << self.fp_bits) - 1) + np.uint64(1)
 
     # -- construction --------------------------------------------------------
 
-    def _peel(self, keys: np.ndarray) -> list[tuple[int, int]] | None:
-        """Peel order as (key index, freed slot), or None on failure."""
-        pos = self._positions(keys)
+    def _peel(self, pos: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """Peel rounds as (key indices, their freed slots), or None when a
+        core of degree ≥ 2 is left."""
+        n = pos.shape[1]
         nslots = 3 * self._segment
-        count = np.zeros(nslots, dtype=np.int64)
+        flat = pos.ravel()
+        count = np.bincount(flat, minlength=nslots)
         xor_keyidx = np.zeros(nslots, dtype=np.int64)
-        for c in range(3):
-            np.add.at(count, pos[:, c], 1)
-            np.bitwise_xor.at(xor_keyidx, pos[:, c], np.arange(keys.size))
-        queue = list(np.nonzero(count == 1)[0])
-        order: list[tuple[int, int]] = []
-        alive = np.ones(keys.size, dtype=bool)
-        while queue:
-            slot = queue.pop()
-            if count[slot] != 1:
-                continue
-            ki = int(xor_keyidx[slot])
-            if not alive[ki]:
-                continue
-            alive[ki] = False
-            order.append((ki, int(slot)))
-            for c in range(3):
-                s = int(pos[ki, c])
-                count[s] -= 1
-                xor_keyidx[s] ^= ki
-                if count[s] == 1:
-                    queue.append(s)
-        return order if len(order) == keys.size else None
+        keyidx = np.arange(n, dtype=np.int64)
+        np.bitwise_xor.at(xor_keyidx, flat, np.concatenate((keyidx, keyidx, keyidx)))
+        last_key = np.empty(n, dtype=np.int64)  # dedupe scratch: last claimant wins
+        last_slot = np.empty(nslots, dtype=np.int64)
+        rounds: list[tuple[np.ndarray, np.ndarray]] = []
+        peeled = 0
+        frontier = np.flatnonzero(count == 1)
+        while frontier.size:
+            ki = xor_keyidx[frontier]
+            order = np.arange(ki.size)
+            last_key[ki] = order
+            keep = last_key[ki] == order
+            ki, free = ki[keep], frontier[keep]
+            rounds.append((ki, free))
+            peeled += ki.size
+            touched = pos[:, ki].ravel()
+            np.subtract.at(count, touched, 1)
+            np.bitwise_xor.at(xor_keyidx, touched, np.concatenate((ki, ki, ki)))
+            touched = touched[count[touched] == 1]
+            order = np.arange(touched.size)
+            last_slot[touched] = order
+            frontier = touched[last_slot[touched] == order]
+        return rounds if peeled == n else None
 
     def _assign(
-        self, keys: np.ndarray, values: np.ndarray, order: list[tuple[int, int]]
+        self, words: np.ndarray, pos: np.ndarray, rounds: list[tuple[np.ndarray, np.ndarray]]
     ) -> np.ndarray:
-        pos = self._positions(keys)
-        words = (self._fingerprints(keys) << np.uint64(self.value_bits)) | values
+        """Slots whose three xor to each key's ``words`` entry."""
         slots = np.zeros(3 * self._segment, dtype=np.uint64)
-        for ki, free_slot in reversed(order):
-            acc = words[ki]
-            for c in range(3):
-                s = int(pos[ki, c])
-                if s != free_slot:
-                    acc ^= slots[s]
-            slots[free_slot] = acc
+        for ki, free in reversed(rounds):
+            p = pos[:, ki]
+            slots[free] = words[ki] ^ slots[p[0]] ^ slots[p[1]] ^ slots[p[2]]
         return slots
 
     # -- queries ---------------------------------------------------------------
@@ -194,16 +225,28 @@ class XorMaplet:
         keys = np.asarray(keys, dtype=np.uint64).ravel()
         if keys.size == 0:
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
-        pos = self._positions(keys)
-        acc = self._slots[pos[:, 0]] ^ self._slots[pos[:, 1]] ^ self._slots[pos[:, 2]]
-        hits = (acc >> np.uint64(self.value_bits)) == self._fingerprints(keys)
+        pos, fps = self._hash(keys)
+        acc = self._slots[pos[0]] ^ self._slots[pos[1]] ^ self._slots[pos[2]]
+        hits = (acc >> np.uint64(self.value_bits)) == fps
         values = acc & np.uint64((1 << self.value_bits) - 1)
         return hits, values
 
     def get(self, key: int) -> int | None:
-        """The stored value, or None when the fingerprint guard rejects."""
-        hit, value = self.lookup_many(np.asarray([key], dtype=np.uint64))
-        return int(value[0]) if hit[0] else None
+        """The stored value, or None when the fingerprint guard rejects:
+        `lookup_many` of one key, bit for bit, in plain ints."""
+        k = int(key) & MASK64
+        seg = self._segment
+        m0, m1, m2 = self._mix
+        item = self._slots.item
+        acc = (
+            item(splitmix64_int(k ^ m0) % seg)
+            ^ item(splitmix64_int(k ^ m1) % seg + seg)
+            ^ item(splitmix64_int(k ^ m2) % seg + 2 * seg)
+        )
+        fp = splitmix64_int(k ^ self._fp_mix) % ((1 << self.fp_bits) - 1) + 1
+        if acc >> self.value_bits != fp:
+            return None
+        return acc & ((1 << self.value_bits) - 1)
 
     def __contains__(self, key: int) -> bool:
         return self.get(int(key)) is not None

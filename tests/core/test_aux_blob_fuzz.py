@@ -139,6 +139,24 @@ def test_csf_fingerprint_wider_than_a_slot_is_refused_at_load():
         aux_from_blob(join({**header, "fp_bits": 60}, payload))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: {"fnkeys": 0},  # no distinct keys, yet a slot payload
+        lambda h: {"fnkeys": h["nkeys"] + 1},  # more distinct keys than sealed
+        lambda h: {"nkeys": 0},  # nothing sealed, yet slots
+        lambda h: {"fnkeys": h["fnkeys"] - 30},  # a segment those keys never build
+    ],
+    ids=["fnkeys=0", "fnkeys>nkeys", "nkeys=0", "segment"],
+)
+def test_csf_key_counts_and_segment_are_cross_checked(edit):
+    """These loaded at the parent commit into a maplet whose `bits_per_key`
+    divided by zero (the first three) or whose geometry no build makes."""
+    header, payload = split(BLOBS["csf"][2])
+    with pytest.raises(ValueError, match="csf|fnkeys"):
+        aux_from_blob(join({**header, **edit(header)}, payload))
+
+
 @pytest.mark.parametrize("name", ["xor", "btree", "", 3, None, ["cuckoo"]])
 def test_unknown_backend_is_a_value_error(name):
     header, payload = split(BLOBS["cuckoo"][1])

@@ -4,7 +4,9 @@ The aux blob (`aux_to_blob`) is a persistence contract: epochs sealed by
 older code must reload after an upgrade, and compaction carries blobs
 forward verbatim.  Each test pins the exact serialized bytes of a tiny
 deterministic table — if an edit changes the format, these fail loudly
-instead of silently orphaning persisted epochs.
+instead of silently orphaning persisted epochs.  A construction change
+that keeps the format but moves the bytes re-pins `GOLDEN` on purpose and
+keeps the old bytes in `LEGACY`, which must still reload and answer.
 
 The header's ``"v"`` tag is mandatory: the loader reads v2 and nothing
 else — not the tag-less blobs that predate it, not anything newer than it
@@ -59,6 +61,20 @@ GOLDEN = {
         "790000007b226261636b656e64223a2022637366222c2022666e6b657973223a"
         "20352c202266705f62697473223a20322c20226e6b657973223a20352c20226e"
         "7061727473223a20342c202273656564223a20392c20227365676d656e74223a"
+        "2031312c202276223a20322c202276616c75655f62697473223a20327d0000f0"
+        "0000000a0000000000000305f000"
+    ),
+}
+
+# Blobs an older construction sealed, for the same table: they must still
+# load and answer, and are never written again.  The csf one is from the
+# one-key-at-a-time peel; the round-synchronous peel that replaced it
+# settles on the same seed and header, and only the slot payload differs.
+LEGACY = {
+    "csf": bytes.fromhex(
+        "790000007b226261636b656e64223a2022637366222c2022666e6b657973223a"
+        "20352c202266705f62697473223a20322c20226e6b657973223a20352c20226e"
+        "7061727473223a20342c202273656564223a20392c20227365676d656e74223a"
         "2031312c202276223a20322c202276616c75655f62697473223a20327d000000"
         "000000005000000000000605fa00"
     ),
@@ -95,6 +111,19 @@ def test_golden_blob_reloads(backend):
     for k, r in zip(KEYS, RANKS):
         assert int(r) in t.candidate_ranks(int(k))
     assert aux_to_blob(t) == GOLDEN[backend]
+
+
+@pytest.mark.parametrize("backend", sorted(LEGACY))
+def test_legacy_blob_reloads_and_answers_as_the_current_one(backend):
+    old, new = aux_from_blob(LEGACY[backend]), aux_from_blob(GOLDEN[backend])
+    assert _split(LEGACY[backend])[0] == _split(GOLDEN[backend])[0]
+    assert aux_to_blob(old) == LEGACY[backend]  # reloads as it was sealed
+    for k, r in zip(KEYS, RANKS):
+        assert old.candidate_ranks(int(k)).tolist() == [int(r)]
+    old_counts, old_flat = old.candidates_many(KEYS)
+    new_counts, new_flat = new.candidates_many(KEYS)
+    np.testing.assert_array_equal(old_counts, new_counts)
+    np.testing.assert_array_equal(old_flat, new_flat)
 
 
 @pytest.mark.parametrize("backend", sorted(GOLDEN))

@@ -98,6 +98,12 @@ def test_empty_rejected():
         )
 
 
+@pytest.mark.parametrize("nslots", [0, 7])
+def test_from_state_needs_three_non_empty_segments(nslots):
+    with pytest.raises(ValueError, match="segments"):
+        XorMaplet.from_state(np.zeros(nslots, dtype=np.uint64), 1, 2, 4, seed=0)
+
+
 def test_retry_exhaustion_raises():
     keys = np.arange(1, 200, dtype=np.uint64)
     vals = keys % np.uint64(4)

@@ -8,7 +8,6 @@ ordering quality, never answers).
 """
 
 import asyncio
-import dataclasses
 
 import numpy as np
 import pytest
@@ -58,13 +57,13 @@ def test_mixed_backend_epochs_match_merged_store():
     oracle = merged_store(dumps[:0], seed=31)
     for backend, dump in zip(per_epoch, dumps):
         for node in fleet.shards.values():
-            node.store.fmt = dataclasses.replace(
-                node.store.fmt, aux_backend=backend
-            )
-        oracle.fmt = dataclasses.replace(oracle.fmt, aux_backend=backend)
+            node.store.aux_backends = (backend,)
+        oracle.aux_backends = (backend,)
         fleet.ingest(dump)
         writer = np.arange(len(dump)) % 2
         oracle.write_epoch([dump.select(writer == r) for r in range(2)])
+    for node in fleet.shards.values():
+        assert [e.aux_backend for e in node.store.manifest.epochs] == per_epoch
     keys = sorted(truth)[::9] + absent_keys(truth, n=8)
     run(_assert_matches_oracle(fleet, oracle, truth, keys))
     oracle.close()

@@ -45,7 +45,12 @@ RANGED = ("store.get", "store.get_many")
 def _store():
     rng = np.random.default_rng(2811)
     store = MultiEpochStore(
-        nranks=NRANKS, fmt=FMT_FILTERKV, value_bytes=VALUE_BYTES, block_size=BLOCK_SIZE, seed=11
+        nranks=NRANKS,
+        fmt=FMT_FILTERKV,
+        value_bytes=VALUE_BYTES,
+        block_size=BLOCK_SIZE,
+        seed=11,
+        aux_backends=("cuckoo",),  # the candidate walk these totals were pinned on
     )
     written = []
     for _ in range(2):

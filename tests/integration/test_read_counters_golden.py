@@ -16,6 +16,15 @@ group, a data-block read shrank by the 12 B of count + block checksum the
 groups replaced.  Every read count, handle count, cache counter and answer
 is the one captured at bc78542.
 
+The script runs twice.  Sealed with the paper's cuckoo tables it must
+match `GOLDEN`, the bc78542 totals.  Sealed with the store's default
+(`AUTO_BACKENDS`, csf first) it must match `GOLDEN_AUTO`, pinned when that
+became the default: the csf seal gives a present key one candidate, so
+partitions probed, negative-cache traffic and data reads fall, while every
+answer digest equals the cuckoo run's.  Its absent keys' false candidates
+follow the csf slot contents, so a change to how the csf build fills its
+slots re-pins `GOLDEN_AUTO` (never `GOLDEN`).
+
 Regenerate (only when a change is *meant* to move device traffic) with
 ``PYTHONPATH=src python tests/integration/test_read_counters_golden.py``.
 """
@@ -92,7 +101,10 @@ def _digest(values):
     return zlib.crc32(b"|".join(b"-" if v is None else bytes(v) for v in values))
 
 
-def _new_store():
+CUCKOO = ("cuckoo",)
+
+
+def _new_store(aux_backends):
     return MultiEpochStore(
         nranks=NRANKS,
         fmt=FMT_FILTERKV,
@@ -101,26 +113,27 @@ def _new_store():
         seed=23,
         device=StorageDevice(metrics=MetricsRegistry("golden")),
         compaction=CompactionPolicy(max_live_epochs=4, merge_factor=4),
+        aux_backends=aux_backends,
     )
 
 
-def _writer_handles(dumps):
+def _writer_handles(dumps, aux_backends):
     """Handles the write path alone leaves open (sealed extents stay open
     until swept): the script's writes and compactions with no read at all."""
-    store = _new_store()
+    store = _new_store(aux_backends)
     for dump in dumps[:6]:
         store.write_epoch(dump)
     store.compact([4, 5])
     return store.device.open_handles
 
 
-def run_script():
+def run_script(aux_backends=CUCKOO):
     """Run the seeded script; returns ``[(phase, counters), ...]``."""
     rng = np.random.default_rng(2311)
     universe = rng.integers(0, 2**63, size=UNIVERSE, dtype=np.uint64)
     absent = rng.integers(2**63, 2**64 - 1, size=8, dtype=np.uint64)
     dumps = [_dump(rng, universe, tag) for tag in range(1, 7)]
-    store = _new_store()
+    store = _new_store(aux_backends)
     for dump in dumps[:5]:  # the 4th commit triggers the policy's merge
         store.write_epoch(dump)
     assert store.compactions == 1 and store.epochs == [4, 5]
@@ -210,7 +223,9 @@ def run_script():
     asyncio.run(serve())
     store.close()
     closed = _store_counters(store)
-    assert closed["device.open_handles"] == _writer_handles(dumps), "a reader leaked handles"
+    assert closed["device.open_handles"] == _writer_handles(dumps, aux_backends), (
+        "a reader leaked handles"
+    )
     phases.append(("store closed", closed))
     return phases
 
@@ -358,14 +373,172 @@ GOLDEN = [('written',
    'sstable.block_cache.misses': 549})]
 
 
-def test_read_counters_match_the_parent_commit():
-    got = run_script()
-    assert [name for name, _ in got] == [name for name, _ in GOLDEN]
-    for (name, counters), (_, want) in zip(got, GOLDEN):
+# The same script sealed with the store's default `AUTO_BACKENDS` (csf).
+GOLDEN_AUTO = [('written',
+  {'device.reads': 84,
+   'device.bytes_read': 40909,
+   'device.open_handles': 40,
+   'sstable.block_cache.hits': 0,
+   'sstable.block_cache.misses': 48}),
+ ('store.get',
+  {'device.reads': 188,
+   'device.bytes_read': 124644,
+   'device.open_handles': 40,
+   'sstable.block_cache.hits': 0,
+   'sstable.block_cache.misses': 128,
+   'stats.reads': 104,
+   'stats.bytes_read': 83735,
+   'stats.partitions_searched': 82,
+   'answers': 3713930082}),
+ ('store.get_many',
+  {'device.reads': 272,
+   'device.bytes_read': 198372,
+   'device.open_handles': 40,
+   'sstable.block_cache.hits': 0,
+   'sstable.block_cache.misses': 212,
+   'stats.reads': 84,
+   'stats.bytes_read': 73728,
+   'stats.partitions_searched': 452,
+   'answers': 1757043775}),
+ ('store.lookup',
+  {'device.reads': 422,
+   'device.bytes_read': 263692,
+   'device.open_handles': 48,
+   'sstable.block_cache.hits': 15,
+   'sstable.block_cache.misses': 257,
+   'stats.reads': 150,
+   'stats.bytes_read': 65320,
+   'stats.partitions_searched': 64,
+   'answers': 1911588890}),
+ ('store.lookup_many',
+  {'device.reads': 448,
+   'device.bytes_read': 286588,
+   'device.open_handles': 48,
+   'sstable.block_cache.hits': 31,
+   'sstable.block_cache.misses': 283,
+   'stats.reads': 26,
+   'stats.bytes_read': 22896,
+   'stats.partitions_searched': 138,
+   'answers': 4062918877}),
+ ('store.trajectory',
+  {'device.reads': 459,
+   'device.bytes_read': 296704,
+   'device.open_handles': 48,
+   'sstable.block_cache.hits': 52,
+   'sstable.block_cache.misses': 294,
+   'stats.reads': 11,
+   'stats.bytes_read': 10116,
+   'stats.partitions_searched': 34,
+   'answers': 1949709263}),
+ ('default.before',
+  {'device.reads': 504,
+   'device.bytes_read': 338896,
+   'device.open_handles': 56,
+   'sstable.block_cache.hits': 79,
+   'sstable.block_cache.misses': 339,
+   'reader.queries': 212,
+   'reader.partitions_probed': 144,
+   'reader.cache.hits': 39,
+   'reader.cache.misses': 8,
+   'reader.cache.evictions': 0,
+   'serve.negative_cache.inserts': 12,
+   'serve.negative_cache.skipped_probes': 12,
+   'reader.storage_reads.data': 45,
+   'reader.storage_reads.footer': 0,
+   'reader.storage_reads.index': 0,
+   'reader.storage_reads.aux': 0,
+   'answers': 686095842}),
+ ('narrow.before',
+  {'device.reads': 576,
+   'device.bytes_read': 409276,
+   'device.open_handles': 58,
+   'sstable.block_cache.hits': 79,
+   'sstable.block_cache.misses': 411,
+   'reader.queries': 212,
+   'reader.partitions_probed': 144,
+   'reader.cache.hits': 3,
+   'reader.cache.misses': 44,
+   'reader.cache.evictions': 42,
+   'serve.negative_cache.inserts': 12,
+   'serve.negative_cache.skipped_probes': 12,
+   'reader.storage_reads.data': 72,
+   'reader.storage_reads.footer': 0,
+   'reader.storage_reads.index': 0,
+   'reader.storage_reads.aux': 0,
+   'answers': 686095842}),
+ ('default.after',
+  {'device.reads': 691,
+   'device.bytes_read': 481819,
+   'device.open_handles': 58,
+   'sstable.block_cache.hits': 106,
+   'sstable.block_cache.misses': 482,
+   'reader.queries': 423,
+   'reader.partitions_probed': 286,
+   'reader.cache.hits': 78,
+   'reader.cache.misses': 16,
+   'reader.cache.evictions': 0,
+   'serve.negative_cache.inserts': 21,
+   'serve.negative_cache.skipped_probes': 21,
+   'reader.storage_reads.data': 88,
+   'reader.storage_reads.footer': 8,
+   'reader.storage_reads.index': 8,
+   'reader.storage_reads.aux': 8,
+   'answers': 3859104156}),
+ ('narrow.after',
+  {'device.reads': 758,
+   'device.bytes_read': 547699,
+   'device.open_handles': 58,
+   'sstable.block_cache.hits': 109,
+   'sstable.block_cache.misses': 549,
+   'reader.queries': 423,
+   'reader.partitions_probed': 286,
+   'reader.cache.hits': 10,
+   'reader.cache.misses': 84,
+   'reader.cache.evictions': 80,
+   'serve.negative_cache.inserts': 21,
+   'serve.negative_cache.skipped_probes': 21,
+   'reader.storage_reads.data': 139,
+   'reader.storage_reads.footer': 0,
+   'reader.storage_reads.index': 0,
+   'reader.storage_reads.aux': 0,
+   'answers': 3859104156}),
+ ('services closed',
+  {'device.reads': 758,
+   'device.bytes_read': 547699,
+   'device.open_handles': 48,
+   'sstable.block_cache.hits': 109,
+   'sstable.block_cache.misses': 549}),
+ ('store closed',
+  {'device.reads': 758,
+   'device.bytes_read': 547699,
+   'device.open_handles': 48,
+   'sstable.block_cache.hits': 109,
+   'sstable.block_cache.misses': 549})]
+
+
+def _check(got, golden):
+    assert [name for name, _ in got] == [name for name, _ in golden]
+    for (name, counters), (_, want) in zip(got, golden):
         assert counters == want, f"phase {name!r} moved"
+
+
+def test_read_counters_match_the_parent_commit():
+    _check(run_script(CUCKOO), GOLDEN)
+
+
+def test_read_counters_under_the_default_backends():
+    _check(run_script(None), GOLDEN_AUTO)
+
+
+def test_the_backend_moves_traffic_never_answers():
+    for (name, cuckoo), (_, auto) in zip(GOLDEN, GOLDEN_AUTO):
+        assert cuckoo.get("answers") == auto.get("answers"), name
+        for probes in ("stats.partitions_searched", "reader.partitions_probed"):
+            assert auto.get(probes, 0) <= cuckoo.get(probes, 0), (name, probes)
 
 
 if __name__ == "__main__":
     import pprint
 
-    pprint.pprint(run_script(), width=100, sort_dicts=False)
+    for backends in (CUCKOO, None):
+        pprint.pprint(run_script(backends), width=100, sort_dicts=False)

@@ -34,15 +34,20 @@ def fed_reader(data: bytes, eof: bool = True):
     return FrameReader(reader)
 
 
-def build_store(fmt, nranks=8, records=200, epochs=1, value_bytes=24, seed=7):
+def build_store(
+    fmt, nranks=8, records=200, epochs=1, value_bytes=24, seed=7, aux_backends=None
+):
     """A committed store plus per-epoch ground truth.
 
     Returns ``(store, truth)`` where ``truth[epoch]`` maps every key the
     epoch holds to its value bytes.  Keys are uniformly random, so the
     writer rank is uncorrelated with the hash owner — the regime where
-    FilterKV actually produces false candidates.
+    FilterKV actually produces false candidates (under the cuckoo; the
+    default csf seal answers a present key with its one rank).
     """
-    store = MultiEpochStore(nranks=nranks, fmt=fmt, value_bytes=value_bytes, seed=seed)
+    store = MultiEpochStore(
+        nranks=nranks, fmt=fmt, value_bytes=value_bytes, seed=seed, aux_backends=aux_backends
+    )
     rng = np.random.default_rng(seed)
     truth = {}
     for e in range(epochs):

@@ -14,8 +14,6 @@ the backend is a per-epoch implementation detail:
   committed, whatever mix of backends the committed epochs hold.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -41,11 +39,11 @@ def _grow(store, rng, n=100):
 
 
 def _mixed_store(seed=41, device=None, backends=EPOCH_BACKENDS):
-    """One epoch per named backend, forced via the format's default (no
-    ``aux_backends=``), so the mix is deterministic."""
+    """One epoch per named backend, forced per epoch through the store's
+    ``aux_backends``, so the mix is deterministic."""
     store = MultiEpochStore(
         nranks=NRANKS,
-        fmt=dataclasses.replace(FMT_FILTERKV, aux_backend=backends[0]),
+        fmt=FMT_FILTERKV,
         value_bytes=VB,
         seed=seed,
         **({"device": device} if device is not None else {}),
@@ -53,7 +51,7 @@ def _mixed_store(seed=41, device=None, backends=EPOCH_BACKENDS):
     rng = np.random.default_rng(seed)
     truth = {}
     for backend in backends:
-        store.fmt = dataclasses.replace(store.fmt, aux_backend=backend)
+        store.aux_backends = (backend,)
         truth.update(_grow(store, rng))
     return store, truth, rng
 
@@ -124,7 +122,7 @@ def test_crash_during_aux_seal_preserves_committed_mix(seed):
     committed = list(store.epochs)
     nxt = store.manifest.next_epoch
     device.plan.crash_at(0, pattern=f"aux.{nxt:03d}.*")
-    store.fmt = dataclasses.replace(store.fmt, aux_backend="csf")
+    store.aux_backends = ("csf",)
     with pytest.raises(CrashPoint):
         _grow(store, rng)
     store.close()

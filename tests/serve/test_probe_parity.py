@@ -4,7 +4,9 @@
 call, handing it the negative cache.  This property drives one key
 multiset through the service twice over stores whose aux tables are
 forced to produce false candidates (4-bit cuckoo fingerprints, >= 16
-ranks) and pins what that one candidate walk must deliver.
+ranks: the stores seal ``("cuckoo",)`` explicitly, since the default csf
+seal gives a present key no false candidate) and pins what that one
+candidate walk must deliver.
 """
 
 import asyncio
@@ -21,7 +23,9 @@ ABSENT_BASE = 1 << 63  # stored keys are random 63-bit values
 
 
 def _store(nranks, seed):
-    store, truth = shared_store(FMT_FILTERKV, nranks=nranks, records=60, seed=seed)
+    store, truth = shared_store(
+        FMT_FILTERKV, nranks=nranks, records=60, seed=seed, aux_backends=("cuckoo",)
+    )
     present = sorted(truth[0])
     engine = store.engine(0)
     assert any(

@@ -210,8 +210,11 @@ def test_closed_service_refuses():
 
 def test_negative_cache_cuts_false_candidate_probes():
     """The acceptance criterion: repeat FilterKV queries skip the aux
-    table's false candidates, visible in the obs counters."""
-    store, truth = build_store(FMT_FILTERKV, nranks=32, records=150, seed=3)
+    table's false candidates, visible in the obs counters (on the cuckoo,
+    which gives present keys false candidates; csf gives them none)."""
+    store, truth = build_store(
+        FMT_FILTERKV, nranks=32, records=150, seed=3, aux_backends=("cuckoo",)
+    )
     rng = np.random.default_rng(0)
     sample = [int(k) for k in rng.choice(list(truth[0]), 200, replace=False)]
 
