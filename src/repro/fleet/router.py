@@ -33,17 +33,24 @@ letting it send each query to the shard most likely to answer it:
   which its replicas serve every key it owned — replica promotion is
   emergent from breaker + candidate ordering, no leader election needed.
 
+* **Bursts** — `get_burst` answers a read burst as `get` answers each of
+  its requests, but sends every key's first hop to a shard in one
+  ``get_many`` (one frame per shard, not one per key); only keys whose
+  first answer is not terminal walk on one by one.
+
 The router exposes the same surface as `QueryService` (``get`` /
-``stats`` / ``live_stats`` / ``recent_traces`` / ``state_token`` /
-``aux_state`` / ``start`` / ``close``), so `ServeServer` can mount it
-unchanged: clients speak one protocol whether they face a shard or the
-fleet.
+``get_burst`` / ``stats`` / ``live_stats`` / ``recent_traces`` /
+``state_token`` / ``aux_state`` / ``start`` / ``close``), so `ServeServer`
+can mount it unchanged: clients speak one protocol whether they face a
+shard or the fleet.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+
+import numpy as np
 
 from ..core.auxtable import aux_from_blob
 from ..core.partitioning import HashPartitioner
@@ -64,6 +71,9 @@ _SHARD_FAULT_CODES = {"", ERR_INTERNAL, ERR_CLOSED}
 # Transport-level failures a retry may heal (the TCP pump surfaces broken
 # framing as ProtocolError).
 _TRANSPORT_ERRORS = (ConnectionError, OSError, ProtocolError)
+
+# What one shard answer means for a key's walk (`FleetRouter._judge`).
+_FINAL, _FALLBACK, _RETRY = "final", "fallback", "retry"
 
 
 class ShardAuxView:
@@ -99,10 +109,8 @@ class ShardAuxView:
                 # guards the extent at rest guards it on the wire.
                 tables.append(aux_from_blob(unseal(raw)))
             self.epochs[int(epoch_str)] = tables
-
-    @property
-    def blind(self) -> bool:
-        return all(rows is None for rows in self.epochs.values())
+        self.blind = all(rows is None for rows in self.epochs.values())
+        self._newest_first = sorted(self.epochs, reverse=True)
 
     @property
     def resident_bytes(self) -> int:
@@ -121,16 +129,12 @@ class ShardAuxView:
         no false negatives, so -1 from a *fresh, non-blind* view means
         the shard genuinely lacks the key in the consulted epochs.
         """
-        epochs = (
-            [epoch] if epoch is not None and epoch in self.epochs
-            else sorted(self.epochs, reverse=True)
-        )
+        key = int(key)
+        epochs = [epoch] if epoch is not None and epoch in self.epochs else self._newest_first
+        owner = self._partitioner.partition_of_one(key)
         for e in epochs:
-            rows = self.epochs.get(e)
-            if rows is None:
-                continue
-            owner = self._partitioner.partition_of_one(int(key))
-            if owner < len(rows) and len(rows[owner].candidate_ranks(int(key))):
+            rows = self.epochs[e]
+            if rows is not None and owner < len(rows) and len(rows[owner].candidate_ranks(key)):
                 return e
         return -1
 
@@ -308,7 +312,9 @@ class FleetRouter:
 
     # -- planning ----------------------------------------------------------
 
-    def plan(self, key: int, epoch: int | None = None) -> tuple[list[int], bool]:
+    def plan(
+        self, key: int, epoch: int | None = None, owners: list[int] | None = None
+    ) -> tuple[list[int], bool]:
         """Candidate shards for ``key``, best-first, and whether aux state
         shaped the order.
 
@@ -316,8 +322,12 @@ class FleetRouter:
         Owners with a fresh claim sort first, newest claiming epoch first;
         stale or blind views contribute nothing, and when *no* owner has a
         fresh view the plan is pure ring order — the scatter fallback.
+        ``owners`` is the key's ``ring.owners``, when the caller already
+        has it.
         """
-        owners = self.ring.owners(int(key), self.rf)
+        key = int(key)
+        if owners is None:
+            owners = self.ring.owners(key, self.rf)
         scored = []
         used_aux = False
         for pos, sid in enumerate(owners):
@@ -326,7 +336,7 @@ class FleetRouter:
                 scored.append((1, 0, pos, sid))
                 continue
             used_aux = True
-            claimed = view.claim(int(key), epoch)
+            claimed = view.claim(key, epoch)
             if claimed >= 0:
                 scored.append((0, -claimed, pos, sid))
             else:
@@ -350,13 +360,95 @@ class FleetRouter:
         t0 = time.perf_counter()
         key = int(key)
         if self._closed:
-            return self._done(
-                t0, ServeResponse(ERROR, key, epoch, detail="router closed", code="closed")
-            )
+            return self._done(t0, self._router_closed(key, epoch))
         order, used_aux = self.plan(key, epoch)
         (self._m_aux_routed if used_aux else self._m_scatter).inc()
         response = await self._walk(order, key, epoch, deadline_s, trace)
         return self._done(t0, response)
+
+    async def get_burst(self, requests) -> list[ServeResponse]:
+        """`get` of every ``(key, epoch, deadline_s, trace)`` request of one
+        read burst, answered in request order with the same answers and
+        ``fleet.router.*`` counts as one `get` per request.
+
+        Every key is planned as `get` plans it (the burst's ring owners in
+        one `HashRing.owners_many`), and its first hop — the first
+        candidate whose breaker lets it through — rides in one
+        ``get_many`` per (shard, epoch).  Each answer is judged by
+        `_try_shard`'s rules; a key without a terminal one continues down
+        its plan with `_walk`, that answer kept as the fallback.  Keys
+        carrying a deadline or a trace take the per-key `_walk` from the
+        start: hedging and trace propagation are per request.
+        """
+        t0 = time.perf_counter()
+        out: list[ServeResponse | None] = [None] * len(requests)
+        if self._closed:
+            return [self._done(t0, self._router_closed(int(r[0]), r[1])) for r in requests]
+        keys = [int(r[0]) for r in requests]
+        owners = self.ring.owners_many(np.asarray(keys, dtype=np.uint64), self.rf).tolist()
+        walks: list = []  # awaitables, run together
+        hops: dict[tuple, list] = {}  # (shard, epoch) -> [(slot, key, order, position)]
+        for j, (key, (_, epoch, deadline_s, trace)) in enumerate(zip(keys, requests)):
+            order, used_aux = self.plan(key, epoch, owners[j])
+            (self._m_aux_routed if used_aux else self._m_scatter).inc()
+            if deadline_s is not None or trace is not None:
+                walks.append(self._walk_into(out, j, order, key, epoch, deadline_s, trace))
+                continue
+            for i, sid in enumerate(order):
+                if i > 0:
+                    self._m_failovers.inc()
+                if self._admit(sid) and self.clients.get(sid) is not None:
+                    hops.setdefault((sid, epoch), []).append((j, key, order, i))
+                    break
+            else:
+                out[j] = self._no_shard(order, key, epoch)
+        walks += [self._hop(sid, epoch, entries, out) for (sid, epoch), entries in hops.items()]
+        # Always as tasks, even a lone one: every burst's frames then leave
+        # on the same loop turn, and bursts that arrive together stay
+        # together at the shards (their dispatch windows depend on it).
+        await asyncio.gather(*walks)
+        for response in out:
+            self._done(t0, response)
+        return out
+
+    async def _walk_into(self, out: list, j: int, order, key, epoch, deadline_s, trace) -> None:
+        out[j] = await self._walk(order, key, epoch, deadline_s, trace)
+
+    async def _hop(self, sid: int, epoch, entries: list, out: list) -> None:
+        """One shard's share of a burst's first hops, as one ``get_many``."""
+        breaker = self.breakers.get(sid)
+        try:
+            responses = await self.clients[sid].get_many([e[1] for e in entries], epoch=epoch)
+        except _TRANSPORT_ERRORS:
+            responses = None
+        rest = []
+        for n, (j, key, order, i) in enumerate(entries):
+            if responses is None:
+                if breaker is not None:
+                    breaker.record(False)
+                rest.append((j, self._resume(order, i, key, epoch, _RETRY, None)))
+                continue
+            verdict = self._judge(sid, responses[n])
+            if verdict is _FINAL:
+                out[j] = responses[n]
+            else:
+                rest.append((j, self._resume(order, i, key, epoch, verdict, responses[n])))
+        if rest:
+            answers = await asyncio.gather(*(walk for _, walk in rest))
+            for (j, _), answer in zip(rest, answers):
+                out[j] = answer
+
+    async def _resume(self, order, i: int, key: int, epoch, verdict, response) -> ServeResponse:
+        """The rest of a key's walk after a batched first hop to
+        ``order[i]`` that was not terminal: that shard's remaining
+        attempts (after a shard fault), then the candidates behind it."""
+        if verdict is _RETRY:
+            final, response = await self._try_shard(
+                order[i], key, epoch, None, None, attempt=1, last=response
+            )
+            if final:
+                return response
+        return await self._walk(order, key, epoch, None, None, start=i + 1, fallback=response)
 
     def _done(self, t0: float, response: ServeResponse) -> ServeResponse:
         dt = time.perf_counter() - t0
@@ -365,14 +457,28 @@ class FleetRouter:
         self.timeseries.record(response.status, dt)
         return response
 
+    @staticmethod
+    def _router_closed(key: int, epoch) -> ServeResponse:
+        return ServeResponse(ERROR, key, epoch, detail="router closed", code="closed")
+
+    @staticmethod
+    def _no_shard(order: list[int], key: int, epoch) -> ServeResponse:
+        return ServeResponse(
+            ERROR,
+            key,
+            epoch,
+            detail=f"no shard available (tried {order})",
+            code=ERR_INTERNAL,
+        )
+
     async def _walk(
-        self, order: list[int], key: int, epoch, deadline_s, trace
+        self, order: list[int], key: int, epoch, deadline_s, trace,
+        start: int = 0, fallback: ServeResponse | None = None,
     ) -> ServeResponse:
-        """Try candidates in order; hedge the first hop under deadline
-        pressure.  Returns the first terminal answer, or the best
-        non-terminal one when every candidate fails."""
-        fallback: ServeResponse | None = None
-        start = 0
+        """Try candidates in order from ``start``; hedge the first hop
+        under deadline pressure.  Returns the first terminal answer, or the
+        best non-terminal one (``fallback`` first) when every candidate
+        fails."""
         if (
             deadline_s is not None
             and self.hedge_fraction > 0
@@ -396,13 +502,7 @@ class FleetRouter:
                 fallback = response
         if fallback is not None:
             return fallback
-        return ServeResponse(
-            ERROR,
-            key,
-            epoch,
-            detail=f"no shard available (tried {order})",
-            code=ERR_INTERNAL,
-        )
+        return self._no_shard(order, key, epoch)
 
     async def _hedged_first_hop(
         self, order: list[int], key: int, epoch, deadline_s, trace
@@ -450,25 +550,34 @@ class FleetRouter:
                     fallback = response
         return False, fallback
 
+    def _admit(self, sid: int) -> bool:
+        """The breaker gate in front of a shard's first attempt."""
+        breaker = self.breakers.get(sid)
+        if breaker is not None and not breaker.allow():
+            self._m_breaker_skips.inc()
+            return False
+        return True
+
     async def _try_shard(
-        self, sid: int, key: int, epoch, deadline_s, trace
+        self, sid: int, key: int, epoch, deadline_s, trace,
+        attempt: int = 0, last: ServeResponse | None = None,
     ) -> tuple[bool, ServeResponse | None]:
         """One shard's full attempt: breaker gate, bounded retries.
 
         Returns ``(final, response)``; ``final`` means the walk stops
         here.  ``(False, resp)`` keeps ``resp`` as a fallback answer if
         every other candidate also fails; ``(False, None)`` means the
-        shard was skipped or unreachable.
+        shard was skipped or unreachable.  ``attempt`` > 0 resumes after
+        attempts already made (``last`` is what the latest one answered),
+        past the gate.
         """
-        breaker = self.breakers.get(sid)
-        if breaker is not None and not breaker.allow():
-            self._m_breaker_skips.inc()
+        if attempt == 0 and not self._admit(sid):
             return False, None
+        breaker = self.breakers.get(sid)
         client = self.clients.get(sid)
         if client is None:
             return False, None
-        last: ServeResponse | None = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(attempt, self.retries + 1):
             if attempt > 0:
                 self._m_retries.inc()
                 await asyncio.sleep(self.backoff_s * (2 ** (attempt - 1)))
@@ -481,41 +590,42 @@ class FleetRouter:
                     breaker.record(False)
                 last = None
                 continue
-            self._note_state(sid, response)
-            if response.status in (OK, NOT_FOUND):
-                if breaker is not None:
-                    breaker.record(True)
-                # ok from anyone; not_found only from an authoritative
-                # replica holder — which every planned candidate is.
-                return True, response
-            if response.status == DEADLINE_EXCEEDED:
-                if breaker is not None:
-                    breaker.record(True)  # alive, just slow
-                return True, response
-            if response.status == OVERLOADED:
-                # An explicit refusal: the shard is alive.  Fail over to
-                # a replica but keep this as the answer of last resort.
-                if breaker is not None:
-                    breaker.record(True)
-                return False, response
-            # status == ERROR
+            verdict = self._judge(sid, response)
+            if verdict is _RETRY:
+                last = response
+                continue
+            return verdict is _FINAL, response
+        return False, last
+
+    def _judge(self, sid: int, response: ServeResponse):
+        """What one shard answer means for the walk — `_FINAL` (stop here),
+        `_FALLBACK` (fail over, keep it as the answer of last resort) or
+        `_RETRY` (a shard fault: try this shard again) — with the answer
+        fed to the shard's breaker and staleness check."""
+        self._note_state(sid, response)
+        alive, verdict = True, _FINAL
+        if response.status == DEADLINE_EXCEEDED:
+            pass  # alive, just slow
+        elif response.status == OVERLOADED:
+            # An explicit refusal: the shard is alive.  Fail over to a
+            # replica but keep this as the answer of last resort.
+            verdict = _FALLBACK
+        elif response.status == ERROR:
             if response.code == ERR_UNKNOWN_EPOCH:
                 # Our view of this shard is behind its compactions; its
                 # replicas may already resolve the epoch.
                 self._mark_stale(sid)
-                if breaker is not None:
-                    breaker.record(True)
-                return False, response
-            if response.code in _SHARD_FAULT_CODES:
-                if breaker is not None:
-                    breaker.record(False)
-                last = response
-                continue  # retryable shard fault
-            # Typed non-retryable error (bad_request, unsupported_version…)
-            if breaker is not None:
-                breaker.record(True)
-            return True, response
-        return False, last
+                verdict = _FALLBACK
+            elif response.code in _SHARD_FAULT_CODES:
+                alive, verdict = False, _RETRY  # retryable shard fault
+            # else a typed non-retryable error (bad_request,
+            # unsupported_version…): final.
+        # else ok from anyone; not_found only from an authoritative replica
+        # holder — which every planned candidate is.
+        breaker = self.breakers.get(sid)
+        if breaker is not None:
+            breaker.record(alive)
+        return verdict
 
     def _note_state(self, sid: int, response: ServeResponse) -> None:
         """Compare the piggybacked state token against the view it was

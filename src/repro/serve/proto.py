@@ -13,27 +13,38 @@ kind ‖ id`` sit at the same offsets in every version, so a peer speaking
 another one is refused with a typed ``unsupported_version`` error
 addressed to its request id instead of being misread.
 
-====  =====  ============================================================
-kind  name   kind-specific bytes
-====  =====  ============================================================
-1     GET    u64 key ‖ i64 epoch ‖ f64 deadline_s ‖ [JSON tail]
-2     REPLY  u64 key ‖ i64 epoch ‖ u8 status ‖ u8 flags ‖ 2 × i64 state
-             token ‖ u32 value length ‖ value ‖ [JSON tail]
-3     JSON   one JSON object
-====  =====  ============================================================
+====  ==========  =======================================================
+kind  name        kind-specific bytes
+====  ==========  =======================================================
+1     GET         u64 key ‖ i64 epoch ‖ f64 deadline_s ‖ [JSON tail]
+2     REPLY       u64 key ‖ i64 epoch ‖ u8 status ‖ u8 flags ‖ 2 × i64
+                  state token ‖ u32 value length ‖ value ‖ [JSON tail]
+3     JSON        one JSON object
+4     GET_MANY    i64 epoch ‖ f64 deadline_s ‖ u32 n ‖ n × u64 key ‖
+                  [JSON tail]
+5     REPLY_MANY  2 × i64 state token ‖ u32 n ‖ n × (u64 key ‖ i64 epoch
+                  ‖ u8 status ‖ u8 flags ‖ u32 value length ‖ value) ‖
+                  [JSON tail]
+====  ==========  =======================================================
 
-The two messages a request costs are *binary*: ``epoch`` is i64-min for
-``None`` and ``deadline_s`` NaN for none, ``status`` indexes `STATUSES`,
-``flags`` say cached / has value / has state token, the value is raw
-bytes.  Everything rare is *JSON inside the same frame and checksum*: a
-request's propagated `TraceContext` and a reply's ``detail``, error
-``code`` and span tree ride as a JSON-object tail behind the fixed part;
+The messages a read costs are *binary*: ``epoch`` is i64-min for ``None``
+and ``deadline_s`` NaN for none, ``status`` indexes `STATUSES`, ``flags``
+say cached / has value / has state token, the value is raw bytes.  A
+``get_many`` asks for n keys at one epoch and deadline and is answered by
+one ``REPLY_MANY`` whose rows are the kind-2 fields minus the state token
+the frame carries once.  Everything rare is *JSON inside the same frame
+and checksum*: a request's propagated `TraceContext` and a reply's
+``detail``, error ``code`` and span tree ride as a JSON-object tail behind
+the fixed part (a ``REPLY_MANY`` row's under ``"rows": {"<index>": {...}}``);
 the control verbs (``stats``, ``stats_live``, ``trace``, ``aux_state``,
 ``ping``) and their replies are kind 3, as is any message whose fields do
 not fit a fixed slot (a key that is no u64, an error reply naming no key).
 To callers a message is still an id-tagged dict — ``{"id": 7, "v": 3,
-"op": "get", "key": 123, "epoch": None, "deadline_s": 0.05}`` —
-and `encode_frame` / `read_frame` alone know how it is laid out.
+"op": "get", "key": 123, "epoch": None, "deadline_s": 0.05}``, ``{"id": 8,
+"v": 3, "op": "get_many", "keys": [1, 2], "epoch": None, "deadline_s":
+None}``, ``{"id": 8, "v": 3, "st": (0, 4), "replies": [{"status": "ok",
+"key": 1, "epoch": 4, "value": b"...", "cached": False}, ...]}`` — and
+`encode_frame` / `read_frame` alone know how it is laid out.
 
 Why CRC-32 when extents at rest keep `repro.storage.envelope.seal`:
 `seal`'s checksum is a vectorised NumPy pass sized for 256 KB blocks; on a
@@ -45,7 +56,8 @@ CRC-checked frame and the router still ``unseal``s each one.
 Bursts.  `TCPClient` sends the frames its callers produce in one event
 loop turn with one write; `ServeServer` takes every complete frame already
 buffered (a *read burst*: one frame on an idle link, up to the client's
-outstanding count under load), runs each request through the mounted
+outstanding count under load), hands every key the burst reads — one per
+``get``, n per ``get_many`` — to one ``get_burst`` call of the mounted
 service and answers the burst with one write — so a closed loop's
 requests keep arriving together and fill the service's dispatch windows by
 themselves.  The one cost: a cache hit leaves with the misses it was
@@ -64,7 +76,8 @@ underneath its sealed-aux view; ``aux_state`` exports the sealed aux blobs
 (hex) per live epoch, the only shard bytes a router ever holds.
 
 `TCPClient` speaks this over a socket; `InprocClient` offers the same
-async ``get``/``stats`` surface by calling the service directly.
+async ``get``/``get_many``/``stats`` surface by calling the service
+directly.
 """
 
 from __future__ import annotations
@@ -105,12 +118,21 @@ _CRC = struct.Struct("<I")
 _HEAD = struct.Struct("<BBI")  # version, kind, id: fixed across versions
 _GET = struct.Struct("<BBIQqd")  # + key, epoch, deadline_s
 _REPLY = struct.Struct("<BBIQqBBqqI")  # + key, epoch, status, flags, state token, value length
+_GET_MANY = struct.Struct("<BBIqdI")  # + epoch, deadline_s, key count; then the keys
+_REPLY_MANY = struct.Struct("<BBIqqI")  # + state token, row count; then the rows
+_ROW = struct.Struct("<QqBBI")  # key, epoch, status, flags, value length; then the value
+_KEY_BYTES = 8
 _MIN_FRAME_BYTES = _HEAD.size + _CRC.size
 _READ_BYTES = 1 << 16
 
-_KIND_GET, _KIND_REPLY, _KIND_JSON = 1, 2, 3
+_KIND_GET, _KIND_REPLY, _KIND_JSON, _KIND_GET_MANY, _KIND_REPLY_MANY = 1, 2, 3, 4, 5
 _GET_KEYS = frozenset(("id", "v", "op", "key", "epoch", "deadline_s"))
 _REPLY_KEYS = frozenset(("id", "v", "status", "key", "epoch", "value", "cached", "st"))
+_GET_MANY_KEYS = frozenset(("id", "v", "op", "keys", "epoch", "deadline_s"))
+_REPLY_MANY_KEYS = frozenset(("id", "v", "st", "replies"))
+_ROW_KEYS = frozenset(("status", "key", "epoch", "value", "cached"))
+_U64_MAX = (1 << 64) - 1
+_READ_OPS = ("get", "get_many")
 _STATUS_CODE = {status: i for i, status in enumerate(STATUSES)}
 _F_CACHED, _F_VALUE, _F_STATE = 1, 2, 4
 _NO_EPOCH = -(1 << 63)
@@ -174,39 +196,92 @@ def _epoch_slot(epoch) -> int:
     return epoch
 
 
+def _epoch_field(slot: int) -> int | None:
+    return None if slot == _NO_EPOCH else slot
+
+
+def _value_flags(value: bytes | None, cached) -> tuple[bytes, int]:
+    """A reply's value bytes and its cached / has-value flag bits."""
+    flags = _F_CACHED if cached else 0
+    if value is None:
+        return b"", flags
+    return value, flags | _F_VALUE
+
+
+def _pack_reply(
+    version: int, rid: int, key: int, epoch, status: str, value: bytes | None, cached, st
+) -> bytes:
+    """A kind-2 body up to its JSON tail."""
+    value, flags = _value_flags(value, cached)
+    if st is None:
+        gen = newest = 0
+    else:
+        flags |= _F_STATE
+        gen, newest = st
+    return _REPLY.pack(
+        version, _KIND_REPLY, rid, key, _epoch_slot(epoch), _STATUS_CODE[status], flags,
+        gen, newest, len(value),
+    ) + value
+
+
+def _pack_row(key: int, epoch, status: str, value: bytes | None, cached) -> bytes:
+    """One ``REPLY_MANY`` row: a kind-2 reply's fields minus the state token."""
+    value, flags = _value_flags(value, cached)
+    return _ROW.pack(key, _epoch_slot(epoch), _STATUS_CODE[status], flags, len(value)) + value
+
+
 def _pack_fixed(message: dict, version: int, rid: int) -> bytes | None:
-    """The binary layout of a ``get`` request or reply, or None for every
+    """The binary layout of a read request or reply, or None for every
     other message.  Raises what `struct` and the lookups raise when a field
     does not fit its slot."""
-    if message.get("op") == "get":
+    op = message.get("op")
+    if op == "get" or op == "get_many":
         deadline = message.get("deadline_s")
-        fixed = _GET.pack(
-            version, _KIND_GET, rid, message["key"], _epoch_slot(message.get("epoch")),
-            _NAN if deadline is None else deadline,
-        )
-        rest = message.keys() - _GET_KEYS
+        epoch, deadline = _epoch_slot(message.get("epoch")), _NAN if deadline is None else deadline
+        if op == "get":
+            fixed = _GET.pack(version, _KIND_GET, rid, message["key"], epoch, deadline)
+            names = _GET_KEYS
+        else:
+            keys = message["keys"]
+            fixed = _GET_MANY.pack(
+                version, _KIND_GET_MANY, rid, epoch, deadline, len(keys)
+            ) + struct.pack(f"<{len(keys)}Q", *keys)
+            names = _GET_MANY_KEYS
+        tail = {name: message[name] for name in message.keys() - names}
+    elif "replies" in message:
+        gen, newest = message["st"]
+        rows = message["replies"]
+        parts = [_REPLY_MANY.pack(version, _KIND_REPLY_MANY, rid, gen, newest, len(rows))]
+        row_tails = {}
+        for i, row in enumerate(rows):
+            parts.append(
+                _pack_row(row["key"], row.get("epoch"), row["status"], row.get("value"), row.get("cached"))
+            )
+            if row.keys() - _ROW_KEYS:
+                row_tails[str(i)] = {name: row[name] for name in row.keys() - _ROW_KEYS}
+        fixed = b"".join(parts)
+        tail = {name: message[name] for name in message.keys() - _REPLY_MANY_KEYS}
+        if "rows" in tail:
+            raise ValueError("'rows' names the row tails of a REPLY_MANY")
+        if row_tails:
+            tail["rows"] = row_tails
     elif "status" in message:
-        value, st = message.get("value"), message.get("st")
-        flags = _F_CACHED if message.get("cached") else 0
-        if value is None:
-            value = b""
-        else:
-            flags |= _F_VALUE
-        if st is None:
-            gen = newest = 0
-        else:
-            flags |= _F_STATE
-            gen, newest = st
-        fixed = _REPLY.pack(
-            version, _KIND_REPLY, rid, message["key"], _epoch_slot(message.get("epoch")),
-            _STATUS_CODE[message["status"]], flags, gen, newest, len(value),
-        ) + value
-        rest = message.keys() - _REPLY_KEYS
+        fixed = _pack_reply(
+            version, rid, message["key"], message.get("epoch"), message["status"],
+            message.get("value"), message.get("cached"), message.get("st"),
+        )
+        tail = {name: message[name] for name in message.keys() - _REPLY_KEYS}
     else:
         return None
-    if rest:
-        fixed += _json_pack({name: message[name] for name in rest})
-    return fixed
+    return fixed + _json_pack(tail) if tail else fixed
+
+
+def _seal(body: bytes) -> bytes:
+    """Length prefix and checksum around one frame body."""
+    length = len(body) + _CRC.size
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    return _LEN.pack(length) + body + _CRC.pack(zlib.crc32(body))
 
 
 def encode_frame(message: dict) -> bytes:
@@ -220,10 +295,44 @@ def encode_frame(message: dict) -> bytes:
         body = _HEAD.pack(version, _KIND_JSON, rid) + _json_pack(
             {name: message[name] for name in message.keys() - {"id", "v"}}
         )
-    length = len(body) + _CRC.size
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    return _LEN.pack(length) + body + _CRC.pack(zlib.crc32(body))
+    return _seal(body)
+
+
+def _unpack_rows(body: bytes, n: int) -> tuple[list[dict], int]:
+    """The ``n`` rows of a ``REPLY_MANY`` body and where they end.  Counts
+    and lengths are checked against the body before anything is sliced."""
+    at = _REPLY_MANY.size
+    if at + n * _ROW.size > len(body):
+        raise ProtocolError("row count disagrees with the frame")
+    rows = []
+    for _ in range(n):
+        key, epoch, status, flags, nvalue = _ROW.unpack_from(body, at)
+        start = at + _ROW.size
+        at = start + nvalue
+        if at > len(body) or (nvalue and not flags & _F_VALUE):
+            raise ProtocolError("value length disagrees with the frame")
+        rows.append({
+            "status": STATUSES[status], "key": key, "epoch": _epoch_field(epoch),
+            "value": body[start:at] if flags & _F_VALUE else None,
+            "cached": bool(flags & _F_CACHED),
+        })
+    return rows, at
+
+
+def _merge_row_tails(rows: list[dict], tails) -> None:
+    """Fold a ``REPLY_MANY`` tail's ``rows`` object into its rows (the
+    fixed fields win, as they do for a whole message)."""
+    if not isinstance(tails, dict):
+        raise ProtocolError("row tails are not an object")
+    for index, fields in tails.items():
+        # (A u32 row count has at most 10 digits; the bound also keeps
+        # `int` below its digit limit.)
+        if not (index.isascii() and index.isdigit() and len(index) <= 10
+                and int(index) < len(rows)):
+            raise ProtocolError(f"row tail for no row: {index[:16]!r}")
+        if not isinstance(fields, dict):
+            raise ProtocolError("a row tail is not an object")
+        rows[int(index)] = {**fields, **rows[int(index)]}
 
 
 def _decode_frame(body: bytes, crc: int) -> dict:
@@ -240,7 +349,7 @@ def _decode_frame(body: bytes, crc: int) -> dict:
             _, _, _, key, epoch, deadline = _GET.unpack_from(body)
             message = {
                 "id": rid, "v": version, "op": "get", "key": key,
-                "epoch": None if epoch == _NO_EPOCH else epoch,
+                "epoch": _epoch_field(epoch),
                 "deadline_s": None if deadline != deadline else deadline,
             }
             tail = _GET.size
@@ -251,11 +360,32 @@ def _decode_frame(body: bytes, crc: int) -> dict:
                 raise ProtocolError("value length disagrees with the frame")
             message = {
                 "id": rid, "v": version, "status": STATUSES[status], "key": key,
-                "epoch": None if epoch == _NO_EPOCH else epoch,
+                "epoch": _epoch_field(epoch),
                 "value": body[_REPLY.size:tail] if flags & _F_VALUE else None,
                 "cached": bool(flags & _F_CACHED),
                 "st": (gen, newest) if flags & _F_STATE else None,
             }
+        elif kind == _KIND_GET_MANY:
+            _, _, _, epoch, deadline, n = _GET_MANY.unpack_from(body)
+            tail = _GET_MANY.size + n * _KEY_BYTES
+            if tail > len(body):
+                raise ProtocolError("key count disagrees with the frame")
+            message = {
+                "id": rid, "v": version, "op": "get_many",
+                "keys": list(struct.unpack_from(f"<{n}Q", body, _GET_MANY.size)),
+                "epoch": _epoch_field(epoch),
+                "deadline_s": None if deadline != deadline else deadline,
+            }
+        elif kind == _KIND_REPLY_MANY:
+            _, _, _, gen, newest, n = _REPLY_MANY.unpack_from(body)
+            rows, tail = _unpack_rows(body, n)
+            message = {"id": rid, "v": version, "st": (gen, newest), "replies": rows}
+            if tail < len(body):
+                extra = _json_unpack(body[tail:])
+                if "rows" in extra:
+                    _merge_row_tails(rows, extra.pop("rows"))
+                return {**extra, **message}
+            return message
         elif kind == _KIND_JSON:
             return {**_json_unpack(body[_HEAD.size:]), "id": rid, "v": version}
         else:
@@ -314,28 +444,35 @@ async def read_frame(frames: FrameReader) -> dict | None:
     return _decode_frame(body, crc)
 
 
-def _response_fields(response: ServeResponse) -> dict:
-    out = {
-        "v": PROTO_VERSION,
-        "status": response.status,
-        "key": response.key,
-        "epoch": response.epoch,
-        "value": response.value,
-        "cached": response.cached,
-    }
+def _response_extras(response: ServeResponse) -> dict:
+    """The fields of a reply that ride in its JSON tail."""
+    out = {}
     if response.detail:
         out["detail"] = response.detail
     if response.trace is not None:
         out["trace"] = response.trace
     if response.code:
         out["error"] = {"code": response.code, "retryable": response.code in _RETRYABLE}
-    if response.shard_state is not None:
-        out["st"] = tuple(response.shard_state)
     return out
 
 
-def _response_from_fields(fields: dict) -> ServeResponse:
-    st = fields.get("st")
+def _row_fields(response: ServeResponse) -> dict:
+    """A response as a reply message's fields, without its state token."""
+    return {
+        "status": response.status,
+        "key": response.key,
+        "epoch": response.epoch,
+        "value": response.value,
+        "cached": response.cached,
+        **_response_extras(response),
+    }
+
+
+def _response_from_fields(fields: dict, st=None) -> ServeResponse:
+    """A reply message (or a ``REPLY_MANY`` row, with the frame's state
+    token as ``st``) as a `ServeResponse`."""
+    if st is None:
+        st = fields.get("st")
     return ServeResponse(
         status=fields["status"],
         key=fields["key"],
@@ -347,6 +484,61 @@ def _response_from_fields(fields: dict) -> ServeResponse:
         code=(fields.get("error") or {}).get("code", ""),
         shard_state=tuple(st) if st is not None else None,
     )
+
+
+def _reply_frame(rid: int, responses: list[ServeResponse], st, many: bool) -> bytes:
+    """The reply to one read request — kind 2 for a ``get``, kind 5 for a
+    ``get_many`` — packed straight from its responses.  It decodes to what
+    `encode_frame` of the same fields would; a field that does not fit its
+    slot sends the message through `encode_frame` instead."""
+    gen, newest = st
+    try:
+        if not many:
+            (r,) = responses
+            body = _pack_reply(PROTO_VERSION, rid, r.key, r.epoch, r.status, r.value, r.cached, st)
+            extras = _response_extras(r)
+            return _seal(body + _json_pack(extras) if extras else body)
+        parts = [_REPLY_MANY.pack(PROTO_VERSION, _KIND_REPLY_MANY, rid, gen, newest, len(responses))]
+        tails = {}
+        for i, r in enumerate(responses):
+            parts.append(_pack_row(r.key, r.epoch, r.status, r.value, r.cached))
+            if r.detail or r.code or r.trace is not None:
+                tails[str(i)] = _response_extras(r)
+        if tails:
+            parts.append(_json_pack({"rows": tails}))
+        return _seal(b"".join(parts))
+    except (struct.error, ValueError):
+        rows = [_row_fields(r) for r in responses]
+        if many:
+            return encode_frame({"id": rid, "st": (gen, newest), "replies": rows})
+        return encode_frame({"id": rid, **rows[0], "st": (gen, newest)})
+
+
+def _read_members(request: dict) -> list[tuple]:
+    """The ``get_burst`` members, ``(key, epoch, deadline_s, trace)``, of
+    one ``get`` / ``get_many`` request.  Raises KeyError, TypeError or
+    ValueError for a request whose fields mean nothing."""
+    epoch, deadline = request.get("epoch"), request.get("deadline_s")
+    if epoch is not None:
+        epoch = int(epoch)
+    if deadline is not None:
+        deadline = float(deadline)
+        if deadline != deadline:
+            raise ValueError("deadline_s is NaN")
+    if request["op"] == "get":
+        keys = (request["key"],)
+    else:
+        keys = request["keys"]
+        if not isinstance(keys, list):
+            raise TypeError(f"keys is a {type(keys).__name__}, not a list")
+    trace = request.get("trace")
+    members = []
+    for key in keys:
+        key = int(key)
+        if not 0 <= key <= _U64_MAX:
+            raise ValueError(f"key {key} is no u64")
+        members.append((key, epoch, deadline, trace))
+    return members
 
 
 class ServeServer:
@@ -447,19 +639,54 @@ class ServeServer:
             return burst, False
 
     async def _serve_burst(self, requests: list[dict], writer: asyncio.StreamWriter) -> None:
-        """Answer the requests of one read burst with one write."""
-        replies = await asyncio.gather(*map(self._answer, requests))
+        """Answer the requests of one read burst with one write: every key
+        they read goes to one ``get_burst`` call of the mounted service,
+        every other verb is answered on the spot."""
+        replies: list[bytes | None] = [None] * len(requests)
+        reads: list[tuple[int, dict, int, int]] = []  # slot, request, first member, count
+        members: list[tuple] = []
+        for j, request in enumerate(requests):
+            op = request.get("op")
+            if request["v"] != PROTO_VERSION or op not in _READ_OPS:
+                replies[j] = self._answer(request)
+                continue
+            try:
+                read = _read_members(request)
+            except (KeyError, TypeError, ValueError) as e:
+                replies[j] = encode_frame(
+                    error_frame(request["id"], ERR_BAD_REQUEST, f"bad {op} request: {e!r}")
+                )
+                continue
+            reads.append((j, request, len(members), len(read)))
+            members += read
+        if reads:
+            try:
+                responses = await self.service.get_burst(members)
+                # Piggyback the epoch-set version on every answer: the
+                # cheapest possible staleness signal for a router.
+                st = self.service.state_token()
+            except Exception as e:  # the connection outlives any one burst
+                for j, request, _, _ in reads:
+                    replies[j] = encode_frame(error_frame(request["id"], ERR_INTERNAL, repr(e)))
+            else:
+                for j, request, first, n in reads:
+                    try:
+                        replies[j] = _reply_frame(
+                            request["id"], responses[first:first + n], st, request["op"] == "get_many"
+                        )
+                    except Exception as e:
+                        replies[j] = encode_frame(error_frame(request["id"], ERR_INTERNAL, repr(e)))
         if not writer.transport.is_closing():
             writer.write(b"".join(replies))
 
-    async def _answer(self, request: dict) -> bytes:
-        """One request's reply frame; a failure is a typed error frame."""
+    def _answer(self, request: dict) -> bytes:
+        """One control verb's reply frame; a failure is a typed error frame."""
         try:
-            return encode_frame(await self._reply(request))
+            return encode_frame(self._control(request))
         except Exception as e:  # the connection outlives any one request
             return encode_frame(error_frame(request["id"], ERR_INTERNAL, repr(e)))
 
-    async def _reply(self, request: dict) -> dict:
+    def _control(self, request: dict) -> dict:
         rid, op = request["id"], request.get("op")
         if request["v"] != PROTO_VERSION:
             # Another version's fields may mean something else: refuse
@@ -469,23 +696,6 @@ class ServeServer:
                 ERR_UNSUPPORTED_VERSION,
                 f"server speaks v{PROTO_VERSION}, request claims v{request['v']}",
             )
-        if op == "get":
-            try:
-                key = int(request["key"])
-            except (KeyError, TypeError, ValueError) as e:
-                return error_frame(rid, ERR_BAD_REQUEST, f"bad get request: {e!r}")
-            response = await self.service.get(
-                key,
-                epoch=request.get("epoch"),
-                deadline_s=request.get("deadline_s"),
-                trace=request.get("trace"),
-            )
-            fields = _response_fields(response)
-            fields["id"] = rid
-            # Piggyback the epoch-set version on every answer: the
-            # cheapest possible staleness signal for a router.
-            fields["st"] = self.service.state_token()
-            return fields
         if op == "stats":
             return {"id": rid, "stats": self.service.stats()}
         if op == "stats_live":
@@ -585,6 +795,8 @@ class TCPClient:
         if self._lost is not None:
             raise ConnectionError(f"connection lost: {self._lost}")
         rid = next(self._ids) & _ID_MASK
+        while rid in self._waiting:  # past the 32-bit wrap: skip ids still in use
+            rid = next(self._ids) & _ID_MASK
         frame = encode_frame({"id": rid, "v": PROTO_VERSION, **message})
         loop = asyncio.get_running_loop()
         future = self._waiting[rid] = loop.create_future()
@@ -610,6 +822,29 @@ class TCPClient:
         if trace is not None:
             message["trace"] = trace.to_wire()
         return _response_from_fields(await self._call(message))
+
+    async def get_many(
+        self,
+        keys,
+        epoch: int | None = None,
+        deadline_s: float | None = None,
+        trace: TraceContext | None = None,
+    ) -> list[ServeResponse]:
+        """``get`` of every key, at one epoch and deadline, in one
+        ``GET_MANY`` frame; the responses come back in key order."""
+        keys = [int(k) for k in keys]
+        message = {"op": "get_many", "keys": keys, "epoch": epoch, "deadline_s": deadline_s}
+        if trace is not None:
+            message["trace"] = trace.to_wire()
+        reply = await self._call(message)
+        rows = reply.get("replies")
+        if rows is None:
+            # One answer for the whole frame: the request was refused.
+            return [_response_from_fields({**reply, "key": key}) for key in keys]
+        if len(rows) != len(keys):
+            raise ProtocolError(f"{len(rows)} replies to {len(keys)} keys")
+        st = reply["st"]
+        return [_response_from_fields(row, st) for row in rows]
 
     async def stats(self) -> dict:
         return (await self._call({"op": "stats"}))["stats"]
@@ -664,6 +899,19 @@ class InprocClient:
         # Same piggyback the TCP front end adds: in-proc and wire clients
         # are interchangeable to a router.
         return replace(response, shard_state=tuple(self.service.state_token()))
+
+    async def get_many(
+        self,
+        keys,
+        epoch: int | None = None,
+        deadline_s: float | None = None,
+        trace: TraceContext | None = None,
+    ) -> list[ServeResponse]:
+        responses = await self.service.get_burst(
+            [(int(k), epoch, deadline_s, trace) for k in keys]
+        )
+        st = tuple(self.service.state_token())
+        return [replace(r, shard_state=st) for r in responses]
 
     async def stats(self) -> dict:
         return self.service.stats()

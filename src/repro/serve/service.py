@@ -93,6 +93,8 @@ STATUSES = (OK, NOT_FOUND, OVERLOADED, DEADLINE_EXCEEDED, ERROR)
 # aux-table fetches, and the storage layer underneath.
 _TRACE_PREFIXES = ("serve.", "reader.", "aux.", "sstable.", "vlog.")
 
+_UNSEEN = object()  # `get_burst`: an epoch this burst has not resolved yet
+
 
 @dataclass(frozen=True)
 class ServeResponse:
@@ -125,20 +127,41 @@ class ServeResponse:
         return self.status == OK
 
 
+class _Burst:
+    """What one `QueryService.get_burst` call waits on: ``remaining`` of
+    its members are still queued, and the last of them to land (answered
+    or expired) resolves ``future``."""
+
+    __slots__ = ("future", "remaining")
+
+    def __init__(self, future: asyncio.Future):
+        self.future = future
+        self.remaining = 0
+
+    def land(self) -> None:
+        self.remaining -= 1
+        # A cancelled burst may still be listed on a pending it left.
+        if not self.remaining and not self.future.done():
+            self.future.set_result(None)
+
+
 class _Pending:
     """One admitted, not-yet-executed probe shared by its waiters.
 
     ``epoch`` is the resolved cache token: a live epoch id, or the
-    ``("any", newest)`` tuple for cross-epoch requests.
+    ``("any", newest)`` tuple for cross-epoch requests.  ``waiters`` holds
+    one entry per burst member waiting on it (a burst that asked twice is
+    listed twice); a member whose deadline passes leaves it, and a probe
+    nobody waits on any more is dropped at dispatch.
     """
 
-    __slots__ = ("key", "epoch", "future", "live_waiters", "traced")
+    __slots__ = ("key", "epoch", "waiters", "response", "traced")
 
-    def __init__(self, key: int, epoch, future: asyncio.Future):
+    def __init__(self, key: int, epoch):
         self.key = key
         self.epoch = epoch
-        self.future = future
-        self.live_waiters = 1
+        self.waiters: list[_Burst] = []
+        self.response: ServeResponse | None = None
         # (root span, enqueue time) per *traced* waiter — empty on the
         # fast path, so untraced requests never touch it.
         self.traced: list[tuple[ActiveSpan, float]] = []
@@ -359,99 +382,167 @@ class QueryService:
         deadline_s: float | None = None,
         trace: "TraceContext | dict | None" = None,
     ) -> ServeResponse:
-        """Point lookup.  Always returns a `ServeResponse`; never raises
-        for data-plane conditions (bad epoch, overload, deadline).
+        """Point lookup: `get_burst` of one request.  Always returns a
+        `ServeResponse`; never raises for data-plane conditions (bad
+        epoch, overload, deadline).
 
         ``trace`` is an optional propagated `TraceContext` (or its wire
         dict); a sampled context — or a hit on the local tracer's sample
         rate — makes the response carry its full span tree.
         """
+        return (await self.get_burst(((key, epoch, deadline_s, trace),)))[0]
+
+    async def get_burst(self, requests) -> list[ServeResponse]:
+        """Answer one read burst: ``requests`` is a sequence of ``(key,
+        epoch, deadline_s, trace)`` tuples, each meaning what the same
+        arguments mean to `get`; the responses come back in request order.
+
+        Refusals, unknown epochs and result-cache hits are answered
+        inline.  Every miss is admitted, shed or coalesced exactly as a
+        lone `get` would be, in request order, and stays its own `_Pending`
+        on the dispatch queue, so ``max_batch``, the watermarks and the
+        windows mean what they always meant.  The burst then awaits one
+        future, which lands when its last queued member is answered or
+        expired: no task and no future per request.  A member's deadline
+        is a timer that answers it ``deadline_exceeded`` if it fires first.
+        """
         t0 = time.perf_counter()
-        key = int(key)
-        # Fast path: no propagated context and a tracer that never samples
-        # means no request here can be traced — skip the helper entirely
-        # (it costs a wire-context parse per call, which is pure waste at
-        # the default sample rate of 0).
-        if trace is None and not self._tracer_may_sample:
-            root = None
-        else:
-            root = self._trace_begin(key, epoch, trace)
-        if self._closed:
-            return self._done(
-                t0,
-                ServeResponse(ERROR, key, epoch, detail="service closed", code="closed"),
-                root,
-            )
-        self._check_generation()
-        try:
-            resolved = self._resolve_epoch(epoch)
-        except LookupError as e:
-            return self._done(
-                t0,
-                ServeResponse(ERROR, key, epoch, detail=str(e), code="unknown_epoch"),
-                root,
-            )
-        if resolved is None:
-            return self._done(t0, ServeResponse(NOT_FOUND, key, epoch), root)
-
-        hit, entry = self._rcache.lookup((resolved, key))
-        if root is not None:
-            root.charge("serve.result_cache.hits" if hit else "serve.result_cache.misses")
-        if hit:
-            status, value, found_epoch = entry
-            return self._done(
-                t0, ServeResponse(status, key, found_epoch, value=value, cached=True), root
-            )
-
-        # Tuple tokens are cache/dispatch internals; responses that carry
-        # no answer report the requested sentinel instead.
-        public = resolved if isinstance(resolved, int) else ANY_EPOCH
-
-        # Admission control: explicit refusal beats queueing collapse.
-        if self._inflight >= self.max_inflight or self._shedder.should_shed(
-            self._queue.qsize()
-        ):
-            self._m_sheds.inc()
-            if root is not None:
-                root.charge("serve.sheds")
-            self._trace_shed(root, "overloaded")
-            return self._done(t0, ServeResponse(OVERLOADED, key, public), root)
-
-        self._ensure_dispatcher()
-        ck = (resolved, key)
-        pending = self._index.get(ck)
-        if pending is not None:
-            pending.live_waiters += 1
-            self._m_coalesced.inc()
-            if root is not None:
-                root.annotate(coalesced=True)
-                root.charge("serve.coalesced")
-        else:
-            pending = _Pending(key, resolved, asyncio.get_running_loop().create_future())
-            self._index[ck] = pending
-            self._queue.put_nowait(pending)
-        if root is not None:
-            pending.traced.append((root, time.perf_counter()))
-        self._inflight += 1
-        self._m_inflight_gauge.inc()
-        if deadline_s is None:
-            deadline_s = self.default_deadline_s
-        try:
-            if deadline_s is None:
-                response = await asyncio.shield(pending.future)
+        out: list[ServeResponse | None] = [None] * len(requests)
+        queued: list[tuple[int, _Pending, ActiveSpan | None]] = []
+        timers: list[asyncio.TimerHandle] = []
+        burst: _Burst | None = None
+        closed = self._closed
+        if not closed:
+            self._check_generation()
+        tokens: dict = {}  # epoch -> resolved token (or its LookupError), per burst
+        for i, (key, epoch, deadline_s, trace) in enumerate(requests):
+            key = int(key)
+            # Fast path: no propagated context and a tracer that never
+            # samples means no request here can be traced — skip the
+            # helper entirely (it costs a wire-context parse per call).
+            if trace is None and not self._tracer_may_sample:
+                root = None
             else:
-                response = await asyncio.wait_for(
-                    asyncio.shield(pending.future), timeout=deadline_s
+                root = self._trace_begin(key, epoch, trace)
+            if closed:
+                out[i] = self._done(
+                    t0,
+                    ServeResponse(ERROR, key, epoch, detail="service closed", code="closed"),
+                    root,
                 )
-        except asyncio.TimeoutError:
-            pending.live_waiters -= 1
-            self._trace_shed(root, "deadline")
-            return self._done(t0, ServeResponse(DEADLINE_EXCEEDED, key, public), root)
+                continue
+            resolved = tokens.get(epoch, _UNSEEN)
+            if resolved is _UNSEEN:
+                try:
+                    resolved = self._resolve_epoch(epoch)
+                except LookupError as e:
+                    resolved = e
+                tokens[epoch] = resolved
+            if isinstance(resolved, LookupError):
+                out[i] = self._done(
+                    t0,
+                    ServeResponse(ERROR, key, epoch, detail=str(resolved), code="unknown_epoch"),
+                    root,
+                )
+                continue
+            if resolved is None:
+                out[i] = self._done(t0, ServeResponse(NOT_FOUND, key, epoch), root)
+                continue
+
+            ck = (resolved, key)
+            hit, entry = self._rcache.lookup(ck)
+            if root is not None:
+                root.charge("serve.result_cache.hits" if hit else "serve.result_cache.misses")
+            if hit:
+                status, value, found_epoch = entry
+                out[i] = self._done(
+                    t0, ServeResponse(status, key, found_epoch, value=value, cached=True), root
+                )
+                continue
+
+            # Tuple tokens are cache/dispatch internals; responses that
+            # carry no answer report the requested sentinel instead.
+            public = resolved if isinstance(resolved, int) else ANY_EPOCH
+
+            # Admission control: explicit refusal beats queueing collapse.
+            if self._inflight >= self.max_inflight or self._shedder.should_shed(
+                self._queue.qsize()
+            ):
+                self._m_sheds.inc()
+                if root is not None:
+                    root.charge("serve.sheds")
+                self._trace_shed(root, "overloaded")
+                out[i] = self._done(t0, ServeResponse(OVERLOADED, key, public), root)
+                continue
+
+            pending = self._index.get(ck)
+            if pending is not None:
+                self._m_coalesced.inc()
+                if root is not None:
+                    root.annotate(coalesced=True)
+                    root.charge("serve.coalesced")
+            else:
+                self._ensure_dispatcher()
+                pending = self._index[ck] = _Pending(key, resolved)
+                self._queue.put_nowait(pending)
+            if root is not None:
+                pending.traced.append((root, time.perf_counter()))
+            if deadline_s is None:
+                deadline_s = self.default_deadline_s
+            if deadline_s is not None and deadline_s <= 0:
+                # Expired on arrival: admitted (it may still be coalesced
+                # onto) but waited on by nobody.
+                self._trace_shed(root, "deadline")
+                out[i] = self._done(t0, ServeResponse(DEADLINE_EXCEEDED, key, public), root)
+                continue
+            if burst is None:
+                burst = _Burst(asyncio.get_running_loop().create_future())
+            pending.waiters.append(burst)
+            burst.remaining += 1
+            self._inflight += 1
+            queued.append((i, pending, root))
+            if deadline_s is not None:
+                timers.append(
+                    asyncio.get_running_loop().call_later(
+                        deadline_s, self._expire, burst, out, i, pending, root, t0, public
+                    )
+                )
+        if burst is None:
+            return out
+
+        self._m_inflight_gauge.inc(len(queued))
+        try:
+            await burst.future
         finally:
-            self._inflight -= 1
-            self._m_inflight_gauge.dec()
-        pending.live_waiters -= 1
-        return self._done(t0, response, root)
+            for timer in timers:
+                timer.cancel()
+            left = 0
+            for i, pending, _ in queued:
+                if out[i] is None:  # not expired: it counted until now
+                    left += 1
+                    if pending.response is None:  # cancelled before it landed
+                        pending.waiters.remove(burst)
+            self._inflight -= left
+            self._m_inflight_gauge.dec(left)
+        for i, pending, root in queued:
+            if out[i] is None:
+                out[i] = self._done(t0, pending.response, root)
+        return out
+
+    def _expire(
+        self, burst: _Burst, out: list, i: int, pending: _Pending,
+        root: ActiveSpan | None, t0: float, public,
+    ) -> None:
+        """A burst member's deadline timer: unless its probe has already
+        been answered, it leaves the probe and is ``deadline_exceeded``."""
+        if pending.response is not None:
+            return
+        pending.waiters.remove(burst)
+        self._inflight -= 1
+        self._m_inflight_gauge.dec()
+        self._trace_shed(root, "deadline")
+        out[i] = self._done(t0, ServeResponse(DEADLINE_EXCEEDED, pending.key, public), root)
+        burst.land()
 
     def _done(
         self, t0: float, response: ServeResponse, root: ActiveSpan | None = None
@@ -581,16 +672,11 @@ class QueryService:
         live: list[_Pending] = []
         for pending in batch:
             self._index.pop((pending.epoch, pending.key), None)
-            if pending.live_waiters <= 0:
+            if pending.waiters:
+                live.append(pending)
+            else:
                 # Every waiter gave up already: drop the probe entirely.
                 self._m_deadline_dropped.inc()
-                pending.future.set_result(
-                    ServeResponse(
-                        DEADLINE_EXCEEDED, pending.key, self._public_epoch(pending.epoch)
-                    )
-                )
-            else:
-                live.append(pending)
         now = time.perf_counter()
         for pending in live:
             for root, enqueued_at in pending.traced:
@@ -613,7 +699,7 @@ class QueryService:
                     self._answer(token, items)
             except Exception as e:  # fail this group loudly, keep serving
                 for pending in items:
-                    if not pending.future.done():
+                    if pending.response is None:
                         self._finish(
                             pending,
                             ServeResponse(
@@ -692,8 +778,9 @@ class QueryService:
                 (pending.epoch, pending.key),
                 (response.status, response.value, response.epoch),
             )
-        if not pending.future.done():
-            pending.future.set_result(response)
+        pending.response = response
+        for burst in pending.waiters:
+            burst.land()
 
     # -- introspection -----------------------------------------------------
 

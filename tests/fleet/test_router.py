@@ -15,7 +15,7 @@ import pytest
 from repro.core.auxtable import AUX_BACKENDS
 from repro.core.kv import random_kv_batch
 from repro.fleet import CircuitBreaker
-from repro.serve import ANY_EPOCH, NOT_FOUND, OK
+from repro.serve import ANY_EPOCH, NOT_FOUND, OK, OVERLOADED, ServeResponse
 
 from .conftest import VB, absent_keys, build_fleet, make_dumps, merged_store, run
 
@@ -129,6 +129,78 @@ def test_plan_prefers_claimants_and_never_leaves_the_owner_set():
             assert router.stats()["scatter"] == scatter_before + 1
 
     run(go())
+
+
+class _Overloaded:
+    """A shard that is alive but refuses everything."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    async def get(self, key, epoch=None, deadline_s=None, trace=None):
+        return ServeResponse(OVERLOADED, int(key), epoch)
+
+    async def get_many(self, keys, epoch=None, deadline_s=None, trace=None):
+        return [ServeResponse(OVERLOADED, int(k), epoch) for k in keys]
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+ROUTER_COUNTERS = ("aux_routed", "scatter", "failovers", "retries", "breaker_skips", "hedges",
+                   "requests", "stale_detected")
+
+
+@pytest.mark.parametrize("tcp", [False, True], ids=["inproc", "tcp"])
+def test_get_burst_equals_one_get_per_key(tcp):
+    """`FleetRouter.get_burst` answers a burst, and counts it, exactly as
+    one `get` per key does — with one shard behind an open breaker (and no
+    view, as after a failed start), one shard answering ``overloaded`` and
+    one stale view among the owners."""
+    blocked, refusing, stale = 0, 1, 2
+
+    async def answer(burst: bool):
+        fleet, dumps, truth = build_fleet(nshards=4, rf=2, epochs=2, seed=43, tcp=tcp)
+        async with fleet:
+            router = fleet.router
+            breaker = router.breakers[blocked]
+            breaker.open_until = breaker.clock() + 3600
+            router.views.pop(blocked)
+            fleet.clients[refusing] = _Overloaded(fleet.clients[refusing])
+            router.views[stale].stale = True
+            keys = sorted(truth)[::5] + absent_keys(truth, n=12)
+            requests = [
+                (k, ANY_EPOCH if i % 3 else None, 5.0 if i % 11 == 0 else None, None)
+                for i, k in enumerate(keys)
+            ]
+            before = router.stats()
+            if burst:
+                responses = await router.get_burst(requests)
+            else:
+                responses = await asyncio.gather(*(router.get(*r) for r in requests))
+            after = router.stats()
+            counters = {name: after[name] for name in ROUTER_COUNTERS}
+            assert before["requests"] == dict.fromkeys(before["requests"], 0)
+            owners = [fleet.ring.owners(k, fleet.rf) for k in keys]
+            return responses, counters, requests, owners, truth
+
+    async def main():
+        one, one_counters, requests, owners, truth = await answer(burst=False)
+        many, many_counters, *_ = await answer(burst=True)
+        assert many == one
+        assert many_counters == one_counters
+        # Every rule of the walk was exercised.
+        for name in ("aux_routed", "scatter", "failovers", "breaker_skips"):
+            assert many_counters[name] > 0, name
+        statuses = many_counters["requests"]
+        assert statuses[OVERLOADED] > 0 and statuses[OK] > 0 and statuses[NOT_FOUND] > 0
+        for (key, epoch, *_), shards, r in zip(requests, owners, many):
+            if set(shards) == {blocked, refusing}:
+                assert r.status == OVERLOADED
+            elif epoch == ANY_EPOCH:
+                assert (r.status, r.value) == ((OK, truth[key]) if key in truth else (NOT_FOUND, None))
+
+    run(main())
 
 
 def test_router_memory_is_aux_sized():

@@ -1,12 +1,24 @@
 """Wire protocol: CRC-checked v3 frames, TCP server/clients, in-proc adapter."""
 
 import asyncio
+import itertools
+from dataclasses import replace
 
 import pytest
 
 from repro.core.formats import FMT_FILTERKV
-from repro.serve import ERROR, NOT_FOUND, OK, InprocClient, QueryService, ServeServer, TCPClient
+from repro.serve import (
+    ANY_EPOCH,
+    ERROR,
+    NOT_FOUND,
+    OK,
+    InprocClient,
+    QueryService,
+    ServeServer,
+    TCPClient,
+)
 from repro.serve.proto import (
+    ERR_BAD_REQUEST,
     ERR_UNSUPPORTED_VERSION,
     MAX_FRAME_BYTES,
     PROTO_VERSION,
@@ -18,6 +30,8 @@ from repro.serve.proto import (
 
 from .conftest import fed_reader as _fed_reader
 from .conftest import run, shared_store
+
+U64 = 2**64 - 1
 
 
 def test_frame_round_trip():
@@ -245,6 +259,59 @@ def test_call_on_lost_connection_raises_and_leaks_no_waiter():
             await _within(client.get(3))
         server.close()
         await server.wait_closed()
+
+    run(main())
+
+
+def test_request_ids_past_the_32_bit_wrap_skip_ids_still_waiting():
+    """Ids are a counter masked to 32 bits.  Once it wraps, a new call
+    used to take the id of a call still waiting, overwrite its future, and
+    leave the first caller waiting for ever."""
+    store, _ = shared_store(FMT_FILTERKV)
+
+    async def main():
+        async with ServeServer(QueryService(store)) as server:
+            async with TCPClient(server.host, server.port) as client:
+                client._ids = itertools.count(5)
+                first = asyncio.ensure_future(client.ping())
+                await asyncio.sleep(0)  # registered, not yet answered
+                client._ids = itertools.count(5 + 2**32)
+                second = asyncio.ensure_future(client.ping())
+                assert await _within(asyncio.gather(first, second)) == [True, True]
+                assert client._waiting == {}
+
+    run(main())
+
+
+def test_get_many_answers_like_one_get_per_key():
+    store, truth = shared_store(FMT_FILTERKV, epochs=2)
+    old, new = list(truth[0])[:4], list(truth[1])[:4]
+    keys = new + old + [1, new[0]]  # absent and repeated keys too
+
+    async def main():
+        service = QueryService(store)
+        async with ServeServer(service) as server:
+            async with TCPClient(server.host, server.port) as client:
+                for epoch in (None, 0, ANY_EPOCH, 99):
+                    many = await _within(client.get_many(keys, epoch=epoch))
+                    one = [await _within(client.get(k, epoch=epoch)) for k in keys]
+                    # The gets came second, so they are result-cache hits.
+                    assert [replace(r, cached=True) for r in many] == [
+                        replace(r, cached=True) for r in one
+                    ], epoch
+                    assert one == await _within(client.get_many(keys, epoch=epoch))
+                assert [r.value for r in one[:8]] == [None] * 8 and one[0].code == "unknown_epoch"
+                inproc = InprocClient(service)
+                any_epoch = await client.get_many(keys, epoch=ANY_EPOCH)
+                assert await inproc.get_many(keys, epoch=ANY_EPOCH) == any_epoch
+                assert [r.value for r in any_epoch] == [
+                    truth[1].get(k, truth[0].get(k)) for k in keys
+                ]
+                assert await client.get_many([]) == []
+                # A request refused as a whole is one typed error per key.
+                (refused,) = await client.get_many([U64 + 1])
+                assert refused.status == ERROR and refused.code == ERR_BAD_REQUEST
+                assert refused.key == U64 + 1
 
     run(main())
 

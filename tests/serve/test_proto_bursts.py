@@ -168,6 +168,81 @@ def test_pipelined_gets_count_like_inproc_gets(fmt):
     run(main())
 
 
+BURST_TOTALS = TOTALS + [
+    ("serve.sheds", {}),
+    ("serve.deadline_dropped", {}),
+    ("serve.negative_cache.skipped_probes", {}),
+    ("reader.queries", {}),
+]
+
+
+def test_one_pipelined_burst_equals_one_get_per_request(fmt):
+    """Every kind of burst member in one write — hits, misses, coalesced
+    duplicates, an unknown epoch, an overloaded member, deadline members
+    and a sampled trace — is answered field for field as `QueryService.get`
+    answers the same requests one call each, with the same ``serve.*``
+    totals.  The server answers a burst's deadline members apart from (and
+    before) the rest, so the calls are made in that order too."""
+    store, truth = shared_store(fmt, epochs=2)
+    old, new = list(truth[0])[:6], list(truth[1])[:8]
+    warm = new[:3]
+    timed = [(new[3], None, 0.02, None), (new[4], ANY_EPOCH, 5.0, None)]
+    untimed = [
+        *((k, None, None, None) for k in warm),  # result-cache hits
+        (new[5], None, None, None),
+        (old[0], 0, None, None),
+        (old[1], ANY_EPOCH, None, None),
+        (new[5], None, None, None),  # coalesces onto the miss above
+        (old[0], 0, None, None),  # and onto this one
+        (new[6], 99, None, None),  # unknown epoch
+        (new[6], 1, None, CONTEXT),  # sampled
+        (1, ANY_EPOCH, None, None),  # absent
+        (old[2], 0, None, None),  # past max_inflight: overloaded
+    ]
+    # Admitted before the last member: the timed pair and seven of the
+    # untimed (hits and the unknown epoch take no slot, a duplicate takes
+    # one like any waiter).
+    limits = dict(max_inflight=9, batch_window_s=0.1)
+
+    async def through(kind):
+        service = QueryService(store, **limits)
+
+        async def burst(client, get):
+            for key in warm:
+                await get(client, key)
+            calls = [get(client, k, epoch=e, deadline_s=d, trace=t) for k, e, d, t in timed + untimed]
+            answers = await asyncio.gather(*calls)
+            totals = {f"{n}{l}": service.metrics.total(n, **l) for n, l in BURST_TOTALS}
+            expired = service.metrics.histogram("serve.latency_seconds", status=DEADLINE_EXCEEDED)
+            return [_comparable(replace(r, shard_state=None)) for r in answers], totals, expired
+
+        if kind == "service":
+            async with service:
+                return await burst(service, lambda s, k, **kw: s.get(k, **kw))
+        async with ServeServer(service) as server:
+            async with TCPClient(server.host, server.port) as client:
+                return await burst(client, lambda c, k, **kw: c.get(k, **kw))
+
+    async def main():
+        tcp, tcp_totals, expired = await through("tcp")
+        one, one_totals, _ = await through("service")
+        assert tcp == one
+        assert tcp_totals == one_totals
+        statuses = [r.status for r in tcp]
+        assert statuses[:2] == [DEADLINE_EXCEEDED, OK]
+        assert statuses[2:] == [OK] * 8 + [ERROR, OK, NOT_FOUND, OVERLOADED]
+        assert [r.cached for r in tcp[2:5]] == [True] * 3
+        assert tcp_totals["serve.coalesced{}"] == 2 and tcp_totals["serve.sheds{}"] == 1
+        assert tcp[-4].code == ERR_UNKNOWN_EPOCH and "serve.get" in tcp[-3].trace
+        # The expired member was answered at its own deadline, before the
+        # window that answered its burst-mate fired.
+        assert expired.count == 1 and 0.02 <= expired.quantile(0.5) < 0.1
+        for (key, epoch, *_), r in zip(timed[1:] + untimed[:7], tcp[1:9]):
+            assert r.value == truth[1].get(key, truth[0].get(key)), key
+
+    run(main())
+
+
 def test_deadline_in_a_burst_is_not_held_by_a_stalled_peer():
     """Three frames in one write against a dispatcher that will not fire
     for 600 ms: the member carrying a 10 ms deadline is answered at its

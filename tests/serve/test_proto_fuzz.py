@@ -10,7 +10,9 @@ hypothesis property has a fast entry for tier-1 and a ``_full`` twin under
 
 import asyncio
 import struct
+import tracemalloc
 import zlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +31,10 @@ from repro.serve.proto import (
     PROTO_VERSION,
     FrameReader,
     ProtocolError,
-    _response_fields,
+    _decode_frame,
+    _reply_frame,
     _response_from_fields,
+    _row_fields,
     encode_frame,
     error_frame,
     read_frame,
@@ -43,6 +47,9 @@ from .conftest import run, shared_store
 U64 = 2**64 - 1
 HEAD = struct.Struct("<BBI")  # version, kind, id
 REPLY = struct.Struct("<BBIQqBBqqI")
+GET_MANY = struct.Struct("<BBIqdI")
+REPLY_MANY = struct.Struct("<BBIqqI")
+ROW = struct.Struct("<QqBBI")
 
 
 def frame(body: bytes) -> bytes:
@@ -101,6 +108,20 @@ MESSAGES = {
     "control": {"id": 10, "op": "stats_live", "window_s": 2.5},
     "control-reply": {"id": 11, "aux": {"format": "filterkv", "epochs": {"0": ["00ff"]}}},
     "other-version": {"id": 12, "v": PROTO_VERSION + 1, "op": "get", "key": 1},
+    "get-many": {"id": 13, "op": "get_many", "keys": [17, 0, U64, 17], "epoch": None,
+                 "deadline_s": None},
+    "get-many-timed-traced": {"id": 14, "op": "get_many", "keys": [5], "epoch": ANY_EPOCH,
+                              "deadline_s": 0.5, "trace": CONTEXT.to_wire()},
+    "get-many-empty": {"id": 15, "op": "get_many", "keys": [], "epoch": 3, "deadline_s": None},
+    "reply-many": {"id": 16, "st": (3, 9), "replies": [
+        {"status": OK, "key": 17, "epoch": 2, "value": b"\x00\xffvalue", "cached": True},
+        {"status": "not_found", "key": U64, "epoch": ANY_EPOCH, "value": None, "cached": False},
+        {"status": OK, "key": 0, "epoch": 0, "value": b"", "cached": False, "trace": SPANS},
+        {"status": ERROR, "key": 9, "epoch": None, "value": None, "cached": False,
+         "detail": "no such epoch 9 — ünïcode",
+         "error": {"code": ERR_UNKNOWN_EPOCH, "retryable": False}},
+    ]},
+    "reply-many-empty": {"id": 17, "st": (0, -1), "replies": []},
 }
 
 
@@ -171,11 +192,23 @@ def _reply_body(nvalue: int, flags: int, payload: bytes, status: int = 0) -> byt
     return REPLY.pack(PROTO_VERSION, 2, 1, 17, 0, status, flags, 0, 0, nvalue) + payload
 
 
+def _get_many_body(nkeys: int, payload: bytes) -> bytes:
+    return GET_MANY.pack(PROTO_VERSION, 4, 1, 0, 0.5, nkeys) + payload
+
+
+def _reply_many_body(nrows: int, payload: bytes) -> bytes:
+    return REPLY_MANY.pack(PROTO_VERSION, 5, 1, 0, 0, nrows) + payload
+
+
+def _row(nvalue: int, flags: int, payload: bytes = b"", status: int = 0) -> bytes:
+    return ROW.pack(17, 0, status, flags, nvalue) + payload
+
+
 @pytest.mark.parametrize(
     "body",
     [
         HEAD.pack(PROTO_VERSION, 0, 1),  # unknown kinds
-        HEAD.pack(PROTO_VERSION, 4, 1) + b"{}",
+        HEAD.pack(PROTO_VERSION, 6, 1) + b"{}",
         HEAD.pack(PROTO_VERSION, 255, 1),
         HEAD.pack(PROTO_VERSION, 1, 1),  # GET shorter than its struct
         HEAD.pack(PROTO_VERSION, 1, 1) + bytes(23),
@@ -194,10 +227,56 @@ def _reply_body(nvalue: int, flags: int, payload: bytes, status: int = 0) -> byt
         HEAD.pack(PROTO_VERSION, 3, 1) + b"3",
         HEAD.pack(PROTO_VERSION, 3, 1) + b"null",
         HEAD.pack(PROTO_VERSION, 3, 1) + b"[" * 100_000,  # would blow the parser's stack
+        HEAD.pack(PROTO_VERSION, 4, 1) + b"{}",  # GET_MANY shorter than its struct
+        _get_many_body(1, b""),  # keys run past the frame
+        _get_many_body(3, bytes(16)),
+        _get_many_body(2**32 - 1, bytes(8)),
+        _get_many_body(1, bytes(8) + b"\xff\xfe"),  # tail, bad UTF-8
+        _get_many_body(0, b"[1]"),  # tails must be objects
+        HEAD.pack(PROTO_VERSION, 5, 1) + bytes(19),  # REPLY_MANY shorter than its struct
+        _reply_many_body(1, b""),  # rows run past the frame
+        _reply_many_body(2, _row(0, 0)),
+        _reply_many_body(2**32 - 1, _row(0, 0)),
+        _reply_many_body(1, _row(9, 2, b"12345678")),  # value runs past the frame
+        _reply_many_body(1, _row(2**32 - 1, 2, b"x")),
+        _reply_many_body(2, _row(3, 2, b"abc") + _row(3, 0, b"abc")),  # value, no flag
+        _reply_many_body(1, _row(0, 2, status=len(STATUSES))),  # no such status
+        _reply_many_body(1, _row(3, 2, b"abcdef")),  # leftover that is no JSON tail
+        _reply_many_body(1, _row(0, 2) + b'["detail"]'),
+        _reply_many_body(1, _row(0, 2) + b'{"rows": [{"detail": "x"}]}'),  # row tails: an object
+        _reply_many_body(1, _row(0, 2) + b'{"rows": {"1": {"detail": "x"}}}'),  # for no row
+        _reply_many_body(1, _row(0, 2) + b'{"rows": {"-0": {}}}'),
+        _reply_many_body(1, _row(0, 2) + b'{"rows": {"\xd9\xa0": {}}}'),  # a non-ASCII digit
+        _reply_many_body(1, _row(0, 2) + b'{"rows": {"' + b"0" * 5000 + b'": {}}}'),
+        _reply_many_body(1, _row(0, 2) + b'{"rows": {"0": "detail"}}'),
     ],
 )
 def test_checksummed_but_malformed_bodies_are_refused(body):
     assert drain(frame(body)) == ([], True)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _get_many_body(2**32 - 1, bytes(8)),
+        _get_many_body(2**31, bytes(64)),
+        _reply_many_body(2**32 - 1, _row(0, 2)),
+        _reply_many_body(2**31, _row(0, 2) * 4),
+        _reply_many_body(1, _row(2**32 - 1, 2, b"x")),
+        _reply_many_body(2, _row(0, 2) + _row(2**31, 2, b"x")),
+    ],
+)
+def test_counts_that_disagree_with_the_frame_allocate_nothing(body):
+    """A key count, row count or value length is checked against the
+    frame before anything is sized by it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError):
+            _decode_frame(body, zlib.crc32(body))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_other_versions_are_answered_not_parsed():
@@ -232,7 +311,7 @@ bodies = st.lists(
         # Mostly-plausible bodies: this version, a real kind, random rest.
         st.builds(
             lambda kind, rid, rest: HEAD.pack(PROTO_VERSION, kind, rid) + rest,
-            st.integers(0, 4), st.integers(0, 2**32 - 1), st.binary(max_size=120),
+            st.integers(0, 6), st.integers(0, 2**32 - 1), st.binary(max_size=120),
         ),
     ),
     min_size=1, max_size=4,
@@ -284,10 +363,41 @@ requests = st.fixed_dictionaries(
 )
 
 
+many_requests = st.fixed_dictionaries(
+    {
+        "id": st.integers(0, 2**32 - 1),
+        "op": st.just("get_many"),
+        "keys": st.lists(keys, max_size=40),
+        "epoch": epochs,
+        "deadline_s": st.one_of(st.none(), st.floats(0, 1e6), st.just(float("inf"))),
+    },
+    optional={"trace": st.just(CONTEXT.to_wire())},
+)
+state_tokens = st.tuples(st.integers(0, 2**63 - 1), st.integers(-1, 2**63 - 1))
+
+
 def check_response_round_trip(response, rid):
-    (decoded,), broken = drain(encode_frame({"id": rid, **_response_fields(response)}))
+    st = {} if response.shard_state is None else {"st": response.shard_state}
+    (decoded,), broken = drain(encode_frame({"id": rid, **_row_fields(response), **st}))
     assert not broken and decoded["id"] == rid and decoded["v"] == PROTO_VERSION
     assert _response_from_fields(decoded) == response
+
+
+def check_reply_many_round_trip(batch, rid, token):
+    """The server's packer and `encode_frame` of the same fields decode to
+    one message, and that message to the responses it was made from."""
+    message = {"id": rid, "st": token, "replies": [_row_fields(r) for r in batch]}
+    (decoded,), broken = drain(encode_frame(message))
+    assert not broken and decoded == {"v": PROTO_VERSION, **message}
+    assert drain(_reply_frame(rid, batch, token, many=True)) == ([decoded], False)
+    assert [_response_from_fields(row, decoded["st"]) for row in decoded["replies"]] == [
+        replace(r, shard_state=token) for r in batch
+    ]
+
+
+def check_reply_round_trip(response, rid, token):
+    (decoded,), broken = drain(_reply_frame(rid, [response], token, many=False))
+    assert not broken and _response_from_fields(decoded) == replace(response, shard_state=token)
 
 
 def check_request_round_trip(request):
@@ -302,6 +412,17 @@ test_response_round_trip, test_response_round_trip_full = both_profiles(
 )
 test_request_round_trip, test_request_round_trip_full = both_profiles(
     check_request_round_trip, requests, quick=150, full=3000
+)
+test_many_request_round_trip, test_many_request_round_trip_full = both_profiles(
+    check_request_round_trip, many_requests, quick=150, full=3000
+)
+test_reply_many_round_trip, test_reply_many_round_trip_full = both_profiles(
+    check_reply_many_round_trip, st.lists(responses, max_size=12), st.integers(0, 2**32 - 1),
+    state_tokens, quick=100, full=2000,
+)
+test_reply_round_trip, test_reply_round_trip_full = both_profiles(
+    check_reply_round_trip, responses, st.integers(0, 2**32 - 1), state_tokens,
+    quick=100, full=2000,
 )
 
 

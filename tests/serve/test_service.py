@@ -162,6 +162,53 @@ def test_deadline_on_one_waiter_leaves_coalesced_peer_live(fmt):
     run(main())
 
 
+def test_burst_members_expire_on_their_own_deadlines():
+    store, truth = shared_store(FMT_FILTERKV)
+    a, b, c = list(truth[0])[:3]
+
+    async def main():
+        async with QueryService(store, batch_window_s=0.1) as svc:
+            responses = await asyncio.wait_for(
+                svc.get_burst([(a, None, 0.02, None), (b, None, 5.0, None), (c, None, 0, None),
+                               (a, None, None, None)]),
+                5,
+            )
+            assert [r.status for r in responses] == [DEADLINE_EXCEEDED, OK, DEADLINE_EXCEEDED, OK]
+            assert responses[1].value == truth[0][b] and responses[3].value == truth[0][a]
+            # c expired on arrival, a at its own deadline, both before the
+            # 100 ms window answered their burst-mates.
+            expired = svc.metrics.histogram("serve.latency_seconds", status=DEADLINE_EXCEEDED)
+            assert expired.quantile(0.0) < 0.02 <= expired.quantile(1.0) < 0.1
+            # Its coalesced burst-mate kept a's probe alive; c had nobody.
+            assert svc.metrics.total("serve.deadline_dropped") == 1
+            assert svc.metrics.total("serve.coalesced") == 1
+            assert svc._index == {} and svc.stats()["inflight"] == 0
+
+    run(main())
+
+
+def test_cancelled_burst_leaves_no_waiter_behind():
+    store, truth = shared_store(FMT_FILTERKV)
+    a, b = list(truth[0])[:2]
+
+    async def main():
+        async with QueryService(store, batch_window_s=0.05) as svc:
+            burst = asyncio.ensure_future(svc.get_burst([(a, None, None, None), (b, None, 1.0, None)]))
+            await asyncio.sleep(0.01)
+            assert svc._inflight == 2
+            burst.cancel()
+            await asyncio.gather(burst, return_exceptions=True)
+            assert svc._inflight == 0
+            # The window still runs: nobody waits, so both probes are dropped.
+            await asyncio.sleep(0.1)
+            assert svc.metrics.total("serve.deadline_dropped") == 2
+            r = await svc.get(a)
+            assert r.status == OK and r.value == truth[0][a]
+            assert svc.metrics.total("serve.requests", status=OK) == 1
+
+    run(main())
+
+
 def test_default_deadline_applies():
     store, truth = shared_store(FMT_FILTERKV)
     key = next(iter(truth[0]))
