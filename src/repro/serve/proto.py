@@ -1,6 +1,6 @@
 """Wire front end for `QueryService`: framing, server, clients.
 
-Frame v3.  Every message, in both directions, is one little-endian frame::
+Frame v4.  Every message, in both directions, is one little-endian frame::
 
     u32 length ‖ u8 version ‖ u8 kind ‖ u32 id ‖ kind-specific ‖ u32 CRC-32
 
@@ -16,9 +16,6 @@ addressed to its request id instead of being misread.
 ====  ==========  =======================================================
 kind  name        kind-specific bytes
 ====  ==========  =======================================================
-1     GET         u64 key ‖ i64 epoch ‖ f64 deadline_s ‖ [JSON tail]
-2     REPLY       u64 key ‖ i64 epoch ‖ u8 status ‖ u8 flags ‖ 2 × i64
-                  state token ‖ u32 value length ‖ value ‖ [JSON tail]
 3     JSON        one JSON object
 4     GET_MANY    i64 epoch ‖ f64 deadline_s ‖ u32 n ‖ n × u64 key ‖
                   [JSON tail]
@@ -27,24 +24,23 @@ kind  name        kind-specific bytes
                   [JSON tail]
 ====  ==========  =======================================================
 
-The messages a read costs are *binary*: ``epoch`` is i64-min for ``None``
-and ``deadline_s`` NaN for none, ``status`` indexes `STATUSES`, ``flags``
-say cached / has value / has state token, the value is raw bytes.  A
-``get_many`` asks for n keys at one epoch and deadline and is answered by
-one ``REPLY_MANY`` whose rows are the kind-2 fields minus the state token
-the frame carries once.  Everything rare is *JSON inside the same frame
-and checksum*: a request's propagated `TraceContext` and a reply's
-``detail``, error ``code`` and span tree ride as a JSON-object tail behind
-the fixed part (a ``REPLY_MANY`` row's under ``"rows": {"<index>": {...}}``);
-the control verbs (``stats``, ``stats_live``, ``trace``, ``aux_state``,
-``ping``) and their replies are kind 3, as is any message whose fields do
-not fit a fixed slot (a key that is no u64, an error reply naming no key).
-To callers a message is still an id-tagged dict — ``{"id": 7, "v": 3,
-"op": "get", "key": 123, "epoch": None, "deadline_s": 0.05}``, ``{"id": 8,
-"v": 3, "op": "get_many", "keys": [1, 2], "epoch": None, "deadline_s":
-None}``, ``{"id": 8, "v": 3, "st": (0, 4), "replies": [{"status": "ok",
-"key": 1, "epoch": 4, "value": b"...", "cached": False}, ...]}`` — and
-`encode_frame` / `read_frame` alone know how it is laid out.
+A read is *binary*: a ``GET_MANY`` asks for n keys at one epoch
+(i64-min for ``None``) and deadline (NaN for none), and one ``REPLY_MANY``
+answers with a row per key, in key order — ``status`` indexes `STATUSES`,
+``flags`` say cached / has value, the value is raw bytes — and the
+service's state token once.  A one-key read is a ``GET_MANY`` of one key:
+v3's one-key kinds 1 and 2 are gone, and decode as unknown kinds.
+Everything rare is *JSON inside the same frame and checksum*: a request's
+`TraceContext` and a row's ``detail``, error ``code`` and span tree ride as
+a JSON-object tail (a row's under ``"rows": {"<index>": {...}}``); the
+control verbs (``stats``, ``stats_live``, ``trace``, ``aux_state``,
+``ping``), their replies, error replies and any request whose fields do
+not fit a fixed slot are kind 3.  To callers a message is still an
+id-tagged dict — ``{"id": 8, "v": 4, "op": "get_many", "keys": [1, 2],
+"epoch": None, "deadline_s": None}``, ``{"id": 8, "v": 4, "st": (0, 4),
+"replies": [ServeResponse, ...]}``, rows decoded straight into responses
+carrying the frame's state token — and `encode_frame` / `read_frame` alone
+know how it is laid out.
 
 Why CRC-32 when extents at rest keep `repro.storage.envelope.seal`:
 `seal`'s checksum is a vectorised NumPy pass sized for 256 KB blocks; on a
@@ -53,24 +49,30 @@ and four of them were a third of a served request.  The sealed aux blobs
 ``aux_state`` ships are untouched: they cross the wire *inside* a
 CRC-checked frame and the router still ``unseal``s each one.
 
-Bursts.  `TCPClient` sends the frames its callers produce in one event
-loop turn with one write; `ServeServer` takes every complete frame already
-buffered (a *read burst*: one frame on an idle link, up to the client's
-outstanding count under load), hands every key the burst reads — one per
-``get``, n per ``get_many`` — to one ``get_burst`` call of the mounted
-service and answers the burst with one write — so a closed loop's
-requests keep arriving together and fill the service's dispatch windows by
-themselves.  The one cost: a cache hit leaves with the misses it was
-pipelined with, at most one dispatch window late; members carrying a
-deadline are answered apart from those carrying none, so that wait is
-bounded by a deadline the service enforces, never by a hung peer.  Replies
-are matched by id and bursts may complete out of order.
+Bursts start at the client.  `TCPClient.get` sends no frame of its own:
+an untraced call joins the loop turn's pending *run* — the maximal
+sequence of consecutive ``get`` calls at one ``(epoch, deadline_s)`` — and
+awaits its own future.  A run ends at a ``get`` with another epoch or
+deadline, at a call that sends a frame of its own (``get_many``, a control
+verb, a traced ``get``; queued behind the runs before it), or with the
+loop turn, whose `TCPClient._flush` packs each run into one ``GET_MANY``
+and sends all the turn queued with one write; the reply's rows go to the
+run's futures in order.  `ServeServer` takes every complete frame already
+buffered (a *read burst*), hands every key it reads to one ``get_burst``
+call of the mounted service, in the callers' order, and answers with one
+write, so a closed loop's requests keep arriving together and fill the
+service's dispatch windows by themselves.  The one cost: a cache hit
+leaves with the misses it was pipelined with, at most one dispatch window
+late; members carrying a deadline are answered apart from those carrying
+none, so that wait is bounded by a deadline the service enforces, never
+by a hung peer.  Replies are matched by id.
 
 Failures are **typed error frames** — ``{"status": "error", "error":
 {"code", "retryable"}, "detail"}`` — telling *the request is wrong*
 (``unknown_op``, ``unsupported_version``, ``bad_request``: don't retry)
 from *this shard, right now* (``unknown_epoch``, ``closed``: refresh or
-fail over).  ``get`` replies piggyback the service's `state_token`, so a
+fail over).  A frame refused as a whole is that refusal for every key it
+asked for.  Read replies piggyback the service's `state_token`, so a
 router learns on every answer that the shard committed or compacted
 underneath its sealed-aux view; ``aux_state`` exports the sealed aux blobs
 (hex) per live epoch, the only shard bytes a router ever holds.
@@ -111,30 +113,25 @@ __all__ = [
 ]
 
 MAX_FRAME_BYTES = 1 << 24  # 16 MiB: a point query never comes close
-PROTO_VERSION = 3
+PROTO_VERSION = 4
 
 _LEN = struct.Struct("<I")
 _CRC = struct.Struct("<I")
 _HEAD = struct.Struct("<BBI")  # version, kind, id: fixed across versions
-_GET = struct.Struct("<BBIQqd")  # + key, epoch, deadline_s
-_REPLY = struct.Struct("<BBIQqBBqqI")  # + key, epoch, status, flags, state token, value length
 _GET_MANY = struct.Struct("<BBIqdI")  # + epoch, deadline_s, key count; then the keys
 _REPLY_MANY = struct.Struct("<BBIqqI")  # + state token, row count; then the rows
 _ROW = struct.Struct("<QqBBI")  # key, epoch, status, flags, value length; then the value
 _KEY_BYTES = 8
+_RUN_BYTES = _LEN.size + _GET_MANY.size + _CRC.size  # a GET_MANY frame bar its keys
 _MIN_FRAME_BYTES = _HEAD.size + _CRC.size
 _READ_BYTES = 1 << 16
 
-_KIND_GET, _KIND_REPLY, _KIND_JSON, _KIND_GET_MANY, _KIND_REPLY_MANY = 1, 2, 3, 4, 5
-_GET_KEYS = frozenset(("id", "v", "op", "key", "epoch", "deadline_s"))
-_REPLY_KEYS = frozenset(("id", "v", "status", "key", "epoch", "value", "cached", "st"))
+_KIND_JSON, _KIND_GET_MANY, _KIND_REPLY_MANY = 3, 4, 5
 _GET_MANY_KEYS = frozenset(("id", "v", "op", "keys", "epoch", "deadline_s"))
 _REPLY_MANY_KEYS = frozenset(("id", "v", "st", "replies"))
-_ROW_KEYS = frozenset(("status", "key", "epoch", "value", "cached"))
 _U64_MAX = (1 << 64) - 1
-_READ_OPS = ("get", "get_many")
 _STATUS_CODE = {status: i for i, status in enumerate(STATUSES)}
-_F_CACHED, _F_VALUE, _F_STATE = 1, 2, 4
+_F_CACHED, _F_VALUE = 1, 2
 _NO_EPOCH = -(1 << 63)
 _NAN = float("nan")
 _ID_MASK = 0xFFFFFFFF
@@ -196,84 +193,40 @@ def _epoch_slot(epoch) -> int:
     return epoch
 
 
-def _epoch_field(slot: int) -> int | None:
-    return None if slot == _NO_EPOCH else slot
+def _response_extras(response: ServeResponse) -> dict:
+    """The fields of a reply row that ride in its frame's JSON tail."""
+    out = {}
+    if response.detail:
+        out["detail"] = response.detail
+    if response.trace is not None:
+        out["trace"] = response.trace
+    if response.code:
+        out["error"] = {"code": response.code, "retryable": response.code in _RETRYABLE}
+    return out
 
 
-def _value_flags(value: bytes | None, cached) -> tuple[bytes, int]:
-    """A reply's value bytes and its cached / has-value flag bits."""
-    flags = _F_CACHED if cached else 0
-    if value is None:
-        return b"", flags
-    return value, flags | _F_VALUE
-
-
-def _pack_reply(
-    version: int, rid: int, key: int, epoch, status: str, value: bytes | None, cached, st
-) -> bytes:
-    """A kind-2 body up to its JSON tail."""
-    value, flags = _value_flags(value, cached)
-    if st is None:
-        gen = newest = 0
-    else:
-        flags |= _F_STATE
-        gen, newest = st
-    return _REPLY.pack(
-        version, _KIND_REPLY, rid, key, _epoch_slot(epoch), _STATUS_CODE[status], flags,
-        gen, newest, len(value),
-    ) + value
-
-
-def _pack_row(key: int, epoch, status: str, value: bytes | None, cached) -> bytes:
-    """One ``REPLY_MANY`` row: a kind-2 reply's fields minus the state token."""
-    value, flags = _value_flags(value, cached)
-    return _ROW.pack(key, _epoch_slot(epoch), _STATUS_CODE[status], flags, len(value)) + value
-
-
-def _pack_fixed(message: dict, version: int, rid: int) -> bytes | None:
-    """The binary layout of a read request or reply, or None for every
-    other message.  Raises what `struct` and the lookups raise when a field
-    does not fit its slot."""
-    op = message.get("op")
-    if op == "get" or op == "get_many":
-        deadline = message.get("deadline_s")
-        epoch, deadline = _epoch_slot(message.get("epoch")), _NAN if deadline is None else deadline
-        if op == "get":
-            fixed = _GET.pack(version, _KIND_GET, rid, message["key"], epoch, deadline)
-            names = _GET_KEYS
-        else:
-            keys = message["keys"]
-            fixed = _GET_MANY.pack(
-                version, _KIND_GET_MANY, rid, epoch, deadline, len(keys)
-            ) + struct.pack(f"<{len(keys)}Q", *keys)
-            names = _GET_MANY_KEYS
-        tail = {name: message[name] for name in message.keys() - names}
-    elif "replies" in message:
-        gen, newest = message["st"]
-        rows = message["replies"]
-        parts = [_REPLY_MANY.pack(version, _KIND_REPLY_MANY, rid, gen, newest, len(rows))]
-        row_tails = {}
-        for i, row in enumerate(rows):
-            parts.append(
-                _pack_row(row["key"], row.get("epoch"), row["status"], row.get("value"), row.get("cached"))
-            )
-            if row.keys() - _ROW_KEYS:
-                row_tails[str(i)] = {name: row[name] for name in row.keys() - _ROW_KEYS}
-        fixed = b"".join(parts)
-        tail = {name: message[name] for name in message.keys() - _REPLY_MANY_KEYS}
-        if "rows" in tail:
-            raise ValueError("'rows' names the row tails of a REPLY_MANY")
-        if row_tails:
-            tail["rows"] = row_tails
-    elif "status" in message:
-        fixed = _pack_reply(
-            version, rid, message["key"], message.get("epoch"), message["status"],
-            message.get("value"), message.get("cached"), message.get("st"),
-        )
-        tail = {name: message[name] for name in message.keys() - _REPLY_KEYS}
-    else:
-        return None
-    return fixed + _json_pack(tail) if tail else fixed
+def _pack_reply_many(version: int, rid: int, st, responses, tail: dict) -> bytes:
+    """A ``REPLY_MANY`` body: one row per response, the state token once,
+    and a JSON tail holding ``tail`` and the rows' rare fields.  Raises
+    what `struct` and the lookups raise when a field does not fit its
+    slot."""
+    gen, newest = st
+    parts = [_REPLY_MANY.pack(version, _KIND_REPLY_MANY, rid, gen, newest, len(responses))]
+    rows = {}
+    for i, r in enumerate(responses):
+        value = b"" if r.value is None else r.value
+        flags = (_F_CACHED if r.cached else 0) | (0 if r.value is None else _F_VALUE)
+        parts.append(_ROW.pack(r.key, _epoch_slot(r.epoch), _STATUS_CODE[r.status], flags, len(value)))
+        parts.append(value)
+        if r.detail or r.code or r.trace is not None:
+            rows[str(i)] = _response_extras(r)
+    if "rows" in tail:
+        raise ValueError("'rows' names the row tails of a REPLY_MANY")
+    if rows:
+        tail = {**tail, "rows": rows}
+    if tail:
+        parts.append(_json_pack(tail))
+    return b"".join(parts)
 
 
 def _seal(body: bytes) -> bytes:
@@ -285,12 +238,27 @@ def _seal(body: bytes) -> bytes:
 
 
 def encode_frame(message: dict) -> bytes:
-    """The bytes that go on the wire for one message."""
+    """The bytes that go on the wire for one message.  A ``get_many``
+    whose fields do not fit its slots rides as JSON; ``replies`` (a list
+    of `ServeResponse`) only ever ride as a ``REPLY_MANY``."""
     version, rid = message.get("v", PROTO_VERSION), message.get("id") or 0
-    try:
-        body = _pack_fixed(message, version, rid)
-    except (struct.error, KeyError, TypeError, ValueError):
-        body = None  # a field does not fit the struct: the message rides as JSON
+    if "replies" in message:
+        tail = {name: message[name] for name in message.keys() - _REPLY_MANY_KEYS}
+        return _seal(_pack_reply_many(version, rid, message["st"], message["replies"], tail))
+    body = None
+    if message.get("op") == "get_many":
+        try:
+            keys, deadline = message["keys"], message.get("deadline_s")
+            body = _GET_MANY.pack(
+                version, _KIND_GET_MANY, rid, _epoch_slot(message.get("epoch")),
+                _NAN if deadline is None else deadline, len(keys),
+            ) + struct.pack(f"<{len(keys)}Q", *keys)
+        except (struct.error, KeyError, TypeError, ValueError):
+            pass  # a field does not fit its slot: the message rides as JSON
+        else:
+            tail = {name: message[name] for name in message.keys() - _GET_MANY_KEYS}
+            if tail:
+                body += _json_pack(tail)
     if body is None:
         body = _HEAD.pack(version, _KIND_JSON, rid) + _json_pack(
             {name: message[name] for name in message.keys() - {"id", "v"}}
@@ -298,9 +266,10 @@ def encode_frame(message: dict) -> bytes:
     return _seal(body)
 
 
-def _unpack_rows(body: bytes, n: int) -> tuple[list[dict], int]:
-    """The ``n`` rows of a ``REPLY_MANY`` body and where they end.  Counts
-    and lengths are checked against the body before anything is sliced."""
+def _unpack_rows(body: bytes, n: int, st: tuple) -> tuple[list[ServeResponse], int]:
+    """The ``n`` rows of a ``REPLY_MANY`` body, as responses carrying the
+    state token ``st``, and where they end.  Counts and lengths are
+    checked against the body before anything is sliced."""
     at = _REPLY_MANY.size
     if at + n * _ROW.size > len(body):
         raise ProtocolError("row count disagrees with the frame")
@@ -311,17 +280,18 @@ def _unpack_rows(body: bytes, n: int) -> tuple[list[dict], int]:
         at = start + nvalue
         if at > len(body) or (nvalue and not flags & _F_VALUE):
             raise ProtocolError("value length disagrees with the frame")
-        rows.append({
-            "status": STATUSES[status], "key": key, "epoch": _epoch_field(epoch),
-            "value": body[start:at] if flags & _F_VALUE else None,
-            "cached": bool(flags & _F_CACHED),
-        })
+        rows.append(ServeResponse(
+            STATUSES[status], key, None if epoch == _NO_EPOCH else epoch,
+            body[start:at] if flags & _F_VALUE else None, bool(flags & _F_CACHED),
+            shard_state=st,
+        ))
     return rows, at
 
 
-def _merge_row_tails(rows: list[dict], tails) -> None:
-    """Fold a ``REPLY_MANY`` tail's ``rows`` object into its rows (the
-    fixed fields win, as they do for a whole message)."""
+def _merge_row_tails(rows: list[ServeResponse], tails) -> None:
+    """Fold a ``REPLY_MANY`` tail's ``rows`` object into its rows: a row
+    takes ``detail``, ``trace`` and the error ``code`` from it, and never
+    a fixed field."""
     if not isinstance(tails, dict):
         raise ProtocolError("row tails are not an object")
     for index, fields in tails.items():
@@ -330,9 +300,13 @@ def _merge_row_tails(rows: list[dict], tails) -> None:
         if not (index.isascii() and index.isdigit() and len(index) <= 10
                 and int(index) < len(rows)):
             raise ProtocolError(f"row tail for no row: {index[:16]!r}")
-        if not isinstance(fields, dict):
+        if not isinstance(fields, dict) or not isinstance(fields.get("error") or {}, dict):
             raise ProtocolError("a row tail is not an object")
-        rows[int(index)] = {**fields, **rows[int(index)]}
+        i = int(index)
+        rows[i] = replace(
+            rows[i], detail=fields.get("detail", ""), trace=fields.get("trace"),
+            code=(fields.get("error") or {}).get("code", ""),
+        )
 
 
 def _decode_frame(body: bytes, crc: int) -> dict:
@@ -344,56 +318,35 @@ def _decode_frame(body: bytes, crc: int) -> dict:
         # Only the head is laid out the same in every version: enough to
         # address the refusal, nothing more is interpreted.
         return {"id": rid, "v": version}
+    message = {"id": rid, "v": version}
     try:
-        if kind == _KIND_GET:
-            _, _, _, key, epoch, deadline = _GET.unpack_from(body)
-            message = {
-                "id": rid, "v": version, "op": "get", "key": key,
-                "epoch": _epoch_field(epoch),
-                "deadline_s": None if deadline != deadline else deadline,
-            }
-            tail = _GET.size
-        elif kind == _KIND_REPLY:
-            _, _, _, key, epoch, status, flags, gen, newest, nvalue = _REPLY.unpack_from(body)
-            tail = _REPLY.size + nvalue
-            if tail > len(body) or (nvalue and not flags & _F_VALUE):
-                raise ProtocolError("value length disagrees with the frame")
-            message = {
-                "id": rid, "v": version, "status": STATUSES[status], "key": key,
-                "epoch": _epoch_field(epoch),
-                "value": body[_REPLY.size:tail] if flags & _F_VALUE else None,
-                "cached": bool(flags & _F_CACHED),
-                "st": (gen, newest) if flags & _F_STATE else None,
-            }
-        elif kind == _KIND_GET_MANY:
+        if kind == _KIND_GET_MANY:
             _, _, _, epoch, deadline, n = _GET_MANY.unpack_from(body)
             tail = _GET_MANY.size + n * _KEY_BYTES
             if tail > len(body):
                 raise ProtocolError("key count disagrees with the frame")
-            message = {
-                "id": rid, "v": version, "op": "get_many",
-                "keys": list(struct.unpack_from(f"<{n}Q", body, _GET_MANY.size)),
-                "epoch": _epoch_field(epoch),
-                "deadline_s": None if deadline != deadline else deadline,
-            }
+            message.update(
+                op="get_many", keys=list(struct.unpack_from(f"<{n}Q", body, _GET_MANY.size)),
+                epoch=None if epoch == _NO_EPOCH else epoch,
+                deadline_s=None if deadline != deadline else deadline,
+            )
         elif kind == _KIND_REPLY_MANY:
             _, _, _, gen, newest, n = _REPLY_MANY.unpack_from(body)
-            rows, tail = _unpack_rows(body, n)
-            message = {"id": rid, "v": version, "st": (gen, newest), "replies": rows}
-            if tail < len(body):
-                extra = _json_unpack(body[tail:])
-                if "rows" in extra:
-                    _merge_row_tails(rows, extra.pop("rows"))
-                return {**extra, **message}
-            return message
+            message["st"] = (gen, newest)
+            message["replies"], tail = _unpack_rows(body, n, message["st"])
         elif kind == _KIND_JSON:
-            return {**_json_unpack(body[_HEAD.size:]), "id": rid, "v": version}
+            tail = _HEAD.size  # the payload is not optional here
         else:
             raise ProtocolError(f"unknown frame kind {kind}")
     except (struct.error, IndexError) as e:  # shorter than its kind, or no such status
         raise ProtocolError(f"bad frame: {e}") from e
-    if tail < len(body):
-        message = {**_json_unpack(body[tail:]), **message}
+    if tail < len(body) or kind == _KIND_JSON:
+        extra = _json_unpack(body[tail:])
+        if "replies" in extra:
+            raise ProtocolError("'replies' rides only in a REPLY_MANY's rows")
+        if "rows" in extra and kind == _KIND_REPLY_MANY:
+            _merge_row_tails(message["replies"], extra.pop("rows"))
+        message = {**extra, **message}  # the fixed fields win
     return message
 
 
@@ -444,80 +397,40 @@ async def read_frame(frames: FrameReader) -> dict | None:
     return _decode_frame(body, crc)
 
 
-def _response_extras(response: ServeResponse) -> dict:
-    """The fields of a reply that ride in its JSON tail."""
-    out = {}
-    if response.detail:
-        out["detail"] = response.detail
-    if response.trace is not None:
-        out["trace"] = response.trace
-    if response.code:
-        out["error"] = {"code": response.code, "retryable": response.code in _RETRYABLE}
-    return out
+def _reply_frame(rid: int, responses: list[ServeResponse], st) -> bytes:
+    """The ``REPLY_MANY`` answering one ``GET_MANY``, packed straight from
+    its responses (it decodes to what `encode_frame` of the same message
+    would)."""
+    return _seal(_pack_reply_many(PROTO_VERSION, rid, st, responses, {}))
 
 
-def _row_fields(response: ServeResponse) -> dict:
-    """A response as a reply message's fields, without its state token."""
-    return {
-        "status": response.status,
-        "key": response.key,
-        "epoch": response.epoch,
-        "value": response.value,
-        "cached": response.cached,
-        **_response_extras(response),
-    }
-
-
-def _response_from_fields(fields: dict, st=None) -> ServeResponse:
-    """A reply message (or a ``REPLY_MANY`` row, with the frame's state
-    token as ``st``) as a `ServeResponse`."""
-    if st is None:
-        st = fields.get("st")
-    return ServeResponse(
-        status=fields["status"],
-        key=fields["key"],
-        epoch=fields.get("epoch"),
-        value=fields.get("value"),
-        cached=bool(fields.get("cached", False)),
-        detail=fields.get("detail", ""),
-        trace=fields.get("trace"),
-        code=(fields.get("error") or {}).get("code", ""),
-        shard_state=tuple(st) if st is not None else None,
-    )
-
-
-def _reply_frame(rid: int, responses: list[ServeResponse], st, many: bool) -> bytes:
-    """The reply to one read request — kind 2 for a ``get``, kind 5 for a
-    ``get_many`` — packed straight from its responses.  It decodes to what
-    `encode_frame` of the same fields would; a field that does not fit its
-    slot sends the message through `encode_frame` instead."""
-    gen, newest = st
-    try:
-        if not many:
-            (r,) = responses
-            body = _pack_reply(PROTO_VERSION, rid, r.key, r.epoch, r.status, r.value, r.cached, st)
-            extras = _response_extras(r)
-            return _seal(body + _json_pack(extras) if extras else body)
-        parts = [_REPLY_MANY.pack(PROTO_VERSION, _KIND_REPLY_MANY, rid, gen, newest, len(responses))]
-        tails = {}
-        for i, r in enumerate(responses):
-            parts.append(_pack_row(r.key, r.epoch, r.status, r.value, r.cached))
-            if r.detail or r.code or r.trace is not None:
-                tails[str(i)] = _response_extras(r)
-        if tails:
-            parts.append(_json_pack({"rows": tails}))
-        return _seal(b"".join(parts))
-    except (struct.error, ValueError):
-        rows = [_row_fields(r) for r in responses]
-        if many:
-            return encode_frame({"id": rid, "st": (gen, newest), "replies": rows})
-        return encode_frame({"id": rid, **rows[0], "st": (gen, newest)})
+def _responses(reply: dict, keys: list[int]) -> list[ServeResponse]:
+    """The answer to one ``GET_MANY`` as one response per key: its rows,
+    or — when the frame was refused as a whole — that refusal per key."""
+    if reply["v"] != PROTO_VERSION:
+        raise ProtocolError(f"peer answered in v{reply['v']}, not v{PROTO_VERSION}")
+    rows = reply.get("replies")
+    if rows is None:
+        error = reply.get("error") or {}
+        if "status" not in reply or not isinstance(error, dict):
+            raise ProtocolError("a refusal without a status or an error object")
+        return [
+            ServeResponse(
+                status=reply["status"], key=key, epoch=reply.get("epoch"),
+                detail=reply.get("detail", ""), trace=reply.get("trace"),
+                code=error.get("code", ""),
+            )
+            for key in keys
+        ]
+    if len(rows) != len(keys):
+        raise ProtocolError(f"{len(rows)} replies to {len(keys)} keys")
+    return rows
 
 
 def _read_members(request: dict) -> list[tuple]:
     """The ``get_burst`` members, ``(key, epoch, deadline_s, trace)``, of
-    one ``get`` / ``get_many`` request.  Raises KeyError, TypeError or
-    ValueError for a request whose fields mean nothing."""
+    one ``get_many`` request.  Raises KeyError, TypeError or ValueError
+    for a request whose fields mean nothing."""
     epoch, deadline = request.get("epoch"), request.get("deadline_s")
     if epoch is not None:
         epoch = int(epoch)
@@ -525,12 +438,9 @@ def _read_members(request: dict) -> list[tuple]:
         deadline = float(deadline)
         if deadline != deadline:
             raise ValueError("deadline_s is NaN")
-    if request["op"] == "get":
-        keys = (request["key"],)
-    else:
-        keys = request["keys"]
-        if not isinstance(keys, list):
-            raise TypeError(f"keys is a {type(keys).__name__}, not a list")
+    keys = request["keys"]
+    if not isinstance(keys, list):
+        raise TypeError(f"keys is a {type(keys).__name__}, not a list")
     trace = request.get("trace")
     members = []
     for key in keys:
@@ -646,15 +556,14 @@ class ServeServer:
         reads: list[tuple[int, dict, int, int]] = []  # slot, request, first member, count
         members: list[tuple] = []
         for j, request in enumerate(requests):
-            op = request.get("op")
-            if request["v"] != PROTO_VERSION or op not in _READ_OPS:
+            if request["v"] != PROTO_VERSION or request.get("op") != "get_many":
                 replies[j] = self._answer(request)
                 continue
             try:
                 read = _read_members(request)
             except (KeyError, TypeError, ValueError) as e:
                 replies[j] = encode_frame(
-                    error_frame(request["id"], ERR_BAD_REQUEST, f"bad {op} request: {e!r}")
+                    error_frame(request["id"], ERR_BAD_REQUEST, f"bad get_many request: {e!r}")
                 )
                 continue
             reads.append((j, request, len(members), len(read)))
@@ -671,9 +580,7 @@ class ServeServer:
             else:
                 for j, request, first, n in reads:
                     try:
-                        replies[j] = _reply_frame(
-                            request["id"], responses[first:first + n], st, request["op"] == "get_many"
-                        )
+                        replies[j] = _reply_frame(request["id"], responses[first:first + n], st)
                     except Exception as e:
                         replies[j] = encode_frame(error_frame(request["id"], ERR_INTERNAL, repr(e)))
         if not writer.transport.is_closing():
@@ -709,8 +616,41 @@ class ServeServer:
         return error_frame(rid, ERR_UNKNOWN_OP, f"unknown op {op!r}")
 
 
+class _Run:
+    """Consecutive ``get`` calls at one epoch and deadline: the keys, one
+    future per call, and — once packed into a ``GET_MANY`` — its id."""
+
+    __slots__ = ("epoch", "deadline_s", "keys", "futures", "rid", "left")
+
+    def __init__(self, epoch, deadline_s):
+        self.epoch = epoch
+        self.deadline_s = deadline_s
+        self.keys: list[int] = []
+        self.futures: list[asyncio.Future] = []
+        self.rid: int | None = None
+        self.left = 0  # calls no longer waiting: answered, failed or cancelled
+
+    def answer(self, reply: dict) -> None:
+        """Hand one reply's rows to the calls still waiting, in order.  A
+        reply that means nothing fails them; it never fails the pump."""
+        try:
+            rows = _responses(reply, self.keys)
+        except ProtocolError as e:
+            self.fail(e)
+            return
+        for future, row in zip(self.futures, rows):
+            if not future.done():
+                future.set_result(row)
+
+    def fail(self, error: Exception) -> None:
+        for future in self.futures:
+            if not future.done():
+                future.set_exception(error)
+
+
 class TCPClient:
-    """Framed-protocol client; safe for many concurrent ``get`` calls."""
+    """Framed-protocol client; safe for many concurrent ``get`` calls,
+    which it packs into one ``GET_MANY`` per run (module docstring)."""
 
     def __init__(self, host: str, port: int):
         self.host = host
@@ -718,7 +658,10 @@ class TCPClient:
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._pump: asyncio.Task | None = None
-        self._waiting: dict[int, asyncio.Future] = {}
+        self._waiting: dict[int, asyncio.Future] = {}  # frame id -> its `_call`
+        self._runs: list[_Run] = []  # this loop turn's `get` runs, not yet packed
+        self._run_bytes = 0  # what `_runs` will pack to
+        self._batches: dict[int, _Run] = {}  # frame id -> a packed run awaiting its reply
         self._ids = itertools.count(1)
         self._outbox = bytearray()  # frames queued this loop turn
         self._lost: Exception | None = None  # why the connection ended
@@ -757,20 +700,53 @@ class TCPClient:
                 message = await read_frame(frames)
                 if message is None:
                     break
+                run = self._batches.pop(message["id"], None)
+                if run is not None:
+                    run.answer(message)
+                    continue
                 future = self._waiting.get(message["id"])
                 if future is not None and not future.done():
                     future.set_result(message)
         except ProtocolError as e:
             error = e
-        # From here on `_call` refuses instead of registering a waiter
-        # nobody is left to answer.
+        # From here on calls refuse instead of waiting for an answer nobody
+        # is left to give; what already waits fails now.
         self._lost = error
         for future in self._waiting.values():
             if not future.done():
                 future.set_exception(error)
+        runs = [*self._batches.values(), *self._runs]
+        self._batches, self._runs, self._run_bytes = {}, [], 0
+        for run in runs:
+            run.fail(error)
+
+    def _next_id(self) -> int:
+        rid = next(self._ids) & _ID_MASK
+        while rid in self._waiting or rid in self._batches:  # past the 32-bit wrap
+            rid = next(self._ids) & _ID_MASK
+        return rid
+
+    def _pack_runs(self) -> None:
+        """Queue one ``GET_MANY`` per pending run, in call order."""
+        runs, self._runs, self._run_bytes = self._runs, [], 0
+        for run in runs:
+            if run.left == len(run.futures):
+                continue  # every call of it was cancelled
+            run.rid = self._next_id()
+            try:
+                self._outbox += encode_frame({
+                    "id": run.rid, "v": PROTO_VERSION, "op": "get_many", "keys": run.keys,
+                    "epoch": run.epoch, "deadline_s": run.deadline_s,
+                })
+            except (TypeError, ValueError) as e:  # no frame: fail the run, not the flush
+                run.fail(e)
+            else:
+                self._batches[run.rid] = run
 
     def _flush(self) -> None:
-        """Send every frame queued since the last loop turn with one write."""
+        """Send every frame and run queued since the last loop turn with
+        one write."""
+        self._pack_runs()
         frames, self._outbox = self._outbox, bytearray()
         if frames and self._writer is not None and not self._writer.transport.is_closing():
             self._writer.write(frames)
@@ -779,29 +755,36 @@ class TCPClient:
         """Whether the bytes queued here and in the transport are past the
         transport's high-water mark."""
         transport = self._writer.transport
-        backlog = transport.get_write_buffer_size() + len(self._outbox)
+        backlog = transport.get_write_buffer_size() + len(self._outbox) + self._run_bytes
         return backlog > transport.get_write_buffer_limits()[1]
 
-    async def _call(self, message: dict) -> dict:
+    async def _room(self) -> None:
+        """Wait while the peer is not reading, on the transport's flow
+        control instead of queueing without bound; raise once the
+        connection is gone.  (One waiter at a time: before 3.11 `drain()`
+        asserts on a second.)"""
         assert self._writer is not None or self._lost is not None, "call connect() first"
         while self._lost is None and self._congested():
-            # The server is not reading: wait on the transport's flow
-            # control instead of queueing without bound.  (One waiter at a
-            # time: before 3.11 `drain()` asserts on a second.)
             writer = self._writer
             self._flush()
             async with self._drain_lock:
                 await writer.drain()
         if self._lost is not None:
             raise ConnectionError(f"connection lost: {self._lost}")
-        rid = next(self._ids) & _ID_MASK
-        while rid in self._waiting:  # past the 32-bit wrap: skip ids still in use
-            rid = next(self._ids) & _ID_MASK
+
+    def _schedule_flush(self) -> None:
+        """Flush at the end of this loop turn, once."""
+        if not self._outbox and not self._runs:
+            asyncio.get_running_loop().call_soon(self._flush)
+
+    async def _call(self, message: dict) -> dict:
+        """One frame of its own, behind the runs before it; its reply."""
+        await self._room()
+        self._pack_runs()
+        rid = self._next_id()
         frame = encode_frame({"id": rid, "v": PROTO_VERSION, **message})
-        loop = asyncio.get_running_loop()
-        future = self._waiting[rid] = loop.create_future()
-        if not self._outbox:
-            loop.call_soon(self._flush)
+        future = self._waiting[rid] = asyncio.get_running_loop().create_future()
+        self._schedule_flush()
         self._outbox += frame
         try:
             reply = await future
@@ -818,10 +801,31 @@ class TCPClient:
         deadline_s: float | None = None,
         trace: TraceContext | None = None,
     ) -> ServeResponse:
-        message = {"op": "get", "key": int(key), "epoch": epoch, "deadline_s": deadline_s}
-        if trace is not None:
-            message["trace"] = trace.to_wire()
-        return _response_from_fields(await self._call(message))
+        """One key's answer, from the ``GET_MANY`` of the run this call
+        joins.  A traced call, or a key that is no u64 (refused on its
+        own, not with its run-mates), goes alone as a one-key
+        ``get_many``."""
+        key = int(key)
+        if trace is not None or not 0 <= key <= _U64_MAX:
+            return (await self.get_many((key,), epoch, deadline_s, trace))[0]
+        if self._lost is not None or self._congested():
+            await self._room()
+        run = self._runs[-1] if self._runs else None
+        if run is None or run.epoch != epoch or run.deadline_s != deadline_s:
+            self._schedule_flush()
+            run = _Run(epoch, deadline_s)
+            self._runs.append(run)
+            self._run_bytes += _RUN_BYTES
+        future = asyncio.get_running_loop().create_future()
+        run.keys.append(key)
+        run.futures.append(future)
+        self._run_bytes += _KEY_BYTES
+        try:
+            return await future
+        finally:
+            run.left += 1
+            if run.left == len(run.futures) and self._batches.get(run.rid) is run:
+                del self._batches[run.rid]  # the last call left before the reply
 
     async def get_many(
         self,
@@ -836,15 +840,7 @@ class TCPClient:
         message = {"op": "get_many", "keys": keys, "epoch": epoch, "deadline_s": deadline_s}
         if trace is not None:
             message["trace"] = trace.to_wire()
-        reply = await self._call(message)
-        rows = reply.get("replies")
-        if rows is None:
-            # One answer for the whole frame: the request was refused.
-            return [_response_from_fields({**reply, "key": key}) for key in keys]
-        if len(rows) != len(keys):
-            raise ProtocolError(f"{len(rows)} replies to {len(keys)} keys")
-        st = reply["st"]
-        return [_response_from_fields(row, st) for row in rows]
+        return _responses(await self._call(message), keys)
 
     async def stats(self) -> dict:
         return (await self._call({"op": "stats"}))["stats"]

@@ -185,6 +185,6 @@ def test_reset_shard_connection_fails_over_tcp():
             st = router.stats()
             assert st["breakers"][str(victim)] == "open"
             assert st["failovers"] > 0 and st["requests"]["error"] == 0
-            assert client._waiting == {}
+            assert client._waiting == {} and client._runs == [] and client._batches == {}
 
     run(go())

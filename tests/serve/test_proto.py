@@ -1,4 +1,4 @@
-"""Wire protocol: CRC-checked v3 frames, TCP server/clients, in-proc adapter."""
+"""Wire protocol: CRC-checked v4 frames, TCP server/clients, in-proc adapter."""
 
 import asyncio
 import itertools
@@ -14,11 +14,13 @@ from repro.serve import (
     OK,
     InprocClient,
     QueryService,
+    ServeResponse,
     ServeServer,
     TCPClient,
 )
 from repro.serve.proto import (
     ERR_BAD_REQUEST,
+    ERR_UNKNOWN_OP,
     ERR_UNSUPPORTED_VERSION,
     MAX_FRAME_BYTES,
     PROTO_VERSION,
@@ -35,19 +37,20 @@ U64 = 2**64 - 1
 
 
 def test_frame_round_trip():
-    get = {"id": 3, "v": PROTO_VERSION, "op": "get", "key": 17, "epoch": None, "deadline_s": None}
+    get = {"id": 3, "v": PROTO_VERSION, "op": "get_many", "keys": [17], "epoch": None,
+           "deadline_s": None}
     reply = {
-        "id": 3, "v": PROTO_VERSION, "status": OK, "key": 17, "epoch": 2,
-        "value": b"\x00\xffraw", "cached": True, "st": (1, 2),
+        "id": 3, "v": PROTO_VERSION, "st": (1, 2),
+        "replies": [ServeResponse(OK, 17, 2, b"\x00\xffraw", True, shard_state=(1, 2))],
     }
     control = {"id": 4, "v": PROTO_VERSION, "op": "stats_live", "window_s": 2.5}
 
     async def main():
         frames = [encode_frame(m) for m in (get, reply, control)]
-        # The two per-request messages are fixed binary structs; the value
+        # A one-key read and its answer are fixed binary structs; the value
         # rides raw, not hex-in-JSON.
-        assert len(frames[0]) == 38 and len(frames[1]) == 52 + len(reply["value"])
-        assert reply["value"] in frames[1] and b"stats_live" in frames[2]
+        assert len(frames[0]) == 42 and len(frames[1]) == 56 + len(b"\x00\xffraw")
+        assert b"\x00\xffraw" in frames[1] and b"stats_live" in frames[2]
         reader = _fed_reader(b"".join(frames))
         assert await read_frame(reader) == get
         assert await read_frame(reader) == reply
@@ -177,12 +180,11 @@ def test_unsupported_version_yields_error_frame():
             async with TCPClient(server.host, server.port) as client:
                 # The version is the frame's first byte; the refusal still
                 # finds its caller because the id sits at a fixed offset.
-                reply = await client._call(
-                    {"op": "get", "key": key, "v": PROTO_VERSION + 1}
-                )
-                assert reply["status"] == ERROR
-                assert reply["error"]["code"] == ERR_UNSUPPORTED_VERSION
-                assert not reply["error"]["retryable"]  # caller bug, not shard state
+                for version in (PROTO_VERSION - 1, PROTO_VERSION + 1):
+                    reply = await client._call({"op": "get_many", "keys": [key], "v": version})
+                    assert reply["status"] == ERROR
+                    assert reply["error"]["code"] == ERR_UNSUPPORTED_VERSION
+                    assert not reply["error"]["retryable"]  # caller bug, not shard state
                 # Same connection, current version: answered normally.
                 r = await client.get(key)
                 assert r.status == OK and r.value == truth[0][key]
@@ -197,8 +199,11 @@ def test_malformed_request_yields_error_not_crash():
         service = QueryService(store)
         async with ServeServer(service) as server:
             async with TCPClient(server.host, server.port) as client:
-                reply = await client._call({"op": "get"})  # no key
-                assert reply["status"] == ERROR
+                reply = await client._call({"op": "get_many"})  # no keys
+                assert reply["status"] == ERROR and reply["error"]["code"] == ERR_BAD_REQUEST
+                # v3's one-key verb is gone: a read is a get_many.
+                reply = await client._call({"op": "get", "key": 1})
+                assert reply["error"]["code"] == ERR_UNKNOWN_OP
                 assert await client.ping()
 
     run(main())
@@ -228,6 +233,11 @@ async def _within(awaitable, seconds=5.0):
     return await asyncio.wait_for(awaitable, seconds)
 
 
+def _assert_nothing_waits(client):
+    """No call, run or packed run is left registered on ``client``."""
+    assert client._waiting == {} and client._runs == [] and client._batches == {}
+
+
 def test_call_on_lost_connection_raises_and_leaks_no_waiter():
     async def main():
         server_side = []
@@ -253,7 +263,7 @@ def test_call_on_lost_connection_raises_and_leaks_no_waiter():
                 await _within(client.get(2))
             with pytest.raises(ConnectionError):
                 await _within(client.ping())
-        assert client._waiting == {}
+        _assert_nothing_waits(client)
         await client.close()
         with pytest.raises(ConnectionError):  # closed by its owner: same answer
             await _within(client.get(3))
@@ -266,8 +276,10 @@ def test_call_on_lost_connection_raises_and_leaks_no_waiter():
 def test_request_ids_past_the_32_bit_wrap_skip_ids_still_waiting():
     """Ids are a counter masked to 32 bits.  Once it wraps, a new call
     used to take the id of a call still waiting, overwrite its future, and
-    leave the first caller waiting for ever."""
-    store, _ = shared_store(FMT_FILTERKV)
+    leave the first caller waiting for ever.  A packed `get` run holds its
+    id the same way."""
+    store, truth = shared_store(FMT_FILTERKV)
+    a, b = list(truth[0])[:2]
 
     async def main():
         async with ServeServer(QueryService(store)) as server:
@@ -278,7 +290,71 @@ def test_request_ids_past_the_32_bit_wrap_skip_ids_still_waiting():
                 client._ids = itertools.count(5 + 2**32)
                 second = asyncio.ensure_future(client.ping())
                 assert await _within(asyncio.gather(first, second)) == [True, True]
-                assert client._waiting == {}
+                _assert_nothing_waits(client)
+
+                client._ids = itertools.count(9)
+                first = asyncio.ensure_future(client.get(a))
+                await asyncio.sleep(0)  # joined a run ...
+                await asyncio.sleep(0)  # ... which the turn's flush packed as frame 9
+                assert list(client._batches) == [9]
+                client._ids = itertools.count(9 + 2**32)
+                second = asyncio.ensure_future(client.get(b, epoch=ANY_EPOCH))
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                assert list(client._batches) == [9, 10]
+                got = await _within(asyncio.gather(first, second))
+                assert [r.value for r in got] == [truth[0][a], truth[0][b]]
+                _assert_nothing_waits(client)
+
+    run(main())
+
+
+def test_cancelling_one_get_of_a_run_leaves_the_others_answered():
+    store, truth = shared_store(FMT_FILTERKV)
+    keys = list(truth[0])[:5]
+
+    async def main():
+        async with ServeServer(QueryService(store)) as server:
+            async with TCPClient(server.host, server.port) as client:
+                # Cancelled while the run is pending, then once it is packed.
+                for turns in (1, 2):
+                    calls = [asyncio.ensure_future(client.get(k)) for k in keys]
+                    for _ in range(turns):
+                        await asyncio.sleep(0)
+                    assert len(client._runs) == 2 - turns and len(client._batches) == turns - 1
+                    calls[2].cancel()
+                    got = await _within(asyncio.gather(*calls, return_exceptions=True))
+                    assert isinstance(got.pop(2), asyncio.CancelledError)
+                    for key, r in zip(keys[:2] + keys[3:], got):
+                        assert r.status == OK and r.value == truth[0][key]
+                    _assert_nothing_waits(client)
+                # Every call of a packed run cancelled: its id is released
+                # without waiting for the reply.
+                calls = [asyncio.ensure_future(client.get(k)) for k in keys]
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                for call in calls:
+                    call.cancel()
+                await asyncio.gather(*calls, return_exceptions=True)
+                _assert_nothing_waits(client)
+                assert (await _within(client.get(keys[0]))).value == truth[0][keys[0]]
+
+    run(main())
+
+
+def test_gets_of_a_run_not_yet_flushed_fail_when_the_client_closes():
+    store, _ = shared_store(FMT_FILTERKV)
+
+    async def main():
+        async with ServeServer(QueryService(store)) as server:
+            client = await TCPClient(server.host, server.port).connect()
+            calls = [asyncio.ensure_future(client.get(k)) for k in range(8)]
+            await asyncio.sleep(0)  # all eight joined one run; its flush is still to come
+            assert len(client._runs) == 1 and len(client._runs[0].keys) == 8
+            await _within(client.close())
+            for outcome in await _within(asyncio.gather(*calls, return_exceptions=True)):
+                assert isinstance(outcome, ConnectionError)
+            _assert_nothing_waits(client)
 
     run(main())
 
@@ -375,7 +451,8 @@ def test_server_close_flushes_then_closes_live_connections():
         # The connection did not outlive the server.
         with pytest.raises(ConnectionError):
             await _within(client.get(keys[0]))
-        assert client._waiting == {} and not server._connections
+        _assert_nothing_waits(client)
+        assert not server._connections
         await client.close()
 
     run(main())

@@ -1,7 +1,8 @@
 """The wire changes nothing but the transport: same answers through
-`TCPClient`, `InprocClient` and `QueryService.get`, and the burst rule
-(one reply write per read burst) pinned where it could be felt — deadlines,
-damage mid-burst, a peer that stops reading.
+`TCPClient`, `InprocClient` and `QueryService.get`, and the burst rules —
+one ``GET_MANY`` per client run, one reply write per read burst — pinned
+where they could be felt: frames on the wire, deadlines, damage mid-burst,
+a peer that stops reading.
 """
 
 import asyncio
@@ -19,10 +20,20 @@ from repro.serve import (
     OVERLOADED,
     InprocClient,
     QueryService,
+    ServeResponse,
     ServeServer,
     TCPClient,
 )
-from repro.serve.proto import ERR_CLOSED, ERR_UNKNOWN_EPOCH, FrameReader, encode_frame, read_frame
+from repro.serve.proto import (
+    _RUN_BYTES,
+    ERR_CLOSED,
+    ERR_UNKNOWN_EPOCH,
+    FrameReader,
+    ProtocolError,
+    _reply_frame,
+    encode_frame,
+    read_frame,
+)
 
 from .conftest import run, shared_store
 
@@ -270,12 +281,94 @@ def test_deadline_in_a_burst_is_not_held_by_a_stalled_peer():
     run(main())
 
 
+def _not_found(request, n):
+    """A ``REPLY_MANY`` with one not-found row per key; ``n`` frames seen."""
+    rows = [ServeResponse(NOT_FOUND, key, None) for key in request["keys"]]
+    return _reply_frame(request["id"], rows, (0, n))
+
+
+async def _wire_frames(calls, answer=_not_found):
+    """The request frames a fresh `TCPClient` puts on the wire for
+    ``calls(client)``, read at a bare peer that answers each with
+    ``answer(request, frames seen)``; and the calls' outcomes."""
+    seen = []
+
+    async def peer(reader, writer):
+        frames = FrameReader(reader)
+        while (request := await read_frame(frames)) is not None:
+            seen.append(request)
+            writer.write(answer(request, len(seen)))
+        writer.close()
+
+    server = await asyncio.start_server(peer, "127.0.0.1", 0)
+    try:
+        async with TCPClient("127.0.0.1", server.sockets[0].getsockname()[1]) as client:
+            answers = await asyncio.wait_for(
+                asyncio.gather(*calls(client), return_exceptions=True), 5
+            )
+    finally:
+        server.close()
+        await server.wait_closed()
+    return seen, answers
+
+
+def test_concurrent_gets_at_one_epoch_and_deadline_ride_one_frame():
+    keys = [5, 1, 5, 2**64 - 1, 0, 9, 7, 3]
+    for epoch, deadline in ((None, None), (2, 0.5)):
+        seen, answers = run(
+            _wire_frames(lambda c: [c.get(k, epoch=epoch, deadline_s=deadline) for k in keys])
+        )
+        (frame,) = seen
+        assert frame["op"] == "get_many" and frame["keys"] == keys
+        assert (frame["epoch"], frame["deadline_s"]) == (epoch, deadline)
+        assert [(r.status, r.key, r.shard_state) for r in answers] == [
+            (NOT_FOUND, k, (0, 1)) for k in keys
+        ]
+
+
+def test_a_reply_that_means_nothing_fails_its_run_not_the_connection():
+    def answer(request, n):
+        if n == 1:  # neither rows nor a status: nothing to hand the run
+            return encode_frame({"id": request["id"], "pong": True})
+        return _not_found(request, n)
+
+    seen, answers = run(_wire_frames(lambda c: [c.get(1), c.get(2), c.get(3, epoch=0)], answer))
+    assert [f["keys"] for f in seen] == [[1, 2], [3]]
+    assert [type(a) for a in answers[:2]] == [ProtocolError] * 2
+    assert (answers[2].status, answers[2].key) == (NOT_FOUND, 3)  # the pump lives on
+
+
+def test_a_run_ends_where_the_epoch_or_deadline_changes_or_a_call_goes_alone():
+    calls = [
+        (1, None, None, None), (2, None, None, None),
+        (3, 0, None, None), (4, 0, None, None),
+        (5, 0, 0.5, None),
+        (6, None, None, None),
+        (7, 0, 0.5, None),
+        (8, None, None, CONTEXT),  # traced: alone, behind the runs before it
+        (9, None, None, None), (10, None, None, None),
+        (11, ANY_EPOCH, None, None),
+    ]
+    seen, answers = run(_wire_frames(
+        lambda c: [c.get(k, epoch=e, deadline_s=d, trace=t) for k, e, d, t in calls]
+    ))
+    assert [f["keys"] for f in seen] == [[1, 2], [3, 4], [5], [6], [7], [8], [9, 10], [11]]
+    assert [(f["epoch"], f["deadline_s"]) for f in seen] == [
+        (None, None), (0, None), (0, 0.5), (None, None), (0, 0.5), (None, None),
+        (None, None), (ANY_EPOCH, None),
+    ]
+    assert [("trace" in f) for f in seen] == [False] * 5 + [True, False, False]
+    assert [r.key for r in answers] == [c[0] for c in calls]
+
+
 def test_damage_mid_burst_answers_what_came_before_it():
     store, truth = shared_store(FMT_FILTERKV)
     a, b, c = list(truth[0])[:3]
 
     def get(rid, key):
-        return encode_frame({"id": rid, "op": "get", "key": key, "epoch": None, "deadline_s": None})
+        return encode_frame(
+            {"id": rid, "op": "get_many", "keys": [key], "epoch": None, "deadline_s": None}
+        )
 
     async def main():
         service = QueryService(store)
@@ -287,8 +380,8 @@ def test_damage_mid_burst_answers_what_came_before_it():
             replies = FrameReader(reader)
             first = await asyncio.wait_for(read_frame(replies), 5)
             second = await asyncio.wait_for(read_frame(replies), 5)
-            assert {first["id"]: first["value"], second["id"]: second["value"]} == {
-                1: truth[0][a], 2: truth[0][b],
+            assert {m["id"]: [r.value for r in m["replies"]] for m in (first, second)} == {
+                1: [truth[0][a]], 2: [truth[0][b]],
             }
             # Nothing behind the damage is served: the stream just ends.
             assert await asyncio.wait_for(read_frame(replies), 5) is None
@@ -299,10 +392,12 @@ def test_damage_mid_burst_answers_what_came_before_it():
     run(main())
 
 
-def test_client_waits_on_flow_control_when_the_server_stops_reading():
-    """Callers of a client whose peer is not reading wait; they do not
-    pile frames up in memory.  When the peer reads again, they proceed."""
-    calls, pad = 120, "x" * 16_000
+def _stalled_peer(calls, call, slack, counted, high=None):
+    """``calls`` concurrent ``call(client)``s against a peer that does not
+    read: what the client queues stays within the transport's high-water
+    mark plus ``slack`` bytes, and fewer than half the calls get in.  When
+    the peer reads (``counted(frame)`` calls per frame), every call's bytes
+    arrive.  ``high`` lowers the high-water mark."""
 
     async def main():
         accepted = asyncio.get_running_loop().create_future()
@@ -320,30 +415,48 @@ def test_client_waits_on_flow_control_when_the_server_stops_reading():
         client = await TCPClient("127.0.0.1", server.sockets[0].getsockname()[1]).connect()
         transport = client._writer.transport
         transport.get_extra_info("socket").setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 12)
-        high = transport.get_write_buffer_limits()[1]
-        callers = [
-            asyncio.ensure_future(client._call({"op": "ping", "pad": pad})) for _ in range(calls)
-        ]
-        frame_bytes = len(encode_frame({"id": 1, "op": "ping", "pad": pad}))
+        if high is not None:
+            transport.set_write_buffer_limits(high=high)
+        high_water = transport.get_write_buffer_limits()[1]
+
+        def registered():
+            runs = [*client._batches.values(), *client._runs]
+            return len(client._waiting) + sum(len(r.keys) for r in runs)
+
+        callers = [asyncio.ensure_future(call(client)) for _ in range(calls)]
         await asyncio.sleep(0.3)
         # What is queued is one high-water mark and a frame, not all of it.
-        queued = transport.get_write_buffer_size() + len(client._outbox)
-        assert queued <= high + frame_bytes < calls * frame_bytes // 4
-        registered = len(client._waiting)
-        assert registered < calls // 2 and not any(t.done() for t in callers)
+        queued = transport.get_write_buffer_size() + len(client._outbox) + client._run_bytes
+        assert queued <= high_water + slack
+        assert registered() < calls // 2 and not any(t.done() for t in callers)
 
-        # The peer starts reading: every waiting caller gets its frame out.
-        peer = FrameReader(await accepted)
-        for _ in range(calls):
-            assert (await asyncio.wait_for(read_frame(peer), 5))["pad"] == pad
-        assert len(client._waiting) == calls and not any(t.done() for t in callers)
+        # The peer starts reading: every waiting caller gets its bytes out.
+        peer, arrived = FrameReader(await accepted), 0
+        while arrived < calls:
+            arrived += counted(await asyncio.wait_for(read_frame(peer), 5))
+        assert arrived == registered() == calls and not any(t.done() for t in callers)
         for t in callers:
             t.cancel()
         await asyncio.gather(*callers, return_exceptions=True)
-        assert client._waiting == {}
+        assert client._waiting == {} and client._runs == [] and client._batches == {}
         await client.close()
         done.set()
         server.close()
         await server.wait_closed()
 
     run(main())
+
+
+def test_client_waits_on_flow_control_when_the_server_stops_reading():
+    """Callers of a client whose peer is not reading wait; they do not
+    pile frames, or the keys of `get` runs, up in memory.  When the peer
+    reads again, they proceed."""
+    pad = "x" * 16_000
+    frame_bytes = len(encode_frame({"id": 1, "op": "ping", "pad": pad}))
+    _stalled_peer(
+        120, lambda c: c._call({"op": "ping", "pad": pad}), frame_bytes,
+        lambda m: int(m["pad"] == pad),
+    )
+    _stalled_peer(
+        20_000, lambda c: c.get(7), _RUN_BYTES + 8, lambda m: m["keys"].count(7), high=4096
+    )

@@ -1,4 +1,4 @@
-"""Hostile bytes against the v3 frame decoder, and the round-trip property.
+"""Hostile bytes against the v4 frame decoder, and the round-trip property.
 
 Whatever arrives on a connection, `read_frame` has three outcomes: a
 message, clean EOF, or `ProtocolError` — never another exception, a hang,
@@ -33,8 +33,6 @@ from repro.serve.proto import (
     ProtocolError,
     _decode_frame,
     _reply_frame,
-    _response_from_fields,
-    _row_fields,
     encode_frame,
     error_frame,
     read_frame,
@@ -45,8 +43,10 @@ from .conftest import fed_reader as feed
 from .conftest import run, shared_store
 
 U64 = 2**64 - 1
+V3 = 3  # the version before this one
 HEAD = struct.Struct("<BBI")  # version, kind, id
-REPLY = struct.Struct("<BBIQqBBqqI")
+V3_GET = struct.Struct("<BBIQqd")  # v3's one-key kinds, gone in v4
+V3_REPLY = struct.Struct("<BBIQqBBqqI")
 GET_MANY = struct.Struct("<BBIqdI")
 REPLY_MANY = struct.Struct("<BBIqqI")
 ROW = struct.Struct("<QqBBI")
@@ -87,41 +87,46 @@ def drain(data: bytes) -> tuple[list[dict], bool]:
 SPANS = [{"name": "serve.get", "start": 0.25, "end": 0.5, "attrs": {"key": 7}, "parent_id": None}]
 CONTEXT = TraceContext("t" * 16, "s" * 8, True)
 
+def get(rid, key, epoch=None, deadline_s=None, **tail):
+    """A one-key read: a ``get_many`` of one key."""
+    return {"id": rid, "op": "get_many", "keys": [key], "epoch": epoch, "deadline_s": deadline_s,
+            **tail}
+
+
+def reply(rid, token, *rows):
+    """A ``REPLY_MANY``; its rows decode carrying the frame's state token."""
+    return {"id": rid, "st": token, "replies": [replace(r, shard_state=token) for r in rows]}
+
+
 # One valid message of every shape the wire carries.
 MESSAGES = {
-    "get": {"id": 1, "op": "get", "key": 17, "epoch": None, "deadline_s": None},
-    "get-timed-any-epoch": {"id": 2, "op": "get", "key": U64, "epoch": ANY_EPOCH, "deadline_s": 0.25},
-    "get-traced": {"id": 3, "op": "get", "key": 0, "epoch": 4, "deadline_s": None,
-                   "trace": CONTEXT.to_wire()},
-    "get-unfit-key": {"id": 4, "op": "get", "key": -5, "epoch": None, "deadline_s": None},
-    "reply-ok": {"id": 5, "status": OK, "key": 17, "epoch": 2, "value": b"\x00\xffvalue" * 6,
-                 "cached": True, "st": (3, 9)},
-    "reply-empty-value": {"id": 6, "status": OK, "key": 0, "epoch": 0, "value": b"",
-                          "cached": False, "st": (0, 0)},
-    "reply-not-found": {"id": 7, "status": "not_found", "key": U64, "epoch": ANY_EPOCH,
-                        "value": None, "cached": False, "st": None},
-    "reply-traced-error": {"id": 8, "status": ERROR, "key": 9, "epoch": None, "value": None,
-                           "cached": False, "st": (1, 1), "detail": "no such epoch 9 — ünïcode",
-                           "error": {"code": ERR_UNKNOWN_EPOCH, "retryable": False},
-                           "trace": SPANS},
-    "error-without-key": error_frame(9, ERR_BAD_REQUEST, "bad get request"),
+    "get": get(1, 17),
+    "get-timed-any-epoch": get(2, U64, ANY_EPOCH, 0.25),
+    "get-traced": get(3, 0, 4, trace=CONTEXT.to_wire()),
+    "get-unfit-key": get(4, -5),
+    "reply-ok": reply(5, (3, 9), ServeResponse(OK, 17, 2, b"\x00\xffvalue" * 6, True)),
+    "reply-empty-value": reply(6, (0, 0), ServeResponse(OK, 0, 0, b"", False)),
+    "reply-not-found": reply(7, (0, -1), ServeResponse("not_found", U64, ANY_EPOCH)),
+    "reply-traced-error": reply(8, (1, 1), ServeResponse(
+        ERROR, 9, None, detail="no such epoch 9 — ünïcode", code=ERR_UNKNOWN_EPOCH, trace=SPANS,
+    )),
+    "error-without-key": error_frame(9, ERR_BAD_REQUEST, "bad get_many request"),
     "control": {"id": 10, "op": "stats_live", "window_s": 2.5},
     "control-reply": {"id": 11, "aux": {"format": "filterkv", "epochs": {"0": ["00ff"]}}},
-    "other-version": {"id": 12, "v": PROTO_VERSION + 1, "op": "get", "key": 1},
+    "other-version": {"id": 12, "v": PROTO_VERSION + 1, "op": "get_many", "keys": [1]},
     "get-many": {"id": 13, "op": "get_many", "keys": [17, 0, U64, 17], "epoch": None,
                  "deadline_s": None},
     "get-many-timed-traced": {"id": 14, "op": "get_many", "keys": [5], "epoch": ANY_EPOCH,
                               "deadline_s": 0.5, "trace": CONTEXT.to_wire()},
     "get-many-empty": {"id": 15, "op": "get_many", "keys": [], "epoch": 3, "deadline_s": None},
-    "reply-many": {"id": 16, "st": (3, 9), "replies": [
-        {"status": OK, "key": 17, "epoch": 2, "value": b"\x00\xffvalue", "cached": True},
-        {"status": "not_found", "key": U64, "epoch": ANY_EPOCH, "value": None, "cached": False},
-        {"status": OK, "key": 0, "epoch": 0, "value": b"", "cached": False, "trace": SPANS},
-        {"status": ERROR, "key": 9, "epoch": None, "value": None, "cached": False,
-         "detail": "no such epoch 9 — ünïcode",
-         "error": {"code": ERR_UNKNOWN_EPOCH, "retryable": False}},
-    ]},
-    "reply-many-empty": {"id": 17, "st": (0, -1), "replies": []},
+    "reply-many": reply(
+        16, (3, 9),
+        ServeResponse(OK, 17, 2, b"\x00\xffvalue", True),
+        ServeResponse("not_found", U64, ANY_EPOCH),
+        ServeResponse(OK, 0, 0, b"", False, trace=SPANS),
+        ServeResponse(ERROR, 9, None, detail="no such epoch 9 — ünïcode", code=ERR_UNKNOWN_EPOCH),
+    ),
+    "reply-many-empty": reply(17, (0, -1)),
 }
 
 
@@ -152,7 +157,7 @@ def test_every_truncation_and_every_flipped_byte_is_refused(name):
             messages, broken = drain(bytes(damaged))
             assert messages == [] and broken, (name, at, mask)
     # A damaged frame behind a good one: the good one is still delivered.
-    messages, broken = drain(whole + whole[:-1] + b"\x00")
+    messages, broken = drain(whole + whole[:-1] + bytes([whole[-1] ^ 0xFF]))
     assert len(messages) == 1 and broken
 
 
@@ -170,12 +175,16 @@ def test_length_out_of_bounds_is_refused_before_any_wait(length):
 
 
 def test_largest_frame_passes_and_one_byte_more_does_not():
-    fixed = len(encode_frame({**MESSAGES["reply-ok"], "value": b""}))
-    fits = {**MESSAGES["reply-ok"], "value": bytes(MAX_FRAME_BYTES + 4 - fixed)}
+    def reply_ok(value):
+        (row,) = MESSAGES["reply-ok"]["replies"]
+        return {**MESSAGES["reply-ok"], "replies": [replace(row, value=value)]}
+
+    fixed = len(encode_frame(reply_ok(b"")))
+    fits = reply_ok(bytes(MAX_FRAME_BYTES + 4 - fixed))
     (decoded,), broken = drain(encode_frame(fits))
-    assert not broken and decoded["value"] == fits["value"]
+    assert not broken and decoded["replies"] == fits["replies"]
     with pytest.raises(ProtocolError):  # the sender holds the bound too
-        encode_frame({**fits, "value": fits["value"] + b"\x00"})
+        encode_frame(reply_ok(fits["replies"][0].value + b"\x00"))
 
     async def main():
         # A length inside the bound with the bytes never arriving: refused
@@ -186,10 +195,6 @@ def test_largest_frame_passes_and_one_byte_more_does_not():
         assert len(frames.buffer) == 14
 
     run(main())
-
-
-def _reply_body(nvalue: int, flags: int, payload: bytes, status: int = 0) -> bytes:
-    return REPLY.pack(PROTO_VERSION, 2, 1, 17, 0, status, flags, 0, 0, nvalue) + payload
 
 
 def _get_many_body(nkeys: int, payload: bytes) -> bytes:
@@ -204,91 +209,135 @@ def _row(nvalue: int, flags: int, payload: bytes = b"", status: int = 0) -> byte
     return ROW.pack(17, 0, status, flags, nvalue) + payload
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        HEAD.pack(PROTO_VERSION, 0, 1),  # unknown kinds
-        HEAD.pack(PROTO_VERSION, 6, 1) + b"{}",
-        HEAD.pack(PROTO_VERSION, 255, 1),
-        HEAD.pack(PROTO_VERSION, 1, 1),  # GET shorter than its struct
-        HEAD.pack(PROTO_VERSION, 1, 1) + bytes(23),
-        HEAD.pack(PROTO_VERSION, 2, 1) + bytes(37),  # REPLY shorter than its struct
-        _reply_body(9, 2, b"12345678"),  # value runs past the frame
-        _reply_body(2**32 - 1, 2, b"x"),
-        _reply_body(3, 0, b"abc"),  # value bytes but no has-value flag
-        _reply_body(3, 2, b"abcdef"),  # leftover that is no JSON tail
-        _reply_body(0, 2, b"", status=len(STATUSES)),  # no such status
-        _reply_body(0, 2, b'["detail"]'),  # tails must be objects
-        HEAD.pack(PROTO_VERSION, 1, 1) + bytes(24) + b"\xff\xfe",  # GET tail, bad UTF-8
-        HEAD.pack(PROTO_VERSION, 3, 1),  # JSON kind without a payload
-        HEAD.pack(PROTO_VERSION, 3, 1) + b"\xff\xfe{}",
-        HEAD.pack(PROTO_VERSION, 3, 1) + b'{"op": "ping"',
-        HEAD.pack(PROTO_VERSION, 3, 1) + b"[1, 2]",
-        HEAD.pack(PROTO_VERSION, 3, 1) + b"3",
-        HEAD.pack(PROTO_VERSION, 3, 1) + b"null",
-        HEAD.pack(PROTO_VERSION, 3, 1) + b"[" * 100_000,  # would blow the parser's stack
-        HEAD.pack(PROTO_VERSION, 4, 1) + b"{}",  # GET_MANY shorter than its struct
-        _get_many_body(1, b""),  # keys run past the frame
-        _get_many_body(3, bytes(16)),
-        _get_many_body(2**32 - 1, bytes(8)),
-        _get_many_body(1, bytes(8) + b"\xff\xfe"),  # tail, bad UTF-8
-        _get_many_body(0, b"[1]"),  # tails must be objects
-        HEAD.pack(PROTO_VERSION, 5, 1) + bytes(19),  # REPLY_MANY shorter than its struct
-        _reply_many_body(1, b""),  # rows run past the frame
-        _reply_many_body(2, _row(0, 0)),
-        _reply_many_body(2**32 - 1, _row(0, 0)),
-        _reply_many_body(1, _row(9, 2, b"12345678")),  # value runs past the frame
-        _reply_many_body(1, _row(2**32 - 1, 2, b"x")),
-        _reply_many_body(2, _row(3, 2, b"abc") + _row(3, 0, b"abc")),  # value, no flag
-        _reply_many_body(1, _row(0, 2, status=len(STATUSES))),  # no such status
-        _reply_many_body(1, _row(3, 2, b"abcdef")),  # leftover that is no JSON tail
-        _reply_many_body(1, _row(0, 2) + b'["detail"]'),
-        _reply_many_body(1, _row(0, 2) + b'{"rows": [{"detail": "x"}]}'),  # row tails: an object
-        _reply_many_body(1, _row(0, 2) + b'{"rows": {"1": {"detail": "x"}}}'),  # for no row
-        _reply_many_body(1, _row(0, 2) + b'{"rows": {"-0": {}}}'),
-        _reply_many_body(1, _row(0, 2) + b'{"rows": {"\xd9\xa0": {}}}'),  # a non-ASCII digit
-        _reply_many_body(1, _row(0, 2) + b'{"rows": {"' + b"0" * 5000 + b'": {}}}'),
-        _reply_many_body(1, _row(0, 2) + b'{"rows": {"0": "detail"}}'),
-    ],
-)
+def as_v3(body: bytes) -> bytes:
+    """The same bytes from a v3 peer."""
+    return bytes([V3]) + body[1:]
+
+
+def refused(body: bytes, decode) -> bool:
+    """Whether ``decode(body)`` refused a v4 ``body`` as malformed or, for
+    a v3 ``body``, interpreted nothing but its head (which the server
+    answers with a typed ``unsupported_version`` error)."""
+    if body[0] == PROTO_VERSION:
+        return decode(body) == ([], True)
+    return decode(body) == ([{"id": 1, "v": V3}], False)
+
+
+MALFORMED = [
+    HEAD.pack(PROTO_VERSION, 0, 1),  # unknown kinds
+    HEAD.pack(PROTO_VERSION, 6, 1) + b"{}",
+    HEAD.pack(PROTO_VERSION, 255, 1),
+    # v3's one-key GET and REPLY are unknown kinds in v4, however well-formed.
+    V3_GET.pack(PROTO_VERSION, 1, 1, 17, 0, 0.5),
+    V3_GET.pack(PROTO_VERSION, 1, 1, 17, 0, 0.5) + b'{"trace": null}',
+    V3_REPLY.pack(PROTO_VERSION, 2, 1, 17, 0, 0, 2, 0, 0, 3) + b"abc",
+    HEAD.pack(PROTO_VERSION, 3, 1),  # JSON kind without a payload
+    HEAD.pack(PROTO_VERSION, 3, 1) + b"\xff\xfe{}",
+    HEAD.pack(PROTO_VERSION, 3, 1) + b'{"op": "ping"',
+    HEAD.pack(PROTO_VERSION, 3, 1) + b"[1, 2]",
+    HEAD.pack(PROTO_VERSION, 3, 1) + b"3",
+    HEAD.pack(PROTO_VERSION, 3, 1) + b"null",
+    HEAD.pack(PROTO_VERSION, 3, 1) + b"[" * 100_000,  # would blow the parser's stack
+    HEAD.pack(PROTO_VERSION, 3, 1) + b'{"replies": []}',  # rows ride only in a REPLY_MANY
+    HEAD.pack(PROTO_VERSION, 4, 1) + b"{}",  # GET_MANY shorter than its struct
+    _get_many_body(1, b""),  # keys run past the frame
+    _get_many_body(3, bytes(16)),
+    _get_many_body(2**32 - 1, bytes(8)),
+    _get_many_body(1, bytes(8) + b"\xff\xfe"),  # tail, bad UTF-8
+    _get_many_body(0, b"[1]"),  # tails must be objects
+    _get_many_body(0, b'{"replies": [{"status": "ok"}]}'),
+    HEAD.pack(PROTO_VERSION, 5, 1) + bytes(19),  # REPLY_MANY shorter than its struct
+    _reply_many_body(1, b""),  # rows run past the frame
+    _reply_many_body(2, _row(0, 0)),
+    _reply_many_body(2**32 - 1, _row(0, 0)),
+    _reply_many_body(1, _row(9, 2, b"12345678")),  # value runs past the frame
+    _reply_many_body(1, _row(2**32 - 1, 2, b"x")),
+    _reply_many_body(1, _row(3, 0, b"abc")),  # value bytes but no has-value flag
+    _reply_many_body(2, _row(3, 2, b"abc") + _row(3, 0, b"abc")),
+    _reply_many_body(1, _row(0, 2, status=len(STATUSES))),  # no such status
+    _reply_many_body(1, _row(3, 2, b"abcdef")),  # leftover that is no JSON tail
+    _reply_many_body(1, _row(0, 2) + b'["detail"]'),
+    _reply_many_body(1, _row(0, 2) + b'{"rows": [{"detail": "x"}]}'),  # row tails: an object
+    _reply_many_body(1, _row(0, 2) + b'{"rows": {"1": {"detail": "x"}}}'),  # for no row
+    _reply_many_body(1, _row(0, 2) + b'{"rows": {"-0": {}}}'),
+    _reply_many_body(1, _row(0, 2) + b'{"rows": {"\xd9\xa0": {}}}'),  # a non-ASCII digit
+    _reply_many_body(1, _row(0, 2) + b'{"rows": {"' + b"0" * 5000 + b'": {}}}'),
+    _reply_many_body(1, _row(0, 2) + b'{"rows": {"0": "detail"}}'),
+    _reply_many_body(1, _row(0, 2) + b'{"rows": {"0": {"error": "closed"}}}'),  # error: an object
+]
+
+
+@pytest.mark.parametrize("body", MALFORMED + [as_v3(b) for b in MALFORMED])
 def test_checksummed_but_malformed_bodies_are_refused(body):
-    assert drain(frame(body)) == ([], True)
+    assert refused(body, lambda b: drain(frame(b)))
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        _get_many_body(2**32 - 1, bytes(8)),
-        _get_many_body(2**31, bytes(64)),
-        _reply_many_body(2**32 - 1, _row(0, 2)),
-        _reply_many_body(2**31, _row(0, 2) * 4),
-        _reply_many_body(1, _row(2**32 - 1, 2, b"x")),
-        _reply_many_body(2, _row(0, 2) + _row(2**31, 2, b"x")),
-    ],
-)
+OVERCOUNTED = [
+    _get_many_body(2**32 - 1, bytes(8)),
+    _get_many_body(2**31, bytes(64)),
+    _reply_many_body(2**32 - 1, _row(0, 2)),
+    _reply_many_body(2**31, _row(0, 2) * 4),
+    _reply_many_body(1, _row(2**32 - 1, 2, b"x")),
+    _reply_many_body(2, _row(0, 2) + _row(2**31, 2, b"x")),
+]
+
+
+@pytest.mark.parametrize("body", OVERCOUNTED + [as_v3(b) for b in OVERCOUNTED])
 def test_counts_that_disagree_with_the_frame_allocate_nothing(body):
     """A key count, row count or value length is checked against the
     frame before anything is sized by it."""
+
+    def decode(b):
+        try:
+            return [_decode_frame(b, zlib.crc32(b))], False
+        except ProtocolError:
+            return [], True
+
     tracemalloc.start()
     try:
-        with pytest.raises(ProtocolError):
-            _decode_frame(body, zlib.crc32(body))
+        assert refused(body, decode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
 
 
+def test_v3_one_key_kinds_are_unknown_kinds_in_v4():
+    for body in MALFORMED[3:6]:
+        with pytest.raises(ProtocolError, match="unknown frame kind"):
+            _decode_frame(body, zlib.crc32(body))
+
+
+def test_a_v3_get_is_refused_by_version_and_addressed_to_its_id():
+    store, _ = shared_store(FMT_FILTERKV)
+
+    async def main():
+        async with ServeServer(QueryService(store)) as server:
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(frame(V3_GET.pack(V3, 1, 77, 17, 0, float("nan"))))
+            answer = await asyncio.wait_for(read_frame(FrameReader(reader)), 5)
+            writer.close()
+        assert answer["id"] == 77 and answer["status"] == ERROR
+        assert answer["error"] == {"code": ERR_UNSUPPORTED_VERSION, "retryable": False}
+
+    run(main())
+
+
 def test_other_versions_are_answered_not_parsed():
-    for version in (0, 1, 2, PROTO_VERSION + 1, 255):
+    for version in (0, 1, 2, V3, PROTO_VERSION + 1, 255):
         (decoded,), broken = drain(frame(HEAD.pack(version, 77, 41) + b"\xffwhatever"))
         assert not broken and decoded == {"id": 41, "v": version}
 
 
 def test_fixed_fields_win_over_a_tail_that_repeats_them():
-    body = HEAD.pack(PROTO_VERSION, 1, 5) + struct.pack("<Qqd", 17, 0, 0.5)
-    (decoded,), _ = drain(frame(body + b'{"key": 99, "id": 1, "op": "stats", "x": 1}'))
-    assert (decoded["id"], decoded["op"], decoded["key"], decoded["x"]) == (5, "get", 17, 1)
+    body = GET_MANY.pack(PROTO_VERSION, 4, 5, 0, 0.5, 1) + struct.pack("<Q", 17)
+    (decoded,), _ = drain(frame(body + b'{"keys": [99], "id": 1, "op": "stats", "x": 1}'))
+    assert (decoded["id"], decoded["op"], decoded["keys"], decoded["x"]) == (5, "get_many", [17], 1)
+    # A row tail gives its row the rare fields, never a fixed one.
+    tail = b'{"st": [7, 7], "rows": {"0": {"status": "error", "key": 3, "detail": "d"}}}'
+    (decoded,), _ = drain(frame(_reply_many_body(1, _row(0, 2)) + tail))
+    assert decoded["st"] == (0, 0)
+    assert decoded["replies"] == [ServeResponse(OK, 17, 0, b"", detail="d", shard_state=(0, 0))]
 
 
 # -- properties ----------------------------------------------------------------
@@ -349,8 +398,8 @@ responses = st.builds(
 requests = st.fixed_dictionaries(
     {
         "id": st.integers(0, 2**32 - 1),
-        "op": st.just("get"),
-        "key": keys,
+        "op": st.just("get_many"),
+        "keys": keys.map(lambda key: [key]),  # a one-key read
         "epoch": epochs,
         "deadline_s": st.one_of(st.none(), st.floats(0, 1e6), st.just(float("inf"))),
     },
@@ -377,27 +426,24 @@ state_tokens = st.tuples(st.integers(0, 2**63 - 1), st.integers(-1, 2**63 - 1))
 
 
 def check_response_round_trip(response, rid):
-    st = {} if response.shard_state is None else {"st": response.shard_state}
-    (decoded,), broken = drain(encode_frame({"id": rid, **_row_fields(response), **st}))
-    assert not broken and decoded["id"] == rid and decoded["v"] == PROTO_VERSION
-    assert _response_from_fields(decoded) == response
+    """A response rides one row of a ``REPLY_MANY`` and comes back with the
+    frame's state token."""
+    token = response.shard_state or (0, -1)
+    (decoded,), broken = drain(encode_frame({"id": rid, "st": token, "replies": [response]}))
+    assert not broken and decoded == {"v": PROTO_VERSION, **reply(rid, token, response)}
 
 
 def check_reply_many_round_trip(batch, rid, token):
-    """The server's packer and `encode_frame` of the same fields decode to
-    one message, and that message to the responses it was made from."""
-    message = {"id": rid, "st": token, "replies": [_row_fields(r) for r in batch]}
-    (decoded,), broken = drain(encode_frame(message))
-    assert not broken and decoded == {"v": PROTO_VERSION, **message}
-    assert drain(_reply_frame(rid, batch, token, many=True)) == ([decoded], False)
-    assert [_response_from_fields(row, decoded["st"]) for row in decoded["replies"]] == [
-        replace(r, shard_state=token) for r in batch
-    ]
+    """The server's packer and `encode_frame` of the same responses decode
+    to one message, whose rows are those responses."""
+    (decoded,), broken = drain(encode_frame({"id": rid, "st": token, "replies": batch}))
+    assert not broken and decoded == {"v": PROTO_VERSION, **reply(rid, token, *batch)}
+    assert drain(_reply_frame(rid, batch, token)) == ([decoded], False)
 
 
 def check_reply_round_trip(response, rid, token):
-    (decoded,), broken = drain(_reply_frame(rid, [response], token, many=False))
-    assert not broken and _response_from_fields(decoded) == replace(response, shard_state=token)
+    (decoded,), broken = drain(_reply_frame(rid, [response], token))
+    assert not broken and decoded["replies"] == [replace(response, shard_state=token)]
 
 
 def check_request_round_trip(request):
