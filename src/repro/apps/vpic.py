@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.kv import KEY_BYTES, KVBatch
 
-__all__ = ["VPICSimulation", "VPICSimulation2D", "PARTICLE_BYTES", "PARTICLE_VALUE_BYTES"]
+__all__ = ["VPICSimulation", "PARTICLE_BYTES", "PARTICLE_VALUE_BYTES"]
 
 PARTICLE_BYTES = 64  # per-particle state in the paper's runs
 PARTICLE_VALUE_BYTES = PARTICLE_BYTES - KEY_BYTES
@@ -121,85 +121,3 @@ class VPICSimulation:
             raise KeyError(f"no particle {particle_id:#x}")
         return int(hits[0])
 
-
-class VPICSimulation2D:
-    """2-D domain decomposition: a ``px × py`` grid of rank domains.
-
-    Magnetic-reconnection runs decompose the simulation box in two or
-    three dimensions; particles near domain corners can migrate to any of
-    eight neighbors between dumps, spreading a trajectory across output
-    files even faster than the 1-D ring.  Rank layout is row-major:
-    ``rank = iy * px + ix``.
-
-    The dump format and record size are identical to `VPICSimulation`, so
-    the two are drop-in interchangeable as SimCluster inputs.
-    """
-
-    def __init__(
-        self,
-        px: int,
-        py: int,
-        particles_per_rank: int,
-        drift: float = 0.1,
-        seed: int = 0,
-    ):
-        if px < 1 or py < 1 or px * py < 2:
-            raise ValueError("grid must contain at least 2 ranks")
-        if particles_per_rank < 1:
-            raise ValueError("need at least 1 particle per rank")
-        if drift < 0:
-            raise ValueError("drift must be non-negative")
-        self.px, self.py = px, py
-        self.nranks = px * py
-        self.drift = drift
-        self._rng = np.random.default_rng(seed)
-        n = self.nranks * particles_per_rank
-        from ..filters.hashing import splitmix64
-
-        self.ids = splitmix64(np.arange(n, dtype=np.uint64) + np.uint64(1 << 40))
-        self.x = self._rng.uniform(0, px, size=n)
-        self.y = self._rng.uniform(0, py, size=n)
-        self.vx = self._rng.normal(0, drift, size=n)
-        self.vy = self._rng.normal(0, drift, size=n)
-        self.timestep = 0
-
-    @property
-    def nparticles(self) -> int:
-        return self.ids.size
-
-    def owner_of(self) -> np.ndarray:
-        ix = np.floor(self.x).astype(np.int64) % self.px
-        iy = np.floor(self.y).astype(np.int64) % self.py
-        return iy * self.px + ix
-
-    def step(self, nsteps: int = 1) -> None:
-        """Drift + scattering in both dimensions, with a weak ExB-like
-        rotation coupling vx and vy (particles gyrate, not just diffuse)."""
-        for _ in range(nsteps):
-            rot = 0.2
-            vx = 0.9 * (self.vx - rot * self.vy) + self._rng.normal(0, self.drift, self.vx.size)
-            vy = 0.9 * (self.vy + rot * self.vx) + self._rng.normal(0, self.drift, self.vy.size)
-            self.vx, self.vy = vx, vy
-            self.x = (self.x + self.vx) % self.px
-            self.y = (self.y + self.vy) % self.py
-            self.timestep += 1
-
-    def migration_fraction(self, owners_before: np.ndarray) -> float:
-        return float((self.owner_of() != owners_before).mean())
-
-    def dump(self) -> list[KVBatch]:
-        """Per-rank 64-byte particle dumps (same layout as the 1-D code)."""
-        owners = self.owner_of()
-        state = np.zeros((self.nparticles, 14), dtype="<f4")
-        state[:, 0] = self.x
-        state[:, 1] = self.y
-        state[:, 2] = self.vx
-        state[:, 3] = self.vy
-        state[:, 4] = self.timestep
-        for j in range(5, 14):
-            state[:, j] = np.sin((j - 4) * self.x) * np.cos(j * self.y)
-        values = state.view(np.uint8).reshape(self.nparticles, PARTICLE_VALUE_BYTES)
-        return [
-            KVBatch(self.ids[owners == rank], values[owners == rank])
-            for rank in range(self.nranks)
-        ]

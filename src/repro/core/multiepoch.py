@@ -25,7 +25,6 @@ import numpy as np
 from ..obs import MetricsRegistry
 from ..storage.blockio import DeviceProfile, StorageDevice
 from ..storage.envelope import unseal
-from ..storage.tiering import TierConfig, TieredStorage
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from ..cluster.simcluster import ClusterStats
@@ -175,7 +174,6 @@ class MultiEpochStore:
         seed: int = 0,
         device: StorageDevice | None = None,
         compaction: CompactionPolicy | None = None,
-        tiering: TieredStorage | TierConfig | None = None,
         aux_backends: tuple[str, ...] | None = None,
     ):
         self.nranks = nranks
@@ -214,11 +212,6 @@ class MultiEpochStore:
         me = weakref.proxy(self)
         self._reads = EpochMount(me)
         self._warm = EpochMount(me, table_cache_entries=TABLE_CACHE_ENTRIES)
-        # Optional burst-buffer/PFS model: dumps land on the burst buffer;
-        # compaction output is drained, PFS-resident data.
-        if isinstance(tiering, TierConfig):
-            tiering = TieredStorage(tiering)
-        self.tiering = tiering
 
     # -- attach / recover ----------------------------------------------------
 
@@ -360,10 +353,6 @@ class MultiEpochStore:
             )
         )
         self.manifest.save(self.device)
-        if self.tiering is not None and epoch_bytes > 0:
-            # Each dump lands as a burst on the burst buffer.
-            self.tiering.write_burst(epoch_bytes)
-            self._observe_tiers()
         # Materialize the (lazily computed) stats before the policy hook:
         # compaction may retire this very epoch and sweep its extents.
         stats = cluster.stats
@@ -505,18 +494,6 @@ class MultiEpochStore:
         self._reads.close()
         self._warm.close()
         self.last_compaction = report
-        if self.tiering is not None:
-            # Merged output is drained, PFS-resident data: let the model
-            # finish draining what the retired bursts left on the BB.
-            self.tiering.idle(
-                self.tiering.bb_occupancy / self.tiering.config.drain_bandwidth
-            )
-            self._observe_tiers()
-
-    def _observe_tiers(self) -> None:
-        reg = self.device.metrics
-        reg.gauge("tiering.bb_bytes").set(self.tiering.bb_occupancy)
-        reg.gauge("tiering.pfs_bytes").set(self.tiering.drained_total)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -553,10 +530,4 @@ class MultiEpochStore:
                 f"{old}->{new}" for old, new in sorted(self.manifest.compacted.items())
             )
             lines.append(f"compacted: {mapping} (next epoch id {self.manifest.next_epoch})")
-        if self.tiering is not None:
-            lines.append(
-                f"tiers: burst buffer {self.tiering.bb_occupancy:,.0f} B, "
-                f"PFS {self.tiering.drained_total:,.0f} B drained "
-                f"(queryable at t={self.tiering.queryable_after():.2f}s)"
-            )
         return "\n".join(lines)

@@ -33,10 +33,11 @@ letting it send each query to the shard most likely to answer it:
   which its replicas serve every key it owned — replica promotion is
   emergent from breaker + candidate ordering, no leader election needed.
 
-* **Bursts** — `get_burst` answers a read burst as `get` answers each of
-  its requests, but sends every key's first hop to a shard in one
-  ``get_many`` (one frame per shard, not one per key); only keys whose
-  first answer is not terminal walk on one by one.
+* **Bursts** — `get` is `get_burst` of one request, and `get_burst`
+  walks every key of a burst by the same rules, all walks at once.  The
+  router does no batching of its own: the hops a burst sends to one
+  shard leave in one loop turn, and the shard's `TCPClient` packs them
+  into one ``GET_MANY`` frame per run.
 
 The router exposes the same surface as `QueryService` (``get`` /
 ``get_burst`` / ``stats`` / ``live_stats`` / ``recent_traces`` /
@@ -354,101 +355,38 @@ class FleetRouter:
         deadline_s: float | None = None,
         trace=None,
     ) -> ServeResponse:
-        """Point lookup across the fleet.  Same contract as
-        `QueryService.get`: always a `ServeResponse`, never an exception
-        for data-plane conditions."""
-        t0 = time.perf_counter()
-        key = int(key)
-        if self._closed:
-            return self._done(t0, self._router_closed(key, epoch))
-        order, used_aux = self.plan(key, epoch)
-        (self._m_aux_routed if used_aux else self._m_scatter).inc()
-        response = await self._walk(order, key, epoch, deadline_s, trace)
-        return self._done(t0, response)
+        """Point lookup across the fleet: `get_burst` of one request.  Same
+        contract as `QueryService.get`: always a `ServeResponse`, never an
+        exception for data-plane conditions."""
+        return (await self.get_burst([(key, epoch, deadline_s, trace)]))[0]
 
     async def get_burst(self, requests) -> list[ServeResponse]:
-        """`get` of every ``(key, epoch, deadline_s, trace)`` request of one
-        read burst, answered in request order with the same answers and
-        ``fleet.router.*`` counts as one `get` per request.
+        """Answer every ``(key, epoch, deadline_s, trace)`` request of one
+        read burst, in request order.
 
-        Every key is planned as `get` plans it (the burst's ring owners in
-        one `HashRing.owners_many`), and its first hop — the first
-        candidate whose breaker lets it through — rides in one
-        ``get_many`` per (shard, epoch).  Each answer is judged by
-        `_try_shard`'s rules; a key without a terminal one continues down
-        its plan with `_walk`, that answer kept as the fallback.  Keys
-        carrying a deadline or a trace take the per-key `_walk` from the
-        start: hedging and trace propagation are per request.
+        Every key is planned (the burst's ring owners in one
+        `HashRing.owners_many`) and walked by `_walk`, all walks under one
+        ``gather``.  The walks' hops to one shard leave in the same loop
+        turn, so the shard's client packs them into one ``GET_MANY``
+        frame per run.
         """
         t0 = time.perf_counter()
-        out: list[ServeResponse | None] = [None] * len(requests)
         if self._closed:
-            return [self._done(t0, self._router_closed(int(r[0]), r[1])) for r in requests]
+            closed = dict(detail="router closed", code="closed")
+            return [
+                self._done(t0, ServeResponse(ERROR, int(r[0]), r[1], **closed)) for r in requests
+            ]
         keys = [int(r[0]) for r in requests]
         owners = self.ring.owners_many(np.asarray(keys, dtype=np.uint64), self.rf).tolist()
-        walks: list = []  # awaitables, run together
-        hops: dict[tuple, list] = {}  # (shard, epoch) -> [(slot, key, order, position)]
-        for j, (key, (_, epoch, deadline_s, trace)) in enumerate(zip(keys, requests)):
-            order, used_aux = self.plan(key, epoch, owners[j])
+        walks = []
+        for key, shards, (_, epoch, deadline_s, trace) in zip(keys, owners, requests):
+            order, used_aux = self.plan(key, epoch, shards)
             (self._m_aux_routed if used_aux else self._m_scatter).inc()
-            if deadline_s is not None or trace is not None:
-                walks.append(self._walk_into(out, j, order, key, epoch, deadline_s, trace))
-                continue
-            for i, sid in enumerate(order):
-                if i > 0:
-                    self._m_failovers.inc()
-                if self._admit(sid) and self.clients.get(sid) is not None:
-                    hops.setdefault((sid, epoch), []).append((j, key, order, i))
-                    break
-            else:
-                out[j] = self._no_shard(order, key, epoch)
-        walks += [self._hop(sid, epoch, entries, out) for (sid, epoch), entries in hops.items()]
+            walks.append(self._walk(order, key, epoch, deadline_s, trace))
         # Always as tasks, even a lone one: every burst's frames then leave
         # on the same loop turn, and bursts that arrive together stay
         # together at the shards (their dispatch windows depend on it).
-        await asyncio.gather(*walks)
-        for response in out:
-            self._done(t0, response)
-        return out
-
-    async def _walk_into(self, out: list, j: int, order, key, epoch, deadline_s, trace) -> None:
-        out[j] = await self._walk(order, key, epoch, deadline_s, trace)
-
-    async def _hop(self, sid: int, epoch, entries: list, out: list) -> None:
-        """One shard's share of a burst's first hops, as one ``get_many``."""
-        breaker = self.breakers.get(sid)
-        try:
-            responses = await self.clients[sid].get_many([e[1] for e in entries], epoch=epoch)
-        except _TRANSPORT_ERRORS:
-            responses = None
-        rest = []
-        for n, (j, key, order, i) in enumerate(entries):
-            if responses is None:
-                if breaker is not None:
-                    breaker.record(False)
-                rest.append((j, self._resume(order, i, key, epoch, _RETRY, None)))
-                continue
-            verdict = self._judge(sid, responses[n])
-            if verdict is _FINAL:
-                out[j] = responses[n]
-            else:
-                rest.append((j, self._resume(order, i, key, epoch, verdict, responses[n])))
-        if rest:
-            answers = await asyncio.gather(*(walk for _, walk in rest))
-            for (j, _), answer in zip(rest, answers):
-                out[j] = answer
-
-    async def _resume(self, order, i: int, key: int, epoch, verdict, response) -> ServeResponse:
-        """The rest of a key's walk after a batched first hop to
-        ``order[i]`` that was not terminal: that shard's remaining
-        attempts (after a shard fault), then the candidates behind it."""
-        if verdict is _RETRY:
-            final, response = await self._try_shard(
-                order[i], key, epoch, None, None, attempt=1, last=response
-            )
-            if final:
-                return response
-        return await self._walk(order, key, epoch, None, None, start=i + 1, fallback=response)
+        return [self._done(t0, r) for r in await asyncio.gather(*walks)]
 
     def _done(self, t0: float, response: ServeResponse) -> ServeResponse:
         dt = time.perf_counter() - t0
@@ -457,41 +395,22 @@ class FleetRouter:
         self.timeseries.record(response.status, dt)
         return response
 
-    @staticmethod
-    def _router_closed(key: int, epoch) -> ServeResponse:
-        return ServeResponse(ERROR, key, epoch, detail="router closed", code="closed")
-
-    @staticmethod
-    def _no_shard(order: list[int], key: int, epoch) -> ServeResponse:
-        return ServeResponse(
-            ERROR,
-            key,
-            epoch,
-            detail=f"no shard available (tried {order})",
-            code=ERR_INTERNAL,
-        )
-
-    async def _walk(
-        self, order: list[int], key: int, epoch, deadline_s, trace,
-        start: int = 0, fallback: ServeResponse | None = None,
-    ) -> ServeResponse:
-        """Try candidates in order from ``start``; hedge the first hop
-        under deadline pressure.  Returns the first terminal answer, or the
-        best non-terminal one (``fallback`` first) when every candidate
-        fails."""
+    async def _walk(self, order: list[int], key: int, epoch, deadline_s, trace) -> ServeResponse:
+        """Try candidates in order; hedge the first hop under deadline
+        pressure.  Returns the first terminal answer, or the first
+        non-terminal one when every candidate fails."""
+        start, fallback = 0, None
+        breaker = self.breakers.get(order[0])
         if (
             deadline_s is not None
             and self.hedge_fraction > 0
             and len(order) > 1
-            and self.breakers[order[0]].allow()
+            and (breaker is None or breaker.allow())
         ):
-            hedged = await self._hedged_first_hop(order, key, epoch, deadline_s, trace)
-            final, response = hedged
+            final, response = await self._hedged_first_hop(order, key, epoch, deadline_s, trace)
             if final:
                 return response
-            if response is not None:
-                fallback = response
-            start = 2  # both hedge legs are spent
+            start, fallback = 2, response  # both hedge legs are spent
         for i, sid in enumerate(order[start:], start=start):
             if i > 0:
                 self._m_failovers.inc()
@@ -502,7 +421,9 @@ class FleetRouter:
                 fallback = response
         if fallback is not None:
             return fallback
-        return self._no_shard(order, key, epoch)
+        return ServeResponse(
+            ERROR, key, epoch, detail=f"no shard available (tried {order})", code=ERR_INTERNAL
+        )
 
     async def _hedged_first_hop(
         self, order: list[int], key: int, epoch, deadline_s, trace
@@ -550,34 +471,25 @@ class FleetRouter:
                     fallback = response
         return False, fallback
 
-    def _admit(self, sid: int) -> bool:
-        """The breaker gate in front of a shard's first attempt."""
-        breaker = self.breakers.get(sid)
-        if breaker is not None and not breaker.allow():
-            self._m_breaker_skips.inc()
-            return False
-        return True
-
     async def _try_shard(
-        self, sid: int, key: int, epoch, deadline_s, trace,
-        attempt: int = 0, last: ServeResponse | None = None,
+        self, sid: int, key: int, epoch, deadline_s, trace
     ) -> tuple[bool, ServeResponse | None]:
         """One shard's full attempt: breaker gate, bounded retries.
 
         Returns ``(final, response)``; ``final`` means the walk stops
         here.  ``(False, resp)`` keeps ``resp`` as a fallback answer if
         every other candidate also fails; ``(False, None)`` means the
-        shard was skipped or unreachable.  ``attempt`` > 0 resumes after
-        attempts already made (``last`` is what the latest one answered),
-        past the gate.
+        shard was skipped or unreachable.
         """
-        if attempt == 0 and not self._admit(sid):
-            return False, None
         breaker = self.breakers.get(sid)
+        if breaker is not None and not breaker.allow():
+            self._m_breaker_skips.inc()
+            return False, None
         client = self.clients.get(sid)
         if client is None:
             return False, None
-        for attempt in range(attempt, self.retries + 1):
+        last = None
+        for attempt in range(self.retries + 1):
             if attempt > 0:
                 self._m_retries.inc()
                 await asyncio.sleep(self.backoff_s * (2 ** (attempt - 1)))

@@ -215,8 +215,6 @@ class QueryService:
         each count); beyond it new arrivals are shed.
     queue_high_watermark / queue_low_watermark:
         Shedding hysteresis on the dispatch queue depth.
-    default_deadline_s:
-        Applied to requests that do not carry their own deadline.
     table_cache_entries:
         Per-epoch engine reader-cache bound (see `CachedQueryEngine`);
         at least 1.
@@ -246,7 +244,6 @@ class QueryService:
         max_inflight: int = 1024,
         queue_high_watermark: int = 512,
         queue_low_watermark: int | None = None,
-        default_deadline_s: float | None = None,
         table_cache_entries: int = TABLE_CACHE_ENTRIES,
         metrics: MetricsRegistry | None = None,
         tracer: TraceCollector | None = None,
@@ -262,7 +259,6 @@ class QueryService:
         self.max_batch = max_batch
         self.batch_window_s = batch_window_s
         self.max_inflight = max_inflight
-        self.default_deadline_s = default_deadline_s
         self.metrics = metrics if metrics is not None else MetricsRegistry("serve")
         # A real collector even when tracing "off": sample_rate 0 means
         # the service originates no traces, but a request that arrives
@@ -487,8 +483,6 @@ class QueryService:
                 self._queue.put_nowait(pending)
             if root is not None:
                 pending.traced.append((root, time.perf_counter()))
-            if deadline_s is None:
-                deadline_s = self.default_deadline_s
             if deadline_s is not None and deadline_s <= 0:
                 # Expired on arrival: admitted (it may still be coalesced
                 # onto) but waited on by nobody.

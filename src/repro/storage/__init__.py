@@ -15,7 +15,6 @@ from .manifest import MANIFEST_NAME, MANIFEST_PREFIX, EpochInfo, Manifest, Recov
 from .compression import SnappyError, compress, compression_ratio, decompress
 from .log import POINTER_BYTES, DataPointer, ValueLog
 from .memtable import MemTable, RunWriter, flatten_runs
-from .tiering import BurstReport, TierConfig, TieredStorage
 from .sstable import (
     FOOTER_BYTES,
     CorruptBlockError,
@@ -47,9 +46,6 @@ __all__ = [
     "MemTable",
     "RunWriter",
     "flatten_runs",
-    "BurstReport",
-    "TierConfig",
-    "TieredStorage",
     "FOOTER_BYTES",
     "CorruptBlockError",
     "CHECKSUM_BYTES",

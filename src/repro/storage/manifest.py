@@ -89,13 +89,6 @@ class EpochInfo:
             aux_backend=d.get("aux_backend"),
         )
 
-    @property
-    def aux_files(self) -> tuple[str, ...]:
-        """The epoch's sealed aux extents, rank order.  This is the slice
-        of the inventory a router tier replicates to itself (the compact
-        routing state); everything else in ``files`` stays shard-local."""
-        return tuple(sorted(n for n in self.files if n.startswith("aux.")))
-
 
 @dataclass
 class Manifest:

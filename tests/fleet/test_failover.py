@@ -12,7 +12,8 @@ import os
 
 import pytest
 
-from repro.serve import ANY_EPOCH, OK
+from repro.fleet import FleetRouter, HashRing
+from repro.serve import ANY_EPOCH, OK, ServeResponse
 
 from .conftest import TINY_CACHES, absent_keys, build_fleet, run
 
@@ -130,6 +131,24 @@ def test_hedged_read_beats_slow_primary():
             assert router.stats()["hedges"] >= 1
 
     run(go())
+
+
+class _Answering:
+    """A shard client that answers every key."""
+
+    async def get(self, key, epoch=None, deadline_s=None, trace=None):
+        return ServeResponse(OK, int(key), epoch, value=b"v")
+
+
+def test_deadline_read_skips_an_owner_without_a_client():
+    """A ring owner with no client has no breaker either: a read with a
+    deadline skips it as a read without one does, instead of raising."""
+    client = _Answering()
+    router = FleetRouter({0: client, 1: client}, HashRing([0, 1, 2]), rf=2)
+    assert router.ring.owners(6, 2) == [2, 0]
+    for deadline_s in (None, 1.0):
+        r = run(router.get(6, deadline_s=deadline_s))
+        assert (r.status, r.value) == (OK, b"v"), (deadline_s, r)
 
 
 def test_tcp_fleet_matches_truth():

@@ -8,6 +8,7 @@ ordering quality, never answers).
 """
 
 import asyncio
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,6 +202,53 @@ def test_get_burst_equals_one_get_per_key(tcp):
                 assert (r.status, r.value) == ((OK, truth[key]) if key in truth else (NOT_FOUND, None))
 
     run(main())
+
+
+def test_burst_reaches_each_shard_as_one_get_many_per_run():
+    """Over TCP, one router burst reaches each shard as exactly one
+    ``GET_MANY`` per (epoch, deadline) of the keys whose first hop it is:
+    the router walks key by key, and each shard's client packs the hops
+    of one loop turn.  The burst mixes two epochs and keys with and
+    without a deadline, and answers as one `get` per key does."""
+    fleet, dumps, truth = build_fleet(nshards=4, rf=2, epochs=2, seed=47, tcp=True)
+    keys = sorted(truth)[::4] + absent_keys(truth, n=12)
+    third = len(keys) // 3
+    requests = [
+        (k, None if i < third else ANY_EPOCH, 5.0 if i >= 2 * third else None, None)
+        for i, k in enumerate(keys)
+    ]
+
+    async def go():
+        async with fleet:
+            router = fleet.router
+            frames = {}  # shard -> {(epoch, deadline_s): [keys of each GET_MANY]}
+            for sid, node in fleet.shards.items():
+                serve, seen = node.server._serve_burst, frames.setdefault(sid, {})
+
+                async def counted(reads, writer, serve=serve, seen=seen):
+                    for r in reads:
+                        seen.setdefault((r["epoch"], r["deadline_s"]), []).append(len(r["keys"]))
+                    await serve(reads, writer)
+
+                node.server._serve_burst = counted
+            want = {sid: {} for sid in fleet.shards}  # shard -> {(epoch, deadline_s): keys}
+            for key, epoch, deadline_s, _ in requests:
+                hops = want[router.plan(key, epoch)[0][0]]
+                hops[epoch, deadline_s] = hops.get((epoch, deadline_s), 0) + 1
+            # Some shard is the first hop of keys at more than one (epoch, deadline).
+            assert sum(len(hops) for hops in want.values()) > len(want)
+            burst = await router.get_burst(requests)
+            assert router.stats()["failovers"] == 0  # first hops only
+            for sid, seen in frames.items():
+                assert seen == {group: [n] for group, n in want[sid].items()}, sid
+            one = [await router.get(*r) for r in requests]  # the shards' caches answer these
+            assert [replace(r, cached=False) for r in one] == burst
+            for (key, epoch, *_), r in zip(requests, burst):
+                if epoch == ANY_EPOCH:
+                    want = (OK, truth[key]) if key in truth else (NOT_FOUND, None)
+                    assert (r.status, r.value) == want
+
+    run(go())
 
 
 def test_router_memory_is_aux_sized():

@@ -209,18 +209,6 @@ def test_cancelled_burst_leaves_no_waiter_behind():
     run(main())
 
 
-def test_default_deadline_applies():
-    store, truth = shared_store(FMT_FILTERKV)
-    key = next(iter(truth[0]))
-
-    async def main():
-        async with QueryService(store, default_deadline_s=0) as svc:
-            r = await svc.get(key)
-            assert r.status == DEADLINE_EXCEEDED
-
-    run(main())
-
-
 def test_unknown_epoch_and_empty_store():
     store, truth = shared_store(FMT_FILTERKV)
     key = next(iter(truth[0]))
