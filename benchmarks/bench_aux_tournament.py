@@ -18,7 +18,9 @@ show lookup throughput holds up under the skew the serving bench uses.
 
 A second table times one sealed table the way a store epoch builds it
 (`build_sealed_aux` at N=16, the e2e workloads' rank count) for the cuckoo
-and the CSF, in one process, at 256 and 4 096 keys per partition.
+and the CSF, in one process, at 256 and 4 096 keys per partition, and a
+whole 16 x 256 seal in one call (per table), where the CSF's tables peel
+together.
 
 Acceptance gates:
 
@@ -92,18 +94,24 @@ def _score(backend, keys, ranks, queries):
 
 def _seal_costs():
     """Best-of-`SEAL_REPS` `build_sealed_aux` seconds per table, cuckoo and
-    CSF interleaved in one process, at each of `SEAL_KEYS` keys."""
+    CSF interleaved in one process: one table at each of `SEAL_KEYS` keys,
+    then a whole seal of `SEAL_NPARTS` partitions of the first size (one
+    call, its time split over the tables: the csf tables peel together)."""
     rows = []
-    for n in SEAL_KEYS:
+    seal_keys = SEAL_NPARTS * SEAL_KEYS[0]
+    for label, n, nparts in [(n, n, 1) for n in SEAL_KEYS] + [
+        (f"{SEAL_NPARTS} x {SEAL_KEYS[0]} (one seal)", seal_keys, SEAL_NPARTS)
+    ]:
         keys, _ = _workload(n, seed=n)
         ranks = np.random.default_rng(n).integers(0, SEAL_NPARTS, size=n, dtype=np.uint64)
+        parts = list(zip(range(nparts), np.array_split(keys, nparts), np.array_split(ranks, nparts)))
         best = {"cuckoo": float("inf"), "csf": float("inf")}
         for rep in range(SEAL_REPS):
             for backend in best:
                 t0 = time.perf_counter()
-                build_sealed_aux(keys, ranks, SEAL_NPARTS, (backend,), seed=rep)
-                best[backend] = min(best[backend], time.perf_counter() - t0)
-        rows.append([n, round(best["cuckoo"] * 1e6), round(best["csf"] * 1e6),
+                build_sealed_aux(parts, SEAL_NPARTS, (backend,), seed=rep)
+                best[backend] = min(best[backend], (time.perf_counter() - t0) / nparts)
+        rows.append([label, round(best["cuckoo"] * 1e6), round(best["csf"] * 1e6),
                      round(best["csf"] / best["cuckoo"], 2)])
     return rows
 

@@ -94,7 +94,7 @@ def _aux_build_us_per_key(nkeys):
         keys = rng.integers(0, 1 << 63, size=nkeys, dtype=np.uint64)
         srcs = rng.integers(0, NRANKS, size=nkeys).astype(np.uint64)
         t0 = time.perf_counter()
-        aux = build_sealed_aux(keys, srcs, nparts=NRANKS, backends=["cuckoo"], seed=rep)
+        (aux,) = build_sealed_aux([(0, keys, srcs)], nparts=NRANKS, backends=("cuckoo",), seed=rep)
         aux_to_blob(aux)
         times.append(time.perf_counter() - t0)
     return float(np.median(times)) / nkeys * 1e6

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.formats import FMT_FILTERKV, FormatSpec
 from ..core.kv import KVBatch, random_kv_batch
 from ..core.partitioning import HashPartitioner
-from ..core.pipeline import Envelope, ReceiverState, WriterState
+from ..core.pipeline import Envelope, ReceiverState, WriterState, build_aux
 from ..core.routing import DirectRouter, ThreeHopRouter
 from ..faults import FaultPlan, FaultyStorageDevice
 from ..obs import MetricsRegistry, active
@@ -181,6 +181,7 @@ class SimCluster:
         for w in self.writers:
             w.finish()
         self.router.flush()  # ship any aggregates the 3-hop path buffered
+        build_aux(self.receivers)  # every partition's aux table, built together
         for r in self.receivers:
             r.finish()
         self._finished = True

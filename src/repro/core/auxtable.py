@@ -40,6 +40,7 @@ import json
 import math
 import struct
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -87,23 +88,65 @@ def csf_fp_bits(nparts: int) -> int:
     return max(1, int(bloom_bits_per_key(nparts) / 1.23) - rank_bits(nparts))
 
 
+# Each byte bit-reversed: the bitstream fills a byte from its top bit (the
+# `np.packbits` order blobs have always had), the words below from bit 0.
+_REVERSE_BITS = np.asarray([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
+def _bit_offsets(count: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's 64-bit word index and (uint8) bit offset in the packed
+    stream, in 9 B per value."""
+    word = np.arange(0, count * bits, bits, dtype=np.int64)
+    shift = (word & 63).astype(np.uint8)
+    word >>= 6
+    return word, shift
+
+
 def _pack_bits(values: np.ndarray, bits: int) -> bytes:
-    """Pack each value's low ``bits`` bits into a dense bitstream (the
-    on-storage representation used for size and compressibility)."""
+    """Pack each value's low ``bits`` (<= 64) bits into a dense bitstream
+    (the on-storage representation used for size and compressibility):
+    value ``i`` bit ``j`` is stream bit ``i·bits + j``, and each byte holds
+    eight stream bits from its top bit down.  Built a 64-bit word at a
+    time: each word ORs the values that start in it and the spill of the
+    last one before it, so no array is wider than the values."""
     if bits == 0 or values.size == 0:
         return b""
-    v = np.asarray(values, dtype=np.uint64)
-    bitmat = ((v[:, None] >> np.arange(bits, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bitmat, axis=None).tobytes()
+    v = np.asarray(values, dtype=np.uint64).ravel()
+    if bits < 64:
+        v = v & np.uint64((1 << bits) - 1)
+    word, shift = _bit_offsets(v.size, bits)
+    nwords = int(word[-1]) + 1
+    firsts = np.searchsorted(word, np.arange(nwords))  # every word starts a value
+    words = np.zeros(nwords + 1, dtype=np.uint64)
+    words[:-1] = np.bitwise_or.reduceat(v << shift, firsts)
+    # What crosses into the next word, shifted in two steps: a 64-bit shift
+    # is undefined, and a value that starts its word would need one.
+    spill = (v >> (np.uint8(63) - shift)) >> np.uint64(1)
+    words[1:] |= np.bitwise_or.reduceat(spill, firsts)
+    raw = words.astype("<u8", copy=False).view(np.uint8)[: _packed_bytes(v.size, bits)]
+    return _REVERSE_BITS[raw].tobytes()
 
 
 def _unpack_bits(data: bytes, count: int, bits: int) -> np.ndarray:
-    """Inverse of `_pack_bits`: recover ``count`` values of ``bits`` bits."""
+    """Inverse of `_pack_bits`: recover ``count`` values of ``bits`` bits,
+    in ~25 B per value at the peak (a hostile blob's width-2 payload costs
+    ~100 B per byte)."""
     if bits == 0 or count == 0:
         return np.zeros(count, dtype=np.uint64)
-    flat = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count * bits)
-    bitmat = flat.reshape(count, bits).astype(np.uint64)
-    return (bitmat << np.arange(bits, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    word, shift = _bit_offsets(count, bits)
+    nbytes = _packed_bytes(count, bits)
+    raw = np.zeros(8 * (int(word[-1]) + 2), dtype=np.uint8)
+    raw[:nbytes] = _REVERSE_BITS[np.frombuffer(data, dtype=np.uint8, count=nbytes)]
+    words = raw.view("<u8").astype(np.uint64, copy=False)
+    out = words[1:][word]  # the next word's low bits, for values crossing into it
+    out <<= np.uint8(63) - shift  # two steps, as in `_pack_bits`
+    out <<= np.uint64(1)
+    low = words[word]
+    low >>= shift
+    out |= low
+    if bits < 64:
+        out &= np.uint64((1 << bits) - 1)
+    return out
 
 
 def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
@@ -211,6 +254,20 @@ class AuxTable(ABC):
         further inserts.  Construction failures (peeling, conflicting
         duplicates) surface here, *before* the blob is sealed — which is what
         lets `build_sealed_aux` fall back to another backend."""
+
+    @classmethod
+    def finalize_many(cls, tables: list["AuxTable"]) -> list[Exception | None]:
+        """`finalize` every table of one seal (all of this class) and return
+        what each raised, None for a table that sealed.  The static backend
+        builds its tables together; `build_sealed_aux` falls back per table."""
+        errors: list[Exception | None] = []
+        for table in tables:
+            try:
+                table.finalize()
+                errors.append(None)
+            except (ValueError, CsfConstructionError) as e:
+                errors.append(e)
+        return errors
 
     def candidate_ranks(self, key: int) -> np.ndarray:
         """Sorted distinct ranks that *may* hold the key (must include the
@@ -585,14 +642,17 @@ class CuckooAuxTable(AuxTable):
         for i, (nb, nbytes) in enumerate(zip(nbuckets, sizes)):
             slots = _unpack_bits(payload[off : off + nbytes], nb * spb, width)
             off += nbytes
-            fps = slots >> np.uint64(value_bits)
-            vals = slots & np.uint64((1 << value_bits) - 1)
-            if (vals[fps != 0] >= np.uint64(nparts)).any():
+            # Both fields fit 32 bits: split straight into the table's dtype.
+            fps = (slots >> np.uint64(value_bits)).astype(np.uint32)
+            slots &= np.uint64((1 << value_bits) - 1)
+            vals = slots.astype(np.uint32)
+            del slots
+            if (vals[fps != 0] >= nparts).any():
                 raise ValueError(f"cuckoo table {i} stores a rank >= {nparts} partitions")
             chained.tables.append(
                 PartialKeyCuckooTable.from_arrays(
-                    fps.astype(np.uint32).reshape(nb, spb),
-                    vals.astype(np.uint32).reshape(nb, spb),
+                    fps.reshape(nb, spb),
+                    vals.reshape(nb, spb),
                     fp_bits=fp_bits,
                     value_bits=value_bits,
                     max_kicks=max_kicks,
@@ -656,33 +716,61 @@ class CsfAuxTable(AuxTable):
         self._nkeys += keys.size
 
     def finalize(self) -> None:
-        if self._finalized:
+        if self._finalized:  # every blob accessor calls it
             return
-        if self._pending_keys:
-            keys = np.concatenate(self._pending_keys)
-            ranks = np.concatenate(self._pending_ranks)
-            # Only a repeated key needs the keys ordered: the maplet is a
-            # function of the key set, not of the order keys arrive in.
-            skeys = np.sort(keys)
-            if (skeys[1:] == skeys[:-1]).any():
-                order = np.argsort(keys)
-                keys, ranks = keys[order], ranks[order]
-                first = np.concatenate(([True], keys[1:] != keys[:-1]))
-                if (ranks[1:] != ranks[:-1])[~first[1:]].any():
-                    raise ValueError(
-                        "conflicting duplicate mappings: a static function stores one rank per key"
-                    )
-                keys, ranks = keys[first], ranks[first]
-            self._maplet = XorMaplet(
-                keys,
-                ranks,
-                value_bits=self.value_bits,
-                fp_bits=self.fp_bits,
-                seed=self.seed,
+        (err,) = self.finalize_many([self])
+        if err is not None:
+            raise err
+
+    @classmethod
+    def finalize_many(cls, tables: list["AuxTable"]) -> list[Exception | None]:
+        """Build every pending table's maplet in one `XorMaplet.build_many`
+        per slot width: each table equals the one `finalize` builds alone."""
+        errors: list[Exception | None] = [None] * len(tables)
+        builds: dict[tuple[int, int], list[tuple[int, np.ndarray, np.ndarray]]] = {}
+        for i, t in enumerate(tables):
+            if not t._pending_keys:
+                t._finalized = True  # keyless (or already built): no maplet to build
+                continue
+            try:
+                keys, ranks = t._distinct_mappings()
+            except ValueError as e:
+                errors[i] = e
+                continue
+            builds.setdefault((t.value_bits, t.fp_bits), []).append((i, keys, ranks))
+        for (value_bits, fp_bits), group in builds.items():
+            maplets = XorMaplet.build_many(
+                [(keys, ranks, tables[i].seed) for i, keys, ranks in group], value_bits, fp_bits
             )
-            self._pending_keys.clear()
-            self._pending_ranks.clear()
-        self._finalized = True
+            for (i, _, _), maplet in zip(group, maplets):
+                if maplet is None:
+                    errors[i] = CsfConstructionError("peeling failed for every seed")
+                    continue
+                t = tables[i]
+                t._maplet = maplet
+                t._pending_keys.clear()
+                t._pending_ranks.clear()
+                t._finalized = True
+        return errors
+
+    def _distinct_mappings(self) -> tuple[np.ndarray, np.ndarray]:
+        """The buffered mappings, each key once (the one sort of the build);
+        a key mapped to two ranks is a `ValueError`."""
+        keys = np.concatenate(self._pending_keys)
+        ranks = np.concatenate(self._pending_ranks)
+        # Only a repeated key needs the keys ordered: the maplet is a
+        # function of the key set, not of the order keys arrive in.
+        skeys = np.sort(keys)
+        if (skeys[1:] == skeys[:-1]).any():
+            order = np.argsort(keys)
+            keys, ranks = keys[order], ranks[order]
+            first = np.concatenate(([True], keys[1:] != keys[:-1]))
+            if (ranks[1:] != ranks[:-1])[~first[1:]].any():
+                raise ValueError(
+                    "conflicting duplicate mappings: a static function stores one rank per key"
+                )
+            keys, ranks = keys[first], ranks[first]
+        return keys, ranks
 
     def _candidate_ranks(self, key: int) -> np.ndarray:
         """`XorMaplet.get`: the one-key probe in plain ints."""
@@ -844,52 +932,99 @@ def aux_from_blob(
     )
 
 
+# Keys per union `build_sealed_aux` hands `finalize_many`: one ingest seal
+# at the benchmarks' 16 x 256 fits, and a compaction table of thousands of
+# keys builds alone or with a few others, where batching gains little and
+# a larger union only holds more memory.
+_UNION_KEYS = 8192
+
+
 def build_sealed_aux(
-    keys: np.ndarray,
-    ranks: np.ndarray | int,
+    parts: Iterable[tuple[int, np.ndarray, np.ndarray | int]],
     nparts: int,
     backends: tuple[str, ...],
     seed: int = 0,
     metrics: MetricsRegistry | None = None,
-    metric_labels: dict | None = None,
-) -> AuxTable:
-    """Build and finalize an aux table, walking ``backends`` in order.
+) -> list[AuxTable]:
+    """Build and finalize every partition's aux table of one seal, each
+    walking ``backends`` in order.
 
-    The one aux build: ingest (`ReceiverState.finish`) and compaction both
-    seal through it, every backend sized from the exact key count.  A
-    backend that cannot represent this key set — the CSF's one-rank-per-key
-    invariant violated, or (vanishingly rare) peeling exhaustion — is
-    skipped and the next name tried, so a tuple ending in a backend that
-    always builds (`AUTO_BACKENDS` does) never fails.  The winner is
-    recorded in the ``aux.backend.selected`` counter so telemetry shows
-    which backend each sealed epoch actually carries.
+    The one aux build: ingest (`pipeline.build_aux`) and compaction both
+    seal through it.  ``parts`` yields ``(partition, keys, source ranks)``
+    in partition order; that table is seeded ``seed + partition``, labelled
+    ``rank=partition`` and sized from its exact key count.  The paper's N
+    receivers build their tables in parallel on N ranks; here one process
+    builds them, so the tables build together: partitions are taken as
+    they come into unions of up to `_UNION_KEYS` keys (a larger table
+    builds alone), and each union finalizes per backend through one
+    `AuxTable.finalize_many` (the csf tables peel in one round loop).  A
+    table its backend cannot represent — the CSF's one-rank-per-key
+    invariant violated, or (rarely) every seed's peel failing — tries the
+    next name on its own, so a tuple ending in a backend that always
+    builds (`AUTO_BACKENDS` does) never fails, and every table equals the
+    one built alone.  Each winner is counted in ``aux.backend.selected`` so
+    telemetry shows which backend each sealed table carries.
     """
     unknown = [b for b in backends if b not in AUX_BACKENDS]
     if unknown or not backends:
         raise ValueError(f"aux backends must name some of {sorted(AUX_BACKENDS)}, got {backends!r}")
-    keys = np.asarray(keys, dtype=np.uint64).ravel()
-    registry = active(metrics)
+    sealed: list[AuxTable] = []
+    union: list[tuple[int, np.ndarray, np.ndarray | int]] = []
+    size = 0
+    for part, keys, ranks in parts:
+        keys = np.asarray(keys, dtype=np.uint64).ravel()
+        if union and size + keys.size > _UNION_KEYS:
+            sealed += _seal_union(union, nparts, backends, seed, metrics)
+            union, size = [], 0
+        union.append((part, keys, ranks))
+        size += keys.size
+    if union:
+        sealed += _seal_union(union, nparts, backends, seed, metrics)
+    return sealed
+
+
+def _seal_union(
+    union: list[tuple[int, np.ndarray, np.ndarray | int]],
+    nparts: int,
+    backends: tuple[str, ...],
+    seed: int,
+    metrics: MetricsRegistry | None,
+) -> list[AuxTable]:
+    """`build_sealed_aux` of one union: each backend in turn finalizes the
+    tables no earlier backend sealed."""
+    sealed: dict[int, AuxTable] = {}
     last_err: Exception | None = None
     for backend in backends:
-        aux = make_aux_table(
-            backend,
-            nparts,
-            capacity_hint=max(1, keys.size),
-            seed=seed,
-            metrics=metrics,
-            metric_labels=metric_labels,
-        )
-        try:
-            if keys.size:
-                aux.insert_many(keys, ranks)
-            aux.finalize()
-        except (ValueError, CsfConstructionError) as e:
-            last_err = e
-            continue
-        registry.counter(
-            "aux.backend.selected",
-            backend=backend,
-            **{k: str(v) for k, v in (metric_labels or {}).items()},
-        ).inc()
-        return aux
-    raise RuntimeError(f"no aux backend in {list(backends)} could build") from last_err
+        tried: dict[int, AuxTable] = {}
+        for i, (part, keys, ranks) in enumerate(union):
+            if i in sealed:
+                continue
+            aux = make_aux_table(
+                backend,
+                nparts,
+                capacity_hint=max(1, keys.size),
+                seed=seed + part,
+                metrics=metrics,
+                metric_labels={"rank": str(part)},
+            )
+            try:
+                if keys.size:
+                    aux.insert_many(keys, ranks)
+                tried[i] = aux
+            except ValueError as e:
+                last_err = e
+        errors = AUX_BACKENDS[backend].finalize_many(list(tried.values()))
+        for (i, aux), err in zip(tried.items(), errors):
+            if err is None:
+                sealed[i] = aux
+            else:
+                last_err = err
+        if len(sealed) == len(union):
+            break
+    else:
+        raise RuntimeError(f"no aux backend in {list(backends)} could build") from last_err
+    registry = active(metrics)
+    tables = [sealed[i] for i in range(len(union))]
+    for (part, _, _), aux in zip(union, tables):
+        registry.counter("aux.backend.selected", backend=aux.backend, rank=str(part)).inc()
+    return tables

@@ -225,26 +225,21 @@ def _merge_filterkv(spec: MergeSpec, device, metrics) -> tuple[int, set[str]]:
     from .formats import FORMATS
     from .partitioning import HashPartitioner
 
-    aux_backends_used: set[str] = set()
     owners = HashPartitioner(spec.nranks).partition_of(wkeys)
-    backends = spec.aux_backends or (FORMATS[spec.fmt].aux_backend or "cuckoo",)
-    for part in range(spec.nranks):
-        sel = np.flatnonzero(owners == part)
-        aux = build_sealed_aux(
-            wkeys[sel],
-            wranks[sel].astype(np.uint64),
-            nparts=spec.nranks,
-            backends=backends,
-            seed=spec.seed + merged + part,
-            metrics=metrics,
-            metric_labels={"rank": str(part)},
-        )
-        aux_backends_used.add(aux.backend)
+    sels = (np.flatnonzero(owners == part) for part in range(spec.nranks))
+    tables = build_sealed_aux(
+        ((part, wkeys[sel], wranks[sel].astype(np.uint64)) for part, sel in enumerate(sels)),
+        nparts=spec.nranks,
+        backends=spec.aux_backends or (FORMATS[spec.fmt].aux_backend or "cuckoo",),
+        seed=spec.seed + merged,
+        metrics=metrics,
+    )
+    for part, aux in enumerate(tables):
         aux.record_structure_metrics()
         blob = seal(aux_to_blob(aux))
         with device.open(aux_table_name(merged, part), create=True) as f:
             f.append(blob)
-    return int(wkeys.size), aux_backends_used
+    return int(wkeys.size), {aux.backend for aux in tables}
 
 
 def _write_filterkv_rank(

@@ -32,7 +32,14 @@ from .formats import FormatSpec
 from .kv import KEY_BYTES, KVBatch
 from .partitioning import HashPartitioner
 
-__all__ = ["Envelope", "WriterState", "ReceiverState", "main_table_name", "aux_table_name"]
+__all__ = [
+    "Envelope",
+    "WriterState",
+    "ReceiverState",
+    "build_aux",
+    "main_table_name",
+    "aux_table_name",
+]
 
 SendFn = Callable[["Envelope"], None]
 
@@ -254,8 +261,8 @@ class ReceiverState:
         # An epoch's mappings are immutable once it seals, so the burst only
         # buffers them — the wire payload *is* the key column (8 B/key), the
         # source column is one (sender, count) run per envelope — and
-        # `finish` builds the aux table once, from the exact key count, via
-        # the `build_sealed_aux` call compaction makes.  None until then.
+        # `build_aux` builds the aux table once, from the exact key count,
+        # via the `build_sealed_aux` call compaction makes.  None until then.
         self.aux: AuxTable | None = None
         self._table: SSTableWriter | None = None
         self._aux_keys = bytearray()
@@ -306,23 +313,40 @@ class ReceiverState:
         self._m_batches.inc()
 
     def finish(self) -> TableStats | None:
-        """Persist the partition's table (or build and seal its aux blob)."""
+        """Persist the partition's table, or seal its aux blob (built here,
+        as a seal of one, unless `build_aux` built the epoch's together)."""
         if self._table is not None:
             return self._table.finish()
-        keys = np.frombuffer(self._aux_keys, dtype="<u8")
-        srcs = np.repeat(np.asarray(self._aux_srcs, dtype=np.uint64), self._aux_counts)
-        self.aux = build_sealed_aux(
-            keys,
-            srcs,
-            nparts=self.nranks,
-            backends=self.aux_backends or (self.fmt.aux_backend or "cuckoo",),
-            seed=self._aux_seed + self.rank,
-            metrics=self.metrics,
-            metric_labels={"rank": str(self.rank)},
-        )
+        if self.aux is None:
+            build_aux([self])
         self.aux.record_structure_metrics()
         # Sealed self-describing blob: a crash mid-append leaves a torn seal
         # that recovery detects, and a complete one reloads the table exactly.
         blob = seal(aux_to_blob(self.aux))
         self.device.open(aux_table_name(self.epoch, self.rank), create=True).append(blob)
         return None
+
+    def _mappings(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The buffered ``(partition, keys, source ranks)`` to seal."""
+        srcs = np.repeat(np.asarray(self._aux_srcs, dtype=np.uint64), self._aux_counts)
+        return self.rank, np.frombuffer(self._aux_keys, dtype="<u8"), srcs
+
+
+def build_aux(receivers: list[ReceiverState]) -> None:
+    """Build the aux table of every filterkv receiver of one epoch in one
+    `build_sealed_aux` call, from their shared rank count, backends and
+    seed (`ReceiverState.finish` then seals each).  The paper's N receivers
+    build their tables in parallel; one process builds them together."""
+    receivers = [r for r in receivers if r._table is None]
+    if not receivers:
+        return
+    first = receivers[0]
+    tables = build_sealed_aux(
+        (r._mappings() for r in receivers),
+        nparts=first.nranks,
+        backends=first.aux_backends or (first.fmt.aux_backend or "cuckoo",),
+        seed=first._aux_seed,
+        metrics=first.metrics,
+    )
+    for r, aux in zip(receivers, tables):
+        r.aux = aux

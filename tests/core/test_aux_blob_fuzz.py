@@ -27,10 +27,13 @@ from ..serve.test_proto_fuzz import both_profiles
 BACKENDS = sorted(AUX_BACKENDS)
 NPARTS = 6  # not a power of two: 3-bit ranks can name partitions 6 and 7
 U64 = 2**64 - 1
-# Decoding unpacks a bit-packed payload through one uint64 per payload *bit*
-# (`_unpack_bits`, twice over: 128 B per payload byte); everything else is
-# smaller.  The slack covers a maximal chain of minimal cuckoo tables.
-ALLOC_FACTOR, ALLOC_SLACK = 256, 1 << 20
+# Decoding unpacks a bit-packed payload a 64-bit word per value
+# (`_unpack_bits`, ~25 B per value at its peak), so the narrowest slot
+# costs the most per byte: a 2-bit cuckoo table of one slot per bucket,
+# which adds its per-bucket counts, peaked at 131 B per payload byte
+# (csf at 2 bits: 107).  The slack covers a maximal chain of minimal
+# cuckoo tables.
+ALLOC_FACTOR, ALLOC_SLACK = 144, 1 << 20
 # A Bloom probe tests every rank by design (paper §IV-A), so a reloaded
 # table is probed only when its partition count is one a test can afford.
 PROBE_MAX_PARTS = 4096

@@ -88,7 +88,7 @@ def test_sealed_build_properties(n, seed, nsources, cuts):
 
 @pytest.mark.parametrize("n", BOUNDARY_COUNTS)
 def test_planned_chain_layout(n):
-    aux = build_sealed_aux(_keys(n, n), 3, nparts=NRANKS, backends=("cuckoo",), seed=n)
+    (aux,) = build_sealed_aux([(0, _keys(n, n), 3)], nparts=NRANKS, backends=("cuckoo",), seed=n)
     st_ = aux._table.stats
     assert st_.nkeys == n
     if n >= 1024:
@@ -102,7 +102,7 @@ def test_failed_walks_are_the_exception():
     burned max_kicks; the planned chain stops at the load target instead.
     Small tables can still (rarely) strand a key below it."""
     failed = [
-        build_sealed_aux(_keys(n, 7 * n), 1, nparts=NRANKS, backends=("cuckoo",), seed=n)
+        build_sealed_aux([(0, _keys(n, 7 * n), 1)], nparts=NRANKS, backends=("cuckoo",), seed=n)[0]
         ._table.stats.failed_inserts
         for n in BOUNDARY_COUNTS
     ]
@@ -115,8 +115,8 @@ def test_e2e_sizes_no_failed_walk_and_no_more_tables_than_before(n, parent_table
     physical tables than the per-envelope build made (2 at 256 keys, 3-5 at
     4 096, measured at the parent commit)."""
     for seed in range(5):
-        aux = build_sealed_aux(
-            _keys(n, seed), 0, nparts=NRANKS, backends=("cuckoo",), seed=seed
+        (aux,) = build_sealed_aux(
+            [(0, _keys(n, seed), 0)], nparts=NRANKS, backends=("cuckoo",), seed=seed
         )
         st_ = aux._table.stats
         assert st_.failed_inserts == 0
@@ -141,7 +141,7 @@ def test_chain_sized_from_sealed_count_not_from_the_mean():
     assert len(cluster.receivers[0].aux) == 3 * mean
     for r in cluster.receivers:
         n = len(r.aux)
-        hinted = build_sealed_aux(_keys(n, n), 0, nparts=nranks, backends=("cuckoo",))
+        (hinted,) = build_sealed_aux([(0, _keys(n, n), 0)], nparts=nranks, backends=("cuckoo",))
         assert r.aux._table.stats.ntables == hinted._table.stats.ntables
         assert r.aux._table.stats.failed_inserts == 0
 
@@ -152,22 +152,23 @@ def test_auto_seals_csf_and_falls_back_to_cuckoo_when_it_refuses():
     paper's table — which builds for any key set — seals instead."""
     metrics = MetricsRegistry()
     keys = _keys(300, 1)
-    clean = build_sealed_aux(keys, 2, nparts=NRANKS, backends=AUTO_BACKENDS, metrics=metrics)
-    assert clean.backend == "csf"
-    twice = build_sealed_aux(
-        np.append(keys, keys[0]),
-        np.append(np.full(keys.size, 2), 5).astype(np.uint64),
+    clean, twice = build_sealed_aux(
+        [
+            (0, keys, 2),
+            (1, np.append(keys, keys[0]), np.append(np.full(keys.size, 2), 5).astype(np.uint64)),
+        ],
         nparts=NRANKS,
         backends=AUTO_BACKENDS,
         metrics=metrics,
     )
+    assert clean.backend == "csf"
     assert twice.backend == "cuckoo"
     assert {2, 5} <= set(twice.candidate_ranks(int(keys[0])))
-    for backend in AUTO_BACKENDS:
-        assert metrics.counter("aux.backend.selected", backend=backend).value == 1
+    for rank, backend in enumerate(AUTO_BACKENDS):
+        assert metrics.counter("aux.backend.selected", backend=backend, rank=str(rank)).value == 1
 
 
 @pytest.mark.parametrize("backends", [(), ("csf", "btree")])
 def test_backend_names_are_checked_before_anything_builds(backends):
     with pytest.raises(ValueError, match="aux backends must name"):
-        build_sealed_aux(_keys(10, 1), 0, nparts=NRANKS, backends=backends)
+        build_sealed_aux([(0, _keys(10, 1), 0)], nparts=NRANKS, backends=backends)

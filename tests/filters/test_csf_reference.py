@@ -59,7 +59,8 @@ test_same_seed_tries_and_answers, test_same_seed_tries_and_answers_full = both_p
 
 def check_old_and_new_blobs_answer_alike(n, seed, nparts):
     keys, ranks = _mapping(n, seed, nparts)
-    new = aux_from_blob(aux_to_blob(build_sealed_aux(keys, ranks, nparts, ("csf",), seed)))
+    (sealed,) = build_sealed_aux([(0, keys, ranks)], nparts, ("csf",), seed)
+    new = aux_from_blob(aux_to_blob(sealed))
     old = aux_from_blob(reference.seal(keys, ranks, nparts, seed))
     assert old.backend == new.backend == "csf"
     old_counts, old_flat = old.candidates_many(keys)

@@ -310,12 +310,17 @@ class Receiver:
         if self.table is not None:
             self.table.finish()
             return
-        self.aux = build_sealed_aux(
-            np.asarray(self.aux_keys, dtype=np.uint64),
-            np.asarray(self.aux_srcs, dtype=np.uint64),
+        (self.aux,) = build_sealed_aux(
+            [
+                (
+                    self.rank,
+                    np.asarray(self.aux_keys, dtype=np.uint64),
+                    np.asarray(self.aux_srcs, dtype=np.uint64),
+                )
+            ],
             nparts=self.nranks,
             backends=(self.fmt.aux_backend or "cuckoo",),
-            seed=self.aux_seed + self.rank,
+            seed=self.aux_seed,
         )
         name = f"aux.{self.epoch:03d}.{self.rank:06d}"
         self.device.open(name, create=True).append(seal(aux_to_blob(self.aux)))
