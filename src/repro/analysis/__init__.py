@@ -7,13 +7,12 @@ from .models import (
     bloom_bytes_per_key_for_bound,
     cuckoo_amplification,
 )
-from .figures import ascii_bars, ascii_series
+from .figures import ascii_series
 from .reporting import (
     BENCH_SCHEMA,
     banner,
     bench_document,
     format_value,
-    mb,
     percent,
     render_table,
     table_artifact,
@@ -27,10 +26,8 @@ __all__ = [
     "bloom_bytes_per_key_for_bound",
     "cuckoo_amplification",
     "banner",
-    "ascii_bars",
     "ascii_series",
     "format_value",
-    "mb",
     "percent",
     "render_table",
     "table_artifact",

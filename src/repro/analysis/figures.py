@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["ascii_series", "ascii_bars"]
+__all__ = ["ascii_series"]
 
 _MARKS = "*o+x#@%&"
 
@@ -64,21 +64,4 @@ def ascii_series(
         f"{_MARKS[i % len(_MARKS)]} {name}" for i, name in enumerate(series)
     )
     lines.append(" " * label_w + "  " + legend)
-    return "\n".join(lines)
-
-
-def ascii_bars(labels: Sequence[str], values: Sequence[float], width: int = 50) -> str:
-    """Horizontal bar chart (non-negative values)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    if not values:
-        return ""
-    if min(values) < 0:
-        raise ValueError("ascii_bars needs non-negative values")
-    peak = max(values) or 1.0
-    lw = max(len(s) for s in labels)
-    lines = []
-    for label, v in zip(labels, values):
-        n = int(round(v / peak * width))
-        lines.append(f"{label:>{lw}} | {'#' * n} {v:.3g}")
     return "\n".join(lines)

@@ -20,7 +20,6 @@ __all__ = [
     "render_table",
     "format_value",
     "percent",
-    "mb",
     "banner",
     "table_data",
     "table_artifact",
@@ -50,10 +49,6 @@ def format_value(v: Any) -> str:
 def percent(x: float) -> str:
     """Render a fractional slowdown the way the paper does (x1.0 = 100 %)."""
     return f"{x * 100:.0f}%"
-
-
-def mb(nbytes: float) -> str:
-    return f"{nbytes / 1e6:.1f}MB"
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = "") -> str:

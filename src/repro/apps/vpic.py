@@ -114,10 +114,3 @@ class VPICSimulation:
             batches.append(KVBatch(self.ids[mask], values[mask]))
         return batches
 
-    def find_particle(self, particle_id: int) -> int:
-        """Index of a particle by ID (testing helper)."""
-        hits = np.nonzero(self.ids == np.uint64(particle_id))[0]
-        if hits.size == 0:
-            raise KeyError(f"no particle {particle_id:#x}")
-        return int(hits[0])
-

@@ -487,6 +487,7 @@ def _cmd_recover(args) -> str:
     from .core.formats import FORMATS
     from .core.kv import random_kv_batch
     from .core.multiepoch import MultiEpochStore
+    from .core.pipeline import epoch_files
     from .faults import CrashPoint, FaultPlan, FaultyStorageDevice
     from .obs import MetricsRegistry
 
@@ -538,12 +539,8 @@ def _cmd_recover(args) -> str:
             hits += value is not None
     lines.append(f"verification: {hits}/{checked} sampled keys readable from committed epochs")
     uncommitted = [e for e in range(len(keys_by_epoch) + 1) if e not in report.committed_epochs]
-    leftovers = [
-        n
-        for n in device.list_files()
-        for e in uncommitted
-        if n.startswith((f"part.{e:03d}.", f"aux.{e:03d}."))
-    ]
+    kept = {n for info in (recovered.manifest.epochs if recovered else ()) for n in info.files}
+    leftovers = [n for e in uncommitted for n in epoch_files(device, e, fmt) if n not in kept]
     lines.append(f"uncommitted epochs absent from storage: {not leftovers}")
     return "\n".join(lines)
 

@@ -26,10 +26,8 @@ from ..core.kv import KVBatch, random_kv_batch
 from ..core.partitioning import HashPartitioner
 from ..core.pipeline import Envelope, ReceiverState, WriterState, build_aux
 from ..core.routing import DirectRouter, ThreeHopRouter
-from ..faults import FaultPlan, FaultyStorageDevice
 from ..obs import MetricsRegistry, active
 from ..storage.blockio import DeviceProfile, StorageDevice
-from ..storage.manifest import Manifest, RecoveryReport
 
 __all__ = ["SimCluster", "ClusterStats"]
 
@@ -75,49 +73,27 @@ class SimCluster:
         ppn: int = 1,
         spill_budget_bytes: int | None = None,
         aux_backends: tuple[str, ...] | None = None,
-        faults: FaultPlan | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         if nranks < 2:
             raise ValueError("need at least 2 ranks to partition data")
         if routing not in ("direct", "3hop"):
             raise ValueError(f"routing must be 'direct' or '3hop', got {routing!r}")
-        if faults is not None and device is not None:
-            raise ValueError("pass faults= or a prebuilt device=, not both")
         self.nranks = nranks
         self.fmt = fmt
         self.value_bytes = value_bytes
         self.batch_bytes = batch_bytes
         self.epoch = epoch
         self.seed = seed
-        self._aux_backends = aux_backends
         self.metrics = active(metrics)
-        if device is not None:
-            self.device = device
-        elif faults is not None:
-            self.device = FaultyStorageDevice(faults, device_profile, metrics=self.metrics)
-        else:
-            self.device = StorageDevice(device_profile, metrics=self.metrics)
+        self.device = device if device is not None else StorageDevice(
+            device_profile, metrics=self.metrics
+        )
         self.partitioner = HashPartitioner(nranks)
-        self._routing = routing
-        self._ppn = ppn
-        self._block_size = block_size
-        self._spill_budget_bytes = spill_budget_bytes
-        self._build_states()
-
-    def _build_states(self) -> None:
-        """(Re)create the transport and per-rank pipeline states.
-
-        Called at construction and by `recover` — after a crash the old
-        writer/receiver states hold half-built tables referencing extents
-        recovery may have swept, so the epoch restarts from fresh state.
-        """
-        if self._routing == "3hop":
-            self.router = ThreeHopRouter(
-                self._deliver, ppn=self._ppn, batch_bytes=self.batch_bytes
-            )
+        if routing == "3hop":
+            self.router = ThreeHopRouter(self._deliver, ppn=ppn, batch_bytes=batch_bytes)
         else:
-            self.router = DirectRouter(self._deliver, ppn=self._ppn)
+            self.router = DirectRouter(self._deliver, ppn=ppn)
         self.receivers = [
             ReceiverState(
                 r,
@@ -126,9 +102,9 @@ class SimCluster:
                 self.device,
                 self.value_bytes,
                 epoch=self.epoch,
-                block_size=self._block_size,
+                block_size=block_size,
                 aux_seed=self.seed,
-                aux_backends=self._aux_backends,
+                aux_backends=aux_backends,
                 metrics=self.metrics,
             )
             for r in range(self.nranks)
@@ -143,8 +119,8 @@ class SimCluster:
                 send=self._send,
                 batch_bytes=self.batch_bytes,
                 epoch=self.epoch,
-                block_size=self._block_size,
-                spill_budget_bytes=self._spill_budget_bytes,
+                block_size=block_size,
+                spill_budget_bytes=spill_budget_bytes,
                 metrics=self.metrics,
             )
             for r in range(self.nranks)
@@ -185,35 +161,6 @@ class SimCluster:
         for r in self.receivers:
             r.finish()
         self._finished = True
-
-    # -- fault injection ---------------------------------------------------
-
-    def crash_at(self, op: int, pattern: str | None = None) -> None:
-        """Arm a hard crash at device operation ``op`` (see `FaultPlan`).
-
-        Requires the cluster to have been built with ``faults=``; the crash
-        surfaces as `repro.faults.CrashPoint` from whatever pipeline call
-        performs that operation.
-        """
-        if not isinstance(self.device, FaultyStorageDevice):
-            raise ValueError(
-                "crash_at needs a fault-injecting device; construct with faults=FaultPlan()"
-            )
-        self.device.plan.crash_at(op, pattern)
-
-    def recover(self, deep: bool = False) -> RecoveryReport:
-        """Bring the cluster back after a `CrashPoint` interrupted an epoch.
-
-        Revives the (crashed) device, runs `Manifest.recover` against it —
-        committed epochs are validated and kept, the interrupted epoch's
-        partial extents are swept — and rebuilds fresh per-rank pipeline
-        states so the epoch can be rerun from the start.
-        """
-        if isinstance(self.device, FaultyStorageDevice):
-            self.device.revive()
-        _, report = Manifest.recover(self.device, deep=deep, metrics=self.metrics)
-        self._build_states()
-        return report
 
     def run_epoch(self, records_per_rank: int, batch_records: int = 4096) -> ClusterStats:
         """Generate random KV pairs on every rank and run the full burst."""
@@ -256,11 +203,6 @@ class SimCluster:
         differently along ``aux_backends=``.  None for formats without aux."""
         names = sorted({r.aux.backend for r in self.receivers if r.aux is not None})
         return ",".join(names) if names else None
-
-    def metrics_rollup(self) -> MetricsRegistry:
-        """Cluster-wide view of the per-rank series (``rank`` label
-        dropped, per-rank counters summed)."""
-        return self.metrics.rollup("rank")
 
     def query_engine(self):
         """Read path over this cluster's persisted output."""

@@ -47,7 +47,7 @@ from ..storage.compact import (
 from ..storage.envelope import seal
 from ..storage.manifest import EpochInfo, Manifest
 from .auxtable import aux_to_blob, build_sealed_aux
-from .pipeline import aux_table_name, main_table_name
+from .pipeline import aux_table_name, epoch_files, main_table_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .multiepoch import MultiEpochStore
@@ -348,16 +348,10 @@ class Compactor:
         records_out = produced["records_out"]
         order_of = {e.epoch: e.order for e in working.epochs}
 
-        files = [
-            n
-            for n in self.device.list_files()
-            if n.startswith((f"part.{merged:03d}.", f"aux.{merged:03d}."))
-        ]
-        if store.fmt.name == "dataptr":
-            # Merged pointers still dereference into the shared value logs;
-            # the merged epoch must reference them or the recovery sweep
-            # would reclaim them once the source epochs retire.
-            files.extend(n for n in self.device.list_files() if n.startswith("vlog."))
+        # A merged dataptr epoch lists the shared value logs its pointers
+        # still dereference into, or the recovery sweep would reclaim them
+        # once the source epochs retire.
+        files = epoch_files(self.device, merged, store.fmt)
 
         retired_infos = [working.remove_epoch(e) for e in epochs]
         records_in = sum(info.records for info in retired_infos)

@@ -64,18 +64,6 @@ class KVBatch:
     def value_of(self, i: int) -> bytes:
         return self.values[i].tobytes()
 
-    @staticmethod
-    def concat(batches: list["KVBatch"]) -> "KVBatch":
-        if not batches:
-            raise ValueError("cannot concat zero batches")
-        widths = {b.value_bytes for b in batches}
-        if len(widths) != 1:
-            raise ValueError(f"mixed value widths: {sorted(widths)}")
-        return KVBatch(
-            np.concatenate([b.keys for b in batches]),
-            np.concatenate([b.values for b in batches], axis=0),
-        )
-
 
 def random_kv_batch(
     nkeys: int, value_bytes: int, rng: np.random.Generator | int = 0

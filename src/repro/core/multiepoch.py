@@ -34,7 +34,7 @@ from .compact import CompactionPolicy, CompactionReport, Compactor
 from .formats import FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KVBatch
 from .partitioning import HashPartitioner
-from .pipeline import aux_table_name, main_table_name
+from .pipeline import aux_table_name, epoch_files, main_table_name
 from .reader import (
     TABLE_CACHE_ENTRIES,
     CachedQueryEngine,
@@ -337,11 +337,7 @@ class MultiEpochStore:
             cluster.put(rank, batch)
         cluster.finish_epoch()
         self._engines[epoch] = cluster.query_engine()
-        files = tuple(
-            n
-            for n in self.device.list_files()
-            if n.startswith((f"part.{epoch:03d}.", f"aux.{epoch:03d}.")) or n.startswith("vlog.")
-        )
+        files = tuple(epoch_files(self.device, epoch, self.fmt))
         epoch_bytes = self.device.total_bytes_stored() - before
         self.manifest.add_epoch(
             EpochInfo(

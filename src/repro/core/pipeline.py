@@ -39,6 +39,7 @@ __all__ = [
     "build_aux",
     "main_table_name",
     "aux_table_name",
+    "epoch_files",
 ]
 
 SendFn = Callable[["Envelope"], None]
@@ -51,6 +52,17 @@ def main_table_name(epoch: int, rank: int) -> str:
 
 def aux_table_name(epoch: int, rank: int) -> str:
     return f"aux.{epoch:03d}.{rank:06d}"
+
+
+def epoch_files(device: StorageDevice, epoch: int, fmt: FormatSpec) -> list[str]:
+    """The extents on ``device`` that epoch ``epoch`` of a ``fmt`` store
+    holds, in device order: its partitions and aux tables, and for
+    dataptr (whose pointers dereference into them) the shared value logs."""
+    names = [main_table_name(epoch, 0), aux_table_name(epoch, 0)]
+    if fmt.name == "dataptr":
+        names.append(ValueLog.filename(0))
+    own = tuple(n.rpartition(".")[0] + "." for n in names)
+    return [n for n in device.list_files() if n.startswith(own)]
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,3 @@ class ThreeHopRouter(DirectRouter):
         for key in list(self._agg):
             envs, nbytes = self._agg[key]
             self._ship(key, envs, nbytes)
-
-    @property
-    def pending_bytes(self) -> int:
-        return sum(n for _, n in self._agg.values())

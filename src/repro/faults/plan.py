@@ -100,15 +100,15 @@ class FaultPlan:
     """A seeded, fully deterministic schedule of `FaultSpec`s.
 
     Specs are consumed in order of arming, one at most per device
-    operation; a spec whose trigger never occurs simply never fires
-    (`unfired` reports them).  The plan is mutable — `crash_at` etc. may
-    arm further faults mid-run — which is how harnesses schedule a second
-    crash after a first recovery.
+    operation; a spec whose trigger never occurs simply never fires.
+    The plan is mutable — `add` / `crash_at` may arm further faults
+    mid-run — which is how harnesses schedule a second crash after a
+    first recovery.
     """
 
-    def __init__(self, seed: int = 0, specs: list[FaultSpec] | None = None):
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self.specs: list[FaultSpec] = list(specs or [])
+        self.specs: list[FaultSpec] = []
 
     # -- arming ------------------------------------------------------------
 
@@ -118,22 +118,6 @@ class FaultPlan:
 
     def crash_at(self, op: int, pattern: str | None = None) -> "FaultPlan":
         return self.add(FaultSpec("crash", op=op, pattern=pattern))
-
-    def torn_append_at(
-        self, op: int, pattern: str | None = None, fraction: float | None = None
-    ) -> "FaultPlan":
-        return self.add(FaultSpec("torn_append", op=op, pattern=pattern, arg=fraction))
-
-    def bit_flip_at(
-        self, op: int | None = None, pattern: str | None = None, bit: int | None = None
-    ) -> "FaultPlan":
-        return self.add(FaultSpec("bit_flip", op=op, pattern=pattern, arg=bit))
-
-    def drop_extent_at(self, op: int, pattern: str | None = None) -> "FaultPlan":
-        return self.add(FaultSpec("drop_extent", op=op, pattern=pattern))
-
-    def io_error_at(self, op: int, pattern: str | None = None) -> "FaultPlan":
-        return self.add(FaultSpec("io_error", op=op, pattern=pattern))
 
     @classmethod
     def random(
@@ -176,10 +160,6 @@ class FaultPlan:
     @property
     def fired(self) -> list[FaultSpec]:
         return [s for s in self.specs if s.fired]
-
-    @property
-    def unfired(self) -> list[FaultSpec]:
-        return [s for s in self.specs if not s.fired]
 
     def __len__(self) -> int:
         return len(self.specs)

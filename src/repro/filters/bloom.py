@@ -131,16 +131,6 @@ class BloomFilter:
         """On-storage size of the bit vector."""
         return self.nbits // 8
 
-    @property
-    def fill_fraction(self) -> float:
-        """Fraction of bits set — a direct handle on the empirical fpr."""
-        set_bits = int(np.bitwise_count(self._words).sum())
-        return set_bits / self.nbits
-
-    def expected_fpr(self) -> float:
-        """False-positive rate implied by the current fill fraction."""
-        return self.fill_fraction**self.nhashes
-
     def to_bytes(self) -> bytes:
         """Serialize the bit vector (little-endian words)."""
         return self._words.astype("<u8").tobytes()

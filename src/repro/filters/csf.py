@@ -345,7 +345,3 @@ class XorMaplet:
     @property
     def bits_per_key(self) -> float:
         return self.size_bytes * 8 / self.nkeys
-
-    def expected_fpr(self) -> float:
-        """Probability an out-of-set key passes the fingerprint guard."""
-        return 2.0**-self.fp_bits

@@ -48,6 +48,10 @@ __all__ = [
 _EMPTY = np.uint32(0)  # fingerprint 0 marks an empty slot
 _PER_TABLE_HEADER_BYTES = 32  # footer/metadata charged per physical table
 _MIN_UTILIZATION = 0.90  # what a planned chain reaches whenever table sizes allow
+# The load bulk insertion walks a chained table up to before moving on
+# (random walks fill 4-way buckets to ~0.98, so 0.95 keeps them short and
+# reproduces the paper's sizing example exactly).
+_LOAD_TARGET = 0.95
 
 
 class CuckooTableFull(Exception):
@@ -411,12 +415,6 @@ class PartialKeyCuckooTable:
         """Sorted distinct candidate values for one key."""
         return np.asarray(self.candidate_values_scalar(key), dtype=np.uint32)
 
-    def contains(self, key: int) -> bool:
-        """Membership test (any slot with a matching fingerprint)."""
-        # A match always contributes a value, so "any candidates" is
-        # exactly "any slot with a matching fingerprint".
-        return bool(self.candidate_values_scalar(key))
-
     def delete(self, key: int) -> bool:
         """Remove one entry matching the key's fingerprint, if present."""
         keys = np.asarray([key], dtype=np.uint64)
@@ -446,10 +444,6 @@ class PartialKeyCuckooTable:
     @property
     def capacity_slots(self) -> int:
         return self.nbuckets * self.slots_per_bucket
-
-    @property
-    def load_factor(self) -> float:
-        return self._nkeys / self.capacity_slots
 
     @property
     def size_bytes(self) -> int:
@@ -513,10 +507,6 @@ class ChainedCuckooTable:
         2^20-slot table plus a 2^17-slot overflow).  Without a hint, the
         first table starts at ``min_buckets`` and scalar inserts size each
         overflow from the keys held so far (doubling-flavored growth).
-    load_target:
-        The load factor bulk insertion walks a table up to before moving on
-        (random walks fill 4-way buckets to ~0.98, so 0.95 keeps them short
-        and reproduces the paper's sizing example exactly).
     """
 
     def __init__(
@@ -527,19 +517,15 @@ class ChainedCuckooTable:
         max_kicks: int = 500,
         seed: int = 0,
         capacity_hint: int | None = None,
-        load_target: float = 0.95,
         min_buckets: int = 16,
     ):
         if capacity_hint is not None and capacity_hint <= 0:
             raise ValueError("capacity_hint must be positive when given")
-        if not 0.1 <= load_target <= 1.0:
-            raise ValueError("load_target must be in [0.1, 1.0]")
         self.fp_bits = fp_bits
         self.value_bits = value_bits
         self.slots_per_bucket = slots_per_bucket
         self.max_kicks = max_kicks
         self.seed = seed
-        self.load_target = load_target
         self.min_buckets = min_buckets
         self.tables: list[PartialKeyCuckooTable] = []
         self.tables.append(self._make_table(capacity_hint or 1))
@@ -559,7 +545,7 @@ class ChainedCuckooTable:
         candidates = []  # (chain bytes, first table's slots), fewest tables first
         first = None
         while True:
-            slots = max(min_slots, _round_pow2(math.ceil(expected / self.load_target)))
+            slots = max(min_slots, _round_pow2(math.ceil(expected / _LOAD_TARGET)))
             nbytes = (chain_slots + slots) * slot_bytes
             nbytes += (len(candidates) + 1) * _PER_TABLE_HEADER_BYTES
             candidates.append((nbytes, first or slots))
@@ -570,7 +556,7 @@ class ChainedCuckooTable:
             slots //= 2
             first = first or slots
             chain_slots += slots
-            expected -= int(slots * self.load_target)
+            expected -= int(slots * _LOAD_TARGET)
 
     def _make_table(self, expected: int) -> PartialKeyCuckooTable:
         return PartialKeyCuckooTable(
@@ -596,7 +582,7 @@ class ChainedCuckooTable:
     def insert_many(self, keys: np.ndarray, values: np.ndarray | int = 0) -> None:
         """Bulk insert along a planned chain: the active table is offered
         every pending key (the more compete for its free slots, the fuller
-        direct placement leaves it) but walks only up to ``load_target``;
+        direct placement leaves it) but walks only up to `_LOAD_TARGET`;
         the remainder goes straight to a table sized for it, instead of
         finding each table full through a walk that burns ``max_kicks``.
         A walk that still fails (rare; small tables) leaves its key in the
@@ -605,7 +591,7 @@ class ChainedCuckooTable:
         vals = np.broadcast_to(np.asarray(values, dtype=np.uint32), keys.shape)
         while keys.size:
             t = self.tables[-1]
-            ok = t.insert_many(keys, vals, fill_to=int(t.capacity_slots * self.load_target))
+            ok = t.insert_many(keys, vals, fill_to=int(t.capacity_slots * _LOAD_TARGET))
             keys, vals = keys[~ok], vals[~ok]
             if keys.size:
                 self.tables.append(self._make_table(keys.size))
@@ -663,9 +649,6 @@ class ChainedCuckooTable:
         data partitions a reader must consult for each key.
         """
         return self.candidates_many(keys)[0]
-
-    def contains(self, key: int) -> bool:
-        return any(t.contains(key) for t in self.tables)
 
     # -- accounting -------------------------------------------------------
 

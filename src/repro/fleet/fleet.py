@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.formats import FMT_FILTERKV, FormatSpec
 from ..core.kv import KVBatch
 from ..obs import MetricsRegistry
@@ -105,10 +103,6 @@ class Fleet:
         if len(epochs) != 1:
             raise RuntimeError(f"shard epochs diverged: {sorted(epochs)}")
         return epochs.pop()
-
-    def owners_of(self, keys) -> np.ndarray:
-        """Replica sets per key — what tests assert placement against."""
-        return self.ring.owners_many(np.asarray(keys, dtype=np.uint64), rf=self.rf)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -71,14 +71,6 @@ class HashRing:
         self.shards.append(shard)
         self.shards.sort()
 
-    def remove_shard(self, shard: int) -> None:
-        if shard not in self.shards:
-            raise ValueError(f"shard {shard} not on the ring")
-        keep = self._owners != shard
-        self._points = self._points[keep]
-        self._owners = self._owners[keep]
-        self.shards.remove(shard)
-
     def __len__(self) -> int:
         return len(self.shards)
 

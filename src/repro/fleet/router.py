@@ -207,8 +207,8 @@ class FleetRouter:
         With a request deadline, if the first shard hasn't answered after
         this fraction of it, a hedge fires to the next candidate and the
         first terminal answer wins.  0 disables hedging.
-    breaker_threshold / breaker_cooldown_s:
-        Per-shard `CircuitBreaker` tuning.
+    breaker_cooldown_s:
+        How long a per-shard `CircuitBreaker` stays open once tripped.
     """
 
     def __init__(
@@ -219,7 +219,6 @@ class FleetRouter:
         retries: int = 1,
         backoff_s: float = 0.005,
         hedge_fraction: float = 0.5,
-        breaker_threshold: int = 3,
         breaker_cooldown_s: float = 0.25,
         metrics: MetricsRegistry | None = None,
         stats_window_s: float = 10.0,
@@ -232,7 +231,7 @@ class FleetRouter:
         self.hedge_fraction = hedge_fraction
         self.views: dict[int, ShardAuxView] = {}
         self.breakers = {
-            sid: CircuitBreaker(breaker_threshold, breaker_cooldown_s)
+            sid: CircuitBreaker(cooldown_s=breaker_cooldown_s)
             for sid in clients
         }
         self.metrics = metrics if metrics is not None else MetricsRegistry("fleet")

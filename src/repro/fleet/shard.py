@@ -54,7 +54,6 @@ class ShardNode:
         value_bytes: int = 24,
         seed: int = 0,
         aux_backends: tuple[str, ...] | None = None,
-        fault_plan: FaultPlan | None = None,
         service_kwargs: dict | None = None,
     ):
         self.shard_id = int(shard_id)
@@ -64,7 +63,7 @@ class ShardNode:
         self.seed = int(seed)
         self.aux_backends = aux_backends
         self.service_kwargs = dict(service_kwargs or {})
-        self.device = FaultyStorageDevice(plan=fault_plan or FaultPlan(seed=seed))
+        self.device = FaultyStorageDevice(plan=FaultPlan(seed=seed))
         self.store = MultiEpochStore(
             nranks=self.nranks,
             fmt=fmt,

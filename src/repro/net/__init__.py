@@ -3,7 +3,7 @@ RPC latency model, and the analytic all-to-all flow model."""
 
 from .cpu import CPUS, TRANSPORTS, CpuProfile, TransportProfile, rpc_cpu_time
 from .des import Event, Process, Resource, SimulationError, Simulator
-from .flowmodel import AllToAllModel, pernode_alltoall_bandwidth, transfer_time
+from .flowmodel import AllToAllModel, pernode_alltoall_bandwidth
 from .rpc import RpcEndpoint, RpcLatencyResult, measure_rpc_latency, rpc_roundtrip
 from .mpi_backend import HAVE_MPI, LoopbackTransport, make_transport
 from .topology import ARIES_DRAGONFLY, NARWHAL_FATTREE, DragonflyTopology, FatTreeTopology
@@ -21,7 +21,6 @@ __all__ = [
     "Simulator",
     "AllToAllModel",
     "pernode_alltoall_bandwidth",
-    "transfer_time",
     "RpcEndpoint",
     "RpcLatencyResult",
     "measure_rpc_latency",

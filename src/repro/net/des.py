@@ -29,7 +29,7 @@ Example::
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 __all__ = ["Simulator", "Event", "Process", "Resource", "SimulationError"]
 
@@ -134,14 +134,6 @@ class Resource:
         else:
             self._in_use -= 1
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
 
 class Simulator:
     """Event loop with a virtual clock."""
@@ -167,9 +159,6 @@ class Simulator:
         self._schedule(delay, ev.succeed)
         return ev
 
-    def event(self) -> Event:
-        return Event(self)
-
     def spawn(self, gen: Generator, name: str = "proc") -> Process:
         """Start a coroutine process immediately (at the current time)."""
         proc = Process(self, gen, name=name)
@@ -193,12 +182,3 @@ class Simulator:
         if until is not None:
             self._now = max(self._now, until)
         return self._now
-
-    def run_all(self, procs: Iterable[Generator]) -> list[Any]:
-        """Spawn all generators, run to completion, return their results."""
-        handles = [self.spawn(g, name=f"proc{i}") for i, g in enumerate(procs)]
-        self.run()
-        unfinished = [h.name for h in handles if not h.fired]
-        if unfinished:
-            raise SimulationError(f"deadlock: processes never finished: {unfinished}")
-        return [h.value for h in handles]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .cpu import CPUS, TRANSPORTS, CpuProfile, TransportProfile, rpc_cpu_time
 from .topology import DragonflyTopology, FatTreeTopology
 
-__all__ = ["AllToAllModel", "pernode_alltoall_bandwidth", "transfer_time"]
+__all__ = ["AllToAllModel", "pernode_alltoall_bandwidth"]
 
 Topology = FatTreeTopology | DragonflyTopology
 
@@ -88,10 +88,3 @@ def pernode_alltoall_bandwidth(
     wire_limit = wire * topology.alltoall_efficiency(nnodes)
 
     return AllToAllModel(cpu_limit, progress_limit, wire_limit)
-
-
-def transfer_time(nbytes: float, bandwidth: float) -> float:
-    """Seconds to move ``nbytes`` at ``bandwidth`` bytes/s."""
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    return nbytes / bandwidth

@@ -96,10 +96,6 @@ class LoopbackTransport:
     def barrier(self) -> None:  # single process: nothing to synchronize
         pass
 
-    @property
-    def pending(self) -> int:
-        return sum(len(q) for q in self._queues)
-
 
 class MpiTransport:  # pragma: no cover - needs a real MPI runtime
     """mpi4py-backed envelope transport (one rank per process)."""

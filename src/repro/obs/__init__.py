@@ -22,10 +22,8 @@ from __future__ import annotations
 from .export import (
     SCHEMA,
     dump_jsonl,
-    load_jsonl,
     registry_to_dict,
     registry_to_json,
-    registry_to_prometheus,
     series_to_dict,
 )
 from .metrics import (
@@ -37,15 +35,12 @@ from .metrics import (
     NullRegistry,
     active,
 )
-from .timeseries import TimeseriesHub, WindowedDigest
+from .timeseries import TimeseriesHub
 from .trace import (
-    NULL_TRACER,
     ActiveSpan,
-    NullTraceCollector,
     SpanRecord,
     TraceCollector,
     TraceContext,
-    active_tracer,
     child_span,
     counter_key,
     current_span,
@@ -56,7 +51,6 @@ from .traceio import (
     build_trees,
     chrome_trace,
     dump_trace_jsonl,
-    load_trace_jsonl,
     render_tree,
     span_from_dict,
     span_to_dict,
@@ -73,9 +67,7 @@ __all__ = [
     "SCHEMA",
     "registry_to_dict",
     "registry_to_json",
-    "registry_to_prometheus",
     "dump_jsonl",
-    "load_jsonl",
     "series_to_dict",
     "get_default_registry",
     "set_default_registry",
@@ -84,9 +76,6 @@ __all__ = [
     "TraceContext",
     "ActiveSpan",
     "TraceCollector",
-    "NullTraceCollector",
-    "NULL_TRACER",
-    "active_tracer",
     "current_span",
     "child_span",
     "counter_key",
@@ -95,12 +84,10 @@ __all__ = [
     "span_to_dict",
     "span_from_dict",
     "dump_trace_jsonl",
-    "load_trace_jsonl",
     "chrome_trace",
     "build_trees",
     "render_tree",
     # live windows
-    "WindowedDigest",
     "TimeseriesHub",
 ]
 

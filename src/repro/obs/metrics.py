@@ -23,8 +23,6 @@ optional ``metrics`` argument and normalize it with `active`::
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
 from typing import Iterator
 
 __all__ = [
@@ -66,9 +64,6 @@ class Counter:
     def _state(self):
         return {"value": self.value}
 
-    def _load(self, state: dict) -> None:
-        self.value = state["value"]
-
 
 class Gauge:
     """Last observed level (can move both ways)."""
@@ -93,9 +88,6 @@ class Gauge:
 
     def _state(self):
         return {"value": self.value}
-
-    def _load(self, state: dict) -> None:
-        self.value = state["value"]
 
 
 class Histogram:
@@ -176,9 +168,6 @@ class Histogram:
             "values": list(self._values),
         }
 
-    def _load(self, state: dict) -> None:
-        self._values = [float(v) for v in state.get("values", [])]
-
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
@@ -216,22 +205,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> Histogram:
         return self._instrument("histogram", name, labels)
-
-    @contextmanager
-    def timed(self, name: str, clock=time.perf_counter, **labels):
-        """Time the enclosed block into histogram ``name``.
-
-        The interval is recorded even when the body raises; the failing
-        series is distinguished by an ``outcome="error"`` label instead of
-        being dropped.
-        """
-        start = clock()
-        try:
-            yield
-        except BaseException:
-            self.histogram(name, outcome="error", **labels).observe(clock() - start)
-            raise
-        self.histogram(name, outcome="ok", **labels).observe(clock() - start)
 
     # -- inspection --------------------------------------------------------
 
@@ -332,10 +305,6 @@ class NullRegistry(MetricsRegistry):
 
     def histogram(self, name: str, **labels) -> Histogram:
         return self._HISTOGRAM
-
-    @contextmanager
-    def timed(self, name: str, clock=time.perf_counter, **labels):
-        yield
 
     def merge(self, other, **extra_labels):
         return self

@@ -8,10 +8,9 @@ without unbounded growth and without any work on the hot path beyond one
 list append (the buffer is trimmed amortized; NumPy enters only at
 snapshot time, which runs per dashboard refresh, not per request).
 
-`WindowedDigest` is the scalar building block; `TimeseriesHub` is the
-serving-shaped composite: one ring of (timestamp, status, latency)
-events, snapshotting into the payload the ``STATS`` verb and the
-``repro top`` dashboard render.
+`TimeseriesHub` keeps one ring of (timestamp, status, latency) events,
+snapshotting into the payload the ``STATS`` verb and the ``repro top``
+dashboard render.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import time
 
 import numpy as np
 
-__all__ = ["WindowedDigest", "TimeseriesHub"]
+__all__ = ["TimeseriesHub"]
 
 _QS = (0.50, 0.95, 0.99)
 
@@ -39,53 +38,6 @@ def _quantiles_ms(values_s: np.ndarray) -> dict:
         "p99": round(p99, 4),
         "max": round(float(ms.max()), 4),
     }
-
-
-class WindowedDigest:
-    """Bounded buffer of timestamped observations with windowed summaries.
-
-    The hot path is one tuple append; the buffer is trimmed back to
-    ``capacity`` only when it doubles, so the amortized cost stays O(1)
-    and no per-observation NumPy scalar stores are paid.
-    """
-
-    def __init__(self, capacity: int = 8192, window_s: float = 10.0, clock=time.monotonic):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
-        self.capacity = capacity
-        self.window_s = window_s
-        self.clock = clock
-        self._ev: list[tuple[float, float]] = []  # (timestamp, value)
-
-    def observe(self, value: float, t: float | None = None) -> None:
-        ev = self._ev
-        ev.append((self.clock() if t is None else t, value))
-        if len(ev) >= 2 * self.capacity:
-            del ev[: len(ev) - self.capacity]
-
-    def __len__(self) -> int:
-        return min(len(self._ev), self.capacity)
-
-    def _window(self, now: float | None, window_s: float | None):
-        """(timestamps, values, now, span_s) of the in-window samples."""
-        now = self.clock() if now is None else now
-        window_s = self.window_s if window_s is None else window_s
-        ev = self._ev[-self.capacity :]
-        t = np.array([e[0] for e in ev], dtype=np.float64)
-        v = np.array([e[1] for e in ev], dtype=np.float64)
-        mask = t >= (now - window_s)
-        t, v = t[mask], v[mask]
-        span = min(window_s, (now - float(t.min()))) if t.size else window_s
-        return t, v, now, max(span, 1e-9)
-
-    def snapshot(self, now: float | None = None, window_s: float | None = None) -> dict:
-        """Rate + quantile summary of the trailing window."""
-        t, v, _, span = self._window(now, window_s)
-        out = _quantiles_ms(v)
-        out["rate_per_s"] = round(float(t.size) / span, 2)
-        return out
 
 
 class TimeseriesHub:

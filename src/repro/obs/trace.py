@@ -24,8 +24,7 @@ Three ideas carry the design:
   counter over a whole span tree reproduces the aggregate exactly (the
   same "charge once" discipline the bulk read path uses for I/O).
 
-* **Zero-cost default.**  The disabled path is `NULL_TRACER`, whose
-  `should_sample()` is constant-False and whose spans are never created;
+* **Zero-cost default.**  An unsampled request creates no spans:
   `child_span` costs one ContextVar read when no trace is active.
   Tracing off ⇒ no measurable overhead (`bench_serve` gates this).
 
@@ -48,9 +47,6 @@ __all__ = [
     "TraceContext",
     "ActiveSpan",
     "TraceCollector",
-    "NullTraceCollector",
-    "NULL_TRACER",
-    "active_tracer",
     "current_span",
     "child_span",
     "snapshot_counters",
@@ -396,27 +392,6 @@ class TraceCollector:
     def drain(self) -> list[SpanRecord]:
         out, self._spans = self._spans, []
         return out
-
-
-class NullTraceCollector(TraceCollector):
-    """The disabled path: never samples, never retains."""
-
-    def __init__(self):
-        super().__init__(sample_rate=0.0, max_spans=1)
-
-    def should_sample(self) -> bool:
-        return False
-
-    def _append(self, record: SpanRecord) -> None:
-        pass
-
-
-NULL_TRACER = NullTraceCollector()
-
-
-def active_tracer(tracer: TraceCollector | None) -> TraceCollector:
-    """Normalize an optional tracer argument: ``None`` means disabled."""
-    return tracer if tracer is not None else NULL_TRACER
 
 
 def current_span() -> ActiveSpan | None:

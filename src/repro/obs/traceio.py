@@ -3,7 +3,7 @@
 Mirrors `repro.obs.export` for spans instead of metric series:
 
 * **JSONL** (schema ``repro.trace/v1``) — a header line followed by one
-  span per line; `load_trace_jsonl(dump_trace_jsonl(spans))` round-trips.
+  span per line.
 * **Chrome trace_event** — the ``{"traceEvents": [...]}`` document
   ``about://tracing`` and Perfetto load directly: each span becomes a
   complete ("ph": "X") event, traces map to thread lanes, and the span's
@@ -24,7 +24,6 @@ __all__ = [
     "span_to_dict",
     "span_from_dict",
     "dump_trace_jsonl",
-    "load_trace_jsonl",
     "chrome_trace",
     "build_trees",
     "render_tree",
@@ -69,22 +68,6 @@ def dump_trace_jsonl(spans) -> str:
     lines = [json.dumps({"schema": TRACE_SCHEMA}, sort_keys=True)]
     lines += [json.dumps(span_to_dict(s), sort_keys=True) for s in spans]
     return "\n".join(lines) + "\n"
-
-
-def load_trace_jsonl(text: str) -> list[SpanRecord]:
-    """Inverse of `dump_trace_jsonl` (schema/blank lines skipped)."""
-    out: list[SpanRecord] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        fields = json.loads(line)
-        if "schema" in fields and "span_id" not in fields:
-            if fields["schema"] != TRACE_SCHEMA:
-                raise ValueError(f"unsupported trace schema {fields['schema']!r}")
-            continue
-        out.append(span_from_dict(fields))
-    return out
 
 
 def chrome_trace(spans) -> dict:

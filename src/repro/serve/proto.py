@@ -288,6 +288,18 @@ def _unpack_rows(body: bytes, n: int, st: tuple) -> tuple[list[ServeResponse], i
     return rows, at
 
 
+def _error_fields(fields: dict) -> tuple[str, str]:
+    """The ``detail`` and error ``code`` of a reply row's tail or of a
+    refusal; both must be strings (a code is looked up in sets)."""
+    error = fields.get("error") or {}
+    if not isinstance(error, dict):
+        raise ProtocolError("an error that is not an object")
+    detail, code = fields.get("detail", ""), error.get("code", "")
+    if not (isinstance(detail, str) and isinstance(code, str)):
+        raise ProtocolError("an error code or detail that is not a string")
+    return detail, code
+
+
 def _merge_row_tails(rows: list[ServeResponse], tails) -> None:
     """Fold a ``REPLY_MANY`` tail's ``rows`` object into its rows: a row
     takes ``detail``, ``trace`` and the error ``code`` from it, and never
@@ -300,13 +312,11 @@ def _merge_row_tails(rows: list[ServeResponse], tails) -> None:
         if not (index.isascii() and index.isdigit() and len(index) <= 10
                 and int(index) < len(rows)):
             raise ProtocolError(f"row tail for no row: {index[:16]!r}")
-        if not isinstance(fields, dict) or not isinstance(fields.get("error") or {}, dict):
+        if not isinstance(fields, dict):
             raise ProtocolError("a row tail is not an object")
         i = int(index)
-        rows[i] = replace(
-            rows[i], detail=fields.get("detail", ""), trace=fields.get("trace"),
-            code=(fields.get("error") or {}).get("code", ""),
-        )
+        detail, code = _error_fields(fields)
+        rows[i] = replace(rows[i], detail=detail, trace=fields.get("trace"), code=code)
 
 
 def _decode_frame(body: bytes, crc: int) -> dict:
@@ -411,14 +421,13 @@ def _responses(reply: dict, keys: list[int]) -> list[ServeResponse]:
         raise ProtocolError(f"peer answered in v{reply['v']}, not v{PROTO_VERSION}")
     rows = reply.get("replies")
     if rows is None:
-        error = reply.get("error") or {}
-        if "status" not in reply or not isinstance(error, dict):
-            raise ProtocolError("a refusal without a status or an error object")
+        if reply.get("status") not in STATUSES:
+            raise ProtocolError("a refusal without a known status")
+        detail, code = _error_fields(reply)
         return [
             ServeResponse(
                 status=reply["status"], key=key, epoch=reply.get("epoch"),
-                detail=reply.get("detail", ""), trace=reply.get("trace"),
-                code=error.get("code", ""),
+                detail=detail, trace=reply.get("trace"), code=code,
             )
             for key in keys
         ]
@@ -854,9 +863,6 @@ class TCPClient:
     async def aux_state(self) -> dict:
         return (await self._call({"op": "aux_state"}))["aux"]
 
-    async def ping(self) -> bool:
-        return bool((await self._call({"op": "ping"})).get("pong"))
-
 
 class InprocClient:
     """`TCPClient`-shaped adapter that calls the service in process.
@@ -920,6 +926,3 @@ class InprocClient:
 
     async def aux_state(self) -> dict:
         return self.service.aux_state()
-
-    async def ping(self) -> bool:
-        return True

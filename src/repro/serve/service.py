@@ -122,10 +122,6 @@ class ServeResponse:
     code: str = ""
     shard_state: tuple | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status == OK
-
 
 class _Burst:
     """What one `QueryService.get_burst` call waits on: ``remaining`` of
@@ -202,12 +198,9 @@ class QueryService:
         The mounted dataset.  New epochs committed while serving are
         picked up on the next request (newest-epoch resolution).
     max_batch:
-        Most requests one dispatch window executes together.
-    batch_window_s:
-        How long the dispatcher waits to fill a window after the first
-        request arrives.  0 (default) means "drain whatever is queued":
-        coalescing still happens under concurrency without adding idle
-        latency.
+        Most requests one dispatch window executes together.  A window
+        is whatever is queued when the dispatcher wakes: coalescing still
+        happens under concurrency without adding idle latency.
     result_cache_entries:
         Bound of the finished-response cache.
     max_inflight:
@@ -239,7 +232,6 @@ class QueryService:
         store: "MultiEpochStore",
         *,
         max_batch: int = 64,
-        batch_window_s: float = 0.0,
         result_cache_entries: int = 4096,
         max_inflight: int = 1024,
         queue_high_watermark: int = 512,
@@ -257,7 +249,6 @@ class QueryService:
             raise ValueError(f"table_cache_entries must be >= 1, got {table_cache_entries}")
         self.store = store
         self.max_batch = max_batch
-        self.batch_window_s = batch_window_s
         self.max_inflight = max_inflight
         self.metrics = metrics if metrics is not None else MetricsRegistry("serve")
         # A real collector even when tracing "off": sample_rate 0 means
@@ -598,37 +589,21 @@ class QueryService:
     # -- dispatch ----------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             first = await self._queue.get()
             if first is None:
                 break
             batch = [first]
             stop = False
-            if self.batch_window_s > 0:
-                window_end = loop.time() + self.batch_window_s
-                while len(batch) < self.max_batch:
-                    timeout = window_end - loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(self._queue.get(), timeout)
-                    except asyncio.TimeoutError:
-                        break
-                    if nxt is None:
-                        stop = True
-                        break
-                    batch.append(nxt)
-            else:
-                while len(batch) < self.max_batch:
-                    try:
-                        nxt = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if nxt is None:
-                        stop = True
-                        break
-                    batch.append(nxt)
+            while len(batch) < self.max_batch:
+                try:
+                    nxt = self._queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    break
+                if nxt is None:
+                    stop = True
+                    break
+                batch.append(nxt)
             self._run_batch(batch)
             if stop:
                 break

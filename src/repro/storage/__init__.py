@@ -12,7 +12,7 @@ from .blockio import DeviceProfile, ExtentLostError, IOCounters, StorageDevice, 
 from .checksum import CHECKSUM_BYTES, fastsum64, fastsum64_rows
 from .envelope import SEAL_OVERHEAD_BYTES, SealError, seal, try_unseal, unseal
 from .manifest import MANIFEST_NAME, MANIFEST_PREFIX, EpochInfo, Manifest, RecoveryReport
-from .compression import SnappyError, compress, compression_ratio, decompress
+from .compression import SnappyError, compress, decompress
 from .log import POINTER_BYTES, DataPointer, ValueLog
 from .memtable import MemTable, RunWriter, flatten_runs
 from .sstable import (
@@ -38,7 +38,6 @@ __all__ = [
     "RecoveryReport",
     "SnappyError",
     "compress",
-    "compression_ratio",
     "decompress",
     "POINTER_BYTES",
     "DataPointer",

@@ -15,8 +15,7 @@ vectorized with NumPy (previous occurrence of every 4-gram via a
 sort-by-hash pass); the emit loop runs per *token*, not per byte, so
 throughput is adequate for the benchmark sample sizes.
 
-`compress` / `decompress` round-trip byte-exactly; `compression_ratio` is
-the helper the Fig. 7b benchmark calls.
+`compress` / `decompress` round-trip byte-exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from ..obs import get_default_registry
 
-__all__ = ["compress", "decompress", "compression_ratio", "SnappyError"]
+__all__ = ["compress", "decompress", "SnappyError"]
 
 _WINDOW = 1 << 16  # compress in 64 KiB windows, like reference snappy
 _MIN_MATCH = 4
@@ -240,10 +239,3 @@ def decompress(data: bytes) -> bytes:
     m.counter("storage.decompress_in_bytes").inc(n)
     m.counter("storage.decompress_out_bytes").inc(len(out))
     return bytes(out)
-
-
-def compression_ratio(data: bytes) -> float:
-    """compressed/uncompressed size ratio (1.0 = incompressible)."""
-    if not data:
-        return 1.0
-    return len(compress(data)) / len(data)

@@ -371,10 +371,6 @@ class RecoveryReport:
     invalid_manifests: list[str]
     bytes_reclaimed: int
 
-    @property
-    def clean(self) -> bool:
-        return not (self.quarantined_epochs or self.orphans_removed or self.invalid_manifests)
-
     def summary(self) -> str:
         lines = [
             f"manifest generation: {self.generation if self.generation is not None else '(none)'}",

@@ -151,10 +151,6 @@ class RunWriter:
         return rows[:, :8].copy().view("<u8").ravel(), rows[:, _ENTRY.size :]
 
     @property
-    def total_entries(self) -> int:
-        return sum(r.nentries for r in self.runs)
-
-    @property
     def size_bytes(self) -> int:
         """Bytes of spilled run data currently in the extent."""
         return self._file.size

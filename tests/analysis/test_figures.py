@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.figures import ascii_bars, ascii_series
+from repro.analysis.figures import ascii_series
 
 
 def test_series_basic_shape():
@@ -36,21 +36,6 @@ def test_series_validation():
         ascii_series({"a": [1, 2]}, xlabels=[1])
     with pytest.raises(ValueError):
         ascii_series({"a": [0, 1]}, xlabels=[1, 2], logy=True)
-
-
-def test_bars():
-    out = ascii_bars(["base", "filterkv"], [10, 2.5])
-    lines = out.splitlines()
-    assert lines[0].count("#") > lines[1].count("#")
-    assert "10" in lines[0] and "2.5" in lines[1]
-
-
-def test_bars_validation():
-    with pytest.raises(ValueError):
-        ascii_bars(["a"], [1, 2])
-    with pytest.raises(ValueError):
-        ascii_bars(["a"], [-1])
-    assert ascii_bars([], []) == ""
 
 
 def test_flat_series_does_not_crash():

@@ -1,6 +1,6 @@
 """Unit tests for report rendering."""
 
-from repro.analysis.reporting import banner, format_value, mb, percent, render_table
+from repro.analysis.reporting import banner, format_value, percent, render_table
 
 
 def test_render_table_alignment():
@@ -33,10 +33,6 @@ def test_format_value():
 def test_percent():
     assert percent(1.016) == "102%"
     assert percent(0.5) == "50%"
-
-
-def test_mb():
-    assert mb(18_500_000) == "18.5MB"
 
 
 def test_banner():

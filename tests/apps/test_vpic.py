@@ -65,14 +65,6 @@ def test_owner_in_range_after_many_steps():
     assert owners.min() >= 0 and owners.max() < 6
 
 
-def test_find_particle():
-    sim = VPICSimulation(nranks=2, particles_per_rank=10, seed=8)
-    idx = sim.find_particle(int(sim.ids[7]))
-    assert idx == 7
-    with pytest.raises(KeyError):
-        sim.find_particle(1)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         VPICSimulation(nranks=1, particles_per_rank=10)

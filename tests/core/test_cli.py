@@ -154,9 +154,11 @@ def test_loadgen_command_with_tracing(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "p95 ms" in out and "traces ->" in out
-    from repro.obs import load_trace_jsonl
+    from repro.obs import span_from_dict
 
-    spans = load_trace_jsonl(trace_path.read_text())
+    lines = trace_path.read_text().splitlines()
+    assert json.loads(lines[0]) == {"schema": "repro.trace/v1"}
+    spans = [span_from_dict(json.loads(line)) for line in lines[1:]]
     assert spans, "trace export produced no spans"
     names = {s.name for s in spans}
     assert "client.get" in names and "serve.get" in names

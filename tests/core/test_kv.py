@@ -36,21 +36,6 @@ def test_select_by_mask_and_index():
     assert np.array_equal(sub2.keys, b.keys[[1, 5, 7]])
 
 
-def test_concat():
-    a = random_kv_batch(5, 8, rng=1)
-    b = random_kv_batch(7, 8, rng=2)
-    c = KVBatch.concat([a, b])
-    assert len(c) == 12
-    assert np.array_equal(c.keys[:5], a.keys)
-
-
-def test_concat_rejects_mixed_widths():
-    with pytest.raises(ValueError):
-        KVBatch.concat([random_kv_batch(2, 8), random_kv_batch(2, 16)])
-    with pytest.raises(ValueError):
-        KVBatch.concat([])
-
-
 def test_shape_validation():
     with pytest.raises(ValueError):
         KVBatch(np.zeros(3, dtype=np.uint64), np.zeros((2, 4), dtype=np.uint8))

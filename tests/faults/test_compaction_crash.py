@@ -23,7 +23,7 @@ import pytest
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import KVBatch
 from repro.core.multiepoch import MultiEpochStore
-from repro.faults import CrashPoint, FaultPlan, FaultyStorageDevice
+from repro.faults import CrashPoint, FaultPlan, FaultSpec, FaultyStorageDevice
 from repro.obs import MetricsRegistry
 
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
@@ -168,7 +168,7 @@ def test_torn_manifest_swap_reverts(fmt):
     store, device, truth = _build(fmt, SEED_OFFSET + 4)
     sources = list(store.epochs)
     merged = store.manifest.next_epoch
-    device.plan.torn_append_at(0, pattern="MANIFEST.*", fraction=0.5)
+    device.plan.add(FaultSpec("torn_append", op=0, pattern="MANIFEST.*", arg=0.5))
     with pytest.raises(CrashPoint):
         store.compact()
     store.close()

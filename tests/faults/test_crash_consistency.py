@@ -20,12 +20,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.cluster.simcluster import SimCluster
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
-from repro.core.pipeline import main_table_name
-from repro.faults import CrashPoint, FaultPlan, FaultyStorageDevice
+from repro.core.pipeline import epoch_files, main_table_name
+from repro.faults import CrashPoint, FaultPlan, FaultSpec, FaultyStorageDevice
 from repro.obs import MetricsRegistry
 from repro.storage.blockio import StorageDevice
 from repro.storage.envelope import SealError
@@ -191,30 +190,32 @@ def test_deep_recovery_quarantines_data_block_corruption():
     assert metrics.counter("recovery.epochs_quarantined").value == 1
 
 
-def test_simcluster_crash_recover_rerun():
+def test_store_crash_recover_rerun():
     metrics = MetricsRegistry()
-    cluster = SimCluster(
-        nranks=3,
-        fmt=FMT_FILTERKV,
-        value_bytes=VALUE_BYTES,
-        seed=4,
-        faults=FaultPlan(seed=4),
-        metrics=metrics,
-    )
-    cluster.crash_at(7)
+    device = FaultyStorageDevice(FaultPlan(seed=4), metrics=metrics)
+
+    def store():
+        return MultiEpochStore(
+            nranks=3, fmt=FMT_FILTERKV, value_bytes=VALUE_BYTES, device=device, seed=4
+        )
+
+    rng = np.random.default_rng(4)
+    batches = [random_kv_batch(200, VALUE_BYTES, rng) for _ in range(3)]
+    device.plan.crash_at(7)
     with pytest.raises(CrashPoint):
-        cluster.run_epoch(200)
-    report = cluster.recover()
-    assert report.committed_epochs == []
-    # The partial epoch was swept; the fresh writer states built by
-    # recover() start their output extents over from zero bytes.
+        store().write_epoch(batches)
+    recovered, report = MultiEpochStore.recover(device, metrics=metrics)
+    # Nothing ever committed: no store to attach, and the partial epoch's
+    # extents are swept.
+    assert recovered is None and report.committed_epochs == []
     assert len(report.orphans_removed) >= 3
-    assert all(cluster.device.file_size(n) == 0 for n in cluster.device.list_files())
-    stats = cluster.run_epoch(200)
-    assert stats.records == 600
-    engine = cluster.query_engine()
-    keys = random_kv_batch(8, VALUE_BYTES, np.random.default_rng(4)).keys
-    assert all(engine.get(int(k))[0] is not None for k in keys)
+    assert epoch_files(device, 0, FMT_FILTERKV) == []
+    # A fresh store on the same device writes the epoch over from scratch.
+    rerun = store()
+    rerun.write_epoch(batches)
+    for b in batches:
+        for i, k in enumerate(b.keys[:8]):
+            assert rerun.get(int(k), 0)[0] == b.value_of(i)
     assert metrics.counter("faults.crashes").value == 1
 
 
@@ -227,7 +228,7 @@ def test_torn_manifest_commit_reverts_to_previous_epoch_set():
     )
     rng = np.random.default_rng(1)
     store.write_epoch([random_kv_batch(RECORDS, VALUE_BYTES, rng) for _ in range(NRANKS)])
-    device.plan.torn_append_at(device.op_index, pattern="MANIFEST.*", fraction=0.5)
+    device.plan.add(FaultSpec("torn_append", op=device.op_index, pattern="MANIFEST.*", arg=0.5))
     with pytest.raises(CrashPoint):
         store.write_epoch([random_kv_batch(RECORDS, VALUE_BYTES, rng) for _ in range(NRANKS)])
     recovered, report = MultiEpochStore.recover(device)

@@ -7,7 +7,7 @@ obs registry — the acceptance check that injection is real, not skipped.
 
 import pytest
 
-from repro.faults import CrashPoint, FaultPlan, FaultyStorageDevice
+from repro.faults import CrashPoint, FaultPlan, FaultSpec, FaultyStorageDevice
 from repro.obs import MetricsRegistry
 from repro.storage.blockio import ExtentLostError
 
@@ -46,7 +46,7 @@ def test_crash_halts_io_until_revive():
 
 
 def test_torn_append_keeps_prefix_and_crashes():
-    dev, metrics = _device(FaultPlan(seed=2).torn_append_at(1, fraction=0.25))
+    dev, metrics = _device(FaultPlan(seed=2).add(FaultSpec("torn_append", op=1, arg=0.25)))
     f = dev.open("x", create=True)
     f.append(b"A" * 100)
     with pytest.raises(CrashPoint):
@@ -58,7 +58,7 @@ def test_torn_append_keeps_prefix_and_crashes():
 
 
 def test_bit_flip_on_append_damages_exactly_one_bit():
-    dev, metrics = _device(FaultPlan(seed=3).bit_flip_at(0, pattern="x"))
+    dev, metrics = _device(FaultPlan(seed=3).add(FaultSpec("bit_flip", op=0, pattern="x")))
     f = dev.open("x", create=True)
     f.append(bytes(64))
     got = f.read(0, 64)
@@ -68,7 +68,7 @@ def test_bit_flip_on_append_damages_exactly_one_bit():
 
 
 def test_bit_flip_on_read_hits_the_read_range():
-    plan = FaultPlan(seed=4).bit_flip_at(1, pattern="x")
+    plan = FaultPlan(seed=4).add(FaultSpec("bit_flip", op=1, pattern="x"))
     dev, metrics = _device(plan)
     f = dev.open("x", create=True)
     f.append(bytes(32))  # op 0: clean
@@ -80,7 +80,7 @@ def test_bit_flip_on_read_hits_the_read_range():
 
 
 def test_drop_extent_loses_the_file():
-    dev, metrics = _device(FaultPlan(seed=5).drop_extent_at(1, pattern="x"))
+    dev, metrics = _device(FaultPlan(seed=5).add(FaultSpec("drop_extent", op=1, pattern="x")))
     f = dev.open("x", create=True)
     f.append(b"data")
     f.append(b"more")  # fires after this op completes
@@ -91,7 +91,7 @@ def test_drop_extent_loses_the_file():
 
 
 def test_io_error_fails_op_but_device_survives():
-    dev, metrics = _device(FaultPlan(seed=6).io_error_at(1))
+    dev, metrics = _device(FaultPlan(seed=6).add(FaultSpec("io_error", op=1)))
     f = dev.open("x", create=True)
     f.append(b"keep")
     with pytest.raises(OSError):
@@ -114,7 +114,7 @@ def test_faults_respect_extent_patterns():
 
 def test_same_seed_same_damage():
     def run(seed):
-        dev, _ = _device(FaultPlan(seed=seed).bit_flip_at(0).torn_append_at(1))
+        dev, _ = _device(FaultPlan(seed=seed).add(FaultSpec("bit_flip", op=0)).add(FaultSpec("torn_append", op=1)))
         f = dev.open("x", create=True)
         f.append(bytes(range(256)))
         try:

@@ -27,24 +27,24 @@ def test_torn_append_never_fires_on_read():
 
 
 def test_take_is_one_shot_and_ordered():
-    plan = FaultPlan(seed=1).io_error_at(0).crash_at(0)
+    plan = FaultPlan(seed=1).add(FaultSpec("io_error", op=0)).crash_at(0)
     first = plan.take(0, "x", "append")
     assert first.kind == "io_error" and first.fired_at == 0
     second = plan.take(1, "x", "append")
     assert second.kind == "crash"
     assert plan.take(2, "x", "append") is None
     assert [s.kind for s in plan.fired] == ["io_error", "crash"]
-    assert plan.unfired == []
+    assert all(s.fired for s in plan.specs)
 
 
 def test_fluent_helpers_arm_all_kinds():
     plan = (
         FaultPlan(seed=0)
         .crash_at(1)
-        .torn_append_at(2)
-        .bit_flip_at(3)
-        .drop_extent_at(4)
-        .io_error_at(5)
+        .add(FaultSpec("torn_append", op=2))
+        .add(FaultSpec("bit_flip", op=3))
+        .add(FaultSpec("drop_extent", op=4))
+        .add(FaultSpec("io_error", op=5))
     )
     assert [s.kind for s in plan.specs] == [
         "crash",

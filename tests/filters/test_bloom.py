@@ -27,15 +27,6 @@ def test_empirical_fpr_tracks_analytic():
         assert measured == pytest.approx(analytic, rel=0.35, abs=1e-4)
 
 
-def test_expected_fpr_from_fill():
-    rng = np.random.default_rng(3)
-    keys = rng.integers(0, 2**63, size=20_000, dtype=np.uint64)
-    f = BloomFilter.from_bits_per_key(keys.size, 10)
-    f.add_many(keys)
-    probes = rng.integers(0, 2**63, size=100_000, dtype=np.uint64)
-    assert f.expected_fpr() == pytest.approx(f.contains_many(probes).mean(), rel=0.3, abs=1e-3)
-
-
 def test_single_item_api():
     f = BloomFilter(1024, 4)
     assert 123 not in f

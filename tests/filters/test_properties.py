@@ -78,8 +78,7 @@ def test_cuckoo_chunked_inserts_equivalent(keys, split, seed):
     b.insert_many(arr[:split], 7)
     b.insert_many(arr[split:], 7)
     for k in arr:
-        assert 7 in b.candidate_values(int(k))
-        assert a.contains(int(k)) and b.contains(int(k))
+        assert 7 in a.candidate_values(int(k)) and 7 in b.candidate_values(int(k))
 
 
 @given(
@@ -158,7 +157,7 @@ def test_cuckoofilter_matches_multiset_reference(ops):
             ref[key] -= 1
     for key, count in ref.items():
         if count > 0:
-            assert f.contains(key)
+            assert f.candidate_values(key).size
     assert len(f) == sum(ref.values())
 
 

@@ -54,9 +54,6 @@ def test_movement_bound_on_membership_change():
     # roughly its fair 1/5 share.
     assert np.all(after[moved] == 4)
     assert 0.05 < moved.mean() < 0.45
-    # Removing it restores the original placement exactly.
-    grown.remove_shard(4)
-    assert np.array_equal(grown.primary_of(KEYS), before)
 
 
 def test_membership_errors():
@@ -64,10 +61,6 @@ def test_membership_errors():
     with pytest.raises(ValueError):
         ring.add_shard(1)
     with pytest.raises(ValueError):
-        ring.remove_shard(9)
-    with pytest.raises(ValueError):
         HashRing([2, 2])
-    ring.remove_shard(0)
-    ring.remove_shard(1)
     with pytest.raises(ValueError):
-        ring.owners(1)
+        HashRing([]).owners(1)

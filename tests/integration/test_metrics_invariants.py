@@ -97,7 +97,7 @@ def test_aux_structure_gauges_recorded():
 
 def test_per_rank_rollup_preserves_totals():
     reg, cluster = _run(FMT_FILTERKV, queries=40)
-    rolled = cluster.metrics_rollup()
+    rolled = cluster.metrics.rollup("rank")
     assert rolled.total("pipeline.wire_bytes") == reg.total("pipeline.wire_bytes")
     assert rolled.total("aux.inserts") == reg.total("aux.inserts")
     # rank label is gone: one series per (name, remaining labels)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.flowmodel import pernode_alltoall_bandwidth, transfer_time
+from repro.net.flowmodel import pernode_alltoall_bandwidth
 from repro.net.topology import ARIES_DRAGONFLY
 
 
@@ -60,9 +60,3 @@ def test_invalid_args():
         pernode_alltoall_bandwidth("haswell", "gni", ARIES_DRAGONFLY, 1, 0, 64)
     with pytest.raises(ValueError):
         pernode_alltoall_bandwidth("haswell", "gni", ARIES_DRAGONFLY, 1, 1, 0)
-    with pytest.raises(ValueError):
-        transfer_time(100, 0)
-
-
-def test_transfer_time():
-    assert transfer_time(1e9, 1e8) == pytest.approx(10.0)

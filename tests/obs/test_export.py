@@ -6,7 +6,6 @@ from repro.obs import (
     SCHEMA,
     MetricsRegistry,
     dump_jsonl,
-    load_jsonl,
     registry_to_dict,
     registry_to_json,
 )
@@ -52,59 +51,10 @@ def test_jsonl_round_trip_exact():
     reg = _sample_registry()
     text = dump_jsonl(reg)
     assert text.endswith("\n")
-    back = load_jsonl(text, name="run")
-    assert registry_to_dict(back)["metrics"] == registry_to_dict(reg)["metrics"]
-    # Values survive a second trip too (idempotent).
-    assert dump_jsonl(back) == text
+    # Parsed back line by line, the text is exactly the document's series.
+    lines = [json.loads(line) for line in text.splitlines()]
+    assert lines == registry_to_dict(reg)["metrics"]
 
 
 def test_jsonl_empty_registry():
     assert dump_jsonl(MetricsRegistry()) == ""
-    assert len(load_jsonl("")) == 0
-
-
-def test_round_tripped_registry_still_merges():
-    back = load_jsonl(dump_jsonl(_sample_registry()))
-    total = MetricsRegistry()
-    total.merge(back, rank=0).merge(back, rank=1)
-    assert total.total("pipeline.wire_bytes") == 2 * (800 + 1600)
-
-
-def test_prometheus_exposition_format():
-    from repro.obs import registry_to_prometheus
-
-    text = registry_to_prometheus(_sample_registry())
-    lines = text.splitlines()
-    assert text.endswith("\n")
-    # counters gain _total; labels are rendered and escaped
-    assert '# TYPE pipeline_wire_bytes_total counter' in lines
-    assert 'pipeline_wire_bytes_total{format="filterkv"} 800' in lines
-    assert '# TYPE aux_utilization gauge' in lines
-    assert 'aux_utilization{backend="cuckoo"} 0.84' in lines
-    # histograms export as summaries with quantile series + _sum/_count
-    assert '# TYPE reader_read_amplification summary' in lines
-    assert any(
-        l.startswith('reader_read_amplification{format="filterkv",quantile="0.95"}')
-        for l in lines
-    )
-    assert any(l.startswith("reader_read_amplification_count") for l in lines)
-    # TYPE line precedes its family's samples
-    assert lines.index('# TYPE aux_utilization gauge') < lines.index(
-        'aux_utilization{backend="cuckoo"} 0.84'
-    )
-
-
-def test_prometheus_sanitizes_names_and_escapes_values():
-    from repro.obs import registry_to_prometheus
-
-    reg = MetricsRegistry()
-    reg.counter("weird-name.x", path='a"b\\c').inc(1)
-    text = registry_to_prometheus(reg)
-    assert "weird_name_x_total" in text
-    assert '\\"' in text and "\\\\" in text
-
-
-def test_prometheus_empty_registry():
-    from repro.obs import registry_to_prometheus
-
-    assert registry_to_prometheus(MetricsRegistry()) == ""

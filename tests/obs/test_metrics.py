@@ -88,32 +88,11 @@ def test_rollup_drops_label_and_combines():
     assert len(world) == 8
 
 
-def test_timed_records_ok_and_error_outcomes():
-    reg = MetricsRegistry()
-    t = [0.0]
-
-    def clock():
-        t[0] += 1.0
-        return t[0]
-
-    with reg.timed("op", clock=clock):
-        pass
-    with pytest.raises(RuntimeError):
-        with reg.timed("op", clock=clock):
-            raise RuntimeError("boom")
-    ok = reg.histogram("op", outcome="ok")
-    err = reg.histogram("op", outcome="error")
-    assert ok.count == 1 and err.count == 1
-    assert ok.total == pytest.approx(1.0)
-
-
 def test_null_registry_accumulates_nothing():
     null = NullRegistry()
     null.counter("a").inc(5)
     null.gauge("b").set(3)
     null.histogram("c").observe(1)
-    with null.timed("d"):
-        pass
     assert len(null) == 0
     assert null.counter("a").value == 0
     assert null.histogram("c").count == 0

@@ -1,8 +1,8 @@
-"""Windowed telemetry rings: digests and the serving hub."""
+"""Windowed telemetry ring: the serving hub."""
 
 import pytest
 
-from repro.obs import TimeseriesHub, WindowedDigest
+from repro.obs import TimeseriesHub
 
 
 class FakeClock:
@@ -11,57 +11,6 @@ class FakeClock:
 
     def __call__(self):
         return self.now
-
-
-# -- WindowedDigest -----------------------------------------------------------
-
-
-def test_digest_rate_and_quantiles_over_window():
-    clock = FakeClock()
-    d = WindowedDigest(window_s=10.0, clock=clock)
-    for i in range(10):
-        clock.now = float(i)
-        d.observe(0.001 * (i + 1))  # 1..10 ms
-    clock.now = 9.0
-    snap = d.snapshot()
-    assert snap["count"] == 10
-    assert snap["rate_per_s"] == pytest.approx(10 / 9.0, rel=0.01)
-    assert snap["p50"] == pytest.approx(5.5, rel=0.01)
-    assert snap["max"] == pytest.approx(10.0)
-
-
-def test_digest_window_excludes_old_samples():
-    clock = FakeClock()
-    d = WindowedDigest(window_s=5.0, clock=clock)
-    clock.now = 0.0
-    d.observe(1.0)
-    clock.now = 100.0
-    d.observe(2.0)
-    snap = d.snapshot()
-    assert snap["count"] == 1  # the t=0 sample fell out of the window
-    assert snap["max"] == pytest.approx(2000.0)
-
-
-def test_digest_ring_overwrites_oldest():
-    clock = FakeClock()
-    d = WindowedDigest(capacity=4, window_s=1000.0, clock=clock)
-    for i in range(10):
-        clock.now = float(i)
-        d.observe(float(i))
-    assert len(d) == 4
-    assert d.snapshot()["count"] == 4
-
-
-def test_digest_empty_snapshot_is_zeroed():
-    snap = WindowedDigest().snapshot()
-    assert snap["count"] == 0 and snap["rate_per_s"] == 0.0 and snap["p99"] == 0.0
-
-
-def test_digest_validates_parameters():
-    with pytest.raises(ValueError):
-        WindowedDigest(capacity=0)
-    with pytest.raises(ValueError):
-        WindowedDigest(window_s=0)
 
 
 # -- TimeseriesHub ------------------------------------------------------------

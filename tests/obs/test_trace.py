@@ -5,19 +5,16 @@ import json
 import pytest
 
 from repro.obs import (
-    NULL_TRACER,
     MetricsRegistry,
     SpanRecord,
     TraceCollector,
     TraceContext,
-    active_tracer,
     build_trees,
     child_span,
     chrome_trace,
     counter_key,
     current_span,
     dump_trace_jsonl,
-    load_trace_jsonl,
     render_tree,
     snapshot_counters,
     span_from_dict,
@@ -222,14 +219,6 @@ def test_child_span_nests_under_current():
     assert by_name["inner"].attrs["flag"] is True
 
 
-def test_null_tracer_retains_nothing():
-    assert active_tracer(None) is NULL_TRACER
-    assert not NULL_TRACER.should_sample()
-    with NULL_TRACER.span("x"):
-        pass
-    assert len(NULL_TRACER) == 0
-
-
 # -- trace IO -----------------------------------------------------------------
 
 
@@ -251,13 +240,8 @@ def test_jsonl_round_trip():
     text = dump_trace_jsonl(spans)
     first = json.loads(text.splitlines()[0])
     assert first == {"schema": "repro.trace/v1"}
-    back = load_trace_jsonl(text)
+    back = [span_from_dict(json.loads(line)) for line in text.splitlines()[1:]]
     assert [span_to_dict(s) for s in back] == [span_to_dict(s) for s in spans]
-
-
-def test_load_rejects_unknown_schema():
-    with pytest.raises(ValueError):
-        load_trace_jsonl('{"schema": "repro.trace/v999"}\n')
 
 
 def test_span_dict_round_trip_defaults():

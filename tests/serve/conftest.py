@@ -14,12 +14,53 @@ import pytest
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
+from repro.serve import QueryService
 
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+async def until(predicate, timeout=5.0):
+    """Yield to the loop until ``predicate()`` holds (bounded)."""
+
+    async def spin():
+        while not predicate():
+            await asyncio.sleep(0)
+
+    await asyncio.wait_for(spin(), timeout)
+
+
+class _GatedQueue(asyncio.Queue):
+    """A dispatch queue that hands out a window's first request only while
+    ``gate`` is set (the rest of the window is drained without waiting)."""
+
+    def __init__(self, gate: asyncio.Event):
+        super().__init__()
+        self.gate = gate
+
+    async def get(self):
+        item = await super().get()
+        await self.gate.wait()
+        return item
+
+
+class GatedService(QueryService):
+    """A `QueryService` whose dispatcher waits for ``gate`` before each
+    window: admitted requests stay queued while the gate is shut, so a
+    test holds a window open for as long as it needs, with no timer.
+    `close` opens the gate, so admitted work still drains."""
+
+    def __init__(self, store, **kwargs):
+        super().__init__(store, **kwargs)
+        self.gate = asyncio.Event()
+        self._queue = _GatedQueue(self.gate)
+
+    async def close(self) -> None:
+        self.gate.set()
+        await super().close()
 
 
 def fed_reader(data: bytes, eof: bool = True):

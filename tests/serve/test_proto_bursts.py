@@ -35,7 +35,7 @@ from repro.serve.proto import (
     read_frame,
 )
 
-from .conftest import run, shared_store
+from .conftest import GatedService, run, shared_store, until
 
 CONTEXT = TraceContext("ab" * 8, "cd" * 4, True)
 
@@ -48,10 +48,10 @@ class _Direct:
         self.get = service.get
 
 
-async def _surface(kind: str, store, script, **service_kwargs):
-    """Run ``script(client, service)`` against a fresh service reached
-    through one surface."""
-    service = QueryService(store, **service_kwargs)
+async def _surface(kind: str, store, script, service_cls=QueryService, **service_kwargs):
+    """Run ``script(client, service)`` against a fresh ``service_cls``
+    reached through one surface."""
+    service = service_cls(store, **service_kwargs)
     if kind == "tcp":
         server = await ServeServer(service).start()
         try:
@@ -74,14 +74,17 @@ def _comparable(response):
     return replace(response, trace=names)
 
 
-def _same_answers(store, script, **service_kwargs):
+def _same_answers(store, script, service_cls=QueryService, **service_kwargs):
     """The script's responses agree field for field across the surfaces;
     the two clients also agree on the piggybacked state token, which a
     bare `QueryService.get` does not carry."""
 
     async def main():
         got = {
-            kind: [_comparable(r) for r in await _surface(kind, store, script, **service_kwargs)]
+            kind: [
+                _comparable(r)
+                for r in await _surface(kind, store, script, service_cls, **service_kwargs)
+            ]
             for kind in ("service", "inproc", "tcp")
         }
         assert got["tcp"] == got["inproc"]
@@ -130,10 +133,10 @@ def test_refusals_are_the_same_on_every_surface(fmt):
     assert statuses == [OK, OVERLOADED, OVERLOADED]
 
     async def deadline(client, service):
-        # A 300 ms window against a 10 ms deadline.
+        # A window held shut against a 10 ms deadline.
         return [await client.get(a, deadline_s=0.01)]
 
-    (r,) = _same_answers(store, deadline, batch_window_s=0.3)
+    (r,) = _same_answers(store, deadline, GatedService)
     assert r.status == DEADLINE_EXCEEDED and r.value is None
 
     async def closed(client, service):
@@ -213,18 +216,25 @@ def test_one_pipelined_burst_equals_one_get_per_request(fmt):
     # Admitted before the last member: the timed pair and seven of the
     # untimed (hits and the unknown epoch take no slot, a duplicate takes
     # one like any waiter).
-    limits = dict(max_inflight=9, batch_window_s=0.1)
-
     async def through(kind):
-        service = QueryService(store, **limits)
+        service = GatedService(store, max_inflight=9)
 
         async def burst(client, get):
+            service.gate.set()
             for key in warm:
                 await get(client, key)
-            calls = [get(client, k, epoch=e, deadline_s=d, trace=t) for k, e, d, t in timed + untimed]
-            answers = await asyncio.gather(*calls)
-            totals = {f"{n}{l}": service.metrics.total(n, **l) for n, l in BURST_TOTALS}
+            service.gate.clear()
+            calls = asyncio.gather(
+                *(get(client, k, epoch=e, deadline_s=d, trace=t) for k, e, d, t in timed + untimed)
+            )
+            # The timed member expires while the window holding its
+            # burst-mates is shut.
             expired = service.metrics.histogram("serve.latency_seconds", status=DEADLINE_EXCEEDED)
+            await until(lambda: expired.count == 1)
+            assert not calls.done()
+            service.gate.set()
+            answers = await calls
+            totals = {f"{n}{l}": service.metrics.total(n, **l) for n, l in BURST_TOTALS}
             return [_comparable(replace(r, shard_state=None)) for r in answers], totals, expired
 
         if kind == "service":
@@ -245,9 +255,8 @@ def test_one_pipelined_burst_equals_one_get_per_request(fmt):
         assert [r.cached for r in tcp[2:5]] == [True] * 3
         assert tcp_totals["serve.coalesced{}"] == 2 and tcp_totals["serve.sheds{}"] == 1
         assert tcp[-4].code == ERR_UNKNOWN_EPOCH and "serve.get" in tcp[-3].trace
-        # The expired member was answered at its own deadline, before the
-        # window that answered its burst-mate fired.
-        assert expired.count == 1 and 0.02 <= expired.quantile(0.5) < 0.1
+        # The expired member was answered at its own deadline.
+        assert expired.count == 1 and 0.02 <= expired.quantile(0.5)
         for (key, epoch, *_), r in zip(timed[1:] + untimed[:7], tcp[1:9]):
             assert r.value == truth[1].get(key, truth[0].get(key)), key
 
@@ -255,14 +264,14 @@ def test_one_pipelined_burst_equals_one_get_per_request(fmt):
 
 
 def test_deadline_in_a_burst_is_not_held_by_a_stalled_peer():
-    """Three frames in one write against a dispatcher that will not fire
-    for 600 ms: the member carrying a 10 ms deadline is answered at its
-    deadline, not when its untimed burst-mates are."""
+    """Three frames in one write against a dispatcher held shut: the
+    member carrying a 10 ms deadline is answered at its deadline, not when
+    its untimed burst-mates are."""
     store, truth = shared_store(FMT_FILTERKV)
     a, b, c = list(truth[0])[:3]
 
     async def main():
-        service = QueryService(store, batch_window_s=0.6)
+        service = GatedService(store)
         async with ServeServer(service) as server:
             async with TCPClient(server.host, server.port) as client:
                 loop = asyncio.get_running_loop()
@@ -274,9 +283,9 @@ def test_deadline_in_a_burst_is_not_held_by_a_stalled_peer():
                 assert r.status == DEADLINE_EXCEEDED
                 assert elapsed < 0.3, f"held {elapsed:.3f}s past a 10 ms deadline"
                 assert not any(t.done() for t in patient)
+                service.gate.set()
                 for key, r in zip((a, c), await asyncio.wait_for(asyncio.gather(*patient), 5)):
                     assert r.status == OK and r.value == truth[0][key]
-                assert loop.time() - t0 >= 0.5
 
     run(main())
 

@@ -264,6 +264,8 @@ MALFORMED = [
     _reply_many_body(1, _row(0, 2) + b'{"rows": {"' + b"0" * 5000 + b'": {}}}'),
     _reply_many_body(1, _row(0, 2) + b'{"rows": {"0": "detail"}}'),
     _reply_many_body(1, _row(0, 2) + b'{"rows": {"0": {"error": "closed"}}}'),  # error: an object
+    _reply_many_body(1, _row(0, 2) + b'{"rows": {"0": {"error": {"code": [1, 2]}}}}'),  # strings
+    _reply_many_body(1, _row(0, 2) + b'{"rows": {"0": {"detail": 7}}}'),
 ]
 
 

@@ -15,7 +15,7 @@ from repro.serve import (
     QueryService,
 )
 
-from .conftest import build_store, run, shared_store
+from .conftest import GatedService, build_store, run, shared_store, until
 
 
 def test_serves_every_key_byte_correct(fmt):
@@ -133,14 +133,14 @@ def test_deadline_expires_waiter_and_drops_dead_probe(fmt):
     key = next(iter(truth[0]))
 
     async def main():
-        # A batch window holds dispatch open long enough for the zero
-        # deadline to expire first — the straggler-drop path, made
-        # deterministic.
-        async with QueryService(store, batch_window_s=0.02) as svc:
+        # A shut gate holds dispatch until the zero deadline has expired —
+        # the straggler-drop path, made deterministic.
+        async with GatedService(store) as svc:
             r = await svc.get(key, deadline_s=0)
             assert r.status == DEADLINE_EXCEEDED
             # Sole waiter expired before dispatch: the probe never ran.
-            await asyncio.sleep(0.1)
+            svc.gate.set()
+            await until(lambda: svc.metrics.total("serve.batches") == 1)
             assert svc.metrics.total("serve.deadline_dropped") == 1
             assert svc.metrics.total("reader.queries") == 0
 
@@ -167,18 +167,21 @@ def test_burst_members_expire_on_their_own_deadlines():
     a, b, c = list(truth[0])[:3]
 
     async def main():
-        async with QueryService(store, batch_window_s=0.1) as svc:
-            responses = await asyncio.wait_for(
+        async with GatedService(store) as svc:
+            burst = asyncio.ensure_future(
                 svc.get_burst([(a, None, 0.02, None), (b, None, 5.0, None), (c, None, 0, None),
-                               (a, None, None, None)]),
-                5,
+                               (a, None, None, None)])
             )
+            # c expires on arrival, a at its own deadline, both while the
+            # window that answers their burst-mates is held.
+            expired = svc.metrics.histogram("serve.latency_seconds", status=DEADLINE_EXCEEDED)
+            await until(lambda: expired.count == 2)
+            assert not burst.done()
+            svc.gate.set()
+            responses = await asyncio.wait_for(burst, 5)
             assert [r.status for r in responses] == [DEADLINE_EXCEEDED, OK, DEADLINE_EXCEEDED, OK]
             assert responses[1].value == truth[0][b] and responses[3].value == truth[0][a]
-            # c expired on arrival, a at its own deadline, both before the
-            # 100 ms window answered their burst-mates.
-            expired = svc.metrics.histogram("serve.latency_seconds", status=DEADLINE_EXCEEDED)
-            assert expired.quantile(0.0) < 0.02 <= expired.quantile(1.0) < 0.1
+            assert expired.quantile(0.0) < 0.02 <= expired.quantile(1.0)
             # Its coalesced burst-mate kept a's probe alive; c had nobody.
             assert svc.metrics.total("serve.deadline_dropped") == 1
             assert svc.metrics.total("serve.coalesced") == 1
@@ -192,15 +195,15 @@ def test_cancelled_burst_leaves_no_waiter_behind():
     a, b = list(truth[0])[:2]
 
     async def main():
-        async with QueryService(store, batch_window_s=0.05) as svc:
+        async with GatedService(store) as svc:
             burst = asyncio.ensure_future(svc.get_burst([(a, None, None, None), (b, None, 1.0, None)]))
-            await asyncio.sleep(0.01)
-            assert svc._inflight == 2
+            await until(lambda: svc._inflight == 2)
             burst.cancel()
             await asyncio.gather(burst, return_exceptions=True)
             assert svc._inflight == 0
             # The window still runs: nobody waits, so both probes are dropped.
-            await asyncio.sleep(0.1)
+            svc.gate.set()
+            await until(lambda: svc.metrics.total("serve.batches") == 1)
             assert svc.metrics.total("serve.deadline_dropped") == 2
             r = await svc.get(a)
             assert r.status == OK and r.value == truth[0][a]

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.storage.compression import SnappyError, compress, compression_ratio, decompress
+from repro.storage.compression import SnappyError, compress, decompress
+
+
+def compression_ratio(data: bytes) -> float:
+    """compressed/uncompressed size ratio (1.0 = incompressible)."""
+    return len(compress(data)) / len(data) if data else 1.0
 
 
 def roundtrip(data: bytes) -> None:

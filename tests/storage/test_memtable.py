@@ -54,7 +54,7 @@ def test_spill_and_read_run():
     mt.add_many(*_kv([9, 3, 7], b"v9", b"v3", b"v7"))
     rw.spill(mt)
     assert len(mt) == 0  # spill resets
-    assert rw.total_entries == 3
+    assert sum(r.nentries for r in rw.runs) == 3
     keys, values = rw.read_run_arrays(0)
     assert keys.tolist() == [3, 7, 9]
     assert [v.tobytes() for v in values] == [b"v3", b"v7", b"v9"]
