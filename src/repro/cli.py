@@ -4,8 +4,7 @@ Commands:
 
 * ``info``     — package, module, and machine inventory;
 * ``compare``  — run all three formats on a simulated cluster and print
-  the measured network/storage/message costs (``--metrics-out FILE``
-  additionally captures every telemetry series as JSON);
+  the measured network/storage/message costs;
 * ``metrics``  — run an instrumented simulation and emit the full
   metrics registry as JSON or JSONL;
 * ``advise``   — recommend a format for a deployment (machine, job size,
@@ -23,9 +22,9 @@ Commands:
   ``--trace-out``/``--chrome-trace-out`` export the slowest span trees;
 * ``top``      — live dashboard against a running ``repro serve``:
   trailing-window QPS, per-status rates, latency quantiles, and the
-  most recent sampled request traces; ``--fleet`` renders the router
-  dashboard (per-shard breakers, staleness, aux memory) against a
-  ``repro fleet --serve`` front end;
+  most recent sampled request traces; against a ``repro fleet --serve``
+  front end it renders the router dashboard (per-shard breakers,
+  staleness, aux memory);
 * ``fleet``    — sharded serving demo (``repro.fleet``): build an
   N-shard fleet with R-way replication, drive it through the
   aux-routing router, kill a shard under load, verify byte-correct
@@ -69,19 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--records", type=int, default=10_000, help="records per rank")
     c.add_argument("--value-bytes", type=int, default=56)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="also write every telemetry series (all layers, all formats) as JSON",
-    )
-    c.add_argument(
-        "--queries",
-        type=int,
-        default=256,
-        help="point queries sampled per format for read-path metrics "
-        "(only with --metrics-out)",
-    )
     c.add_argument(
         "--aux-backend",
         default=None,
@@ -247,12 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t.add_argument("--window", type=float, default=None, help="override the stats window (s)")
     t.add_argument("--traces", type=int, default=2, help="recent traces to show per refresh")
-    t.add_argument(
-        "--fleet",
-        action="store_true",
-        help="render the fleet-router dashboard (per-shard breakers, aux "
-        "staleness, router memory) instead of the single-service one",
-    )
 
     f = sub.add_parser(
         "fleet",
@@ -294,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--serve",
         action="store_true",
         help="after ingest, mount the router behind the TCP front end and "
-        "serve until Ctrl-C (pairs with `repro top --fleet`)",
+        "serve until Ctrl-C (pairs with `repro top`)",
     )
     f.add_argument("--host", default="127.0.0.1")
     f.add_argument("--port", type=int, default=0, help="0 = let the OS pick (--serve)")
@@ -345,13 +325,13 @@ def _cmd_table1() -> str:
     return render_table(["rank", "machine", "cores", "b2 B/key", "b10 B/key"], rows)
 
 
-def _instrumented_run(fmt, ranks, records, value_bytes, seed, queries, aux_backends=None):
+def _instrumented_run(fmt, ranks, records, value_bytes, seed, queries):
     """One epoch (plus a query sample) with telemetry on.
 
-    Returns ``(registry, cluster_stats, cluster)``.  The registry holds
-    every series the run produced — pipeline, aux/filter, storage, reader —
-    including compression counters, which flow through the process-wide
-    default registry installed for the duration of the run.
+    Returns the registry: every series the run produced — pipeline,
+    aux/filter, storage, reader — including compression counters, which
+    flow through the process-wide default registry installed for the
+    duration of the run.
     """
     from .cluster.simcluster import SimCluster
     from .core.kv import random_kv_batch
@@ -365,7 +345,6 @@ def _instrumented_run(fmt, ranks, records, value_bytes, seed, queries, aux_backe
             fmt=fmt,
             value_bytes=value_bytes,
             seed=seed,
-            aux_backends=aux_backends,
             metrics=registry,
         )
         # Same generation loop as SimCluster.run_epoch (one seeded stream,
@@ -387,7 +366,6 @@ def _instrumented_run(fmt, ranks, records, value_bytes, seed, queries, aux_backe
                 cluster.put(rank, batch)
                 remaining -= n
         cluster.finish_epoch()
-        st = cluster.stats
         if queries > 0:
             engine = cluster.query_engine()
             for i in range(queries):
@@ -395,7 +373,7 @@ def _instrumented_run(fmt, ranks, records, value_bytes, seed, queries, aux_backe
                 engine.get(int(pool[(i * 37) % len(pool)]))
     finally:
         set_default_registry(prev)
-    return registry, st, cluster
+    return registry
 
 
 def _cmd_compare(args) -> str:
@@ -403,38 +381,19 @@ def _cmd_compare(args) -> str:
     from .cluster.simcluster import SimCluster
     from .core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 
-    metrics_out = getattr(args, "metrics_out", None)
-    merged = None
-    if metrics_out:
-        from .obs import MetricsRegistry
-
-        merged = MetricsRegistry("compare")
-
     filterkv_backends = _aux_backends_arg(getattr(args, "aux_backend", None))
 
     rows = []
     for fmt in (FMT_BASE, FMT_DATAPTR, FMT_FILTERKV):
         aux_backends = filterkv_backends if fmt is FMT_FILTERKV else None
-        if merged is not None:
-            registry, st, cluster = _instrumented_run(
-                fmt,
-                args.ranks,
-                args.records,
-                args.value_bytes,
-                args.seed,
-                args.queries,
-                aux_backends=aux_backends,
-            )
-            merged.merge(registry, format=fmt.name)
-        else:
-            cluster = SimCluster(
-                nranks=args.ranks,
-                fmt=fmt,
-                value_bytes=args.value_bytes,
-                seed=args.seed,
-                aux_backends=aux_backends,
-            )
-            st = cluster.run_epoch(args.records)
+        cluster = SimCluster(
+            nranks=args.ranks,
+            fmt=fmt,
+            value_bytes=args.value_bytes,
+            seed=args.seed,
+            aux_backends=aux_backends,
+        )
+        st = cluster.run_epoch(args.records)
         rows.append(
             [
                 fmt.name,
@@ -445,20 +404,12 @@ def _cmd_compare(args) -> str:
                 round(st.aux_bytes / st.records, 2) if st.aux_bytes else "-",
             ]
         )
-    out = render_table(
+    return render_table(
         ["format", "aux", "msgs", "net B/rec", "disk B/rec", "aux B/key"],
         rows,
         title=f"{args.ranks} ranks × {args.records} records × "
         f"{8 + args.value_bytes} B KV pairs",
     )
-    if merged is not None:
-        import pathlib
-
-        from .obs import registry_to_json
-
-        pathlib.Path(metrics_out).write_text(registry_to_json(merged) + "\n")
-        out += f"\nmetrics: {len(merged)} series -> {metrics_out}"
-    return out
 
 
 def _cmd_metrics(args) -> str:
@@ -469,7 +420,7 @@ def _cmd_metrics(args) -> str:
     formats = list(by_name.values()) if args.fmt == "all" else [by_name[args.fmt]]
     merged = MetricsRegistry("metrics")
     for fmt in formats:
-        registry, _, _ = _instrumented_run(
+        registry = _instrumented_run(
             fmt, args.ranks, args.records, args.value_bytes, args.seed, args.queries
         )
         merged.merge(registry, format=fmt.name)
@@ -878,7 +829,7 @@ def _cmd_fleet(args) -> int:
                 print(
                     f"fleet router serving {keys.size:,} keys on "
                     f"{server.host}:{server.port} (Ctrl-C to stop; "
-                    f"`repro top --fleet --port {server.port}` to watch)",
+                    f"`repro top --port {server.port}` to watch)",
                     flush=True,
                 )
                 await server.serve_forever()
@@ -981,8 +932,8 @@ def _cmd_fleet(args) -> int:
 
 
 def _render_fleet_top_frame(live: dict, stats: dict, where: str) -> str:
-    """One dashboard frame for ``repro top --fleet`` (pure: testable
-    without a TTY)."""
+    """One dashboard frame for ``repro top`` against a fleet router
+    (pure: testable without a TTY)."""
     lat = live.get("latency_ms", {})
     counts = live.get("counts", {})
     rates = live.get("rates_per_s", {})
@@ -997,7 +948,7 @@ def _render_fleet_top_frame(live: dict, stats: dict, where: str) -> str:
         f"  latency  p50 {lat.get('p50', 0.0):.3f}ms  p95 {lat.get('p95', 0.0):.3f}ms  "
         f"p99 {lat.get('p99', 0.0):.3f}ms  max {lat.get('max', 0.0):.3f}ms",
         f"  routing  aux {stats.get('aux_routed', 0)}  scatter {stats.get('scatter', 0)}  "
-        f"failovers {stats.get('failovers', 0)}  hedges {stats.get('hedges', 0)}  "
+        f"failovers {stats.get('failovers', 0)}  "
         f"stale {stats.get('stale_detected', 0)}  "
         f"refreshes {stats.get('aux_refreshes', 0)}",
     ]
@@ -1055,7 +1006,7 @@ def _cmd_top(args) -> int:
             while True:
                 live = await client.stats_live(window_s=args.window)
                 stats = await client.stats()
-                if args.fleet or live.get("format") == "fleet":
+                if live.get("format") == "fleet":
                     print(_render_fleet_top_frame(live, stats, where))
                 else:
                     traces = await client.traces(args.traces) if args.traces > 0 else []

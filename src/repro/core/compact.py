@@ -9,8 +9,8 @@ PAPER.md §IV bounds per-query cost *within* an epoch, not across them).
 1. **Merge.**  Each source partition table streams out through
    `SSTableReader.scan_arrays`; chunks concatenate newest-epoch-first and
    `first_occurrence` keeps exactly the record the pre-compaction walk
-   (newest epoch first, first hit wins) would have served.  FilterKV
-   winners stay on the rank that originally wrote them, and a fresh aux
+   (newest epoch first, first hit wins) would have served.  Winners stay
+   on the rank that originally wrote them, and for FilterKV a fresh aux
    table per owner partition is rebuilt from the surviving key→rank pairs
    and sealed.  Value logs are shared across epochs and are never
    rewritten — `dataptr` pointers in merged tables stay valid as-is.
@@ -144,54 +144,14 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     extents, and returns ``{"records_out", "aux_backends"}``.  Publishing
     the result — manifest swap, sweep, compaction counters — stays with
     `Compactor.publish`.
+
+    One merge serves every format.  Winners are chosen globally — first
+    occurrence in (recency desc, rank asc) order, the same precedence as
+    the pre-compaction probe walk — and written back to the rank that
+    held them: filterkv data stays on the rank that wrote it, and a
+    base/dataptr key only ever lives on its hash partition.
     """
     metrics = active(metrics)
-    if spec.fmt == "filterkv":
-        records_out, aux_backends = _merge_filterkv(spec, device, metrics)
-    else:
-        records_out, aux_backends = _merge_direct(spec, device), set()
-    return {"records_out": records_out, "aux_backends": aux_backends}
-
-
-def _merge_direct(spec: MergeSpec, device) -> int:
-    """base/dataptr: partitions are hash-assigned, so each rank's
-    merged table depends only on that rank's source tables."""
-    records_out = 0
-    for rank in range(spec.nranks):
-        if current_span() is None:
-            records_out += _merge_one_rank(spec, device, rank)
-        else:
-            with child_span("compact.merge", rank=rank):
-                records_out += _merge_one_rank(spec, device, rank)
-    return records_out
-
-
-def _merge_one_rank(spec: MergeSpec, device, rank: int) -> int:
-    key_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray] = []
-    for epoch in spec.newest_first:
-        keys, values = read_table_arrays(device, main_table_name(epoch, rank))
-        key_chunks.append(keys)
-        val_chunks.append(values)
-    keys = np.concatenate(key_chunks)
-    winners = first_occurrence(keys)
-    write_merged_table(
-        device,
-        main_table_name(spec.merged, rank),
-        keys[winners],
-        concat_values(val_chunks)[winners],
-        spec.block_size,
-    )
-    return int(winners.size)
-
-
-def _merge_filterkv(spec: MergeSpec, device, metrics) -> tuple[int, set[str]]:
-    """filterkv: data stays on the rank that wrote it, so winners are
-    chosen globally — first occurrence in (recency desc, rank asc)
-    order, the same precedence as the pre-compaction probe walk — then
-    scattered back to their source ranks and indexed by fresh aux
-    tables on the hash owners."""
-    merged = spec.merged
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
     rank_chunks: list[np.ndarray] = []
@@ -210,11 +170,14 @@ def _merge_filterkv(spec: MergeSpec, device, metrics) -> tuple[int, set[str]]:
 
     for rank in range(spec.nranks):
         sel = np.flatnonzero(wranks == rank)
+        name = main_table_name(spec.merged, rank)
         if current_span() is None:
-            _write_filterkv_rank(spec, device, rank, wkeys, wvalues, sel)
+            write_merged_table(device, name, wkeys[sel], wvalues[sel], spec.block_size)
         else:
             with child_span("compact.merge", rank=rank):
-                _write_filterkv_rank(spec, device, rank, wkeys, wvalues, sel)
+                write_merged_table(device, name, wkeys[sel], wvalues[sel], spec.block_size)
+    if spec.fmt != "filterkv":
+        return {"records_out": int(wkeys.size), "aux_backends": set()}
 
     # Fresh aux tables on the hash owners, seeded exactly as an
     # ingest-time epoch would be (store seed + epoch + rank), then
@@ -231,32 +194,15 @@ def _merge_filterkv(spec: MergeSpec, device, metrics) -> tuple[int, set[str]]:
         ((part, wkeys[sel], wranks[sel].astype(np.uint64)) for part, sel in enumerate(sels)),
         nparts=spec.nranks,
         backends=spec.aux_backends or (FORMATS[spec.fmt].aux_backend or "cuckoo",),
-        seed=spec.seed + merged,
+        seed=spec.seed + spec.merged,
         metrics=metrics,
     )
     for part, aux in enumerate(tables):
         aux.record_structure_metrics()
         blob = seal(aux_to_blob(aux))
-        with device.open(aux_table_name(merged, part), create=True) as f:
+        with device.open(aux_table_name(spec.merged, part), create=True) as f:
             f.append(blob)
-    return int(wkeys.size), {aux.backend for aux in tables}
-
-
-def _write_filterkv_rank(
-    spec: MergeSpec,
-    device,
-    rank: int,
-    wkeys: np.ndarray,
-    wvalues: np.ndarray,
-    sel: np.ndarray,
-) -> None:
-    write_merged_table(
-        device,
-        main_table_name(spec.merged, rank),
-        wkeys[sel],
-        wvalues[sel],
-        spec.block_size,
-    )
+    return {"records_out": int(wkeys.size), "aux_backends": {aux.backend for aux in tables}}
 
 
 class Compactor:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..obs import MetricsRegistry
-from ..storage.blockio import DeviceProfile, StorageDevice
+from ..storage.blockio import StorageDevice
 from ..storage.envelope import unseal
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
@@ -168,8 +168,6 @@ class MultiEpochStore:
         nranks: int,
         fmt: FormatSpec = FMT_FILTERKV,
         value_bytes: int = 56,
-        device_profile: DeviceProfile | None = None,
-        batch_bytes: int = 16384,
         block_size: int = 1 << 20,
         seed: int = 0,
         device: StorageDevice | None = None,
@@ -179,10 +177,9 @@ class MultiEpochStore:
         self.nranks = nranks
         self.fmt = fmt
         self.value_bytes = value_bytes
-        self.batch_bytes = batch_bytes
         self.block_size = block_size
         self.seed = seed
-        self.device = device if device is not None else StorageDevice(device_profile)
+        self.device = device if device is not None else StorageDevice()
         self.manifest = Manifest(fmt=fmt.name, nranks=nranks, value_bytes=value_bytes)
         # The paper's cold readers, one per live epoch (`engine`,
         # ``lookup(cached=False)``): they share nothing and re-open
@@ -325,7 +322,6 @@ class MultiEpochStore:
             nranks=self.nranks,
             fmt=self.fmt,
             value_bytes=self.value_bytes,
-            batch_bytes=self.batch_bytes,
             device=self.device,
             block_size=self.block_size,
             epoch=epoch,

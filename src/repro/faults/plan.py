@@ -119,26 +119,6 @@ class FaultPlan:
     def crash_at(self, op: int, pattern: str | None = None) -> "FaultPlan":
         return self.add(FaultSpec("crash", op=op, pattern=pattern))
 
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        max_op: int,
-        kinds: tuple[str, ...] = FAULT_KINDS,
-        nfaults: int = 1,
-        pattern: str | None = None,
-    ) -> "FaultPlan":
-        """A reproducible random plan: ``nfaults`` faults of the given
-        kinds at operation indices uniform in ``[0, max_op)``."""
-        if max_op <= 0:
-            raise ValueError("max_op must be positive")
-        rng = np.random.default_rng(seed)
-        plan = cls(seed=seed)
-        for _ in range(nfaults):
-            kind = kinds[int(rng.integers(len(kinds)))]
-            plan.add(FaultSpec(kind, op=int(rng.integers(max_op)), pattern=pattern))
-        return plan
-
     # -- firing ------------------------------------------------------------
 
     def take(self, op_index: int, name: str, op_type: str) -> FaultSpec | None:

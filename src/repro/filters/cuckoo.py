@@ -415,27 +415,6 @@ class PartialKeyCuckooTable:
         """Sorted distinct candidate values for one key."""
         return np.asarray(self.candidate_values_scalar(key), dtype=np.uint32)
 
-    def delete(self, key: int) -> bool:
-        """Remove one entry matching the key's fingerprint, if present."""
-        keys = np.asarray([key], dtype=np.uint64)
-        fp = self._fingerprints(keys)[0]
-        b1 = int(self._primary_buckets(keys)[0])
-        b2 = int(self._alt_buckets(np.asarray([b1]), np.asarray([fp]))[0])
-        for b in dict.fromkeys((b1, b2)):
-            row = self._fps[b]
-            hits = np.nonzero(row == fp)[0]
-            if hits.size:
-                slot = int(hits[0])
-                last = int(self._occ[b]) - 1
-                self._fps[b, slot] = self._fps[b, last]
-                self._vals[b, slot] = self._vals[b, last]
-                self._fps[b, last] = _EMPTY
-                self._vals[b, last] = 0
-                self._occ[b] = last
-                self._nkeys -= 1
-                return True
-        return False
-
     # -- accounting -------------------------------------------------------
 
     def __len__(self) -> int:

@@ -26,10 +26,10 @@ letting it send each query to the shard most likely to answer it:
   refresh re-pulls `aux_state`.  Commit and compaction generation bumps
   are both visible in the token, so either triggers the refresh.
 * **Failover** — per-shard circuit breaker (consecutive typed failures
-  open it; a cooldown half-opens it), bounded retry-with-backoff on
-  retryable errors and transport faults, and a hedged second probe when
-  a deadline-carrying request's first shard sits on the deadline.  A
-  crashed shard's errors open its breaker within a few requests, after
+  open it; a cooldown half-opens it) and bounded retry-with-backoff on
+  retryable errors and transport faults.  A request's deadline rides to
+  the shard, which answers ``deadline_exceeded`` itself.  A crashed
+  shard's errors open its breaker within a few requests, after
   which its replicas serve every key it owned — replica promotion is
   emergent from breaker + candidate ordering, no leader election needed.
 
@@ -57,8 +57,14 @@ from ..core.auxtable import aux_from_blob
 from ..core.partitioning import HashPartitioner
 from ..obs import MetricsRegistry, TimeseriesHub
 from ..serve import ERROR, NOT_FOUND, OK, ServeResponse
-from ..serve.proto import ERR_CLOSED, ERR_INTERNAL, ERR_UNKNOWN_EPOCH, ProtocolError
-from ..serve.service import DEADLINE_EXCEEDED, OVERLOADED, STATUSES
+from ..serve.proto import (
+    ERR_BAD_REQUEST,
+    ERR_CLOSED,
+    ERR_INTERNAL,
+    ERR_UNKNOWN_EPOCH,
+    ProtocolError,
+)
+from ..serve.service import DEADLINE_EXCEEDED, OVERLOADED, STATUSES, checked_request
 from ..storage.envelope import unseal
 from .ring import HashRing
 
@@ -203,10 +209,6 @@ class FleetRouter:
     retries / backoff_s:
         Per-shard attempts on transport faults and retryable errors, with
         exponential backoff between attempts.
-    hedge_fraction:
-        With a request deadline, if the first shard hasn't answered after
-        this fraction of it, a hedge fires to the next candidate and the
-        first terminal answer wins.  0 disables hedging.
     breaker_cooldown_s:
         How long a per-shard `CircuitBreaker` stays open once tripped.
     """
@@ -218,7 +220,6 @@ class FleetRouter:
         rf: int = 2,
         retries: int = 1,
         backoff_s: float = 0.005,
-        hedge_fraction: float = 0.5,
         breaker_cooldown_s: float = 0.25,
         metrics: MetricsRegistry | None = None,
         stats_window_s: float = 10.0,
@@ -228,7 +229,6 @@ class FleetRouter:
         self.rf = max(1, int(rf))
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
-        self.hedge_fraction = hedge_fraction
         self.views: dict[int, ShardAuxView] = {}
         self.breakers = {
             sid: CircuitBreaker(cooldown_s=breaker_cooldown_s)
@@ -251,7 +251,6 @@ class FleetRouter:
         self._m_scatter = m.counter("fleet.router.scatter")
         self._m_failovers = m.counter("fleet.router.failovers")
         self._m_retries = m.counter("fleet.router.retries")
-        self._m_hedges = m.counter("fleet.router.hedges")
         self._m_stale = m.counter("fleet.router.stale_detected")
         self._m_refreshes = m.counter("fleet.router.aux_refreshes")
         self._m_breaker_skips = m.counter("fleet.router.breaker_skips")
@@ -363,29 +362,43 @@ class FleetRouter:
         """Answer every ``(key, epoch, deadline_s, trace)`` request of one
         read burst, in request order.
 
-        Every key is planned (the burst's ring owners in one
-        `HashRing.owners_many`) and walked by `_walk`, all walks under one
-        ``gather``.  The walks' hops to one shard leave in the same loop
+        A request `checked_request` refuses is answered ``bad_request``
+        inline.  Every other key is planned (the burst's ring owners in
+        one `HashRing.owners_many`) and walked by `_walk`, all walks under
+        one ``gather``.  The walks' hops to one shard leave in the same loop
         turn, so the shard's client packs them into one ``GET_MANY``
         frame per run.
         """
         t0 = time.perf_counter()
-        if self._closed:
-            closed = dict(detail="router closed", code="closed")
-            return [
-                self._done(t0, ServeResponse(ERROR, int(r[0]), r[1], **closed)) for r in requests
-            ]
-        keys = [int(r[0]) for r in requests]
+        out: list[ServeResponse | None] = [None] * len(requests)
+        slots, keys, admitted = [], [], []
+        for i, (key, epoch, deadline_s, trace) in enumerate(requests):
+            try:
+                key, epoch = checked_request(key, epoch)
+            except ValueError as e:
+                response = ServeResponse(ERROR, key, epoch, detail=str(e), code=ERR_BAD_REQUEST)
+            else:
+                if not self._closed:
+                    slots.append(i)
+                    keys.append(key)
+                    admitted.append((key, epoch, deadline_s, trace))
+                    continue
+                response = ServeResponse(ERROR, key, epoch, detail="router closed", code=ERR_CLOSED)
+            out[i] = self._done(t0, response)
+        if not admitted:
+            return out
         owners = self.ring.owners_many(np.asarray(keys, dtype=np.uint64), self.rf).tolist()
         walks = []
-        for key, shards, (_, epoch, deadline_s, trace) in zip(keys, owners, requests):
+        for (key, epoch, deadline_s, trace), shards in zip(admitted, owners):
             order, used_aux = self.plan(key, epoch, shards)
             (self._m_aux_routed if used_aux else self._m_scatter).inc()
             walks.append(self._walk(order, key, epoch, deadline_s, trace))
         # Always as tasks, even a lone one: every burst's frames then leave
         # on the same loop turn, and bursts that arrive together stay
         # together at the shards (their dispatch windows depend on it).
-        return [self._done(t0, r) for r in await asyncio.gather(*walks)]
+        for i, response in zip(slots, await asyncio.gather(*walks)):
+            out[i] = self._done(t0, response)
+        return out
 
     def _done(self, t0: float, response: ServeResponse) -> ServeResponse:
         dt = time.perf_counter() - t0
@@ -395,22 +408,11 @@ class FleetRouter:
         return response
 
     async def _walk(self, order: list[int], key: int, epoch, deadline_s, trace) -> ServeResponse:
-        """Try candidates in order; hedge the first hop under deadline
-        pressure.  Returns the first terminal answer, or the first
-        non-terminal one when every candidate fails."""
-        start, fallback = 0, None
-        breaker = self.breakers.get(order[0])
-        if (
-            deadline_s is not None
-            and self.hedge_fraction > 0
-            and len(order) > 1
-            and (breaker is None or breaker.allow())
-        ):
-            final, response = await self._hedged_first_hop(order, key, epoch, deadline_s, trace)
-            if final:
-                return response
-            start, fallback = 2, response  # both hedge legs are spent
-        for i, sid in enumerate(order[start:], start=start):
+        """Try candidates in plan order, each through `_try_shard`.
+        Returns the first terminal answer, or the first non-terminal one
+        when every candidate fails."""
+        fallback = None
+        for i, sid in enumerate(order):
             if i > 0:
                 self._m_failovers.inc()
             final, response = await self._try_shard(sid, key, epoch, deadline_s, trace)
@@ -423,52 +425,6 @@ class FleetRouter:
         return ServeResponse(
             ERROR, key, epoch, detail=f"no shard available (tried {order})", code=ERR_INTERNAL
         )
-
-    async def _hedged_first_hop(
-        self, order: list[int], key: int, epoch, deadline_s, trace
-    ) -> tuple[bool, ServeResponse | None]:
-        """Primary attempt with a hedge to the next candidate if the
-        primary sits on ``hedge_fraction`` of the deadline.  First
-        terminal answer wins; the loser is cancelled."""
-        loop = asyncio.get_running_loop()
-        first = loop.create_task(
-            self._try_shard(order[0], key, epoch, deadline_s, trace)
-        )
-        done, _ = await asyncio.wait(
-            {first}, timeout=max(0.0, deadline_s * self.hedge_fraction)
-        )
-        if done:
-            final, response = first.result()
-            if final:
-                return True, response
-            # Primary definitively failed/deferred: the caller continues
-            # down the order, starting past the would-be hedge target —
-            # try it now, synchronously, as the second leg.
-            final, response2 = await self._try_shard(
-                order[1], key, epoch, deadline_s, trace
-            )
-            return (True, response2) if final else (False, response or response2)
-        self._m_hedges.inc()
-        second = loop.create_task(
-            self._try_shard(order[1], key, epoch, deadline_s, trace)
-        )
-        pending = {first, second}
-        fallback: ServeResponse | None = None
-        while pending:
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                final, response = task.result()
-                if final:
-                    for p in pending:
-                        p.cancel()
-                    if pending:
-                        await asyncio.gather(*pending, return_exceptions=True)
-                    return True, response
-                if response is not None and fallback is None:
-                    fallback = response
-        return False, fallback
 
     async def _try_shard(
         self, sid: int, key: int, epoch, deadline_s, trace
@@ -596,7 +552,6 @@ class FleetRouter:
             "scatter": int(m.total("fleet.router.scatter")),
             "failovers": int(m.total("fleet.router.failovers")),
             "retries": int(m.total("fleet.router.retries")),
-            "hedges": int(m.total("fleet.router.hedges")),
             "stale_detected": int(m.total("fleet.router.stale_detected")),
             "aux_refreshes": int(m.total("fleet.router.aux_refreshes")),
             "breaker_skips": int(m.total("fleet.router.breaker_skips")),
@@ -609,7 +564,7 @@ class FleetRouter:
 
     def live_stats(self, window_s: float | None = None) -> dict:
         """Trailing-window fleet view: the router's own request stream
-        plus each shard's breaker/view state — the ``repro top --fleet``
+        plus each shard's breaker/view state — the fleet ``repro top``
         payload."""
         out = self.timeseries.snapshot(window_s=window_s)
         out["format"] = "fleet"

@@ -1,8 +1,8 @@
 """Machine-readable views of a `MetricsRegistry`: JSON and JSONL.
 
-One schema everywhere — the ``repro metrics`` CLI, ``compare
---metrics-out``, and the benchmark ``--json`` mode all serialize through
-these helpers, so downstream tooling parses a single shape:
+One schema everywhere — the ``repro metrics`` CLI and the benchmark
+``--json`` mode both serialize through these helpers, so downstream
+tooling parses a single shape:
 
 * **JSON document** — ``{"schema": "repro.metrics/v1", "name": ...,
   "metrics": [<series>, ...]}`` with one entry per labeled series.

@@ -140,17 +140,6 @@ class Histogram:
     def quantiles(self, qs=(0.5, 0.9, 0.95, 0.99)) -> dict[float, float]:
         return {q: self.quantile(q) for q in qs}
 
-    def summary(self) -> dict:
-        """The quantile summary snapshots and bench artifacts embed."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.quantile(0.5),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-            "max": self.max,
-        }
-
     def _merge(self, other: "Histogram") -> None:
         self._values.extend(other._values)
 

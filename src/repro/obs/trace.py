@@ -389,10 +389,6 @@ class TraceCollector:
                 break
         return [self.trace(t) for t in seen]
 
-    def drain(self) -> list[SpanRecord]:
-        out, self._spans = self._spans, []
-        return out
-
 
 def current_span() -> ActiveSpan | None:
     """The span the running task is inside, if any."""

@@ -135,18 +135,6 @@ class LoadReport:
             "slow_traces": list(self.slow_traces),
         }
 
-    def summary(self) -> str:
-        lat = self.latency_ms
-        out = (
-            f"{self.mode}/{self.distribution}: {self.requests} reqs in {self.wall_s:.2f}s "
-            f"({self.qps:,.0f} qps), p50={lat['p50']:.3f}ms p99={lat['p99']:.3f}ms "
-            f"(queue p95={self.queue_ms.get('p95', 0.0):.3f}ms), "
-            f"shed={self.shed}, incorrect={self.incorrect}/{self.checked}"
-        )
-        if self.traced:
-            out += f", traced={self.traced}"
-        return out
-
 
 def _quantiles_ms(values_s: list[float]) -> dict:
     ms = np.asarray(values_s, dtype=np.float64) * 1e3 if values_s else np.zeros(1)

@@ -92,7 +92,7 @@ import zlib
 from dataclasses import replace
 
 from ..obs import TraceContext
-from .service import ERROR, STATUSES, QueryService, ServeResponse
+from .service import ERROR, STATUSES, QueryService, ServeResponse, checked_request
 
 __all__ = [
     "ServeServer",
@@ -439,10 +439,9 @@ def _responses(reply: dict, keys: list[int]) -> list[ServeResponse]:
 def _read_members(request: dict) -> list[tuple]:
     """The ``get_burst`` members, ``(key, epoch, deadline_s, trace)``, of
     one ``get_many`` request.  Raises KeyError, TypeError or ValueError
-    for a request whose fields mean nothing."""
+    for a request whose fields mean nothing; one key or epoch that
+    `checked_request` refuses refuses the request."""
     epoch, deadline = request.get("epoch"), request.get("deadline_s")
-    if epoch is not None:
-        epoch = int(epoch)
     if deadline is not None:
         deadline = float(deadline)
         if deadline != deadline:
@@ -453,9 +452,7 @@ def _read_members(request: dict) -> list[tuple]:
     trace = request.get("trace")
     members = []
     for key in keys:
-        key = int(key)
-        if not 0 <= key <= _U64_MAX:
-            raise ValueError(f"key {key} is no u64")
+        key, epoch = checked_request(key, epoch)
         members.append((key, epoch, deadline, trace))
     return members
 

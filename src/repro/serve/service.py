@@ -38,6 +38,7 @@ inside the dispatcher task, so no locks guard the caches or the mount.
 from __future__ import annotations
 
 import asyncio
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -69,6 +70,7 @@ __all__ = [
     "OVERLOADED",
     "DEADLINE_EXCEEDED",
     "ERROR",
+    "checked_request",
 ]
 
 # Sentinel epoch for "the newest value anywhere": the request walks live
@@ -94,6 +96,27 @@ STATUSES = (OK, NOT_FOUND, OVERLOADED, DEADLINE_EXCEEDED, ERROR)
 _TRACE_PREFIXES = ("serve.", "reader.", "aux.", "sstable.", "vlog.")
 
 _UNSEEN = object()  # `get_burst`: an epoch this burst has not resolved yet
+
+_KEY_END = 1 << 64
+
+
+def checked_request(key, epoch) -> tuple[int, int | None]:
+    """``(key, epoch)`` as ints, or a ValueError saying why they are no
+    read request: a key is an int in ``[0, 2^64)``, an epoch None or an
+    int.  The one rule `QueryService.get_burst`, `FleetRouter.get_burst`
+    and the wire's ``get_many`` admit reads by."""
+    try:
+        key = operator.index(key)
+    except TypeError:
+        raise ValueError(f"key {key!r} is not an int") from None
+    if not 0 <= key < _KEY_END:
+        raise ValueError(f"key {key} is no u64")
+    if epoch is not None:
+        try:
+            epoch = operator.index(epoch)
+        except TypeError:
+            raise ValueError(f"epoch {epoch!r} is not an int") from None
+    return key, epoch
 
 
 @dataclass(frozen=True)
@@ -384,8 +407,8 @@ class QueryService:
         epoch, deadline_s, trace)`` tuples, each meaning what the same
         arguments mean to `get`; the responses come back in request order.
 
-        Refusals, unknown epochs and result-cache hits are answered
-        inline.  Every miss is admitted, shed or coalesced exactly as a
+        Malformed requests (`checked_request`: ``bad_request``), refusals,
+        unknown epochs and result-cache hits are answered inline.  Every miss is admitted, shed or coalesced exactly as a
         lone `get` would be, in request order, and stays its own `_Pending`
         on the dispatch queue, so ``max_batch``, the watermarks and the
         windows mean what they always meant.  The burst then awaits one
@@ -403,7 +426,13 @@ class QueryService:
             self._check_generation()
         tokens: dict = {}  # epoch -> resolved token (or its LookupError), per burst
         for i, (key, epoch, deadline_s, trace) in enumerate(requests):
-            key = int(key)
+            try:
+                key, epoch = checked_request(key, epoch)
+            except ValueError as e:
+                out[i] = self._done(
+                    t0, ServeResponse(ERROR, key, epoch, detail=str(e), code="bad_request")
+                )
+                continue
             # Fast path: no propagated context and a tracer that never
             # samples means no request here can be traced — skip the
             # helper entirely (it costs a wire-context parse per call).

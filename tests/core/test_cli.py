@@ -46,18 +46,12 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_compare_metrics_out(tmp_path, capsys):
+def test_metrics_command_out_file(tmp_path, capsys):
     import json
 
     out = tmp_path / "m.json"
-    main(
-        [
-            "compare", "--ranks", "4", "--records", "400",
-            "--queries", "32", "--metrics-out", str(out),
-        ]
-    )
-    stdout = capsys.readouterr().out
-    assert "filterkv" in stdout  # the human table is unchanged
+    main(["metrics", "--ranks", "4", "--records", "400", "--queries", "32", "--out", str(out)])
+    assert capsys.readouterr().out.startswith("metrics: ")
     doc = json.loads(out.read_text())
     assert doc["schema"] == "repro.metrics/v1"
     names = {m["name"] for m in doc["metrics"]}

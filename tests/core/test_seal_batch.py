@@ -16,13 +16,15 @@ table that retries beside tables that do not.
 The property has a fast entry for tier-1 and a ``_full`` twin under
 ``-m slow`` for the CI ``aux-tournament`` job.  The last test pins the
 bytes of every extent of a compacting 16-rank store, as the per-table
-build wrote them.
+build wrote them, and the compacted extents of a small store of each
+format.
 """
 
 import hashlib
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from repro.apps.vpic import PARTICLE_VALUE_BYTES, VPICSimulation
@@ -35,7 +37,8 @@ from repro.core.auxtable import (
     rank_bits,
 )
 from repro.core.compact import CompactionPolicy
-from repro.core.formats import FMT_FILTERKV
+from repro.core.formats import FMT_FILTERKV, FORMATS
+from repro.core.kv import KVBatch
 from repro.core.multiepoch import MultiEpochStore
 from repro.filters.csf import XorMaplet
 from repro.obs import MetricsRegistry
@@ -145,9 +148,44 @@ def test_store_extents_equal_the_per_table_build():
         sim.step(1)
         store.write_epoch(sim.dump())
     assert store.compactions == 3
+    assert _extents_sha256(store) == "f5c8a65c6041aa74073a255ff0cc42df894292f8e5128f6cb5ebd87a220a4e51"
+
+
+def _extents_sha256(store) -> str:
+    """sha256 over every extent of ``store``'s device, name and bytes."""
     digest = hashlib.sha256()
     for name in store.device.list_files():
         with store.device.open(name) as f:
             digest.update(name.encode())
             digest.update(f.read(0, f.size))
-    assert digest.hexdigest() == "f5c8a65c6041aa74073a255ff0cc42df894292f8e5128f6cb5ebd87a220a4e51"
+    return digest.hexdigest()
+
+
+COMPACTED = {
+    "base": "3aa495716d7a724f6a899683c3cd48ac1ffb77ee9c7c21a07ae8214715152c97",
+    "dataptr": "5494b716b7d9b76bb557d37550e1546e21e3ee01b374d6a24faab23f82f2a37f",
+    "filterkv": "7a4fd3096dae36c49d9d3e4c8daf2f3349a821e2422ac80f7b75a50c1a2d809e",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(COMPACTED))
+def test_compacted_extents_are_pinned(fmt):
+    """Every extent and manifest byte of a 4-rank, 5-epoch store whose
+    200 keys per rank are rewritten each epoch (by the next rank over, so
+    a key's newest copy moves between ranks), after a middle window is
+    compacted and then everything: the merge keeps the newest copy of
+    each key on the rank that wrote it, in every format."""
+    nranks, per_rank = 4, 200
+    rng = np.random.default_rng(11)
+    blocks = rng.choice(1 << 40, size=(nranks, per_rank), replace=False).astype(np.uint64)
+    store = MultiEpochStore(nranks=nranks, fmt=FORMATS[fmt], value_bytes=24, seed=5)
+    for epoch in range(5):
+        store.write_epoch([
+            KVBatch(blocks[(rank + epoch) % nranks],
+                    rng.integers(0, 256, size=(per_rank, 24), dtype=np.uint8))
+            for rank in range(nranks)
+        ])
+    store.compact(store.epochs[1:4])
+    store.compact()
+    assert len(store.epochs) == 1
+    assert _extents_sha256(store) == COMPACTED[fmt]

@@ -67,14 +67,6 @@ class TestPartialKeyCuckooTable:
                 placed += 1
         assert placed == len(t) == 2
 
-    def test_delete(self):
-        t = PartialKeyCuckooTable(64, fp_bits=16, value_bits=8)
-        t.insert(99, 3)
-        assert t.delete(99)
-        assert t.candidate_values(99).size == 0
-        assert not t.delete(99)
-        assert len(t) == 0
-
     def test_lookup_many_shape(self):
         t = PartialKeyCuckooTable(32, fp_bits=4, value_bits=8, slots_per_bucket=4)
         vals, match = t.lookup_many(_rand_keys(10))

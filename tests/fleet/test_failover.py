@@ -1,4 +1,4 @@
-"""Failover: replica promotion, recovery, hedging, TCP parity.
+"""Failover: replica promotion, recovery, deadlines, TCP parity.
 
 Crash semantics come from ``repro.faults``: a crashed shard's device
 fails every probe, its service answers typed errors, and the router's
@@ -9,11 +9,14 @@ no leader election — while every answer stays byte-correct.  The
 
 import asyncio
 import os
+import time
 
 import pytest
 
 from repro.fleet import FleetRouter, HashRing
-from repro.serve import ANY_EPOCH, OK, ServeResponse
+from repro.serve import ANY_EPOCH, DEADLINE_EXCEEDED, OK, ServeResponse
+
+from ..serve.conftest import GatedService
 
 from .conftest import TINY_CACHES, absent_keys, build_fleet, run
 
@@ -99,36 +102,32 @@ def test_crash_with_rf1_loses_availability_not_correctness():
     run(go())
 
 
-class SlowClient:
-    """Delays every get — a shard that is alive but sitting on the
-    deadline, which is what hedging exists for."""
-
-    def __init__(self, inner, delay_s):
-        self._inner = inner
-        self._delay_s = delay_s
-
-    async def get(self, *args, **kwargs):
-        await asyncio.sleep(self._delay_s)
-        return await self._inner.get(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def test_hedged_read_beats_slow_primary():
-    fleet, dumps, truth = build_fleet(
-        nshards=2, rf=2, epochs=1, seed=23, router_kwargs=dict(hedge_fraction=0.1)
-    )
+def test_deadline_read_waits_on_a_slow_primary_alone():
+    """A routed read carries its deadline to the shard: a primary that
+    sits on it answers its own ``deadline_exceeded`` within the deadline
+    plus scheduling slack, and the walk stops there — the replica is not
+    asked."""
+    fleet, dumps, truth = build_fleet(nshards=2, rf=2, epochs=1, seed=23)
+    key = next(iter(sorted(truth)))
+    primary, replica = fleet.ring.owners(key, fleet.rf)
+    deadline_s = 0.2
 
     async def go():
+        # The primary's dispatcher waits for a gate nobody opens, so the
+        # key's probe stays queued until its deadline timer answers it.
+        fleet.shards[primary].service = GatedService(fleet.shards[primary].store)
         async with fleet:
             router = fleet.router
-            key = next(iter(sorted(truth)))
-            primary = fleet.ring.owners(key, fleet.rf)[0]
-            fleet.clients[primary] = SlowClient(fleet.clients[primary], 0.5)
-            r = await router.get(key, epoch=ANY_EPOCH, deadline_s=1.0)
-            assert r.status == OK and r.value == truth[key]
-            assert router.stats()["hedges"] >= 1
+            assert router.plan(key, ANY_EPOCH)[0][0] == primary
+            t0 = time.perf_counter()
+            r = await router.get(key, epoch=ANY_EPOCH, deadline_s=deadline_s)
+            elapsed = time.perf_counter() - t0
+            assert r.status == DEADLINE_EXCEEDED, r
+            assert deadline_s <= elapsed < deadline_s + 0.5
+            st = router.stats()
+            assert st["failovers"] == 0 and st["retries"] == 0
+            assert sum(fleet.shards[replica].service.stats()["requests"].values()) == 0
+            assert fleet.shards[primary].service.stats()["requests"][DEADLINE_EXCEEDED] == 1
 
     run(go())
 

@@ -16,7 +16,15 @@ import pytest
 from repro.core.auxtable import AUX_BACKENDS
 from repro.core.kv import random_kv_batch
 from repro.fleet import CircuitBreaker
-from repro.serve import ANY_EPOCH, NOT_FOUND, OK, OVERLOADED, ServeResponse
+from repro.serve import (
+    ANY_EPOCH,
+    ERR_BAD_REQUEST,
+    ERROR,
+    NOT_FOUND,
+    OK,
+    OVERLOADED,
+    ServeResponse,
+)
 
 from .conftest import VB, absent_keys, build_fleet, make_dumps, merged_store, run
 
@@ -148,7 +156,7 @@ class _Overloaded:
         return getattr(self._inner, name)
 
 
-ROUTER_COUNTERS = ("aux_routed", "scatter", "failovers", "retries", "breaker_skips", "hedges",
+ROUTER_COUNTERS = ("aux_routed", "scatter", "failovers", "retries", "breaker_skips",
                    "requests", "stale_detected")
 
 
@@ -247,6 +255,38 @@ def test_burst_reaches_each_shard_as_one_get_many_per_run():
                 if epoch == ANY_EPOCH:
                     want = (OK, truth[key]) if key in truth else (NOT_FOUND, None)
                     assert (r.status, r.value) == want
+
+    run(go())
+
+
+@pytest.mark.parametrize(
+    "key, epoch", [(-1, None), (1 << 64, None), (3, "0")], ids=["negative", "past-u64", "str-epoch"]
+)
+def test_malformed_request_is_refused_at_the_router(key, epoch):
+    """A burst holding one key that is no u64 (or an epoch that is no int)
+    answers it ``bad_request`` without asking a shard, and routes its good
+    keys as usual: no exception out of `get_burst`, no retry, no breaker
+    fed a fault."""
+    fleet, dumps, truth = build_fleet(nshards=3, rf=2, epochs=1, seed=53)
+    good = sorted(truth)[:5]
+
+    async def go():
+        async with fleet:
+            router = fleet.router
+            requests = [(k, ANY_EPOCH, None, None) for k in good]
+            requests.insert(3, (key, epoch, None, None))
+            responses = await router.get_burst(requests)
+            bad = responses.pop(3)
+            assert (bad.status, bad.code) == (ERROR, ERR_BAD_REQUEST), bad
+            assert [(r.status, r.value) for r in responses] == [(OK, truth[k]) for k in good]
+            st = router.stats()
+            assert st["retries"] == st["failovers"] == 0
+            assert st["requests"][ERROR] == 1
+            assert set(st["breakers"].values()) == {"closed"}
+            asked = sum(
+                sum(node.service.stats()["requests"].values()) for node in fleet.shards.values()
+            )
+            assert asked == len(good)
 
     run(go())
 

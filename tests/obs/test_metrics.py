@@ -126,12 +126,11 @@ def test_histogram_summary_quantiles():
     h = reg.histogram("lat")
     for v in range(1, 101):
         h.observe(float(v))
-    s = h.summary()
-    assert s["count"] == 100
-    assert s["p50"] == pytest.approx(50.5)
-    assert s["p95"] == pytest.approx(95.05)
-    assert s["p99"] == pytest.approx(99.01)
-    assert s["max"] == 100.0
+    assert h.count == 100
+    assert h.quantile(0.5) == pytest.approx(50.5)
+    assert h.quantile(0.95) == pytest.approx(95.05)
+    assert h.quantile(0.99) == pytest.approx(99.01)
+    assert h.max == 100.0
 
 
 def test_rollup_pools_histogram_observations_for_quantiles():
@@ -140,5 +139,5 @@ def test_rollup_pools_histogram_observations_for_quantiles():
     reg.histogram("lat", rank=1).observe(3.0)
     pooled = reg.rollup("rank").histogram("lat")
     assert pooled.count == 2
-    assert pooled.summary()["p50"] == pytest.approx(2.0)
-    assert pooled.summary()["p95"] == pytest.approx(2.9)
+    assert pooled.quantile(0.5) == pytest.approx(2.0)
+    assert pooled.quantile(0.95) == pytest.approx(2.9)

@@ -78,7 +78,7 @@ def test_closed_loop_reports_correctness(fmt):
             d = report.to_dict()
             assert d["latency_ms"]["p99"] >= d["latency_ms"]["p50"]
             assert "qps" in d and "statuses" in d
-            assert "closed/zipfian" in report.summary()
+            assert (d["mode"], d["distribution"]) == ("closed", "zipfian")
 
     run(main())
 
@@ -210,8 +210,8 @@ def test_report_carries_queue_and_p95_fields(fmt):
     rep = run(main())
     d = rep.to_dict()
     assert "p95" in d["latency_ms"] and "queue_ms" in d
+    assert "p95" in d["queue_ms"]
     assert d["traced"] == 0 and d["slow_traces"] == []
-    assert "queue p95=" in rep.summary()
 
 
 def test_trace_sampling_stitches_server_tree(fmt):
@@ -244,7 +244,6 @@ def test_trace_sampling_stitches_server_tree(fmt):
         serve_root = next(s for s in tree if s["name"] == "serve.get")
         assert serve_root["parent_id"] == client_root["span_id"]
         assert serve_root["trace_id"] == client_root["trace_id"]
-        assert "traced=120" in rep.summary()
 
 
 def test_trace_rate_zero_works_with_clients_lacking_trace_support():

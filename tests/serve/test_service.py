@@ -230,6 +230,31 @@ def test_unknown_epoch_and_empty_store():
     run(main())
 
 
+@pytest.mark.parametrize(
+    "key, epoch",
+    [(-1, None), (1 << 64, None), ("7", None), (7.0, None), (7, 0.5), (7, "0")],
+    ids=["negative", "past-u64", "str-key", "float-key", "float-epoch", "str-epoch"],
+)
+def test_malformed_request_is_refused_alone(key, epoch):
+    """One key that is not an int in [0, 2^64), or an epoch that is not an
+    int, is answered ``bad_request`` inline; the good keys of its burst
+    share a dispatch window and are answered as if it were not there."""
+    store, truth = shared_store(FMT_FILTERKV)
+    good = sorted(truth[0])[:5]
+
+    async def main():
+        async with QueryService(store) as svc:
+            requests = [(k, None, None, None) for k in good]
+            requests.insert(2, (key, epoch, None, None))
+            responses = await svc.get_burst(requests)
+            bad = responses.pop(2)
+            assert (bad.status, bad.code) == (ERROR, "bad_request"), bad
+            assert [(r.status, r.value) for r in responses] == [(OK, truth[0][k]) for k in good]
+            assert svc.metrics.total("serve.batches") == 1
+
+    run(main())
+
+
 def test_closed_service_refuses():
     store, truth = shared_store(FMT_FILTERKV)
     key = next(iter(truth[0]))
