@@ -42,12 +42,7 @@ id-tagged dict — ``{"id": 8, "v": 4, "op": "get_many", "keys": [1, 2],
 carrying the frame's state token — and `encode_frame` / `read_frame` alone
 know how it is laid out.
 
-Why CRC-32 when extents at rest keep `repro.storage.envelope.seal`:
-`seal`'s checksum is a vectorised NumPy pass sized for 256 KB blocks; on a
-250 B message its fixed cost is 29 µs against 0.45 µs for `zlib.crc32`,
-and four of them were a third of a served request.  The sealed aux blobs
-``aux_state`` ships are untouched: they cross the wire *inside* a
-CRC-checked frame and the router still ``unseal``s each one.
+One checksum everywhere: frames, like every extent at rest, carry a `zlib.crc32`.
 
 Bursts start at the client.  `TCPClient.get` sends no frame of its own:
 an untraced call joins the loop turn's pending *run* — the maximal

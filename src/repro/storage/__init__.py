@@ -9,8 +9,15 @@ Exports:
 """
 
 from .blockio import DeviceProfile, ExtentLostError, IOCounters, StorageDevice, StorageFile
-from .checksum import CHECKSUM_BYTES, fastsum64, fastsum64_rows
-from .envelope import SEAL_OVERHEAD_BYTES, SealError, seal, try_unseal, unseal
+from .checksum import CHECKSUM_BYTES
+from .envelope import (
+    SEAL_OVERHEAD_BYTES,
+    SealError,
+    UnsupportedLayoutError,
+    seal,
+    try_unseal,
+    unseal,
+)
 from .manifest import MANIFEST_NAME, MANIFEST_PREFIX, EpochInfo, Manifest, RecoveryReport
 from .compression import SnappyError, compress, decompress
 from .log import POINTER_BYTES, DataPointer, ValueLog
@@ -31,6 +38,7 @@ __all__ = [
     "StorageFile",
     "SEAL_OVERHEAD_BYTES",
     "SealError",
+    "UnsupportedLayoutError",
     "seal",
     "try_unseal",
     "unseal",
@@ -48,8 +56,6 @@ __all__ = [
     "FOOTER_BYTES",
     "CorruptBlockError",
     "CHECKSUM_BYTES",
-    "fastsum64",
-    "fastsum64_rows",
     "MANIFEST_NAME",
     "EpochInfo",
     "Manifest",

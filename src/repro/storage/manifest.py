@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from ..obs import MetricsRegistry, active
 from .blockio import StorageDevice
-from .envelope import seal, try_unseal
+from .envelope import UnsupportedLayoutError, seal, try_unseal
 
 __all__ = ["EpochInfo", "Manifest", "RecoveryReport", "MANIFEST_NAME", "MANIFEST_PREFIX"]
 
@@ -290,6 +290,10 @@ class Manifest:
         * extents no surviving epoch references (partial output of the
           interrupted epoch, spill runs, stale manifests) are swept.
 
+        A manifest or extent in a layout this reader refuses by name raises
+        `UnsupportedLayoutError` before anything is quarantined, committed
+        or swept: such a store is intact, only not this version's.
+
         Returns ``(manifest-or-None, report)``; the repaired manifest is
         re-committed when quarantining changed it.
         """
@@ -355,6 +359,8 @@ def _validate_epoch(device: StorageDevice, info: EpochInfo, deep: bool) -> str |
                     payload = try_unseal(f.read(0, f.size))
                 if payload is None:
                     return f"aux extent {name!r} torn or corrupt"
+        except UnsupportedLayoutError:
+            raise  # intact, only not this version's: never quarantine it
         except ValueError as e:  # bad magic, checksum mismatch, truncation
             return f"extent {name!r} unreadable: {e}"
     return None

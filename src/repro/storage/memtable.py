@@ -18,13 +18,13 @@ merges runs as one stable array sort.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..obs import MetricsRegistry, active
 from .blockio import StorageDevice
-from .checksum import fastsum64
 from .sstable import CorruptBlockError, SSTableWriter, TableStats, value_matrix
 
 __all__ = ["MemTable", "RunWriter", "flatten_runs"]
@@ -100,7 +100,7 @@ class _Run:
     length: int
     nentries: int
     value_bytes: int
-    # fastsum64 of the run's bytes, held in memory only: a run lives for
+    # CRC-32 of the run's bytes, held in memory only: a run lives for
     # one burst, and nothing is merged from it unless it still matches.
     checksum: int
 
@@ -132,7 +132,7 @@ class RunWriter:
         recs[:, 12:] = values
         blob = recs.tobytes()
         offset = self._file.append(blob)
-        self.runs.append(_Run(offset, len(blob), n, w, fastsum64(blob)))
+        self.runs.append(_Run(offset, len(blob), n, w, zlib.crc32(blob)))
         self._m_flushes.inc()
         self._m_spill_bytes.inc(len(blob))
         memtable.reset()
@@ -145,7 +145,7 @@ class RunWriter:
         """
         run = self.runs[i]
         blob = self._file.read(run.offset, run.length)
-        if len(blob) != run.length or fastsum64(blob) != run.checksum:
+        if len(blob) != run.length or zlib.crc32(blob) != run.checksum:
             raise CorruptBlockError(f"run {i} of {self._file.name!r} changed since its spill")
         rows = np.frombuffer(blob, np.uint8).reshape(run.nentries, _ENTRY.size + run.value_bytes)
         return rows[:, :8].copy().view("<u8").ravel(), rows[:, _ENTRY.size :]

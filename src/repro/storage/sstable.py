@@ -16,18 +16,20 @@ Layout (all little-endian, 8-byte keys as in the paper's experiments)::
 
     data block  := nentries × (u64 key, u32 vlen, value) and nothing else,
                    cut into *key groups* of ~`GROUP_BYTES` whole records
-    filter block:= bloom bytes ‖ u64 fastsum64          (absent when empty)
+    filter block:= bloom bytes ‖ u64 CRC-32           (absent when empty)
     index block := u32 nblocks, u32 ngroups, u32 record_bytes (0 = empty
                    table), then two tables stored one column
                    after another.  Per block: u64 first key, u64 last key,
                    u64 file offset; u32 length, u32 entries, u32 key groups.
                    Per key group, all blocks' end to end: u64 first key,
-                   u64 fastsum64 of the group's bytes; u32 offset inside
-                   its block.  Then u64 fastsum64 of everything before it.
+                   u64 CRC-32 of the group's bytes; u32 offset inside
+                   its block.  Then u64 CRC-32 of everything before it.
     footer      := magic u64, index_off u64, index_len u64,
                    filter_off u64, filter_len u64, nentries u64,
                    block_size u32, bloom_nhashes u32,
-                   u64 fastsum64 of the first 56 footer bytes
+                   u64 CRC-32 of the first 56 footer bytes
+
+    Every checksum is a `zlib.crc32`, zero-extended into its 8-byte slot.
 
     A block plays two roles and the layout keeps them apart.  It is the
     *I/O unit*: a lookup reads each block it needs with one device read.
@@ -42,9 +44,10 @@ Layout (all little-endian, 8-byte keys as in the paper's experiments)::
     resident group table before the read.  Filter, index and footer
     carry their own checksums, so corruption anywhere in the table is
     detected at read time rather than silently changing answers.  Tables
-    of the earlier layout (a count and one checksum per block, no groups)
-    have another magic and are refused, as are tables whose values were of
-    several widths (record_bytes 0 with blocks).
+    of the earlier layouts — the same groups under a 64-bit NumPy sum, or
+    a count and one checksum per block, no groups — have other magics and
+    are refused by name with `UnsupportedLayoutError`, as are tables whose
+    values were of several widths (record_bytes 0 with blocks).
 
 Values are one ``(n, width)`` uint8 matrix per table: every record has
 the same size, so blocks and groups are rows of whole records.  Writers
@@ -56,6 +59,7 @@ owning `StorageDevice` — seeks and bytes line up with Fig. 11b/c.
 from __future__ import annotations
 
 import struct
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -64,7 +68,8 @@ import numpy as np
 from ..filters.bloom import BloomFilter
 from ..obs.trace import child_span, current_span
 from .blockio import StorageDevice, StorageFile
-from .checksum import CHECKSUM_BYTES, fastsum64, fastsum64_rows
+from .checksum import CHECKSUM_BYTES, crc32_rows
+from .envelope import UnsupportedLayoutError
 
 __all__ = [
     "SSTableWriter",
@@ -84,10 +89,13 @@ class CorruptBlockError(ValueError):
     its checksum describes something the file cannot hold."""
 
 
-_MAGIC = 0xF117E5CB_6209BF5  # the key-group layout
-_MAGIC_BLOCKSUM = 0xF117E5CB_DE17AF5  # its predecessor: one checksum per block
+_MAGIC = 0xF117E5CB_C3C3236  # the key-group layout under CRC-32
+# Its predecessors, refused by name: the key groups under a 64-bit NumPy
+# sum, and before that one checksum per block.
+_MAGIC_SUM64 = 0xF117E5CB_6209BF5
+_MAGIC_BLOCKSUM = 0xF117E5CB_DE17AF5
 FOOTER_BYTES = 64
-_FOOTER_BODY = struct.Struct("<QQQQQQII")  # + trailing fastsum64 = 64 B
+_FOOTER_BODY = struct.Struct("<QQQQQQII")  # + trailing CRC-32 slot = 64 B
 _ENTRY_HDR = struct.Struct("<QI")
 _U32 = struct.Struct("<I")
 _INDEX_HDR = struct.Struct("<III")
@@ -159,8 +167,7 @@ def _cut_rows(skeys, svalues, block_size: int, group_cut: int):
 def _group_bytes(rec: int) -> int:
     """Size of a full key group in a table of ``rec``-byte records: the
     fewest records reaching `GROUP_BYTES`, rounded up to a multiple of eight
-    of them — whole 8-byte words whatever ``rec`` is, so `fastsum64_rows`
-    reads the groups of a block in place."""
+    of them (a layout constant: it sets every table's group count)."""
     return -(-GROUP_BYTES // (8 * rec)) * 8 * rec
 
 
@@ -259,7 +266,7 @@ class SSTableWriter:
             index_entries.append((int(gfirst[0]), last, off, len(payload), n, len(goff)))
             group_first.append(np.asarray(gfirst, dtype="<u8"))
             group_off.append(np.asarray(goff, dtype="<u4"))
-            group_sum.append(fastsum64_rows(payload, group_cut))  # equal-size groups: one pass
+            group_sum.append(crc32_rows(payload, group_cut))
             data_bytes += len(payload)
 
         # Filter block (checksummed like every section).
@@ -269,7 +276,7 @@ class SSTableWriter:
             bf = BloomFilter.from_bits_per_key(nentries, self.bloom_bits_per_key)
             bf.add_many(keys)
             filter_blob = bf.to_bytes()
-            filter_blob += fastsum64(filter_blob).to_bytes(CHECKSUM_BYTES, "little")
+            filter_blob += zlib.crc32(filter_blob).to_bytes(CHECKSUM_BYTES, "little")
             bloom_nhashes = bf.nhashes
         filter_off = self._file.append(filter_blob) if filter_blob else self._file.size
 
@@ -282,7 +289,7 @@ class SSTableWriter:
             index_blob += struct.pack(
                 f"<{3 * nblocks}Q{3 * nblocks}I", *(v for col in zip(*index_entries) for v in col)
             ) + b"".join(_concat(col).tobytes() for col in (group_first, group_sum, group_off))
-        index_blob += fastsum64(index_blob).to_bytes(CHECKSUM_BYTES, "little")
+        index_blob += zlib.crc32(index_blob).to_bytes(CHECKSUM_BYTES, "little")
         index_off = self._file.append(index_blob)
 
         footer_body = _FOOTER_BODY.pack(
@@ -296,7 +303,7 @@ class SSTableWriter:
             bloom_nhashes,
         )
         self._file.append(
-            footer_body + fastsum64(footer_body).to_bytes(CHECKSUM_BYTES, "little")
+            footer_body + zlib.crc32(footer_body).to_bytes(CHECKSUM_BYTES, "little")
         )
         self._chunks.clear()
         return TableStats(
@@ -342,7 +349,7 @@ def _checked(blob: bytes, what: str, name: str) -> bytes:
     if len(blob) < CHECKSUM_BYTES + 4:
         raise CorruptBlockError(f"{what} truncated to {len(blob)} bytes in {name!r}")
     body, stored = blob[:-CHECKSUM_BYTES], blob[-CHECKSUM_BYTES:]
-    if fastsum64(body) != int.from_bytes(stored, "little"):
+    if zlib.crc32(body) != int.from_bytes(stored, "little"):
         raise CorruptBlockError(f"{what} checksum mismatch in table {name!r}")
     return body
 
@@ -350,8 +357,9 @@ def _checked(blob: bytes, what: str, name: str) -> bytes:
 def load_table_meta(file: StorageFile, name: str) -> TableMeta:
     """Read and verify a table's footer, index and filter (2 device reads).
 
-    Raises `ValueError` for a table too small, with a bad magic or written
-    in the earlier one-checksum-per-block or variable-width layouts, and
+    Raises `ValueError` for a table too small or with a bad magic,
+    `UnsupportedLayoutError` for one written in an earlier layout (64-bit
+    sum, one checksum per block, variable width), and
     `CorruptBlockError` for a checksum mismatch, a truncated section, or a
     section that passed its checksum but does not fit the file — every
     count and offset is checked against the bytes present before anything
@@ -372,14 +380,15 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
         block_size,
         bloom_nhashes,
     ) = _FOOTER_BODY.unpack(body)
-    if magic == _MAGIC_BLOCKSUM:
-        raise ValueError(
-            f"table {name!r} is in the block-checksum layout (magic {magic:#x}); this "
-            f"reader supports only the key-group layout (magic {_MAGIC:#x})"
+    earlier = {_MAGIC_SUM64: "64-bit-sum key-group", _MAGIC_BLOCKSUM: "block-checksum"}
+    if magic in earlier:
+        raise UnsupportedLayoutError(
+            f"table {name!r} is in the {earlier[magic]} layout (magic {magic:#x}); this "
+            f"reader supports only the CRC-32 key-group layout (magic {_MAGIC:#x})"
         )
     if magic != _MAGIC:
         raise ValueError(f"bad magic in table {name!r}")
-    if fastsum64(body) != int.from_bytes(stored, "little"):
+    if zlib.crc32(body) != int.from_bytes(stored, "little"):
         raise CorruptBlockError(f"footer checksum mismatch in table {name!r}")
 
     def inconsistent(what: str) -> CorruptBlockError:
@@ -407,7 +416,7 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
         raise inconsistent("index block shorter than its header")
     nblocks, ngroups, record_bytes = _INDEX_HDR.unpack_from(index_blob)
     if nblocks and not record_bytes:
-        raise ValueError(
+        raise UnsupportedLayoutError(
             f"table {name!r} is in the variable-width layout (record_bytes 0); this "
             f"reader supports only fixed-width records"
         )
@@ -614,18 +623,11 @@ class SSTableReader:
         return blk
 
     def _verify(self, blk: _Block, i: int, groups: np.ndarray) -> None:
-        """Checksum ``groups`` of ``blk`` (indices into the fetched run) —
-        several equal-size groups in one `fastsum64_rows` pass, a lone group
-        on its own — and raise on the first that disagrees with the index,
-        naming it by its place in block ``i``."""
+        """Checksum ``groups`` of ``blk`` (indices into the fetched run) and
+        raise on the first that disagrees with the index, naming it by its
+        place in block ``i``."""
         meta = self.meta
-        gb = meta.group_bytes
-        if groups.size > 1:
-            every = groups.size == blk.verified.size  # a scan: no gather
-            sums = fastsum64_rows(blk.raw, gb, None if every else groups)
-        else:
-            g = int(groups[0])
-            sums = np.uint64(fastsum64(memoryview(blk.raw)[g * gb : (g + 1) * gb]))
+        sums = crc32_rows(blk.raw, meta.group_bytes, groups)
         bad = groups[meta.gsum[blk.g0 + groups] != sums]
         if bad.size:
             raise CorruptBlockError(

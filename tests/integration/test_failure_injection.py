@@ -76,7 +76,8 @@ def test_footer_checksum_corruption_detected():
     dev = StorageDevice()
     _build_table(dev)
     size = dev.file_size("t")
-    dev.corrupt("t", size - 4, xor=0x01)  # inside the trailing fastsum64
+    # The trailing slot's zero high half: all 8 bytes of a CRC-32 are checked.
+    dev.corrupt("t", size - 4, xor=0x01)
     with pytest.raises(CorruptBlockError, match="footer checksum"):
         SSTableReader(dev, "t")
 

@@ -17,15 +17,17 @@ same epoch record by record, from the documented formats alone:
   equal keys ordered by (run, position) so the earliest write stays first.
 
 It shares with the code under test only what is not the write path:
-`HashPartitioner` (routing), `BloomFilter` (the filter's bits), `fastsum64`
-(checksums), `build_sealed_aux` (the aux seal), the `Envelope` and
-`ClusterStats` records and `random_kv_batch`.
+`HashPartitioner` (routing), `BloomFilter` (the filter's bits),
+`build_sealed_aux` (the aux seal), the `Envelope` and `ClusterStats`
+records and `random_kv_batch`.  Its checksums are `zlib.crc32` called
+here, zero-extended to 8 bytes, not the package's checksum helper.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +40,15 @@ from repro.core.pipeline import Envelope
 from repro.filters.bloom import BloomFilter
 from repro.storage import sstable
 from repro.storage.blockio import StorageDevice
-from repro.storage.checksum import fastsum64
 from repro.storage.envelope import seal
 
 ENTRY = struct.Struct("<QI")  # key, value length: runs and table records
 LEN = struct.Struct("<I")  # value-log length prefix
-MAGIC = 0xF117E5CB_6209BF5  # SSTable footer magic of the key-group layout
+MAGIC = 0xF117E5CB_C3C3236  # SSTable footer magic of the CRC-32 key-group layout
 
 
 def _sealed(body: bytes) -> bytes:
-    return body + fastsum64(body).to_bytes(8, "little")
+    return body + zlib.crc32(body).to_bytes(8, "little")
 
 
 # -- value log -----------------------------------------------------------------
@@ -99,7 +100,7 @@ def table_image(items: list[tuple[int, bytes]], block_size: int,
         [k for k, _ in records], [v for _, v in records], block_size, group_cut
     ):
         for first, off, end in zip(gfirst, goff, [*goff[1:], len(block)]):
-            groups.append((first, fastsum64(block[off:end]), off))
+            groups.append((first, zlib.crc32(block[off:end]), off))
         blocks.append((gfirst[0], last, len(data), len(block), n, len(goff)))
         data += block
 

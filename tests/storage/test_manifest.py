@@ -1,10 +1,16 @@
 """Unit tests for the dataset manifest and its atomic commit path."""
 
+import numpy as np
 import pytest
 
+from repro.core.formats import FMT_FILTERKV
+from repro.core.kv import random_kv_batch
+from repro.core.multiepoch import MultiEpochStore
+from repro.core.pipeline import aux_table_name, main_table_name
 from repro.storage.blockio import StorageDevice
-from repro.storage.envelope import seal
+from repro.storage.envelope import UnsupportedLayoutError, seal
 from repro.storage.manifest import MANIFEST_NAME, MANIFEST_PREFIX, EpochInfo, Manifest
+from repro.storage.sstable import FOOTER_BYTES
 
 
 def _info(epoch, records=100):
@@ -126,3 +132,56 @@ def test_malformed_blob_rejected():
         Manifest.from_bytes(b"not json at all {{{")
     with pytest.raises(ValueError):
         Manifest.from_bytes(b'{"version": 99}')
+
+
+# -- recovery refuses, never repairs, a layout it does not read ------------------
+
+TABLE_MAGIC_BLOCKSUM = 0xF117E5CB_DE17AF5  # SSTables with one checksum per block
+SEAL_MAGIC_SUM64 = 0x5EA1ED_EC7E_2025  # envelopes under a 64-bit NumPy sum
+
+
+def _files(device) -> dict[str, bytes]:
+    out = {}
+    for name in device.list_files():
+        with device.open(name) as f:
+            out[name] = f.read(0, f.size)
+    return out
+
+
+def _set_magic(device, name: str, at: int, magic: int) -> None:
+    """Rewrite the u64 magic at byte ``at`` of extent ``name`` in place."""
+    with device.open(name) as f:
+        old = int.from_bytes(f.read(at, 8), "little")
+    for i, byte in enumerate((old ^ magic).to_bytes(8, "little")):
+        if byte:
+            device.corrupt(name, at + i, xor=byte)
+
+
+@pytest.mark.parametrize("where", ["table footer", "aux seal", "every manifest seal"])
+@pytest.mark.parametrize("deep", [False, True])
+def test_recovery_refuses_an_earlier_layout_and_touches_nothing(where, deep):
+    """A 3-epoch store one of whose extents is intact but in an earlier
+    layout: recovery raises `UnsupportedLayoutError` before it quarantines,
+    commits or sweeps anything — the device's files and bytes are as they
+    were.  (Taking the refusal for corruption quarantined the epoch and
+    swept its extents; with every manifest generation refused it read as
+    "no valid manifest" and swept the whole store.)"""
+    device = StorageDevice()
+    store = MultiEpochStore(nranks=2, fmt=FMT_FILTERKV, value_bytes=16, device=device, seed=0)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        store.write_epoch([random_kv_batch(40, 16, rng) for _ in range(2)])
+    store.close()
+    if where == "table footer":
+        name = main_table_name(1, 0)
+        _set_magic(device, name, device.file_size(name) - FOOTER_BYTES, TABLE_MAGIC_BLOCKSUM)
+    elif where == "aux seal":
+        _set_magic(device, aux_table_name(1, 0), 0, SEAL_MAGIC_SUM64)
+    else:
+        for name in device.list_files():
+            if name.startswith(MANIFEST_PREFIX):
+                _set_magic(device, name, 0, SEAL_MAGIC_SUM64)
+    before = _files(device)
+    with pytest.raises(UnsupportedLayoutError, match="layout|seal"):
+        Manifest.recover(device, deep=deep)
+    assert _files(device) == before

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.storage.blockio import StorageDevice
+from repro.storage.envelope import UnsupportedLayoutError
 from repro.storage.sstable import (
     FOOTER_BYTES,
     GROUP_BYTES,
@@ -576,17 +577,18 @@ def test_a_short_block_read_names_table_and_block(cache):
 
 
 def _block_checksum_layout_table(items) -> bytes:
-    """A table in the previous on-storage layout, built from its documented
+    """A table in the block-checksum layout, built from its documented
     format: data block := u32 n ‖ n × (u64 key, u32 vlen, value) ‖ u64
-    fastsum64; index := u32 nblocks ‖ nblocks × (u64 first, u64 last,
-    u64 off, u32 len, u32 n) ‖ u64 fastsum64; the same 64-byte footer
-    under magic 0xF117E5CBDE17AF5.  (One block, no filter.)"""
+    checksum; index := u32 nblocks ‖ nblocks × (u64 first, u64 last,
+    u64 off, u32 len, u32 n) ‖ u64 checksum; the same 64-byte footer
+    under magic 0xF117E5CBDE17AF5.  (One block, no filter.)  That layout
+    summed with a 64-bit NumPy checksum; a CRC-32 stands in for it here,
+    since the magic alone refuses the table."""
     import struct
-
-    from repro.storage.checksum import fastsum64
+    import zlib
 
     def seal(body):
-        return body + fastsum64(body).to_bytes(8, "little")
+        return body + zlib.crc32(body).to_bytes(8, "little")
 
     items = sorted(items)
     block = seal(
@@ -612,6 +614,26 @@ def test_previous_layout_is_refused_by_name_and_releases_its_handle():
         _block_checksum_layout_table([(k, b"v%03d" % k) for k in range(40)])
     )
     baseline = dev.open_handles
-    with pytest.raises(ValueError, match="block-checksum layout.*key-group layout"):
+    with pytest.raises(UnsupportedLayoutError, match="block-checksum layout.*key-group layout"):
         SSTableReader(dev, "old")
+    assert dev.open_handles == baseline
+
+
+def test_the_64_bit_sum_key_group_layout_is_refused_by_name():
+    """The key-group layout as it was before its checksums became CRC-32s:
+    the same bytes under magic 0xF117E5CB6209BF5, refused before any
+    checksum is compared, handle given back."""
+    dev = StorageDevice()
+    build(dev, "t", [(k, b"v%03d" % k) for k in range(40)])
+    at = dev.file_size("t") - FOOTER_BYTES
+    with SSTableReader(dev, "t"):
+        pass
+    with dev.open("t") as f:
+        magic = int.from_bytes(f.read(at, 8), "little")
+    for i, byte in enumerate((magic ^ 0xF117E5CB_6209BF5).to_bytes(8, "little")):
+        if byte:
+            dev.corrupt("t", at + i, xor=byte)
+    baseline = dev.open_handles
+    with pytest.raises(UnsupportedLayoutError, match="64-bit-sum key-group layout"):
+        SSTableReader(dev, "t")
     assert dev.open_handles == baseline
