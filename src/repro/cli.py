@@ -865,8 +865,8 @@ def _cmd_fleet(args) -> int:
         async with fleet:
             router = fleet.router
             rep = await run_load(router, sampler(0), args.requests, **load_kwargs)
-            reports.append({"phase": "healthy", "report": rep.to_dict()})
             st = router.stats()
+            reports.append({"phase": "healthy", "report": rep.to_dict(), "router": st})
             print(burst_line("healthy   ", rep))
             print(
                 f"            routed by aux: {st['aux_routed']}, scatter: "
@@ -881,8 +881,8 @@ def _cmd_fleet(args) -> int:
                 print(f"\n** crashing shard {args.kill} under load **")
                 fleet.crash_shard(args.kill)
                 rep = await run_load(router, sampler(1), args.requests, **load_kwargs)
-                reports.append({"phase": "degraded", "report": rep.to_dict()})
                 st = router.stats()
+                reports.append({"phase": "degraded", "report": rep.to_dict(), "router": st})
                 print(burst_line("degraded  ", rep))
                 print(
                     f"            failovers: {st['failovers']}, retries: "
@@ -896,11 +896,10 @@ def _cmd_fleet(args) -> int:
                     f"{node.last_recovery.summary().splitlines()[0]}"
                 )
                 rep = await run_load(router, sampler(2), args.requests, **load_kwargs)
-                reports.append({"phase": "recovered", "report": rep.to_dict()})
+                st = router.stats()
+                reports.append({"phase": "recovered", "report": rep.to_dict(), "router": st})
                 print(burst_line("recovered ", rep))
-                print(
-                    f"            breakers: {router.stats()['breakers']}"
-                )
+                print(f"            breakers: {st['breakers']}")
             rolled = fleet.rollup()
             print(
                 f"\nfleet totals: {int(rolled.total('fleet.requests')):,} shard "
@@ -949,14 +948,11 @@ def _render_fleet_top_frame(live: dict, stats: dict, where: str) -> str:
         f"p99 {lat.get('p99', 0.0):.3f}ms  max {lat.get('max', 0.0):.3f}ms",
         f"  routing  aux {stats.get('aux_routed', 0)}  scatter {stats.get('scatter', 0)}  "
         f"failovers {stats.get('failovers', 0)}  "
-        f"stale {stats.get('stale_detected', 0)}  "
         f"refreshes {stats.get('aux_refreshes', 0)}",
     ]
     for sid, shard in sorted(live.get("shards", {}).items()):
-        stale = shard.get("stale")
         lines.append(
             f"  shard {sid}  breaker {shard.get('breaker', '?'):9s} "
-            f"view {'stale' if stale else 'none ' if stale is None else 'fresh'} "
             f"epochs {shard.get('epochs', [])}"
         )
     return "\n".join(lines)

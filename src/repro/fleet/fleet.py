@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.formats import FMT_FILTERKV, FormatSpec
 from ..core.kv import KVBatch
 from ..obs import MetricsRegistry
 from .ring import HashRing
@@ -34,7 +33,7 @@ class FleetSpec:
     """Shape of one fleet.
 
     ``nranks`` is writer ranks *per shard* (each shard is a complete
-    in-situ dataset); ``rf`` is the replication factor — how many ring
+    in-situ FilterKV dataset); ``rf`` is the replication factor — how many ring
     owners hold each key.  ``service_kwargs`` / ``router_kwargs`` pass
     through to `QueryService` and `FleetRouter` untouched.
     """
@@ -42,7 +41,6 @@ class FleetSpec:
     nshards: int = 4
     rf: int = 2
     nranks: int = 4
-    fmt: FormatSpec = FMT_FILTERKV
     value_bytes: int = 24
     seed: int = 0
     vnodes: int = 64
@@ -70,7 +68,6 @@ class Fleet:
             sid: ShardNode(
                 sid,
                 nranks=spec.nranks,
-                fmt=spec.fmt,
                 value_bytes=spec.value_bytes,
                 # Offset per shard so sibling stores ingest independently.
                 seed=spec.seed + 1000 * (sid + 1),
@@ -183,25 +180,3 @@ class Fleet:
                 for v in inst._values:
                     rolled.histogram(fleet_name, **kw).observe(v)
         return rolled
-
-    def live_stats(self, window_s: float | None = None) -> dict:
-        """Windowed fleet view: the router's trailing-window snapshot plus
-        each shard's own `live_stats`, with shard QPS summed so the
-        dashboard shows both the fleet rate and its split."""
-        shards = {}
-        total_qps = 0.0
-        for sid, node in sorted(self.shards.items()):
-            if node.service is None:
-                continue
-            snap = node.service.live_stats(window_s=window_s)
-            snap["crashed"] = node.crashed
-            total_qps += snap.get("qps", 0.0)
-            shards[str(sid)] = snap
-        out = {
-            "router": self.router.live_stats(window_s=window_s)
-            if self.router is not None
-            else None,
-            "shards": shards,
-            "shard_qps_total": round(total_qps, 2),
-        }
-        return out

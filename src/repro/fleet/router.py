@@ -18,13 +18,13 @@ letting it send each query to the shard most likely to answer it:
   ``ok`` is terminal from anyone, and a ``not_found`` is terminal *only
   from a ring owner* (owners hold the key's full replica, so their
   answer is authoritative; an aux false positive on a non-owner is not).
-  Aux staleness therefore costs ordering quality, never answers.
-* **Staleness** — every shard answer piggybacks its `state_token`
-  (compaction generation, newest epoch).  A token that differs from the
-  one the view was built at marks the view stale: planning falls back to
-  ring-hash order (the *scatter* path) for that shard and a background
-  refresh re-pulls `aux_state`.  Commit and compaction generation bumps
-  are both visible in the token, so either triggers the refresh.
+  A view that misses a later commit therefore costs ordering quality,
+  never answers.
+* **Pulled views** — a shard's view is pulled once at `start` and again
+  only when `Fleet.recover_shard` calls `refresh`; in between it never
+  changes.  FilterKV seals an epoch's aux tables once and only reads
+  them afterwards, and no entry point commits or compacts under a live
+  router, so the view stays exact.
 * **Failover** — per-shard circuit breaker (consecutive typed failures
   open it; a cooldown half-opens it) and bounded retry-with-backoff on
   retryable errors and transport faults.  A request's deadline rides to
@@ -41,7 +41,7 @@ letting it send each query to the shard most likely to answer it:
 
 The router exposes the same surface as `QueryService` (``get`` /
 ``get_burst`` / ``stats`` / ``live_stats`` / ``recent_traces`` /
-``state_token`` / ``aux_state`` / ``start`` / ``close``), so `ServeServer`
+``aux_state`` / ``start`` / ``close``), so `ServeServer`
 can mount it unchanged: clients speak one protocol whether they face a
 shard or the fleet.
 """
@@ -79,6 +79,12 @@ _SHARD_FAULT_CODES = {"", ERR_INTERNAL, ERR_CLOSED}
 # framing as ProtocolError).
 _TRANSPORT_ERRORS = (ConnectionError, OSError, ProtocolError)
 
+# Extra attempts per shard on a transport fault or retryable error.
+RETRIES = 1
+
+# Trailing window of `FleetRouter.live_stats` (seconds).
+STATS_WINDOW_S = 10.0
+
 # What one shard answer means for a key's walk (`FleetRouter._judge`).
 _FINAL, _FALLBACK, _RETRY = "final", "fallback", "retry"
 
@@ -89,25 +95,20 @@ class ShardAuxView:
     Built from the ``aux_state`` verb's export.  ``blob_bytes`` is the
     sealed wire size (the honest floor: what the shard shipped);
     ``resident_bytes`` is what the rebuilt tables claim via
-    ``size_bytes`` — the fleet bench gates their ratio.  Formats that
-    persist no aux tables export ``None`` rows; the view is then
-    *blind*: fresh, but claiming nothing, so planning degrades to ring
-    order exactly as `MultiEpochStore.aux_blobs` promises.
+    ``size_bytes`` — the fleet bench gates their ratio.  An export with
+    a ``None`` row (a shard that persists no aux tables) is refused with
+    a `ValueError`: that shard has no view, and planning uses ring order.
     """
 
     def __init__(self, shard_id: int, state: dict):
         self.shard_id = shard_id
-        self.format = state.get("format", "")
         self.nranks = int(state.get("nranks", 1))
-        self.state = tuple(state.get("state", (0, -1)))
-        self.stale = False
         self.blob_bytes = 0
         self._partitioner = HashPartitioner(self.nranks)
-        self.epochs: dict[int, list | None] = {}
+        self.epochs: dict[int, list] = {}
         for epoch_str, rows in (state.get("epochs") or {}).items():
             if rows is None:
-                self.epochs[int(epoch_str)] = None
-                continue
+                raise ValueError(f"shard {shard_id} exports no aux tables for epoch {epoch_str}")
             tables = []
             for hexblob in rows:
                 raw = bytes.fromhex(hexblob)
@@ -116,32 +117,26 @@ class ShardAuxView:
                 # guards the extent at rest guards it on the wire.
                 tables.append(aux_from_blob(unseal(raw)))
             self.epochs[int(epoch_str)] = tables
-        self.blind = all(rows is None for rows in self.epochs.values())
         self._newest_first = sorted(self.epochs, reverse=True)
 
     @property
     def resident_bytes(self) -> int:
-        return sum(
-            aux.size_bytes
-            for rows in self.epochs.values()
-            if rows is not None
-            for aux in rows
-        )
+        return sum(aux.size_bytes for rows in self.epochs.values() for aux in rows)
 
     def claim(self, key: int, epoch: int | None = None) -> int:
         """Newest epoch whose aux tables claim ``key`` (-1: no claim).
 
         With ``epoch`` given, only that epoch is consulted.  A claim is
         the key's owner partition answering a non-empty candidate set —
-        no false negatives, so -1 from a *fresh, non-blind* view means
-        the shard genuinely lacks the key in the consulted epochs.
+        no false negatives, so -1 means the shard lacked the key in the
+        consulted epochs when the view was pulled.
         """
         key = int(key)
         epochs = [epoch] if epoch is not None and epoch in self.epochs else self._newest_first
         owner = self._partitioner.partition_of_one(key)
         for e in epochs:
             rows = self.epochs[e]
-            if rows is not None and owner < len(rows) and len(rows[owner].candidate_ranks(key)):
+            if owner < len(rows) and len(rows[owner].candidate_ranks(key)):
                 return e
         return -1
 
@@ -149,15 +144,14 @@ class ShardAuxView:
 class CircuitBreaker:
     """Per-shard failure gate: closed → open → half-open → closed.
 
-    ``threshold`` consecutive shard faults open it for ``cooldown_s``;
+    ``THRESHOLD`` consecutive shard faults open it for ``cooldown_s``;
     after the cooldown one probe is let through (half-open) and its
     outcome decides — success closes, failure re-opens immediately.
     """
 
-    def __init__(self, threshold: int = 3, cooldown_s: float = 0.25, clock=time.monotonic):
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
+    THRESHOLD = 3
+
+    def __init__(self, cooldown_s: float = 0.25, clock=time.monotonic):
         self.cooldown_s = cooldown_s
         self.clock = clock
         self.failures = 0
@@ -188,7 +182,7 @@ class CircuitBreaker:
             self._half_open = False
             return
         self.failures += 1
-        if self._half_open or self.failures >= self.threshold:
+        if self._half_open or self.failures >= self.THRESHOLD:
             self.open_until = self.clock() + self.cooldown_s
             self._half_open = False
             self.failures = 0
@@ -206,9 +200,9 @@ class FleetRouter:
         a `Fleet` swapping a recovered shard's client in place just works.
     ring / rf:
         Placement: a key may live only on its ``rf`` ring owners.
-    retries / backoff_s:
-        Per-shard attempts on transport faults and retryable errors, with
-        exponential backoff between attempts.
+    backoff_s:
+        First backoff before a shard is retried (``RETRIES`` times, on
+        transport faults and retryable errors), doubling per attempt.
     breaker_cooldown_s:
         How long a per-shard `CircuitBreaker` stays open once tripped.
     """
@@ -218,16 +212,13 @@ class FleetRouter:
         clients: dict[int, object],
         ring: HashRing,
         rf: int = 2,
-        retries: int = 1,
         backoff_s: float = 0.005,
         breaker_cooldown_s: float = 0.25,
         metrics: MetricsRegistry | None = None,
-        stats_window_s: float = 10.0,
     ):
         self.clients = clients
         self.ring = ring
         self.rf = max(1, int(rf))
-        self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
         self.views: dict[int, ShardAuxView] = {}
         self.breakers = {
@@ -239,27 +230,30 @@ class FleetRouter:
             STATUSES,
             answered=(OK, NOT_FOUND),
             shed=(OVERLOADED, DEADLINE_EXCEEDED),
-            window_s=stats_window_s,
+            window_s=STATS_WINDOW_S,
         )
-        self._refreshing: set[int] = set()
+        self._started = False
         self._closed = False
         m = self.metrics
         self._m_requests = {s: m.counter("fleet.router.requests", status=s) for s in STATUSES}
         self._m_latency = m.histogram("fleet.router.latency_seconds")
-        self._m_forwards = m.counter("fleet.router.forwards")
         self._m_aux_routed = m.counter("fleet.router.aux_routed")
         self._m_scatter = m.counter("fleet.router.scatter")
         self._m_failovers = m.counter("fleet.router.failovers")
         self._m_retries = m.counter("fleet.router.retries")
-        self._m_stale = m.counter("fleet.router.stale_detected")
         self._m_refreshes = m.counter("fleet.router.aux_refreshes")
         self._m_breaker_skips = m.counter("fleet.router.breaker_skips")
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> "FleetRouter":
-        """Pull every shard's aux state (best-effort: a down shard just
-        starts with no view, i.e. ring-order planning)."""
+        """Pull every shard's aux state, once: a second call pulls nothing
+        (later pulls go through `refresh`).  Best-effort: a down shard, or
+        one with no aux tables, starts with no view, i.e. ring-order
+        planning."""
+        if self._started:
+            return self
+        self._started = True
         for sid in list(self.clients):
             try:
                 await self.refresh(sid)
@@ -278,21 +272,6 @@ class FleetRouter:
         self._m_refreshes.inc()
         self._observe_memory()
         return view
-
-    def _schedule_refresh(self, shard_id: int) -> None:
-        if shard_id in self._refreshing:
-            return
-        self._refreshing.add(shard_id)
-
-        async def _go():
-            try:
-                await self.refresh(shard_id)
-            except Exception:
-                pass  # shard down: the stale mark stands, planning scatters
-            finally:
-                self._refreshing.discard(shard_id)
-
-        asyncio.get_running_loop().create_task(_go())
 
     def _observe_memory(self) -> None:
         self.metrics.gauge("fleet.router.aux_blob_bytes").set(self.aux_blob_bytes)
@@ -318,9 +297,10 @@ class FleetRouter:
         shaped the order.
 
         Only ring owners are candidates (non-owners never hold the key).
-        Owners with a fresh claim sort first, newest claiming epoch first;
-        stale or blind views contribute nothing, and when *no* owner has a
-        fresh view the plan is pure ring order — the scatter fallback.
+        Owners whose view claims the key sort first, newest claiming epoch
+        first, and owners whose view denies it last; an owner with no view
+        keeps its ring position among the rest, and when *no* owner has a
+        view the plan is pure ring order — the scatter fallback.
         ``owners`` is the key's ``ring.owners``, when the caller already
         has it.
         """
@@ -331,7 +311,7 @@ class FleetRouter:
         used_aux = False
         for pos, sid in enumerate(owners):
             view = self.views.get(sid)
-            if view is None or view.stale or view.blind:
+            if view is None:
                 scored.append((1, 0, pos, sid))
                 continue
             used_aux = True
@@ -339,7 +319,7 @@ class FleetRouter:
             if claimed >= 0:
                 scored.append((0, -claimed, pos, sid))
             else:
-                # Fresh denial: no false negatives, so ask this owner last.
+                # A denial: no false negatives, so ask this owner last.
                 scored.append((2, 0, pos, sid))
         scored.sort()
         return [sid for *_, sid in scored], used_aux
@@ -444,7 +424,7 @@ class FleetRouter:
         if client is None:
             return False, None
         last = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(RETRIES + 1):
             if attempt > 0:
                 self._m_retries.inc()
                 await asyncio.sleep(self.backoff_s * (2 ** (attempt - 1)))
@@ -468,8 +448,7 @@ class FleetRouter:
         """What one shard answer means for the walk — `_FINAL` (stop here),
         `_FALLBACK` (fail over, keep it as the answer of last resort) or
         `_RETRY` (a shard fault: try this shard again) — with the answer
-        fed to the shard's breaker and staleness check."""
-        self._note_state(sid, response)
+        fed to the shard's breaker."""
         alive, verdict = True, _FINAL
         if response.status == DEADLINE_EXCEEDED:
             pass  # alive, just slow
@@ -479,9 +458,7 @@ class FleetRouter:
             verdict = _FALLBACK
         elif response.status == ERROR:
             if response.code == ERR_UNKNOWN_EPOCH:
-                # Our view of this shard is behind its compactions; its
-                # replicas may already resolve the epoch.
-                self._mark_stale(sid)
+                # This shard cannot resolve the epoch; its replicas may.
                 verdict = _FALLBACK
             elif response.code in _SHARD_FAULT_CODES:
                 alive, verdict = False, _RETRY  # retryable shard fault
@@ -494,31 +471,7 @@ class FleetRouter:
             breaker.record(alive)
         return verdict
 
-    def _note_state(self, sid: int, response: ServeResponse) -> None:
-        """Compare the piggybacked state token against the view it was
-        planned with; any drift (commit or compaction) marks the view
-        stale and schedules a refresh."""
-        if response.shard_state is None:
-            return
-        view = self.views.get(sid)
-        if view is not None and not view.stale and tuple(response.shard_state) != view.state:
-            self._mark_stale(sid)
-
-    def _mark_stale(self, sid: int) -> None:
-        view = self.views.get(sid)
-        if view is not None and not view.stale:
-            view.stale = True
-            self._m_stale.inc()
-        self._schedule_refresh(sid)
-
     # -- QueryService-compatible introspection ------------------------------
-
-    def state_token(self) -> list:
-        """Fleet-level epoch-set version: the per-shard tokens folded so
-        any shard's commit or compaction moves it."""
-        gens = sum(v.state[0] for v in self.views.values())
-        newest = max((v.state[1] for v in self.views.values()), default=-1)
-        return [gens, newest]
 
     def aux_state(self) -> dict:
         """The router holds no blobs of its own to export — it is the
@@ -527,7 +480,6 @@ class FleetRouter:
         return {
             "format": "fleet",
             "nranks": 0,
-            "state": self.state_token(),
             "epochs": {},
         }
 
@@ -552,7 +504,6 @@ class FleetRouter:
             "scatter": int(m.total("fleet.router.scatter")),
             "failovers": int(m.total("fleet.router.failovers")),
             "retries": int(m.total("fleet.router.retries")),
-            "stale_detected": int(m.total("fleet.router.stale_detected")),
             "aux_refreshes": int(m.total("fleet.router.aux_refreshes")),
             "breaker_skips": int(m.total("fleet.router.breaker_skips")),
             "breakers": {
@@ -571,7 +522,6 @@ class FleetRouter:
         out["shards"] = {
             str(sid): {
                 "breaker": self.breakers[sid].state,
-                "stale": bool(self.views[sid].stale) if sid in self.views else None,
                 "epochs": sorted(self.views[sid].epochs) if sid in self.views else [],
             }
             for sid in sorted(self.clients)

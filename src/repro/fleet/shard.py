@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.formats import FMT_FILTERKV, FormatSpec
 from ..core.kv import KVBatch
 from ..core.multiepoch import MultiEpochStore
 from ..faults import FaultPlan, FaultyStorageDevice
@@ -40,7 +39,7 @@ class ShardNode:
         fleet seed) so shards ingest independently.
     nranks:
         Writer ranks *within* the shard — each shard is a full in-situ
-        dataset with its own partitions and aux tables.
+        FilterKV dataset with its own partitions and aux tables.
     service_kwargs:
         Passed through to `QueryService` (cache sizes, admission control,
         deadlines); the fleet bench pins caches tiny through this.
@@ -50,7 +49,6 @@ class ShardNode:
         self,
         shard_id: int,
         nranks: int = 4,
-        fmt: FormatSpec = FMT_FILTERKV,
         value_bytes: int = 24,
         seed: int = 0,
         aux_backends: tuple[str, ...] | None = None,
@@ -58,7 +56,6 @@ class ShardNode:
     ):
         self.shard_id = int(shard_id)
         self.nranks = int(nranks)
-        self.fmt = fmt
         self.value_bytes = int(value_bytes)
         self.seed = int(seed)
         self.aux_backends = aux_backends
@@ -66,7 +63,6 @@ class ShardNode:
         self.device = FaultyStorageDevice(plan=FaultPlan(seed=seed))
         self.store = MultiEpochStore(
             nranks=self.nranks,
-            fmt=fmt,
             value_bytes=self.value_bytes,
             device=self.device,
             seed=self.seed,

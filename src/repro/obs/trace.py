@@ -383,10 +383,10 @@ class TraceCollector:
         """The last ``n`` distinct traces (newest first), spans grouped."""
         seen: list[str] = []
         for s in reversed(self._spans):
-            if s.trace_id not in seen:
-                seen.append(s.trace_id)
             if len(seen) >= n:
                 break
+            if s.trace_id not in seen:
+                seen.append(s.trace_id)
         return [self.trace(t) for t in seen]
 
 

@@ -1,6 +1,6 @@
 """Wire front end for `QueryService`: framing, server, clients.
 
-Frame v4.  Every message, in both directions, is one little-endian frame::
+Frame v5.  Every message, in both directions, is one little-endian frame::
 
     u32 length ‖ u8 version ‖ u8 kind ‖ u32 id ‖ kind-specific ‖ u32 CRC-32
 
@@ -19,28 +19,26 @@ kind  name        kind-specific bytes
 3     JSON        one JSON object
 4     GET_MANY    i64 epoch ‖ f64 deadline_s ‖ u32 n ‖ n × u64 key ‖
                   [JSON tail]
-5     REPLY_MANY  2 × i64 state token ‖ u32 n ‖ n × (u64 key ‖ i64 epoch
-                  ‖ u8 status ‖ u8 flags ‖ u32 value length ‖ value) ‖
-                  [JSON tail]
+5     REPLY_MANY  u32 n ‖ n × (u64 key ‖ i64 epoch ‖ u8 status ‖ u8 flags
+                  ‖ u32 value length ‖ value) ‖ [JSON tail]
 ====  ==========  =======================================================
 
 A read is *binary*: a ``GET_MANY`` asks for n keys at one epoch
 (i64-min for ``None``) and deadline (NaN for none), and one ``REPLY_MANY``
 answers with a row per key, in key order — ``status`` indexes `STATUSES`,
-``flags`` say cached / has value, the value is raw bytes — and the
-service's state token once.  A one-key read is a ``GET_MANY`` of one key:
-v3's one-key kinds 1 and 2 are gone, and decode as unknown kinds.
+``flags`` say cached / has value, the value is raw bytes.  A one-key
+read is a ``GET_MANY`` of one key: v3's one-key kinds 1 and 2 are gone,
+and decode as unknown kinds.
 Everything rare is *JSON inside the same frame and checksum*: a request's
 `TraceContext` and a row's ``detail``, error ``code`` and span tree ride as
 a JSON-object tail (a row's under ``"rows": {"<index>": {...}}``); the
 control verbs (``stats``, ``stats_live``, ``trace``, ``aux_state``,
 ``ping``), their replies, error replies and any request whose fields do
 not fit a fixed slot are kind 3.  To callers a message is still an
-id-tagged dict — ``{"id": 8, "v": 4, "op": "get_many", "keys": [1, 2],
-"epoch": None, "deadline_s": None}``, ``{"id": 8, "v": 4, "st": (0, 4),
-"replies": [ServeResponse, ...]}``, rows decoded straight into responses
-carrying the frame's state token — and `encode_frame` / `read_frame` alone
-know how it is laid out.
+id-tagged dict — ``{"id": 8, "v": 5, "op": "get_many", "keys": [1, 2],
+"epoch": None, "deadline_s": None}``, ``{"id": 8, "v": 5, "replies":
+[ServeResponse, ...]}``, rows decoded straight into responses — and
+`encode_frame` / `read_frame` alone know how it is laid out.
 
 One checksum everywhere: frames, like every extent at rest, carry a `zlib.crc32`.
 
@@ -65,15 +63,14 @@ by a hung peer.  Replies are matched by id.
 Failures are **typed error frames** — ``{"status": "error", "error":
 {"code", "retryable"}, "detail"}`` — telling *the request is wrong*
 (``unknown_op``, ``unsupported_version``, ``bad_request``: don't retry)
-from *this shard, right now* (``unknown_epoch``, ``closed``: refresh or
-fail over).  A frame refused as a whole is that refusal for every key it
-asked for.  Read replies piggyback the service's `state_token`, so a
-router learns on every answer that the shard committed or compacted
-underneath its sealed-aux view; ``aux_state`` exports the sealed aux blobs
-(hex) per live epoch, the only shard bytes a router ever holds.
+from *this shard, right now* (``unknown_epoch``, ``closed``: fail
+over).  A frame refused as a whole is that refusal for every key it
+asked for.  ``aux_state`` exports the sealed aux blobs (hex) per live
+epoch, the only shard bytes a router ever holds; a router pulls it when it
+starts and when a shard recovers.
 
-`TCPClient` speaks this over a socket; `InprocClient` offers the same
-async ``get``/``get_many``/``stats`` surface by calling the service
+`TCPClient` speaks this over a socket; `InprocClient` offers the router's
+part of that surface (``get`` / ``aux_state``) by calling the service
 directly.
 """
 
@@ -82,6 +79,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import struct
 import zlib
 from dataclasses import replace
@@ -108,13 +106,13 @@ __all__ = [
 ]
 
 MAX_FRAME_BYTES = 1 << 24  # 16 MiB: a point query never comes close
-PROTO_VERSION = 4
+PROTO_VERSION = 5
 
 _LEN = struct.Struct("<I")
 _CRC = struct.Struct("<I")
 _HEAD = struct.Struct("<BBI")  # version, kind, id: fixed across versions
 _GET_MANY = struct.Struct("<BBIqdI")  # + epoch, deadline_s, key count; then the keys
-_REPLY_MANY = struct.Struct("<BBIqqI")  # + state token, row count; then the rows
+_REPLY_MANY = struct.Struct("<BBII")  # + row count; then the rows
 _ROW = struct.Struct("<QqBBI")  # key, epoch, status, flags, value length; then the value
 _KEY_BYTES = 8
 _RUN_BYTES = _LEN.size + _GET_MANY.size + _CRC.size  # a GET_MANY frame bar its keys
@@ -123,7 +121,7 @@ _READ_BYTES = 1 << 16
 
 _KIND_JSON, _KIND_GET_MANY, _KIND_REPLY_MANY = 3, 4, 5
 _GET_MANY_KEYS = frozenset(("id", "v", "op", "keys", "epoch", "deadline_s"))
-_REPLY_MANY_KEYS = frozenset(("id", "v", "st", "replies"))
+_REPLY_MANY_KEYS = frozenset(("id", "v", "replies"))
 _U64_MAX = (1 << 64) - 1
 _STATUS_CODE = {status: i for i, status in enumerate(STATUSES)}
 _F_CACHED, _F_VALUE = 1, 2
@@ -135,7 +133,7 @@ _ID_MASK = 0xFFFFFFFF
 ERR_UNKNOWN_OP = "unknown_op"              # caller bug: don't retry
 ERR_UNSUPPORTED_VERSION = "unsupported_version"  # caller speaks another version: don't retry
 ERR_BAD_REQUEST = "bad_request"            # caller bug: don't retry
-ERR_UNKNOWN_EPOCH = "unknown_epoch"        # caller's shard view is stale: refresh
+ERR_UNKNOWN_EPOCH = "unknown_epoch"        # shard cannot resolve the epoch: fail over
 ERR_CLOSED = "closed"                      # shard draining: fail over
 ERR_INTERNAL = "internal"                  # shard-side fault: retry elsewhere
 _RETRYABLE = {ERR_CLOSED, ERR_INTERNAL}
@@ -200,13 +198,11 @@ def _response_extras(response: ServeResponse) -> dict:
     return out
 
 
-def _pack_reply_many(version: int, rid: int, st, responses, tail: dict) -> bytes:
-    """A ``REPLY_MANY`` body: one row per response, the state token once,
-    and a JSON tail holding ``tail`` and the rows' rare fields.  Raises
-    what `struct` and the lookups raise when a field does not fit its
-    slot."""
-    gen, newest = st
-    parts = [_REPLY_MANY.pack(version, _KIND_REPLY_MANY, rid, gen, newest, len(responses))]
+def _pack_reply_many(version: int, rid: int, responses, tail: dict) -> bytes:
+    """A ``REPLY_MANY`` body: one row per response, and a JSON tail
+    holding ``tail`` and the rows' rare fields.  Raises what `struct` and
+    the lookups raise when a field does not fit its slot."""
+    parts = [_REPLY_MANY.pack(version, _KIND_REPLY_MANY, rid, len(responses))]
     rows = {}
     for i, r in enumerate(responses):
         value = b"" if r.value is None else r.value
@@ -239,7 +235,7 @@ def encode_frame(message: dict) -> bytes:
     version, rid = message.get("v", PROTO_VERSION), message.get("id") or 0
     if "replies" in message:
         tail = {name: message[name] for name in message.keys() - _REPLY_MANY_KEYS}
-        return _seal(_pack_reply_many(version, rid, message["st"], message["replies"], tail))
+        return _seal(_pack_reply_many(version, rid, message["replies"], tail))
     body = None
     if message.get("op") == "get_many":
         try:
@@ -261,10 +257,10 @@ def encode_frame(message: dict) -> bytes:
     return _seal(body)
 
 
-def _unpack_rows(body: bytes, n: int, st: tuple) -> tuple[list[ServeResponse], int]:
-    """The ``n`` rows of a ``REPLY_MANY`` body, as responses carrying the
-    state token ``st``, and where they end.  Counts and lengths are
-    checked against the body before anything is sliced."""
+def _unpack_rows(body: bytes, n: int) -> tuple[list[ServeResponse], int]:
+    """The ``n`` rows of a ``REPLY_MANY`` body, as responses, and where
+    they end.  Counts and lengths are checked against the body before
+    anything is sliced."""
     at = _REPLY_MANY.size
     if at + n * _ROW.size > len(body):
         raise ProtocolError("row count disagrees with the frame")
@@ -278,7 +274,6 @@ def _unpack_rows(body: bytes, n: int, st: tuple) -> tuple[list[ServeResponse], i
         rows.append(ServeResponse(
             STATUSES[status], key, None if epoch == _NO_EPOCH else epoch,
             body[start:at] if flags & _F_VALUE else None, bool(flags & _F_CACHED),
-            shard_state=st,
         ))
     return rows, at
 
@@ -336,9 +331,8 @@ def _decode_frame(body: bytes, crc: int) -> dict:
                 deadline_s=None if deadline != deadline else deadline,
             )
         elif kind == _KIND_REPLY_MANY:
-            _, _, _, gen, newest, n = _REPLY_MANY.unpack_from(body)
-            message["st"] = (gen, newest)
-            message["replies"], tail = _unpack_rows(body, n, message["st"])
+            _, _, _, n = _REPLY_MANY.unpack_from(body)
+            message["replies"], tail = _unpack_rows(body, n)
         elif kind == _KIND_JSON:
             tail = _HEAD.size  # the payload is not optional here
         else:
@@ -402,11 +396,11 @@ async def read_frame(frames: FrameReader) -> dict | None:
     return _decode_frame(body, crc)
 
 
-def _reply_frame(rid: int, responses: list[ServeResponse], st) -> bytes:
+def _reply_frame(rid: int, responses: list[ServeResponse]) -> bytes:
     """The ``REPLY_MANY`` answering one ``GET_MANY``, packed straight from
     its responses (it decodes to what `encode_frame` of the same message
     would)."""
-    return _seal(_pack_reply_many(PROTO_VERSION, rid, st, responses, {}))
+    return _seal(_pack_reply_many(PROTO_VERSION, rid, responses, {}))
 
 
 def _responses(reply: dict, keys: list[int]) -> list[ServeResponse]:
@@ -572,16 +566,13 @@ class ServeServer:
         if reads:
             try:
                 responses = await self.service.get_burst(members)
-                # Piggyback the epoch-set version on every answer: the
-                # cheapest possible staleness signal for a router.
-                st = self.service.state_token()
             except Exception as e:  # the connection outlives any one burst
                 for j, request, _, _ in reads:
                     replies[j] = encode_frame(error_frame(request["id"], ERR_INTERNAL, repr(e)))
             else:
                 for j, request, first, n in reads:
                     try:
-                        replies[j] = _reply_frame(request["id"], responses[first:first + n], st)
+                        replies[j] = _reply_frame(request["id"], responses[first:first + n])
                     except Exception as e:
                         replies[j] = encode_frame(error_frame(request["id"], ERR_INTERNAL, repr(e)))
         if not writer.transport.is_closing():
@@ -607,9 +598,20 @@ class ServeServer:
         if op == "stats":
             return {"id": rid, "stats": self.service.stats()}
         if op == "stats_live":
-            return {"id": rid, "stats": self.service.live_stats(window_s=request.get("window_s"))}
+            window_s = request.get("window_s")
+            if window_s is not None and (
+                isinstance(window_s, bool)
+                or not isinstance(window_s, (int, float))
+                or not 0 < window_s < math.inf
+            ):
+                detail = f"window_s {window_s!r} is no finite number > 0"
+                return error_frame(rid, ERR_BAD_REQUEST, detail)
+            return {"id": rid, "stats": self.service.live_stats(window_s=window_s)}
         if op == "trace":
-            return {"id": rid, "traces": self.service.recent_traces(int(request.get("n", 8)))}
+            n = request.get("n", 8)
+            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+                return error_frame(rid, ERR_BAD_REQUEST, f"n {n!r} is no int >= 0")
+            return {"id": rid, "traces": self.service.recent_traces(n)}
         if op == "aux_state":
             return {"id": rid, "aux": self.service.aux_state()}
         if op == "ping":
@@ -859,9 +861,9 @@ class TCPClient:
 class InprocClient:
     """`TCPClient`-shaped adapter that calls the service in process.
 
-    Lets tests and the load generator drive the exact client surface
-    without sockets; the service's batching/coalescing still applies
-    because callers share one event loop.
+    Offers what a router and the load generator call — ``get`` and
+    ``aux_state`` — without sockets; the service's batching/coalescing
+    still applies because callers share one event loop.
     """
 
     def __init__(self, service: QueryService):
@@ -887,34 +889,7 @@ class InprocClient:
         deadline_s: float | None = None,
         trace: TraceContext | None = None,
     ) -> ServeResponse:
-        response = await self.service.get(
-            key, epoch=epoch, deadline_s=deadline_s, trace=trace
-        )
-        # Same piggyback the TCP front end adds: in-proc and wire clients
-        # are interchangeable to a router.
-        return replace(response, shard_state=tuple(self.service.state_token()))
-
-    async def get_many(
-        self,
-        keys,
-        epoch: int | None = None,
-        deadline_s: float | None = None,
-        trace: TraceContext | None = None,
-    ) -> list[ServeResponse]:
-        responses = await self.service.get_burst(
-            [(int(k), epoch, deadline_s, trace) for k in keys]
-        )
-        st = tuple(self.service.state_token())
-        return [replace(r, shard_state=st) for r in responses]
-
-    async def stats(self) -> dict:
-        return self.service.stats()
-
-    async def stats_live(self, window_s: float | None = None) -> dict:
-        return self.service.live_stats(window_s=window_s)
-
-    async def traces(self, n: int = 8) -> list[list[dict]]:
-        return self.service.recent_traces(n)
+        return await self.service.get(key, epoch=epoch, deadline_s=deadline_s, trace=trace)
 
     async def aux_state(self) -> dict:
         return self.service.aux_state()

@@ -127,12 +127,9 @@ class ServeResponse:
     (``error`` + ``detail``) — never silently dropped.
 
     ``code`` is the machine-readable error class (protocol v2): routers
-    branch on it (``unknown_epoch`` means *my view is stale*, ``closed``
+    branch on it (``unknown_epoch`` means *ask a replica*, ``closed``
     and transport faults mean *retry elsewhere*) where ``detail`` is for
-    humans.  ``shard_state`` is the answering service's piggybacked
-    ``(compaction generation, newest epoch)`` token — how a router
-    notices that a shard moved underneath its sealed-aux view without a
-    dedicated poll.
+    humans.
     """
 
     status: str
@@ -143,7 +140,6 @@ class ServeResponse:
     detail: str = ""
     trace: list | None = None  # span dicts, only on sampled requests
     code: str = ""
-    shard_state: tuple | None = None
 
 
 class _Burst:
@@ -782,23 +778,12 @@ class QueryService:
 
     # -- introspection -----------------------------------------------------
 
-    def state_token(self) -> list:
-        """``[compaction generation, newest epoch id]`` — the version of
-        this service's epoch set.  A router caches it next to the aux
-        view it built from `aux_state` and treats any response carrying a
-        different token as proof the view is stale (epoch committed or
-        compaction swapped since the last refresh)."""
-        epochs = self.store.epochs
-        return [self.store.compactions, epochs[-1] if epochs else -1]
-
     def aux_state(self) -> dict:
         """The sealed aux blobs a router needs to hold this shard's
         routing state: per live epoch, the per-rank blobs exactly as they
         sit in storage (hex — the wire is JSON).  Formats without aux
-        tables export ``None`` rows; a router then has nothing to prune
-        with and scatters by ring.  ``state`` is the matching
-        `state_token`, so the caller can detect a commit racing the
-        export."""
+        tables export ``None`` rows, which a router refuses: it then
+        has no view of this shard and plans by ring order."""
         blobs = {}
         for epoch in self.store.epochs:
             per_rank = self.store.aux_blobs(epoch)
@@ -808,7 +793,6 @@ class QueryService:
         return {
             "format": self.store.fmt.name,
             "nranks": self.store.nranks,
-            "state": self.state_token(),
             "epochs": blobs,
         }
 

@@ -2,9 +2,9 @@
 
 The core contract under test: a fleet answers every query byte-identically
 to one unsharded store holding the same dumps — for every registered aux
-backend, for epochs that mix backends, for absent keys, and regardless of
-whether the router's aux views are fresh or stale (staleness may cost
-ordering quality, never answers).
+backend, for epochs that mix backends, for absent keys, and whether or
+not the router's aux views know every epoch (a view that misses a commit
+may cost ordering quality, never answers).
 """
 
 import asyncio
@@ -15,7 +15,8 @@ import pytest
 
 from repro.core.auxtable import AUX_BACKENDS
 from repro.core.kv import random_kv_batch
-from repro.fleet import CircuitBreaker
+from repro.cli import _render_fleet_top_frame
+from repro.fleet import CircuitBreaker, FleetRouter, ShardAuxView
 from repro.serve import (
     ANY_EPOCH,
     ERR_BAD_REQUEST,
@@ -24,6 +25,7 @@ from repro.serve import (
     OK,
     OVERLOADED,
     ServeResponse,
+    ServeServer,
 )
 
 from .conftest import VB, absent_keys, build_fleet, make_dumps, merged_store, run
@@ -78,35 +80,29 @@ def test_mixed_backend_epochs_match_merged_store():
     oracle.close()
 
 
-def test_stale_view_detected_refreshed_and_still_correct():
+def test_commit_behind_a_live_router_is_answered_and_pulls_nothing():
+    """Views are pulled at start and never chased: a commit behind a live
+    router leaves every view at the old epoch set, and the new epoch's keys
+    are still answered byte-correctly, because the ring owners hold them
+    whatever the router's views say."""
     fleet, dumps, truth = build_fleet(seed=13, epochs=1)
 
     async def go():
         async with fleet:
             router = fleet.router
-            assert all(not v.stale for v in router.views.values())
-            # Commit a new epoch behind the router's back.
+            refreshes = router.stats()["aux_refreshes"]
+            assert refreshes == len(fleet.shards)
             extra = random_kv_batch(120, VB, np.random.default_rng(77))
             fleet.ingest(extra)
-            new_truth = {
-                int(k): extra.value_of(i) for i, k in enumerate(extra.keys)
-            }
-            refreshes_before = router.stats()["aux_refreshes"]
+            new_truth = {int(k): extra.value_of(i) for i, k in enumerate(extra.keys)}
             for k in sorted(new_truth)[:20]:
                 r = await router.get(k, epoch=ANY_EPOCH)
-                # Correctness never depends on view freshness: the ring
-                # owners hold the new epoch whether or not the router has
-                # heard of it.
                 assert r.status == OK and r.value == new_truth[k]
-            st = router.stats()
-            assert st["stale_detected"] >= 1
-            # The piggybacked token drift scheduled background re-pulls;
-            # let them run, then the views must claim the new epoch.
-            await asyncio.sleep(0.05)
-            assert all(not v.stale for v in router.views.values())
-            assert router.stats()["aux_refreshes"] > refreshes_before
-            newest = max(max(v.epochs) for v in router.views.values())
-            assert newest == 1
+            for k in sorted(truth)[:20]:
+                r = await router.get(k, epoch=ANY_EPOCH)
+                assert r.status == OK and r.value == truth[k]
+            assert router.stats()["aux_refreshes"] == refreshes
+            assert all(sorted(v.epochs) == [0] for v in router.views.values())
 
     run(go())
 
@@ -125,9 +121,8 @@ def test_plan_prefers_claimants_and_never_leaves_the_owner_set():
                 # Replication: every owner holds the key, aux tables have
                 # no false negatives, so the front of the plan claims it.
                 assert router.views[order[0]].claim(int(k)) >= 0
-            # Mark every view stale: planning degrades to pure ring order.
-            for v in router.views.values():
-                v.stale = True
+            # No view at all: planning degrades to pure ring order.
+            router.views.clear()
             k = next(iter(truth))
             order, used_aux = router.plan(k)
             assert not used_aux
@@ -157,7 +152,7 @@ class _Overloaded:
 
 
 ROUTER_COUNTERS = ("aux_routed", "scatter", "failovers", "retries", "breaker_skips",
-                   "requests", "stale_detected")
+                   "requests")
 
 
 @pytest.mark.parametrize("tcp", [False, True], ids=["inproc", "tcp"])
@@ -165,8 +160,8 @@ def test_get_burst_equals_one_get_per_key(tcp):
     """`FleetRouter.get_burst` answers a burst, and counts it, exactly as
     one `get` per key does — with one shard behind an open breaker (and no
     view, as after a failed start), one shard answering ``overloaded`` and
-    one stale view among the owners."""
-    blocked, refusing, stale = 0, 1, 2
+    one more shard without a view, so some keys have no owner with one."""
+    blocked, refusing, viewless = 0, 1, 2
 
     async def answer(burst: bool):
         fleet, dumps, truth = build_fleet(nshards=4, rf=2, epochs=2, seed=43, tcp=tcp)
@@ -176,7 +171,7 @@ def test_get_burst_equals_one_get_per_key(tcp):
             breaker.open_until = breaker.clock() + 3600
             router.views.pop(blocked)
             fleet.clients[refusing] = _Overloaded(fleet.clients[refusing])
-            router.views[stale].stale = True
+            router.views.pop(viewless)
             keys = sorted(truth)[::5] + absent_keys(truth, n=12)
             requests = [
                 (k, ANY_EPOCH if i % 3 else None, 5.0 if i % 11 == 0 else None, None)
@@ -311,9 +306,14 @@ def test_router_memory_is_aux_sized():
 
 def test_circuit_breaker_lifecycle():
     t = [0.0]
-    br = CircuitBreaker(threshold=2, cooldown_s=1.0, clock=lambda: t[0])
+    br = CircuitBreaker(cooldown_s=1.0, clock=lambda: t[0])
     assert br.state == "closed" and br.allow()
-    br.record(False)
+    for _ in range(CircuitBreaker.THRESHOLD - 1):
+        br.record(False)
+        assert br.state == "closed"
+    br.record(True)  # a success resets the count
+    for _ in range(CircuitBreaker.THRESHOLD - 1):
+        br.record(False)
     assert br.state == "closed"
     br.record(False)
     assert br.state == "open" and not br.allow() and br.trips == 1
@@ -325,5 +325,81 @@ def test_circuit_breaker_lifecycle():
     assert br.allow()
     br.record(True)
     assert br.state == "closed"
+
+
+def test_router_mounted_behind_a_server_pulls_each_view_once():
+    """`Fleet.start` starts the router, and a `ServeServer` mounting it
+    starts it again: the second start pulls nothing."""
+    fleet, dumps, truth = build_fleet(nshards=2, epochs=1, seed=17)
+
+    async def go():
+        async with fleet:
+            server = await ServeServer(fleet.router).start()
+            try:
+                assert fleet.router.stats()["aux_refreshes"] == len(fleet.shards)
+            finally:
+                await server.close()
+
+    run(go())
+
+
+def test_an_export_without_aux_tables_leaves_that_shard_without_a_view():
+    """A ``None`` row (a shard persisting no aux tables) is refused: that
+    shard gets no view, and keys whose owners all lack one scatter."""
+    fleet, dumps, truth = build_fleet(nshards=2, rf=2, epochs=1, seed=19)
+
+    class _NoAux:
+        def __init__(self, inner):
+            self._inner = inner
+
+        async def aux_state(self):
+            state = await self._inner.aux_state()
+            return {**state, "epochs": dict.fromkeys(state["epochs"])}
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
     with pytest.raises(ValueError):
-        CircuitBreaker(threshold=0)
+        ShardAuxView(1, {"nranks": 2, "epochs": {"0": None}})
+
+    async def go():
+        async with fleet:
+            k = sorted(truth)[0]
+            one = {**fleet.clients, 1: _NoAux(fleet.clients[1])}
+            router = await FleetRouter(one, fleet.ring, rf=fleet.rf).start()
+            assert sorted(router.views) == [0]
+            assert router.plan(k) == ([0, 1], True)  # shard 0 claims k, shard 1 keeps its place
+            both = {sid: _NoAux(client) for sid, client in fleet.clients.items()}
+            router = await FleetRouter(both, fleet.ring, rf=fleet.rf).start()
+            assert router.views == {}
+            assert router.plan(k) == (fleet.ring.owners(k, fleet.rf), False)
+            r = await router.get(k, epoch=ANY_EPOCH)
+            assert (r.status, r.value) == (OK, truth[k])
+            assert router.stats()["scatter"] == 1
+
+    run(go())
+
+
+def test_top_frame_renders_a_live_router():
+    """``repro top``'s fleet frame from a live router's `live_stats` and
+    `stats`: the routing line and one line per shard."""
+    fleet, dumps, truth = build_fleet(nshards=3, epochs=2, seed=23)
+
+    async def go():
+        async with fleet:
+            router = fleet.router
+            for k in sorted(truth)[:10]:
+                await router.get(k, epoch=ANY_EPOCH)
+            return router.live_stats(), router.stats()
+
+    live, stats = run(go())
+    lines = _render_fleet_top_frame(live, stats, "here:1").splitlines()
+    assert lines[0].startswith("repro top — fleet router @ here:1")
+    (routing,) = [ln for ln in lines if ln.lstrip().startswith("routing")]
+    assert routing.split() == [
+        "routing", "aux", "10", "scatter", "0", "failovers", "0", "refreshes", "3",
+    ]
+    shards = [ln.split() for ln in lines if ln.lstrip().startswith("shard")]
+    assert shards == [
+        ["shard", str(sid), "breaker", "closed", "epochs", "[0,", "1]"] for sid in range(3)
+    ]

@@ -1,4 +1,4 @@
-"""Wire protocol: CRC-checked v4 frames, TCP server/clients, in-proc adapter."""
+"""Wire protocol: CRC-checked v5 frames, TCP server/clients, in-proc adapter."""
 
 import asyncio
 import itertools
@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.formats import FMT_FILTERKV
+from repro.obs import TraceCollector, TraceContext
 from repro.serve import (
     ANY_EPOCH,
     ERROR,
@@ -50,8 +51,8 @@ def test_frame_round_trip():
     get = {"id": 3, "v": PROTO_VERSION, "op": "get_many", "keys": [17], "epoch": None,
            "deadline_s": None}
     reply = {
-        "id": 3, "v": PROTO_VERSION, "st": (1, 2),
-        "replies": [ServeResponse(OK, 17, 2, b"\x00\xffraw", True, shard_state=(1, 2))],
+        "id": 3, "v": PROTO_VERSION,
+        "replies": [ServeResponse(OK, 17, 2, b"\x00\xffraw", True)],
     }
     control = {"id": 4, "v": PROTO_VERSION, "op": "stats_live", "window_s": 2.5}
 
@@ -59,7 +60,7 @@ def test_frame_round_trip():
         frames = [encode_frame(m) for m in (get, reply, control)]
         # A one-key read and its answer are fixed binary structs; the value
         # rides raw, not hex-in-JSON.
-        assert len(frames[0]) == 42 and len(frames[1]) == 56 + len(b"\x00\xffraw")
+        assert len(frames[0]) == 42 and len(frames[1]) == 40 + len(b"\x00\xffraw")
         assert b"\x00\xffraw" in frames[1] and b"stats_live" in frames[2]
         reader = _fed_reader(b"".join(frames))
         assert await read_frame(reader) == get
@@ -95,14 +96,14 @@ def test_a_non_string_error_code_or_detail_is_refused_typed():
     not later as a `TypeError` in whoever judges the answer (a router's
     whole burst)."""
     row = ServeResponse(ERROR, 17, None, detail="why", code=ERR_UNKNOWN_EPOCH)
-    good = _reply_frame(3, [row], (0, 1))
+    good = _reply_frame(3, [row])
 
     def resealed(old: bytes, new: bytes) -> bytes:
         body = good[4:-4].replace(old, new)
         return struct.pack("<I", len(body) + 4) + body + struct.pack("<I", zlib.crc32(body))
 
     async def main():
-        assert (await read_frame(_fed_reader(good)))["replies"] == [replace(row, shard_state=(0, 1))]
+        assert (await read_frame(_fed_reader(good)))["replies"] == [row]
         for old, new in ((b'"unknown_epoch"', b"[1, 2]"), (b'"why"', b"7")):
             with pytest.raises(ProtocolError):
                 await read_frame(_fed_reader(resealed(old, new)))
@@ -246,6 +247,45 @@ def test_malformed_request_yields_error_not_crash():
     run(main())
 
 
+BAD_CONTROL = [
+    {"op": "trace", "n": "x"},
+    {"op": "trace", "n": [1]},
+    {"op": "trace", "n": -3},
+    {"op": "trace", "n": 1.5},
+    {"op": "trace", "n": True},
+    {"op": "stats_live", "window_s": "x"},
+    {"op": "stats_live", "window_s": 0},
+    {"op": "stats_live", "window_s": -1.0},
+    {"op": "stats_live", "window_s": float("inf")},
+    {"op": "stats_live", "window_s": float("nan")},
+]
+
+
+def test_malformed_control_arguments_are_bad_requests():
+    """A control verb whose argument means nothing is the caller's bug:
+    ``bad_request``, not retryable — never a retryable ``internal`` shard
+    fault, and never answered as if it were another argument."""
+    store, truth = shared_store(FMT_FILTERKV)
+    key = next(iter(truth[0]))
+
+    async def main():
+        service = QueryService(store, tracer=TraceCollector(seed=1))
+        async with ServeServer(service) as server:
+            async with TCPClient(server.host, server.port) as client:
+                await client.get(key, trace=TraceContext("t" * 16, "s" * 8, True))
+                for request in BAD_CONTROL:
+                    reply = await client._call(request)
+                    assert reply["status"] == ERROR, request
+                    assert reply["error"] == {"code": ERR_BAD_REQUEST, "retryable": False}, request
+                assert await client.traces(0) == []
+                assert len(await client.traces(1)) == 1
+                assert (await client.stats_live(window_s=1e-9))["requests"] == 0
+                assert (await client.stats_live())["requests"] == 1
+        assert service.recent_traces(0) == []
+
+    run(main())
+
+
 def test_inproc_client_matches_tcp_surface():
     store, truth = shared_store(FMT_FILTERKV)
     key = next(iter(truth[0]))
@@ -255,7 +295,8 @@ def test_inproc_client_matches_tcp_surface():
         async with InprocClient(service) as client:
             r = await client.get(key)
             assert r.status == OK and r.value == truth[0][key]
-            assert (await client.stats())["requests"][OK] == 1
+            assert service.stats()["requests"][OK] == 1
+            assert await client.aux_state() == service.aux_state()
         await service.close()
 
     run(main())
@@ -413,9 +454,9 @@ def test_get_many_answers_like_one_get_per_key():
                     ], epoch
                     assert one == await _within(client.get_many(keys, epoch=epoch))
                 assert [r.value for r in one[:8]] == [None] * 8 and one[0].code == "unknown_epoch"
-                inproc = InprocClient(service)
                 any_epoch = await client.get_many(keys, epoch=ANY_EPOCH)
-                assert await inproc.get_many(keys, epoch=ANY_EPOCH) == any_epoch
+                direct = await service.get_burst([(k, ANY_EPOCH, None, None) for k in keys])
+                assert direct == any_epoch
                 assert [r.value for r in any_epoch] == [
                     truth[1].get(k, truth[0].get(k)) for k in keys
                 ]

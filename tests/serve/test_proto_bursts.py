@@ -75,9 +75,7 @@ def _comparable(response):
 
 
 def _same_answers(store, script, service_cls=QueryService, **service_kwargs):
-    """The script's responses agree field for field across the surfaces;
-    the two clients also agree on the piggybacked state token, which a
-    bare `QueryService.get` does not carry."""
+    """The script's responses agree field for field across the surfaces."""
 
     async def main():
         got = {
@@ -87,9 +85,7 @@ def _same_answers(store, script, service_cls=QueryService, **service_kwargs):
             ]
             for kind in ("service", "inproc", "tcp")
         }
-        assert got["tcp"] == got["inproc"]
-        assert [replace(r, shard_state=None) for r in got["tcp"]] == got["service"]
-        assert all(r.shard_state is not None for r in got["tcp"])
+        assert got["tcp"] == got["inproc"] == got["service"]
         return got["tcp"]
 
     return run(main())
@@ -235,7 +231,7 @@ def test_one_pipelined_burst_equals_one_get_per_request(fmt):
             service.gate.set()
             answers = await calls
             totals = {f"{n}{l}": service.metrics.total(n, **l) for n, l in BURST_TOTALS}
-            return [_comparable(replace(r, shard_state=None)) for r in answers], totals, expired
+            return [_comparable(r) for r in answers], totals, expired
 
         if kind == "service":
             async with service:
@@ -291,9 +287,10 @@ def test_deadline_in_a_burst_is_not_held_by_a_stalled_peer():
 
 
 def _not_found(request, n):
-    """A ``REPLY_MANY`` with one not-found row per key; ``n`` frames seen."""
-    rows = [ServeResponse(NOT_FOUND, key, None) for key in request["keys"]]
-    return _reply_frame(request["id"], rows, (0, n))
+    """A ``REPLY_MANY`` with one not-found row per key, each naming the
+    ``n`` frames seen."""
+    rows = [ServeResponse(NOT_FOUND, key, None, detail=f"frame {n}") for key in request["keys"]]
+    return _reply_frame(request["id"], rows)
 
 
 async def _wire_frames(calls, answer=_not_found):
@@ -330,8 +327,8 @@ def test_concurrent_gets_at_one_epoch_and_deadline_ride_one_frame():
         (frame,) = seen
         assert frame["op"] == "get_many" and frame["keys"] == keys
         assert (frame["epoch"], frame["deadline_s"]) == (epoch, deadline)
-        assert [(r.status, r.key, r.shard_state) for r in answers] == [
-            (NOT_FOUND, k, (0, 1)) for k in keys
+        assert [(r.status, r.key, r.detail) for r in answers] == [
+            (NOT_FOUND, k, "frame 1") for k in keys
         ]
 
 

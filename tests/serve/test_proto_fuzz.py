@@ -1,4 +1,4 @@
-"""Hostile bytes against the v4 frame decoder, and the round-trip property.
+"""Hostile bytes against the v5 frame decoder, and the round-trip property.
 
 Whatever arrives on a connection, `read_frame` has three outcomes: a
 message, clean EOF, or `ProtocolError` — never another exception, a hang,
@@ -43,12 +43,13 @@ from .conftest import fed_reader as feed
 from .conftest import run, shared_store
 
 U64 = 2**64 - 1
-V3 = 3  # the version before this one
+V3, V4 = 3, 4  # the versions before this one
 HEAD = struct.Struct("<BBI")  # version, kind, id
 V3_GET = struct.Struct("<BBIQqd")  # v3's one-key kinds, gone in v4
 V3_REPLY = struct.Struct("<BBIQqBBqqI")
+V4_REPLY_MANY = struct.Struct("<BBIqqI")  # v4 led its rows with a state token, gone in v5
 GET_MANY = struct.Struct("<BBIqdI")
-REPLY_MANY = struct.Struct("<BBIqqI")
+REPLY_MANY = struct.Struct("<BBII")
 ROW = struct.Struct("<QqBBI")
 
 
@@ -93,9 +94,9 @@ def get(rid, key, epoch=None, deadline_s=None, **tail):
             **tail}
 
 
-def reply(rid, token, *rows):
-    """A ``REPLY_MANY``; its rows decode carrying the frame's state token."""
-    return {"id": rid, "st": token, "replies": [replace(r, shard_state=token) for r in rows]}
+def reply(rid, *rows):
+    """A ``REPLY_MANY`` of ``rows``."""
+    return {"id": rid, "replies": list(rows)}
 
 
 # One valid message of every shape the wire carries.
@@ -104,10 +105,10 @@ MESSAGES = {
     "get-timed-any-epoch": get(2, U64, ANY_EPOCH, 0.25),
     "get-traced": get(3, 0, 4, trace=CONTEXT.to_wire()),
     "get-unfit-key": get(4, -5),
-    "reply-ok": reply(5, (3, 9), ServeResponse(OK, 17, 2, b"\x00\xffvalue" * 6, True)),
-    "reply-empty-value": reply(6, (0, 0), ServeResponse(OK, 0, 0, b"", False)),
-    "reply-not-found": reply(7, (0, -1), ServeResponse("not_found", U64, ANY_EPOCH)),
-    "reply-traced-error": reply(8, (1, 1), ServeResponse(
+    "reply-ok": reply(5, ServeResponse(OK, 17, 2, b"\x00\xffvalue" * 6, True)),
+    "reply-empty-value": reply(6, ServeResponse(OK, 0, 0, b"", False)),
+    "reply-not-found": reply(7, ServeResponse("not_found", U64, ANY_EPOCH)),
+    "reply-traced-error": reply(8, ServeResponse(
         ERROR, 9, None, detail="no such epoch 9 — ünïcode", code=ERR_UNKNOWN_EPOCH, trace=SPANS,
     )),
     "error-without-key": error_frame(9, ERR_BAD_REQUEST, "bad get_many request"),
@@ -120,13 +121,13 @@ MESSAGES = {
                               "deadline_s": 0.5, "trace": CONTEXT.to_wire()},
     "get-many-empty": {"id": 15, "op": "get_many", "keys": [], "epoch": 3, "deadline_s": None},
     "reply-many": reply(
-        16, (3, 9),
+        16,
         ServeResponse(OK, 17, 2, b"\x00\xffvalue", True),
         ServeResponse("not_found", U64, ANY_EPOCH),
         ServeResponse(OK, 0, 0, b"", False, trace=SPANS),
         ServeResponse(ERROR, 9, None, detail="no such epoch 9 — ünïcode", code=ERR_UNKNOWN_EPOCH),
     ),
-    "reply-many-empty": reply(17, (0, -1)),
+    "reply-many-empty": reply(17),
 }
 
 
@@ -202,25 +203,30 @@ def _get_many_body(nkeys: int, payload: bytes) -> bytes:
 
 
 def _reply_many_body(nrows: int, payload: bytes) -> bytes:
-    return REPLY_MANY.pack(PROTO_VERSION, 5, 1, 0, 0, nrows) + payload
+    return REPLY_MANY.pack(PROTO_VERSION, 5, 1, nrows) + payload
 
 
 def _row(nvalue: int, flags: int, payload: bytes = b"", status: int = 0) -> bytes:
     return ROW.pack(17, 0, status, flags, nvalue) + payload
 
 
-def as_v3(body: bytes) -> bytes:
-    """The same bytes from a v3 peer."""
-    return bytes([V3]) + body[1:]
+def as_version(version: int, body: bytes) -> bytes:
+    """The same bytes from a peer speaking ``version``."""
+    return bytes([version]) + body[1:]
+
+
+def other_versions(bodies: list[bytes]) -> list[bytes]:
+    """``bodies`` as a v3 and as a v4 peer would send them."""
+    return [as_version(version, b) for version in (V3, V4) for b in bodies]
 
 
 def refused(body: bytes, decode) -> bool:
-    """Whether ``decode(body)`` refused a v4 ``body`` as malformed or, for
-    a v3 ``body``, interpreted nothing but its head (which the server
-    answers with a typed ``unsupported_version`` error)."""
+    """Whether ``decode(body)`` refused a v5 ``body`` as malformed or, for
+    another version's ``body``, interpreted nothing but its head (which
+    the server answers with a typed ``unsupported_version`` error)."""
     if body[0] == PROTO_VERSION:
         return decode(body) == ([], True)
-    return decode(body) == ([{"id": 1, "v": V3}], False)
+    return decode(body) == ([{"id": 1, "v": body[0]}], False)
 
 
 MALFORMED = [
@@ -246,7 +252,7 @@ MALFORMED = [
     _get_many_body(1, bytes(8) + b"\xff\xfe"),  # tail, bad UTF-8
     _get_many_body(0, b"[1]"),  # tails must be objects
     _get_many_body(0, b'{"replies": [{"status": "ok"}]}'),
-    HEAD.pack(PROTO_VERSION, 5, 1) + bytes(19),  # REPLY_MANY shorter than its struct
+    HEAD.pack(PROTO_VERSION, 5, 1) + bytes(3),  # REPLY_MANY shorter than its struct
     _reply_many_body(1, b""),  # rows run past the frame
     _reply_many_body(2, _row(0, 0)),
     _reply_many_body(2**32 - 1, _row(0, 0)),
@@ -269,7 +275,7 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("body", MALFORMED + [as_v3(b) for b in MALFORMED])
+@pytest.mark.parametrize("body", MALFORMED + other_versions(MALFORMED))
 def test_checksummed_but_malformed_bodies_are_refused(body):
     assert refused(body, lambda b: drain(frame(b)))
 
@@ -284,7 +290,7 @@ OVERCOUNTED = [
 ]
 
 
-@pytest.mark.parametrize("body", OVERCOUNTED + [as_v3(b) for b in OVERCOUNTED])
+@pytest.mark.parametrize("body", OVERCOUNTED + other_versions(OVERCOUNTED))
 def test_counts_that_disagree_with_the_frame_allocate_nothing(body):
     """A key count, row count or value length is checked against the
     frame before anything is sized by it."""
@@ -325,8 +331,28 @@ def test_a_v3_get_is_refused_by_version_and_addressed_to_its_id():
     run(main())
 
 
+def test_a_v4_peer_is_refused_by_version_and_addressed_to_its_id():
+    """v4 read frames: a ``GET_MANY`` (laid out as in v5) is answered
+    ``unsupported_version``; a ``REPLY_MANY`` (a state token before its
+    rows) is interpreted no further than its head."""
+    v4_reply = V4_REPLY_MANY.pack(V4, 5, 41, 3, 9, 1) + _row(0, 2)
+    assert drain(frame(v4_reply)) == ([{"id": 41, "v": V4}], False)
+    store, _ = shared_store(FMT_FILTERKV)
+
+    async def main():
+        async with ServeServer(QueryService(store)) as server:
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(frame(GET_MANY.pack(V4, 4, 78, 0, float("nan"), 1) + struct.pack("<Q", 17)))
+            answer = await asyncio.wait_for(read_frame(FrameReader(reader)), 5)
+            writer.close()
+        assert answer["id"] == 78 and answer["status"] == ERROR
+        assert answer["error"] == {"code": ERR_UNSUPPORTED_VERSION, "retryable": False}
+
+    run(main())
+
+
 def test_other_versions_are_answered_not_parsed():
-    for version in (0, 1, 2, V3, PROTO_VERSION + 1, 255):
+    for version in (0, 1, 2, V3, V4, PROTO_VERSION + 1, 255):
         (decoded,), broken = drain(frame(HEAD.pack(version, 77, 41) + b"\xffwhatever"))
         assert not broken and decoded == {"id": 41, "v": version}
 
@@ -336,10 +362,10 @@ def test_fixed_fields_win_over_a_tail_that_repeats_them():
     (decoded,), _ = drain(frame(body + b'{"keys": [99], "id": 1, "op": "stats", "x": 1}'))
     assert (decoded["id"], decoded["op"], decoded["keys"], decoded["x"]) == (5, "get_many", [17], 1)
     # A row tail gives its row the rare fields, never a fixed one.
-    tail = b'{"st": [7, 7], "rows": {"0": {"status": "error", "key": 3, "detail": "d"}}}'
+    tail = b'{"id": 9, "rows": {"0": {"status": "error", "key": 3, "detail": "d"}}}'
     (decoded,), _ = drain(frame(_reply_many_body(1, _row(0, 2)) + tail))
-    assert decoded["st"] == (0, 0)
-    assert decoded["replies"] == [ServeResponse(OK, 17, 0, b"", detail="d", shard_state=(0, 0))]
+    assert decoded["id"] == 1
+    assert decoded["replies"] == [ServeResponse(OK, 17, 0, b"", detail="d")]
 
 
 # -- properties ----------------------------------------------------------------
@@ -393,9 +419,6 @@ responses = st.builds(
     detail=st.text(max_size=40),
     trace=st.one_of(st.none(), span_trees),
     code=st.sampled_from(["", ERR_CLOSED, ERR_INTERNAL, ERR_UNKNOWN_EPOCH, ERR_UNSUPPORTED_VERSION]),
-    shard_state=st.one_of(
-        st.none(), st.tuples(st.integers(0, 2**63 - 1), st.integers(-1, 2**63 - 1))
-    ),
 )
 requests = st.fixed_dictionaries(
     {
@@ -424,28 +447,26 @@ many_requests = st.fixed_dictionaries(
     },
     optional={"trace": st.just(CONTEXT.to_wire())},
 )
-state_tokens = st.tuples(st.integers(0, 2**63 - 1), st.integers(-1, 2**63 - 1))
 
 
 def check_response_round_trip(response, rid):
-    """A response rides one row of a ``REPLY_MANY`` and comes back with the
-    frame's state token."""
-    token = response.shard_state or (0, -1)
-    (decoded,), broken = drain(encode_frame({"id": rid, "st": token, "replies": [response]}))
-    assert not broken and decoded == {"v": PROTO_VERSION, **reply(rid, token, response)}
+    """A response rides one row of a ``REPLY_MANY`` and comes back as it
+    was."""
+    (decoded,), broken = drain(encode_frame(reply(rid, response)))
+    assert not broken and decoded == {"v": PROTO_VERSION, **reply(rid, response)}
 
 
-def check_reply_many_round_trip(batch, rid, token):
+def check_reply_many_round_trip(batch, rid):
     """The server's packer and `encode_frame` of the same responses decode
     to one message, whose rows are those responses."""
-    (decoded,), broken = drain(encode_frame({"id": rid, "st": token, "replies": batch}))
-    assert not broken and decoded == {"v": PROTO_VERSION, **reply(rid, token, *batch)}
-    assert drain(_reply_frame(rid, batch, token)) == ([decoded], False)
+    (decoded,), broken = drain(encode_frame(reply(rid, *batch)))
+    assert not broken and decoded == {"v": PROTO_VERSION, **reply(rid, *batch)}
+    assert drain(_reply_frame(rid, batch)) == ([decoded], False)
 
 
-def check_reply_round_trip(response, rid, token):
-    (decoded,), broken = drain(_reply_frame(rid, [response], token))
-    assert not broken and decoded["replies"] == [replace(response, shard_state=token)]
+def check_reply_round_trip(response, rid):
+    (decoded,), broken = drain(_reply_frame(rid, [response]))
+    assert not broken and decoded["replies"] == [response]
 
 
 def check_request_round_trip(request):
@@ -466,11 +487,10 @@ test_many_request_round_trip, test_many_request_round_trip_full = both_profiles(
 )
 test_reply_many_round_trip, test_reply_many_round_trip_full = both_profiles(
     check_reply_many_round_trip, st.lists(responses, max_size=12), st.integers(0, 2**32 - 1),
-    state_tokens, quick=100, full=2000,
+    quick=100, full=2000,
 )
 test_reply_round_trip, test_reply_round_trip_full = both_profiles(
-    check_reply_round_trip, responses, st.integers(0, 2**32 - 1), state_tokens,
-    quick=100, full=2000,
+    check_reply_round_trip, responses, st.integers(0, 2**32 - 1), quick=100, full=2000,
 )
 
 
