@@ -435,7 +435,8 @@ class MultiEpochStore:
         compaction preserves (first-write-wins, newest epoch first).  With
         ``cached=False`` the walk goes through the cold engines, so every
         probe opens partitions afresh (the paper's cold reader), which is
-        what `benchmarks/bench_compact.py` measures.
+        what `tests/core/test_compaction.py` bounds compaction's read
+        amplification by.
         """
         engine = self._warm.engine if cached else self.engine
         values, found, stats = _newest_first(self.epochs, engine, [key])

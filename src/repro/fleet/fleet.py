@@ -34,8 +34,8 @@ class FleetSpec:
 
     ``nranks`` is writer ranks *per shard* (each shard is a complete
     in-situ FilterKV dataset); ``rf`` is the replication factor — how many ring
-    owners hold each key.  ``service_kwargs`` / ``router_kwargs`` pass
-    through to `QueryService` and `FleetRouter` untouched.
+    owners hold each key.  ``service_kwargs`` pass through to every
+    shard's `QueryService` untouched.
     """
 
     nshards: int = 4
@@ -47,7 +47,6 @@ class FleetSpec:
     tcp: bool = False
     aux_backends: tuple[str, ...] | None = None
     service_kwargs: dict = field(default_factory=dict)
-    router_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.nshards < 1:
@@ -109,9 +108,7 @@ class Fleet:
         for node in self.shards.values():
             await node.start(tcp=self.spec.tcp)
             self.clients[node.shard_id] = node.client
-        self.router = FleetRouter(
-            self.clients, self.ring, rf=self.rf, **self.spec.router_kwargs
-        )
+        self.router = FleetRouter(self.clients, self.ring, rf=self.rf)
         await self.router.start()
         return self.router
 

@@ -82,6 +82,9 @@ _TRANSPORT_ERRORS = (ConnectionError, OSError, ProtocolError)
 # Extra attempts per shard on a transport fault or retryable error.
 RETRIES = 1
 
+# First backoff before a shard is retried (seconds), doubling per attempt.
+BACKOFF_S = 0.005
+
 # Trailing window of `FleetRouter.live_stats` (seconds).
 STATS_WINDOW_S = 10.0
 
@@ -95,9 +98,10 @@ class ShardAuxView:
     Built from the ``aux_state`` verb's export.  ``blob_bytes`` is the
     sealed wire size (the honest floor: what the shard shipped);
     ``resident_bytes`` is what the rebuilt tables claim via
-    ``size_bytes`` — the fleet bench gates their ratio.  An export with
-    a ``None`` row (a shard that persists no aux tables) is refused with
-    a `ValueError`: that shard has no view, and planning uses ring order.
+    ``size_bytes`` — `tests/fleet/test_router.py` bounds their ratio.  An
+    export with a ``None`` row (a shard that persists no aux tables) is
+    refused with a `ValueError`: that shard has no view, and planning
+    uses ring order.
     """
 
     def __init__(self, shard_id: int, state: dict):
@@ -144,15 +148,15 @@ class ShardAuxView:
 class CircuitBreaker:
     """Per-shard failure gate: closed → open → half-open → closed.
 
-    ``THRESHOLD`` consecutive shard faults open it for ``cooldown_s``;
-    after the cooldown one probe is let through (half-open) and its
-    outcome decides — success closes, failure re-opens immediately.
+    ``THRESHOLD`` consecutive shard faults open it for ``COOLDOWN_S``
+    seconds; after the cooldown one probe is let through (half-open) and
+    its outcome decides — success closes, failure re-opens immediately.
     """
 
     THRESHOLD = 3
+    COOLDOWN_S = 0.25
 
-    def __init__(self, cooldown_s: float = 0.25, clock=time.monotonic):
-        self.cooldown_s = cooldown_s
+    def __init__(self, clock=time.monotonic):
         self.clock = clock
         self.failures = 0
         self.open_until: float | None = None
@@ -183,7 +187,7 @@ class CircuitBreaker:
             return
         self.failures += 1
         if self._half_open or self.failures >= self.THRESHOLD:
-            self.open_until = self.clock() + self.cooldown_s
+            self.open_until = self.clock() + self.COOLDOWN_S
             self._half_open = False
             self.failures = 0
             self.trips += 1
@@ -200,11 +204,11 @@ class FleetRouter:
         a `Fleet` swapping a recovered shard's client in place just works.
     ring / rf:
         Placement: a key may live only on its ``rf`` ring owners.
-    backoff_s:
-        First backoff before a shard is retried (``RETRIES`` times, on
-        transport faults and retryable errors), doubling per attempt.
-    breaker_cooldown_s:
-        How long a per-shard `CircuitBreaker` stays open once tripped.
+
+    A shard is retried ``RETRIES`` times on transport faults and
+    retryable errors, after ``BACKOFF_S`` doubling per attempt, and a
+    per-shard `CircuitBreaker` stays open ``CircuitBreaker.COOLDOWN_S``
+    once tripped.
     """
 
     def __init__(
@@ -212,19 +216,13 @@ class FleetRouter:
         clients: dict[int, object],
         ring: HashRing,
         rf: int = 2,
-        backoff_s: float = 0.005,
-        breaker_cooldown_s: float = 0.25,
         metrics: MetricsRegistry | None = None,
     ):
         self.clients = clients
         self.ring = ring
         self.rf = max(1, int(rf))
-        self.backoff_s = backoff_s
         self.views: dict[int, ShardAuxView] = {}
-        self.breakers = {
-            sid: CircuitBreaker(cooldown_s=breaker_cooldown_s)
-            for sid in clients
-        }
+        self.breakers = {sid: CircuitBreaker() for sid in clients}
         self.metrics = metrics if metrics is not None else MetricsRegistry("fleet")
         self.timeseries = TimeseriesHub(
             STATUSES,
@@ -354,7 +352,7 @@ class FleetRouter:
         slots, keys, admitted = [], [], []
         for i, (key, epoch, deadline_s, trace) in enumerate(requests):
             try:
-                key, epoch = checked_request(key, epoch)
+                key, epoch = checked_request(key, epoch, deadline_s)
             except ValueError as e:
                 response = ServeResponse(ERROR, key, epoch, detail=str(e), code=ERR_BAD_REQUEST)
             else:
@@ -427,7 +425,7 @@ class FleetRouter:
         for attempt in range(RETRIES + 1):
             if attempt > 0:
                 self._m_retries.inc()
-                await asyncio.sleep(self.backoff_s * (2 ** (attempt - 1)))
+                await asyncio.sleep(BACKOFF_S * (2 ** (attempt - 1)))
             try:
                 response = await client.get(
                     key, epoch=epoch, deadline_s=deadline_s, trace=trace

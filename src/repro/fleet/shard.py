@@ -42,7 +42,7 @@ class ShardNode:
         FilterKV dataset with its own partitions and aux tables.
     service_kwargs:
         Passed through to `QueryService` (cache sizes, admission control,
-        deadlines); the fleet bench pins caches tiny through this.
+        deadlines).
     """
 
     def __init__(

@@ -26,7 +26,8 @@ Three ideas carry the design:
 
 * **Zero-cost default.**  An unsampled request creates no spans:
   `child_span` costs one ContextVar read when no trace is active.
-  Tracing off ⇒ no measurable overhead (`bench_serve` gates this).
+  Tracing off is the service's default (a collector with
+  ``sample_rate=0``), so every untraced benchmark run times it.
 
 Sampling is seeded and deterministic, like every other source of
 randomness in the reproduction.

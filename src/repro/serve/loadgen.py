@@ -112,10 +112,6 @@ class LoadReport:
         return self.requests / self.wall_s if self.wall_s > 0 else 0.0
 
     @property
-    def answered(self) -> int:
-        return self.statuses.get(OK, 0) + self.statuses.get(NOT_FOUND, 0)
-
-    @property
     def shed(self) -> int:
         return self.statuses.get(OVERLOADED, 0) + self.statuses.get(DEADLINE_EXCEEDED, 0)
 

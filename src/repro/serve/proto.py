@@ -428,20 +428,16 @@ def _responses(reply: dict, keys: list[int]) -> list[ServeResponse]:
 def _read_members(request: dict) -> list[tuple]:
     """The ``get_burst`` members, ``(key, epoch, deadline_s, trace)``, of
     one ``get_many`` request.  Raises KeyError, TypeError or ValueError
-    for a request whose fields mean nothing; one key or epoch that
-    `checked_request` refuses refuses the request."""
+    for a request whose fields mean nothing; one key, epoch or deadline
+    that `checked_request` refuses refuses the request."""
     epoch, deadline = request.get("epoch"), request.get("deadline_s")
-    if deadline is not None:
-        deadline = float(deadline)
-        if deadline != deadline:
-            raise ValueError("deadline_s is NaN")
     keys = request["keys"]
     if not isinstance(keys, list):
         raise TypeError(f"keys is a {type(keys).__name__}, not a list")
     trace = request.get("trace")
     members = []
     for key in keys:
-        key, epoch = checked_request(key, epoch)
+        key, epoch = checked_request(key, epoch, deadline)
         members.append((key, epoch, deadline, trace))
     return members
 

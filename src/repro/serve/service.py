@@ -100,11 +100,17 @@ _UNSEEN = object()  # `get_burst`: an epoch this burst has not resolved yet
 _KEY_END = 1 << 64
 
 
-def checked_request(key, epoch) -> tuple[int, int | None]:
-    """``(key, epoch)`` as ints, or a ValueError saying why they are no
-    read request: a key is an int in ``[0, 2^64)``, an epoch None or an
-    int.  The one rule `QueryService.get_burst`, `FleetRouter.get_burst`
-    and the wire's ``get_many`` admit reads by."""
+def checked_request(key, epoch, deadline_s) -> tuple[int, int | None]:
+    """``(key, epoch)`` as ints, or a ValueError saying why the three are
+    no read request: a key is an int in ``[0, 2^64)``, an epoch None or an
+    int, a deadline None or an int or float (not a bool) that is not NaN.  The one rule `QueryService.get_burst`,
+    `FleetRouter.get_burst` and the wire's ``get_many`` admit reads by."""
+    if deadline_s is not None and (
+        isinstance(deadline_s, bool)
+        or not isinstance(deadline_s, (int, float))
+        or deadline_s != deadline_s
+    ):
+        raise ValueError(f"deadline_s {deadline_s!r} is no number of seconds")
     try:
         key = operator.index(key)
     except TypeError:
@@ -187,17 +193,19 @@ class _Shedder:
     """Queue-depth watermarks with hysteresis.
 
     Above ``high`` the service sheds every new arrival; shedding stays on
-    until the queue drains to ``low``, so a saturating client sees a
-    clean ``overloaded`` band instead of flapping at the boundary.
+    until the queue drains to ``low`` (half of ``high``), so a saturating
+    client sees a clean ``overloaded`` band instead of flapping at the
+    boundary.
     """
 
     high: int
-    low: int
+    low: int = field(init=False)
     shedding: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        if self.low < 0 or self.high < 1 or self.low >= self.high:
-            raise ValueError(f"need 0 <= low < high, got low={self.low} high={self.high}")
+        if self.high < 1:
+            raise ValueError(f"queue_high_watermark must be >= 1, got {self.high}")
+        self.low = self.high // 2
 
     def should_shed(self, depth: int) -> bool:
         if self.shedding:
@@ -225,8 +233,9 @@ class QueryService:
     max_inflight:
         Budget of admitted-but-unanswered requests (coalesced waiters
         each count); beyond it new arrivals are shed.
-    queue_high_watermark / queue_low_watermark:
-        Shedding hysteresis on the dispatch queue depth.
+    queue_high_watermark:
+        Shedding hysteresis on the dispatch queue depth: shedding starts
+        at this depth and stops once the queue drains to half of it.
     table_cache_entries:
         Per-epoch engine reader-cache bound (see `CachedQueryEngine`);
         at least 1.
@@ -254,7 +263,6 @@ class QueryService:
         result_cache_entries: int = 4096,
         max_inflight: int = 1024,
         queue_high_watermark: int = 512,
-        queue_low_watermark: int | None = None,
         table_cache_entries: int = TABLE_CACHE_ENTRIES,
         metrics: MetricsRegistry | None = None,
         tracer: TraceCollector | None = None,
@@ -281,12 +289,7 @@ class QueryService:
             shed=(OVERLOADED, DEADLINE_EXCEEDED),
             window_s=stats_window_s,
         )
-        low = (
-            queue_low_watermark
-            if queue_low_watermark is not None
-            else max(0, queue_high_watermark // 2)
-        )
-        self._shedder = _Shedder(high=queue_high_watermark, low=low)
+        self._shedder = _Shedder(queue_high_watermark)
         self._rcache = LRUCache(result_cache_entries, self.metrics, name="serve.result_cache")
         self._negcache = NegativeCache(NEGATIVE_CACHE_ENTRIES, self.metrics)
         # The reader session.  When the store's compaction generation
@@ -423,7 +426,7 @@ class QueryService:
         tokens: dict = {}  # epoch -> resolved token (or its LookupError), per burst
         for i, (key, epoch, deadline_s, trace) in enumerate(requests):
             try:
-                key, epoch = checked_request(key, epoch)
+                key, epoch = checked_request(key, epoch, deadline_s)
             except ValueError as e:
                 out[i] = self._done(
                     t0, ServeResponse(ERROR, key, epoch, detail=str(e), code="bad_request")

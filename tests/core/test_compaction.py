@@ -260,6 +260,51 @@ def test_policy_bounds_live_epoch_count(fmt):
     store.close()
 
 
+def _cold_cost(store, keys):
+    """Mean (device reads, partitions searched) per cold `lookup`: fresh
+    readers per probe, so the walk over live epochs is paid in full."""
+    reads = searched = 0
+    for key in keys:
+        _, _, stats = store.lookup(int(key), cached=False)
+        reads += stats.reads
+        searched += stats.partitions_searched
+    return reads / len(keys), searched / len(keys)
+
+
+def test_compaction_bounds_cold_read_amplification_at_10x_growth(fmt):
+    """Grown to 10x a single-epoch store, a store compacting after every
+    commit keeps a cold lookup's mean device reads and partitions searched
+    within 1.5x of the one-epoch store's, while its uncompacted twin walks
+    strictly more.  Probes are drawn from the whole write history: keys
+    written long ago are the ones that walk every epoch."""
+    epochs, probes = 10, 96
+
+    def grown(nepochs, compaction=None):
+        store = MultiEpochStore(
+            nranks=4, fmt=fmt, value_bytes=VB, seed=47, compaction=compaction
+        )
+        return store, _overlapping_epochs(store, nepochs, n=60, seed=47, overlap=0.3)
+
+    base, base_truth = grown(1)
+    compacted, truth = grown(
+        epochs, CompactionPolicy(max_live_epochs=2, merge_factor=epochs + 1)
+    )
+    uncompacted, _ = grown(epochs)
+    rng = np.random.default_rng(47)
+    base_keys = rng.choice(np.fromiter(base_truth, dtype=np.uint64), probes, replace=False)
+    keys = rng.choice(np.fromiter(truth, dtype=np.uint64), probes, replace=False)
+    base_reads, base_parts = _cold_cost(base, base_keys)
+    reads, parts = _cold_cost(compacted, keys)
+    assert reads <= 1.5 * base_reads, (reads, base_reads)
+    assert parts <= 1.5 * base_parts, (parts, base_parts)
+    assert _cold_cost(uncompacted, keys)[0] > reads
+    assert compacted.compactions >= epochs - 2
+    for key in keys[:16].tolist():
+        assert compacted.lookup(key, cached=False)[0] == truth[key]
+    for store in (base, compacted, uncompacted):
+        store.close()
+
+
 def test_policy_merges_smallest_epochs_first():
     policy = CompactionPolicy(max_live_epochs=2, merge_factor=2)
     store = MultiEpochStore(nranks=2, fmt=FMT_BASE, value_bytes=VB)

@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from repro.fleet import FleetRouter, HashRing
+from repro.fleet import CircuitBreaker, FleetRouter, HashRing
+from repro.fleet import router as router_mod
 from repro.serve import ANY_EPOCH, DEADLINE_EXCEEDED, OK, ServeResponse
 
 from ..serve.conftest import GatedService
@@ -22,9 +23,16 @@ from .conftest import TINY_CACHES, absent_keys, build_fleet, run
 
 SEED_OFFSET = int(os.environ.get("FAULT_SEED_OFFSET", "0"))
 
-FAILOVER_ROUTER = dict(backoff_s=0.0005, breaker_cooldown_s=30.0)
+
+@pytest.fixture
+def failover_router(monkeypatch):
+    """Retry fast, and keep a tripped breaker open for the whole test, so
+    the crashed shard stays skipped once its breaker opens."""
+    monkeypatch.setattr(router_mod, "BACKOFF_S", 0.0005)
+    monkeypatch.setattr(CircuitBreaker, "COOLDOWN_S", 30.0)
 
 
+@pytest.mark.usefixtures("failover_router")
 @pytest.mark.parametrize("case", range(3))
 def test_replica_promotion_under_crash(case):
     seed = 17 + 13 * case + SEED_OFFSET
@@ -34,7 +42,6 @@ def test_replica_promotion_under_crash(case):
         epochs=1,
         seed=seed,
         service_kwargs=TINY_CACHES,
-        router_kwargs=dict(FAILOVER_ROUTER),
     )
     victim = case % 3
     keys = sorted(truth)[::3]
@@ -72,6 +79,7 @@ def test_replica_promotion_under_crash(case):
     run(go())
 
 
+@pytest.mark.usefixtures("failover_router")
 def test_crash_with_rf1_loses_availability_not_correctness():
     """Sanity check on the replication claim itself: with rf=1 there is
     no replica to promote, so a crashed primary's keys become typed
@@ -82,7 +90,6 @@ def test_crash_with_rf1_loses_availability_not_correctness():
         epochs=1,
         seed=61,
         service_kwargs=TINY_CACHES,
-        router_kwargs=dict(FAILOVER_ROUTER),
     )
 
     async def go():
@@ -177,6 +184,7 @@ def test_tcp_fleet_matches_truth():
     run(go())
 
 
+@pytest.mark.usefixtures("failover_router")
 def test_reset_shard_connection_fails_over_tcp():
     """A shard whose TCP link was reset is a transport fault, not a hang:
     every call on the dead client raises at once, the breaker opens, and
@@ -188,7 +196,6 @@ def test_reset_shard_connection_fails_over_tcp():
         records=150,
         seed=29,
         tcp=True,
-        router_kwargs=dict(FAILOVER_ROUTER),
     )
     victim = 0
     keys = sorted(truth)[::4]

@@ -286,6 +286,30 @@ def test_malformed_request_is_refused_at_the_router(key, epoch):
     run(go())
 
 
+@pytest.mark.parametrize("deadline", ["x", float("nan"), True], ids=["str", "nan", "bool"])
+def test_malformed_deadline_is_refused_at_the_router(deadline):
+    """A deadline that is no number of seconds is answered ``bad_request``
+    by the router itself, as its docstring promises, and the burst's other
+    member is routed as usual.  A str once raised TypeError out of the
+    walks' ``gather``, and a NaN rode to the shard."""
+    fleet, dumps, truth = build_fleet(nshards=3, rf=2, epochs=1, seed=53)
+    k1, k2 = sorted(truth)[:2]
+
+    async def go():
+        async with fleet:
+            responses = await fleet.router.get_burst(
+                [(k1, ANY_EPOCH, None, None), (k2, ANY_EPOCH, deadline, None)]
+            )
+            assert (responses[0].status, responses[0].value) == (OK, truth[k1])
+            assert (responses[1].status, responses[1].code) == (ERROR, ERR_BAD_REQUEST)
+            asked = sum(
+                sum(node.service.stats()["requests"].values()) for node in fleet.shards.values()
+            )
+            assert asked == 1
+
+    run(go())
+
+
 def test_router_memory_is_aux_sized():
     """The router's data-plane memory is the rebuilt aux tables — the
     same order as the sealed blobs it pulled, nowhere near the data."""
@@ -306,7 +330,7 @@ def test_router_memory_is_aux_sized():
 
 def test_circuit_breaker_lifecycle():
     t = [0.0]
-    br = CircuitBreaker(cooldown_s=1.0, clock=lambda: t[0])
+    br = CircuitBreaker(clock=lambda: t[0])
     assert br.state == "closed" and br.allow()
     for _ in range(CircuitBreaker.THRESHOLD - 1):
         br.record(False)
@@ -317,11 +341,11 @@ def test_circuit_breaker_lifecycle():
     assert br.state == "closed"
     br.record(False)
     assert br.state == "open" and not br.allow() and br.trips == 1
-    t[0] = 1.0
+    t[0] = CircuitBreaker.COOLDOWN_S
     assert br.state == "half_open" and br.allow()
     br.record(False)  # the half-open trial failed: re-open immediately
     assert br.state == "open" and br.trips == 2
-    t[0] = 2.5
+    t[0] = 2.5 * CircuitBreaker.COOLDOWN_S
     assert br.allow()
     br.record(True)
     assert br.state == "closed"

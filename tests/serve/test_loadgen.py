@@ -73,7 +73,8 @@ def test_closed_loop_reports_correctness(fmt):
             )
             assert report.requests == 400
             assert report.checked == 400 and report.incorrect == 0
-            assert report.answered == 400 and report.shed == 0
+            assert report.statuses.get("ok", 0) + report.statuses.get("not_found", 0) == 400
+            assert report.shed == 0
             assert report.qps > 0
             d = report.to_dict()
             assert d["latency_ms"]["p99"] >= d["latency_ms"]["p50"]

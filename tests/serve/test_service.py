@@ -95,7 +95,7 @@ def test_queue_watermark_sheds_with_explicit_status():
     keys = list(expected)[:100]
 
     async def main():
-        svc = QueryService(store, queue_high_watermark=8, queue_low_watermark=2)
+        svc = QueryService(store, queue_high_watermark=8)
         async with svc:
             responses = await asyncio.gather(*(svc.get(k) for k in keys))
             statuses = {r.status for r in responses}
@@ -255,6 +255,29 @@ def test_malformed_request_is_refused_alone(key, epoch):
     run(main())
 
 
+@pytest.mark.parametrize("deadline", ["x", float("nan"), True], ids=["str", "nan", "bool"])
+def test_malformed_deadline_is_refused_and_leaks_no_budget(deadline):
+    """A deadline that is no number of seconds is answered ``bad_request``
+    inline and counts nothing.  A str once raised TypeError after the
+    burst's earlier member was queued, leaking its inflight slot for good,
+    and a NaN armed a timer at NaN."""
+    store, truth = shared_store(FMT_FILTERKV)
+    keys = sorted(truth[0])
+
+    async def main():
+        async with QueryService(store, max_inflight=8) as svc:
+            for k in keys[:7]:
+                responses = await svc.get_burst([(k, None, None, None), (k + 1, None, deadline, None)])
+                assert (responses[0].status, responses[0].value) == (OK, truth[0][k])
+                assert (responses[1].status, responses[1].code) == (ERROR, "bad_request")
+            assert svc.stats()["inflight"] == 0
+            fresh = keys[7:15]
+            responses = await svc.get_burst([(k, None, None, None) for k in fresh])
+            assert [(r.status, r.value) for r in responses] == [(OK, truth[0][k]) for k in fresh]
+
+    run(main())
+
+
 def test_closed_service_refuses():
     store, truth = shared_store(FMT_FILTERKV)
     key = next(iter(truth[0]))
@@ -336,5 +359,5 @@ def test_constructor_validation():
     # which a fleet router counts as a shard fault.
     with pytest.raises(ValueError, match="table_cache_entries"):
         QueryService(store, table_cache_entries=0)
-    with pytest.raises(ValueError):
-        QueryService(store, queue_high_watermark=4, queue_low_watermark=4)
+    with pytest.raises(ValueError, match="queue_high_watermark"):
+        QueryService(store, queue_high_watermark=0)
