@@ -51,6 +51,22 @@ _AUX_BACKEND_HELP = (
 )
 
 
+def _at_least(floor: int):
+    """An argparse type: an integer >= ``floor``, else a usage error that
+    names the flag (not a traceback from deep in the run)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -64,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="print Table I (Bloom bytes/key bounds)")
 
     c = sub.add_parser("compare", help="run the three formats on a simulated cluster")
-    c.add_argument("--ranks", type=int, default=8)
-    c.add_argument("--records", type=int, default=10_000, help="records per rank")
+    c.add_argument("--ranks", type=_at_least(2), default=8)
+    c.add_argument("--records", type=_at_least(1), default=10_000, help="records per rank")
     c.add_argument("--value-bytes", type=int, default=56)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument(
@@ -81,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["base", "dataptr", "filterkv", "all"],
         default="all",
     )
-    m.add_argument("--ranks", type=int, default=4)
-    m.add_argument("--records", type=int, default=5_000, help="records per rank")
+    m.add_argument("--ranks", type=_at_least(2), default=4)
+    m.add_argument("--records", type=_at_least(1), default=5_000, help="records per rank")
     m.add_argument("--value-bytes", type=int, default=56)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--queries", type=int, default=256, help="point queries to sample")
@@ -95,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         "recover",
         help="demonstrate crash recovery: write epochs, crash, recover, verify",
     )
-    r.add_argument("--ranks", type=int, default=4)
-    r.add_argument("--records", type=int, default=2_000, help="records per rank per epoch")
+    r.add_argument("--ranks", type=_at_least(2), default=4)
+    r.add_argument("--records", type=_at_least(1), default=2_000, help="records per rank per epoch")
     r.add_argument("--epochs", type=int, default=3)
     r.add_argument("--value-bytes", type=int, default=24)
     r.add_argument("--seed", type=int, default=0)
@@ -125,9 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
         "compact",
         help="demonstrate epoch compaction: write epochs, compact, verify, re-measure",
     )
-    c2.add_argument("--ranks", type=int, default=4)
-    c2.add_argument("--records", type=int, default=2_000, help="records per rank per epoch")
-    c2.add_argument("--epochs", type=int, default=6)
+    c2.add_argument("--ranks", type=_at_least(2), default=4)
+    c2.add_argument(
+        "--records", type=_at_least(1), default=2_000, help="records per rank per epoch"
+    )
+    c2.add_argument("--epochs", type=_at_least(2), default=6)
     c2.add_argument("--value-bytes", type=int, default=24)
     c2.add_argument("--seed", type=int, default=0)
     c2.add_argument(
@@ -143,12 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of each epoch's keys rewritten from the previous epoch",
     )
     c2.add_argument(
-        "--probes", type=int, default=256, help="keys sampled for the before/after measurement"
+        "--probes",
+        type=_at_least(1),
+        default=256,
+        help="keys sampled for the before/after measurement",
     )
 
     def _dataset_args(sp, ranks=8, records=2_000):
-        sp.add_argument("--ranks", type=int, default=ranks)
-        sp.add_argument("--records", type=int, default=records, help="records per rank")
+        sp.add_argument("--ranks", type=_at_least(2), default=ranks)
+        sp.add_argument("--records", type=_at_least(1), default=records, help="records per rank")
         sp.add_argument("--epochs", type=int, default=1)
         sp.add_argument("--value-bytes", type=int, default=24)
         sp.add_argument("--seed", type=int, default=0)
@@ -183,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     _dataset_args(lg)
-    lg.add_argument("--requests", type=int, default=5_000)
+    lg.add_argument("--requests", type=_at_least(1), default=5_000)
     lg.add_argument("--mode", choices=["closed", "open"], default="closed")
     lg.add_argument("--concurrency", type=int, default=16, help="closed-loop workers")
     lg.add_argument("--rate", type=float, default=20_000.0, help="open-loop arrival QPS")
@@ -238,11 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="sharded serving demo: aux routing, kill a shard, verify, recover",
     )
-    f.add_argument("--shards", type=int, default=3)
+    f.add_argument("--shards", type=_at_least(1), default=3)
     f.add_argument("--rf", type=int, default=2, help="replicas per key (ring owners)")
-    f.add_argument("--ranks", type=int, default=4, help="writer ranks per shard")
+    f.add_argument("--ranks", type=_at_least(2), default=4, help="writer ranks per shard")
     f.add_argument(
-        "--records", type=int, default=8_000, help="records per epoch (fleet-wide)"
+        "--records", type=_at_least(1), default=8_000, help="records per epoch (fleet-wide)"
     )
     f.add_argument("--epochs", type=int, default=2)
     f.add_argument("--value-bytes", type=int, default=24)
@@ -251,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument(
         "--tcp", action="store_true", help="shards behind real TCP front ends"
     )
-    f.add_argument("--requests", type=int, default=2_000, help="requests per load burst")
+    f.add_argument("--requests", type=_at_least(1), default=2_000, help="requests per load burst")
     f.add_argument("--concurrency", type=int, default=16, help="closed-loop workers")
     f.add_argument(
         "--distribution", choices=["zipfian", "uniform"], default="zipfian"

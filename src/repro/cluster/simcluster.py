@@ -71,7 +71,6 @@ class SimCluster:
         seed: int = 0,
         routing: str = "direct",
         ppn: int = 1,
-        spill_budget_bytes: int | None = None,
         aux_backends: tuple[str, ...] | None = None,
         metrics: MetricsRegistry | None = None,
     ):
@@ -120,7 +119,6 @@ class SimCluster:
                 batch_bytes=self.batch_bytes,
                 epoch=self.epoch,
                 block_size=block_size,
-                spill_budget_bytes=spill_budget_bytes,
                 metrics=self.metrics,
             )
             for r in range(self.nranks)

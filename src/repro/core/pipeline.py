@@ -25,7 +25,6 @@ from ..obs import MetricsRegistry, active
 from ..storage.blockio import StorageDevice
 from ..storage.envelope import seal
 from ..storage.log import ValueLog
-from ..storage.memtable import MemTable, RunWriter, flatten_runs
 from ..storage.sstable import SSTableWriter, TableStats
 from .auxtable import AuxTable, aux_to_blob, build_sealed_aux
 from .formats import FormatSpec
@@ -89,7 +88,6 @@ class WriterState:
         batch_bytes: int = 16384,
         epoch: int = 0,
         block_size: int = 1 << 20,
-        spill_budget_bytes: int | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         self.rank = rank
@@ -115,31 +113,20 @@ class WriterState:
         )
         self._vlog: ValueLog | None = None
         self._main: SSTableWriter | None = None
-        self._memtable: MemTable | None = None
-        self._runs: RunWriter | None = None
         if fmt.name == "dataptr":
             self._vlog = ValueLog(device, rank)
         elif fmt.name == "filterkv":
             self._main = SSTableWriter(
                 device, main_table_name(epoch, rank), block_size=block_size
             )
-            if spill_budget_bytes is not None:
-                # The paper's driver buffers at most 16 MB before writing
-                # (§V-A): bound memory with a memtable that spills sorted
-                # runs, merged into the final table at epoch end.
-                self._memtable = MemTable(spill_budget_bytes)
-                self._runs = RunWriter(
-                    device, f"runs.{epoch:03d}.{rank:06d}", metrics=self.metrics
-                )
 
     # -- producing --------------------------------------------------------
 
     def put_batch(self, batch: KVBatch) -> None:
         """Process one batch of generated KV pairs.
 
-        Local writes (value log, main table, memtable spills) and payload
-        encoding all happen as array operations with no per-record Python
-        work.
+        Local writes (value log, main table) and payload encoding all
+        happen as array operations with no per-record Python work.
         """
         if batch.value_bytes != self.value_bytes:
             raise ValueError(
@@ -149,7 +136,7 @@ class WriterState:
         if self.fmt.name == "dataptr":
             offsets = self._vlog.append_many(batch.values)
         elif self.fmt.name == "filterkv":
-            self._write_local(batch)
+            self._main.add_many(batch.keys, batch.values)
         for dest, idx in enumerate(self.partitioner.split(batch.keys)):
             if idx.size == 0:
                 continue
@@ -157,18 +144,6 @@ class WriterState:
             self._append_to_buffer(dest, payload, idx.size)
         self.records_written += len(batch)
         self._m_records.inc(len(batch))
-
-    def _write_local(self, batch: KVBatch) -> None:
-        """FilterKV local KV write: main table, or bounded memtable."""
-        if self._memtable is None:
-            self._main.add_many(batch.keys, batch.values)
-            return
-        taken = 0
-        while taken < len(batch):
-            took = self._memtable.add_many(batch.keys[taken:], batch.values[taken:])
-            taken += took
-            if self._memtable.full or took == 0:
-                self._runs.spill(self._memtable)
 
     def _encode(self, batch: KVBatch, idx: np.ndarray, offsets: np.ndarray | None) -> bytes:
         keys_le = batch.keys[idx].astype("<u8")
@@ -216,9 +191,6 @@ class WriterState:
     def finish(self) -> TableStats | None:
         """Flush and finalize local structures; returns main-table stats."""
         self.flush()
-        if self._memtable is not None:
-            self._runs.spill(self._memtable)
-            return flatten_runs(self._runs, self._main)
         if self._main is not None:
             return self._main.finish()
         return None
@@ -228,13 +200,7 @@ class WriterState:
         if self._vlog is not None:
             return self._vlog.size_bytes
         if self._main is not None:
-            total = self.device.file_size(main_table_name(self.epoch, self.rank))
-            if self._runs is not None:
-                # During the burst the spilled data lives in the run extent,
-                # not the (unfinished) main table — and the runs stay on the
-                # device after the flatten, so they always count as local.
-                total += self._runs.size_bytes
-            return total
+            return self.device.file_size(main_table_name(self.epoch, self.rank))
         return 0
 
 

@@ -51,6 +51,7 @@ from .hashing import MASK64, splitmix64, splitmix64_int
 
 __all__ = ["XorMaplet", "CsfConstructionError", "csf_segment"]
 
+MAX_TRIES = 32  # seeds a table may try before its build gives up
 _SEED_STRIDE = 0x9E37  # per-retry seed step (persisted blobs carry the settled seed)
 _FP_SEED = 0xF1  # the fingerprint hashes under seed + this
 
@@ -162,7 +163,6 @@ class XorMaplet:
         value_bits: int,
         fp_bits: int = 4,
         seed: int = 0,
-        max_tries: int = 32,
     ):
         if not 1 <= value_bits <= 32:
             raise ValueError(f"value_bits must be in [1, 32], got {value_bits}")
@@ -179,9 +179,9 @@ class XorMaplet:
         if values.size and int(values.max()) >> value_bits:
             raise ValueError(f"value {int(values.max())} does not fit in {value_bits} bits")
         # The batch of one: `build_many` is the only construction.
-        (built,) = self.build_many([(keys, values, seed)], value_bits, fp_bits, max_tries)
+        (built,) = self.build_many([(keys, values, seed)], value_bits, fp_bits)
         if built is None:
-            raise CsfConstructionError(f"peeling failed after {max_tries} seeds")
+            raise CsfConstructionError(f"peeling failed after {MAX_TRIES} seeds")
         vars(self).update(vars(built))
 
     @classmethod
@@ -190,7 +190,6 @@ class XorMaplet:
         tables: list[tuple[np.ndarray, np.ndarray, int]],
         value_bits: int,
         fp_bits: int = 4,
-        max_tries: int = 32,
     ) -> list["XorMaplet | None"]:
         """One maplet per ``(keys, values, seed)`` table, all peeled together.
 
@@ -200,13 +199,13 @@ class XorMaplet:
         calls.  A table's rounds, "last claimant wins" choices and retry
         seeds are exact subsequences of the union's, so every maplet equals
         the one built alone.  The tables that fail to peel retry under their
-        next seed in a union of their own; one that fails ``max_tries``
+        next seed in a union of their own; one that fails `MAX_TRIES`
         seeds is None.  Keys are ``uint64``, non-empty and distinct per
         table, and the values fit ``value_bits`` (the caller checked).
         """
         out: list[XorMaplet | None] = [None] * len(tables)
         todo = list(range(len(tables)))
-        for attempt in range(max_tries):
+        for attempt in range(MAX_TRIES):
             if not todo:
                 break
             seeds = [tables[i][2] + attempt * _SEED_STRIDE for i in todo]

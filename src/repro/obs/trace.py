@@ -235,27 +235,23 @@ class TraceCollector:
         Probability (0..1) that `should_sample` elects a new request.
         0 keeps the collector usable for *propagated* traces (a client
         that sampled upstream) while originating none locally.
-    max_spans:
-        Ring bound on retained finished spans (oldest evicted first).
     seed:
         Seeds both the sampling decisions and the id generator.
     clock:
         Timestamp source; spans from one collector share it.
     """
 
+    MAX_SPANS = 4096  # ring bound on retained finished spans (oldest evicted first)
+
     def __init__(
         self,
         sample_rate: float = 0.0,
-        max_spans: int = 4096,
         seed: int = 0,
         clock=time.perf_counter,
     ):
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
-        if max_spans < 1:
-            raise ValueError(f"max_spans must be >= 1, got {max_spans}")
         self.sample_rate = sample_rate
-        self.max_spans = max_spans
         self.clock = clock
         self._rng = random.Random(seed)
         self._spans: list[SpanRecord] = []
@@ -344,8 +340,8 @@ class TraceCollector:
 
     def _append(self, record: SpanRecord) -> None:
         self._spans.append(record)
-        if len(self._spans) > self.max_spans:
-            del self._spans[: len(self._spans) - self.max_spans]
+        if len(self._spans) > self.MAX_SPANS:
+            del self._spans[: len(self._spans) - self.MAX_SPANS]
 
     # -- retrieval ----------------------------------------------------------
 

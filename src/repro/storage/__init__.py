@@ -4,7 +4,8 @@ Exports:
 
 * `StorageDevice` / `DeviceProfile` / `IOCounters` — charged byte store.
 * `ValueLog` / `DataPointer` — indirection logs (paper §III-B).
-* `SSTableWriter` / `SSTableReader` — flattened-LSM partition format.
+* `SSTableWriter` / `SSTableReader` — flattened-LSM partition format
+  (the one local write of a filterkv rank: `add_many`, then `finish`).
 * `compress` / `decompress` — Snappy-wire-format codec (paper §IV-C).
 """
 
@@ -21,7 +22,6 @@ from .envelope import (
 from .manifest import MANIFEST_NAME, MANIFEST_PREFIX, EpochInfo, Manifest, RecoveryReport
 from .compression import SnappyError, compress, decompress
 from .log import POINTER_BYTES, DataPointer, ValueLog
-from .memtable import MemTable, RunWriter, flatten_runs
 from .sstable import (
     FOOTER_BYTES,
     CorruptBlockError,
@@ -50,9 +50,6 @@ __all__ = [
     "POINTER_BYTES",
     "DataPointer",
     "ValueLog",
-    "MemTable",
-    "RunWriter",
-    "flatten_runs",
     "FOOTER_BYTES",
     "CorruptBlockError",
     "CHECKSUM_BYTES",

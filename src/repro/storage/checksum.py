@@ -3,9 +3,9 @@
 Storage formats that survive real deployments carry per-block checksums;
 DeltaFS's tables (the paper's substrate) inherit LevelDB-style block CRCs.
 Here every stored section — an SSTable's key groups, filter, index and
-footer, a sealed envelope, a memtable spill run — carries a `zlib.crc32`,
-the same checksum every wire frame carries (`repro.serve.proto`), stored
-zero-extended in a `CHECKSUM_BYTES`-byte little-endian slot.
+footer, a sealed envelope — carries a `zlib.crc32`, the same checksum
+every wire frame carries (`repro.serve.proto`), stored zero-extended in a
+`CHECKSUM_BYTES`-byte little-endian slot.
 
 It defends against corruption, not adversaries.
 """

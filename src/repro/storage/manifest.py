@@ -288,7 +288,7 @@ class Manifest:
           data-block verification with ``deep=True`` — and epochs that fail
           are *quarantined* (dropped from the manifest, reported);
         * extents no surviving epoch references (partial output of the
-          interrupted epoch, spill runs, stale manifests) are swept.
+          interrupted epoch, stale manifests) are swept.
 
         A manifest or extent in a layout this reader refuses by name raises
         `UnsupportedLayoutError` before anything is quarantined, committed

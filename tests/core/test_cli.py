@@ -46,6 +46,27 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("argv", [
+    "compact --epochs 1",  # was AttributeError: nothing to compact
+    "compact --epochs 0",  # was ValueError: need at least one array to concatenate
+    "compact --probes 0",  # was ZeroDivisionError
+    "compare --records 0",  # was ZeroDivisionError
+    "metrics --records 0",  # was IndexError
+    "loadgen --format base --records 0",  # was a reshape ValueError
+    "compare --ranks 1",  # the rest were library ValueError tracebacks
+    "recover --ranks 1",
+    "loadgen --requests 0",
+    "fleet --shards 0",
+])
+def test_count_flags_below_their_floor_are_usage_errors(argv, capsys):
+    """A count below its floor exits 2 naming the flag, before any run."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    flag = argv.split()[-2]
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+
 def test_metrics_command_out_file(tmp_path, capsys):
     import json
 

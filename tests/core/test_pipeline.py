@@ -1,19 +1,27 @@
-"""Direct unit tests for WriterState / ReceiverState (below SimCluster)."""
+"""Direct unit tests for WriterState / ReceiverState (below SimCluster).
+
+Tests parametrized on ``bulk`` hold the columnar pipeline (True) and the
+per-record reference of `tests/reference/ingest.py` (False) to the same
+behaviour; `tests/integration/test_ingest_reference.py` holds them to the
+same bytes.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
-from repro.core.kv import random_kv_batch
+from repro.core.kv import KVBatch, random_kv_batch
 from repro.core.partitioning import HashPartitioner
 from repro.core.pipeline import Envelope, ReceiverState, WriterState, main_table_name
 from repro.storage.blockio import StorageDevice
 from repro.storage.sstable import SSTableReader
 
+from ..reference import ingest as ref
 
-def make_writer(fmt, sent, nranks=4, value_bytes=16, batch_bytes=256):
+
+def make_writer(fmt, sent, nranks=4, value_bytes=16, batch_bytes=256, bulk=True):
     device = StorageDevice()
-    w = WriterState(
+    w = (WriterState if bulk else ref.Writer)(
         rank=0,
         fmt=fmt,
         partitioner=HashPartitioner(nranks),
@@ -127,3 +135,62 @@ def test_empty_flush_is_safe():
     w.flush()
     w.flush()
     assert sent == []
+
+
+@pytest.mark.parametrize("bulk", [True, False])
+def test_duplicate_keys_first_wins_across_batches(bulk):
+    """One key written in every record of several `put_batch` calls: the
+    main table answers the first write."""
+    w, dev = make_writer(FMT_FILTERKV, [], nranks=2, bulk=bulk)
+    keys = np.full(100, 7, dtype=np.uint64)
+    vals = np.arange(1600, dtype=np.uint8).reshape(100, 16)
+    for lo in range(0, 100, 16):
+        w.put_batch(KVBatch(keys[lo : lo + 16], vals[lo : lo + 16]))
+    w.finish()
+    r = SSTableReader(dev, main_table_name(0, 0))
+    assert r.get(7) == vals[0].tobytes()
+
+
+@pytest.mark.parametrize("bulk", [True, False])
+def test_interleaved_duplicates_first_wins_across_batches(bulk):
+    """Duplicates interleaved with other keys and spread over batches of
+    uneven sizes: the earliest write wins, and every key resolves."""
+    w, dev = make_writer(FMT_FILTERKV, [], nranks=2, bulk=bulk)
+    rng = np.random.default_rng(17)
+    keys = rng.integers(0, 50, size=400).astype(np.uint64)  # heavy duplication
+    vals = rng.integers(0, 256, size=(400, 16)).astype(np.uint8)
+    for part in np.array_split(np.arange(400), [1, 40, 41, 150, 233, 399]):
+        w.put_batch(KVBatch(keys[part], vals[part]))
+    w.finish()
+    r = SSTableReader(dev, main_table_name(0, 0))
+    first = {}
+    for k, v in zip(keys.tolist(), vals):
+        first.setdefault(k, v.tobytes())
+    for k, expect in first.items():
+        assert r.get(k) == expect
+
+
+@pytest.mark.parametrize("bulk", [True, False])
+def test_wire_roundtrip_odd_batch_sizes(bulk):
+    """Odd put sizes against a batch budget that is not a record multiple:
+    every record must arrive intact, whole-record framing preserved."""
+    sent = []
+    # batch_bytes is not a multiple of the 8-byte wire record.
+    w, _ = make_writer(FMT_FILTERKV, sent, nranks=1, batch_bytes=100, bulk=bulk)
+    rng = np.random.default_rng(23)
+    total = 0
+    for n in (1, 3, 7, 13, 101, 2, 50):
+        keys = rng.integers(0, 1 << 60, size=n).astype(np.uint64)
+        vals = rng.integers(0, 256, size=(n, 16)).astype(np.uint8)
+        w.put_batch(KVBatch(keys, vals))
+        total += n
+    w.flush()
+    recv = (ReceiverState if bulk else ref.Receiver)(
+        rank=0, nranks=1, fmt=FMT_FILTERKV, device=StorageDevice(), value_bytes=16
+    )
+    for env in sent:
+        assert len(env.payload) % 8 == 0 and env.nrecords == len(env.payload) // 8
+        recv.deliver(env)
+    recv.finish()
+    assert sum(env.nrecords for env in sent) == total
+    assert recv.records_received == total

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.filters import csf
 from repro.filters.csf import CsfConstructionError, XorMaplet
 
 unique_keys = st.lists(
@@ -104,19 +105,20 @@ def test_from_state_needs_three_non_empty_segments(nslots):
         XorMaplet.from_state(np.zeros(nslots, dtype=np.uint64), 1, 2, 4, seed=0)
 
 
-def test_retry_exhaustion_raises():
+def test_retry_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(csf, "MAX_TRIES", 0)
     keys = np.arange(1, 200, dtype=np.uint64)
     vals = keys % np.uint64(4)
     with pytest.raises(CsfConstructionError):
-        XorMaplet(keys, vals, value_bits=2, fp_bits=4, max_tries=0)
+        XorMaplet(keys, vals, value_bits=2, fp_bits=4)
 
 
 def test_retry_seed_stride():
-    # With max_tries > 1 some seed must settle; the settled seed is always
+    # With MAX_TRIES > 1 some seed must settle; the settled seed is always
     # seed + k * stride for the k-th attempt, so tries and seed agree.
     keys = np.arange(1, 400, dtype=np.uint64)
     vals = keys % np.uint64(8)
-    m = XorMaplet(keys, vals, value_bits=3, fp_bits=4, seed=123, max_tries=32)
+    m = XorMaplet(keys, vals, value_bits=3, fp_bits=4, seed=123)
     assert m.tries >= 1
     assert m.seed == 123 + (m.tries - 1) * 0x9E37
 

@@ -73,12 +73,11 @@ def test_zero_rate_never_samples_but_still_records():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         TraceCollector(sample_rate=1.5)
-    with pytest.raises(ValueError):
-        TraceCollector(max_spans=0)
 
 
-def test_span_ring_is_bounded():
-    c = TraceCollector(max_spans=4)
+def test_span_ring_is_bounded(monkeypatch):
+    monkeypatch.setattr(TraceCollector, "MAX_SPANS", 4)
+    c = TraceCollector()
     for i in range(10):
         c.start(f"s{i}").finish()
     assert len(c) == 4

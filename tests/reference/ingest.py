@@ -9,12 +9,7 @@ same epoch record by record, from the documented formats alone:
 * SSTable — ``u64 key ‖ u32 vlen ‖ value`` records in stable key order,
   key groups and blocks cut record by record (`cut_records`, also the
   oracle of the writer's array cutter), the Bloom filter block, the
-  column-wise index with its group table, and the 64-byte footer;
-* memtable — records added until their key + value bytes reach the
-  budget (the crossing record included); a run is the memtable's sorted
-  records, ``struct``-packed;
-* flatten — a ``heapq`` merge over the runs read back from the device,
-  equal keys ordered by (run, position) so the earliest write stays first.
+  column-wise index with its group table, and the 64-byte footer.
 
 It shares with the code under test only what is not the write path:
 `HashPartitioner` (routing), `BloomFilter` (the filter's bits),
@@ -25,7 +20,6 @@ here, zero-extended to 8 bytes, not the package's checksum helper.
 
 from __future__ import annotations
 
-import heapq
 import struct
 import zlib
 from dataclasses import dataclass
@@ -42,7 +36,7 @@ from repro.storage import sstable
 from repro.storage.blockio import StorageDevice
 from repro.storage.envelope import seal
 
-ENTRY = struct.Struct("<QI")  # key, value length: runs and table records
+ENTRY = struct.Struct("<QI")  # key, value length: table records
 LEN = struct.Struct("<I")  # value-log length prefix
 MAGIC = 0xF117E5CB_C3C3236  # SSTable footer magic of the CRC-32 key-group layout
 
@@ -140,53 +134,6 @@ class Table:
         self.file.append(table_image(self.items, self.block_size, self.bloom_bits_per_key))
 
 
-# -- memtable, runs, flatten ---------------------------------------------------
-
-
-class MemTable:
-    """Add until the buffered key + value bytes reach the budget."""
-
-    def __init__(self, budget_bytes: int):
-        self.budget_bytes = budget_bytes
-        self.items: list[tuple[int, bytes]] = []
-        self.size_bytes = 0
-
-    def add(self, key: int, value: bytes) -> bool:
-        """Buffer one record; False once the budget is reached."""
-        self.items.append((int(key), bytes(value)))
-        self.size_bytes += 8 + len(value)
-        return self.size_bytes < self.budget_bytes
-
-    def sorted_items(self) -> list[tuple[int, bytes]]:
-        return sorted(self.items, key=lambda kv: kv[0])  # stable
-
-
-def run_bytes(items: list[tuple[int, bytes]]) -> bytes:
-    """One spilled run: its (sorted) records, packed one by one."""
-    return b"".join(ENTRY.pack(k, len(v)) + v for k, v in items)
-
-
-def parse_run(blob: bytes) -> list[tuple[int, bytes]]:
-    items, pos = [], 0
-    while pos < len(blob):
-        key, vlen = ENTRY.unpack_from(blob, pos)
-        pos += ENTRY.size
-        items.append((key, blob[pos : pos + vlen]))
-        pos += vlen
-    return items
-
-
-def heap_merge(runs: list[list[tuple[int, bytes]]]):
-    """k-way merge of sorted runs; equal keys by (run, position)."""
-    heap = [(items[0][0], r, 0) for r, items in enumerate(runs) if items]
-    heapq.heapify(heap)
-    while heap:
-        key, r, i = heapq.heappop(heap)
-        yield key, runs[r][i][1]
-        if i + 1 < len(runs[r]):
-            heapq.heappush(heap, (runs[r][i + 1][0], r, i + 1))
-
-
 # -- one rank's writer and receiver ----------------------------------------------
 
 
@@ -199,22 +146,18 @@ class Writer:
     and constructor)."""
 
     def __init__(self, rank, fmt, partitioner, device, value_bytes, send,
-                 batch_bytes=16384, epoch=0, block_size=1 << 20, spill_budget_bytes=None):
+                 batch_bytes=16384, epoch=0, block_size=1 << 20):
         self.rank, self.fmt, self.partitioner = rank, fmt, partitioner
         self.value_bytes, self.send, self.batch_bytes = value_bytes, send, batch_bytes
         self.rec = _wire_record_bytes(fmt, value_bytes)
         self.buffers: dict[int, bytearray] = {}
         self.records_written = 0
         self.wire_bytes = 0
-        self.vlog = self.main = self.memtable = self.runs_file = None
-        self.runs: list[tuple[int, int]] = []  # (offset, length) per spilled run
+        self.vlog = self.main = None
         if fmt.name == "dataptr":
             self.vlog = device.open(f"vlog.{rank:06d}", create=True)
         elif fmt.name == "filterkv":
             self.main = Table(device, f"part.{epoch:03d}.{rank:06d}", block_size)
-            if spill_budget_bytes is not None:
-                self.memtable = MemTable(spill_budget_bytes)
-                self.runs_file = device.open(f"runs.{epoch:03d}.{rank:06d}", create=True)
 
     def put_batch(self, batch) -> None:
         for key, value in zip(batch.keys.tolist(), batch.values):
@@ -226,10 +169,7 @@ class Writer:
         if self.fmt.name == "dataptr":
             payload = struct.pack("<QQ", key, vlog_append(self.vlog, value))
         elif self.fmt.name == "filterkv":
-            if self.memtable is None:
-                self.main.add(key, value)
-            elif not self.memtable.add(key, value):
-                self.spill()
+            self.main.add(key, value)
             payload = struct.pack("<Q", key)
         else:
             payload = struct.pack("<Q", key) + value
@@ -252,25 +192,14 @@ class Writer:
                 self.ship(dest, buf)
         self.buffers.clear()
 
-    def spill(self) -> None:
-        blob = run_bytes(self.memtable.sorted_items())
-        self.runs.append((self.runs_file.append(blob), len(blob)))
-        self.memtable = MemTable(self.memtable.budget_bytes)
-
     def finish(self) -> None:
         self.flush()
-        if self.memtable is not None:
-            if self.memtable.items:
-                self.spill()
-            runs = [parse_run(self.runs_file.read(off, n)) for off, n in self.runs]
-            for key, value in heap_merge(runs):
-                self.main.add(key, value)
         if self.main is not None:
             self.main.finish()
 
     @property
     def local_storage_bytes(self) -> int:
-        files = [f for f in (self.vlog, self.main and self.main.file, self.runs_file) if f]
+        files = [f for f in (self.vlog, self.main and self.main.file) if f]
         return sum(f.size for f in files)
 
 
@@ -338,9 +267,9 @@ class Replay:
 
 
 def replay_epoch(nranks, fmt, value_bytes, seed, records_per_rank, batch_records=4096,
-                 batch_bytes=16384, block_size=1 << 20, spill_budget_bytes=None) -> Replay:
+                 batch_bytes=16384, block_size=1 << 20) -> Replay:
     """What ``SimCluster(nranks, fmt, value_bytes, batch_bytes, block_size=,
-    seed=, spill_budget_bytes=).run_epoch(records_per_rank, batch_records)``
+    seed=).run_epoch(records_per_rank, batch_records)``
     persists and counts, direct routing with one rank per node."""
     device = StorageDevice()
     partitioner = HashPartitioner(nranks)
@@ -356,7 +285,7 @@ def replay_epoch(nranks, fmt, value_bytes, seed, records_per_rank, batch_records
 
     writers = [
         Writer(r, fmt, partitioner, device, value_bytes, send, batch_bytes=batch_bytes,
-               block_size=block_size, spill_budget_bytes=spill_budget_bytes)
+               block_size=block_size)
         for r in range(nranks)
     ]
     rng = np.random.default_rng(seed)  # the batches `run_epoch` generates

@@ -1,7 +1,7 @@
 """The columnar storage APIs against the per-record reference of
-`tests/reference/ingest.py`, byte for byte — `add_many` / `append_many` /
-`spill` / `flatten_runs` write exactly what one-record-at-a-time writing
-of the documented formats writes."""
+`tests/reference/ingest.py`, byte for byte — `add_many` / `append_many`
+write exactly what one-record-at-a-time writing of the documented formats
+writes."""
 
 import re
 
@@ -11,8 +11,7 @@ import pytest
 from repro.core.kv import KVBatch
 from repro.storage.blockio import StorageDevice
 from repro.storage.log import DataPointer, ValueLog
-from repro.storage.memtable import MemTable, RunWriter, flatten_runs
-from repro.storage.sstable import SSTableReader, SSTableWriter
+from repro.storage.sstable import SSTableWriter
 
 from ..reference import ingest as ref
 
@@ -51,7 +50,6 @@ _WRITERS = {
         np.arange(2, dtype=np.uint64), v
     ),
     "ValueLog.append_many": lambda v: ValueLog(StorageDevice(), rank=0).append_many(v),
-    "MemTable.add_many": lambda v: MemTable().add_many(np.arange(2, dtype=np.uint64), v),
     "KVBatch": lambda v: KVBatch(np.arange(2, dtype=np.uint64), v),
 }
 
@@ -86,87 +84,3 @@ def test_vlog_append_many_roundtrip_pointers():
     offsets = log.append_many(values)
     for off, v in zip(offsets.tolist(), values):
         assert log.read(DataPointer(3, int(off))) == v.tobytes()
-
-
-def test_memtable_add_many_matches_scalar_budget_semantics():
-    keys, values = _kv(200, 16, seed=5)
-    # Reference: add until False (the crossing record is kept).
-    scalar = ref.MemTable(budget_bytes=1000)
-    for k, v in _items(keys, values):
-        if not scalar.add(k, v):
-            break
-    bulk = MemTable(budget_bytes=1000)
-    assert bulk.add_many(keys, values) == len(scalar.items)
-    assert bulk.size_bytes == scalar.size_bytes
-    assert _items(*bulk.sorted_arrays()) == scalar.sorted_items()
-    assert bulk.add_many(keys, values) == 0  # full: nothing more fits
-
-
-def test_memtable_mixed_scalar_and_bulk_keeps_insertion_order():
-    """One-record and many-record batches interleave in arrival order."""
-    mt = MemTable(1 << 20)
-    mt.add_many(np.asarray([9], np.uint64), np.frombuffer(b"one-first-------", np.uint8)[None])
-    vals = np.frombuffer(b"many-second-----many-key-one----", dtype=np.uint8).reshape(2, 16)
-    mt.add_many(np.asarray([9, 1], dtype=np.uint64), vals)
-    mt.add_many(np.asarray([1], np.uint64), np.frombuffer(b"one-last--------", np.uint8)[None])
-    items = _items(*mt.sorted_arrays())
-    assert items[0] == (1, b"many-key-one----")  # first write of key 1
-    assert items[2] == (9, b"one-first-------")  # first write of key 9
-
-
-@pytest.mark.parametrize("width", [16, 0])
-def test_spill_vectorized_and_scalar_bytes_identical(width):
-    keys, values = _kv(500, width, seed=6)
-    dev = StorageDevice()
-    rw = RunWriter(dev, "runs")
-    mt = MemTable(1 << 20)
-    mt.add_many(keys, values)
-    rw.spill(mt)
-    scalar = ref.MemTable(1 << 20)
-    for k, v in _items(keys, values):
-        scalar.add(k, v)
-    assert _extent(dev, "runs") == ref.run_bytes(scalar.sorted_items())
-    assert _items(*rw.read_run_arrays(0)) == scalar.sorted_items()
-
-
-def test_read_run_arrays_roundtrip():
-    keys, values = _kv(400, 16, seed=7)
-    dev = StorageDevice()
-    rw = RunWriter(dev, "runs")
-    mt = MemTable(1 << 20)
-    mt.add_many(keys, values)
-    rw.spill(mt)
-    got_keys, got_values = rw.read_run_arrays(0)
-    order = np.argsort(keys, kind="stable")
-    assert got_keys.tolist() == keys[order].tolist()
-    assert isinstance(got_values, np.ndarray)
-    assert got_values.tobytes() == values[order].tobytes()
-
-
-@pytest.mark.parametrize("dup_seed", [8, 9])
-def test_flatten_heap_and_bulk_bytes_identical(dup_seed):
-    """The array-based flatten must emit exactly the bytes of the reference
-    k-way heap merge — including first-write-wins order for duplicates."""
-    gen = np.random.default_rng(dup_seed)
-    spills = []
-    for _ in range(4):
-        keys = gen.integers(0, 200, size=150).astype(np.uint64)  # many dups
-        spills.append((keys, gen.integers(0, 256, size=(150, 16)).astype(np.uint8)))
-
-    dev = StorageDevice()
-    rw = RunWriter(dev, "runs")
-    for keys, values in spills:
-        mt = MemTable(1 << 20)
-        mt.add_many(keys, values)
-        rw.spill(mt)
-    stats = flatten_runs(rw, SSTableWriter(dev, "final", block_size=4096))
-
-    ref_dev = StorageDevice()
-    table = ref.Table(ref_dev, "final", block_size=4096)
-    runs = [sorted(_items(keys, values), key=lambda kv: kv[0]) for keys, values in spills]
-    for k, v in ref.heap_merge(runs):
-        table.add(k, v)
-    table.finish()
-    assert _extent(dev, "final") == _extent(ref_dev, "final")
-    reader = SSTableReader(dev, "final")
-    assert len(reader.scan()) == stats.nentries == 600
