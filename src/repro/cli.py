@@ -521,7 +521,7 @@ def _cmd_compact(args) -> str:
     """Read-amplification walkthrough: the compaction transcript."""
     from .core.formats import FORMATS
     from .core.kv import KVBatch, random_kv_batch
-    from .core.multiepoch import MultiEpochStore
+    from .core.multiepoch import EpochRetiredError, MultiEpochStore
 
     fmt = FORMATS[args.fmt]
     store = MultiEpochStore(
@@ -583,9 +583,14 @@ def _cmd_compact(args) -> str:
 
     ok = sum(store.lookup(k)[0] == v for k, v in truth.items())
     lines.append(f"verification: {ok}/{len(truth)} sampled keys byte-identical after compaction")
-    mapped = store.resolve_epoch(report.source_epochs[0])
+    retired = report.source_epochs[0]
+    try:
+        store.get(int(sample[0]), retired)
+        verdict = "answered"
+    except EpochRetiredError as e:
+        verdict = f"refused ({e})"
     lines.append(
-        f"retired epoch {report.source_epochs[0]} resolves to merged epoch {mapped}; "
+        f"retired epoch {retired}: {verdict}; "
         f"next epoch id {store.manifest.next_epoch} (never reused)"
     )
     after_reads, _ = measure("after")
@@ -713,7 +718,6 @@ def _cmd_loadgen(args) -> str:
                 lat["p99"],
                 report.shed,
                 svc_stats["result_cache"]["hits"],
-                svc_stats["negative_cache"]["skipped_probes"],
                 f"{report.incorrect}/{report.checked}",
             ]
         )
@@ -727,7 +731,6 @@ def _cmd_loadgen(args) -> str:
             "p99 ms",
             "shed",
             "rc hits",
-            "neg skips",
             "bad",
         ],
         rows,
@@ -985,7 +988,6 @@ def _render_top_frame(live: dict, stats: dict, traces: list[list[dict]], where: 
 
     lat = live.get("latency_ms", {})
     rc = stats.get("result_cache", {})
-    neg = stats.get("negative_cache", {})
     counts = live.get("counts", {})
     rates = live.get("rates_per_s", {})
     lines = [
@@ -1000,8 +1002,7 @@ def _render_top_frame(live: dict, stats: dict, traces: list[list[dict]], where: 
         ),
         f"  latency  p50 {lat.get('p50', 0.0):.3f}ms  p95 {lat.get('p95', 0.0):.3f}ms  "
         f"p99 {lat.get('p99', 0.0):.3f}ms  max {lat.get('max', 0.0):.3f}ms",
-        f"  caches   result {rc.get('hits', 0)}/{rc.get('hits', 0) + rc.get('misses', 0)} hit  "
-        f"negative {neg.get('skipped_probes', 0)} probes skipped",
+        f"  caches   result {rc.get('hits', 0)}/{rc.get('hits', 0) + rc.get('misses', 0)} hit",
     ]
     if traces:
         lines.append(f"  traces   {live.get('traces_retained', 0)} retained; most recent:")

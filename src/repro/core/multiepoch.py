@@ -43,7 +43,21 @@ from .reader import (
     QueryStats,
 )
 
-__all__ = ["MultiEpochStore", "EpochMount"]
+__all__ = ["MultiEpochStore", "EpochMount", "EpochRetiredError"]
+
+
+class EpochRetiredError(LookupError):
+    """An explicit read of an epoch id a compaction retired.
+
+    The merged epoch holds the newest-wins union of its sources, so it
+    cannot answer for one source's timestep: a key overwritten later
+    would come back with a later value.  The read fails instead, naming
+    the ``merged`` epoch that absorbed ``epoch``."""
+
+    def __init__(self, epoch: int, merged: int):
+        super().__init__(f"epoch {epoch} was retired into merged epoch {merged}")
+        self.epoch = epoch
+        self.merged = merged
 
 
 def _merge_stats(dst: QueryStats, src: QueryStats) -> None:
@@ -60,7 +74,7 @@ def _merge_stats(dst: QueryStats, src: QueryStats) -> None:
 
 
 def _newest_first(
-    epochs: list[int], engine, keys, negative=None
+    epochs: list[int], engine, keys
 ) -> tuple[list[bytes | None], list[int | None], list[QueryStats]]:
     """Newest value of each key across ``epochs`` (oldest first), read
     through ``engine(epoch)``: each epoch is probed once with the
@@ -75,7 +89,7 @@ def _newest_first(
     for epoch in reversed(epochs):
         if not remaining:
             break
-        vals, stats = engine(epoch).get_many(arr[remaining], negative)
+        vals, stats = engine(epoch).get_many(arr[remaining])
         still: list[int] = []
         for i, value, st in zip(remaining, vals, stats):
             _merge_stats(agg[i], st)
@@ -118,33 +132,27 @@ class EpochMount:
         return self._generation != self.store.compactions
 
     def engine(self, epoch: int) -> QueryEngine:
-        """The session's engine for the live epoch serving ``epoch``
-        (a retired id forwards to the merged epoch that absorbed it)."""
+        """The session's engine for live epoch ``epoch`` (a retired id
+        raises `EpochRetiredError`, as `MultiEpochStore.engine` does)."""
         if self.stale:
             self.close()
         engine = self._engines.get(epoch)  # keys are live ids, never reused
         if engine is None:
-            epoch = self.store.resolve_epoch(epoch)
-            engine = self._engines.get(epoch)
-            if engine is None:
-                engine = self._engines[epoch] = self.store.cached_engine(
-                    epoch, self.metrics, self.table_cache_entries
-                )
+            engine = self._engines[epoch] = self.store.cached_engine(
+                epoch, self.metrics, self.table_cache_entries
+            )
         return engine
 
-    def get_many(
-        self, keys, epoch: int, negative=None
-    ) -> tuple[list[bytes | None], list[QueryStats]]:
-        """Bulk point queries at one timestep (block-coalesced read path);
-        ``negative`` as in `QueryEngine.get_many`."""
-        return self.engine(epoch).get_many(keys, negative)
+    def get_many(self, keys, epoch: int) -> tuple[list[bytes | None], list[QueryStats]]:
+        """Bulk point queries at one timestep (block-coalesced read path)."""
+        return self.engine(epoch).get_many(keys)
 
     def lookup_many(
-        self, keys, negative=None
+        self, keys
     ) -> tuple[list[bytes | None], list[int | None], list[QueryStats]]:
         """Newest value of each key across all live epochs (`_newest_first`
         over the session's engines)."""
-        return _newest_first(self.store.epochs, self.engine, keys, negative)
+        return _newest_first(self.store.epochs, self.engine, keys)
 
     def close(self) -> None:
         """Release every held reader handle (idempotent; engines rebuild
@@ -361,16 +369,23 @@ class MultiEpochStore:
         return self.manifest.epoch_ids
 
     def resolve_epoch(self, epoch: int) -> int:
-        """Live epoch serving ``epoch``'s data.
+        """Live epoch holding ``epoch``'s rows.
 
-        Identity for live epochs; epochs retired by compaction forward to
-        the merged epoch that absorbed them (which serves the newest-wins
-        union of its sources).  Raises KeyError for ids never committed.
+        Identity for live epochs; epochs retired by compaction map to the
+        merged epoch that absorbed them (which holds the newest-wins union
+        of its sources, so no read is served through this mapping).
+        Raises KeyError for ids never committed.
         """
         return self.manifest.resolve_epoch(int(epoch))
 
     def engine(self, epoch: int) -> QueryEngine:
-        return self._engines[self.resolve_epoch(epoch)]  # one per live epoch
+        """The cold engine of live epoch ``epoch`` (one per live epoch).
+        A retired id raises `EpochRetiredError`, an id never committed
+        KeyError."""
+        engine = self._engines.get(epoch)
+        if engine is None:
+            raise EpochRetiredError(epoch, self.resolve_epoch(epoch))
+        return engine
 
     def cached_engine(
         self,
@@ -408,7 +423,8 @@ class MultiEpochStore:
 
     def get(self, key: int, epoch: int) -> tuple[bytes | None, QueryStats]:
         """Point query at one timestep (the paper's Fig. 11 query, with
-        table metadata resident after each table's first open)."""
+        table metadata resident after each table's first open).  The
+        epoch must be live: a retired id raises `EpochRetiredError`."""
         return self._reads.engine(epoch).get(key)
 
     def get_many(self, keys, epoch: int) -> tuple[list[bytes | None], list[QueryStats]]:
@@ -416,7 +432,8 @@ class MultiEpochStore:
         return self._reads.get_many(keys, epoch)
 
     def trajectory(self, key: int) -> list[tuple[int, bytes | None, QueryStats]]:
-        """The key's value at every epoch — a particle's trajectory.
+        """The key's value at every live epoch — a particle's trajectory.
+        A compaction leaves one point for the epochs it merged.
 
         Served from the store's warm session: repeated trajectory calls
         reuse open readers and loaded aux tables instead of opening and

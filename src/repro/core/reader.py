@@ -304,9 +304,7 @@ class QueryEngine:
             groups.setdefault(v, []).append(p)
         return sorted(groups.items())
 
-    def get_many(
-        self, keys, negative=None
-    ) -> tuple[list[bytes | None], list[QueryStats]]:
+    def get_many(self, keys) -> tuple[list[bytes | None], list[QueryStats]]:
         """Point lookups, the one read flow (`get` is this of one key).
 
         Every key walks its candidate ranks in ascending order, stopping at
@@ -321,12 +319,6 @@ class QueryEngine:
         group that needed it, so per-key breakdowns are an attribution
         (aggregate reads/bytes remain exact, and are <= answering the keys
         one call each — that reduction is the point).
-
-        ``negative`` is the serving tier's `NegativeCache` (filterkv only;
-        the other formats ignore it): candidates it already refuted for
-        this epoch are dropped before any table is touched, and every probe
-        that misses is recorded in it — the cache only ever removes probes
-        known to miss, so answers are unchanged.
         """
         arr = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
         n = int(arr.size)
@@ -335,7 +327,7 @@ class QueryEngine:
         if n == 0:
             return values, stats
         if current_span() is None:  # untraced: skip span-argument setup
-            self._read(arr, values, stats, negative)
+            self._read(arr, values, stats)
             return values, stats
         with child_span(
             "engine.get_many",
@@ -344,7 +336,7 @@ class QueryEngine:
             format=self.fmt.name,
             keys=n,
         ) as span:
-            blocks, probes = self._read(arr, values, stats, negative)
+            blocks, probes = self._read(arr, values, stats)
             if span is not None:
                 span.annotate(blocks=blocks, probes=probes)
         return values, stats
@@ -354,7 +346,6 @@ class QueryEngine:
         keys: np.ndarray,
         values: list[bytes | None],
         stats: list[QueryStats],
-        negative,
     ) -> tuple[int, int]:
         """Probe candidate tables rank by rank, dereference dataptr's
         pointers, account; returns ``(blocks touched, probes)``.
@@ -365,9 +356,9 @@ class QueryEngine:
         """
         owners = self.partitioner.partition_of(keys).tolist()
         if self.fmt.name == "filterkv":
-            plan = self._candidates(keys, owners, stats, negative)
-        else:  # the owner is the one candidate: no aux table, nothing to refute
-            plan, negative = self._groups(owners), None
+            plan = self._candidates(keys, owners, stats)
+        else:  # the owner is the one candidate: no aux table
+            plan = self._groups(owners)
         deref = self.fmt.name == "dataptr"
         found = [False] * len(values)
         ptrs: list[tuple[int, DataPointer]] = []
@@ -389,8 +380,6 @@ class QueryEngine:
             for p, v in zip(pos, vals):
                 stats[p].partitions_searched += 1
                 if v is None:
-                    if negative is not None:
-                        negative.add(self.epoch, int(keys[p]), rank)
                     continue
                 found[p] = True
                 if deref:
@@ -419,12 +408,11 @@ class QueryEngine:
         return blocks_touched, probes
 
     def _candidates(
-        self, keys: np.ndarray, owners: list[int], stats: list[QueryStats], negative
+        self, keys: np.ndarray, owners: list[int], stats: list[QueryStats]
     ) -> list[tuple[int, list[int]]]:
         """Filterkv's probe plan: each owner's aux table fetched and probed
         once per batch, then ``(rank, key positions)`` for every candidate
-        rank, ascending, less the candidates the negative cache refuted."""
-        klist = keys.tolist()
+        rank, ascending."""
         by_rank: dict[int, list[int]] = {}
         for owner, pos in self._groups(owners):
             aux = self.aux_tables[owner]
@@ -437,8 +425,7 @@ class QueryEngine:
             at = 0
             for p, c in zip(pos, counts.tolist()):
                 for r in flat[at : at + c]:
-                    if negative is None or not negative.refuted(self.epoch, klist[p], r):
-                        by_rank.setdefault(r, []).append(p)
+                    by_rank.setdefault(r, []).append(p)
                 at += c
         return sorted(by_rank.items())
 

@@ -1,18 +1,19 @@
 """`repro.serve` — the concurrent online query-serving tier.
 
 Mounts a committed `MultiEpochStore` behind an asyncio `QueryService`
-(batching, coalescing, result/negative caches, admission control), a
+(batching, coalescing, a result cache, admission control), a
 CRC-framed TCP front end (`ServeServer` / `TCPClient`), an in-process
 client for tests, and a load generator (`run_load`).  See the module
 docstrings — `service` for the serving semantics, `proto` for the wire
 format, `cache` for the invalidation-by-versioning story.
 """
 
-from .cache import LRUCache, NegativeCache
+from .cache import LRUCache
 from .loadgen import KeySampler, LoadReport, run_load
 from .proto import (
     ERR_BAD_REQUEST,
     ERR_CLOSED,
+    ERR_EPOCH_RETIRED,
     ERR_INTERNAL,
     ERR_UNKNOWN_EPOCH,
     ERR_UNKNOWN_OP,
@@ -41,7 +42,6 @@ __all__ = [
     "TCPClient",
     "InprocClient",
     "LRUCache",
-    "NegativeCache",
     "KeySampler",
     "LoadReport",
     "run_load",
@@ -57,6 +57,7 @@ __all__ = [
     "ERR_UNSUPPORTED_VERSION",
     "ERR_BAD_REQUEST",
     "ERR_UNKNOWN_EPOCH",
+    "ERR_EPOCH_RETIRED",
     "ERR_CLOSED",
     "ERR_INTERNAL",
 ]

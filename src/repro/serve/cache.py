@@ -1,24 +1,14 @@
-"""Read caches for the serving tier: results and refuted candidates.
+"""The serving tier's result cache.
 
-Two small, bounded structures sit in front of the store:
+`LRUCache` maps ``(epoch, key)`` to a finished response ``(status,
+value)``.  Epochs are immutable once committed, so an entry can never go
+stale for the epoch it names — committing a *new* epoch changes which
+epoch an unqualified query resolves to, which versions the cache keys
+instead of invalidating entries (see `repro.serve.service`).
 
-`LRUCache`
-    Maps ``(epoch, key)`` to a finished response ``(status, value)``.
-    Epochs are immutable once committed, so an entry can never go stale
-    for the epoch it names — committing a *new* epoch changes which epoch
-    an unqualified query resolves to, which versions the cache keys
-    instead of invalidating entries (see `repro.serve.service`).
-
-`NegativeCache`
-    Remembers ``(epoch, key, rank)`` triples the store has *refuted*: the
-    auxiliary table named ``rank`` as a candidate but the rank's table did
-    not hold the key.  FilterKV's lossy aux tables make repeat queries pay
-    the same false-candidate probes every time (the paper's 1.88
-    partitions/query); remembering refutations lets the serving tier skip
-    those probes entirely on hot keys.
-
-Both are plain LRU over an `OrderedDict` — runs are single-event-loop, so
-no locking — and both report hits/misses/evictions into `repro.obs`.
+It is a plain LRU over an `OrderedDict` — runs are single-event-loop, so
+no locking — and reports ``serve.result_cache.{hits,misses,evictions}``
+into `repro.obs`.
 """
 
 from __future__ import annotations
@@ -28,7 +18,7 @@ from typing import Any, Hashable
 
 from ..obs import MetricsRegistry, active
 
-__all__ = ["LRUCache", "NegativeCache"]
+__all__ = ["LRUCache"]
 
 
 class LRUCache:
@@ -38,21 +28,15 @@ class LRUCache:
     ``insert`` adds/refreshes an entry, evicting the coldest when full.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        metrics: MetricsRegistry | None = None,
-        name: str = "serve.result_cache",
-        **labels,
-    ):
+    def __init__(self, capacity: int, metrics: MetricsRegistry | None = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         metrics = active(metrics)
-        self._m_hits = metrics.counter(f"{name}.hits", **labels)
-        self._m_misses = metrics.counter(f"{name}.misses", **labels)
-        self._m_evictions = metrics.counter(f"{name}.evictions", **labels)
+        self._m_hits = metrics.counter("serve.result_cache.hits")
+        self._m_misses = metrics.counter("serve.result_cache.misses")
+        self._m_evictions = metrics.counter("serve.result_cache.evictions")
 
     def lookup(self, key: Hashable) -> tuple[bool, Any]:
         try:
@@ -79,48 +63,3 @@ class LRUCache:
 
     def __contains__(self, key: Hashable) -> bool:  # no telemetry: peek only
         return key in self._data
-
-
-class NegativeCache:
-    """Bounded LRU set of refuted ``(epoch, key, rank)`` probes.
-
-    `refuted` is consulted before probing a candidate rank; a ``True``
-    answer means a previous query already proved the rank does not hold
-    the key, so the probe (a table open plus block reads on the paper's
-    read path) is skipped.  Entries are only ever *facts* — a rank either
-    holds a key in a committed epoch or it does not — so the cache needs
-    no invalidation, only bounding.
-    """
-
-    def __init__(self, capacity: int, metrics: MetricsRegistry | None = None, **labels):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._data: OrderedDict[tuple, None] = OrderedDict()
-        metrics = active(metrics)
-        self._m_skipped = metrics.counter("serve.negative_cache.skipped_probes", **labels)
-        self._m_inserts = metrics.counter("serve.negative_cache.inserts", **labels)
-        self._m_evictions = metrics.counter("serve.negative_cache.evictions", **labels)
-
-    def refuted(self, epoch: int, key: int, rank: int) -> bool:
-        k = (epoch, key, rank)
-        if k in self._data:
-            self._data.move_to_end(k)
-            self._m_skipped.inc()
-            return True
-        return False
-
-    def add(self, epoch: int, key: int, rank: int) -> None:
-        k = (epoch, key, rank)
-        self._data[k] = None
-        self._data.move_to_end(k)
-        if len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-            self._m_evictions.inc()
-        self._m_inserts.inc()
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)

@@ -6,7 +6,7 @@ with a configurable popularity distribution and loop discipline:
 * **Popularity** — ``zipfian`` (weight ∝ 1/rank^theta over a seeded
   shuffle of the key universe, so the hot set is arbitrary keys, not the
   smallest ones) or ``uniform``.  Skewed popularity is what makes the
-  serving tier's result/negative caches and request coalescing pay off.
+  serving tier's result cache and request coalescing pay off.
 * **Closed loop** — ``concurrency`` workers each keep exactly one request
   outstanding: throughput adapts to service latency (classic benchmark
   discipline, no overload by construction).

@@ -64,7 +64,7 @@ Failures are **typed error frames** — ``{"status": "error", "error":
 {"code", "retryable"}, "detail"}`` — telling *the request is wrong*
 (``unknown_op``, ``unsupported_version``, ``bad_request``: don't retry)
 from *this shard, right now* (``unknown_epoch``, ``closed``: fail
-over).  A frame refused as a whole is that refusal for every key it
+over); ``epoch_retired`` (a compaction merged the epoch away) is final.  A frame refused as a whole is that refusal for every key it
 asked for.  ``aux_state`` exports the sealed aux blobs (hex) per live
 epoch, the only shard bytes a router ever holds; a router pulls it when it
 starts and when a shard recovers.
@@ -101,6 +101,7 @@ __all__ = [
     "ERR_UNSUPPORTED_VERSION",
     "ERR_BAD_REQUEST",
     "ERR_UNKNOWN_EPOCH",
+    "ERR_EPOCH_RETIRED",
     "ERR_CLOSED",
     "ERR_INTERNAL",
 ]
@@ -134,6 +135,7 @@ ERR_UNKNOWN_OP = "unknown_op"              # caller bug: don't retry
 ERR_UNSUPPORTED_VERSION = "unsupported_version"  # caller speaks another version: don't retry
 ERR_BAD_REQUEST = "bad_request"            # caller bug: don't retry
 ERR_UNKNOWN_EPOCH = "unknown_epoch"        # shard cannot resolve the epoch: fail over
+ERR_EPOCH_RETIRED = "epoch_retired"        # a merge retired the epoch: don't retry
 ERR_CLOSED = "closed"                      # shard draining: fail over
 ERR_INTERNAL = "internal"                  # shard-side fault: retry elsewhere
 _RETRYABLE = {ERR_CLOSED, ERR_INTERNAL}

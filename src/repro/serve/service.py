@@ -9,10 +9,8 @@ absorb skewed traffic from many concurrent clients:
   to ``max_batch`` admitted requests and groups them per candidate rank,
   so a partition's table is touched once per window rather than once per
   request.
-* **Two-level read cache** — a bounded LRU of finished responses keyed by
-  ``(epoch, key)`` plus a negative cache of refuted ``(epoch, key, rank)``
-  candidates, so repeat FilterKV queries skip the aux table's false
-  candidates entirely (`repro.serve.cache`).
+* **Result cache** — a bounded LRU of finished responses keyed by
+  ``(epoch, key)`` (`repro.serve.cache`).
 * **Admission control** — a bounded in-flight request budget and
   queue-depth watermarks with hysteresis: past the high watermark the
   service sheds new arrivals with an explicit ``overloaded`` response
@@ -21,18 +19,20 @@ absorb skewed traffic from many concurrent clients:
   waiter gets ``deadline_exceeded``, and a queued request all of whose
   waiters expired is dropped without touching the store.
 
-Epochs are immutable once committed, so both caches key by *resolved*
+Epochs are immutable once committed, so the cache keys by *resolved*
 epoch: committing a new epoch shifts what an unqualified query resolves
 to (newest wins) rather than mutating cached state — the stale entry can
 only ever be served for an explicit historical epoch, where it is the
-correct answer.  `invalidate` exists for belt-and-braces cache drops.
+correct answer.  A retired epoch id is refused ``epoch_retired``: the
+merged epoch cannot answer for one source's timestep.  `invalidate`
+exists for belt-and-braces cache drops.
 
 The service reads through one `EpochMount` (``store.mount``): the mount
 owns the per-epoch engines and the two bulk reads a window can ask for,
-the service owns admission, coalescing and the caches.
+the service owns admission, coalescing and the cache.
 
 Everything is single-event-loop: the batch executor runs synchronously
-inside the dispatcher task, so no locks guard the caches or the mount.
+inside the dispatcher task, so no locks guard the cache or the mount.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.multiepoch import EpochRetiredError
 from ..core.reader import TABLE_CACHE_ENTRIES
 from ..obs import (
     ActiveSpan,
@@ -56,7 +57,7 @@ from ..obs import (
     counter_key,
     span_to_dict,
 )
-from .cache import LRUCache, NegativeCache
+from .cache import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.multiepoch import MultiEpochStore
@@ -79,9 +80,6 @@ __all__ = [
 # epoch id, so both new commits and compactions shift the cache key.
 ANY_EPOCH = -1
 
-# Bound of the negative cache (refuted ``(epoch, key, rank)`` candidates).
-NEGATIVE_CACHE_ENTRIES = 65536
-
 OK = "ok"
 NOT_FOUND = "not_found"
 OVERLOADED = "overloaded"
@@ -94,6 +92,8 @@ STATUSES = (OK, NOT_FOUND, OVERLOADED, DEADLINE_EXCEEDED, ERROR)
 # the serve stack can touch: its own counters, the engines' reader.*,
 # aux-table fetches, and the storage layer underneath.
 _TRACE_PREFIXES = ("serve.", "reader.", "aux.", "sstable.", "vlog.")
+
+_RETIRED = "epoch_retired"  # the code of an `EpochRetiredError`: final, never failed over
 
 _UNSEEN = object()  # `get_burst`: an epoch this burst has not resolved yet
 
@@ -133,9 +133,9 @@ class ServeResponse:
     (``error`` + ``detail``) — never silently dropped.
 
     ``code`` is the machine-readable error class (protocol v2): routers
-    branch on it (``unknown_epoch`` means *ask a replica*, ``closed``
-    and transport faults mean *retry elsewhere*) where ``detail`` is for
-    humans.
+    branch on it (``unknown_epoch`` means *ask a replica*,
+    ``epoch_retired`` is final, ``closed`` and transport faults mean
+    *retry elsewhere*) where ``detail`` is for humans.
     """
 
     status: str
@@ -290,8 +290,7 @@ class QueryService:
             window_s=stats_window_s,
         )
         self._shedder = _Shedder(queue_high_watermark)
-        self._rcache = LRUCache(result_cache_entries, self.metrics, name="serve.result_cache")
-        self._negcache = NegativeCache(NEGATIVE_CACHE_ENTRIES, self.metrics)
+        self._rcache = LRUCache(result_cache_entries, self.metrics)
         # The reader session.  When the store's compaction generation
         # moves, its engines hold handles on extents the sweep deleted and
         # epoch-keyed cache entries may describe retired epochs — both are
@@ -342,14 +341,13 @@ class QueryService:
     # -- cache/version management -----------------------------------------
 
     def invalidate(self) -> None:
-        """Drop both read caches and mounted engines.
+        """Drop the result cache and mounted engines.
 
         Not needed for correctness on epoch commits (resolution is
         versioned by epoch — see the module docstring); exists for
         defense in depth and for tests.
         """
         self._rcache.clear()
-        self._negcache.clear()
         self._mount.close()
 
     def _check_generation(self) -> None:
@@ -364,8 +362,9 @@ class QueryService:
         `ANY_EPOCH` resolves to the ``("any", newest)`` token: hashable
         (it versions the result cache — a new commit or a compaction
         moves the newest id, shifting the key) and recognized by the
-        dispatcher as "walk all live epochs".  Epoch ids retired by
-        compaction resolve to the merged epoch that absorbed them.
+        dispatcher as "walk all live epochs".  An epoch id retired by
+        compaction raises `EpochRetiredError`, one never committed a
+        LookupError.
         """
         epochs = self.store.epochs
         if not epochs:
@@ -378,9 +377,10 @@ class QueryService:
         if epoch in epochs:
             return epoch
         try:
-            return self.store.resolve_epoch(epoch)
+            merged = self.store.resolve_epoch(epoch)
         except KeyError:
             raise LookupError(f"no such epoch {epoch} (have {epochs})") from None
+        raise EpochRetiredError(epoch, merged)
 
     # -- the request path --------------------------------------------------
 
@@ -407,7 +407,7 @@ class QueryService:
         arguments mean to `get`; the responses come back in request order.
 
         Malformed requests (`checked_request`: ``bad_request``), refusals,
-        unknown epochs and result-cache hits are answered inline.  Every miss is admitted, shed or coalesced exactly as a
+        unknown or retired epochs and result-cache hits are answered inline.  Every miss is admitted, shed or coalesced exactly as a
         lone `get` would be, in request order, and stays its own `_Pending`
         on the dispatch queue, so ``max_batch``, the watermarks and the
         windows mean what they always meant.  The burst then awaits one
@@ -454,10 +454,9 @@ class QueryService:
                     resolved = e
                 tokens[epoch] = resolved
             if isinstance(resolved, LookupError):
+                code = _RETIRED if isinstance(resolved, EpochRetiredError) else "unknown_epoch"
                 out[i] = self._done(
-                    t0,
-                    ServeResponse(ERROR, key, epoch, detail=str(resolved), code="unknown_epoch"),
-                    root,
+                    t0, ServeResponse(ERROR, key, epoch, detail=str(resolved), code=code), root
                 )
                 continue
             if resolved is None:
@@ -704,20 +703,21 @@ class QueryService:
                                 pending.key,
                                 self._public_epoch(token),
                                 detail=repr(e),
+                                code=_RETIRED if isinstance(e, EpochRetiredError) else "",
                             ),
                         )
 
     def _answer(self, token, items: list[_Pending]) -> None:
         """One token's share of a window: one bulk read through the mount
         (a live epoch's block-coalesced probe, or for an `ANY_EPOCH` token
-        the newest-first walk over live epochs), both handed the negative
-        cache, then every pending finished."""
+        the newest-first walk over live epochs), then every pending
+        finished."""
         keys = np.fromiter((p.key for p in items), dtype=np.uint64, count=len(items))
         if isinstance(token, tuple):
-            values, where, _ = self._mount.lookup_many(keys, self._negcache)
+            values, where, _ = self._mount.lookup_many(keys)
             missing = self.store.epochs[-1]
         else:
-            values, _ = self._mount.get_many(keys, token, self._negcache)
+            values, _ = self._mount.get_many(keys, token)
             where, missing = repeat(token), token
         for pending, value, epoch in zip(items, values, where):
             if value is not None:
@@ -817,11 +817,6 @@ class QueryService:
                 "hits": int(m.total("serve.result_cache.hits")),
                 "misses": int(m.total("serve.result_cache.misses")),
                 "entries": len(self._rcache),
-            },
-            "negative_cache": {
-                "skipped_probes": int(m.total("serve.negative_cache.skipped_probes")),
-                "inserts": int(m.total("serve.negative_cache.inserts")),
-                "entries": len(self._negcache),
             },
             "compactions": self.store.compactions,
             "sheds": int(m.total("serve.sheds")),

@@ -126,7 +126,7 @@ def test_loadgen_command(capsys):
         ]
     )
     out = capsys.readouterr().out
-    assert "filterkv" in out and "qps" in out and "neg skips" in out
+    assert "filterkv" in out and "qps" in out and "rc hits" in out
     assert "0/300" in out  # zero incorrect responses
 
 

@@ -11,7 +11,7 @@ import pytest
 from repro.core.compact import CompactionPolicy, Compactor
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import KVBatch, random_kv_batch
-from repro.core.multiepoch import MultiEpochStore
+from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
 from repro.storage.manifest import Manifest
 
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
@@ -156,18 +156,49 @@ def test_merged_manifest_persists_and_attaches(fmt):
 
 
 def test_retired_epoch_ids_stay_addressable(fmt):
+    """A retired id still names its merged epoch (`resolve_epoch`, the
+    manifest's ``compacted`` map), but every read of it is refused typed:
+    the merged epoch's newest-wins view is not that timestep's."""
     store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=VB)
     truth = _overlapping_epochs(store)
     key = next(iter(truth))
-    via_retired_before = store.get(key, 0)[0]
     report = store.compact()
-    # The retired id forwards to the merged epoch's (newest-wins) view.
     assert store.resolve_epoch(0) == report.merged_epoch
-    value, _ = store.get(key, 0)
-    assert value == truth[key]
-    assert via_retired_before is None or value is not None
+    reads = (
+        lambda: store.get(key, 0),
+        lambda: store.get_many([key], 0),
+        lambda: store.engine(0),
+        lambda: store.mount().engine(0),
+    )
+    for read in reads:
+        with pytest.raises(EpochRetiredError) as info:
+            read()
+        assert (info.value.epoch, info.value.merged) == (0, report.merged_epoch)
+    assert store.get(key, report.merged_epoch)[0] == truth[key]
     with pytest.raises(KeyError):
         store.resolve_epoch(999)
+    with pytest.raises(KeyError):
+        store.get(key, 999)
+    store.close()
+
+
+def test_retired_epoch_never_answers_for_another_timestep(fmt):
+    """Three epochs of the same keys, epoch ``e`` writing bytes ``e``: a
+    merge must not make ``get(k, 0)`` return epoch 2's bytes."""
+    store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=VB)
+    keys = np.arange(1, 401, dtype=np.uint64) * 0x9E3779B97F4A7C15 % (1 << 63)
+    splits = np.array_split(np.arange(keys.size), store.nranks)
+    for e in range(3):
+        values = np.full((keys.size, VB), e, dtype=np.uint8)
+        store.write_epoch([KVBatch(keys[s], values[s]) for s in splits])
+    key = int(keys[0])
+    assert [store.get(key, e)[0] for e in range(3)] == [bytes([e]) * VB for e in range(3)]
+    report = store.compact()
+    for e in range(3):
+        with pytest.raises(EpochRetiredError):
+            store.get(key, e)
+    assert store.get(key, report.merged_epoch)[0] == bytes([2]) * VB
+    assert [e for e, _, _ in store.trajectory(key)] == [report.merged_epoch]
     store.close()
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.vpic import VPICSimulation
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
-from repro.core.multiepoch import MultiEpochStore
+from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
 from repro.storage.manifest import Manifest
 
 
@@ -118,7 +118,9 @@ def test_dropped_store_is_freed_without_the_cycle_collector():
         store.lookup_many(batches[2].keys)
         store.trajectory(key)
         store.compact()
-        store.get(key, 0)
+        store.get(key, store.epochs[-1])
+        with pytest.raises(EpochRetiredError):
+            store.get(key, 0)
         store.close()
         gone = weakref.ref(store)
         del store

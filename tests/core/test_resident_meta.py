@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
-from repro.core.multiepoch import MultiEpochStore
+from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
 from repro.core.pipeline import main_table_name
 from repro.storage.sstable import FOOTER_BYTES, CorruptBlockError, SSTableReader
 
@@ -82,7 +82,11 @@ def test_store_reads_equal_cold_reader_across_compaction(
     assert all(epoch in store.epochs for epoch, _ in cache._metas)  # retire means forget
     assert cache.nbytes == sum(m.nbytes for m in cache._metas.values())
     present = np.concatenate([present, _write(store, rng)])
-    _assert_matches_cold(store, keys, [0, 1, 2, merged, store.epochs[-1]])
+    _assert_matches_cold(store, keys, store.epochs)  # 2, merged and the new one
+    for retired in (0, 1):  # a merged epoch answers for neither source
+        for read in (store.engine, lambda e: store.get(int(keys[0]), e)):
+            with pytest.raises(EpochRetiredError):
+                read(retired)
 
     # Second pass, store only: every live table was opened once already.
     baseline = store.device.open_handles

@@ -20,6 +20,7 @@ from repro.fleet import CircuitBreaker, FleetRouter, ShardAuxView
 from repro.serve import (
     ANY_EPOCH,
     ERR_BAD_REQUEST,
+    ERR_EPOCH_RETIRED,
     ERROR,
     NOT_FOUND,
     OK,
@@ -282,6 +283,39 @@ def test_malformed_request_is_refused_at_the_router(key, epoch):
                 sum(node.service.stats()["requests"].values()) for node in fleet.shards.values()
             )
             assert asked == len(good)
+
+    run(go())
+
+
+def test_a_retired_epoch_is_final_at_the_router():
+    """A shard refuses a retired epoch id ``epoch_retired``; every replica
+    would say the same, so the router returns the refusal from the first
+    owner it asks, with no retry and no failover.  An id no shard ever
+    committed (``unknown_epoch``) still fails over to the other owner."""
+    fleet, dumps, truth = build_fleet(nshards=3, rf=2, epochs=2, seed=53)
+    for node in fleet.shards.values():
+        node.store.compact()  # retires 0 and 1 into 2
+    key = sorted(truth)[0]
+
+    def asked():
+        return sum(
+            sum(node.service.stats()["requests"].values()) for node in fleet.shards.values()
+        )
+
+    async def go():
+        async with fleet:
+            router = fleet.router
+            r = await router.get(key, epoch=0)
+            assert (r.status, r.code) == (ERROR, ERR_EPOCH_RETIRED), r
+            st = router.stats()
+            assert st["retries"] == st["failovers"] == 0
+            assert set(st["breakers"].values()) == {"closed"}
+            assert asked() == 1
+            r = await router.get(key, epoch=2)
+            assert (r.status, r.value) == (OK, truth[key])
+            r = await router.get(key, epoch=999)
+            assert (r.status, r.code) == (ERROR, "unknown_epoch")
+            assert router.stats()["failovers"] >= 1 and asked() == 2 + 2
 
     run(go())
 

@@ -16,11 +16,23 @@ group, a data-block read shrank by the 12 B of count + block checksum the
 groups replaced.  Every read count, handle count, cache counter and answer
 is the one captured at bc78542.
 
+Deleting the serving tier's negative cache re-pinned the service phases
+and nothing else: ``reader.partitions_probed`` rose by exactly the old
+``serve.negative_cache.skipped_probes`` (cuckoo ``default.before``:
+162 -> 189), the reader handle cache's ``reader.cache.{hits,misses,
+evictions}`` moved with those extra probes, and the two
+``serve.negative_cache.*`` keys are gone.  Every device read, byte,
+block-cache count and answer digest stayed equal.  Since retired epoch
+ids are refused (`EpochRetiredError`, ``epoch_retired``), the script
+reads the merged epoch a retired id names (`resolve_epoch`) where it
+used to read the id, which is what forwarding served, and asserts the
+id itself is refused.
+
 The script runs twice.  Sealed with the paper's cuckoo tables it must
-match `GOLDEN`, the bc78542 totals.  Sealed with the store's default
+match `GOLDEN`, the bc78542 totals (service phases re-pinned as above).  Sealed with the store's default
 (`AUTO_BACKENDS`, csf first) it must match `GOLDEN_AUTO`, pinned when that
 became the default: the csf seal gives a present key one candidate, so
-partitions probed, negative-cache traffic and data reads fall, while every
+partitions probed and data reads fall, while every
 answer digest equals the cuckoo run's.  Its absent keys' false candidates
 follow the csf slot contents, so a change to how the csf build fills its
 slots re-pins `GOLDEN_AUTO` (never `GOLDEN`).
@@ -33,13 +45,14 @@ import asyncio
 import zlib
 
 import numpy as np
+import pytest
 
 from repro.core.compact import CompactionPolicy
 from repro.core.formats import FMT_FILTERKV
 from repro.core.kv import KVBatch
-from repro.core.multiepoch import MultiEpochStore
+from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
 from repro.obs import MetricsRegistry
-from repro.serve import ANY_EPOCH, QueryService
+from repro.serve import ANY_EPOCH, ERR_EPOCH_RETIRED, QueryService
 from repro.storage.blockio import StorageDevice
 
 NRANKS = 4
@@ -77,10 +90,6 @@ def _service_counters(svc):
         "reader.cache.hits": int(m.total("reader.cache.hits")),
         "reader.cache.misses": int(m.total("reader.cache.misses")),
         "reader.cache.evictions": int(m.total("reader.cache.evictions")),
-        "serve.negative_cache.inserts": int(m.total("serve.negative_cache.inserts")),
-        "serve.negative_cache.skipped_probes": int(
-            m.total("serve.negative_cache.skipped_probes")
-        ),
     }
     for cat in ("data", "footer", "index", "aux"):
         out[f"reader.storage_reads.{cat}"] = int(m.total("reader.storage_reads", category=cat))
@@ -147,7 +156,9 @@ def run_script(aux_backends=CUCKOO):
     probe = np.concatenate([universe[::5], absent])  # 88 keys
     # -- the store's own read surfaces ------------------------------------
     values, stats = [], []
-    for epoch in (5, 4, 2):  # 2 was retired into 4
+    with pytest.raises(EpochRetiredError):  # 2 was retired into 4
+        store.get(int(probe[0]), 2)
+    for epoch in (5, 4, store.resolve_epoch(2)):
         for k in probe[:30]:
             v, s = store.get(int(k), epoch)
             values.append(v)
@@ -155,7 +166,9 @@ def run_script(aux_backends=CUCKOO):
     store_phase("store.get", values, stats)
 
     values, stats = [], []
-    for epoch in (5, 4, 0):
+    with pytest.raises(EpochRetiredError):
+        store.get_many(probe, 0)
+    for epoch in (5, 4, store.resolve_epoch(0)):
         for _ in range(2):  # the repeat finds table metadata resident
             v, s = store.get_many(probe, epoch)
             values += v
@@ -193,8 +206,10 @@ def run_script(aux_backends=CUCKOO):
 
         async def reads(tag, explicit, retired):
             for name, svc in (("default", default), ("narrow", narrow)):
+                refused = await svc.get(int(probe[0]), epoch=retired)
+                assert refused.code == ERR_EPOCH_RETIRED
                 replies = []
-                for epoch in (explicit, retired, ANY_EPOCH, None):
+                for epoch in (explicit, store.resolve_epoch(retired), ANY_EPOCH, None):
                     for k in probe[:12]:  # one-key windows
                         replies.append(await svc.get(int(k), epoch=epoch))
                     replies += await asyncio.gather(  # one 48-key window
@@ -294,12 +309,10 @@ GOLDEN = [('written',
    'sstable.block_cache.hits': 79,
    'sstable.block_cache.misses': 339,
    'reader.queries': 212,
-   'reader.partitions_probed': 162,
-   'reader.cache.hits': 41,
+   'reader.partitions_probed': 189,
+   'reader.cache.hits': 45,
    'reader.cache.misses': 8,
    'reader.cache.evictions': 0,
-   'serve.negative_cache.inserts': 30,
-   'serve.negative_cache.skipped_probes': 27,
    'reader.storage_reads.data': 45,
    'reader.storage_reads.footer': 0,
    'reader.storage_reads.index': 0,
@@ -312,12 +325,10 @@ GOLDEN = [('written',
    'sstable.block_cache.hits': 79,
    'sstable.block_cache.misses': 411,
    'reader.queries': 212,
-   'reader.partitions_probed': 162,
-   'reader.cache.hits': 4,
-   'reader.cache.misses': 45,
-   'reader.cache.evictions': 43,
-   'serve.negative_cache.inserts': 30,
-   'serve.negative_cache.skipped_probes': 27,
+   'reader.partitions_probed': 189,
+   'reader.cache.hits': 6,
+   'reader.cache.misses': 47,
+   'reader.cache.evictions': 45,
    'reader.storage_reads.data': 72,
    'reader.storage_reads.footer': 0,
    'reader.storage_reads.index': 0,
@@ -330,12 +341,10 @@ GOLDEN = [('written',
    'sstable.block_cache.hits': 106,
    'sstable.block_cache.misses': 482,
    'reader.queries': 423,
-   'reader.partitions_probed': 311,
-   'reader.cache.hits': 83,
+   'reader.partitions_probed': 351,
+   'reader.cache.hits': 90,
    'reader.cache.misses': 16,
    'reader.cache.evictions': 0,
-   'serve.negative_cache.inserts': 46,
-   'serve.negative_cache.skipped_probes': 40,
    'reader.storage_reads.data': 88,
    'reader.storage_reads.footer': 8,
    'reader.storage_reads.index': 8,
@@ -348,12 +357,10 @@ GOLDEN = [('written',
    'sstable.block_cache.hits': 109,
    'sstable.block_cache.misses': 549,
    'reader.queries': 423,
-   'reader.partitions_probed': 311,
-   'reader.cache.hits': 12,
-   'reader.cache.misses': 87,
-   'reader.cache.evictions': 83,
-   'serve.negative_cache.inserts': 46,
-   'serve.negative_cache.skipped_probes': 40,
+   'reader.partitions_probed': 351,
+   'reader.cache.hits': 16,
+   'reader.cache.misses': 90,
+   'reader.cache.evictions': 86,
    'reader.storage_reads.data': 139,
    'reader.storage_reads.footer': 0,
    'reader.storage_reads.index': 0,
@@ -437,12 +444,10 @@ GOLDEN_AUTO = [('written',
    'sstable.block_cache.hits': 79,
    'sstable.block_cache.misses': 339,
    'reader.queries': 212,
-   'reader.partitions_probed': 144,
-   'reader.cache.hits': 39,
+   'reader.partitions_probed': 156,
+   'reader.cache.hits': 41,
    'reader.cache.misses': 8,
    'reader.cache.evictions': 0,
-   'serve.negative_cache.inserts': 12,
-   'serve.negative_cache.skipped_probes': 12,
    'reader.storage_reads.data': 45,
    'reader.storage_reads.footer': 0,
    'reader.storage_reads.index': 0,
@@ -455,12 +460,10 @@ GOLDEN_AUTO = [('written',
    'sstable.block_cache.hits': 79,
    'sstable.block_cache.misses': 411,
    'reader.queries': 212,
-   'reader.partitions_probed': 144,
-   'reader.cache.hits': 3,
-   'reader.cache.misses': 44,
-   'reader.cache.evictions': 42,
-   'serve.negative_cache.inserts': 12,
-   'serve.negative_cache.skipped_probes': 12,
+   'reader.partitions_probed': 156,
+   'reader.cache.hits': 4,
+   'reader.cache.misses': 45,
+   'reader.cache.evictions': 43,
    'reader.storage_reads.data': 72,
    'reader.storage_reads.footer': 0,
    'reader.storage_reads.index': 0,
@@ -473,12 +476,10 @@ GOLDEN_AUTO = [('written',
    'sstable.block_cache.hits': 106,
    'sstable.block_cache.misses': 482,
    'reader.queries': 423,
-   'reader.partitions_probed': 286,
-   'reader.cache.hits': 78,
+   'reader.partitions_probed': 307,
+   'reader.cache.hits': 81,
    'reader.cache.misses': 16,
    'reader.cache.evictions': 0,
-   'serve.negative_cache.inserts': 21,
-   'serve.negative_cache.skipped_probes': 21,
    'reader.storage_reads.data': 88,
    'reader.storage_reads.footer': 8,
    'reader.storage_reads.index': 8,
@@ -491,12 +492,10 @@ GOLDEN_AUTO = [('written',
    'sstable.block_cache.hits': 109,
    'sstable.block_cache.misses': 549,
    'reader.queries': 423,
-   'reader.partitions_probed': 286,
-   'reader.cache.hits': 10,
-   'reader.cache.misses': 84,
-   'reader.cache.evictions': 80,
-   'serve.negative_cache.inserts': 21,
-   'serve.negative_cache.skipped_probes': 21,
+   'reader.partitions_probed': 307,
+   'reader.cache.hits': 12,
+   'reader.cache.misses': 85,
+   'reader.cache.evictions': 81,
    'reader.storage_reads.data': 139,
    'reader.storage_reads.footer': 0,
    'reader.storage_reads.index': 0,

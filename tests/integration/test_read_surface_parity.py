@@ -1,12 +1,13 @@
 """Every read surface tells one story across commits and compactions.
 
 The store's own reads (`get`, `get_many`, `lookup`, `lookup_many`,
-`trajectory`) and a `QueryService`'s (explicit epoch, retired epoch id,
-`ANY_EPOCH`) all go through `EpochMount` sessions over the same sealed
-epochs.  One script per format — write x3, compact, write, compact —
-checks after each step that all of them agree with a dict oracle, that no
-mount keeps an engine for a retired epoch, and that closing everything
-returns every reader handle.
+`trajectory`) and a `QueryService`'s (explicit epoch, `ANY_EPOCH`) all go
+through `EpochMount` sessions over the same sealed epochs.  One script per
+format — write x3, compact, write, compact — checks after each step that
+all of them agree with a dict oracle, that every surface refuses a
+retired epoch id naming the merged epoch, that no mount keeps an engine
+for a retired epoch, and that closing everything returns every reader
+handle.
 """
 
 import asyncio
@@ -16,8 +17,8 @@ import pytest
 
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import KVBatch
-from repro.core.multiepoch import MultiEpochStore
-from repro.serve import ANY_EPOCH, NOT_FOUND, OK, QueryService
+from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
+from repro.serve import ANY_EPOCH, ERR_EPOCH_RETIRED, ERROR, NOT_FOUND, OK, QueryService
 
 NRANKS = 4
 VALUE_BYTES = 16
@@ -57,7 +58,7 @@ class _Oracle:
         return epoch
 
     def at(self, key, epoch):
-        return self.data[self.resolve(epoch)].get(key)
+        return self.data[epoch].get(key)
 
     def newest(self, key):
         for epoch in reversed(self.order):
@@ -110,14 +111,20 @@ async def _script(fmt, check_reads):
             return
         assert store.epochs == oracle.order
         keys = [int(k) for k in probe]
-        addressable = oracle.order + sorted(oracle.forward)  # live + retired ids
-        for epoch in addressable:
+        for epoch in oracle.order:
             want = [oracle.at(k, epoch) for k in keys]
             assert [store.get(k, epoch)[0] for k in keys[::7]] == want[::7]
             assert store.get_many(probe, epoch)[0] == want
             replies = await asyncio.gather(*(svc.get(k, epoch=epoch) for k in keys))
             assert [r.value for r in replies] == want
-            assert {r.epoch for r in replies} == {oracle.resolve(epoch)}
+            assert {r.epoch for r in replies} == {epoch}
+        for epoch in sorted(oracle.forward):  # retired ids
+            for read in (lambda: store.get(keys[0], epoch), lambda: store.get_many(probe, epoch)):
+                with pytest.raises(EpochRetiredError) as info:
+                    read()
+                assert info.value.merged == oracle.resolve(epoch)
+            replies = await asyncio.gather(*(svc.get(k, epoch=epoch) for k in keys[::7]))
+            assert {(r.status, r.code) for r in replies} == {(ERROR, ERR_EPOCH_RETIRED)}
         want = [oracle.newest(k) for k in keys]
         assert [store.lookup(k)[:2] for k in keys[::7]] == want[::7]
         values, found, stats = store.lookup_many(probe)

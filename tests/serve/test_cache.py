@@ -1,14 +1,14 @@
-"""Unit tests for the serving tier's LRU and negative caches."""
+"""Unit tests for the serving tier's result cache."""
 
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.serve import LRUCache, NegativeCache
+from repro.serve import LRUCache
 
 
 def test_lru_hit_miss_and_eviction_order():
     m = MetricsRegistry()
-    cache = LRUCache(2, m, name="t.cache")
+    cache = LRUCache(2, m)
     assert cache.lookup("a") == (False, None)
     cache.insert("a", 1)
     cache.insert("b", 2)
@@ -19,9 +19,9 @@ def test_lru_hit_miss_and_eviction_order():
     assert cache.lookup("a") == (True, 1)
     assert cache.lookup("c") == (True, 3)
     assert len(cache) == 2
-    assert m.total("t.cache.hits") == 3
-    assert m.total("t.cache.misses") == 2
-    assert m.total("t.cache.evictions") == 1
+    assert m.total("serve.result_cache.hits") == 3
+    assert m.total("serve.result_cache.misses") == 2
+    assert m.total("serve.result_cache.evictions") == 1
 
 
 def test_lru_insert_refreshes_existing_key():
@@ -41,38 +41,3 @@ def test_lru_clear_and_capacity_validation():
     assert len(cache) == 0
     with pytest.raises(ValueError):
         LRUCache(0)
-
-
-def test_negative_cache_remembers_refutations():
-    m = MetricsRegistry()
-    neg = NegativeCache(16, m)
-    assert not neg.refuted(0, 42, 3)  # unknown: must probe
-    neg.add(0, 42, 3)
-    assert neg.refuted(0, 42, 3)
-    # The triple is exact: other epoch/key/rank are unaffected.
-    assert not neg.refuted(1, 42, 3)
-    assert not neg.refuted(0, 42, 4)
-    assert not neg.refuted(0, 43, 3)
-    assert m.total("serve.negative_cache.skipped_probes") == 1
-    assert m.total("serve.negative_cache.inserts") == 1
-
-
-def test_negative_cache_bounded_lru():
-    m = MetricsRegistry()
-    neg = NegativeCache(3, m)
-    for rank in range(3):
-        neg.add(0, 1, rank)
-    assert neg.refuted(0, 1, 0)  # refresh rank 0
-    neg.add(0, 1, 9)  # evicts rank 1, the coldest
-    assert len(neg) == 3
-    assert neg.refuted(0, 1, 0) and neg.refuted(0, 1, 2) and neg.refuted(0, 1, 9)
-    assert not neg.refuted(0, 1, 1)
-    assert m.total("serve.negative_cache.evictions") == 1
-
-
-def test_negative_cache_clear():
-    neg = NegativeCache(8)
-    neg.add(0, 1, 2)
-    neg.clear()
-    assert len(neg) == 0
-    assert not neg.refuted(0, 1, 2)

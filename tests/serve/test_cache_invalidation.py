@@ -105,7 +105,7 @@ def test_explicit_invalidate_drops_all_cached_state():
                 await svc.get(int(k))
             assert len(svc._rcache) == 20
             svc.invalidate()
-            assert len(svc._rcache) == 0 and len(svc._negcache) == 0
+            assert len(svc._rcache) == 0
             assert not svc._mount._engines
             # Still serves correctly afterwards (engines rebuild lazily).
             r = await svc.get(int(keys[0]))

@@ -1,11 +1,12 @@
 """Serving through online compaction: the epoch set changes, answers don't.
 
-A warm `QueryService` holds engines, result-cache entries, and (for
-FilterKV) negative-cache entries that all name epochs by id.  Compaction
-retires ids and deletes extents under the service; these tests pin the
-contract that every response after the swap is byte-identical to the
-response before it — including requests that still name retired ids —
-and that epoch ids are never recycled into the caches' key space.
+A warm `QueryService` holds engines and result-cache entries that name
+epochs by id.  Compaction retires ids and deletes extents under the
+service; these tests pin the contract that every response after the swap
+is byte-identical to the response before it, that a request naming a
+retired id is refused ``epoch_retired`` (never answered from the merged
+epoch, whose newest-wins view is not that timestep), and that epoch ids
+are never recycled into the cache's key space.
 """
 
 import asyncio
@@ -15,9 +16,9 @@ import numpy as np
 from repro.core.compact import CompactionPolicy
 from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
-from repro.serve import ANY_EPOCH, NOT_FOUND, OK, QueryService
+from repro.serve import ANY_EPOCH, ERR_EPOCH_RETIRED, ERROR, NOT_FOUND, OK, QueryService
 
-from .conftest import ALL_FORMATS, run  # noqa: F401 (fmt fixture import chain)
+from .conftest import ALL_FORMATS, GatedService, run, until  # noqa: F401 (fmt fixture import chain)
 
 VB = 24
 NRANKS = 4
@@ -65,6 +66,8 @@ def test_warm_service_survives_the_swap(fmt):
 
 
 def test_retired_epoch_ids_keep_answering(fmt):
+    """A retired id answers, and its answer is the typed refusal naming
+    the merged epoch; an id never committed stays ``unknown_epoch``."""
     store, truth, _ = _multi_epoch_store(fmt)
 
     async def main():
@@ -73,10 +76,29 @@ def test_retired_epoch_ids_keep_answering(fmt):
             report = store.compact()
             for retired in report.source_epochs:
                 r = await svc.get(key, epoch=retired)
-                assert r.status == OK and r.value == truth[key]
-                assert r.epoch == report.merged_epoch
+                assert (r.status, r.code, r.value) == (ERROR, ERR_EPOCH_RETIRED, None)
+                assert f"merged epoch {report.merged_epoch}" in r.detail
+            r = await svc.get(key, epoch=report.merged_epoch)
+            assert r.status == OK and r.value == truth[key]
             bogus = await svc.get(key, epoch=999)
-            assert bogus.status == "error"
+            assert (bogus.status, bogus.code) == (ERROR, "unknown_epoch")
+    run(main())
+    store.close()
+
+
+def test_a_read_queued_across_the_merge_is_refused(fmt):
+    """A read admitted while its epoch was live, whose window runs after a
+    merge retired that epoch, is refused ``epoch_retired`` as well."""
+    store, truth, _ = _multi_epoch_store(fmt)
+
+    async def main():
+        async with GatedService(store) as svc:
+            queued = asyncio.ensure_future(svc.get(next(iter(truth)), epoch=0))
+            await until(lambda: svc._queue.qsize() == 1)
+            store.compact()
+            svc.gate.set()
+            r = await queued
+            assert (r.status, r.code) == (ERROR, ERR_EPOCH_RETIRED), r
     run(main())
     store.close()
 
@@ -122,12 +144,13 @@ def test_serve_through_compact_then_ingest(fmt):
             k_new = next(iter(fresh))
             r = await svc.get(k_new, epoch=ANY_EPOCH)
             assert r.status == OK and r.value == fresh[k_new] and r.epoch == 4
-            # Old data still served, via both the sentinel and retired ids.
+            # Old data still served via the sentinel; the retired id is
+            # refused, not answered from its pre-compaction cache entry.
             expect = fresh.get(stale_key, truth[stale_key])
             r = await svc.get(stale_key, epoch=ANY_EPOCH)
             assert r.status == OK and r.value == expect
             r = await svc.get(stale_key, epoch=0)
-            assert r.status == OK
+            assert (r.status, r.code) == (ERROR, ERR_EPOCH_RETIRED)
     run(main())
     store.close()
 

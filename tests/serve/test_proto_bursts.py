@@ -181,7 +181,6 @@ def test_pipelined_gets_count_like_inproc_gets(fmt):
 BURST_TOTALS = TOTALS + [
     ("serve.sheds", {}),
     ("serve.deadline_dropped", {}),
-    ("serve.negative_cache.skipped_probes", {}),
     ("reader.queries", {}),
 ]
 

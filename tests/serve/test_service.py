@@ -294,41 +294,6 @@ def test_closed_service_refuses():
     run(main())
 
 
-def test_negative_cache_cuts_false_candidate_probes():
-    """The acceptance criterion: repeat FilterKV queries skip the aux
-    table's false candidates, visible in the obs counters (on the cuckoo,
-    which gives present keys false candidates; csf gives them none)."""
-    store, truth = build_store(
-        FMT_FILTERKV, nranks=32, records=150, seed=3, aux_backends=("cuckoo",)
-    )
-    rng = np.random.default_rng(0)
-    sample = [int(k) for k in rng.choice(list(truth[0]), 200, replace=False)]
-
-    async def main():
-        # result_cache_entries=1 forces the second round back to the probe
-        # path; only the negative cache can make it cheaper.
-        async with QueryService(store, result_cache_entries=1) as svc:
-            m = svc.metrics
-            for k in sample:
-                assert (await svc.get(k)).status == OK
-            probed_round1 = m.total("reader.partitions_probed", format="filterkv")
-            inserts = m.total("serve.negative_cache.inserts")
-            assert probed_round1 > len(sample), "expected false-candidate probes"
-            assert inserts == probed_round1 - len(sample)  # every refutation recorded
-
-            for k in sample:
-                assert (await svc.get(k)).status == OK
-            probed_round2 = (
-                m.total("reader.partitions_probed", format="filterkv") - probed_round1
-            )
-            skipped = m.total("serve.negative_cache.skipped_probes")
-            assert probed_round2 == len(sample), "round 2 must probe only true ranks"
-            assert skipped == probed_round1 - len(sample)
-            assert probed_round2 < probed_round1
-
-    run(main())
-
-
 def test_stats_snapshot_is_consistent(fmt):
     store, truth = shared_store(fmt)
     keys = list(truth[0])[:40]
