@@ -1,10 +1,11 @@
-"""Aux-backend tournament: every registered backend, scored head-to-head.
+"""Aux-backend tournament: the four backends, scored head-to-head.
 
-The sealed key→rank set an epoch commits is exactly a static maplet, so
-the aux table's backend is a per-epoch *choice*, not a format constant.
-This bench is the measurement behind that choice (`AUTO_BACKENDS` leads
-with its winner): every backend in `AUX_BACKENDS` builds the same key→rank
-workload and is scored on
+The sealed key→rank set an epoch commits is exactly a static maplet.
+This bench is the measurement behind the store's fixed seal
+(`AUTO_BACKENDS` leads with its winner, the CSF, and falls back to the
+paper's cuckoo): the two sealing backends and the paper's two in-memory
+baselines (exact pointers, Bloom) build the same key→rank workload and
+are scored on
 
 * **bits/key** — sealed index size (what the router tier must hold),
 * **partitions/query** — amplification over present keys,
@@ -47,12 +48,21 @@ import time
 import numpy as np
 
 from repro.analysis.reporting import table_artifact
-from repro.core.auxtable import AUX_BACKENDS, build_sealed_aux, make_aux_table
+from repro.core.auxtable import (
+    BloomAuxTable,
+    CsfAuxTable,
+    CuckooAuxTable,
+    ExactAuxTable,
+    build_sealed_aux,
+)
 
 SMOKE = os.environ.get("REPRO_AUX_SMOKE", "0") == "1"
 
 NPARTS = 256
 NKEYS = 4_000 if SMOKE else 50_000
+CONTESTANTS = {
+    cls.backend: cls for cls in (ExactAuxTable, BloomAuxTable, CuckooAuxTable, CsfAuxTable)
+}
 DYNAMIC_BACKENDS = ("bloom", "cuckoo")
 BUILD_REPS = 3
 MAX_CSF_BUILD_VS_CUCKOO = 2.5
@@ -77,7 +87,7 @@ def _zipf_queries(keys, n, seed=9, alpha=1.1):
 def _score(backend, keys, ranks, queries):
     build_s = float("inf")
     for _ in range(BUILD_REPS):
-        t = make_aux_table(backend, NPARTS, capacity_hint=keys.size, seed=2)
+        t = CONTESTANTS[backend](NPARTS, capacity_hint=keys.size, seed=2)
         t0 = time.perf_counter()
         t.insert_many(keys, ranks)
         t.finalize()
@@ -125,7 +135,7 @@ def test_aux_backend_tournament(report, benchmark):
     keys, ranks = _workload(NKEYS)
     for dist in ("uniform", "zipfian"):
         queries = keys if dist == "uniform" else _zipf_queries(keys, NKEYS)
-        for backend in sorted(AUX_BACKENDS):
+        for backend in sorted(CONTESTANTS):
             r = _score(backend, keys, ranks, queries)
             r["config"] = dist
             results[(dist, backend)] = r
@@ -186,7 +196,7 @@ def test_aux_backend_tournament(report, benchmark):
         assert r["partitions_per_query"] >= 1.0, r
 
     # Timed kernel: bulk candidate resolution through the winner.
-    t = make_aux_table("csf", NPARTS, capacity_hint=NKEYS, seed=2)
+    t = CsfAuxTable(NPARTS, capacity_hint=NKEYS, seed=2)
     t.insert_many(keys, ranks)
     t.finalize()
     benchmark(lambda: t.candidates_many(keys[:2000]))
@@ -199,7 +209,7 @@ def test_ablation_aux_backends(report):
     ranks = rng.integers(0, NPARTS, size=n, dtype=np.uint64)
     rows, metrics = [], {}
     for backend in ("exact", "bloom", "cuckoo"):
-        t = make_aux_table(backend, NPARTS, capacity_hint=n, seed=2)
+        t = CONTESTANTS[backend](NPARTS, capacity_hint=n, seed=2)
         t.insert_many(keys, ranks)
         amp = float(t.candidate_counts(keys[:600]).mean())
         metrics[backend] = (t.bytes_per_key, amp)

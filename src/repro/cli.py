@@ -44,13 +44,6 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
-_AUX_BACKEND_HELP = (
-    "filterkv aux backend: exact, bloom, cuckoo or csf, or 'auto' = csf falling "
-    "back to cuckoo (default: 'auto' wherever a store seals epochs, as in fleet; "
-    "the paper's cuckoo for compare's one-epoch cluster)"
-)
-
-
 def _at_least(floor: int):
     """An argparse type: an integer >= ``floor``, else a usage error that
     names the flag (not a traceback from deep in the run)."""
@@ -84,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--records", type=_at_least(1), default=10_000, help="records per rank")
     c.add_argument("--value-bytes", type=int, default=56)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument(
-        "--aux-backend",
-        default=None,
-        help=_AUX_BACKEND_HELP,
-    )
 
     m = sub.add_parser("metrics", help="run an instrumented simulation, emit telemetry")
     m.add_argument(
@@ -285,11 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SHARD",
         help="shard to crash between bursts (-1 = skip the failure drill)",
     )
-    f.add_argument(
-        "--aux-backend",
-        default=None,
-        help=_AUX_BACKEND_HELP,
-    )
     f.add_argument("--json-out", metavar="FILE", default=None, help="also write reports as JSON")
     f.add_argument(
         "--serve",
@@ -402,17 +385,10 @@ def _cmd_compare(args) -> str:
     from .cluster.simcluster import SimCluster
     from .core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 
-    filterkv_backends = _aux_backends_arg(getattr(args, "aux_backend", None))
-
     rows = []
     for fmt in (FMT_BASE, FMT_DATAPTR, FMT_FILTERKV):
-        aux_backends = filterkv_backends if fmt is FMT_FILTERKV else None
         cluster = SimCluster(
-            nranks=args.ranks,
-            fmt=fmt,
-            value_bytes=args.value_bytes,
-            seed=args.seed,
-            aux_backends=aux_backends,
+            nranks=args.ranks, fmt=fmt, value_bytes=args.value_bytes, seed=args.seed
         )
         st = cluster.run_epoch(args.records)
         rows.append(
@@ -780,23 +756,6 @@ def _export_loadgen_traces(args, reports: list[dict]) -> str:
     return "\n" + ", ".join(notes)
 
 
-def _aux_backends_arg(choice: str | None) -> tuple[str, ...] | None:
-    """``--aux-backend`` as an ``aux_backends=`` tuple: None (the callee's
-    default), 'auto' (`AUTO_BACKENDS`), or one registered backend."""
-    if choice is None:
-        return None
-    from .core.auxtable import AUTO_BACKENDS, AUX_BACKENDS
-
-    if choice == "auto":
-        return AUTO_BACKENDS
-    if choice not in AUX_BACKENDS:
-        raise SystemExit(
-            f"unknown aux backend {choice!r}; pick one of "
-            f"{sorted(AUX_BACKENDS)} or 'auto'"
-        )
-    return (choice,)
-
-
 def _build_fleet(args):
     """Fleet + ingested dataset for the ``fleet`` command.  Returns
     ``(fleet, keys, expected)`` with ``expected`` holding the newest
@@ -812,7 +771,6 @@ def _build_fleet(args):
         seed=args.seed,
         vnodes=args.vnodes,
         tcp=args.tcp,
-        aux_backends=_aux_backends_arg(args.aux_backend),
         # Pin the shard caches small: epochs are immutable, so a crashed
         # shard's warm caches keep answering hot keys *correctly* — which
         # makes the failure drill invisible.  Cold reads must touch the

@@ -71,7 +71,7 @@ class SimCluster:
         seed: int = 0,
         routing: str = "direct",
         ppn: int = 1,
-        aux_backends: tuple[str, ...] | None = None,
+        aux_backends: tuple[str, ...] = ("cuckoo",),
         metrics: MetricsRegistry | None = None,
     ):
         if nranks < 2:
@@ -198,7 +198,7 @@ class SimCluster:
     def aux_backends(self) -> str | None:
         """The aux backend(s) this epoch's partitions sealed with — one name
         when uniform (the common case), comma-joined when ranks fell back
-        differently along ``aux_backends=``.  None for formats without aux."""
+        differently along the ``aux_backends`` tuple.  None without aux."""
         names = sorted({r.aux.backend for r in self.receivers if r.aux is not None})
         return ",".join(names) if names else None
 

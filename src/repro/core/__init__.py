@@ -8,7 +8,6 @@ from .auxtable import (
     CsfAuxTable,
     ExactAuxTable,
     bloom_bits_per_key,
-    make_aux_table,
     rank_bits,
 )
 from .advisor import Advice, recommend_format
@@ -29,7 +28,6 @@ __all__ = [
     "CsfAuxTable",
     "ExactAuxTable",
     "bloom_bits_per_key",
-    "make_aux_table",
     "rank_bits",
     "Advice",
     "recommend_format",

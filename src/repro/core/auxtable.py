@@ -2,8 +2,8 @@
 
 An auxiliary table lives at each data partition and records, for every key
 the partition owns, *which process wrote the key's data*.  FilterKV makes
-this mapping lossy to make it small.  The four interchangeable backends
-(`AUX_BACKENDS` is the registry, name → class):
+this mapping lossy to make it small.  Four backends implement one probe
+interface:
 
 `ExactAuxTable`
     The state of the art (Fmt-DataPtr): exact 12-byte pointers
@@ -23,12 +23,14 @@ this mapping lossy to make it small.  The four interchangeable backends
     structure builds at `finalize()` (or first query), matching the
     immutable key set an epoch commits.
 
-Every backend takes the same leading constructor arguments (``nparts,
-capacity_hint, seed``) and owns its half of the one blob codec (`state()` /
-`from_state()` under `aux_to_blob` / `aux_from_blob`).  `build_sealed_aux`
-seals the first of an ordered tuple of backend names that builds;
-`AUTO_BACKENDS` is the tuple a `MultiEpochStore` seals with by default and
-the CLI's ``auto`` means.
+Which backend seals is fixed per role, not chosen by a setting: a
+`MultiEpochStore` (and every shard, attach and compaction built on one)
+seals `AUTO_BACKENDS`, csf falling back to cuckoo, and the paper's
+`SimCluster` seals cuckoo.  `AUX_BACKENDS`, the registry behind the seal
+and the one blob codec (`state()` / `from_state()` under `aux_to_blob` /
+`aux_from_blob`), holds just those two.  Exact and Bloom are the in-memory
+baselines of Fig. 7, Table I and the ablations: they insert, probe and
+report their size, and a blob naming either is refused.
 
 All byte accounting counts only the *index* data (the paper's Fig. 7b
 "per-key space overhead"), not the keys or values themselves.
@@ -59,7 +61,6 @@ __all__ = [
     "AUX_BACKENDS",
     "AUTO_BACKENDS",
     "build_sealed_aux",
-    "make_aux_table",
     "aux_to_blob",
     "aux_from_blob",
     "bloom_bits_per_key",
@@ -207,9 +208,11 @@ class AuxTable(ABC):
     def insert_many(self, keys: np.ndarray, src_ranks: np.ndarray | int) -> None:
         """Record that each key's data lives at the given source rank."""
 
-    @abstractmethod
     def _candidate_ranks(self, key: int) -> np.ndarray:
-        """Backend lookup for `candidate_ranks` (uninstrumented)."""
+        """Backend lookup for `candidate_ranks` (uninstrumented): the
+        `candidates_many` set of the one key.  The sealed backends answer
+        it on plain ints instead, for the router and one-key gets."""
+        return self._candidates_many(np.asarray([key], dtype=np.uint64))[1]
 
     @abstractmethod
     def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,24 +231,6 @@ class AuxTable(ABC):
     @abstractmethod
     def size_bytes(self) -> int:
         """On-storage index size in bytes."""
-
-    @abstractmethod
-    def state(self) -> tuple[dict, bytes]:
-        """This backend's half of `aux_to_blob`: the header fields that
-        rebuild the probing structure, and the payload bytes.  The payload
-        is `to_bytes` for every backend except exact, which prefixes its
-        keys; space accounting always uses `size_bytes`, never the blob
-        length."""
-
-    @classmethod
-    @abstractmethod
-    def from_state(
-        cls, nparts: int, nkeys: int, header: dict, payload: bytes, **obs_kwargs
-    ) -> "AuxTable":
-        """Inverse of `state`, for `aux_from_blob` (which has checked the two
-        counts): validate this backend's header fields and the payload
-        length they imply *before* allocating anything sized from them,
-        then rebuild the table.  Every rejection is a `ValueError`."""
 
     def finalize(self) -> None:
         """Freeze the table for sealing.  Dynamic backends are built
@@ -336,8 +321,9 @@ class AuxTable(ABC):
 class ExactAuxTable(AuxTable):
     """Exact pointers (the current state of the art, Fmt-DataPtr).
 
-    Stores 12 bytes per key: a 4-byte rank and an 8-byte offset.  Offsets
-    default to each key's running byte position in its source log.
+    Stores 12 bytes per key: a 4-byte rank and an 8-byte offset, each
+    key's running position in insertion order.  A Fig. 7 baseline: it
+    probes and sizes, and never seals.
     """
 
     POINTER_BYTES = 12
@@ -348,29 +334,16 @@ class ExactAuxTable(AuxTable):
         self, nparts: int, capacity_hint: int | None = None, seed: int = 0, **obs_kwargs
     ):
         # Exact pointers are neither sized nor hashed: the hint and the seed
-        # are accepted for the registry's uniform signature and unused.
+        # are accepted for the backends' uniform signature and unused.
         super().__init__(nparts, **obs_kwargs)
         self._key_chunks: list[np.ndarray] = []
         self._rank_chunks: list[np.ndarray] = []
-        self._offset_chunks: list[np.ndarray] = []
         self._sorted: tuple[np.ndarray, np.ndarray] | None = None
 
-    def insert_many(
-        self,
-        keys: np.ndarray,
-        src_ranks: np.ndarray | int,
-        offsets: np.ndarray | None = None,
-    ) -> None:
+    def insert_many(self, keys: np.ndarray, src_ranks: np.ndarray | int) -> None:
         keys, ranks = self._check_insert(keys, src_ranks)
-        if offsets is None:
-            offsets = np.arange(self._nkeys, self._nkeys + keys.size, dtype=np.uint64)
-        else:
-            offsets = np.asarray(offsets, dtype=np.uint64).ravel()
-            if offsets.shape != keys.shape:
-                raise ValueError("offsets must match keys")
         self._key_chunks.append(keys.copy())
         self._rank_chunks.append(ranks.astype(np.uint32))
-        self._offset_chunks.append(offsets)
         self._nkeys += keys.size
         self._sorted = None
 
@@ -381,12 +354,6 @@ class ExactAuxTable(AuxTable):
             order = np.argsort(keys, kind="stable")
             self._sorted = (keys[order], ranks[order])
         return self._sorted
-
-    def _candidate_ranks(self, key: int) -> np.ndarray:
-        keys, ranks = self._ensure_sorted()
-        lo = np.searchsorted(keys, np.uint64(key), side="left")
-        hi = np.searchsorted(keys, np.uint64(key), side="right")
-        return np.unique(ranks[lo:hi]).astype(np.int64)
 
     def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         skeys, ranks = self._ensure_sorted()
@@ -401,30 +368,9 @@ class ExactAuxTable(AuxTable):
 
     def to_bytes(self) -> bytes:
         ranks = _concat(self._rank_chunks, np.uint32)
-        offsets = _concat(self._offset_chunks, np.uint64)
         ptrs = np.empty(ranks.size, dtype=self._POINTER)
-        ptrs["rank"], ptrs["offset"] = ranks, offsets
+        ptrs["rank"], ptrs["offset"] = ranks, np.arange(ranks.size, dtype=np.uint64)
         return ptrs.tobytes()
-
-    def state(self) -> tuple[dict, bytes]:
-        # The 12-byte pointers alone can't answer candidate_ranks after a
-        # reload (probing needs the keys), so the blob carries the keys in
-        # insertion order ahead of the index.  size_bytes still counts only
-        # the pointers — the keys live in the data extents regardless.
-        keys = _concat(self._key_chunks, np.uint64)
-        return {}, keys.astype("<u8").tobytes() + self.to_bytes()
-
-    @classmethod
-    def from_state(cls, nparts, nkeys, header, payload, **obs_kwargs) -> "ExactAuxTable":
-        want = nkeys * (8 + cls.POINTER_BYTES)
-        if len(payload) != want:
-            raise ValueError(f"exact payload is {len(payload)} B, expected {want}")
-        aux = cls(nparts, **obs_kwargs)
-        keys = np.frombuffer(payload[: nkeys * 8], dtype="<u8").astype(np.uint64)
-        ptrs = np.frombuffer(payload[nkeys * 8 :], dtype=cls._POINTER)
-        if nkeys:  # insert_many rejects a rank >= nparts
-            aux.insert_many(keys, ptrs["rank"].astype(np.uint64), offsets=ptrs["offset"])
-        return aux
 
     @property
     def size_bytes(self) -> int:
@@ -432,7 +378,8 @@ class ExactAuxTable(AuxTable):
 
 
 class BloomAuxTable(AuxTable):
-    """Bloom-filter aux table: insert key‖rank, probe every rank (§IV-A)."""
+    """Bloom-filter aux table: insert key‖rank, probe every rank (§IV-A).
+    A Fig. 7 baseline: it probes and sizes, and never seals."""
 
     backend = "bloom"
 
@@ -463,10 +410,6 @@ class BloomAuxTable(AuxTable):
         ranks = np.arange(self.nparts, dtype=np.uint64)
         digests = hash_pair(np.repeat(keys, ranks.size), np.tile(ranks, keys.size))
         return self._filter.contains_many(digests).reshape(keys.size, ranks.size)
-
-    def _candidate_ranks(self, key: int) -> np.ndarray:
-        hits = self._hits_matrix(np.asarray([key], dtype=np.uint64))
-        return np.nonzero(hits[0])[0].astype(np.int64)
 
     def _candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All N ``key‖rank`` digests per batch tested in one vectorized
@@ -506,34 +449,6 @@ class BloomAuxTable(AuxTable):
 
     def to_bytes(self) -> bytes:
         return self._filter.to_bytes()
-
-    def state(self) -> tuple[dict, bytes]:
-        f = self._filter
-        fields = dict(
-            nbits=f.nbits, nhashes=f.nhashes, seed=f.seed, bits_per_key=self.bits_per_key
-        )
-        return fields, self.to_bytes()
-
-    @classmethod
-    def from_state(cls, nparts, nkeys, header, payload, **obs_kwargs) -> "BloomAuxTable":
-        seed = _int_field(header, "seed")
-        nbits = _int_field(header, "nbits", 64)
-        # More probes than bits is no filter `from_bits_per_key` builds, and
-        # a probe allocates keys x nhashes positions.
-        nhashes = _int_field(header, "nhashes", 1, nbits)
-        if nbits % 64 or len(payload) != nbits // 8:
-            raise ValueError(f"bloom payload is {len(payload)} B, header says {nbits} bits")
-        # A filter built for >= 1 key has nbits >= bits_per_key; the bound also
-        # caps the placeholder filter the constructor sizes from this field
-        # at the payload's own length.
-        bits_per_key = header.get("bits_per_key")
-        if type(bits_per_key) not in (int, float) or not 0 < bits_per_key <= nbits:
-            raise ValueError(f"bloom bits_per_key must be in (0, {nbits}], got {bits_per_key!r}")
-        bits_per_key = float(bits_per_key)
-        aux = cls(nparts, capacity_hint=1, bits_per_key=bits_per_key, seed=seed, **obs_kwargs)
-        aux._filter = BloomFilter.from_bytes(payload, nhashes, seed=seed, count=nkeys)
-        aux._nkeys = nkeys
-        return aux
 
     @property
     def size_bytes(self) -> int:
@@ -841,32 +756,19 @@ class CsfAuxTable(AuxTable):
         return self._maplet.size_bytes if self._maplet is not None else 0
 
 
-# Backend registry: name → class.  Registering a class here is the one line
-# that opts it into the factory, the blob codec, the CLI choices AND the
-# cross-backend parity and fuzz tests.
+# The backends that seal, name → class: the registry behind
+# `build_sealed_aux` and the blob codec.  Exact and Bloom are Fig. 7
+# baselines and stay out of it, so a blob naming either is refused.
 AUX_BACKENDS: dict[str, type[AuxTable]] = {
-    cls.backend: cls for cls in (ExactAuxTable, BloomAuxTable, CuckooAuxTable, CsfAuxTable)
+    cls.backend: cls for cls in (CuckooAuxTable, CsfAuxTable)
 }
 
-# What a `MultiEpochStore` seals with unless told otherwise (and what
-# ``--aux-backend auto`` means): the tournament's winner
+# What a `MultiEpochStore` seals with: the tournament's winner
 # (`benchmarks/results/aux_tournament.txt`: fewest bits, one candidate per
 # present key, and a build within 2.5x the cuckoo's), then the paper's
 # table, which builds for any key set — the CSF refuses one mapping a key
-# to two ranks.  `SimCluster` keeps the format's own (cuckoo) for the
-# paper's figures.
+# to two ranks.  `SimCluster` seals the paper's cuckoo for its figures.
 AUTO_BACKENDS = ("csf", "cuckoo")
-
-
-def make_aux_table(
-    backend: str, nparts: int, capacity_hint: int | None = None, seed: int = 0, **kwargs
-) -> AuxTable:
-    """Factory over `AUX_BACKENDS`: exact | bloom | cuckoo | csf.  ``kwargs``
-    are ``metrics`` / ``metric_labels`` and the backend's own parameters."""
-    cls = AUX_BACKENDS.get(backend)
-    if cls is None:
-        raise ValueError(f"unknown aux-table backend {backend!r}")
-    return cls(nparts, capacity_hint=capacity_hint, seed=seed, **kwargs)
 
 
 _BLOB_HDR = struct.Struct("<I")  # length of the JSON header that follows
@@ -879,8 +781,8 @@ def aux_to_blob(aux: AuxTable) -> bytes:
     This is what lands in an ``aux.<epoch>.<rank>`` extent (sealed by the
     pipeline), and what `aux_from_blob` reloads after a restart.  The
     framing is here; the backend-specific header fields and the payload
-    are the table's own `AuxTable.state`.  Serialization finalizes static
-    backends as a side effect.
+    are the table's own ``state()``, which only the `AUX_BACKENDS` have.
+    Serialization finalizes static backends as a side effect.
     """
     aux.finalize()
     fields, payload = aux.state()
@@ -896,13 +798,15 @@ def aux_from_blob(
 ) -> AuxTable:
     """Rebuild an aux table from an `aux_to_blob` serialization.
 
-    Every registered backend reloads exactly: the reloaded table answers
-    the same candidate sets for every key, and re-serializing it
-    reproduces the blob bit-for-bit (the parity harness asserts both).
-    The blob may come from another process (the fleet router loads what a
-    shard sent): torn framing, a header that is no object, another or no
-    version tag, an unknown backend and whatever the backend's
-    `AuxTable.from_state` refuses are all a `ValueError`.
+    Both `AUX_BACKENDS` reload exactly: the reloaded table answers the
+    same candidate sets for every key, and re-serializing it reproduces
+    the blob bit-for-bit (the parity harness asserts both).  The blob may
+    come from another process (the fleet router loads what a shard sent):
+    torn framing, a header that is no object, another or no version tag, a
+    backend outside `AUX_BACKENDS` (exact and Bloom included) and whatever
+    the backend's ``from_state`` refuses are all a `ValueError`.  Each
+    ``from_state`` validates its header fields and the payload length they
+    imply *before* allocating anything sized from them.
     """
     if len(blob) < _BLOB_HDR.size:
         raise ValueError(f"aux blob too short ({len(blob)} B)")
@@ -923,7 +827,9 @@ def aux_from_blob(
     backend = header.get("backend")
     cls = AUX_BACKENDS.get(backend) if isinstance(backend, str) else None
     if cls is None:
-        raise ValueError(f"aux blob names unknown backend {backend!r}")
+        raise ValueError(
+            f"aux blob names unknown backend {backend!r}; blobs are {sorted(AUX_BACKENDS)}"
+        )
     nparts = _int_field(header, "nparts", 1, 1 << 32)  # ranks are 32-bit everywhere
     nkeys = _int_field(header, "nkeys")
     payload = blob[_BLOB_HDR.size + hdr_len :]
@@ -999,8 +905,7 @@ def _seal_union(
         for i, (part, keys, ranks) in enumerate(union):
             if i in sealed:
                 continue
-            aux = make_aux_table(
-                backend,
+            aux = AUX_BACKENDS[backend](
                 nparts,
                 capacity_hint=max(1, keys.size),
                 seed=seed + part,

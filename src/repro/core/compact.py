@@ -23,10 +23,13 @@ PAPER.md §IV bounds per-query cost *within* an epoch, not across them).
 3. **Sweep.**  Source extents no surviving epoch references are deleted;
    a crash before the sweep finishes leaves orphans for recovery.
 
-Retired epoch ids remain addressable: the manifest's ``compacted``
-mapping forwards them to the merged epoch (which serves the newest-wins
-union view), and the ``next_epoch`` watermark guarantees ids are never
-reused, so epoch-versioned caches can never alias.
+A retired epoch id is refused, not forwarded: a read of it raises
+`EpochRetiredError` naming the merged epoch, because the merged epoch's
+newest-wins union would answer an overwritten key with a later
+timestep's value.  `MultiEpochStore.resolve_epoch` and the manifest's
+``compacted`` mapping still map the id to the merged epoch that absorbed
+it, and the ``next_epoch`` watermark guarantees ids are never reused, so
+epoch-versioned caches can never alias.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ class MergeSpec:
     seed: int
     merged: int
     newest_first: tuple[int, ...]
-    aux_backends: tuple[str, ...] | None = None
+    aux_backends: tuple[str, ...]
 
 
 def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
@@ -185,7 +188,6 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     # The merged epoch walks the store's backend tuple again on its
     # (merged, deduplicated) key set; mixed-backend source epochs thus
     # converge on one backend after compaction.
-    from .formats import FORMATS
     from .partitioning import HashPartitioner
 
     owners = HashPartitioner(spec.nranks).partition_of(wkeys)
@@ -193,7 +195,7 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     tables = build_sealed_aux(
         ((part, wkeys[sel], wranks[sel].astype(np.uint64)) for part, sel in enumerate(sels)),
         nparts=spec.nranks,
-        backends=spec.aux_backends or (FORMATS[spec.fmt].aux_backend or "cuckoo",),
+        backends=spec.aux_backends,
         seed=spec.seed + spec.merged,
         metrics=metrics,
     )

@@ -49,7 +49,6 @@ class FormatSpec:
     """
 
     name: str
-    aux_backend: str | None
     cuckoo_fp_bits: int = 4
     per_record_cpu_us: float = 0.30
 
@@ -103,9 +102,9 @@ class FormatSpec:
         return self.shuffle_bytes_per_record(value_bytes, nparts) / raw
 
 
-FMT_BASE = FormatSpec("base", aux_backend=None, per_record_cpu_us=0.30)
-FMT_DATAPTR = FormatSpec("dataptr", aux_backend="exact", per_record_cpu_us=0.40)
-FMT_FILTERKV = FormatSpec("filterkv", aux_backend="cuckoo", per_record_cpu_us=0.25)
+FMT_BASE = FormatSpec("base", per_record_cpu_us=0.30)
+FMT_DATAPTR = FormatSpec("dataptr", per_record_cpu_us=0.40)
+FMT_FILTERKV = FormatSpec("filterkv", per_record_cpu_us=0.25)
 
 FORMATS: dict[str, FormatSpec] = {
     f.name: f for f in (FMT_BASE, FMT_DATAPTR, FMT_FILTERKV)

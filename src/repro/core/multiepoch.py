@@ -180,7 +180,6 @@ class MultiEpochStore:
         seed: int = 0,
         device: StorageDevice | None = None,
         compaction: CompactionPolicy | None = None,
-        aux_backends: tuple[str, ...] | None = None,
     ):
         self.nranks = nranks
         self.fmt = fmt
@@ -201,11 +200,11 @@ class MultiEpochStore:
         # commit, and a generation counter reader sessions watch to learn
         # that the epoch set changed under them.
         self.compaction_policy = compaction
-        # Aux backends to try, in order, for each sealed key→rank set (None:
-        # `AUTO_BACKENDS`, so every store epoch, compaction output, shard and
-        # attached store seals csf-first); the one that built is recorded in
-        # the manifest's EpochInfo.aux_backend.
-        self.aux_backends = AUTO_BACKENDS if aux_backends is None else aux_backends
+        # Aux backends to try, in order, for each sealed key→rank set: every
+        # store epoch, compaction output, shard and attached store seals
+        # csf-first.  The one that built is recorded in the manifest's
+        # EpochInfo.aux_backend.  Tests assign it to force one epoch's backend.
+        self.aux_backends = AUTO_BACKENDS
         self.compactions = 0
         self.last_compaction: CompactionReport | None = None
         # The store's own sessions.  `get` / `get_many`: handle opened and
@@ -221,7 +220,7 @@ class MultiEpochStore:
     # -- attach / recover ----------------------------------------------------
 
     @classmethod
-    def attach(cls, device: StorageDevice, **kwargs) -> "MultiEpochStore":
+    def attach(cls, device: StorageDevice) -> "MultiEpochStore":
         """Reopen a persisted dataset from its manifest alone.
 
         Rebuilds a query engine for every committed epoch, reloading each
@@ -238,7 +237,6 @@ class MultiEpochStore:
             fmt=fmt,
             value_bytes=manifest.value_bytes,
             device=device,
-            **kwargs,
         )
         store.manifest = manifest
         for epoch in manifest.epoch_ids:
@@ -251,7 +249,6 @@ class MultiEpochStore:
         device: StorageDevice,
         deep: bool = False,
         metrics: MetricsRegistry | None = None,
-        **kwargs,
     ) -> "tuple[MultiEpochStore | None, RecoveryReport]":
         """Crash-recover the device, then attach to what survived.
 
@@ -263,7 +260,7 @@ class MultiEpochStore:
         if isinstance(device, FaultyStorageDevice):
             device.revive()
         manifest, report = Manifest.recover(device, deep=deep, metrics=metrics)
-        store = cls.attach(device, **kwargs) if manifest is not None else None
+        store = cls.attach(device) if manifest is not None else None
         return store, report
 
     def _attach_engine(self, epoch: int) -> QueryEngine:
@@ -352,7 +349,7 @@ class MultiEpochStore:
                 aux_backend=cluster.aux_backends(),
             )
         )
-        self.manifest.save(self.device)
+        self.manifest.commit(self.device)
         # Materialize the (lazily computed) stats before the policy hook:
         # compaction may retire this very epoch and sweep its extents.
         stats = cluster.stats

@@ -217,7 +217,7 @@ class ReceiverState:
         epoch: int = 0,
         block_size: int = 1 << 20,
         aux_seed: int = 0,
-        aux_backends: tuple[str, ...] | None = None,
+        aux_backends: tuple[str, ...] = ("cuckoo",),
         metrics: MetricsRegistry | None = None,
     ):
         self.rank = rank
@@ -322,7 +322,7 @@ def build_aux(receivers: list[ReceiverState]) -> None:
     tables = build_sealed_aux(
         (r._mappings() for r in receivers),
         nparts=first.nranks,
-        backends=first.aux_backends or (first.fmt.aux_backend or "cuckoo",),
+        backends=first.aux_backends,
         seed=first._aux_seed,
         metrics=first.metrics,
     )

@@ -136,14 +136,11 @@ class BloomFilter:
         return self._words.astype("<u8").tobytes()
 
     @classmethod
-    def from_bytes(
-        cls, data: bytes, nhashes: int, seed: int = 0, count: int = 0
-    ) -> "BloomFilter":
-        """Rebuild a filter from `to_bytes` output; ``count`` restores
-        `__len__` (the bit vector does not record how many were added)."""
+    def from_bytes(cls, data: bytes, nhashes: int) -> "BloomFilter":
+        """Rebuild a seed-0 filter (an SSTable's) from `to_bytes` output
+        (`__len__` reads 0: the bits do not record how many were added)."""
         if len(data) % 8:
             raise ValueError("serialized Bloom filter must be a multiple of 8 bytes")
-        f = cls(len(data) * 8, nhashes, seed=seed)
+        f = cls(len(data) * 8, nhashes)
         f._words = np.frombuffer(data, dtype="<u8").astype(np.uint64)
-        f._count = int(count)
         return f

@@ -45,7 +45,6 @@ class FleetSpec:
     seed: int = 0
     vnodes: int = 64
     tcp: bool = False
-    aux_backends: tuple[str, ...] | None = None
     service_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -70,7 +69,6 @@ class Fleet:
                 value_bytes=spec.value_bytes,
                 # Offset per shard so sibling stores ingest independently.
                 seed=spec.seed + 1000 * (sid + 1),
-                aux_backends=spec.aux_backends,
                 service_kwargs=spec.service_kwargs,
             )
             for sid in range(spec.nshards)

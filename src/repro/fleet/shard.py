@@ -51,14 +51,12 @@ class ShardNode:
         nranks: int = 4,
         value_bytes: int = 24,
         seed: int = 0,
-        aux_backends: tuple[str, ...] | None = None,
         service_kwargs: dict | None = None,
     ):
         self.shard_id = int(shard_id)
         self.nranks = int(nranks)
         self.value_bytes = int(value_bytes)
         self.seed = int(seed)
-        self.aux_backends = aux_backends
         self.service_kwargs = dict(service_kwargs or {})
         self.device = FaultyStorageDevice(plan=FaultPlan(seed=seed))
         self.store = MultiEpochStore(
@@ -66,7 +64,6 @@ class ShardNode:
             value_bytes=self.value_bytes,
             device=self.device,
             seed=self.seed,
-            aux_backends=aux_backends,
         )
         self.service: QueryService | None = None
         self.server: ServeServer | None = None
@@ -139,9 +136,7 @@ class ShardNode:
         """
         was_tcp = self.server is not None if tcp is None else tcp
         await self.stop()
-        store, report = MultiEpochStore.recover(
-            self.device, aux_backends=self.aux_backends
-        )
+        store, report = MultiEpochStore.recover(self.device)
         if store is None:
             raise RuntimeError(
                 f"shard {self.shard_id}: no manifest survived the crash"

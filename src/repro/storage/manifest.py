@@ -31,7 +31,7 @@ from .envelope import UnsupportedLayoutError, seal, try_unseal
 
 __all__ = ["EpochInfo", "Manifest", "RecoveryReport", "MANIFEST_NAME", "MANIFEST_PREFIX"]
 
-MANIFEST_NAME = "MANIFEST"  # legacy single-extent name, still readable
+MANIFEST_NAME = "MANIFEST"  # the unsealed single extent before generations: refused
 MANIFEST_PREFIX = "MANIFEST."
 _GENERATION_RE = re.compile(r"^MANIFEST\.(\d{6,})$")
 _KEEP_GENERATIONS = 2  # newest + one fallback survive each commit's sweep
@@ -215,10 +215,10 @@ class Manifest:
         """Atomically promote this manifest; returns the generation number.
 
         The new generation is one sealed append — complete or torn, never
-        half-interpreted.  Older generations beyond a small keep window
-        (and any legacy unsealed ``MANIFEST`` extent) are swept afterwards;
-        a crash between the append and the sweep only leaves extra old
-        generations, which the next load ignores and the next commit sweeps.
+        half-interpreted.  Older generations beyond a small keep window are
+        swept afterwards; a crash between the append and the sweep only
+        leaves extra old generations, which the next load ignores and the
+        next commit sweeps.
         """
         gens = self._scan_generations(device)
         seq = (gens[0][0] + 1) if gens else 1
@@ -226,21 +226,11 @@ class Manifest:
             f.append(seal(self.to_bytes()))
         for old_seq, name in gens[_KEEP_GENERATIONS - 1 :]:
             device.delete(name)
-        if device.exists(MANIFEST_NAME):
-            device.delete(MANIFEST_NAME)
         return seq
-
-    def save(self, device: StorageDevice) -> None:
-        """Back-compat alias for `commit`."""
-        self.commit(device)
 
     @classmethod
     def load(cls, device: StorageDevice) -> "Manifest":
-        """Newest generation whose seal validates; torn commits lose.
-
-        Falls back to the legacy unsealed ``MANIFEST`` extent for datasets
-        written before generations existed.
-        """
+        """Newest generation whose seal validates; torn commits lose."""
         m = cls._load_valid(device)[1]
         if m is None:
             raise FileNotFoundError("no valid manifest on device")
@@ -250,7 +240,9 @@ class Manifest:
     def _load_valid(
         cls, device: StorageDevice
     ) -> tuple[int | None, "Manifest | None", list[str]]:
-        """(generation, manifest, invalid-extent-names) for the device."""
+        """(generation, manifest, invalid-extent-names) for the device.  A
+        device whose one manifest is the unsealed ``MANIFEST`` of the layout
+        before generations raises `UnsupportedLayoutError`."""
         invalid: list[str] = []
         for seq, name in cls._scan_generations(device):
             with device.open(name) as f:
@@ -262,12 +254,10 @@ class Manifest:
                     pass
             invalid.append(name)
         if device.exists(MANIFEST_NAME):
-            with device.open(MANIFEST_NAME) as f:
-                blob = f.read(0, f.size)
-            try:
-                return 0, cls.from_bytes(blob), invalid
-            except ValueError:
-                invalid.append(MANIFEST_NAME)
+            raise UnsupportedLayoutError(
+                f"the device's manifest is the unsealed {MANIFEST_NAME!r} extent of the "
+                f"layout before sealed {MANIFEST_PREFIX}<n> generations"
+            )
         return None, None, invalid
 
     # -- crash recovery ----------------------------------------------------

@@ -6,8 +6,10 @@ Whatever the blob, `aux_from_blob` has two outcomes: `ValueError`, or a
 table that re-serializes and whose probes on arbitrary ``uint64`` keys
 return ranks ``< nparts`` without raising — never another exception type,
 and never memory sized by a header field nobody checked against the bytes
-present.  The deterministic cases and sweeps (the five headers that used
-to escape untyped, every truncation, every flipped byte) always run; the
+present.  Exact and Bloom blobs, which earlier code sealed, are swept
+too (`RETIRED`): however they are mutated, the outcome is a `ValueError`.
+The deterministic cases and sweeps (the five headers that used to escape
+untyped, every truncation, every flipped byte) always run; the
 hypothesis property has a fast entry for tier-1 and a ``_full`` twin under
 ``-m slow`` for the CI ``aux-tournament`` job.
 """
@@ -20,9 +22,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro.core.auxtable import AUX_BACKENDS, aux_from_blob, aux_to_blob, make_aux_table
+from repro.core.auxtable import AUX_BACKENDS, aux_from_blob, aux_to_blob
 
 from ..serve.test_proto_fuzz import both_profiles
+from .test_aux_blob_golden import RETIRED
 
 BACKENDS = sorted(AUX_BACKENDS)
 NPARTS = 6  # not a power of two: 3-bit ranks can name partitions 6 and 7
@@ -34,14 +37,11 @@ U64 = 2**64 - 1
 # (csf at 2 bits: 107).  The slack covers a maximal chain of minimal
 # cuckoo tables.
 ALLOC_FACTOR, ALLOC_SLACK = 144, 1 << 20
-# A Bloom probe tests every rank by design (paper §IV-A), so a reloaded
-# table is probed only when its partition count is one a test can afford.
-PROBE_MAX_PARTS = 4096
 
 
 def _table(backend, nkeys):
     rng = np.random.default_rng(nkeys)
-    t = make_aux_table(backend, NPARTS, capacity_hint=max(1, nkeys), seed=5)
+    t = AUX_BACKENDS[backend](NPARTS, capacity_hint=max(1, nkeys), seed=5)
     if nkeys:
         keys = rng.choice(1 << 40, size=nkeys, replace=False).astype(np.uint64)
         t.insert_many(keys, rng.integers(0, NPARTS, size=nkeys, dtype=np.uint64))
@@ -51,6 +51,9 @@ def _table(backend, nkeys):
 # Per backend: the keyless table, a small one, and one past the first
 # cuckoo table's 64 slots (a two-table chain).
 BLOBS = {b: [aux_to_blob(_table(b, n)) for n in (0, 9, 90)] for b in BACKENDS}
+# The blob each sweep mutates: a small sealed one per backend, and the
+# retired backends' blobs, which must stay refused under any mutation.
+SWEPT = {**{b: BLOBS[b][1] for b in BACKENDS}, **RETIRED}
 
 
 def split(blob):
@@ -88,15 +91,14 @@ def check(blob, keys=(0, 1, 12345, U64)):
         return None
     assert t.backend in AUX_BACKENDS and t.nparts >= 1 and len(t) >= 0
     aux_to_blob(t)
-    if t.nparts <= PROBE_MAX_PARTS:
-        probe = np.asarray(keys, dtype=np.uint64)
-        counts, flat = t.candidates_many(probe)
-        assert counts.shape == probe.shape and int(counts.sum()) == flat.size
-        assert ((flat >= 0) & (flat < t.nparts)).all()
-        assert (t.candidate_counts(probe) >= 0).all()
-        for k in keys[:2]:
-            ranks = np.asarray(t.candidate_ranks(int(k)))
-            assert ((ranks >= 0) & (ranks < t.nparts)).all()
+    probe = np.asarray(keys, dtype=np.uint64)
+    counts, flat = t.candidates_many(probe)
+    assert counts.shape == probe.shape and int(counts.sum()) == flat.size
+    assert ((flat >= 0) & (flat < t.nparts)).all()
+    assert (t.candidate_counts(probe) >= 0).all()
+    for k in keys[:2]:
+        ranks = np.asarray(t.candidate_ranks(int(k)))
+        assert ((ranks >= 0) & (ranks < t.nparts)).all()
     return t
 
 
@@ -110,9 +112,9 @@ def test_header_that_is_json_but_not_an_object(value):
         aux_from_blob(join(value, payload))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(SWEPT))
 def test_any_missing_header_field_is_a_value_error(backend):
-    header, payload = split(BLOBS[backend][1])
+    header, payload = split(SWEPT[backend])
     for name in header:
         with pytest.raises(ValueError):
             aux_from_blob(join({k: v for k, v in header.items() if k != name}, payload))
@@ -122,18 +124,6 @@ def test_huge_bucket_count_is_refused_before_allocating():
     header, payload = split(BLOBS["cuckoo"][1])
     blob = join({**header, "nbuckets": [2**36]}, payload)
     assert decode(blob) is None  # 1 TiB at the parent commit; metered here
-
-
-@pytest.mark.parametrize(
-    "bits_per_key",
-    [2**36, 1e13, 2**62 + 1, 10**400, float("inf")],
-    ids=["2^36", "1e13", "2^62+1", "10^400", "inf"],
-)
-def test_huge_bloom_budget_is_refused_before_allocating(bits_per_key):
-    """The constructor sizes a placeholder filter from this field (8 GiB for
-    2^36, `MemoryError` beyond) before the real bit vector is swapped in."""
-    header, payload = split(BLOBS["bloom"][1])
-    assert decode(join({**header, "bits_per_key": bits_per_key}, payload)) is None
 
 
 def test_csf_fingerprint_wider_than_a_slot_is_refused_at_load():
@@ -170,7 +160,7 @@ def test_unknown_backend_is_a_value_error(name):
 def test_rank_beyond_the_partition_count_is_refused_or_never_returned():
     """Three rank bits name eight partitions; the header says six.  A stored
     rank of 6 or 7 must not reach a reader, which opens tables by rank."""
-    for backend in ("cuckoo", "csf", "exact"):
+    for backend in BACKENDS:
         header, payload = split(BLOBS[backend][2])
         for i in range(len(payload)):
             check(join(header, payload[:i] + bytes([payload[i] | 0xE7]) + payload[i + 1 :]))
@@ -185,16 +175,16 @@ def test_base_blobs_load(backend):
         assert aux_to_blob(check(blob)) == blob
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(SWEPT))
 def test_every_truncation_is_a_value_error(backend):
-    blob = BLOBS[backend][1]
+    blob = SWEPT[backend]
     for n in range(len(blob)):
         assert decode(blob[:n]) is None, n
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(SWEPT))
 def test_every_flipped_byte(backend):
-    blob = BLOBS[backend][1]
+    blob = SWEPT[backend]
     for i in range(len(blob)):
         check(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1 :])
 
@@ -232,7 +222,8 @@ def mutated_value(value):
 
 @st.composite
 def mutated_blobs(draw):
-    blob = draw(st.sampled_from([b for blobs in BLOBS.values() for b in blobs]))
+    seeds = [b for blobs in BLOBS.values() for b in blobs] + list(RETIRED.values())
+    blob = draw(st.sampled_from(seeds))
     header, payload = split(blob)
     for name in draw(st.lists(st.sampled_from(sorted(header)), max_size=3, unique=True)):
         if draw(st.booleans()):

@@ -5,10 +5,11 @@ import pytest
 
 from repro.core.auxtable import (
     BloomAuxTable,
+    CsfAuxTable,
     CuckooAuxTable,
     ExactAuxTable,
     bloom_bits_per_key,
-    make_aux_table,
+    build_sealed_aux,
     rank_bits,
 )
 
@@ -20,7 +21,14 @@ def _workload(n=3000, nparts=32, seed=1):
     return keys, ranks
 
 
+CLASSES = {
+    cls.backend: cls for cls in (ExactAuxTable, BloomAuxTable, CuckooAuxTable, CsfAuxTable)
+}
 BACKENDS = ["exact", "bloom", "cuckoo", "csf"]
+
+
+def _table(backend, nparts, **kwargs):
+    return CLASSES[backend](nparts, **kwargs)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -28,7 +36,7 @@ def test_no_false_negatives(backend):
     """Every backend must always return the true source rank."""
     n = 3000
     keys, ranks = _workload(n=n)
-    t = make_aux_table(backend, nparts=32, capacity_hint=n)
+    t = _table(backend, nparts=32, capacity_hint=n)
     t.insert_many(keys, ranks)
     step = max(1, n // 100)
     for i in range(0, n, step):
@@ -39,7 +47,7 @@ def test_no_false_negatives(backend):
 def test_candidate_counts_consistent(backend):
     n = 2000
     keys, ranks = _workload(n=n, nparts=16, seed=2)
-    t = make_aux_table(backend, nparts=16, capacity_hint=n)
+    t = _table(backend, nparts=16, capacity_hint=n)
     t.insert_many(keys, ranks)
     sample = keys[:50]
     counts = t.candidate_counts(sample)
@@ -64,11 +72,16 @@ def test_exact_size_is_12_bytes_per_key():
 
 
 def test_exact_serialization_layout():
+    # Packed 12-byte pointers: u32 rank, then u64 offset, the key's running
+    # position in insertion order.
     t = ExactAuxTable(nparts=4)
-    t.insert_many(np.asarray([5], dtype=np.uint64), 3, offsets=np.asarray([0x1122334455], dtype=np.uint64))
+    t.insert_many(np.asarray([5], dtype=np.uint64), 3)
+    t.insert_many(np.asarray([9, 7], dtype=np.uint64), np.asarray([1, 2], dtype=np.uint64))
     blob = t.to_bytes()
-    assert blob[:4] == (3).to_bytes(4, "little")
-    assert blob[4:] == (0x1122334455).to_bytes(8, "little")
+    assert len(blob) == 3 * 12
+    for i, rank in enumerate((3, 1, 2)):
+        assert blob[12 * i : 12 * i + 4] == rank.to_bytes(4, "little")
+        assert blob[12 * i + 4 : 12 * i + 12] == i.to_bytes(8, "little")
 
 
 def test_bloom_amplification_grows_with_nparts():
@@ -133,8 +146,11 @@ def test_insert_validates_rank_range():
 
 
 def test_factory_rejects_unknown():
-    with pytest.raises(ValueError):
-        make_aux_table("btree", nparts=4)
+    # The seal builds only the registered backends: exact and Bloom are
+    # in-memory baselines, and seal nothing.
+    for name in ("btree", "exact", "bloom"):
+        with pytest.raises(ValueError, match="aux backends must name"):
+            build_sealed_aux([(0, np.asarray([1], dtype=np.uint64), 0)], 4, (name,))
 
 
 def test_bloom_requires_capacity():
@@ -152,7 +168,7 @@ def test_candidates_many_matches_scalar(backend):
     per-key walk — including on keys the table never saw."""
     n = 2000
     keys, ranks = _workload(n=n, nparts=16, seed=4)
-    t = make_aux_table(backend, nparts=16, capacity_hint=n)
+    t = _table(backend, nparts=16, capacity_hint=n)
     t.insert_many(keys, ranks)
     absent = np.random.default_rng(5).integers(0, 2**63, size=40, dtype=np.uint64)
     probe = np.concatenate([keys[:160], absent])
@@ -168,7 +184,7 @@ def test_candidates_many_matches_scalar(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_candidates_many_empty_batch(backend):
-    t = make_aux_table(backend, nparts=8, capacity_hint=16)
+    t = _table(backend, nparts=8, capacity_hint=16)
     t.insert_many(*_workload(n=16, nparts=8, seed=6))
     counts, flat = t.candidates_many(np.zeros(0, dtype=np.uint64))
     assert counts.size == 0 and flat.size == 0
@@ -180,8 +196,8 @@ def test_candidates_many_probe_accounting_matches_scalar():
 
     keys, ranks = _workload(n=1500, nparts=16, seed=7)
     m_s, m_b = MetricsRegistry(), MetricsRegistry()
-    ts = make_aux_table("cuckoo", nparts=16, capacity_hint=1500, metrics=m_s)
-    tb = make_aux_table("cuckoo", nparts=16, capacity_hint=1500, metrics=m_b)
+    ts = _table("cuckoo", nparts=16, capacity_hint=1500, metrics=m_s)
+    tb = _table("cuckoo", nparts=16, capacity_hint=1500, metrics=m_b)
     ts.insert_many(keys, ranks)
     tb.insert_many(keys, ranks)
     probe = keys[:300]

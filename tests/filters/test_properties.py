@@ -31,13 +31,13 @@ def test_bloom_never_false_negative(keys, bpk):
     assert f.contains_many(arr).all()
 
 
-@given(keys=keys_strategy, seed=st.integers(min_value=0, max_value=2**31))
+@given(keys=keys_strategy)
 @settings(max_examples=40, deadline=None)
-def test_bloom_serialization_preserves_answers(keys, seed):
+def test_bloom_serialization_preserves_answers(keys):
     arr = np.asarray(keys, dtype=np.uint64)
-    f = BloomFilter.from_bits_per_key(len(keys), 12, seed=seed)
+    f = BloomFilter.from_bits_per_key(len(keys), 12)  # an SSTable's filter: seed 0
     f.add_many(arr)
-    g = BloomFilter.from_bytes(f.to_bytes(), f.nhashes, seed=seed)
+    g = BloomFilter.from_bytes(f.to_bytes(), f.nhashes)
     probes = np.arange(500, dtype=np.uint64)
     assert np.array_equal(f.contains_many(probes), g.contains_many(probes))
     assert g.contains_many(arr).all()

@@ -28,7 +28,9 @@ from repro.serve import (
     ServeResponse,
     ServeServer,
 )
+from repro.storage.envelope import seal
 
+from ..core.test_aux_blob_golden import RETIRED
 from .conftest import VB, absent_keys, build_fleet, make_dumps, merged_store, run
 
 BACKENDS = sorted(AUX_BACKENDS)
@@ -61,10 +63,10 @@ def test_fleet_matches_merged_store(backend):
 
 
 def test_mixed_backend_epochs_match_merged_store():
-    """One epoch per backend family (filter–index hybrid / probed filter /
+    """Epochs alternating the two sealed backends (filter–index hybrid /
     static function): the router rebuilds each epoch's tables from its
     blob header alone, so a mixed-backend fleet routes like any other."""
-    per_epoch = ["cuckoo", "bloom", "csf"]
+    per_epoch = ["cuckoo", "csf", "cuckoo"]
     fleet, dumps, truth = build_fleet(seed=31, epochs=len(per_epoch), ingest=False)
     oracle = merged_store(dumps[:0], seed=31)
     for backend, dump in zip(per_epoch, dumps):
@@ -434,6 +436,41 @@ def test_an_export_without_aux_tables_leaves_that_shard_without_a_view():
             r = await router.get(k, epoch=ANY_EPOCH)
             assert (r.status, r.value) == (OK, truth[k])
             assert router.stats()["scatter"] == 1
+
+    run(go())
+
+
+@pytest.mark.parametrize("backend", sorted(RETIRED))
+def test_an_export_of_a_retired_backend_leaves_that_shard_without_a_view(backend):
+    """Exact and Bloom tables seal no blob, but a shard of earlier code may
+    still export one: its view is refused by the backend's name, so that
+    shard keeps its ring place in every plan and answers as before."""
+    fleet, dumps, truth = build_fleet(nshards=2, rf=2, epochs=1, seed=19)
+    retired = seal(RETIRED[backend]).hex()
+    with pytest.raises(ValueError, match=f"unknown backend '{backend}'"):
+        ShardAuxView(1, {"nranks": 4, "epochs": {"0": [retired]}})
+
+    class _Retired:
+        def __init__(self, inner):
+            self._inner = inner
+
+        async def aux_state(self):
+            state = await self._inner.aux_state()
+            epochs = {e: [retired] * len(rows) for e, rows in state["epochs"].items()}
+            return {**state, "epochs": epochs}
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    async def go():
+        async with fleet:
+            k = sorted(truth)[0]
+            clients = {**fleet.clients, 1: _Retired(fleet.clients[1])}
+            router = await FleetRouter(clients, fleet.ring, rf=fleet.rf).start()
+            assert sorted(router.views) == [0]
+            assert router.plan(k) == ([0, 1], True)  # shard 0 claims k, shard 1 keeps its place
+            r = await router.get(k, epoch=ANY_EPOCH)
+            assert (r.status, r.value) == (OK, truth[k])
 
     run(go())
 

@@ -50,8 +50,8 @@ def _store():
         value_bytes=VALUE_BYTES,
         block_size=BLOCK_SIZE,
         seed=11,
-        aux_backends=("cuckoo",),  # the candidate walk these totals were pinned on
     )
+    store.aux_backends = ("cuckoo",)  # the candidate walk these totals were pinned on
     written = []
     for _ in range(2):
         batches = [random_kv_batch(PER_RANK, VALUE_BYTES, rng) for _ in range(NRANKS)]

@@ -114,7 +114,7 @@ CUCKOO = ("cuckoo",)
 
 
 def _new_store(aux_backends):
-    return MultiEpochStore(
+    store = MultiEpochStore(
         nranks=NRANKS,
         fmt=FMT_FILTERKV,
         value_bytes=VALUE_BYTES,
@@ -122,8 +122,10 @@ def _new_store(aux_backends):
         seed=23,
         device=StorageDevice(metrics=MetricsRegistry("golden")),
         compaction=CompactionPolicy(max_live_epochs=4, merge_factor=4),
-        aux_backends=aux_backends,
     )
+    if aux_backends is not None:  # None: the store's own `AUTO_BACKENDS`
+        store.aux_backends = aux_backends
+    return store
 
 
 def _writer_handles(dumps, aux_backends):

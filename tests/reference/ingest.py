@@ -249,7 +249,7 @@ class Receiver:
                 )
             ],
             nparts=self.nranks,
-            backends=(self.fmt.aux_backend or "cuckoo",),
+            backends=("cuckoo",),  # the paper's table, as `SimCluster` seals
             seed=self.aux_seed,
         )
         name = f"aux.{self.epoch:03d}.{self.rank:06d}"

@@ -86,9 +86,9 @@ def build_store(
     FilterKV actually produces false candidates (under the cuckoo; the
     default csf seal answers a present key with its one rank).
     """
-    store = MultiEpochStore(
-        nranks=nranks, fmt=fmt, value_bytes=value_bytes, seed=seed, aux_backends=aux_backends
-    )
+    store = MultiEpochStore(nranks=nranks, fmt=fmt, value_bytes=value_bytes, seed=seed)
+    if aux_backends is not None:
+        store.aux_backends = aux_backends
     rng = np.random.default_rng(seed)
     truth = {}
     for e in range(epochs):

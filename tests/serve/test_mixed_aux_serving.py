@@ -1,9 +1,11 @@
 """Serving over epochs whose aux tables use *different* backends.
 
-A store's ``aux_backends=`` tuple is walked per sealed key set, so its
-epochs can legitimately disagree on aux backend — an early epoch sealed
-with a cuckoo table, a later one with a CSF.  These tests pin the contract that
-the backend is a per-epoch implementation detail:
+A store's ``aux_backends`` tuple (`AUTO_BACKENDS`: csf, then cuckoo) is
+walked per sealed key set, so its epochs can legitimately disagree on aux
+backend — an epoch whose keys the CSF refuses seals a cuckoo table.  The
+tests force that mix by assigning ``store.aux_backends`` one backend per
+epoch, and pin the contract that the backend is a per-epoch
+implementation detail:
 
 * the manifest records which backend(s) each epoch sealed;
 * a cold `attach` reloads every epoch's aux from its blob header alone
@@ -28,8 +30,8 @@ from .conftest import run  # noqa: F401
 
 VB = 20
 NRANKS = 4
-# One epoch per backend: filter–index hybrid, probed filter, static function.
-EPOCH_BACKENDS = ["cuckoo", "bloom", "csf"]
+# One epoch per sealed backend: filter–index hybrid, then static function.
+EPOCH_BACKENDS = ["cuckoo", "csf"]
 
 
 def _grow(store, rng, n=100):
@@ -64,13 +66,8 @@ def test_manifest_records_per_epoch_backend():
 
 
 def test_policy_backend_lands_in_manifest():
-    store = MultiEpochStore(
-        nranks=NRANKS,
-        fmt=FMT_FILTERKV,
-        value_bytes=VB,
-        seed=43,
-        aux_backends=AUTO_BACKENDS,
-    )
+    store = MultiEpochStore(nranks=NRANKS, fmt=FMT_FILTERKV, value_bytes=VB, seed=43)
+    assert store.aux_backends == AUTO_BACKENDS
     _grow(store, np.random.default_rng(43))
     (info,) = store.manifest.epochs
     assert info.aux_backend == "csf"  # first of the tuple; nothing made it refuse
@@ -93,8 +90,8 @@ def test_cold_attach_serves_mixed_epochs_byte_identically():
 
 def test_serving_through_mixed_epoch_compaction():
     store, truth, _ = _mixed_store()
-    # Give the post-compaction rebuild a tuple to walk, so the merged
-    # epoch's backend comes from it, not from the last format default.
+    # The merged epoch walks the store's own tuple again, not the one
+    # the last epoch was forced to.
     store.aux_backends = AUTO_BACKENDS
 
     async def main():

@@ -33,7 +33,7 @@ def test_save_and_load_from_device():
     dev = StorageDevice()
     m = Manifest(fmt="base", nranks=4, value_bytes=24)
     m.add_epoch(_info(0))
-    m.save(dev)
+    m.commit(dev)
     assert any(n.startswith(MANIFEST_PREFIX) for n in dev.list_files())
     n = Manifest.load(dev)
     assert n.fmt == "base" and n.total_records == 100
@@ -42,9 +42,9 @@ def test_save_and_load_from_device():
 def test_save_replaces_previous():
     dev = StorageDevice()
     m = Manifest(fmt="base", nranks=4, value_bytes=24)
-    m.save(dev)
+    m.commit(dev)
     m.add_epoch(_info(0))
-    m.save(dev)
+    m.commit(dev)
     assert Manifest.load(dev).epoch_ids == [0]
 
 
@@ -86,16 +86,26 @@ def test_corrupt_commit_falls_back_to_previous_generation():
     assert Manifest.load(dev).epoch_ids == [0]
 
 
-def test_load_reads_legacy_unsealed_manifest():
-    dev = StorageDevice()
-    m = Manifest(fmt="base", nranks=4, value_bytes=24)
-    m.add_epoch(_info(0))
-    dev.open(MANIFEST_NAME, create=True).append(m.to_bytes())
-    assert Manifest.load(dev).epoch_ids == [0]
-    # A sealed generation, once present, wins over the legacy extent.
-    m.add_epoch(_info(1))
-    dev.open(f"{MANIFEST_PREFIX}000001", create=True).append(seal(m.to_bytes()))
-    assert Manifest.load(dev).epoch_ids == [0, 1]
+def test_recovery_refuses_the_unsealed_legacy_manifest_and_touches_nothing():
+    """A store whose manifest is the one unsealed ``MANIFEST`` extent of the
+    layout before generations is refused by name, before recovery
+    quarantines, commits or sweeps anything.  (Reading it, recovery swept
+    that extent as an orphan, since only generations counted as referenced,
+    and its own attach then found no manifest.)"""
+    device = StorageDevice()
+    store = MultiEpochStore(nranks=2, fmt=FMT_FILTERKV, value_bytes=16, device=device, seed=0)
+    store.write_epoch([random_kv_batch(40, 16, np.random.default_rng(0)) for _ in range(2)])
+    store.close()
+    for name in device.list_files():
+        if name.startswith(MANIFEST_PREFIX):
+            device.delete(name)
+    device.open(MANIFEST_NAME, create=True).append(store.manifest.to_bytes())
+    before = _files(device)
+    with pytest.raises(UnsupportedLayoutError, match="MANIFEST"):
+        MultiEpochStore.recover(device)
+    assert _files(device) == before
+    with pytest.raises(UnsupportedLayoutError):
+        Manifest.load(device)
 
 
 def test_load_with_no_manifest_raises():
