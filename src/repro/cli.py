@@ -37,6 +37,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -58,6 +59,26 @@ def _at_least(floor: int):
         return value
 
     return parse
+
+
+def _float_where(test, want: str):
+    """An argparse type: a number for which ``test`` holds, else a usage
+    error saying it must be ``want``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {value}")
+        return value
+
+    return parse
+
+
+_RATE = _float_where(lambda v: 0.0 <= v <= 1.0, "a rate in [0, 1]")
+_SECONDS = _float_where(lambda v: 0.0 < v < math.inf, "a finite number of seconds > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,19 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
     _dataset_args(s)
     s.add_argument("--host", default="127.0.0.1")
     s.add_argument("--port", type=int, default=0, help="0 = let the OS pick")
-    s.add_argument("--max-batch", type=int, default=64)
-    s.add_argument("--max-inflight", type=int, default=1024)
-    s.add_argument("--queue-high-watermark", type=int, default=512)
+    s.add_argument("--max-batch", type=_at_least(1), default=64)
+    s.add_argument("--max-inflight", type=_at_least(1), default=1024)
+    s.add_argument("--queue-high-watermark", type=_at_least(1), default=512)
     s.add_argument(
         "--trace-sample",
-        type=float,
+        type=_RATE,
         default=0.0,
         metavar="RATE",
         help="server-side trace sampling rate in [0,1] (client-sampled "
         "requests are always traced)",
     )
     s.add_argument(
-        "--stats-window", type=float, default=10.0, help="stats_live trailing window (s)"
+        "--stats-window", type=_SECONDS, default=10.0, help="stats_live trailing window (s)"
     )
 
     lg = sub.add_parser("loadgen", help="drive a serving tier and report latency/QPS")
@@ -194,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     _dataset_args(lg)
     lg.add_argument("--requests", type=_at_least(1), default=5_000)
     lg.add_argument("--mode", choices=["closed", "open"], default="closed")
-    lg.add_argument("--concurrency", type=int, default=16, help="closed-loop workers")
+    lg.add_argument("--concurrency", type=_at_least(1), default=16, help="closed-loop workers")
     lg.add_argument("--rate", type=float, default=20_000.0, help="open-loop arrival QPS")
     lg.add_argument(
         "--distribution", choices=["zipfian", "uniform"], default="zipfian"
@@ -207,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--json-out", metavar="FILE", default=None, help="also write reports as JSON")
     lg.add_argument(
         "--trace-sample",
-        type=float,
+        type=_RATE,
         default=0.0,
         metavar="RATE",
         help="trace this fraction of requests end-to-end (client span + "
@@ -240,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="stop after N refreshes (0 = run until Ctrl-C)",
     )
-    t.add_argument("--window", type=float, default=None, help="override the stats window (s)")
+    t.add_argument("--window", type=_SECONDS, default=None, help="override the stats window (s)")
     t.add_argument("--traces", type=int, default=2, help="recent traces to show per refresh")
 
     f = sub.add_parser(
@@ -248,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharded serving demo: aux routing, kill a shard, verify, recover",
     )
     f.add_argument("--shards", type=_at_least(1), default=3)
-    f.add_argument("--rf", type=int, default=2, help="replicas per key (ring owners)")
+    f.add_argument("--rf", type=_at_least(1), default=2, help="replicas per key (ring owners)")
     f.add_argument("--ranks", type=_at_least(2), default=4, help="writer ranks per shard")
     f.add_argument(
         "--records", type=_at_least(1), default=8_000, help="records per epoch (fleet-wide)"
@@ -256,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--epochs", type=int, default=2)
     f.add_argument("--value-bytes", type=int, default=24)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--vnodes", type=int, default=64, help="ring vnodes per shard")
+    f.add_argument("--vnodes", type=_at_least(1), default=64, help="ring vnodes per shard")
     f.add_argument(
         "--tcp", action="store_true", help="shards behind real TCP front ends"
     )
     f.add_argument("--requests", type=_at_least(1), default=2_000, help="requests per load burst")
-    f.add_argument("--concurrency", type=int, default=16, help="closed-loop workers")
+    f.add_argument("--concurrency", type=_at_least(1), default=16, help="closed-loop workers")
     f.add_argument(
         "--distribution", choices=["zipfian", "uniform"], default="zipfian"
     )

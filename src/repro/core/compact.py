@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..obs import active
-from ..obs.trace import child_span, current_span
 from ..storage.compact import (
     concat_values,
     first_occurrence,
@@ -174,11 +173,7 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     for rank in range(spec.nranks):
         sel = np.flatnonzero(wranks == rank)
         name = main_table_name(spec.merged, rank)
-        if current_span() is None:
-            write_merged_table(device, name, wkeys[sel], wvalues[sel], spec.block_size)
-        else:
-            with child_span("compact.merge", rank=rank):
-                write_merged_table(device, name, wkeys[sel], wvalues[sel], spec.block_size)
+        write_merged_table(device, name, wkeys[sel], wvalues[sel], spec.block_size)
     if spec.fmt != "filterkv":
         return {"records_out": int(wkeys.size), "aux_backends": set()}
 
@@ -265,14 +260,7 @@ class Compactor:
 
     def run(self, epochs: list[int]) -> tuple[Manifest, CompactionReport]:
         """Merge ``epochs``; returns the swapped-in manifest and a report."""
-        epochs = self.validate(epochs)
-        if current_span() is None:  # untraced: skip span-argument setup
-            return self._run(epochs)
-        with child_span("compact.run", epochs=len(epochs)):
-            return self._run(epochs)
-
-    def _run(self, epochs: list[int]) -> tuple[Manifest, CompactionReport]:
-        working, spec = self.prepare(epochs)
+        working, spec = self.prepare(self.validate(epochs))
         bytes_before = self.device.total_bytes_stored()
         produced = produce_merged_epoch(spec, self.device, self.metrics)
         bytes_written = self.device.total_bytes_stored() - bytes_before
@@ -320,11 +308,7 @@ class Compactor:
 
         # The swap: one sealed generation append.  Crash before it lands ->
         # the old manifest wins and the merge output above is orphaned.
-        if current_span() is None:
-            generation = working.commit(self.device)
-        else:
-            with child_span("compact.swap", merged=merged):
-                generation = working.commit(self.device)
+        generation = working.commit(self.device)
 
         # Source extents nothing live references any more.  A crash in this
         # loop leaves orphans that `Manifest.recover` sweeps.

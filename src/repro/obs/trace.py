@@ -4,8 +4,11 @@ Where `repro.obs.metrics` answers "how much, in total?", this module
 answers "where did *this* request spend its time?".  A `TraceCollector`
 records **spans** — named intervals with a trace id, a span id, and a
 parent link — into a bounded ring, so a sampled request comes back with a
-tree: ``serve.get`` → ``serve.batch`` → ``engine.get_many`` →
-``sstable.get_many``.
+tree: ``serve.get`` → ``serve.queue``, ``serve.batch`` →
+``engine.get_many`` → ``sstable.get_many``.  Work that several sampled
+requests share is recorded once, in the first one's tree; the others
+name that span instead of copying it (the serving tier's ``batch`` /
+``batch_trace`` root attributes).
 
 Three ideas carry the design:
 
@@ -311,33 +314,6 @@ class TraceCollector:
             _CURRENT.reset(token)
             active.finish()
 
-    def record(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        *,
-        trace_id: str,
-        parent_id: str | None = None,
-        status: str = "ok",
-        attrs: dict | None = None,
-        counters: dict | None = None,
-    ) -> SpanRecord:
-        """Directly land an already-timed span (queue waits, mirrors)."""
-        record = SpanRecord(
-            trace_id=trace_id,
-            span_id=self.new_id(),
-            parent_id=parent_id,
-            name=name,
-            start=start,
-            end=end,
-            status=status,
-            attrs=dict(attrs or {}),
-            counters=dict(counters or {}),
-        )
-        self._append(record)
-        return record
-
     def _append(self, record: SpanRecord) -> None:
         self._spans.append(record)
         if len(self._spans) > self.MAX_SPANS:
@@ -355,26 +331,6 @@ class TraceCollector:
     def trace(self, trace_id: str) -> list[SpanRecord]:
         """Every retained span of one trace, in finish order."""
         return [s for s in self._spans if s.trace_id == trace_id]
-
-    def subtree(self, span_id: str) -> list[SpanRecord]:
-        """A span and every retained descendant of it."""
-        want = {span_id}
-        out: list[SpanRecord] = []
-        # Spans finish children-first, so sweep until closure.
-        changed = True
-        members: list[SpanRecord] = []
-        while changed:
-            changed = False
-            for s in self._spans:
-                if s in members:
-                    continue
-                if s.span_id in want or (s.parent_id in want):
-                    members.append(s)
-                    if s.span_id not in want:
-                        want.add(s.span_id)
-                    changed = True
-        out = [s for s in self._spans if s in members]
-        return out
 
     def recent_traces(self, n: int = 8) -> list[list[SpanRecord]]:
         """The last ``n`` distinct traces (newest first), spans grouped."""

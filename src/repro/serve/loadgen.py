@@ -201,6 +201,8 @@ async def run_load(
         raise ValueError(f"total_requests must be >= 1, got {total_requests}")
     if mode not in ("closed", "open"):
         raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     keys = sampler.sample(total_requests)
     statuses = {s: 0 for s in STATUSES}
     latencies: list[float] = []
@@ -249,7 +251,7 @@ async def run_load(
             for i in cursor:  # workers share one iterator: no key is issued twice
                 await issue(keys[i], time.perf_counter())
 
-        await asyncio.gather(*(worker() for _ in range(max(1, concurrency))))
+        await asyncio.gather(*(worker() for _ in range(concurrency)))
     else:
         if rate_qps is None:
             raise ValueError("open-loop load needs rate_qps")

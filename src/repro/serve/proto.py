@@ -79,13 +79,14 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import math
 import struct
 import zlib
 from dataclasses import replace
 
 from ..obs import TraceContext
-from .service import ERROR, STATUSES, QueryService, ServeResponse, checked_request
+from .service import (
+    ERROR, STATUSES, QueryService, ServeResponse, checked_request, checked_window
+)
 
 __all__ = [
     "ServeServer",
@@ -597,13 +598,11 @@ class ServeServer:
             return {"id": rid, "stats": self.service.stats()}
         if op == "stats_live":
             window_s = request.get("window_s")
-            if window_s is not None and (
-                isinstance(window_s, bool)
-                or not isinstance(window_s, (int, float))
-                or not 0 < window_s < math.inf
-            ):
-                detail = f"window_s {window_s!r} is no finite number > 0"
-                return error_frame(rid, ERR_BAD_REQUEST, detail)
+            if window_s is not None:
+                try:
+                    checked_window(window_s)
+                except ValueError as e:
+                    return error_frame(rid, ERR_BAD_REQUEST, str(e))
             return {"id": rid, "stats": self.service.live_stats(window_s=window_s)}
         if op == "trace":
             n = request.get("n", 8)

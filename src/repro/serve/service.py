@@ -31,6 +31,11 @@ The service reads through one `EpochMount` (``store.mount``): the mount
 owns the per-epoch engines and the two bulk reads a window can ask for,
 the service owns admission, coalescing and the cache.
 
+A sampled request's ``serve.get`` root span holds its ``serve.queue``
+wait.  A window's work runs once and is recorded once: one ``serve.batch``
+span under the window's first sampled request, to which every other
+sampled root links (attributes ``batch`` and ``batch_trace``).
+
 Everything is single-event-loop: the batch executor runs synchronously
 inside the dispatcher task, so no locks guard the cache or the mount.
 """
@@ -38,8 +43,10 @@ inside the dispatcher task, so no locks guard the cache or the mount.
 from __future__ import annotations
 
 import asyncio
+import math
 import operator
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import TYPE_CHECKING
@@ -72,6 +79,7 @@ __all__ = [
     "DEADLINE_EXCEEDED",
     "ERROR",
     "checked_request",
+    "checked_window",
 ]
 
 # Sentinel epoch for "the newest value anywhere": the request walks live
@@ -98,6 +106,21 @@ _RETIRED = "epoch_retired"  # the code of an `EpochRetiredError`: final, never f
 _UNSEEN = object()  # `get_burst`: an epoch this burst has not resolved yet
 
 _KEY_END = 1 << 64
+
+_UNTRACED = nullcontext()  # `_run_batch`: the span of a window nobody sampled
+
+
+def checked_window(window_s) -> float:
+    """``window_s``, or a ValueError unless it is an int or float (not a
+    bool) that is a finite number of seconds > 0: the one rule
+    `QueryService` and the wire's ``stats_live`` verb take a window by."""
+    if (
+        isinstance(window_s, bool)
+        or not isinstance(window_s, (int, float))
+        or not 0 < window_s < math.inf
+    ):
+        raise ValueError(f"window_s {window_s!r} is no finite number > 0")
+    return window_s
 
 
 def checked_request(key, epoch, deadline_s) -> tuple[int, int | None]:
@@ -183,9 +206,9 @@ class _Pending:
         self.epoch = epoch
         self.waiters: list[_Burst] = []
         self.response: ServeResponse | None = None
-        # (root span, enqueue time) per *traced* waiter — empty on the
-        # fast path, so untraced requests never touch it.
-        self.traced: list[tuple[ActiveSpan, float]] = []
+        # (root span, open ``serve.queue`` span) per *traced* waiter —
+        # empty on the fast path, so untraced requests never touch it.
+        self.traced: list[tuple[ActiveSpan, ActiveSpan]] = []
 
 
 @dataclass
@@ -287,7 +310,7 @@ class QueryService:
             STATUSES,
             answered=(OK, NOT_FOUND),
             shed=(OVERLOADED, DEADLINE_EXCEEDED),
-            window_s=stats_window_s,
+            window_s=checked_window(stats_window_s),
         )
         self._shedder = _Shedder(queue_high_watermark)
         self._rcache = LRUCache(result_cache_entries, self.metrics)
@@ -485,7 +508,6 @@ class QueryService:
                 self._m_sheds.inc()
                 if root is not None:
                     root.charge("serve.sheds")
-                self._trace_shed(root, "overloaded")
                 out[i] = self._done(t0, ServeResponse(OVERLOADED, key, public), root)
                 continue
 
@@ -499,14 +521,13 @@ class QueryService:
                 self._ensure_dispatcher()
                 pending = self._index[ck] = _Pending(key, resolved)
                 self._queue.put_nowait(pending)
-            if root is not None:
-                pending.traced.append((root, time.perf_counter()))
             if deadline_s is not None and deadline_s <= 0:
                 # Expired on arrival: admitted (it may still be coalesced
                 # onto) but waited on by nobody.
-                self._trace_shed(root, "deadline")
                 out[i] = self._done(t0, ServeResponse(DEADLINE_EXCEEDED, key, public), root)
                 continue
+            if root is not None:
+                pending.traced.append((root, self.tracer.start("serve.queue", parent=root)))
             if burst is None:
                 burst = _Burst(asyncio.get_running_loop().create_future())
             pending.waiters.append(burst)
@@ -552,7 +573,6 @@ class QueryService:
         pending.waiters.remove(burst)
         self._inflight -= 1
         self._m_inflight_gauge.dec()
-        self._trace_shed(root, "deadline")
         out[i] = self._done(t0, ServeResponse(DEADLINE_EXCEEDED, pending.key, public), root)
         burst.land()
 
@@ -589,7 +609,9 @@ class QueryService:
         enumerable increments are attributed with `ActiveSpan.charge`;
         the shared probe work is attributed by the synchronous
         ``serve.batch`` span (charged to the window's lead traced
-        request, like bulk-read I/O is charged to a group's first key).
+        request, like bulk-read I/O is charged to a group's first key;
+        the other traced roots link to it).  A refused request's root
+        ends with the refusal as its status.
         """
         ctx = trace if isinstance(trace, TraceContext) else TraceContext.from_wire(trace)
         if ctx is not None and not ctx.sampled:
@@ -597,21 +619,6 @@ class QueryService:
         if ctx is None and not self.tracer.should_sample():
             return None
         return self.tracer.start("serve.get", parent=ctx, key=key, epoch=epoch)
-
-    def _trace_shed(self, root: ActiveSpan | None, reason: str) -> None:
-        """Terminal zero-width span marking where a request was refused."""
-        if root is None:
-            return
-        now = time.perf_counter()
-        self.tracer.record(
-            "serve.shed",
-            now,
-            now,
-            trace_id=root.trace_id,
-            parent_id=root.span_id,
-            status="shed",
-            attrs={"reason": reason},
-        )
 
     # -- dispatch ----------------------------------------------------------
 
@@ -673,26 +680,30 @@ class QueryService:
             else:
                 # Every waiter gave up already: drop the probe entirely.
                 self._m_deadline_dropped.inc()
-        now = time.perf_counter()
-        for pending in live:
-            for root, enqueued_at in pending.traced:
-                self.tracer.record(
-                    "serve.queue",
-                    enqueued_at,
-                    now,
-                    trace_id=root.trace_id,
-                    parent_id=root.span_id,
-                )
         by_epoch: dict = {}
         for pending in live:
             by_epoch.setdefault(pending.epoch, []).append(pending)
+            for _, queued in pending.traced:
+                queued.finish()
         for token, items in by_epoch.items():
             roots = [root for p in items for root, _ in p.traced]
+            # The token's shared work runs in one ``serve.batch`` span under
+            # its first sampled request, whose counter deltas charge that
+            # work once; every other sampled request's root names the span.
+            window = _UNTRACED if not roots else self.tracer.span(
+                "serve.batch",
+                parent=roots[0],
+                counters=self.metrics,
+                prefixes=_TRACE_PREFIXES,
+                batch=len(items),
+                epoch="any" if isinstance(token, tuple) else token,
+                traced=len(roots),
+            )
             try:
-                if roots:
-                    self._answer_traced(token, items, roots)
-                else:
+                with window as bspan:
                     self._answer(token, items)
+                for root in roots[1:]:
+                    root.annotate(batch=bspan.span_id, batch_trace=bspan.trace_id)
             except Exception as e:  # fail this group loudly, keep serving
                 for pending in items:
                     if pending.response is None:
@@ -725,47 +736,6 @@ class QueryService:
             else:
                 response = ServeResponse(NOT_FOUND, pending.key, missing)
             self._finish(pending, response)
-
-    def _answer_traced(self, token, items: list[_Pending], roots: list[ActiveSpan]) -> None:
-        """`_answer` with the window's shared work attributed to spans.
-
-        The *lead* traced member owns the real ``serve.batch`` subtree —
-        its counter deltas are the window's shared cost, charged once
-        (the same convention the bulk read path uses for physical I/O).
-        Every other traced member gets a structural mirror of that
-        subtree (fresh span ids, no counters, ``shared=True``) so its
-        tree still shows *where* time went without double-counting.
-        """
-        with self.tracer.span(
-            "serve.batch",
-            parent=roots[0],
-            counters=self.metrics,
-            prefixes=_TRACE_PREFIXES,
-            batch=len(items),
-            epoch="any" if isinstance(token, tuple) else token,
-            traced=len(roots),
-        ) as bspan:
-            self._answer(token, items)
-        if len(roots) > 1:
-            subtree = self.tracer.subtree(bspan.span_id)
-            for other in roots[1:]:
-                self._mirror_subtree(subtree, other)
-
-    def _mirror_subtree(self, spans, member_root: ActiveSpan) -> None:
-        """Copy a finished span subtree under another trace's root."""
-        copy_of: dict[str, str] = {}
-        for s in sorted(spans, key=lambda s: (s.start, s.end)):
-            parent = copy_of.get(s.parent_id or "", member_root.span_id)
-            rec = self.tracer.record(
-                s.name,
-                s.start,
-                s.end,
-                trace_id=member_root.trace_id,
-                parent_id=parent,
-                status=s.status,
-                attrs={**s.attrs, "shared": True},
-            )
-            copy_of[s.span_id] = rec.span_id
 
     def _finish(self, pending: _Pending, response: ServeResponse) -> None:
         if response.status in (OK, NOT_FOUND):

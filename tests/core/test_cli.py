@@ -57,6 +57,13 @@ def test_parser_requires_command():
     "recover --ranks 1",
     "loadgen --requests 0",
     "fleet --shards 0",
+    "serve --max-batch 0",  # these were ValueError tracebacks after the build
+    "serve --max-inflight 0",
+    "serve --queue-high-watermark 0",
+    "fleet --rf 0",
+    "fleet --vnodes 0",
+    "loadgen --concurrency 0",  # these two quietly ran one worker
+    "fleet --concurrency 0",
 ])
 def test_count_flags_below_their_floor_are_usage_errors(argv, capsys):
     """A count below its floor exits 2 naming the flag, before any run."""
@@ -65,6 +72,24 @@ def test_count_flags_below_their_floor_are_usage_errors(argv, capsys):
     assert exc.value.code == 2
     flag = argv.split()[-2]
     assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("serve --trace-sample 2", "a rate in [0, 1]"),  # was a ValueError after the build
+    ("loadgen --trace-sample 2", "a rate in [0, 1]"),
+    ("loadgen --trace-sample nan", "a rate in [0, 1]"),
+    ("serve --stats-window 0", "a finite number of seconds > 0"),
+    ("serve --stats-window inf", "a finite number of seconds > 0"),
+    ("top --port 1 --window 0", "a finite number of seconds > 0"),
+])
+def test_rate_and_window_flags_out_of_range_are_usage_errors(argv, want, capsys):
+    """A sampling rate outside [0, 1] or a window that is no positive,
+    finite time exits 2 naming the flag, before any run."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    flag = argv.split()[-2]
+    assert f"argument {flag}: must be {want}" in capsys.readouterr().err
 
 
 def test_metrics_command_out_file(tmp_path, capsys):

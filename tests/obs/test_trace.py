@@ -127,7 +127,7 @@ def test_finish_is_idempotent():
     assert len(c) == 1
 
 
-def test_subtree_and_recent_traces():
+def test_recent_traces_are_newest_first():
     c = TraceCollector()
     r1 = c.start("r1")
     with c.span("a", parent=r1) as a:
@@ -136,8 +136,6 @@ def test_subtree_and_recent_traces():
     r1.finish()
     r2 = c.start("r2")
     r2.finish()
-    sub = c.subtree(a.span_id)
-    assert {s.name for s in sub} == {"a", "b"}
     recent = c.recent_traces(2)
     assert [t[0].trace_id for t in recent] == [r2.trace_id, r1.trace_id]
 

@@ -326,3 +326,7 @@ def test_constructor_validation():
         QueryService(store, table_cache_entries=0)
     with pytest.raises(ValueError, match="queue_high_watermark"):
         QueryService(store, queue_high_watermark=0)
+    # The window rule of the wire's ``stats_live`` verb.
+    for window in (0, -1.0, float("inf"), float("nan"), True, "10"):
+        with pytest.raises(ValueError, match="window_s"):
+            QueryService(store, stats_window_s=window)

@@ -4,11 +4,12 @@ The contracts under test:
 
 * a sampled `TraceContext` rides the wire and comes back with the full
   server-side span tree (service → engine → storage) stitched under it;
-* coalesced duplicates each get a complete tree — the lead request owns
-  the real batch subtree, the others get ``shared=True`` mirrors with no
-  counters, so summing counters across *all* traces still matches the
+* a dispatch window's work is recorded once: one ``serve.batch`` subtree
+  under the window's first sampled request, and every other sampled
+  request's root links to it (``batch`` / ``batch_trace``) instead of
+  copying it, so summing counters across *all* traces still matches the
   registry aggregates exactly;
-* a shed request's trace terminates in an explicit ``serve.shed`` span;
+* a shed request's root span ends with the refusal as its status;
 * untraced requests pay nothing and return no trace.
 """
 
@@ -25,7 +26,7 @@ from repro.serve import (
     TCPClient,
 )
 
-from .conftest import run, shared_store
+from .conftest import GatedService, run, shared_store, until
 
 # The batch counter ticks once per dispatch *window*, not per request:
 # windows exist independently of any single trace, so it is the one
@@ -131,7 +132,7 @@ def test_cache_hit_trace_is_terminal(fmt):
     run(main())
 
 
-def test_coalesced_members_all_get_complete_trees(fmt):
+def test_coalesced_members_link_to_the_one_batch_span(fmt):
     store, truth = shared_store(fmt)
     key = next(iter(truth[0]))
 
@@ -143,23 +144,18 @@ def test_coalesced_members_all_get_complete_trees(fmt):
             rs = await asyncio.gather(svc.get(key), svc.get(key), svc.get(key))
             assert all(r.status == OK for r in rs)
             assert svc.metrics.total("serve.coalesced") == 2
-            trees = [r.trace for r in rs]
-            for tree in trees:
-                names = _names(tree)
-                assert {"serve.get", "serve.batch"} <= names
-                assert names & {"engine.get_many", "engine.get", "aux.fetch"}
-            # Exactly one tree owns the real batch subtree; the mirrors
-            # are marked shared and carry no counters (the work happened
-            # once — charging every member would double-count).
-            flat = [s for tree in trees for s in tree]
-            batch_spans = [s for s in flat if s["name"] == "serve.batch"]
-            real = [s for s in batch_spans if not s.get("attrs", {}).get("shared")]
-            mirrored = [s for s in batch_spans if s.get("attrs", {}).get("shared")]
-            assert len(real) == 1 and len(mirrored) == 2
-            for tree in trees:
-                for s in tree:
-                    if s.get("attrs", {}).get("shared"):
-                        assert not s.get("counters")
+            lead, *others = [r.trace for r in rs]
+            # The lead's tree holds the one batch subtree; the others hold
+            # their own wait and a link to it, never a copy.
+            (batch,) = [s for s in lead if s["name"] == "serve.batch"]
+            assert _names(lead) & {"engine.get_many", "engine.get", "aux.fetch"}
+            for tree in others:
+                assert _names(tree) == {"serve.get", "serve.queue"}
+                (root,) = [s for s in tree if s["name"] == "serve.get"]
+                assert root["attrs"]["batch"] == batch["span_id"]
+                assert root["attrs"]["batch_trace"] == batch["trace_id"]
+            flat = [s for tree in (lead, *others) for s in tree]
+            assert not any("shared" in s.get("attrs", {}) for s in flat)
             # The engine ran once in total, and the traces agree.
             assert svc.metrics.total("reader.queries") == 1
             claimed = sum(
@@ -173,6 +169,38 @@ def test_coalesced_members_all_get_complete_trees(fmt):
     run(main())
 
 
+def test_a_window_of_sampled_requests_records_one_batch_subtree(fmt):
+    """k sampled requests dispatched in one window add one ``serve.batch``
+    subtree to the collector, not k: the window's work ran once."""
+    store, truth = shared_store(fmt)
+    keys = list(truth[0])[:4]
+
+    async def main():
+        async with GatedService(store, tracer=TraceCollector(sample_rate=1.0)) as svc:
+            window = asyncio.gather(*(svc.get(k) for k in keys))
+            await until(lambda: svc._inflight == len(keys))
+            svc.gate.set()
+            rs = await window
+            assert all(r.status == OK for r in rs)
+            assert svc.metrics.total("serve.batches") == 1
+            spans = svc.tracer.spans
+            (batch,) = [s for s in spans if s.name == "serve.batch"]
+            assert batch.attrs["traced"] == len(keys)
+            # Every span below the requests' own belongs to the lead's trace.
+            work = [s for s in spans if s.name not in ("serve.get", "serve.queue")]
+            assert {s.trace_id for s in work} == {batch.trace_id}
+            roots = [s for s in spans if s.name == "serve.get"]
+            assert len(roots) == len(keys)
+            (lead,) = [r for r in roots if r.span_id == batch.parent_id]
+            assert "batch" not in lead.attrs
+            for root in roots:
+                if root is not lead:
+                    assert root.attrs["batch"] == batch.span_id
+                    assert root.attrs["batch_trace"] == batch.trace_id
+
+    run(main())
+
+
 def test_deadline_shed_trace_has_terminal_shed_span(fmt):
     store, truth = shared_store(fmt)
     key = next(iter(truth[0]))
@@ -182,12 +210,11 @@ def test_deadline_shed_trace_has_terminal_shed_span(fmt):
             r = await svc.get(key, deadline_s=0.0)
             assert r.status == DEADLINE_EXCEEDED
             tree = r.trace
-            root = next(s for s in tree if s["name"] == "serve.get")
+            # The root is the whole trace, and its status says why.
+            (root,) = tree
+            assert root["name"] == "serve.get"
             assert root["status"] == DEADLINE_EXCEEDED
-            shed = next(s for s in tree if s["name"] == "serve.shed")
-            assert shed["status"] == "shed"
-            assert shed["attrs"]["reason"] == "deadline"
-            assert shed["parent_id"] == root["span_id"]
+            assert root["attrs"]["status"] == DEADLINE_EXCEEDED
 
     run(main())
 
@@ -207,12 +234,10 @@ def test_overload_shed_trace(fmt):
             rs = await asyncio.gather(*(svc.get(k) for k in keys[:30]))
             shed = [r for r in rs if r.status == "overloaded"]
             assert shed, "overload never triggered"
-            tree = shed[0].trace
-            reasons = [
-                s["attrs"]["reason"] for s in tree if s["name"] == "serve.shed"
-            ]
-            assert reasons == ["overloaded"]
-            root = next(s for s in tree if s["name"] == "serve.get")
+            (root,) = shed[0].trace
+            assert root["name"] == "serve.get"
+            assert root["status"] == "overloaded"
+            assert root["attrs"]["status"] == "overloaded"
             assert root["counters"].get("serve.sheds") == 1
 
     run(main())
