@@ -21,6 +21,7 @@ from repro.cluster import SimCluster
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
 from repro.storage.blockio import DeviceProfile
+from repro.storage.log import READ_AHEAD
 
 NRANKS = 32
 RECORDS_PER_RANK = 6_000
@@ -156,9 +157,16 @@ def test_fig11c_data_fetched_breakdown(report, benchmark, query_results):
     )
     report(text, name="fig11c", data=data)
     # Paper shape: FilterKV fetches the most (whole aux table + extra
-    # partitions); DataPtr ≈ base + a small value-log read.
+    # partitions).  The paper's DataPtr ≈ base holds there because both
+    # formats fetch one 4 MiB block per query.  Here one 256 KiB block holds
+    # a whole DataPtr table (6 000 rows of key + 12-byte pointer) but only
+    # part of a base one (64-byte rows), so a block fetch follows row width:
+    # DataPtr fetches less than base, plus one value-log read of at most the
+    # read-ahead and its length prefix.
     assert avg_mb["filterkv"] > avg_mb["base"]
-    assert avg_mb["dataptr"] == pytest.approx(avg_mb["base"], rel=0.35)
+    assert avg_mb["dataptr"] < avg_mb["base"]
+    vlog = [q.breakdown_bytes.get("vlog", 0) for q in query_results["dataptr"]]
+    assert all(0 < b <= READ_AHEAD + 4 for b in vlog)
     qs = query_results["filterkv"]
     aux_mb = sum(q.breakdown_bytes.get("aux", 0) for q in qs) / len(qs) / 1e6
     assert aux_mb > 0  # every FilterKV query reads the aux table

@@ -343,7 +343,7 @@ def _validate_epoch(device: StorageDevice, info: EpochInfo, deep: bool) -> str |
             if name.startswith("part."):
                 with SSTableReader(device, name) as reader:
                     if deep:
-                        reader.scan()
+                        reader.scan_arrays()
             elif name.startswith("aux."):
                 with device.open(name) as f:
                     payload = try_unseal(f.read(0, f.size))

@@ -14,8 +14,10 @@ Layout (all little-endian, 8-byte keys as in the paper's experiments)::
 
     [data block]*  [filter block]  [index block]  [footer (64 B)]
 
-    data block  := nentries × (u64 key, u32 vlen, value) and nothing else,
-                   cut into *key groups* of ~`GROUP_BYTES` whole records
+    data block  := nentries × (u64 key, value) rows and nothing else, every
+                   row ``record_bytes`` long (the index stores the width
+                   once; rows carry no length), cut into *key groups* of
+                   ~`GROUP_BYTES` whole rows
     filter block:= bloom bytes ‖ u64 CRC-32           (absent when empty)
     index block := u32 nblocks, u32 ngroups, u32 record_bytes (0 = empty
                    table), then two tables stored one column
@@ -44,10 +46,11 @@ Layout (all little-endian, 8-byte keys as in the paper's experiments)::
     resident group table before the read.  Filter, index and footer
     carry their own checksums, so corruption anywhere in the table is
     detected at read time rather than silently changing answers.  Tables
-    of the earlier layouts — the same groups under a 64-bit NumPy sum, or
-    a count and one checksum per block, no groups — have other magics and
-    are refused by name with `UnsupportedLayoutError`, as are tables whose
-    values were of several widths (record_bytes 0 with blocks).
+    of the earlier layouts — rows framed by a ``u32`` value length, the
+    same groups under a 64-bit NumPy sum, or a count and one checksum per
+    block, no groups — have other magics and are refused by name with
+    `UnsupportedLayoutError`, as are tables whose values were of several
+    widths (record_bytes 0 with blocks).
 
 Values are one ``(n, width)`` uint8 matrix per table: every record has
 the same size, so blocks and groups are rows of whole records.  Writers
@@ -89,15 +92,16 @@ class CorruptBlockError(ValueError):
     its checksum describes something the file cannot hold."""
 
 
-_MAGIC = 0xF117E5CB_C3C3236  # the key-group layout under CRC-32
-# Its predecessors, refused by name: the key groups under a 64-bit NumPy
-# sum, and before that one checksum per block.
+_MAGIC = 0xF117E5CB_0F1A7ED  # unframed key ‖ value rows, CRC-32 key groups
+# Its predecessors, refused by name: the same groups of rows framed by a
+# u32 value length, the groups under a 64-bit NumPy sum, and before that
+# one checksum per block.
+_MAGIC_FRAMED = 0xF117E5CB_C3C3236
 _MAGIC_SUM64 = 0xF117E5CB_6209BF5
 _MAGIC_BLOCKSUM = 0xF117E5CB_DE17AF5
 FOOTER_BYTES = 64
 _FOOTER_BODY = struct.Struct("<QQQQQQII")  # + trailing CRC-32 slot = 64 B
-_ENTRY_HDR = struct.Struct("<QI")
-_U32 = struct.Struct("<I")
+_KEY_BYTES = 8  # a row is its u64 key, then its value
 _INDEX_HDR = struct.Struct("<III")
 _BLOCK_ENTRY_BYTES = 3 * 8 + 3 * 4  # first, last, off; len, n, groups: stored as columns
 _GROUP_ENTRY_BYTES = 8 + 8 + 4  # first key, checksum, offset: stored as columns
@@ -139,18 +143,17 @@ def concat_values(chunks: list[np.ndarray]) -> np.ndarray:
 def _cut_rows(skeys, svalues, block_size: int, group_cut: int):
     """Cut key-sorted records into blocks with array ops.
 
-    Every record is key ‖ length ‖ value bytes, so block and group
-    boundaries fall at uniform record counts: a block closes at the record
-    that takes it to ``block_size``, a group every ``group_cut`` bytes.
-    Yields, per block, ``(bytes, records, last key, group first keys, group
-    offsets)``.
+    Every record is one row, key ‖ value bytes, all of one width, so block
+    and group boundaries fall at uniform record counts: a block closes at
+    the record that takes it to ``block_size``, a group every ``group_cut``
+    bytes.  Yields, per block, ``(bytes, records, last key, group first
+    keys, group offsets)``.
     """
     n, w = svalues.shape
-    rec = _ENTRY_HDR.size + w
+    rec = _KEY_BYTES + w
     recs = np.empty((n, rec), dtype=np.uint8)
-    recs[:, :8] = skeys.astype("<u8").view(np.uint8).reshape(-1, 8)
-    recs[:, 8:12] = np.frombuffer(_U32.pack(w), dtype=np.uint8)
-    recs[:, 12:] = svalues
+    recs[:, :_KEY_BYTES] = skeys.astype("<u8").view(np.uint8).reshape(-1, _KEY_BYTES)
+    recs[:, _KEY_BYTES:] = svalues
     per_block = max(1, -(-block_size // rec))  # ceil
     per_group = group_cut // rec
     for start in range(0, n, per_block):
@@ -251,7 +254,7 @@ class SSTableWriter:
         values = concat_values([v for _, v in chunks])
         order = np.argsort(keys, kind="stable")
         nentries = keys.size
-        record_bytes = _ENTRY_HDR.size + values.shape[1]
+        record_bytes = _KEY_BYTES + values.shape[1]
         # A group closes once it holds this many bytes (whole records).
         group_cut = _group_bytes(record_bytes)
         index_entries: list[tuple[int, int, int, int, int, int]] = []
@@ -358,8 +361,9 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
     """Read and verify a table's footer, index and filter (2 device reads).
 
     Raises `ValueError` for a table too small or with a bad magic,
-    `UnsupportedLayoutError` for one written in an earlier layout (64-bit
-    sum, one checksum per block, variable width), and
+    `UnsupportedLayoutError` for one written in an earlier layout (rows
+    framed by a value length, 64-bit sum, one checksum per block, variable
+    width), and
     `CorruptBlockError` for a checksum mismatch, a truncated section, or a
     section that passed its checksum but does not fit the file — every
     count and offset is checked against the bytes present before anything
@@ -380,11 +384,15 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
         block_size,
         bloom_nhashes,
     ) = _FOOTER_BODY.unpack(body)
-    earlier = {_MAGIC_SUM64: "64-bit-sum key-group", _MAGIC_BLOCKSUM: "block-checksum"}
+    earlier = {
+        _MAGIC_FRAMED: "length-framed row",
+        _MAGIC_SUM64: "64-bit-sum key-group",
+        _MAGIC_BLOCKSUM: "block-checksum",
+    }
     if magic in earlier:
         raise UnsupportedLayoutError(
             f"table {name!r} is in the {earlier[magic]} layout (magic {magic:#x}); this "
-            f"reader supports only the CRC-32 key-group layout (magic {_MAGIC:#x})"
+            f"reader supports only the unframed-row CRC-32 key-group layout (magic {_MAGIC:#x})"
         )
     if magic != _MAGIC:
         raise ValueError(f"bad magic in table {name!r}")
@@ -454,7 +462,7 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
             group_bytes = int(goff[1] if groups[0] > 1 else length[0])
         within = np.arange(ngroups) - np.repeat(gstart[:-1], groups)  # place in its block
         if (
-            record_bytes < _ENTRY_HDR.size
+            record_bytes < _KEY_BYTES
             or group_bytes == 0
             or group_bytes % record_bytes
             or (length != count * record_bytes).any()
@@ -559,7 +567,7 @@ class SSTableReader:
         Readers that a query path opens per lookup must be closed (or
         cached for reuse) — `StorageDevice.open_handles` audits exactly
         this.  Footer/index/filter state stays resident, but further
-        `get`/`scan` calls will fail on the closed handle.
+        `get_many`/`scan_arrays` calls will fail on the closed handle.
         """
         self._file.close()
 
@@ -622,28 +630,23 @@ class SSTableReader:
             self._block_cache.popitem(last=False)
         return blk
 
-    def _verify(self, blk: _Block, i: int, groups: np.ndarray) -> None:
-        """Checksum ``groups`` of ``blk`` (indices into the fetched run) and
-        raise on the first that disagrees with the index, naming it by its
-        place in block ``i``."""
+    def _touch(self, blk: _Block, i: int, groups: np.ndarray) -> None:
+        """Verify and decode those of ``groups`` (indices into the fetched
+        run) that no lookup has touched yet; nothing is decoded, let alone
+        returned, from a group whose checksum fails.  The checksum covers
+        every byte of a group, so every key and value a read decodes from
+        it is verified; the first group that disagrees with the index is
+        named by its place in block ``i``."""
+        need = groups[~blk.verified[groups]]
+        if need.size == 0:
+            return
         meta = self.meta
-        sums = crc32_rows(blk.raw, meta.group_bytes, groups)
-        bad = groups[meta.gsum[blk.g0 + groups] != sums]
+        bad = need[meta.gsum[blk.g0 + need] != crc32_rows(blk.raw, meta.group_bytes, need)]
         if bad.size:
             raise CorruptBlockError(
                 f"checksum mismatch in block {i}, key group {blk.lo + int(bad[0])} "
                 f"of {self.name!r}"
             )
-
-    def _touch(self, blk: _Block, i: int, groups: np.ndarray) -> None:
-        """Verify and decode those of ``groups`` (indices into the fetched
-        run) that no lookup has touched yet; nothing is decoded, let alone
-        returned, from a group whose checksum fails."""
-        need = groups[~blk.verified[groups]]
-        if need.size == 0:
-            return
-        self._verify(blk, i, need)
-        meta = self.meta
         # A group is `per` records, a record a stride of ``raw``.
         rec = meta.record_bytes
         per, n = meta.group_bytes // rec, blk.keys.size
@@ -655,11 +658,6 @@ class SSTableReader:
             at = (need[:, None] * per + np.arange(per)).ravel()
             if at[-1] >= n:  # the block's last group is its short one
                 at = at[at < n]
-        vlens = np.ndarray((n,), "<u4", blk.raw, _ENTRY_HDR.size - 4, (rec,))[at]
-        if (vlens != rec - _ENTRY_HDR.size).any():
-            raise CorruptBlockError(
-                f"block {i} of {self.name!r} holds records that are not {rec} bytes"
-            )
         blk.keys[at] = np.ndarray((n,), "<u8", blk.raw, 0, (rec,))[at]
         blk.verified[need] = True
 
@@ -696,8 +694,8 @@ class SSTableReader:
         rec, bkeys = meta.record_bytes, blk.keys
         loc = np.minimum(bkeys.searchsorted(keys), bkeys.size - 1)
         hit = (bkeys[loc] == keys) & blk.verified[loc // (meta.group_bytes // rec)]
-        starts = loc * rec + _ENTRY_HDR.size
-        return hit, starts, starts + (rec - _ENTRY_HDR.size)
+        starts = loc * rec + _KEY_BYTES
+        return hit, starts, starts + (rec - _KEY_BYTES)
 
     def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized Bloom gate; False means definitely absent."""
@@ -775,26 +773,8 @@ class SSTableReader:
             blk = self._block(i)
             self._touch(blk, i, np.arange(blk.verified.size))
             key_parts.append(blk.keys)
-            shape = (blk.keys.size, rec - _ENTRY_HDR.size)
-            val_parts.append(np.ndarray(shape, np.uint8, blk.raw, _ENTRY_HDR.size, (rec, 1)).copy())
+            shape = (blk.keys.size, rec - _KEY_BYTES)
+            val_parts.append(np.ndarray(shape, np.uint8, blk.raw, _KEY_BYTES, (rec, 1)).copy())
         if not key_parts:
             return np.zeros(0, dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8)
         return _concat(key_parts), _concat(val_parts)
-
-    def scan(self) -> list[tuple[int, bytes]]:
-        """Full scan in key order (test/verification helper: its own
-        entry-by-entry walk over each verified block, independent of the
-        group decoders)."""
-        out: list[tuple[int, bytes]] = []
-        for i in range(self._off.size):
-            blk = self._fetch(i)
-            self._verify(blk, i, np.arange(blk.verified.size))
-            raw, pos = blk.raw, 0
-            while pos + _ENTRY_HDR.size <= len(raw):
-                k, vlen = _ENTRY_HDR.unpack_from(raw, pos)
-                pos += _ENTRY_HDR.size
-                out.append((k, raw[pos : pos + vlen]))
-                pos += vlen
-            if pos != len(raw):
-                raise CorruptBlockError(f"records of block {i} of {self.name!r} overrun the block")
-        return out

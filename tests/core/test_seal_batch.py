@@ -138,7 +138,10 @@ def test_store_extents_equal_the_per_table_build():
     16-rank store that compacted three times, taken when each table still
     built on its own: the batched seal writes the same bytes.  (Re-pinned
     when every checksum became a CRC-32: each extent equals the earlier
-    one with its magic and checksum slots recomputed, nothing else.)"""
+    one with its magic and checksum slots recomputed, nothing else.
+    Re-pinned again when rows lost their ``u32`` value length: each table
+    is the earlier one's rows re-encoded unframed, each manifest differs
+    only in its epochs' byte totals, every other extent is unchanged.)"""
     sim = VPICSimulation(16, 256, seed=3)
     store = MultiEpochStore(
         nranks=16,
@@ -150,7 +153,7 @@ def test_store_extents_equal_the_per_table_build():
         sim.step(1)
         store.write_epoch(sim.dump())
     assert store.compactions == 3
-    assert _extents_sha256(store) == "5904301f31bfaff1890100643c7fdb20e403ee590a2c23dd68b565846856e043"
+    assert _extents_sha256(store) == "d3e5e410f3ef1651bd0cf7f2618618b7f9c1e1853a3b871cde3d73a06a378f15"
 
 
 def _extents_sha256(store) -> str:
@@ -163,10 +166,11 @@ def _extents_sha256(store) -> str:
     return digest.hexdigest()
 
 
+# Re-pinned with the store above when rows lost their length: same proof.
 COMPACTED = {
-    "base": "59ad52f476fe7acfd729492dfd9278cc764df0395fb2b77c7083621bf339da24",
-    "dataptr": "1c94f8887597a859537bd9faf32c039b59dfeeed6e5fec808961889468d8ee11",
-    "filterkv": "a92936166d33fba16e5fad8e2cf724f87cc72ca633efe929b811dff5c497db48",
+    "base": "312733860d344bc3802ce8e8ec48f65e649d6d498b06c6b6bbeb5e831cdef89f",
+    "dataptr": "3b9037b2d00eab3a1985991c55c79a86c4cb71269044a904470724c70759f08a",
+    "filterkv": "1f8447522b5592fa2814d306e2af3647f8e660640b334eab6f8c6dd82e9f16ad",
 }
 
 

@@ -22,6 +22,8 @@ from repro.storage.blockio import StorageDevice
 from repro.storage.log import DataPointer, ValueLog
 from repro.storage.sstable import SSTableReader
 
+from ..reference.read import scan_rows
+
 KEYS = [0x0000000000000001, 0xDEADBEEFCAFEF00D, 0xFFFFFFFFFFFFFFFF]
 VALUES = [b"\x10\x11\x12\x13", b"\x20\x21\x22\x23", b"\x30\x31\x32\x33"]
 
@@ -96,7 +98,7 @@ def test_base_golden_bytes_decode_round_trip():
     recv.deliver(env)
     recv.finish()
     reader = SSTableReader(recv.device, main_table_name(0, 0))
-    assert dict(reader.scan()) == dict(zip(KEYS, VALUES))
+    assert dict(scan_rows(reader)) == dict(zip(KEYS, VALUES))
 
 
 def test_dataptr_golden_bytes_decode_to_working_pointers():

@@ -30,6 +30,8 @@ from repro.storage.blockio import StorageDevice
 from repro.storage.envelope import SealError
 from repro.storage.sstable import CorruptBlockError, SSTableReader
 
+from ..reference.read import scan_rows
+
 NRANKS = 2
 RECORDS = 60  # per rank per epoch
 EPOCHS = 2
@@ -71,7 +73,7 @@ def _verify_epoch(store, device, fmt, epoch, exp):
     got = {}
     for rank in range(NRANKS):
         reader = SSTableReader(device, main_table_name(epoch, rank))
-        got.update(reader.scan())
+        got.update(scan_rows(reader))
     assert set(got) == set(exp), f"epoch {epoch} key set differs after recovery"
     if fmt.name in ("base", "filterkv"):
         assert all(got[k] == exp[k] for k in exp), f"epoch {epoch} values differ"

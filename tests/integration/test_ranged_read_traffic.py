@@ -20,6 +20,12 @@ read counts are equal on every surface, bytes are equal wherever whole
 blocks are fetched, and smaller on the ranged surfaces only.  Every answer
 equals the per-key oracle of `tests/reference/read.py`.
 
+Dropping the per-record ``u32`` value length re-pinned the bytes only:
+every read count is the one taken with length-framed records, and the
+whole-block surfaces read 4 B less per record they fetched (the cold
+reader 1 354 256 -> 1 242 800 B).  The ranged surfaces moved by more than
+that arithmetic, because a key group now holds 128 records, not 120.
+
 Regenerate (only when a change is *meant* to move device traffic) with
 ``PYTHONPATH=src python -m tests.integration.test_ranged_read_traffic``.
 """
@@ -37,8 +43,10 @@ from ..reference.read import ReadOracle
 
 NRANKS = 4
 PER_RANK = 3000
-VALUE_BYTES = 24  # 36-byte records: 4 320-byte key groups of 120 records
-BLOCK_SIZE = 32 << 10  # 8 groups per block, the last one short
+VALUE_BYTES = 24  # 32-byte records: 4 096-byte key groups of 128 records
+# 911 records and 8 groups per block, the last one short: the rows per block
+# of 32 KiB blocks of the earlier 36-byte records, so read counts compare.
+BLOCK_SIZE = 911 * 32
 RANGED = ("store.get", "store.get_many")
 
 
@@ -107,18 +115,18 @@ def run_script():
 
 
 GOLDEN = [
-    ("store.get", {"reads": 122, "bytes_read": 460364}),
-    ("store.get_many", {"reads": 54, "bytes_read": 1091448}),
-    ("store.engine.get", {"reads": 182, "bytes_read": 1354256}),
-    ("service", {"reads": 38, "bytes_read": 1153512}),
+    ("store.get", {"reads": 122, "bytes_read": 451064}),
+    ("store.get_many", {"reads": 54, "bytes_read": 993152}),
+    ("store.engine.get", {"reads": 182, "bytes_read": 1242800}),
+    ("service", {"reads": 38, "bytes_read": 1025344}),
 ]
 
 # The same script when every engine fetched whole blocks.
 WHOLE_BLOCKS = [
-    ("store.get", {"reads": 122, "bytes_read": 3154496}),
-    ("store.get_many", {"reads": 54, "bytes_read": 1631880}),
-    ("store.engine.get", {"reads": 182, "bytes_read": 1354256}),
-    ("service", {"reads": 38, "bytes_read": 1153512}),
+    ("store.get", {"reads": 122, "bytes_read": 2810264}),
+    ("store.get_many", {"reads": 54, "bytes_read": 1450560}),
+    ("store.engine.get", {"reads": 182, "bytes_read": 1242800}),
+    ("service", {"reads": 38, "bytes_read": 1025344}),
 ]
 
 

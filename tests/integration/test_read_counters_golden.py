@@ -28,6 +28,13 @@ reads the merged epoch a retired id names (`resolve_epoch`) where it
 used to read the id, which is what forwarding served, and asserts the
 id itself is refused.
 
+Dropping the per-row ``u32`` value length re-pinned the ``bytes_read``
+totals and nothing else.  The store's blocks shrank from 1 024 B to 928 B
+with the rows, so a block still holds 29 rows and every read count, handle
+count, cache counter and answer digest stayed equal; each data-block read
+shrank by 4 B per row it fetched (``written``: 41 126 -> 37 286 B, 960
+rows; the cuckoo run's device total 553 203 -> 496 875 B).
+
 The script runs twice.  Sealed with the paper's cuckoo tables it must
 match `GOLDEN`, the bc78542 totals (service phases re-pinned as above).  Sealed with the store's default
 (`AUTO_BACKENDS`, csf first) it must match `GOLDEN_AUTO`, pinned when that
@@ -118,7 +125,7 @@ def _new_store(aux_backends):
         nranks=NRANKS,
         fmt=FMT_FILTERKV,
         value_bytes=VALUE_BYTES,
-        block_size=1024,
+        block_size=928,  # 29 rows of 32 B: the block geometry the read counts were taken with
         seed=23,
         device=StorageDevice(metrics=MetricsRegistry("golden")),
         compaction=CompactionPolicy(max_live_epochs=4, merge_factor=4),
@@ -250,63 +257,63 @@ def run_script(aux_backends=CUCKOO):
 # Captured at bc78542 (parent of the reader-session refactor).
 GOLDEN = [('written',
   {'device.reads': 84,
-   'device.bytes_read': 41126,
+   'device.bytes_read': 37286,
    'device.open_handles': 40,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 48}),
  ('store.get',
   {'device.reads': 188,
-   'device.bytes_read': 125344,
+   'device.bytes_read': 112740,
    'device.open_handles': 40,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 128,
    'stats.reads': 104,
-   'stats.bytes_read': 84218,
+   'stats.bytes_read': 75454,
    'stats.partitions_searched': 89,
    'answers': 3713930082}),
  ('store.get_many',
   {'device.reads': 272,
-   'device.bytes_read': 199072,
+   'device.bytes_read': 178276,
    'device.open_handles': 40,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 212,
    'stats.reads': 84,
-   'stats.bytes_read': 73728,
+   'stats.bytes_read': 65536,
    'stats.partitions_searched': 516,
    'answers': 1757043775}),
  ('store.lookup',
   {'device.reads': 430,
-   'device.bytes_read': 268539,
+   'device.bytes_read': 242779,
    'device.open_handles': 48,
    'sstable.block_cache.hits': 15,
    'sstable.block_cache.misses': 257,
    'stats.reads': 158,
-   'stats.bytes_read': 69467,
+   'stats.bytes_read': 64503,
    'stats.partitions_searched': 72,
    'answers': 1911588890}),
  ('store.lookup_many',
   {'device.reads': 456,
-   'device.bytes_read': 291435,
+   'device.bytes_read': 263131,
    'device.open_handles': 48,
    'sstable.block_cache.hits': 31,
    'sstable.block_cache.misses': 283,
    'stats.reads': 26,
-   'stats.bytes_read': 22896,
+   'stats.bytes_read': 20352,
    'stats.partitions_searched': 171,
    'answers': 4062918877}),
  ('store.trajectory',
   {'device.reads': 467,
-   'device.bytes_read': 301551,
+   'device.bytes_read': 272123,
    'device.open_handles': 48,
    'sstable.block_cache.hits': 52,
    'sstable.block_cache.misses': 294,
    'stats.reads': 11,
-   'stats.bytes_read': 10116,
+   'stats.bytes_read': 8992,
    'stats.partitions_searched': 38,
    'answers': 1949709263}),
  ('default.before',
   {'device.reads': 512,
-   'device.bytes_read': 343743,
+   'device.bytes_read': 309627,
    'device.open_handles': 56,
    'sstable.block_cache.hits': 79,
    'sstable.block_cache.misses': 339,
@@ -322,7 +329,7 @@ GOLDEN = [('written',
    'answers': 686095842}),
  ('narrow.before',
   {'device.reads': 584,
-   'device.bytes_read': 414123,
+   'device.bytes_read': 372187,
    'device.open_handles': 58,
    'sstable.block_cache.hits': 79,
    'sstable.block_cache.misses': 411,
@@ -338,7 +345,7 @@ GOLDEN = [('written',
    'answers': 686095842}),
  ('default.after',
   {'device.reads': 699,
-   'device.bytes_read': 487323,
+   'device.bytes_read': 438315,
    'device.open_handles': 58,
    'sstable.block_cache.hits': 106,
    'sstable.block_cache.misses': 482,
@@ -354,7 +361,7 @@ GOLDEN = [('written',
    'answers': 3859104156}),
  ('narrow.after',
   {'device.reads': 766,
-   'device.bytes_read': 553203,
+   'device.bytes_read': 496875,
    'device.open_handles': 58,
    'sstable.block_cache.hits': 109,
    'sstable.block_cache.misses': 549,
@@ -370,13 +377,13 @@ GOLDEN = [('written',
    'answers': 3859104156}),
  ('services closed',
   {'device.reads': 766,
-   'device.bytes_read': 553203,
+   'device.bytes_read': 496875,
    'device.open_handles': 48,
    'sstable.block_cache.hits': 109,
    'sstable.block_cache.misses': 549}),
  ('store closed',
   {'device.reads': 766,
-   'device.bytes_read': 553203,
+   'device.bytes_read': 496875,
    'device.open_handles': 48,
    'sstable.block_cache.hits': 109,
    'sstable.block_cache.misses': 549})]
@@ -385,63 +392,63 @@ GOLDEN = [('written',
 # The same script sealed with the store's default `AUTO_BACKENDS` (csf).
 GOLDEN_AUTO = [('written',
   {'device.reads': 84,
-   'device.bytes_read': 40909,
+   'device.bytes_read': 37069,
    'device.open_handles': 40,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 48}),
  ('store.get',
   {'device.reads': 188,
-   'device.bytes_read': 124644,
+   'device.bytes_read': 112040,
    'device.open_handles': 40,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 128,
    'stats.reads': 104,
-   'stats.bytes_read': 83735,
+   'stats.bytes_read': 74971,
    'stats.partitions_searched': 82,
    'answers': 3713930082}),
  ('store.get_many',
   {'device.reads': 272,
-   'device.bytes_read': 198372,
+   'device.bytes_read': 177576,
    'device.open_handles': 40,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 212,
    'stats.reads': 84,
-   'stats.bytes_read': 73728,
+   'stats.bytes_read': 65536,
    'stats.partitions_searched': 452,
    'answers': 1757043775}),
  ('store.lookup',
   {'device.reads': 422,
-   'device.bytes_read': 263692,
+   'device.bytes_read': 237932,
    'device.open_handles': 48,
    'sstable.block_cache.hits': 15,
    'sstable.block_cache.misses': 257,
    'stats.reads': 150,
-   'stats.bytes_read': 65320,
+   'stats.bytes_read': 60356,
    'stats.partitions_searched': 64,
    'answers': 1911588890}),
  ('store.lookup_many',
   {'device.reads': 448,
-   'device.bytes_read': 286588,
+   'device.bytes_read': 258284,
    'device.open_handles': 48,
    'sstable.block_cache.hits': 31,
    'sstable.block_cache.misses': 283,
    'stats.reads': 26,
-   'stats.bytes_read': 22896,
+   'stats.bytes_read': 20352,
    'stats.partitions_searched': 138,
    'answers': 4062918877}),
  ('store.trajectory',
   {'device.reads': 459,
-   'device.bytes_read': 296704,
+   'device.bytes_read': 267276,
    'device.open_handles': 48,
    'sstable.block_cache.hits': 52,
    'sstable.block_cache.misses': 294,
    'stats.reads': 11,
-   'stats.bytes_read': 10116,
+   'stats.bytes_read': 8992,
    'stats.partitions_searched': 34,
    'answers': 1949709263}),
  ('default.before',
   {'device.reads': 504,
-   'device.bytes_read': 338896,
+   'device.bytes_read': 304780,
    'device.open_handles': 56,
    'sstable.block_cache.hits': 79,
    'sstable.block_cache.misses': 339,
@@ -457,7 +464,7 @@ GOLDEN_AUTO = [('written',
    'answers': 686095842}),
  ('narrow.before',
   {'device.reads': 576,
-   'device.bytes_read': 409276,
+   'device.bytes_read': 367340,
    'device.open_handles': 58,
    'sstable.block_cache.hits': 79,
    'sstable.block_cache.misses': 411,
@@ -473,7 +480,7 @@ GOLDEN_AUTO = [('written',
    'answers': 686095842}),
  ('default.after',
   {'device.reads': 691,
-   'device.bytes_read': 481819,
+   'device.bytes_read': 432811,
    'device.open_handles': 58,
    'sstable.block_cache.hits': 106,
    'sstable.block_cache.misses': 482,
@@ -489,7 +496,7 @@ GOLDEN_AUTO = [('written',
    'answers': 3859104156}),
  ('narrow.after',
   {'device.reads': 758,
-   'device.bytes_read': 547699,
+   'device.bytes_read': 491371,
    'device.open_handles': 58,
    'sstable.block_cache.hits': 109,
    'sstable.block_cache.misses': 549,
@@ -505,13 +512,13 @@ GOLDEN_AUTO = [('written',
    'answers': 3859104156}),
  ('services closed',
   {'device.reads': 758,
-   'device.bytes_read': 547699,
+   'device.bytes_read': 491371,
    'device.open_handles': 48,
    'sstable.block_cache.hits': 109,
    'sstable.block_cache.misses': 549}),
  ('store closed',
   {'device.reads': 758,
-   'device.bytes_read': 547699,
+   'device.bytes_read': 491371,
    'device.open_handles': 48,
    'sstable.block_cache.hits': 109,
    'sstable.block_cache.misses': 549})]

@@ -22,7 +22,7 @@ from repro.obs import MetricsRegistry
 from repro.storage.blockio import StorageDevice
 from repro.storage.sstable import SSTableReader, SSTableWriter
 
-from ..reference.read import ReadOracle, check_against_oracle
+from ..reference.read import ReadOracle, check_against_oracle, scan_rows
 
 NRANKS = 8
 RECORDS_PER_RANK = 2000
@@ -116,7 +116,7 @@ def test_cold_engine_leaves_no_handle_open(epoch):
 def test_table_lookups_return_the_first_entry_of_the_walk(block_size):
     """Few distinct keys, each written many times: duplicate runs cross
     key-group and block bounds, and a lookup must still land on the first
-    entry written — the one `SSTableReader.scan` meets first."""
+    entry written — the one the reference `scan_rows` meets first."""
     rng = np.random.default_rng(block_size)
     keys = rng.integers(0, 300, size=6000, dtype=np.uint64) * np.uint64(7919)
     values = rng.integers(0, 256, size=(keys.size, 20), dtype=np.uint8)
@@ -126,7 +126,7 @@ def test_table_lookups_return_the_first_entry_of_the_walk(block_size):
     writer.finish()
     reader = SSTableReader(dev, "t")
     first: dict[int, bytes] = {}
-    for key, value in reader.scan():
+    for key, value in scan_rows(reader):
         first.setdefault(key, value)
     probe = np.concatenate([np.unique(keys), rng.integers(0, 300 * 7919, 200, dtype=np.uint64)])
     rng.shuffle(probe)

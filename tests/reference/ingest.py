@@ -6,7 +6,8 @@ same epoch record by record, from the documented formats alone:
 * value log — ``u32 length ‖ value``, one append per value;
 * wire — each record encoded on its own into a per-destination buffer that
   ships whole-record envelopes once it holds ``batch_bytes``;
-* SSTable — ``u64 key ‖ u32 vlen ‖ value`` records in stable key order,
+* SSTable — ``u64 key ‖ value`` rows in stable key order (no length: the
+  index holds the one row width),
   key groups and blocks cut record by record (`cut_records`, also the
   oracle of the writer's array cutter), the Bloom filter block, the
   column-wise index with its group table, and the 64-byte footer.
@@ -36,9 +37,13 @@ from repro.storage import sstable
 from repro.storage.blockio import StorageDevice
 from repro.storage.envelope import seal
 
-ENTRY = struct.Struct("<QI")  # key, value length: table records
+ENTRY = struct.Struct("<Q")  # key: a table row is this, then the value
 LEN = struct.Struct("<I")  # value-log length prefix
-MAGIC = 0xF117E5CB_C3C3236  # SSTable footer magic of the CRC-32 key-group layout
+MAGIC = 0xF117E5CB_0F1A7ED  # SSTable footer magic: unframed rows, CRC-32 key groups
+# The layout before it: the same tables, every row ``u64 key ‖ u32 vlen ‖
+# value``.  Written only to check that it is refused.
+FRAMED_ENTRY = struct.Struct("<QI")
+FRAMED_MAGIC = 0xF117E5CB_C3C3236
 
 
 def _sealed(body: bytes) -> bytes:
@@ -56,19 +61,23 @@ def vlog_append(file, value: bytes) -> int:
 # -- SSTable -------------------------------------------------------------------
 
 
-def cut_records(keys, values, block_size: int, group_cut: int):
+def _row(key: int, value: bytes, framed: bool) -> bytes:
+    return (FRAMED_ENTRY.pack(key, len(value)) if framed else ENTRY.pack(key)) + value
+
+
+def cut_records(keys, values, block_size: int, group_cut: int, framed: bool = False):
     """Cut key-sorted records into blocks one record at a time: a group
     opens at the first record once the open one holds ``group_cut`` bytes,
     a block closes at the record that takes it to ``block_size``.  Yields,
     per block, ``(bytes, records, last key, group first keys, group
     offsets)`` — what the writer's array cutter ``sstable._cut_rows``
-    yields for the same rows."""
+    yields for the same rows (``framed``: rows of the earlier layout)."""
     block, n, gfirst, goff, k = bytearray(), 0, [], [], 0
     for k, v in zip(keys, values):
         if not goff or len(block) - goff[-1] >= group_cut:
             gfirst.append(k)
             goff.append(len(block))
-        block += ENTRY.pack(k, len(v)) + v
+        block += _row(k, v, framed)
         n += 1
         if len(block) >= block_size:
             yield bytes(block), n, k, gfirst, goff
@@ -78,11 +87,12 @@ def cut_records(keys, values, block_size: int, group_cut: int):
 
 
 def table_image(items: list[tuple[int, bytes]], block_size: int,
-                bloom_bits_per_key: float = 10.0) -> bytes:
+                bloom_bits_per_key: float = 10.0, framed: bool = False) -> bytes:
     """The bytes of an SSTable holding ``items`` (in write order), values of
-    one width."""
+    one width; ``framed`` writes the earlier length-framed layout."""
     records = sorted(items, key=lambda kv: kv[0])  # stable: first write first
-    rec = ENTRY.size + len(records[0][1]) if records else 0
+    entry = FRAMED_ENTRY if framed else ENTRY
+    rec = entry.size + len(records[0][1]) if records else 0
     # A group is the fewest records reaching GROUP_BYTES, rounded up to a
     # multiple of eight records.
     group_cut = -(-sstable.GROUP_BYTES // (8 * rec)) * 8 * rec if rec else 0
@@ -91,7 +101,7 @@ def table_image(items: list[tuple[int, bytes]], block_size: int,
     blocks: list[tuple[int, ...]] = []  # first, last, offset; length, records, groups
     groups: list[tuple[int, ...]] = []  # first key, checksum; offset in block
     for block, n, last, gfirst, goff in cut_records(
-        [k for k, _ in records], [v for _, v in records], block_size, group_cut
+        [k for k, _ in records], [v for _, v in records], block_size, group_cut, framed
     ):
         for first, off, end in zip(gfirst, goff, [*goff[1:], len(block)]):
             groups.append((first, zlib.crc32(block[off:end]), off))
@@ -111,8 +121,8 @@ def table_image(items: list[tuple[int, bytes]], block_size: int,
         index += b"".join(struct.pack("<Q" if c < 2 else "<I", v) for v in column)
     index = _sealed(index)
     footer = _sealed(struct.pack(
-        "<QQQQQQII", MAGIC, len(data) + len(filt), len(index), len(data), len(filt),
-        len(records), block_size, nhashes,
+        "<QQQQQQII", FRAMED_MAGIC if framed else MAGIC, len(data) + len(filt), len(index),
+        len(data), len(filt), len(records), block_size, nhashes,
     ))
     return bytes(data) + filt + index + footer
 

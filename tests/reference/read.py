@@ -8,24 +8,28 @@ each key on its own, the way the paper's reader does (Fig. 11):
 * its candidate partitions: the owner alone for base and dataptr, the
   owner's aux-table `candidate_ranks` for filterkv, walked in ascending
   order until the first that holds the key;
-* a table is read with `SSTableReader.scan`, its own entry-by-entry walk
-  over every block (every key group verified), and the first entry of a
-  key — the first written — is its value;
+* a table is read with `scan_rows`, this module's own row-by-row walk
+  over every block (every key group's CRC-32 checked here against the
+  index first), and the first row of a key — the first written — is its
+  value;
 * for dataptr that value is a 12-byte pointer, ``u32 rank ‖ u64 offset``,
   to a ``u32 length ‖ value`` record of that writer's value log.
 
 It shares with the code under test only what is not the read flow: the
-partitioner, the aux tables and `SSTableReader.scan`.
+partitioner, the aux tables and the table metadata `SSTableReader` opens
+(`load_table_meta`'s footer, index and group table).
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 from repro.core.pipeline import main_table_name
-from repro.storage.sstable import SSTableReader
+from repro.storage.sstable import CorruptBlockError, SSTableReader
 
+KEY = struct.Struct("<Q")  # a table row: the key, then the value to the row's end
 POINTER = struct.Struct("<IQ")  # dataptr's stored value: writer rank, log offset
 LEN = struct.Struct("<I")  # value-log length prefix
 
@@ -63,7 +67,7 @@ class ReadOracle:
         if table is None:
             table = {}
             with SSTableReader(self.device, main_table_name(self.epoch, rank)) as reader:
-                for key, value in reader.scan():
+                for key, value in scan_rows(reader):
                     table.setdefault(key, value)
             self._tables[rank] = table
         return table
@@ -90,6 +94,34 @@ class ReadOracle:
         with self.device.open(f"vlog.{rank:06d}") as log:
             (length,) = LEN.unpack(log.read(offset, LEN.size))
             return log.read(offset + LEN.size, length)
+
+
+def scan_rows(reader: SSTableReader) -> list[tuple[int, bytes]]:
+    """Every row of ``reader``'s table in stored order, as ``(key, value)``.
+
+    One device read per block through the reader's handle; every key group
+    of the block is checked against its CRC-32 in the index before any row
+    of the block is decoded, then the rows are walked one by one,
+    ``record_bytes`` each.  Damage raises `CorruptBlockError` naming the
+    block and the group, as the reader's own decoder does.
+    """
+    meta, out = reader.meta, []
+    rec = meta.record_bytes
+    for i in range(meta.off.size):
+        raw = reader._file.read(int(meta.off[i]), int(meta.length[i]))
+        if len(raw) != int(meta.length[i]):
+            raise CorruptBlockError(f"block {i} of {reader.name!r} truncated")
+        first = int(meta.gstart[i])
+        for g in range(first, int(meta.gstart[i + 1])):
+            at = int(meta.goff[g])
+            if zlib.crc32(raw[at : at + meta.group_bytes]) != int(meta.gsum[g]):
+                raise CorruptBlockError(
+                    f"checksum mismatch in block {i}, key group {g - first} of {reader.name!r}"
+                )
+        for pos in range(0, len(raw), rec):
+            (key,) = KEY.unpack_from(raw, pos)
+            out.append((key, raw[pos + KEY.size : pos + rec]))
+    return out
 
 
 def reader_counters(answers: list[Answer]) -> dict[str, int]:

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.formats import FMT_FILTERKV
+from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
 from repro.core.pipeline import aux_table_name, main_table_name
 from repro.storage.blockio import StorageDevice
 from repro.storage.envelope import UnsupportedLayoutError, seal
 from repro.storage.manifest import MANIFEST_NAME, MANIFEST_PREFIX, EpochInfo, Manifest
-from repro.storage.sstable import FOOTER_BYTES
+from repro.storage.sstable import FOOTER_BYTES, SSTableReader
+
+from ..reference import ingest as ref
+from ..reference.read import scan_rows
 
 
 def _info(epoch, records=100):
@@ -194,4 +197,31 @@ def test_recovery_refuses_an_earlier_layout_and_touches_nothing(where, deep):
     before = _files(device)
     with pytest.raises(UnsupportedLayoutError, match="layout|seal"):
         Manifest.recover(device, deep=deep)
+    assert _files(device) == before
+
+
+@pytest.mark.parametrize("fmt", [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV], ids=lambda f: f.name)
+@pytest.mark.parametrize("deep", [False, True])
+def test_recovery_refuses_a_length_framed_store_and_touches_nothing(fmt, deep):
+    """A one-epoch store whose tables are in the layout before unframed
+    rows (each rewritten by the reference encoder with ``u32 vlen`` rows
+    and that layout's magic): `MultiEpochStore.recover` raises
+    `UnsupportedLayoutError` naming the layout, and every extent is the
+    byte it was."""
+    device = StorageDevice()
+    store = MultiEpochStore(nranks=2, fmt=fmt, value_bytes=16, device=device, seed=0)
+    rng = np.random.default_rng(0)
+    store.write_epoch([random_kv_batch(300, 16, rng) for _ in range(2)])
+    store.close()
+    tables = [name for name in device.list_files() if name.startswith("part.")]
+    assert tables
+    for name in tables:
+        with SSTableReader(device, name) as r:
+            items, block_size, bloom = scan_rows(r), r.meta.block_size, r.meta.bloom
+        device.delete(name)
+        with device.open(name, create=True) as f:
+            f.append(ref.table_image(items, block_size, 10.0 if bloom else 0.0, framed=True))
+    before = _files(device)
+    with pytest.raises(UnsupportedLayoutError, match="length-framed row layout"):
+        MultiEpochStore.recover(device, deep=deep)
     assert _files(device) == before

@@ -10,6 +10,7 @@ from repro.storage.log import DataPointer, ValueLog
 from repro.storage import sstable as sstable_mod
 from repro.storage.sstable import SSTableReader, SSTableWriter
 
+from ..reference.read import scan_rows
 from .test_sstable import rows
 
 
@@ -70,7 +71,7 @@ def test_sstable_roundtrip_property(items, block_size):
         first.setdefault(k, v)
     for k, v in list(first.items())[:50]:
         assert r.get(k) == v
-    scanned = r.scan()
+    scanned = scan_rows(r)
     assert [k for k, _ in scanned] == sorted(k for k, _ in items)
 
 
@@ -104,11 +105,11 @@ def test_sstable_reads_agree_across_group_and_block_seams(
     probe = np.arange(62, dtype=np.uint64)
     want = [first.get(k) for k in probe.tolist()]
     with SSTableReader(dev, "t", block_cache_blocks=cache) as r:
-        assert r.meta.record_bytes == (12 + width if keys else 0)
+        assert r.meta.record_bytes == (8 + width if keys else 0)
         assert [r.get(k) for k in probe.tolist()] == want
         assert r.get_many(probe)[0] == want
         assert r.get_many(probe[::-1])[0] == want[::-1]
-        scanned = r.scan()
+        scanned = scan_rows(r)
         assert [k for k, _ in scanned] == sorted(keys)
         scan_first = {}
         for k, v in scanned:

@@ -13,9 +13,11 @@ from repro.storage.sstable import (
     CorruptBlockError,
     SSTableReader,
     SSTableWriter,
+    load_table_meta,
 )
 
 from ..reference import ingest as ref
+from ..reference.read import scan_rows
 
 
 def rows(items):
@@ -79,7 +81,7 @@ def test_scan_returns_key_order():
     keys = rng.permutation(200).astype(np.uint64)
     build(dev, "t", [(int(k), bytes([int(k) % 251])) for k in keys], block_size=128)
     r = SSTableReader(dev, "t")
-    scanned = r.scan()
+    scanned = scan_rows(r)
     assert [k for k, _ in scanned] == sorted(int(k) for k in keys)
     assert len(scanned) == 200
 
@@ -139,7 +141,7 @@ def test_empty_table():
     assert stats.nentries == 0
     r = SSTableReader(dev, "t")
     assert r.get(1) is None
-    assert r.scan() == []
+    assert scan_rows(r) == []
 
 
 def test_read_costs_match_fig11_structure():
@@ -224,7 +226,7 @@ class TestGetMany:
         items = [(int(k), bytes(rng.integers(0, 256, 41, dtype=np.uint8))) for k in keys]
         build(dev, "t", items, block_size=200)
         r = SSTableReader(dev, "t")
-        truth = dict(r.scan())
+        truth = dict(scan_rows(r))
         assert truth == dict(items)
         probe = np.concatenate([keys, keys + np.uint64(5000), np.asarray([0, 4999], np.uint64)])
         vals, _ = r.get_many(probe)
@@ -361,7 +363,7 @@ class TestKeyGroups:
         vals, blocks = r.get_many(probe)
         assert vals == want and blocks >= meta.first.size
         assert r.get(2**64 - 1) is None  # above the table
-        scanned = r.scan()
+        scanned = scan_rows(r)
         assert [k for k, _ in scanned] == keys
         seen = {}
         for k, v in scanned:
@@ -402,7 +404,7 @@ class TestKeyGroups:
         build(dev, "t", [])
         r = SSTableReader(dev, "t")
         assert r.meta.gfirst.size == 0 and r.meta.gstart.tolist() == [0]
-        assert r.get(1) is None and r.scan() == []
+        assert r.get(1) is None and scan_rows(r) == []
         keys, values = r.scan_arrays()
         assert keys.size == 0 and len(values) == 0
 
@@ -418,7 +420,7 @@ class TestKeyGroups:
         r = SSTableReader(dev, "t")
         m = r.meta
         assert m.first.size >= 2
-        scanned = dict(r.scan())
+        scanned = dict(scan_rows(r))
         for b in range(m.first.size):
             goff = m.goff[m.gstart[b] : m.gstart[b + 1]]
             assert goff[0] == 0 and (np.diff(goff) >= GROUP_BYTES).all()
@@ -482,7 +484,7 @@ class TestRangedReads:
         dev = StorageDevice()
         build(dev, "t", items, block_size=2010, bloom_bits_per_key=4)
         with SSTableReader(dev, "t") as r:
-            return dev, r.meta, r.scan()
+            return dev, r.meta, scan_rows(r)
 
     @staticmethod
     def _seams(meta, scanned):
@@ -637,3 +639,25 @@ def test_the_64_bit_sum_key_group_layout_is_refused_by_name():
     with pytest.raises(UnsupportedLayoutError, match="64-bit-sum key-group layout"):
         SSTableReader(dev, "t")
     assert dev.open_handles == baseline
+
+
+def test_the_length_framed_row_layout_is_refused_by_name():
+    """The layout before unframed rows: the same key groups of rows
+    ``u64 key ‖ u32 vlen ‖ value`` under magic 0xF117E5CBC3C3236, written
+    here by the reference encoder.  `load_table_meta` and the reader both
+    refuse it by name, before any checksum is compared, and the failed
+    open gives its handle back; the same rows unframed open and read."""
+    items = [(k, b"v%03d" % k) for k in range(40)]
+    dev = StorageDevice()
+    with dev.open("old", create=True) as f:
+        f.append(ref.table_image(items, 1 << 20, framed=True))
+    baseline = dev.open_handles
+    with pytest.raises(UnsupportedLayoutError, match="length-framed row layout.*0xf117e5cbc3c3236"):
+        SSTableReader(dev, "old")
+    assert dev.open_handles == baseline
+    with dev.open("old") as f, pytest.raises(UnsupportedLayoutError, match="length-framed row"):
+        load_table_meta(f, "old")
+    with dev.open("new", create=True) as f:
+        f.append(ref.table_image(items, 1 << 20))
+    with SSTableReader(dev, "new") as r:
+        assert r.meta.record_bytes == 8 + 4 and scan_rows(r) == items

@@ -37,6 +37,7 @@ from repro.storage.sstable import (
     load_table_meta,
 )
 
+from ..reference.read import scan_rows
 from ..serve.test_proto_fuzz import both_profiles
 from .test_sstable import rows, touched_span
 
@@ -73,7 +74,7 @@ def _bases() -> dict[str, bytes]:
     rng = np.random.default_rng(24)
     keys = np.unique(rng.integers(1, 1 << 40, size=400, dtype=np.uint64)).tolist()
     fixed = [(k, bytes([k % 251]) * 40) for k in keys]
-    narrow = [(k, bytes([k % 241]) * 13) for k in keys]  # 25-byte records: not whole words
+    narrow = [(k, bytes([k % 241]) * 13) for k in keys]  # 21-byte records: not whole words
     return {
         # 2+ blocks of 2+ groups each, at two widths
         "fixed": _table_bytes(fixed, block_size=2 * GROUP_BYTES),
@@ -174,7 +175,8 @@ def check(blob: bytes, keys=(0, 1, 12345, U64)) -> bool:
                 first = reader.meta.gfirst[:4].tolist()
                 probe = np.concatenate([probe, np.asarray(first, dtype=np.uint64)])
                 reads = [lambda k=k: reader.get(int(k)) for k in probe]
-                reads += [lambda: reader.get_many(probe), reader.scan, reader.scan_arrays]
+                reads += [lambda: reader.get_many(probe), lambda: scan_rows(reader)]
+                reads.append(reader.scan_arrays)
                 for read in reads:
                     try:
                         read()
@@ -230,23 +232,19 @@ def test_records_cut_short_raise_typed_not_struct_error():
         q.data = q.data[:-cut]
         q.entries[-1][3] -= cut
         q.reseal_groups()
-        with pytest.raises(CorruptBlockError, match="not rows of 25-byte records"):
+        with pytest.raises(CorruptBlockError, match="not rows of 21-byte records"):
             _open(q.build())
 
 
-def test_fixed_width_table_with_a_wrong_length_field_is_typed():
-    p = Parts(BASES["fixed"])
-    struct.pack_into("<I", p.data, 8, 41)  # first record claims 41 value bytes
-    p.reseal_groups()
-    with _open(p.build()) as r:
-        with pytest.raises(CorruptBlockError, match="not 52 bytes"):
-            r.get(int(p.gfirst[0]))
-        with pytest.raises(CorruptBlockError):
-            r.scan_arrays()
-        # a key group the damage is not in still answers (its second key:
-        # a group's first key also looks into the tail of the group before)
-        (inside,) = struct.unpack_from("<Q", p.data, p.goff[1] + 52)
-        assert r.get(inside) is not None
+def test_a_record_width_below_the_key_is_typed():
+    """A row is its u64 key, then its value: an index that claims rows of
+    fewer than 8 bytes describes no table this writer emits."""
+    for width in range(1, 8):
+        p = Parts(BASES["fixed"])
+        p.header[2] = width
+        with pytest.raises(CorruptBlockError, match=f"not rows of {width}-byte records"):
+            _open(p.build())
+        assert not check(p.build())
 
 
 @pytest.mark.parametrize(
@@ -272,7 +270,7 @@ def test_group_offsets_are_range_checked_against_their_block():
     for at, value in ((0, 1), (1, 0), (1, base.entries[0][3]), (1, 2**32 - 1), (ngroups0, 5)):
         p = Parts(BASES["narrow"])
         p.goff[at] = value
-        with pytest.raises(CorruptBlockError, match="not rows of 25-byte records"):
+        with pytest.raises(CorruptBlockError, match="not rows of 21-byte records"):
             _open(p.build())
 
 
@@ -288,11 +286,11 @@ def test_fixed_width_geometry_is_checked_at_open():
     for edit in ("record_bytes", "short_block", "moved_group"):
         p = Parts(BASES["fixed"])
         if edit == "record_bytes":
-            p.header[2] = 51
+            p.header[2] = 47
         elif edit == "short_block":
             p.entries[0][3] -= 1
         else:
-            p.goff[1] += 52
+            p.goff[1] += 48
         with pytest.raises(CorruptBlockError):
             _open(p.build())
 
@@ -369,7 +367,7 @@ def _ranged(blob: bytes, meta=None):
     return SSTableReader(dev, "t", block_cache_blocks=0, meta=meta), fetched
 
 
-FIXED = BASES["fixed"]  # 2+ blocks of 2+ key groups, 52-byte records
+FIXED = BASES["fixed"]  # 2+ blocks of 2+ key groups, 48-byte records
 
 
 def _meta(blob: bytes):
@@ -392,7 +390,7 @@ def test_a_flipped_byte_inside_the_span_is_caught():
     _, start, stop = touched_span(meta, key)
     assert start == meta.goff[1] and stop - start <= meta.group_bytes  # that group alone
     p = Parts(FIXED)
-    p.data[start + 5 * 52 + 20] ^= 0x01  # a value byte of that group, not re-sealed
+    p.data[start + 5 * 48 + 20] ^= 0x01  # a value byte of that group, not re-sealed
     reader, fetched = _ranged(p.build(), meta)
     with reader, pytest.raises(CorruptBlockError, match="block 0, key group 1 of 't'"):
         reader.get(key)
@@ -442,7 +440,7 @@ def test_a_truncation_that_cuts_the_span_is_typed():
 # -- the property -----------------------------------------------------------------
 
 hostile_ints = st.sampled_from(
-    [0, 1, 2, 7, 8, 11, 12, 13, 52, 2**16, 2**31, 2**32 - 1, 2**32, 2**40, 2**63 - 1, 2**63, U64]
+    [0, 1, 2, 7, 8, 11, 12, 13, 48, 2**16, 2**31, 2**32 - 1, 2**32, 2**40, 2**63 - 1, 2**63, U64]
 )
 
 
@@ -567,5 +565,5 @@ def test_load_table_meta_is_the_function_under_test():
     dev.open("t", create=True).append(BASES["fixed"])
     with dev.open("t") as f:
         meta = load_table_meta(f, "t")
-    assert meta.record_bytes == 52 and meta.group_bytes % 52 == 0
+    assert meta.record_bytes == 48 and meta.group_bytes % 48 == 0
     assert meta.gstart[-1] == meta.gfirst.size == meta.gsum.size == meta.goff.size
