@@ -51,6 +51,7 @@ def test_ablation_reader_caching(report, benchmark):
             partitioner=cold.partitioner,
             aux_tables=cold.aux_tables,
             epoch=cold.epoch,
+            files=cold.files,
         )
         cold_reads = sum(cold.get(k)[1].reads for k in keys) / len(keys)
         warm_reads = sum(warm.get(k)[1].reads for k in keys) / len(keys)

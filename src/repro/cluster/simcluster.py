@@ -24,7 +24,7 @@ import numpy as np
 from ..core.formats import FMT_FILTERKV, FormatSpec
 from ..core.kv import KVBatch, random_kv_batch
 from ..core.partitioning import HashPartitioner
-from ..core.pipeline import Envelope, ReceiverState, WriterState, build_aux
+from ..core.pipeline import Envelope, ReceiverState, WriterState, build_aux, epoch_files
 from ..core.routing import DirectRouter, ThreeHopRouter
 from ..obs import MetricsRegistry, active
 from ..storage.blockio import DeviceProfile, StorageDevice
@@ -215,5 +215,6 @@ class SimCluster:
             partitioner=self.partitioner,
             aux_tables=[r.aux for r in self.receivers],
             epoch=self.epoch,
+            files=epoch_files(self.device, self.epoch, self.fmt),
             metrics=self.metrics,
         )

@@ -6,22 +6,31 @@ grows linearly with epoch count (the scalability bug this module fixes;
 PAPER.md §IV bounds per-query cost *within* an epoch, not across them).
 `Compactor` merges k sealed epochs into one:
 
-1. **Merge.**  Each source partition table streams out through
-   `SSTableReader.scan_arrays`; chunks concatenate newest-epoch-first and
+1. **Merge.**  Each source partition table (named by its epoch's
+   manifest entry) streams out through `SSTableReader.scan_arrays`, every
+   key group's CRC-32 checked; chunks concatenate newest-epoch-first and
    `first_occurrence` keeps exactly the record the pre-compaction walk
    (newest epoch first, first hit wins) would have served.  Winners stay
-   on the rank that originally wrote them, and for FilterKV a fresh aux
-   table per owner partition is rebuilt from the surviving key→rank pairs
-   and sealed.  Value logs are shared across epochs and are never
-   rewritten — `dataptr` pointers in merged tables stay valid as-is.
+   on the rank that originally wrote them.  Each output rank table, and
+   for FilterKV each owner partition's aux table, is then *adopted* from
+   a source whose extent already holds exactly its rows, or *written*
+   fresh (`produce_merged_epoch` states the rule; there is no knob).
+   Value logs are shared across epochs and are never rewritten —
+   `dataptr` pointers in merged tables stay valid as-is.
 2. **Swap.**  A single `Manifest.commit` publishes the merged epoch,
    retires the sources, and records the id mapping — one sealed
    generation append, atomic by construction.  Until it lands, every new
    extent is an orphan and the source epochs are untouched; a crash at
    any step reverts to the pre-compaction dataset and `Manifest.recover`
    sweeps the partial merge output.
-3. **Sweep.**  Source extents no surviving epoch references are deleted;
-   a crash before the sweep finishes leaves orphans for recovery.
+3. **Sweep.**  Source extents no surviving epoch lists are deleted (an
+   adopted one is listed by the merged epoch, so it stays); a crash
+   before the sweep finishes leaves orphans for recovery.
+
+A ``part.``/``aux.`` extent belongs to at most one *live* epoch: it is
+listed by the epoch that wrote it until a merge retires that epoch and
+lists it instead.  So its name may carry a retired epoch's id, and every
+reader takes names from ``EpochInfo.files`` (`pipeline.rank_extents`).
 
 A retired epoch id is refused, not forwarded: a read of it raises
 `EpochRetiredError` naming the merged epoch, because the merged epoch's
@@ -49,10 +58,12 @@ from ..storage.compact import (
 from ..storage.envelope import seal
 from ..storage.manifest import EpochInfo, Manifest
 from .auxtable import aux_to_blob, build_sealed_aux
+from .partitioning import HashPartitioner
 from .pipeline import aux_table_name, epoch_files, main_table_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .multiepoch import MultiEpochStore
+    from .reader import QueryEngine
 
 __all__ = [
     "CompactionPolicy",
@@ -65,10 +76,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompactionPolicy:
-    """Size-tiered trigger: when too many epochs are live, merge the
-    smallest ones first (they cost a walk step each but hold the least
-    data, so merging them buys the biggest read-amplification cut per
-    byte rewritten).
+    """Trigger: once ``max_live_epochs`` epochs are live, merge the
+    contiguous window of ``min(merge_factor, live)`` epochs that holds the
+    fewest bytes (`select`).  When the live count is at most
+    ``merge_factor`` that window is every live epoch, big run included; a
+    tiering rule that leaves a big run alone is ROADMAP item 4(a).
     """
 
     max_live_epochs: int = 4
@@ -107,10 +119,13 @@ class CompactionReport:
     source_epochs: list[int]
     records_in: int
     records_out: int
-    bytes_written: int
+    bytes_written: int  # new bytes only: adopted extents are not rewritten
     bytes_reclaimed: int
     extents_removed: int
     generation: int
+    extents_out: int  # output tables and aux partitions, adopted or written
+    extents_adopted: int
+    bytes_adopted: int
 
     def summary(self) -> str:
         return (
@@ -119,7 +134,9 @@ class CompactionReport:
             f"records: {self.records_in:,} in, {self.records_out:,} distinct out\n"
             f"bytes:   {self.bytes_written:,} written, "
             f"{self.bytes_reclaimed:,} reclaimed "
-            f"({self.extents_removed} source extent(s) swept)"
+            f"({self.extents_removed} source extent(s) swept)\n"
+            f"adopted {self.extents_adopted} of {self.extents_out} extent(s) "
+            f"({self.bytes_adopted:,} bytes) from source epochs"
         )
 
 
@@ -127,24 +144,29 @@ class CompactionReport:
 class MergeSpec:
     """Everything the pure merge step needs: the k-way merge is a
     deterministic function of the source partition tables plus these
-    parameters."""
+    parameters.  ``sources`` are the source epochs' cold engines, newest
+    data first: their ``table_names`` / ``aux_names`` are the extents
+    each epoch lists, and their decoded ``aux_tables`` say which backend
+    an adopted aux partition carries."""
 
     fmt: str
     nranks: int
     block_size: int
     seed: int
     merged: int
-    newest_first: tuple[int, ...]
+    sources: tuple[QueryEngine, ...]
     aux_backends: tuple[str, ...]
 
 
 def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     """Run the merge described by ``spec`` against ``device``.
 
-    Pure with respect to the manifest: reads the source partition tables,
-    writes the merged epoch's ``part.*`` (and, for filterkv, ``aux.*``)
-    extents, and returns ``{"records_out", "aux_backends"}``.  Publishing
-    the result — manifest swap, sweep, compaction counters — stays with
+    Pure with respect to the manifest: reads every source partition table
+    whole (each key group's CRC-32 verified), writes the merged epoch's
+    ``part.*`` (and, for filterkv, ``aux.*``) extents that it cannot
+    adopt, and returns ``{"records_out", "aux_backends", "written",
+    "adopted"}``, the last two lists of extent names.  Publishing the
+    result — manifest swap, sweep, compaction counters — stays with
     `Compactor.publish`.
 
     One merge serves every format.  Winners are chosen globally — first
@@ -152,54 +174,107 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     the pre-compaction probe walk — and written back to the rank that
     held them: filterkv data stays on the rank that wrote it, and a
     base/dataptr key only ever lives on its hash partition.
+
+    Each output extent is adopted or written, decided from the winners'
+    sources alone:
+
+    * rank ``r``'s table is a source's rank-``r`` table when that table is
+      the rank's only contributor and every one of its rows wins — the
+      output's rows are then that table's rows, in the same order;
+    * aux partition ``p`` is a source's partition-``p`` aux extent when
+      every winner the partition owns comes from that source and their
+      count equals the source's rows the partition owns — the key→rank
+      map is then that source's, down to the rank each key sits on.
+
+    An adopted extent is one the merge has just read whole and verified
+    (an aux blob through its engine's decode at attach); values are
+    gathered only when some table is written.
     """
     metrics = active(metrics)
+    n, k = spec.nranks, len(spec.sources)
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
-    rank_chunks: list[np.ndarray] = []
-    for epoch in spec.newest_first:
-        for rank in range(spec.nranks):
-            keys, values = read_table_arrays(device, main_table_name(epoch, rank))
+    for source in spec.sources:
+        for name in source.table_names:
+            keys, values = read_table_arrays(device, name)
             key_chunks.append(keys)
             val_chunks.append(values)
-            rank_chunks.append(np.full(keys.size, rank, dtype=np.int64))
+    sizes = np.array([c.size for c in key_chunks], dtype=np.int64)
     keys = np.concatenate(key_chunks)
-    ranks = np.concatenate(rank_chunks)
+    chunk = np.repeat(np.arange(k * n), sizes)  # source * n + rank of each row
     winners = first_occurrence(keys)
     wkeys = keys[winners]
-    wranks = ranks[winners]
-    wvalues = concat_values(val_chunks)[winners]
+    wchunk = chunk[winners]
+    wranks = wchunk % n
+    won = np.bincount(wchunk, minlength=k * n).reshape(k, n)  # winners per table
 
-    for rank in range(spec.nranks):
+    written: list[str] = []
+    adopted: list[str] = []
+    wvalues = None
+    for rank in range(n):
+        src = _sole_source(won[:, rank])
+        if src >= 0 and won[src, rank] == sizes[src * n + rank]:
+            adopted.append(spec.sources[src].table_names[rank])
+            continue
+        if wvalues is None:
+            wvalues = concat_values(val_chunks)[winners]
         sel = np.flatnonzero(wranks == rank)
         name = main_table_name(spec.merged, rank)
         write_merged_table(device, name, wkeys[sel], wvalues[sel], spec.block_size)
+        written.append(name)
+    produced = {
+        "records_out": int(wkeys.size),
+        "aux_backends": set(),
+        "written": written,
+        "adopted": adopted,
+    }
     if spec.fmt != "filterkv":
-        return {"records_out": int(wkeys.size), "aux_backends": set()}
+        return produced
 
+    owners = HashPartitioner(n).partition_of(keys)
+    held = np.bincount(chunk // n * n + owners, minlength=k * n).reshape(k, n)
+    wowners = owners[winners]
+    owned = np.bincount(wchunk // n * n + wowners, minlength=k * n).reshape(k, n)
+    backends = produced["aux_backends"]
+    build: list[int] = []
+    for part in range(n):
+        src = _sole_source(owned[:, part])
+        if src >= 0 and owned[src, part] == held[src, part]:
+            source = spec.sources[src]
+            adopted.append(source.aux_names[part])
+            backends.add(source.aux_tables[part].backend)
+        else:
+            build.append(part)
+    if not build:
+        return produced
     # Fresh aux tables on the hash owners, seeded exactly as an
     # ingest-time epoch would be (store seed + epoch + rank), then
-    # sealed — torn blobs are detected at recovery like any other.
-    # The merged epoch walks the store's backend tuple again on its
-    # (merged, deduplicated) key set; mixed-backend source epochs thus
-    # converge on one backend after compaction.
-    from .partitioning import HashPartitioner
-
-    owners = HashPartitioner(spec.nranks).partition_of(wkeys)
-    sels = (np.flatnonzero(owners == part) for part in range(spec.nranks))
+    # sealed — torn blobs are detected at recovery like any other.  A
+    # built table walks the store's backend tuple again on its (merged,
+    # deduplicated) key set.
+    sels = [np.flatnonzero(wowners == part) for part in build]
     tables = build_sealed_aux(
-        ((part, wkeys[sel], wranks[sel].astype(np.uint64)) for part, sel in enumerate(sels)),
-        nparts=spec.nranks,
+        ((part, wkeys[sel], wranks[sel].astype(np.uint64)) for part, sel in zip(build, sels)),
+        nparts=n,
         backends=spec.aux_backends,
         seed=spec.seed + spec.merged,
         metrics=metrics,
     )
-    for part, aux in enumerate(tables):
+    for part, aux in zip(build, tables):
         aux.record_structure_metrics()
         blob = seal(aux_to_blob(aux))
-        with device.open(aux_table_name(spec.merged, part), create=True) as f:
+        name = aux_table_name(spec.merged, part)
+        with device.open(name, create=True) as f:
             f.append(blob)
-    return {"records_out": int(wkeys.size), "aux_backends": {aux.backend for aux in tables}}
+        written.append(name)
+        backends.add(aux.backend)
+    return produced
+
+
+def _sole_source(counts: np.ndarray) -> int:
+    """The one source with a nonzero count, or -1 (none, or several)."""
+    nonzero = np.flatnonzero(counts)
+    return int(nonzero[0]) if nonzero.size == 1 else -1
 
 
 class Compactor:
@@ -251,8 +326,9 @@ class Compactor:
             block_size=store.block_size,
             seed=store.seed,
             merged=working.next_epoch,
-            newest_first=tuple(
-                sorted(epochs, key=lambda e: order_of[e], reverse=True)
+            sources=tuple(
+                store.engine(e)
+                for e in sorted(epochs, key=lambda e: order_of[e], reverse=True)
             ),
             aux_backends=store.aux_backends,
         )
@@ -280,14 +356,17 @@ class Compactor:
         """
         store = self.store
         merged = spec.merged
-        epochs = sorted(spec.newest_first)
+        epochs = sorted(source.epoch for source in spec.sources)
         records_out = produced["records_out"]
+        adopted = produced["adopted"]
+        bytes_adopted = sum(self.device.file_size(name) for name in adopted)
         order_of = {e.epoch: e.order for e in working.epochs}
 
-        # A merged dataptr epoch lists the shared value logs its pointers
-        # still dereference into, or the recovery sweep would reclaim them
-        # once the source epochs retire.
-        files = epoch_files(self.device, merged, store.fmt)
+        # The merged epoch lists what it wrote, what it adopted from its
+        # sources, and for dataptr the shared value logs its pointers
+        # still dereference into (or the recovery sweep would reclaim
+        # them once the source epochs retire).
+        files = {*epoch_files(self.device, merged, store.fmt), *adopted}
 
         retired_infos = [working.remove_epoch(e) for e in epochs]
         records_in = sum(info.records for info in retired_infos)
@@ -296,7 +375,9 @@ class Compactor:
                 epoch=merged,
                 records=records_out,
                 files=tuple(sorted(files)),
-                bytes=bytes_written,
+                # Every byte the epoch lists, written or adopted: what
+                # `CompactionPolicy.select` weighs and `describe` shows.
+                bytes=bytes_written + bytes_adopted,
                 # The merged data is only as recent as its newest source:
                 # it must sit where that source sat in the read walk, not
                 # at the front where its fresh id would put it.
@@ -334,6 +415,8 @@ class Compactor:
         self.metrics.counter("compaction.records_in").inc(records_in)
         self.metrics.counter("compaction.records_out").inc(records_out)
         self.metrics.counter("compaction.bytes_written").inc(bytes_written)
+        self.metrics.counter("compaction.extents_adopted").inc(len(adopted))
+        self.metrics.counter("compaction.bytes_adopted").inc(bytes_adopted)
         self.metrics.counter("compaction.bytes_reclaimed").inc(bytes_reclaimed)
         self.metrics.histogram("compaction.fan_in").observe(len(epochs))
 
@@ -346,5 +429,8 @@ class Compactor:
             bytes_reclaimed=bytes_reclaimed,
             extents_removed=removed,
             generation=generation,
+            extents_out=len(produced["written"]) + len(adopted),
+            extents_adopted=len(adopted),
+            bytes_adopted=bytes_adopted,
         )
         return working, report

@@ -29,12 +29,11 @@ from ..storage.envelope import unseal
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from ..cluster.simcluster import ClusterStats
 from ..storage.manifest import EpochInfo, Manifest, RecoveryReport
-from .auxtable import AUTO_BACKENDS, AuxTable, aux_from_blob
+from .auxtable import AUTO_BACKENDS, aux_from_blob
 from .compact import CompactionPolicy, CompactionReport, Compactor
 from .formats import FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KVBatch
 from .partitioning import HashPartitioner
-from .pipeline import aux_table_name, epoch_files, main_table_name
 from .reader import (
     TABLE_CACHE_ENTRIES,
     CachedQueryEngine,
@@ -239,8 +238,8 @@ class MultiEpochStore:
             device=device,
         )
         store.manifest = manifest
-        for epoch in manifest.epoch_ids:
-            store._engines[epoch] = store._attach_engine(epoch)
+        for info in manifest.epochs:
+            store._engines[info.epoch] = store._attach_engine(info)
         return store
 
     @classmethod
@@ -263,24 +262,27 @@ class MultiEpochStore:
         store = cls.attach(device) if manifest is not None else None
         return store, report
 
-    def _attach_engine(self, epoch: int) -> QueryEngine:
-        """Query engine over one committed epoch, aux tables reloaded
-        from their sealed extents."""
-        aux_tables: list[AuxTable | None] = [None] * self.nranks
-        if self.fmt.name == "filterkv":
-            for rank in range(self.nranks):
-                with self.device.open(aux_table_name(epoch, rank)) as f:
-                    aux_tables[rank] = aux_from_blob(
-                        unseal(f.read(0, f.size)), metric_labels={"rank": str(rank)}
-                    )
-        return QueryEngine(
+    def _attach_engine(self, info: EpochInfo) -> QueryEngine:
+        """Query engine over one committed epoch, reading the extents its
+        manifest entry lists, aux tables reloaded from their sealed
+        extents."""
+        engine = QueryEngine(
             device=self.device,
             fmt=self.fmt,
             nranks=self.nranks,
             partitioner=HashPartitioner(self.nranks),
-            aux_tables=aux_tables,
-            epoch=epoch,
+            epoch=info.epoch,
+            files=info.files,
         )
+        if self.fmt.name == "filterkv":
+            for rank, name in enumerate(engine.aux_names):
+                if name is None:
+                    raise ValueError(f"epoch {info.epoch} lists no aux table for rank {rank}")
+                with self.device.open(name) as f:
+                    engine.aux_tables[rank] = aux_from_blob(
+                        unseal(f.read(0, f.size)), metric_labels={"rank": str(rank)}
+                    )
+        return engine
 
     def aux_blobs(self, epoch: int) -> list[bytes] | None:
         """One committed epoch's sealed aux extents, verbatim (rank order).
@@ -296,10 +298,9 @@ class MultiEpochStore:
         """
         if self.fmt.name != "filterkv":
             return None
-        epoch = self.resolve_epoch(epoch)
         out: list[bytes] = []
-        for rank in range(self.nranks):
-            with self.device.open(aux_table_name(epoch, rank)) as f:
+        for name in self.engine(self.resolve_epoch(epoch)).aux_names:
+            with self.device.open(name) as f:
                 out.append(f.read(0, f.size))
         return out
 
@@ -337,14 +338,13 @@ class MultiEpochStore:
         for rank, batch in enumerate(batches):
             cluster.put(rank, batch)
         cluster.finish_epoch()
-        self._engines[epoch] = cluster.query_engine()
-        files = tuple(epoch_files(self.device, epoch, self.fmt))
+        engine = self._engines[epoch] = cluster.query_engine()
         epoch_bytes = self.device.total_bytes_stored() - before
         self.manifest.add_epoch(
             EpochInfo(
                 epoch=epoch,
                 records=records,
-                files=files,
+                files=engine.files,
                 bytes=epoch_bytes,
                 aux_backend=cluster.aux_backends(),
             )
@@ -407,6 +407,7 @@ class MultiEpochStore:
             partitioner=base.partitioner,
             aux_tables=base.aux_tables,
             epoch=base.epoch,
+            files=base.files,
             metrics=metrics,
             meta_cache=self.meta_cache,
         )
@@ -496,7 +497,8 @@ class MultiEpochStore:
         for epoch in report.source_epochs:
             self._engines.pop(epoch, None)
             self.meta_cache.drop_epoch(epoch)
-        self._engines[report.merged_epoch] = self._attach_engine(report.merged_epoch)
+        merged = next(e for e in manifest.epochs if e.epoch == report.merged_epoch)
+        self._engines[merged.epoch] = self._attach_engine(merged)
         self.compactions += 1
         self._reads.close()
         self._warm.close()

@@ -39,18 +39,42 @@ __all__ = [
     "main_table_name",
     "aux_table_name",
     "epoch_files",
+    "rank_extents",
 ]
 
 SendFn = Callable[["Envelope"], None]
 
 
 def main_table_name(epoch: int, rank: int) -> str:
-    """Partition / main-table extent name for one rank and epoch."""
+    """The name a writer gives the partition / main table it creates for
+    one rank of one epoch.  Readers take names from the epoch's listed
+    extents (`rank_extents`), never from this."""
     return f"part.{epoch:03d}.{rank:06d}"
 
 
 def aux_table_name(epoch: int, rank: int) -> str:
+    """The name a writer gives the aux table it seals for one partition."""
     return f"aux.{epoch:03d}.{rank:06d}"
+
+
+def rank_extents(files, nranks: int) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
+    """An epoch's listed extents resolved to per-rank ``(tables, auxes)``.
+
+    The manifest's ``EpochInfo.files`` is the one source of an epoch's
+    extent names.  A name's last field is the rank (or aux partition) it
+    serves; its epoch field may be a retired epoch's id, because a merge
+    adopts a source's extent whole instead of rewriting it.  ``auxes`` is
+    all None for the formats without aux tables.
+    """
+    named = {"part": [None] * nranks, "aux": [None] * nranks}
+    for name in files:
+        slots = named.get(name.split(".", 1)[0])
+        if slots is not None:
+            slots[int(name.rsplit(".", 1)[1])] = name
+    missing = [rank for rank, name in enumerate(named["part"]) if name is None]
+    if missing:
+        raise ValueError(f"epoch lists no table for rank(s) {missing}")
+    return tuple(named["part"]), tuple(named["aux"])
 
 
 def epoch_files(device: StorageDevice, epoch: int, fmt: FormatSpec) -> list[str]:

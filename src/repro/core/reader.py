@@ -34,7 +34,7 @@ from ..storage.sstable import BLOCK_CACHE_BLOCKS, FOOTER_BYTES, SSTableReader, T
 from .auxtable import AuxTable
 from .formats import FormatSpec
 from .partitioning import HashPartitioner
-from .pipeline import aux_table_name, main_table_name
+from .pipeline import rank_extents
 
 __all__ = ["QueryEngine", "CachedQueryEngine", "MetaCache", "QueryStats"]
 
@@ -141,6 +141,11 @@ class MetaCache:
 class QueryEngine:
     """Point-query executor over one epoch's persisted output.
 
+    ``files`` are the extents the epoch lists (its manifest entry's
+    ``EpochInfo.files``), resolved once here into the per-rank
+    ``table_names`` and ``aux_names`` every read opens: after a merge an
+    epoch may serve a table or aux extent named for a retired epoch.
+
     With ``meta_cache=None`` this is the paper's cold reader: every query
     opens its partitions afresh (footer + index reads) and re-fetches the
     owner's aux table.  Given a `MetaCache` (a store shares one among all
@@ -154,8 +159,9 @@ class QueryEngine:
         fmt: FormatSpec,
         nranks: int,
         partitioner: HashPartitioner,
+        epoch: int,
+        files: tuple[str, ...],
         aux_tables: list[AuxTable | None] | None = None,
-        epoch: int = 0,
         metrics: MetricsRegistry | None = None,
         meta_cache: MetaCache | None = None,
     ):
@@ -165,6 +171,8 @@ class QueryEngine:
         self.partitioner = partitioner
         self.aux_tables = aux_tables or [None] * nranks
         self.epoch = epoch
+        self.files = tuple(files)
+        self.table_names, self.aux_names = rank_extents(self.files, nranks)
         self.metrics = active(metrics)
         self.meta_cache = meta_cache
         # Data blocks each table reader it opens keeps.  Over a `MetaCache`
@@ -198,7 +206,7 @@ class QueryEngine:
         nothing; a cold open charges exactly what it read and leaves its
         verified meta in the cache (a failed open caches nothing).
         """
-        name = main_table_name(self.epoch, rank)
+        name = self.table_names[rank]
         cache = self.meta_cache
         meta = cache.get(self.epoch, rank) if cache is not None else None
         if meta is not None:
@@ -249,7 +257,7 @@ class QueryEngine:
             cache.aux_fetched.add((self.epoch, owner))
 
     def _fetch_aux(self, stats: QueryStats, owner: int) -> None:
-        aux_file = self.device.open(aux_table_name(self.epoch, owner))
+        aux_file = self.device.open(self.aux_names[owner])
         try:
             with self._charged(stats, "aux"):
                 aux_file.read(0, aux_file.size)

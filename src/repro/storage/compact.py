@@ -3,11 +3,15 @@
 Compaction k-way-merges the sorted SSTables of several sealed epochs into
 one.  Because every source table is already sorted and `SSTableWriter`
 re-sorts with a *stable* argsort, the merge reduces to array work: read
-each source into columnar arrays, concatenate in newest-epoch-first chunk
-order, and keep the first occurrence of every key — exactly the record the
-pre-compaction read path (newest epoch first, first hit wins) would have
-returned.  The orchestration (which epochs, aux rebuild, manifest swap)
-lives in `repro.core.compact`; this module knows only about tables.
+each source into columnar arrays (every key group's CRC-32 checked),
+concatenate in newest-epoch-first chunk order, and keep the first
+occurrence of every key — exactly the record the pre-compaction read path
+(newest epoch first, first hit wins) would have returned.  A merged table
+whose winners are exactly one source table's rows is that table, so the
+merge adopts the source extent instead of calling `write_merged_table`.
+The orchestration (which epochs, which extents to adopt or write, aux
+rebuild, manifest swap) lives in `repro.core.compact`; this module knows
+only about tables, never about extent names' epochs.
 """
 
 from __future__ import annotations

@@ -61,6 +61,7 @@ def _engine(cluster, cached, metrics):
         partitioner=cold.partitioner,
         aux_tables=cold.aux_tables,
         epoch=cold.epoch,
+        files=cold.files,
         metrics=metrics,
     )
 

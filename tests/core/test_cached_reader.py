@@ -29,6 +29,7 @@ def _cached(cluster):
         partitioner=cold.partitioner,
         aux_tables=cold.aux_tables,
         epoch=cold.epoch,
+        files=cold.files,
     )
 
 

@@ -8,11 +8,18 @@ pre-compaction store's own newest-wins view.
 import numpy as np
 import pytest
 
+from repro.core.auxtable import AUTO_BACKENDS
 from repro.core.compact import CompactionPolicy, Compactor
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import KVBatch, random_kv_batch
 from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
-from repro.storage.manifest import Manifest
+from repro.core.partitioning import HashPartitioner
+from repro.obs import MetricsRegistry
+from repro.obs.metrics import NULL_REGISTRY
+from repro.storage.blockio import StorageDevice
+from repro.storage.manifest import MANIFEST_PREFIX, Manifest
+
+from ..reference.read import check_against_oracle
 
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
 VB = 24
@@ -368,6 +375,13 @@ def test_compaction_emits_telemetry(fmt):
     assert reg.total("compaction.epochs_retired") == 2
     assert reg.total("compaction.records_out") == report.records_out
     assert reg.total("compaction.bytes_reclaimed") == report.bytes_reclaimed
+    assert reg.total("compaction.bytes_written") == report.bytes_written > 0
+    assert reg.total("compaction.extents_adopted") == report.extents_adopted
+    assert reg.total("compaction.bytes_adopted") == report.bytes_adopted
+    assert (
+        f"adopted {report.extents_adopted} of {report.extents_out} extent(s) "
+        f"({report.bytes_adopted:,} bytes) from source epochs"
+    ) in report.summary()
     store.close()
 
 
@@ -379,3 +393,230 @@ def test_compaction_is_handle_neutral(fmt):
     store.compact()
     assert store.device.open_handles == before
     store.close()
+
+
+# -- adoption: a merge rewrites only what changed ---------------------------
+
+NR, PER_RANK = 4, 120
+
+
+def _write(store, keys_per_rank, rng):
+    """One dump: rank ``r`` writes ``keys_per_rank[r]`` with fresh values."""
+    store.write_epoch([
+        KVBatch(keys, rng.integers(0, 256, size=(keys.size, VB), dtype=np.uint8))
+        for keys in keys_per_rank
+    ])
+
+
+def _dumps(store, nepochs, rng):
+    """``nepochs`` dumps in the paper's workflow (§V-B): every dump holds
+    every key, each rank rewriting the keys it wrote the dump before.
+    Returns the rank -> keys blocks."""
+    blocks = rng.choice(1 << 62, size=(store.nranks, PER_RANK), replace=False)
+    blocks = blocks.astype(np.uint64)
+    for _ in range(nepochs):
+        _write(store, list(blocks), rng)
+    return blocks
+
+
+def _listed(store, epoch):
+    """The table and aux extents live epoch ``epoch`` lists."""
+    info = next(e for e in store.manifest.epochs if e.epoch == epoch)
+    return [n for n in info.files if n.startswith(("part.", "aux."))]
+
+
+def _written_by(names, epoch):
+    """The names among ``names`` that epoch ``epoch`` wrote itself."""
+    return {n for n in names if int(n.split(".")[1]) == epoch}
+
+
+def _probe_keys(blocks, *extra):
+    absent = np.arange(1, 40, dtype=np.uint64)  # random 62-bit keys: all absent
+    return np.concatenate([blocks.ravel(), np.asarray(extra, dtype=np.uint64), absent])
+
+
+def _answers_as_the_oracle(store, keys):
+    """Every live epoch answers ``keys`` as the per-key oracle of
+    `tests/reference/read.py` does, through a handle-free and a warm
+    engine (the store's aux tables count into no registry)."""
+    for epoch in store.epochs:
+        for entries in (0, 4):
+            engine = store.cached_engine(epoch, MetricsRegistry(), entries)
+            check_against_oracle(engine, keys, NULL_REGISTRY)
+            engine.close()
+
+
+def test_a_dump_of_every_key_is_adopted_whole(fmt):
+    """Each rank rewrites every key it held: each output table is the
+    newest source's table and each aux partition its aux extent, so the
+    merged epoch lists those extents, the merge writes nothing but the
+    manifest generation, and the adopted aux backend is read off the
+    adopted table (the newest dump sealed cuckoo, the store's tuple is
+    csf-first)."""
+    device = StorageDevice(metrics=MetricsRegistry("adopt"))
+    store = MultiEpochStore(nranks=NR, fmt=fmt, value_bytes=VB, device=device)
+    rng = np.random.default_rng(21)
+    blocks = _dumps(store, 2, rng)
+    store.aux_backends = ("cuckoo",)
+    _write(store, list(blocks), rng)
+    store.aux_backends = AUTO_BACKENDS
+    newest = store.epochs[-1]
+    newest_files = _listed(store, newest)
+    keys = _probe_keys(blocks)
+    before, _, _ = store.lookup_many(keys)
+
+    io = device.counters.snapshot()
+    report = store.compact()
+    written = device.counters.delta(io).bytes_written
+
+    generation = max(n for n in device.list_files() if n.startswith(MANIFEST_PREFIX))
+    assert written == device.file_size(generation)
+    assert report.bytes_written == device.metrics.total("compaction.bytes_written") == 0
+    assert report.extents_adopted == report.extents_out == len(newest_files)
+    assert device.metrics.total("compaction.extents_adopted") == report.extents_adopted
+    assert device.metrics.total("compaction.bytes_adopted") == report.bytes_adopted
+    assert report.extents_out == (2 * NR if fmt.name == "filterkv" else NR)
+    assert report.bytes_adopted == sum(device.file_size(n) for n in newest_files)
+    assert _listed(store, report.merged_epoch) == newest_files
+    info = store.manifest.epochs[0]
+    assert info.bytes == report.bytes_adopted
+    assert info.aux_backend == ("cuckoo" if fmt.name == "filterkv" else None)
+    assert f"adopted {report.extents_out} of {report.extents_out} extent(s)" in report.summary()
+    assert store.lookup_many(keys)[0] == before
+    _answers_as_the_oracle(store, keys)
+    store.close()
+
+
+def test_a_key_only_an_older_source_holds_forces_its_extents_written(fmt):
+    """The oldest dump holds one key no later dump rewrites: the table
+    it sits in (rank 0 for filterkv, its hash owner otherwise) and its
+    owner's aux partition are written; every other extent is adopted."""
+    store = MultiEpochStore(nranks=NR, fmt=fmt, value_bytes=VB)
+    rng = np.random.default_rng(22)
+    blocks = rng.choice(1 << 62, size=(NR, PER_RANK), replace=False).astype(np.uint64)
+    extra = np.uint64(1 << 62)  # outside the blocks' range
+    _write(store, [np.append(blocks[0], extra)] + list(blocks[1:]), rng)
+    _write(store, list(blocks), rng)
+    _write(store, list(blocks), rng)
+    keys = _probe_keys(blocks, extra)
+    before, _, _ = store.lookup_many(keys)
+
+    report = store.compact()
+
+    merged = report.merged_epoch
+    owner = HashPartitioner(NR).partition_of_one(int(extra))
+    expected = {f"part.{merged:03d}.{(0 if fmt.name == 'filterkv' else owner):06d}"}
+    if fmt.name == "filterkv":
+        expected.add(f"aux.{merged:03d}.{owner:06d}")
+    listed = _listed(store, merged)
+    assert _written_by(listed, merged) == expected
+    assert report.extents_adopted == report.extents_out - len(expected) > 0
+    assert report.bytes_written > 0
+    assert store.lookup_many(keys)[0] == before
+    assert before[NR * PER_RANK] is not None  # the old key survives
+    _answers_as_the_oracle(store, keys)
+    store.close()
+
+
+def test_a_key_written_by_two_ranks_blocks_adopting_the_losing_copy(fmt):
+    """In the newest dump rank 2 writes rank 1's first key again.  Rank
+    1's copy wins (rank order), so the table holding rank 2's losing copy
+    is written (filterkv: rank 2's; base/dataptr: the key's owner, where
+    both copies land), as is filterkv's aux partition owning the key,
+    whose source maps it twice; everything else is adopted."""
+    store = MultiEpochStore(nranks=NR, fmt=fmt, value_bytes=VB)
+    rng = np.random.default_rng(23)
+    blocks = _dumps(store, 1, rng)
+    dup = blocks[1][0]
+    _write(store, [blocks[0], blocks[1], np.append(blocks[2], dup), blocks[3]], rng)
+    keys = _probe_keys(blocks)
+    before, _, _ = store.lookup_many(keys)
+
+    report = store.compact()
+
+    merged = report.merged_epoch
+    owner = HashPartitioner(NR).partition_of_one(int(dup))
+    expected = {f"part.{merged:03d}.{(2 if fmt.name == 'filterkv' else owner):06d}"}
+    if fmt.name == "filterkv":
+        expected.add(f"aux.{merged:03d}.{owner:06d}")
+    assert _written_by(_listed(store, merged), merged) == expected
+    assert report.extents_adopted == report.extents_out - len(expected)
+    assert store.lookup_many(keys)[0] == before
+    _answers_as_the_oracle(store, keys)
+    store.close()
+
+
+def test_chained_merges_readopt_an_adopted_extent(fmt):
+    """A merge adopts the newest dump's extents; a later dump rewrites
+    only the keys rank 0 wrote that partition 0 owns; the next merge
+    writes rank 0's table (and filterkv's aux partition 0) and adopts
+    every other extent again, under the first dump's names.  They survive
+    the sweep and a deep recovery, and a reattached store answers as
+    before."""
+    device = StorageDevice()
+    store = MultiEpochStore(nranks=NR, fmt=fmt, value_bytes=VB, device=device)
+    rng = np.random.default_rng(24)
+    blocks = _dumps(store, 2, rng)
+    newest = store.epochs[-1]
+    first = store.compact()
+    assert _written_by(_listed(store, first.merged_epoch), first.merged_epoch) == set()
+    partitioner = HashPartitioner(NR)
+    mine = blocks[0][partitioner.partition_of(blocks[0]) == 0]
+    assert mine.size
+    empty = np.zeros(0, dtype=np.uint64)
+    _write(store, [mine] + [empty] * (NR - 1), rng)
+    keys = _probe_keys(blocks)
+    before, _, _ = store.lookup_many(keys)
+
+    second = store.compact()
+
+    merged = second.merged_epoch
+    listed = _listed(store, merged)
+    expected = {f"part.{merged:03d}.000000"}
+    if fmt.name == "filterkv":
+        expected.add(f"aux.{merged:03d}.000000")
+    assert _written_by(listed, merged) == expected
+    readopted = set(listed) - expected
+    assert readopted and all(int(n.split(".")[1]) == newest for n in readopted)
+    assert second.extents_adopted == len(readopted)
+    assert all(device.exists(n) for n in listed)
+    assert store.lookup_many(keys)[0] == before
+    _answers_as_the_oracle(store, keys)
+    store.close()
+
+    manifest, report = Manifest.recover(device, deep=True)
+    assert report.quarantined_epochs == [] and report.orphans_removed == []
+    assert manifest.epoch_ids == [merged]
+    reopened = MultiEpochStore.attach(device)
+    assert _listed(reopened, merged) == listed
+    assert reopened.lookup_many(keys)[0] == before
+    _answers_as_the_oracle(reopened, keys)
+    reopened.close()
+
+
+def test_a_retired_id_is_refused_though_its_extents_serve_the_merged_epoch(fmt):
+    """The merged epoch serves the newest source's extents under that
+    source's id, yet a read of the retired id is still refused, before
+    and after a reattach."""
+    store = MultiEpochStore(nranks=NR, fmt=fmt, value_bytes=VB)
+    rng = np.random.default_rng(25)
+    blocks = _dumps(store, 2, rng)
+    newest = store.epochs[-1]
+    key = int(blocks[0][0])
+    report = store.compact()
+    merged = report.merged_epoch
+    assert all(int(n.split(".")[1]) == newest for n in _listed(store, merged))
+    reopened = MultiEpochStore.attach(store.device)
+    for s in (store, reopened):
+        for read in (
+            lambda: s.get(key, newest),
+            lambda: s.get_many([key], newest),
+            lambda: s.engine(newest),
+            lambda: s.mount().engine(newest),
+        ):
+            with pytest.raises(EpochRetiredError) as info:
+                read()
+            assert (info.value.epoch, info.value.merged) == (newest, merged)
+        assert s.get(key, merged)[0] is not None
+    for s in (store, reopened):
+        s.close()

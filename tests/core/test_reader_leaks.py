@@ -64,6 +64,7 @@ def test_cached_engine_returns_all_handles_on_close(fmt):
         partitioner=cold.partitioner,
         aux_tables=cold.aux_tables,
         epoch=cold.epoch,
+        files=cold.files,
     ) as engine:
         for i in range(60):
             b = batches[i % len(batches)]
@@ -85,6 +86,7 @@ def test_table_cache_eviction_closes_handles():
         partitioner=cold.partitioner,
         aux_tables=cold.aux_tables,
         epoch=cold.epoch,
+        files=cold.files,
         table_cache_entries=2,
     )
     for b in batches:  # touch all 6 partitions through a 2-entry cache

@@ -141,7 +141,14 @@ def test_store_extents_equal_the_per_table_build():
     one with its magic and checksum slots recomputed, nothing else.
     Re-pinned again when rows lost their ``u32`` value length: each table
     is the earlier one's rows re-encoded unframed, each manifest differs
-    only in its epochs' byte totals, every other extent is unchanged.)"""
+    only in its epochs' byte totals, every other extent is unchanged.
+    Re-pinned again when a merge began adopting source extents: every
+    dump holds every particle on the same rank, so the merged epoch lists
+    the newest source's 16 tables and 16 aux extents instead of copies.
+    Each adopted table is byte-identical to the rewritten one at its rank,
+    each adopted aux blob maps every stored key to the same rank, each
+    manifest differs only in file names and byte totals, and every other
+    extent is unchanged.)"""
     sim = VPICSimulation(16, 256, seed=3)
     store = MultiEpochStore(
         nranks=16,
@@ -153,7 +160,7 @@ def test_store_extents_equal_the_per_table_build():
         sim.step(1)
         store.write_epoch(sim.dump())
     assert store.compactions == 3
-    assert _extents_sha256(store) == "d3e5e410f3ef1651bd0cf7f2618618b7f9c1e1853a3b871cde3d73a06a378f15"
+    assert _extents_sha256(store) == "f1c708148d6d0937036d8f1e86d259ce2bb2f7bcc5e141e7cf49fc25a3fc525b"
 
 
 def _extents_sha256(store) -> str:
@@ -166,11 +173,14 @@ def _extents_sha256(store) -> str:
     return digest.hexdigest()
 
 
-# Re-pinned with the store above when rows lost their length: same proof.
+# Re-pinned with the store above when rows lost their length, and again
+# when merges began adopting: each key block moves to the next rank every
+# epoch, so every output rank's table is the newest source's table (and
+# filterkv's aux partitions its aux extents).  Same proof as above.
 COMPACTED = {
-    "base": "312733860d344bc3802ce8e8ec48f65e649d6d498b06c6b6bbeb5e831cdef89f",
-    "dataptr": "3b9037b2d00eab3a1985991c55c79a86c4cb71269044a904470724c70759f08a",
-    "filterkv": "1f8447522b5592fa2814d306e2af3647f8e660640b334eab6f8c6dd82e9f16ad",
+    "base": "12368032f6cec92dcb6c2bae1d2fc7f38025ea3e256ffa4201f10eb8ab746e6f",
+    "dataptr": "11d563548ced2bae0ded108c7da0f2e73180fd9d6171b85f3c0a5095ca8a398e",
+    "filterkv": "908502c5090718c92568cba58b71c95498a2ac02c25d97f2e0fe531a3378d23d",
 }
 
 

@@ -9,10 +9,16 @@ one of two states after recovery:
   byte-identical to the pre-compaction view.
 
 Never anything in between: no torn manifest interpreted, no half-merged
-epoch served, no source extent missing while its epoch is still live.
+epoch served, no extent missing while an epoch that lists it is live.
 Targeted trials pin the crash to each phase of the run (merge writes, aux
 seal, manifest swap); the seeded sweep scatters crashes across random
 device-op offsets, `FAULT_SEED_OFFSET` widening the window in CI.
+
+The adopting variant rewrites every key on the same rank in each dump,
+so the merge adopts every source extent and writes only the manifest:
+the merged epoch then lists extents named for a retired source.  Its
+crashes land before the swap, between the swap and the sweep, mid-sweep,
+and at the seeded offsets.
 """
 
 import os
@@ -39,9 +45,11 @@ def fmt(request):
     return request.param
 
 
-def _build(fmt, seed):
+def _build(fmt, seed, adopting=False):
     """A committed multi-epoch dataset on a faulty device (no faults armed
-    yet).  Returns ``(store, device, truth)`` with newest-wins truth."""
+    yet).  Returns ``(store, device, truth)`` with newest-wins truth.
+    ``adopting``: every dump rewrites the first dump's keys on the same
+    ranks, with new values."""
     device = FaultyStorageDevice(FaultPlan(seed=seed))
     store = MultiEpochStore(
         nranks=NRANKS, fmt=fmt, value_bytes=VALUE_BYTES, device=device, seed=seed
@@ -50,14 +58,17 @@ def _build(fmt, seed):
     truth: dict[int, bytes] = {}
     prev = None
     for _ in range(EPOCHS):
-        keys = np.unique(
-            rng.integers(0, 2**63, size=RECORDS * NRANKS, dtype=np.uint64)
-        )
-        if prev is not None:  # a third of each dump rewrites older keys
-            k = keys.size // 3
-            keys[:k] = rng.choice(prev, size=k, replace=False)
-            keys = np.unique(keys)
-        rng.shuffle(keys)
+        if adopting and prev is not None:  # every key again, on the same rank
+            keys = prev
+        else:
+            keys = np.unique(
+                rng.integers(0, 2**63, size=RECORDS * NRANKS, dtype=np.uint64)
+            )
+            if prev is not None:  # a third of each dump rewrites older keys
+                k = keys.size // 3
+                keys[:k] = rng.choice(prev, size=k, replace=False)
+                keys = np.unique(keys)
+            rng.shuffle(keys)
         values = rng.integers(0, 256, size=(keys.size, VALUE_BYTES), dtype=np.uint8)
         splits = np.array_split(np.arange(keys.size), NRANKS)
         store.write_epoch([KVBatch(keys[s], values[s]) for s in splits])
@@ -72,6 +83,9 @@ def _assert_pre_or_post(device, truth, sources, merged, metrics=None):
     recovered store (in whichever of the two states survived)."""
     recovered, report = MultiEpochStore.recover(device, metrics=metrics)
     assert recovered is not None, "a compaction crash lost the committed dataset"
+    listed = [n for info in recovered.manifest.epochs for n in info.files]
+    missing = [n for n in listed if not device.exists(n)]
+    assert not missing, f"recovered epochs list missing extents: {missing}"
     live = recovered.epochs
     if merged in live:
         assert live == [merged], f"merged epoch coexists with sources: {live}"
@@ -95,11 +109,11 @@ def _assert_pre_or_post(device, truth, sources, merged, metrics=None):
     return recovered
 
 
-def _crashed_compaction_trial(fmt, seed, arm):
+def _crashed_compaction_trial(fmt, seed, arm, adopting=False):
     """One deterministic trial: build, arm a fault via ``arm(device,
     merged)``, compact (maybe crashing), recover, check the contract,
     then prove the dataset is still compactable."""
-    store, device, truth = _build(fmt, seed)
+    store, device, truth = _build(fmt, seed, adopting)
     sources = list(store.epochs)
     merged = store.manifest.next_epoch
     crashed = arm(device, merged)
@@ -112,6 +126,8 @@ def _crashed_compaction_trial(fmt, seed, arm):
     # Disarm unfired faults so recovery and re-compaction run fault-free.
     device.plan.specs = [s for s in device.plan.specs if s.fired]
     recovered = _assert_pre_or_post(device, truth, sources, merged)
+    if adopting and merged in recovered.epochs:
+        _assert_adopted(recovered, sources)
     if recovered.epochs != [merged]:
         # Pre-state: the dataset must accept a clean retry.
         retry = MultiEpochStore.attach(device)
@@ -204,6 +220,89 @@ def test_compaction_crash_sweep(fmt, nseeds):
         completed_any |= not crashed
     # Both outcomes must appear across the window for real coverage; the
     # quick run asserts the weaker property (every trial consistent).
+    if nseeds >= 40:
+        assert crashed_any, "no sweep trial crashed inside the compaction"
+        assert completed_any, "every sweep trial crashed before completing"
+
+
+# -- the adopting variant ----------------------------------------------------
+
+
+def _assert_adopted(recovered, sources):
+    """The merged epoch lists the newest source's extents, not copies."""
+    newest = max(sources)
+    files = [n for n in recovered.manifest.epochs[0].files if n.startswith(("part.", "aux."))]
+    assert files and all(int(n.split(".")[1]) == newest for n in files), files
+
+
+def _crash_on_delete(device, nth):
+    """Crash the device at its ``nth`` delete of a table or aux extent.
+    Deletes are not charged operations, so no `FaultPlan` spec reaches the
+    sweep; this wrapper does, and the test removes it before recovery."""
+    real, seen = device.delete, [0]
+
+    def delete(name):
+        if name.startswith(("part.", "aux.")):
+            if seen[0] == nth:
+                device.crashed = True
+                raise CrashPoint(f"crash before deleting {name!r}")
+            seen[0] += 1
+        real(name)
+
+    device.delete = delete
+
+
+def test_adopting_crash_before_swap(fmt):
+    """The adopting merge writes nothing before the swap: a crash on the
+    swap append reverts to the sources, all still listed and present."""
+    crashed = _crashed_compaction_trial(
+        fmt,
+        SEED_OFFSET + 5,
+        lambda device, merged: device.plan.crash_at(0, pattern="MANIFEST.*") or True,
+        adopting=True,
+    )
+    assert crashed
+
+
+@pytest.mark.parametrize("nth", [0, 2], ids=["between-swap-and-sweep", "mid-sweep"])
+def test_adopting_crash_after_swap(fmt, nth):
+    """The swap landed, the sweep of the sources' dead extents did not
+    finish: recovery keeps the merged epoch and the source extents it
+    adopted, and sweeps the rest."""
+    store, device, truth = _build(fmt, SEED_OFFSET + 6, adopting=True)
+    sources, merged = list(store.epochs), store.manifest.next_epoch
+    _crash_on_delete(device, nth)
+    with pytest.raises(CrashPoint):
+        store.compact()
+    store.close()
+    vars(device).pop("delete")
+    recovered = _assert_pre_or_post(device, truth, sources, merged)
+    assert recovered.epochs == [merged], "a landed swap must survive recovery"
+    _assert_adopted(recovered, sources)
+
+
+@pytest.mark.parametrize(
+    "nseeds",
+    [
+        6,
+        pytest.param(40, marks=pytest.mark.slow),
+    ],
+    ids=["quick-6", "sweep-40"],
+)
+def test_adopting_compaction_crash_sweep(fmt, nseeds):
+    """Crashes scattered across the adopting merge's charged ops (its
+    source reads and the swap append)."""
+    crashed_any = completed_any = False
+    for seed in range(SEED_OFFSET + 60, SEED_OFFSET + 60 + nseeds):
+        rng = np.random.default_rng(seed ^ 0xADE)
+
+        def arm(device, merged, rng=rng):
+            device.plan.crash_at(device.op_index + int(rng.integers(1, 40)))
+            return True
+
+        crashed = _crashed_compaction_trial(fmt, seed, arm, adopting=True)
+        crashed_any |= crashed
+        completed_any |= not crashed
     if nseeds >= 40:
         assert crashed_any, "no sweep trial crashed inside the compaction"
         assert completed_any, "every sweep trial crashed before completing"

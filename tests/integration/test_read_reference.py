@@ -65,6 +65,7 @@ def _engine(cluster, cached):
         partitioner=cold.partitioner,
         aux_tables=cold.aux_tables,
         epoch=cold.epoch,
+        files=cold.files,
         metrics=MetricsRegistry(),
     )
 

@@ -16,8 +16,9 @@ each key on its own, the way the paper's reader does (Fig. 11):
   to a ``u32 length ‖ value`` record of that writer's value log.
 
 It shares with the code under test only what is not the read flow: the
-partitioner, the aux tables and the table metadata `SSTableReader` opens
-(`load_table_meta`'s footer, index and group table).
+partitioner, the aux tables, the per-rank table names the engine resolved
+from its epoch's listed extents, and the table metadata `SSTableReader`
+opens (`load_table_meta`'s footer, index and group table).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from repro.core.pipeline import main_table_name
 from repro.storage.sstable import CorruptBlockError, SSTableReader
 
 KEY = struct.Struct("<Q")  # a table row: the key, then the value to the row's end
@@ -59,6 +59,7 @@ class ReadOracle:
         self.partitioner = engine.partitioner
         self.aux_tables = engine.aux_tables
         self.epoch = engine.epoch
+        self.table_names = engine.table_names
         self._tables: dict[int, dict[int, bytes]] = {}
 
     def table(self, rank: int) -> dict[int, bytes]:
@@ -66,7 +67,7 @@ class ReadOracle:
         table = self._tables.get(rank)
         if table is None:
             table = {}
-            with SSTableReader(self.device, main_table_name(self.epoch, rank)) as reader:
+            with SSTableReader(self.device, self.table_names[rank]) as reader:
                 for key, value in scan_rows(reader):
                     table.setdefault(key, value)
             self._tables[rank] = table
