@@ -1,9 +1,9 @@
 """Ablation: cold per-query opens (the paper's reader) vs a warm cache.
 
 Fig. 11's costs include re-opening the partition on every query (footer +
-index loads each time).  A long-running analysis session would cache open
-tables and resident aux tables; this ablation measures how much of
-FilterKV's read-path premium that recovers.
+index loads each time).  A long-running analysis session would keep
+table metadata, aux tables and data blocks resident; this ablation
+measures how much of FilterKV's read-path premium that recovers.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from repro.analysis.reporting import table_artifact
 from repro.cluster import SimCluster
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
-from repro.core.reader import CachedQueryEngine
+from repro.core.reader import TABLE_CACHE_ENTRIES, MetaCache, QueryEngine
 
 NRANKS = 12
 RECORDS = 4000
@@ -44,7 +44,7 @@ def test_ablation_reader_caching(report, benchmark):
     for fmt in (FMT_BASE, FMT_DATAPTR, FMT_FILTERKV):
         cluster, keys = _dataset(fmt)
         cold = cluster.query_engine()
-        warm = CachedQueryEngine(
+        warm = QueryEngine(
             device=cold.device,
             fmt=cold.fmt,
             nranks=cold.nranks,
@@ -52,6 +52,8 @@ def test_ablation_reader_caching(report, benchmark):
             aux_tables=cold.aux_tables,
             epoch=cold.epoch,
             files=cold.files,
+            meta_cache=MetaCache(),
+            table_cache_entries=TABLE_CACHE_ENTRIES,
         )
         cold_reads = sum(cold.get(k)[1].reads for k in keys) / len(keys)
         warm_reads = sum(warm.get(k)[1].reads for k in keys) / len(keys)

@@ -59,7 +59,7 @@ from ..storage.envelope import seal
 from ..storage.manifest import EpochInfo, Manifest
 from .auxtable import aux_to_blob, build_sealed_aux
 from .partitioning import HashPartitioner
-from .pipeline import aux_table_name, epoch_files, main_table_name
+from .pipeline import aux_table_name, clear_epoch, epoch_files, main_table_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .multiepoch import MultiEpochStore
@@ -337,6 +337,7 @@ class Compactor:
     def run(self, epochs: list[int]) -> tuple[Manifest, CompactionReport]:
         """Merge ``epochs``; returns the swapped-in manifest and a report."""
         working, spec = self.prepare(self.validate(epochs))
+        clear_epoch(self.device, spec.merged)  # what a failed merge left
         bytes_before = self.device.total_bytes_stored()
         produced = produce_merged_epoch(spec, self.device, self.metrics)
         bytes_written = self.device.total_bytes_stored() - bytes_before

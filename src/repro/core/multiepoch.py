@@ -34,13 +34,8 @@ from .compact import CompactionPolicy, CompactionReport, Compactor
 from .formats import FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KVBatch
 from .partitioning import HashPartitioner
-from .reader import (
-    TABLE_CACHE_ENTRIES,
-    CachedQueryEngine,
-    MetaCache,
-    QueryEngine,
-    QueryStats,
-)
+from .pipeline import clear_epoch
+from .reader import TABLE_CACHE_ENTRIES, MetaCache, QueryEngine, QueryStats
 
 __all__ = ["MultiEpochStore", "EpochMount", "EpochRetiredError"]
 
@@ -107,10 +102,11 @@ class EpochMount:
     A sealed epoch is a static object, so a session needs no coherence
     protocol, only "did the set of sealed epochs change".  The mount owns
     the ``live epoch -> engine`` memo, the one rule that empties it (the
-    store's compaction generation moved: close and drop every engine,
-    since some hold handles on swept extents) and the two bulk reads.
+    store's compaction generation moved: drop every engine, since their
+    block caches may hold blocks of swept extents) and the two bulk reads.
     Engines are `MultiEpochStore.cached_engine`'s: ``table_cache_entries``
-    0 holds no handle between calls, >= 1 keeps that many readers warm.
+    0 keeps no data block between calls, >= 1 keeps that many tables'
+    worth (`QueryEngine`).
     """
 
     def __init__(
@@ -154,10 +150,8 @@ class EpochMount:
         return _newest_first(self.store.epochs, self.engine, keys)
 
     def close(self) -> None:
-        """Release every held reader handle (idempotent; engines rebuild
-        lazily against the store's current epoch set)."""
-        for engine in self._engines.values():
-            engine.close()
+        """Drop every engine and the blocks it keeps (idempotent; engines
+        rebuild lazily against the store's current epoch set)."""
         self._engines.clear()
         self._generation = self.store.compactions
 
@@ -206,12 +200,12 @@ class MultiEpochStore:
         self.aux_backends = AUTO_BACKENDS
         self.compactions = 0
         self.last_compaction: CompactionReport | None = None
-        # The store's own sessions.  `get` / `get_many`: handle opened and
-        # closed per call, so no data block outlives it (read-cold's RSS
-        # bound).  `trajectory` / `lookup*`: repeated cross-epoch reads
-        # keep their readers open.  Both see the store through a proxy: a
-        # store <-> mount cycle would leave a dropped store to the cycle
-        # collector instead of freeing it with its last reference.
+        # The store's own sessions.  `get` / `get_many`: no data block
+        # outlives a call (read-cold's RSS bound).  `trajectory` /
+        # `lookup*`: repeated cross-epoch reads keep data blocks warm.
+        # Both see the store through a proxy: a store <-> mount cycle would
+        # leave a dropped store to the cycle collector instead of freeing
+        # it with its last reference.
         me = weakref.proxy(self)
         self._reads = EpochMount(me)
         self._warm = EpochMount(me, table_cache_entries=TABLE_CACHE_ENTRIES)
@@ -324,6 +318,7 @@ class MultiEpochStore:
             raise ValueError(f"need {self.nranks} batches, got {len(batches)}")
         epoch = self._next_epoch
         records = sum(len(b) for b in batches)
+        clear_epoch(self.device, epoch)  # what a failed write of this id left
         cluster = SimCluster(
             nranks=self.nranks,
             fmt=self.fmt,
@@ -393,14 +388,13 @@ class MultiEpochStore:
         """The engine every `EpochMount` is built from: same device/format/
         aux tables as `engine`, table metadata in the store's `meta_cache`.
 
-        ``table_cache_entries`` bounds the open handles it keeps (and the
-        data blocks their block LRUs pin), not metadata: >= 1 is a
-        `CachedQueryEngine` with its bounded reader cache and telemetry
-        (what a serving tier mounts), 0 a plain `QueryEngine` that opens
-        and closes its handles per query.
+        ``table_cache_entries`` bounds the data blocks its `BlockCache`
+        keeps (`BLOCK_CACHE_BLOCKS` per entry), not metadata: >= 1 keeps
+        whole blocks warm between calls (what a serving tier mounts), 0
+        keeps none and fetches only the key groups a call decodes.
         """
         base = self.engine(epoch)
-        shared = dict(
+        return QueryEngine(
             device=self.device,
             fmt=self.fmt,
             nranks=self.nranks,
@@ -410,10 +404,8 @@ class MultiEpochStore:
             files=base.files,
             metrics=metrics,
             meta_cache=self.meta_cache,
+            table_cache_entries=table_cache_entries,
         )
-        if table_cache_entries == 0:
-            return QueryEngine(**shared)
-        return CachedQueryEngine(table_cache_entries=table_cache_entries, **shared)
 
     def mount(self, metrics=None, table_cache_entries: int = 0) -> EpochMount:
         """A reader session of the caller's own, for the caller to close."""
@@ -434,8 +426,8 @@ class MultiEpochStore:
         A compaction leaves one point for the epochs it merged.
 
         Served from the store's warm session: repeated trajectory calls
-        reuse open readers and loaded aux tables instead of opening and
-        closing every partition's handles on each call.
+        reuse resident table metadata, loaded aux tables and cached data
+        blocks instead of re-reading them on each call.
         """
         return [(e, *self._warm.engine(e).get(key)) for e in self.epochs]
 
@@ -489,9 +481,9 @@ class MultiEpochStore:
         """Flip the in-memory view to a swapped-in merged manifest.
 
         The on-device swap already landed.  Engines over retired epochs
-        hold handles on extents the sweep deleted: the store's own
-        sessions release theirs now, anyone else's `EpochMount` on its
-        next use (the generation moved).
+        may keep blocks of extents the sweep deleted: the store's own
+        sessions drop theirs now, anyone else's `EpochMount` on its next
+        use (the generation moved).
         """
         self.manifest = manifest
         for epoch in report.source_epochs:
@@ -507,8 +499,8 @@ class MultiEpochStore:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the store's own reader handles and the resident table
-        metadata (idempotent; later reads refill lazily)."""
+        """Drop the store's own engines and the resident table metadata
+        (idempotent; later reads refill lazily)."""
         self._reads.close()
         self._warm.close()
         self.meta_cache.clear()

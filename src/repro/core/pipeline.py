@@ -38,6 +38,7 @@ __all__ = [
     "build_aux",
     "main_table_name",
     "aux_table_name",
+    "clear_epoch",
     "epoch_files",
     "rank_extents",
 ]
@@ -86,6 +87,22 @@ def epoch_files(device: StorageDevice, epoch: int, fmt: FormatSpec) -> list[str]
         names.append(ValueLog.filename(0))
     own = tuple(n.rpartition(".")[0] + "." for n in names)
     return [n for n in device.list_files() if n.startswith(own)]
+
+
+def clear_epoch(device: StorageDevice, epoch: int) -> None:
+    """Delete every ``part.<epoch>.*`` and ``aux.<epoch>.*`` extent, before
+    epoch id ``epoch`` is written.
+
+    Writers create by appending, so what a failed attempt left would
+    otherwise sit in front of the retry's bytes.  The caller passes the
+    manifest's ``next_epoch``, which no committed epoch lists (adopted
+    extents carry older ids); value logs are shared by every epoch and
+    never deleted.
+    """
+    own = tuple(n(epoch, 0).rpartition(".")[0] + "." for n in (main_table_name, aux_table_name))
+    for name in device.list_files():
+        if name.startswith(own):
+            device.delete(name)
 
 
 @dataclass(frozen=True)
@@ -213,8 +230,11 @@ class WriterState:
         self._buffer_counts.clear()
 
     def finish(self) -> TableStats | None:
-        """Flush and finalize local structures; returns main-table stats."""
+        """Flush, then finalize and close local structures; returns
+        main-table stats."""
         self.flush()
+        if self._vlog is not None:
+            self._vlog.close()
         if self._main is not None:
             return self._main.finish()
         return None
@@ -325,7 +345,8 @@ class ReceiverState:
         # Sealed self-describing blob: a crash mid-append leaves a torn seal
         # that recovery detects, and a complete one reloads the table exactly.
         blob = seal(aux_to_blob(self.aux))
-        self.device.open(aux_table_name(self.epoch, self.rank), create=True).append(blob)
+        with self.device.open(aux_table_name(self.epoch, self.rank), create=True) as f:
+            f.append(blob)
         return None
 
     def _mappings(self) -> tuple[int, np.ndarray, np.ndarray]:

@@ -30,21 +30,28 @@ import numpy as np
 from ..obs import MetricsRegistry, active, child_span, current_span
 from ..storage.blockio import StorageDevice
 from ..storage.log import DataPointer, ValueLog
-from ..storage.sstable import BLOCK_CACHE_BLOCKS, FOOTER_BYTES, SSTableReader, TableMeta
+from ..storage.sstable import (
+    BLOCK_CACHE_BLOCKS,
+    FOOTER_BYTES,
+    BlockCache,
+    SSTableReader,
+    TableMeta,
+)
 from .auxtable import AuxTable
 from .formats import FormatSpec
 from .partitioning import HashPartitioner
 from .pipeline import rank_extents
 
-__all__ = ["QueryEngine", "CachedQueryEngine", "MetaCache", "QueryStats"]
+__all__ = ["QueryEngine", "MetaCache", "QueryStats"]
 
 # Resident table-metadata budget of one `MetaCache` (one per store).  A
 # table's meta is its index arrays plus ~10 Bloom bits per key, so this
 # holds the metadata of roughly 50 M keys.
 META_CACHE_BYTES = 64 << 20
 
-# Open table readers a warm engine keeps unless its owner says otherwise
-# (`CachedQueryEngine`, `MultiEpochStore.cached_engine`, `QueryService`).
+# Tables' worth of data blocks (`BLOCK_CACHE_BLOCKS` each) a warm engine
+# keeps unless its owner says otherwise (`MultiEpochStore.cached_engine`,
+# `QueryService`).
 TABLE_CACHE_ENTRIES = 64
 
 
@@ -92,8 +99,8 @@ class MetaCache:
 
     Sealed epochs are immutable and epoch ids are never reused, so a
     `TableMeta` stays valid until its epoch is retired (`drop_epoch`).
-    Every engine that shares one cache opens a table as "handle + cached
-    meta": footer, index and filter are read and verified by the first
+    Every engine that shares one cache opens a table from its cached
+    meta: footer, index and filter are read and verified by the first
     open only.  ``aux_fetched`` remembers which ``(epoch, owner)`` aux
     tables have been charged, so the accounting-only re-read of an
     already-decoded aux table happens once, not once per query.
@@ -147,10 +154,17 @@ class QueryEngine:
     epoch may serve a table or aux extent named for a retired epoch.
 
     With ``meta_cache=None`` this is the paper's cold reader: every query
-    opens its partitions afresh (footer + index reads) and re-fetches the
-    owner's aux table.  Given a `MetaCache` (a store shares one among all
-    its engines) the first open of a table fills the cache and later
-    opens, by any engine, cost no device read; see `MetaCache`.
+    opens its partitions afresh (footer + index reads), re-fetches the
+    owner's aux table, and fetches whole data blocks that nobody keeps.
+    Given a `MetaCache` (a store shares one among all its engines) the
+    first open of a table fills the cache and later opens, by any engine,
+    cost no device read; see `MetaCache`.  Such an engine also owns a
+    `BlockCache` of ``BLOCK_CACHE_BLOCKS × table_cache_entries`` blocks,
+    shared by every reader it builds: at 0 (the store's `get` /
+    `get_many`) it keeps none and its readers fetch only the key groups a
+    call decodes; above 0 (warm mounts, `QueryService`, fleet shards) it
+    keeps whole blocks between calls.  A reader holds no handle, so the
+    engine builds one per table per call and has nothing to close.
     """
 
     def __init__(
@@ -164,6 +178,7 @@ class QueryEngine:
         aux_tables: list[AuxTable | None] | None = None,
         metrics: MetricsRegistry | None = None,
         meta_cache: MetaCache | None = None,
+        table_cache_entries: int = 0,
     ):
         self.device = device
         self.fmt = fmt
@@ -175,12 +190,14 @@ class QueryEngine:
         self.table_names, self.aux_names = rank_extents(self.files, nranks)
         self.metrics = active(metrics)
         self.meta_cache = meta_cache
-        # Data blocks each table reader it opens keeps.  Over a `MetaCache`
-        # this engine's readers live for one call (the store's handle-free
-        # mount), so they keep none and fetch only the key groups the call
-        # decodes.  The paper's cold reader fetches whole blocks, as Fig.
-        # 11b/c counts them; so do `CachedQueryEngine`'s kept readers.
-        self._reader_blocks = 0 if meta_cache is not None else BLOCK_CACHE_BLOCKS
+        # The three fetch rules follow from this: none, whole blocks kept
+        # by nobody (Fig. 11b/c counts them); a cache, whole blocks kept
+        # in it; a 0-block cache, only the key groups a call decodes.
+        self.block_cache = (
+            None
+            if meta_cache is None
+            else BlockCache(BLOCK_CACHE_BLOCKS * table_cache_entries, device.metrics)
+        )
         fmtl = {"format": fmt.name}
         self._m_queries = self.metrics.counter("reader.queries", **fmtl)
         self._m_hits = self.metrics.counter("reader.hits", **fmtl)
@@ -210,9 +227,9 @@ class QueryEngine:
         cache = self.meta_cache
         meta = cache.get(self.epoch, rank) if cache is not None else None
         if meta is not None:
-            return SSTableReader(self.device, name, self._reader_blocks, meta=meta)
+            return SSTableReader(self.device, name, meta, self.block_cache)
         before = self.device.counters.snapshot()
-        reader = SSTableReader(self.device, name, self._reader_blocks)
+        reader = SSTableReader(self.device, name, cache=self.block_cache)
         d = self.device.counters.delta(before)
         stats._charge("footer", 1, FOOTER_BYTES)
         stats._charge("index", d.reads - 1, d.bytes_read - FOOTER_BYTES)
@@ -220,22 +237,6 @@ class QueryEngine:
         if cache is not None:
             cache.put(self.epoch, rank, reader.meta)
         return reader
-
-    def _release_table(self, reader: SSTableReader) -> None:
-        """Give back a reader obtained from `_open_table`.
-
-        The uncached engine opens per query, so it must close per query —
-        otherwise every lookup leaks an extent handle (audited through
-        `StorageDevice.open_handles`).  The cached engine overrides this
-        to a no-op because its cache owns the handle.
-        """
-        reader.close()
-
-    def _open_vlog(self, rank: int) -> ValueLog:
-        return ValueLog.open(self.device, rank)
-
-    def _release_vlog(self, log: ValueLog) -> None:
-        log.close()
 
     def _charge_aux(self, owner: int, stats: QueryStats) -> None:
         """Fetch the owner partition's auxiliary table bytes.
@@ -263,16 +264,6 @@ class QueryEngine:
                 aux_file.read(0, aux_file.size)
         finally:
             aux_file.close()
-
-    def close(self) -> None:
-        """Release held handles (no-op here: this engine holds none
-        between queries).  The cached subclass closes its caches."""
-
-    def __enter__(self) -> "QueryEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- the read flow -------------------------------------------------------
 
@@ -378,11 +369,8 @@ class QueryEngine:
                 continue
             lead = stats[pos[0]]
             reader = self._open_table(rank, lead)
-            try:
-                with self._charged(lead, "data"):
-                    vals, nblocks = reader.get_many(keys[pos])
-            finally:
-                self._release_table(reader)
+            with self._charged(lead, "data"):
+                vals, nblocks = reader.get_many(keys[pos])
             blocks_touched += nblocks
             probes += len(pos)
             for p, v in zip(pos, vals):
@@ -398,12 +386,12 @@ class QueryEngine:
             for rank, at in self._groups(pt.rank for _, pt in ptrs):
                 group = [ptrs[i] for i in at]
                 lead = stats[group[0][0]]
-                log = self._open_vlog(rank)
+                log = ValueLog.open(self.device, rank)
                 try:
                     with self._charged(lead, "vlog"):
                         vals = log.read_many([pt for _, pt in group])
                 finally:
-                    self._release_vlog(log)
+                    log.close()
                 for (p, _), v in zip(group, vals):
                     values[p] = v
         for st, hit in zip(stats, found):
@@ -437,90 +425,3 @@ class QueryEngine:
                 at += c
         return sorted(by_rank.items())
 
-
-class CachedQueryEngine(QueryEngine):
-    """Query engine with a warm, bounded reader cache.
-
-    The paper's readers open each partition per query (footer + index
-    loads every time); a long-running analysis session would keep tables
-    open and aux tables resident instead.  This engine caches table
-    readers (bounded LRU — a multi-epoch session can't end up holding
-    every rank of every epoch open) and value-log attachments, so only the
-    *first* query against a partition pays the open cost — the
-    reader-caching ablation quantifies the difference.  ``table_cache_entries``
-    bounds open handles and, with them, the data blocks their readers'
-    block LRUs pin; table metadata and the once-per-partition aux fetch
-    live in the `MetaCache` (a private one unless the store passes its
-    own).  Hits and misses per cache are reported as ``reader.cache.hits``
-    / ``reader.cache.misses`` with a ``cache`` label (``table`` | ``vlog``).
-    """
-
-    def __init__(
-        self,
-        *args,
-        table_cache_entries: int = TABLE_CACHE_ENTRIES,
-        meta_cache: MetaCache | None = None,
-        **kwargs,
-    ):
-        if meta_cache is None:
-            meta_cache = MetaCache()
-        super().__init__(*args, meta_cache=meta_cache, **kwargs)
-        self._reader_blocks = BLOCK_CACHE_BLOCKS  # kept readers keep whole blocks
-        if table_cache_entries < 1:
-            raise ValueError(f"table_cache_entries must be >= 1, got {table_cache_entries}")
-        self.table_cache_entries = table_cache_entries
-        self._table_cache: OrderedDict[int, SSTableReader] = OrderedDict()
-        self._vlog_cache: dict[int, ValueLog] = {}
-        fmtl = {"format": self.fmt.name}
-        self._m_cache_hits = {
-            c: self.metrics.counter("reader.cache.hits", cache=c, **fmtl)
-            for c in ("table", "vlog")
-        }
-        self._m_cache_misses = {
-            c: self.metrics.counter("reader.cache.misses", cache=c, **fmtl)
-            for c in ("table", "vlog")
-        }
-        self._m_cache_evictions = self.metrics.counter(
-            "reader.cache.evictions", cache="table", **fmtl
-        )
-
-    def _open_table(self, rank: int, stats: QueryStats) -> SSTableReader:
-        reader = self._table_cache.get(rank)
-        if reader is not None:
-            self._table_cache.move_to_end(rank)
-            self._m_cache_hits["table"].inc()
-            return reader
-        self._m_cache_misses["table"].inc()
-        reader = super()._open_table(rank, stats)
-        self._table_cache[rank] = reader
-        if len(self._table_cache) > self.table_cache_entries:
-            _, evicted = self._table_cache.popitem(last=False)
-            evicted.close()
-            self._m_cache_evictions.inc()
-        return reader
-
-    def _release_table(self, reader: SSTableReader) -> None:
-        pass  # the cache owns the handle; eviction or close() releases it
-
-    def _open_vlog(self, rank: int) -> ValueLog:
-        log = self._vlog_cache.get(rank)
-        if log is not None:
-            self._m_cache_hits["vlog"].inc()
-            return log
-        self._m_cache_misses["vlog"].inc()
-        log = super()._open_vlog(rank)
-        self._vlog_cache[rank] = log
-        return log
-
-    def _release_vlog(self, log: ValueLog) -> None:
-        pass  # cached per rank for the engine's lifetime
-
-    def close(self) -> None:
-        """Close every cached reader/log (metadata stays in the `MetaCache`,
-        which holds no handle)."""
-        for reader in self._table_cache.values():
-            reader.close()
-        for log in self._vlog_cache.values():
-            log.close()
-        self._table_cache.clear()
-        self._vlog_cache.clear()

@@ -260,8 +260,8 @@ class QueryService:
         Shedding hysteresis on the dispatch queue depth: shedding starts
         at this depth and stops once the queue drains to half of it.
     table_cache_entries:
-        Per-epoch engine reader-cache bound (see `CachedQueryEngine`);
-        at least 1.
+        Per-epoch engine block-cache bound, in tables' worth of data
+        blocks (see `QueryEngine`); at least 1.
     metrics:
         Registry for the ``serve.*`` (and the engines' ``reader.*``)
         series; a private real registry is created when omitted, because
@@ -315,9 +315,9 @@ class QueryService:
         self._shedder = _Shedder(queue_high_watermark)
         self._rcache = LRUCache(result_cache_entries, self.metrics)
         # The reader session.  When the store's compaction generation
-        # moves, its engines hold handles on extents the sweep deleted and
-        # epoch-keyed cache entries may describe retired epochs — both are
-        # dropped (`invalidate`) before the next probe runs.
+        # moves, its engines may keep blocks of extents the sweep deleted
+        # and epoch-keyed cache entries may describe retired epochs — both
+        # are dropped (`invalidate`) before the next probe runs.
         self._mount = store.mount(self.metrics, table_cache_entries)
         self._queue: asyncio.Queue = asyncio.Queue()
         self._index: dict[tuple, _Pending] = {}
@@ -670,7 +670,7 @@ class QueryService:
         self._m_batches.inc()
         self._m_occupancy.observe(len(batch))
         # A compaction that landed since these requests were admitted
-        # deleted the extents the mounted engines hold handles on.
+        # deleted extents the mounted engines may keep blocks of.
         self._check_generation()
         live: list[_Pending] = []
         for pending in batch:

@@ -96,9 +96,9 @@ class IOCounters:
 class StorageDevice:
     """A byte-addressable device with cost accounting.
 
-    Files are named extents inside the device; `open` returns a
-    `StorageFile` whose reads and writes are charged to this device's
-    counters.
+    Files are named extents inside the device.  `read` reads one by name;
+    `open` returns a `StorageFile` handle for appends and handle-scoped
+    reads.  Every read and write is charged to this device's counters.
     """
 
     def __init__(
@@ -115,8 +115,9 @@ class StorageDevice:
         self._m_bytes_read = self.metrics.counter("storage.bytes_read", device=dev)
         self._m_bytes_written = self.metrics.counter("storage.bytes_written", device=dev)
         self._files: dict[str, io.BytesIO] = {}
-        # Live StorageFile handles (opens minus closes): leak audits assert
-        # that a read path leaves this unchanged after N queries.
+        # Live StorageFile handles (opens minus closes).  Table readers read
+        # by name and hold none, and every writer closes what it writes, so
+        # this is 0 whenever no read or write call is in flight.
         self.open_handles = 0
 
     def open(self, name: str, create: bool = False) -> "StorageFile":
@@ -126,6 +127,18 @@ class StorageDevice:
             self._files[name] = io.BytesIO()
         self.open_handles += 1
         return StorageFile(self, name)
+
+    def read(self, name: str, offset: int, size: int) -> bytes:
+        """Read ``size`` bytes at ``offset`` of extent ``name``, no handle.
+
+        A read that begins at or before the extent's end may come back
+        short (plain EOF); a read that begins *past* the end, or against a
+        deleted extent, raises `ExtentLostError` — the bytes the offset
+        referred to were lost underneath the reader.
+        """
+        if offset < 0 or size < 0:
+            raise ValueError("offset and size must be non-negative")
+        return self._read(name, offset, size)
 
     def exists(self, name: str) -> bool:
         return name in self._files
@@ -177,7 +190,7 @@ class StorageDevice:
             raise FileNotFoundError(f"no such extent: {name!r}")
         return buf
 
-    # -- charged primitives, used by StorageFile --------------------------
+    # -- charged primitives, used by `read` and StorageFile -----------------
 
     def _charge_read(self, nbytes: int) -> None:
         self.counters.reads += 1
@@ -231,17 +244,10 @@ class StorageFile:
         return self.device._append(self.name, bytes(data))
 
     def read(self, offset: int, size: int) -> bytes:
-        """Read ``size`` bytes starting at ``offset``.
-
-        A read that begins at or before the extent's end may come back
-        short (plain EOF); a read that begins *past* the end, or against a
-        deleted extent, raises `ExtentLostError` — the bytes the offset
-        referred to were lost underneath this handle.
-        """
+        """Read ``size`` bytes starting at ``offset`` (`StorageDevice.read`
+        of this extent, on an open handle)."""
         self._check_open()
-        if offset < 0 or size < 0:
-            raise ValueError("offset and size must be non-negative")
-        return self.device._read(self.name, offset, size)
+        return self.device.read(self.name, offset, size)
 
     @property
     def size(self) -> int:

@@ -30,15 +30,11 @@ __all__ = [
 
 
 def read_table_arrays(device: StorageDevice, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """One source table's full contents as ``(keys, values)`` arrays.
-
-    Opens, streams, and closes the reader — compaction must not leak
-    handles while the store keeps serving.
-    """
+    """One source table's full contents as ``(keys, values)`` arrays, read
+    by a reader that keeps no block (each one is fetched once)."""
     from .sstable import SSTableReader  # local: avoid import-order knots
 
-    with SSTableReader(device, name) as reader:
-        return reader.scan_arrays()
+    return SSTableReader(device, name).scan_arrays()
 
 
 def first_occurrence(keys: np.ndarray) -> np.ndarray:
@@ -65,7 +61,7 @@ def write_merged_table(
     values: np.ndarray,
     block_size: int,
 ) -> TableStats:
-    """Write one merged partition table with the streaming bulk writer.
+    """Write (and close) one merged partition table with the bulk writer.
 
     Empty inputs still produce a valid (zero-entry) table: every rank must
     own a table in the merged epoch because aux false positives can name
@@ -75,6 +71,4 @@ def write_merged_table(
     writer = SSTableWriter(device, name, block_size=block_size)
     if keys.size:
         writer.add_many(keys, values)
-    stats = writer.finish()
-    writer.close()
-    return stats
+    return writer.finish()

@@ -134,7 +134,8 @@ class ValueLog:
         return out
 
     def close(self) -> None:
-        """Release the log's extent handle (idempotent; reader-side attach)."""
+        """Release the log's extent handle (idempotent): a writer's once its
+        epoch is written, a reader's after each call."""
         self._file.close()
 
     def __len__(self) -> int:

@@ -341,9 +341,9 @@ def _validate_epoch(device: StorageDevice, info: EpochInfo, deep: bool) -> str |
             return f"missing extent {name!r}"
         try:
             if name.startswith("part."):
-                with SSTableReader(device, name) as reader:
-                    if deep:
-                        reader.scan_arrays()
+                reader = SSTableReader(device, name)
+                if deep:
+                    reader.scan_arrays()
             elif name.startswith("aux."):
                 with device.open(name) as f:
                     payload = try_unseal(f.read(0, f.size))

@@ -40,12 +40,13 @@ Layout (all little-endian, 8-byte keys as in the paper's experiments)::
     (checksummed) index block, and a lookup checks and decodes only the
     groups its keys land in — chosen from the group first keys, so a key
     that is absent is still a verified "absent".  What that one read
-    fetches depends on the reader: one with a block cache fetches and
-    keeps the whole block; one that keeps no blocks fetches only the span
-    from the first to the last group the lookup touches, planned from the
-    resident group table before the read.  Filter, index and footer
-    carry their own checksums, so corruption anywhere in the table is
-    detected at read time rather than silently changing answers.  Tables
+    fetches follows the reader's `BlockCache`: with none, or one that
+    keeps blocks, it fetches the whole block (and the cache keeps it);
+    with one that keeps none, only the span from the first to the last
+    group the lookup touches, planned from the resident group table
+    before the read.  Filter, index and footer carry their own checksums,
+    so corruption anywhere in the table is detected at read time rather
+    than silently changing answers.  Tables
     of the earlier layouts — rows framed by a ``u32`` value length, the
     same groups under a 64-bit NumPy sum, or a count and one checksum per
     block, no groups — have other magics and are refused by name with
@@ -55,8 +56,9 @@ Layout (all little-endian, 8-byte keys as in the paper's experiments)::
 Values are one ``(n, width)`` uint8 matrix per table: every record has
 the same size, so blocks and groups are rows of whole records.  Writers
 buffer entries, sort by key, and emit blocks of ``block_size`` bytes.
-Readers are handed a `StorageFile`, so every access is charged to the
-owning `StorageDevice` — seeks and bytes line up with Fig. 11b/c.
+Readers read their extent by name (`StorageDevice.read`) and hold no
+handle; every access is charged to the device, so seeks and bytes line
+up with Fig. 11b/c.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..filters.bloom import BloomFilter
+from ..obs import MetricsRegistry
 from ..obs.trace import child_span, current_span
 from .blockio import StorageDevice, StorageFile
 from .checksum import CHECKSUM_BYTES, crc32_rows
@@ -77,6 +80,7 @@ from .envelope import UnsupportedLayoutError
 __all__ = [
     "SSTableWriter",
     "SSTableReader",
+    "BlockCache",
     "TableMeta",
     "TableStats",
     "load_table_meta",
@@ -111,8 +115,8 @@ _GROUP_ENTRY_BYTES = 8 + 8 + 4  # first key, checksum, offset: stored as columns
 # PR 24); readers take group bounds from the table, never from this constant.
 GROUP_BYTES = 4096
 
-# Data blocks a reader keeps by default (its LRU); such a reader fetches
-# whole blocks.  A reader that keeps none fetches only the groups it touches.
+# Data blocks a warm engine's `BlockCache` keeps per table it reads
+# (`QueryEngine`: ``BLOCK_CACHE_BLOCKS × table_cache_entries``).
 BLOCK_CACHE_BLOCKS = 2
 
 
@@ -245,7 +249,8 @@ class SSTableWriter:
         self._nentries += keys.size
 
     def finish(self) -> TableStats:
-        """Sort, write blocks + filter + index + footer; returns sizes."""
+        """Sort, write blocks + filter + index + footer, close the extent;
+        returns sizes."""
         if self._finished:
             raise ValueError("writer already finished")
         self._finished = True
@@ -308,6 +313,7 @@ class SSTableWriter:
         self._file.append(
             footer_body + zlib.crc32(footer_body).to_bytes(CHECKSUM_BYTES, "little")
         )
+        self._file.close()
         self._chunks.clear()
         return TableStats(
             nentries=nentries,
@@ -315,10 +321,6 @@ class SSTableWriter:
             filter_bytes=len(filter_blob),
             index_bytes=len(index_blob),
         )
-
-    def close(self) -> None:
-        """Release the output extent handle (idempotent; after `finish`)."""
-        self._file.close()
 
 
 @dataclass(frozen=True)
@@ -357,7 +359,7 @@ def _checked(blob: bytes, what: str, name: str) -> bytes:
     return body
 
 
-def load_table_meta(file: StorageFile, name: str) -> TableMeta:
+def load_table_meta(device: StorageDevice, name: str) -> TableMeta:
     """Read and verify a table's footer, index and filter (2 device reads).
 
     Raises `ValueError` for a table too small or with a bad magic,
@@ -369,10 +371,10 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
     count and offset is checked against the bytes present before anything
     is sized from it.
     """
-    size = file.size
+    size = device.file_size(name)
     if size < FOOTER_BYTES:
         raise ValueError(f"table {name!r} too small to hold a footer")
-    footer = file.read(size - FOOTER_BYTES, FOOTER_BYTES)
+    footer = device.read(name, size - FOOTER_BYTES, FOOTER_BYTES)
     body, stored = footer[: _FOOTER_BODY.size], footer[_FOOTER_BODY.size :]
     (
         magic,
@@ -410,12 +412,12 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
     # single read, like the paper's "load the partition's indexes"
     # step (one ~12 MB read in their runs).
     if filter_len:
-        span = file.read(filter_off, (index_off + index_len) - filter_off)
+        span = device.read(name, filter_off, (index_off + index_len) - filter_off)
         filter_blob = span[:filter_len]
         index_blob = span[index_off - filter_off :]
     else:
         filter_blob = b""
-        index_blob = file.read(index_off, index_len)
+        index_blob = device.read(name, index_off, index_len)
     index_blob = _checked(index_blob, "index block", name)
     if filter_blob:
         filter_blob = _checked(filter_blob, "filter block", name)
@@ -484,12 +486,13 @@ def load_table_meta(file: StorageFile, name: str) -> TableMeta:
 class _Block:
     """One fetch from a data block: a run of its consecutive key groups.
 
-    A caching reader fetches (and keeps) the whole block, every group; a
-    reader that keeps no blocks fetches the span from the first to the last
-    group a call touches.  ``lo`` is the run's first group within its block
-    and ``g0`` that group's index in the table's group table; group ``g`` of
-    the run is bytes ``g * group_bytes`` onwards of ``raw`` (the block's
-    last group the short one).  ``verified`` records what lookups so far
+    A reader without a cache, or with one that keeps blocks, fetches the
+    whole block, every group; one over a 0-block cache fetches the span
+    from the first to the last group a call touches.  ``lo`` is the run's
+    first group within its block and ``g0`` that group's index in the
+    table's group table; group ``g`` of the run is bytes ``g *
+    group_bytes`` onwards of ``raw`` (the block's last group the short
+    one).  ``verified`` records what lookups so far
     have verified and decoded — a group is checksummed and decoded the
     first time a lookup lands in it, never before.  ``keys`` is the run's
     key column: a verified group's slots hold its keys; the slots of a
@@ -508,6 +511,41 @@ class _Block:
         self.keys = keys
 
 
+class BlockCache:
+    """LRU of fetched data blocks, keyed ``(extent name, block)``.
+
+    One cache serves every reader built over it, so a block one reader
+    fetched (and the groups it verified) serves the next reader of the
+    same table with no device read.  It holds at most ``blocks`` blocks
+    and counts ``sstable.block_cache.{hits,misses}``.  A 0-block cache
+    keeps nothing: its readers fetch only the span of key groups a call
+    decodes.
+    """
+
+    def __init__(self, blocks: int, metrics: MetricsRegistry):
+        self.blocks = blocks
+        self._lru: OrderedDict[tuple[str, int], _Block] = OrderedDict()
+        self._m_hits = metrics.counter("sstable.block_cache.hits")
+        self._m_misses = metrics.counter("sstable.block_cache.misses")
+
+    def __len__(self) -> int:
+        return len(self._lru)
+
+    def get(self, name: str, i: int) -> _Block | None:
+        blk = self._lru.get((name, i))
+        if blk is None:
+            self._m_misses.inc()
+            return None
+        self._lru.move_to_end((name, i))
+        self._m_hits.inc()
+        return blk
+
+    def put(self, name: str, i: int, blk: _Block) -> None:
+        self._lru[(name, i)] = blk
+        if len(self._lru) > self.blocks:
+            self._lru.popitem(last=False)
+
+
 class SSTableReader:
     """Reads point queries out of a finished SSTable.
 
@@ -518,64 +556,33 @@ class SSTableReader:
     footer/index/filter resident: the open then costs no device read.
     Fig. 11 amortizes these across the 100 queries only partially — each
     query opens its partition afresh in the paper, which is the default
-    here.
+    here.  A reader reads its extent by name and holds no handle, so it
+    needs no closing and costs nothing to drop.
 
-    What one data-block read fetches follows from ``block_cache_blocks``.
-    A reader with a block cache fetches whole blocks and keeps the last
-    few.  A reader that keeps none (``block_cache_blocks=0``) fetches, per
-    block a call needs, only the span from the first to the last key group
-    that call's keys land in — still one read per block, and the bytes it
-    fetches are those it decodes plus any untouched groups between them.
-    Either way the groups are chosen from the resident group table before
-    any I/O.
+    What one data-block read fetches follows from ``cache``.  With none,
+    the reader fetches whole blocks and keeps none (each call reads each
+    block it needs once, and counts it a block-cache miss).  With a
+    `BlockCache` of blocks it fetches whole blocks into the cache.  Over a
+    0-block cache it fetches, per block a call needs, only the span from
+    the first to the last key group that call's keys land in — still one
+    read per block, and the bytes it fetches are those it decodes plus any
+    untouched groups between them.  Either way the groups are chosen from
+    the resident group table before any I/O.
     """
+
+    __slots__ = ("_device", "name", "meta", "_cache")
 
     def __init__(
         self,
         device: StorageDevice,
         name: str,
-        block_cache_blocks: int = BLOCK_CACHE_BLOCKS,
         meta: TableMeta | None = None,
+        cache: BlockCache | None = None,
     ):
-        self._file = device.open(name)
+        self._device = device
         self.name = name
-        self._metrics = device.metrics
-        # Small LRU over fetched data blocks: consecutive lookups that land
-        # in the same block (sorted scans, hot blocks under a warm reader)
-        # skip the re-read, and the re-checksum of groups already verified.
-        # With none, a lookup fetches only the span of groups it touches.
-        self.block_cache_blocks = max(0, int(block_cache_blocks))
-        self._block_cache: OrderedDict[int, _Block] = OrderedDict()
-        self._m_bc_hits = device.metrics.counter("sstable.block_cache.hits")
-        self._m_bc_misses = device.metrics.counter("sstable.block_cache.misses")
-        if meta is None:
-            try:
-                meta = load_table_meta(self._file, name)
-            except Exception:
-                self._file.close()  # a failed open must not leak its handle
-                raise
-        self.meta = meta
-        self.nentries = meta.nentries
-        self.block_size = meta.block_size
-        self._first, self._last = meta.first, meta.last
-        self._off, self._len = meta.off, meta.length
-        self._bloom = meta.bloom
-
-    def close(self) -> None:
-        """Release the underlying extent handle (idempotent).
-
-        Readers that a query path opens per lookup must be closed (or
-        cached for reuse) — `StorageDevice.open_handles` audits exactly
-        this.  Footer/index/filter state stays resident, but further
-        `get_many`/`scan_arrays` calls will fail on the closed handle.
-        """
-        self._file.close()
-
-    def __enter__(self) -> "SSTableReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self.meta = meta if meta is not None else load_table_meta(device, name)
+        self._cache = cache
 
     def get(self, key: int) -> bytes | None:
         """Point lookup, `get_many` of one key; returns the (first) value or
@@ -595,8 +602,8 @@ class SSTableReader:
         g0 = first + lo
         gb, rec = meta.group_bytes, meta.record_bytes
         start = lo * gb
-        size = min(hi * gb, int(self._len[i])) - start
-        raw = self._file.read(int(self._off[i]) + start, size)
+        size = min(hi * gb, int(meta.length[i])) - start
+        raw = self._device.read(self.name, int(meta.off[i]) + start, size)
         if len(raw) != size:
             raise CorruptBlockError(
                 f"block {i} of {self.name!r} truncated: {len(raw)} of the {size} bytes "
@@ -610,24 +617,24 @@ class SSTableReader:
         """Block ``i`` for a lookup landing in ``groups`` (block-relative,
         ascending; None: every group).
 
-        A reader with a block cache fetches the whole block and keeps it: a
-        hit costs no device read and keeps what earlier lookups verified
-        (``sstable.block_cache.{hits,misses}`` count both outcomes).  A
-        reader without one fetches the span ``groups[0]`` to ``groups[-1]``.
+        Without a cache, the whole block, kept by nobody.  With one, a hit
+        costs no device read and keeps what earlier lookups verified; a
+        miss fetches the whole block into it, or, when it keeps none, only
+        the span ``groups[0]`` to ``groups[-1]``.
         """
-        blk = self._block_cache.get(i)
+        cache = self._cache
+        if cache is None:
+            self._device.metrics.counter("sstable.block_cache.misses").inc()
+            return self._fetch(i)
+        blk = cache.get(self.name, i)
         if blk is not None:
-            self._block_cache.move_to_end(i)
-            self._m_bc_hits.inc()
             return blk
-        self._m_bc_misses.inc()
-        if not self.block_cache_blocks:
+        if not cache.blocks:
             if groups is None:
                 return self._fetch(i)
             return self._fetch(i, int(groups[0]), int(groups[-1]) + 1)
-        blk = self._block_cache[i] = self._fetch(i)
-        if len(self._block_cache) > self.block_cache_blocks:
-            self._block_cache.popitem(last=False)
+        blk = self._fetch(i)
+        cache.put(self.name, i, blk)
         return blk
 
     def _touch(self, blk: _Block, i: int, groups: np.ndarray) -> None:
@@ -700,9 +707,9 @@ class SSTableReader:
     def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized Bloom gate; False means definitely absent."""
         keys = np.asarray(keys, dtype=np.uint64).ravel()
-        if self._bloom is None:
+        if self.meta.bloom is None:
             return np.ones(keys.size, dtype=bool)
-        return self._bloom.contains_many(keys)
+        return self.meta.bloom.contains_many(keys)
 
     def get_many(self, keys: np.ndarray) -> tuple[list[bytes | None], int]:
         """Point lookups, the table's one read (`get` is this of one key);
@@ -721,7 +728,7 @@ class SSTableReader:
             return self._get_many(keys)
         with child_span(
             "sstable.get_many",
-            counters=self._metrics,
+            counters=self._device.metrics,
             prefixes=("sstable.",),
             table=self.name,
             keys=int(keys.size),
@@ -733,7 +740,7 @@ class SSTableReader:
 
     def _get_many(self, keys: np.ndarray) -> tuple[list[bytes | None], int]:
         values: list[bytes | None] = [None] * keys.size
-        first = self._first
+        first = self.meta.first
         if first.size == 0:
             return values, 0
         # Keys ascend across blocks, so a key the Bloom filter passes can be
@@ -742,7 +749,7 @@ class SSTableReader:
         pos = self.may_contain_many(keys).nonzero()[0]
         k = keys[pos]
         blocks: dict[int, list[int]] = {}
-        for p, key, i in zip(pos.tolist(), k.tolist(), self._last.searchsorted(k).tolist()):
+        for p, key, i in zip(pos.tolist(), k.tolist(), self.meta.last.searchsorted(k).tolist()):
             if i < first.size and first[i] <= key:
                 blocks.setdefault(i, []).append(p)
         for i in sorted(blocks):
@@ -762,14 +769,14 @@ class SSTableReader:
 
         Returns ``(keys, values)``, values a ``(n, width)`` uint8 matrix.
         Every block is fetched whole, and every group of it verified in one
-        pass before any of it is decoded; blocks stream through the block
-        cache one at a time, so peak memory is the decoded output plus one
+        pass before any of it is decoded; a reader without a cache holds
+        one block at a time, so peak memory is the decoded output plus one
         block.
         """
         key_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
         rec = self.meta.record_bytes
-        for i in range(self._off.size):
+        for i in range(self.meta.off.size):
             blk = self._block(i)
             self._touch(blk, i, np.arange(blk.verified.size))
             key_parts.append(blk.keys)

@@ -1,4 +1,4 @@
-"""Tests for the warm-cache query engine."""
+"""Tests for the warm query engine: resident metadata and a block cache."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import SimCluster
 from repro.core import FMT_BASE, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
-from repro.core.reader import CachedQueryEngine
+from repro.core.reader import TABLE_CACHE_ENTRIES, MetaCache, QueryEngine
 
 
 def _dataset(fmt, nranks=6, records=1500):
@@ -22,7 +22,7 @@ def _dataset(fmt, nranks=6, records=1500):
 
 def _cached(cluster):
     cold = cluster.query_engine()
-    return CachedQueryEngine(
+    return QueryEngine(
         device=cold.device,
         fmt=cold.fmt,
         nranks=cold.nranks,
@@ -30,6 +30,8 @@ def _cached(cluster):
         aux_tables=cold.aux_tables,
         epoch=cold.epoch,
         files=cold.files,
+        meta_cache=MetaCache(),
+        table_cache_entries=TABLE_CACHE_ENTRIES,
     )
 
 
@@ -93,8 +95,8 @@ def test_store_engines_share_one_aux_charge():
     _, first = store.get(int(same[0]), 0)
     _, second = store.get(int(same[1]), 0)
     _, bulk = store.get_many(same, 0)
-    with store.cached_engine(0) as served:
-        _, third = served.get(int(same[2]))
+    served = store.cached_engine(0)
+    _, third = served.get(int(same[2]))
     assert first.breakdown_reads.get("aux") == 1
     assert all(s.breakdown_reads.get("aux", 0) == 0 for s in [second, third, *bulk])
 

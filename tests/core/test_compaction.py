@@ -443,7 +443,6 @@ def _answers_as_the_oracle(store, keys):
         for entries in (0, 4):
             engine = store.cached_engine(epoch, MetricsRegistry(), entries)
             check_against_oracle(engine, keys, NULL_REGISTRY)
-            engine.close()
 
 
 def test_a_dump_of_every_key_is_adopted_whole(fmt):

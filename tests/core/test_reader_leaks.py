@@ -1,12 +1,14 @@
-"""Extent-handle leak audits for the read path.
+"""Extent-handle leak audits for the read and write paths.
 
 `StorageDevice.open_handles` counts live `StorageFile` handles (opens
-minus closes).  The uncached `QueryEngine` opens tables, value logs, and
-aux extents per query, so after any number of queries the device must be
-back at its pre-query handle count — historically the uncached path
-leaked one reader per query.  The cached engine intentionally holds
-handles while warm, but must return every one of them on `close()`.
+minus closes).  A table reader reads its extent by name and holds none;
+value-log reads and aux fetches open and close one per call; writers
+close what they write.  So whenever no call is in flight the count is 0,
+on every surface and every format — historically the uncached path
+leaked one reader per query, and the write path one handle per extent.
 """
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from repro.cluster import SimCluster
 from repro.core import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
+from repro.core.reader import TABLE_CACHE_ENTRIES
+from repro.obs import MetricsRegistry
+from repro.serve import QueryService
 
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
 
@@ -37,6 +42,7 @@ def test_uncached_engine_leaks_no_handles(fmt):
     cluster, batches = _dataset(fmt)
     engine = cluster.query_engine()
     baseline = engine.device.open_handles
+    assert baseline == 0  # the write path closed everything it wrote
     for i in range(100):
         b = batches[i % len(batches)]
         value, _ = engine.get(int(b.keys[i % len(b)]))
@@ -51,61 +57,57 @@ def test_uncached_engine_leaks_no_handles(fmt):
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
-def test_cached_engine_returns_all_handles_on_close(fmt):
-    cluster, batches = _dataset(fmt)
-    cold = cluster.query_engine()
-    from repro.core.reader import CachedQueryEngine
+def test_no_call_leaves_a_handle_open(fmt):
+    """The one invariant: after every call on every read surface — the cold
+    engine, the handle-free `get` / `get_many`, a warm engine,
+    `lookup_many`, `trajectory` and a `QueryService` window — and after
+    every write and merge, no extent handle is open."""
+    store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=24, seed=17)
+    device = store.device
+    rng = np.random.default_rng(17)
+    batches = []
+    for _ in range(3):
+        batches.append([random_kv_batch(200, 24, rng) for _ in range(4)])
+        store.write_epoch(batches[-1])
+        assert device.open_handles == 0
+    keys = np.concatenate([b.keys[::23] for epoch in batches for b in epoch] + [[5]])
 
-    baseline = cold.device.open_handles
-    with CachedQueryEngine(
-        device=cold.device,
-        fmt=cold.fmt,
-        nranks=cold.nranks,
-        partitioner=cold.partitioner,
-        aux_tables=cold.aux_tables,
-        epoch=cold.epoch,
-        files=cold.files,
-    ) as engine:
-        for i in range(60):
-            b = batches[i % len(batches)]
-            engine.get(int(b.keys[i % len(b)]))
-        assert engine.device.open_handles > baseline  # warm cache holds handles
-    assert cold.device.open_handles == baseline, "close() must release every cached handle"
+    def surfaces():
+        for epoch in store.epochs:
+            warm = store.cached_engine(epoch, table_cache_entries=TABLE_CACHE_ENTRIES)
+            for engine in (store.engine(epoch), warm):
+                yield lambda: engine.get(int(keys[0]))
+                yield lambda: engine.get_many(keys)
+            yield lambda: store.get(int(keys[1]), epoch)
+            yield lambda: store.get_many(keys, epoch)
+        yield lambda: store.lookup_many(keys)
+        yield lambda: store.lookup(int(keys[2]), cached=False)
+        yield lambda: store.trajectory(int(keys[3]))
 
+    async def window():
+        async with QueryService(store, metrics=MetricsRegistry()) as svc:
+            replies = await asyncio.gather(*(svc.get(int(k)) for k in keys[:40]))
+            assert all(r.status in ("ok", "not_found") for r in replies)
+            assert device.open_handles == 0
 
-def test_table_cache_eviction_closes_handles():
-    cluster, batches = _dataset(FMT_BASE, nranks=6)
-    cold = cluster.query_engine()
-    from repro.core.reader import CachedQueryEngine
-
-    baseline = cold.device.open_handles
-    engine = CachedQueryEngine(
-        device=cold.device,
-        fmt=cold.fmt,
-        nranks=cold.nranks,
-        partitioner=cold.partitioner,
-        aux_tables=cold.aux_tables,
-        epoch=cold.epoch,
-        files=cold.files,
-        table_cache_entries=2,
-    )
-    for b in batches:  # touch all 6 partitions through a 2-entry cache
-        for i in range(3):
-            engine.get(int(b.keys[i]))
-    assert engine.device.open_handles <= baseline + 2  # bounded, evictions closed
-    assert engine.metrics is not None  # engine without registry still audits
-    engine.close()
-    assert cold.device.open_handles == baseline
+    for merged in (False, True):
+        for call in surfaces():
+            call()
+            assert device.open_handles == 0
+        asyncio.run(window())
+        assert device.open_handles == 0
+        if not merged:
+            store.compact()
+            assert device.open_handles == 0
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
 def test_trajectory_reuses_pooled_engines(fmt):
-    """Repeated trajectory calls must not churn reader handles.
+    """Repeated trajectory calls reuse the store's warm engines.
 
-    The store keeps one warm `CachedQueryEngine` per live epoch: the
-    first call opens handles, every later call reuses them (stable handle
-    count, near-zero new device reads), and `close()` returns the device
-    to its pre-trajectory count.
+    The store keeps one warm engine per live epoch: the first sweep builds
+    them, every later call reuses them and their cached blocks (the same
+    engines, near-zero new device reads), and none holds a handle.
     """
     store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=24, seed=5)
     rng = np.random.default_rng(5)
@@ -117,28 +119,25 @@ def test_trajectory_reuses_pooled_engines(fmt):
     attached = MultiEpochStore.attach(store.device)
     keys = [int(epoch_batches[e][r].keys[7]) for e in range(3) for r in range(4)]
 
-    baseline = attached.device.open_handles
     for k in keys:
         attached.trajectory(k)
-    warm = attached.device.open_handles
-    assert warm > baseline  # pooled engines hold their handles...
+    pooled = dict(attached._warm._engines)
+    assert sorted(pooled) == attached.epochs
 
     reads_before = attached.device.counters.reads
     for k in keys:
         attached.trajectory(k)
-    assert attached.device.open_handles == warm  # ...and never grow
+    assert attached._warm._engines == pooled  # the same engines, reused
     reads_per_call = (attached.device.counters.reads - reads_before) / len(keys)
-    # Warm engines serve repeats from cached blocks/readers: the second
-    # sweep must not re-open and re-read every partition per call.
+    # Warm engines serve repeats from resident metadata and cached blocks:
+    # the second sweep must not re-open and re-read every partition per call.
     assert reads_per_call < 2 * len(attached.epochs)
-
-    attached.close()
-    assert attached.device.open_handles == baseline
+    assert attached.device.open_handles == 0
 
 
 def test_compaction_retires_pooled_engines():
-    """Compaction closes the warm engines of the epochs it retires —
-    their handles point at swept extents."""
+    """Compaction drops the store's warm engines: their block caches may
+    hold blocks of the extents it swept."""
     store = MultiEpochStore(nranks=2, fmt=FMT_BASE, value_bytes=24, seed=9)
     rng = np.random.default_rng(9)
     batches_by_epoch = [
@@ -148,19 +147,18 @@ def test_compaction_retires_pooled_engines():
         store.write_epoch(batches)
     key = int(batches_by_epoch[0][0].keys[0])
     store.trajectory(key)  # warms one pooled engine per epoch
-    baseline_live = store.device.open_handles
+    assert len(store._warm._engines) == 3
 
     store.compact()
 
-    # The retired epochs' pooled handles were all returned; lookups still
-    # answer through the merged epoch, and close() releases the rest.
-    assert store.device.open_handles < baseline_live
+    # Every pooled engine is gone; lookups still answer through the merged
+    # epoch, on an engine built for it.
+    assert store._warm._engines == {}
     value, found, _ = store.lookup(key)
     assert found == store.epochs[-1]
-    pre_close = store.device.open_handles
-    store.trajectory(key)
+    assert list(store._warm._engines) == store.epochs
     store.close()
-    assert store.device.open_handles <= pre_close
+    assert store._warm._engines == {} and store.device.open_handles == 0
 
 
 def test_multiepoch_store_queries_leak_nothing():

@@ -6,13 +6,12 @@ are the same bytes.  Here every block holds about eight groups, so the
 three fetch rules show:
 
 * the store's handle-free reads (`store.get`, `store.get_many`): engines
-  over the store's `MetaCache` that keep no reader, whose table readers
-  keep no blocks — one read per block, covering only the span of key
-  groups the call touches;
-* the paper's cold reader (`store.engine(e)`): whole blocks, as Fig. 11b/c
-  counts them;
-* a `QueryService` mount (`CachedQueryEngine`): whole blocks, kept in each
-  open reader's 2-block LRU.
+  over the store's `MetaCache` whose `BlockCache` keeps no block — one
+  read per block, covering only the span of key groups the call touches;
+* the paper's cold reader (`store.engine(e)`, no block cache): whole
+  blocks, kept by nobody, as Fig. 11b/c counts them;
+* a `QueryService` mount: whole blocks, kept in each epoch engine's
+  `BlockCache` of ``BLOCK_CACHE_BLOCKS × table_cache_entries`` blocks.
 
 Each phase's device reads and bytes are pinned (`GOLDEN`) beside what the
 same script read when every engine fetched whole blocks (`WHOLE_BLOCKS`):
@@ -25,6 +24,13 @@ every read count is the one taken with length-framed records, and the
 whole-block surfaces read 4 B less per record they fetched (the cold
 reader 1 354 256 -> 1 242 800 B).  The ranged surfaces moved by more than
 that arithmetic, because a key group now holds 128 records, not 120.
+
+Replacing each kept reader's 2-block LRU by one block cache per engine
+re-pinned the service phase and nothing else, in both tables: 38 -> 27
+reads, 1 025 344 -> 725 280 B.  Its engines still fetch whole blocks, but
+an engine's blocks are now one pool of 2 × 64, so a table whose lookups
+land in four blocks keeps all four, where its kept reader's LRU held two.
+Every other phase and every answer is unchanged.
 
 Regenerate (only when a change is *meant* to move device traffic) with
 ``PYTHONPATH=src python -m tests.integration.test_ranged_read_traffic``.
@@ -118,7 +124,7 @@ GOLDEN = [
     ("store.get", {"reads": 122, "bytes_read": 451064}),
     ("store.get_many", {"reads": 54, "bytes_read": 993152}),
     ("store.engine.get", {"reads": 182, "bytes_read": 1242800}),
-    ("service", {"reads": 38, "bytes_read": 1025344}),
+    ("service", {"reads": 27, "bytes_read": 725280}),
 ]
 
 # The same script when every engine fetched whole blocks.
@@ -126,7 +132,7 @@ WHOLE_BLOCKS = [
     ("store.get", {"reads": 122, "bytes_read": 2810264}),
     ("store.get_many", {"reads": 54, "bytes_read": 1450560}),
     ("store.engine.get", {"reads": 182, "bytes_read": 1242800}),
-    ("service", {"reads": 38, "bytes_read": 1025344}),
+    ("service", {"reads": 27, "bytes_read": 725280}),
 ]
 
 

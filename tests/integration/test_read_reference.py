@@ -17,7 +17,7 @@ import pytest
 from repro.cluster import SimCluster
 from repro.core import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import KVBatch, random_kv_batch
-from repro.core.reader import CachedQueryEngine, QueryEngine
+from repro.core.reader import TABLE_CACHE_ENTRIES, MetaCache, QueryEngine
 from repro.obs import MetricsRegistry
 from repro.storage.blockio import StorageDevice
 from repro.storage.sstable import SSTableReader, SSTableWriter
@@ -57,8 +57,8 @@ def epoch(request):
 
 def _engine(cluster, cached):
     cold = cluster.query_engine()
-    cls = CachedQueryEngine if cached else QueryEngine
-    return cls(
+    warm = dict(meta_cache=MetaCache(), table_cache_entries=TABLE_CACHE_ENTRIES) if cached else {}
+    return QueryEngine(
         device=cold.device,
         fmt=cold.fmt,
         nranks=cold.nranks,
@@ -67,6 +67,7 @@ def _engine(cluster, cached):
         epoch=cold.epoch,
         files=cold.files,
         metrics=MetricsRegistry(),
+        **warm,
     )
 
 
@@ -82,26 +83,26 @@ def _keys(stored, seed):
 @pytest.mark.parametrize("cached", [False, True], ids=["cold", "cached"])
 def test_get_many_answers_as_the_per_key_oracle(epoch, cached):
     cluster, stored = epoch
-    with _engine(cluster, cached) as engine:
-        check_against_oracle(engine, _keys(stored, SEED + 1), cluster.metrics)
-        values, _ = engine.get_many(stored[:TWICE])
-        assert None not in values
+    engine = _engine(cluster, cached)
+    check_against_oracle(engine, _keys(stored, SEED + 1), cluster.metrics)
+    values, _ = engine.get_many(stored[:TWICE])
+    assert None not in values
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["cold", "cached"])
 def test_get_answers_as_the_per_key_oracle(epoch, cached):
     cluster, stored = epoch
     keys = _keys(stored, SEED + 2)[:120]
-    with _engine(cluster, cached) as engine:
-        oracle = ReadOracle(engine)
-        for key in keys.tolist():
-            value, stats = engine.get(key)
-            want = oracle.answer(key)
-            assert (value, stats.found, stats.partitions_searched) == (
-                want.value, want.found, want.partitions_searched
-            )
-        for key in keys[:20].tolist():  # one-key batches are `get`
-            check_against_oracle(engine, [key], cluster.metrics)
+    engine = _engine(cluster, cached)
+    oracle = ReadOracle(engine)
+    for key in keys.tolist():
+        value, stats = engine.get(key)
+        want = oracle.answer(key)
+        assert (value, stats.found, stats.partitions_searched) == (
+            want.value, want.found, want.partitions_searched
+        )
+    for key in keys[:20].tolist():  # one-key batches are `get`
+        check_against_oracle(engine, [key], cluster.metrics)
 
 
 def test_cold_engine_leaves_no_handle_open(epoch):

@@ -67,9 +67,8 @@ class ReadOracle:
         table = self._tables.get(rank)
         if table is None:
             table = {}
-            with SSTableReader(self.device, self.table_names[rank]) as reader:
-                for key, value in scan_rows(reader):
-                    table.setdefault(key, value)
+            for key, value in scan_rows(SSTableReader(self.device, self.table_names[rank])):
+                table.setdefault(key, value)
             self._tables[rank] = table
         return table
 
@@ -100,7 +99,7 @@ class ReadOracle:
 def scan_rows(reader: SSTableReader) -> list[tuple[int, bytes]]:
     """Every row of ``reader``'s table in stored order, as ``(key, value)``.
 
-    One device read per block through the reader's handle; every key group
+    One device read per block of the reader's extent; every key group
     of the block is checked against its CRC-32 in the index before any row
     of the block is decoded, then the rows are walked one by one,
     ``record_bytes`` each.  Damage raises `CorruptBlockError` naming the
@@ -109,7 +108,7 @@ def scan_rows(reader: SSTableReader) -> list[tuple[int, bytes]]:
     meta, out = reader.meta, []
     rec = meta.record_bytes
     for i in range(meta.off.size):
-        raw = reader._file.read(int(meta.off[i]), int(meta.length[i]))
+        raw = reader._device.read(reader.name, int(meta.off[i]), int(meta.length[i]))
         if len(raw) != int(meta.length[i]):
             raise CorruptBlockError(f"block {i} of {reader.name!r} truncated")
         first = int(meta.gstart[i])

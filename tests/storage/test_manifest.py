@@ -216,8 +216,8 @@ def test_recovery_refuses_a_length_framed_store_and_touches_nothing(fmt, deep):
     tables = [name for name in device.list_files() if name.startswith("part.")]
     assert tables
     for name in tables:
-        with SSTableReader(device, name) as r:
-            items, block_size, bloom = scan_rows(r), r.meta.block_size, r.meta.bloom
+        r = SSTableReader(device, name)
+        items, block_size, bloom = scan_rows(r), r.meta.block_size, r.meta.bloom
         device.delete(name)
         with device.open(name, create=True) as f:
             f.append(ref.table_image(items, block_size, 10.0 if bloom else 0.0, framed=True))

@@ -8,7 +8,7 @@ from repro.storage.blockio import StorageDevice
 from repro.storage.compression import SnappyError, compress, decompress
 from repro.storage.log import DataPointer, ValueLog
 from repro.storage import sstable as sstable_mod
-from repro.storage.sstable import SSTableReader, SSTableWriter
+from repro.storage.sstable import BlockCache, SSTableReader, SSTableWriter
 
 from ..reference.read import scan_rows
 from .test_sstable import rows
@@ -80,7 +80,7 @@ def test_sstable_roundtrip_property(items, block_size):
     width=st.sampled_from([0, 5, 12, 21]),
     group_bytes=st.sampled_from([64, 100, 256]),
     block_size=st.sampled_from([64, 300, 1 << 20]),
-    cache=st.sampled_from([0, 2]),
+    cache=st.sampled_from([None, 0, 2]),  # the three fetch rules
 )
 @settings(max_examples=120, deadline=None)
 def test_sstable_reads_agree_across_group_and_block_seams(
@@ -104,19 +104,19 @@ def test_sstable_reads_agree_across_group_and_block_seams(
         first.setdefault(k, v)
     probe = np.arange(62, dtype=np.uint64)
     want = [first.get(k) for k in probe.tolist()]
-    with SSTableReader(dev, "t", block_cache_blocks=cache) as r:
-        assert r.meta.record_bytes == (8 + width if keys else 0)
-        assert [r.get(k) for k in probe.tolist()] == want
-        assert r.get_many(probe)[0] == want
-        assert r.get_many(probe[::-1])[0] == want[::-1]
-        scanned = scan_rows(r)
-        assert [k for k, _ in scanned] == sorted(keys)
-        scan_first = {}
-        for k, v in scanned:
-            scan_first.setdefault(k, v)
-        assert scan_first == first
-        akeys, avals = r.scan_arrays()
-        assert [(k, bytes(v)) for k, v in zip(akeys.tolist(), avals)] == scanned
+    r = SSTableReader(dev, "t", cache=None if cache is None else BlockCache(cache, dev.metrics))
+    assert r.meta.record_bytes == (8 + width if keys else 0)
+    assert [r.get(k) for k in probe.tolist()] == want
+    assert r.get_many(probe)[0] == want
+    assert r.get_many(probe[::-1])[0] == want[::-1]
+    scanned = scan_rows(r)
+    assert [k for k, _ in scanned] == sorted(keys)
+    scan_first = {}
+    for k, v in scanned:
+        scan_first.setdefault(k, v)
+    assert scan_first == first
+    akeys, avals = r.scan_arrays()
+    assert [(k, bytes(v)) for k, v in zip(akeys.tolist(), avals)] == scanned
 
 
 @given(items=rows_of_one_width(st.just(0), max_size=50).filter(len))

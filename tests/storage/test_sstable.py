@@ -5,11 +5,13 @@ import bisect
 import numpy as np
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.storage.blockio import StorageDevice
 from repro.storage.envelope import UnsupportedLayoutError
 from repro.storage.sstable import (
     FOOTER_BYTES,
     GROUP_BYTES,
+    BlockCache,
     CorruptBlockError,
     SSTableReader,
     SSTableWriter,
@@ -184,12 +186,12 @@ def test_tiny_block_size_rejected():
 
 def test_footer_magic_validated():
     dev = StorageDevice()
-    f = dev.open("junk", create=True)
-    f.append(b"\x00" * FOOTER_BYTES)
+    with dev.open("junk", create=True) as f:
+        f.append(b"\x00" * FOOTER_BYTES)
     with pytest.raises(ValueError):
         SSTableReader(dev, "junk")
-    g = dev.open("short", create=True)
-    g.append(b"\x01")
+    with dev.open("short", create=True) as g:
+        g.append(b"\x01")
     with pytest.raises(ValueError):
         SSTableReader(dev, "short")
 
@@ -251,7 +253,7 @@ class TestGetMany:
         keys = np.arange(256, dtype=np.uint64)
         build(dev, "t", [(int(k), bytes(8)) for k in keys], block_size=1 << 20,
               bloom_bits_per_key=0.0)
-        r = SSTableReader(dev, "t", block_cache_blocks=0)
+        r = SSTableReader(dev, "t", cache=BlockCache(0, dev.metrics))
         before = dev.counters.snapshot()
         vals, blocks = r.get_many(keys)  # all keys live in one block
         d = dev.counters.delta(before)
@@ -269,12 +271,10 @@ class TestGetMany:
 
 class TestBlockCache:
     def test_repeat_gets_hit_cache(self):
-        from repro.obs import MetricsRegistry
-
         m = MetricsRegistry()
         dev = StorageDevice(metrics=m)
         build(dev, "t", [(k, bytes([k % 251])) for k in range(64)], block_size=1 << 20)
-        r = SSTableReader(dev, "t")
+        r = SSTableReader(dev, "t", cache=BlockCache(2, m))
         before = dev.counters.snapshot()
         for k in (1, 2, 3, 4):
             r.get(k)
@@ -283,46 +283,77 @@ class TestBlockCache:
         assert m.total("sstable.block_cache.misses") == 1
 
     def test_cache_disabled(self):
-        dev = StorageDevice()
+        """No cache and a 0-block cache both re-read: every fetch a miss."""
+        m = MetricsRegistry()
+        dev = StorageDevice(metrics=m)
         build(dev, "t", [(k, bytes(4)) for k in range(64)], block_size=1 << 20)
-        r = SSTableReader(dev, "t", block_cache_blocks=0)
-        before = dev.counters.snapshot()
-        for k in (1, 2):
-            r.get(k)
-        assert dev.counters.delta(before).reads == 2
+        for cache in (None, BlockCache(0, m)):
+            r = SSTableReader(dev, "t", cache=cache)
+            before = dev.counters.snapshot()
+            for k in (1, 2):
+                r.get(k)
+            assert dev.counters.delta(before).reads == 2
+        assert m.total("sstable.block_cache.misses") == 4
+        assert m.total("sstable.block_cache.hits") == 0
 
     def test_eviction_bounds_cache(self):
+        """A cache never holds more than its budget, however many readers
+        of however many tables fetch through it."""
         dev = StorageDevice()
-        build(dev, "t", [(k, bytes(32)) for k in range(200)], block_size=64)
-        r = SSTableReader(dev, "t", block_cache_blocks=2)
-        for k in range(0, 200, 5):
-            r.get(k)
-        assert len(r._block_cache) <= 2  # the one LRU: fetched blocks
+        for name in ("a", "b", "c"):
+            build(dev, name, [(k, bytes(32)) for k in range(200)], block_size=64)
+        cache = BlockCache(3, dev.metrics)
+        for name in ("a", "b", "c", "a"):
+            r = SSTableReader(dev, name, cache=cache)
+            for k in range(0, 200, 5):
+                r.get(k)
+                assert len(cache) <= 3
+            r.scan_arrays()
+            assert len(cache) == 3
+
+    def test_a_kept_block_serves_the_next_reader_of_the_table(self):
+        m = MetricsRegistry()
+        dev = StorageDevice(metrics=m)
+        build(dev, "t", [(k, b"v%03d" % k) for k in range(100)], block_size=1 << 20)
+        cache = BlockCache(2, m)
+        assert SSTableReader(dev, "t", cache=cache).get(7) == b"v007"
+        meta = SSTableReader(dev, "t").meta
+        before = dev.counters.snapshot()
+        assert SSTableReader(dev, "t", meta, cache).get(8) == b"v008"
+        assert dev.counters.delta(before).reads == 0
+        assert m.total("sstable.block_cache.hits") == 1
+
+    def test_block_0_of_two_tables_does_not_collide(self):
+        dev = StorageDevice()
+        build(dev, "a", [(k, b"a") for k in range(50)], block_size=1 << 20)
+        build(dev, "b", [(k, b"b") for k in range(50)], block_size=1 << 20)
+        cache = BlockCache(2, dev.metrics)
+        a, b = SSTableReader(dev, "a", cache=cache), SSTableReader(dev, "b", cache=cache)
+        assert [a.get(3), b.get(3), a.get(4), b.get(4)] == [b"a", b"b", b"a", b"b"]
+        assert len(cache) == 2
 
 
 def test_reader_over_cached_meta_reads_only_data():
     """``meta=`` from an earlier open: no footer/index read, same answers."""
     dev = StorageDevice()
     build(dev, "t", [(k, b"v%03d" % k) for k in range(300)], block_size=256)
-    baseline = dev.open_handles
-    with SSTableReader(dev, "t") as first:
-        meta = first.meta
+    meta = SSTableReader(dev, "t").meta
     assert meta.nentries == 300 and meta.nbytes > 0
     before = dev.counters.snapshot()
-    with SSTableReader(dev, "t", meta=meta) as r:
-        assert dev.counters.delta(before).reads == 0
-        assert r.get(17) == b"v017" and r.get(999) is None
-        assert dev.counters.delta(before).reads == 1
-    assert dev.open_handles == baseline
+    r = SSTableReader(dev, "t", meta=meta)
+    assert dev.counters.delta(before).reads == 0
+    assert r.get(17) == b"v017" and r.get(999) is None
+    assert dev.counters.delta(before).reads == 1
+    assert dev.open_handles == 0  # a reader holds no handle
 
 
 def test_failed_open_releases_its_handle():
     dev = StorageDevice()
-    dev.open("junk", create=True).append(b"\x00" * FOOTER_BYTES)
-    baseline = dev.open_handles
+    with dev.open("junk", create=True) as f:
+        f.append(b"\x00" * FOOTER_BYTES)
     with pytest.raises(ValueError):
         SSTableReader(dev, "junk")
-    assert dev.open_handles == baseline
+    assert dev.open_handles == 0
 
 
 class TestKeyGroups:
@@ -349,7 +380,7 @@ class TestKeyGroups:
         items = [(k, self._value(i, width)) for i, k in enumerate(keys)]
         dev = StorageDevice()
         build(dev, "t", items, block_size=512, bloom_bits_per_key=0)
-        r = SSTableReader(dev, "t", block_cache_blocks=cache)
+        r = SSTableReader(dev, "t", cache=BlockCache(cache, dev.metrics))
         meta = r.meta
         assert meta.first.size >= 4 and (np.diff(meta.gstart) >= 2).all()
         # the seams the test is about exist: a key starts a group, and a block
@@ -434,11 +465,12 @@ class TestKeyGroups:
     def test_a_lookup_verifies_only_the_groups_it_lands_in(self):
         dev = StorageDevice()
         build(dev, "t", [(k, bytes(56)) for k in range(4096)], block_size=1 << 20)
-        r = SSTableReader(dev, "t")
+        cache = BlockCache(2, dev.metrics)
+        r = SSTableReader(dev, "t", cache=cache)
         ngroups = r.meta.gfirst.size
         assert ngroups > 40
         assert r.get(1000) == bytes(56)
-        (blk,) = r._block_cache.values()
+        (blk,) = cache._lru.values()
         assert blk.verified.sum() == 1
         r.get_many(np.asarray([5, 6, 4000], dtype=np.uint64))
         assert blk.verified.sum() == 3
@@ -464,16 +496,15 @@ class TestKeyGroups:
             w = SSTableWriter(dev, "t", block_size=10_000)
             w.add_many(keys, values)
             w.finish()
-            f = dev.open("t")
-            images.append(f.read(0, f.size))
+            images.append(dev.read("t", 0, dev.file_size("t")))
         assert SSTableReader(dev, "t").meta.gfirst.size > 4  # several blocks and groups
         assert images[0] == images[1]
 
 
 class TestRangedReads:
-    """A reader that keeps no blocks (``block_cache_blocks=0``) fetches, per
-    block, only the span of key groups a call touches: the same answers and
-    device reads as a whole-block reader, and exactly the span's bytes."""
+    """A reader over a 0-block cache (``BlockCache(0)``) fetches, per block,
+    only the span of key groups a call touches: the same answers and device
+    reads as a whole-block reader, and exactly the span's bytes."""
 
     @staticmethod
     def _table(monkeypatch, width):
@@ -483,8 +514,8 @@ class TestRangedReads:
         items = [(k, (i.to_bytes(4, "little") * 5)[:width]) for i, k in enumerate(keys)]
         dev = StorageDevice()
         build(dev, "t", items, block_size=2010, bloom_bits_per_key=4)
-        with SSTableReader(dev, "t") as r:
-            return dev, r.meta, scan_rows(r)
+        r = SSTableReader(dev, "t")
+        return dev, r.meta, scan_rows(r)
 
     @staticmethod
     def _seams(meta, scanned):
@@ -515,17 +546,16 @@ class TestRangedReads:
         assert seam and short  # the cases the test is about exist
         present = sorted(truth)
         absent = [k + 1 for k in present] + [2**64 - 1]
-        with SSTableReader(dev, "t", meta=meta) as r:
-            gate = r.may_contain_many(np.asarray(absent, dtype=np.uint64))
+        gate = SSTableReader(dev, "t", meta).may_contain_many(np.asarray(absent, dtype=np.uint64))
         assert gate.any() and not gate.all()  # absent keys the Bloom filter passes, and not
         passes = set(present) | {k for k, g in zip(absent, gate.tolist()) if g}
 
         def read(blocks, call):
-            """One fresh reader over resident metadata (a handle-free read):
-            what it returns, and the device reads and bytes it cost."""
+            """One fresh reader over resident metadata and a fresh cache of
+            ``blocks``: what it returns, and the device reads and bytes it
+            cost."""
             before = dev.counters.snapshot()
-            with SSTableReader(dev, "t", blocks, meta=meta) as r:
-                out = call(r)
+            out = call(SSTableReader(dev, "t", meta, BlockCache(blocks, dev.metrics)))
             d = dev.counters.delta(before)
             return out, d.reads, d.bytes_read
 
@@ -552,10 +582,10 @@ class TestRangedReads:
         g = int(meta.gstart[b]) + 2  # the block's third group: groups on both sides
         key = int(meta.gfirst[g]) + 3  # no group starts with it: one group only
         assert int(meta.gfirst[g + 1]) > key
-        with SSTableReader(dev, "t", 0, meta=meta) as r:
-            before = dev.counters.snapshot()
-            r.get_many(np.asarray([key], dtype=np.uint64))
-            d = dev.counters.delta(before)
+        r = SSTableReader(dev, "t", meta, BlockCache(0, dev.metrics))
+        before = dev.counters.snapshot()
+        r.get_many(np.asarray([key], dtype=np.uint64))
+        d = dev.counters.delta(before)
         assert (d.reads, d.bytes_read) == (1, meta.group_bytes)
         assert touched_span(meta, key) == (
             b, int(meta.off[b]) + 2 * meta.group_bytes, int(meta.off[b]) + 3 * meta.group_bytes
@@ -568,13 +598,12 @@ def test_a_short_block_read_names_table_and_block(cache):
     error names the extent and the block, whole-block fetch or span."""
     dev, name = StorageDevice(), "part.003.000007"
     build(dev, name, [(k, bytes(40)) for k in range(2000)], block_size=4 * GROUP_BYTES)
-    with SSTableReader(dev, name) as r:
-        meta = r.meta
+    meta = SSTableReader(dev, name).meta
     assert meta.first.size >= 3
     dev.truncate(name, int(meta.off[1]) + 100)  # inside block 1's first group
-    with SSTableReader(dev, name, cache, meta=meta) as r:
-        with pytest.raises(CorruptBlockError) as err:
-            r.get(int(meta.first[1]) + 1)
+    r = SSTableReader(dev, name, meta, BlockCache(cache, dev.metrics))
+    with pytest.raises(CorruptBlockError) as err:
+        r.get(int(meta.first[1]) + 1)
     assert "block 1 " in str(err.value) and repr(name) in str(err.value)
 
 
@@ -612,52 +641,44 @@ def _block_checksum_layout_table(items) -> bytes:
 
 def test_previous_layout_is_refused_by_name_and_releases_its_handle():
     dev = StorageDevice()
-    dev.open("old", create=True).append(
-        _block_checksum_layout_table([(k, b"v%03d" % k) for k in range(40)])
-    )
-    baseline = dev.open_handles
+    with dev.open("old", create=True) as f:
+        f.append(_block_checksum_layout_table([(k, b"v%03d" % k) for k in range(40)]))
     with pytest.raises(UnsupportedLayoutError, match="block-checksum layout.*key-group layout"):
         SSTableReader(dev, "old")
-    assert dev.open_handles == baseline
+    assert dev.open_handles == 0
 
 
 def test_the_64_bit_sum_key_group_layout_is_refused_by_name():
     """The key-group layout as it was before its checksums became CRC-32s:
     the same bytes under magic 0xF117E5CB6209BF5, refused before any
-    checksum is compared, handle given back."""
+    checksum is compared."""
     dev = StorageDevice()
     build(dev, "t", [(k, b"v%03d" % k) for k in range(40)])
     at = dev.file_size("t") - FOOTER_BYTES
-    with SSTableReader(dev, "t"):
-        pass
-    with dev.open("t") as f:
-        magic = int.from_bytes(f.read(at, 8), "little")
+    SSTableReader(dev, "t")
+    magic = int.from_bytes(dev.read("t", at, 8), "little")
     for i, byte in enumerate((magic ^ 0xF117E5CB_6209BF5).to_bytes(8, "little")):
         if byte:
             dev.corrupt("t", at + i, xor=byte)
-    baseline = dev.open_handles
     with pytest.raises(UnsupportedLayoutError, match="64-bit-sum key-group layout"):
         SSTableReader(dev, "t")
-    assert dev.open_handles == baseline
 
 
 def test_the_length_framed_row_layout_is_refused_by_name():
     """The layout before unframed rows: the same key groups of rows
     ``u64 key ‖ u32 vlen ‖ value`` under magic 0xF117E5CBC3C3236, written
     here by the reference encoder.  `load_table_meta` and the reader both
-    refuse it by name, before any checksum is compared, and the failed
-    open gives its handle back; the same rows unframed open and read."""
+    refuse it by name, before any checksum is compared; the same rows
+    unframed open and read."""
     items = [(k, b"v%03d" % k) for k in range(40)]
     dev = StorageDevice()
     with dev.open("old", create=True) as f:
         f.append(ref.table_image(items, 1 << 20, framed=True))
-    baseline = dev.open_handles
     with pytest.raises(UnsupportedLayoutError, match="length-framed row layout.*0xf117e5cbc3c3236"):
         SSTableReader(dev, "old")
-    assert dev.open_handles == baseline
-    with dev.open("old") as f, pytest.raises(UnsupportedLayoutError, match="length-framed row"):
-        load_table_meta(f, "old")
+    with pytest.raises(UnsupportedLayoutError, match="length-framed row"):
+        load_table_meta(dev, "old")
     with dev.open("new", create=True) as f:
         f.append(ref.table_image(items, 1 << 20))
-    with SSTableReader(dev, "new") as r:
-        assert r.meta.record_bytes == 8 + 4 and scan_rows(r) == items
+    r = SSTableReader(dev, "new")
+    assert r.meta.record_bytes == 8 + 4 and scan_rows(r) == items

@@ -10,8 +10,7 @@ whole-block reader and through a ranged one, which fetches only the span
 of key groups a call touches — has two outcomes: a value, or
 `CorruptBlockError` / the documented `ValueError` — never `struct.error`,
 `IndexError`, `OSError`, a hang, or memory sized by a count nobody
-checked against the bytes present; and a failed open gives its handle
-back.  The deterministic sweeps always run; the hypothesis property
+checked against the bytes present.  The deterministic sweeps always run; the hypothesis property
 has a fast entry for tier-1 and a ``_full`` twin under ``-m slow`` for the
 CI ``aux-tournament`` job.
 """
@@ -29,6 +28,7 @@ from hypothesis import strategies as st
 from repro.storage.blockio import ExtentLostError, StorageDevice
 from repro.storage.sstable import (
     BLOCK_CACHE_BLOCKS,
+    BlockCache,
     FOOTER_BYTES,
     GROUP_BYTES,
     CorruptBlockError,
@@ -65,9 +65,7 @@ def _table_bytes(items, **kw) -> bytes:
     w = SSTableWriter(dev, "t", **kw)
     w.add_many(*rows(items))
     w.finish()
-    w.close()
-    with dev.open("t") as f:
-        return f.read(0, f.size)
+    return dev.read("t", 0, dev.file_size("t"))
 
 
 def _bases() -> dict[str, bytes]:
@@ -157,32 +155,29 @@ class Parts:
 
 def check(blob: bytes, keys=(0, 1, 12345, U64)) -> bool:
     """The whole contract for one table image, read through a whole-block
-    reader and a ranged one (``block_cache_blocks=0``: it fetches only the
+    reader and a ranged one (over ``BlockCache(0)``: it fetches only the
     span of key groups a call touches); True when it opened."""
     dev = StorageDevice()
-    dev.open("t", create=True).append(blob)
-    baseline = dev.open_handles
+    with dev.open("t", create=True) as f:
+        f.append(blob)
     tracemalloc.start()
     try:
         for blocks in (BLOCK_CACHE_BLOCKS, 0):
             try:
-                reader = SSTableReader(dev, "t", block_cache_blocks=blocks)
+                reader = SSTableReader(dev, "t", cache=BlockCache(blocks, dev.metrics))
             except ValueError:  # CorruptBlockError is one
-                assert dev.open_handles == baseline, "a failed open kept its handle"
                 return False
             probe = np.asarray(keys, dtype=np.uint64)
-            with reader:
-                first = reader.meta.gfirst[:4].tolist()
-                probe = np.concatenate([probe, np.asarray(first, dtype=np.uint64)])
-                reads = [lambda k=k: reader.get(int(k)) for k in probe]
-                reads += [lambda: reader.get_many(probe), lambda: scan_rows(reader)]
-                reads.append(reader.scan_arrays)
-                for read in reads:
-                    try:
-                        read()
-                    except ValueError:
-                        pass
-            assert dev.open_handles == baseline
+            first = reader.meta.gfirst[:4].tolist()
+            probe = np.concatenate([probe, np.asarray(first, dtype=np.uint64)])
+            reads = [lambda k=k: reader.get(int(k)) for k in probe]
+            reads += [lambda: reader.get_many(probe), lambda: scan_rows(reader)]
+            reads.append(reader.scan_arrays)
+            for read in reads:
+                try:
+                    read()
+                except ValueError:
+                    pass
         return True
     except MemoryError:  # pragma: no cover - the bug this file exists for
         pytest.fail("reader tried an allocation sized by an unchecked count")
@@ -302,13 +297,14 @@ def test_a_resealed_variable_width_header_is_refused_by_name():
     p.header[2] = 0
     with pytest.raises(ValueError, match="variable-width layout"):
         _open(p.build())
-    assert not check(p.build())  # and its handle is given back
+    assert not check(p.build())
     assert Parts(BASES["empty"]).header[2] == 0 and check(BASES["empty"])
 
 
 def _open(blob: bytes) -> SSTableReader:
     dev = StorageDevice()
-    dev.open("t", create=True).append(blob)
+    with dev.open("t", create=True) as f:
+        f.append(blob)
     return SSTableReader(dev, "t")
 
 
@@ -355,7 +351,8 @@ def _ranged(blob: bytes, meta=None):
     """A ranged reader over ``blob`` (resident ``meta`` if given), and the
     ``(offset, size)`` of every device read it makes."""
     dev = StorageDevice()
-    dev.open("t", create=True).append(blob)
+    with dev.open("t", create=True) as f:
+        f.append(blob)
     fetched = []
     read = dev._read
 
@@ -364,16 +361,14 @@ def _ranged(blob: bytes, meta=None):
         return read(name, offset, size)
 
     dev._read = logged
-    return SSTableReader(dev, "t", block_cache_blocks=0, meta=meta), fetched
+    return SSTableReader(dev, "t", meta, BlockCache(0, dev.metrics)), fetched
 
 
 FIXED = BASES["fixed"]  # 2+ blocks of 2+ key groups, 48-byte records
 
 
 def _meta(blob: bytes):
-    reader, _ = _ranged(blob)
-    with reader:
-        return reader.meta
+    return _ranged(blob)[0].meta
 
 
 def _inner_key(meta, g: int) -> int:
@@ -392,7 +387,7 @@ def test_a_flipped_byte_inside_the_span_is_caught():
     p = Parts(FIXED)
     p.data[start + 5 * 48 + 20] ^= 0x01  # a value byte of that group, not re-sealed
     reader, fetched = _ranged(p.build(), meta)
-    with reader, pytest.raises(CorruptBlockError, match="block 0, key group 1 of 't'"):
+    with pytest.raises(CorruptBlockError, match="block 0, key group 1 of 't'"):
         reader.get(key)
     assert fetched == [(start, stop - start)]
 
@@ -400,15 +395,13 @@ def test_a_flipped_byte_inside_the_span_is_caught():
 def test_a_flipped_byte_outside_the_span_is_never_fetched():
     meta = _meta(FIXED)
     key = _inner_key(meta, 1)
-    with _ranged(FIXED, meta)[0] as intact:
-        want = intact.get(key)
+    want = _ranged(FIXED, meta)[0].get(key)
     assert want is not None
     p = Parts(FIXED)
     at = int(meta.goff[0]) + 100  # group 0 of the same block
     p.data[at] ^= 0x01
     reader, fetched = _ranged(p.build(), meta)
-    with reader:
-        assert reader.get(key) == want
+    assert reader.get(key) == want
     assert fetched and all(not off <= at < off + size for off, size in fetched)
 
 
@@ -420,21 +413,20 @@ def test_a_truncation_that_cuts_the_span_is_typed():
     meta = _meta(FIXED)
     keys = [int(k) for k in meta.gfirst]  # a group's first key: two groups each
     keys += [_inner_key(meta, g) for g in range(meta.gfirst.size)]
-    with _ranged(FIXED, meta)[0] as intact:
-        truth = {k: intact.get(k) for k in keys}
+    intact = _ranged(FIXED, meta)[0]
+    truth = {k: intact.get(k) for k in keys}
     assert all(v is not None for v in truth.values())
     spans = {k: touched_span(meta, k) for k in keys}
     cuts = set(range(0, Parts(FIXED).footer["filter_off"], 97))
     cuts |= {edge + d for _, *edges in spans.values() for edge in edges for d in (-1, 0, 1)}
     for n in sorted(cuts - {-1}):
         reader, _ = _ranged(FIXED[:n], meta)
-        with reader:
-            for k in keys:
-                if spans[k][2] <= n:
-                    assert reader.get(k) == truth[k], (n, k)
-                else:
-                    with pytest.raises((CorruptBlockError, ExtentLostError)):
-                        reader.get(k)
+        for k in keys:
+            if spans[k][2] <= n:
+                assert reader.get(k) == truth[k], (n, k)
+            else:
+                with pytest.raises((CorruptBlockError, ExtentLostError)):
+                    reader.get(k)
 
 
 # -- the property -----------------------------------------------------------------
@@ -530,8 +522,7 @@ def property_outcomes(examples: int) -> Counter:
     @given(edited_tables())
     def run(blob):
         try:
-            with _open(blob) as r:
-                r.scan_arrays()
+            _open(blob).scan_arrays()
         except CorruptBlockError as e:
             seen["checksum" if "checksum mismatch" in str(e) else "structure"] += 1
         except ValueError:
@@ -562,8 +553,8 @@ def test_the_property_reaches_the_structure_checks_full():
 
 def test_load_table_meta_is_the_function_under_test():
     dev = StorageDevice()
-    dev.open("t", create=True).append(BASES["fixed"])
-    with dev.open("t") as f:
-        meta = load_table_meta(f, "t")
+    with dev.open("t", create=True) as f:
+        f.append(BASES["fixed"])
+    meta = load_table_meta(dev, "t")
     assert meta.record_bytes == 48 and meta.group_bytes % 48 == 0
     assert meta.gstart[-1] == meta.gfirst.size == meta.gsum.size == meta.goff.size
