@@ -23,11 +23,11 @@ Commands:
 * ``top``      — live dashboard against a running ``repro serve``:
   trailing-window QPS, per-status rates, latency quantiles, and the
   most recent sampled request traces; against a ``repro fleet --serve``
-  front end it renders the router dashboard (per-shard breakers,
-  staleness, aux memory);
+  front end it renders the router dashboard (failovers, per-shard
+  breakers);
 * ``fleet``    — sharded serving demo (``repro.fleet``): build an
   N-shard fleet with R-way replication, drive it through the
-  aux-routing router, kill a shard under load, verify byte-correct
+  ring-order router, kill a shard under load, verify byte-correct
   answers through failover, recover, and re-verify; ``--serve`` mounts
   the router behind the TCP front end instead;
 * ``table1``   — print the paper's Table I from the Bloom math;
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser(
         "fleet",
-        help="sharded serving demo: aux routing, kill a shard, verify, recover",
+        help="sharded serving demo: ring routing, kill a shard, verify, recover",
     )
     f.add_argument("--shards", type=_at_least(1), default=3)
     f.add_argument("--rf", type=_at_least(1), default=2, help="replicas per key (ring owners)")
@@ -871,11 +871,6 @@ def _cmd_fleet(args) -> int:
             st = router.stats()
             reports.append({"phase": "healthy", "report": rep.to_dict(), "router": st})
             print(burst_line("healthy   ", rep))
-            print(
-                f"            routed by aux: {st['aux_routed']}, scatter: "
-                f"{st['scatter']}, router memory: {st['aux_resident_bytes']:,} B "
-                f"resident / {st['aux_blob_bytes']:,} B sealed blobs"
-            )
             if args.kill >= 0:
                 if args.kill not in fleet.shards:
                     raise SystemExit(
@@ -941,23 +936,16 @@ def _render_fleet_top_frame(live: dict, stats: dict, where: str) -> str:
     rates = live.get("rates_per_s", {})
     lines = [
         f"repro top — fleet router @ {where}  (trailing {live.get('window_s', '?')}s)",
-        f"  qps {live.get('qps', 0):>10,.1f}   "
-        f"aux memory {live.get('aux_resident_bytes', 0):,} B resident / "
-        f"{live.get('aux_blob_bytes', 0):,} B blobs",
+        f"  qps {live.get('qps', 0):>10,.1f}",
         "  status   " + "  ".join(
             f"{s}={counts.get(s, 0)} ({rates.get(s, 0.0):,.1f}/s)" for s in counts
         ),
         f"  latency  p50 {lat.get('p50', 0.0):.3f}ms  p95 {lat.get('p95', 0.0):.3f}ms  "
         f"p99 {lat.get('p99', 0.0):.3f}ms  max {lat.get('max', 0.0):.3f}ms",
-        f"  routing  aux {stats.get('aux_routed', 0)}  scatter {stats.get('scatter', 0)}  "
-        f"failovers {stats.get('failovers', 0)}  "
-        f"refreshes {stats.get('aux_refreshes', 0)}",
+        f"  routing  failovers {stats.get('failovers', 0)}",
     ]
     for sid, shard in sorted(live.get("shards", {}).items()):
-        lines.append(
-            f"  shard {sid}  breaker {shard.get('breaker', '?'):9s} "
-            f"epochs {shard.get('epochs', [])}"
-        )
+        lines.append(f"  shard {sid}  breaker {shard.get('breaker', '?')}")
     return "\n".join(lines)
 
 

@@ -211,7 +211,7 @@ class AuxTable(ABC):
     def _candidate_ranks(self, key: int) -> np.ndarray:
         """Backend lookup for `candidate_ranks` (uninstrumented): the
         `candidates_many` set of the one key.  The sealed backends answer
-        it on plain ints instead, for the router and one-key gets."""
+        it on plain ints instead, for one-key probes."""
         return self._candidates_many(np.asarray([key], dtype=np.uint64))[1]
 
     @abstractmethod
@@ -800,11 +800,12 @@ def aux_from_blob(
 
     Both `AUX_BACKENDS` reload exactly: the reloaded table answers the
     same candidate sets for every key, and re-serializing it reproduces
-    the blob bit-for-bit (the parity harness asserts both).  The blob may
-    come from another process (the fleet router loads what a shard sent):
-    torn framing, a header that is no object, another or no version tag, a
-    backend outside `AUX_BACKENDS` (exact and Bloom included) and whatever
-    the backend's ``from_state`` refuses are all a `ValueError`.  Each
+    the blob bit-for-bit (the parity harness asserts both).  The blob comes
+    from storage (an epoch's sealed aux extent, read at attach), so it may
+    be damaged or written by other code: torn framing, a header that is
+    no object, another or no version tag, a backend outside `AUX_BACKENDS`
+    (exact and Bloom included) and whatever the backend's ``from_state``
+    refuses are all a `ValueError`.  Each
     ``from_state`` validates its header fields and the payload length they
     imply *before* allocating anything sized from them.
     """

@@ -278,26 +278,6 @@ class MultiEpochStore:
                     )
         return engine
 
-    def aux_blobs(self, epoch: int) -> list[bytes] | None:
-        """One committed epoch's sealed aux extents, verbatim (rank order).
-
-        This is the router-tier export surface (ROADMAP item 1): a fleet
-        router holds *only* these blobs' rebuilt tables — never values or
-        SSTables — so what this returns bounds a router's resident memory.
-        The bytes are returned still sealed: the same envelope that
-        protects the extent at rest rides the wire, and the consumer's
-        ``unseal`` is its integrity check.  Returns None for formats that
-        persist no aux tables (base/dataptr) — a router then has nothing
-        to route with and falls back to ring placement alone.
-        """
-        if self.fmt.name != "filterkv":
-            return None
-        out: list[bytes] = []
-        for name in self.engine(self.resolve_epoch(epoch)).aux_names:
-            with self.device.open(name) as f:
-                out.append(f.read(0, f.size))
-        return out
-
     # -- writing -----------------------------------------------------------
 
     @property

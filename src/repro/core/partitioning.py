@@ -35,8 +35,8 @@ class HashPartitioner:
         return (h % np.uint64(self.nparts)).astype(np.int64)
 
     def partition_of_one(self, key: int) -> int:
-        # Scalar arithmetic, not a one-element array: the router consults
-        # this per request, where array dispatch dominates the hash.
+        # Scalar arithmetic, not a one-element array: for one key, array
+        # dispatch dominates the hash.
         return hash64_int(int(key) & MASK64, self.seed) % self.nparts
 
     def split(self, keys: np.ndarray) -> list[np.ndarray]:

@@ -138,9 +138,8 @@ class PartialKeyCuckooTable:
         # `from_arrays` decides for the table it reloads.
         self._alt_lut: np.ndarray | None = None
         self._alt_lut_list: list[int] | None = None
-        # Scalar probe constants (plain Python ints): the serving tier and
-        # the fleet router probe one key per request, where per-call array
-        # overhead dwarfs the hashing itself.
+        # Scalar probe constants (plain Python ints): a one-key probe pays
+        # more for per-call array overhead than for the hashing itself.
         self._mask_int = self.nbuckets - 1
         self._fp_span = (1 << self.fp_bits) - 1
         self._seed_mix = splitmix64_int(self.seed & MASK64)
@@ -393,7 +392,7 @@ class PartialKeyCuckooTable:
 
         Bit-identical to `candidate_values` (same fingerprint, bucket, and
         alternate-bucket arithmetic) but with no array allocation on the
-        way: this is what a router claim or a single served probe costs.
+        way: this is what a one-key probe costs.
         """
         k = int(key) & MASK64
         fp = (splitmix64_int(k ^ self._fp_seed_mix) % self._fp_span) + 1

@@ -1,18 +1,19 @@
 """Fleet assembly: spec → shard nodes + ring + router, plus rollups.
 
-`Fleet` wires the pieces into the ROADMAP item-1 shape: ``nshards``
-`ShardNode`s placed on a `HashRing`, an ingest path that splits each
-fleet dump into per-shard epochs by ring ownership (every key lands on
-its primary *and* its ``rf - 1`` replicas, so any owner can serve it),
-and a `FleetRouter` over the shard clients.  Observability rolls up the
+`Fleet` wires the pieces together: ``nshards`` `ShardNode`s placed on a
+`HashRing`, an ingest path that splits each fleet dump into per-shard
+epochs by ring ownership (every key lands on its primary *and* its
+``rf - 1`` replicas, so every owner is a full replica of it and any owner
+can serve it), and a `FleetRouter` that walks each key's owners in ring
+order over the shard clients.  Observability rolls up the
 other way: each shard keeps its own ``serve.*`` registry, and the fleet
 merges them under a ``shard`` label, re-exporting the totals as
 ``fleet.*`` series next to the router's own ``fleet.router.*`` counters.
 
 Everything runs in one process — in-proc clients by default, real TCP
 servers with ``tcp=True`` — because the repo simulates at function-call
-granularity; the wire format, the routing state, and the failure
-handling are exactly what a multi-process deployment would use.
+granularity; the wire format, the placement, and the failure handling
+are exactly what a multi-process deployment would use.
 """
 
 from __future__ import annotations
@@ -101,13 +102,12 @@ class Fleet:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> FleetRouter:
-        """Start every shard (+ TCP front ends when configured) and the
-        router over them; the router's aux views are pulled eagerly."""
+        """Start every shard (+ TCP front ends when configured) and build
+        the router over their clients."""
         for node in self.shards.values():
             await node.start(tcp=self.spec.tcp)
             self.clients[node.shard_id] = node.client
         self.router = FleetRouter(self.clients, self.ring, rf=self.rf)
-        await self.router.start()
         return self.router
 
     async def close(self) -> None:
@@ -131,8 +131,8 @@ class Fleet:
     async def recover_shard(self, shard_id: int) -> None:
         """Crash-recover one shard and splice it back into the fleet:
         fresh store from the manifest, fresh service, client swapped into
-        the live mapping, breaker given its half-open trial immediately,
-        and the router's view of the shard re-pulled."""
+        the live mapping, and its breaker closed so ring order sends the
+        shard its keys again at once."""
         node = self.shards[shard_id]
         await node.recover(tcp=self.spec.tcp)
         self.clients[shard_id] = node.client
@@ -140,7 +140,6 @@ class Fleet:
             breaker = self.router.breakers.get(shard_id)
             if breaker is not None:
                 breaker.record(True)
-            await self.router.refresh(shard_id)
 
     # -- observability -----------------------------------------------------
 

@@ -32,8 +32,8 @@ and decode as unknown kinds.
 Everything rare is *JSON inside the same frame and checksum*: a request's
 `TraceContext` and a row's ``detail``, error ``code`` and span tree ride as
 a JSON-object tail (a row's under ``"rows": {"<index>": {...}}``); the
-control verbs (``stats``, ``stats_live``, ``trace``, ``aux_state``,
-``ping``), their replies, error replies and any request whose fields do
+control verbs (``stats``, ``stats_live``, ``trace``, ``ping``), their
+replies, error replies and any request whose fields do
 not fit a fixed slot are kind 3.  To callers a message is still an
 id-tagged dict — ``{"id": 8, "v": 5, "op": "get_many", "keys": [1, 2],
 "epoch": None, "deadline_s": None}``, ``{"id": 8, "v": 5, "replies":
@@ -65,13 +65,11 @@ Failures are **typed error frames** — ``{"status": "error", "error":
 (``unknown_op``, ``unsupported_version``, ``bad_request``: don't retry)
 from *this shard, right now* (``unknown_epoch``, ``closed``: fail
 over); ``epoch_retired`` (a compaction merged the epoch away) is final.  A frame refused as a whole is that refusal for every key it
-asked for.  ``aux_state`` exports the sealed aux blobs (hex) per live
-epoch, the only shard bytes a router ever holds; a router pulls it when it
-starts and when a shard recovers.
+asked for.  An op the server does not know (v3's one-key ``get``, say)
+is answered ``unknown_op`` and the connection stays open.
 
 `TCPClient` speaks this over a socket; `InprocClient` offers the router's
-part of that surface (``get`` / ``aux_state``) by calling the service
-directly.
+part of that surface (``get``) by calling the service directly.
 """
 
 from __future__ import annotations
@@ -609,8 +607,6 @@ class ServeServer:
             if isinstance(n, bool) or not isinstance(n, int) or n < 0:
                 return error_frame(rid, ERR_BAD_REQUEST, f"n {n!r} is no int >= 0")
             return {"id": rid, "traces": self.service.recent_traces(n)}
-        if op == "aux_state":
-            return {"id": rid, "aux": self.service.aux_state()}
         if op == "ping":
             return {"id": rid, "pong": True}
         return error_frame(rid, ERR_UNKNOWN_OP, f"unknown op {op!r}")
@@ -851,16 +847,13 @@ class TCPClient:
     async def traces(self, n: int = 8) -> list[list[dict]]:
         return (await self._call({"op": "trace", "n": int(n)}))["traces"]
 
-    async def aux_state(self) -> dict:
-        return (await self._call({"op": "aux_state"}))["aux"]
-
 
 class InprocClient:
     """`TCPClient`-shaped adapter that calls the service in process.
 
-    Offers what a router and the load generator call — ``get`` and
-    ``aux_state`` — without sockets; the service's batching/coalescing
-    still applies because callers share one event loop.
+    Offers what a router and the load generator call — ``get`` — without
+    sockets; the service's batching/coalescing still applies because
+    callers share one event loop.
     """
 
     def __init__(self, service: QueryService):
@@ -887,6 +880,3 @@ class InprocClient:
         trace: TraceContext | None = None,
     ) -> ServeResponse:
         return await self.service.get(key, epoch=epoch, deadline_s=deadline_s, trace=trace)
-
-    async def aux_state(self) -> dict:
-        return self.service.aux_state()

@@ -751,24 +751,6 @@ class QueryService:
 
     # -- introspection -----------------------------------------------------
 
-    def aux_state(self) -> dict:
-        """The sealed aux blobs a router needs to hold this shard's
-        routing state: per live epoch, the per-rank blobs exactly as they
-        sit in storage (hex — the wire is JSON).  Formats without aux
-        tables export ``None`` rows, which a router refuses: it then
-        has no view of this shard and plans by ring order."""
-        blobs = {}
-        for epoch in self.store.epochs:
-            per_rank = self.store.aux_blobs(epoch)
-            blobs[str(epoch)] = (
-                None if per_rank is None else [b.hex() for b in per_rank]
-            )
-        return {
-            "format": self.store.fmt.name,
-            "nranks": self.store.nranks,
-            "epochs": blobs,
-        }
-
     def stats(self) -> dict:
         """Point-in-time snapshot of the serving counters (JSON-safe)."""
         m = self.metrics

@@ -1,7 +1,9 @@
 """Hostile bytes against `aux_from_blob`, the one aux decoder.
 
-The fleet router rebuilds aux tables from blobs a shard sent it; `unseal`
-proves those bytes are the ones the shard wrote, not that they are sane.
+Blobs reach `aux_from_blob` only from storage: attach rebuilds every
+epoch's aux tables from its sealed extents.  `unseal` proves those bytes
+are the ones the writer sealed, not that they are sane (older or other
+code may have written them).
 Whatever the blob, `aux_from_blob` has two outcomes: `ValueError`, or a
 table that re-serializes and whose probes on arbitrary ``uint64`` keys
 return ranks ``< nparts`` without raising — never another exception type,

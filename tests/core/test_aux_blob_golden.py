@@ -49,8 +49,9 @@ GOLDEN = {
     ),
 }
 
-# Blobs of the same table that backends which no longer seal wrote: the
-# fleet router may still be sent one, and refuses it by name.
+# Blobs of the same table that backends which no longer seal wrote: an
+# extent sealed by earlier code may still hold one, and attach refuses it
+# by name.
 RETIRED = {
     "bloom": bytes.fromhex(
         "700000007b226261636b656e64223a2022626c6f6f6d222c2022626974735f70"

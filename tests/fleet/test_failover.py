@@ -2,8 +2,8 @@
 
 Crash semantics come from ``repro.faults``: a crashed shard's device
 fails every probe, its service answers typed errors, and the router's
-breaker + candidate ordering must promote the replicas — emergently, with
-no leader election — while every answer stays byte-correct.  The
+breaker + ring order must promote the replicas — emergently, with no
+leader election — while every answer stays byte-correct.  The
 `FAULT_SEED_OFFSET` environment knob widens the seeded sweep in CI.
 """
 
@@ -47,6 +47,8 @@ def test_replica_promotion_under_crash(case):
     keys = sorted(truth)[::3]
     victim_keys = [k for k in keys if victim in fleet.ring.owners(k, fleet.rf)]
     assert victim_keys, "seeded dataset left the victim shard empty?"
+    primary_keys = [k for k in victim_keys if fleet.ring.owners(k, fleet.rf)[0] == victim]
+    assert primary_keys, "seeded dataset made the victim primary of nothing?"
 
     async def go():
         async with fleet:
@@ -70,11 +72,10 @@ def test_replica_promotion_under_crash(case):
                 assert r.status == OK and r.value == truth[k], (
                     f"key {k} wrong after recovery"
                 )
-            # The recovered shard serves again: its view was pulled anew
-            # (start pulled each shard once, recovery the victim once more)
-            # and its breaker closed, so victim-owned keys route to it.
-            assert victim in router.views
-            assert st["aux_refreshes"] == len(fleet.shards) + 1
+            # The recovered shard serves again: its breaker closed, so ring
+            # order sends it the keys it is primary for, and only those.
+            served = fleet.shards[victim].service.stats()["requests"]
+            assert served[OK] == sum(served.values()) == len(primary_keys)
 
     run(go())
 
@@ -127,7 +128,6 @@ def test_deadline_read_waits_on_a_slow_primary_alone():
         fleet.shards[primary].service = GatedService(fleet.shards[primary].store)
         async with fleet:
             router = fleet.router
-            assert router.plan(key, ANY_EPOCH)[0][0] == primary
             t0 = time.perf_counter()
             r = await router.get(key, epoch=ANY_EPOCH, deadline_s=deadline_s)
             elapsed = time.perf_counter() - t0
@@ -175,8 +175,7 @@ def test_tcp_fleet_matches_truth():
                     assert r.status == OK and r.value == truth[k]
                 else:
                     assert r.status == "not_found"
-            st = fleet.router.stats()
-            assert st["aux_routed"] == len(keys)
+            assert fleet.router.stats()["failovers"] == 0
             # Rollup sanity: shard serve.* totals surface as fleet.*.
             rolled = fleet.rollup()
             assert rolled.total("fleet.requests") >= len(keys)

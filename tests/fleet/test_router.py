@@ -2,9 +2,9 @@
 
 The core contract under test: a fleet answers every query byte-identically
 to one unsharded store holding the same dumps — for every registered aux
-backend, for epochs that mix backends, for absent keys, and whether or
-not the router's aux views know every epoch (a view that misses a commit
-may cost ordering quality, never answers).
+backend, for epochs that mix backends, for absent keys, and for epochs
+committed behind a live router (every ring owner holds its keys, so the
+router needs no state that a commit could leave behind).
 """
 
 import asyncio
@@ -16,7 +16,7 @@ import pytest
 from repro.core.auxtable import AUX_BACKENDS
 from repro.core.kv import random_kv_batch
 from repro.cli import _render_fleet_top_frame
-from repro.fleet import CircuitBreaker, FleetRouter, ShardAuxView
+from repro.fleet import CircuitBreaker
 from repro.serve import (
     ANY_EPOCH,
     ERR_BAD_REQUEST,
@@ -26,11 +26,8 @@ from repro.serve import (
     OK,
     OVERLOADED,
     ServeResponse,
-    ServeServer,
 )
-from repro.storage.envelope import seal
 
-from ..core.test_aux_blob_golden import RETIRED
 from .conftest import VB, absent_keys, build_fleet, make_dumps, merged_store, run
 
 BACKENDS = sorted(AUX_BACKENDS)
@@ -56,9 +53,36 @@ def test_fleet_matches_merged_store(backend):
     oracle = merged_store(dumps, seed=11, aux_backends=(backend,))
     keys = sorted(truth)[::7] + absent_keys(truth)
     stats = run(_assert_matches_oracle(fleet, oracle, truth, keys))
-    # FilterKV persists aux tables, so every plan was aux-shaped.
-    assert stats["aux_routed"] == len(keys)
-    assert stats["scatter"] == 0
+    # Every owner holds its keys, so a healthy fleet never fails over.
+    assert stats["failovers"] == 0
+    oracle.close()
+
+
+def test_a_healthy_fleet_asks_each_key_of_its_ring_primary_alone():
+    """Every ring owner is a full replica, so a healthy fleet asks each key
+    of its ring primary and of no one else: each shard serves exactly the
+    keys it is primary for, nothing fails over, and every answer is the
+    merged store's, present or absent."""
+    fleet, dumps, truth = build_fleet(nshards=3, rf=2, epochs=4, seed=37)
+    oracle = merged_store(dumps, seed=37)
+    keys = sorted(truth)[::2] + absent_keys(truth, n=64)
+    primaries = fleet.ring.owners_many(np.asarray(keys, dtype=np.uint64), fleet.rf)[:, 0]
+
+    async def go():
+        async with fleet:
+            responses = await fleet.router.get_burst([(k, ANY_EPOCH, None, None) for k in keys])
+            asked = {
+                sid: sum(node.service.stats()["requests"].values())
+                for sid, node in fleet.shards.items()
+            }
+            return responses, asked, fleet.router.stats()
+
+    responses, asked, stats = run(go())
+    assert asked == {sid: int((primaries == sid).sum()) for sid in fleet.shards}
+    assert stats["failovers"] == 0
+    for k, r in zip(keys, responses):
+        want = oracle.lookup(int(k))[0]
+        assert (r.status, r.value) == ((NOT_FOUND, None) if want is None else (OK, want)), k
     oracle.close()
 
 
@@ -84,17 +108,14 @@ def test_mixed_backend_epochs_match_merged_store():
 
 
 def test_commit_behind_a_live_router_is_answered_and_pulls_nothing():
-    """Views are pulled at start and never chased: a commit behind a live
-    router leaves every view at the old epoch set, and the new epoch's keys
-    are still answered byte-correctly, because the ring owners hold them
-    whatever the router's views say."""
+    """A commit behind a live router is answered byte-correctly with
+    nothing pulled or refreshed: the router holds no per-epoch state, and
+    the ring owners hold the new epoch's keys."""
     fleet, dumps, truth = build_fleet(seed=13, epochs=1)
 
     async def go():
         async with fleet:
             router = fleet.router
-            refreshes = router.stats()["aux_refreshes"]
-            assert refreshes == len(fleet.shards)
             extra = random_kv_batch(120, VB, np.random.default_rng(77))
             fleet.ingest(extra)
             new_truth = {int(k): extra.value_of(i) for i, k in enumerate(extra.keys)}
@@ -104,36 +125,6 @@ def test_commit_behind_a_live_router_is_answered_and_pulls_nothing():
             for k in sorted(truth)[:20]:
                 r = await router.get(k, epoch=ANY_EPOCH)
                 assert r.status == OK and r.value == truth[k]
-            assert router.stats()["aux_refreshes"] == refreshes
-            assert all(sorted(v.epochs) == [0] for v in router.views.values())
-
-    run(go())
-
-
-def test_plan_prefers_claimants_and_never_leaves_the_owner_set():
-    fleet, dumps, truth = build_fleet(seed=29, epochs=1)
-
-    async def go():
-        async with fleet:
-            router = fleet.router
-            for k in sorted(truth)[::17]:
-                owners = fleet.ring.owners(int(k), fleet.rf)
-                order, used_aux = router.plan(int(k))
-                assert used_aux
-                assert sorted(order) == sorted(owners)
-                # Replication: every owner holds the key, aux tables have
-                # no false negatives, so the front of the plan claims it.
-                assert router.views[order[0]].claim(int(k)) >= 0
-            # No view at all: planning degrades to pure ring order.
-            router.views.clear()
-            k = next(iter(truth))
-            order, used_aux = router.plan(k)
-            assert not used_aux
-            assert order == fleet.ring.owners(k, fleet.rf)
-            scatter_before = router.stats()["scatter"]
-            r = await router.get(k, epoch=ANY_EPOCH)
-            assert r.status == OK and r.value == truth[k]
-            assert router.stats()["scatter"] == scatter_before + 1
 
     run(go())
 
@@ -154,17 +145,15 @@ class _Overloaded:
         return getattr(self._inner, name)
 
 
-ROUTER_COUNTERS = ("aux_routed", "scatter", "failovers", "retries", "breaker_skips",
-                   "requests")
+ROUTER_COUNTERS = ("scatter", "failovers", "retries", "breaker_skips", "requests")
 
 
 @pytest.mark.parametrize("tcp", [False, True], ids=["inproc", "tcp"])
 def test_get_burst_equals_one_get_per_key(tcp):
     """`FleetRouter.get_burst` answers a burst, and counts it, exactly as
-    one `get` per key does — with one shard behind an open breaker (and no
-    view, as after a failed start), one shard answering ``overloaded`` and
-    one more shard without a view, so some keys have no owner with one."""
-    blocked, refusing, viewless = 0, 1, 2
+    one `get` per key does — with one shard behind an open breaker and one
+    shard answering ``overloaded``."""
+    blocked, refusing = 0, 1
 
     async def answer(burst: bool):
         fleet, dumps, truth = build_fleet(nshards=4, rf=2, epochs=2, seed=43, tcp=tcp)
@@ -172,9 +161,7 @@ def test_get_burst_equals_one_get_per_key(tcp):
             router = fleet.router
             breaker = router.breakers[blocked]
             breaker.open_until = breaker.clock() + 3600
-            router.views.pop(blocked)
             fleet.clients[refusing] = _Overloaded(fleet.clients[refusing])
-            router.views.pop(viewless)
             keys = sorted(truth)[::5] + absent_keys(truth, n=12)
             requests = [
                 (k, ANY_EPOCH if i % 3 else None, 5.0 if i % 11 == 0 else None, None)
@@ -197,7 +184,7 @@ def test_get_burst_equals_one_get_per_key(tcp):
         assert many == one
         assert many_counters == one_counters
         # Every rule of the walk was exercised.
-        for name in ("aux_routed", "scatter", "failovers", "breaker_skips"):
+        for name in ("scatter", "failovers", "breaker_skips"):
             assert many_counters[name] > 0, name
         statuses = many_counters["requests"]
         assert statuses[OVERLOADED] > 0 and statuses[OK] > 0 and statuses[NOT_FOUND] > 0
@@ -238,8 +225,9 @@ def test_burst_reaches_each_shard_as_one_get_many_per_run():
 
                 node.server._serve_burst = counted
             want = {sid: {} for sid in fleet.shards}  # shard -> {(epoch, deadline_s): keys}
-            for key, epoch, deadline_s, _ in requests:
-                hops = want[router.plan(key, epoch)[0][0]]
+            primaries = fleet.ring.owners_many(np.asarray(keys, dtype=np.uint64), fleet.rf)[:, 0]
+            for (key, epoch, deadline_s, _), primary in zip(requests, primaries.tolist()):
+                hops = want[primary]
                 hops[epoch, deadline_s] = hops.get((epoch, deadline_s), 0) + 1
             # Some shard is the first hop of keys at more than one (epoch, deadline).
             assert sum(len(hops) for hops in want.values()) > len(want)
@@ -346,24 +334,6 @@ def test_malformed_deadline_is_refused_at_the_router(deadline):
     run(go())
 
 
-def test_router_memory_is_aux_sized():
-    """The router's data-plane memory is the rebuilt aux tables — the
-    same order as the sealed blobs it pulled, nowhere near the data."""
-    fleet, dumps, truth = build_fleet(seed=41)
-
-    async def go():
-        async with fleet:
-            router = fleet.router
-            blob = router.aux_blob_bytes
-            resident = router.aux_resident_bytes
-            assert blob > 0 and resident > 0
-            assert resident <= 2 * blob
-            data_bytes = sum(len(d) for d in dumps) * (8 + VB) * fleet.rf
-            assert resident < data_bytes / 4
-
-    run(go())
-
-
 def test_circuit_breaker_lifecycle():
     t = [0.0]
     br = CircuitBreaker(clock=lambda: t[0])
@@ -378,7 +348,8 @@ def test_circuit_breaker_lifecycle():
     br.record(False)
     assert br.state == "open" and not br.allow() and br.trips == 1
     t[0] = CircuitBreaker.COOLDOWN_S
-    assert br.state == "half_open" and br.allow()
+    # Half-open lets every call through until an outcome is recorded.
+    assert br.state == "half_open" and br.allow() and br.allow()
     br.record(False)  # the half-open trial failed: re-open immediately
     assert br.state == "open" and br.trips == 2
     t[0] = 2.5 * CircuitBreaker.COOLDOWN_S
@@ -387,97 +358,9 @@ def test_circuit_breaker_lifecycle():
     assert br.state == "closed"
 
 
-def test_router_mounted_behind_a_server_pulls_each_view_once():
-    """`Fleet.start` starts the router, and a `ServeServer` mounting it
-    starts it again: the second start pulls nothing."""
-    fleet, dumps, truth = build_fleet(nshards=2, epochs=1, seed=17)
-
-    async def go():
-        async with fleet:
-            server = await ServeServer(fleet.router).start()
-            try:
-                assert fleet.router.stats()["aux_refreshes"] == len(fleet.shards)
-            finally:
-                await server.close()
-
-    run(go())
-
-
-def test_an_export_without_aux_tables_leaves_that_shard_without_a_view():
-    """A ``None`` row (a shard persisting no aux tables) is refused: that
-    shard gets no view, and keys whose owners all lack one scatter."""
-    fleet, dumps, truth = build_fleet(nshards=2, rf=2, epochs=1, seed=19)
-
-    class _NoAux:
-        def __init__(self, inner):
-            self._inner = inner
-
-        async def aux_state(self):
-            state = await self._inner.aux_state()
-            return {**state, "epochs": dict.fromkeys(state["epochs"])}
-
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
-
-    with pytest.raises(ValueError):
-        ShardAuxView(1, {"nranks": 2, "epochs": {"0": None}})
-
-    async def go():
-        async with fleet:
-            k = sorted(truth)[0]
-            one = {**fleet.clients, 1: _NoAux(fleet.clients[1])}
-            router = await FleetRouter(one, fleet.ring, rf=fleet.rf).start()
-            assert sorted(router.views) == [0]
-            assert router.plan(k) == ([0, 1], True)  # shard 0 claims k, shard 1 keeps its place
-            both = {sid: _NoAux(client) for sid, client in fleet.clients.items()}
-            router = await FleetRouter(both, fleet.ring, rf=fleet.rf).start()
-            assert router.views == {}
-            assert router.plan(k) == (fleet.ring.owners(k, fleet.rf), False)
-            r = await router.get(k, epoch=ANY_EPOCH)
-            assert (r.status, r.value) == (OK, truth[k])
-            assert router.stats()["scatter"] == 1
-
-    run(go())
-
-
-@pytest.mark.parametrize("backend", sorted(RETIRED))
-def test_an_export_of_a_retired_backend_leaves_that_shard_without_a_view(backend):
-    """Exact and Bloom tables seal no blob, but a shard of earlier code may
-    still export one: its view is refused by the backend's name, so that
-    shard keeps its ring place in every plan and answers as before."""
-    fleet, dumps, truth = build_fleet(nshards=2, rf=2, epochs=1, seed=19)
-    retired = seal(RETIRED[backend]).hex()
-    with pytest.raises(ValueError, match=f"unknown backend '{backend}'"):
-        ShardAuxView(1, {"nranks": 4, "epochs": {"0": [retired]}})
-
-    class _Retired:
-        def __init__(self, inner):
-            self._inner = inner
-
-        async def aux_state(self):
-            state = await self._inner.aux_state()
-            epochs = {e: [retired] * len(rows) for e, rows in state["epochs"].items()}
-            return {**state, "epochs": epochs}
-
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
-
-    async def go():
-        async with fleet:
-            k = sorted(truth)[0]
-            clients = {**fleet.clients, 1: _Retired(fleet.clients[1])}
-            router = await FleetRouter(clients, fleet.ring, rf=fleet.rf).start()
-            assert sorted(router.views) == [0]
-            assert router.plan(k) == ([0, 1], True)  # shard 0 claims k, shard 1 keeps its place
-            r = await router.get(k, epoch=ANY_EPOCH)
-            assert (r.status, r.value) == (OK, truth[k])
-
-    run(go())
-
-
 def test_top_frame_renders_a_live_router():
     """``repro top``'s fleet frame from a live router's `live_stats` and
-    `stats`: the routing line and one line per shard."""
+    `stats`: the failover line and one breaker line per shard."""
     fleet, dumps, truth = build_fleet(nshards=3, epochs=2, seed=23)
 
     async def go():
@@ -491,10 +374,6 @@ def test_top_frame_renders_a_live_router():
     lines = _render_fleet_top_frame(live, stats, "here:1").splitlines()
     assert lines[0].startswith("repro top — fleet router @ here:1")
     (routing,) = [ln for ln in lines if ln.lstrip().startswith("routing")]
-    assert routing.split() == [
-        "routing", "aux", "10", "scatter", "0", "failovers", "0", "refreshes", "3",
-    ]
+    assert routing.split() == ["routing", "failovers", "0"]
     shards = [ln.split() for ln in lines if ln.lstrip().startswith("shard")]
-    assert shards == [
-        ["shard", str(sid), "breaker", "closed", "epochs", "[0,", "1]"] for sid in range(3)
-    ]
+    assert shards == [["shard", str(sid), "breaker", "closed"] for sid in range(3)]

@@ -38,6 +38,20 @@ KNOWN_GONE = {
     # left to close; both layers still see `get_many` and `scan_arrays`.
     "repro.core.reader.CachedQueryEngine.close",
     "repro.storage.sstable.SSTableReader.close",
+    # The fleet router holds no aux views: every ring owner is a full
+    # replica, so a key walks its owners in ring order and nothing claims,
+    # plans or refreshes (ring time stays under `fleet.ring.self_s` through
+    # `owners_many`, and `fleet.router.plan_self_s` reads 0).
+    "repro.fleet.router.ShardAuxView.claim",
+    "repro.fleet.router.FleetRouter.plan",
+    "repro.fleet.router.FleetRouter.refresh",
+    # The router no longer imports it; attach still rebuilds every table
+    # through `repro.core.multiepoch.aux_from_blob`.
+    "repro.fleet.router.aux_from_blob",
+    # The `aux_state` verb that fed the views, end to end.
+    "repro.core.multiepoch.MultiEpochStore.aux_blobs",
+    "repro.serve.service.QueryService.aux_state",
+    "repro.serve.proto.TCPClient.aux_state",
 }
 
 
