@@ -262,10 +262,9 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     )
     for part, aux in zip(build, tables):
         aux.record_structure_metrics()
-        blob = seal(aux_to_blob(aux))
         name = aux_table_name(spec.merged, part)
-        with device.open(name, create=True) as f:
-            f.append(blob)
+        device.create(name)
+        device.append(name, seal(aux_to_blob(aux)))
         written.append(name)
         backends.add(aux.backend)
     return produced

@@ -272,10 +272,10 @@ class MultiEpochStore:
             for rank, name in enumerate(engine.aux_names):
                 if name is None:
                     raise ValueError(f"epoch {info.epoch} lists no aux table for rank {rank}")
-                with self.device.open(name) as f:
-                    engine.aux_tables[rank] = aux_from_blob(
-                        unseal(f.read(0, f.size)), metric_labels={"rank": str(rank)}
-                    )
+                blob = self.device.read(name, 0, self.device.file_size(name))
+                engine.aux_tables[rank] = aux_from_blob(
+                    unseal(blob), metric_labels={"rank": str(rank)}
+                )
         return engine
 
     # -- writing -----------------------------------------------------------
@@ -484,12 +484,6 @@ class MultiEpochStore:
         self._reads.close()
         self._warm.close()
         self.meta_cache.clear()
-
-    def __enter__(self) -> "MultiEpochStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- inventory ---------------------------------------------------------
 

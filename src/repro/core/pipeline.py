@@ -230,11 +230,9 @@ class WriterState:
         self._buffer_counts.clear()
 
     def finish(self) -> TableStats | None:
-        """Flush, then finalize and close local structures; returns
-        main-table stats."""
+        """Flush, then finalize local structures; returns main-table
+        stats."""
         self.flush()
-        if self._vlog is not None:
-            self._vlog.close()
         if self._main is not None:
             return self._main.finish()
         return None
@@ -344,9 +342,9 @@ class ReceiverState:
         self.aux.record_structure_metrics()
         # Sealed self-describing blob: a crash mid-append leaves a torn seal
         # that recovery detects, and a complete one reloads the table exactly.
-        blob = seal(aux_to_blob(self.aux))
-        with self.device.open(aux_table_name(self.epoch, self.rank), create=True) as f:
-            f.append(blob)
+        name = aux_table_name(self.epoch, self.rank)
+        self.device.create(name)
+        self.device.append(name, seal(aux_to_blob(self.aux)))
         return None
 
     def _mappings(self) -> tuple[int, np.ndarray, np.ndarray]:

@@ -105,8 +105,8 @@ class MetaCache:
     tables have been charged, so the accounting-only re-read of an
     already-decoded aux table happens once, not once per query.
 
-    It holds metadata only — no extent handle and no data block — and is
-    filled lazily; ``budget_bytes`` bounds it, least recently used first.
+    It holds metadata only — no data block — and is filled lazily;
+    ``budget_bytes`` bounds it, least recently used first.
     """
 
     def __init__(self):
@@ -163,8 +163,9 @@ class QueryEngine:
     shared by every reader it builds: at 0 (the store's `get` /
     `get_many`) it keeps none and its readers fetch only the key groups a
     call decodes; above 0 (warm mounts, `QueryService`, fleet shards) it
-    keeps whole blocks between calls.  A reader holds no handle, so the
-    engine builds one per table per call and has nothing to close.
+    keeps whole blocks between calls.  A reader reads by name and opens
+    nothing, so the engine builds one per table per call and has nothing
+    to close.
     """
 
     def __init__(
@@ -258,12 +259,9 @@ class QueryEngine:
             cache.aux_fetched.add((self.epoch, owner))
 
     def _fetch_aux(self, stats: QueryStats, owner: int) -> None:
-        aux_file = self.device.open(self.aux_names[owner])
-        try:
-            with self._charged(stats, "aux"):
-                aux_file.read(0, aux_file.size)
-        finally:
-            aux_file.close()
+        name = self.aux_names[owner]
+        with self._charged(stats, "aux"):
+            self.device.read(name, 0, self.device.file_size(name))
 
     # -- the read flow -------------------------------------------------------
 
@@ -387,11 +385,8 @@ class QueryEngine:
                 group = [ptrs[i] for i in at]
                 lead = stats[group[0][0]]
                 log = ValueLog.open(self.device, rank)
-                try:
-                    with self._charged(lead, "vlog"):
-                        vals = log.read_many([pt for _, pt in group])
-                finally:
-                    log.close()
+                with self._charged(lead, "vlog"):
+                    vals = log.read_many([pt for _, pt in group])
                 for (p, _), v in zip(group, vals):
                     values[p] = v
         for st, hit in zip(stats, found):

@@ -32,10 +32,11 @@ That is not rare at 1.23× occupancy: over 200 tables per size, 5–8 % of
 64- and 256-key tables and 12–18 % of 1 024- and 4 096-key ones needed a
 second seed, and none more than four, so most 16-table seals retry a
 table.  Unlike a filter, a static *function* requires one value per key —
-duplicate keys are a caller error and rejected up front.
+the caller dedupes keys and rejects conflicting ones before the build.
 
-`XorMaplet.build_many` builds the tables of one seal at once, in one
-round loop over their union; `XorMaplet(keys, ...)` is its batch of one.
+`XorMaplet.build_many` is the one construction: it builds the tables of
+one seal at once, in one round loop over their union, and a table built
+alone is its batch of one.  `XorMaplet.from_state` reloads a sealed one.
 
 `XorMaplet.get` is the one-key twin of `lookup_many`: the same three slot
 reads and fingerprint in plain Python ints, with no array round trip.
@@ -61,12 +62,6 @@ def csf_segment(nkeys: int) -> int:
     three segments, plus a small-table margin.  The build sizes from it and
     a persisted header is checked against it."""
     return max(2, math.ceil(1.23 * nkeys / 3) + 8)
-
-
-def _has_duplicates(keys: np.ndarray) -> bool:
-    """Whether any key repeats (a plain sort: `np.unique` costs ~25x that)."""
-    s = np.sort(keys)
-    return bool((s[1:] == s[:-1]).any())
 
 
 def _mixes(seed: int) -> list[int]:
@@ -142,47 +137,11 @@ class CsfConstructionError(RuntimeError):
 class XorMaplet:
     """Static key → value map over 64-bit keys with a fused filter guard.
 
-    Parameters
-    ----------
-    keys:
-        Distinct ``uint64`` keys (duplicates raise — a function stores one
-        value per key; dedupe or reject conflicts before building).
-    values:
-        One value per key, each in ``[0, 2**value_bits)``.
-    value_bits:
-        Payload width per key.
-    fp_bits:
-        Fingerprint-guard width; out-of-set lookups report a (spurious)
-        hit with probability ``2^-fp_bits``.
+    Built by `build_many` (or reloaded by `from_state`): ``value_bits`` is
+    the payload width per key, ``fp_bits`` the fingerprint-guard width —
+    out-of-set lookups report a (spurious) hit with probability
+    ``2^-fp_bits``.
     """
-
-    def __init__(
-        self,
-        keys: np.ndarray,
-        values: np.ndarray,
-        value_bits: int,
-        fp_bits: int = 4,
-        seed: int = 0,
-    ):
-        if not 1 <= value_bits <= 32:
-            raise ValueError(f"value_bits must be in [1, 32], got {value_bits}")
-        if not 1 <= fp_bits <= 32:
-            raise ValueError(f"fp_bits must be in [1, 32], got {fp_bits}")
-        keys = np.asarray(keys, dtype=np.uint64).ravel()
-        values = np.asarray(values, dtype=np.uint64).ravel()
-        if keys.size == 0:
-            raise ValueError("maplet needs at least one key")
-        if keys.shape != values.shape:
-            raise ValueError("need exactly one value per key")
-        if _has_duplicates(keys):
-            raise ValueError("duplicate keys: a static function maps each key once")
-        if values.size and int(values.max()) >> value_bits:
-            raise ValueError(f"value {int(values.max())} does not fit in {value_bits} bits")
-        # The batch of one: `build_many` is the only construction.
-        (built,) = self.build_many([(keys, values, seed)], value_bits, fp_bits)
-        if built is None:
-            raise CsfConstructionError(f"peeling failed after {MAX_TRIES} seeds")
-        vars(self).update(vars(built))
 
     @classmethod
     def build_many(
@@ -321,13 +280,7 @@ class XorMaplet:
             return None
         return acc & ((1 << self.value_bits) - 1)
 
-    def __contains__(self, key: int) -> bool:
-        return self.get(int(key)) is not None
-
     # -- accounting --------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self.nkeys
 
     @property
     def slot_bits(self) -> int:
@@ -340,7 +293,3 @@ class XorMaplet:
     @property
     def size_bytes(self) -> int:
         return math.ceil(self.nslots * self.slot_bits / 8)
-
-    @property
-    def bits_per_key(self) -> float:
-        return self.size_bytes * 8 / self.nkeys

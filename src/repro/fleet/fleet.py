@@ -151,8 +151,7 @@ class Fleet:
         if self.router is not None:
             out.merge(self.router.metrics)
         for sid, node in self.shards.items():
-            if node.service is not None:
-                out.merge(node.service.metrics, shard=sid)
+            out.merge(node.metrics, shard=sid)
         return out
 
     def rollup(self) -> MetricsRegistry:

@@ -2,9 +2,10 @@
 
 A `ShardNode` is the unit the ring places keys on.  Each node owns its
 own storage device — always a `FaultyStorageDevice`, so every shard can
-be crashed and recovered on schedule — its own store, its own service
-(with its own ``serve.*`` registry, merged fleet-wide by `Fleet`), and
-optionally its own TCP front end.  In-proc and TCP nodes expose the same
+be crashed and recovered on schedule — its own store, its own service,
+its own ``serve.*`` registry (one for the node's lifetime, handed to every
+service it mounts and merged fleet-wide by `Fleet`), and optionally its
+own TCP front end.  In-proc and TCP nodes expose the same
 client surface, so the router never knows which it is talking to.
 
 Crash/recover is the storage-truth discipline the faults suite
@@ -23,6 +24,7 @@ import numpy as np
 from ..core.kv import KVBatch
 from ..core.multiepoch import MultiEpochStore
 from ..faults import FaultPlan, FaultyStorageDevice
+from ..obs import MetricsRegistry
 from ..serve import InprocClient, QueryService, ServeServer, TCPClient
 from ..storage.manifest import RecoveryReport
 
@@ -59,6 +61,9 @@ class ShardNode:
         self.seed = int(seed)
         self.service_kwargs = dict(service_kwargs or {})
         self.device = FaultyStorageDevice(plan=FaultPlan(seed=seed))
+        # Outlives every service: a recovered shard keeps counting where
+        # the crashed one stopped.
+        self.metrics = MetricsRegistry("serve")
         self.store = MultiEpochStore(
             nranks=self.nranks,
             value_bytes=self.value_bytes,
@@ -95,7 +100,7 @@ class ShardNode:
         """Mount the service (and, in TCP mode, the wire front end) and
         connect this node's client."""
         if self.service is None:
-            self.service = QueryService(self.store, **self.service_kwargs)
+            self.service = QueryService(self.store, metrics=self.metrics, **self.service_kwargs)
         await self.service.start()
         if tcp:
             self.server = ServeServer(self.service)
@@ -128,7 +133,8 @@ class ShardNode:
     async def recover(self, tcp: bool | None = None) -> "ShardNode":
         """Revive the device and re-attach everything *from storage*.
 
-        The old service and its caches are discarded; `MultiEpochStore.
+        The old service and its caches are discarded (its ``serve.*``
+        counts stay in the node's registry); `MultiEpochStore.
         recover` replays the manifest against the surviving bytes, so the
         node comes back exactly as crash consistency guarantees — and the
         `RecoveryReport` is kept for tests to assert on.  The client is
@@ -143,9 +149,4 @@ class ShardNode:
             )
         self.store = store
         self.last_recovery = report
-        self.service = QueryService(self.store, **self.service_kwargs)
         return await self.start(tcp=was_tcp)
-
-    @property
-    def crashed(self) -> bool:
-        return self.device.crashed

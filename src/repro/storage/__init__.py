@@ -9,7 +9,7 @@ Exports:
 * `compress` / `decompress` — Snappy-wire-format codec (paper §IV-C).
 """
 
-from .blockio import DeviceProfile, ExtentLostError, IOCounters, StorageDevice, StorageFile
+from .blockio import DeviceProfile, ExtentLostError, IOCounters, StorageDevice
 from .checksum import CHECKSUM_BYTES
 from .envelope import (
     SEAL_OVERHEAD_BYTES,
@@ -35,7 +35,6 @@ __all__ = [
     "ExtentLostError",
     "IOCounters",
     "StorageDevice",
-    "StorageFile",
     "SEAL_OVERHEAD_BYTES",
     "SealError",
     "UnsupportedLayoutError",

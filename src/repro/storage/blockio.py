@@ -4,15 +4,18 @@ The paper's read-path evaluation (Fig. 11) reports three quantities per
 query: latency, number of storage read operations (seeks), and bytes
 fetched.  `StorageDevice` charges a fixed per-operation seek cost plus a
 bandwidth-proportional transfer cost, and keeps counters for all three.
-Real bytes live in an in-memory extent store (or an optional backing file),
-so readers get back exactly what writers stored — the timing model and the
-data path are both exercised.
+Real bytes live in an in-memory extent store, so readers get back exactly
+what writers stored — the timing model and the data path are both
+exercised.
+
+The device is a map of named extents: `read` and `append` name the extent
+they touch, and nothing is opened, so there is no handle to hold or leak.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..obs import MetricsRegistry, active
 
@@ -21,7 +24,6 @@ __all__ = [
     "ExtentLostError",
     "IOCounters",
     "StorageDevice",
-    "StorageFile",
 ]
 
 
@@ -96,9 +98,9 @@ class IOCounters:
 class StorageDevice:
     """A byte-addressable device with cost accounting.
 
-    Files are named extents inside the device.  `read` reads one by name;
-    `open` returns a `StorageFile` handle for appends and handle-scoped
-    reads.  Every read and write is charged to this device's counters.
+    Files are named extents inside the device.  `read` and `append` name
+    the extent; `create` leaves an empty one.  Every read and append is
+    charged to this device's counters; `create` is not.
     """
 
     def __init__(
@@ -115,21 +117,21 @@ class StorageDevice:
         self._m_bytes_read = self.metrics.counter("storage.bytes_read", device=dev)
         self._m_bytes_written = self.metrics.counter("storage.bytes_written", device=dev)
         self._files: dict[str, io.BytesIO] = {}
-        # Live StorageFile handles (opens minus closes).  Table readers read
-        # by name and hold none, and every writer closes what it writes, so
-        # this is 0 whenever no read or write call is in flight.
-        self.open_handles = 0
 
-    def open(self, name: str, create: bool = False) -> "StorageFile":
+    def create(self, name: str) -> None:
+        """Make ``name`` an empty extent unless it exists (uncharged): a
+        writer's extent is there from its start, before its first append."""
         if name not in self._files:
-            if not create:
-                raise FileNotFoundError(f"no such extent: {name!r}")
             self._files[name] = io.BytesIO()
-        self.open_handles += 1
-        return StorageFile(self, name)
+
+    def append(self, name: str, data: bytes) -> int:
+        """Append to extent ``name`` and return the offset the data landed
+        at.  The extent must exist: one deleted underneath its writer
+        raises `ExtentLostError`."""
+        return self._append(name, bytes(data))
 
     def read(self, name: str, offset: int, size: int) -> bytes:
-        """Read ``size`` bytes at ``offset`` of extent ``name``, no handle.
+        """Read ``size`` bytes at ``offset`` of extent ``name``.
 
         A read that begins at or before the extent's end may come back
         short (plain EOF); a read that begins *past* the end, or against a
@@ -190,7 +192,7 @@ class StorageDevice:
             raise FileNotFoundError(f"no such extent: {name!r}")
         return buf
 
-    # -- charged primitives, used by `read` and StorageFile -----------------
+    # -- charged primitives, used by `read` and `append` --------------------
 
     def _charge_read(self, nbytes: int) -> None:
         self.counters.reads += 1
@@ -229,41 +231,3 @@ class StorageDevice:
         self._charge_write(len(data))
         return offset
 
-
-@dataclass
-class StorageFile:
-    """Handle to one extent of a `StorageDevice`."""
-
-    device: StorageDevice
-    name: str
-    _closed: bool = field(default=False, repr=False)
-
-    def append(self, data: bytes) -> int:
-        """Append and return the offset the data landed at."""
-        self._check_open()
-        return self.device._append(self.name, bytes(data))
-
-    def read(self, offset: int, size: int) -> bytes:
-        """Read ``size`` bytes starting at ``offset`` (`StorageDevice.read`
-        of this extent, on an open handle)."""
-        self._check_open()
-        return self.device.read(self.name, offset, size)
-
-    @property
-    def size(self) -> int:
-        return self.device.file_size(self.name)
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self.device.open_handles -= 1
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ValueError(f"I/O on closed file {self.name!r}")
-
-    def __enter__(self) -> "StorageFile":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

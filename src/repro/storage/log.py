@@ -5,6 +5,9 @@ the value portion of every KV pair to its own log file and ships
 ``(key, pointer)`` to the partition owner.  A pointer names the log file
 (by the writer's rank, 4 bytes) and the byte offset of the value (8 bytes)
 — the 12-byte per-key overhead FilterKV sets out to eliminate.
+
+A log is the device extent ``vlog.<rank>``: the writer appends to it and a
+reader reads from it by that name, and neither opens anything.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs.trace import child_span, current_span
-from .blockio import ExtentLostError, StorageDevice, StorageFile
+from .blockio import ExtentLostError, StorageDevice
 from .sstable import value_matrix
 
 __all__ = ["DataPointer", "ValueLog", "POINTER_BYTES"]
@@ -56,7 +59,9 @@ class ValueLog:
         if rank < 0:
             raise ValueError(f"rank must be non-negative, got {rank}")
         self.rank = rank
-        self._file: StorageFile = device.open(self.filename(rank), create=True)
+        self.device = device
+        self.name = self.filename(rank)
+        device.create(self.name)
         self._nvalues = 0
 
     @staticmethod
@@ -65,11 +70,16 @@ class ValueLog:
 
     @classmethod
     def open(cls, device: StorageDevice, rank: int) -> "ValueLog":
-        """Attach to an existing log for reading (no create)."""
+        """A reader over the existing log of ``rank`` (no create): a missing
+        log is a `FileNotFoundError`."""
+        name = cls.filename(rank)
+        if not device.exists(name):
+            raise FileNotFoundError(f"no such extent: {name!r}")
         log = cls.__new__(cls)
         log.rank = rank
-        log._file = device.open(cls.filename(rank))
-        log._nvalues = -1  # unknown for a reader-side attach
+        log.device = device
+        log.name = name
+        log._nvalues = -1  # unknown for a reader
         return log
 
     def append_many(self, values: np.ndarray) -> np.ndarray:
@@ -86,8 +96,7 @@ class ValueLog:
         recs = np.empty((n, self._LEN.size + width), dtype=np.uint8)
         recs[:, : self._LEN.size] = np.frombuffer(self._LEN.pack(width), dtype=np.uint8)
         recs[:, self._LEN.size :] = values
-        base = self._file.size
-        self._file.append(recs.tobytes())
+        base = self.device.append(self.name, recs.tobytes())
         self._nvalues += n
         return base + np.arange(n, dtype=np.uint64) * np.uint64(self._LEN.size + width)
 
@@ -102,7 +111,7 @@ class ValueLog:
         if pointer.rank != self.rank:
             raise ValueError(f"pointer targets rank {pointer.rank}, log is rank {self.rank}")
         try:
-            first = self._file.read(pointer.offset, self._LEN.size + READ_AHEAD)
+            first = self.device.read(self.name, pointer.offset, self._LEN.size + READ_AHEAD)
         except ExtentLostError as e:
             raise ValueError(f"bad pointer offset {pointer.offset}: {e}") from e
         if len(first) < self._LEN.size:
@@ -110,7 +119,7 @@ class ValueLog:
         (length,) = self._LEN.unpack(first[: self._LEN.size])
         body = first[self._LEN.size : self._LEN.size + length]
         if len(body) < length:
-            body += self._file.read(pointer.offset + len(first), length - len(body))
+            body += self.device.read(self.name, pointer.offset + len(first), length - len(body))
         return body
 
     def read_many(self, pointers: list[DataPointer]) -> list[bytes]:
@@ -133,14 +142,9 @@ class ValueLog:
             out[i] = self.read(pointers[i])
         return out
 
-    def close(self) -> None:
-        """Release the log's extent handle (idempotent): a writer's once its
-        epoch is written, a reader's after each call."""
-        self._file.close()
-
     def __len__(self) -> int:
         return self._nvalues
 
     @property
     def size_bytes(self) -> int:
-        return self._file.size
+        return self.device.file_size(self.name)

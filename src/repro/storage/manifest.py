@@ -222,8 +222,9 @@ class Manifest:
         """
         gens = self._scan_generations(device)
         seq = (gens[0][0] + 1) if gens else 1
-        with device.open(self._generation_name(seq), create=True) as f:
-            f.append(seal(self.to_bytes()))
+        name = self._generation_name(seq)
+        device.create(name)
+        device.append(name, seal(self.to_bytes()))
         for old_seq, name in gens[_KEEP_GENERATIONS - 1 :]:
             device.delete(name)
         return seq
@@ -245,8 +246,7 @@ class Manifest:
         before generations raises `UnsupportedLayoutError`."""
         invalid: list[str] = []
         for seq, name in cls._scan_generations(device):
-            with device.open(name) as f:
-                payload = try_unseal(f.read(0, f.size))
+            payload = try_unseal(device.read(name, 0, device.file_size(name)))
             if payload is not None:
                 try:
                     return seq, cls.from_bytes(payload), invalid
@@ -345,8 +345,7 @@ def _validate_epoch(device: StorageDevice, info: EpochInfo, deep: bool) -> str |
                 if deep:
                     reader.scan_arrays()
             elif name.startswith("aux."):
-                with device.open(name) as f:
-                    payload = try_unseal(f.read(0, f.size))
+                payload = try_unseal(device.read(name, 0, device.file_size(name)))
                 if payload is None:
                     return f"aux extent {name!r} torn or corrupt"
         except UnsupportedLayoutError:

@@ -56,9 +56,9 @@ Layout (all little-endian, 8-byte keys as in the paper's experiments)::
 Values are one ``(n, width)`` uint8 matrix per table: every record has
 the same size, so blocks and groups are rows of whole records.  Writers
 buffer entries, sort by key, and emit blocks of ``block_size`` bytes.
-Readers read their extent by name (`StorageDevice.read`) and hold no
-handle; every access is charged to the device, so seeks and bytes line
-up with Fig. 11b/c.
+Writers and readers name their extent (`StorageDevice.append` /
+`read`): nothing is opened.  Every access is charged to the device, so
+seeks and bytes line up with Fig. 11b/c.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ import numpy as np
 from ..filters.bloom import BloomFilter
 from ..obs import MetricsRegistry
 from ..obs.trace import child_span, current_span
-from .blockio import StorageDevice, StorageFile
+from .blockio import StorageDevice
 from .checksum import CHECKSUM_BYTES, crc32_rows
 from .envelope import UnsupportedLayoutError
 
@@ -217,7 +217,9 @@ class SSTableWriter:
             raise ValueError(f"block_size too small: {block_size}")
         self.block_size = block_size
         self.bloom_bits_per_key = bloom_bits_per_key
-        self._file: StorageFile = device.open(name, create=True)
+        self.device = device
+        self.name = name
+        device.create(name)
         # Entries are buffered as columnar chunks in arrival order: each
         # chunk is (keys u64, values as a (n, width) uint8 matrix).
         self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
@@ -249,8 +251,7 @@ class SSTableWriter:
         self._nentries += keys.size
 
     def finish(self) -> TableStats:
-        """Sort, write blocks + filter + index + footer, close the extent;
-        returns sizes."""
+        """Sort, write blocks + filter + index + footer; returns sizes."""
         if self._finished:
             raise ValueError("writer already finished")
         self._finished = True
@@ -270,7 +271,7 @@ class SSTableWriter:
         for payload, n, last, gfirst, goff in _cut_rows(
             keys[order], values[order], self.block_size, group_cut
         ):
-            off = self._file.append(payload)
+            off = self.device.append(self.name, payload)
             index_entries.append((int(gfirst[0]), last, off, len(payload), n, len(goff)))
             group_first.append(np.asarray(gfirst, dtype="<u8"))
             group_off.append(np.asarray(goff, dtype="<u4"))
@@ -286,7 +287,11 @@ class SSTableWriter:
             filter_blob = bf.to_bytes()
             filter_blob += zlib.crc32(filter_blob).to_bytes(CHECKSUM_BYTES, "little")
             bloom_nhashes = bf.nhashes
-        filter_off = self._file.append(filter_blob) if filter_blob else self._file.size
+        filter_off = (
+            self.device.append(self.name, filter_blob)
+            if filter_blob
+            else self.device.file_size(self.name)
+        )
 
         # Index block: the block table, then the group table, both by column.
         nblocks = len(index_entries)
@@ -298,7 +303,7 @@ class SSTableWriter:
                 f"<{3 * nblocks}Q{3 * nblocks}I", *(v for col in zip(*index_entries) for v in col)
             ) + b"".join(_concat(col).tobytes() for col in (group_first, group_sum, group_off))
         index_blob += zlib.crc32(index_blob).to_bytes(CHECKSUM_BYTES, "little")
-        index_off = self._file.append(index_blob)
+        index_off = self.device.append(self.name, index_blob)
 
         footer_body = _FOOTER_BODY.pack(
             _MAGIC,
@@ -310,10 +315,9 @@ class SSTableWriter:
             self.block_size,
             bloom_nhashes,
         )
-        self._file.append(
-            footer_body + zlib.crc32(footer_body).to_bytes(CHECKSUM_BYTES, "little")
+        self.device.append(
+            self.name, footer_body + zlib.crc32(footer_body).to_bytes(CHECKSUM_BYTES, "little")
         )
-        self._file.close()
         self._chunks.clear()
         return TableStats(
             nentries=nentries,
@@ -556,7 +560,7 @@ class SSTableReader:
     footer/index/filter resident: the open then costs no device read.
     Fig. 11 amortizes these across the 100 queries only partially — each
     query opens its partition afresh in the paper, which is the default
-    here.  A reader reads its extent by name and holds no handle, so it
+    here.  A reader reads its extent by name and opens nothing, so it
     needs no closing and costs nothing to drop.
 
     What one data-block read fetches follows from ``cache``.  With none,

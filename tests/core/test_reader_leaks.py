@@ -1,11 +1,14 @@
-"""Extent-handle leak audits for the read and write paths.
+"""What the read path leaves behind between calls.
 
-`StorageDevice.open_handles` counts live `StorageFile` handles (opens
-minus closes).  A table reader reads its extent by name and holds none;
-value-log reads and aux fetches open and close one per call; writers
-close what they write.  So whenever no call is in flight the count is 0,
-on every surface and every format — historically the uncached path
-leaked one reader per query, and the write path one handle per extent.
+The device has no handles: every read names its extent.  What a read
+could still leave behind is state — on the device (an extent created or
+written by a read, which `footprint` would show) or in the store (warm
+engines and resident table metadata).  These tests pin both: no read on
+any surface moves the device's footprint, the store's warm engines are
+reused while their epoch lives and dropped when compaction retires it,
+and the `MetaCache` forgets retired epochs.  The test names are older
+than the handle-free device: where one speaks of handles, read "anything
+a read leaves behind".
 """
 
 import asyncio
@@ -20,6 +23,8 @@ from repro.core.multiepoch import MultiEpochStore
 from repro.core.reader import TABLE_CACHE_ENTRIES
 from repro.obs import MetricsRegistry
 from repro.serve import QueryService
+
+from ..reference.read import footprint
 
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
 
@@ -41,27 +46,26 @@ def _dataset(fmt, nranks=4, records=600):
 def test_uncached_engine_leaks_no_handles(fmt):
     cluster, batches = _dataset(fmt)
     engine = cluster.query_engine()
-    baseline = engine.device.open_handles
-    assert baseline == 0  # the write path closed everything it wrote
+    baseline = footprint(engine.device)
     for i in range(100):
         b = batches[i % len(batches)]
         value, _ = engine.get(int(b.keys[i % len(b)]))
         assert value is not None
-    engine.get(5)  # misses must release handles too
-    assert engine.device.open_handles == baseline, "read path leaked extent handles"
-    # the bulk path opens each table / value log once per batch: same audit
+    engine.get(5)  # misses too
+    assert footprint(engine.device) == baseline, "a read changed the device"
+    # the bulk path reads each table / value log once per batch: same audit
     absent = np.array([5], dtype=np.uint64)
     values, _ = engine.get_many(np.concatenate([b.keys[:40] for b in batches] + [absent]))
     assert sum(v is not None for v in values) == 40 * len(batches)
-    assert engine.device.open_handles == baseline, "bulk read path leaked extent handles"
+    assert footprint(engine.device) == baseline, "a bulk read changed the device"
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
 def test_no_call_leaves_a_handle_open(fmt):
-    """The one invariant: after every call on every read surface — the cold
-    engine, the handle-free `get` / `get_many`, a warm engine,
-    `lookup_many`, `trajectory` and a `QueryService` window — and after
-    every write and merge, no extent handle is open."""
+    """The one invariant: no call on any read surface — the cold engine,
+    `get` / `get_many`, a warm engine, `lookup_many`, `trajectory` and a
+    `QueryService` window — moves the device's footprint, before a merge
+    and after it."""
     store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=24, seed=17)
     device = store.device
     rng = np.random.default_rng(17)
@@ -69,7 +73,6 @@ def test_no_call_leaves_a_handle_open(fmt):
     for _ in range(3):
         batches.append([random_kv_batch(200, 24, rng) for _ in range(4)])
         store.write_epoch(batches[-1])
-        assert device.open_handles == 0
     keys = np.concatenate([b.keys[::23] for epoch in batches for b in epoch] + [[5]])
 
     def surfaces():
@@ -88,17 +91,16 @@ def test_no_call_leaves_a_handle_open(fmt):
         async with QueryService(store, metrics=MetricsRegistry()) as svc:
             replies = await asyncio.gather(*(svc.get(int(k)) for k in keys[:40]))
             assert all(r.status in ("ok", "not_found") for r in replies)
-            assert device.open_handles == 0
 
     for merged in (False, True):
+        before = footprint(device)
         for call in surfaces():
             call()
-            assert device.open_handles == 0
+            assert footprint(device) == before
         asyncio.run(window())
-        assert device.open_handles == 0
+        assert footprint(device) == before
         if not merged:
             store.compact()
-            assert device.open_handles == 0
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
@@ -107,7 +109,7 @@ def test_trajectory_reuses_pooled_engines(fmt):
 
     The store keeps one warm engine per live epoch: the first sweep builds
     them, every later call reuses them and their cached blocks (the same
-    engines, near-zero new device reads), and none holds a handle.
+    engines, near-zero new device reads).
     """
     store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=24, seed=5)
     rng = np.random.default_rng(5)
@@ -132,7 +134,6 @@ def test_trajectory_reuses_pooled_engines(fmt):
     # Warm engines serve repeats from resident metadata and cached blocks:
     # the second sweep must not re-open and re-read every partition per call.
     assert reads_per_call < 2 * len(attached.epochs)
-    assert attached.device.open_handles == 0
 
 
 def test_compaction_retires_pooled_engines():
@@ -158,42 +159,43 @@ def test_compaction_retires_pooled_engines():
     assert found == store.epochs[-1]
     assert list(store._warm._engines) == store.epochs
     store.close()
-    assert store._warm._engines == {} and store.device.open_handles == 0
+    assert store._warm._engines == {}
 
 
 def test_multiepoch_store_queries_leak_nothing():
+    """Attached-store reads keep one resident table metadata per table,
+    however many calls, and leave the device as they found it."""
     store = MultiEpochStore(nranks=4, fmt=FMT_FILTERKV, value_bytes=24, seed=3)
     rng = np.random.default_rng(3)
     batches = [random_kv_batch(400, 24, rng) for _ in range(4)]
     store.write_epoch(batches)
     attached = MultiEpochStore.attach(store.device)
-    baseline = attached.device.open_handles
+    baseline = footprint(attached.device)
     for b in batches:
         for i in range(0, 400, 37):
             value, _ = attached.get(int(b.keys[i]), 0)
             assert value == b.value_of(i)
         values, _ = attached.get_many(b.keys[::37], 0)
         assert values == [b.value_of(i) for i in range(0, 400, 37)]
-    assert attached.device.open_handles == baseline
+    assert footprint(attached.device) == baseline
+    assert len(attached.meta_cache) == 4
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
 def test_meta_cache_holds_no_handle_and_forgets_retired_epochs(fmt):
-    """`get` / `get_many` leave table metadata resident, never a handle;
-    compaction drops the retired epochs' share of it."""
+    """`get` / `get_many` leave table metadata resident; compaction drops
+    the retired epochs' share of it, and `close` the rest."""
     store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=24, seed=21)
     rng = np.random.default_rng(21)
     epoch_batches = [[random_kv_batch(150, 24, rng) for _ in range(4)] for _ in range(3)]
     for batches in epoch_batches:
         store.write_epoch(batches)
-    baseline = store.device.open_handles
 
     def read_everything():
         for epoch in store.epochs:
             for b in (b for batches in epoch_batches for b in batches):
                 store.get(int(b.keys[0]), epoch)
                 store.get_many(b.keys[:20], epoch)
-        assert store.device.open_handles == baseline
 
     read_everything()
     cache = store.meta_cache
@@ -205,20 +207,27 @@ def test_meta_cache_holds_no_handle_and_forgets_retired_epochs(fmt):
     read_everything()
     assert {epoch for epoch, _ in cache._metas} == set(store.epochs)
     store.close()
-    assert cache.nbytes == 0 and store.device.open_handles == baseline
+    assert cache.nbytes == 0
 
 
 @pytest.mark.parametrize("deep", [False, True])
 def test_recovery_validation_returns_every_handle(deep):
-    """`Manifest.recover` opens every table and aux extent of every epoch to
-    validate it (``deep`` also scans them); it used to keep all of them."""
+    """`Manifest.recover` reads every table and aux extent of every epoch to
+    validate it (``deep`` also scans them): a sound store keeps every
+    epoch, and validation changes no extent."""
     rng = np.random.default_rng(6)
     store = MultiEpochStore(nranks=4, fmt=FMT_FILTERKV, value_bytes=24, seed=6)
     for _ in range(2):
         store.write_epoch([random_kv_batch(100, 24, rng) for _ in range(4)])
     store.close()
-    baseline = store.device.open_handles
-    recovered, report = MultiEpochStore.recover(store.device, deep=deep)
-    assert report.committed_epochs == [0, 1]
+    device = store.device
+
+    def extents():
+        return {n: device.read(n, 0, device.file_size(n)) for n in device.list_files()}
+
+    before = extents()
+    recovered, report = MultiEpochStore.recover(device, deep=deep)
+    assert report.committed_epochs == [0, 1] and report.quarantined_epochs == []
+    assert report.orphans_removed == [] and report.invalid_manifests == []
+    assert extents() == before
     recovered.close()
-    assert store.device.open_handles == baseline

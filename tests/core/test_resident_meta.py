@@ -18,6 +18,8 @@ from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
 from repro.core.pipeline import main_table_name
 from repro.storage.sstable import FOOTER_BYTES, CorruptBlockError, SSTableReader
 
+from ..reference.read import footprint
+
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
 NRANKS = 8
 VB = 24
@@ -89,12 +91,12 @@ def test_store_reads_equal_cold_reader_across_compaction(
                 read(retired)
 
     # Second pass, store only: every live table was opened once already.
-    baseline = store.device.open_handles
+    baseline = footprint(store.device)
     before = store.device.counters.snapshot()
     again = [store.get(int(k), e)[1] for e in store.epochs for k in keys]
     for epoch in store.epochs:
         again.extend(store.get_many(keys, epoch)[1])
-    assert store.device.open_handles == baseline
+    assert footprint(store.device) == baseline
     if one_table_budget:
         assert cache.nbytes <= cache.budget_bytes and len(cache) <= 1
     else:
@@ -121,8 +123,7 @@ def test_corrupt_metadata_fails_typed_and_caches_nothing(section):
     store, keys = _one_epoch_store()
     name = main_table_name(0, 0)
     size = store.device.file_size(name)
-    with store.device.open(name) as f:
-        footer = f.read(size - FOOTER_BYTES, FOOTER_BYTES)
+    footer = store.device.read(name, size - FOOTER_BYTES, FOOTER_BYTES)
     index_off, index_len, filter_off, filter_len = (
         int.from_bytes(footer[8 * i : 8 * i + 8], "little") for i in range(1, 5)
     )
@@ -134,7 +135,7 @@ def test_corrupt_metadata_fails_typed_and_caches_nothing(section):
     store.device.corrupt(name, offset, xor=0x10)
     with pytest.raises(CorruptBlockError, match=section) as direct:
         SSTableReader(store.device, name)
-    baseline = store.device.open_handles
+    baseline = footprint(store.device)
     for _ in range(2):  # the failure is not cached either: it repeats
         with pytest.raises(CorruptBlockError) as scalar:
             store.get(int(keys[0]), 0)
@@ -142,7 +143,7 @@ def test_corrupt_metadata_fails_typed_and_caches_nothing(section):
             store.get_many(keys[:8], 0)
         assert str(scalar.value) == str(bulk.value) == str(direct.value)
     assert store.meta_cache.get(0, 0) is None
-    assert store.device.open_handles == baseline
+    assert footprint(store.device) == baseline
 
 
 def test_corrupt_data_block_detected_under_cached_meta():
@@ -166,23 +167,22 @@ def test_corrupt_data_block_detected_under_cached_meta():
 def test_attached_store_refuses_a_previous_layout_table_and_leaks_no_handle():
     """A dataset written before the key-group layout: the manifest and aux
     extents still load, the first read of a partition names the layout it
-    found, caches nothing and gives the handle back — every time."""
+    found, caches nothing and leaves the device as it was — every time."""
     from ..storage.test_sstable import _block_checksum_layout_table
 
     store, keys = _one_epoch_store()
     device, name = store.device, main_table_name(0, 0)
     store.close()
     device.delete(name)
-    device.open(name, create=True).append(
-        _block_checksum_layout_table([(int(k), bytes(VB)) for k in keys])
-    )
+    device.create(name)
+    device.append(name, _block_checksum_layout_table([(int(k), bytes(VB)) for k in keys]))
     reopened = MultiEpochStore.attach(device)
-    baseline = device.open_handles
+    baseline = footprint(device)
     for _ in range(2):
         with pytest.raises(ValueError, match="block-checksum layout"):
             reopened.get(int(keys[0]), 0)
         with pytest.raises(ValueError, match="block-checksum layout"):
             reopened.get_many(keys[:8], 0)
-        assert device.open_handles == baseline
+        assert footprint(device) == baseline
     assert reopened.meta_cache.get(0, 0) is None
     reopened.close()

@@ -59,7 +59,7 @@ def _retrying(nparts, seed):
     """256 keys whose csf table fails its first seed, ``seed``, to peel."""
     for salt in itertools.count():
         keys, ranks = _mapping(256, nparts, seed, salt)
-        m = XorMaplet(keys, ranks, rank_bits(nparts), csf_fp_bits(nparts), seed=seed)
+        (m,) = XorMaplet.build_many([(keys, ranks, seed)], rank_bits(nparts), csf_fp_bits(nparts))
         if m.tries > 1:
             return keys, ranks
 
@@ -167,9 +167,8 @@ def _extents_sha256(store) -> str:
     """sha256 over every extent of ``store``'s device, name and bytes."""
     digest = hashlib.sha256()
     for name in store.device.list_files():
-        with store.device.open(name) as f:
-            digest.update(name.encode())
-            digest.update(f.read(0, f.size))
+        digest.update(name.encode())
+        digest.update(store.device.read(name, 0, store.device.file_size(name)))
     return digest.hexdigest()
 
 

@@ -38,8 +38,8 @@ def _seal(envelopes, seed=0):
     for keys, src in envelopes:
         recv.deliver(Envelope(src, 0, keys.astype("<u8").tobytes(), keys.size))
     recv.finish()
-    f = dev.open(aux_table_name(0, 0))
-    return recv, f.read(0, f.size)
+    name = aux_table_name(0, 0)
+    return recv, dev.read(name, 0, dev.file_size(name))
 
 
 def _cut(keys, srcs, bounds):

@@ -16,12 +16,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.core.auxtable import aux_from_blob, aux_to_blob, build_sealed_aux, rank_bits
-from repro.filters.csf import XorMaplet
 
 from ..core.test_aux_blob_golden import KEYS, LEGACY, NPARTS, RANKS
 from ..core.test_sealed_aux_build import BOUNDARY_COUNTS
 from ..reference import csf as reference
 from ..serve.test_proto_fuzz import both_profiles
+from .test_csf import maplet
 
 U64 = 2**64 - 1
 
@@ -38,7 +38,7 @@ def _mapping(n, seed, nparts):
 def check_same_seed_tries_and_answers(n, seed, nparts):
     keys, ranks = _mapping(n, seed, nparts)
     bits = rank_bits(nparts)
-    new = XorMaplet(keys, ranks, value_bits=bits, fp_bits=3, seed=seed)
+    new = maplet(keys, ranks, value_bits=bits, fp_bits=3, seed=seed)
     old = reference.build(keys, ranks, value_bits=bits, fp_bits=3, seed=seed)
     assert (new.seed, new.tries, new.nslots) == (old.seed, old.tries, old.nslots)
     for m in (new, old):
@@ -47,7 +47,7 @@ def check_same_seed_tries_and_answers(n, seed, nparts):
         np.testing.assert_array_equal(values, ranks)
     # The slots are a function of the key set, not of the key order.
     shuffled = np.random.default_rng(seed).permutation(n)
-    again = XorMaplet(keys[shuffled], ranks[shuffled], value_bits=bits, fp_bits=3, seed=seed)
+    again = maplet(keys[shuffled], ranks[shuffled], value_bits=bits, fp_bits=3, seed=seed)
     np.testing.assert_array_equal(again._slots, new._slots)
 
 
@@ -79,7 +79,7 @@ test_old_and_new_blobs_answer_alike, test_old_and_new_blobs_answer_alike_full = 
 def check_get_is_lookup_many_bit_for_bit(n, seed, fp_bits, value_bits, probes):
     keys, _ = _mapping(n, seed, 2)
     values = np.random.default_rng(seed + 1).integers(0, 1 << value_bits, size=n, dtype=np.uint64)
-    m = XorMaplet(keys, values, value_bits=value_bits, fp_bits=fp_bits, seed=seed)
+    m = maplet(keys, values, value_bits=value_bits, fp_bits=fp_bits, seed=seed)
     probe = np.concatenate([keys[:64], np.asarray(probes + [0, U64], dtype=np.uint64)])
     hits, got = m.lookup_many(probe)
     assert [m.get(int(k)) for k in probe] == [
@@ -104,7 +104,7 @@ def test_a_retried_build_retries_as_the_oracle_does():
     retried = 0
     for seed in range(40):
         keys, ranks = _mapping(20, seed, 4)
-        new = XorMaplet(keys, ranks, value_bits=2, fp_bits=3, seed=seed)
+        new = maplet(keys, ranks, value_bits=2, fp_bits=3, seed=seed)
         old = reference.build(keys, ranks, value_bits=2, fp_bits=3, seed=seed)
         assert (new.seed, new.tries) == (old.seed, old.tries), seed
         retried += new.tries > 1

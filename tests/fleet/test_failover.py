@@ -63,6 +63,7 @@ def test_replica_promotion_under_crash(case):
             assert st["breakers"][str(victim)] == "open"
             assert st["requests"]["error"] == 0
 
+            before = fleet.shards[victim].service.stats()["requests"]
             await fleet.recover_shard(victim)
             st = router.stats()
             assert st["breakers"][str(victim)] == "closed"
@@ -74,8 +75,35 @@ def test_replica_promotion_under_crash(case):
                 )
             # The recovered shard serves again: its breaker closed, so ring
             # order sends it the keys it is primary for, and only those.
-            served = fleet.shards[victim].service.stats()["requests"]
+            after = fleet.shards[victim].service.stats()["requests"]
+            served = {s: after[s] - before[s] for s in after}
             assert served[OK] == sum(served.values()) == len(primary_keys)
+
+    run(go())
+
+
+@pytest.mark.usefixtures("failover_router")
+def test_recovered_shard_keeps_its_request_counts():
+    """A recovered shard mounts a fresh service, but its ``serve.*``
+    registry is the node's: the requests it served before the crash stay
+    in the fleet rollup, so the shards account for every routed query."""
+    fleet, dumps, truth = build_fleet(
+        nshards=3, rf=2, epochs=1, seed=31, service_kwargs=TINY_CACHES
+    )
+    keys = sorted(truth)[::2]
+
+    async def go():
+        async with fleet:
+            for phase in ("up", "crashed", "recovered"):
+                if phase == "crashed":
+                    fleet.crash_shard(0)
+                elif phase == "recovered":
+                    await fleet.recover_shard(0)
+                replies = await fleet.router.get_burst([(k, ANY_EPOCH, None, None) for k in keys])
+                assert [r.value for r in replies] == [truth[k] for k in keys], phase
+            routed = fleet.merged_metrics().total("fleet.router.requests")
+            assert routed == 3 * len(keys)
+            assert fleet.rollup().total("fleet.requests") >= routed
 
     run(go())
 

@@ -30,8 +30,8 @@ id itself is refused.
 
 Dropping the per-row ``u32`` value length re-pinned the ``bytes_read``
 totals and nothing else.  The store's blocks shrank from 1 024 B to 928 B
-with the rows, so a block still holds 29 rows and every read count, handle
-count, cache counter and answer digest stayed equal; each data-block read
+with the rows, so a block still holds 29 rows and every read count, cache
+counter and answer digest stayed equal; each data-block read
 shrank by 4 B per row it fetched (``written``: 41 126 -> 37 286 B, 960
 rows; the cuckoo run's device total 553 203 -> 496 875 B).
 
@@ -44,9 +44,10 @@ before, block-cache counts included.  ``store.lookup_many``,
 ``store.trajectory`` and the four service phases read less (the cuckoo
 run's totals 766 -> 693 device reads, 496 875 -> 435 595 B, 109 -> 182
 block-cache hits; the default run's 758 -> 685), and every answer digest
-is equal.  ``device.open_handles`` is 0 in every phase: writers close
-what they write and readers hold nothing, so the write-only baseline the
-script used to subtract is gone, as are the ``reader.cache.*`` series.
+is equal.  The write-only baseline the script used to subtract is gone,
+as are the ``reader.cache.*`` series.  Later the device lost handles
+altogether (reads and appends name their extent), and the handle-count
+field, 0 in every phase, went with them.
 
 The script runs twice.  Sealed with the paper's cuckoo tables it must
 match `GOLDEN`, the bc78542 totals (service phases re-pinned as above).  Sealed with the store's default
@@ -96,7 +97,6 @@ def _store_counters(store):
     return {
         "device.reads": dev.counters.reads,
         "device.bytes_read": dev.counters.bytes_read,
-        "device.open_handles": dev.open_handles,
         "sstable.block_cache.hits": int(reg.total("sstable.block_cache.hits")),
         "sstable.block_cache.misses": int(reg.total("sstable.block_cache.misses")),
     }
@@ -255,13 +255,11 @@ def run_script(aux_backends=CUCKOO):
 GOLDEN = [('written',
   {'device.reads': 84,
    'device.bytes_read': 37286,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 48}),
  ('store.get',
   {'device.reads': 188,
    'device.bytes_read': 112740,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 128,
    'stats.reads': 104,
@@ -271,7 +269,6 @@ GOLDEN = [('written',
  ('store.get_many',
   {'device.reads': 272,
    'device.bytes_read': 178276,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 212,
    'stats.reads': 84,
@@ -281,7 +278,6 @@ GOLDEN = [('written',
  ('store.lookup',
   {'device.reads': 430,
    'device.bytes_read': 242779,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 15,
    'sstable.block_cache.misses': 257,
    'stats.reads': 158,
@@ -291,7 +287,6 @@ GOLDEN = [('written',
  ('store.lookup_many',
   {'device.reads': 438,
    'device.bytes_read': 248475,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 49,
    'sstable.block_cache.misses': 265,
    'stats.reads': 8,
@@ -301,7 +296,6 @@ GOLDEN = [('written',
  ('store.trajectory',
   {'device.reads': 439,
    'device.bytes_read': 249403,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 80,
    'sstable.block_cache.misses': 266,
    'stats.reads': 1,
@@ -311,7 +305,6 @@ GOLDEN = [('written',
  ('default.before',
   {'device.reads': 463,
    'device.bytes_read': 269307,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 128,
    'sstable.block_cache.misses': 290,
    'reader.queries': 212,
@@ -324,7 +317,6 @@ GOLDEN = [('written',
  ('narrow.before',
   {'device.reads': 533,
    'device.bytes_read': 330011,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 130,
    'sstable.block_cache.misses': 360,
    'reader.queries': 212,
@@ -337,7 +329,6 @@ GOLDEN = [('written',
  ('default.after',
   {'device.reads': 629,
    'device.bytes_read': 379819,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 176,
    'sstable.block_cache.misses': 412,
    'reader.queries': 423,
@@ -350,7 +341,6 @@ GOLDEN = [('written',
  ('narrow.after',
   {'device.reads': 693,
    'device.bytes_read': 435595,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 182,
    'sstable.block_cache.misses': 476,
    'reader.queries': 423,
@@ -363,13 +353,11 @@ GOLDEN = [('written',
  ('services closed',
   {'device.reads': 693,
    'device.bytes_read': 435595,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 182,
    'sstable.block_cache.misses': 476}),
  ('store closed',
   {'device.reads': 693,
    'device.bytes_read': 435595,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 182,
    'sstable.block_cache.misses': 476})]
 
@@ -378,13 +366,11 @@ GOLDEN = [('written',
 GOLDEN_AUTO = [('written',
   {'device.reads': 84,
    'device.bytes_read': 37069,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 48}),
  ('store.get',
   {'device.reads': 188,
    'device.bytes_read': 112040,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 128,
    'stats.reads': 104,
@@ -394,7 +380,6 @@ GOLDEN_AUTO = [('written',
  ('store.get_many',
   {'device.reads': 272,
    'device.bytes_read': 177576,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 212,
    'stats.reads': 84,
@@ -404,7 +389,6 @@ GOLDEN_AUTO = [('written',
  ('store.lookup',
   {'device.reads': 422,
    'device.bytes_read': 237932,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 15,
    'sstable.block_cache.misses': 257,
    'stats.reads': 150,
@@ -414,7 +398,6 @@ GOLDEN_AUTO = [('written',
  ('store.lookup_many',
   {'device.reads': 430,
    'device.bytes_read': 243628,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 49,
    'sstable.block_cache.misses': 265,
    'stats.reads': 8,
@@ -424,7 +407,6 @@ GOLDEN_AUTO = [('written',
  ('store.trajectory',
   {'device.reads': 431,
    'device.bytes_read': 244556,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 80,
    'sstable.block_cache.misses': 266,
    'stats.reads': 1,
@@ -434,7 +416,6 @@ GOLDEN_AUTO = [('written',
  ('default.before',
   {'device.reads': 455,
    'device.bytes_read': 264460,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 128,
    'sstable.block_cache.misses': 290,
    'reader.queries': 212,
@@ -447,7 +428,6 @@ GOLDEN_AUTO = [('written',
  ('narrow.before',
   {'device.reads': 525,
    'device.bytes_read': 325164,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 130,
    'sstable.block_cache.misses': 360,
    'reader.queries': 212,
@@ -460,7 +440,6 @@ GOLDEN_AUTO = [('written',
  ('default.after',
   {'device.reads': 621,
    'device.bytes_read': 374315,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 176,
    'sstable.block_cache.misses': 412,
    'reader.queries': 423,
@@ -473,7 +452,6 @@ GOLDEN_AUTO = [('written',
  ('narrow.after',
   {'device.reads': 685,
    'device.bytes_read': 430091,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 182,
    'sstable.block_cache.misses': 476,
    'reader.queries': 423,
@@ -486,13 +464,11 @@ GOLDEN_AUTO = [('written',
  ('services closed',
   {'device.reads': 685,
    'device.bytes_read': 430091,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 182,
    'sstable.block_cache.misses': 476}),
  ('store closed',
   {'device.reads': 685,
    'device.bytes_read': 430091,
-   'device.open_handles': 0,
    'sstable.block_cache.hits': 182,
    'sstable.block_cache.misses': 476})]
 

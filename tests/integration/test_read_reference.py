@@ -22,7 +22,7 @@ from repro.obs import MetricsRegistry
 from repro.storage.blockio import StorageDevice
 from repro.storage.sstable import SSTableReader, SSTableWriter
 
-from ..reference.read import ReadOracle, check_against_oracle, scan_rows
+from ..reference.read import ReadOracle, check_against_oracle, footprint, scan_rows
 
 NRANKS = 8
 RECORDS_PER_RANK = 2000
@@ -107,11 +107,11 @@ def test_get_answers_as_the_per_key_oracle(epoch, cached):
 
 def test_cold_engine_leaves_no_handle_open(epoch):
     cluster, stored = epoch
-    before = cluster.device.open_handles
+    before = footprint(cluster.device)
     engine = _engine(cluster, cached=False)
     engine.get_many(_keys(stored, SEED + 3))
     engine.get(int(stored[0]))
-    assert cluster.device.open_handles == before
+    assert footprint(cluster.device) == before
 
 
 @pytest.mark.parametrize("block_size", [64, 4096, 1 << 15])

@@ -20,6 +20,8 @@ from repro.core.kv import KVBatch
 from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
 from repro.serve import ANY_EPOCH, ERR_EPOCH_RETIRED, ERROR, NOT_FOUND, OK, QueryService
 
+from ..reference.read import footprint
+
 NRANKS = 4
 VALUE_BYTES = 16
 UNIVERSE = 160
@@ -87,7 +89,7 @@ def _dumps(seed):
 
 async def _script(fmt, check_reads):
     """Run the write/compact script; with ``check_reads`` every step is
-    followed by the parity checks.  Returns the device's open handles
+    followed by the parity checks.  Returns the device's `footprint`
     once everything is closed."""
     dumps, probe = _dumps(seed=41)
     store = MultiEpochStore(nranks=NRANKS, fmt=fmt, value_bytes=VALUE_BYTES, seed=41)
@@ -103,7 +105,7 @@ async def _script(fmt, check_reads):
     def compact(sources):
         report = store.compact(sources)
         oracle.compact(report.source_epochs, report.merged_epoch)
-        # The store's own sessions gave their handles back at the swap.
+        # The store's own sessions dropped their engines at the swap.
         assert not store._reads._engines and not store._warm._engines
 
     async def check():
@@ -155,12 +157,12 @@ async def _script(fmt, check_reads):
         await check()
     store.close()
     assert not any(mount._engines for mount in mounts)
-    return store.device.open_handles
+    return footprint(store.device)
 
 
 @pytest.mark.parametrize("fmt", [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV], ids=lambda f: f.name)
 def test_all_read_surfaces_agree_across_compactions(fmt):
     after_reads = asyncio.run(_script(fmt, check_reads=True))
-    # Sealed extents stay open on the write side; the same script with no
-    # read at all says how many, and readers must add nothing to that.
+    # The same script with no read at all leaves the same extents, bytes
+    # and writes behind: the reads changed nothing on the device.
     assert after_reads == asyncio.run(_script(fmt, check_reads=False))

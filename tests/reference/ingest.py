@@ -53,9 +53,10 @@ def _sealed(body: bytes) -> bytes:
 # -- value log -----------------------------------------------------------------
 
 
-def vlog_append(file, value: bytes) -> int:
-    """Append one length-prefixed value; returns the offset it landed at."""
-    return file.append(LEN.pack(len(value)) + value)
+def vlog_append(device: StorageDevice, name: str, value: bytes) -> int:
+    """Append one length-prefixed value to log ``name``; returns the offset
+    it landed at."""
+    return device.append(name, LEN.pack(len(value)) + value)
 
 
 # -- SSTable -------------------------------------------------------------------
@@ -132,7 +133,8 @@ class Table:
 
     def __init__(self, device: StorageDevice, name: str, block_size: int = 4 << 20,
                  bloom_bits_per_key: float = 10.0):
-        self.file = device.open(name, create=True)
+        self.device, self.name = device, name
+        device.create(name)
         self.block_size = block_size
         self.bloom_bits_per_key = bloom_bits_per_key
         self.items: list[tuple[int, bytes]] = []
@@ -141,7 +143,8 @@ class Table:
         self.items.append((int(key), bytes(value)))
 
     def finish(self) -> None:
-        self.file.append(table_image(self.items, self.block_size, self.bloom_bits_per_key))
+        image = table_image(self.items, self.block_size, self.bloom_bits_per_key)
+        self.device.append(self.name, image)
 
 
 # -- one rank's writer and receiver ----------------------------------------------
@@ -157,7 +160,7 @@ class Writer:
 
     def __init__(self, rank, fmt, partitioner, device, value_bytes, send,
                  batch_bytes=16384, epoch=0, block_size=1 << 20):
-        self.rank, self.fmt, self.partitioner = rank, fmt, partitioner
+        self.rank, self.fmt, self.partitioner, self.device = rank, fmt, partitioner, device
         self.value_bytes, self.send, self.batch_bytes = value_bytes, send, batch_bytes
         self.rec = _wire_record_bytes(fmt, value_bytes)
         self.buffers: dict[int, bytearray] = {}
@@ -165,7 +168,8 @@ class Writer:
         self.wire_bytes = 0
         self.vlog = self.main = None
         if fmt.name == "dataptr":
-            self.vlog = device.open(f"vlog.{rank:06d}", create=True)
+            self.vlog = f"vlog.{rank:06d}"
+            device.create(self.vlog)
         elif fmt.name == "filterkv":
             self.main = Table(device, f"part.{epoch:03d}.{rank:06d}", block_size)
 
@@ -177,7 +181,7 @@ class Writer:
         if len(value) != self.value_bytes:
             raise ValueError(f"value width {len(value)} != {self.value_bytes}")
         if self.fmt.name == "dataptr":
-            payload = struct.pack("<QQ", key, vlog_append(self.vlog, value))
+            payload = struct.pack("<QQ", key, vlog_append(self.device, self.vlog, value))
         elif self.fmt.name == "filterkv":
             self.main.add(key, value)
             payload = struct.pack("<Q", key)
@@ -209,8 +213,8 @@ class Writer:
 
     @property
     def local_storage_bytes(self) -> int:
-        files = [f for f in (self.vlog, self.main and self.main.file) if f]
-        return sum(f.size for f in files)
+        names = [n for n in (self.vlog, self.main and self.main.name) if n]
+        return sum(self.device.file_size(n) for n in names)
 
 
 class Receiver:
@@ -263,7 +267,8 @@ class Receiver:
             seed=self.aux_seed,
         )
         name = f"aux.{self.epoch:03d}.{self.rank:06d}"
-        self.device.open(name, create=True).append(seal(aux_to_blob(self.aux)))
+        self.device.create(name)
+        self.device.append(name, seal(aux_to_blob(self.aux)))
 
 
 # -- a whole epoch -------------------------------------------------------------
@@ -331,6 +336,5 @@ def extents(device: StorageDevice) -> dict[str, bytes]:
     """Every extent on ``device``, name -> bytes."""
     out = {}
     for name in device.list_files():
-        with device.open(name) as f:
-            out[name] = f.read(0, f.size)
+        out[name] = device.read(name, 0, device.file_size(name))
     return out

@@ -27,6 +27,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
+from repro.storage.blockio import StorageDevice
 from repro.storage.sstable import CorruptBlockError, SSTableReader
 
 KEY = struct.Struct("<Q")  # a table row: the key, then the value to the row's end
@@ -91,9 +92,9 @@ class ReadOracle:
 
     def _log_value(self, pointer: bytes) -> bytes:
         rank, offset = POINTER.unpack(pointer)
-        with self.device.open(f"vlog.{rank:06d}") as log:
-            (length,) = LEN.unpack(log.read(offset, LEN.size))
-            return log.read(offset + LEN.size, length)
+        name = f"vlog.{rank:06d}"
+        (length,) = LEN.unpack(self.device.read(name, offset, LEN.size))
+        return self.device.read(name, offset + LEN.size, length)
 
 
 def scan_rows(reader: SSTableReader) -> list[tuple[int, bytes]]:
@@ -163,3 +164,10 @@ def check_against_oracle(engine, keys, aux_registry):
         n: after[n] - mid[n] for n in AUX_COUNTERS
     }
     return stats, io
+
+
+def footprint(device: StorageDevice) -> tuple[list[str], int, int]:
+    """What a read must leave as it found it: the device's extent names,
+    stored bytes and append count.  A read names its extent and holds
+    nothing, so a read that moves this created or wrote an extent."""
+    return device.list_files(), device.total_bytes_stored(), device.counters.writes

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.formats import FMT_FILTERKV
 from repro.serve import ANY_EPOCH, QueryService
 
+from ..reference.read import footprint
 from .conftest import run, shared_store
 
 ABSENT_BASE = 1 << 63  # stored keys are random 63-bit values
@@ -49,7 +50,7 @@ def test_served_probe_matches_engine(nranks, seed, picks, absent):
     answers = {k: engine.get(k) for k in set(keys)}
     want = {k: value for k, (value, _) in answers.items()}
     searched = sum(stats.partitions_searched for _, stats in answers.values())
-    baseline = store.device.open_handles
+    baseline = footprint(store.device)
 
     async def main():
         svc = QueryService(store, max_inflight=4096, queue_high_watermark=4096)
@@ -69,4 +70,4 @@ def test_served_probe_matches_engine(nranks, seed, picks, absent):
                 assert m.total("reader.partitions_probed") - probed == searched
 
     run(main())
-    assert store.device.open_handles == baseline
+    assert footprint(store.device) == baseline

@@ -12,60 +12,60 @@ from repro.storage.blockio import (
 
 def test_append_then_read_roundtrip():
     dev = StorageDevice()
-    f = dev.open("x", create=True)
-    off = f.append(b"hello")
+    dev.create("x")
+    off = dev.append("x", b"hello")
     assert off == 0
-    assert f.append(b"world") == 5
-    assert f.read(0, 5) == b"hello"
-    assert f.read(5, 5) == b"world"
-    assert f.size == 10
+    assert dev.append("x", b"world") == 5
+    assert dev.read("x", 0, 5) == b"hello"
+    assert dev.read("x", 5, 5) == b"world"
+    assert dev.file_size("x") == 10
 
 
 def test_short_read_at_eof():
     dev = StorageDevice()
-    f = dev.open("x", create=True)
-    f.append(b"abc")
-    assert f.read(1, 100) == b"bc"  # short read: offset within the extent
-    assert f.read(3, 10) == b""  # exactly at EOF is still EOF, not loss
+    dev.create("x")
+    dev.append("x", b"abc")
+    assert dev.read("x", 1, 100) == b"bc"  # short read: offset within the extent
+    assert dev.read("x", 3, 10) == b""  # exactly at EOF is still EOF, not loss
 
 
 def test_read_past_end_is_loss_not_eof():
     dev = StorageDevice()
-    f = dev.open("x", create=True)
-    f.append(b"abc")
+    dev.create("x")
+    dev.append("x", b"abc")
     with pytest.raises(ExtentLostError):
-        f.read(50, 10)
+        dev.read("x", 50, 10)
 
 
 def test_read_after_truncate_underneath_raises():
     dev = StorageDevice()
-    f = dev.open("x", create=True)
-    f.append(b"0123456789")
+    dev.create("x")
+    dev.append("x", b"0123456789")
     dev.truncate("x", 4)
-    assert f.read(0, 4) == b"0123"
+    assert dev.read("x", 0, 4) == b"0123"
     with pytest.raises(ExtentLostError):
-        f.read(8, 2)  # those bytes were lost, not merely never written
+        dev.read("x", 8, 2)  # those bytes were lost, not merely never written
 
 
 def test_read_and_append_after_delete_underneath_raise():
     dev = StorageDevice()
-    f = dev.open("x", create=True)
-    f.append(b"abc")
+    dev.create("x")
+    dev.append("x", b"abc")
     dev.delete("x")
     with pytest.raises(ExtentLostError):
-        f.read(0, 1)
+        dev.read("x", 0, 1)
     with pytest.raises(ExtentLostError):
-        f.append(b"more")
+        dev.append("x", b"more")
 
 
 def test_corrupt_api_validates_and_flips():
     dev = StorageDevice()
-    f = dev.open("x", create=True)
-    f.append(bytes([0x10, 0x20, 0x30]))
+    dev.create("x")
+    dev.append("x", bytes([0x10, 0x20, 0x30]))
     dev.corrupt("x", 1)  # default: +1
-    assert f.read(0, 3) == bytes([0x10, 0x21, 0x30])
+    assert dev.read("x", 0, 3) == bytes([0x10, 0x21, 0x30])
     dev.corrupt("x", 1, xor=0x80)  # single-bit flip
-    assert f.read(0, 3) == bytes([0x10, 0xA1, 0x30])
+    assert dev.read("x", 0, 3) == bytes([0x10, 0xA1, 0x30])
     with pytest.raises(ValueError):
         dev.corrupt("x", 99)
     with pytest.raises(ValueError):
@@ -76,7 +76,8 @@ def test_corrupt_api_validates_and_flips():
 
 def test_truncate_and_delete_validate():
     dev = StorageDevice()
-    dev.open("x", create=True).append(b"abcdef")
+    dev.create("x")
+    dev.append("x", b"abcdef")
     with pytest.raises(ValueError):
         dev.truncate("x", 99)
     dev.truncate("x", 2)
@@ -90,14 +91,26 @@ def test_truncate_and_delete_validate():
 def test_missing_file_raises():
     dev = StorageDevice()
     with pytest.raises(FileNotFoundError):
-        dev.open("nope")
+        dev.file_size("nope")
+    with pytest.raises(ExtentLostError):
+        dev.append("nope", b"x")  # an append never creates
+
+
+def test_create_is_uncharged_and_keeps_an_existing_extent():
+    dev = StorageDevice()
+    dev.create("x")
+    assert dev.exists("x") and dev.file_size("x") == 0
+    dev.append("x", b"abc")
+    dev.create("x")
+    assert dev.read("x", 0, 3) == b"abc"
+    assert dev.counters.writes == 1 and dev.counters.reads == 1
 
 
 def test_counters_track_ops_and_bytes():
     dev = StorageDevice(DeviceProfile(read_bandwidth=100.0, write_bandwidth=50.0, seek_time=0.5))
-    f = dev.open("x", create=True)
-    f.append(b"A" * 100)
-    f.read(0, 60)
+    dev.create("x")
+    dev.append("x", b"A" * 100)
+    dev.read("x", 0, 60)
     c = dev.counters
     assert c.writes == 1 and c.bytes_written == 100
     assert c.reads == 1 and c.bytes_read == 60
@@ -107,10 +120,10 @@ def test_counters_track_ops_and_bytes():
 
 def test_counter_snapshot_delta():
     dev = StorageDevice()
-    f = dev.open("x", create=True)
-    f.append(b"1234")
+    dev.create("x")
+    dev.append("x", b"1234")
     before = dev.counters.snapshot()
-    f.read(0, 4)
+    dev.read("x", 0, 4)
     d = dev.counters.delta(before)
     assert d.reads == 1
     assert d.writes == 0
@@ -124,29 +137,20 @@ def test_profile_validation():
         DeviceProfile(seek_time=-1)
 
 
-def test_closed_file_rejects_io():
-    dev = StorageDevice()
-    with dev.open("x", create=True) as f:
-        f.append(b"z")
-    with pytest.raises(ValueError):
-        f.read(0, 1)
-    with pytest.raises(ValueError):
-        f.append(b"y")
-
-
 def test_negative_read_args_rejected():
     dev = StorageDevice()
-    f = dev.open("x", create=True)
+    dev.create("x")
     with pytest.raises(ValueError):
-        f.read(-1, 4)
+        dev.read("x", -1, 4)
     with pytest.raises(ValueError):
-        f.read(0, -4)
+        dev.read("x", 0, -4)
 
 
 def test_device_inventory():
     dev = StorageDevice()
-    dev.open("b", create=True).append(b"xx")
-    dev.open("a", create=True).append(b"y")
+    for name, data in (("b", b"xx"), ("a", b"y")):
+        dev.create(name)
+        dev.append(name, data)
     assert dev.list_files() == ["a", "b"]
     assert dev.exists("a") and not dev.exists("c")
     assert dev.total_bytes_stored() == 3

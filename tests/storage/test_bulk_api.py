@@ -28,8 +28,7 @@ def _items(keys, values):
 
 
 def _extent(device, name):
-    f = device.open(name)
-    return f.read(0, f.size)
+    return device.read(name, 0, device.file_size(name))
 
 
 def test_sstable_add_many_bytes_identical_to_scalar():
@@ -71,8 +70,8 @@ def test_vlog_append_many_offsets_match_scalar():
     dev_v, dev_s = StorageDevice(), StorageDevice()
     bulk_offsets = ValueLog(dev_v, rank=0).append_many(values)
     name = ValueLog.filename(0)
-    log_s = dev_s.open(name, create=True)
-    scalar_offsets = [ref.vlog_append(log_s, v.tobytes()) for v in values]
+    dev_s.create(name)
+    scalar_offsets = [ref.vlog_append(dev_s, name, v.tobytes()) for v in values]
     assert bulk_offsets.tolist() == scalar_offsets
     assert _extent(dev_v, name) == _extent(dev_s, name)
 

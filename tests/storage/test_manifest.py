@@ -102,7 +102,8 @@ def test_recovery_refuses_the_unsealed_legacy_manifest_and_touches_nothing():
     for name in device.list_files():
         if name.startswith(MANIFEST_PREFIX):
             device.delete(name)
-    device.open(MANIFEST_NAME, create=True).append(store.manifest.to_bytes())
+    device.create(MANIFEST_NAME)
+    device.append(MANIFEST_NAME, store.manifest.to_bytes())
     before = _files(device)
     with pytest.raises(UnsupportedLayoutError, match="MANIFEST"):
         MultiEpochStore.recover(device)
@@ -156,15 +157,13 @@ SEAL_MAGIC_SUM64 = 0x5EA1ED_EC7E_2025  # envelopes under a 64-bit NumPy sum
 def _files(device) -> dict[str, bytes]:
     out = {}
     for name in device.list_files():
-        with device.open(name) as f:
-            out[name] = f.read(0, f.size)
+        out[name] = device.read(name, 0, device.file_size(name))
     return out
 
 
 def _set_magic(device, name: str, at: int, magic: int) -> None:
     """Rewrite the u64 magic at byte ``at`` of extent ``name`` in place."""
-    with device.open(name) as f:
-        old = int.from_bytes(f.read(at, 8), "little")
+    old = int.from_bytes(device.read(name, at, 8), "little")
     for i, byte in enumerate((old ^ magic).to_bytes(8, "little")):
         if byte:
             device.corrupt(name, at + i, xor=byte)
@@ -219,8 +218,8 @@ def test_recovery_refuses_a_length_framed_store_and_touches_nothing(fmt, deep):
         r = SSTableReader(device, name)
         items, block_size, bloom = scan_rows(r), r.meta.block_size, r.meta.bloom
         device.delete(name)
-        with device.open(name, create=True) as f:
-            f.append(ref.table_image(items, block_size, 10.0 if bloom else 0.0, framed=True))
+        device.create(name)
+        device.append(name, ref.table_image(items, block_size, 10.0 if bloom else 0.0, framed=True))
     before = _files(device)
     with pytest.raises(UnsupportedLayoutError, match="length-framed row layout"):
         MultiEpochStore.recover(device, deep=deep)

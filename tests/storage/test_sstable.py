@@ -19,7 +19,7 @@ from repro.storage.sstable import (
 )
 
 from ..reference import ingest as ref
-from ..reference.read import scan_rows
+from ..reference.read import footprint, scan_rows
 
 
 def rows(items):
@@ -186,12 +186,12 @@ def test_tiny_block_size_rejected():
 
 def test_footer_magic_validated():
     dev = StorageDevice()
-    with dev.open("junk", create=True) as f:
-        f.append(b"\x00" * FOOTER_BYTES)
+    dev.create("junk")
+    dev.append("junk", b"\x00" * FOOTER_BYTES)
     with pytest.raises(ValueError):
         SSTableReader(dev, "junk")
-    with dev.open("short", create=True) as g:
-        g.append(b"\x01")
+    dev.create("short")
+    dev.append("short", b"\x01")
     with pytest.raises(ValueError):
         SSTableReader(dev, "short")
 
@@ -344,16 +344,17 @@ def test_reader_over_cached_meta_reads_only_data():
     assert dev.counters.delta(before).reads == 0
     assert r.get(17) == b"v017" and r.get(999) is None
     assert dev.counters.delta(before).reads == 1
-    assert dev.open_handles == 0  # a reader holds no handle
 
 
 def test_failed_open_releases_its_handle():
+    """A refused open leaves the device as it found it."""
     dev = StorageDevice()
-    with dev.open("junk", create=True) as f:
-        f.append(b"\x00" * FOOTER_BYTES)
+    dev.create("junk")
+    dev.append("junk", b"\x00" * FOOTER_BYTES)
+    before = footprint(dev)
     with pytest.raises(ValueError):
         SSTableReader(dev, "junk")
-    assert dev.open_handles == 0
+    assert footprint(dev) == before
 
 
 class TestKeyGroups:
@@ -641,11 +642,12 @@ def _block_checksum_layout_table(items) -> bytes:
 
 def test_previous_layout_is_refused_by_name_and_releases_its_handle():
     dev = StorageDevice()
-    with dev.open("old", create=True) as f:
-        f.append(_block_checksum_layout_table([(k, b"v%03d" % k) for k in range(40)]))
+    dev.create("old")
+    dev.append("old", _block_checksum_layout_table([(k, b"v%03d" % k) for k in range(40)]))
+    before = footprint(dev)
     with pytest.raises(UnsupportedLayoutError, match="block-checksum layout.*key-group layout"):
         SSTableReader(dev, "old")
-    assert dev.open_handles == 0
+    assert footprint(dev) == before
 
 
 def test_the_64_bit_sum_key_group_layout_is_refused_by_name():
@@ -672,13 +674,13 @@ def test_the_length_framed_row_layout_is_refused_by_name():
     unframed open and read."""
     items = [(k, b"v%03d" % k) for k in range(40)]
     dev = StorageDevice()
-    with dev.open("old", create=True) as f:
-        f.append(ref.table_image(items, 1 << 20, framed=True))
+    dev.create("old")
+    dev.append("old", ref.table_image(items, 1 << 20, framed=True))
     with pytest.raises(UnsupportedLayoutError, match="length-framed row layout.*0xf117e5cbc3c3236"):
         SSTableReader(dev, "old")
     with pytest.raises(UnsupportedLayoutError, match="length-framed row"):
         load_table_meta(dev, "old")
-    with dev.open("new", create=True) as f:
-        f.append(ref.table_image(items, 1 << 20))
+    dev.create("new")
+    dev.append("new", ref.table_image(items, 1 << 20))
     r = SSTableReader(dev, "new")
     assert r.meta.record_bytes == 8 + 4 and scan_rows(r) == items

@@ -158,8 +158,8 @@ def check(blob: bytes, keys=(0, 1, 12345, U64)) -> bool:
     reader and a ranged one (over ``BlockCache(0)``: it fetches only the
     span of key groups a call touches); True when it opened."""
     dev = StorageDevice()
-    with dev.open("t", create=True) as f:
-        f.append(blob)
+    dev.create("t")
+    dev.append("t", blob)
     tracemalloc.start()
     try:
         for blocks in (BLOCK_CACHE_BLOCKS, 0):
@@ -303,8 +303,8 @@ def test_a_resealed_variable_width_header_is_refused_by_name():
 
 def _open(blob: bytes) -> SSTableReader:
     dev = StorageDevice()
-    with dev.open("t", create=True) as f:
-        f.append(blob)
+    dev.create("t")
+    dev.append("t", blob)
     return SSTableReader(dev, "t")
 
 
@@ -351,8 +351,8 @@ def _ranged(blob: bytes, meta=None):
     """A ranged reader over ``blob`` (resident ``meta`` if given), and the
     ``(offset, size)`` of every device read it makes."""
     dev = StorageDevice()
-    with dev.open("t", create=True) as f:
-        f.append(blob)
+    dev.create("t")
+    dev.append("t", blob)
     fetched = []
     read = dev._read
 
@@ -553,8 +553,8 @@ def test_the_property_reaches_the_structure_checks_full():
 
 def test_load_table_meta_is_the_function_under_test():
     dev = StorageDevice()
-    with dev.open("t", create=True) as f:
-        f.append(BASES["fixed"])
+    dev.create("t")
+    dev.append("t", BASES["fixed"])
     meta = load_table_meta(dev, "t")
     assert meta.record_bytes == 48 and meta.group_bytes % 48 == 0
     assert meta.gstart[-1] == meta.gfirst.size == meta.gsum.size == meta.goff.size
