@@ -666,7 +666,7 @@ def _cmd_loadgen(args) -> str:
     import asyncio
 
     from .analysis.reporting import render_table
-    from .serve import InprocClient, KeySampler, QueryService, ServeServer, TCPClient, run_load
+    from .serve import KeySampler, QueryService, ServeServer, TCPClient, run_load
 
     formats = ["base", "dataptr", "filterkv"] if args.fmt == "all" else [args.fmt]
     deadline_s = args.deadline_ms / 1e3 if args.deadline_ms is not None else None
@@ -695,9 +695,7 @@ def _cmd_loadgen(args) -> str:
                     report = await run_load(client, sampler, args.requests, **load_kwargs)
         else:
             async with service:
-                report = await run_load(
-                    InprocClient(service), sampler, args.requests, **load_kwargs
-                )
+                report = await run_load(service, sampler, args.requests, **load_kwargs)
         svc_stats = service.stats()
         return report, svc_stats
 

@@ -10,10 +10,11 @@ other way: each shard keeps its own ``serve.*`` registry, and the fleet
 merges them under a ``shard`` label, re-exporting the totals as
 ``fleet.*`` series next to the router's own ``fleet.router.*`` counters.
 
-Everything runs in one process — in-proc clients by default, real TCP
-servers with ``tcp=True`` — because the repo simulates at function-call
-granularity; the wire format, the placement, and the failure handling
-are exactly what a multi-process deployment would use.
+Everything runs in one process — the router calls each shard's service
+directly by default, through real TCP servers with ``tcp=True`` —
+because the repo simulates at function-call granularity; the wire
+format, the placement, and the failure handling are exactly what a
+multi-process deployment would use.
 """
 
 from __future__ import annotations

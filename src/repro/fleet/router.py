@@ -29,7 +29,7 @@ walk through its shard's epochs is the shard's business.
 
 The router exposes the read and introspection surface of `QueryService`
 (``get`` / ``get_burst`` / ``stats`` / ``live_stats`` /
-``recent_traces`` / ``start`` / ``close``), so `ServeServer` can mount it
+``recent_traces`` / ``close``), so `ServeServer` can mount it
 unchanged: clients speak one protocol whether they face a shard or the
 fleet.
 """
@@ -132,9 +132,10 @@ class FleetRouter:
     Parameters
     ----------
     clients:
-        ``shard id → client`` (TCP or in-proc — anything with the
-        `TCPClient` surface).  The mapping is read live on every call, so
-        a `Fleet` swapping a recovered shard's client in place just works.
+        ``shard id → client`` (a `TCPClient`, or in process the shard's
+        `QueryService` itself — anything with their ``get``).  The
+        mapping is read live on every call, so a `Fleet` swapping a
+        recovered shard's client in place just works.
     ring / rf:
         Placement: a key may live only on its ``rf`` ring owners.
 
@@ -172,10 +173,6 @@ class FleetRouter:
         self._m_breaker_skips = m.counter("fleet.router.breaker_skips")
 
     # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> "FleetRouter":
-        """Nothing to start: `ServeServer` starts whatever it mounts."""
-        return self
 
     async def close(self) -> None:
         self._closed = True

@@ -5,8 +5,9 @@ own storage device — always a `FaultyStorageDevice`, so every shard can
 be crashed and recovered on schedule — its own store, its own service,
 its own ``serve.*`` registry (one for the node's lifetime, handed to every
 service it mounts and merged fleet-wide by `Fleet`), and optionally its
-own TCP front end.  In-proc and TCP nodes expose the same
-client surface, so the router never knows which it is talking to.
+own TCP front end.  A node's client is its `TCPClient`, or in process
+the service itself: both answer ``get`` alike, so the router never knows
+which it is talking to.
 
 Crash/recover is the storage-truth discipline the faults suite
 established: `crash` downs the device (every probe raises `CrashPoint`,
@@ -25,7 +26,7 @@ from ..core.kv import KVBatch
 from ..core.multiepoch import MultiEpochStore
 from ..faults import FaultPlan, FaultyStorageDevice
 from ..obs import MetricsRegistry
-from ..serve import InprocClient, QueryService, ServeServer, TCPClient
+from ..serve import QueryService, ServeServer, TCPClient
 from ..storage.manifest import RecoveryReport
 
 __all__ = ["ShardNode"]
@@ -72,7 +73,7 @@ class ShardNode:
         )
         self.service: QueryService | None = None
         self.server: ServeServer | None = None
-        self.client: TCPClient | InprocClient | None = None
+        self.client: TCPClient | QueryService | None = None
         self.last_recovery: RecoveryReport | None = None
 
     # -- ingest ------------------------------------------------------------
@@ -98,16 +99,15 @@ class ShardNode:
 
     async def start(self, tcp: bool = False) -> "ShardNode":
         """Mount the service (and, in TCP mode, the wire front end) and
-        connect this node's client."""
+        connect this node's client: in process, the service itself."""
         if self.service is None:
             self.service = QueryService(self.store, metrics=self.metrics, **self.service_kwargs)
-        await self.service.start()
         if tcp:
             self.server = ServeServer(self.service)
             await self.server.start()
             self.client = await TCPClient("127.0.0.1", self.server.port).connect()
         else:
-            self.client = await InprocClient(self.service).connect()
+            self.client = self.service
         return self
 
     async def stop(self) -> None:

@@ -2,8 +2,9 @@
 
 Mounts a committed `MultiEpochStore` behind an asyncio `QueryService`
 (batching, coalescing, a result cache, admission control), a
-CRC-framed TCP front end (`ServeServer` / `TCPClient`), an in-process
-client for tests, and a load generator (`run_load`).  See the module
+CRC-framed TCP front end (`ServeServer` / `TCPClient`), and a load
+generator (`run_load`) that drives either a `TCPClient` or, in process,
+the service itself.  See the module
 docstrings — `service` for the serving semantics, `proto` for the wire
 format, `cache` for the invalidation-by-versioning story.
 """
@@ -19,7 +20,6 @@ from .proto import (
     ERR_UNKNOWN_OP,
     ERR_UNSUPPORTED_VERSION,
     PROTO_VERSION,
-    InprocClient,
     ServeServer,
     TCPClient,
     error_frame,
@@ -40,7 +40,6 @@ __all__ = [
     "ServeResponse",
     "ServeServer",
     "TCPClient",
-    "InprocClient",
     "LRUCache",
     "KeySampler",
     "LoadReport",

@@ -1,6 +1,7 @@
-"""Load generation against a serving client (TCP or in-process).
+"""Load generation against a serving client: a `TCPClient`, or in
+process the `QueryService` (or `FleetRouter`) itself.
 
-Drives any client exposing ``async get(key, epoch=None, deadline_s=None)``
+Drives anything exposing ``async get(key, epoch=None, deadline_s=None)``
 with a configurable popularity distribution and loop discipline:
 
 * **Popularity** — ``zipfian`` (weight ∝ 1/rank^theta over a seeded

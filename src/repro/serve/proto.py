@@ -68,8 +68,8 @@ over); ``epoch_retired`` (a compaction merged the epoch away) is final.  A frame
 asked for.  An op the server does not know (v3's one-key ``get``, say)
 is answered ``unknown_op`` and the connection stays open.
 
-`TCPClient` speaks this over a socket; `InprocClient` offers the router's
-part of that surface (``get``) by calling the service directly.
+`TCPClient` speaks this over a socket; in process, a `QueryService` is
+its own client (``get``).
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ from .service import (
 __all__ = [
     "ServeServer",
     "TCPClient",
-    "InprocClient",
     "FrameReader",
     "encode_frame",
     "read_frame",
@@ -144,7 +143,7 @@ class ProtocolError(ValueError):
     """The peer sent something that is not a valid frame."""
 
 
-def error_frame(rid, code: str, detail: str, key: int | None = None) -> dict:
+def error_frame(rid, code: str, detail: str) -> dict:
     """A typed error response.  ``retryable`` spells out whether the
     failure is about *this request* (malformed, unknown verb — retrying
     is useless) or *this shard right now* (draining, internal fault —
@@ -153,7 +152,7 @@ def error_frame(rid, code: str, detail: str, key: int | None = None) -> dict:
         "id": rid,
         "v": PROTO_VERSION,
         "status": ERROR,
-        "key": key,
+        "key": None,
         "epoch": None,
         "value": None,
         "cached": False,
@@ -456,7 +455,6 @@ class ServeServer:
         self._m_bad_frames = service.metrics.counter("serve.proto.bad_frames")
 
     async def start(self) -> "ServeServer":
-        await self.service.start()
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -847,36 +845,3 @@ class TCPClient:
     async def traces(self, n: int = 8) -> list[list[dict]]:
         return (await self._call({"op": "trace", "n": int(n)}))["traces"]
 
-
-class InprocClient:
-    """`TCPClient`-shaped adapter that calls the service in process.
-
-    Offers what a router and the load generator call — ``get`` — without
-    sockets; the service's batching/coalescing still applies because
-    callers share one event loop.
-    """
-
-    def __init__(self, service: QueryService):
-        self.service = service
-
-    async def connect(self) -> "InprocClient":
-        await self.service.start()
-        return self
-
-    async def close(self) -> None:
-        pass  # the service's owner closes it
-
-    async def __aenter__(self) -> "InprocClient":
-        return await self.connect()
-
-    async def __aexit__(self, *exc) -> None:
-        pass
-
-    async def get(
-        self,
-        key: int,
-        epoch: int | None = None,
-        deadline_s: float | None = None,
-        trace: TraceContext | None = None,
-    ) -> ServeResponse:
-        return await self.service.get(key, epoch=epoch, deadline_s=deadline_s, trace=trace)

@@ -36,8 +36,10 @@ wait.  A window's work runs once and is recorded once: one ``serve.batch``
 span under the window's first sampled request, to which every other
 sampled root links (attributes ``batch`` and ``batch_trace``).
 
-Everything is single-event-loop: the batch executor runs synchronously
-inside the dispatcher task, so no locks guard the cache or the mount.
+Everything is single-event-loop: a dispatch window is one loop callback
+(``loop.call_soon``) that runs synchronously, so no locks guard the cache
+or the mount.  The service is its own in-process client: a router or the
+load generator calls its `get` as it would a `TCPClient`'s.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import asyncio
 import math
 import operator
 import time
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -249,8 +252,8 @@ class QueryService:
         picked up on the next request (newest-epoch resolution).
     max_batch:
         Most requests one dispatch window executes together.  A window
-        is whatever is queued when the dispatcher wakes: coalescing still
-        happens under concurrency without adding idle latency.
+        is whatever is queued when its loop callback runs: coalescing
+        still happens under concurrency without adding idle latency.
     result_cache_entries:
         Bound of the finished-response cache.
     max_inflight:
@@ -319,10 +322,9 @@ class QueryService:
         # and epoch-keyed cache entries may describe retired epochs — both
         # are dropped (`invalidate`) before the next probe runs.
         self._mount = store.mount(self.metrics, table_cache_entries)
-        self._queue: asyncio.Queue = asyncio.Queue()
+        self._queue: deque[_Pending] = deque()
         self._index: dict[tuple, _Pending] = {}
         self._inflight = 0
-        self._dispatcher: asyncio.Task | None = None
         self._closed = False
         m = self.metrics
         self._m_requests = {s: m.counter("serve.requests", status=s) for s in STATUSES}
@@ -336,30 +338,21 @@ class QueryService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(self) -> "QueryService":
-        self._ensure_dispatcher()
-        return self
-
     async def close(self) -> None:
-        """Drain already-admitted requests, then stop the dispatcher."""
+        """Refuse new requests ``closed`` and answer every admitted one,
+        window by window."""
         if self._closed:
             return
         self._closed = True
-        if self._dispatcher is not None:
-            self._queue.put_nowait(None)  # sentinel: FIFO, so admitted work drains first
-            await self._dispatcher
-            self._dispatcher = None
+        while self._queue:
+            self._run_batch()
         self._mount.close()
 
     async def __aenter__(self) -> "QueryService":
-        return await self.start()
+        return self
 
     async def __aexit__(self, *exc) -> None:
         await self.close()
-
-    def _ensure_dispatcher(self) -> None:
-        if self._dispatcher is None or self._dispatcher.done():
-            self._dispatcher = asyncio.get_running_loop().create_task(self._dispatch_loop())
 
     # -- cache/version management -----------------------------------------
 
@@ -384,8 +377,8 @@ class QueryService:
 
         `ANY_EPOCH` resolves to the ``("any", newest)`` token: hashable
         (it versions the result cache — a new commit or a compaction
-        moves the newest id, shifting the key) and recognized by the
-        dispatcher as "walk all live epochs".  An epoch id retired by
+        moves the newest id, shifting the key) and recognized by a
+        dispatch window as "walk all live epochs".  An epoch id retired by
         compaction raises `EpochRetiredError`, one never committed a
         LookupError.
         """
@@ -503,7 +496,7 @@ class QueryService:
 
             # Admission control: explicit refusal beats queueing collapse.
             if self._inflight >= self.max_inflight or self._shedder.should_shed(
-                self._queue.qsize()
+                len(self._queue)
             ):
                 self._m_sheds.inc()
                 if root is not None:
@@ -518,9 +511,10 @@ class QueryService:
                     root.annotate(coalesced=True)
                     root.charge("serve.coalesced")
             else:
-                self._ensure_dispatcher()
+                if not self._queue:  # no window is scheduled: open one
+                    asyncio.get_running_loop().call_soon(self._dispatch)
                 pending = self._index[ck] = _Pending(key, resolved)
-                self._queue.put_nowait(pending)
+                self._queue.append(pending)
             if deadline_s is not None and deadline_s <= 0:
                 # Expired on arrival: admitted (it may still be coalesced
                 # onto) but waited on by nobody.
@@ -604,7 +598,7 @@ class QueryService:
         either upstream (propagated context) or by the local tracer.
 
         The root takes no registry snapshot: it stays open across the
-        await on the dispatcher, where concurrent requests interleave,
+        await on its dispatch window, where concurrent requests interleave,
         so a snapshot delta would claim sibling requests' work.  Its own
         enumerable increments are attributed with `ActiveSpan.charge`;
         the shared probe work is attributed by the synchronous
@@ -622,51 +616,23 @@ class QueryService:
 
     # -- dispatch ----------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            first = await self._queue.get()
-            if first is None:
-                break
-            batch = [first]
-            stop = False
-            while len(batch) < self.max_batch:
-                try:
-                    nxt = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is None:
-                    stop = True
-                    break
-                batch.append(nxt)
-            self._run_batch(batch)
-            if stop:
-                break
-            # One cooperative yield per window: waiters see their results
-            # (and their deadline timers fire) before the next window.
-            await asyncio.sleep(0)
-        # Anything still queued after the sentinel was admitted while
-        # closing; fail it explicitly rather than hanging its waiters.
-        while not self._queue.empty():
-            pending = self._queue.get_nowait()
-            if pending is not None:
-                self._finish(
-                    pending,
-                    ServeResponse(
-                        ERROR,
-                        pending.key,
-                        self._public_epoch(pending.epoch),
-                        detail="service closed",
-                    ),
-                )
+    def _dispatch(self) -> None:
+        """One dispatch window, as a loop callback: the first admission
+        into an empty queue schedules it, and it schedules the next one
+        while requests are queued, so waiters see their results (and
+        their deadline timers fire) between windows."""
+        try:
+            if self._queue:  # `close` may have answered them already
+                self._run_batch()
+        finally:
+            if self._queue:
+                asyncio.get_running_loop().call_soon(self._dispatch)
 
-    @staticmethod
-    def _public_epoch(token) -> int | None:
-        """The epoch a response may carry: internal tuple tokens map back
-        to the `ANY_EPOCH` sentinel the client sent."""
-        return token if (token is None or isinstance(token, int)) else ANY_EPOCH
-
-    def _run_batch(self, batch: list[_Pending]) -> None:
-        """Execute one dispatch window against the store (synchronous)."""
+    def _run_batch(self) -> None:
+        """Execute the next dispatch window, up to ``max_batch`` queued
+        requests, against the store (synchronous)."""
+        queue = self._queue
+        batch = [queue.popleft() for _ in range(min(self.max_batch, len(queue)))]
         self._m_batches.inc()
         self._m_occupancy.observe(len(batch))
         # A compaction that landed since these requests were admitted
@@ -712,7 +678,7 @@ class QueryService:
                             ServeResponse(
                                 ERROR,
                                 pending.key,
-                                self._public_epoch(token),
+                                token if isinstance(token, int) else ANY_EPOCH,
                                 detail=repr(e),
                                 code=_RETIRED if isinstance(e, EpochRetiredError) else "",
                             ),
@@ -785,7 +751,7 @@ class QueryService:
         out["format"] = self.store.fmt.name
         out["epochs"] = list(self.store.epochs)
         out["inflight"] = self._inflight
-        out["queue_depth"] = self._queue.qsize()
+        out["queue_depth"] = len(self._queue)
         out["shedding"] = self._shedder.shedding
         out["traces_retained"] = len(self.tracer)
         return out

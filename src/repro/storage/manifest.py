@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 
 from ..obs import MetricsRegistry, active
-from .blockio import StorageDevice
+from .blockio import ExtentLostError, StorageDevice
 from .envelope import UnsupportedLayoutError, seal, try_unseal
 
 __all__ = ["EpochInfo", "Manifest", "RecoveryReport", "MANIFEST_NAME", "MANIFEST_PREFIX"]
@@ -348,6 +348,8 @@ def _validate_epoch(device: StorageDevice, info: EpochInfo, deep: bool) -> str |
                 payload = try_unseal(device.read(name, 0, device.file_size(name)))
                 if payload is None:
                     return f"aux extent {name!r} torn or corrupt"
+        except ExtentLostError:  # deleted under this very read
+            return f"missing extent {name!r}"
         except UnsupportedLayoutError:
             raise  # intact, only not this version's: never quarantine it
         except ValueError as e:  # bad magic, checksum mismatch, truncation

@@ -52,6 +52,9 @@ KNOWN_GONE = {
     "repro.core.multiepoch.MultiEpochStore.aux_blobs",
     "repro.serve.service.QueryService.aux_state",
     "repro.serve.proto.TCPClient.aux_state",
+    # A dispatch window is now a loop-turn callback (`QueryService._dispatch`),
+    # not a task body; `serve.service.self_s` still sees `QueryService.get`.
+    "repro.serve.service.QueryService._dispatch_loop",
 }
 
 

@@ -33,30 +33,25 @@ async def until(predicate, timeout=5.0):
     await asyncio.wait_for(spin(), timeout)
 
 
-class _GatedQueue(asyncio.Queue):
-    """A dispatch queue that hands out a window's first request only while
-    ``gate`` is set (the rest of the window is drained without waiting)."""
-
-    def __init__(self, gate: asyncio.Event):
-        super().__init__()
-        self.gate = gate
-
-    async def get(self):
-        item = await super().get()
-        await self.gate.wait()
-        return item
-
-
 class GatedService(QueryService):
-    """A `QueryService` whose dispatcher waits for ``gate`` before each
-    window: admitted requests stay queued while the gate is shut, so a
-    test holds a window open for as long as it needs, with no timer.
-    `close` opens the gate, so admitted work still drains."""
+    """A `QueryService` whose dispatch windows wait for ``gate``: while it
+    is shut, a window's callback defers to a task that awaits it, so
+    admitted requests stay queued for as long as a test needs, with no
+    timer.  `close` opens the gate (and answers what is queued)."""
 
     def __init__(self, store, **kwargs):
         super().__init__(store, **kwargs)
         self.gate = asyncio.Event()
-        self._queue = _GatedQueue(self.gate)
+
+    def _dispatch(self) -> None:
+        if self.gate.is_set():
+            super()._dispatch()
+        else:
+            asyncio.get_running_loop().create_task(self._after_gate())
+
+    async def _after_gate(self) -> None:
+        await self.gate.wait()
+        super()._dispatch()
 
     async def close(self) -> None:
         self.gate.set()

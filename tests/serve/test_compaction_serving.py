@@ -94,7 +94,7 @@ def test_a_read_queued_across_the_merge_is_refused(fmt):
     async def main():
         async with GatedService(store) as svc:
             queued = asyncio.ensure_future(svc.get(next(iter(truth)), epoch=0))
-            await until(lambda: svc._queue.qsize() == 1)
+            await until(lambda: len(svc._queue) == 1)
             store.compact()
             svc.gate.set()
             r = await queued

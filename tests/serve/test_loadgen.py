@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.formats import FMT_FILTERKV
-from repro.serve import InprocClient, KeySampler, QueryService, run_load
+from repro.serve import KeySampler, QueryService, run_load
 
 from .conftest import run, shared_store
 
@@ -64,7 +64,7 @@ def test_closed_loop_reports_correctness(fmt):
     async def main():
         async with QueryService(store) as svc:
             report = await run_load(
-                InprocClient(svc),
+                svc,
                 sampler,
                 400,
                 mode="closed",
@@ -92,7 +92,7 @@ def test_open_loop_poisson_arrivals():
     async def main():
         async with QueryService(store) as svc:
             report = await run_load(
-                InprocClient(svc),
+                svc,
                 sampler,
                 200,
                 mode="open",
@@ -115,9 +115,7 @@ def test_correctness_checker_actually_checks():
 
     async def main():
         async with QueryService(store) as svc:
-            report = await run_load(
-                InprocClient(svc), sampler, 100, concurrency=4, expected=wrong
-            )
+            report = await run_load(svc, sampler, 100, concurrency=4, expected=wrong)
             assert report.incorrect == report.checked == 100
 
     run(main())
@@ -129,13 +127,12 @@ def test_run_load_validation():
 
     async def main():
         async with QueryService(store) as svc:
-            client = InprocClient(svc)
             with pytest.raises(ValueError):
-                await run_load(client, sampler, 0)
+                await run_load(svc, sampler, 0)
             with pytest.raises(ValueError):
-                await run_load(client, sampler, 10, mode="laps")
+                await run_load(svc, sampler, 10, mode="laps")
             with pytest.raises(ValueError):
-                await run_load(client, sampler, 10, mode="open")  # no rate
+                await run_load(svc, sampler, 10, mode="open")  # no rate
 
     run(main())
 
@@ -204,9 +201,7 @@ def test_report_carries_queue_and_p95_fields(fmt):
 
     async def main():
         async with QueryService(store) as svc:
-            return await run_load(
-                InprocClient(svc), KeySampler(keys, seed=2), 60, concurrency=8
-            )
+            return await run_load(svc, KeySampler(keys, seed=2), 60, concurrency=8)
 
     rep = run(main())
     d = rep.to_dict()
@@ -222,7 +217,7 @@ def test_trace_sampling_stitches_server_tree(fmt):
     async def main():
         async with QueryService(store) as svc:
             return await run_load(
-                InprocClient(svc),
+                svc,
                 KeySampler(keys, seed=2),
                 120,
                 concurrency=8,
@@ -271,7 +266,7 @@ def test_trace_sampling_is_seeded(fmt):
     async def one():
         async with QueryService(store) as svc:
             rep = await run_load(
-                InprocClient(svc),
+                svc,
                 KeySampler(keys, seed=2),
                 80,
                 trace_rate=0.25,

@@ -15,7 +15,6 @@ from repro.serve import (
     ERROR,
     NOT_FOUND,
     OK,
-    InprocClient,
     QueryService,
     ServeResponse,
     ServeServer,
@@ -284,21 +283,6 @@ def test_malformed_control_arguments_are_bad_requests():
                 assert (await client.stats_live(window_s=1e-9))["requests"] == 0
                 assert (await client.stats_live())["requests"] == 1
         assert service.recent_traces(0) == []
-
-    run(main())
-
-
-def test_inproc_client_matches_tcp_surface():
-    store, truth = shared_store(FMT_FILTERKV)
-    key = next(iter(truth[0]))
-
-    async def main():
-        service = QueryService(store)
-        async with InprocClient(service) as client:
-            r = await client.get(key)
-            assert r.status == OK and r.value == truth[0][key]
-            assert service.stats()["requests"][OK] == 1
-        await service.close()
 
     run(main())
 

@@ -1,5 +1,5 @@
 """The wire changes nothing but the transport: same answers through
-`TCPClient`, `InprocClient` and `QueryService.get`, and the burst rules —
+`TCPClient` and the `QueryService` itself, and the burst rules —
 one ``GET_MANY`` per client run, one reply write per read burst — pinned
 where they could be felt: frames on the wire, deadlines, damage mid-burst,
 a peer that stops reading.
@@ -18,7 +18,6 @@ from repro.serve import (
     NOT_FOUND,
     OK,
     OVERLOADED,
-    InprocClient,
     QueryService,
     ServeResponse,
     ServeServer,
@@ -40,17 +39,9 @@ from .conftest import GatedService, run, shared_store, until
 CONTEXT = TraceContext("ab" * 8, "cd" * 4, True)
 
 
-class _Direct:
-    """`QueryService.get` behind the client surface, so one script drives
-    all three."""
-
-    def __init__(self, service):
-        self.get = service.get
-
-
 async def _surface(kind: str, store, script, service_cls=QueryService, **service_kwargs):
     """Run ``script(client, service)`` against a fresh ``service_cls``
-    reached through one surface."""
+    reached through one surface: a `TCPClient`, or the service itself."""
     service = service_cls(store, **service_kwargs)
     if kind == "tcp":
         server = await ServeServer(service).start()
@@ -60,9 +51,7 @@ async def _surface(kind: str, store, script, service_cls=QueryService, **service
         finally:
             await server.close()
     try:
-        client = _Direct(service) if kind == "service" else InprocClient(service)
-        await service.start()
-        return await script(client, service)
+        return await script(service, service)
     finally:
         await service.close()
 
@@ -83,9 +72,9 @@ def _same_answers(store, script, service_cls=QueryService, **service_kwargs):
                 _comparable(r)
                 for r in await _surface(kind, store, script, service_cls, **service_kwargs)
             ]
-            for kind in ("service", "inproc", "tcp")
+            for kind in ("service", "tcp")
         }
-        assert got["tcp"] == got["inproc"] == got["service"]
+        assert got["tcp"] == got["service"]
         return got["tcp"]
 
     return run(main())
@@ -168,7 +157,7 @@ def test_pipelined_gets_count_like_inproc_gets(fmt):
 
     async def main():
         tcp, tcp_totals = await _surface("tcp", store, script)
-        inproc, inproc_totals = await _surface("inproc", store, script)
+        inproc, inproc_totals = await _surface("service", store, script)
         assert tcp == inproc
         assert dict(zip(map(str, TOTALS), tcp_totals)) == dict(zip(map(str, TOTALS), inproc_totals))
         assert tcp_totals[0] == 13 and tcp_totals[1] >= len(keys)  # it did coalesce and hit

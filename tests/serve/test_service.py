@@ -284,12 +284,30 @@ def test_closed_service_refuses():
 
     async def main():
         svc = QueryService(store)
-        await svc.start()
         ok = await svc.get(key)
         assert ok.status == OK
         await svc.close()
         r = await svc.get(key)
         assert r.status == ERROR and "closed" in r.detail
+
+    run(main())
+
+
+def test_close_answers_every_admitted_request_window_by_window():
+    """Ten misses admitted behind a shut gate, four to a window: `close`
+    answers all ten byte-correct in three windows, none ``closed``."""
+    store, truth = shared_store(FMT_FILTERKV)
+    keys = list(truth[0])[:10]
+
+    async def main():
+        svc = GatedService(store, max_batch=4)
+        calls = asyncio.gather(*(svc.get(k) for k in keys))
+        await until(lambda: len(svc._queue) == 10)
+        await svc.close()
+        responses = await asyncio.wait_for(calls, 5)
+        assert [(r.status, r.value) for r in responses] == [(OK, truth[0][k]) for k in keys]
+        assert not any(r.code == "closed" for r in responses)
+        assert svc.metrics.total("serve.batches") == 3
 
     run(main())
 
