@@ -8,6 +8,10 @@ baselines (exact pointers, Bloom) build the same key→rank workload and
 are scored on
 
 * **bits/key** — sealed index size (what the router tier must hold),
+* **total filter bits/key** — that plus the filter the key's table pays
+  behind it (`pipeline.table_bloom_bits`): 0 for the CSF, whose guard is
+  the record's one filter in a store, and the 10 bits/key table Bloom for
+  every other backend (a cuckoo-sealed epoch keeps its tables' Bloom),
 * **partitions/query** — amplification over present keys,
 * **build time** — insert + finalize, per key (best of three builds),
 * **bulk lookups/s** — `candidates_many` throughput,
@@ -25,8 +29,10 @@ together.
 
 Acceptance gates:
 
-* the CSF backend's bits/key ≤ every *dynamic* filter backend (bloom,
-  cuckoo) at equal-or-fewer partitions/query on the uniform workload,
+* the CSF backend's total filter bits/key ≤ every *dynamic* filter
+  backend's (bloom, cuckoo) at equal-or-fewer partitions/query on the
+  uniform workload — on the total, not the aux alone: its guard is sized
+  to replace the table Bloom, so its aux alone is the larger,
 * the CSF builds at ≤ 2.5× the cuckoo's µs/key in the same run (it is
   every store's default seal, so its build is on the ingest path), and
 * no backend has a false negative: every present key finds a candidate.
@@ -55,6 +61,7 @@ from repro.core.auxtable import (
     ExactAuxTable,
     build_sealed_aux,
 )
+from repro.core.pipeline import table_bloom_bits
 
 SMOKE = os.environ.get("REPRO_AUX_SMOKE", "0") == "1"
 
@@ -95,10 +102,14 @@ def _score(backend, keys, ranks, queries):
     t1 = time.perf_counter()
     counts, _ = t.candidates_many(queries)
     lookup_s = time.perf_counter() - t1
+    bits = t.size_bytes * 8 / keys.size
     return {
         "name": backend,
         "keys": int(keys.size),
-        "bits_per_key": round(t.size_bytes * 8 / keys.size, 3),
+        "bits_per_key": round(bits, 3),
+        # What a store's filterkv table holds behind this aux: no Bloom
+        # behind a csf, the table Bloom behind every other backend.
+        "total_filter_bits_per_key": round(bits + table_bloom_bits("filterkv", (backend,)), 3),
         "partitions_per_query": round(float(counts.mean()), 3),
         "build_s_per_key_us": round(build_s / keys.size * 1e6, 3),
         "lookups_per_s": round(queries.size / max(lookup_s, 1e-9)),
@@ -145,6 +156,7 @@ def test_aux_backend_tournament(report, benchmark):
                     backend,
                     r["keys"],
                     r["bits_per_key"],
+                    r["total_filter_bits_per_key"],
                     r["partitions_per_query"],
                     r["build_s_per_key_us"],
                     f"{r['lookups_per_s']:,}",
@@ -161,6 +173,7 @@ def test_aux_backend_tournament(report, benchmark):
             "name",
             "keys",
             "bits_per_key",
+            "total filter bits/key",
             "partitions_per_query",
             "build us/key",
             "lookups/s",
@@ -178,12 +191,13 @@ def test_aux_backend_tournament(report, benchmark):
     data["seal_cost"] = seal_data
     report(text + "\n\n" + seal_text, name="aux_tournament", data=data)
 
-    # The CSF beats every dynamic filter on space without paying
-    # for it in fan-out (present keys decode to exactly one partition).
+    # The CSF beats every dynamic filter on the filter bits a stored key
+    # costs, aux plus table, without paying for it in fan-out (present keys
+    # decode to exactly one partition).
     csf = results[("uniform", "csf")]
     for rival in DYNAMIC_BACKENDS:
         dyn = results[("uniform", rival)]
-        assert csf["bits_per_key"] <= dyn["bits_per_key"], (rival, csf, dyn)
+        assert csf["total_filter_bits_per_key"] <= dyn["total_filter_bits_per_key"], (rival, csf, dyn)
         assert csf["partitions_per_query"] <= dyn["partitions_per_query"], (rival, csf, dyn)
     # Cheap enough to be every store's default seal.
     for dist in ("uniform", "zipfian"):

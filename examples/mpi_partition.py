@@ -27,10 +27,16 @@ def build_rank(rank: int, nranks: int, transport):
     device = StorageDevice()
     partitioner = HashPartitioner(nranks)
     receiver = ReceiverState(
-        rank, nranks, FMT_FILTERKV, device, VALUE_BYTES
+        rank, nranks, FMT_FILTERKV, device, VALUE_BYTES, aux_backends=("cuckoo",)
     )
     writer = WriterState(
-        rank, FMT_FILTERKV, partitioner, device, VALUE_BYTES, send=transport.send
+        rank,
+        FMT_FILTERKV,
+        partitioner,
+        device,
+        VALUE_BYTES,
+        send=transport.send,
+        aux_backends=("cuckoo",),
     )
     return writer, receiver
 

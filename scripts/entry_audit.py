@@ -54,8 +54,6 @@ ATTR_CALLS = {"getattr", "hasattr", "setattr"}
 
 # Unreached on purpose: references that tests hold the system against.
 REFERENCE = {
-    "src/repro/filters/bloom.py::false_positive_rate":
-        "the closed-form Bloom FPR the filter tests check measured rates against",
     "src/repro/analysis/models.py::cuckoo_amplification":
         "the closed-form candidate count the cuckoo tests check the table against",
     "src/repro/storage/compression.py::decompress":

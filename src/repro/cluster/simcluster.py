@@ -100,10 +100,10 @@ class SimCluster:
                 self.fmt,
                 self.device,
                 self.value_bytes,
+                aux_backends=aux_backends,
                 epoch=self.epoch,
                 block_size=block_size,
                 aux_seed=self.seed,
-                aux_backends=aux_backends,
                 metrics=self.metrics,
             )
             for r in range(self.nranks)
@@ -116,6 +116,7 @@ class SimCluster:
                 self.device,
                 self.value_bytes,
                 send=self._send,
+                aux_backends=aux_backends,
                 batch_bytes=self.batch_bytes,
                 epoch=self.epoch,
                 block_size=block_size,

@@ -46,11 +46,12 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from ..filters.bloom import BloomFilter
+from ..filters.bloom import BloomFilter, false_positive_rate
 from ..filters.csf import CsfConstructionError, XorMaplet, csf_segment
 from ..filters.cuckoo import ChainedCuckooTable, PartialKeyCuckooTable
 from ..filters.hashing import hash_pair
 from ..obs import MetricsRegistry, active
+from ..storage.sstable import TABLE_BLOOM_BITS
 
 __all__ = [
     "AuxTable",
@@ -81,12 +82,18 @@ def bloom_bits_per_key(nparts: int) -> float:
 
 
 def csf_fp_bits(nparts: int) -> int:
-    """Default CSF fingerprint width: the widest guard that still undercuts
-    the Bloom budget after the xor construction's ~1.23× slot overhead
-    (``1.23 · (fp + rank) < bloom_bits_per_key``), floored at 1 bit.  The
-    guard only matters for out-of-set keys — present keys always resolve
-    to exactly their one true rank."""
-    return max(1, int(bloom_bits_per_key(nparts) / 1.23) - rank_bits(nparts))
+    """Default CSF fingerprint width, sized to be a key's one filter (a
+    store's filterkv tables carry no Bloom: `pipeline.table_bloom_bits`).
+
+    The narrow guard — the widest that undercuts the Bloom budget after
+    the xor construction's ~1.23× slot overhead, floored at 1 bit — passes
+    an absent key with probability ``1/(2^fp − 1)``; ``⌈log2(1/fpr)⌉`` more
+    bits (7 for a `TABLE_BLOOM_BITS` table Bloom) pass it no more often
+    than the narrow guard and that Bloom together.  At N = 16: 9 bits,
+    1/511 ≈ 0.20 % against 1/3 × 0.82 % ≈ 0.27 %, at ≈ 16 bits/key against
+    ≈ 18.  Present keys resolve to their one true rank at any width."""
+    narrow = max(1, int(bloom_bits_per_key(nparts) / 1.23) - rank_bits(nparts))
+    return narrow + math.ceil(-math.log2(false_positive_rate(TABLE_BLOOM_BITS)))
 
 
 # Each byte bit-reversed: the bitstream fills a byte from its top bit (the
@@ -592,8 +599,10 @@ class CsfAuxTable(AuxTable):
     resolve to exactly one partition (amplification 1.0 — no dynamic
     filter can match that), out-of-set keys leak a false candidate with
     probability ``≈2^-fp_bits``.  Cost: ~1.23·(fp_bits + rank_bits(N))
-    bits per key, below the Bloom budget at every partition count with the
-    default `csf_fp_bits` width.
+    bits per key.  The default `csf_fp_bits` guard is sized to be the
+    record's one filter: a store's filterkv tables carry no Bloom behind
+    it, and aux alone (≈16 bits/key at N = 16) is below what aux plus
+    table Bloom cost with the narrower guard (≈18).
 
     A static function holds one value per key, so conflicting duplicate
     mappings (same key, different ranks) are rejected at `finalize()`;
@@ -764,10 +773,12 @@ AUX_BACKENDS: dict[str, type[AuxTable]] = {
 }
 
 # What a `MultiEpochStore` seals with: the tournament's winner
-# (`benchmarks/results/aux_tournament.txt`: fewest bits, one candidate per
-# present key, and a build within 2.5x the cuckoo's), then the paper's
-# table, which builds for any key set — the CSF refuses one mapping a key
-# to two ranks.  `SimCluster` seals the paper's cuckoo for its figures.
+# (`benchmarks/results/aux_tournament.txt`: fewest filter bits per stored
+# key, aux plus table Bloom, one candidate per present key, and a build
+# within 2.5x the cuckoo's), then the paper's table, which builds for any
+# key set — the CSF refuses one mapping a key to two ranks.  Leading with
+# csf also drops the epoch's table Bloom (`pipeline.table_bloom_bits`).
+# `SimCluster` seals the paper's cuckoo for its figures.
 AUTO_BACKENDS = ("csf", "cuckoo")
 
 

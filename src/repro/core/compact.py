@@ -59,7 +59,13 @@ from ..storage.envelope import seal
 from ..storage.manifest import EpochInfo, Manifest
 from .auxtable import aux_to_blob, build_sealed_aux
 from .partitioning import HashPartitioner
-from .pipeline import aux_table_name, clear_epoch, epoch_files, main_table_name
+from .pipeline import (
+    aux_table_name,
+    clear_epoch,
+    epoch_files,
+    main_table_name,
+    table_bloom_bits,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .multiepoch import MultiEpochStore
@@ -187,8 +193,10 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
       map is then that source's, down to the rank each key sits on.
 
     An adopted extent is one the merge has just read whole and verified
-    (an aux blob through its engine's decode at attach); values are
-    gathered only when some table is written.
+    (an aux blob through its engine's decode at attach), and keeps the
+    filter block it was written with; a written table carries the one
+    ingest would give it (`table_bloom_bits`: none in a store's filterkv
+    epoch).  Values are gathered only when some table is written.
     """
     metrics = active(metrics)
     n, k = spec.nranks, len(spec.sources)
@@ -211,6 +219,7 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     written: list[str] = []
     adopted: list[str] = []
     wvalues = None
+    bloom_bits = table_bloom_bits(spec.fmt, spec.aux_backends)  # what ingest writes
     for rank in range(n):
         src = _sole_source(won[:, rank])
         if src >= 0 and won[src, rank] == sizes[src * n + rank]:
@@ -220,7 +229,7 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
             wvalues = concat_values(val_chunks)[winners]
         sel = np.flatnonzero(wranks == rank)
         name = main_table_name(spec.merged, rank)
-        write_merged_table(device, name, wkeys[sel], wvalues[sel], spec.block_size)
+        write_merged_table(device, name, wkeys[sel], wvalues[sel], spec.block_size, bloom_bits)
         written.append(name)
     produced = {
         "records_out": int(wkeys.size),

@@ -25,7 +25,7 @@ from ..obs import MetricsRegistry, active
 from ..storage.blockio import StorageDevice
 from ..storage.envelope import seal
 from ..storage.log import ValueLog
-from ..storage.sstable import SSTableWriter, TableStats
+from ..storage.sstable import TABLE_BLOOM_BITS, SSTableWriter, TableStats
 from .auxtable import AuxTable, aux_to_blob, build_sealed_aux
 from .formats import FormatSpec
 from .kv import KEY_BYTES, KVBatch
@@ -36,6 +36,7 @@ __all__ = [
     "WriterState",
     "ReceiverState",
     "build_aux",
+    "table_bloom_bits",
     "main_table_name",
     "aux_table_name",
     "clear_epoch",
@@ -56,6 +57,20 @@ def main_table_name(epoch: int, rank: int) -> str:
 def aux_table_name(epoch: int, rank: int) -> str:
     """The name a writer gives the aux table it seals for one partition."""
     return f"aux.{epoch:03d}.{rank:06d}"
+
+
+def table_bloom_bits(fmt: str, aux_backends: tuple[str, ...]) -> float:
+    """Bloom bits per key of a main table of format ``fmt`` in an epoch
+    that seals its aux tables with ``aux_backends``: none for a filterkv
+    epoch that seals csf first (every store's), whose guard (`csf_fp_bits`)
+    is the key's one filter; `TABLE_BLOOM_BITS` for every other table —
+    base and dataptr have no aux, and `SimCluster`'s paper epochs seal the
+    4-bit cuckoo.  It follows the tuple, not the backend each partition
+    ends up with (tables are written before aux tables build): a partition
+    whose csf refuses falls back to a cuckoo over tables without a Bloom,
+    which answers alike and pays more table reads for absent keys.
+    """
+    return 0.0 if fmt == "filterkv" and aux_backends[0] == "csf" else TABLE_BLOOM_BITS
 
 
 def rank_extents(files, nranks: int) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
@@ -116,7 +131,9 @@ class Envelope:
 
 
 class WriterState:
-    """Producer-side pipeline for one rank."""
+    """Producer-side pipeline for one rank.  ``aux_backends`` is what the
+    epoch's receivers seal with: it decides whether a filterkv main table
+    carries a Bloom filter block (`table_bloom_bits`)."""
 
     def __init__(
         self,
@@ -126,6 +143,7 @@ class WriterState:
         device: StorageDevice,
         value_bytes: int,
         send: SendFn,
+        aux_backends: tuple[str, ...],
         batch_bytes: int = 16384,
         epoch: int = 0,
         block_size: int = 1 << 20,
@@ -158,7 +176,10 @@ class WriterState:
             self._vlog = ValueLog(device, rank)
         elif fmt.name == "filterkv":
             self._main = SSTableWriter(
-                device, main_table_name(epoch, rank), block_size=block_size
+                device,
+                main_table_name(epoch, rank),
+                block_size=block_size,
+                bloom_bits_per_key=table_bloom_bits(fmt.name, aux_backends),
             )
 
     # -- producing --------------------------------------------------------
@@ -256,10 +277,10 @@ class ReceiverState:
         fmt: FormatSpec,
         device: StorageDevice,
         value_bytes: int,
+        aux_backends: tuple[str, ...],
         epoch: int = 0,
         block_size: int = 1 << 20,
         aux_seed: int = 0,
-        aux_backends: tuple[str, ...] = ("cuckoo",),
         metrics: MetricsRegistry | None = None,
     ):
         self.rank = rank

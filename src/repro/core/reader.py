@@ -13,7 +13,9 @@ only in where a key's candidate partitions come from and what a hit holds:
 * **filterkv** — read the owner's *auxiliary table* first; its candidate
   source partitions' main tables are probed in ascending order until the
   key is found.  False positives cost extra partition probes (1.88
-  partitions/query in the paper's runs).
+  partitions/query in the paper's runs).  A store's main tables carry no
+  Bloom filter block (its csf aux guard is the key's one filter), so a
+  probe goes from the aux table straight to the table's index.
 
 Every read is charged to the `StorageDevice`, and `QueryStats` breaks the
 cost down by the same categories as Fig. 11b/c: footer, index, aux table,
@@ -45,8 +47,10 @@ from .pipeline import rank_extents
 __all__ = ["QueryEngine", "MetaCache", "QueryStats"]
 
 # Resident table-metadata budget of one `MetaCache` (one per store).  A
-# table's meta is its index arrays plus ~10 Bloom bits per key, so this
-# holds the metadata of roughly 50 M keys.
+# table's meta is its index arrays (24 B per ~4 KB key group, under half a
+# byte per key) plus, in a table with a filter block, ~10 Bloom bits per
+# key: this holds the metadata of roughly 50 M keys of such tables, and
+# several times that of a store's filterkv tables, which have none.
 META_CACHE_BYTES = 64 << 20
 
 # Tables' worth of data blocks (`BLOCK_CACHE_BLOCKS` each) a warm engine

@@ -60,15 +60,19 @@ def write_merged_table(
     keys: np.ndarray,
     values: np.ndarray,
     block_size: int,
+    bloom_bits_per_key: float,
 ) -> TableStats:
-    """Write (and close) one merged partition table with the bulk writer.
+    """Write (and close) one merged partition table with the bulk writer,
+    with a Bloom filter block of ``bloom_bits_per_key`` (0: none).
 
     Empty inputs still produce a valid (zero-entry) table: every rank must
     own a table in the merged epoch because aux false positives can name
     any rank, and the reader opens tables unconditionally for the direct
     formats.
     """
-    writer = SSTableWriter(device, name, block_size=block_size)
+    writer = SSTableWriter(
+        device, name, block_size=block_size, bloom_bits_per_key=bloom_bits_per_key
+    )
     if keys.size:
         writer.add_many(keys, values)
     return writer.finish()

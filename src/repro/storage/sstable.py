@@ -6,8 +6,9 @@ mirroring how DeltaFS Indexed Massive Directories flatten their LSM-tree
 read path matches Fig. 11's cost structure:
 
 1. read the fixed-size **footer** at the end of the file;
-2. read the **index block** (per-block first keys + offsets) and the
-   optional per-table **Bloom filter block**;
+2. read the **index block** (per-block first keys + offsets) and, in a
+   table that has one, the **Bloom filter block** (a store's filterkv main
+   tables have none: the epoch's csf aux guard is their one filter);
 3. binary-search the index and read the candidate **data block(s)**.
 
 Layout (all little-endian, 8-byte keys as in the paper's experiments)::
@@ -87,6 +88,7 @@ __all__ = [
     "concat_values",
     "value_matrix",
     "FOOTER_BYTES",
+    "TABLE_BLOOM_BITS",
     "CorruptBlockError",
 ]
 
@@ -114,6 +116,11 @@ _GROUP_ENTRY_BYTES = 8 + 8 + 4  # first key, checksum, offset: stored as columns
 # takes it to this many bytes.  Measured between 4 KB and 8 KB (CHANGES.md,
 # PR 24); readers take group bounds from the table, never from this constant.
 GROUP_BYTES = 4096
+
+# Bloom bits per key of a table that carries a filter block: every base and
+# dataptr table, and the filterkv main tables of an epoch whose aux is the
+# paper's cuckoo (`pipeline.table_bloom_bits` states the rule).
+TABLE_BLOOM_BITS = 10.0
 
 # Data blocks a warm engine's `BlockCache` keeps per table it reads
 # (`QueryEngine`: ``BLOCK_CACHE_BLOCKS × table_cache_entries``).
@@ -203,7 +210,9 @@ class SSTableWriter:
         Target data-block size; the paper's read path fetches blocks in
         4 MiB units, benchmarks use smaller blocks at reduced scale.
     bloom_bits_per_key:
-        Per-table Bloom filter budget; 0 disables the filter block.
+        Per-table Bloom filter budget; 0 writes no filter block (footer
+        ``filter_len`` and ``bloom_nhashes`` 0).  `pipeline.table_bloom_bits`
+        says which tables carry one.
     """
 
     def __init__(
@@ -211,7 +220,7 @@ class SSTableWriter:
         device: StorageDevice,
         name: str,
         block_size: int = 4 << 20,
-        bloom_bits_per_key: float = 10.0,
+        bloom_bits_per_key: float = TABLE_BLOOM_BITS,
     ):
         if block_size < 64:
             raise ValueError(f"block_size too small: {block_size}")
@@ -343,7 +352,7 @@ class TableMeta:
     off: np.ndarray
     length: np.ndarray
     bloom: BloomFilter | None
-    nbytes: int  # resident size: the index arrays plus the Bloom filter's bits
+    nbytes: int  # resident size: the index arrays plus the Bloom filter's bits, if any
     record_bytes: int  # bytes per record (0 in an empty table)
     group_bytes: int  # bytes per full key group (0 in an empty table)
     # Key groups, all blocks' end to end; block i owns gstart[i]:gstart[i+1].
@@ -412,6 +421,8 @@ def load_table_meta(device: StorageDevice, name: str) -> TableMeta:
         raise inconsistent("footer sections overlap or leave the file")
     if filter_len and (not 1 <= bloom_nhashes <= 64 or (filter_len - CHECKSUM_BYTES) % 8):
         raise inconsistent("filter block is no Bloom filter this writer emits")
+    if not filter_len and bloom_nhashes:
+        raise inconsistent(f"filterless footer names {bloom_nhashes} Bloom hashes")
     # Filter and index blobs are adjacent on storage; fetch them with a
     # single read, like the paper's "load the partition's indexes"
     # step (one ~12 MB read in their runs).
@@ -555,7 +566,10 @@ class SSTableReader:
 
     The constructor performs the footer + index (+ filter) reads, mirroring
     a reader program opening a partition; `get` then costs one data-block
-    read per candidate block.  Pass ``meta=`` (a `TableMeta` an earlier
+    read per candidate block.  A table's Bloom filter block, if it has
+    one, refutes absent keys before any block is planned; without one (a
+    store's filterkv table, behind a csf aux guard) every key is planned.
+    Pass ``meta=`` (a `TableMeta` an earlier
     open of the same sealed table produced) to model a reader that keeps
     footer/index/filter resident: the open then costs no device read.
     Fig. 11 amortizes these across the 100 queries only partially — each
@@ -708,13 +722,6 @@ class SSTableReader:
         starts = loc * rec + _KEY_BYTES
         return hit, starts, starts + (rec - _KEY_BYTES)
 
-    def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized Bloom gate; False means definitely absent."""
-        keys = np.asarray(keys, dtype=np.uint64).ravel()
-        if self.meta.bloom is None:
-            return np.ones(keys.size, dtype=bool)
-        return self.meta.bloom.contains_many(keys)
-
     def get_many(self, keys: np.ndarray) -> tuple[list[bytes | None], int]:
         """Point lookups, the table's one read (`get` is this of one key);
         returns ``(values, blocks_touched)``.
@@ -747,13 +754,18 @@ class SSTableReader:
         first = self.meta.first
         if first.size == 0:
             return values, 0
-        # Keys ascend across blocks, so a key the Bloom filter passes can be
-        # only in the first block whose last key is not below it, and only
-        # if that block starts at-or-before it.
-        pos = self.may_contain_many(keys).nonzero()[0]
-        k = keys[pos]
+        # Keys ascend across blocks, so a key the Bloom filter passes (every
+        # key, in a table without one) can be only in the first block whose
+        # last key is not below it, and only if that block starts
+        # at-or-before it.
+        bloom = self.meta.bloom
+        if bloom is None:
+            pos, k = range(keys.size), keys
+        else:
+            pos = bloom.contains_many(keys).nonzero()[0]
+            pos, k = pos.tolist(), keys[pos]
         blocks: dict[int, list[int]] = {}
-        for p, key, i in zip(pos.tolist(), k.tolist(), self.meta.last.searchsorted(k).tolist()):
+        for p, key, i in zip(pos, k.tolist(), self.meta.last.searchsorted(k).tolist()):
             if i < first.size and first[i] <= key:
                 blocks.setdefault(i, []).append(p)
         for i in sorted(blocks):

@@ -42,10 +42,11 @@ GOLDEN = {
     ),
     "csf": bytes.fromhex(
         "790000007b226261636b656e64223a2022637366222c2022666e6b657973223a"
-        "20352c202266705f62697473223a20322c20226e6b657973223a20352c20226e"
+        "20352c202266705f62697473223a20392c20226e6b657973223a20352c20226e"
         "7061727473223a20342c202273656564223a20392c20227365676d656e74223a"
-        "2031312c202276223a20322c202276616c75655f62697473223a20327d0000f0"
-        "0000000a0000000000000305f000"
+        "2031312c202276223a20322c202276616c75655f62697473223a20327d000000"
+        "00000e2800000000000000000000015d40000000000000000000000000000000"
+        "00000b0000ac7af8000000"
     ),
 }
 
@@ -68,9 +69,11 @@ RETIRED = {
     ),
 }
 
-# Blobs an older construction sealed, for the same table: they must still
-# load and answer, and are never written again.  The csf one is from the
-# one-key-at-a-time peel; the round-synchronous peel that replaced it
+# Blobs older code sealed, for the same table: they must still load and
+# answer, and are never written again.  Both carry the 2-bit guard stores
+# sealed while their tables still had a Bloom filter block (the guard is
+# 9 bits now: `csf_fp_bits`).  "csf" is from the one-key-at-a-time peel;
+# "csf-2bit" from the round-synchronous peel that replaced it, which
 # settles on the same seed and header, and only the slot payload differs.
 LEGACY = {
     "csf": bytes.fromhex(
@@ -80,7 +83,15 @@ LEGACY = {
         "2031312c202276223a20322c202276616c75655f62697473223a20327d000000"
         "000000005000000000000605fa00"
     ),
+    "csf-2bit": bytes.fromhex(
+        "790000007b226261636b656e64223a2022637366222c2022666e6b657973223a"
+        "20352c202266705f62697473223a20322c20226e6b657973223a20352c20226e"
+        "7061727473223a20342c202273656564223a20392c20227365676d656e74223a"
+        "2031312c202276223a20322c202276616c75655f62697473223a20327d0000f0"
+        "0000000a0000000000000305f000"
+    ),
 }
+LEGACY_FP_BITS = 2
 # fmt: on
 
 
@@ -121,11 +132,13 @@ def test_retired_backend_blob_is_refused_by_name(backend):
         aux_from_blob(RETIRED[backend])
 
 
-@pytest.mark.parametrize("backend", sorted(LEGACY))
-def test_legacy_blob_reloads_and_answers_as_the_current_one(backend):
-    old, new = aux_from_blob(LEGACY[backend]), aux_from_blob(GOLDEN[backend])
-    assert _split(LEGACY[backend])[0] == _split(GOLDEN[backend])[0]
-    assert aux_to_blob(old) == LEGACY[backend]  # reloads as it was sealed
+@pytest.mark.parametrize("label", sorted(LEGACY))
+def test_legacy_blob_reloads_and_answers_as_the_current_one(label):
+    old, new = aux_from_blob(LEGACY[label]), aux_from_blob(GOLDEN["csf"])
+    # The same table: only the guard width, and so the payload, moved.
+    assert _split(LEGACY[label])[0] == dict(_split(GOLDEN["csf"])[0], fp_bits=LEGACY_FP_BITS)
+    assert old.fp_bits == LEGACY_FP_BITS and new.fp_bits > LEGACY_FP_BITS
+    assert aux_to_blob(old) == LEGACY[label]  # reloads as it was sealed
     for k, r in zip(KEYS, RANKS):
         assert old.candidate_ranks(int(k)).tolist() == [int(r)]
     old_counts, old_flat = old.candidates_many(KEYS)

@@ -23,6 +23,7 @@ def test_record_wider_than_batch_bytes_ships_single_record_envelopes():
         device=StorageDevice(),
         value_bytes=56,  # record = 8 + 56 = 64 bytes
         send=shipped.append,
+        aux_backends=("cuckoo",),
         batch_bytes=32,  # narrower than one record
     )
     batch = random_kv_batch(40, 56, rng=5)

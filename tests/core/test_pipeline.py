@@ -18,6 +18,8 @@ from repro.storage.sstable import SSTableReader
 
 from ..reference import ingest as ref
 
+CUCKOO = ("cuckoo",)  # the paper's aux table, as `SimCluster` seals
+
 
 def make_writer(fmt, sent, nranks=4, value_bytes=16, batch_bytes=256, bulk=True):
     device = StorageDevice()
@@ -28,6 +30,7 @@ def make_writer(fmt, sent, nranks=4, value_bytes=16, batch_bytes=256, bulk=True)
         device=device,
         value_bytes=value_bytes,
         send=sent.append,
+        aux_backends=CUCKOO,
         batch_bytes=batch_bytes,
     )
     return w, device
@@ -102,7 +105,7 @@ def test_writer_rejects_wrong_value_width():
 
 def test_receiver_routes_by_format():
     dev = StorageDevice()
-    recv = ReceiverState(1, 4, FMT_FILTERKV, dev, value_bytes=16)
+    recv = ReceiverState(1, 4, FMT_FILTERKV, dev, value_bytes=16, aux_backends=CUCKOO)
     keys = np.arange(10, dtype="<u8")
     recv.deliver(Envelope(src=3, dest=1, payload=keys.tobytes(), nrecords=10))
     assert recv.records_received == 10
@@ -111,14 +114,14 @@ def test_receiver_routes_by_format():
 
 
 def test_receiver_rejects_misrouted_envelope():
-    recv = ReceiverState(1, 4, FMT_BASE, StorageDevice(), value_bytes=16)
+    recv = ReceiverState(1, 4, FMT_BASE, StorageDevice(), value_bytes=16, aux_backends=CUCKOO)
     with pytest.raises(ValueError):
         recv.deliver(Envelope(src=0, dest=2, payload=b"", nrecords=0))
 
 
 def test_receiver_base_persists_sstable():
     dev = StorageDevice()
-    recv = ReceiverState(0, 2, FMT_BASE, dev, value_bytes=4)
+    recv = ReceiverState(0, 2, FMT_BASE, dev, value_bytes=4, aux_backends=CUCKOO)
     payload = np.zeros((3, 12), dtype=np.uint8)
     payload[:, :8] = np.asarray([7, 5, 9], dtype="<u8").view(np.uint8).reshape(3, 8)
     payload[:, 8:] = np.arange(12, dtype=np.uint8).reshape(3, 4)
@@ -186,7 +189,8 @@ def test_wire_roundtrip_odd_batch_sizes(bulk):
         total += n
     w.flush()
     recv = (ReceiverState if bulk else ref.Receiver)(
-        rank=0, nranks=1, fmt=FMT_FILTERKV, device=StorageDevice(), value_bytes=16
+        rank=0, nranks=1, fmt=FMT_FILTERKV, device=StorageDevice(), value_bytes=16,
+        aux_backends=CUCKOO,
     )
     for env in sent:
         assert len(env.payload) % 8 == 0 and env.nrecords == len(env.payload) // 8

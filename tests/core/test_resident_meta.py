@@ -106,11 +106,15 @@ def test_store_reads_equal_cold_reader_across_compaction(
     assert len(cache) == 0 and cache.nbytes == 0
 
 
-def _one_epoch_store():
+def _one_epoch_store(aux_backends=None):
     """(store, keys written by rank 0): filterkv keeps a key's value in its
-    writer's table, so every one of ``keys`` is served by ``part.000.0``."""
+    writer's table, so every one of ``keys`` is served by ``part.000.0``.
+    ``aux_backends`` replaces the store's seal tuple (its own writes tables
+    without a Bloom filter block; a cuckoo epoch's tables keep one)."""
     rng = np.random.default_rng(5)
     store = MultiEpochStore(nranks=4, fmt=FMT_FILTERKV, value_bytes=VB, seed=5)
+    if aux_backends is not None:
+        store.aux_backends = aux_backends
     batches = [random_kv_batch(200, VB, rng) for _ in range(4)]
     store.write_epoch(batches)
     return store, batches[0].keys
@@ -120,7 +124,7 @@ def _one_epoch_store():
 def test_corrupt_metadata_fails_typed_and_caches_nothing(section):
     """The first open through the cache runs every check the constructor
     runs, raises the same typed error, and leaves the cache empty."""
-    store, keys = _one_epoch_store()
+    store, keys = _one_epoch_store(("cuckoo",) if section == "filter" else None)
     name = main_table_name(0, 0)
     size = store.device.file_size(name)
     footer = store.device.read(name, size - FOOTER_BYTES, FOOTER_BYTES)

@@ -148,7 +148,12 @@ def test_store_extents_equal_the_per_table_build():
     Each adopted table is byte-identical to the rewritten one at its rank,
     each adopted aux blob maps every stored key to the same rank, each
     manifest differs only in file names and byte totals, and every other
-    extent is unchanged.)"""
+    extent is unchanged.  Re-pinned again when a store's filterkv tables
+    lost their Bloom filter block and its csf guard widened from 2 to 9
+    bits: each table is the earlier one with its filter block cut out and
+    its footer re-pointed (``filter_len`` and ``bloom_nhashes`` 0), each aux
+    blob maps every key its partition owns to the same one rank, and each
+    manifest differs only in its epochs' byte totals.)"""
     sim = VPICSimulation(16, 256, seed=3)
     store = MultiEpochStore(
         nranks=16,
@@ -160,7 +165,7 @@ def test_store_extents_equal_the_per_table_build():
         sim.step(1)
         store.write_epoch(sim.dump())
     assert store.compactions == 3
-    assert _extents_sha256(store) == "f1c708148d6d0937036d8f1e86d259ce2bb2f7bcc5e141e7cf49fc25a3fc525b"
+    assert _extents_sha256(store) == "753bb3b0911505cd86b482d5ae062431e038bf68247770a3f1947da56e831c67"
 
 
 def _extents_sha256(store) -> str:
@@ -172,14 +177,15 @@ def _extents_sha256(store) -> str:
     return digest.hexdigest()
 
 
-# Re-pinned with the store above when rows lost their length, and again
-# when merges began adopting: each key block moves to the next rank every
-# epoch, so every output rank's table is the newest source's table (and
-# filterkv's aux partitions its aux extents).  Same proof as above.
+# Re-pinned with the store above when rows lost their length, again when
+# merges began adopting (each key block moves to the next rank every
+# epoch, so every output rank's table is the newest source's table, and
+# filterkv's aux partitions its aux extents), and filterkv's again when its
+# tables lost their Bloom filter block.  Same proof as above.
 COMPACTED = {
     "base": "12368032f6cec92dcb6c2bae1d2fc7f38025ea3e256ffa4201f10eb8ab746e6f",
     "dataptr": "11d563548ced2bae0ded108c7da0f2e73180fd9d6171b85f3c0a5095ca8a398e",
-    "filterkv": "908502c5090718c92568cba58b71c95498a2ac02c25d97f2e0fe531a3378d23d",
+    "filterkv": "8addf42bab3396fb988ede3cb998cdb5e9032bf39d8b7add7964f0cdbec5b00c",
 }
 
 

@@ -34,7 +34,9 @@ def _seal(envelopes, seed=0):
     """Deliver ``[(keys, src), ...]`` to one receiver; returns it and its
     sealed blob."""
     dev = StorageDevice()
-    recv = ReceiverState(0, NRANKS, FMT_FILTERKV, dev, value_bytes=8, aux_seed=seed)
+    recv = ReceiverState(
+        0, NRANKS, FMT_FILTERKV, dev, value_bytes=8, aux_backends=("cuckoo",), aux_seed=seed
+    )
     for keys, src in envelopes:
         recv.deliver(Envelope(src, 0, keys.astype("<u8").tobytes(), keys.size))
     recv.finish()

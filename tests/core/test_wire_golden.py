@@ -64,6 +64,7 @@ def _encode_with_writer(fmt):
         device=StorageDevice(),
         value_bytes=4,
         send=sent.append,
+        aux_backends=("cuckoo",),
     )
     writer.put_batch(_batch())
     writer.flush()
@@ -73,7 +74,8 @@ def _encode_with_writer(fmt):
 
 def _receiver(fmt):
     return ReceiverState(
-        rank=0, nranks=1, fmt=fmt, device=StorageDevice(), value_bytes=4
+        rank=0, nranks=1, fmt=fmt, device=StorageDevice(), value_bytes=4,
+        aux_backends=("cuckoo",),
     )
 
 

@@ -2,12 +2,16 @@
 
 One seeded epoch per format, written by the cluster and by
 `tests/reference/ingest.py`: the counts, the wire bytes and every persisted
-extent — tables, value logs and sealed aux blobs — must be identical.
+extent — tables, value logs and sealed aux blobs — must be identical.  Each
+is sealed both ways: with the paper's cuckoo (`SimCluster`'s own seal,
+tables with a Bloom block) and with a store's csf-first tuple (filterkv
+main tables without one).
 """
 
 import pytest
 
 from repro.cluster.simcluster import SimCluster
+from repro.core.auxtable import AUTO_BACKENDS
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import KEY_BYTES
 from repro.obs import MetricsRegistry
@@ -26,12 +30,27 @@ BATCH_RECORDS = 700  # batches that end mid-envelope
 WIRE_RECORD_BYTES = {"base": KEY_BYTES + 40, "dataptr": KEY_BYTES + 8, "filterkv": KEY_BYTES}
 
 
-@pytest.mark.parametrize("fmt", [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV], ids=lambda f: f.name)
+FORMATS = pytest.mark.parametrize(
+    "fmt", [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV], ids=lambda f: f.name
+)
+
+
+@FORMATS
 def test_epoch_is_byte_identical_to_the_per_record_replay(fmt):
-    cluster = SimCluster(fmt=fmt, metrics=MetricsRegistry(), **CONFIG)
+    check_replay(fmt, ("cuckoo",))
+
+
+@FORMATS
+def test_a_store_sealed_epoch_is_byte_identical_to_the_per_record_replay(fmt):
+    check_replay(fmt, AUTO_BACKENDS)
+
+
+def check_replay(fmt, backends):
+    cluster = SimCluster(fmt=fmt, metrics=MetricsRegistry(), aux_backends=backends, **CONFIG)
     stats = cluster.run_epoch(RECORDS_PER_RANK, batch_records=BATCH_RECORDS)
     ref = replay_epoch(
-        fmt=fmt, records_per_rank=RECORDS_PER_RANK, batch_records=BATCH_RECORDS, **CONFIG,
+        fmt=fmt, records_per_rank=RECORDS_PER_RANK, batch_records=BATCH_RECORDS,
+        aux_backends=backends, **CONFIG,
     )
 
     assert stats == ref.stats

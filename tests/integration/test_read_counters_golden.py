@@ -58,6 +58,17 @@ answer digest equals the cuckoo run's.  Its absent keys' false candidates
 follow the csf slot contents, so a change to how the csf build fills its
 slots re-pins `GOLDEN_AUTO` (never `GOLDEN`).
 
+Widening the csf guard from 2 to 9 bits, and writing the store's tables
+without a Bloom filter block, re-pinned `GOLDEN_AUTO` and nothing else.
+Every table's metadata read is the filter block shorter (``written``:
+37 069 -> 36 174 B), absent keys' false candidates fell (``store.get_many``
+partitions searched 452 -> 420, the service phases' partitions probed
+156 -> 132 and 307 -> 265), and the cold ``store.lookup`` phase, where a
+false candidate costs a table open, reads four times less (partitions
+searched 64 -> 60; device reads 685 -> 681 in all).  A cold ``store.lookup`` charges the whole, wider aux
+blob per query, so its ``stats.bytes_read`` rose 60 356 -> 60 584 B.
+Every answer digest, block-cache count and `GOLDEN` total is unchanged.
+
 Regenerate (only when a change is *meant* to move device traffic) with
 ``PYTHONPATH=src python tests/integration/test_read_counters_golden.py``.
 """
@@ -365,110 +376,110 @@ GOLDEN = [('written',
 # The same script sealed with the store's default `AUTO_BACKENDS` (csf).
 GOLDEN_AUTO = [('written',
   {'device.reads': 84,
-   'device.bytes_read': 37069,
+   'device.bytes_read': 36174,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 48}),
  ('store.get',
   {'device.reads': 188,
-   'device.bytes_read': 112040,
+   'device.bytes_read': 111112,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 128,
    'stats.reads': 104,
-   'stats.bytes_read': 74971,
-   'stats.partitions_searched': 82,
+   'stats.bytes_read': 74938,
+   'stats.partitions_searched': 80,
    'answers': 3713930082}),
  ('store.get_many',
   {'device.reads': 272,
-   'device.bytes_read': 177576,
+   'device.bytes_read': 176648,
    'sstable.block_cache.hits': 0,
    'sstable.block_cache.misses': 212,
    'stats.reads': 84,
    'stats.bytes_read': 65536,
-   'stats.partitions_searched': 452,
+   'stats.partitions_searched': 420,
    'answers': 1757043775}),
  ('store.lookup',
-  {'device.reads': 422,
-   'device.bytes_read': 237932,
+  {'device.reads': 418,
+   'device.bytes_read': 237232,
    'sstable.block_cache.hits': 15,
    'sstable.block_cache.misses': 257,
-   'stats.reads': 150,
-   'stats.bytes_read': 60356,
-   'stats.partitions_searched': 64,
+   'stats.reads': 146,
+   'stats.bytes_read': 60584,
+   'stats.partitions_searched': 60,
    'answers': 1911588890}),
  ('store.lookup_many',
-  {'device.reads': 430,
-   'device.bytes_read': 243628,
+  {'device.reads': 426,
+   'device.bytes_read': 242928,
    'sstable.block_cache.hits': 49,
    'sstable.block_cache.misses': 265,
    'stats.reads': 8,
    'stats.bytes_read': 5696,
-   'stats.partitions_searched': 138,
+   'stats.partitions_searched': 120,
    'answers': 4062918877}),
  ('store.trajectory',
-  {'device.reads': 431,
-   'device.bytes_read': 244556,
+  {'device.reads': 427,
+   'device.bytes_read': 243856,
    'sstable.block_cache.hits': 80,
    'sstable.block_cache.misses': 266,
    'stats.reads': 1,
    'stats.bytes_read': 928,
-   'stats.partitions_searched': 34,
+   'stats.partitions_searched': 32,
    'answers': 1949709263}),
  ('default.before',
-  {'device.reads': 455,
-   'device.bytes_read': 264460,
+  {'device.reads': 451,
+   'device.bytes_read': 263760,
    'sstable.block_cache.hits': 128,
    'sstable.block_cache.misses': 290,
    'reader.queries': 212,
-   'reader.partitions_probed': 156,
+   'reader.partitions_probed': 132,
    'reader.storage_reads.data': 24,
    'reader.storage_reads.footer': 0,
    'reader.storage_reads.index': 0,
    'reader.storage_reads.aux': 0,
    'answers': 686095842}),
  ('narrow.before',
-  {'device.reads': 525,
-   'device.bytes_read': 325164,
+  {'device.reads': 521,
+   'device.bytes_read': 324464,
    'sstable.block_cache.hits': 130,
    'sstable.block_cache.misses': 360,
    'reader.queries': 212,
-   'reader.partitions_probed': 156,
+   'reader.partitions_probed': 132,
    'reader.storage_reads.data': 70,
    'reader.storage_reads.footer': 0,
    'reader.storage_reads.index': 0,
    'reader.storage_reads.aux': 0,
    'answers': 686095842}),
  ('default.after',
-  {'device.reads': 621,
-   'device.bytes_read': 374315,
+  {'device.reads': 617,
+   'device.bytes_read': 373208,
    'sstable.block_cache.hits': 176,
    'sstable.block_cache.misses': 412,
    'reader.queries': 423,
-   'reader.partitions_probed': 307,
+   'reader.partitions_probed': 265,
    'reader.storage_reads.data': 48,
    'reader.storage_reads.footer': 8,
    'reader.storage_reads.index': 8,
    'reader.storage_reads.aux': 8,
    'answers': 3859104156}),
  ('narrow.after',
-  {'device.reads': 685,
-   'device.bytes_read': 430091,
+  {'device.reads': 681,
+   'device.bytes_read': 428984,
    'sstable.block_cache.hits': 182,
    'sstable.block_cache.misses': 476,
    'reader.queries': 423,
-   'reader.partitions_probed': 307,
+   'reader.partitions_probed': 265,
    'reader.storage_reads.data': 134,
    'reader.storage_reads.footer': 0,
    'reader.storage_reads.index': 0,
    'reader.storage_reads.aux': 0,
    'answers': 3859104156}),
  ('services closed',
-  {'device.reads': 685,
-   'device.bytes_read': 430091,
+  {'device.reads': 681,
+   'device.bytes_read': 428984,
    'sstable.block_cache.hits': 182,
    'sstable.block_cache.misses': 476}),
  ('store closed',
-  {'device.reads': 685,
-   'device.bytes_read': 430091,
+  {'device.reads': 681,
+   'device.bytes_read': 428984,
    'sstable.block_cache.hits': 182,
    'sstable.block_cache.misses': 476})]
 

@@ -101,10 +101,16 @@ def build(
     raise CsfConstructionError(f"peeling failed after {max_tries} seeds")
 
 
+# The guard of the legacy golden blob (`test_aux_blob_golden.LEGACY`): before
+# stores' tables dropped their Bloom filter block, ``csf_fp_bits(4)`` was 2.
+LEGACY_FP_BITS = 2
+
+
 def seal(keys: np.ndarray, ranks: np.ndarray, nparts: int, seed: int = 0) -> bytes:
     """The csf aux blob the per-key construction sealed for distinct ``keys``
-    (what an epoch written before the round-synchronous build holds)."""
-    aux = CsfAuxTable(nparts, seed=seed)
+    (what an epoch written before the round-synchronous build holds), at
+    the guard width of its day."""
+    aux = CsfAuxTable(nparts, fp_bits=LEGACY_FP_BITS, seed=seed)
     aux._maplet = build(keys, ranks, aux.value_bits, aux.fp_bits, seed)
     aux._nkeys = aux._maplet.nkeys
     aux._finalized = True

@@ -9,8 +9,10 @@ same epoch record by record, from the documented formats alone:
 * SSTable — ``u64 key ‖ value`` rows in stable key order (no length: the
   index holds the one row width),
   key groups and blocks cut record by record (`cut_records`, also the
-  oracle of the writer's array cutter), the Bloom filter block, the
-  column-wise index with its group table, and the 64-byte footer.
+  oracle of the writer's array cutter), the Bloom filter block (10 bits
+  per key, and none in a filterkv main table whose epoch seals csf first:
+  its aux guard is the record's one filter), the column-wise index with
+  its group table, and the 64-byte footer.
 
 It shares with the code under test only what is not the write path:
 `HashPartitioner` (routing), `BloomFilter` (the filter's bits),
@@ -150,6 +152,12 @@ class Table:
 # -- one rank's writer and receiver ----------------------------------------------
 
 
+def _bloom_bits(fmt, aux_backends) -> float:
+    """A table's Bloom budget: a filterkv main table in an epoch that seals
+    csf first has none, every other table 10 bits per key."""
+    return 0.0 if fmt.name == "filterkv" and aux_backends[0] == "csf" else 10.0
+
+
 def _wire_record_bytes(fmt, value_bytes: int) -> int:
     return {"base": 8 + value_bytes, "dataptr": 16, "filterkv": 8}[fmt.name]
 
@@ -158,7 +166,7 @@ class Writer:
     """One rank's producer side, record by record (`WriterState`'s role
     and constructor)."""
 
-    def __init__(self, rank, fmt, partitioner, device, value_bytes, send,
+    def __init__(self, rank, fmt, partitioner, device, value_bytes, send, aux_backends,
                  batch_bytes=16384, epoch=0, block_size=1 << 20):
         self.rank, self.fmt, self.partitioner, self.device = rank, fmt, partitioner, device
         self.value_bytes, self.send, self.batch_bytes = value_bytes, send, batch_bytes
@@ -171,7 +179,8 @@ class Writer:
             self.vlog = f"vlog.{rank:06d}"
             device.create(self.vlog)
         elif fmt.name == "filterkv":
-            self.main = Table(device, f"part.{epoch:03d}.{rank:06d}", block_size)
+            self.main = Table(device, f"part.{epoch:03d}.{rank:06d}", block_size,
+                              _bloom_bits(fmt, aux_backends))
 
     def put_batch(self, batch) -> None:
         for key, value in zip(batch.keys.tolist(), batch.values):
@@ -221,9 +230,9 @@ class Receiver:
     """One rank's partition-owner side, record by record (`ReceiverState`'s
     role and constructor)."""
 
-    def __init__(self, rank, nranks, fmt, device, value_bytes, epoch=0,
+    def __init__(self, rank, nranks, fmt, device, value_bytes, aux_backends, epoch=0,
                  block_size=1 << 20, aux_seed=0):
-        self.rank, self.nranks, self.fmt = rank, nranks, fmt
+        self.rank, self.nranks, self.fmt, self.aux_backends = rank, nranks, fmt, aux_backends
         self.device, self.epoch, self.aux_seed = device, epoch, aux_seed
         self.rec = _wire_record_bytes(fmt, value_bytes)
         self.records_received = 0
@@ -263,7 +272,7 @@ class Receiver:
                 )
             ],
             nparts=self.nranks,
-            backends=("cuckoo",),  # the paper's table, as `SimCluster` seals
+            backends=self.aux_backends,
             seed=self.aux_seed,
         )
         name = f"aux.{self.epoch:03d}.{self.rank:06d}"
@@ -282,14 +291,15 @@ class Replay:
 
 
 def replay_epoch(nranks, fmt, value_bytes, seed, records_per_rank, batch_records=4096,
-                 batch_bytes=16384, block_size=1 << 20) -> Replay:
+                 batch_bytes=16384, block_size=1 << 20, aux_backends=("cuckoo",)) -> Replay:
     """What ``SimCluster(nranks, fmt, value_bytes, batch_bytes, block_size=,
-    seed=).run_epoch(records_per_rank, batch_records)``
+    seed=, aux_backends=).run_epoch(records_per_rank, batch_records)``
     persists and counts, direct routing with one rank per node."""
     device = StorageDevice()
     partitioner = HashPartitioner(nranks)
     receivers = [
-        Receiver(r, nranks, fmt, device, value_bytes, block_size=block_size, aux_seed=seed)
+        Receiver(r, nranks, fmt, device, value_bytes, aux_backends, block_size=block_size,
+                 aux_seed=seed)
         for r in range(nranks)
     ]
     shipped: list[Envelope] = []
@@ -299,8 +309,8 @@ def replay_epoch(nranks, fmt, value_bytes, seed, records_per_rank, batch_records
         receivers[env.dest].deliver(env)
 
     writers = [
-        Writer(r, fmt, partitioner, device, value_bytes, send, batch_bytes=batch_bytes,
-               block_size=block_size)
+        Writer(r, fmt, partitioner, device, value_bytes, send, aux_backends,
+               batch_bytes=batch_bytes, block_size=block_size)
         for r in range(nranks)
     ]
     rng = np.random.default_rng(seed)  # the batches `run_epoch` generates

@@ -119,10 +119,11 @@ def test_bloom_gate_blocks_absent_keys():
 
 def test_no_bloom_mode():
     dev = StorageDevice()
-    build(dev, "t", [(1, b"a")], bloom_bits_per_key=0)
+    stats = build(dev, "t", [(1, b"a")], bloom_bits_per_key=0)
+    assert stats.filter_bytes == 0
     r = SSTableReader(dev, "t")
-    assert r.may_contain_many([999]).tolist() == [True]  # no filter: must say maybe
-    assert r.get(1) == b"a"
+    assert r.meta.bloom is None
+    assert r.get(1) == b"a" and r.get(999) is None  # no filter: the block says absent
 
 
 def test_duplicate_keys_first_wins():
@@ -547,7 +548,7 @@ class TestRangedReads:
         assert seam and short  # the cases the test is about exist
         present = sorted(truth)
         absent = [k + 1 for k in present] + [2**64 - 1]
-        gate = SSTableReader(dev, "t", meta).may_contain_many(np.asarray(absent, dtype=np.uint64))
+        gate = meta.bloom.contains_many(np.asarray(absent, dtype=np.uint64))
         assert gate.any() and not gate.all()  # absent keys the Bloom filter passes, and not
         passes = set(present) | {k for k, g in zip(absent, gate.tolist()) if g}
 

@@ -258,6 +258,20 @@ def test_footer_fields_that_leave_the_file(field, value):
     assert not check(p.build())
 
 
+@pytest.mark.parametrize("base", ["no-bloom", "empty"])
+@pytest.mark.parametrize("nhashes", [1, 7, 2**32 - 1])
+def test_a_filterless_footer_that_names_bloom_hashes(base, nhashes):
+    """A table without a filter block (a store's filterkv tables, any empty
+    table) writes ``bloom_nhashes`` 0; a footer that names hashes for a
+    filter it does not have describes no table this writer emits."""
+    p = Parts(BASES[base])
+    assert p.footer["filter_len"] == 0 and p.footer["bloom_nhashes"] == 0
+    p.footer["bloom_nhashes"] = nhashes
+    with pytest.raises(CorruptBlockError, match="filterless footer"):
+        _open(p.build())
+    assert not check(p.build())
+
+
 def test_group_offsets_are_range_checked_against_their_block():
     base = Parts(BASES["narrow"])
     ngroups0 = base.entries[0][5]
