@@ -13,7 +13,7 @@ from repro.analysis.reporting import table_artifact
 from repro.cluster import SimCluster
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
-from repro.core.reader import TABLE_CACHE_ENTRIES, MetaCache, QueryEngine
+from repro.core.reader import TABLE_CACHE_ENTRIES
 
 NRANKS = 12
 RECORDS = 4000
@@ -44,17 +44,7 @@ def test_ablation_reader_caching(report, benchmark):
     for fmt in (FMT_BASE, FMT_DATAPTR, FMT_FILTERKV):
         cluster, keys = _dataset(fmt)
         cold = cluster.query_engine()
-        warm = QueryEngine(
-            device=cold.device,
-            fmt=cold.fmt,
-            nranks=cold.nranks,
-            partitioner=cold.partitioner,
-            aux_tables=cold.aux_tables,
-            epoch=cold.epoch,
-            files=cold.files,
-            meta_cache=MetaCache(),
-            table_cache_entries=TABLE_CACHE_ENTRIES,
-        )
+        warm = cold.warm(None, TABLE_CACHE_ENTRIES)
         cold_reads = sum(cold.get(k)[1].reads for k in keys) / len(keys)
         warm_reads = sum(warm.get(k)[1].reads for k in keys) / len(keys)
         gains[fmt.name] = cold_reads / warm_reads

@@ -18,7 +18,7 @@ from .formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KEY_BYTES, KVBatch, random_kv_batch
 from .partitioning import HashPartitioner
 from .pipeline import Envelope, ReceiverState, WriterState, aux_table_name, main_table_name
-from .reader import MetaCache, QueryEngine, QueryStats
+from .reader import QueryEngine, QueryStats
 from .routing import DirectRouter, ThreeHopRouter
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "aux_table_name",
     "main_table_name",
     "QueryEngine",
-    "MetaCache",
     "DirectRouter",
     "ThreeHopRouter",
     "QueryStats",

@@ -35,7 +35,7 @@ from .formats import FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KVBatch
 from .partitioning import HashPartitioner
 from .pipeline import clear_epoch
-from .reader import TABLE_CACHE_ENTRIES, MetaCache, QueryEngine, QueryStats
+from .reader import TABLE_CACHE_ENTRIES, QueryEngine, QueryStats
 
 __all__ = ["MultiEpochStore", "EpochMount", "EpochRetiredError"]
 
@@ -101,12 +101,12 @@ class EpochMount:
 
     A sealed epoch is a static object, so a session needs no coherence
     protocol, only "did the set of sealed epochs change".  The mount owns
-    the ``live epoch -> engine`` memo, the one rule that empties it (the
-    store's compaction generation moved: drop every engine, since their
+    the ``live epoch -> view`` memo, the one rule that empties it (the
+    store's compaction generation moved: drop every view, since their
     block caches may hold blocks of swept extents) and the two bulk reads.
-    Engines are `MultiEpochStore.cached_engine`'s: ``table_cache_entries``
-    0 keeps no data block between calls, >= 1 keeps that many tables'
-    worth (`QueryEngine`).
+    Views are `QueryEngine.warm` of the store's engines, so they share
+    each epoch's resident metadata: ``table_cache_entries`` 0 keeps no
+    data block between calls, >= 1 keeps that many tables' worth.
     """
 
     def __init__(
@@ -133,8 +133,8 @@ class EpochMount:
             self.close()
         engine = self._engines.get(epoch)  # keys are live ids, never reused
         if engine is None:
-            engine = self._engines[epoch] = self.store.cached_engine(
-                epoch, self.metrics, self.table_cache_entries
+            engine = self._engines[epoch] = self.store.engine(epoch).warm(
+                self.metrics, self.table_cache_entries
             )
         return engine
 
@@ -183,12 +183,10 @@ class MultiEpochStore:
         self.manifest = Manifest(fmt=fmt.name, nranks=nranks, value_bytes=value_bytes)
         # The paper's cold readers, one per live epoch (`engine`,
         # ``lookup(cached=False)``): they share nothing and re-open
-        # everything per query, and own each epoch's decoded aux tables.
+        # everything per query.  Each owns its epoch's decoded aux tables
+        # and the table metadata its warm views fill, so both go with the
+        # epoch.
         self._engines: dict[int, QueryEngine] = {}
-        # Sealed tables are immutable: their verified footer/index/filter
-        # stay resident here, shared by every engine `cached_engine`
-        # builds.  Filled lazily; retired epochs are dropped.
-        self.meta_cache = MetaCache()
         # Compaction: optional size-tiered policy checked after every
         # commit, and a generation counter reader sessions watch to learn
         # that the epoch set changed under them.
@@ -359,34 +357,6 @@ class MultiEpochStore:
             raise EpochRetiredError(epoch, self.resolve_epoch(epoch))
         return engine
 
-    def cached_engine(
-        self,
-        epoch: int,
-        metrics: MetricsRegistry | None = None,
-        table_cache_entries: int = TABLE_CACHE_ENTRIES,
-    ) -> QueryEngine:
-        """The engine every `EpochMount` is built from: same device/format/
-        aux tables as `engine`, table metadata in the store's `meta_cache`.
-
-        ``table_cache_entries`` bounds the data blocks its `BlockCache`
-        keeps (`BLOCK_CACHE_BLOCKS` per entry), not metadata: >= 1 keeps
-        whole blocks warm between calls (what a serving tier mounts), 0
-        keeps none and fetches only the key groups a call decodes.
-        """
-        base = self.engine(epoch)
-        return QueryEngine(
-            device=self.device,
-            fmt=self.fmt,
-            nranks=self.nranks,
-            partitioner=base.partitioner,
-            aux_tables=base.aux_tables,
-            epoch=base.epoch,
-            files=base.files,
-            metrics=metrics,
-            meta_cache=self.meta_cache,
-            table_cache_entries=table_cache_entries,
-        )
-
     def mount(self, metrics=None, table_cache_entries: int = 0) -> EpochMount:
         """A reader session of the caller's own, for the caller to close."""
         return EpochMount(self, metrics, table_cache_entries)
@@ -468,7 +438,6 @@ class MultiEpochStore:
         self.manifest = manifest
         for epoch in report.source_epochs:
             self._engines.pop(epoch, None)
-            self.meta_cache.drop_epoch(epoch)
         merged = next(e for e in manifest.epochs if e.epoch == report.merged_epoch)
         self._engines[merged.epoch] = self._attach_engine(merged)
         self.compactions += 1
@@ -479,11 +448,13 @@ class MultiEpochStore:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Drop the store's own engines and the resident table metadata
-        (idempotent; later reads refill lazily)."""
+        """Drop the store's own views and the live epochs' resident table
+        metadata (idempotent; later reads refill lazily)."""
         self._reads.close()
         self._warm.close()
-        self.meta_cache.clear()
+        for engine in self._engines.values():  # in place: views share them
+            engine.metas[:] = [None] * self.nranks
+            engine.aux_charged.clear()
 
     # -- inventory ---------------------------------------------------------
 

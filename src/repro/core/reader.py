@@ -24,7 +24,6 @@ data blocks, and value log.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,17 +43,10 @@ from .formats import FormatSpec
 from .partitioning import HashPartitioner
 from .pipeline import rank_extents
 
-__all__ = ["QueryEngine", "MetaCache", "QueryStats"]
+__all__ = ["QueryEngine", "QueryStats"]
 
-# Resident table-metadata budget of one `MetaCache` (one per store).  A
-# table's meta is its index arrays (24 B per ~4 KB key group, under half a
-# byte per key) plus, in a table with a filter block, ~10 Bloom bits per
-# key: this holds the metadata of roughly 50 M keys of such tables, and
-# several times that of a store's filterkv tables, which have none.
-META_CACHE_BYTES = 64 << 20
-
-# Tables' worth of data blocks (`BLOCK_CACHE_BLOCKS` each) a warm engine
-# keeps unless its owner says otherwise (`MultiEpochStore.cached_engine`,
+# Tables' worth of data blocks (`BLOCK_CACHE_BLOCKS` each) a warm view
+# keeps unless its owner says otherwise (the store's warm mount,
 # `QueryService`).
 TABLE_CACHE_ENTRIES = 64
 
@@ -98,57 +90,6 @@ class _Charged:
         self.stats.latency += d.read_time
 
 
-class MetaCache:
-    """Byte-accounted LRU of verified table metadata, keyed ``(epoch, rank)``.
-
-    Sealed epochs are immutable and epoch ids are never reused, so a
-    `TableMeta` stays valid until its epoch is retired (`drop_epoch`).
-    Every engine that shares one cache opens a table from its cached
-    meta: footer, index and filter are read and verified by the first
-    open only.  ``aux_fetched`` remembers which ``(epoch, owner)`` aux
-    tables have been charged, so the accounting-only re-read of an
-    already-decoded aux table happens once, not once per query.
-
-    It holds metadata only — no data block — and is filled lazily;
-    ``budget_bytes`` bounds it, least recently used first.
-    """
-
-    def __init__(self):
-        self.budget_bytes = META_CACHE_BYTES
-        self.nbytes = 0
-        self._metas: OrderedDict[tuple[int, int], TableMeta] = OrderedDict()
-        self.aux_fetched: set[tuple[int, int]] = set()
-
-    def __len__(self) -> int:
-        return len(self._metas)
-
-    def get(self, epoch: int, rank: int) -> TableMeta | None:
-        meta = self._metas.get((epoch, rank))
-        if meta is not None:
-            self._metas.move_to_end((epoch, rank))
-        return meta
-
-    def put(self, epoch: int, rank: int, meta: TableMeta) -> None:
-        """Insert after a `get` miss, evicting least recently used metas
-        (this one included, if it alone exceeds the budget)."""
-        self._metas[(epoch, rank)] = meta
-        self.nbytes += meta.nbytes
-        while self.nbytes > self.budget_bytes:
-            _, evicted = self._metas.popitem(last=False)
-            self.nbytes -= evicted.nbytes
-
-    def drop_epoch(self, epoch: int) -> None:
-        """Forget a retired epoch: its extents are gone from the device."""
-        for key in [k for k in self._metas if k[0] == epoch]:
-            self.nbytes -= self._metas.pop(key).nbytes
-        self.aux_fetched = {k for k in self.aux_fetched if k[0] != epoch}
-
-    def clear(self) -> None:
-        self._metas.clear()
-        self.aux_fetched.clear()
-        self.nbytes = 0
-
-
 class QueryEngine:
     """Point-query executor over one epoch's persisted output.
 
@@ -157,19 +98,15 @@ class QueryEngine:
     ``table_names`` and ``aux_names`` every read opens: after a merge an
     epoch may serve a table or aux extent named for a retired epoch.
 
-    With ``meta_cache=None`` this is the paper's cold reader: every query
-    opens its partitions afresh (footer + index reads), re-fetches the
-    owner's aux table, and fetches whole data blocks that nobody keeps.
-    Given a `MetaCache` (a store shares one among all its engines) the
-    first open of a table fills the cache and later opens, by any engine,
-    cost no device read; see `MetaCache`.  Such an engine also owns a
-    `BlockCache` of ``BLOCK_CACHE_BLOCKS × table_cache_entries`` blocks,
-    shared by every reader it builds: at 0 (the store's `get` /
-    `get_many`) it keeps none and its readers fetch only the key groups a
-    call decodes; above 0 (warm mounts, `QueryService`, fleet shards) it
-    keeps whole blocks between calls.  A reader reads by name and opens
-    nothing, so the engine builds one per table per call and has nothing
-    to close.
+    Built directly, this is the paper's cold reader: every query opens its
+    partitions afresh (footer + index reads), re-fetches the owner's aux
+    table, and fetches whole data blocks that nobody keeps.  It also owns
+    the epoch's resident state, which the cold reader never reads: one
+    verified `TableMeta` slot per rank (``metas``) and the owners whose
+    aux fetch has been charged (``aux_charged``).  `warm` hands out views
+    that share that state and fill it on their first reads.  A reader
+    reads by name and opens nothing, so an engine builds one per table
+    per call and has nothing to close.
     """
 
     def __init__(
@@ -182,8 +119,6 @@ class QueryEngine:
         files: tuple[str, ...],
         aux_tables: list[AuxTable | None] | None = None,
         metrics: MetricsRegistry | None = None,
-        meta_cache: MetaCache | None = None,
-        table_cache_entries: int = 0,
     ):
         self.device = device
         self.fmt = fmt
@@ -194,15 +129,13 @@ class QueryEngine:
         self.files = tuple(files)
         self.table_names, self.aux_names = rank_extents(self.files, nranks)
         self.metrics = active(metrics)
-        self.meta_cache = meta_cache
-        # The three fetch rules follow from this: none, whole blocks kept
-        # by nobody (Fig. 11b/c counts them); a cache, whole blocks kept
-        # in it; a 0-block cache, only the key groups a call decodes.
-        self.block_cache = (
-            None
-            if meta_cache is None
-            else BlockCache(BLOCK_CACHE_BLOCKS * table_cache_entries, device.metrics)
-        )
+        self.metas: list[TableMeta | None] = [None] * nranks
+        self.aux_charged: set[int] = set()
+        # The three fetch rules follow from this: none (the cold reader),
+        # whole blocks kept by nobody (Fig. 11b/c counts them); a cache,
+        # whole blocks kept in it; a 0-block cache, only the key groups a
+        # call decodes.
+        self.block_cache: BlockCache | None = None
         fmtl = {"format": fmt.name}
         self._m_queries = self.metrics.counter("reader.queries", **fmtl)
         self._m_hits = self.metrics.counter("reader.hits", **fmtl)
@@ -215,6 +148,26 @@ class QueryEngine:
             "reader.batch_coalescing_ratio", **fmtl
         )
 
+    def warm(self, metrics: MetricsRegistry | None, table_cache_entries: int) -> "QueryEngine":
+        """A view of this epoch that keeps what it reads: it shares the
+        epoch's aux tables, ``metas`` and ``aux_charged``, so a table's
+        metadata is read and verified once by whichever view opens it
+        first, and owns a `BlockCache` of ``BLOCK_CACHE_BLOCKS ×
+        table_cache_entries`` blocks, shared by every reader it builds.  At
+        0 (the store's `get` / `get_many`) it keeps no block and its readers
+        fetch only the key groups a call decodes; above 0 (warm mounts,
+        `QueryService`, fleet shards) it keeps whole blocks between calls.
+        """
+        view = QueryEngine(
+            self.device, self.fmt, self.nranks, self.partitioner,
+            self.epoch, self.files, self.aux_tables, metrics,
+        )
+        view.metas, view.aux_charged = self.metas, self.aux_charged
+        view.block_cache = BlockCache(
+            BLOCK_CACHE_BLOCKS * table_cache_entries, self.device.metrics
+        )
+        return view
+
     # -- helpers -----------------------------------------------------------
 
     def _charged(self, stats: QueryStats, category: str) -> _Charged:
@@ -224,23 +177,24 @@ class QueryEngine:
     def _open_table(self, rank: int, stats: QueryStats) -> SSTableReader:
         """Open a partition table, splitting footer vs index charges.
 
-        A meta served by the cache costs no device read and charges
-        nothing; a cold open charges exactly what it read and leaves its
-        verified meta in the cache (a failed open caches nothing).
+        A view serves a resident meta with no device read and charges
+        nothing.  Any other open charges exactly what it read, and a view's
+        leaves the verified meta in the epoch's slot (a failed open leaves
+        nothing).
         """
         name = self.table_names[rank]
-        cache = self.meta_cache
-        meta = cache.get(self.epoch, rank) if cache is not None else None
+        cache = self.block_cache
+        meta = self.metas[rank] if cache is not None else None
         if meta is not None:
-            return SSTableReader(self.device, name, meta, self.block_cache)
+            return SSTableReader(self.device, name, meta, cache)
         before = self.device.counters.snapshot()
-        reader = SSTableReader(self.device, name, cache=self.block_cache)
+        reader = SSTableReader(self.device, name, cache=cache)
         d = self.device.counters.delta(before)
         stats._charge("footer", 1, FOOTER_BYTES)
         stats._charge("index", d.reads - 1, d.bytes_read - FOOTER_BYTES)
         stats.latency += d.read_time
         if cache is not None:
-            cache.put(self.epoch, rank, reader.meta)
+            self.metas[rank] = reader.meta
         return reader
 
     def _charge_aux(self, owner: int, stats: QueryStats) -> None:
@@ -249,18 +203,18 @@ class QueryEngine:
         The reader fetches the partition's entire aux table (the paper
         reads ~18 MB per query), then resolves candidates in memory.
         The tables are already decoded, so the read is accounting only:
-        engines sharing a `MetaCache` pay it once per ``(epoch, owner)``.
+        an epoch's views pay it once per owner between them.
         """
-        cache = self.meta_cache
-        if cache is not None and (self.epoch, owner) in cache.aux_fetched:
+        warm = self.block_cache is not None
+        if warm and owner in self.aux_charged:
             return
         if current_span() is None:  # untraced: skip span-argument setup
             self._fetch_aux(stats, owner)
         else:
             with child_span("aux.fetch", partition=owner):
                 self._fetch_aux(stats, owner)
-        if cache is not None:
-            cache.aux_fetched.add((self.epoch, owner))
+        if warm:
+            self.aux_charged.add(owner)
 
     def _fetch_aux(self, stats: QueryStats, owner: int) -> None:
         name = self.aux_names[owner]

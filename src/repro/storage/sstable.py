@@ -122,8 +122,8 @@ GROUP_BYTES = 4096
 # paper's cuckoo (`pipeline.table_bloom_bits` states the rule).
 TABLE_BLOOM_BITS = 10.0
 
-# Data blocks a warm engine's `BlockCache` keeps per table it reads
-# (`QueryEngine`: ``BLOCK_CACHE_BLOCKS × table_cache_entries``).
+# Data blocks a warm view's `BlockCache` keeps per table it reads
+# (`QueryEngine.warm`: ``BLOCK_CACHE_BLOCKS × table_cache_entries``).
 BLOCK_CACHE_BLOCKS = 2
 
 
@@ -352,7 +352,6 @@ class TableMeta:
     off: np.ndarray
     length: np.ndarray
     bloom: BloomFilter | None
-    nbytes: int  # resident size: the index arrays plus the Bloom filter's bits, if any
     record_bytes: int  # bytes per record (0 in an empty table)
     group_bytes: int  # bytes per full key group (0 in an empty table)
     # Key groups, all blocks' end to end; block i owns gstart[i]:gstart[i+1].
@@ -489,11 +488,8 @@ def load_table_meta(device: StorageDevice, name: str) -> TableMeta:
             raise inconsistent(f"blocks or groups are not rows of {record_bytes}-byte records")
 
     bloom = BloomFilter.from_bytes(filter_blob, bloom_nhashes) if filter_len else None
-    nbytes = 8 * (7 * nblocks + 1 + 3 * ngroups)  # the arrays below, as held
-    if bloom is not None:
-        nbytes += bloom.size_bytes
     return TableMeta(
-        nentries, block_size, first, last, off, length, bloom, nbytes,
+        nentries, block_size, first, last, off, length, bloom,
         record_bytes, group_bytes, gstart, gfirst, goff, gsum,
     )
 

@@ -19,7 +19,7 @@ import pytest
 from repro.cluster import SimCluster
 from repro.core import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
-from repro.core.reader import TABLE_CACHE_ENTRIES, MetaCache, QueryEngine
+from repro.core.reader import TABLE_CACHE_ENTRIES, QueryEngine
 from repro.obs import MetricsRegistry
 
 from ..reference.read import ReadOracle, check_against_oracle, footprint
@@ -52,18 +52,14 @@ def dataset(request):
 
 
 def _engine(cluster, cached, metrics):
+    """The cluster's epoch read cold, or through a warm view of its own
+    (``cached``), counting into ``metrics``."""
     cold = cluster.query_engine()
-    warm = dict(meta_cache=MetaCache(), table_cache_entries=TABLE_CACHE_ENTRIES) if cached else {}
+    if cached:
+        return cold.warm(metrics, TABLE_CACHE_ENTRIES)
     return QueryEngine(
-        device=cold.device,
-        fmt=cold.fmt,
-        nranks=cold.nranks,
-        partitioner=cold.partitioner,
-        aux_tables=cold.aux_tables,
-        epoch=cold.epoch,
-        files=cold.files,
-        metrics=metrics,
-        **warm,
+        cold.device, cold.fmt, cold.nranks, cold.partitioner,
+        cold.epoch, cold.files, cold.aux_tables, metrics,
     )
 
 

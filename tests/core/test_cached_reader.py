@@ -1,4 +1,4 @@
-"""Tests for the warm query engine: resident metadata and a block cache."""
+"""Tests for the warm view of an epoch: resident metadata and a block cache."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import SimCluster
 from repro.core import FMT_BASE, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
-from repro.core.reader import TABLE_CACHE_ENTRIES, MetaCache, QueryEngine
+from repro.core.reader import TABLE_CACHE_ENTRIES
 
 
 def _dataset(fmt, nranks=6, records=1500):
@@ -21,18 +21,7 @@ def _dataset(fmt, nranks=6, records=1500):
 
 
 def _cached(cluster):
-    cold = cluster.query_engine()
-    return QueryEngine(
-        device=cold.device,
-        fmt=cold.fmt,
-        nranks=cold.nranks,
-        partitioner=cold.partitioner,
-        aux_tables=cold.aux_tables,
-        epoch=cold.epoch,
-        files=cold.files,
-        meta_cache=MetaCache(),
-        table_cache_entries=TABLE_CACHE_ENTRIES,
-    )
+    return cluster.query_engine().warm(None, TABLE_CACHE_ENTRIES)
 
 
 @pytest.mark.parametrize("fmt", [FMT_BASE, FMT_FILTERKV], ids=lambda f: f.name)
@@ -81,9 +70,10 @@ def test_warm_total_cost_below_cold():
 
 
 def test_store_engines_share_one_aux_charge():
-    """The once-per-partition aux charge lives in the store's `MetaCache`:
-    `get`, `get_many` and a served `cached_engine` pay it once between
-    them, while the explicit cold reader still pays it on every query."""
+    """The once-per-partition aux charge lives in the epoch's engine:
+    `get`, `get_many` and a served view pay it once between them, while
+    that engine read directly, the cold reader, still pays it on every
+    query."""
     from repro.core.multiepoch import MultiEpochStore
 
     store = MultiEpochStore(nranks=6, fmt=FMT_FILTERKV, value_bytes=24, seed=9)
@@ -95,7 +85,7 @@ def test_store_engines_share_one_aux_charge():
     _, first = store.get(int(same[0]), 0)
     _, second = store.get(int(same[1]), 0)
     _, bulk = store.get_many(same, 0)
-    served = store.cached_engine(0)
+    served = store.mount(table_cache_entries=TABLE_CACHE_ENTRIES).engine(0)
     _, third = served.get(int(same[2]))
     assert first.breakdown_reads.get("aux") == 1
     assert all(s.breakdown_reads.get("aux", 0) == 0 for s in [second, third, *bulk])

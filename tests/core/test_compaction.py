@@ -442,10 +442,10 @@ def _probe_keys(blocks, *extra):
 def _answers_as_the_oracle(store, keys):
     """Every live epoch answers ``keys`` as the per-key oracle of
     `tests/reference/read.py` does, through a handle-free and a warm
-    engine (the store's aux tables count into no registry)."""
+    view (the store's aux tables count into no registry)."""
     for epoch in store.epochs:
         for entries in (0, 4):
-            engine = store.cached_engine(epoch, MetricsRegistry(), entries)
+            engine = store.engine(epoch).warm(MetricsRegistry(), entries)
             check_against_oracle(engine, keys, NULL_REGISTRY)
 
 

@@ -3,15 +3,17 @@
 The device has no handles: every read names its extent.  What a read
 could still leave behind is state — on the device (an extent created or
 written by a read, which `footprint` would show) or in the store (warm
-engines and resident table metadata).  These tests pin both: no read on
-any surface moves the device's footprint, the store's warm engines are
+views and resident table metadata).  These tests pin both: no read on
+any surface moves the device's footprint, the store's warm views are
 reused while their epoch lives and dropped when compaction retires it,
-and the `MetaCache` forgets retired epochs.  The test names are older
-than the handle-free device: where one speaks of handles, read "anything
-a read leaves behind".
+and no retired epoch's table metadata stays reachable.  The test names
+are older than the handle-free device: where one speaks of handles, read
+"anything a read leaves behind".
 """
 
 import asyncio
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -77,7 +79,7 @@ def test_no_call_leaves_a_handle_open(fmt):
 
     def surfaces():
         for epoch in store.epochs:
-            warm = store.cached_engine(epoch, table_cache_entries=TABLE_CACHE_ENTRIES)
+            warm = store.engine(epoch).warm(None, TABLE_CACHE_ENTRIES)
             for engine in (store.engine(epoch), warm):
                 yield lambda: engine.get(int(keys[0]))
                 yield lambda: engine.get_many(keys)
@@ -178,36 +180,48 @@ def test_multiepoch_store_queries_leak_nothing():
         values, _ = attached.get_many(b.keys[::37], 0)
         assert values == [b.value_of(i) for i in range(0, 400, 37)]
     assert footprint(attached.device) == baseline
-    assert len(attached.meta_cache) == 4
+    assert None not in attached.engine(0).metas  # one per table, 4 tables
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
 def test_meta_cache_holds_no_handle_and_forgets_retired_epochs(fmt):
-    """`get` / `get_many` leave table metadata resident; compaction drops
-    the retired epochs' share of it, and `close` the rest."""
+    """`get` / `get_many` and a mount leave table metadata resident in the
+    epoch's engine; once compaction has run and every mount has refreshed,
+    no retired epoch's `TableMeta` is reachable, and `close` clears the
+    live epochs' slots."""
     store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=24, seed=21)
     rng = np.random.default_rng(21)
     epoch_batches = [[random_kv_batch(150, 24, rng) for _ in range(4)] for _ in range(3)]
     for batches in epoch_batches:
         store.write_epoch(batches)
+    mount = store.mount(table_cache_entries=1)
 
     def read_everything():
         for epoch in store.epochs:
             for b in (b for batches in epoch_batches for b in batches):
                 store.get(int(b.keys[0]), epoch)
                 store.get_many(b.keys[:20], epoch)
+                mount.get_many(b.keys[:20], epoch)
+        return {
+            epoch: [weakref.ref(m) for m in store.engine(epoch).metas]
+            for epoch in store.epochs
+        }
 
-    read_everything()
-    cache = store.meta_cache
-    assert len(cache) == 3 * 4
-    per_epoch = cache.nbytes // 3
+    def alive(refs):
+        gc.collect()
+        return sum(r() is not None for r in refs)
 
+    metas = read_everything()  # a dead slot would fail weakref.ref(None)
     store.compact([0, 1])
-    assert len(cache) == 4 and cache.nbytes <= per_epoch  # epoch 2's tables only
-    read_everything()
-    assert {epoch for epoch, _ in cache._metas} == set(store.epochs)
+    retired = metas[0] + metas[1]
+    assert alive(retired) == 8  # the mount has not seen the new generation
+    mount.engine(2)
+    assert alive(retired) == 0 and alive(metas[2]) == 4
+
+    live = [r for refs in read_everything().values() for r in refs]
     store.close()
-    assert cache.nbytes == 0
+    assert alive(live) == 0 and alive(metas[2]) == 0
+    assert all(not store.engine(e).aux_charged for e in store.epochs)
 
 
 @pytest.mark.parametrize("deep", [False, True])

@@ -1,8 +1,9 @@
 """Store reads over resident table metadata: same answers, fewer reads.
 
-`MultiEpochStore.get` / `get_many` open each sealed table as "handle +
-cached `TableMeta`"; the cache-less `QueryEngine` (`store.engine`) is the
-paper's cold reader and the oracle here.  The cache may change *what is
+`MultiEpochStore.get` / `get_many` open each sealed table over the
+verified `TableMeta` its epoch's engine keeps in one slot per rank
+(``metas``); that engine read directly (`store.engine`) is the paper's
+cold reader and the oracle here.  Resident metadata may change *what is
 read from the device*, never what a query answers, how many partitions it
 searched, or which typed error a damaged table raises.
 """
@@ -33,12 +34,20 @@ def _write(store, rng, records=60):
     return np.concatenate([b.keys for b in batches])
 
 
+def _resident(store) -> int:
+    """Table metas and aux charges the live epochs keep."""
+    return sum(
+        sum(m is not None for m in store.engine(e).metas) + len(store.engine(e).aux_charged)
+        for e in store.epochs
+    )
+
+
 def _meta_reads(stats) -> int:
     return sum(st.breakdown_reads.get(c, 0) for st in stats for c in META)
 
 
 def _assert_matches_cold(store, keys, epochs):
-    """Scalar and bulk store reads against the cache-less engine, per key."""
+    """Scalar and bulk store reads against the cold engine, per key."""
     stats = []
     for epoch in epochs:
         cold = store.engine(epoch)
@@ -60,11 +69,8 @@ def _assert_matches_cold(store, keys, epochs):
     seed=st.integers(0, 3),
     picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=24),
     absent=st.lists(st.integers(0, 1 << 20), max_size=4),
-    one_table_budget=st.booleans(),
 )
-def test_store_reads_equal_cold_reader_across_compaction(
-    fmt, seed, picks, absent, one_table_budget
-):
+def test_store_reads_equal_cold_reader_across_compaction(fmt, seed, picks, absent):
     rng = np.random.default_rng(seed)
     store = MultiEpochStore(nranks=NRANKS, fmt=fmt, value_bytes=VB, seed=seed)
     present = np.concatenate([_write(store, rng) for _ in range(3)])
@@ -72,17 +78,11 @@ def test_store_reads_equal_cold_reader_across_compaction(
         [int(present[i % present.size]) for i in picks] + [ABSENT_BASE + a for a in absent],
         dtype=np.uint64,
     )
-    cache = store.meta_cache
-    assert len(cache) == 0 and cache.nbytes == 0  # nothing eager at write/seal
-    if one_table_budget:
-        store.get(int(present[0]), 0)
-        cache.budget_bytes = cache.nbytes  # one table's worth, set on the object
+    assert _resident(store) == 0  # nothing eager at write/seal
     _assert_matches_cold(store, keys, [0, 1, 2])
 
     store.compact([0, 1])  # retires 0 and 1 into a merged epoch, mid-stream
-    merged = store.resolve_epoch(0)
-    assert all(epoch in store.epochs for epoch, _ in cache._metas)  # retire means forget
-    assert cache.nbytes == sum(m.nbytes for m in cache._metas.values())
+    assert sorted(store._engines) == sorted(store.epochs)  # retire means forget
     present = np.concatenate([present, _write(store, rng)])
     _assert_matches_cold(store, keys, store.epochs)  # 2, merged and the new one
     for retired in (0, 1):  # a merged epoch answers for neither source
@@ -97,13 +97,10 @@ def test_store_reads_equal_cold_reader_across_compaction(
     for epoch in store.epochs:
         again.extend(store.get_many(keys, epoch)[1])
     assert footprint(store.device) == baseline
-    if one_table_budget:
-        assert cache.nbytes <= cache.budget_bytes and len(cache) <= 1
-    else:
-        assert _meta_reads(again) == 0  # only data (and vlog) reads remain...
-        assert store.device.counters.delta(before).reads == sum(s.reads for s in again)
+    assert _meta_reads(again) == 0  # only data (and vlog) reads remain...
+    assert store.device.counters.delta(before).reads == sum(s.reads for s in again)
     store.close()
-    assert len(cache) == 0 and cache.nbytes == 0
+    assert _resident(store) == 0
 
 
 def _one_epoch_store(aux_backends=None):
@@ -122,8 +119,8 @@ def _one_epoch_store(aux_backends=None):
 
 @pytest.mark.parametrize("section", ["footer", "index", "filter"])
 def test_corrupt_metadata_fails_typed_and_caches_nothing(section):
-    """The first open through the cache runs every check the constructor
-    runs, raises the same typed error, and leaves the cache empty."""
+    """The first open of a store read runs every check the constructor
+    runs, raises the same typed error, and leaves the epoch's slot empty."""
     store, keys = _one_epoch_store(("cuckoo",) if section == "filter" else None)
     name = main_table_name(0, 0)
     size = store.device.file_size(name)
@@ -146,19 +143,19 @@ def test_corrupt_metadata_fails_typed_and_caches_nothing(section):
         with pytest.raises(CorruptBlockError) as bulk:
             store.get_many(keys[:8], 0)
         assert str(scalar.value) == str(bulk.value) == str(direct.value)
-    assert store.meta_cache.get(0, 0) is None
+    assert store.engine(0).metas[0] is None
     assert footprint(store.device) == baseline
 
 
 def test_corrupt_data_block_detected_under_cached_meta():
-    """Block checksums are verified on every device read, cached meta or
+    """Block checksums are verified on every device read, resident meta or
     not: damage that lands after the table's meta went resident is caught
     by the next scalar and the next bulk read."""
     store, keys = _one_epoch_store()
     keys = np.sort(keys)  # the lowest keys live in the block's first key group
     key = int(keys[0])
     value, _ = store.get(key, 0)
-    assert value is not None and store.meta_cache.get(0, 0) is not None
+    assert value is not None and store.engine(0).metas[0] is not None
     store.device.corrupt(main_table_name(0, 0), 40, xor=0x01)  # inside that group
     before = store.device.counters.reads
     with pytest.raises(CorruptBlockError, match="block 0"):
@@ -188,5 +185,5 @@ def test_attached_store_refuses_a_previous_layout_table_and_leaks_no_handle():
         with pytest.raises(ValueError, match="block-checksum layout"):
             reopened.get_many(keys[:8], 0)
         assert footprint(device) == baseline
-    assert reopened.meta_cache.get(0, 0) is None
+    assert reopened.engine(0).metas[0] is None
     reopened.close()

@@ -55,6 +55,9 @@ KNOWN_GONE = {
     # A dispatch window is now a loop-turn callback (`QueryService._dispatch`),
     # not a task body; `serve.service.self_s` still sees `QueryService.get`.
     "repro.serve.service.QueryService._dispatch_loop",
+    # Views are built in `EpochMount.engine` (`QueryEngine.warm` of the
+    # epoch's engine), which costs one call per epoch per generation.
+    "repro.core.multiepoch.MultiEpochStore.cached_engine",
 }
 
 

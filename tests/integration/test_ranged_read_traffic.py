@@ -5,12 +5,13 @@ group each, where fetching the touched groups and fetching the whole block
 are the same bytes.  Here every block holds about eight groups, so the
 three fetch rules show:
 
-* the store's handle-free reads (`store.get`, `store.get_many`): engines
-  over the store's `MetaCache` whose `BlockCache` keeps no block — one
-  read per block, covering only the span of key groups the call touches;
+* the store's handle-free reads (`store.get`, `store.get_many`): warm
+  views over resident table metadata whose `BlockCache` keeps no block —
+  one read per block, covering only the span of key groups the call
+  touches;
 * the paper's cold reader (`store.engine(e)`, no block cache): whole
   blocks, kept by nobody, as Fig. 11b/c counts them;
-* a `QueryService` mount: whole blocks, kept in each epoch engine's
+* a `QueryService` mount: whole blocks, kept in each epoch view's
   `BlockCache` of ``BLOCK_CACHE_BLOCKS × table_cache_entries`` blocks.
 
 Each phase's device reads and bytes are pinned (`GOLDEN`) beside what the
