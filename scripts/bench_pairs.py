@@ -164,11 +164,22 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def git_head(checkout: pathlib.Path) -> str:
-    proc = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True
-    )
-    return proc.stdout.strip() or "unknown"
+def git_head(checkout: pathlib.Path) -> str | None:
+    """The commit ``checkout`` has checked out, ``<sha>+dirty`` when a
+    tracked file differs from it, or None when ``checkout`` is not the top
+    of a git work tree (a `git archive` copy, say)."""
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+
+    top = git("rev-parse", "--show-toplevel")
+    head = git("rev-parse", "--verify", "HEAD")
+    if top.returncode or head.returncode:
+        return None
+    if pathlib.Path(top.stdout.strip()).resolve() != checkout.resolve():
+        return None  # a directory inside some other work tree
+    dirty = git("diff", "--quiet", "HEAD").returncode != 0
+    return head.stdout.strip() + ("+dirty" if dirty else "")
 
 
 def main(argv=None) -> int:
@@ -180,16 +191,27 @@ def main(argv=None) -> int:
     p.add_argument("--claim", help="workload:metric that must come out improved")
     p.add_argument("--out", type=pathlib.Path, help="default: BENCH_<pr>.json in the change checkout")
     args = p.parse_args(argv)
-    for side in (args.parent, args.change):
+    heads = {}
+    for name in ("parent", "change"):
+        side = getattr(args, name)
         if not (side / "benchmarks" / "e2e" / "run.py").is_file():
             print(f"error: {side} has no benchmarks/e2e/run.py", file=sys.stderr)
+            return 2
+        heads[name] = git_head(side)
+        if heads[name] is None:
+            print(
+                f"error: {side} is not a git work tree, so its commit cannot be "
+                "recorded; make it with `git clone` or `git worktree add`",
+                file=sys.stderr,
+            )
             return 2
     contract = json.loads((args.change / "BENCHMARK.json").read_text())
     claim = tuple(args.claim.split(":", 1)) if args.claim else None
     out = args.out or args.change / f"BENCH_{args.pr}.json"
     header = {
         "pr": args.pr,
-        "parent": git_head(args.parent),
+        "parent": heads["parent"],
+        "change": heads["change"],
         "command": "python3 benchmarks/e2e/run.py --seed <seed>  (untraced)",
         "design": "alternating parent/change pairs, one per seed; "
         "odd positions run the parent first, even positions the change first",

@@ -49,14 +49,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..obs import active
-from ..storage.compact import (
-    concat_values,
-    first_occurrence,
-    read_table_arrays,
-    write_merged_table,
-)
 from ..storage.envelope import seal
 from ..storage.manifest import EpochInfo, Manifest
+from ..storage.sstable import SSTableReader, SSTableWriter, concat_values
 from .auxtable import aux_to_blob, build_sealed_aux
 from .partitioning import HashPartitioner
 from .pipeline import (
@@ -75,7 +70,6 @@ __all__ = [
     "CompactionPolicy",
     "CompactionReport",
     "Compactor",
-    "MergeSpec",
     "produce_merged_epoch",
 ]
 
@@ -146,34 +140,38 @@ class CompactionReport:
         )
 
 
-@dataclass(frozen=True)
-class MergeSpec:
-    """Everything the pure merge step needs: the k-way merge is a
-    deterministic function of the source partition tables plus these
-    parameters.  ``sources`` are the source epochs' cold engines, newest
-    data first: their ``table_names`` / ``aux_names`` are the extents
-    each epoch lists, and their decoded ``aux_tables`` say which backend
-    an adopted aux partition carries."""
+def first_occurrence(keys: np.ndarray) -> np.ndarray:
+    """Winning row per distinct key under first-write-wins.
 
-    fmt: str
-    nranks: int
-    block_size: int
-    seed: int
-    merged: int
-    sources: tuple[QueryEngine, ...]
-    aux_backends: tuple[str, ...]
+    Returns indices (in ascending key order) of the *first* occurrence of
+    each key in ``keys``.  Feed it concatenated chunks ordered newest epoch
+    first and the survivors are precisely what the multi-epoch walk serves:
+    the stable argsort keeps equal keys in input order, so position in the
+    concatenation is the tiebreak.
+    """
+    if keys.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    firsts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    return order[firsts]
 
 
-def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
-    """Run the merge described by ``spec`` against ``device``.
+def produce_merged_epoch(
+    store: "MultiEpochStore", sources: "list[QueryEngine]", merged: int
+) -> tuple[int, set[str], list[str], list[str]]:
+    """Write epoch ``merged`` of ``store``'s device as the merge of
+    ``sources``, the source epochs' cold engines, newest data first: their
+    ``table_names`` / ``aux_names`` are the extents each epoch lists, and
+    their decoded ``aux_tables`` say which backend an adopted aux
+    partition carries.
 
     Pure with respect to the manifest: reads every source partition table
     whole (each key group's CRC-32 verified), writes the merged epoch's
     ``part.*`` (and, for filterkv, ``aux.*``) extents that it cannot
-    adopt, and returns ``{"records_out", "aux_backends", "written",
-    "adopted"}``, the last two lists of extent names.  Publishing the
-    result — manifest swap, sweep, compaction counters — stays with
-    `Compactor.publish`.
+    adopt, and returns ``(records_out, aux_backends, written, adopted)``,
+    the last two lists of extent names.  Publishing the result (manifest
+    swap, sweep, compaction counters) stays with `Compactor.run`.
 
     One merge serves every format.  Winners are chosen globally — first
     occurrence in (recency desc, rank asc) order, the same precedence as
@@ -198,13 +196,14 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     ingest would give it (`table_bloom_bits`: none in a store's filterkv
     epoch).  Values are gathered only when some table is written.
     """
-    metrics = active(metrics)
-    n, k = spec.nranks, len(spec.sources)
+    device = store.device
+    n, k = store.nranks, len(sources)
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
-    for source in spec.sources:
+    for source in sources:
         for name in source.table_names:
-            keys, values = read_table_arrays(device, name)
+            # A reader that keeps no block: each one is fetched once.
+            keys, values = SSTableReader(device, name).scan_arrays()
             key_chunks.append(keys)
             val_chunks.append(values)
     sizes = np.array([c.size for c in key_chunks], dtype=np.int64)
@@ -218,40 +217,42 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
 
     written: list[str] = []
     adopted: list[str] = []
+    backends: set[str] = set()
     wvalues = None
-    bloom_bits = table_bloom_bits(spec.fmt, spec.aux_backends)  # what ingest writes
+    bloom_bits = table_bloom_bits(store.fmt.name, store.aux_backends)  # what ingest writes
     for rank in range(n):
         src = _sole_source(won[:, rank])
         if src >= 0 and won[src, rank] == sizes[src * n + rank]:
-            adopted.append(spec.sources[src].table_names[rank])
+            adopted.append(sources[src].table_names[rank])
             continue
         if wvalues is None:
             wvalues = concat_values(val_chunks)[winners]
         sel = np.flatnonzero(wranks == rank)
-        name = main_table_name(spec.merged, rank)
-        write_merged_table(device, name, wkeys[sel], wvalues[sel], spec.block_size, bloom_bits)
+        name = main_table_name(merged, rank)
+        # Written even when empty: every rank must own a table in the
+        # merged epoch, because aux false positives can name any rank and
+        # the direct formats open tables unconditionally.
+        writer = SSTableWriter(
+            device, name, block_size=store.block_size, bloom_bits_per_key=bloom_bits
+        )
+        if sel.size:
+            writer.add_many(wkeys[sel], wvalues[sel])
+        writer.finish()
         written.append(name)
-    produced = {
-        "records_out": int(wkeys.size),
-        "aux_backends": set(),
-        "written": written,
-        "adopted": adopted,
-    }
-    if spec.fmt != "filterkv":
+    produced = (int(wkeys.size), backends, written, adopted)
+    if store.fmt.name != "filterkv":
         return produced
 
     owners = HashPartitioner(n).partition_of(keys)
     held = np.bincount(chunk // n * n + owners, minlength=k * n).reshape(k, n)
     wowners = owners[winners]
     owned = np.bincount(wchunk // n * n + wowners, minlength=k * n).reshape(k, n)
-    backends = produced["aux_backends"]
     build: list[int] = []
     for part in range(n):
         src = _sole_source(owned[:, part])
         if src >= 0 and owned[src, part] == held[src, part]:
-            source = spec.sources[src]
-            adopted.append(source.aux_names[part])
-            backends.add(source.aux_tables[part].backend)
+            adopted.append(sources[src].aux_names[part])
+            backends.add(sources[src].aux_tables[part].backend)
         else:
             build.append(part)
     if not build:
@@ -265,13 +266,13 @@ def produce_merged_epoch(spec: MergeSpec, device, metrics=None) -> dict:
     tables = build_sealed_aux(
         ((part, wkeys[sel], wranks[sel].astype(np.uint64)) for part, sel in zip(build, sels)),
         nparts=n,
-        backends=spec.aux_backends,
-        seed=spec.seed + spec.merged,
-        metrics=metrics,
+        backends=store.aux_backends,
+        seed=store.seed + merged,
+        metrics=active(device.metrics),
     )
     for part, aux in zip(build, tables):
         aux.record_structure_metrics()
-        name = aux_table_name(spec.merged, part)
+        name = aux_table_name(merged, part)
         device.create(name)
         device.append(name, seal(aux_to_blob(aux)))
         written.append(name)
@@ -291,8 +292,6 @@ class Compactor:
     Operates on the device and a *copy* of the manifest; the store's
     in-memory state is untouched until `run` returns, so a crash (or
     exception) mid-merge leaves the caller exactly where it started.
-
-    `run` is validate → prepare → produce → publish.
     """
 
     def __init__(self, store: "MultiEpochStore"):
@@ -322,54 +321,21 @@ class Compactor:
             )
         return epochs
 
-    def prepare(self, epochs: list[int]) -> tuple[Manifest, MergeSpec]:
-        """A private manifest copy (the live one keeps serving and must
-        stay pristine if anything later raises) plus the merge spec."""
-        store = self.store
-        working = Manifest.from_bytes(store.manifest.to_bytes())
-        order_of = {e.epoch: e.order for e in working.epochs}
-        spec = MergeSpec(
-            fmt=store.fmt.name,
-            nranks=store.nranks,
-            block_size=store.block_size,
-            seed=store.seed,
-            merged=working.next_epoch,
-            sources=tuple(
-                store.engine(e)
-                for e in sorted(epochs, key=lambda e: order_of[e], reverse=True)
-            ),
-            aux_backends=store.aux_backends,
-        )
-        return working, spec
-
     def run(self, epochs: list[int]) -> tuple[Manifest, CompactionReport]:
         """Merge ``epochs``; returns the swapped-in manifest and a report."""
-        working, spec = self.prepare(self.validate(epochs))
-        clear_epoch(self.device, spec.merged)  # what a failed merge left
-        bytes_before = self.device.total_bytes_stored()
-        produced = produce_merged_epoch(spec, self.device, self.metrics)
-        bytes_written = self.device.total_bytes_stored() - bytes_before
-        return self.publish(working, spec, produced, bytes_written)
-
-    def publish(
-        self,
-        working: Manifest,
-        spec: MergeSpec,
-        produced: dict,
-        bytes_written: int,
-    ) -> tuple[Manifest, CompactionReport]:
-        """Commit a produced merge: manifest swap, source sweep, counters.
-
-        ``working``/``spec`` come from `prepare`; ``produced`` from
-        `produce_merged_epoch`.
-        """
+        epochs = self.validate(epochs)
         store = self.store
-        merged = spec.merged
-        epochs = sorted(source.epoch for source in spec.sources)
-        records_out = produced["records_out"]
-        adopted = produced["adopted"]
-        bytes_adopted = sum(self.device.file_size(name) for name in adopted)
+        # A private manifest copy: the live one keeps serving and must stay
+        # pristine if anything below raises.
+        working = Manifest.from_bytes(store.manifest.to_bytes())
         order_of = {e.epoch: e.order for e in working.epochs}
+        merged = working.next_epoch
+        sources = [store.engine(e) for e in sorted(epochs, key=order_of.get, reverse=True)]
+        clear_epoch(self.device, merged)  # what a failed merge left
+        bytes_before = self.device.total_bytes_stored()
+        records_out, backends, written, adopted = produce_merged_epoch(store, sources, merged)
+        bytes_written = self.device.total_bytes_stored() - bytes_before
+        bytes_adopted = sum(self.device.file_size(name) for name in adopted)
 
         # The merged epoch lists what it wrote, what it adopted from its
         # sources, and for dataptr the shared value logs its pointers
@@ -391,7 +357,7 @@ class Compactor:
                 # it must sit where that source sat in the read walk, not
                 # at the front where its fresh id would put it.
                 order=max(order_of[e] for e in epochs),
-                aux_backend=",".join(sorted(produced["aux_backends"])) or None,
+                aux_backend=",".join(sorted(backends)) or None,
             )
         )
         working.note_compaction(epochs, merged)
@@ -405,15 +371,10 @@ class Compactor:
         keep: set[str] = set()
         for info in working.epochs:
             keep.update(info.files)
-        dead = sorted(
-            name
-            for info in retired_infos
-            for name in info.files
-            if name not in keep
-        )
+        dead = sorted({name for info in retired_infos for name in info.files} - keep)
         bytes_reclaimed = 0
         removed = 0
-        for name in set(dead):
+        for name in dead:
             if self.device.exists(name):
                 bytes_reclaimed += self.device.file_size(name)
                 self.device.delete(name)
@@ -438,7 +399,7 @@ class Compactor:
             bytes_reclaimed=bytes_reclaimed,
             extents_removed=removed,
             generation=generation,
-            extents_out=len(produced["written"]) + len(adopted),
+            extents_out=len(written) + len(adopted),
             extents_adopted=len(adopted),
             bytes_adopted=bytes_adopted,
         )

@@ -99,14 +99,16 @@ def _newest_first(
 class EpochMount:
     """One reader session over a store's live epochs.
 
-    A sealed epoch is a static object, so a session needs no coherence
-    protocol, only "did the set of sealed epochs change".  The mount owns
-    the ``live epoch -> view`` memo, the one rule that empties it (the
-    store's compaction generation moved: drop every view, since their
-    block caches may hold blocks of swept extents) and the two bulk reads.
-    Views are `QueryEngine.warm` of the store's engines, so they share
-    each epoch's resident metadata: ``table_cache_entries`` 0 keeps no
-    data block between calls, >= 1 keeps that many tables' worth.
+    A sealed epoch is a static object and its id is never reused, so a
+    session needs no coherence protocol at all.  The mount owns the
+    ``live epoch -> view`` memo and the two bulk reads; a view lives
+    exactly as long as its epoch's engine in the store, so a compaction
+    that pops a retired epoch's engine drops every mount's view of it (and
+    the blocks it keeps of the extents the sweep deleted), and leaves the
+    views of the epochs it did not touch alone.  Views are
+    `QueryEngine.warm` of the store's engines, so they share each epoch's
+    resident metadata: ``table_cache_entries`` 0 keeps no data block
+    between calls, >= 1 keeps that many tables' worth.
     """
 
     def __init__(
@@ -119,23 +121,15 @@ class EpochMount:
         self.metrics = metrics
         self.table_cache_entries = table_cache_entries
         self._engines: dict[int, QueryEngine] = {}
-        self._generation = store.compactions
-
-    @property
-    def stale(self) -> bool:
-        """A compaction swapped the epoch set since the engines were built."""
-        return self._generation != self.store.compactions
 
     def engine(self, epoch: int) -> QueryEngine:
         """The session's engine for live epoch ``epoch`` (a retired id
         raises `EpochRetiredError`, as `MultiEpochStore.engine` does)."""
-        if self.stale:
-            self.close()
         engine = self._engines.get(epoch)  # keys are live ids, never reused
         if engine is None:
-            engine = self._engines[epoch] = self.store.engine(epoch).warm(
-                self.metrics, self.table_cache_entries
-            )
+            cold = self.store.engine(epoch)
+            engine = self._engines[epoch] = cold.warm(self.metrics, self.table_cache_entries)
+            weakref.finalize(cold, self._engines.pop, epoch, None)
         return engine
 
     def get_many(self, keys, epoch: int) -> tuple[list[bytes | None], list[QueryStats]]:
@@ -151,9 +145,9 @@ class EpochMount:
 
     def close(self) -> None:
         """Drop every engine and the blocks it keeps (idempotent; engines
-        rebuild lazily against the store's current epoch set)."""
+        rebuild lazily against the store's current epoch set).  A mount
+        dropped without it keeps its views until their epochs' engines go."""
         self._engines.clear()
-        self._generation = self.store.compactions
 
 
 class MultiEpochStore:
@@ -188,8 +182,7 @@ class MultiEpochStore:
         # epoch.
         self._engines: dict[int, QueryEngine] = {}
         # Compaction: optional size-tiered policy checked after every
-        # commit, and a generation counter reader sessions watch to learn
-        # that the epoch set changed under them.
+        # commit, and a plain count of the merges run.
         self.compaction_policy = compaction
         # Aux backends to try, in order, for each sealed key→rank set: every
         # store epoch, compaction output, shard and attached store seals
@@ -430,10 +423,9 @@ class MultiEpochStore:
     def _apply_compaction(self, manifest: Manifest, report: CompactionReport) -> None:
         """Flip the in-memory view to a swapped-in merged manifest.
 
-        The on-device swap already landed.  Engines over retired epochs
-        may keep blocks of extents the sweep deleted: the store's own
-        sessions drop theirs now, anyone else's `EpochMount` on its next
-        use (the generation moved).
+        The on-device swap already landed.  Popping a retired epoch's
+        engine drops every mount's view of it, with the blocks it keeps of
+        extents the sweep deleted and the epoch's table metadata.
         """
         self.manifest = manifest
         for epoch in report.source_epochs:
@@ -441,8 +433,6 @@ class MultiEpochStore:
         merged = next(e for e in manifest.epochs if e.epoch == report.merged_epoch)
         self._engines[merged.epoch] = self._attach_engine(merged)
         self.compactions += 1
-        self._reads.close()
-        self._warm.close()
         self.last_compaction = report
 
     # -- lifecycle ----------------------------------------------------------

@@ -19,13 +19,15 @@ absorb skewed traffic from many concurrent clients:
   waiter gets ``deadline_exceeded``, and a queued request all of whose
   waiters expired is dropped without touching the store.
 
-Epochs are immutable once committed, so the cache keys by *resolved*
-epoch: committing a new epoch shifts what an unqualified query resolves
-to (newest wins) rather than mutating cached state — the stale entry can
+Epochs are immutable once committed and their ids are never reused, so
+the cache keys by *resolved* epoch and nothing is ever invalidated:
+committing a new epoch shifts what an unqualified query resolves to
+(newest wins) rather than mutating cached state — the stale entry can
 only ever be served for an explicit historical epoch, where it is the
-correct answer.  A retired epoch id is refused ``epoch_retired``: the
-merged epoch cannot answer for one source's timestep.  `invalidate`
-exists for belt-and-braces cache drops.
+correct answer — and an `ANY_EPOCH` read is keyed by the manifest's
+``next_epoch``, which every commit and every merge advances.  A retired
+epoch id is refused ``epoch_retired``: the merged epoch cannot answer for
+one source's timestep.
 
 The service reads through one `EpochMount` (``store.mount``): the mount
 owns the per-epoch engines and the two bulk reads a window can ask for,
@@ -87,8 +89,8 @@ __all__ = [
 
 # Sentinel epoch for "the newest value anywhere": the request walks live
 # epochs newest-first and stops at the first hit — the cross-epoch view
-# compaction preserves.  Cache entries for it are versioned by the newest
-# epoch id, so both new commits and compactions shift the cache key.
+# compaction preserves.  Cache entries for it are keyed by the manifest's
+# ``next_epoch``, which every commit and every compaction advances.
 ANY_EPOCH = -1
 
 OK = "ok"
@@ -196,7 +198,7 @@ class _Pending:
     """One admitted, not-yet-executed probe shared by its waiters.
 
     ``epoch`` is the resolved cache token: a live epoch id, or the
-    ``("any", newest)`` tuple for cross-epoch requests.  ``waiters`` holds
+    ``("any", next_epoch)`` tuple for cross-epoch requests.  ``waiters`` holds
     one entry per burst member waiting on it (a burst that asked twice is
     listed twice); a member whose deadline passes leaves it, and a probe
     nobody waits on any more is dropped at dispatch.
@@ -317,10 +319,8 @@ class QueryService:
         )
         self._shedder = _Shedder(queue_high_watermark)
         self._rcache = LRUCache(result_cache_entries, self.metrics)
-        # The reader session.  When the store's compaction generation
-        # moves, its engines may keep blocks of extents the sweep deleted
-        # and epoch-keyed cache entries may describe retired epochs — both
-        # are dropped (`invalidate`) before the next probe runs.
+        # The reader session: its view of an epoch goes when a merge
+        # retires the epoch, and the views of every other epoch stay.
         self._mount = store.mount(self.metrics, table_cache_entries)
         self._queue: deque[_Pending] = deque()
         self._index: dict[tuple, _Pending] = {}
@@ -354,31 +354,17 @@ class QueryService:
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
-    # -- cache/version management -----------------------------------------
-
-    def invalidate(self) -> None:
-        """Drop the result cache and mounted engines.
-
-        Not needed for correctness on epoch commits (resolution is
-        versioned by epoch — see the module docstring); exists for
-        defense in depth and for tests.
-        """
-        self._rcache.clear()
-        self._mount.close()
-
-    def _check_generation(self) -> None:
-        """Pick up a compaction swap: drop engines and epoch-keyed caches."""
-        if self._mount.stale:
-            self.invalidate()
+    # -- epoch resolution --------------------------------------------------
 
     def _resolve_epoch(self, epoch: int | None):
         """Which committed epoch a request addresses (newest when
         unqualified).  ``None`` means the store has no epochs yet.
 
-        `ANY_EPOCH` resolves to the ``("any", newest)`` token: hashable
-        (it versions the result cache — a new commit or a compaction
-        moves the newest id, shifting the key) and recognized by a
-        dispatch window as "walk all live epochs".  An epoch id retired by
+        `ANY_EPOCH` resolves to the ``("any", next_epoch)`` token: hashable
+        (it versions the result cache — every commit and every compaction
+        advances the manifest's ``next_epoch``, shifting the key, so no
+        cached answer outlives the epoch set it was read from) and
+        recognized by a dispatch window as "walk all live epochs".  An epoch id retired by
         compaction raises `EpochRetiredError`, one never committed a
         LookupError.
         """
@@ -389,7 +375,7 @@ class QueryService:
             return epochs[-1]
         epoch = int(epoch)
         if epoch == ANY_EPOCH:
-            return ("any", epochs[-1])
+            return ("any", self.store.manifest.next_epoch)
         if epoch in epochs:
             return epoch
         try:
@@ -437,8 +423,6 @@ class QueryService:
         timers: list[asyncio.TimerHandle] = []
         burst: _Burst | None = None
         closed = self._closed
-        if not closed:
-            self._check_generation()
         tokens: dict = {}  # epoch -> resolved token (or its LookupError), per burst
         for i, (key, epoch, deadline_s, trace) in enumerate(requests):
             try:
@@ -635,9 +619,6 @@ class QueryService:
         batch = [queue.popleft() for _ in range(min(self.max_batch, len(queue)))]
         self._m_batches.inc()
         self._m_occupancy.observe(len(batch))
-        # A compaction that landed since these requests were admitted
-        # deleted extents the mounted engines may keep blocks of.
-        self._check_generation()
         live: list[_Pending] = []
         for pending in batch:
             self._index.pop((pending.epoch, pending.key), None)

@@ -38,6 +38,15 @@ _KEEP_GENERATIONS = 2  # newest + one fallback survive each commit's sweep
 _VERSION = 1
 
 
+def _field(doc, name: str, kind: type):
+    """``doc[name]`` when ``doc`` is a JSON object holding a ``kind`` there
+    (an int field takes no bool), else a ValueError."""
+    value = doc.get(name) if isinstance(doc, dict) else None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"malformed manifest: {name!r} is {value!r}, not {kind.__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class EpochInfo:
     """One dump epoch's inventory.
@@ -80,13 +89,18 @@ class EpochInfo:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpochInfo":
+        """One manifest entry; an entry of any other shape is a ValueError."""
+        epoch = _field(d, "epoch", int)
+        files = _field(d, "files", list)
+        if not all(isinstance(name, str) for name in files):
+            raise ValueError(f"malformed manifest: epoch {epoch} files {files!r}")
         return cls(
-            epoch=int(d["epoch"]),
-            records=int(d["records"]),
-            files=tuple(d["files"]),
-            bytes=int(d["bytes"]),
-            order=int(d.get("order", d["epoch"])),
-            aux_backend=d.get("aux_backend"),
+            epoch=epoch,
+            records=_field(d, "records", int),
+            files=tuple(files),
+            bytes=_field(d, "bytes", int),
+            order=_field(d, "order", int) if "order" in d else epoch,
+            aux_backend=_field(d, "aux_backend", str) if d.get("aux_backend") is not None else None,
         )
 
 
@@ -176,22 +190,29 @@ class Manifest:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Manifest":
+        """Decode a manifest document; any other bytes, a document of the
+        wrong shape included, are a ValueError."""
         try:
             doc = json.loads(blob)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # JSON, UTF-8 or nesting
             raise ValueError(f"malformed manifest: {e}") from e
-        if doc.get("version") != _VERSION:
-            raise ValueError(f"unsupported manifest version {doc.get('version')!r}")
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != _VERSION:
+            raise ValueError(f"unsupported manifest version {version!r}")
         m = cls(
-            fmt=doc["format"], nranks=int(doc["nranks"]), value_bytes=int(doc["value_bytes"])
+            fmt=_field(doc, "format", str),
+            nranks=_field(doc, "nranks", int),
+            value_bytes=_field(doc, "value_bytes", int),
         )
         # `compacted` first: add_epoch refuses ids the mapping has retired.
-        m.compacted = {int(k): int(v) for k, v in doc.get("compacted", {}).items()}
-        for e in doc["epochs"]:
+        compacted = _field(doc, "compacted", dict) if "compacted" in doc else {}
+        m.compacted = {int(k): _field(compacted, k, int) for k in compacted}
+        for e in _field(doc, "epochs", list):
             m.add_epoch(EpochInfo.from_dict(e))
         # Manifests from before compaction carry no watermark; derive one.
         retired_cap = max(m.compacted, default=-1) + 1
-        m.next_epoch = max(m.next_epoch, retired_cap, int(doc.get("next_epoch", 0)))
+        next_epoch = _field(doc, "next_epoch", int) if "next_epoch" in doc else 0
+        m.next_epoch = max(m.next_epoch, retired_cap, next_epoch)
         return m
 
     # -- atomic commit -----------------------------------------------------

@@ -2,10 +2,12 @@
 
 The runner itself needs ~100 s per side per seed and is never run here;
 what is pinned is how paired runs become ``improved`` / ``within bound`` /
-``unresolved`` / ``regressed`` and when the script's exit code is non-zero.
+``unresolved`` / ``regressed``, when the script's exit code is non-zero,
+and how it names the commit each side ran.
 """
 
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -113,3 +115,53 @@ def test_report_schema_and_exit_codes(bp):
 
 def test_seed_ranges(bp):
     assert bp.parse_seeds("1-3,7,11-12") == [1, 2, 3, 7, 11, 12]
+
+
+def _git(cwd, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        cwd=cwd, check=True, capture_output=True,
+    )
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    """A one-commit git work tree holding ``benchmarks/e2e/run.py``, and a
+    `git archive` copy of it (no ``.git``)."""
+    tree = tmp_path / "tree"
+    (tree / "benchmarks" / "e2e").mkdir(parents=True)
+    (tree / "benchmarks" / "e2e" / "run.py").write_text("print('{}')\n")
+    _git(tree, "init", "-q")
+    _git(tree, "add", "-A")
+    _git(tree, "commit", "-q", "-m", "seed")
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    archive = subprocess.run(["git", "archive", "HEAD"], cwd=tree, check=True, capture_output=True)
+    subprocess.run(["tar", "xf", "-"], cwd=copy, input=archive.stdout, check=True)
+    return tree, copy
+
+
+def test_a_side_records_its_commit_and_whether_tracked_files_differ(bp, checkouts):
+    tree, copy = checkouts
+    sha = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    assert bp.git_head(tree) == sha
+    (tree / "notes.txt").write_text("untracked\n")
+    assert bp.git_head(tree) == sha
+    (tree / "benchmarks" / "e2e" / "run.py").write_text("print('{\"x\": 1}')\n")
+    assert bp.git_head(tree) == sha + "+dirty"
+    # A copy without .git, and a directory inside the work tree, are no
+    # checkout of their own.
+    assert bp.git_head(copy) is None
+    assert bp.git_head(tree / "benchmarks") is None
+
+
+def test_a_side_that_is_no_git_work_tree_exits_2_at_startup(bp, checkouts, capsys):
+    tree, copy = checkouts
+    for parent, change in ((copy, tree), (tree, copy)):
+        argv = ["--parent", str(parent), "--change", str(change), "--pr", "0"]
+        assert bp.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{copy} is not a git work tree" in err and "git clone" in err
+    assert not (tree / "BENCH_0.json").exists() and not (copy / "BENCH_0.json").exists()

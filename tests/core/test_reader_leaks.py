@@ -6,7 +6,8 @@ written by a read, which `footprint` would show) or in the store (warm
 views and resident table metadata).  These tests pin both: no read on
 any surface moves the device's footprint, the store's warm views are
 reused while their epoch lives and dropped when compaction retires it,
-and no retired epoch's table metadata stays reachable.  The test names
+and no retired epoch's table metadata stays reachable once `compact()`
+returns.  The test names
 are older than the handle-free device: where one speaks of handles, read
 "anything a read leaves behind".
 """
@@ -139,8 +140,9 @@ def test_trajectory_reuses_pooled_engines(fmt):
 
 
 def test_compaction_retires_pooled_engines():
-    """Compaction drops the store's warm engines: their block caches may
-    hold blocks of the extents it swept."""
+    """Compaction drops the store's warm engines of the epochs it retires
+    (their block caches may hold blocks of the extents it swept) and keeps
+    the others', blocks and all."""
     store = MultiEpochStore(nranks=2, fmt=FMT_BASE, value_bytes=24, seed=9)
     rng = np.random.default_rng(9)
     batches_by_epoch = [
@@ -151,14 +153,19 @@ def test_compaction_retires_pooled_engines():
     key = int(batches_by_epoch[0][0].keys[0])
     store.trajectory(key)  # warms one pooled engine per epoch
     assert len(store._warm._engines) == 3
+    survivor = store._warm._engines[2]
 
-    store.compact()
+    store.compact([0, 1])
 
-    # Every pooled engine is gone; lookups still answer through the merged
-    # epoch, on an engine built for it.
-    assert store._warm._engines == {}
+    # The retired epochs' engines are gone, the survivor's is the same one;
+    # lookups answer through the merged epoch, on an engine built for it.
+    assert store._warm._engines == {2: survivor}
     value, found, _ = store.lookup(key)
-    assert found == store.epochs[-1]
+    assert found == store.epochs[0] == 3
+    assert sorted(store._warm._engines) == sorted(store.epochs)
+    store.compact()
+    assert store._warm._engines == {}
+    store.lookup(key)
     assert list(store._warm._engines) == store.epochs
     store.close()
     assert store._warm._engines == {}
@@ -186,9 +193,9 @@ def test_multiepoch_store_queries_leak_nothing():
 @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
 def test_meta_cache_holds_no_handle_and_forgets_retired_epochs(fmt):
     """`get` / `get_many` and a mount leave table metadata resident in the
-    epoch's engine; once compaction has run and every mount has refreshed,
-    no retired epoch's `TableMeta` is reachable, and `close` clears the
-    live epochs' slots."""
+    epoch's engine; once `compact()` returns, with no mount call in
+    between, no retired epoch's `TableMeta` is reachable, and `close`
+    clears the live epochs' slots."""
     store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=24, seed=21)
     rng = np.random.default_rng(21)
     epoch_batches = [[random_kv_batch(150, 24, rng) for _ in range(4)] for _ in range(3)]
@@ -213,15 +220,39 @@ def test_meta_cache_holds_no_handle_and_forgets_retired_epochs(fmt):
 
     metas = read_everything()  # a dead slot would fail weakref.ref(None)
     store.compact([0, 1])
-    retired = metas[0] + metas[1]
-    assert alive(retired) == 8  # the mount has not seen the new generation
-    mount.engine(2)
-    assert alive(retired) == 0 and alive(metas[2]) == 4
+    assert alive(metas[0] + metas[1]) == 0 and alive(metas[2]) == 4
+    assert sorted(mount._engines) == [2]
 
     live = [r for refs in read_everything().values() for r in refs]
     store.close()
     assert alive(live) == 0 and alive(metas[2]) == 0
     assert all(not store.engine(e).aux_charged for e in store.epochs)
+
+
+def test_compaction_frees_a_serving_mounts_retired_metadata():
+    """Once `compact()` returns, with no request in between, a
+    `QueryService`'s views of the retired epochs and their `TableMeta`s
+    are freed (by reference count: no collector run); the surviving
+    epoch's stay."""
+    store = MultiEpochStore(nranks=4, fmt=FMT_FILTERKV, value_bytes=24, seed=29)
+    rng = np.random.default_rng(29)
+    dumps = [[random_kv_batch(150, 24, rng) for _ in range(4)] for _ in range(3)]
+    for batches in dumps:
+        store.write_epoch(batches)
+    keys = [int(k) for batches in dumps for b in batches for k in b.keys[::10]]
+
+    async def main():
+        async with QueryService(store, metrics=MetricsRegistry()) as svc:
+            for epoch in store.epochs:
+                await asyncio.gather(*(svc.get(k, epoch=epoch) for k in keys))
+            metas = {e: [weakref.ref(m) for m in store.engine(e).metas] for e in store.epochs}
+            views = {e: weakref.ref(v) for e, v in svc._mount._engines.items()}
+            store.compact([0, 1])
+            retired = metas[0] + metas[1] + [views[0], views[1]]
+            assert [r() for r in retired] == [None] * len(retired)
+            assert None not in [r() for r in metas[2] + [views[2]]]
+
+    asyncio.run(main())
 
 
 @pytest.mark.parametrize("deep", [False, True])

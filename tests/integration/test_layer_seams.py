@@ -58,6 +58,14 @@ KNOWN_GONE = {
     # Views are built in `EpochMount.engine` (`QueryEngine.warm` of the
     # epoch's engine), which costs one call per epoch per generation.
     "repro.core.multiepoch.MultiEpochStore.cached_engine",
+    # Nothing invalidates: reads are versioned by epoch id and a view dies
+    # with its epoch's engine, so `serve.cache.invalidations` reads 0.
+    "repro.serve.service.QueryService.invalidate",
+    # Inlined into `produce_merged_epoch` (still under `core.compact.self_s`)
+    # with no self time of their own: `SSTableReader.scan_arrays` and
+    # `SSTableWriter.add_many` / `finish` keep their seams.
+    "repro.core.compact.read_table_arrays",
+    "repro.core.compact.write_merged_table",
 }
 
 

@@ -105,8 +105,10 @@ async def _script(fmt, check_reads):
     def compact(sources):
         report = store.compact(sources)
         oracle.compact(report.source_epochs, report.merged_epoch)
-        # The store's own sessions dropped their engines at the swap.
-        assert not store._reads._engines and not store._warm._engines
+        # No mount holds a view of a retired epoch once the swap returns,
+        # with no read in between.
+        for mount in mounts:
+            assert set(mount._engines) <= set(store.epochs), "view of a retired epoch"
 
     async def check():
         if not check_reads:

@@ -5,8 +5,8 @@ A serving tier must never return a stale value after a new epoch commits.
 cache keys carry the resolved epoch, and an unqualified query resolves to
 the newest epoch at admission — so a commit shifts resolution away from
 every existing entry.  These tests serve a key, overwrite it in a new
-epoch, and assert the new value is returned; plus the explicit-epoch and
-`invalidate` behaviors around that guarantee.
+epoch, and assert the new value is returned; plus the explicit-epoch
+behavior around that guarantee.  Nothing is ever invalidated.
 """
 
 import numpy as np
@@ -90,25 +90,3 @@ def test_commit_shifts_negative_outcomes_too():
 
     run(main())
 
-
-def test_explicit_invalidate_drops_all_cached_state():
-    rng = np.random.default_rng(79)
-    keys = rng.integers(0, 2**63, size=64, dtype=np.uint64)
-    from repro.core.formats import FMT_FILTERKV
-
-    store = _fresh_store(FMT_FILTERKV)
-    store.write_epoch(_batches(store, keys, fill=0x0C))
-
-    async def main():
-        async with QueryService(store) as svc:
-            for k in keys[:20]:
-                await svc.get(int(k))
-            assert len(svc._rcache) == 20
-            svc.invalidate()
-            assert len(svc._rcache) == 0
-            assert not svc._mount._engines
-            # Still serves correctly afterwards (engines rebuild lazily).
-            r = await svc.get(int(keys[0]))
-            assert r.status == OK and r.value == b"\x0c" * 24 and not r.cached
-
-    run(main())

@@ -12,8 +12,10 @@ are never recycled into the cache's key space.
 import asyncio
 
 import numpy as np
+import pytest
 
 from repro.core.compact import CompactionPolicy
+from repro.core.formats import FMT_BASE, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
 from repro.serve import ANY_EPOCH, ERR_EPOCH_RETIRED, ERROR, NOT_FOUND, OK, QueryService
@@ -45,8 +47,9 @@ def _svc(store):
 
 
 def test_warm_service_survives_the_swap(fmt):
-    """The compaction sweep deletes extents the mounted engines hold
-    handles on; the service must notice the swap and keep answering."""
+    """The compaction sweep deletes extents the service's views of the
+    retired epochs keep blocks of; those views go with their epochs, and
+    the service keeps answering through the merged epoch."""
     store, truth, _ = _multi_epoch_store(fmt)
 
     async def main():
@@ -61,6 +64,78 @@ def test_warm_service_survives_the_swap(fmt):
                 if r.status == OK and not r.cached:
                     assert r.epoch == report.merged_epoch
             assert svc.stats()["compactions"] == 1
+    run(main())
+    store.close()
+
+
+def _three_dumps(fmt):
+    """A store of three epochs (ids 0, 1, 2) and each one's rank batches."""
+    store = MultiEpochStore(nranks=NRANKS, fmt=fmt, value_bytes=VB, seed=23)
+    rng = np.random.default_rng(23)
+    dumps = []
+    for _ in range(3):
+        dumps.append([random_kv_batch(120, VB, rng) for _ in range(NRANKS)])
+        store.write_epoch(dumps[-1])
+    return store, dumps
+
+
+@pytest.mark.parametrize("fmt", [FMT_BASE, FMT_FILTERKV], ids=lambda f: f.name)
+def test_a_partial_merge_keeps_the_surviving_epochs_blocks(fmt):
+    """Merging the two older epochs leaves the service's view of the
+    newest one alone: a key in a block it already holds costs no device
+    read after the swap.  (A dataptr value is one value-log read per key,
+    which no view keeps.)"""
+    store, dumps = _three_dumps(fmt)
+
+    async def main():
+        async with _svc(store) as svc:
+            warm = [int(k) for b in dumps[2] for k in b.keys[:-1]]
+            replies = await asyncio.gather(*(svc.get(k, epoch=2) for k in warm))
+            assert {r.status for r in replies} == {OK}
+            store.compact([0, 1])
+            reads = store.device.counters.reads
+            for b in dumps[2]:
+                r = await svc.get(int(b.keys[-1]), epoch=2)
+                assert (r.status, r.cached, r.value) == (OK, False, b.value_of(len(b) - 1))
+            assert store.device.counters.reads == reads
+    run(main())
+    store.close()
+
+
+def test_a_partial_merge_keeps_the_surviving_epochs_cached_answers(fmt):
+    """An explicit read of an epoch the merge did not touch stays a
+    result-cache hit across it."""
+    store, dumps = _three_dumps(fmt)
+    key = int(dumps[2][0].keys[0])
+
+    async def main():
+        async with _svc(store) as svc:
+            first = await svc.get(key, epoch=2)
+            assert first.status == OK and not first.cached
+            store.compact([0, 1])
+            again = await svc.get(key, epoch=2)
+            assert again.cached and (again.value, again.epoch) == (first.value, 2)
+    run(main())
+    store.close()
+
+
+def test_a_cached_any_answer_never_names_a_retired_epoch(fmt):
+    """After a merge that keeps the newest epoch, an `ANY_EPOCH` answer
+    found in a merged source reports the merged epoch, never the retired
+    id it was cached under before the merge."""
+    store, dumps = _three_dumps(fmt)
+    newer = {int(k) for dump in dumps[1:] for b in dump for k in b.keys}
+    key = next(int(k) for k in dumps[0][0].keys if int(k) not in newer)
+
+    async def main():
+        async with _svc(store) as svc:
+            before = await svc.get(key, epoch=ANY_EPOCH)
+            assert before.epoch == 0 and (await svc.get(key, epoch=ANY_EPOCH)).cached
+            report = store.compact([0, 1])
+            assert store.epochs[-1] == 2  # the newest epoch survived
+            for _ in range(2):
+                r = await svc.get(key, epoch=ANY_EPOCH)
+                assert (r.value, r.epoch) == (before.value, report.merged_epoch)
     run(main())
     store.close()
 
