@@ -1,9 +1,9 @@
 """Aux-backend tournament: the four backends, scored head-to-head.
 
 The sealed key→rank set an epoch commits is exactly a static maplet.
-This bench is the measurement behind the store's fixed seal
-(`AUTO_BACKENDS` leads with its winner, the CSF, and falls back to the
-paper's cuckoo): the two sealing backends and the paper's two in-memory
+This bench is the measurement behind why a store seals its winner, the
+CSF (`STORE_AUX_BACKEND`; `SimCluster` seals the paper's cuckoo): the two
+sealing backends and the paper's two in-memory
 baselines (exact pointers, Bloom) build the same key→rank workload and
 are scored on
 
@@ -119,7 +119,7 @@ def _score(backend, t, build_s, keys, queries):
         "bits_per_key": round(bits, 3),
         # What a store's filterkv table holds behind this aux: no Bloom
         # behind a csf, the table Bloom behind every other backend.
-        "total_filter_bits_per_key": round(bits + table_bloom_bits("filterkv", (backend,)), 3),
+        "total_filter_bits_per_key": round(bits + table_bloom_bits("filterkv", backend), 3),
         "partitions_per_query": round(float(counts.mean()), 3),
         "build_s_per_key_us": round(build_s / keys.size * 1e6, 3),
         "lookups_per_s": round(queries.size / max(lookup_s, 1e-9)),
@@ -143,7 +143,7 @@ def _seal_costs():
         for rep in range(SEAL_REPS):
             for backend in best:
                 t0 = time.perf_counter()
-                build_sealed_aux(parts, SEAL_NPARTS, (backend,), seed=rep)
+                build_sealed_aux(parts, SEAL_NPARTS, backend, seed=rep, metrics=None)
                 best[backend] = min(best[backend], (time.perf_counter() - t0) / nparts)
         rows.append([label, round(best["cuckoo"] * 1e6), round(best["csf"] * 1e6),
                      round(best["csf"] / best["cuckoo"], 2)])

@@ -27,7 +27,7 @@ def build_rank(rank: int, nranks: int, transport):
     device = StorageDevice()
     partitioner = HashPartitioner(nranks)
     receiver = ReceiverState(
-        rank, nranks, FMT_FILTERKV, device, VALUE_BYTES, aux_backends=("cuckoo",)
+        rank, nranks, FMT_FILTERKV, device, VALUE_BYTES, aux_backend="cuckoo"
     )
     writer = WriterState(
         rank,
@@ -36,7 +36,7 @@ def build_rank(rank: int, nranks: int, transport):
         device,
         VALUE_BYTES,
         send=transport.send,
-        aux_backends=("cuckoo",),
+        aux_backend="cuckoo",
     )
     return writer, receiver
 

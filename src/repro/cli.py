@@ -415,7 +415,7 @@ def _cmd_compare(args) -> str:
         rows.append(
             [
                 fmt.name,
-                cluster.aux_backends() or "-",
+                cluster.receivers[0].aux.backend if fmt is FMT_FILTERKV else "-",
                 st.rpc_messages,
                 round(st.shuffle_bytes_per_record, 2),
                 round(st.storage_bytes_per_record, 2),

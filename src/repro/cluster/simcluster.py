@@ -56,7 +56,9 @@ class ClusterStats:
 
 
 class SimCluster:
-    """A parallel job of ``nranks`` processes executing one output burst."""
+    """A parallel job of ``nranks`` processes executing one output burst.
+    Its filterkv partitions seal ``aux_backend``: the paper's cuckoo, or
+    the csf a `MultiEpochStore` passes (`auxtable.STORE_AUX_BACKEND`)."""
 
     def __init__(
         self,
@@ -71,7 +73,7 @@ class SimCluster:
         seed: int = 0,
         routing: str = "direct",
         ppn: int = 1,
-        aux_backends: tuple[str, ...] = ("cuckoo",),
+        aux_backend: str = "cuckoo",
         metrics: MetricsRegistry | None = None,
     ):
         if nranks < 2:
@@ -100,7 +102,7 @@ class SimCluster:
                 self.fmt,
                 self.device,
                 self.value_bytes,
-                aux_backends=aux_backends,
+                aux_backend=aux_backend,
                 epoch=self.epoch,
                 block_size=block_size,
                 aux_seed=self.seed,
@@ -116,7 +118,7 @@ class SimCluster:
                 self.device,
                 self.value_bytes,
                 send=self._send,
-                aux_backends=aux_backends,
+                aux_backend=aux_backend,
                 batch_bytes=self.batch_bytes,
                 epoch=self.epoch,
                 block_size=block_size,
@@ -195,13 +197,6 @@ class SimCluster:
             aux_bytes=aux,
             local_messages=self.router.local_messages,
         )
-
-    def aux_backends(self) -> str | None:
-        """The aux backend(s) this epoch's partitions sealed with — one name
-        when uniform (the common case), comma-joined when ranks fell back
-        differently along the ``aux_backends`` tuple.  None without aux."""
-        names = sorted({r.aux.backend for r in self.receivers if r.aux is not None})
-        return ",".join(names) if names else None
 
     def query_engine(self):
         """Read path over this cluster's persisted output."""

@@ -25,10 +25,10 @@ interface:
 
 Which backend seals is fixed per role, not chosen by a setting: a
 `MultiEpochStore` (and every shard, attach and compaction built on one)
-seals `AUTO_BACKENDS`, csf falling back to cuckoo, and the paper's
-`SimCluster` seals cuckoo.  `AUX_BACKENDS`, the registry behind the seal
-and the one blob codec (`state()` / `from_state()` under `aux_to_blob` /
-`aux_from_blob`), holds just those two.  Exact and Bloom are the in-memory
+seals `STORE_AUX_BACKEND`, the csf, and the paper's `SimCluster` seals
+cuckoo.  `AUX_BACKENDS`, the registry behind the seal and the one blob
+codec (`state()` / `from_state()` under `aux_to_blob` / `aux_from_blob`),
+holds just those two, so a legacy store epoch sealed cuckoo still loads.  Exact and Bloom are the in-memory
 baselines of Fig. 7, Table I and the ablations: they insert, probe and
 report their size, and a blob naming either is refused.
 
@@ -60,7 +60,7 @@ __all__ = [
     "CuckooAuxTable",
     "CsfAuxTable",
     "AUX_BACKENDS",
-    "AUTO_BACKENDS",
+    "STORE_AUX_BACKEND",
     "build_sealed_aux",
     "aux_to_blob",
     "aux_from_blob",
@@ -243,23 +243,15 @@ class AuxTable(ABC):
         """Freeze the table for sealing.  Dynamic backends are built
         incrementally and need nothing here; the static backend (csf)
         constructs its structure from the buffered mappings and rejects
-        further inserts.  Construction failures (peeling, conflicting
-        duplicates) surface here, *before* the blob is sealed — which is what
-        lets `build_sealed_aux` fall back to another backend."""
+        further inserts.  A peel that fails on every seed raises
+        `CsfConstructionError` here, *before* any blob is sealed."""
 
     @classmethod
-    def finalize_many(cls, tables: list["AuxTable"]) -> list[Exception | None]:
-        """`finalize` every table of one seal (all of this class) and return
-        what each raised, None for a table that sealed.  The static backend
-        builds its tables together; `build_sealed_aux` falls back per table."""
-        errors: list[Exception | None] = []
+    def finalize_many(cls, tables: list["AuxTable"]) -> None:
+        """`finalize` every table of one seal (all of this class).  The
+        static backend builds its tables together."""
         for table in tables:
-            try:
-                table.finalize()
-                errors.append(None)
-            except (ValueError, CsfConstructionError) as e:
-                errors.append(e)
-        return errors
+            table.finalize()
 
     def candidate_ranks(self, key: int) -> np.ndarray:
         """Sorted distinct ranks that *may* hold the key (must include the
@@ -604,10 +596,9 @@ class CsfAuxTable(AuxTable):
     it, and aux alone (≈16 bits/key at N = 16) is below what aux plus
     table Bloom cost with the narrower guard (≈18).
 
-    A static function holds one value per key, so conflicting duplicate
-    mappings (same key, different ranks) are rejected at `finalize()`;
-    `build_sealed_aux` treats that as "this backend doesn't fit" and falls
-    back.  Consistent duplicates dedupe silently.
+    A static function holds one value per key: a key that two ranks wrote
+    maps to the lower one, the rank the reader's ascending walk would
+    stop at first and the merge's (recency desc, rank asc) order keeps.
     """
 
     backend = "csf"
@@ -640,59 +631,45 @@ class CsfAuxTable(AuxTable):
         self._nkeys += keys.size
 
     def finalize(self) -> None:
-        if self._finalized:  # every blob accessor calls it
-            return
-        (err,) = self.finalize_many([self])
-        if err is not None:
-            raise err
+        if not self._finalized:  # every blob accessor calls it
+            self.finalize_many([self])
 
     @classmethod
-    def finalize_many(cls, tables: list["AuxTable"]) -> list[Exception | None]:
+    def finalize_many(cls, tables: list["AuxTable"]) -> None:
         """Build every pending table's maplet in one `XorMaplet.build_many`
-        per slot width: each table equals the one `finalize` builds alone."""
-        errors: list[Exception | None] = [None] * len(tables)
-        builds: dict[tuple[int, int], list[tuple[int, np.ndarray, np.ndarray]]] = {}
-        for i, t in enumerate(tables):
+        per slot width: each table equals the one `finalize` builds alone.
+        A table whose peel fails on every seed raises `CsfConstructionError`."""
+        builds: dict[tuple[int, int], list[tuple[CsfAuxTable, np.ndarray, np.ndarray]]] = {}
+        for t in tables:
             if not t._pending_keys:
                 t._finalized = True  # keyless (or already built): no maplet to build
                 continue
-            try:
-                keys, ranks = t._distinct_mappings()
-            except ValueError as e:
-                errors[i] = e
-                continue
-            builds.setdefault((t.value_bits, t.fp_bits), []).append((i, keys, ranks))
+            keys, ranks = t._distinct_mappings()
+            builds.setdefault((t.value_bits, t.fp_bits), []).append((t, keys, ranks))
         for (value_bits, fp_bits), group in builds.items():
             maplets = XorMaplet.build_many(
-                [(keys, ranks, tables[i].seed) for i, keys, ranks in group], value_bits, fp_bits
+                [(keys, ranks, t.seed) for t, keys, ranks in group], value_bits, fp_bits
             )
-            for (i, _, _), maplet in zip(group, maplets):
+            for (t, _, _), maplet in zip(group, maplets):
                 if maplet is None:
-                    errors[i] = CsfConstructionError("peeling failed for every seed")
-                    continue
-                t = tables[i]
+                    raise CsfConstructionError("peeling failed for every seed")
                 t._maplet = maplet
                 t._pending_keys.clear()
                 t._pending_ranks.clear()
                 t._finalized = True
-        return errors
 
     def _distinct_mappings(self) -> tuple[np.ndarray, np.ndarray]:
-        """The buffered mappings, each key once (the one sort of the build);
-        a key mapped to two ranks is a `ValueError`."""
+        """The buffered mappings, each key once (the one sort of the build),
+        a key mapped to several ranks at the lowest of them."""
         keys = np.concatenate(self._pending_keys)
         ranks = np.concatenate(self._pending_ranks)
         # Only a repeated key needs the keys ordered: the maplet is a
         # function of the key set, not of the order keys arrive in.
         skeys = np.sort(keys)
         if (skeys[1:] == skeys[:-1]).any():
-            order = np.argsort(keys)
+            order = np.lexsort((ranks, keys))  # by key, each key's ranks ascending
             keys, ranks = keys[order], ranks[order]
             first = np.concatenate(([True], keys[1:] != keys[:-1]))
-            if (ranks[1:] != ranks[:-1])[~first[1:]].any():
-                raise ValueError(
-                    "conflicting duplicate mappings: a static function stores one rank per key"
-                )
             keys, ranks = keys[first], ranks[first]
         return keys, ranks
 
@@ -772,14 +749,15 @@ AUX_BACKENDS: dict[str, type[AuxTable]] = {
     cls.backend: cls for cls in (CuckooAuxTable, CsfAuxTable)
 }
 
-# What a `MultiEpochStore` seals with: the tournament's winner
-# (`benchmarks/results/aux_tournament.txt`: fewest filter bits per stored
-# key, aux plus table Bloom, one candidate per present key, and a build
-# within 2.5x the cuckoo's), then the paper's table, which builds for any
-# key set — the CSF refuses one mapping a key to two ranks.  Leading with
-# csf also drops the epoch's table Bloom (`pipeline.table_bloom_bits`).
-# `SimCluster` seals the paper's cuckoo for its figures.
-AUTO_BACKENDS = ("csf", "cuckoo")
+# What a `MultiEpochStore` seals with, at ingest and in every merge: the
+# tournament's winner (`benchmarks/results/aux_tournament.txt`: fewest
+# filter bits per stored key, aux plus table Bloom, one candidate per
+# present key, and a build within 2.5x the cuckoo's).  Its guard is the
+# key's one filter, so the epoch's tables carry no Bloom
+# (`pipeline.table_bloom_bits`).  `SimCluster` seals the paper's cuckoo
+# for its figures.  Read at each write, so a test can patch it to write
+# the cuckoo epochs earlier stores sealed.
+STORE_AUX_BACKEND = "csf"
 
 
 _BLOB_HDR = struct.Struct("<I")  # length of the JSON header that follows
@@ -860,12 +838,12 @@ _UNION_KEYS = 8192
 def build_sealed_aux(
     parts: Iterable[tuple[int, np.ndarray, np.ndarray | int]],
     nparts: int,
-    backends: tuple[str, ...],
-    seed: int = 0,
-    metrics: MetricsRegistry | None = None,
+    backend: str,
+    seed: int,
+    metrics: MetricsRegistry | None,
 ) -> list[AuxTable]:
-    """Build and finalize every partition's aux table of one seal, each
-    walking ``backends`` in order.
+    """Build and finalize every partition's ``backend`` aux table of one
+    seal.
 
     The one aux build: ingest (`pipeline.build_aux`) and compaction both
     seal through it.  ``parts`` yields ``(partition, keys, source ranks)``
@@ -874,74 +852,34 @@ def build_sealed_aux(
     receivers build their tables in parallel on N ranks; here one process
     builds them, so the tables build together: partitions are taken as
     they come into unions of up to `_UNION_KEYS` keys (a larger table
-    builds alone), and each union finalizes per backend through one
-    `AuxTable.finalize_many` (the csf tables peel in one round loop).  A
-    table its backend cannot represent — the CSF's one-rank-per-key
-    invariant violated, or (rarely) every seed's peel failing — tries the
-    next name on its own, so a tuple ending in a backend that always
-    builds (`AUTO_BACKENDS` does) never fails, and every table equals the
-    one built alone.  Each winner is counted in ``aux.backend.selected`` so
-    telemetry shows which backend each sealed table carries.
+    builds alone), and each union finalizes through one
+    `AuxTable.finalize_many` (the csf tables peel in one round loop), so
+    every table equals the one built alone.  A table that cannot build
+    (every seed's csf peel failing) raises before any blob is sealed, and
+    a ``backend`` outside `AUX_BACKENDS` before any table builds.
     """
-    unknown = [b for b in backends if b not in AUX_BACKENDS]
-    if unknown or not backends:
-        raise ValueError(f"aux backends must name some of {sorted(AUX_BACKENDS)}, got {backends!r}")
+    cls = AUX_BACKENDS.get(backend) if isinstance(backend, str) else None
+    if cls is None:
+        raise ValueError(f"aux backend must name one of {sorted(AUX_BACKENDS)}, got {backend!r}")
     sealed: list[AuxTable] = []
-    union: list[tuple[int, np.ndarray, np.ndarray | int]] = []
+    union: list[AuxTable] = []
     size = 0
     for part, keys, ranks in parts:
         keys = np.asarray(keys, dtype=np.uint64).ravel()
         if union and size + keys.size > _UNION_KEYS:
-            sealed += _seal_union(union, nparts, backends, seed, metrics)
+            cls.finalize_many(union)
+            sealed += union
             union, size = [], 0
-        union.append((part, keys, ranks))
+        aux = cls(
+            nparts,
+            capacity_hint=max(1, keys.size),
+            seed=seed + part,
+            metrics=metrics,
+            metric_labels={"rank": str(part)},
+        )
+        if keys.size:
+            aux.insert_many(keys, ranks)
+        union.append(aux)
         size += keys.size
-    if union:
-        sealed += _seal_union(union, nparts, backends, seed, metrics)
-    return sealed
-
-
-def _seal_union(
-    union: list[tuple[int, np.ndarray, np.ndarray | int]],
-    nparts: int,
-    backends: tuple[str, ...],
-    seed: int,
-    metrics: MetricsRegistry | None,
-) -> list[AuxTable]:
-    """`build_sealed_aux` of one union: each backend in turn finalizes the
-    tables no earlier backend sealed."""
-    sealed: dict[int, AuxTable] = {}
-    last_err: Exception | None = None
-    for backend in backends:
-        tried: dict[int, AuxTable] = {}
-        for i, (part, keys, ranks) in enumerate(union):
-            if i in sealed:
-                continue
-            aux = AUX_BACKENDS[backend](
-                nparts,
-                capacity_hint=max(1, keys.size),
-                seed=seed + part,
-                metrics=metrics,
-                metric_labels={"rank": str(part)},
-            )
-            try:
-                if keys.size:
-                    aux.insert_many(keys, ranks)
-                tried[i] = aux
-            except ValueError as e:
-                last_err = e
-        errors = AUX_BACKENDS[backend].finalize_many(list(tried.values()))
-        for (i, aux), err in zip(tried.items(), errors):
-            if err is None:
-                sealed[i] = aux
-            else:
-                last_err = err
-        if len(sealed) == len(union):
-            break
-    else:
-        raise RuntimeError(f"no aux backend in {list(backends)} could build") from last_err
-    registry = active(metrics)
-    tables = [sealed[i] for i in range(len(union))]
-    for (part, _, _), aux in zip(union, tables):
-        registry.counter("aux.backend.selected", backend=aux.backend, rank=str(part)).inc()
-    return tables
+    cls.finalize_many(union)
+    return sealed + union

@@ -52,6 +52,7 @@ from ..obs import active
 from ..storage.envelope import seal
 from ..storage.manifest import EpochInfo, Manifest
 from ..storage.sstable import SSTableReader, SSTableWriter, concat_values
+from . import auxtable
 from .auxtable import aux_to_blob, build_sealed_aux
 from .partitioning import HashPartitioner
 from .pipeline import (
@@ -159,18 +160,16 @@ def first_occurrence(keys: np.ndarray) -> np.ndarray:
 
 def produce_merged_epoch(
     store: "MultiEpochStore", sources: "list[QueryEngine]", merged: int
-) -> tuple[int, set[str], list[str], list[str]]:
+) -> tuple[int, list[str], list[str]]:
     """Write epoch ``merged`` of ``store``'s device as the merge of
     ``sources``, the source epochs' cold engines, newest data first: their
-    ``table_names`` / ``aux_names`` are the extents each epoch lists, and
-    their decoded ``aux_tables`` say which backend an adopted aux
-    partition carries.
+    ``table_names`` / ``aux_names`` are the extents each epoch lists.
 
     Pure with respect to the manifest: reads every source partition table
     whole (each key group's CRC-32 verified), writes the merged epoch's
     ``part.*`` (and, for filterkv, ``aux.*``) extents that it cannot
-    adopt, and returns ``(records_out, aux_backends, written, adopted)``,
-    the last two lists of extent names.  Publishing the result (manifest
+    adopt, and returns ``(records_out, written, adopted)``, the last two
+    lists of extent names.  Publishing the result (manifest
     swap, sweep, compaction counters) stays with `Compactor.run`.
 
     One merge serves every format.  Winners are chosen globally — first
@@ -194,7 +193,9 @@ def produce_merged_epoch(
     (an aux blob through its engine's decode at attach), and keeps the
     filter block it was written with; a written table carries the one
     ingest would give it (`table_bloom_bits`: none in a store's filterkv
-    epoch).  Values are gathered only when some table is written.
+    epoch), and a written aux partition is the store's csf
+    (`auxtable.STORE_AUX_BACKEND`), whatever its sources sealed.  Values
+    are gathered only when some table is written.
     """
     device = store.device
     n, k = store.nranks, len(sources)
@@ -217,9 +218,9 @@ def produce_merged_epoch(
 
     written: list[str] = []
     adopted: list[str] = []
-    backends: set[str] = set()
     wvalues = None
-    bloom_bits = table_bloom_bits(store.fmt.name, store.aux_backends)  # what ingest writes
+    backend = auxtable.STORE_AUX_BACKEND  # what ingest seals
+    bloom_bits = table_bloom_bits(store.fmt.name, backend)
     for rank in range(n):
         src = _sole_source(won[:, rank])
         if src >= 0 and won[src, rank] == sizes[src * n + rank]:
@@ -239,7 +240,7 @@ def produce_merged_epoch(
             writer.add_many(wkeys[sel], wvalues[sel])
         writer.finish()
         written.append(name)
-    produced = (int(wkeys.size), backends, written, adopted)
+    produced = (int(wkeys.size), written, adopted)
     if store.fmt.name != "filterkv":
         return produced
 
@@ -252,21 +253,18 @@ def produce_merged_epoch(
         src = _sole_source(owned[:, part])
         if src >= 0 and owned[src, part] == held[src, part]:
             adopted.append(sources[src].aux_names[part])
-            backends.add(sources[src].aux_tables[part].backend)
         else:
             build.append(part)
     if not build:
         return produced
     # Fresh aux tables on the hash owners, seeded exactly as an
     # ingest-time epoch would be (store seed + epoch + rank), then
-    # sealed — torn blobs are detected at recovery like any other.  A
-    # built table walks the store's backend tuple again on its (merged,
-    # deduplicated) key set.
+    # sealed — torn blobs are detected at recovery like any other.
     sels = [np.flatnonzero(wowners == part) for part in build]
     tables = build_sealed_aux(
         ((part, wkeys[sel], wranks[sel].astype(np.uint64)) for part, sel in zip(build, sels)),
         nparts=n,
-        backends=store.aux_backends,
+        backend=backend,
         seed=store.seed + merged,
         metrics=active(device.metrics),
     )
@@ -276,7 +274,6 @@ def produce_merged_epoch(
         device.create(name)
         device.append(name, seal(aux_to_blob(aux)))
         written.append(name)
-        backends.add(aux.backend)
     return produced
 
 
@@ -333,7 +330,7 @@ class Compactor:
         sources = [store.engine(e) for e in sorted(epochs, key=order_of.get, reverse=True)]
         clear_epoch(self.device, merged)  # what a failed merge left
         bytes_before = self.device.total_bytes_stored()
-        records_out, backends, written, adopted = produce_merged_epoch(store, sources, merged)
+        records_out, written, adopted = produce_merged_epoch(store, sources, merged)
         bytes_written = self.device.total_bytes_stored() - bytes_before
         bytes_adopted = sum(self.device.file_size(name) for name in adopted)
 
@@ -357,7 +354,6 @@ class Compactor:
                 # it must sit where that source sat in the read walk, not
                 # at the front where its fresh id would put it.
                 order=max(order_of[e] for e in epochs),
-                aux_backend=",".join(sorted(backends)) or None,
             )
         )
         working.note_compaction(epochs, merged)

@@ -29,7 +29,8 @@ from ..storage.envelope import unseal
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from ..cluster.simcluster import ClusterStats
 from ..storage.manifest import EpochInfo, Manifest, RecoveryReport
-from .auxtable import AUTO_BACKENDS, aux_from_blob
+from . import auxtable
+from .auxtable import aux_from_blob
 from .compact import CompactionPolicy, CompactionReport, Compactor
 from .formats import FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KVBatch
@@ -184,11 +185,6 @@ class MultiEpochStore:
         # Compaction: optional size-tiered policy checked after every
         # commit, and a plain count of the merges run.
         self.compaction_policy = compaction
-        # Aux backends to try, in order, for each sealed key→rank set: every
-        # store epoch, compaction output, shard and attached store seals
-        # csf-first.  The one that built is recorded in the manifest's
-        # EpochInfo.aux_backend.  Tests assign it to force one epoch's backend.
-        self.aux_backends = AUTO_BACKENDS
         self.compactions = 0
         self.last_compaction: CompactionReport | None = None
         # The store's own sessions.  `get` / `get_many`: no data block
@@ -298,7 +294,7 @@ class MultiEpochStore:
             block_size=self.block_size,
             epoch=epoch,
             seed=self.seed + epoch,
-            aux_backends=self.aux_backends,
+            aux_backend=auxtable.STORE_AUX_BACKEND,
         )
         before = self.device.total_bytes_stored()
         for rank, batch in enumerate(batches):
@@ -307,13 +303,7 @@ class MultiEpochStore:
         engine = self._engines[epoch] = cluster.query_engine()
         epoch_bytes = self.device.total_bytes_stored() - before
         self.manifest.add_epoch(
-            EpochInfo(
-                epoch=epoch,
-                records=records,
-                files=engine.files,
-                bytes=epoch_bytes,
-                aux_backend=cluster.aux_backends(),
-            )
+            EpochInfo(epoch=epoch, records=records, files=engine.files, bytes=epoch_bytes)
         )
         self.manifest.commit(self.device)
         # Materialize the (lazily computed) stats before the policy hook:

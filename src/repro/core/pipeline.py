@@ -59,18 +59,15 @@ def aux_table_name(epoch: int, rank: int) -> str:
     return f"aux.{epoch:03d}.{rank:06d}"
 
 
-def table_bloom_bits(fmt: str, aux_backends: tuple[str, ...]) -> float:
+def table_bloom_bits(fmt: str, aux_backend: str) -> float:
     """Bloom bits per key of a main table of format ``fmt`` in an epoch
-    that seals its aux tables with ``aux_backends``: none for a filterkv
-    epoch that seals csf first (every store's), whose guard (`csf_fp_bits`)
-    is the key's one filter; `TABLE_BLOOM_BITS` for every other table —
-    base and dataptr have no aux, and `SimCluster`'s paper epochs seal the
-    4-bit cuckoo.  It follows the tuple, not the backend each partition
-    ends up with (tables are written before aux tables build): a partition
-    whose csf refuses falls back to a cuckoo over tables without a Bloom,
-    which answers alike and pays more table reads for absent keys.
+    that seals its aux tables with ``aux_backend``: none for a filterkv
+    epoch that seals csf (every store's), whose guard (`csf_fp_bits`) is
+    the key's one filter; `TABLE_BLOOM_BITS` for every other table — base
+    and dataptr have no aux, and `SimCluster`'s paper epochs seal the
+    4-bit cuckoo.
     """
-    return 0.0 if fmt == "filterkv" and aux_backends[0] == "csf" else TABLE_BLOOM_BITS
+    return 0.0 if fmt == "filterkv" and aux_backend == "csf" else TABLE_BLOOM_BITS
 
 
 def rank_extents(files, nranks: int) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
@@ -131,7 +128,7 @@ class Envelope:
 
 
 class WriterState:
-    """Producer-side pipeline for one rank.  ``aux_backends`` is what the
+    """Producer-side pipeline for one rank.  ``aux_backend`` is what the
     epoch's receivers seal with: it decides whether a filterkv main table
     carries a Bloom filter block (`table_bloom_bits`)."""
 
@@ -143,7 +140,7 @@ class WriterState:
         device: StorageDevice,
         value_bytes: int,
         send: SendFn,
-        aux_backends: tuple[str, ...],
+        aux_backend: str,
         batch_bytes: int = 16384,
         epoch: int = 0,
         block_size: int = 1 << 20,
@@ -179,7 +176,7 @@ class WriterState:
                 device,
                 main_table_name(epoch, rank),
                 block_size=block_size,
-                bloom_bits_per_key=table_bloom_bits(fmt.name, aux_backends),
+                bloom_bits_per_key=table_bloom_bits(fmt.name, aux_backend),
             )
 
     # -- producing --------------------------------------------------------
@@ -277,7 +274,7 @@ class ReceiverState:
         fmt: FormatSpec,
         device: StorageDevice,
         value_bytes: int,
-        aux_backends: tuple[str, ...],
+        aux_backend: str,
         epoch: int = 0,
         block_size: int = 1 << 20,
         aux_seed: int = 0,
@@ -289,7 +286,7 @@ class ReceiverState:
         self.device = device
         self.value_bytes = value_bytes
         self.epoch = epoch
-        self.aux_backends = aux_backends
+        self.aux_backend = aux_backend
         self._aux_seed = aux_seed
         self.records_received = 0
         self.metrics = active(metrics)
@@ -376,7 +373,7 @@ class ReceiverState:
 
 def build_aux(receivers: list[ReceiverState]) -> None:
     """Build the aux table of every filterkv receiver of one epoch in one
-    `build_sealed_aux` call, from their shared rank count, backends and
+    `build_sealed_aux` call, from their shared rank count, backend and
     seed (`ReceiverState.finish` then seals each).  The paper's N receivers
     build their tables in parallel; one process builds them together."""
     receivers = [r for r in receivers if r._table is None]
@@ -386,7 +383,7 @@ def build_aux(receivers: list[ReceiverState]) -> None:
     tables = build_sealed_aux(
         (r._mappings() for r in receivers),
         nparts=first.nranks,
-        backends=first.aux_backends,
+        backend=first.aux_backend,
         seed=first._aux_seed,
         metrics=first.metrics,
     )

@@ -32,7 +32,7 @@ That is not rare at 1.23× occupancy: over 200 tables per size, 5–8 % of
 64- and 256-key tables and 12–18 % of 1 024- and 4 096-key ones needed a
 second seed, and none more than four, so most 16-table seals retry a
 table.  Unlike a filter, a static *function* requires one value per key —
-the caller dedupes keys and rejects conflicting ones before the build.
+the caller dedupes keys first (`CsfAuxTable` keeps a key's lowest rank).
 
 `XorMaplet.build_many` is the one construction: it builds the tables of
 one seal at once, in one round loop over their union, and a table built

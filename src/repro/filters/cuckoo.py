@@ -620,14 +620,6 @@ class ChainedCuckooTable:
             masked[rows, cols],
         )
 
-    def candidate_counts(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized count of *distinct* candidate values per key.
-
-        This is the paper's query-amplification metric (Fig. 7a): how many
-        data partitions a reader must consult for each key.
-        """
-        return self.candidates_many(keys)[0]
-
     # -- accounting -------------------------------------------------------
 
     def __len__(self) -> int:

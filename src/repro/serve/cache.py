@@ -55,9 +55,6 @@ class LRUCache:
             self._data.popitem(last=False)
             self._m_evictions.inc()
 
-    def clear(self) -> None:
-        self._data.clear()
-
     def __len__(self) -> int:
         return len(self._data)
 

@@ -64,11 +64,6 @@ class EpochInfo:
     files: tuple[str, ...]
     bytes: int
     order: int = -1  # -1: stand-in for "same as epoch"
-    # Aux backend(s) this epoch's partitions sealed with (comma-joined when
-    # the flush-time policy picked differently per rank).  None for formats
-    # without aux tables and for manifests from before backend selection —
-    # omitted from the serialized dict so old manifests read back unchanged.
-    aux_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.order < 0:
@@ -83,13 +78,13 @@ class EpochInfo:
         }
         if self.order != self.epoch:
             d["order"] = self.order
-        if self.aux_backend is not None:
-            d["aux_backend"] = self.aux_backend
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpochInfo":
-        """One manifest entry; an entry of any other shape is a ValueError."""
+        """One manifest entry; an entry of any other shape is a ValueError.
+        Older manifests name each epoch's ``aux_backend``: the key is
+        ignored, because every aux blob's header names its own."""
         epoch = _field(d, "epoch", int)
         files = _field(d, "files", list)
         if not all(isinstance(name, str) for name in files):
@@ -100,7 +95,6 @@ class EpochInfo:
             files=tuple(files),
             bytes=_field(d, "bytes", int),
             order=_field(d, "order", int) if "order" in d else epoch,
-            aux_backend=_field(d, "aux_backend", str) if d.get("aux_backend") is not None else None,
         )
 
 

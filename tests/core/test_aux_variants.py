@@ -66,14 +66,14 @@ def test_filterkv_variant_roundtrips_in_cluster(backend):
     """FilterKV sealed with the store's csf instead of the paper's cuckoo:
     full write+query path."""
     cluster = SimCluster(
-        nranks=6, fmt=FMT_FILTERKV, value_bytes=24, seed=13, aux_backends=(backend,)
+        nranks=6, fmt=FMT_FILTERKV, value_bytes=24, seed=13, aux_backend=backend
     )
     batches = [random_kv_batch(1200, 24, np.random.default_rng(40 + r)) for r in range(6)]
     for rank, b in enumerate(batches):
         cluster.put(rank, b)
     cluster.finish_epoch()
     engine = cluster.query_engine()
-    assert cluster.aux_backends() == backend
+    assert {r.aux.backend for r in cluster.receivers} == {backend}
     for i in (0, 600, 1199):
         value, qs = engine.get(int(batches[4].keys[i]))
         assert qs.found and value == batches[4].value_of(i)

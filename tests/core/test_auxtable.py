@@ -149,8 +149,8 @@ def test_factory_rejects_unknown():
     # The seal builds only the registered backends: exact and Bloom are
     # in-memory baselines, and seal nothing.
     for name in ("btree", "exact", "bloom"):
-        with pytest.raises(ValueError, match="aux backends must name"):
-            build_sealed_aux([(0, np.asarray([1], dtype=np.uint64), 0)], 4, (name,))
+        with pytest.raises(ValueError, match=f"aux backend must name .*{name}"):
+            build_sealed_aux([(0, np.asarray([1], dtype=np.uint64), 0)], 4, name, 0, None)
 
 
 def test_bloom_requires_capacity():

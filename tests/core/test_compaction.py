@@ -8,7 +8,6 @@ pre-compaction store's own newest-wins view.
 import numpy as np
 import pytest
 
-from repro.core.auxtable import AUTO_BACKENDS
 from repro.core.compact import CompactionPolicy, Compactor
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import KVBatch, random_kv_batch
@@ -19,6 +18,7 @@ from repro.obs.metrics import NULL_REGISTRY
 from repro.storage.blockio import StorageDevice
 from repro.storage.manifest import MANIFEST_PREFIX, Manifest
 
+from ..legacy import store_seals
 from ..reference.read import check_against_oracle
 
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
@@ -453,16 +453,15 @@ def test_a_dump_of_every_key_is_adopted_whole(fmt):
     """Each rank rewrites every key it held: each output table is the
     newest source's table and each aux partition its aux extent, so the
     merged epoch lists those extents, the merge writes nothing but the
-    manifest generation, and the adopted aux backend is read off the
-    adopted table (the newest dump sealed cuckoo, the store's tuple is
-    csf-first)."""
+    manifest generation, and an adopted aux partition keeps the backend
+    its blob names (the newest dump is a legacy cuckoo epoch; the store
+    seals csf)."""
     device = StorageDevice(metrics=MetricsRegistry("adopt"))
     store = MultiEpochStore(nranks=NR, fmt=fmt, value_bytes=VB, device=device)
     rng = np.random.default_rng(21)
     blocks = _dumps(store, 2, rng)
-    store.aux_backends = ("cuckoo",)
-    _write(store, list(blocks), rng)
-    store.aux_backends = AUTO_BACKENDS
+    with store_seals("cuckoo"):
+        _write(store, list(blocks), rng)
     newest = store.epochs[-1]
     newest_files = _listed(store, newest)
     keys = _probe_keys(blocks)
@@ -483,7 +482,8 @@ def test_a_dump_of_every_key_is_adopted_whole(fmt):
     assert _listed(store, report.merged_epoch) == newest_files
     info = store.manifest.epochs[0]
     assert info.bytes == report.bytes_adopted
-    assert info.aux_backend == ("cuckoo" if fmt.name == "filterkv" else None)
+    backends = {t.backend for t in store.engine(report.merged_epoch).aux_tables if t is not None}
+    assert backends == ({"cuckoo"} if fmt.name == "filterkv" else set())
     assert f"adopted {report.extents_out} of {report.extents_out} extent(s)" in report.summary()
     assert store.lookup_many(keys)[0] == before
     _answers_as_the_oracle(store, keys)

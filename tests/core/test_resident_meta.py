@@ -19,6 +19,7 @@ from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
 from repro.core.pipeline import main_table_name
 from repro.storage.sstable import FOOTER_BYTES, CorruptBlockError, SSTableReader
 
+from ..legacy import store_seals
 from ..reference.read import footprint
 
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
@@ -103,17 +104,16 @@ def test_store_reads_equal_cold_reader_across_compaction(fmt, seed, picks, absen
     assert _resident(store) == 0
 
 
-def _one_epoch_store(aux_backends=None):
+def _one_epoch_store(backend="csf"):
     """(store, keys written by rank 0): filterkv keeps a key's value in its
     writer's table, so every one of ``keys`` is served by ``part.000.0``.
-    ``aux_backends`` replaces the store's seal tuple (its own writes tables
-    without a Bloom filter block; a cuckoo epoch's tables keep one)."""
+    The epoch seals ``backend`` (a store's csf writes tables without a
+    Bloom filter block; a legacy cuckoo epoch's tables keep one)."""
     rng = np.random.default_rng(5)
     store = MultiEpochStore(nranks=4, fmt=FMT_FILTERKV, value_bytes=VB, seed=5)
-    if aux_backends is not None:
-        store.aux_backends = aux_backends
     batches = [random_kv_batch(200, VB, rng) for _ in range(4)]
-    store.write_epoch(batches)
+    with store_seals(backend):
+        store.write_epoch(batches)
     return store, batches[0].keys
 
 
@@ -121,7 +121,7 @@ def _one_epoch_store(aux_backends=None):
 def test_corrupt_metadata_fails_typed_and_caches_nothing(section):
     """The first open of a store read runs every check the constructor
     runs, raises the same typed error, and leaves the epoch's slot empty."""
-    store, keys = _one_epoch_store(("cuckoo",) if section == "filter" else None)
+    store, keys = _one_epoch_store("cuckoo" if section == "filter" else "csf")
     name = main_table_name(0, 0)
     size = store.device.file_size(name)
     footer = store.device.read(name, size - FOOTER_BYTES, FOOTER_BYTES)

@@ -4,14 +4,14 @@ the one built alone.
 `build_sealed_aux` takes a seal's partitions into unions of up to
 `_UNION_KEYS` keys, and the csf tables of a union peel in one round loop
 (`XorMaplet.build_many`).  A table's rounds and retry seeds are a
-subsequence of its union's, so its slots, settled seed, ``tries``, backend,
-sealed blob and ``aux.backend.selected`` count must equal building it alone,
-and the per-key oracle `tests/reference/csf.py` must settle on the same
-seed and ``tries``.  The partition sets mix an empty and a one-key
-partition, one past the union cap, a key two ranks wrote (the csf refuses
-it; that table alone falls back to cuckoo), a consistently repeated key,
-and key sets whose first seed fails to peel, so a union always holds a
-table that retries beside tables that do not.
+subsequence of its union's, so its slots, settled seed, ``tries`` and
+sealed blob must equal building it alone, and the per-key oracle
+`tests/reference/csf.py` must settle on the same seed and ``tries``.  The
+partition sets mix an empty and a one-key partition, one past the union
+cap, a key two or three ranks wrote with different values (it maps to its
+lowest writer), a consistently repeated key, and key sets whose first
+seed fails to peel, so a union always holds a table that retries beside
+tables that do not.
 
 The property has a fast entry for tier-1 and a ``_full`` twin under
 ``-m slow`` for the CI ``aux-tournament`` job.  The last test pins the
@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro.apps.vpic import PARTICLE_VALUE_BYTES, VPICSimulation
 from repro.core.auxtable import (
     _UNION_KEYS,
-    AUTO_BACKENDS,
     aux_to_blob,
     build_sealed_aux,
     csf_fp_bits,
@@ -41,7 +40,6 @@ from repro.core.formats import FMT_FILTERKV, FORMATS
 from repro.core.kv import KVBatch
 from repro.core.multiepoch import MultiEpochStore
 from repro.filters.csf import XorMaplet
-from repro.obs import MetricsRegistry
 
 from ..reference import csf as reference
 from ..serve.test_proto_fuzz import both_profiles
@@ -67,50 +65,56 @@ def _retrying(nparts, seed):
 def _partition(kind, part, nparts, seed):
     if kind == "retry":
         return _retrying(nparts, seed + part)
-    if kind in ("conflict", "repeat"):  # a key delivered twice: by two ranks, or by one
+    # A key delivered again: by one other rank, by two, or by its writer.
+    shifts = {"conflict": [1], "conflict3": [1, 2], "repeat": [0]}.get(kind)
+    if shifts:
         keys, ranks = _mapping(SIZES["few"], nparts, seed, part)
-        again = ranks[0] if kind == "repeat" else (ranks[0] + 1) % nparts
-        return np.append(keys, keys[0]), np.append(ranks, again)
+        again = [(ranks[0] + np.uint64(s)) % np.uint64(nparts) for s in shifts]
+        return np.append(keys, [keys[0]] * len(again)), np.append(ranks, again)
     return _mapping(SIZES[kind], nparts, seed, part)
 
 
-def _selected(metrics):
-    return {
-        labels: c.value for name, labels, c in metrics.series() if name == "aux.backend.selected"
-    }
+def _lowest_writer(keys, ranks):
+    """Each distinct key, ascending, and the lowest rank that wrote it."""
+    order = np.lexsort((ranks, keys))
+    distinct, first = np.unique(keys[order], return_index=True)
+    return distinct, ranks[order][first]
 
 
 def check_batched_seal_equals_tables_built_alone(kinds, nparts, seed):
     parts = [(p, *_partition(kind, p, nparts, seed)) for p, kind in enumerate(kinds)]
-    batched_metrics, alone_metrics = MetricsRegistry(), MetricsRegistry()
-    batched = build_sealed_aux(parts, nparts, AUTO_BACKENDS, seed, metrics=batched_metrics)
+    batched = build_sealed_aux(parts, nparts, "csf", seed, metrics=None)
     assert len(batched) == len(parts)
     for kind, (p, keys, ranks), aux in zip(kinds, parts, batched):
-        (alone,) = build_sealed_aux([(p, keys, ranks)], nparts, AUTO_BACKENDS, seed, alone_metrics)
-        assert aux.backend == alone.backend == ("cuckoo" if kind == "conflict" else "csf")
+        (alone,) = build_sealed_aux([(p, keys, ranks)], nparts, "csf", seed, metrics=None)
+        assert aux.backend == alone.backend == "csf"
         assert len(aux) == len(alone) == keys.size
         assert aux_to_blob(aux) == aux_to_blob(alone)
-        if aux.backend == "cuckoo" or not keys.size:
+        if not keys.size:
             continue
         m, one = aux._maplet, alone._maplet
         assert (m.seed, m.tries, m.nkeys) == (one.seed, one.tries, one.nkeys)
         np.testing.assert_array_equal(m._slots, one._slots)
         if kind == "retry":
             assert m.tries > 1
-        distinct, first = np.unique(keys, return_index=True)
-        old = reference.build(distinct, ranks[first], m.value_bits, m.fp_bits, seed + p)
+        distinct, lowest = _lowest_writer(keys, ranks)
+        if kind.startswith("conflict"):
+            assert lowest[np.searchsorted(distinct, keys[0])] == ranks[keys == keys[0]].min()
+        old = reference.build(distinct, lowest, m.value_bits, m.fp_bits, seed + p)
         assert (old.seed, old.tries) == (m.seed, m.tries)
         for maplet in (m, old):
-            hits, values = maplet.lookup_many(keys)
+            hits, values = maplet.lookup_many(distinct)
             assert hits.all()
-            np.testing.assert_array_equal(values, ranks)
-    assert _selected(batched_metrics) == _selected(alone_metrics)
+            np.testing.assert_array_equal(values, lowest)
 
 
 # Every set opens with a table that retries beside one that does not.
 KINDS = st.lists(
     st.sampled_from(
-        ["empty", "one", "few", "k256", "k256", "large", "past-cap", "retry", "conflict", "repeat"]
+        [
+            "empty", "one", "few", "k256", "k256", "large", "past-cap", "retry",
+            "conflict", "conflict3", "repeat",
+        ]
     ),
     max_size=14,
 ).map(lambda kinds: ["retry", "k256"] + kinds)
@@ -153,7 +157,10 @@ def test_store_extents_equal_the_per_table_build():
     bits: each table is the earlier one with its filter block cut out and
     its footer re-pointed (``filter_len`` and ``bloom_nhashes`` 0), each aux
     blob maps every key its partition owns to the same one rank, and each
-    manifest differs only in its epochs' byte totals.)"""
+    manifest differs only in its epochs' byte totals.  Re-pinned again when
+    the manifest stopped naming each epoch's aux backend: a sha256 over the
+    ``part.*`` and ``aux.*`` extents alone is unchanged, and each manifest
+    is the earlier one without its epochs' ``"aux_backend": "csf"``.)"""
     sim = VPICSimulation(16, 256, seed=3)
     store = MultiEpochStore(
         nranks=16,
@@ -165,7 +172,7 @@ def test_store_extents_equal_the_per_table_build():
         sim.step(1)
         store.write_epoch(sim.dump())
     assert store.compactions == 3
-    assert _extents_sha256(store) == "753bb3b0911505cd86b482d5ae062431e038bf68247770a3f1947da56e831c67"
+    assert _extents_sha256(store) == "7eb8efae194dd723d3e5a6eb93ea98c362639ba31a79c419bc7fe312790d36d4"
 
 
 def _extents_sha256(store) -> str:
@@ -180,12 +187,14 @@ def _extents_sha256(store) -> str:
 # Re-pinned with the store above when rows lost their length, again when
 # merges began adopting (each key block moves to the next rank every
 # epoch, so every output rank's table is the newest source's table, and
-# filterkv's aux partitions its aux extents), and filterkv's again when its
-# tables lost their Bloom filter block.  Same proof as above.
+# filterkv's aux partitions its aux extents), filterkv's again when its
+# tables lost their Bloom filter block, and again when the manifest stopped
+# naming each epoch's aux backend (base and dataptr epochs never named
+# one).  Same proof as above.
 COMPACTED = {
     "base": "12368032f6cec92dcb6c2bae1d2fc7f38025ea3e256ffa4201f10eb8ab746e6f",
     "dataptr": "11d563548ced2bae0ded108c7da0f2e73180fd9d6171b85f3c0a5095ca8a398e",
-    "filterkv": "8addf42bab3396fb988ede3cb998cdb5e9032bf39d8b7add7964f0cdbec5b00c",
+    "filterkv": "a6bebb71831229b4ce0e223929f3115020d01a13e8dbab8ac224d518f5905aa9",
 }
 
 

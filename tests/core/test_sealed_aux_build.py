@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.simcluster import SimCluster
-from repro.core.auxtable import AUTO_BACKENDS, aux_from_blob, aux_to_blob, build_sealed_aux
+from repro.core.auxtable import AUX_BACKENDS, aux_from_blob, aux_to_blob, build_sealed_aux
 from repro.core.formats import FMT_FILTERKV
 from repro.core.kv import KVBatch
 from repro.core.pipeline import Envelope, ReceiverState, aux_table_name
-from repro.obs import MetricsRegistry
 from repro.storage.blockio import StorageDevice
 from repro.storage.envelope import unseal
 
@@ -30,12 +29,17 @@ def _keys(n, seed):
     return np.random.default_rng(seed).choice(1 << 40, size=n, replace=False).astype(np.uint64)
 
 
+def _cuckoo(keys, rank, seed, nparts=NRANKS):
+    """One partition's cuckoo table, every key written by ``rank``."""
+    return build_sealed_aux([(0, keys, rank)], nparts, "cuckoo", seed, metrics=None)
+
+
 def _seal(envelopes, seed=0):
     """Deliver ``[(keys, src), ...]`` to one receiver; returns it and its
     sealed blob."""
     dev = StorageDevice()
     recv = ReceiverState(
-        0, NRANKS, FMT_FILTERKV, dev, value_bytes=8, aux_backends=("cuckoo",), aux_seed=seed
+        0, NRANKS, FMT_FILTERKV, dev, value_bytes=8, aux_backend="cuckoo", aux_seed=seed
     )
     for keys, src in envelopes:
         recv.deliver(Envelope(src, 0, keys.astype("<u8").tobytes(), keys.size))
@@ -90,7 +94,7 @@ def test_sealed_build_properties(n, seed, nsources, cuts):
 
 @pytest.mark.parametrize("n", BOUNDARY_COUNTS)
 def test_planned_chain_layout(n):
-    (aux,) = build_sealed_aux([(0, _keys(n, n), 3)], nparts=NRANKS, backends=("cuckoo",), seed=n)
+    (aux,) = _cuckoo(_keys(n, n), 3, seed=n)
     st_ = aux._table.stats
     assert st_.nkeys == n
     if n >= 1024:
@@ -104,8 +108,7 @@ def test_failed_walks_are_the_exception():
     burned max_kicks; the planned chain stops at the load target instead.
     Small tables can still (rarely) strand a key below it."""
     failed = [
-        build_sealed_aux([(0, _keys(n, 7 * n), 1)], nparts=NRANKS, backends=("cuckoo",), seed=n)[0]
-        ._table.stats.failed_inserts
+        _cuckoo(_keys(n, 7 * n), 1, seed=n)[0]._table.stats.failed_inserts
         for n in BOUNDARY_COUNTS
     ]
     assert sum(failed) <= len(BOUNDARY_COUNTS) // 10
@@ -117,9 +120,7 @@ def test_e2e_sizes_no_failed_walk_and_no_more_tables_than_before(n, parent_table
     physical tables than the per-envelope build made (2 at 256 keys, 3-5 at
     4 096, measured at the parent commit)."""
     for seed in range(5):
-        (aux,) = build_sealed_aux(
-            [(0, _keys(n, seed), 0)], nparts=NRANKS, backends=("cuckoo",), seed=seed
-        )
+        (aux,) = _cuckoo(_keys(n, seed), 0, seed=seed)
         st_ = aux._table.stats
         assert st_.failed_inserts == 0
         assert st_.ntables <= parent_tables
@@ -143,34 +144,45 @@ def test_chain_sized_from_sealed_count_not_from_the_mean():
     assert len(cluster.receivers[0].aux) == 3 * mean
     for r in cluster.receivers:
         n = len(r.aux)
-        (hinted,) = build_sealed_aux([(0, _keys(n, n), 0)], nparts=nranks, backends=("cuckoo",))
+        (hinted,) = _cuckoo(_keys(n, n), 0, seed=0, nparts=nranks)
         assert r.aux._table.stats.ntables == hinted._table.stats.ntables
         assert r.aux._table.stats.failed_inserts == 0
 
 
-def test_auto_seals_csf_and_falls_back_to_cuckoo_when_it_refuses():
-    """The tuple is walked in order: the CSF takes any key set that maps
-    each key to one rank; a key two ranks wrote makes it refuse, and the
-    paper's table — which builds for any key set — seals instead."""
-    metrics = MetricsRegistry()
+def test_a_key_several_ranks_wrote_seals_csf_at_its_lowest_writer():
+    """A static function holds one rank per key: a key two ranks wrote
+    with different values maps to the lower, one three ranks wrote to the
+    lowest, whatever order the mappings arrive in, and every other key
+    keeps its one rank."""
     keys = _keys(300, 1)
+    ranks = np.full(keys.size, 2, dtype=np.uint64)
+    dup_keys = np.asarray([keys[0], keys[1], keys[1]], dtype=np.uint64)
+    dup_ranks = np.asarray([1, 7, 0], dtype=np.uint64)
     clean, twice = build_sealed_aux(
-        [
-            (0, keys, 2),
-            (1, np.append(keys, keys[0]), np.append(np.full(keys.size, 2), 5).astype(np.uint64)),
-        ],
+        [(0, keys, ranks), (1, np.append(keys, dup_keys), np.append(ranks, dup_ranks))],
         nparts=NRANKS,
-        backends=AUTO_BACKENDS,
-        metrics=metrics,
+        backend="csf",
+        seed=0,
+        metrics=None,
     )
-    assert clean.backend == "csf"
-    assert twice.backend == "cuckoo"
-    assert {2, 5} <= set(twice.candidate_ranks(int(keys[0])))
-    for rank, backend in enumerate(AUTO_BACKENDS):
-        assert metrics.counter("aux.backend.selected", backend=backend, rank=str(rank)).value == 1
+    assert clean.backend == twice.backend == "csf"
+    assert twice.candidate_ranks(int(keys[0])).tolist() == [1]
+    assert twice.candidate_ranks(int(keys[1])).tolist() == [0]
+    counts, found = twice.candidates_many(keys[2:])
+    assert (counts == 1).all() and (found == 2).all()
+    assert len(twice) == keys.size + dup_keys.size
+
+
+def _unbuilt():
+    raise AssertionError("a table built before the backend name was checked")
+    yield  # a generator: the raise runs only if the seal takes a partition
 
 
 @pytest.mark.parametrize("backends", [(), ("csf", "btree")])
 def test_backend_names_are_checked_before_anything_builds(backends):
-    with pytest.raises(ValueError, match="aux backends must name"):
-        build_sealed_aux([(0, _keys(10, 1), 0)], nparts=NRANKS, backends=backends)
+    """A seal names one of `AUX_BACKENDS`: a tuple of names (the old
+    fallback form) or an unknown name is a `ValueError` before any
+    partition is taken."""
+    for backend in (backends, *(b for b in backends if b not in AUX_BACKENDS)):
+        with pytest.raises(ValueError, match="aux backend must name"):
+            build_sealed_aux(_unbuilt(), NRANKS, backend, 0, None)

@@ -5,12 +5,14 @@ epochs csf first, and the csf guard (`csf_fp_bits`) is wide enough to be
 the record's one filter, so the main tables a store writes — at seal and
 in a merge — have no filter block.  Every other table keeps its
 10 bits/key Bloom: base and dataptr have no aux, and `SimCluster`'s paper
-epochs seal the 4-bit cuckoo.  A partition whose csf refuses falls back to
-a cuckoo over tables without a Bloom, and answers alike.  Epochs written
-before the rule (tables with a Bloom, a 2-bit csf guard) attach, read and
+epochs seal the 4-bit cuckoo.  A key that several ranks wrote in one epoch
+maps to its lowest writer, so a store never seals anything but csf.
+Epochs written before the rule (tables with a Bloom, a 2-bit csf guard) attach, read and
 compact together with new ones, and a merge that adopts one of their
 tables keeps its Bloom.
 """
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.core.auxtable import csf_fp_bits
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import KVBatch, random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
+from repro.serve import OK, QueryService
 from repro.storage.sstable import TABLE_BLOOM_BITS, load_table_meta
 
 from ..reference.read import ReadOracle
@@ -76,11 +79,10 @@ def _batches(rng, n=PER_RANK):
 
 
 def test_the_rule():
-    assert pipeline.table_bloom_bits("filterkv", ("csf", "cuckoo")) == 0.0
-    assert pipeline.table_bloom_bits("filterkv", ("csf",)) == 0.0
-    assert pipeline.table_bloom_bits("filterkv", ("cuckoo",)) == TABLE_BLOOM_BITS
+    assert pipeline.table_bloom_bits("filterkv", "csf") == 0.0
+    assert pipeline.table_bloom_bits("filterkv", "cuckoo") == TABLE_BLOOM_BITS
     for fmt in ("base", "dataptr"):
-        assert pipeline.table_bloom_bits(fmt, ("csf", "cuckoo")) == TABLE_BLOOM_BITS
+        assert pipeline.table_bloom_bits(fmt, "csf") == TABLE_BLOOM_BITS
 
 
 def test_the_guard_refutes_at_least_as_often_as_the_narrow_guard_and_the_bloom():
@@ -144,27 +146,79 @@ def test_simcluster_tables_keep_their_filter(fmt):
         assert load_table_meta(cluster.device, name).bloom is not None
 
 
-def test_a_refused_csf_falls_back_to_cuckoo_over_tables_without_a_bloom():
-    """Two ranks write one key with different values in one epoch: the
-    owner's csf refuses the conflicting mapping, its partition seals a
-    cuckoo, the tables still carry no Bloom, and every read is exact."""
+def _written_again(batches, rng, key, ranks):
+    """``batches`` with ``key`` appended to each of ``ranks``' batches,
+    each time with a fresh value."""
+    out = list(batches)
+    for rank in ranks:
+        again = random_kv_batch(1, VB, rng)
+        out[rank] = KVBatch(
+            np.concatenate([out[rank].keys, np.asarray([key], dtype=np.uint64)]),
+            np.concatenate([out[rank].values, again.values]),
+        )
+    return out
+
+
+def _check_lowest_writer(store, epoch, want):
+    """Each key of ``want`` (key -> (lowest writer rank, its value))
+    answers that value from that one partition: through the cold engine
+    and the per-key oracle, a mount, and a `QueryService` burst."""
+    keys = np.asarray(sorted(want), dtype=np.uint64)
+    expect = [want[int(k)][1] for k in keys]
+    engine = store.engine(epoch)
+    owner = engine.partitioner.partition_of(keys)
+    for k, part in zip(keys.tolist(), owner.tolist()):
+        assert engine.aux_tables[part].candidate_ranks(k).tolist() == [want[k][0]]
+    values, stats = engine.get_many(keys)
+    answers = [ReadOracle(engine).answer(k) for k in keys.tolist()]
+    assert values == [a.value for a in answers] == expect
+    assert [s.partitions_searched for s in stats] == [a.partitions_searched for a in answers]
+    assert [s.partitions_searched for s in stats] == [1] * keys.size
+    mount = store.mount()
+    assert mount.get_many(keys, epoch)[0] == expect
+    mount.close()
+
+    async def served():
+        async with QueryService(store) as svc:
+            return await svc.get_burst([(int(k), epoch, None, None) for k in keys])
+
+    assert [(r.status, r.value) for r in asyncio.run(served())] == [(OK, v) for v in expect]
+
+
+def test_a_key_two_or_three_ranks_wrote_maps_to_its_lowest_writer():
+    """In one epoch rank 3 writes one of rank 0's keys again, and ranks 1
+    and 2 one of rank 3's, each with another value: every partition still
+    seals csf over tables without a Bloom, and each such key maps to its
+    lowest writer, whose value the reader's ascending walk returns, from
+    one partition.  It answers alike after `attach` and in the merged
+    epoch, whose merge keeps that writer's row."""
     rng = np.random.default_rng(9)
     store = MultiEpochStore(nranks=NRANKS, fmt=FMT_FILTERKV, value_bytes=VB, seed=9)
     truth = {}
     batches = _batches(rng)
-    twice = random_kv_batch(1, VB, rng)
-    batches[3] = KVBatch(  # rank 3 writes one of rank 0's keys again, another value
-        np.concatenate([batches[3].keys, batches[0].keys[:1]]),
-        np.concatenate([batches[3].values, twice.values]),
-    )
+    twice, thrice = int(batches[0].keys[0]), int(batches[3].keys[0])
+    batches = _written_again(_written_again(batches, rng, twice, [3]), rng, thrice, [1, 2])
     epoch = _write(store, batches, truth)
-    backends = [t.backend for t in store.engine(epoch).aux_tables]
-    assert sorted(backends) == ["csf"] * (NRANKS - 1) + ["cuckoo"]
+    assert [t.backend for t in store.engine(epoch).aux_tables] == ["csf"] * NRANKS
     assert _blooms(store, epoch) == [False] * NRANKS
+    want = {twice: (0, truth[epoch][twice]), thrice: (1, truth[epoch][thrice])}
+    assert want[twice][1] == batches[0].value_of(0)
+    assert want[thrice][1] == batches[1].value_of(len(batches[1]) - 1)
     absent = [int(k) + 1 for k in sorted(truth[epoch])[:200]]
     _check(store, truth, absent)
-    reopened = MultiEpochStore.attach(store.device)
-    _check(reopened, truth, absent)
+    _check_lowest_writer(store, epoch, want)
+
+    store = MultiEpochStore.attach(store.device)
+    _check(store, truth, absent)
+    _check_lowest_writer(store, epoch, want)
+
+    later = _write(store, _batches(rng), truth)
+    store.compact()
+    (merged,) = store.epochs
+    truth[merged] = {**truth[epoch], **truth[later]}
+    assert [t.backend for t in store.engine(merged).aux_tables] == ["csf"] * NRANKS
+    _check(store, truth, absent)
+    _check_lowest_writer(store, merged, want)
 
 
 def test_old_layout_epochs_attach_read_and_compact_with_new_ones(monkeypatch):
@@ -174,7 +228,7 @@ def test_old_layout_epochs_attach_read_and_compact_with_new_ones(monkeypatch):
     store = MultiEpochStore(nranks=NRANKS, fmt=FMT_FILTERKV, value_bytes=VB, seed=11)
     truth = {}
     with monkeypatch.context() as old:
-        old.setattr(pipeline, "table_bloom_bits", lambda fmt, backends: TABLE_BLOOM_BITS)
+        old.setattr(pipeline, "table_bloom_bits", lambda fmt, backend: TABLE_BLOOM_BITS)
         old.setattr(auxtable, "csf_fp_bits", lambda nparts: 2)
         olds = [_write(store, _batches(rng), truth) for _ in range(2)]
     # New epochs leave rank 0 empty, so the newest old epoch's rank-0 table

@@ -64,7 +64,7 @@ def _encode_with_writer(fmt):
         device=StorageDevice(),
         value_bytes=4,
         send=sent.append,
-        aux_backends=("cuckoo",),
+        aux_backend="cuckoo",
     )
     writer.put_batch(_batch())
     writer.flush()
@@ -75,7 +75,7 @@ def _encode_with_writer(fmt):
 def _receiver(fmt):
     return ReceiverState(
         rank=0, nranks=1, fmt=fmt, device=StorageDevice(), value_bytes=4,
-        aux_backends=("cuckoo",),
+        aux_backend="cuckoo",
     )
 
 

@@ -8,8 +8,9 @@ Invariants:
   sizes, and value widths;
 * construction retries deterministically until a peelable seed is found,
   and `from_state` with the settled seed reproduces lookups bit-for-bit;
-* duplicate keys mapped to two values are rejected (a static function
-  maps each key once), as are values wider than the table's;
+* a key mapped to several ranks maps to the lowest of them (a static
+  function maps each key once), and values wider than the table's are
+  rejected;
 * the out-of-set false-candidate (guard escape) rate stays within 2x the
   analytic bound 2^-fp_bits — quick check inline, a tighter large-sample
   measurement under ``-m slow``.
@@ -91,11 +92,11 @@ def test_construction_deterministic(seed):
     np.testing.assert_array_equal(a._slots, b._slots)
 
 
-def test_duplicate_keys_rejected():
+def test_a_duplicate_key_maps_to_its_lowest_rank():
     table = CsfAuxTable(4)
-    table.insert_many(np.asarray([1, 2, 3, 2], dtype=np.uint64), np.asarray([0, 1, 2, 3]))
-    with pytest.raises(ValueError, match="duplicate"):
-        table.finalize()
+    table.insert_many(np.asarray([1, 2, 3, 2, 3], dtype=np.uint64), np.asarray([0, 3, 2, 1, 2]))
+    table.finalize()
+    assert [table.candidate_ranks(k).tolist() for k in (1, 2, 3)] == [[0], [1], [2]]
 
 
 def test_value_too_wide_rejected():

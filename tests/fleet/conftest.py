@@ -43,12 +43,10 @@ def make_dumps(epochs=2, records=240, seed=7):
 
 
 def build_fleet(
-    nshards=3, rf=2, epochs=2, records=240, seed=7, ingest=True, aux_backends=None,
-    **spec_kwargs,
+    nshards=3, rf=2, epochs=2, records=240, seed=7, ingest=True, **spec_kwargs,
 ):
     """A fleet plus its dumps and truth; ``ingest=False`` defers the
-    dumps to the caller (e.g. to force per-epoch aux backends), and
-    ``aux_backends`` replaces every shard store's seal tuple."""
+    dumps to the caller (e.g. to seal some epochs another way)."""
     spec = FleetSpec(
         nshards=nshards,
         rf=rf,
@@ -58,9 +56,6 @@ def build_fleet(
         **spec_kwargs,
     )
     fleet = Fleet(spec)
-    if aux_backends is not None:
-        for node in fleet.shards.values():
-            node.store.aux_backends = aux_backends
     dumps, truth = make_dumps(epochs=epochs, records=records, seed=seed)
     if ingest:
         for d in dumps:
@@ -68,11 +63,9 @@ def build_fleet(
     return fleet, dumps, truth
 
 
-def merged_store(dumps, seed=7, fmt=FMT_FILTERKV, aux_backends=None):
+def merged_store(dumps, seed=7, fmt=FMT_FILTERKV):
     """The oracle: one unsharded store ingesting the same dumps."""
     store = MultiEpochStore(nranks=NRANKS, fmt=fmt, value_bytes=VB, seed=seed)
-    if aux_backends is not None:
-        store.aux_backends = aux_backends
     for d in dumps:
         writer = np.arange(len(d)) % NRANKS
         store.write_epoch(

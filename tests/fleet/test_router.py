@@ -2,7 +2,7 @@
 
 The core contract under test: a fleet answers every query byte-identically
 to one unsharded store holding the same dumps — for every registered aux
-backend, for epochs that mix backends, for absent keys, and for epochs
+backend, for legacy cuckoo epochs beside csf ones, for absent keys, and for epochs
 committed behind a live router (every ring owner holds its keys, so the
 router needs no state that a commit could leave behind).
 """
@@ -28,6 +28,7 @@ from repro.serve import (
     ServeResponse,
 )
 
+from ..legacy import store_seals
 from .conftest import VB, absent_keys, build_fleet, make_dumps, merged_store, run
 
 BACKENDS = sorted(AUX_BACKENDS)
@@ -49,8 +50,9 @@ async def _assert_matches_oracle(fleet, oracle, truth, keys):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fleet_matches_merged_store(backend):
-    fleet, dumps, truth = build_fleet(seed=11, aux_backends=(backend,))
-    oracle = merged_store(dumps, seed=11, aux_backends=(backend,))
+    with store_seals(backend):
+        fleet, dumps, truth = build_fleet(seed=11)
+        oracle = merged_store(dumps, seed=11)
     keys = sorted(truth)[::7] + absent_keys(truth)
     stats = run(_assert_matches_oracle(fleet, oracle, truth, keys))
     # Every owner holds its keys, so a healthy fleet never fails over.
@@ -87,21 +89,20 @@ def test_a_healthy_fleet_asks_each_key_of_its_ring_primary_alone():
 
 
 def test_mixed_backend_epochs_match_merged_store():
-    """Epochs alternating the two sealed backends (filter–index hybrid /
-    static function): the router rebuilds each epoch's tables from its
-    blob header alone, so a mixed-backend fleet routes like any other."""
+    """Legacy cuckoo epochs live beside csf ones: each shard reads each
+    epoch's aux tables as their blobs name them, so a fleet whose epochs
+    alternate the two routes like any other."""
     per_epoch = ["cuckoo", "csf", "cuckoo"]
     fleet, dumps, truth = build_fleet(seed=31, epochs=len(per_epoch), ingest=False)
     oracle = merged_store(dumps[:0], seed=31)
     for backend, dump in zip(per_epoch, dumps):
-        for node in fleet.shards.values():
-            node.store.aux_backends = (backend,)
-        oracle.aux_backends = (backend,)
-        fleet.ingest(dump)
-        writer = np.arange(len(dump)) % 2
-        oracle.write_epoch([dump.select(writer == r) for r in range(2)])
-    for node in fleet.shards.values():
-        assert [e.aux_backend for e in node.store.manifest.epochs] == per_epoch
+        with store_seals(backend):
+            fleet.ingest(dump)
+            writer = np.arange(len(dump)) % 2
+            oracle.write_epoch([dump.select(writer == r) for r in range(2)])
+    for store in [node.store for node in fleet.shards.values()] + [oracle]:
+        sealed = [{t.backend for t in store.engine(e).aux_tables} for e in store.epochs]
+        assert sealed == [{backend} for backend in per_epoch]
     keys = sorted(truth)[::9] + absent_keys(truth, n=8)
     run(_assert_matches_oracle(fleet, oracle, truth, keys))
     oracle.close()

@@ -4,14 +4,14 @@ One seeded epoch per format, written by the cluster and by
 `tests/reference/ingest.py`: the counts, the wire bytes and every persisted
 extent — tables, value logs and sealed aux blobs — must be identical.  Each
 is sealed both ways: with the paper's cuckoo (`SimCluster`'s own seal,
-tables with a Bloom block) and with a store's csf-first tuple (filterkv
-main tables without one).
+tables with a Bloom block) and with a store's csf (filterkv main tables
+without one).
 """
 
 import pytest
 
 from repro.cluster.simcluster import SimCluster
-from repro.core.auxtable import AUTO_BACKENDS
+from repro.core.auxtable import STORE_AUX_BACKEND
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import KEY_BYTES
 from repro.obs import MetricsRegistry
@@ -37,20 +37,20 @@ FORMATS = pytest.mark.parametrize(
 
 @FORMATS
 def test_epoch_is_byte_identical_to_the_per_record_replay(fmt):
-    check_replay(fmt, ("cuckoo",))
+    check_replay(fmt, "cuckoo")
 
 
 @FORMATS
 def test_a_store_sealed_epoch_is_byte_identical_to_the_per_record_replay(fmt):
-    check_replay(fmt, AUTO_BACKENDS)
+    check_replay(fmt, STORE_AUX_BACKEND)
 
 
-def check_replay(fmt, backends):
-    cluster = SimCluster(fmt=fmt, metrics=MetricsRegistry(), aux_backends=backends, **CONFIG)
+def check_replay(fmt, backend):
+    cluster = SimCluster(fmt=fmt, metrics=MetricsRegistry(), aux_backend=backend, **CONFIG)
     stats = cluster.run_epoch(RECORDS_PER_RANK, batch_records=BATCH_RECORDS)
     ref = replay_epoch(
         fmt=fmt, records_per_rank=RECORDS_PER_RANK, batch_records=BATCH_RECORDS,
-        aux_backends=backends, **CONFIG,
+        aux_backend=backend, **CONFIG,
     )
 
     assert stats == ref.stats

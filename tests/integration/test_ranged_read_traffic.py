@@ -46,6 +46,7 @@ from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
 from repro.serve import QueryService
 
+from ..legacy import store_seals
 from ..reference.read import ReadOracle
 
 NRANKS = 4
@@ -66,11 +67,11 @@ def _store():
         block_size=BLOCK_SIZE,
         seed=11,
     )
-    store.aux_backends = ("cuckoo",)  # the candidate walk these totals were pinned on
     written = []
     for _ in range(2):
         batches = [random_kv_batch(PER_RANK, VALUE_BYTES, rng) for _ in range(NRANKS)]
-        store.write_epoch(batches)
+        with store_seals("cuckoo"):  # the candidate walk these totals were pinned on
+            store.write_epoch(batches)
         written.append(np.concatenate([b.keys for b in batches]))
     absent = rng.integers(2**63, 2**64 - 1, size=16, dtype=np.uint64)
     probe = {

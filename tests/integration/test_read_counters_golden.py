@@ -50,8 +50,8 @@ altogether (reads and appends name their extent), and the handle-count
 field, 0 in every phase, went with them.
 
 The script runs twice.  Sealed with the paper's cuckoo tables it must
-match `GOLDEN`, the bc78542 totals (service phases re-pinned as above).  Sealed with the store's default
-(`AUTO_BACKENDS`, csf first) it must match `GOLDEN_AUTO`, pinned when that
+match `GOLDEN`, the bc78542 totals (service phases re-pinned as above).  Sealed with the store's csf
+(`STORE_AUX_BACKEND`) it must match `GOLDEN_AUTO`, pinned when that
 became the default: the csf seal gives a present key one candidate, so
 partitions probed and data reads fall, while every
 answer digest equals the cuckoo run's.  Its absent keys' false candidates
@@ -79,6 +79,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.auxtable import STORE_AUX_BACKEND
 from repro.core.compact import CompactionPolicy
 from repro.core.formats import FMT_FILTERKV
 from repro.core.kv import KVBatch
@@ -86,6 +87,8 @@ from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
 from repro.obs import MetricsRegistry
 from repro.serve import ANY_EPOCH, ERR_EPOCH_RETIRED, QueryService
 from repro.storage.blockio import StorageDevice
+
+from ..legacy import store_seals
 
 NRANKS = 4
 VALUE_BYTES = 24
@@ -138,10 +141,10 @@ def _digest(values):
     return zlib.crc32(b"|".join(b"-" if v is None else bytes(v) for v in values))
 
 
-CUCKOO = ("cuckoo",)
+CUCKOO = "cuckoo"
 
 
-def _new_store(aux_backends):
+def _new_store():
     store = MultiEpochStore(
         nranks=NRANKS,
         fmt=FMT_FILTERKV,
@@ -151,18 +154,22 @@ def _new_store(aux_backends):
         device=StorageDevice(metrics=MetricsRegistry("golden")),
         compaction=CompactionPolicy(max_live_epochs=4, merge_factor=4),
     )
-    if aux_backends is not None:  # None: the store's own `AUTO_BACKENDS`
-        store.aux_backends = aux_backends
     return store
 
 
-def run_script(aux_backends=CUCKOO):
-    """Run the seeded script; returns ``[(phase, counters), ...]``."""
+def run_script(backend=CUCKOO):
+    """Run the seeded script, every store write sealing ``backend``;
+    returns ``[(phase, counters), ...]``."""
+    with store_seals(backend):
+        return _script()
+
+
+def _script():
     rng = np.random.default_rng(2311)
     universe = rng.integers(0, 2**63, size=UNIVERSE, dtype=np.uint64)
     absent = rng.integers(2**63, 2**64 - 1, size=8, dtype=np.uint64)
     dumps = [_dump(rng, universe, tag) for tag in range(1, 7)]
-    store = _new_store(aux_backends)
+    store = _new_store()
     for dump in dumps[:5]:  # the 4th commit triggers the policy's merge
         store.write_epoch(dump)
     assert store.compactions == 1 and store.epochs == [4, 5]
@@ -373,7 +380,7 @@ GOLDEN = [('written',
    'sstable.block_cache.misses': 476})]
 
 
-# The same script sealed with the store's default `AUTO_BACKENDS` (csf).
+# The same script sealed with the store's csf (`STORE_AUX_BACKEND`).
 GOLDEN_AUTO = [('written',
   {'device.reads': 84,
    'device.bytes_read': 36174,
@@ -495,7 +502,7 @@ def test_read_counters_match_the_parent_commit():
 
 
 def test_read_counters_under_the_default_backends():
-    _check(run_script(None), GOLDEN_AUTO)
+    _check(run_script(STORE_AUX_BACKEND), GOLDEN_AUTO)
 
 
 def test_the_backend_moves_traffic_never_answers():
@@ -508,5 +515,5 @@ def test_the_backend_moves_traffic_never_answers():
 if __name__ == "__main__":
     import pprint
 
-    for backends in (CUCKOO, None):
-        pprint.pprint(run_script(backends), width=100, sort_dicts=False)
+    for backend in (CUCKOO, STORE_AUX_BACKEND):
+        pprint.pprint(run_script(backend), width=100, sort_dicts=False)

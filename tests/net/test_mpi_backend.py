@@ -68,10 +68,10 @@ def test_loopback_full_shuffle_roundtrip():
     for rank in range(nranks):
         dev = StorageDevice()
         receivers.append(
-            ReceiverState(rank, nranks, FMT_FILTERKV, dev, 8, ("cuckoo",))
+            ReceiverState(rank, nranks, FMT_FILTERKV, dev, 8, "cuckoo")
         )
         w = WriterState(
-            rank, FMT_FILTERKV, HashPartitioner(nranks), dev, 8, t.send, ("cuckoo",)
+            rank, FMT_FILTERKV, HashPartitioner(nranks), dev, 8, t.send, "cuckoo"
         )
         w.put_batch(random_kv_batch(records, 8, rng=rank))
         w.finish()

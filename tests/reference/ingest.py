@@ -152,10 +152,10 @@ class Table:
 # -- one rank's writer and receiver ----------------------------------------------
 
 
-def _bloom_bits(fmt, aux_backends) -> float:
+def _bloom_bits(fmt, aux_backend) -> float:
     """A table's Bloom budget: a filterkv main table in an epoch that seals
-    csf first has none, every other table 10 bits per key."""
-    return 0.0 if fmt.name == "filterkv" and aux_backends[0] == "csf" else 10.0
+    csf has none, every other table 10 bits per key."""
+    return 0.0 if fmt.name == "filterkv" and aux_backend == "csf" else 10.0
 
 
 def _wire_record_bytes(fmt, value_bytes: int) -> int:
@@ -166,7 +166,7 @@ class Writer:
     """One rank's producer side, record by record (`WriterState`'s role
     and constructor)."""
 
-    def __init__(self, rank, fmt, partitioner, device, value_bytes, send, aux_backends,
+    def __init__(self, rank, fmt, partitioner, device, value_bytes, send, aux_backend,
                  batch_bytes=16384, epoch=0, block_size=1 << 20):
         self.rank, self.fmt, self.partitioner, self.device = rank, fmt, partitioner, device
         self.value_bytes, self.send, self.batch_bytes = value_bytes, send, batch_bytes
@@ -180,7 +180,7 @@ class Writer:
             device.create(self.vlog)
         elif fmt.name == "filterkv":
             self.main = Table(device, f"part.{epoch:03d}.{rank:06d}", block_size,
-                              _bloom_bits(fmt, aux_backends))
+                              _bloom_bits(fmt, aux_backend))
 
     def put_batch(self, batch) -> None:
         for key, value in zip(batch.keys.tolist(), batch.values):
@@ -230,9 +230,9 @@ class Receiver:
     """One rank's partition-owner side, record by record (`ReceiverState`'s
     role and constructor)."""
 
-    def __init__(self, rank, nranks, fmt, device, value_bytes, aux_backends, epoch=0,
+    def __init__(self, rank, nranks, fmt, device, value_bytes, aux_backend, epoch=0,
                  block_size=1 << 20, aux_seed=0):
-        self.rank, self.nranks, self.fmt, self.aux_backends = rank, nranks, fmt, aux_backends
+        self.rank, self.nranks, self.fmt, self.aux_backend = rank, nranks, fmt, aux_backend
         self.device, self.epoch, self.aux_seed = device, epoch, aux_seed
         self.rec = _wire_record_bytes(fmt, value_bytes)
         self.records_received = 0
@@ -272,8 +272,9 @@ class Receiver:
                 )
             ],
             nparts=self.nranks,
-            backends=self.aux_backends,
+            backend=self.aux_backend,
             seed=self.aux_seed,
+            metrics=None,
         )
         name = f"aux.{self.epoch:03d}.{self.rank:06d}"
         self.device.create(name)
@@ -291,14 +292,14 @@ class Replay:
 
 
 def replay_epoch(nranks, fmt, value_bytes, seed, records_per_rank, batch_records=4096,
-                 batch_bytes=16384, block_size=1 << 20, aux_backends=("cuckoo",)) -> Replay:
+                 batch_bytes=16384, block_size=1 << 20, aux_backend="cuckoo") -> Replay:
     """What ``SimCluster(nranks, fmt, value_bytes, batch_bytes, block_size=,
-    seed=, aux_backends=).run_epoch(records_per_rank, batch_records)``
+    seed=, aux_backend=).run_epoch(records_per_rank, batch_records)``
     persists and counts, direct routing with one rank per node."""
     device = StorageDevice()
     partitioner = HashPartitioner(nranks)
     receivers = [
-        Receiver(r, nranks, fmt, device, value_bytes, aux_backends, block_size=block_size,
+        Receiver(r, nranks, fmt, device, value_bytes, aux_backend, block_size=block_size,
                  aux_seed=seed)
         for r in range(nranks)
     ]
@@ -309,7 +310,7 @@ def replay_epoch(nranks, fmt, value_bytes, seed, records_per_rank, batch_records
         receivers[env.dest].deliver(env)
 
     writers = [
-        Writer(r, fmt, partitioner, device, value_bytes, send, aux_backends,
+        Writer(r, fmt, partitioner, device, value_bytes, send, aux_backend,
                batch_bytes=batch_bytes, block_size=block_size)
         for r in range(nranks)
     ]

@@ -16,6 +16,8 @@ from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
 from repro.serve import QueryService
 
+from ..legacy import store_seals
+
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
 
 
@@ -71,24 +73,23 @@ def fed_reader(data: bytes, eof: bool = True):
 
 
 def build_store(
-    fmt, nranks=8, records=200, epochs=1, value_bytes=24, seed=7, aux_backends=None
+    fmt, nranks=8, records=200, epochs=1, value_bytes=24, seed=7, backend="csf"
 ):
     """A committed store plus per-epoch ground truth.
 
     Returns ``(store, truth)`` where ``truth[epoch]`` maps every key the
     epoch holds to its value bytes.  Keys are uniformly random, so the
     writer rank is uncorrelated with the hash owner — the regime where
-    FilterKV actually produces false candidates (under the cuckoo; the
-    default csf seal answers a present key with its one rank).
+    FilterKV actually produces false candidates (under a legacy cuckoo
+    ``backend``; a store's csf answers a present key with its one rank).
     """
     store = MultiEpochStore(nranks=nranks, fmt=fmt, value_bytes=value_bytes, seed=seed)
-    if aux_backends is not None:
-        store.aux_backends = aux_backends
     rng = np.random.default_rng(seed)
     truth = {}
     for e in range(epochs):
         batches = [random_kv_batch(records, value_bytes, rng) for _ in range(nranks)]
-        store.write_epoch(batches)
+        with store_seals(backend):
+            store.write_epoch(batches)
         truth[e] = {
             int(k): b.value_of(i) for b in batches for i, k in enumerate(b.keys)
         }

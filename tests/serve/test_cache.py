@@ -34,10 +34,6 @@ def test_lru_insert_refreshes_existing_key():
     assert cache.lookup("a") == (True, 10)
 
 
-def test_lru_clear_and_capacity_validation():
-    cache = LRUCache(4)
-    cache.insert("a", 1)
-    cache.clear()
-    assert len(cache) == 0
+def test_lru_capacity_validation():
     with pytest.raises(ValueError):
         LRUCache(0)

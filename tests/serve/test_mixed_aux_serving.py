@@ -1,17 +1,17 @@
-"""Serving over epochs whose aux tables use *different* backends.
+"""Serving over legacy cuckoo epochs beside csf ones.
 
-A store's ``aux_backends`` tuple (`AUTO_BACKENDS`: csf, then cuckoo) is
-walked per sealed key set, so its epochs can legitimately disagree on aux
-backend — an epoch whose keys the CSF refuses seals a cuckoo table.  The
-tests force that mix by assigning ``store.aux_backends`` one backend per
-epoch, and pin the contract that the backend is a per-epoch
+A store seals csf (`auxtable.STORE_AUX_BACKEND`), at ingest and in every
+merge, but a device may hold epochs older stores sealed with the paper's
+cuckoo.  The tests write that mix by patching the constant per epoch
+(`tests/legacy.py`), and pin the contract that the backend is a per-epoch
 implementation detail:
 
-* the manifest records which backend(s) each epoch sealed;
+* each epoch's aux tables are the backend its blobs name, and the
+  manifest names none;
 * a cold `attach` reloads every epoch's aux from its blob header alone
-  (no format-level default involved) and answers byte-identically;
-* compaction over mixed epochs walks the tuple again and serves
-  byte-identical answers before and after the swap;
+  and answers byte-identically;
+* compaction over mixed epochs seals its rebuilt partitions csf and
+  serves byte-identical answers before and after the swap;
 * a crash during the aux seal of a new epoch loses nothing already
   committed, whatever mix of backends the committed epochs hold.
 """
@@ -19,18 +19,18 @@ implementation detail:
 import numpy as np
 import pytest
 
-from repro.core.auxtable import AUTO_BACKENDS
 from repro.core.formats import FMT_FILTERKV
 from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
 from repro.faults import CrashPoint, FaultPlan, FaultyStorageDevice
 from repro.serve import ANY_EPOCH, QueryService
 
+from ..legacy import store_seals
 from .conftest import run  # noqa: F401
 
 VB = 20
 NRANKS = 4
-# One epoch per sealed backend: filter–index hybrid, then static function.
+# A legacy filter–index hybrid epoch, then a store's static function.
 EPOCH_BACKENDS = ["cuckoo", "csf"]
 
 
@@ -40,9 +40,13 @@ def _grow(store, rng, n=100):
     return {int(k): b.value_of(i) for b in batches for i, k in enumerate(b.keys)}
 
 
+def _sealed(store) -> list[set[str]]:
+    """Per live epoch: the backends its aux tables are."""
+    return [{t.backend for t in store.engine(e).aux_tables} for e in store.epochs]
+
+
 def _mixed_store(seed=41, device=None, backends=EPOCH_BACKENDS):
-    """One epoch per named backend, forced per epoch through the store's
-    ``aux_backends``, so the mix is deterministic."""
+    """One epoch per named backend, so the mix is deterministic."""
     store = MultiEpochStore(
         nranks=NRANKS,
         fmt=FMT_FILTERKV,
@@ -53,24 +57,26 @@ def _mixed_store(seed=41, device=None, backends=EPOCH_BACKENDS):
     rng = np.random.default_rng(seed)
     truth = {}
     for backend in backends:
-        store.aux_backends = (backend,)
-        truth.update(_grow(store, rng))
+        with store_seals(backend):
+            truth.update(_grow(store, rng))
     return store, truth, rng
 
 
-def test_manifest_records_per_epoch_backend():
+def test_each_epoch_is_the_backend_its_blobs_name():
     store, _, _ = _mixed_store()
-    recorded = [e.aux_backend for e in store.manifest.epochs]
-    assert recorded == EPOCH_BACKENDS
+    assert _sealed(store) == [{b} for b in EPOCH_BACKENDS]
+    assert all("aux_backend" not in e.to_dict() for e in store.manifest.epochs)
     store.close()
 
 
-def test_policy_backend_lands_in_manifest():
+def test_a_store_seals_csf_at_ingest_and_in_a_merge():
     store = MultiEpochStore(nranks=NRANKS, fmt=FMT_FILTERKV, value_bytes=VB, seed=43)
-    assert store.aux_backends == AUTO_BACKENDS
-    _grow(store, np.random.default_rng(43))
-    (info,) = store.manifest.epochs
-    assert info.aux_backend == "csf"  # first of the tuple; nothing made it refuse
+    rng = np.random.default_rng(43)
+    for _ in range(2):
+        _grow(store, rng)
+    assert _sealed(store) == [{"csf"}, {"csf"}]
+    store.compact()
+    assert _sealed(store) == [{"csf"}]
     store.close()
 
 
@@ -81,7 +87,7 @@ def test_cold_attach_serves_mixed_epochs_byte_identically():
     device_store.close()
 
     attached = MultiEpochStore.attach(device)
-    assert [e.aux_backend for e in attached.manifest.epochs] == EPOCH_BACKENDS
+    assert _sealed(attached) == [{b} for b in EPOCH_BACKENDS]
     for k, (value, _, _) in hot.items():
         got, _, _ = attached.lookup(k)
         assert got == value == truth[k], f"key {k} changed across attach"
@@ -90,18 +96,14 @@ def test_cold_attach_serves_mixed_epochs_byte_identically():
 
 def test_serving_through_mixed_epoch_compaction():
     store, truth, _ = _mixed_store()
-    # The merged epoch walks the store's own tuple again, not the one
-    # the last epoch was forced to.
-    store.aux_backends = AUTO_BACKENDS
 
     async def main():
         async with QueryService(store, max_inflight=4096) as svc:
             keys = sorted(truth)[::5] + [1]  # plus a guaranteed miss
             before = {k: await svc.get(k, epoch=ANY_EPOCH) for k in keys}
-            report = store.compact()
-            merged = next(e for e in store.manifest.epochs if e.epoch == report.merged_epoch)
-            assert merged.aux_backend is not None
-            assert set(merged.aux_backend.split(",")) <= set(AUTO_BACKENDS)
+            store.compact()
+            # Both epochs hold keys of every partition: each is rebuilt csf.
+            assert _sealed(store) == [{"csf"}]
             for k in keys:
                 r = await svc.get(k, epoch=ANY_EPOCH)
                 assert r.status == before[k].status
@@ -119,7 +121,6 @@ def test_crash_during_aux_seal_preserves_committed_mix(seed):
     committed = list(store.epochs)
     nxt = store.manifest.next_epoch
     device.plan.crash_at(0, pattern=f"aux.{nxt:03d}.*")
-    store.aux_backends = ("csf",)
     with pytest.raises(CrashPoint):
         _grow(store, rng)
     store.close()
@@ -128,9 +129,7 @@ def test_crash_during_aux_seal_preserves_committed_mix(seed):
     recovered, _ = MultiEpochStore.recover(device)
     assert recovered is not None
     assert recovered.epochs == committed, "a crashed seal disturbed committed epochs"
-    assert [
-        e.aux_backend for e in recovered.manifest.epochs
-    ] == EPOCH_BACKENDS
+    assert _sealed(recovered) == [{b} for b in EPOCH_BACKENDS]
     for k in sorted(truth)[:: max(1, len(truth) // 40)]:
         value, _, _ = recovered.lookup(k)
         assert value == truth[k], f"key {k} wrong after crashed aux seal"

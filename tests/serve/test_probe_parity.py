@@ -25,7 +25,7 @@ ABSENT_BASE = 1 << 63  # stored keys are random 63-bit values
 
 def _store(nranks, seed):
     store, truth = shared_store(
-        FMT_FILTERKV, nranks=nranks, records=60, seed=seed, aux_backends=("cuckoo",)
+        FMT_FILTERKV, nranks=nranks, records=60, seed=seed, backend="cuckoo"
     )
     present = sorted(truth[0])
     engine = store.engine(0)

@@ -30,13 +30,13 @@ from ..serve.test_proto_fuzz import both_profiles
 
 def _valid() -> Manifest:
     """Every field a manifest writes: an ingested epoch, a merged one with
-    its own ``order`` and aux backends, and the retired ids' mapping."""
+    its own ``order``, and the retired ids' mapping."""
     m = Manifest(fmt="filterkv", nranks=2, value_bytes=16)
     for epoch in range(3):
-        m.add_epoch(EpochInfo(epoch, 10, (f"part.{epoch:06d}.000000",), 512, aux_backend="csf"))
+        m.add_epoch(EpochInfo(epoch, 10, (f"part.{epoch:06d}.000000",), 512))
     m.remove_epoch(0)
     m.remove_epoch(1)
-    m.add_epoch(EpochInfo(3, 15, ("part.000000.000000", "aux.000003.000000"), 700, 1, "csf,cuckoo"))
+    m.add_epoch(EpochInfo(3, 15, ("part.000000.000000", "aux.000003.000000"), 700, 1))
     m.note_compaction([0, 1], 3)
     return m
 
@@ -94,6 +94,15 @@ def test_every_field_of_any_other_type_is_typed(value):
             obj = obj[step]
         obj[path[-1]] = value
         check(json.dumps(doc).encode())
+
+
+def test_an_older_manifest_naming_each_epochs_aux_backend_loads():
+    """Manifests used to name each epoch's aux backend(s); the key is
+    read past, and the manifest re-encodes without it."""
+    doc = json.loads(VALID)
+    for entry, backend in zip(doc["epochs"], ["csf", "csf,cuckoo"]):
+        entry["aux_backend"] = backend
+    assert Manifest.from_bytes(json.dumps(doc).encode()) == _valid()
 
 
 @pytest.mark.parametrize(
