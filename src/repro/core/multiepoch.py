@@ -122,6 +122,9 @@ class EpochMount:
         self.metrics = metrics
         self.table_cache_entries = table_cache_entries
         self._engines: dict[int, QueryEngine] = {}
+        # One finalizer per view, on its epoch's cold engine: it drops the
+        # view when the engine goes, and `close` detaches it.
+        self._finalizers: dict[int, weakref.finalize] = {}
 
     def engine(self, epoch: int) -> QueryEngine:
         """The session's engine for live epoch ``epoch`` (a retired id
@@ -130,7 +133,9 @@ class EpochMount:
         if engine is None:
             cold = self.store.engine(epoch)
             engine = self._engines[epoch] = cold.warm(self.metrics, self.table_cache_entries)
-            weakref.finalize(cold, self._engines.pop, epoch, None)
+            self._finalizers[epoch] = weakref.finalize(
+                cold, _drop_view, self._engines, self._finalizers, epoch
+            )
         return engine
 
     def get_many(self, keys, epoch: int) -> tuple[list[bytes | None], list[QueryStats]]:
@@ -145,10 +150,22 @@ class EpochMount:
         return _newest_first(self.store.epochs, self.engine, keys)
 
     def close(self) -> None:
-        """Drop every engine and the blocks it keeps (idempotent; engines
-        rebuild lazily against the store's current epoch set).  A mount
-        dropped without it keeps its views until their epochs' engines go."""
+        """Drop every engine and the blocks it keeps, and detach their
+        finalizers (idempotent; engines rebuild lazily against the store's
+        current epoch set).  A mount dropped without it keeps its views,
+        one finalizer each, until their epochs' engines go."""
+        for finalizer in self._finalizers.values():
+            finalizer.detach()
+        self._finalizers.clear()
         self._engines.clear()
+
+
+def _drop_view(views: dict, finalizers: dict, epoch: int) -> None:
+    """An `EpochMount` view's finalizer: its epoch's cold engine went.
+    It holds the mount's two dicts, never the mount, so the registry pins
+    no store."""
+    views.pop(epoch, None)
+    finalizers.pop(epoch, None)
 
 
 class MultiEpochStore:

@@ -22,7 +22,7 @@ from repro.core.kv import random_kv_batch
 from repro.core.reader import TABLE_CACHE_ENTRIES, QueryEngine
 from repro.obs import MetricsRegistry
 
-from ..reference.read import ReadOracle, check_against_oracle, footprint
+from ..reference.read import ReadOracle, check_against_oracle
 
 FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
 NRANKS = 6
@@ -144,15 +144,6 @@ def test_all_absent_batch(dataset):
     values, stats = engine.get_many(keys)
     assert values == [None] * 32
     assert not any(s.found for s in stats)
-
-
-def test_uncached_bulk_releases_handles(dataset):
-    cluster, stored = dataset
-    dev = cluster.query_engine().device
-    engine = _engine(cluster, cached=False, metrics=MetricsRegistry())
-    before = footprint(dev)
-    engine.get_many(stored[:64])
-    assert footprint(dev) == before  # a read creates and writes nothing
 
 
 def test_batch_telemetry_recorded(dataset):

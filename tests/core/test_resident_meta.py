@@ -165,7 +165,7 @@ def test_corrupt_data_block_detected_under_cached_meta():
         store.get_many(keys[:8], 0)
 
 
-def test_attached_store_refuses_a_previous_layout_table_and_leaks_no_handle():
+def test_attached_store_refuses_a_previous_layout_table_and_caches_nothing():
     """A dataset written before the key-group layout: the manifest and aux
     extents still load, the first read of a partition names the layout it
     found, caches nothing and leaves the device as it was — every time."""

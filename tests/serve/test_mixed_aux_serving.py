@@ -4,12 +4,12 @@ A store seals csf (`auxtable.STORE_AUX_BACKEND`), at ingest and in every
 merge, but a device may hold epochs older stores sealed with the paper's
 cuckoo.  The tests write that mix by patching the constant per epoch
 (`tests/legacy.py`), and pin the contract that the backend is a per-epoch
-implementation detail:
+implementation detail (`tests/integration/test_store_machine.py` also
+writes legacy cuckoo epochs, and checks every read surface against its
+oracle through attach, merges and crashes):
 
 * each epoch's aux tables are the backend its blobs name, and the
   manifest names none;
-* a cold `attach` reloads every epoch's aux from its blob header alone
-  and answers byte-identically;
 * compaction over mixed epochs seals its rebuilt partitions csf and
   serves byte-identical answers before and after the swap;
 * a crash during the aux seal of a new epoch loses nothing already
@@ -78,20 +78,6 @@ def test_a_store_seals_csf_at_ingest_and_in_a_merge():
     store.compact()
     assert _sealed(store) == [{"csf"}]
     store.close()
-
-
-def test_cold_attach_serves_mixed_epochs_byte_identically():
-    device_store, truth, _ = _mixed_store()
-    device = device_store.device
-    hot = {k: device_store.lookup(k) for k in sorted(truth)[::7]}
-    device_store.close()
-
-    attached = MultiEpochStore.attach(device)
-    assert _sealed(attached) == [{b} for b in EPOCH_BACKENDS]
-    for k, (value, _, _) in hot.items():
-        got, _, _ = attached.lookup(k)
-        assert got == value == truth[k], f"key {k} changed across attach"
-    attached.close()
 
 
 def test_serving_through_mixed_epoch_compaction():

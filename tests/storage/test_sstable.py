@@ -347,7 +347,7 @@ def test_reader_over_cached_meta_reads_only_data():
     assert dev.counters.delta(before).reads == 1
 
 
-def test_failed_open_releases_its_handle():
+def test_failed_open_leaves_the_device_as_it_was():
     """A refused open leaves the device as it found it."""
     dev = StorageDevice()
     dev.create("junk")
@@ -641,7 +641,7 @@ def _block_checksum_layout_table(items) -> bytes:
     return block + index + footer
 
 
-def test_previous_layout_is_refused_by_name_and_releases_its_handle():
+def test_previous_layout_is_refused_by_name_and_leaves_the_device_as_it_was():
     dev = StorageDevice()
     dev.create("old")
     dev.append("old", _block_checksum_layout_table([(k, b"v%03d" % k) for k in range(40)]))
