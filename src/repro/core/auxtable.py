@@ -32,6 +32,11 @@ holds just those two, so a legacy store epoch sealed cuckoo still loads.  Exact 
 baselines of Fig. 7, Table I and the ablations: they insert, probe and
 report their size, and a blob naming either is refused.
 
+A sealed csf epoch's tables are also read as one: `EpochAux` holds
+their maplets as one union (`filters.csf.MapletUnion`) and answers a
+whole read step's keys, whatever their owner partitions, in one probe,
+each key and each table's counters exactly as its own table would.
+
 All byte accounting counts only the *index* data (the paper's Fig. 7b
 "per-key space overhead"), not the keys or values themselves.
 """
@@ -47,10 +52,10 @@ from collections.abc import Iterable
 import numpy as np
 
 from ..filters.bloom import BloomFilter, false_positive_rate
-from ..filters.csf import CsfConstructionError, XorMaplet, csf_segment
+from ..filters.csf import CsfConstructionError, MapletUnion, XorMaplet, csf_segment
 from ..filters.cuckoo import ChainedCuckooTable, PartialKeyCuckooTable
 from ..filters.hashing import hash_pair
-from ..obs import MetricsRegistry, active
+from ..obs import NULL_REGISTRY, MetricsRegistry, active
 from ..storage.sstable import TABLE_BLOOM_BITS
 
 __all__ = [
@@ -59,6 +64,7 @@ __all__ = [
     "BloomAuxTable",
     "CuckooAuxTable",
     "CsfAuxTable",
+    "EpochAux",
     "AUX_BACKENDS",
     "STORE_AUX_BACKEND",
     "build_sealed_aux",
@@ -276,7 +282,9 @@ class AuxTable(ABC):
             self._m_false.inc(extra)
         return counts
 
-    def candidates_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def candidates_many(
+        self, keys: np.ndarray, owners: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Candidate sets for a whole key array — the bulk read path's form.
 
         Returns ``(counts, flat)`` where ``flat`` concatenates each key's
@@ -284,15 +292,24 @@ class AuxTable(ABC):
         to key *i* (``flat[counts[:i].sum() : counts[:i+1].sum()]``).  Probe
         accounting is identical to ``keys.size`` `candidate_ranks` calls, so
         counter invariants hold whichever surface a reader uses.
+        ``owners``, each key's owner partition, is for a table over a whole
+        epoch (`EpochAux`); one partition's table takes none.
         """
         keys = np.asarray(keys, dtype=np.uint64).ravel()
-        counts, flat = self._candidates_many(keys)
-        self._m_probes.inc(keys.size)
+        if owners is None:
+            counts, flat = self._candidates_many(keys)
+        else:
+            counts, flat = self._candidates_many(keys, owners)
+        self._count_probes(keys.size, counts, flat, owners)
+        return counts, flat
+
+    def _count_probes(self, nkeys: int, counts: np.ndarray, flat: np.ndarray, owners) -> None:
+        """Mirror one `candidates_many` call into the probe counters."""
+        self._m_probes.inc(nkeys)
         self._m_candidates.inc(flat.size)
         extra = flat.size - int(np.count_nonzero(counts))  # all but one per key with any
         if extra:
             self._m_false.inc(extra)
-        return counts, flat
 
     def record_structure_metrics(self) -> None:
         """Snapshot structural gauges (called once, when the table is
@@ -740,6 +757,69 @@ class CsfAuxTable(AuxTable):
     def size_bytes(self) -> int:
         self.finalize()
         return self._maplet.size_bytes if self._maplet is not None else 0
+
+
+class EpochAux(AuxTable):
+    """One sealed epoch's csf aux tables, probed as one.
+
+    The tables' maplets are held as one `MapletUnion` (each table's slots
+    become a view of it), so `candidates_many` answers keys of every owner
+    partition with one hash and one gather; ``owners`` names each key's
+    partition.  Each key's candidates, and each table's ``aux.*``
+    counters, are exactly those of the key's own table: a present key has
+    its one rank, an absent one none or a false one.  One key takes its
+    table's plain-int probe (`XorMaplet.get`).  `over` builds one only
+    when every partition is csf; a reader probes any other epoch (a legacy
+    cuckoo seal, or a merge that adopted one) partition by partition.
+    """
+
+    def __init__(self, tables: list[CsfAuxTable]):
+        super().__init__(len(tables))  # its own counters are the null registry's
+        self.tables = tables
+        first = tables[0]
+        self._union = MapletUnion([t._maplet for t in tables], first.value_bits, first.fp_bits)
+        self._counted = any(t.metrics is not NULL_REGISTRY for t in tables)
+
+    @classmethod
+    def over(cls, tables: list[AuxTable | None]) -> "EpochAux | None":
+        """The union of one epoch's per-partition ``tables``, or None
+        unless each is a sealed csf table of one slot width over
+        ``len(tables)`` partitions."""
+        if not all(type(t) is CsfAuxTable and t._finalized for t in tables):
+            return None
+        shapes = {(t.nparts, t.value_bits, t.fp_bits) for t in tables}
+        if len(shapes) != 1 or tables[0].nparts != len(tables):
+            return None
+        return cls(tables)
+
+    def insert_many(self, keys: np.ndarray, src_ranks: np.ndarray | int) -> None:
+        raise ValueError("an epoch's aux tables are sealed")
+
+    def _candidates_many(self, keys: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if keys.size == 1:
+            return self.tables[int(owners[0])]._candidates_many(keys)
+        hits, values = self._union.lookup_many(keys, owners)
+        valid = hits & (values < np.uint64(self.nparts))  # rank_bits can name ranks >= nparts
+        return valid.astype(np.int64), values[valid].astype(np.int64)
+
+    def _count_probes(self, nkeys: int, counts: np.ndarray, flat: np.ndarray, owners) -> None:
+        """Each owner's table counts its keys' probes and candidates (a csf
+        key has at most one candidate, so none is false)."""
+        if not self._counted:
+            return
+        probes = np.bincount(owners, minlength=self.nparts).tolist()
+        found = np.bincount(owners, weights=counts, minlength=self.nparts).tolist()
+        for table, p, c in zip(self.tables, probes, found):
+            if p:
+                table._m_probes.inc(p)
+                table._m_candidates.inc(int(c))
+
+    def to_bytes(self) -> bytes:
+        return b"".join(t.to_bytes() for t in self.tables)
+
+    @property
+    def size_bytes(self) -> int:
+        return sum(t.size_bytes for t in self.tables)
 
 
 # The backends that seal, name → class: the registry behind

@@ -318,13 +318,14 @@ class Compactor:
             )
         return epochs
 
-    def run(self, epochs: list[int]) -> tuple[Manifest, CompactionReport]:
-        """Merge ``epochs``; returns the swapped-in manifest and a report."""
+    def run(self, epochs: list[int]) -> "tuple[Manifest, CompactionReport, QueryEngine]":
+        """Merge ``epochs``; returns the swapped-in manifest, a report and
+        the merged epoch's engine."""
         epochs = self.validate(epochs)
         store = self.store
         # A private manifest copy: the live one keeps serving and must stay
         # pristine if anything below raises.
-        working = Manifest.from_bytes(store.manifest.to_bytes())
+        working = store.manifest.copy()
         order_of = {e.epoch: e.order for e in working.epochs}
         merged = working.next_epoch
         sources = [store.engine(e) for e in sorted(epochs, key=order_of.get, reverse=True)]
@@ -342,21 +343,24 @@ class Compactor:
 
         retired_infos = [working.remove_epoch(e) for e in epochs]
         records_in = sum(info.records for info in retired_infos)
-        working.add_epoch(
-            EpochInfo(
-                epoch=merged,
-                records=records_out,
-                files=tuple(sorted(files)),
-                # Every byte the epoch lists, written or adopted: what
-                # `CompactionPolicy.select` weighs and `describe` shows.
-                bytes=bytes_written + bytes_adopted,
-                # The merged data is only as recent as its newest source:
-                # it must sit where that source sat in the read walk, not
-                # at the front where its fresh id would put it.
-                order=max(order_of[e] for e in epochs),
-            )
+        merged_info = EpochInfo(
+            epoch=merged,
+            records=records_out,
+            files=tuple(sorted(files)),
+            # Every byte the epoch lists, written or adopted: what
+            # `CompactionPolicy.select` weighs and `describe` shows.
+            bytes=bytes_written + bytes_adopted,
+            # The merged data is only as recent as its newest source:
+            # it must sit where that source sat in the read walk, not
+            # at the front where its fresh id would put it.
+            order=max(order_of[e] for e in epochs),
         )
+        working.add_epoch(merged_info)
         working.note_compaction(epochs, merged)
+        # The merged epoch's engine, its aux tables read back from what
+        # the epoch lists, before anything commits: a failed read leaves
+        # the merge an orphan.
+        engine = store._attach_engine(merged_info)
 
         # The swap: one sealed generation append.  Crash before it lands ->
         # the old manifest wins and the merge output above is orphaned.
@@ -399,4 +403,4 @@ class Compactor:
             extents_adopted=len(adopted),
             bytes_adopted=bytes_adopted,
         )
-        return working, report
+        return working, report, engine

@@ -35,8 +35,8 @@ from .compact import CompactionPolicy, CompactionReport, Compactor
 from .formats import FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KVBatch
 from .partitioning import HashPartitioner
-from .pipeline import clear_epoch
-from .reader import TABLE_CACHE_ENTRIES, QueryEngine, QueryStats
+from .pipeline import clear_epoch, rank_extents
+from .reader import TABLE_CACHE_ENTRIES, QueryEngine, QueryStats, ReadBatch
 
 __all__ = ["MultiEpochStore", "EpochMount", "EpochRetiredError"]
 
@@ -55,46 +55,35 @@ class EpochRetiredError(LookupError):
         self.merged = merged
 
 
-def _merge_stats(dst: QueryStats, src: QueryStats) -> None:
-    """Fold one epoch probe's costs into a cross-epoch aggregate."""
-    dst.found = dst.found or src.found
-    dst.latency += src.latency
-    dst.reads += src.reads
-    dst.bytes_read += src.bytes_read
-    dst.partitions_searched += src.partitions_searched
-    for k, v in src.breakdown_reads.items():
-        dst.breakdown_reads[k] = dst.breakdown_reads.get(k, 0) + v
-    for k, v in src.breakdown_bytes.items():
-        dst.breakdown_bytes[k] = dst.breakdown_bytes.get(k, 0) + v
-
-
 def _newest_first(
     epochs: list[int], engine, keys
 ) -> tuple[list[bytes | None], list[int | None], list[QueryStats]]:
     """Newest value of each key across ``epochs`` (oldest first), read
     through ``engine(epoch)``: each epoch is probed once with the
     still-missing keys (block-coalesced), newest first, until none is left.
-    Returns ``(values, epochs_found, stats)``, each key's costs aggregated
-    over the epochs it walked."""
-    arr = np.asarray(keys, dtype=np.uint64).ravel()
-    values: list[bytes | None] = [None] * arr.size
+    One `ReadBatch` holds the walk: the keys' owners are hashed once, each
+    epoch's `QueryEngine.get_many` adds its step to it, and each key's
+    stats, summed over the epochs it walked, are built once at the end.
+    Returns ``(values, epochs_found, stats)``."""
+    arr = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
     found: list[int | None] = [None] * arr.size
-    agg = [QueryStats() for _ in range(arr.size)]
-    remaining = list(range(arr.size))
+    if not epochs or arr.size == 0:
+        return [None] * arr.size, found, [QueryStats() for _ in found]
+    batch = ReadBatch(arr, engine(epochs[-1]).partitioner.partition_of(arr))
+    left: range | list[int] = range(arr.size)
     for epoch in reversed(epochs):
-        if not remaining:
-            break
-        vals, stats = engine(epoch).get_many(arr[remaining])
+        engine(epoch).get_many(arr if batch.at is None else arr[batch.at], batch)
+        values = batch.values
         still: list[int] = []
-        for i, value, st in zip(remaining, vals, stats):
-            _merge_stats(agg[i], st)
-            if value is not None:
-                values[i] = value
-                found[i] = epoch
+        for p in left:
+            if values[p] is None:
+                still.append(p)
             else:
-                still.append(i)
-        remaining = still
-    return values, found, agg
+                found[p] = epoch
+        if not still:
+            break
+        left = batch.at = still
+    return batch.values, found, batch.stats()
 
 
 class EpochMount:
@@ -261,26 +250,27 @@ class MultiEpochStore:
         return store, report
 
     def _attach_engine(self, info: EpochInfo) -> QueryEngine:
-        """Query engine over one committed epoch, reading the extents its
-        manifest entry lists, aux tables reloaded from their sealed
-        extents."""
-        engine = QueryEngine(
+        """Query engine over one epoch, reading the extents its manifest
+        entry lists, aux tables reloaded from their sealed extents (a
+        merge calls it before it commits, so a failed read commits
+        nothing)."""
+        aux_tables = None
+        if self.fmt.name == "filterkv":
+            aux_tables = []
+            for rank, name in enumerate(rank_extents(info.files, self.nranks)[1]):
+                if name is None:
+                    raise ValueError(f"epoch {info.epoch} lists no aux table for rank {rank}")
+                blob = self.device.read(name, 0, self.device.file_size(name))
+                aux_tables.append(aux_from_blob(unseal(blob), metric_labels={"rank": str(rank)}))
+        return QueryEngine(
             device=self.device,
             fmt=self.fmt,
             nranks=self.nranks,
             partitioner=HashPartitioner(self.nranks),
             epoch=info.epoch,
             files=info.files,
+            aux_tables=aux_tables,
         )
-        if self.fmt.name == "filterkv":
-            for rank, name in enumerate(engine.aux_names):
-                if name is None:
-                    raise ValueError(f"epoch {info.epoch} lists no aux table for rank {rank}")
-                blob = self.device.read(name, 0, self.device.file_size(name))
-                engine.aux_tables[rank] = aux_from_blob(
-                    unseal(blob), metric_labels={"rank": str(rank)}
-                )
-        return engine
 
     # -- writing -----------------------------------------------------------
 
@@ -317,12 +307,17 @@ class MultiEpochStore:
         for rank, batch in enumerate(batches):
             cluster.put(rank, batch)
         cluster.finish_epoch()
-        engine = self._engines[epoch] = cluster.query_engine()
+        engine = cluster.query_engine()
         epoch_bytes = self.device.total_bytes_stored() - before
-        self.manifest.add_epoch(
+        # A copy commits, as a merge's does: the store takes it, and the
+        # epoch's engine, only once the append landed.
+        manifest = self.manifest.copy()
+        manifest.add_epoch(
             EpochInfo(epoch=epoch, records=records, files=engine.files, bytes=epoch_bytes)
         )
-        self.manifest.commit(self.device)
+        manifest.commit(self.device)
+        self.manifest = manifest
+        self._engines[epoch] = engine
         # Materialize the (lazily computed) stats before the policy hook:
         # compaction may retire this very epoch and sweep its extents.
         stats = cluster.stats
@@ -423,12 +418,15 @@ class MultiEpochStore:
                 epochs = self.epochs if len(self.epochs) >= 2 else None
         if not epochs or len(epochs) < 2:
             return None
-        manifest, report = Compactor(self).run(list(epochs))
-        self._apply_compaction(manifest, report)
+        manifest, report, engine = Compactor(self).run(list(epochs))
+        self._apply_compaction(manifest, report, engine)
         return report
 
-    def _apply_compaction(self, manifest: Manifest, report: CompactionReport) -> None:
-        """Flip the in-memory view to a swapped-in merged manifest.
+    def _apply_compaction(
+        self, manifest: Manifest, report: CompactionReport, engine: QueryEngine
+    ) -> None:
+        """Flip the in-memory view to a swapped-in merged manifest and the
+        merged epoch's ``engine``, both ready before the swap.
 
         The on-device swap already landed.  Popping a retired epoch's
         engine drops every mount's view of it, with the blocks it keeps of
@@ -437,8 +435,7 @@ class MultiEpochStore:
         self.manifest = manifest
         for epoch in report.source_epochs:
             self._engines.pop(epoch, None)
-        merged = next(e for e in manifest.epochs if e.epoch == report.merged_epoch)
-        self._engines[merged.epoch] = self._attach_engine(merged)
+        self._engines[report.merged_epoch] = engine
         self.compactions += 1
         self.last_compaction = report
 

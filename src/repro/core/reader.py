@@ -15,11 +15,16 @@ only in where a key's candidate partitions come from and what a hit holds:
   key is found.  False positives cost extra partition probes (1.88
   partitions/query in the paper's runs).  A store's main tables carry no
   Bloom filter block (its csf aux guard is the key's one filter), so a
-  probe goes from the aux table straight to the table's index.
+  probe goes from the aux table straight to the table's index.  A csf
+  epoch's aux tables are one union (`EpochAux`): a read step probes all
+  its keys, whatever their owners, in one hash and one gather, while the
+  aux fetch is still charged once per owner.
 
 Every read is charged to the `StorageDevice`, and `QueryStats` breaks the
 cost down by the same categories as Fig. 11b/c: footer, index, aux table,
-data blocks, and value log.
+data blocks, and value log.  A call accumulates into one `ReadBatch`, a
+newest-first walk over several epochs included, and builds its keys'
+`QueryStats` once, at the end.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs import MetricsRegistry, active, child_span, current_span
+from ..obs import NULL_REGISTRY, MetricsRegistry, active, child_span, current_span
 from ..storage.blockio import StorageDevice
 from ..storage.log import DataPointer, ValueLog
 from ..storage.sstable import (
@@ -38,12 +43,12 @@ from ..storage.sstable import (
     SSTableReader,
     TableMeta,
 )
-from .auxtable import AuxTable
+from .auxtable import AuxTable, EpochAux
 from .formats import FormatSpec
 from .partitioning import HashPartitioner
 from .pipeline import rank_extents
 
-__all__ = ["QueryEngine", "QueryStats"]
+__all__ = ["QueryEngine", "QueryStats", "ReadBatch"]
 
 # Tables' worth of data blocks (`BLOCK_CACHE_BLOCKS` each) a warm view
 # keeps unless its owner says otherwise (the store's warm mount,
@@ -63,21 +68,94 @@ class QueryStats:
     breakdown_reads: dict = field(default_factory=dict)
     breakdown_bytes: dict = field(default_factory=dict)
 
-    def _charge(self, category: str, reads: int, nbytes: int) -> None:
-        self.reads += reads
-        self.bytes_read += nbytes
-        self.breakdown_reads[category] = self.breakdown_reads.get(category, 0) + reads
-        self.breakdown_bytes[category] = self.breakdown_bytes.get(category, 0) + nbytes
+
+class _Cost:
+    """What one read step charged one lead key: reads and bytes by
+    category, and the device time they took."""
+
+    __slots__ = ("latency", "reads", "nbytes")
+
+    def __init__(self):
+        self.latency = 0.0
+        self.reads: dict[str, int] = {}
+        self.nbytes: dict[str, int] = {}
+
+
+class ReadBatch:
+    """One read call's accumulator: `QueryEngine.get_many` of one epoch
+    fills it in one step, a newest-first walk over several epochs
+    (`multiepoch._newest_first`) in one step per epoch.
+
+    It holds the call's keys and their owner partitions (hashed once per
+    call), each key's value and partitions searched so far, and the
+    charges of the keys that led a shared read.  ``at`` is the positions
+    the current step reads (None: every key).  A step's charges are folded
+    into the call's when the step ends, so a key's latency is the sum of
+    its per-epoch latencies.  `stats` builds the call's `QueryStats` once.
+    """
+
+    __slots__ = ("keys", "owners", "values", "searched", "at", "costs", "step")
+
+    def __init__(self, keys: np.ndarray, owners: np.ndarray):
+        self.keys = keys
+        self.owners = owners
+        self.values: list[bytes | None] = [None] * keys.size
+        self.searched = [0] * keys.size
+        self.at: list[int] | None = None
+        self.costs: dict[int, _Cost] = {}  # the call's, by lead position
+        self.step: dict[int, _Cost] = {}  # the current step's
+
+    def charge(self, pos: int, category: str, reads: int, nbytes: int, seconds: float) -> None:
+        """Charge key ``pos`` one read of the current step."""
+        cost = self.step.get(pos)
+        if cost is None:
+            cost = self.step[pos] = _Cost()
+        cost.reads[category] = cost.reads.get(category, 0) + reads
+        cost.nbytes[category] = cost.nbytes.get(category, 0) + nbytes
+        cost.latency += seconds
+
+    def end_step(self) -> dict[int, _Cost]:
+        """Fold the current step's charges into the call's; returns them."""
+        step, self.step = self.step, {}
+        costs = self.costs
+        for pos, cost in step.items():
+            total = costs.get(pos)
+            if total is None:
+                costs[pos] = cost
+                continue
+            total.latency += cost.latency
+            for cat, n in cost.reads.items():
+                total.reads[cat] = total.reads.get(cat, 0) + n
+            for cat, n in cost.nbytes.items():
+                total.nbytes[cat] = total.nbytes.get(cat, 0) + n
+        return step
+
+    def stats(self) -> list[QueryStats]:
+        """Each key's `QueryStats` for the whole call."""
+        out = [
+            QueryStats(v is not None, 0.0, 0, 0, s, {}, {})
+            for v, s in zip(self.values, self.searched)
+        ]
+        for pos, cost in self.costs.items():
+            st = out[pos]
+            st.latency = cost.latency
+            st.reads = sum(cost.reads.values())
+            st.bytes_read = sum(cost.nbytes.values())
+            st.breakdown_reads = cost.reads
+            st.breakdown_bytes = cost.nbytes
+        return out
 
 
 class _Charged:
-    """Context manager charging a device's I/O deltas to one category."""
+    """Context manager charging a device's I/O deltas to one key of a
+    `ReadBatch`, under one category."""
 
-    __slots__ = ("counters", "stats", "category", "before")
+    __slots__ = ("counters", "batch", "pos", "category", "before")
 
-    def __init__(self, counters, stats: QueryStats, category: str):
+    def __init__(self, counters, batch: ReadBatch, pos: int, category: str):
         self.counters = counters
-        self.stats = stats
+        self.batch = batch
+        self.pos = pos
         self.category = category
 
     def __enter__(self) -> "_Charged":
@@ -86,8 +164,7 @@ class _Charged:
 
     def __exit__(self, *exc) -> None:
         d = self.counters.delta(self.before)
-        self.stats._charge(self.category, d.reads, d.bytes_read)
-        self.stats.latency += d.read_time
+        self.batch.charge(self.pos, self.category, d.reads, d.bytes_read, d.read_time)
 
 
 class QueryEngine:
@@ -104,9 +181,11 @@ class QueryEngine:
     the epoch's resident state, which the cold reader never reads: one
     verified `TableMeta` slot per rank (``metas``) and the owners whose
     aux fetch has been charged (``aux_charged``).  `warm` hands out views
-    that share that state and fill it on their first reads.  A reader
-    reads by name and opens nothing, so an engine builds one per table
-    per call and has nothing to close.
+    that share that state and fill it on their first reads.  A filterkv
+    engine over csf aux tables also builds their union once (``aux``, an
+    `EpochAux`), which its views share and every read step probes once.
+    A reader reads by name and opens nothing, so an engine builds one per
+    table per call and has nothing to close.
     """
 
     def __init__(
@@ -125,6 +204,8 @@ class QueryEngine:
         self.nranks = nranks
         self.partitioner = partitioner
         self.aux_tables = aux_tables or [None] * nranks
+        # A csf epoch's tables as one union, probed once per read step.
+        self.aux = EpochAux.over(self.aux_tables) if fmt.name == "filterkv" else None
         self.epoch = epoch
         self.files = tuple(files)
         self.table_names, self.aux_names = rank_extents(self.files, nranks)
@@ -150,18 +231,20 @@ class QueryEngine:
 
     def warm(self, metrics: MetricsRegistry | None, table_cache_entries: int) -> "QueryEngine":
         """A view of this epoch that keeps what it reads: it shares the
-        epoch's aux tables, ``metas`` and ``aux_charged``, so a table's
-        metadata is read and verified once by whichever view opens it
-        first, and owns a `BlockCache` of ``BLOCK_CACHE_BLOCKS ×
-        table_cache_entries`` blocks, shared by every reader it builds.  At
-        0 (the store's `get` / `get_many`) it keeps no block and its readers
-        fetch only the key groups a call decodes; above 0 (warm mounts,
-        `QueryService`, fleet shards) it keeps whole blocks between calls.
+        epoch's aux tables (and their union, ``aux``), ``metas`` and
+        ``aux_charged``, so a table's metadata is read and verified once by
+        whichever view opens it first, and owns a `BlockCache` of
+        ``BLOCK_CACHE_BLOCKS × table_cache_entries`` blocks, shared by
+        every reader it builds.  At 0 (the store's `get` / `get_many`) it
+        keeps no block and its readers fetch only the key groups a call
+        decodes; above 0 (warm mounts, `QueryService`, fleet shards) it
+        keeps whole blocks between calls.
         """
         view = QueryEngine(
             self.device, self.fmt, self.nranks, self.partitioner,
-            self.epoch, self.files, self.aux_tables, metrics,
+            self.epoch, self.files, None, metrics,
         )
+        view.aux_tables, view.aux = self.aux_tables, self.aux
         view.metas, view.aux_charged = self.metas, self.aux_charged
         view.block_cache = BlockCache(
             BLOCK_CACHE_BLOCKS * table_cache_entries, self.device.metrics
@@ -170,12 +253,8 @@ class QueryEngine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _charged(self, stats: QueryStats, category: str) -> _Charged:
-        """Context manager charging device I/O deltas to one category."""
-        return _Charged(self.device.counters, stats, category)
-
-    def _open_table(self, rank: int, stats: QueryStats) -> SSTableReader:
-        """Open a partition table, splitting footer vs index charges.
+    def _open_table(self, rank: int, batch: ReadBatch, lead: int) -> SSTableReader:
+        """Open a partition table, charging footer vs index to ``lead``.
 
         A view serves a resident meta with no device read and charges
         nothing.  Any other open charges exactly what it read, and a view's
@@ -190,15 +269,15 @@ class QueryEngine:
         before = self.device.counters.snapshot()
         reader = SSTableReader(self.device, name, cache=cache)
         d = self.device.counters.delta(before)
-        stats._charge("footer", 1, FOOTER_BYTES)
-        stats._charge("index", d.reads - 1, d.bytes_read - FOOTER_BYTES)
-        stats.latency += d.read_time
+        batch.charge(lead, "footer", 1, FOOTER_BYTES, 0.0)
+        batch.charge(lead, "index", d.reads - 1, d.bytes_read - FOOTER_BYTES, d.read_time)
         if cache is not None:
             self.metas[rank] = reader.meta
         return reader
 
-    def _charge_aux(self, owner: int, stats: QueryStats) -> None:
-        """Fetch the owner partition's auxiliary table bytes.
+    def _charge_aux(self, owner: int, batch: ReadBatch, lead: int) -> None:
+        """Fetch the owner partition's auxiliary table bytes, charged to
+        ``lead``.
 
         The reader fetches the partition's entire aux table (the paper
         reads ~18 MB per query), then resolves candidates in memory.
@@ -209,16 +288,16 @@ class QueryEngine:
         if warm and owner in self.aux_charged:
             return
         if current_span() is None:  # untraced: skip span-argument setup
-            self._fetch_aux(stats, owner)
+            self._fetch_aux(batch, lead, owner)
         else:
             with child_span("aux.fetch", partition=owner):
-                self._fetch_aux(stats, owner)
+                self._fetch_aux(batch, lead, owner)
         if warm:
             self.aux_charged.add(owner)
 
-    def _fetch_aux(self, stats: QueryStats, owner: int) -> None:
+    def _fetch_aux(self, batch: ReadBatch, lead: int, owner: int) -> None:
         name = self.aux_names[owner]
-        with self._charged(stats, "aux"):
+        with _Charged(self.device.counters, batch, lead, "aux"):
             self.device.read(name, 0, self.device.file_size(name))
 
     # -- the read flow -------------------------------------------------------
@@ -228,22 +307,6 @@ class QueryEngine:
         cost accounting)."""
         values, stats = self.get_many(np.asarray([key], dtype=np.uint64))
         return values[0], stats[0]
-
-    def _observe(self, stats: QueryStats) -> None:
-        """Mirror one query's cost accounting into the registry."""
-        self._m_queries.inc()
-        if stats.found:
-            self._m_hits.inc()
-        self._m_partitions.inc(stats.partitions_searched)
-        self._m_amp.observe(stats.partitions_searched)
-        for cat, n in stats.breakdown_reads.items():
-            self.metrics.counter(
-                "reader.storage_reads", format=self.fmt.name, category=cat
-            ).inc(n)
-        for cat, nbytes in stats.breakdown_bytes.items():
-            self.metrics.counter(
-                "reader.bytes_read", format=self.fmt.name, category=cat
-            ).inc(nbytes)
 
     @staticmethod
     def _groups(values) -> list[tuple[int, list[int]]]:
@@ -259,7 +322,7 @@ class QueryEngine:
             groups.setdefault(v, []).append(p)
         return sorted(groups.items())
 
-    def get_many(self, keys) -> tuple[list[bytes | None], list[QueryStats]]:
+    def get_many(self, keys, batch: ReadBatch | None = None):
         """Point lookups, the one read flow (`get` is this of one key).
 
         Every key walks its candidate ranks in ascending order, stopping at
@@ -267,70 +330,84 @@ class QueryEngine:
         aux-table candidates for filterkv.  So ``found``, per-key
         ``partitions_searched`` and the aux-table probe/candidate counters
         are those of answering each key on its own.  What a batch shares
-        is the physical plan: each partition table (and value log) is
-        opened once per batch, keys destined for the same data block are
-        resolved with a single block read, and vlog reads sweep each log in
-        offset order.  Shared I/O is charged to the *first* key of the
-        group that needed it, so per-key breakdowns are an attribution
+        is the physical plan: the aux tables are probed once (one union
+        probe for a csf epoch, else once per owner partition), each
+        partition table (and value log) is opened once per batch, keys
+        destined for the same data block are resolved with a single block
+        read, and vlog reads sweep each log in offset order.  Shared I/O,
+        the owner's aux fetch included, is charged to the *first* key of
+        the group that needed it, so per-key breakdowns are an attribution
         (aggregate reads/bytes remain exact, and are <= answering the keys
         one call each — that reduction is the point).
+
+        Returns ``(values, stats)``.  Given ``batch``, a walk's
+        `ReadBatch`, the call is that walk's step at this epoch instead:
+        ``keys`` are the batch's keys at ``batch.at``, their answers and
+        costs go into the batch, and it returns None.
         """
-        arr = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
-        n = int(arr.size)
-        values: list[bytes | None] = [None] * n
-        stats = [QueryStats() for _ in range(n)]
-        if n == 0:
-            return values, stats
+        if batch is None:
+            arr = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
+            if arr.size == 0:
+                return [], []
+            batch = ReadBatch(arr, self.partitioner.partition_of(arr))
+            self._traced_read(arr, batch)
+            return batch.values, batch.stats()
+        self._traced_read(keys, batch)
+        return None
+
+    def _traced_read(self, keys: np.ndarray, batch: ReadBatch) -> None:
         if current_span() is None:  # untraced: skip span-argument setup
-            self._read(arr, values, stats)
-            return values, stats
+            self._read(keys, batch)
+            return
         with child_span(
             "engine.get_many",
             counters=self.metrics,
             prefixes=("reader.",),
             format=self.fmt.name,
-            keys=n,
+            keys=int(keys.size),
         ) as span:
-            blocks, probes = self._read(arr, values, stats)
+            blocks, probes = self._read(keys, batch)
             if span is not None:
                 span.annotate(blocks=blocks, probes=probes)
-        return values, stats
 
-    def _read(
-        self,
-        keys: np.ndarray,
-        values: list[bytes | None],
-        stats: list[QueryStats],
-    ) -> tuple[int, int]:
-        """Probe candidate tables rank by rank, dereference dataptr's
-        pointers, account; returns ``(blocks touched, probes)``.
+    def _read(self, keys: np.ndarray, batch: ReadBatch) -> tuple[int, int]:
+        """One step: probe ``keys``' candidate tables rank by rank,
+        dereference dataptr's pointers, account; returns ``(blocks
+        touched, probes)``.
 
         Processing candidate ranks in ascending order with a per-key
         "found" mask is probe-equivalent to each key walking its own
         candidate list (which is ascending) and stopping at the first hit.
+        Positions here are the step's; ``at`` maps them to the batch's.
         """
-        owners = self.partitioner.partition_of(keys).tolist()
+        at = batch.at
+        owners = batch.owners if at is None else batch.owners[at]
         if self.fmt.name == "filterkv":
-            plan = self._candidates(keys, owners, stats)
+            plan = self._candidates(keys, owners, batch)
         else:  # the owner is the one candidate: no aux table
-            plan = self._groups(owners)
+            plan = self._groups(owners.tolist())
+        n = keys.size
+        # A whole-batch step writes the batch's own lists.
+        values = batch.values if at is None else [None] * n
+        searched = batch.searched if at is None else [0] * n
         deref = self.fmt.name == "dataptr"
-        found = [False] * len(values)
+        found = [False] * n
         ptrs: list[tuple[int, DataPointer]] = []
         blocks_touched = 0
         probes = 0
+        counters = self.device.counters
         for rank, pos in plan:
             pos = [p for p in pos if not found[p]]
             if not pos:
                 continue
-            lead = stats[pos[0]]
-            reader = self._open_table(rank, lead)
-            with self._charged(lead, "data"):
+            lead = pos[0] if at is None else at[pos[0]]
+            reader = self._open_table(rank, batch, lead)
+            with _Charged(counters, batch, lead, "data"):
                 vals, nblocks = reader.get_many(keys[pos])
             blocks_touched += nblocks
             probes += len(pos)
             for p, v in zip(pos, vals):
-                stats[p].partitions_searched += 1
+                searched[p] += 1
                 if v is None:
                     continue
                 found[p] = True
@@ -339,42 +416,83 @@ class QueryEngine:
                 else:
                     values[p] = v
         if ptrs:  # dataptr: one more read per value, from the writer's log
-            for rank, at in self._groups(pt.rank for _, pt in ptrs):
-                group = [ptrs[i] for i in at]
-                lead = stats[group[0][0]]
+            for rank, idx in self._groups(pt.rank for _, pt in ptrs):
+                group = [ptrs[i] for i in idx]
+                lead = group[0][0] if at is None else at[group[0][0]]
                 log = ValueLog.open(self.device, rank)
-                with self._charged(lead, "vlog"):
+                with _Charged(counters, batch, lead, "vlog"):
                     vals = log.read_many([pt for _, pt in group])
                 for (p, _), v in zip(group, vals):
                     values[p] = v
-        for st, hit in zip(stats, found):
-            st.found = hit
-            self._observe(st)
-        self._m_batch_keys.inc(len(values))
-        self._m_batch_blocks.observe(blocks_touched)
-        if blocks_touched:
-            self._m_batch_coalesce.observe(probes / blocks_touched)
+        if at is not None:
+            for p, v, s in zip(at, values, searched):
+                batch.searched[p] += s
+                if v is not None:
+                    batch.values[p] = v
+        self._observe(batch.end_step(), n, sum(found), searched, blocks_touched, probes)
         return blocks_touched, probes
 
+    def _observe(self, step: dict, n: int, hits: int, searched, blocks: int, probes: int) -> None:
+        """Mirror one step into the registry, in sums: ``step`` is its
+        charges, ``searched`` each key's partitions searched in it."""
+        if self.metrics is NULL_REGISTRY:
+            return
+        self._m_queries.inc(n)
+        self._m_hits.inc(hits)
+        self._m_partitions.inc(sum(searched))
+        self._m_amp.observe_many(searched)
+        reads: dict[str, int] = {}
+        nbytes: dict[str, int] = {}
+        for cost in step.values():
+            for cat, k in cost.reads.items():
+                reads[cat] = reads.get(cat, 0) + k
+            for cat, k in cost.nbytes.items():
+                nbytes[cat] = nbytes.get(cat, 0) + k
+        fmt = self.fmt.name
+        for cat, k in reads.items():
+            self.metrics.counter("reader.storage_reads", format=fmt, category=cat).inc(k)
+        for cat, k in nbytes.items():
+            self.metrics.counter("reader.bytes_read", format=fmt, category=cat).inc(k)
+        self._m_batch_keys.inc(n)
+        self._m_batch_blocks.observe(blocks)
+        if blocks:
+            self._m_batch_coalesce.observe(probes / blocks)
+
     def _candidates(
-        self, keys: np.ndarray, owners: list[int], stats: list[QueryStats]
+        self, keys: np.ndarray, owners: np.ndarray, batch: ReadBatch
     ) -> list[tuple[int, list[int]]]:
-        """Filterkv's probe plan: each owner's aux table fetched and probed
-        once per batch, then ``(rank, key positions)`` for every candidate
-        rank, ascending."""
+        """Filterkv's probe plan: each owner's aux fetch charged once per
+        step, to its first key, and the step's keys probed in one union
+        probe (`EpochAux`), or per owner partition when the epoch is not
+        all csf; then ``(rank, key positions)`` for every candidate rank,
+        ascending, each rank's keys grouped by owner as the per-owner
+        probe would list them."""
+        at = batch.at
+        groups = self._groups(owners.tolist())
         by_rank: dict[int, list[int]] = {}
-        for owner, pos in self._groups(owners):
+        for owner, pos in groups:
             aux = self.aux_tables[owner]
             if aux is None:
                 raise ValueError(f"no auxiliary table for partition {owner}")
-            self._charge_aux(owner, stats[pos[0]])
+            self._charge_aux(owner, batch, pos[0] if at is None else at[pos[0]])
+            if self.aux is not None:
+                continue
             counts, flat = aux.candidates_many(keys[pos])
             self._m_candidates.inc(flat.size)
             flat = flat.tolist()
-            at = 0
+            i = 0
             for p, c in zip(pos, counts.tolist()):
-                for r in flat[at : at + c]:
+                for r in flat[i : i + c]:
                     by_rank.setdefault(r, []).append(p)
-                at += c
+                i += c
+        if self.aux is not None:  # one candidate or none per key
+            counts, flat = self.aux.candidates_many(keys, owners)
+            self._m_candidates.inc(flat.size)
+            ranks = iter(flat.tolist())
+            rank_of = [next(ranks) if c else -1 for c in counts.tolist()]
+            for _, pos in groups:
+                for p in pos:
+                    r = rank_of[p]
+                    if r >= 0:
+                        by_rank.setdefault(r, []).append(p)
         return sorted(by_rank.items())
-

@@ -40,6 +40,11 @@ alone is its batch of one.  `XorMaplet.from_state` reloads a sealed one.
 
 `XorMaplet.get` is the one-key twin of `lookup_many`: the same three slot
 reads and fingerprint in plain Python ints, with no array round trip.
+
+`MapletUnion` is the read side of the build's union: the maplets of one
+sealed epoch's partitions held as one slot array, each key hashed under
+its owner partition's seeds and segment, so one `lookup_many` answers
+keys of every partition at once.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import numpy as np
 
 from .hashing import MASK64, splitmix64, splitmix64_int
 
-__all__ = ["XorMaplet", "CsfConstructionError", "csf_segment"]
+__all__ = ["XorMaplet", "MapletUnion", "CsfConstructionError", "csf_segment"]
 
 MAX_TRIES = 32  # seeds a table may try before its build gives up
 _SEED_STRIDE = 0x9E37  # per-retry seed step (persisted blobs carry the settled seed)
@@ -293,3 +298,41 @@ class XorMaplet:
     @property
     def size_bytes(self) -> int:
         return math.ceil(self.nslots * self.slot_bits / 8)
+
+
+class MapletUnion:
+    """The maplets of one epoch's partitions, probed as one.
+
+    The layout is `XorMaplet._build_union`'s: every maplet's slots in one
+    array, and per partition its four mixed seeds, its segment and its
+    first slot.  Each maplet's ``_slots`` becomes a view of the union's,
+    so no slot is held twice.  A partition with no maplet (no keys) owns
+    three zero slots: a fingerprint is never zero, so no key of it hits.
+    The maplets share one ``value_bits`` and ``fp_bits``.
+    """
+
+    def __init__(self, maplets: list[XorMaplet | None], value_bits: int, fp_bits: int):
+        segs = np.asarray([m._segment if m is not None else 1 for m in maplets], dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(3 * segs)))
+        self.slots = np.zeros(int(starts[-1]), dtype=np.uint64)
+        empty = np.zeros((4, 1), dtype=np.uint64)
+        self.mix = np.concatenate(
+            [m._mix_arr if m is not None else empty for m in maplets], axis=1
+        )
+        for m, a, b in zip(maplets, starts[:-1].tolist(), starts[1:].tolist()):
+            if m is not None:
+                self.slots[a:b] = m._slots
+                m._slots = self.slots[a:b]
+        self.seg = segs.astype(np.uint64)
+        self.base = starts[:-1]
+        self.value_bits = value_bits
+        self.fp_bits = fp_bits
+
+    def lookup_many(self, keys: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`XorMaplet.lookup_many` of each key in its owner's maplet
+        (``owners``: partition indices), in one hash and one gather."""
+        pos, fps = _hash(keys, self.mix[:, owners], self.seg[owners], self.base[owners], self.fp_bits)
+        slots = self.slots
+        acc = slots[pos[0]] ^ slots[pos[1]] ^ slots[pos[2]]
+        hits = (acc >> np.uint64(self.value_bits)) == fps
+        return hits, acc & np.uint64((1 << self.value_bits) - 1)

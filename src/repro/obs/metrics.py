@@ -102,6 +102,10 @@ class Histogram:
     def observe(self, v: float) -> None:
         self._values.append(float(v))
 
+    def observe_many(self, values) -> None:
+        """`observe` each of ``values``, in order."""
+        self._values.extend(map(float, values))
+
     @property
     def count(self) -> int:
         return len(self._values)
@@ -269,6 +273,9 @@ class _NullHistogram(Histogram):
     __slots__ = ()
 
     def observe(self, v):
+        pass
+
+    def observe_many(self, values):
         pass
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..obs import MetricsRegistry, active
 from .blockio import ExtentLostError, StorageDevice
@@ -114,6 +114,11 @@ class Manifest:
     epochs: list[EpochInfo] = field(default_factory=list)
     next_epoch: int = 0
     compacted: dict[int, int] = field(default_factory=dict)
+
+    def copy(self) -> "Manifest":
+        """A copy to change and commit while this one keeps serving (its
+        `EpochInfo` entries are immutable, so they are shared)."""
+        return replace(self, epochs=list(self.epochs), compacted=dict(self.compacted))
 
     def add_epoch(self, info: EpochInfo) -> None:
         if any(e.epoch == info.epoch for e in self.epochs):
@@ -318,8 +323,10 @@ class Manifest:
         if manifest is not None:
             for info in manifest.epochs:
                 referenced.update(info.files)
-            for _, name in cls._scan_generations(device)[:_KEEP_GENERATIONS]:
-                referenced.add(name)
+            # The generation loaded (or re-committed) and its fallback:
+            # newer ones did not validate, so they go with the orphans.
+            kept = [name for seq, name in cls._scan_generations(device) if seq <= generation]
+            referenced.update(kept[:_KEEP_GENERATIONS])
         orphans: list[str] = []
         bytes_reclaimed = 0
         for name in device.list_files():

@@ -65,14 +65,18 @@ seeds = st.integers(0, 2**32 - 1)
 ops = st.integers(0, 120)  # how many device operations into a step a crash lands
 
 
-def faults(extents):
+def faults(extents, manifest=False):
     """A crash at a drawn operation, or an I/O error on the first
     operation on one of the first four ranks' ``extents`` (``part`` or
-    ``aux``): one past rank 0 leaves the lower ranks' extents written."""
-    return st.one_of(
+    ``aux``): one past rank 0 leaves the lower ranks' extents written.
+    With ``manifest``, also an I/O error on a manifest generation's append."""
+    kinds = [
         st.just("crash"),
         st.builds("io_error {}.*.{:06d}".format, st.sampled_from(extents), st.integers(0, 3)),
-    )
+    ]
+    if manifest:
+        kinds.append(st.just("io_error MANIFEST.*"))
+    return st.one_of(*kinds)
 
 
 policies = st.one_of(
@@ -319,12 +323,13 @@ class StoreMachine(RuleBasedStateMachine):
             if not spec.fired:
                 device.plan.specs.remove(spec)
 
-    @rule(picks=picks, twice=twice, seed=seeds, kind=faults(["part", "aux"]), at=ops)
+    @rule(picks=picks, twice=twice, seed=seeds, kind=faults(["part", "aux"], manifest=True), at=ops)
     def write_fails(self, picks, twice, seed, kind, at):
         """A write that fails partway: the store keeps the pre-step or the
         post-step epoch set (a policy merge after it may land or not).  A
         write appends every rank's table and aux extent before it commits,
-        so an I/O error always lands before the commit."""
+        so an I/O error always lands before the commit or on its append,
+        and the store keeps the epochs it had."""
         batches, rows = self._dump(picks, twice, seed)
         before = self.oracle.next_epoch
         merges = self._policy_merges(len(self.oracle.order) + 1)
@@ -333,12 +338,11 @@ class StoreMachine(RuleBasedStateMachine):
         assert not window or (self.oracle.next_epoch == before + 2 and len(window) == merges)
 
     @precondition(lambda self: len(self.store.epochs) >= 2)
-    @rule(start=st.integers(0, 15), extra=st.integers(0, 15), kind=faults(["part"]), at=ops)
+    @rule(start=st.integers(0, 15), extra=st.integers(0, 15), kind=faults(["part", "aux"]), at=ops)
     def compact_fails(self, start, extra, kind, at):
-        """A merge that fails partway.  I/O errors hit tables only: a merge
-        that adopts an aux partition reads it after its commit, and an
-        error there leaves the store without an engine for the epoch it
-        committed (`test_an_aux_read_error_after_a_merge_commits`)."""
+        """A merge that fails partway.  It reads the merged epoch's aux
+        tables back, adopted and written, before it commits, so an I/O
+        error on any table or aux extent leaves the merge uncommitted."""
         window = self._window(start, extra)
         merge = partial(self.store.compact, window)
         got = self._step(partial(self._failing, kind, at, merge))
@@ -538,16 +542,31 @@ def test_a_failed_write_then_its_retry(fmt):
     assert machine.oracle.order == [0, 1]
 
 
-@pytest.mark.xfail(strict=True, raises=EpochRetiredError, reason="known defect: see docstring")
-def test_an_aux_read_error_after_a_merge_commits():
-    """A merge that adopts every aux partition commits, then
-    `MultiEpochStore._apply_compaction` re-reads the adopted blobs to
-    attach the merged epoch.  An I/O error on that read propagates after
-    the manifest flipped and the sources' engines were popped, so the
-    store lists the merged epoch with no engine for it, and every read of
-    it raises `EpochRetiredError` naming the epoch itself."""
+def test_an_aux_read_error_in_a_merge_commits_nothing():
+    """A merge that adopts every aux partition reads the adopted blobs
+    back to build the merged epoch's engine.  That read comes before the
+    commit, so an I/O error on it leaves the sources live and the merge
+    an orphan, and every surface still reads the sources."""
     failing = ("compact_fails", {"start": 0, "extra": 0, "kind": "io_error aux.*", "at": 0})
-    _replay(
-        [("write_epoch", {"picks": [0, 27, 45], "twice": 0, "seed": 0}), failing],
+    machine = _replay(
+        [("write_epoch", {"picks": [0, 27, 45], "twice": 0, "seed": 0}), failing, ("attach", {})],
         fmt=FMT_FILTERKV, nranks=4, policy=None, seed=5, picks=[0, 1], twice=0,
     )
+    assert machine.oracle.order == [0, 1] and machine.oracle.merged_into == {}
+
+
+@pytest.mark.parametrize("fmt", [FMT_BASE, FMT_FILTERKV], ids=lambda f: f.name)
+def test_a_failed_manifest_append_lists_no_epoch(fmt):
+    """A write whose manifest append fails has written every table and
+    aux extent, but the store must not list the epoch: an attach reads
+    the device's manifest, and the next write must not make the failed
+    epoch durable.  Two such failures leave two newer generations that
+    do not validate; a crash recovery after them must keep the one that
+    does, not the two newest names.  The retry takes the same epoch id."""
+    failing = ("write_fails", {**_write(1)[1], "kind": "io_error MANIFEST.*", "at": 0})
+    crash = ("write_fails", {**_write(3)[1], "kind": "crash", "at": 0})
+    machine = _replay(
+        [failing, ("attach", {}), failing, crash, _write(2), ("attach", {})],
+        fmt=fmt, nranks=4, policy=None, seed=3, picks=list(range(0, UNIVERSE, 3)), twice=4,
+    )
+    assert machine.oracle.order == [0, 1]

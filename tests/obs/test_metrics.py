@@ -58,6 +58,20 @@ def test_histogram_quantiles_interpolated():
         h.quantile(1.5)
 
 
+def test_histogram_observe_many_is_observe_in_order():
+    reg = MetricsRegistry()
+    one, many = reg.histogram("one"), reg.histogram("many")
+    values = [3, 0, 1.5, 7, 0, 2]
+    for v in values:
+        one.observe(v)
+    many.observe_many(values)
+    many.observe_many([])
+    assert one._state() == many._state()
+    null = NullRegistry().histogram("c")
+    null.observe_many(values)
+    assert null.count == 0
+
+
 def test_empty_histogram_is_all_zero():
     h = MetricsRegistry().histogram("empty")
     assert h.count == 0 and h.mean == 0.0 and h.quantile(0.5) == 0.0

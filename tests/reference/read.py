@@ -27,6 +27,9 @@ import struct
 import zlib
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.reader import QueryStats
 from repro.storage.blockio import StorageDevice
 from repro.storage.sstable import CorruptBlockError, SSTableReader
 
@@ -164,6 +167,38 @@ def check_against_oracle(engine, keys, aux_registry):
         n: after[n] - mid[n] for n in AUX_COUNTERS
     }
     return stats, io
+
+
+def walk_stats(epochs, engine, keys) -> list[QueryStats]:
+    """Each key's `QueryStats` for a newest-first walk over ``epochs``
+    (oldest first), summed the way walks summed them before one
+    accumulator held a whole walk: ``engine(epoch).get_many`` of the keys
+    still unanswered, newest epoch first, and each key's per-epoch stats
+    added field by field (latency epoch by epoch, so the float sums
+    associate the same way)."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    out = [QueryStats() for _ in range(keys.size)]
+    left = list(range(keys.size))
+    for epoch in reversed(epochs):
+        if not left:
+            break
+        values, stats = engine(epoch).get_many(keys[left])
+        still = []
+        for i, value, st in zip(left, values, stats):
+            total = out[i]
+            total.found = total.found or st.found
+            total.latency += st.latency
+            total.reads += st.reads
+            total.bytes_read += st.bytes_read
+            total.partitions_searched += st.partitions_searched
+            for cat, n in st.breakdown_reads.items():
+                total.breakdown_reads[cat] = total.breakdown_reads.get(cat, 0) + n
+            for cat, n in st.breakdown_bytes.items():
+                total.breakdown_bytes[cat] = total.breakdown_bytes.get(cat, 0) + n
+            if value is None:
+                still.append(i)
+        left = still
+    return out
 
 
 def footprint(device: StorageDevice) -> tuple[list[str], int, int]:
