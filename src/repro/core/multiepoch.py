@@ -55,20 +55,19 @@ class EpochRetiredError(LookupError):
         self.merged = merged
 
 
-def _newest_first(
-    epochs: list[int], engine, keys
-) -> tuple[list[bytes | None], list[int | None], list[QueryStats]]:
+def _newest_first(epochs: list[int], engine, keys) -> tuple[ReadBatch, list[int | None]]:
     """Newest value of each key across ``epochs`` (oldest first), read
     through ``engine(epoch)``: each epoch is probed once with the
     still-missing keys (block-coalesced), newest first, until none is left.
-    One `ReadBatch` holds the walk: the keys' owners are hashed once, each
-    epoch's `QueryEngine.get_many` adds its step to it, and each key's
-    stats, summed over the epochs it walked, are built once at the end.
-    Returns ``(values, epochs_found, stats)``."""
+    One `ReadBatch` holds the walk: the keys' owners are hashed once, and
+    each epoch's `QueryEngine.get_many` adds its step to it.  Returns the
+    batch — ``values`` the answers; `ReadBatch.stats`, each key's costs
+    summed over the epochs it walked, is for a caller that reads them to
+    build — and the epoch each key was found in."""
     arr = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
     found: list[int | None] = [None] * arr.size
     if not epochs or arr.size == 0:
-        return [None] * arr.size, found, [QueryStats() for _ in found]
+        return ReadBatch(arr, np.zeros(arr.size, dtype=np.int64)), found  # no step reads owners
     batch = ReadBatch(arr, engine(epochs[-1]).partitioner.partition_of(arr))
     left: range | list[int] = range(arr.size)
     for epoch in reversed(epochs):
@@ -83,7 +82,7 @@ def _newest_first(
         if not still:
             break
         left = batch.at = still
-    return batch.values, found, batch.stats()
+    return batch, found
 
 
 class EpochMount:
@@ -135,8 +134,16 @@ class EpochMount:
         self, keys
     ) -> tuple[list[bytes | None], list[int | None], list[QueryStats]]:
         """Newest value of each key across all live epochs (`_newest_first`
-        over the session's engines)."""
-        return _newest_first(self.store.epochs, self.engine, keys)
+        over the session's engines), and each key's stats."""
+        batch, found = _newest_first(self.store.epochs, self.engine, keys)
+        return batch.values, found, batch.stats()
+
+    def newest_many(self, keys, epochs: list[int]) -> tuple[list[bytes | None], list[int | None]]:
+        """Newest value of each key across ``epochs`` (live ids, oldest
+        first) and the epoch it was found in: `lookup_many`'s walk, with no
+        per-key stats built for a caller that reads none."""
+        batch, found = _newest_first(epochs, self.engine, keys)
+        return batch.values, found
 
     def close(self) -> None:
         """Drop every engine and the blocks it keeps, and detach their
@@ -391,8 +398,8 @@ class MultiEpochStore:
         amplification by.
         """
         engine = self._warm.engine if cached else self.engine
-        values, found, stats = _newest_first(self.epochs, engine, [key])
-        return values[0], found[0], stats[0]
+        batch, found = _newest_first(self.epochs, engine, [key])
+        return batch.values[0], found[0], batch.stats()[0]
 
     def lookup_many(
         self, keys

@@ -50,6 +50,7 @@ class HashRing:
         self.seed = int(seed)
         self._points = np.empty(0, dtype=np.uint64)
         self._owners = np.empty(0, dtype=np.int64)
+        self._replicas: dict[int, np.ndarray] = {}  # rf -> each point's walk
         self.shards: list[int] = []
         for s in shards:
             self.add_shard(int(s))
@@ -68,6 +69,7 @@ class HashRing:
         order = np.argsort(points, kind="stable")
         self._points = points[order]
         self._owners = owners[order]
+        self._replicas.clear()
         self.shards.append(shard)
         self.shards.sort()
 
@@ -105,21 +107,30 @@ class HashRing:
     def owners_many(self, keys: np.ndarray, rf: int = 1) -> np.ndarray:
         """Vectorized `owners`: ``(len(keys), rf)`` shard ids, column 0 the
         primary.  Must (and does — see the parity test) agree with the
-        scalar walk for every key."""
+        scalar walk for every key.  A key's walk depends only on the point
+        it starts at, so each point's is walked once per ``rf`` and a
+        key's is one gather."""
         if not self.shards:
             raise ValueError("ring is empty")
         keys = np.asarray(keys, dtype=np.uint64).ravel()
         rf = min(max(1, int(rf)), len(self.shards))
-        start = self._start_index(keys)
-        out = np.empty((keys.size, rf), dtype=np.int64)
+        walks = self._replicas.get(rf)
+        if walks is None:
+            walks = self._replicas[rf] = self._walk_points(rf)
+        return walks[self._start_index(keys)]
+
+    def _walk_points(self, rf: int) -> np.ndarray:
+        """``(points, rf)``: the first ``rf`` distinct shards clockwise of
+        each ring point, that point's owner first."""
         n = self._points.size
-        # The primary is a straight gather; deeper replicas walk until the
-        # next *distinct* shard.  The walk vectorizes per replica slot:
-        # rows that already found slot j stop advancing.
-        idx = start.copy()
-        out[:, 0] = self._owners[idx % n]
+        idx = np.arange(n)
+        out = np.empty((n, rf), dtype=np.int64)
+        out[:, 0] = self._owners
+        # Deeper replicas walk until the next *distinct* shard.  The walk
+        # vectorizes per replica slot: rows that already found slot j stop
+        # advancing.
         for j in range(1, rf):
-            found = np.zeros(keys.size, dtype=bool)
+            found = np.zeros(n, dtype=bool)
             while not found.all():
                 idx[~found] += 1
                 cand = self._owners[idx % n]

@@ -21,11 +21,11 @@ walk through its shard's epochs is the shard's business.
   shard's errors open its breaker within a few requests, after which its
   replicas serve every key it owned — replica promotion is emergent from
   breaker + ring order, no leader election needed.
-* **Bursts** — `get` is `get_burst` of one request, and `get_burst`
-  walks every key of a burst by the same rules, all walks at once.  The
-  router does no batching of its own: the hops a burst sends to one
-  shard leave in one loop turn, and the shard's `TCPClient` packs them
-  into one ``GET_MANY`` frame per run.
+* **Bursts** — `get` is `get_burst` of one request, which walks a whole
+  burst hop by hop: each hop's requests for one shard at one epoch and
+  deadline go as one `get_burst` call to its client (one ``GET_MANY``
+  over TCP), a traced request alone; each answer is judged per key, and
+  a shard's failing keys move on as soon as its answer lands.
 
 The router exposes the read and introspection surface of `QueryService`
 (``get`` / ``get_burst`` / ``stats`` / ``live_stats`` /
@@ -126,6 +126,18 @@ class CircuitBreaker:
             self.trips += 1
 
 
+class _Walk:
+    """One admitted request on its way through its ring owners (``order``):
+    the next one to ask (``hop``) and its ``answer`` — until the walk ends,
+    the first answer of last resort."""
+
+    __slots__ = ("request", "order", "hop", "answer")
+
+    def __init__(self, request: tuple, order: list[int]):
+        self.request, self.order, self.hop = request, order, 0
+        self.answer: ServeResponse | None = None
+
+
 class FleetRouter:
     """Route point queries to each key's ring owners, in ring order.
 
@@ -133,8 +145,8 @@ class FleetRouter:
     ----------
     clients:
         ``shard id → client`` (a `TCPClient`, or in process the shard's
-        `QueryService` itself — anything with their ``get``).  The
-        mapping is read live on every call, so a `Fleet` swapping a
+        `QueryService` itself — anything with their ``get_burst``).  The
+        mapping is read live on every hop, so a `Fleet` swapping a
         recovered shard's client in place just works.
     ring / rf:
         Placement: a key may live only on its ``rf`` ring owners.
@@ -196,11 +208,9 @@ class FleetRouter:
         read burst, in request order.
 
         A request `checked_request` refuses is answered ``bad_request``
-        inline.  Every other key walks its ring owners (the burst's in one
-        `HashRing.owners_many`) by `_walk`, all walks under one
-        ``gather``.  The walks' hops to one shard leave in the same loop
-        turn, so the shard's client packs them into one ``GET_MANY``
-        frame per run.
+        inline.  The others walk their ring owners (one `owners_many` for
+        the burst) hop by hop: `_route` sends each walk to its next owner,
+        and `_ask` asks each shard for its walks at one epoch and deadline.
         """
         t0 = time.perf_counter()
         out: list[ServeResponse | None] = [None] * len(requests)
@@ -222,15 +232,13 @@ class FleetRouter:
             return out
         owners = self.ring.owners_many(np.asarray(keys, dtype=np.uint64), self.rf).tolist()
         self._m_scatter.inc(len(admitted))
-        walks = [
-            self._walk(order, key, epoch, deadline_s, trace)
-            for (key, epoch, deadline_s, trace), order in zip(admitted, owners)
-        ]
+        walks = [_Walk(request, order) for request, order in zip(admitted, owners)]
         # Always as tasks, even a lone one: every burst's frames then leave
         # on the same loop turn, and bursts that arrive together stay
         # together at the shards (their dispatch windows depend on it).
-        for i, response in zip(slots, await asyncio.gather(*walks)):
-            out[i] = self._done(t0, response)
+        await asyncio.gather(*self._route(walks))
+        for i, walk in zip(slots, walks):
+            out[i] = self._done(t0, walk.answer)
         return out
 
     def _done(self, t0: float, response: ServeResponse) -> ServeResponse:
@@ -240,70 +248,80 @@ class FleetRouter:
         self.timeseries.record(response.status, dt)
         return response
 
-    async def _walk(self, order: list[int], key: int, epoch, deadline_s, trace) -> ServeResponse:
-        """Try the key's owners in ring order, each through `_try_shard`.
-        Returns the first terminal answer, or the first non-terminal one
-        when every candidate fails."""
-        fallback = None
-        for i, sid in enumerate(order):
-            if i > 0:
-                self._m_failovers.inc()
-            final, response = await self._try_shard(sid, key, epoch, deadline_s, trace)
-            if final:
-                return response
-            if response is not None and fallback is None:
-                fallback = response
-        if fallback is not None:
-            return fallback
-        return ServeResponse(
-            ERROR, key, epoch, detail=f"no shard available (tried {order})", code=ERR_INTERNAL
-        )
-
-    async def _try_shard(
-        self, sid: int, key: int, epoch, deadline_s, trace
-    ) -> tuple[bool, ServeResponse | None]:
-        """One shard's full attempt: breaker gate, bounded retries.
-
-        Returns ``(final, response)``; ``final`` means the walk stops
-        here.  ``(False, resp)`` keeps ``resp`` as a fallback answer if
-        every other candidate also fails; ``(False, None)`` means the
-        shard was skipped or unreachable.
-        """
-        breaker = self.breakers.get(sid)
-        if breaker is not None and not breaker.allow():
-            self._m_breaker_skips.inc()
-            return False, None
-        client = self.clients.get(sid)
-        if client is None:
-            return False, None
-        last = None
-        for attempt in range(RETRIES + 1):
-            if attempt > 0:
-                self._m_retries.inc()
-                await asyncio.sleep(BACKOFF_S * (2 ** (attempt - 1)))
-            try:
-                response = await client.get(
-                    key, epoch=epoch, deadline_s=deadline_s, trace=trace
+    def _route(self, walks: list[_Walk]) -> list[asyncio.Task]:
+        """Send each walk to its next owner whose breaker lets it through
+        and that has a client: one `_ask` task per shard, epoch and
+        deadline (a traced request alone).  A walk with no owner left ends
+        on its answer of last resort, or an error."""
+        groups: dict[tuple, list[_Walk]] = {}
+        for walk in walks:
+            key, epoch, deadline_s, trace = walk.request
+            while walk.hop < len(walk.order):
+                sid = walk.order[walk.hop]
+                if walk.hop:
+                    self._m_failovers.inc()
+                walk.hop += 1
+                breaker = self.breakers.get(sid)
+                if breaker is not None and not breaker.allow():
+                    self._m_breaker_skips.inc()
+                elif self.clients.get(sid) is not None:
+                    group = (sid, epoch, deadline_s) if trace is None else (sid, walk)
+                    groups.setdefault(group, []).append(walk)
+                    break
+            else:
+                detail = f"no shard available (tried {walk.order})"
+                walk.answer = walk.answer or ServeResponse(
+                    ERROR, key, epoch, detail=detail, code=ERR_INTERNAL
                 )
-            except _TRANSPORT_ERRORS:
-                if breaker is not None:
-                    breaker.record(False)
-                last = None
-                continue
-            verdict = self._judge(sid, response)
-            if verdict is _RETRY:
-                last = response
-                continue
-            return verdict is _FINAL, response
-        return False, last
+        loop = asyncio.get_running_loop()
+        return [
+            loop.create_task(self._ask(sid, self.clients[sid], group))
+            for (sid, *_), group in groups.items()
+        ]
 
-    def _judge(self, sid: int, response: ServeResponse):
-        """What one shard answer means for the walk — `_FINAL` (stop here),
+    async def _ask(self, sid: int, client, walks: list[_Walk]) -> None:
+        """One shard's full attempt at its walks: one `get_burst` per try,
+        bounded retries with backoff, each answer judged per key by
+        `_judge`.  A walk the shard does not end moves on (`_route`) as
+        soon as the answer that decides it lands: a fallback at once, a
+        shard fault after its last retry."""
+        onward: list[asyncio.Task] = []
+        try:
+            for attempt in range(RETRIES + 1):
+                if attempt:
+                    self._m_retries.inc(len(walks))
+                    await asyncio.sleep(BACKOFF_S * (2 ** (attempt - 1)))
+                try:
+                    responses = await client.get_burst([walk.request for walk in walks])
+                except _TRANSPORT_ERRORS:
+                    responses = [None] * len(walks)
+                retry, moved = [], []
+                for walk, response in zip(walks, responses):
+                    verdict = self._judge(sid, response)
+                    if verdict is _FINAL:
+                        walk.answer = response
+                    elif verdict is _RETRY and attempt < RETRIES:
+                        retry.append(walk)
+                    else:
+                        walk.answer = walk.answer or response
+                        moved.append(walk)
+                onward += self._route(moved)
+                if not (walks := retry):
+                    break
+            await asyncio.gather(*onward)
+        finally:
+            for task in onward:
+                task.cancel()  # only a failed or cancelled attempt leaves any running
+
+    def _judge(self, sid: int, response: ServeResponse | None):
+        """What one shard answer means for its key's walk — `_FINAL` (stop here),
         `_FALLBACK` (fail over, keep it as the answer of last resort) or
         `_RETRY` (a shard fault: try this shard again) — with the answer
-        fed to the shard's breaker."""
+        fed to the shard's breaker.  ``None`` is a transport fault."""
         alive, verdict = True, _FINAL
-        if response.status == DEADLINE_EXCEEDED:
+        if response is None:
+            alive, verdict = False, _RETRY
+        elif response.status == DEADLINE_EXCEEDED:
             pass  # alive, just slow
         elif response.status == OVERLOADED:
             # An explicit refusal: the shard is alive.  Fail over to a

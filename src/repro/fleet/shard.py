@@ -6,8 +6,8 @@ be crashed and recovered on schedule — its own store, its own service,
 its own ``serve.*`` registry (one for the node's lifetime, handed to every
 service it mounts and merged fleet-wide by `Fleet`), and optionally its
 own TCP front end.  A node's client is its `TCPClient`, or in process
-the service itself: both answer ``get`` alike, so the router never knows
-which it is talking to.
+the service itself: both answer ``get_burst`` alike, so the router never
+knows which it is talking to.
 
 Crash/recover is the storage-truth discipline the faults suite
 established: `crash` downs the device (every probe raises `CrashPoint`,

@@ -42,15 +42,16 @@ id-tagged dict — ``{"id": 8, "v": 5, "op": "get_many", "keys": [1, 2],
 
 One checksum everywhere: frames, like every extent at rest, carry a `zlib.crc32`.
 
-Bursts start at the client.  `TCPClient.get` sends no frame of its own:
-an untraced call joins the loop turn's pending *run* — the maximal
-sequence of consecutive ``get`` calls at one ``(epoch, deadline_s)`` — and
-awaits its own future.  A run ends at a ``get`` with another epoch or
-deadline, at a call that sends a frame of its own (``get_many``, a control
-verb, a traced ``get``; queued behind the runs before it), or with the
-loop turn, whose `TCPClient._flush` packs each run into one ``GET_MANY``
-and sends all the turn queued with one write; the reply's rows go to the
-run's futures in order.  `ServeServer` takes every complete frame already
+Bursts start at the client.  `TCPClient.get_burst` (and `get`, its
+one-request fast path) sends no frame of its own: its untraced
+requests join the loop turn's pending *runs* — a run is the maximal
+sequence of consecutive requests at one ``(epoch, deadline_s)``, whoever
+made them — and the call awaits one future per run it joined.  A traced
+request is a run of its own; a control verb's frame queues behind the
+runs before it.  At the end of the loop turn `TCPClient._flush` packs
+each run into one ``GET_MANY`` and sends all the turn queued with one
+write; the reply's rows go to the run's calls, a slice each.
+`ServeServer` takes every complete frame already
 buffered (a *read burst*), hands every key it reads to one ``get_burst``
 call of the mounted service, in the callers' order, and answers with one
 write, so a closed loop's requests keep arriving together and fill the
@@ -69,7 +70,7 @@ asked for.  An op the server does not know (v3's one-key ``get``, say)
 is answered ``unknown_op`` and the connection stays open.
 
 `TCPClient` speaks this over a socket; in process, a `QueryService` is
-its own client (``get``).
+its own client: both answer ``get`` and ``get_burst`` alike.
 """
 
 from __future__ import annotations
@@ -611,14 +612,19 @@ class ServeServer:
 
 
 class _Run:
-    """Consecutive ``get`` calls at one epoch and deadline: the keys, one
-    future per call, and — once packed into a ``GET_MANY`` — its id."""
+    """The keys bound for one ``GET_MANY``: consecutive calls' requests at
+    one epoch and deadline, or one request nobody joins (a traced one, or
+    a key that is no u64).  Each call waits on one future for the reply's
+    rows and takes its own slice of them; once packed, the run has its
+    frame id."""
 
-    __slots__ = ("epoch", "deadline_s", "keys", "futures", "rid", "left")
+    __slots__ = ("epoch", "deadline_s", "trace", "joinable", "keys", "futures", "rid", "left")
 
-    def __init__(self, epoch, deadline_s):
+    def __init__(self, epoch, deadline_s, trace, joinable: bool):
         self.epoch = epoch
         self.deadline_s = deadline_s
+        self.trace = trace
+        self.joinable = joinable
         self.keys: list[int] = []
         self.futures: list[asyncio.Future] = []
         self.rid: int | None = None
@@ -632,9 +638,15 @@ class _Run:
         except ProtocolError as e:
             self.fail(e)
             return
-        for future, row in zip(self.futures, rows):
+        for future in self.futures:
             if not future.done():
-                future.set_result(row)
+                future.set_result(rows)
+
+    def wait(self) -> asyncio.Future:
+        """A future for the reply's rows, for one more call."""
+        future = asyncio.get_running_loop().create_future()
+        self.futures.append(future)
+        return future
 
     def fail(self, error: Exception) -> None:
         for future in self.futures:
@@ -643,8 +655,9 @@ class _Run:
 
 
 class TCPClient:
-    """Framed-protocol client; safe for many concurrent ``get`` calls,
-    which it packs into one ``GET_MANY`` per run (module docstring)."""
+    """Framed-protocol client; safe for many concurrent ``get`` and
+    ``get_burst`` calls, whose requests it packs into one ``GET_MANY`` per
+    run (module docstring)."""
 
     def __init__(self, host: str, port: int):
         self.host = host
@@ -653,7 +666,7 @@ class TCPClient:
         self._writer: asyncio.StreamWriter | None = None
         self._pump: asyncio.Task | None = None
         self._waiting: dict[int, asyncio.Future] = {}  # frame id -> its `_call`
-        self._runs: list[_Run] = []  # this loop turn's `get` runs, not yet packed
+        self._runs: list[_Run] = []  # this loop turn's runs, not yet packed
         self._run_bytes = 0  # what `_runs` will pack to
         self._batches: dict[int, _Run] = {}  # frame id -> a packed run awaiting its reply
         self._ids = itertools.count(1)
@@ -727,11 +740,15 @@ class TCPClient:
             if run.left == len(run.futures):
                 continue  # every call of it was cancelled
             run.rid = self._next_id()
+            message = {
+                "id": run.rid, "v": PROTO_VERSION, "op": "get_many", "keys": run.keys,
+                "epoch": run.epoch, "deadline_s": run.deadline_s,
+            }
+            trace = run.trace  # a `TraceContext`, its wire dict, or None
+            if trace is not None:
+                message["trace"] = trace.to_wire() if isinstance(trace, TraceContext) else trace
             try:
-                self._outbox += encode_frame({
-                    "id": run.rid, "v": PROTO_VERSION, "op": "get_many", "keys": run.keys,
-                    "epoch": run.epoch, "deadline_s": run.deadline_s,
-                })
+                self._outbox += encode_frame(message)
             except (TypeError, ValueError) as e:  # no frame: fail the run, not the flush
                 run.fail(e)
             else:
@@ -788,53 +805,76 @@ class TCPClient:
             raise ProtocolError(f"peer answered in v{reply['v']}, not v{PROTO_VERSION}")
         return reply
 
-    async def get(
-        self,
-        key: int,
-        epoch: int | None = None,
-        deadline_s: float | None = None,
-        trace: TraceContext | None = None,
-    ) -> ServeResponse:
-        """One key's answer, from the ``GET_MANY`` of the run this call
-        joins.  A traced call, or a key that is no u64 (refused on its
-        own, not with its run-mates), goes alone as a one-key
-        ``get_many``."""
-        key = int(key)
-        if trace is not None or not 0 <= key <= _U64_MAX:
-            return (await self.get_many((key,), epoch, deadline_s, trace))[0]
-        if self._lost is not None or self._congested():
-            await self._room()
+    def _join(self, key: int, epoch, deadline_s, trace) -> _Run:
+        """Append one request to the run it joins: the last pending run if
+        it is open at this epoch and deadline and the request may join one
+        (untraced, a u64 key), else a new run."""
+        joinable = trace is None and 0 <= key <= _U64_MAX
         run = self._runs[-1] if self._runs else None
-        if run is None or run.epoch != epoch or run.deadline_s != deadline_s:
+        if not (joinable and run is not None and run.joinable
+                and run.epoch == epoch and run.deadline_s == deadline_s):
             self._schedule_flush()
-            run = _Run(epoch, deadline_s)
+            run = _Run(epoch, deadline_s, trace, joinable)
             self._runs.append(run)
             self._run_bytes += _RUN_BYTES
-        future = asyncio.get_running_loop().create_future()
         run.keys.append(key)
-        run.futures.append(future)
         self._run_bytes += _KEY_BYTES
-        try:
-            return await future
-        finally:
-            run.left += 1
-            if run.left == len(run.futures) and self._batches.get(run.rid) is run:
-                del self._batches[run.rid]  # the last call left before the reply
+        return run
 
-    async def get_many(
-        self,
-        keys,
-        epoch: int | None = None,
-        deadline_s: float | None = None,
-        trace: TraceContext | None = None,
-    ) -> list[ServeResponse]:
-        """``get`` of every key, at one epoch and deadline, in one
-        ``GET_MANY`` frame; the responses come back in key order."""
-        keys = [int(k) for k in keys]
-        message = {"op": "get_many", "keys": keys, "epoch": epoch, "deadline_s": deadline_s}
-        if trace is not None:
-            message["trace"] = trace.to_wire()
-        return _responses(await self._call(message), keys)
+    def _leave(self, run: _Run) -> None:
+        """One call is done with ``run``: answered, failed or cancelled.
+        The last call to leave a packed run releases its id before the
+        reply."""
+        run.left += 1
+        if run.left == len(run.futures) and self._batches.get(run.rid) is run:
+            del self._batches[run.rid]
+
+    async def get(self, key: int, epoch: int | None = None, deadline_s: float | None = None,
+                  trace: TraceContext | None = None) -> ServeResponse:
+        """Point lookup: `get_burst`'s one-request fast path.  It joins its
+        run straight through `_join` / `_leave`; going through `get_burst`'s
+        burst loop cost `serve-churn` +3.9 % `cpu_us_per_op` (EXPERIMENTS,
+        "Router bursts", run (1))."""
+        if self._lost is not None or self._congested():
+            await self._room()
+        run = self._join(int(key), epoch, deadline_s, trace)
+        at = len(run.keys) - 1
+        future = run.wait()
+        try:
+            return (await future)[at]
+        finally:
+            self._leave(run)
+
+    async def get_burst(self, requests) -> list[ServeResponse]:
+        """Answer ``(key, epoch, deadline_s, trace)`` requests in request
+        order, as `QueryService.get_burst` does.  No frame of its own: each
+        stretch of requests at one epoch and deadline joins the loop turn's
+        pending run, and the call waits on one future per run it joined.  A
+        traced request, or a key that is no u64 (refused on its own, not
+        with its run-mates), is a run nobody joins."""
+        if self._lost is not None or self._congested():
+            await self._room()
+        requests = [(int(key), *rest) for key, *rest in requests]  # a bad key joins no run
+        joined: list[tuple[_Run, asyncio.Future, int]] = []  # run, future, first row
+        for key, epoch, deadline_s, trace in requests:
+            run = self._join(key, epoch, deadline_s, trace)
+            if not joined or joined[-1][0] is not run:
+                joined.append((run, run.wait(), len(run.keys) - 1))
+        # A run grows only while it is the last one, so each call's stretch
+        # of a run ends where that run ends now.
+        ends = [len(run.keys) for run, _, _ in joined]
+        out: list[ServeResponse] = []
+        try:
+            for (_, future, start), end in zip(joined, ends):
+                out += (await future)[start:end]
+        finally:
+            for run, future, _ in joined:
+                if not future.done():
+                    future.cancel()
+                elif not future.cancelled():
+                    future.exception()  # a lost link fails every run: seen once is enough
+                self._leave(run)
+        return out
 
     async def stats(self) -> dict:
         return (await self._call({"op": "stats"}))["stats"]

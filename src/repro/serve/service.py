@@ -40,8 +40,9 @@ sampled root links (attributes ``batch`` and ``batch_trace``).
 
 Everything is single-event-loop: a dispatch window is one loop callback
 (``loop.call_soon``) that runs synchronously, so no locks guard the cache
-or the mount.  The service is its own in-process client: a router or the
-load generator calls its `get` as it would a `TCPClient`'s.
+or the mount.  The service is its own in-process client: a router calls
+its `get_burst`, and the load generator its `get`, as they would a
+`TCPClient`'s.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -667,16 +667,13 @@ class QueryService:
 
     def _answer(self, token, items: list[_Pending]) -> None:
         """One token's share of a window: one bulk read through the mount
-        (a live epoch's block-coalesced probe, or for an `ANY_EPOCH` token
-        the newest-first walk over live epochs), then every pending
-        finished."""
+        (the newest-first walk over the live epochs for an `ANY_EPOCH`
+        token, a live epoch's block-coalesced probe otherwise; no per-key
+        stats, which nothing here reads), then every pending finished."""
         keys = np.fromiter((p.key for p in items), dtype=np.uint64, count=len(items))
-        if isinstance(token, tuple):
-            values, where, _ = self._mount.lookup_many(keys)
-            missing = self.store.epochs[-1]
-        else:
-            values, _ = self._mount.get_many(keys, token)
-            where, missing = repeat(token), token
+        epochs = self.store.epochs if isinstance(token, tuple) else [token]
+        values, where = self._mount.newest_many(keys, epochs)
+        missing = epochs[-1]
         for pending, value, epoch in zip(items, values, where):
             if value is not None:
                 response = ServeResponse(OK, pending.key, epoch, value=value)

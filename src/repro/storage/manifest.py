@@ -34,7 +34,7 @@ __all__ = ["EpochInfo", "Manifest", "RecoveryReport", "MANIFEST_NAME", "MANIFEST
 MANIFEST_NAME = "MANIFEST"  # the unsealed single extent before generations: refused
 MANIFEST_PREFIX = "MANIFEST."
 _GENERATION_RE = re.compile(r"^MANIFEST\.(\d{6,})$")
-_KEEP_GENERATIONS = 2  # newest + one fallback survive each commit's sweep
+_KEEP_GENERATIONS = 2  # recovery keeps the generation it loaded and the one before
 _VERSION = 1
 
 
@@ -114,6 +114,10 @@ class Manifest:
     epochs: list[EpochInfo] = field(default_factory=list)
     next_epoch: int = 0
     compacted: dict[int, int] = field(default_factory=dict)
+    # The generation this manifest was loaded from (its seal validated) or
+    # last committed as (its append landed whole): the one generation on
+    # the device known valid without a read.  Not persisted.
+    generation: int | None = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "Manifest":
         """A copy to change and commit while this one keeps serving (its
@@ -235,18 +239,22 @@ class Manifest:
         """Atomically promote this manifest; returns the generation number.
 
         The new generation is one sealed append — complete or torn, never
-        half-interpreted.  Older generations beyond a small keep window are
-        swept afterwards; a crash between the append and the sweep only
-        leaves extra old generations, which the next load ignores and the
-        next commit sweeps.
+        half-interpreted.  Then every older generation is swept but the
+        fallback: ``generation``, the one this manifest came from, which
+        is valid where a newer name may be the empty extent of an append
+        that failed.  A crash between the append and the sweep only leaves
+        extra old generations, which the next load ignores and the next
+        commit sweeps.
         """
         gens = self._scan_generations(device)
         seq = (gens[0][0] + 1) if gens else 1
         name = self._generation_name(seq)
         device.create(name)
         device.append(name, seal(self.to_bytes()))
-        for old_seq, name in gens[_KEEP_GENERATIONS - 1 :]:
-            device.delete(name)
+        for old_seq, old in gens:
+            if old_seq != self.generation:
+                device.delete(old)
+        self.generation = seq
         return seq
 
     @classmethod
@@ -269,9 +277,12 @@ class Manifest:
             payload = try_unseal(device.read(name, 0, device.file_size(name)))
             if payload is not None:
                 try:
-                    return seq, cls.from_bytes(payload), invalid
+                    manifest = cls.from_bytes(payload)
                 except ValueError:
                     pass
+                else:
+                    manifest.generation = seq
+                    return seq, manifest, invalid
             invalid.append(name)
         if device.exists(MANIFEST_NAME):
             raise UnsupportedLayoutError(

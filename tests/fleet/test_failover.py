@@ -172,8 +172,8 @@ def test_deadline_read_waits_on_a_slow_primary_alone():
 class _Answering:
     """A shard client that answers every key."""
 
-    async def get(self, key, epoch=None, deadline_s=None, trace=None):
-        return ServeResponse(OK, int(key), epoch, value=b"v")
+    async def get_burst(self, requests):
+        return [ServeResponse(OK, int(key), epoch, value=b"v") for key, epoch, *_ in requests]
 
 
 def test_deadline_read_skips_an_owner_without_a_client():

@@ -47,6 +47,7 @@ def test_primary_balance():
 def test_movement_bound_on_membership_change():
     before = HashRing(list(range(4)), vnodes=64).primary_of(KEYS)
     grown = HashRing(list(range(4)), vnodes=64)
+    assert np.array_equal(grown.primary_of(KEYS), before)  # walks memoised before the add
     grown.add_shard(4)
     after = grown.primary_of(KEYS)
     moved = after != before

@@ -136,11 +136,8 @@ class _Overloaded:
     def __init__(self, inner):
         self._inner = inner
 
-    async def get(self, key, epoch=None, deadline_s=None, trace=None):
-        return ServeResponse(OVERLOADED, int(key), epoch)
-
-    async def get_many(self, keys, epoch=None, deadline_s=None, trace=None):
-        return [ServeResponse(OVERLOADED, int(k), epoch) for k in keys]
+    async def get_burst(self, requests):
+        return [ServeResponse(OVERLOADED, int(key), epoch) for key, epoch, *_ in requests]
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -201,8 +198,8 @@ def test_get_burst_equals_one_get_per_key(tcp):
 def test_burst_reaches_each_shard_as_one_get_many_per_run():
     """Over TCP, one router burst reaches each shard as exactly one
     ``GET_MANY`` per (epoch, deadline) of the keys whose first hop it is:
-    the router walks key by key, and each shard's client packs the hops
-    of one loop turn.  The burst mixes two epochs and keys with and
+    the router sends each shard one `get_burst` per epoch and deadline,
+    and each shard's client packs it into one run.  The burst mixes two epochs and keys with and
     without a deadline, and answers as one `get` per key does."""
     fleet, dumps, truth = build_fleet(nshards=4, rf=2, epochs=2, seed=47, tcp=True)
     keys = sorted(truth)[::4] + absent_keys(truth, n=12)

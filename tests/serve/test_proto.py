@@ -421,6 +421,27 @@ def test_gets_of_a_run_not_yet_flushed_fail_when_the_client_closes():
     run(main())
 
 
+def test_a_burst_with_a_key_that_is_no_integer_queues_none_of_its_requests():
+    store, truth = shared_store(FMT_FILTERKV)
+    key = next(iter(truth[0]))
+
+    async def main():
+        async with ServeServer(QueryService(store)) as server:
+            async with TCPClient(server.host, server.port) as client:
+                with pytest.raises(ValueError):
+                    await client.get_burst([(key, None, None, None), ("x", None, None, None)])
+                assert client._runs == []
+                _assert_nothing_waits(client)
+                assert (await _within(client.get(key))).value == truth[0][key]
+
+    run(main())
+
+
+def _many(client, keys, epoch):
+    """One `get_burst` of ``keys`` at ``epoch``: one ``GET_MANY`` frame."""
+    return client.get_burst([(k, epoch, None, None) for k in keys])
+
+
 def test_get_many_answers_like_one_get_per_key():
     store, truth = shared_store(FMT_FILTERKV, epochs=2)
     old, new = list(truth[0])[:4], list(truth[1])[:4]
@@ -431,23 +452,28 @@ def test_get_many_answers_like_one_get_per_key():
         async with ServeServer(service) as server:
             async with TCPClient(server.host, server.port) as client:
                 for epoch in (None, 0, ANY_EPOCH, 99):
-                    many = await _within(client.get_many(keys, epoch=epoch))
+                    many = await _within(_many(client, keys, epoch))
                     one = [await _within(client.get(k, epoch=epoch)) for k in keys]
                     # The gets came second, so they are result-cache hits.
                     assert [replace(r, cached=True) for r in many] == [
                         replace(r, cached=True) for r in one
                     ], epoch
-                    assert one == await _within(client.get_many(keys, epoch=epoch))
+                    assert one == await _within(_many(client, keys, epoch))
                 assert [r.value for r in one[:8]] == [None] * 8 and one[0].code == "unknown_epoch"
-                any_epoch = await client.get_many(keys, epoch=ANY_EPOCH)
+                any_epoch = await _many(client, keys, ANY_EPOCH)
                 direct = await service.get_burst([(k, ANY_EPOCH, None, None) for k in keys])
                 assert direct == any_epoch
                 assert [r.value for r in any_epoch] == [
                     truth[1].get(k, truth[0].get(k)) for k in keys
                 ]
-                assert await client.get_many([]) == []
+                # An empty burst sends no frame; an empty GET_MANY from a
+                # peer is answered with an empty REPLY_MANY.
+                assert await _many(client, [], None) == []
+                empty = {"op": "get_many", "keys": [], "epoch": None, "deadline_s": None}
+                reply = await _within(client._call(empty))
+                assert reply["replies"] == [] and _responses(reply, []) == []
                 # A request refused as a whole is one typed error per key.
-                (refused,) = await client.get_many([U64 + 1])
+                (refused,) = await _many(client, [U64 + 1], None)
                 assert refused.status == ERROR and refused.code == ERR_BAD_REQUEST
                 assert refused.key == U64 + 1
 

@@ -7,6 +7,7 @@ from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
 from repro.core.pipeline import aux_table_name, main_table_name
+from repro.faults import FaultPlan, FaultSpec, FaultyStorageDevice
 from repro.storage.blockio import StorageDevice
 from repro.storage.envelope import UnsupportedLayoutError, seal
 from repro.storage.manifest import MANIFEST_NAME, MANIFEST_PREFIX, EpochInfo, Manifest
@@ -86,6 +87,33 @@ def test_corrupt_commit_falls_back_to_previous_generation():
     m.commit(dev)
     newest = max(n for n in dev.list_files() if n.startswith(MANIFEST_PREFIX))
     dev.corrupt(newest, dev.file_size(newest) // 2, xor=0x40)
+    assert Manifest.load(dev).epoch_ids == [0]
+
+
+def test_commit_after_failed_appends_keeps_the_valid_fallback():
+    """Two commits whose appends fail leave empty generations behind; the
+    next good commit keeps the generation its manifest came from as the
+    fallback and sweeps the empty ones, so a flipped bit in the newest
+    generation still falls back to a valid one.  (Kept by name, the
+    fallback was the newest empty extent and the only valid one went.)"""
+    dev = FaultyStorageDevice(plan=FaultPlan(seed=0))
+    m = Manifest(fmt="base", nranks=4, value_bytes=24)
+    m.add_epoch(_info(0))
+    assert m.commit(dev) == 1
+    m.add_epoch(_info(1))
+    for _ in range(2):
+        dev.plan.add(FaultSpec("io_error", pattern=f"{MANIFEST_PREFIX}*"))
+        with pytest.raises(OSError):
+            m.commit(dev)
+
+    def generations():
+        return {n: dev.file_size(n) for n in dev.list_files() if n.startswith(MANIFEST_PREFIX)}
+
+    assert generations()["MANIFEST.000001"] > 0
+    assert generations()["MANIFEST.000002"] == generations()["MANIFEST.000003"] == 0
+    assert m.commit(dev) == 4
+    assert sorted(generations()) == ["MANIFEST.000001", "MANIFEST.000004"]
+    dev.corrupt("MANIFEST.000004", dev.file_size("MANIFEST.000004") // 2, xor=0x40)
     assert Manifest.load(dev).epoch_ids == [0]
 
 
