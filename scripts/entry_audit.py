@@ -60,6 +60,8 @@ REFERENCE = {
         "the codec's inverse: round-trip tests check `compress` output with it",
     "src/repro/storage/compression.py::_read_varint": "part of `decompress`",
     "src/repro/storage/compression.py::SnappyError": "what `decompress` raises",
+    "src/repro/storage/blockio.py::IOCounters.delta":
+        "the I/O of one read, as the read-traffic tests and the per-key reference reader measure it",
 }
 
 

@@ -114,6 +114,16 @@ class ReadBatch:
         cost.nbytes[category] = cost.nbytes.get(category, 0) + nbytes
         cost.latency += seconds
 
+    def charge_since(self, pos: int, category: str, counters, mark) -> None:
+        """Charge key ``pos`` what the device ``counters`` counted since
+        ``mark`` (`_mark` of them before the read): three integer deltas,
+        no counter snapshot."""
+        reads, nbytes, seconds = mark
+        self.charge(
+            pos, category, counters.reads - reads, counters.bytes_read - nbytes,
+            counters.read_time - seconds,
+        )
+
     def end_step(self) -> dict[int, _Cost]:
         """Fold the current step's charges into the call's; returns them."""
         step, self.step = self.step, {}
@@ -146,25 +156,9 @@ class ReadBatch:
         return out
 
 
-class _Charged:
-    """Context manager charging a device's I/O deltas to one key of a
-    `ReadBatch`, under one category."""
-
-    __slots__ = ("counters", "batch", "pos", "category", "before")
-
-    def __init__(self, counters, batch: ReadBatch, pos: int, category: str):
-        self.counters = counters
-        self.batch = batch
-        self.pos = pos
-        self.category = category
-
-    def __enter__(self) -> "_Charged":
-        self.before = self.counters.snapshot()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        d = self.counters.delta(self.before)
-        self.batch.charge(self.pos, self.category, d.reads, d.bytes_read, d.read_time)
+def _mark(counters) -> tuple[int, int, float]:
+    """A device's read counters before a read, for `ReadBatch.charge_since`."""
+    return counters.reads, counters.bytes_read, counters.read_time
 
 
 class QueryEngine:
@@ -228,6 +222,9 @@ class QueryEngine:
         self._m_batch_coalesce = self.metrics.histogram(
             "reader.batch_coalescing_ratio", **fmtl
         )
+        # `reader.storage_reads` / `reader.bytes_read` by category, each
+        # looked up on its first charge.
+        self._m_by_category: dict[str, tuple] = {}
 
     def warm(self, metrics: MetricsRegistry | None, table_cache_entries: int) -> "QueryEngine":
         """A view of this epoch that keeps what it reads: it shares the
@@ -266,11 +263,12 @@ class QueryEngine:
         meta = self.metas[rank] if cache is not None else None
         if meta is not None:
             return SSTableReader(self.device, name, meta, cache)
-        before = self.device.counters.snapshot()
+        reads, nbytes, seconds = _mark(self.device.counters)
         reader = SSTableReader(self.device, name, cache=cache)
-        d = self.device.counters.delta(before)
+        # The footer is one read of its fixed size; the rest is the index.
         batch.charge(lead, "footer", 1, FOOTER_BYTES, 0.0)
-        batch.charge(lead, "index", d.reads - 1, d.bytes_read - FOOTER_BYTES, d.read_time)
+        mark = (reads + 1, nbytes + FOOTER_BYTES, seconds)
+        batch.charge_since(lead, "index", self.device.counters, mark)
         if cache is not None:
             self.metas[rank] = reader.meta
         return reader
@@ -297,8 +295,9 @@ class QueryEngine:
 
     def _fetch_aux(self, batch: ReadBatch, lead: int, owner: int) -> None:
         name = self.aux_names[owner]
-        with _Charged(self.device.counters, batch, lead, "aux"):
-            self.device.read(name, 0, self.device.file_size(name))
+        mark = _mark(self.device.counters)
+        self.device.read(name, 0, self.device.file_size(name))
+        batch.charge_since(lead, "aux", self.device.counters, mark)
 
     # -- the read flow -------------------------------------------------------
 
@@ -402,8 +401,9 @@ class QueryEngine:
                 continue
             lead = pos[0] if at is None else at[pos[0]]
             reader = self._open_table(rank, batch, lead)
-            with _Charged(counters, batch, lead, "data"):
-                vals, nblocks = reader.get_many(keys[pos])
+            mark = _mark(counters)
+            vals, nblocks = reader.get_many(keys[pos])
+            batch.charge_since(lead, "data", counters, mark)
             blocks_touched += nblocks
             probes += len(pos)
             for p, v in zip(pos, vals):
@@ -420,8 +420,9 @@ class QueryEngine:
                 group = [ptrs[i] for i in idx]
                 lead = group[0][0] if at is None else at[group[0][0]]
                 log = ValueLog.open(self.device, rank)
-                with _Charged(counters, batch, lead, "vlog"):
-                    vals = log.read_many([pt for _, pt in group])
+                mark = _mark(counters)
+                vals = log.read_many([pt for _, pt in group])
+                batch.charge_since(lead, "vlog", counters, mark)
                 for (p, _), v in zip(group, vals):
                     values[p] = v
         if at is not None:
@@ -448,11 +449,17 @@ class QueryEngine:
                 reads[cat] = reads.get(cat, 0) + k
             for cat, k in cost.nbytes.items():
                 nbytes[cat] = nbytes.get(cat, 0) + k
-        fmt = self.fmt.name
+        by_category = self._m_by_category
         for cat, k in reads.items():
-            self.metrics.counter("reader.storage_reads", format=fmt, category=cat).inc(k)
-        for cat, k in nbytes.items():
-            self.metrics.counter("reader.bytes_read", format=fmt, category=cat).inc(k)
+            pair = by_category.get(cat)
+            if pair is None:
+                labels = {"format": self.fmt.name, "category": cat}
+                pair = by_category[cat] = (
+                    self.metrics.counter("reader.storage_reads", **labels),
+                    self.metrics.counter("reader.bytes_read", **labels),
+                )
+            pair[0].inc(k)
+            pair[1].inc(nbytes[cat])
         self._m_batch_keys.inc(n)
         self._m_batch_blocks.observe(blocks)
         if blocks:

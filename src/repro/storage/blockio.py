@@ -212,12 +212,13 @@ class StorageDevice:
         buf = self._files.get(name)
         if buf is None:
             raise ExtentLostError(f"extent {name!r} was deleted underneath a reader")
-        if offset > len(buf.getbuffer()):
-            raise ExtentLostError(
-                f"read at offset {offset} beyond extent {name!r} "
-                f"({len(buf.getbuffer())} B) — truncated underneath a reader?"
-            )
-        data = buf.getbuffer()[offset : offset + size].tobytes()
+        with buf.getbuffer() as view:  # exported once per read
+            if offset > len(view):
+                raise ExtentLostError(
+                    f"read at offset {offset} beyond extent {name!r} "
+                    f"({len(view)} B) — truncated underneath a reader?"
+                )
+            data = view[offset : offset + size].tobytes()
         self._charge_read(len(data))
         return data
 

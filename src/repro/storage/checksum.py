@@ -21,17 +21,16 @@ __all__ = ["crc32_rows", "CHECKSUM_BYTES"]
 CHECKSUM_BYTES = 8
 
 
-def crc32_rows(data, row_bytes: int, rows=None) -> np.ndarray:
+def crc32_rows(data, row_bytes: int) -> np.ndarray:
     """`zlib.crc32` of each ``row_bytes``-byte slice of ``data``, as uint64.
 
     Element ``i`` is the CRC of ``data[i * row_bytes : (i + 1) * row_bytes]``
-    (the last row shorter when the length is no multiple); ``rows`` (indices,
-    any order) takes only those slices, in that order.
+    (the last row shorter when the length is no multiple).
     """
     if row_bytes < 1:
         raise ValueError(f"row_bytes must be positive, got {row_bytes}")
     view = memoryview(data)
-    picks = range(-(-len(view) // row_bytes)) if rows is None else np.asarray(rows).tolist()
     return np.array(
-        [zlib.crc32(view[i * row_bytes : (i + 1) * row_bytes]) for i in picks], dtype=np.uint64
+        [zlib.crc32(view[i : i + row_bytes]) for i in range(0, len(view), row_bytes)],
+        dtype=np.uint64,
     )

@@ -65,9 +65,12 @@ seeks and bytes line up with Fig. 11b/c.
 from __future__ import annotations
 
 import struct
+import weakref
 import zlib
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -360,6 +363,14 @@ class TableMeta:
     goff: np.ndarray
     gsum: np.ndarray
 
+    @cached_property
+    def view(self) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+        """``first``, ``last``, ``gstart``, ``gfirst`` and ``gsum`` as plain
+        int lists, built on a table's first read: the read's per-key and
+        per-group steps index them without a NumPy scalar per step."""
+        cols = (self.first, self.last, self.gstart, self.gfirst, self.gsum)
+        return tuple(c.tolist() for c in cols)
+
 
 def _checked(blob: bytes, what: str, name: str) -> bytes:
     """Verify and strip a section's trailing checksum."""
@@ -500,26 +511,31 @@ class _Block:
     A reader without a cache, or with one that keeps blocks, fetches the
     whole block, every group; one over a 0-block cache fetches the span
     from the first to the last group a call touches.  ``lo`` is the run's
-    first group within its block and ``g0`` that group's index in the
-    table's group table; group ``g`` of the run is bytes ``g *
+    first group within its block; group ``j`` of the run is bytes ``j *
     group_bytes`` onwards of ``raw`` (the block's last group the short
-    one).  ``verified`` records what lookups so far
-    have verified and decoded — a group is checksummed and decoded the
-    first time a lookup lands in it, never before.  ``keys`` is the run's
-    key column: a verified group's slots hold its keys; the slots of a
-    group not yet verified hold that group's first key from the
-    checksummed index, which keeps the column sorted so one `searchsorted`
-    serves any mix of groups.
+    one).  ``verified`` holds one flag per group of the run: a group is
+    checksummed the first time a lookup lands in it, never before, and a
+    block in a cache keeps its flags for the next reader.
     """
 
-    __slots__ = ("raw", "lo", "g0", "verified", "keys")
+    __slots__ = ("raw", "lo", "verified")
 
-    def __init__(self, raw: bytes, lo: int, g0: int, ngroups: int, keys: np.ndarray):
+    def __init__(self, raw: bytes, lo: int, ngroups: int):
         self.raw = raw
         self.lo = lo
-        self.g0 = g0
-        self.verified = np.zeros(ngroups, dtype=bool)
-        self.keys = keys
+        self.verified = bytearray(ngroups)
+
+
+# `sstable.block_cache.misses` of each registry a reader without a cache
+# counts its fetches into, looked up once per registry.
+_MISSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _block_misses(metrics: MetricsRegistry):
+    counter = _MISSES.get(metrics)
+    if counter is None:
+        counter = _MISSES[metrics] = metrics.counter("sstable.block_cache.misses")
+    return counter
 
 
 class BlockCache:
@@ -603,121 +619,6 @@ class SSTableReader:
         None."""
         return self.get_many(np.asarray([key], dtype=np.uint64))[0][0]
 
-    # -- blocks (the I/O unit) and key groups (the verify/decode unit) ------
-
-    def _fetch(self, i: int, lo: int = 0, hi: int | None = None) -> _Block:
-        """Key groups ``lo:hi`` of block ``i`` (block-relative; by default
-        all of them, the whole block) in one device read, nothing verified.
-        A short read raises `CorruptBlockError` naming table and block."""
-        meta = self.meta
-        first = int(meta.gstart[i])
-        if hi is None:
-            hi = int(meta.gstart[i + 1]) - first
-        g0 = first + lo
-        gb, rec = meta.group_bytes, meta.record_bytes
-        start = lo * gb
-        size = min(hi * gb, int(meta.length[i])) - start
-        raw = self._device.read(self.name, int(meta.off[i]) + start, size)
-        if len(raw) != size:
-            raise CorruptBlockError(
-                f"block {i} of {self.name!r} truncated: {len(raw)} of the {size} bytes "
-                f"of its key groups {lo} to {hi - 1}"
-            )
-        # Until a group is verified, its first key stands in for its keys.
-        keys = meta.gfirst[g0 : g0 + hi - lo].repeat(gb // rec)[: size // rec]
-        return _Block(raw, lo, g0, hi - lo, keys)
-
-    def _block(self, i: int, groups: np.ndarray | None = None) -> _Block:
-        """Block ``i`` for a lookup landing in ``groups`` (block-relative,
-        ascending; None: every group).
-
-        Without a cache, the whole block, kept by nobody.  With one, a hit
-        costs no device read and keeps what earlier lookups verified; a
-        miss fetches the whole block into it, or, when it keeps none, only
-        the span ``groups[0]`` to ``groups[-1]``.
-        """
-        cache = self._cache
-        if cache is None:
-            self._device.metrics.counter("sstable.block_cache.misses").inc()
-            return self._fetch(i)
-        blk = cache.get(self.name, i)
-        if blk is not None:
-            return blk
-        if not cache.blocks:
-            if groups is None:
-                return self._fetch(i)
-            return self._fetch(i, int(groups[0]), int(groups[-1]) + 1)
-        blk = self._fetch(i)
-        cache.put(self.name, i, blk)
-        return blk
-
-    def _touch(self, blk: _Block, i: int, groups: np.ndarray) -> None:
-        """Verify and decode those of ``groups`` (indices into the fetched
-        run) that no lookup has touched yet; nothing is decoded, let alone
-        returned, from a group whose checksum fails.  The checksum covers
-        every byte of a group, so every key and value a read decodes from
-        it is verified; the first group that disagrees with the index is
-        named by its place in block ``i``."""
-        need = groups[~blk.verified[groups]]
-        if need.size == 0:
-            return
-        meta = self.meta
-        bad = need[meta.gsum[blk.g0 + need] != crc32_rows(blk.raw, meta.group_bytes, need)]
-        if bad.size:
-            raise CorruptBlockError(
-                f"checksum mismatch in block {i}, key group {blk.lo + int(bad[0])} "
-                f"of {self.name!r}"
-            )
-        # A group is `per` records, a record a stride of ``raw``.
-        rec = meta.record_bytes
-        per, n = meta.group_bytes // rec, blk.keys.size
-        if need.size == blk.verified.size:  # the whole run (a scan): no gather
-            at = slice(None)
-        elif need.size == 1:  # one group (a point lookup): its rows, no gather
-            at = slice(int(need[0]) * per, (int(need[0]) + 1) * per)
-        else:
-            at = (need[:, None] * per + np.arange(per)).ravel()
-            if at[-1] >= n:  # the block's last group is its short one
-                at = at[at < n]
-        blk.keys[at] = np.ndarray((n,), "<u8", blk.raw, 0, (rec,))[at]
-        blk.verified[need] = True
-
-    def _plan(self, i: int, keys: np.ndarray) -> np.ndarray:
-        """The key groups of block ``i`` that ``keys`` land in (block-relative,
-        ascending), chosen from the resident group table before any I/O.
-
-        Per key: the one group that must hold its first occurrence — the
-        last group starting below the key — plus the next group when the
-        key *is* that group's first key (duplicates may begin in the tail of
-        the one before).
-        """
-        meta = self.meta
-        gfirst = meta.gfirst[meta.gstart[i] : meta.gstart[i + 1]]
-        below = gfirst.searchsorted(keys)  # groups starting below the key
-        upto = gfirst.searchsorted(keys, "right")  # ... at or below it
-        touched = np.zeros(gfirst.size, dtype=bool)
-        touched[np.maximum(below - 1, 0)] = True
-        touched[below[upto > below]] = True
-        return touched.nonzero()[0]
-
-    def _find(
-        self, blk: _Block, i: int, keys: np.ndarray, groups: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Resolve ``keys`` against block ``i``, whose `_plan` is ``groups``:
-        ``(hit, starts, stops)``, one row per key — a hit's value is
-        ``blk.raw[start:stop]`` (rows of misses are arbitrary).
-
-        Only the planned groups are touched, all in one pass, and a hit
-        counts only in a verified group.
-        """
-        meta = self.meta
-        self._touch(blk, i, groups - blk.lo)
-        rec, bkeys = meta.record_bytes, blk.keys
-        loc = np.minimum(bkeys.searchsorted(keys), bkeys.size - 1)
-        hit = (bkeys[loc] == keys) & blk.verified[loc // (meta.group_bytes // rec)]
-        starts = loc * rec + _KEY_BYTES
-        return hit, starts, starts + (rec - _KEY_BYTES)
-
     def get_many(self, keys: np.ndarray) -> tuple[list[bytes | None], int]:
         """Point lookups, the table's one read (`get` is this of one key);
         returns ``(values, blocks_touched)``.
@@ -747,53 +648,160 @@ class SSTableReader:
 
     def _get_many(self, keys: np.ndarray) -> tuple[list[bytes | None], int]:
         values: list[bytes | None] = [None] * keys.size
-        first = self.meta.first
-        if first.size == 0:
+        meta = self.meta
+        nblocks = meta.first.size
+        if nblocks == 0:
             return values, 0
-        # Keys ascend across blocks, so a key the Bloom filter passes (every
-        # key, in a table without one) can be only in the first block whose
-        # last key is not below it, and only if that block starts
-        # at-or-before it.
-        bloom = self.meta.bloom
+        bloom = meta.bloom
         if bloom is None:
             pos, k = range(keys.size), keys
         else:
             pos = bloom.contains_many(keys).nonzero()[0]
             pos, k = pos.tolist(), keys[pos]
-        blocks: dict[int, list[int]] = {}
-        for p, key, i in zip(pos, k.tolist(), self.meta.last.searchsorted(k).tolist()):
-            if i < first.size and first[i] <= key:
-                blocks.setdefault(i, []).append(p)
-        for i in sorted(blocks):
-            at = blocks[i]
-            bkeys = keys[at]
-            groups = self._plan(i, bkeys)
-            blk = self._block(i, groups)
-            hit, starts, stops = self._find(blk, i, bkeys, groups)
+        first, last, gstart, gfirst, _ = meta.view
+        ks = k.tolist()
+        # Place every key once, table-wide.  Keys ascend across blocks, so a
+        # key can be only in the first block whose last key is not below it,
+        # and only if that block starts at-or-before it; group first keys
+        # ascend too, so the groups starting below the key give its group:
+        # the last of them (clipped to the key's block), plus the next when
+        # the key *is* that group's first key (duplicates may begin in the
+        # tail of the one before).
+        if len(ks) == 1:  # a lone key: plain-int steps, no array round trip
+            blocks, below = [bisect_left(last, ks[0])], [bisect_left(gfirst, ks[0])]
+        else:
+            blocks = meta.last.searchsorted(k).tolist()
+            below = meta.gfirst.searchsorted(k).tolist()
+        plan: dict[int, tuple[list[tuple[int, int]], set[int]]] = {}
+        for p, key, b, at in zip(pos, ks, blocks, below):
+            if b == nblocks or first[b] > key:
+                continue
+            lo = gstart[b]
+            hi = gstart[b + 1] - 1
+            step = plan.get(b)
+            if step is None:
+                step = plan[b] = ([], set())
+            step[0].append((p, key))
+            # The last group starting below the key, clipped to its block:
+            # ``min(max(at - 1, lo), hi)``, block-relative.
+            step[1].add(at - 1 - lo if lo < at <= hi + 1 else (0 if at <= lo else hi - lo))
+            if lo <= at <= hi and gfirst[at] == key:
+                step[1].add(at - lo)
+        rec = meta.record_bytes
+        gb = meta.group_bytes
+        per = gb // rec
+        for b in sorted(plan):
+            items, groups = plan[b]
+            groups = sorted(groups)
+            blk = self._run(b, groups[0], groups[-1] + 1)
+            run = [j - blk.lo for j in groups]
+            self._verify(blk, b, run)
+            # Find each key among the rows of verified groups only, in one
+            # search over their key column (groups ascend, and so do the
+            # rows of each): a slice of the run when every group from the
+            # first to the last planned one is verified, else the planned
+            # groups gathered.
             raw = blk.raw
-            for p, h, a, b in zip(at, hit.tolist(), starts.tolist(), stops.tolist()):
+            col = np.ndarray((len(raw) // rec,), "<u8", raw, 0, (rec,))
+            a = run[0]
+            if blk.verified.find(0, a, run[-1] + 1) < 0:
+                col = col[a * per : (run[-1] + 1) * per]
+                run = None
+            else:  # rows of the run's whole groups, one group a row; a short last one apart
+                full = len(raw) // gb
+                short = col[full * per :] if run[-1] == full else None
+                col = np.ndarray((full, per), "<u8", raw, 0, (gb, rec))[
+                    run if short is None else run[:-1]
+                ].ravel()
+                if short is not None:
+                    col = np.concatenate((col, short))
+            bk = k if len(items) == len(ks) else np.array([key for _, key in items], np.uint64)
+            loc = np.minimum(col.searchsorted(bk), col.size - 1)
+            hit = (col[loc] == bk).tolist()
+            for (p, _), h, r in zip(items, hit, loc.tolist()):
                 if h:
-                    values[p] = raw[a:b]
-        return values, len(blocks)
+                    r = a * per + r if run is None else run[r // per] * per + r % per
+                    values[p] = raw[r * rec + _KEY_BYTES : (r + 1) * rec]
+        return values, len(plan)
+
+    # -- blocks (the I/O unit) and key groups (the verify/decode unit) ------
+
+    def _run(self, i: int, lo: int, hi: int) -> _Block:
+        """Block ``i`` for a lookup landing in its groups ``lo:hi``, in at
+        most one device read, nothing verified.
+
+        Without a cache, the whole block, kept by nobody.  With one, a hit
+        costs no device read and keeps what earlier lookups verified; a
+        miss fetches the whole block into it, or, when it keeps none, only
+        the groups ``lo:hi``.  A short read raises `CorruptBlockError`
+        naming table and block.
+        """
+        cache = self._cache
+        meta = self.meta
+        if cache is None:
+            _block_misses(self._device.metrics).inc()
+        else:
+            blk = cache.get(self.name, i)
+            if blk is not None:
+                return blk
+        if cache is None or cache.blocks:
+            gstart = meta.view[2]
+            lo, hi = 0, gstart[i + 1] - gstart[i]
+        gb = meta.group_bytes
+        start = lo * gb
+        size = min(hi * gb, int(meta.length[i])) - start
+        raw = self._device.read(self.name, int(meta.off[i]) + start, size)
+        if len(raw) != size:
+            raise CorruptBlockError(
+                f"block {i} of {self.name!r} truncated: {len(raw)} of the {size} bytes "
+                f"of its key groups {lo} to {hi - 1}"
+            )
+        blk = _Block(raw, lo, hi - lo)
+        if cache is not None and cache.blocks:
+            cache.put(self.name, i, blk)
+        return blk
+
+    def _verify(self, blk: _Block, i: int, run) -> None:
+        """Checksum those of the run's groups ``run`` (ascending) that no
+        lookup has verified yet; nothing of a group is used before its
+        checksum passes.  The checksum covers every byte of a group, so
+        every key and value a read decodes from it is verified; the first
+        group that disagrees with the index is named by its place in block
+        ``i``."""
+        verified = blk.verified
+        gb = self.meta.group_bytes
+        _, _, gstart, _, gsum = self.meta.view
+        g0 = gstart[i] + blk.lo
+        raw = memoryview(blk.raw)
+        for j in run:
+            if not verified[j]:
+                if zlib.crc32(raw[j * gb : (j + 1) * gb]) != gsum[g0 + j]:
+                    raise CorruptBlockError(
+                        f"checksum mismatch in block {i}, key group {blk.lo + j} "
+                        f"of {self.name!r}"
+                    )
+                verified[j] = 1
 
     def scan_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Full table contents as columnar arrays, in stored key order.
 
         Returns ``(keys, values)``, values a ``(n, width)`` uint8 matrix.
-        Every block is fetched whole, and every group of it verified in one
-        pass before any of it is decoded; a reader without a cache holds
-        one block at a time, so peak memory is the decoded output plus one
+        Every block is fetched whole, and every group of it verified
+        before any of it is decoded; a reader without a cache holds one
+        block at a time, so peak memory is the decoded output plus one
         block.
         """
         key_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
         rec = self.meta.record_bytes
+        gstart = self.meta.view[2]
         for i in range(self.meta.off.size):
-            blk = self._block(i)
-            self._touch(blk, i, np.arange(blk.verified.size))
-            key_parts.append(blk.keys)
-            shape = (blk.keys.size, rec - _KEY_BYTES)
-            val_parts.append(np.ndarray(shape, np.uint8, blk.raw, _KEY_BYTES, (rec, 1)).copy())
+            blk = self._run(i, 0, gstart[i + 1] - gstart[i])
+            self._verify(blk, i, range(len(blk.verified)))
+            raw, n = blk.raw, len(blk.raw) // rec
+            key_parts.append(np.ndarray((n,), "<u8", raw, 0, (rec,)).astype(np.uint64))
+            shape = (n, rec - _KEY_BYTES)
+            val_parts.append(np.ndarray(shape, np.uint8, raw, _KEY_BYTES, (rec, 1)).copy())
         if not key_parts:
             return np.zeros(0, dtype=np.uint64), np.zeros((0, 0), dtype=np.uint8)
         return _concat(key_parts), _concat(val_parts)

@@ -87,20 +87,15 @@ def test_any_contiguous_buffer_is_read_in_place():
 @given(
     data=st.binary(min_size=0, max_size=1500),
     row_bytes=st.integers(min_value=1, max_value=300),
-    picks=st.lists(st.integers(min_value=0, max_value=10_000), max_size=12),
 )
 @settings(max_examples=200, deadline=None)
-def test_rows_variant_equals_scalar_sum_of_each_row(data, row_bytes, picks):
+def test_rows_variant_equals_scalar_sum_of_each_row(data, row_bytes):
     """One `zlib.crc32` per slice: rows of any length (word multiples or
-    not), a short last row, and all rows or a selection of them in any
-    order."""
+    not) and a short last row."""
     want = [zlib.crc32(data[i : i + row_bytes]) for i in range(0, len(data), row_bytes)]
-    assert crc32_rows(data, row_bytes).tolist() == want
+    got = crc32_rows(data, row_bytes)
+    assert got.dtype == np.uint64 and got.tolist() == want
     assert crc32_rows(memoryview(data), row_bytes).tolist() == want
-    if want:
-        rows = [p % len(want) for p in picks]
-        got = crc32_rows(data, row_bytes, np.asarray(rows, dtype=np.intp))
-        assert got.dtype == np.uint64 and got.tolist() == [want[r] for r in rows]
 
 
 def test_rows_variant_rejects_a_row_size_of_zero():

@@ -1,5 +1,7 @@
 """Property-based tests for the storage substrate."""
 
+from collections import OrderedDict
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,8 @@ from repro.storage import sstable as sstable_mod
 from repro.storage.sstable import BlockCache, SSTableReader, SSTableWriter
 
 from ..reference.read import scan_rows
-from .test_sstable import rows
+from ..serve.test_proto_fuzz import both_profiles
+from .test_sstable import rows, touched_span
 
 
 @st.composite
@@ -75,20 +78,56 @@ def test_sstable_roundtrip_property(items, block_size):
     assert [k for k, _ in scanned] == sorted(k for k, _ in items)
 
 
-@given(
-    keys=st.lists(st.integers(min_value=0, max_value=60), min_size=0, max_size=150),
-    width=st.sampled_from([0, 5, 12, 21]),
-    group_bytes=st.sampled_from([64, 100, 256]),
-    block_size=st.sampled_from([64, 300, 1 << 20]),
-    cache=st.sampled_from([None, 0, 2]),  # the three fetch rules
-)
-@settings(max_examples=120, deadline=None)
-def test_sstable_reads_agree_across_group_and_block_seams(
-    keys, width, group_bytes, block_size, cache
-):
+def _logged(dev: StorageDevice) -> list[tuple[int, int]]:
+    """Every ``(offset, size)`` ``dev`` reads from now on, in order."""
+    fetched = []
+    read = dev._read
+
+    def logged(name, offset, size):
+        fetched.append((offset, size))
+        return read(name, offset, size)
+
+    dev._read = logged
+    return fetched
+
+
+def _planned_reads(meta, keys, cache, lru) -> list[tuple[int, int]]:
+    """The device reads one `get_many` of ``keys`` makes, worked out from
+    the index alone: per planned block, ascending, the whole block — none
+    when a cache of blocks already holds it (``lru`` models that cache and
+    is updated) — or, over a 0-block cache, exactly the planned span."""
+    spans: dict[int, tuple[int, int]] = {}
+    for key in keys:
+        span = touched_span(meta, int(key))
+        if span is not None:
+            b, start, stop = span
+            lo, hi = spans.get(b, (start, stop))
+            spans[b] = (min(lo, start), max(hi, stop))
+    want = []
+    for b in sorted(spans):
+        if cache == 0:
+            start, stop = spans[b]
+            want.append((start, stop - start))
+            continue
+        if cache is not None and b in lru:
+            lru.move_to_end(b)
+            continue
+        want.append((int(meta.off[b]), int(meta.length[b])))
+        if cache is not None:
+            lru[b] = True
+            if len(lru) > cache:
+                lru.popitem(last=False)
+    return want
+
+
+def check_seams(keys, width, group_bytes, block_size, cache, data):
     """A small key universe makes duplicates straddle every kind of seam;
     `get`, `get_many`, `scan` and `scan_arrays` tell one story, first
-    inserted wins, and every absent key in 0..61 is absent."""
+    inserted wins, and every absent key in 0..61 is absent.  The probe is
+    read twice more through the same reader's cache, shuffled and with
+    keys repeated inside a call, with the same answers; and every call
+    reads each planned block it has not cached with one device read, of
+    the whole block or, over a 0-block cache, of exactly its planned span."""
     items = [(k, bytes([i % 251]) * width) for i, k in enumerate(keys)]
     dev = StorageDevice()
     original = sstable_mod.GROUP_BYTES
@@ -106,9 +145,23 @@ def test_sstable_reads_agree_across_group_and_block_seams(
     want = [first.get(k) for k in probe.tolist()]
     r = SSTableReader(dev, "t", cache=None if cache is None else BlockCache(cache, dev.metrics))
     assert r.meta.record_bytes == (8 + width if keys else 0)
-    assert [r.get(k) for k in probe.tolist()] == want
-    assert r.get_many(probe)[0] == want
-    assert r.get_many(probe[::-1])[0] == want[::-1]
+    fetched, lru = _logged(dev), OrderedDict()
+
+    def read(call_keys):
+        planned = _planned_reads(r.meta, call_keys, cache, lru)
+        del fetched[:]
+        values = r.get_many(np.asarray(call_keys, dtype=np.uint64))[0]
+        assert fetched == planned, (call_keys, fetched, planned)
+        return values
+
+    assert [read([k])[0] for k in probe.tolist()] == want
+    assert read(probe) == want
+    assert read(probe[::-1]) == want[::-1]
+    for _ in range(2):
+        call = data.draw(st.permutations(probe.tolist()))
+        call += data.draw(st.lists(st.sampled_from(probe.tolist()), min_size=1, max_size=20))
+        call = data.draw(st.permutations(call))
+        assert read(call) == [want[k] for k in call]
     scanned = scan_rows(r)
     assert [k for k, _ in scanned] == sorted(keys)
     scan_first = {}
@@ -117,6 +170,22 @@ def test_sstable_reads_agree_across_group_and_block_seams(
     assert scan_first == first
     akeys, avals = r.scan_arrays()
     assert [(k, bytes(v)) for k, v in zip(akeys.tolist(), avals)] == scanned
+
+
+(
+    test_sstable_reads_agree_across_group_and_block_seams,
+    test_sstable_reads_agree_across_group_and_block_seams_full,
+) = both_profiles(
+    check_seams,
+    st.lists(st.integers(min_value=0, max_value=60), min_size=0, max_size=150),
+    st.sampled_from([0, 5, 12, 21]),
+    st.sampled_from([64, 100, 256]),
+    st.sampled_from([64, 300, 1 << 20]),
+    st.sampled_from([None, 0, 2]),  # the three fetch rules
+    st.data(),
+    quick=120,
+    full=1500,
+)
 
 
 @given(items=rows_of_one_width(st.just(0), max_size=50).filter(len))

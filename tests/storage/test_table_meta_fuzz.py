@@ -315,6 +315,80 @@ def test_a_resealed_variable_width_header_is_refused_by_name():
     assert Parts(BASES["empty"]).header[2] == 0 and check(BASES["empty"])
 
 
+# -- the table-wide placement against a resealed group table ---------------------
+#
+# A read places every key once against the group first keys of the whole
+# table and clips the result to the key's block.  These group tables keep
+# their checksums but break what that placement relies on; each must be
+# refused at open or read with nothing but values and `ValueError`s.
+
+
+def _group_table_edits(name: str):
+    """``(label, Parts)`` for every directed edit of ``name``'s group table."""
+    base = Parts(BASES[name])
+    starts = [0]
+    for entry in base.entries:
+        starts.append(starts[-1] + entry[5])
+    ngroups = len(base.gfirst)
+
+    def edit(label, fn):
+        p = Parts(BASES[name])
+        fn(p)
+        return label, p
+
+    def reverse(p):
+        p.gfirst = p.gfirst[::-1]
+
+    def swap(p):
+        p.gfirst[1], p.gfirst[2] = p.gfirst[2], p.gfirst[1]
+
+    yield edit("descend: reversed", reverse)
+    yield edit("descend: two neighbours swapped", swap)
+    yield edit("descend: a middle key to 0", lambda p: p.gfirst.__setitem__(ngroups // 2, 0))
+    yield edit("descend: the first key to U64", lambda p: p.gfirst.__setitem__(0, U64))
+    for b, entry in enumerate(base.entries):
+        first, last = entry[0], entry[1]
+        g = starts[b]
+        yield edit(f"block {b} first group below its first key",
+                   lambda p, g=g, k=first: p.gfirst.__setitem__(g, k - 1))
+        yield edit(f"block {b} first group above its first key",
+                   lambda p, g=g, k=first: p.gfirst.__setitem__(g, k + 1))
+        yield edit(f"block {b} first key below its first group",
+                   lambda p, b=b, k=first: p.entries[b].__setitem__(0, k - 1))
+        yield edit(f"block {b} first key past its last",
+                   lambda p, b=b, k=last: p.entries[b].__setitem__(0, k + 1))
+        last_group = starts[b + 1] - 1
+        yield edit(f"block {b} last group past its last key",
+                   lambda p, g=last_group, k=last: p.gfirst.__setitem__(g, k + 1))
+        yield edit(f"block {b} a group at U64",
+                   lambda p, g=last_group: p.gfirst.__setitem__(g, U64))
+        yield edit(f"block {b} last key below its last group",
+                   lambda p, b=b, g=last_group: p.entries[b].__setitem__(1, p.gfirst[g] - 1))
+
+
+@pytest.mark.parametrize("name", ["fixed", "narrow"])
+def test_a_resealed_group_table_that_breaks_the_placement_stays_typed(name):
+    """Group first keys that descend, a block whose first key disagrees
+    with its first group's, and a group first key past its block's last
+    key: refused at open with `CorruptBlockError`, or read — through both
+    fetch rules `check` drives — with only values and `ValueError`s, for
+    probes at and beside every key the index names."""
+    seen = Counter()
+    for label, p in _group_table_edits(name):
+        named = {int(k) for e in p.entries for k in e[:2]} | {int(k) for k in p.gfirst}
+        probes = sorted({max(0, min(U64, k + d)) for k in named for d in (-1, 0, 1)})
+        blob = p.build()
+        try:
+            _open(blob)
+        except ValueError as e:
+            assert isinstance(e, CorruptBlockError), (label, e)
+            seen["refused"] += 1
+            continue
+        assert check(blob, probes), label
+        seen["read"] += 1
+    assert sum(seen.values()) >= 10, seen
+
+
 def _open(blob: bytes) -> SSTableReader:
     dev = StorageDevice()
     dev.create("t")
