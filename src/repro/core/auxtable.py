@@ -28,14 +28,13 @@ Which backend seals is fixed per role, not chosen by a setting: a
 seals `STORE_AUX_BACKEND`, the csf, and the paper's `SimCluster` seals
 cuckoo.  `AUX_BACKENDS`, the registry behind the seal and the one blob
 codec (`state()` / `from_state()` under `aux_to_blob` / `aux_from_blob`),
-holds just those two, so a legacy store epoch sealed cuckoo still loads.  Exact and Bloom are the in-memory
+holds just those two.  Exact and Bloom are the in-memory
 baselines of Fig. 7, Table I and the ablations: they insert, probe and
 report their size, and a blob naming either is refused.
 
-A sealed csf epoch's tables are also read as one: `EpochAux` holds
-their maplets as one union (`filters.csf.MapletUnion`) and answers a
-whole read step's keys, whatever their owner partitions, in one probe,
-each key and each table's counters exactly as its own table would.
+An epoch's tables are read as one (`EpochAux`): a whole read step's
+keys in one call, each key and each table's counters as its own table
+would, a store's csf epoch as one `filters.csf.MapletUnion`.
 
 All byte accounting counts only the *index* data (the paper's Fig. 7b
 "per-key space overhead"), not the keys or values themselves.
@@ -760,51 +759,64 @@ class CsfAuxTable(AuxTable):
 
 
 class EpochAux(AuxTable):
-    """One sealed epoch's csf aux tables, probed as one.
+    """One sealed epoch's aux tables, probed as one, whatever their backend.
 
-    The tables' maplets are held as one `MapletUnion` (each table's slots
-    become a view of it), so `candidates_many` answers keys of every owner
-    partition with one hash and one gather; ``owners`` names each key's
-    partition.  Each key's candidates, and each table's ``aux.*``
-    counters, are exactly those of the key's own table: a present key has
-    its one rank, an absent one none or a false one.  One key takes its
-    table's plain-int probe (`XorMaplet.get`).  `over` builds one only
-    when every partition is csf; a reader probes any other epoch (a legacy
-    cuckoo seal, or a merge that adopted one) partition by partition.
+    `candidates_many` answers a read step's keys, whatever their owner
+    partitions (``owners``), in step order; each key's candidates, and
+    each table's ``aux.*`` counters, are exactly those of its own table.
+    A store's epoch (every partition a sealed csf of one shape) is one
+    `MapletUnion`, each table's slots a view of it: one hash and one
+    gather, and one key takes its table's plain-int `XorMaplet.get`.  Any
+    other (`SimCluster`'s cuckoo) goes through each owner's own
+    `candidates_many`, which counts its keys itself.
     """
 
-    def __init__(self, tables: list[CsfAuxTable]):
+    def __init__(self, tables: list[AuxTable | None], union: MapletUnion | None):
         super().__init__(len(tables))  # its own counters are the null registry's
         self.tables = tables
-        first = tables[0]
-        self._union = MapletUnion([t._maplet for t in tables], first.value_bits, first.fp_bits)
-        self._counted = any(t.metrics is not NULL_REGISTRY for t in tables)
+        self._union = union
+        self._counted = union is not None and any(t.metrics is not NULL_REGISTRY for t in tables)
 
     @classmethod
-    def over(cls, tables: list[AuxTable | None]) -> "EpochAux | None":
-        """The union of one epoch's per-partition ``tables``, or None
-        unless each is a sealed csf table of one slot width over
-        ``len(tables)`` partitions."""
-        if not all(type(t) is CsfAuxTable and t._finalized for t in tables):
-            return None
-        shapes = {(t.nparts, t.value_bits, t.fp_bits) for t in tables}
-        if len(shapes) != 1 or tables[0].nparts != len(tables):
-            return None
-        return cls(tables)
+    def over(cls, tables: list[AuxTable | None]) -> "EpochAux":
+        """One epoch's per-partition ``tables`` (None: never probed), a
+        union when each is a sealed csf of one shape over ``len(tables)``."""
+        union = None
+        if all(type(t) is CsfAuxTable and t._finalized for t in tables):
+            first = tables[0]
+            shape = (len(tables), first.value_bits, first.fp_bits)
+            if all((t.nparts, t.value_bits, t.fp_bits) == shape for t in tables):
+                union = MapletUnion([t._maplet for t in tables], *shape[1:])
+        return cls(tables, union)
 
     def insert_many(self, keys: np.ndarray, src_ranks: np.ndarray | int) -> None:
         raise ValueError("an epoch's aux tables are sealed")
 
     def _candidates_many(self, keys: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self._union is None:
+            return self._per_partition(keys, owners)
         if keys.size == 1:
             return self.tables[int(owners[0])]._candidates_many(keys)
         hits, values = self._union.lookup_many(keys, owners)
         valid = hits & (values < np.uint64(self.nparts))  # rank_bits can name ranks >= nparts
         return valid.astype(np.int64), values[valid].astype(np.int64)
 
+    def _per_partition(self, keys: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each owner's keys through its table's `candidates_many`, the
+        answers put back in step order."""
+        order = np.argsort(owners, kind="stable")  # the keys owner by owner
+        answers = [
+            self.tables[int(owners[part[0]])].candidates_many(keys[part])
+            for part in np.split(order, np.flatnonzero(np.diff(owners[order])) + 1)
+        ]
+        counts = np.empty(keys.size, dtype=np.int64)
+        counts[order] = np.concatenate([c for c, _ in answers])
+        flat = np.concatenate([f for _, f in answers])  # owner by owner
+        return counts, flat[np.argsort(np.repeat(order, counts[order]), kind="stable")]
+
     def _count_probes(self, nkeys: int, counts: np.ndarray, flat: np.ndarray, owners) -> None:
-        """Each owner's table counts its keys' probes and candidates (a csf
-        key has at most one candidate, so none is false)."""
+        """Each owner's union table counts its keys' probes and candidates
+        (a csf key has at most one candidate, so none is false)."""
         if not self._counted:
             return
         probes = np.bincount(owners, minlength=self.nparts).tolist()
@@ -835,8 +847,7 @@ AUX_BACKENDS: dict[str, type[AuxTable]] = {
 # present key, and a build within 2.5x the cuckoo's).  Its guard is the
 # key's one filter, so the epoch's tables carry no Bloom
 # (`pipeline.table_bloom_bits`).  `SimCluster` seals the paper's cuckoo
-# for its figures.  Read at each write, so a test can patch it to write
-# the cuckoo epochs earlier stores sealed.
+# for its figures.
 STORE_AUX_BACKEND = "csf"
 
 

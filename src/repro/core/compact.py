@@ -194,7 +194,7 @@ def produce_merged_epoch(
     filter block it was written with; a written table carries the one
     ingest would give it (`table_bloom_bits`: none in a store's filterkv
     epoch), and a written aux partition is the store's csf
-    (`auxtable.STORE_AUX_BACKEND`), whatever its sources sealed.  Values
+    (`auxtable.STORE_AUX_BACKEND`), as ingest seals it.  Values
     are gathered only when some table is written.
     """
     device = store.device

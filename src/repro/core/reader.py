@@ -15,10 +15,11 @@ only in where a key's candidate partitions come from and what a hit holds:
   key is found.  False positives cost extra partition probes (1.88
   partitions/query in the paper's runs).  A store's main tables carry no
   Bloom filter block (its csf aux guard is the key's one filter), so a
-  probe goes from the aux table straight to the table's index.  A csf
-  epoch's aux tables are one union (`EpochAux`): a read step probes all
-  its keys, whatever their owners, in one hash and one gather, while the
-  aux fetch is still charged once per owner.
+  probe goes from the aux table straight to the table's index.  An
+  epoch's aux tables are read as one (`EpochAux`): a read step probes all
+  its keys, whatever their owners, in one call (for a store's csf epoch,
+  one hash and one gather), while the aux fetch is still charged once
+  per owner.
 
 Every read is charged to the `StorageDevice`, and `QueryStats` breaks the
 cost down by the same categories as Fig. 11b/c: footer, index, aux table,
@@ -30,6 +31,7 @@ newest-first walk over several epochs included, and builds its keys'
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -176,8 +178,8 @@ class QueryEngine:
     verified `TableMeta` slot per rank (``metas``) and the owners whose
     aux fetch has been charged (``aux_charged``).  `warm` hands out views
     that share that state and fill it on their first reads.  A filterkv
-    engine over csf aux tables also builds their union once (``aux``, an
-    `EpochAux`), which its views share and every read step probes once.
+    engine also builds its epoch's aux once (``aux``, an `EpochAux`),
+    which its views share and every read step probes once.
     A reader reads by name and opens nothing, so an engine builds one per
     table per call and has nothing to close.
     """
@@ -198,7 +200,7 @@ class QueryEngine:
         self.nranks = nranks
         self.partitioner = partitioner
         self.aux_tables = aux_tables or [None] * nranks
-        # A csf epoch's tables as one union, probed once per read step.
+        # The epoch's tables as one, probed once per read step.
         self.aux = EpochAux.over(self.aux_tables) if fmt.name == "filterkv" else None
         self.epoch = epoch
         self.files = tuple(files)
@@ -228,7 +230,7 @@ class QueryEngine:
 
     def warm(self, metrics: MetricsRegistry | None, table_cache_entries: int) -> "QueryEngine":
         """A view of this epoch that keeps what it reads: it shares the
-        epoch's aux tables (and their union, ``aux``), ``metas`` and
+        epoch's aux tables (and ``aux``, read as one), ``metas`` and
         ``aux_charged``, so a table's metadata is read and verified once by
         whichever view opens it first, and owns a `BlockCache` of
         ``BLOCK_CACHE_BLOCKS × table_cache_entries`` blocks, shared by
@@ -329,8 +331,8 @@ class QueryEngine:
         aux-table candidates for filterkv.  So ``found``, per-key
         ``partitions_searched`` and the aux-table probe/candidate counters
         are those of answering each key on its own.  What a batch shares
-        is the physical plan: the aux tables are probed once (one union
-        probe for a csf epoch, else once per owner partition), each
+        is the physical plan: the aux tables are probed once (one
+        `EpochAux` call), each
         partition table (and value log) is opened once per batch, keys
         destined for the same data block are resolved with a single block
         read, and vlog reads sweep each log in offset order.  Shared I/O,
@@ -469,37 +471,24 @@ class QueryEngine:
         self, keys: np.ndarray, owners: np.ndarray, batch: ReadBatch
     ) -> list[tuple[int, list[int]]]:
         """Filterkv's probe plan: each owner's aux fetch charged once per
-        step, to its first key, and the step's keys probed in one union
-        probe (`EpochAux`), or per owner partition when the epoch is not
-        all csf; then ``(rank, key positions)`` for every candidate rank,
-        ascending, each rank's keys grouped by owner as the per-owner
-        probe would list them."""
+        step, to its first key, and the step's keys probed in one
+        `EpochAux` call; then ``(rank, key positions)`` for every
+        candidate rank, ascending, each rank's keys owner by owner
+        (ascending), in step order within an owner."""
         at = batch.at
         groups = self._groups(owners.tolist())
-        by_rank: dict[int, list[int]] = {}
         for owner, pos in groups:
-            aux = self.aux_tables[owner]
-            if aux is None:
+            if self.aux_tables[owner] is None:
                 raise ValueError(f"no auxiliary table for partition {owner}")
             self._charge_aux(owner, batch, pos[0] if at is None else at[pos[0]])
-            if self.aux is not None:
-                continue
-            counts, flat = aux.candidates_many(keys[pos])
-            self._m_candidates.inc(flat.size)
-            flat = flat.tolist()
-            i = 0
-            for p, c in zip(pos, counts.tolist()):
-                for r in flat[i : i + c]:
+        counts, flat = self.aux.candidates_many(keys, owners)
+        self._m_candidates.inc(flat.size)
+        # Each key's candidates, cut from ``flat`` in step order.
+        ranks = iter(flat.tolist())
+        cands = [(next(ranks),) if c == 1 else tuple(islice(ranks, c)) for c in counts.tolist()]
+        by_rank: dict[int, list[int]] = {}
+        for _, pos in groups:
+            for p in pos:
+                for r in cands[p]:
                     by_rank.setdefault(r, []).append(p)
-                i += c
-        if self.aux is not None:  # one candidate or none per key
-            counts, flat = self.aux.candidates_many(keys, owners)
-            self._m_candidates.inc(flat.size)
-            ranks = iter(flat.tolist())
-            rank_of = [next(ranks) if c else -1 for c in counts.tolist()]
-            for _, pos in groups:
-                for p in pos:
-                    r = rank_of[p]
-                    if r >= 0:
-                        by_rank.setdefault(r, []).append(p)
         return sorted(by_rank.items())

@@ -390,9 +390,9 @@ class PartialKeyCuckooTable:
     def candidate_values_scalar(self, key: int) -> list[int]:
         """Sorted distinct candidate values for one key, as plain ints.
 
-        Bit-identical to `candidate_values` (same fingerprint, bucket, and
-        alternate-bucket arithmetic) but with no array allocation on the
-        way: this is what a one-key probe costs.
+        Bit-identical to `lookup_many`'s matches for the key (same
+        fingerprint, bucket, and alternate-bucket arithmetic) but with no
+        array allocation on the way: this is what a one-key probe costs.
         """
         k = int(key) & MASK64
         fp = (splitmix64_int(k ^ self._fp_seed_mix) % self._fp_span) + 1
@@ -409,10 +409,6 @@ class PartialKeyCuckooTable:
                 if int(frow[j]) == fp:
                     out.add(int(vals[b, j]))
         return sorted(out)
-
-    def candidate_values(self, key: int) -> np.ndarray:
-        """Sorted distinct candidate values for one key."""
-        return np.asarray(self.candidate_values_scalar(key), dtype=np.uint32)
 
     # -- accounting -------------------------------------------------------
 

@@ -19,7 +19,6 @@ from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
 from repro.core.pipeline import main_table_name
 from repro.storage.sstable import FOOTER_BYTES, CorruptBlockError, SSTableReader
 
-from ..legacy import store_seals
 from ..reference.read import footprint
 
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
@@ -104,24 +103,26 @@ def test_store_reads_equal_cold_reader_across_compaction(fmt, seed, picks, absen
     assert _resident(store) == 0
 
 
-def _one_epoch_store(backend="csf"):
-    """(store, keys written by rank 0): filterkv keeps a key's value in its
-    writer's table, so every one of ``keys`` is served by ``part.000.0``.
-    The epoch seals ``backend`` (a store's csf writes tables without a
-    Bloom filter block; a legacy cuckoo epoch's tables keep one)."""
+def _one_epoch_store(fmt=FMT_FILTERKV):
+    """(store, keys that ``part.000.0`` serves): filterkv keeps a key's
+    value in its writer's table, so rank 0's keys; base in its owner's,
+    so partition 0's.  A store's filterkv tables have no Bloom filter
+    block (its csf guard is the key's one filter); a base table has one."""
     rng = np.random.default_rng(5)
-    store = MultiEpochStore(nranks=4, fmt=FMT_FILTERKV, value_bytes=VB, seed=5)
+    store = MultiEpochStore(nranks=4, fmt=fmt, value_bytes=VB, seed=5)
     batches = [random_kv_batch(200, VB, rng) for _ in range(4)]
-    with store_seals(backend):
-        store.write_epoch(batches)
-    return store, batches[0].keys
+    store.write_epoch(batches)
+    if fmt is FMT_FILTERKV:
+        return store, batches[0].keys
+    keys = np.concatenate([b.keys for b in batches])
+    return store, keys[store.engine(0).partitioner.partition_of(keys) == 0]
 
 
 @pytest.mark.parametrize("section", ["footer", "index", "filter"])
 def test_corrupt_metadata_fails_typed_and_caches_nothing(section):
     """The first open of a store read runs every check the constructor
     runs, raises the same typed error, and leaves the epoch's slot empty."""
-    store, keys = _one_epoch_store("cuckoo" if section == "filter" else "csf")
+    store, keys = _one_epoch_store(FMT_BASE if section == "filter" else FMT_FILTERKV)
     name = main_table_name(0, 0)
     size = store.device.file_size(name)
     footer = store.device.read(name, size - FOOTER_BYTES, FOOTER_BYTES)

@@ -124,6 +124,24 @@ def test_store_tables_carry_no_filter_at_seal_or_merge():
     assert values == [merged_truth[k] for k in sorted(merged_truth)]
 
 
+def test_a_store_seals_csf_at_ingest_and_in_a_merge():
+    """Every aux partition a store seals is csf, and the manifest names
+    no backend: each blob names its own."""
+    rng = np.random.default_rng(43)
+    store = MultiEpochStore(nranks=NRANKS, fmt=FMT_FILTERKV, value_bytes=VB, seed=43)
+    for _ in range(2):
+        store.write_epoch([random_kv_batch(100, VB, rng) for _ in range(NRANKS)])
+
+    def sealed():
+        return [{t.backend for t in store.engine(e).aux_tables} for e in store.epochs]
+
+    assert sealed() == [{"csf"}, {"csf"}]
+    store.compact()
+    assert sealed() == [{"csf"}]
+    assert all("aux_backend" not in e.to_dict() for e in store.manifest.epochs)
+    store.close()
+
+
 @pytest.mark.parametrize("fmt", [FMT_BASE, FMT_DATAPTR], ids=lambda f: f.name)
 def test_tables_without_aux_keep_their_filter(fmt):
     rng = np.random.default_rng(5)

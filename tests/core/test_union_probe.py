@@ -1,12 +1,14 @@
-"""One union probe per csf epoch step, and one accumulator per read call.
+"""One epoch probe per read step, and one accumulator per read call.
 
-A sealed csf epoch's engine holds its partitions' maplets as one
-`EpochAux` (one `MapletUnion`), so a read step probes every owner's keys
-with one hash and one gather.  These tests hold that union to each
-partition's own `CsfAuxTable.candidates_many`: the same ``(counts,
-flat)``, the same ``aux.*`` counters per table, no second copy of any
-slot.  A read step enters `AuxTable.candidates_many` once, whatever its
-owners; an epoch with any other backend probes partition by partition.
+Every filterkv engine probes its epoch's aux tables through one
+`EpochAux`: a store's csf epoch holds its partitions' maplets as one
+`MapletUnion`, so a read step probes every owner's keys with one hash and
+one gather, and `SimCluster`'s cuckoo epoch is probed partition by
+partition inside it.  These tests hold either to each partition's own
+`candidates_many`: the same ``(counts, flat)`` in step order, the same
+``aux.*`` counters per table, false candidates included, and no second
+copy of any csf slot.  A read step enters `AuxTable.candidates_many` once,
+whatever its owners.
 
 A walk over several epochs (`lookup_many`, ``lookup(cached=False)``)
 shares one `ReadBatch`; each key's stats must be the field-by-field sum
@@ -23,24 +25,23 @@ from repro.core.auxtable import AuxTable, EpochAux, build_sealed_aux
 from repro.core.kv import KVBatch
 from repro.core.multiepoch import MultiEpochStore
 from repro.core.partitioning import HashPartitioner
-from repro.core.reader import QueryEngine
 from repro.obs import MetricsRegistry
 
-from ..legacy import store_seals
-from ..reference.read import AUX_COUNTERS, check_against_oracle, walk_stats
+from ..reference.read import AUX_COUNTERS, walk_stats
 
 VALUE_BYTES = 8
 
 
-def _tables(nparts, sizes, seed, metrics):
-    """Sealed csf tables, partition ``p`` holding ``sizes[p]`` keys (0:
-    no maplet), each key on a drawn rank; and the keys by partition."""
+def _tables(nparts, sizes, seed, metrics, backend="csf"):
+    """Sealed ``backend`` tables, partition ``p`` holding ``sizes[p]``
+    keys (0: no csf maplet), each key on a drawn rank; and the keys by
+    partition."""
     rng = np.random.default_rng(seed)
     parts = []
     for p, n in enumerate(sizes):
         keys = np.unique(rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64))
         parts.append((p, keys, rng.integers(0, nparts, size=keys.size).astype(np.uint64)))
-    return build_sealed_aux(parts, nparts, "csf", seed, metrics), [k for _, k, _ in parts]
+    return build_sealed_aux(parts, nparts, backend, seed, metrics), [k for _, k, _ in parts]
 
 
 def _aux_series(registry):
@@ -69,21 +70,22 @@ def _per_partition(tables, keys, owners):
 
 @settings(max_examples=40, deadline=None)
 @given(
+    backend=st.sampled_from(["csf", "cuckoo"]),
     nparts=st.sampled_from([4, 6, 16]),  # 6: rank_bits names ranks >= nparts
     sizes=st.data(),
     seed=st.integers(0, 2**31),
     absent=st.integers(0, 300),
 )
-def test_union_probe_equals_each_partitions_probe(nparts, sizes, seed, absent):
-    """Present keys (their one rank), absent keys (none, or a false one),
-    guard escapes and empty partitions: the union answers every key as
-    its owner's table does, and moves the same counters."""
+def test_union_probe_equals_each_partitions_probe(backend, nparts, sizes, seed, absent):
+    """Present keys (their one rank; under the cuckoo, false ones too),
+    absent keys (none, or false ones), guard escapes and empty
+    partitions: the epoch answers every key as its owner's table does,
+    and moves the same counters."""
     sizes = sizes.draw(st.lists(st.integers(0, 60), min_size=nparts, max_size=nparts))
     own_reg, union_reg = MetricsRegistry(), MetricsRegistry()
-    own, by_part = _tables(nparts, sizes, seed, own_reg)
-    shared, _ = _tables(nparts, sizes, seed, union_reg)
+    own, by_part = _tables(nparts, sizes, seed, own_reg, backend)
+    shared, _ = _tables(nparts, sizes, seed, union_reg, backend)
     union = EpochAux.over(shared)
-    assert union is not None
     rng = np.random.default_rng(seed + 1)
     keys = np.concatenate(
         by_part + [rng.integers(0, 2**64 - 1, size=absent, dtype=np.uint64)]
@@ -166,36 +168,6 @@ def test_a_bulk_read_of_a_csf_epoch_probes_its_aux_once(monkeypatch):
         read()
         assert len(calls) == 1 and isinstance(calls[0], EpochAux)
     mount.close()
-
-
-def test_a_legacy_cuckoo_partition_probes_per_partition():
-    """A merge of a legacy cuckoo epoch with a csf one whose keys all
-    belong to one owner adopts the other owners' cuckoo aux partitions
-    and writes that owner's as csf: the mixed epoch has no union, and its
-    reads answer as the per-key oracle does."""
-    nranks = 4
-    store = MultiEpochStore(nranks=nranks, fmt=FMT_FILTERKV, value_bytes=VALUE_BYTES, seed=2)
-    rng = np.random.default_rng(2)
-    keys = rng.integers(0, 2**63, size=400, dtype=np.uint64)
-    values = rng.integers(0, 256, size=(keys.size, VALUE_BYTES), dtype=np.uint8)
-    with store_seals("cuckoo"):
-        store.write_epoch([KVBatch(keys[r::nranks], values[r::nranks]) for r in range(nranks)])
-    owners = HashPartitioner(nranks).partition_of(keys)
-    mine = keys[owners == 0][:20]
-    store.write_epoch(
-        [KVBatch(mine[r::nranks], values[: mine[r::nranks].size]) for r in range(nranks)]
-    )
-    assert store.engine(1).aux is not None
-    report = store.compact()
-    cold = store.engine(report.merged_epoch)
-    assert {t.backend for t in cold.aux_tables} == {"cuckoo", "csf"}
-    assert cold.aux is None
-    engine = QueryEngine(
-        cold.device, cold.fmt, cold.nranks, cold.partitioner,
-        cold.epoch, cold.files, cold.aux_tables, MetricsRegistry(),
-    )
-    probe = np.concatenate([keys, rng.integers(2**63, 2**64 - 1, size=50, dtype=np.uint64)])
-    check_against_oracle(engine, probe, MetricsRegistry())
 
 
 @pytest.mark.parametrize("nranks", [4, 16])

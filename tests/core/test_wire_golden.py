@@ -100,7 +100,7 @@ def test_base_golden_bytes_decode_round_trip():
     recv.deliver(env)
     recv.finish()
     reader = SSTableReader(recv.device, main_table_name(0, 0))
-    assert dict(scan_rows(reader)) == dict(zip(KEYS, VALUES))
+    assert dict(scan_rows(recv.device, reader)) == dict(zip(KEYS, VALUES))
 
 
 def test_dataptr_golden_bytes_decode_to_working_pointers():

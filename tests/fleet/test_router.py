@@ -1,8 +1,7 @@
 """Router correctness: sharding must be invisible.
 
 The core contract under test: a fleet answers every query byte-identically
-to one unsharded store holding the same dumps — for every registered aux
-backend, for legacy cuckoo epochs beside csf ones, for absent keys, and for epochs
+to one unsharded store holding the same dumps — for present keys, for absent keys, and for epochs
 committed behind a live router (every ring owner holds its keys, so the
 router needs no state that a commit could leave behind).
 """
@@ -13,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.auxtable import AUX_BACKENDS
 from repro.core.kv import random_kv_batch
 from repro.cli import _render_fleet_top_frame
 from repro.fleet import CircuitBreaker
@@ -28,11 +26,7 @@ from repro.serve import (
     ServeResponse,
 )
 
-from ..legacy import store_seals
 from .conftest import VB, absent_keys, build_fleet, make_dumps, merged_store, run
-
-BACKENDS = sorted(AUX_BACKENDS)
-
 
 async def _assert_matches_oracle(fleet, oracle, truth, keys):
     async with fleet:
@@ -48,11 +42,9 @@ async def _assert_matches_oracle(fleet, oracle, truth, keys):
         return fleet.router.stats()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fleet_matches_merged_store(backend):
-    with store_seals(backend):
-        fleet, dumps, truth = build_fleet(seed=11)
-        oracle = merged_store(dumps, seed=11)
+def test_fleet_matches_merged_store():
+    fleet, dumps, truth = build_fleet(seed=11)
+    oracle = merged_store(dumps, seed=11)
     keys = sorted(truth)[::7] + absent_keys(truth)
     stats = run(_assert_matches_oracle(fleet, oracle, truth, keys))
     # Every owner holds its keys, so a healthy fleet never fails over.
@@ -85,26 +77,6 @@ def test_a_healthy_fleet_asks_each_key_of_its_ring_primary_alone():
     for k, r in zip(keys, responses):
         want = oracle.lookup(int(k))[0]
         assert (r.status, r.value) == ((NOT_FOUND, None) if want is None else (OK, want)), k
-    oracle.close()
-
-
-def test_mixed_backend_epochs_match_merged_store():
-    """Legacy cuckoo epochs live beside csf ones: each shard reads each
-    epoch's aux tables as their blobs name them, so a fleet whose epochs
-    alternate the two routes like any other."""
-    per_epoch = ["cuckoo", "csf", "cuckoo"]
-    fleet, dumps, truth = build_fleet(seed=31, epochs=len(per_epoch), ingest=False)
-    oracle = merged_store(dumps[:0], seed=31)
-    for backend, dump in zip(per_epoch, dumps):
-        with store_seals(backend):
-            fleet.ingest(dump)
-            writer = np.arange(len(dump)) % 2
-            oracle.write_epoch([dump.select(writer == r) for r in range(2)])
-    for store in [node.store for node in fleet.shards.values()] + [oracle]:
-        sealed = [{t.backend for t in store.engine(e).aux_tables} for e in store.epochs]
-        assert sealed == [{backend} for backend in per_epoch]
-    keys = sorted(truth)[::9] + absent_keys(truth, n=8)
-    run(_assert_matches_oracle(fleet, oracle, truth, keys))
     oracle.close()
 
 

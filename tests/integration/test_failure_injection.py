@@ -7,6 +7,8 @@ on that API.  Coverage walks the whole table layout: data blocks, the
 filter block, the index block, the footer body, and the footer checksum.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,7 @@ def test_scan_detects_corruption():
     dev.corrupt("t", stats.data_bytes // 3)
     r = SSTableReader(dev, "t")
     with pytest.raises(CorruptBlockError):
-        scan_rows(r)
+        scan_rows(dev, r)
 
 
 @pytest.mark.parametrize("fmt", [FMT_BASE, FMT_FILTERKV], ids=lambda f: f.name)
@@ -189,7 +191,7 @@ def test_damage_inside_one_key_group_fails_exactly_that_group(width):
             r.get_many(np.asarray([outside[0][0], k], dtype=np.uint64))
     with pytest.raises(CorruptBlockError):
         r.get(inside[0][0] + 1)  # absent, but its group cannot vouch for that
-    for read in (scan_rows, SSTableReader.scan_arrays):
+    for read in (partial(scan_rows, dev), SSTableReader.scan_arrays):
         with pytest.raises(CorruptBlockError):
             read(SSTableReader(dev, "t"))
 

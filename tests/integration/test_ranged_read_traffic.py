@@ -33,6 +33,14 @@ an engine's blocks are now one pool of 2 × 64, so a table whose lookups
 land in four blocks keeps all four, where its kept reader's LRU held two.
 Every other phase and every answer is unchanged.
 
+The totals were taken on epochs sealed with the paper's cuckoo until the
+store's cuckoo epochs went; both tables are re-pinned on the store's csf,
+and the invariants above hold as they did.  A present key now has one
+candidate partition, so the cold reader opens and reads fewer tables
+(182 -> 140 reads) and each table lost its Bloom filter block;
+`WHOLE_BLOCKS` was retaken by fetching whole blocks on the ranged
+surfaces.
+
 Regenerate (only when a change is *meant* to move device traffic) with
 ``PYTHONPATH=src python -m tests.integration.test_ranged_read_traffic``.
 """
@@ -46,7 +54,6 @@ from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
 from repro.serve import QueryService
 
-from ..legacy import store_seals
 from ..reference.read import ReadOracle
 
 NRANKS = 4
@@ -70,8 +77,7 @@ def _store():
     written = []
     for _ in range(2):
         batches = [random_kv_batch(PER_RANK, VALUE_BYTES, rng) for _ in range(NRANKS)]
-        with store_seals("cuckoo"):  # the candidate walk these totals were pinned on
-            store.write_epoch(batches)
+        store.write_epoch(batches)
         written.append(np.concatenate([b.keys for b in batches]))
     absent = rng.integers(2**63, 2**64 - 1, size=16, dtype=np.uint64)
     probe = {
@@ -123,18 +129,18 @@ def run_script():
 
 
 GOLDEN = [
-    ("store.get", {"reads": 122, "bytes_read": 451064}),
-    ("store.get_many", {"reads": 54, "bytes_read": 993152}),
-    ("store.engine.get", {"reads": 182, "bytes_read": 1242800}),
-    ("service", {"reads": 27, "bytes_read": 725280}),
+    ("store.get", {"reads": 120, "bytes_read": 434740}),
+    ("store.get_many", {"reads": 52, "bytes_read": 968576}),
+    ("store.engine.get", {"reads": 140, "bytes_read": 1148265}),
+    ("service", {"reads": 26, "bytes_read": 696128}),
 ]
 
 # The same script when every engine fetched whole blocks.
 WHOLE_BLOCKS = [
-    ("store.get", {"reads": 122, "bytes_read": 2810264}),
-    ("store.get_many", {"reads": 54, "bytes_read": 1450560}),
-    ("store.engine.get", {"reads": 182, "bytes_read": 1242800}),
-    ("service", {"reads": 27, "bytes_read": 725280}),
+    ("store.get", {"reads": 120, "bytes_read": 2743828}),
+    ("store.get_many", {"reads": 52, "bytes_read": 1392256}),
+    ("store.engine.get", {"reads": 140, "bytes_read": 1148265}),
+    ("service", {"reads": 26, "bytes_read": 696128}),
 ]
 
 

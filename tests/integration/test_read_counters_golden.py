@@ -49,14 +49,15 @@ as are the ``reader.cache.*`` series.  Later the device lost handles
 altogether (reads and appends name their extent), and the handle-count
 field, 0 in every phase, went with them.
 
-The script runs twice.  Sealed with the paper's cuckoo tables it must
-match `GOLDEN`, the bc78542 totals (service phases re-pinned as above).  Sealed with the store's csf
-(`STORE_AUX_BACKEND`) it must match `GOLDEN_AUTO`, pinned when that
-became the default: the csf seal gives a present key one candidate, so
-partitions probed and data reads fall, while every
-answer digest equals the cuckoo run's.  Its absent keys' false candidates
-follow the csf slot contents, so a change to how the csf build fills its
-slots re-pins `GOLDEN_AUTO` (never `GOLDEN`).
+The script seals the store's csf and must match `GOLDEN_AUTO`, pinned
+when csf became the store's backend: the csf seal gives a present key one
+candidate, so partitions probed and data reads fell below the cuckoo
+run's totals above, while every answer digest stayed equal.  That cuckoo
+run (`GOLDEN`, the bc78542 totals) went with the store's cuckoo epochs: no
+store seals one, and the cuckoo candidate walk is pinned on `SimCluster`
+(`tests/integration/test_read_reference.py`, Fig. 11's results).  The
+absent keys' false candidates follow the csf slot contents, so a change
+to how the csf build fills its slots re-pins `GOLDEN_AUTO`.
 
 Widening the csf guard from 2 to 9 bits, and writing the store's tables
 without a Bloom filter block, re-pinned `GOLDEN_AUTO` and nothing else.
@@ -67,7 +68,7 @@ partitions searched 452 -> 420, the service phases' partitions probed
 false candidate costs a table open, reads four times less (partitions
 searched 64 -> 60; device reads 685 -> 681 in all).  A cold ``store.lookup`` charges the whole, wider aux
 blob per query, so its ``stats.bytes_read`` rose 60 356 -> 60 584 B.
-Every answer digest, block-cache count and `GOLDEN` total is unchanged.
+Every answer digest and block-cache count was unchanged.
 
 Regenerate (only when a change is *meant* to move device traffic) with
 ``PYTHONPATH=src python tests/integration/test_read_counters_golden.py``.
@@ -79,7 +80,6 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.auxtable import STORE_AUX_BACKEND
 from repro.core.compact import CompactionPolicy
 from repro.core.formats import FMT_FILTERKV
 from repro.core.kv import KVBatch
@@ -87,8 +87,6 @@ from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
 from repro.obs import MetricsRegistry
 from repro.serve import ANY_EPOCH, ERR_EPOCH_RETIRED, QueryService
 from repro.storage.blockio import StorageDevice
-
-from ..legacy import store_seals
 
 NRANKS = 4
 VALUE_BYTES = 24
@@ -141,9 +139,6 @@ def _digest(values):
     return zlib.crc32(b"|".join(b"-" if v is None else bytes(v) for v in values))
 
 
-CUCKOO = "cuckoo"
-
-
 def _new_store():
     store = MultiEpochStore(
         nranks=NRANKS,
@@ -157,14 +152,8 @@ def _new_store():
     return store
 
 
-def run_script(backend=CUCKOO):
-    """Run the seeded script, every store write sealing ``backend``;
-    returns ``[(phase, counters), ...]``."""
-    with store_seals(backend):
-        return _script()
-
-
-def _script():
+def run_script():
+    """Run the seeded script; returns ``[(phase, counters), ...]``."""
     rng = np.random.default_rng(2311)
     universe = rng.integers(0, 2**63, size=UNIVERSE, dtype=np.uint64)
     absent = rng.integers(2**63, 2**64 - 1, size=8, dtype=np.uint64)
@@ -268,119 +257,7 @@ def _script():
     return phases
 
 
-# Captured at bc78542 (parent of the reader-session refactor); warm phases
-# re-pinned when the cached engine folded into `QueryEngine`.
-GOLDEN = [('written',
-  {'device.reads': 84,
-   'device.bytes_read': 37286,
-   'sstable.block_cache.hits': 0,
-   'sstable.block_cache.misses': 48}),
- ('store.get',
-  {'device.reads': 188,
-   'device.bytes_read': 112740,
-   'sstable.block_cache.hits': 0,
-   'sstable.block_cache.misses': 128,
-   'stats.reads': 104,
-   'stats.bytes_read': 75454,
-   'stats.partitions_searched': 89,
-   'answers': 3713930082}),
- ('store.get_many',
-  {'device.reads': 272,
-   'device.bytes_read': 178276,
-   'sstable.block_cache.hits': 0,
-   'sstable.block_cache.misses': 212,
-   'stats.reads': 84,
-   'stats.bytes_read': 65536,
-   'stats.partitions_searched': 516,
-   'answers': 1757043775}),
- ('store.lookup',
-  {'device.reads': 430,
-   'device.bytes_read': 242779,
-   'sstable.block_cache.hits': 15,
-   'sstable.block_cache.misses': 257,
-   'stats.reads': 158,
-   'stats.bytes_read': 64503,
-   'stats.partitions_searched': 72,
-   'answers': 1911588890}),
- ('store.lookup_many',
-  {'device.reads': 438,
-   'device.bytes_read': 248475,
-   'sstable.block_cache.hits': 49,
-   'sstable.block_cache.misses': 265,
-   'stats.reads': 8,
-   'stats.bytes_read': 5696,
-   'stats.partitions_searched': 171,
-   'answers': 4062918877}),
- ('store.trajectory',
-  {'device.reads': 439,
-   'device.bytes_read': 249403,
-   'sstable.block_cache.hits': 80,
-   'sstable.block_cache.misses': 266,
-   'stats.reads': 1,
-   'stats.bytes_read': 928,
-   'stats.partitions_searched': 38,
-   'answers': 1949709263}),
- ('default.before',
-  {'device.reads': 463,
-   'device.bytes_read': 269307,
-   'sstable.block_cache.hits': 128,
-   'sstable.block_cache.misses': 290,
-   'reader.queries': 212,
-   'reader.partitions_probed': 189,
-   'reader.storage_reads.data': 24,
-   'reader.storage_reads.footer': 0,
-   'reader.storage_reads.index': 0,
-   'reader.storage_reads.aux': 0,
-   'answers': 686095842}),
- ('narrow.before',
-  {'device.reads': 533,
-   'device.bytes_read': 330011,
-   'sstable.block_cache.hits': 130,
-   'sstable.block_cache.misses': 360,
-   'reader.queries': 212,
-   'reader.partitions_probed': 189,
-   'reader.storage_reads.data': 70,
-   'reader.storage_reads.footer': 0,
-   'reader.storage_reads.index': 0,
-   'reader.storage_reads.aux': 0,
-   'answers': 686095842}),
- ('default.after',
-  {'device.reads': 629,
-   'device.bytes_read': 379819,
-   'sstable.block_cache.hits': 176,
-   'sstable.block_cache.misses': 412,
-   'reader.queries': 423,
-   'reader.partitions_probed': 351,
-   'reader.storage_reads.data': 48,
-   'reader.storage_reads.footer': 8,
-   'reader.storage_reads.index': 8,
-   'reader.storage_reads.aux': 8,
-   'answers': 3859104156}),
- ('narrow.after',
-  {'device.reads': 693,
-   'device.bytes_read': 435595,
-   'sstable.block_cache.hits': 182,
-   'sstable.block_cache.misses': 476,
-   'reader.queries': 423,
-   'reader.partitions_probed': 351,
-   'reader.storage_reads.data': 134,
-   'reader.storage_reads.footer': 0,
-   'reader.storage_reads.index': 0,
-   'reader.storage_reads.aux': 0,
-   'answers': 3859104156}),
- ('services closed',
-  {'device.reads': 693,
-   'device.bytes_read': 435595,
-   'sstable.block_cache.hits': 182,
-   'sstable.block_cache.misses': 476}),
- ('store closed',
-  {'device.reads': 693,
-   'device.bytes_read': 435595,
-   'sstable.block_cache.hits': 182,
-   'sstable.block_cache.misses': 476})]
-
-
-# The same script sealed with the store's csf (`STORE_AUX_BACKEND`).
+# The script's totals under the store's csf seal.
 GOLDEN_AUTO = [('written',
   {'device.reads': 84,
    'device.bytes_read': 36174,
@@ -497,23 +374,11 @@ def _check(got, golden):
         assert counters == want, f"phase {name!r} moved"
 
 
-def test_read_counters_match_the_parent_commit():
-    _check(run_script(CUCKOO), GOLDEN)
-
-
 def test_read_counters_under_the_default_backends():
-    _check(run_script(STORE_AUX_BACKEND), GOLDEN_AUTO)
-
-
-def test_the_backend_moves_traffic_never_answers():
-    for (name, cuckoo), (_, auto) in zip(GOLDEN, GOLDEN_AUTO):
-        assert cuckoo.get("answers") == auto.get("answers"), name
-        for probes in ("stats.partitions_searched", "reader.partitions_probed"):
-            assert auto.get(probes, 0) <= cuckoo.get(probes, 0), (name, probes)
+    _check(run_script(), GOLDEN_AUTO)
 
 
 if __name__ == "__main__":
     import pprint
 
-    for backend in (CUCKOO, STORE_AUX_BACKEND):
-        pprint.pprint(run_script(backend), width=100, sort_dicts=False)
+    pprint.pprint(run_script(), width=100, sort_dicts=False)

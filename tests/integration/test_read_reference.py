@@ -3,7 +3,9 @@
 
 One seeded epoch per format, written through `SimCluster` with some keys
 written twice by two ranks (filterkv then lists both ranks; base and
-dataptr keep the first written), read by the cold and the cached engine:
+dataptr keep the first written), and a 16-rank filterkv epoch whose
+cuckoo tables give present keys false candidates, read by the cold and
+the cached engine:
 ``get_many`` over present, repeated and absent keys, and ``get`` key by
 key, must answer as the oracle does — values, ``found``, partitions
 searched, and the reader and aux probe counters.  At the table layer,
@@ -31,19 +33,31 @@ SEED = 7
 TWICE = 40  # keys of rank 0 that rank 5 writes again, with other values
 
 
+# At 16 ranks the paper's cuckoo gives present keys false candidates, so
+# a key walks several partitions before its hit.
+SIXTEEN = (FMT_FILTERKV, 1 << 20, 16)
+
+
+def _id(param):
+    fmt, block_size, nranks = param
+    return f"{fmt.name}-{block_size >> 10}k" + ("" if nranks == NRANKS else f"-{nranks}ranks")
+
+
 @pytest.fixture(
     scope="module",
-    params=[(f, b) for f in (FMT_BASE, FMT_DATAPTR, FMT_FILTERKV) for b in (1 << 20, 1 << 13)],
-    ids=lambda p: f"{p[0].name}-{p[1] >> 10}k",
+    params=[
+        (f, b, NRANKS) for f in (FMT_BASE, FMT_DATAPTR, FMT_FILTERKV) for b in (1 << 20, 1 << 13)
+    ] + [SIXTEEN],
+    ids=_id,
 )
 def epoch(request):
-    fmt, block_size = request.param
+    fmt, block_size, nranks = request.param
     cluster = SimCluster(
-        nranks=NRANKS, fmt=fmt, value_bytes=VALUE_BYTES, seed=SEED,
+        nranks=nranks, fmt=fmt, value_bytes=VALUE_BYTES, seed=SEED,
         block_size=block_size, metrics=MetricsRegistry(),
     )
     rng = np.random.default_rng(SEED)
-    batches = [random_kv_batch(RECORDS_PER_RANK, VALUE_BYTES, rng) for _ in range(NRANKS)]
+    batches = [random_kv_batch(RECORDS_PER_RANK, VALUE_BYTES, rng) for _ in range(nranks)]
     again = random_kv_batch(TWICE, VALUE_BYTES, rng)
     batches[5] = KVBatch(
         np.concatenate([batches[5].keys, batches[0].keys[:TWICE]]),
@@ -101,6 +115,19 @@ def test_get_answers_as_the_per_key_oracle(epoch, cached):
         check_against_oracle(engine, [key], cluster.metrics)
 
 
+@pytest.mark.parametrize("epoch", [SIXTEEN], ids=_id, indirect=True)
+def test_present_keys_meet_false_candidates(epoch):
+    """Each present key's candidates hold its rank and, for some keys,
+    others: the walk past a false candidate is what the oracle checks
+    above meet at 16 ranks."""
+    cluster, stored = epoch
+    before = cluster.metrics.total("aux.false_candidates")
+    values, stats = cluster.query_engine().get_many(stored)
+    assert None not in values
+    assert cluster.metrics.total("aux.false_candidates") > before
+    assert max(s.partitions_searched for s in stats) > 1
+
+
 @pytest.mark.parametrize("block_size", [64, 4096, 1 << 15])
 def test_table_lookups_return_the_first_entry_of_the_walk(block_size):
     """Few distinct keys, each written many times: duplicate runs cross
@@ -115,7 +142,7 @@ def test_table_lookups_return_the_first_entry_of_the_walk(block_size):
     writer.finish()
     reader = SSTableReader(dev, "t")
     first: dict[int, bytes] = {}
-    for key, value in scan_rows(reader):
+    for key, value in scan_rows(dev, reader):
         first.setdefault(key, value)
     probe = np.concatenate([np.unique(keys), rng.integers(0, 300 * 7919, 200, dtype=np.uint64)])
     rng.shuffle(probe)

@@ -1,7 +1,7 @@
 """The whole store against a dict of live epochs, through every read surface.
 
 `StoreMachine` drives a `MultiEpochStore` only through its real verbs:
-`write_epoch` (also under a legacy cuckoo seal), `compact` of a window and
+`write_epoch`, `compact` of a window and
 `compact()` under a drawn policy, a write or a merge that crashes (then
 `MultiEpochStore.recover`) or fails on an I/O error, `attach` and `close`.
 Its oracle holds the live epochs in data-recency order, each a ``key ->
@@ -51,7 +51,6 @@ from repro.core.multiepoch import EpochRetiredError, MultiEpochStore
 from repro.faults import CrashPoint, FaultPlan, FaultSpec, FaultyStorageDevice
 from repro.serve import ANY_EPOCH, ERR_EPOCH_RETIRED, ERROR, NOT_FOUND, OK, QueryService
 
-from ..legacy import store_seals
 from ..reference.read import footprint
 
 VALUE_BYTES = 8
@@ -183,7 +182,6 @@ class StoreMachine(RuleBasedStateMachine):
         )
         self.keys = [int(k) for k in self.probe]
         self.oracle = Oracle()
-        self.false_candidates = 0  # present keys a cuckoo epoch gave > 1 candidate
         self.loop = asyncio.new_event_loop()
         store = MultiEpochStore(
             nranks=nranks, fmt=fmt, value_bytes=VALUE_BYTES, seed=seed,
@@ -262,21 +260,6 @@ class StoreMachine(RuleBasedStateMachine):
         live = len(self.oracle.order) + 1
         window = self._step(partial(self.store.write_epoch, batches), rows)
         assert len(window) == self._policy_merges(live)
-
-    @precondition(lambda self: self.fmt is FMT_FILTERKV)
-    @rule(picks=picks, twice=twice, seed=seeds)
-    def write_cuckoo_epoch(self, picks, twice, seed):
-        """A write of the kind stores made before every store sealed csf."""
-        batches, rows = self._dump(picks, twice, seed)
-        epoch = self.oracle.next_epoch
-        with store_seals("cuckoo"):
-            self._step(partial(self.store.write_epoch, batches), rows)
-        if epoch in self.store.epochs:  # a policy merge may have taken it
-            engine = self.store.engine(epoch)
-            owner = engine.partitioner.partition_of_one
-            self.false_candidates += sum(
-                len(engine.aux_tables[owner(k)].candidate_ranks(k)) > 1 for k in rows
-            )
 
     def _window(self, start, extra) -> list[int]:
         """A contiguous window of >= 2 live epochs, from two draws."""
@@ -514,18 +497,6 @@ def test_write_compact_write_compact(fmt):
         fmt=fmt, nranks=4, policy=None, seed=41, picks=list(range(0, UNIVERSE, 3)), twice=4,
     )
     assert machine.oracle.order == [5] and machine.oracle.merged_into == {e: 5 for e in range(5)}
-
-
-def test_sixteen_rank_cuckoo_epochs_meet_false_candidates():
-    """At 16 ranks a legacy cuckoo epoch's 4-bit fingerprints give present
-    keys false candidates, and every surface still answers as the oracle
-    does, through a merge that rewrites the aux tables as csf."""
-    cuckoo = [("write_cuckoo_epoch", step[1]) for step in (_write(5), _write(6))]
-    machine = _replay(
-        cuckoo + [("compact_window", {"start": 0, "extra": 0}), ("compact", {})],
-        fmt=FMT_FILTERKV, nranks=16, policy=None, seed=7, picks=list(range(UNIVERSE)), twice=6,
-    )
-    assert machine.false_candidates > 0
 
 
 @pytest.mark.parametrize("fmt", [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV], ids=lambda f: f.name)

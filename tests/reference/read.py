@@ -71,7 +71,7 @@ class ReadOracle:
         table = self._tables.get(rank)
         if table is None:
             table = {}
-            for key, value in scan_rows(SSTableReader(self.device, self.table_names[rank])):
+            for key, value in scan_rows(self.device, SSTableReader(self.device, self.table_names[rank])):
                 table.setdefault(key, value)
             self._tables[rank] = table
         return table
@@ -100,8 +100,9 @@ class ReadOracle:
         return self.device.read(name, offset + LEN.size, length)
 
 
-def scan_rows(reader: SSTableReader) -> list[tuple[int, bytes]]:
-    """Every row of ``reader``'s table in stored order, as ``(key, value)``.
+def scan_rows(device: StorageDevice, reader: SSTableReader) -> list[tuple[int, bytes]]:
+    """Every row of ``reader``'s table in stored order, as ``(key, value)``,
+    read from ``device`` as its `TableMeta` (``reader.meta``) lays it out.
 
     One device read per block of the reader's extent; every key group
     of the block is checked against its CRC-32 in the index before any row
@@ -112,7 +113,7 @@ def scan_rows(reader: SSTableReader) -> list[tuple[int, bytes]]:
     meta, out = reader.meta, []
     rec = meta.record_bytes
     for i in range(meta.off.size):
-        raw = reader._device.read(reader.name, int(meta.off[i]), int(meta.length[i]))
+        raw = device.read(reader.name, int(meta.off[i]), int(meta.length[i]))
         if len(raw) != int(meta.length[i]):
             raise CorruptBlockError(f"block {i} of {reader.name!r} truncated")
         first = int(meta.gstart[i])

@@ -16,7 +16,6 @@ from repro.core.kv import random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
 from repro.serve import QueryService
 
-from ..legacy import store_seals
 
 ALL_FORMATS = [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV]
 
@@ -72,24 +71,20 @@ def fed_reader(data: bytes, eof: bool = True):
     return FrameReader(reader)
 
 
-def build_store(
-    fmt, nranks=8, records=200, epochs=1, value_bytes=24, seed=7, backend="csf"
-):
+def build_store(fmt, nranks=8, records=200, epochs=1, value_bytes=24, seed=7):
     """A committed store plus per-epoch ground truth.
 
     Returns ``(store, truth)`` where ``truth[epoch]`` maps every key the
     epoch holds to its value bytes.  Keys are uniformly random, so the
-    writer rank is uncorrelated with the hash owner — the regime where
-    FilterKV actually produces false candidates (under a legacy cuckoo
-    ``backend``; a store's csf answers a present key with its one rank).
+    writer rank is uncorrelated with the hash owner (a store's csf still
+    answers a present key with its one rank).
     """
     store = MultiEpochStore(nranks=nranks, fmt=fmt, value_bytes=value_bytes, seed=seed)
     rng = np.random.default_rng(seed)
     truth = {}
     for e in range(epochs):
         batches = [random_kv_batch(records, value_bytes, rng) for _ in range(nranks)]
-        with store_seals(backend):
-            store.write_epoch(batches)
+        store.write_epoch(batches)
         truth[e] = {
             int(k): b.value_of(i) for b in batches for i, k in enumerate(b.keys)
         }

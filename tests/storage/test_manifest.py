@@ -244,7 +244,7 @@ def test_recovery_refuses_a_length_framed_store_and_touches_nothing(fmt, deep):
     assert tables
     for name in tables:
         r = SSTableReader(device, name)
-        items, block_size, bloom = scan_rows(r), r.meta.block_size, r.meta.bloom
+        items, block_size, bloom = scan_rows(device, r), r.meta.block_size, r.meta.bloom
         device.delete(name)
         device.create(name)
         device.append(name, ref.table_image(items, block_size, 10.0 if bloom else 0.0, framed=True))

@@ -74,7 +74,7 @@ def test_sstable_roundtrip_property(items, block_size):
         first.setdefault(k, v)
     for k, v in list(first.items())[:50]:
         assert r.get(k) == v
-    scanned = scan_rows(r)
+    scanned = scan_rows(dev, r)
     assert [k for k, _ in scanned] == sorted(k for k, _ in items)
 
 
@@ -162,7 +162,7 @@ def check_seams(keys, width, group_bytes, block_size, cache, data):
         call += data.draw(st.lists(st.sampled_from(probe.tolist()), min_size=1, max_size=20))
         call = data.draw(st.permutations(call))
         assert read(call) == [want[k] for k in call]
-    scanned = scan_rows(r)
+    scanned = scan_rows(dev, r)
     assert [k for k, _ in scanned] == sorted(keys)
     scan_first = {}
     for k, v in scanned:

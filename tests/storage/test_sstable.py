@@ -83,7 +83,7 @@ def test_scan_returns_key_order():
     keys = rng.permutation(200).astype(np.uint64)
     build(dev, "t", [(int(k), bytes([int(k) % 251])) for k in keys], block_size=128)
     r = SSTableReader(dev, "t")
-    scanned = scan_rows(r)
+    scanned = scan_rows(dev, r)
     assert [k for k, _ in scanned] == sorted(int(k) for k in keys)
     assert len(scanned) == 200
 
@@ -144,7 +144,7 @@ def test_empty_table():
     assert stats.nentries == 0
     r = SSTableReader(dev, "t")
     assert r.get(1) is None
-    assert scan_rows(r) == []
+    assert scan_rows(dev, r) == []
 
 
 def test_read_costs_match_fig11_structure():
@@ -229,7 +229,7 @@ class TestGetMany:
         items = [(int(k), bytes(rng.integers(0, 256, 41, dtype=np.uint8))) for k in keys]
         build(dev, "t", items, block_size=200)
         r = SSTableReader(dev, "t")
-        truth = dict(scan_rows(r))
+        truth = dict(scan_rows(dev, r))
         assert truth == dict(items)
         probe = np.concatenate([keys, keys + np.uint64(5000), np.asarray([0, 4999], np.uint64)])
         vals, _ = r.get_many(probe)
@@ -396,7 +396,7 @@ class TestKeyGroups:
         vals, blocks = r.get_many(probe)
         assert vals == want and blocks >= meta.first.size
         assert r.get(2**64 - 1) is None  # above the table
-        scanned = scan_rows(r)
+        scanned = scan_rows(dev, r)
         assert [k for k, _ in scanned] == keys
         seen = {}
         for k, v in scanned:
@@ -437,7 +437,7 @@ class TestKeyGroups:
         build(dev, "t", [])
         r = SSTableReader(dev, "t")
         assert r.meta.gfirst.size == 0 and r.meta.gstart.tolist() == [0]
-        assert r.get(1) is None and scan_rows(r) == []
+        assert r.get(1) is None and scan_rows(dev, r) == []
         keys, values = r.scan_arrays()
         assert keys.size == 0 and len(values) == 0
 
@@ -453,33 +453,36 @@ class TestKeyGroups:
         r = SSTableReader(dev, "t")
         m = r.meta
         assert m.first.size >= 2
-        scanned = dict(scan_rows(r))
+        scanned = dict(scan_rows(dev, r))
         for b in range(m.first.size):
             goff = m.goff[m.gstart[b] : m.gstart[b + 1]]
             assert goff[0] == 0 and (np.diff(goff) >= GROUP_BYTES).all()
             assert goff[-1] < m.length[b]
             assert (np.diff(goff) == m.group_bytes).all() and m.group_bytes % 8 == 0
-            blk = r._run(b, 0, int(m.gstart[b + 1] - m.gstart[b]))  # the whole block
+            raw = dev.read("t", int(m.off[b]), int(m.length[b]))  # the whole block
             for g, off in enumerate(goff.tolist()):  # a group starts at a record
-                key = int.from_bytes(blk.raw[off : off + 8], "little")
+                key = int.from_bytes(raw[off : off + 8], "little")
                 assert key == m.gfirst[m.gstart[b] + g] and key in scanned
 
     def test_a_lookup_verifies_only_the_groups_it_lands_in(self):
+        """A whole block is cached with one damaged key group: lookups that
+        land in other groups answer, and the first lookup that lands in
+        it raises, with no device read, as does a scan."""
         dev = StorageDevice()
         build(dev, "t", [(k, bytes(56)) for k in range(4096)], block_size=1 << 20)
-        cache = BlockCache(2, dev.metrics)
-        r = SSTableReader(dev, "t", cache=cache)
-        ngroups = r.meta.gfirst.size
-        assert ngroups > 40
+        r = SSTableReader(dev, "t", cache=BlockCache(2, dev.metrics))
+        m = r.meta
+        assert m.first.size == 1 and m.gfirst.size > 40
+        dev.corrupt("t", int(m.off[0] + m.goff[6]) + 8, xor=0x01)  # a value byte of group 6
         assert r.get(1000) == bytes(56)
-        (blk,) = cache._lru.values()
-        assert sum(blk.verified) == 1
-        r.get_many(np.asarray([5, 6, 4000], dtype=np.uint64))
-        assert sum(blk.verified) == 3
-        r.get(int(r.meta.gfirst[7]))  # a group's first key: that group and the one before
-        assert blk.verified[6] and blk.verified[7] and sum(blk.verified) == 5
-        r.scan_arrays()
-        assert all(blk.verified)
+        assert r.get_many(np.asarray([5, 6, 4000], dtype=np.uint64))[0] == [bytes(56)] * 3
+        assert r.get(int(m.gfirst[8])) == bytes(56)
+        reads = dev.counters.reads
+        with pytest.raises(CorruptBlockError, match="key group 6 "):
+            r.get(int(m.gfirst[7]))  # a group's first key: that group and the one before
+        with pytest.raises(CorruptBlockError, match="key group 6 "):
+            r.scan_arrays()
+        assert dev.counters.reads == reads
 
     def test_vectorized_and_scalar_writers_cut_the_same_groups(self, monkeypatch):
         """The writer's array cutter and the per-record reference cutter,
@@ -517,7 +520,7 @@ class TestRangedReads:
         dev = StorageDevice()
         build(dev, "t", items, block_size=2010, bloom_bits_per_key=4)
         r = SSTableReader(dev, "t")
-        return dev, r.meta, scan_rows(r)
+        return dev, r.meta, scan_rows(dev, r)
 
     @staticmethod
     def _seams(meta, scanned):
@@ -684,4 +687,4 @@ def test_the_length_framed_row_layout_is_refused_by_name():
     dev.create("new")
     dev.append("new", ref.table_image(items, 1 << 20))
     r = SSTableReader(dev, "new")
-    assert r.meta.record_bytes == 8 + 4 and scan_rows(r) == items
+    assert r.meta.record_bytes == 8 + 4 and scan_rows(dev, r) == items

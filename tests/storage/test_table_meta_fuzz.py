@@ -171,7 +171,7 @@ def check(blob: bytes, keys=(0, 1, 12345, U64)) -> bool:
             first = reader.meta.gfirst[:4].tolist()
             probe = np.concatenate([probe, np.asarray(first, dtype=np.uint64)])
             reads = [lambda k=k: reader.get(int(k)) for k in probe]
-            reads += [lambda: reader.get_many(probe), lambda: scan_rows(reader)]
+            reads += [lambda: reader.get_many(probe), lambda: scan_rows(dev, reader)]
             reads.append(reader.scan_arrays)
             for read in reads:
                 try:
