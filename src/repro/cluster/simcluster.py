@@ -1,10 +1,12 @@
 """In-process simulated cluster: real pipelines, exact accounting.
 
-`SimCluster` runs one `WriterState` + `ReceiverState` pair per rank over an
-in-memory transport.  Everything the paper *counts* — RPC messages, bytes
-shuffled, bytes stored, per-partition index sizes — is measured from real
-execution of the real data structures; everything the paper *times* at
-scale comes from the analytic model in `repro.core.costmodel`, fed with
+`SimCluster` runs one `WriterState` over all its ranks and one
+`ReceiverState` per rank, over an in-memory transport: an epoch's shuffle
+is one pass over every rank's puts, whose rows a router counts and each
+receiver takes in one call.  Everything the paper *counts* — RPC messages,
+bytes shuffled, bytes stored, per-partition index sizes — is measured from
+real execution of the real data structures; everything the paper *times*
+at scale comes from the analytic model in `repro.core.costmodel`, fed with
 these counts.
 
 Typical use::
@@ -24,7 +26,7 @@ import numpy as np
 from ..core.formats import FMT_FILTERKV, FormatSpec
 from ..core.kv import KVBatch, random_kv_batch
 from ..core.partitioning import HashPartitioner
-from ..core.pipeline import Envelope, ReceiverState, WriterState, build_aux, epoch_files
+from ..core.pipeline import ReceiverState, WriterState, build_aux, epoch_files
 from ..core.routing import DirectRouter, ThreeHopRouter
 from ..obs import MetricsRegistry, active
 from ..storage.blockio import DeviceProfile, StorageDevice
@@ -92,9 +94,9 @@ class SimCluster:
         )
         self.partitioner = HashPartitioner(nranks)
         if routing == "3hop":
-            self.router = ThreeHopRouter(self._deliver, ppn=ppn, batch_bytes=batch_bytes)
+            self.router = ThreeHopRouter(ppn=ppn, batch_bytes=batch_bytes)
         else:
-            self.router = DirectRouter(self._deliver, ppn=ppn)
+            self.router = DirectRouter(ppn=ppn)
         self.receivers = [
             ReceiverState(
                 r,
@@ -110,31 +112,19 @@ class SimCluster:
             )
             for r in range(self.nranks)
         ]
-        self.writers = [
-            WriterState(
-                r,
-                self.fmt,
-                self.partitioner,
-                self.device,
-                self.value_bytes,
-                send=self._send,
-                aux_backend=aux_backend,
-                batch_bytes=self.batch_bytes,
-                epoch=self.epoch,
-                block_size=block_size,
-                metrics=self.metrics,
-            )
-            for r in range(self.nranks)
-        ]
+        self.writer = WriterState(
+            list(range(self.nranks)),
+            self.fmt,
+            self.partitioner,
+            self.device,
+            self.value_bytes,
+            aux_backend=aux_backend,
+            batch_bytes=self.batch_bytes,
+            epoch=self.epoch,
+            block_size=block_size,
+            metrics=self.metrics,
+        )
         self._finished = False
-
-    # -- transport ---------------------------------------------------------
-
-    def _send(self, env: Envelope) -> None:
-        self.router.send(env)
-
-    def _deliver(self, env: Envelope) -> None:
-        self.receivers[env.dest].deliver(env)
 
     @property
     def rpc_messages(self) -> int:
@@ -148,16 +138,17 @@ class SimCluster:
     # -- driving -----------------------------------------------------------
 
     def put(self, rank: int, batch: KVBatch) -> None:
-        """Feed one generated batch into a rank's writer."""
-        self.writers[rank].put_batch(batch)
+        """Write one generated batch on a rank; it ships at `finish_epoch`."""
+        self.writer.put_batch(rank, batch)
 
     def finish_epoch(self) -> None:
-        """Flush all writers, then persist every partition."""
+        """Shuffle every rank's puts, then persist every partition."""
         if self._finished:
             raise ValueError("epoch already finished")
-        for w in self.writers:
-            w.finish()
-        self.router.flush()  # ship any aggregates the 3-hop path buffered
+        rows = self.writer.finish()
+        order = self.router.send(rows.src, rows.dest, rows.count * self.writer.record_bytes)
+        for receiver, columns in zip(self.receivers, rows.by_dest(order, self.nranks)):
+            receiver.deliver(*columns)
         build_aux(self.receivers)  # every partition's aux table, built together
         for r in self.receivers:
             r.finish()
@@ -181,14 +172,14 @@ class SimCluster:
     def stats(self) -> ClusterStats:
         if not self._finished:
             raise ValueError("epoch not finished yet")
-        local = sum(w.local_storage_bytes for w in self.writers)
+        local = self.writer.local_storage_bytes
         aux = sum(
             r.aux.size_bytes for r in self.receivers if r.aux is not None
         )
         total = self.device.total_bytes_stored()
         return ClusterStats(
             nranks=self.nranks,
-            records=sum(w.records_written for w in self.writers),
+            records=self.writer.records_written,
             rpc_messages=self.rpc_messages,
             shuffle_bytes=self.shuffle_bytes,
             storage_bytes=total,

@@ -17,7 +17,7 @@ from .multiepoch import EpochMount, MultiEpochStore
 from .formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KEY_BYTES, KVBatch, random_kv_batch
 from .partitioning import HashPartitioner
-from .pipeline import Envelope, ReceiverState, WriterState, aux_table_name, main_table_name
+from .pipeline import ReceiverState, Rows, WriterState, aux_table_name, main_table_name
 from .reader import QueryEngine, QueryStats
 from .routing import DirectRouter, ThreeHopRouter
 
@@ -48,7 +48,7 @@ __all__ = [
     "KVBatch",
     "random_kv_batch",
     "HashPartitioner",
-    "Envelope",
+    "Rows",
     "ReceiverState",
     "WriterState",
     "aux_table_name",

@@ -39,27 +39,5 @@ class HashPartitioner:
         # dispatch dominates the hash.
         return hash64_int(int(key) & MASK64, self.seed) % self.nparts
 
-    def split(self, keys: np.ndarray) -> list[np.ndarray]:
-        """Index arrays grouping ``keys`` by destination partition.
-
-        Returns a list of ``nparts`` int64 index arrays — the shuffle's
-        scatter plan.  Built with one sort rather than ``nparts`` scans.
-        """
-        dest = self.partition_of(keys)
-        # Stable argsort on a narrow integer dtype takes numpy's radix
-        # path — same order, several times faster than comparison sort.
-        narrow = dest.astype(np.uint16) if self.nparts <= 0xFFFF else dest
-        order = np.argsort(narrow, kind="stable")
-        sorted_dest = dest[order]
-        boundaries = np.searchsorted(sorted_dest, np.arange(self.nparts + 1))
-        return [order[boundaries[p] : boundaries[p + 1]] for p in range(self.nparts)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HashPartitioner)
-            and other.nparts == self.nparts
-            and other.seed == self.seed
-        )
-
     def __repr__(self) -> str:
         return f"HashPartitioner(nparts={self.nparts}, seed={self.seed:#x})"

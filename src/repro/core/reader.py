@@ -30,6 +30,7 @@ newest-first walk over several epochs included, and builds its keys'
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -205,7 +206,6 @@ class QueryEngine:
         self.epoch = epoch
         self.files = tuple(files)
         self.table_names, self.aux_names = rank_extents(self.files, nranks)
-        self.metrics = active(metrics)
         self.metas: list[TableMeta | None] = [None] * nranks
         self.aux_charged: set[int] = set()
         # The three fetch rules follow from this: none (the cold reader),
@@ -213,7 +213,12 @@ class QueryEngine:
         # whole blocks kept in it; a 0-block cache, only the key groups a
         # call decodes.
         self.block_cache: BlockCache | None = None
-        fmtl = {"format": fmt.name}
+        self._count_in(metrics)
+
+    def _count_in(self, metrics: MetricsRegistry | None) -> None:
+        """Count this engine's reads in ``metrics``."""
+        self.metrics = active(metrics)
+        fmtl = {"format": self.fmt.name}
         self._m_queries = self.metrics.counter("reader.queries", **fmtl)
         self._m_hits = self.metrics.counter("reader.hits", **fmtl)
         self._m_partitions = self.metrics.counter("reader.partitions_probed", **fmtl)
@@ -239,12 +244,8 @@ class QueryEngine:
         decodes; above 0 (warm mounts, `QueryService`, fleet shards) it
         keeps whole blocks between calls.
         """
-        view = QueryEngine(
-            self.device, self.fmt, self.nranks, self.partitioner,
-            self.epoch, self.files, None, metrics,
-        )
-        view.aux_tables, view.aux = self.aux_tables, self.aux
-        view.metas, view.aux_charged = self.metas, self.aux_charged
+        view = copy.copy(self)  # every field shared; the counters and cache are its own
+        view._count_in(metrics)
         view.block_cache = BlockCache(
             BLOCK_CACHE_BLOCKS * table_cache_entries, self.device.metrics
         )

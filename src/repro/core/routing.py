@@ -7,94 +7,80 @@ representative → destination process.  Node-local hops ride shared memory
 the wire, and it is *aggregated across every process pair on the two
 nodes* — collapsing up to ppn² partially-filled batches into one.
 
-`DirectRouter` forwards envelopes as-is.  `ThreeHopRouter` buffers
-per-node-pair, re-ships when the aggregate reaches the batch size, and
-tracks wire vs local message counts so the routing ablation can quantify
-the trade: fewer, fuller wire messages at the cost of an extra local copy.
+Both routers take an epoch's messages (`pipeline.Rows`) in one call as
+arrays of ``(src, dest, nbytes)`` and return the order the rows reach
+their receivers.  `DirectRouter` forwards rows as-is.  `ThreeHopRouter`
+buffers per node pair, re-ships when the aggregate reaches the batch size,
+and tracks wire vs local message counts so the routing ablation can
+quantify the trade: fewer, fuller wire messages at the cost of an extra
+local copy.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from .pipeline import Envelope
+import numpy as np
 
 __all__ = ["DirectRouter", "ThreeHopRouter"]
 
-DeliverFn = Callable[[Envelope], None]
-
 
 class DirectRouter:
-    """One hop: every envelope is one wire message (unless local)."""
+    """One hop: every row is one wire message (unless local)."""
 
-    def __init__(self, deliver: DeliverFn, ppn: int = 1):
-        self.deliver = deliver
+    def __init__(self, ppn: int = 1):
         self.ppn = max(1, ppn)
         self.wire_messages = 0
         self.wire_bytes = 0
         self.local_messages = 0
 
-    def node_of(self, rank: int) -> int:
-        return rank // self.ppn
-
-    def send(self, env: Envelope) -> None:
-        if env.src == env.dest:
-            self.deliver(env)
-            return
-        if self.node_of(env.src) == self.node_of(env.dest):
-            self.local_messages += 1
-        else:
-            self.wire_messages += 1
-            self.wire_bytes += len(env.payload)
-        self.deliver(env)
-
-    def flush(self) -> None:  # nothing buffered
-        pass
+    def send(self, src: np.ndarray, dest: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
+        """Count rows sent in order; every row arrives as it was sent."""
+        wire = src // self.ppn != dest // self.ppn
+        self.local_messages += int(np.count_nonzero((src != dest) & ~wire))
+        self.wire_messages += int(np.count_nonzero(wire))
+        self.wire_bytes += int(nbytes[wire].sum())
+        return np.arange(src.size)
 
 
 class ThreeHopRouter(DirectRouter):
     """Aggregate per node pair; ship when the aggregate fills a batch."""
 
-    def __init__(self, deliver: DeliverFn, ppn: int, batch_bytes: int = 16384):
-        super().__init__(deliver, ppn)
+    def __init__(self, ppn: int, batch_bytes: int = 16384):
+        super().__init__(ppn)
         if batch_bytes < 64:
             raise ValueError("batch_bytes too small")
         self.batch_bytes = batch_bytes
-        # (src_node, dest_node) -> buffered envelopes + byte count
-        self._agg: dict[tuple[int, int], tuple[list[Envelope], int]] = {}
 
-    def send(self, env: Envelope) -> None:
-        if env.src == env.dest:
-            self.deliver(env)
-            return
-        src_node, dest_node = self.node_of(env.src), self.node_of(env.dest)
-        if src_node == dest_node:
-            self.local_messages += 1  # stays on the node: shared memory
-            self.deliver(env)
-            return
-        # Hop 1: sender → local representative (shared memory).
-        self.local_messages += 1
-        key = (src_node, dest_node)
-        envs, nbytes = self._agg.get(key, ([], 0))
-        envs.append(env)
-        nbytes += len(env.payload)
-        if nbytes >= self.batch_bytes:
-            self._ship(key, envs, nbytes)
-        else:
-            self._agg[key] = (envs, nbytes)
+    def send(self, src: np.ndarray, dest: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
+        """Route rows sent in order, then ship every partial aggregate (the
+        end of the burst), oldest first; returns the arrival order."""
+        arrived: list[int] = []
+        agg: dict[tuple[int, int], tuple[list[int], int]] = {}  # node pair -> rows, bytes
+        for i, (s, d, n) in enumerate(zip(src.tolist(), dest.tolist(), nbytes.tolist())):
+            if s == d:
+                arrived.append(i)
+                continue
+            # Hop 1: sender → local representative (shared memory), or
+            # straight to a destination on the same node.
+            self.local_messages += 1
+            key = (s // self.ppn, d // self.ppn)
+            if key[0] == key[1]:
+                arrived.append(i)
+                continue
+            rows, held = agg.get(key, ([], 0))
+            rows.append(i)
+            if held + n >= self.batch_bytes:
+                agg.pop(key, None)  # a later row opens a new aggregate, at the end
+                self._ship(rows, held + n, arrived)
+            else:
+                agg[key] = (rows, held + n)
+        for rows, held in agg.values():
+            self._ship(rows, held, arrived)
+        return np.asarray(arrived, dtype=np.int64)
 
-    def _ship(self, key: tuple[int, int], envs: list[Envelope], nbytes: int) -> None:
-        # Hop 2: one aggregated wire message between representatives.
+    def _ship(self, rows: list[int], nbytes: int, arrived: list[int]) -> None:
+        # Hop 2: one aggregated wire message between representatives; hop 3:
+        # representative → each destination process (shared memory).
         self.wire_messages += 1
         self.wire_bytes += nbytes
-        self._agg.pop(key, None)
-        for env in envs:
-            # Hop 3: representative → destination process (shared memory).
-            self.local_messages += 1
-            self.deliver(env)
-
-    def flush(self) -> None:
-        """Ship every partial aggregate (end of the burst)."""
-        for key in list(self._agg):
-            envs, nbytes = self._agg[key]
-            self._ship(key, envs, nbytes)
+        self.local_messages += len(rows)
+        arrived.extend(rows)

@@ -3,7 +3,9 @@
 `SimCluster` executes every rank in one process, which is what an offline
 workstation supports.  On a machine with ``mpi4py`` + an MPI runtime, the
 same `WriterState`/`ReceiverState` pipelines can run as an actual SPMD
-job: this module provides the envelope transport.
+job: this module provides the envelope transport.  An `Envelope` is one
+row of a writer's `Rows` framed for the wire (`envelopes`); a receiver
+takes what it polled as columns (`columns`).
 
 * `MpiTransport` — nonblocking mpi4py sends of packed envelopes
   (buffer-based ``Isend``/``Probe``/``Recv``, per the mpi4py guidance of
@@ -22,15 +24,21 @@ from __future__ import annotations
 
 import struct
 from collections import deque
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from ..core.pipeline import Envelope
+import numpy as np
+
+if TYPE_CHECKING:  # for annotations only
+    from ..core.pipeline import Rows
 
 __all__ = [
+    "Envelope",
     "HAVE_MPI",
     "LoopbackTransport",
     "MpiTransport",
+    "columns",
+    "envelopes",
     "make_transport",
     "pack_envelope",
     "unpack_envelope",
@@ -49,13 +57,50 @@ _TAG_DATA = 0x5F
 _TAG_DONE = 0x60
 
 
-def pack_envelope(env: "Envelope") -> bytes:
+@dataclass(frozen=True)
+class Envelope:
+    """One message on the wire: ``nrecords`` whole wire records from
+    ``src`` to ``dest``."""
+
+    src: int
+    dest: int
+    payload: bytes
+    nrecords: int
+
+
+def envelopes(rows: Rows) -> list[Envelope]:
+    """A writer's shuffle rows as envelopes, in the order they are sent."""
+    return [
+        Envelope(src, dest, rows.records[first : first + count].tobytes(), count)
+        for src, dest, first, count in zip(
+            rows.src.tolist(), rows.dest.tolist(), rows.first.tolist(), rows.count.tolist()
+        )
+    ]
+
+
+def columns(envs: list[Envelope], rank: int, record_bytes: int) -> tuple[np.ndarray, ...]:
+    """Envelopes polled for ``rank`` as `ReceiverState.deliver`'s
+    ``(records, senders, counts)``."""
+    for env in envs:
+        if env.dest != rank:
+            raise ValueError(f"envelope for rank {env.dest} delivered to {rank}")
+        if len(env.payload) != env.nrecords * record_bytes:
+            raise ValueError(
+                f"{len(env.payload)} payload bytes for {env.nrecords} records of {record_bytes} B"
+            )
+    payload = b"".join(env.payload for env in envs)
+    return (
+        np.frombuffer(payload, dtype=np.uint8).reshape(-1, record_bytes),
+        np.asarray([env.src for env in envs], dtype=np.int64),
+        np.asarray([env.nrecords for env in envs], dtype=np.int64),
+    )
+
+
+def pack_envelope(env: Envelope) -> bytes:
     return _HDR.pack(env.src, env.dest, env.nrecords) + env.payload
 
 
-def unpack_envelope(blob: bytes) -> "Envelope":
-    from ..core.pipeline import Envelope  # local: avoid a package cycle
-
+def unpack_envelope(blob: bytes) -> Envelope:
     if len(blob) < _HDR.size:
         raise ValueError(f"envelope too short: {len(blob)} bytes")
     src, dest, nrecords = _HDR.unpack(blob[: _HDR.size])

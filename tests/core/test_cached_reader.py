@@ -93,3 +93,32 @@ def test_store_engines_share_one_aux_charge():
     cold = [store.engine(0).get(int(k))[1] for k in same]
     assert all(s.breakdown_reads.get("aux") == 1 for s in cold)
     assert all(s.breakdown_reads.get("footer") == s.partitions_searched for s in cold)
+
+
+def test_a_mounts_view_shares_the_epochs_aux_without_rebuilding_it(monkeypatch):
+    """A view is its epoch engine's state with its own counters and block
+    cache: it shares ``aux`` (and the resolved extent names) and builds no
+    `EpochAux` of its own."""
+    from repro.core import reader
+    from repro.core.auxtable import EpochAux
+    from repro.core.multiepoch import MultiEpochStore
+    from repro.obs import MetricsRegistry
+
+    store = MultiEpochStore(nranks=4, fmt=FMT_FILTERKV, value_bytes=16, seed=3)
+    batches = [random_kv_batch(200, 16, np.random.default_rng(r)) for r in range(4)]
+    store.write_epoch(batches)
+    engine = store.engine(0)
+    calls = []
+    over = EpochAux.over.__func__
+    counted = classmethod(lambda cls, tables: calls.append(tables) or over(cls, tables))
+    monkeypatch.setattr(EpochAux, "over", counted)
+    monkeypatch.setattr(reader, "rank_extents", lambda *a: calls.append(a))
+    metrics = MetricsRegistry()
+    view = store.mount(metrics, TABLE_CACHE_ENTRIES).engine(0)
+    assert view is not engine and calls == []
+    assert view.aux is engine.aux and view.aux_tables is engine.aux_tables
+    assert view.table_names is engine.table_names and view.metas is engine.metas
+    assert view.block_cache is not engine.block_cache and view.metrics is metrics
+    value, _ = view.get(int(batches[1].keys[7]))
+    assert value == batches[1].value_of(7)
+    assert metrics.total("reader.queries") == 1

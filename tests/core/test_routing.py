@@ -5,68 +5,67 @@ import pytest
 
 from repro.cluster.simcluster import SimCluster
 from repro.core.formats import FMT_FILTERKV
-from repro.core.pipeline import Envelope
 from repro.core.routing import DirectRouter, ThreeHopRouter
 
 
-def _env(src, dest, nbytes=100):
-    return Envelope(src, dest, b"x" * nbytes, nrecords=1)
+def _send(router, *rows, nbytes=100):
+    """Send ``(src, dest)`` rows of ``nbytes`` each; returns the arrival order."""
+    src, dest = (np.asarray(col, dtype=np.int64) for col in zip(*rows))
+    return router.send(src, dest, np.full(src.size, nbytes, dtype=np.int64)).tolist()
 
 
 class TestDirectRouter:
     def test_counts_wire_messages(self):
-        got = []
-        r = DirectRouter(got.append, ppn=2)
-        r.send(_env(0, 3))  # node 0 → node 1: wire
-        r.send(_env(0, 1))  # same node: local
-        r.send(_env(2, 2))  # self: neither
+        r = DirectRouter(ppn=2)
+        # node 0 → node 1: wire; same node: local; self: neither.
+        assert _send(r, (0, 3), (0, 1), (2, 2)) == [0, 1, 2]  # everything arrives
         assert r.wire_messages == 1
         assert r.local_messages == 1
         assert r.wire_bytes == 100
-        assert len(got) == 3  # everything delivered
 
 
 class TestThreeHopRouter:
     def test_aggregates_until_batch_full(self):
-        got = []
-        r = ThreeHopRouter(got.append, ppn=2, batch_bytes=250)
-        r.send(_env(0, 2))  # node 0 → node 1, buffered (100 B)
-        r.send(_env(1, 3))  # same node pair, buffered (200 B)
-        assert r.wire_messages == 0
-        assert got == []
-        r.send(_env(0, 3))  # 300 B ≥ 250: ships one aggregated message
+        r = ThreeHopRouter(ppn=2, batch_bytes=250)
+        # Two rows of node pair (0, 1) buffer (200 B); the third takes the
+        # aggregate to 300 B ≥ 250 and ships it as one message.
+        assert _send(r, (0, 2), (1, 3), (0, 3)) == [0, 1, 2]
         assert r.wire_messages == 1
         assert r.wire_bytes == 300
-        assert len(got) == 3
 
-    def test_flush_ships_partials(self):
-        got = []
-        r = ThreeHopRouter(got.append, ppn=2, batch_bytes=10_000)
-        r.send(_env(0, 2))
-        r.send(_env(2, 0))
-        assert got == [] and r.wire_messages == 0  # both partials buffered
-        r.flush()
+    def test_end_of_burst_ships_partials(self):
+        r = ThreeHopRouter(ppn=2, batch_bytes=10_000)
+        # Both partials ship, in the order their aggregates opened: a row
+        # joining an open aggregate does not move it behind a newer one.
+        assert _send(r, (0, 2), (2, 0), (1, 3)) == [0, 2, 1]
         assert r.wire_messages == 2  # one per node pair
-        assert len(got) == 2
+
+    def test_arrival_follows_the_aggregates(self):
+        """A row waits in its pair's aggregate: rows behind it that stay on
+        their node, or fill another pair's aggregate, arrive first."""
+        r = ThreeHopRouter(ppn=2, batch_bytes=150)
+        order = _send(r, (0, 2), (1, 1), (0, 1), (2, 0), (3, 1), (1, 3), (4, 0))
+        # row 1 is self-addressed and row 2 node-local: they arrive at once;
+        # (2, 0) + (3, 1) fill pair (1, 0) at 200 B; (0, 2) + (1, 3) fill
+        # pair (0, 1); (4, 0) is pair (2, 0)'s partial, shipped at the end.
+        assert order == [1, 2, 3, 4, 0, 5, 6]
+        assert r.wire_messages == 3
 
     def test_local_traffic_never_buffers(self):
-        got = []
-        r = ThreeHopRouter(got.append, ppn=4, batch_bytes=1000)
-        r.send(_env(0, 3))  # same node
-        r.send(_env(5, 5))  # self
-        assert len(got) == 2 and r.wire_messages == 0
+        r = ThreeHopRouter(ppn=4, batch_bytes=1000)
+        assert _send(r, (0, 3), (5, 5)) == [0, 1]  # same node, self
+        assert r.wire_messages == 0
 
     def test_hop_accounting(self):
-        r = ThreeHopRouter(lambda e: None, ppn=2, batch_bytes=150)
-        r.send(_env(0, 2))
-        r.send(_env(0, 2))
+        r = ThreeHopRouter(ppn=2, batch_bytes=150)
+        _send(r, (0, 2), (0, 2))
         # hop1 ×2 (sender→rep) + hop3 ×2 (rep→dest) = 4 local messages.
         assert r.local_messages == 4
         assert r.wire_messages == 1
 
     def test_validates_batch(self):
         with pytest.raises(ValueError):
-            ThreeHopRouter(lambda e: None, ppn=2, batch_bytes=1)
+            ThreeHopRouter(ppn=2, batch_bytes=1)
 
 
 class TestClusterRouting:

@@ -16,7 +16,7 @@ from repro.cluster.simcluster import SimCluster
 from repro.core.auxtable import AUX_BACKENDS, aux_from_blob, aux_to_blob, build_sealed_aux
 from repro.core.formats import FMT_FILTERKV
 from repro.core.kv import KVBatch
-from repro.core.pipeline import Envelope, ReceiverState, aux_table_name
+from repro.core.pipeline import ReceiverState, aux_table_name
 from repro.storage.blockio import StorageDevice
 from repro.storage.envelope import unseal
 
@@ -34,22 +34,23 @@ def _cuckoo(keys, rank, seed, nparts=NRANKS):
     return build_sealed_aux([(0, keys, rank)], nparts, "cuckoo", seed, metrics=None)
 
 
-def _seal(envelopes, seed=0):
-    """Deliver ``[(keys, src), ...]`` to one receiver; returns it and its
-    sealed blob."""
+def _seal(messages, seed=0):
+    """Deliver ``[(keys, src), ...]`` to one receiver, one call per
+    message; returns it and its sealed blob."""
     dev = StorageDevice()
     recv = ReceiverState(
         0, NRANKS, FMT_FILTERKV, dev, value_bytes=8, aux_backend="cuckoo", aux_seed=seed
     )
-    for keys, src in envelopes:
-        recv.deliver(Envelope(src, 0, keys.astype("<u8").tobytes(), keys.size))
+    for keys, src in messages:
+        records = keys.astype("<u8").view(np.uint8).reshape(-1, 8)
+        recv.deliver(records, np.asarray([src]), np.asarray([keys.size]))
     recv.finish()
     name = aux_table_name(0, 0)
     return recv, dev.read(name, 0, dev.file_size(name))
 
 
 def _cut(keys, srcs, bounds):
-    """One mapping set as envelopes: a new envelope at every source change
+    """One mapping set as messages: a new message at every source change
     and at every extra cut point in ``bounds``."""
     edges = set(np.flatnonzero(np.diff(srcs)) + 1) | set(bounds) | {0, keys.size}
     edges = sorted(e for e in edges if 0 <= e <= keys.size)
@@ -66,7 +67,7 @@ def _cut(keys, srcs, bounds):
 def test_sealed_build_properties(n, seed, nsources, cuts):
     rng = np.random.default_rng(seed)
     keys = _keys(n, seed)
-    # Sources arrive in runs (an envelope has one sender), and the first
+    # Sources arrive in runs (a message has one sender), and the first
     # key arrives a second time from another rank.
     srcs = np.sort(rng.integers(0, nsources, size=n)).astype(np.uint64)
     keys = np.append(keys, keys[0])
@@ -74,7 +75,7 @@ def test_sealed_build_properties(n, seed, nsources, cuts):
 
     _, blob_coarse = _seal(_cut(keys, srcs, []), seed)
     fine, blob_fine = _seal(_cut(keys, srcs, cuts), seed)
-    # The table is a function of the mapping set, not of its envelopes.
+    # The table is a function of the mapping set, not of its messages.
     assert blob_coarse == blob_fine
 
     reloaded = aux_from_blob(unseal(blob_fine))

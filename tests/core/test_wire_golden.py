@@ -18,6 +18,7 @@ from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
 from repro.core.kv import KVBatch
 from repro.core.partitioning import HashPartitioner
 from repro.core.pipeline import ReceiverState, WriterState, main_table_name
+from repro.net.mpi_backend import columns, envelopes
 from repro.storage.blockio import StorageDevice
 from repro.storage.log import DataPointer, ValueLog
 from repro.storage.sstable import SSTableReader
@@ -55,19 +56,18 @@ def _batch():
 
 
 def _encode_with_writer(fmt):
-    """Run a single-destination writer and capture its shipped envelopes."""
-    sent = []
+    """Run a single-destination writer and frame its one row as the
+    envelope it ships."""
     writer = WriterState(
-        rank=0,
+        ranks=[0],
         fmt=fmt,
         partitioner=HashPartitioner(1),
         device=StorageDevice(),
         value_bytes=4,
-        send=sent.append,
         aux_backend="cuckoo",
     )
-    writer.put_batch(_batch())
-    writer.flush()
+    writer.put_batch(0, _batch())
+    sent = envelopes(writer.finish())
     assert len(sent) == 1 and sent[0].nrecords == 3
     return writer, sent[0]
 
@@ -97,7 +97,7 @@ def test_filterkv_payload_matches_golden_bytes():
 def test_base_golden_bytes_decode_round_trip():
     recv = _receiver(FMT_BASE)
     _, env = _encode_with_writer(FMT_BASE)
-    recv.deliver(env)
+    recv.deliver(*columns([env], 0, recv.record_bytes))
     recv.finish()
     reader = SSTableReader(recv.device, main_table_name(0, 0))
     assert dict(scan_rows(recv.device, reader)) == dict(zip(KEYS, VALUES))
@@ -106,7 +106,7 @@ def test_base_golden_bytes_decode_round_trip():
 def test_dataptr_golden_bytes_decode_to_working_pointers():
     recv = _receiver(FMT_DATAPTR)
     writer, env = _encode_with_writer(FMT_DATAPTR)
-    recv.deliver(env)
+    recv.deliver(*columns([env], 0, recv.record_bytes))
     recv.finish()
     reader = SSTableReader(recv.device, main_table_name(0, 0))
     vlog = ValueLog.open(writer.device, 0)
@@ -121,7 +121,7 @@ def test_dataptr_golden_bytes_decode_to_working_pointers():
 def test_filterkv_golden_bytes_decode_into_aux_table():
     recv = _receiver(FMT_FILTERKV)
     _, env = _encode_with_writer(FMT_FILTERKV)
-    recv.deliver(env)
+    recv.deliver(*columns([env], 0, recv.record_bytes))
     recv.finish()  # the aux table is built at seal, not per envelope
     for key in KEYS:
         assert 0 in recv.aux.candidate_ranks(key)

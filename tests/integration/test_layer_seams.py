@@ -66,6 +66,15 @@ KNOWN_GONE = {
     # `SSTableWriter.add_many` / `finish` keep their seams.
     "repro.core.compact.read_table_arrays",
     "repro.core.compact.write_merged_table",
+    # An epoch shuffles in one pass at `WriterState.finish` (still under
+    # `core.pipeline.self_s`), whose one stable sort groups every rank's
+    # keys by owner: nothing buffers between puts, so there is no partial
+    # batch to flush and no per-batch split (`partition_of` keeps
+    # `core.partitioning.self_s`); a router takes the epoch's rows in one
+    # `send` (still under `other.self_s`), which ships its own partials.
+    "repro.core.pipeline.WriterState.flush",
+    "repro.core.partitioning.HashPartitioner.split",
+    "repro.core.routing.DirectRouter.flush",
 }
 
 

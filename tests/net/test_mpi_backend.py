@@ -4,10 +4,11 @@ runtime and is exercised by examples/mpi_partition.py under mpiexec)."""
 import numpy as np
 import pytest
 
-from repro.core.pipeline import Envelope
 from repro.net.mpi_backend import (
     HAVE_MPI,
+    Envelope,
     LoopbackTransport,
+    columns,
     make_transport,
     pack_envelope,
     unpack_envelope,
@@ -47,6 +48,23 @@ def test_loopback_validates():
         LoopbackTransport(0)
 
 
+def test_columns_join_polled_envelopes():
+    """A receiver takes what it polled as one record matrix plus one
+    (sender, count) per envelope."""
+    envs = [Envelope(2, 1, bytes(range(16)), 2), Envelope(0, 1, bytes(range(16, 24)), 1)]
+    records, senders, counts = columns(envs, 1, 8)
+    assert records.shape == (3, 8) and records.tobytes() == bytes(range(24))
+    assert senders.tolist() == [2, 0] and counts.tolist() == [2, 1]
+    assert columns([], 1, 8)[0].shape == (0, 8)
+
+
+def test_columns_reject_misrouted_and_torn_envelopes():
+    with pytest.raises(ValueError):  # addressed to rank 2, polled by rank 1
+        columns([Envelope(src=0, dest=2, payload=b"", nrecords=0)], 1, 8)
+    with pytest.raises(ValueError):  # 12 bytes do not hold 2 whole records
+        columns([Envelope(src=0, dest=1, payload=bytes(12), nrecords=2)], 1, 8)
+
+
 def test_make_transport_falls_back_without_mpi():
     t = make_transport(6)
     if not HAVE_MPI:
@@ -60,6 +78,7 @@ def test_loopback_full_shuffle_roundtrip():
     from repro.core.kv import random_kv_batch
     from repro.core.partitioning import HashPartitioner
     from repro.core.pipeline import ReceiverState, WriterState
+    from repro.net.mpi_backend import envelopes
     from repro.storage.blockio import StorageDevice
 
     nranks, records = 4, 800
@@ -70,15 +89,13 @@ def test_loopback_full_shuffle_roundtrip():
         receivers.append(
             ReceiverState(rank, nranks, FMT_FILTERKV, dev, 8, "cuckoo")
         )
-        w = WriterState(
-            rank, FMT_FILTERKV, HashPartitioner(nranks), dev, 8, t.send, "cuckoo"
-        )
-        w.put_batch(random_kv_batch(records, 8, rng=rank))
-        w.finish()
+        w = WriterState([rank], FMT_FILTERKV, HashPartitioner(nranks), dev, 8, "cuckoo")
+        w.put_batch(rank, random_kv_batch(records, 8, rng=rank))
+        for env in envelopes(w.finish()):
+            t.send(env)
     total = 0
     for rank in range(nranks):
-        for env in t.poll(rank):
-            receivers[rank].deliver(env)
+        receivers[rank].deliver(*columns(t.poll(rank), rank, receivers[rank].record_bytes))
         receivers[rank].finish()
         total += receivers[rank].records_received
     assert total == nranks * records

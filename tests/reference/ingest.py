@@ -5,7 +5,9 @@ same epoch record by record, from the documented formats alone:
 
 * value log — ``u32 length ‖ value``, one append per value;
 * wire — each record encoded on its own into a per-destination buffer that
-  ships whole-record envelopes once it holds ``batch_bytes``;
+  ships whole-record envelopes once it holds ``batch_bytes``, routed one
+  envelope at a time directly or over the 3-hop path (`Direct`,
+  `ThreeHop`);
 * SSTable — ``u64 key ‖ value`` rows in stable key order (no length: the
   index holds the one row width),
   key groups and blocks cut record by record (`cut_records`, also the
@@ -15,9 +17,9 @@ same epoch record by record, from the documented formats alone:
   its group table, and the 64-byte footer.
 
 It shares with the code under test only what is not the write path:
-`HashPartitioner` (routing), `BloomFilter` (the filter's bits),
-`build_sealed_aux` (the aux seal), the `Envelope` and `ClusterStats`
-records and `random_kv_batch`.  Its checksums are `zlib.crc32` called
+`HashPartitioner` (key to owner), `BloomFilter` (the filter's bits),
+`build_sealed_aux` (the aux seal), the `ClusterStats` record and
+`random_kv_batch`.  Its checksums are `zlib.crc32` called
 here, zero-extended to 8 bytes, not the package's checksum helper.
 """
 
@@ -33,7 +35,6 @@ from repro.cluster.simcluster import ClusterStats
 from repro.core.auxtable import aux_to_blob, build_sealed_aux
 from repro.core.kv import random_kv_batch
 from repro.core.partitioning import HashPartitioner
-from repro.core.pipeline import Envelope
 from repro.filters.bloom import BloomFilter
 from repro.storage import sstable
 from repro.storage.blockio import StorageDevice
@@ -162,9 +163,19 @@ def _wire_record_bytes(fmt, value_bytes: int) -> int:
     return {"base": 8 + value_bytes, "dataptr": 16, "filterkv": 8}[fmt.name]
 
 
+@dataclass(frozen=True)
+class Envelope:
+    """One message on the wire: ``nrecords`` whole records from ``src``."""
+
+    src: int
+    dest: int
+    payload: bytes
+    nrecords: int
+
+
 class Writer:
     """One rank's producer side, record by record (`WriterState`'s role
-    and constructor)."""
+    for one of its ranks)."""
 
     def __init__(self, rank, fmt, partitioner, device, value_bytes, send, aux_backend,
                  batch_bytes=16384, epoch=0, block_size=1 << 20):
@@ -174,6 +185,7 @@ class Writer:
         self.buffers: dict[int, bytearray] = {}
         self.records_written = 0
         self.wire_bytes = 0
+        self.shipped = 0
         self.vlog = self.main = None
         if fmt.name == "dataptr":
             self.vlog = f"vlog.{rank:06d}"
@@ -183,10 +195,18 @@ class Writer:
                               _bloom_bits(fmt, aux_backend))
 
     def put_batch(self, batch) -> None:
-        for key, value in zip(batch.keys.tolist(), batch.values):
-            self.put(key, value.tobytes())
+        """Write every record locally, in batch order, then ship the batch
+        destination by destination in rank order, each destination's
+        records in batch order."""
+        encoded = [
+            self.put(key, value.tobytes()) for key, value in zip(batch.keys.tolist(), batch.values)
+        ]
+        for dest in sorted({dest for dest, _ in encoded}):
+            for payload in (payload for d, payload in encoded if d == dest):
+                self.buffer(dest, payload)
 
-    def put(self, key: int, value: bytes) -> None:
+    def put(self, key: int, value: bytes) -> tuple[int, bytes]:
+        """One record's local write; returns its destination and payload."""
         if len(value) != self.value_bytes:
             raise ValueError(f"value width {len(value)} != {self.value_bytes}")
         if self.fmt.name == "dataptr":
@@ -196,17 +216,20 @@ class Writer:
             payload = struct.pack("<Q", key)
         else:
             payload = struct.pack("<Q", key) + value
-        dest = self.partitioner.partition_of_one(key)
+        self.records_written += 1
+        return self.partitioner.partition_of_one(key), payload
+
+    def buffer(self, dest: int, payload: bytes) -> None:
         buf = self.buffers.setdefault(dest, bytearray())
         buf += payload
         cut = max(self.rec, self.batch_bytes // self.rec * self.rec)  # whole records
         while len(buf) >= self.batch_bytes:
             self.ship(dest, buf[:cut])
             del buf[:cut]
-        self.records_written += 1
 
     def ship(self, dest: int, payload) -> None:
         self.wire_bytes += len(payload)
+        self.shipped += 1
         self.send(Envelope(self.rank, dest, bytes(payload), len(payload) // self.rec))
 
     def flush(self) -> None:
@@ -227,8 +250,8 @@ class Writer:
 
 
 class Receiver:
-    """One rank's partition-owner side, record by record (`ReceiverState`'s
-    role and constructor)."""
+    """One rank's partition-owner side, record by record, one envelope per
+    `deliver` (`ReceiverState`'s role and constructor)."""
 
     def __init__(self, rank, nranks, fmt, device, value_bytes, aux_backend, epoch=0,
                  block_size=1 << 20, aux_seed=0):
@@ -236,6 +259,7 @@ class Receiver:
         self.device, self.epoch, self.aux_seed = device, epoch, aux_seed
         self.rec = _wire_record_bytes(fmt, value_bytes)
         self.records_received = 0
+        self.received = 0
         self.table = None
         self.aux = None
         self.aux_keys: list[int] = []
@@ -258,6 +282,7 @@ class Receiver:
                 self.aux_keys.append(key)
                 self.aux_srcs.append(env.src)
         self.records_received += env.nrecords
+        self.received += 1
 
     def finish(self) -> None:
         if self.table is not None:
@@ -281,7 +306,77 @@ class Receiver:
         self.device.append(name, seal(aux_to_blob(self.aux)))
 
 
+# -- routing -----------------------------------------------------------------
+
+
+class Direct:
+    """Every envelope is one message: none for a rank's own, a node-local
+    (shared-memory) one within a node of ``ppn`` ranks, else a wire RPC."""
+
+    def __init__(self, deliver, ppn: int):
+        self.deliver, self.ppn = deliver, ppn
+        self.wire_messages = self.wire_bytes = self.local_messages = 0
+
+    def send(self, env: Envelope) -> None:
+        if env.src != env.dest:
+            if env.src // self.ppn == env.dest // self.ppn:
+                self.local_messages += 1
+            else:
+                self.wire_messages += 1
+                self.wire_bytes += len(env.payload)
+        self.deliver(env)
+
+    def flush(self) -> None:
+        pass
+
+
+class ThreeHop(Direct):
+    """The DeltaFS path: sender → its node's representative → the remote
+    node's representative → destination.  The node-local hops ride shared
+    memory; the representatives aggregate every envelope between their two
+    nodes and send one wire message once the aggregate holds
+    ``batch_bytes``, the rest at the end of the burst, oldest aggregate
+    first.  A node's own traffic takes one local hop, a rank's own none."""
+
+    def __init__(self, deliver, ppn: int, batch_bytes: int):
+        super().__init__(deliver, ppn)
+        self.batch_bytes = batch_bytes
+        self.pending: dict[tuple[int, int], list[Envelope]] = {}  # in opening order
+
+    def send(self, env: Envelope) -> None:
+        if env.src == env.dest:
+            self.deliver(env)
+            return
+        self.local_messages += 1  # hop 1, or the whole way within a node
+        pair = (env.src // self.ppn, env.dest // self.ppn)
+        if pair[0] == pair[1]:
+            self.deliver(env)
+            return
+        self.pending.setdefault(pair, []).append(env)
+        if sum(len(e.payload) for e in self.pending[pair]) >= self.batch_bytes:
+            self.ship(self.pending.pop(pair))
+
+    def ship(self, envs: list[Envelope]) -> None:
+        self.wire_messages += 1  # hop 2
+        self.wire_bytes += sum(len(e.payload) for e in envs)
+        for env in envs:
+            self.local_messages += 1  # hop 3
+            self.deliver(env)
+
+    def flush(self) -> None:
+        for pair in list(self.pending):
+            self.ship(self.pending.pop(pair))
+
+
 # -- a whole epoch -------------------------------------------------------------
+
+SERIES = (
+    "pipeline.records_encoded",
+    "pipeline.wire_bytes",
+    "pipeline.batches_shipped",
+    "pipeline.records_decoded",
+    "pipeline.batches_received",
+)
 
 
 @dataclass
@@ -289,13 +384,32 @@ class Replay:
     device: StorageDevice
     stats: ClusterStats
     wire_bytes: int  # every envelope payload shipped, self-addressed ones included
+    series: dict[tuple[str, int], int]  # (a `SERIES` name, rank) -> count
 
 
-def replay_epoch(nranks, fmt, value_bytes, seed, records_per_rank, batch_records=4096,
-                 batch_bytes=16384, block_size=1 << 20, aux_backend="cuckoo") -> Replay:
+def generated_puts(nranks, value_bytes, seed, records_per_rank, batch_records=4096):
+    """The ``(rank, batch)`` puts ``SimCluster.run_epoch`` makes, in order."""
+    rng = np.random.default_rng(seed)
+    puts = []
+    for rank in range(nranks):
+        remaining = records_per_rank
+        while remaining > 0:
+            n = min(batch_records, remaining)
+            puts.append((rank, random_kv_batch(n, value_bytes, rng)))
+            remaining -= n
+    return puts
+
+
+def replay_epoch(nranks, fmt, value_bytes, seed, records_per_rank=0, batch_records=4096,
+                 batch_bytes=16384, block_size=1 << 20, aux_backend="cuckoo", puts=None,
+                 routing="direct", ppn=1) -> Replay:
     """What ``SimCluster(nranks, fmt, value_bytes, batch_bytes, block_size=,
-    seed=, aux_backend=).run_epoch(records_per_rank, batch_records)``
-    persists and counts, direct routing with one rank per node."""
+    seed=, routing=, ppn=, aux_backend=)`` persists and counts after
+    ``run_epoch(records_per_rank, batch_records)`` — or, given ``puts``
+    (``(rank, batch)`` pairs in any rank order), after one ``put`` each and
+    ``finish_epoch``."""
+    if puts is None:
+        puts = generated_puts(nranks, value_bytes, seed, records_per_rank, batch_records)
     device = StorageDevice()
     partitioner = HashPartitioner(nranks)
     receivers = [
@@ -303,44 +417,42 @@ def replay_epoch(nranks, fmt, value_bytes, seed, records_per_rank, batch_records
                  aux_seed=seed)
         for r in range(nranks)
     ]
-    shipped: list[Envelope] = []
 
-    def send(env: Envelope) -> None:
-        shipped.append(env)
+    def deliver(env: Envelope) -> None:
         receivers[env.dest].deliver(env)
 
+    router = ThreeHop(deliver, ppn, batch_bytes) if routing == "3hop" else Direct(deliver, ppn)
     writers = [
-        Writer(r, fmt, partitioner, device, value_bytes, send, aux_backend,
+        Writer(r, fmt, partitioner, device, value_bytes, router.send, aux_backend,
                batch_bytes=batch_bytes, block_size=block_size)
         for r in range(nranks)
     ]
-    rng = np.random.default_rng(seed)  # the batches `run_epoch` generates
-    for w in writers:
-        remaining = records_per_rank
-        while remaining > 0:
-            n = min(batch_records, remaining)
-            w.put_batch(random_kv_batch(n, value_bytes, rng))
-            remaining -= n
+    for rank, batch in puts:
+        writers[rank].put_batch(batch)
     for w in writers:
         w.finish()
+    router.flush()
     for r in receivers:
         r.finish()
 
-    remote = [env for env in shipped if env.src != env.dest]
     total = device.total_bytes_stored()
     local = sum(w.local_storage_bytes for w in writers)
     stats = ClusterStats(
         nranks=nranks,
         records=sum(w.records_written for w in writers),
-        rpc_messages=len(remote),
-        shuffle_bytes=sum(len(env.payload) for env in remote),
+        rpc_messages=router.wire_messages,
+        shuffle_bytes=router.wire_bytes,
         storage_bytes=total,
         local_storage_bytes=local,
         remote_storage_bytes=total - local,
         aux_bytes=sum(r.aux.size_bytes for r in receivers if r.aux is not None),
-        local_messages=0,
+        local_messages=router.local_messages,
     )
-    return Replay(device, stats, sum(w.wire_bytes for w in writers))
+    series = {}
+    for w, r in zip(writers, receivers):
+        counts = (w.records_written, w.wire_bytes, w.shipped, r.records_received, r.received)
+        series.update({(name, w.rank): n for name, n in zip(SERIES, counts)})
+    return Replay(device, stats, sum(w.wire_bytes for w in writers), series)
 
 
 def extents(device: StorageDevice) -> dict[str, bytes]:
